@@ -9,7 +9,6 @@ dealer's secret displacement.
 
 __version__ = "0.1.0"
 
-from ._backend import backend_name
 from .bounds import (
     ThermalParams,
     hcrb_thermal,
@@ -38,6 +37,7 @@ from .protocol import (
     ProtocolPolicy,
     ProtocolResult,
     RoundRecord,
+    RoundTable,
     batch_mse_distribution,
     entanglement_check,
     run_protocol,
@@ -55,6 +55,12 @@ from .security import (
     required_mse,
     security_probabilities,
 )
+
+
+def backend_name() -> str:
+    """Compute backend recorded in manifests; numpy is the only one."""
+    return "python"
+
 
 __all__ = [
     "__version__",
@@ -79,6 +85,7 @@ __all__ = [
     "ResourceLimitError",
     "RandomStream",
     "RoundRecord",
+    "RoundTable",
     "SecurityReport",
     "ThermalParams",
     "UnsupportedStateError",

@@ -1,7 +1,7 @@
 """Command-line interface: one executable exposing every pipeline.
 
 Each run writes its outputs plus a manifest.json recording the tool
-version, active backend, subcommand and full argument set, so any
+version, backend, subcommand and full argument set, so any
 manifest can be replayed to byte-identical outputs. All JSON is
 emitted with sorted keys and no timestamps for the same reason.
 
@@ -19,8 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, bounds, certificates, protocol, security
-from ._backend import backend_name
+from . import __version__, backend_name, bounds, certificates, protocol, security
 from .errors import USAGE_ERROR_CODES, CvshareError, InvalidArgumentError
 from .estimators import parse_coalition
 from .gaussian_core import (
@@ -58,6 +57,42 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _column_cells(name: str, col: np.ndarray) -> list[str]:
+    """One round-table column as CSV cells, matching what _fmt gives per row."""
+    values = col.tolist()
+    if name in protocol.BASIS_COLUMNS:
+        return [protocol.BASIS_NAMES[v] for v in values]
+    if col.dtype == bool:
+        return ["true" if v else "false" for v in values]
+    if col.dtype.kind == "f":
+        return [repr(v) if v == v else "" for v in values]
+    return [str(v) for v in values]
+
+
+#: rounds formatted at a time, which bounds the per-cell strings held at once
+_CSV_CHUNK = 32768
+
+
+def _rounds_csv(table: protocol.RoundTable) -> str:
+    """rounds.csv text, formatted column by column."""
+    lines = [",".join(protocol.ROUND_COLUMNS) + "\n"]
+    for start in range(0, len(table), _CSV_CHUNK):
+        chunk = table[start : start + _CSV_CHUNK]
+        cells = [_column_cells(name, getattr(chunk, name)) for name in protocol.ROUND_COLUMNS]
+        lines.extend(",".join(row) + "\n" for row in zip(*cells))
+    return "".join(lines)
+
+
+def _read_input(path: str, what: str) -> str:
+    """Text of an input file; a missing path or a directory is a usage error."""
+    if not os.path.exists(path):
+        raise InvalidArgumentError(f"{what} not found: {path}")
+    if os.path.isdir(path):
+        raise InvalidArgumentError(f"{what} is a directory: {path}")
+    with open(path) as fh:
+        return fh.read()
 
 
 class _Run:
@@ -121,10 +156,7 @@ def _model_from_args(args: argparse.Namespace, r: float | None = None) -> Experi
 def _cmd_state(args: argparse.Namespace) -> None:
     run = _Run(args)
     if args.load is not None:
-        if not os.path.exists(args.load):
-            raise InvalidArgumentError(f"state file not found: {args.load}")
-        with open(args.load) as fh:
-            state = state_from_text(fh.read())
+        state = state_from_text(_read_input(args.load, "state file"))
     else:
         state = build_dealer_state(_model_from_args(args), args.alpha_x, args.alpha_p)
         run.write("state.txt", state_to_text(state))
@@ -151,6 +183,8 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
     if args.band is not None:
         if not (0.0 <= args.band_fluct < 1.0):
             raise InvalidArgumentError("--band-fluct must be in [0, 1)")
+        if args.band_samples < 1:
+            raise InvalidArgumentError("--band-samples must be >= 1")
         gen = RandomStream(args.band_seed).generator()
         band_rows = []
         for r in grid:
@@ -273,33 +307,8 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _round_rows(records: list[protocol.RoundRecord]) -> list[list]:
-    return [
-        [
-            rec.round_index,
-            rec.alpha_x,
-            rec.alpha_p,
-            rec.dealer_basis,
-            rec.basis_a,
-            rec.basis_b,
-            rec.basis_c,
-            rec.x_c,
-            rec.p_c,
-            rec.x_b,
-            rec.p_b,
-            rec.x_a,
-            rec.p_a,
-            rec.kept,
-        ]
-        for rec in records
-    ]
-
-
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    if not os.path.exists(args.config):
-        raise InvalidArgumentError(f"config file not found: {args.config}")
-    with open(args.config) as fh:
-        cfg = parse_config_text(fh.read())
+    cfg = parse_config_text(_read_input(args.config, "config file"))
     model = ExperimentModel(
         r=cfg["r"],
         eta_a=cfg["eta_a"],
@@ -338,12 +347,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     run.write("witness.json", _json_text(result.witness.to_json_dict()))
     run.write("bias.json", _json_text(result.bias.to_json_dict()))
     if args.dump_rounds:
-        header = [
-            "round_index", "alpha_x", "alpha_p", "dealer_basis",
-            "basis_a", "basis_b", "basis_c",
-            "x_c", "p_c", "x_b", "p_b", "x_a", "p_a", "kept",
-        ]
-        run.write("rounds.csv", _csv_text(header, _round_rows(result.records)))
+        run.write("rounds.csv", _rounds_csv(result.records))
     run.finish()
     rep = result.mse_report
     print(

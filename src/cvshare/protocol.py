@@ -15,7 +15,8 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +39,8 @@ WITNESS_THRESHOLD = 4.0
 #: default cap on n_batches * n_probes * modes for batch distribution runs
 DEFAULT_BATCH_TERM_CAP = 200_000_000
 
-_BASIS = ("x", "p")
+#: basis name per code in the basis columns: 0 = x, 1 = p, 2 = dual-homodyne
+BASIS_NAMES = ("x", "p", "xp")
 PARTY_NAMES = ("c", "b", "a")
 
 
@@ -124,6 +126,81 @@ class RoundRecord:
     kept: bool
 
 
+#: round table columns, in RoundRecord field order (also the rounds.csv order)
+ROUND_COLUMNS = tuple(f.name for f in fields(RoundRecord))
+BASIS_COLUMNS = ("dealer_basis", "basis_a", "basis_b", "basis_c")
+OUTCOME_COLUMNS = ("x_c", "p_c", "x_b", "p_b", "x_a", "p_a")
+#: rows converted to RoundRecords at a time while iterating a table
+_ROW_CHUNK = 4096
+
+
+@dataclass(frozen=True, eq=False)
+class RoundTable:
+    """Every protocol round as numpy columns, one entry per round.
+
+    Columns follow :class:`RoundRecord`: ``round_index`` is int64, the
+    basis columns hold int8 codes into :data:`BASIS_NAMES`, outcome
+    columns hold NaN for unmeasured quadratures, and ``kept`` is bool.
+    ``table[mask_or_slice]`` and ``table + other`` give tables;
+    ``table[i]`` and iteration give :class:`RoundRecord` rows, built on
+    demand.
+    """
+
+    round_index: np.ndarray
+    alpha_x: np.ndarray
+    alpha_p: np.ndarray
+    dealer_basis: np.ndarray
+    basis_a: np.ndarray
+    basis_b: np.ndarray
+    basis_c: np.ndarray
+    x_c: np.ndarray
+    p_c: np.ndarray
+    x_b: np.ndarray
+    p_b: np.ndarray
+    x_a: np.ndarray
+    p_a: np.ndarray
+    kept: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "RoundTable":
+        """A table with no rounds."""
+        f, b = np.empty(0), np.empty(0, dtype=np.int8)
+        return cls(np.empty(0, dtype=np.int64), f, f, b, b, b, b, f, f, f, f, f, f,
+                   np.empty(0, dtype=bool))
+
+    def __len__(self) -> int:
+        return self.round_index.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return next(iter(self[i : i + 1]))
+        return RoundTable(*(getattr(self, name)[key] for name in ROUND_COLUMNS))
+
+    def __add__(self, other: "RoundTable") -> "RoundTable":
+        if not isinstance(other, RoundTable):
+            return NotImplemented
+        return RoundTable(
+            *(np.concatenate((getattr(self, n), getattr(other, n))) for n in ROUND_COLUMNS)
+        )
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        for start in range(0, len(self), _ROW_CHUNK):
+            yield from map(RoundRecord, *self[start : start + _ROW_CHUNK]._row_values())
+
+    def _row_values(self) -> list[list]:
+        """Columns as Python lists in RoundRecord form: basis names, None for NaN."""
+        out = []
+        for name in ROUND_COLUMNS:
+            values = getattr(self, name).tolist()
+            if name in BASIS_COLUMNS:
+                values = [BASIS_NAMES[v] for v in values]
+            elif name in OUTCOME_COLUMNS:
+                values = [None if v != v else v for v in values]
+            out.append(values)
+        return out
+
+
 @dataclass(frozen=True, slots=True)
 class WitnessResult:
     """Entanglement verification outcome on the witness rounds."""
@@ -173,7 +250,7 @@ class BiasResult:
 
 
 class ProtocolResult(NamedTuple):
-    records: list[RoundRecord]
+    records: RoundTable
     mse_report: MseReport
     witness: WitnessResult
     bias: BiasResult
@@ -218,9 +295,6 @@ def _party_bases(
     return basis_a, basis_b, basis_c
 
 
-_CHOICE_BY_INDEX = ("x", "p", "xp")
-
-
 def _sample_rounds(
     base: GaussianState,
     basis_c: np.ndarray,
@@ -239,7 +313,7 @@ def _sample_rounds(
     for key in np.unique(keys):
         idx = np.flatnonzero(keys == key)
         kc, kb, ka = key // 9, (key // 3) % 3, key % 3
-        choices = (_CHOICE_BY_INDEX[kc], _CHOICE_BY_INDEX[kb], _CHOICE_BY_INDEX[ka])
+        choices = (BASIS_NAMES[kc], BASIS_NAMES[kb], BASIS_NAMES[ka])
         assignment = MeasurementAssignment(choices)
         out = sample_joint(base, assignment, idx.size, gen)
         labels = assignment.labels(PARTY_NAMES)
@@ -310,8 +384,9 @@ def run_protocol(
         covariance; "fitted" reserves half of the estimation rounds to
         fit the gain by least squares, mirroring an experimental
         calibration, and reports the MSE on the other half.
-    :param keep_records: build the per-round record list (disable for
-        large runs where only the reports matter).
+    :param keep_records: return every round as a :class:`RoundTable`;
+        with False the table is empty (for large runs where only the
+        reports matter).
     :raises AbortLossError: the declared signal-arm transmissivity is
         below policy.eta_min.
     :raises ProtocolFailureError: fewer than two usable rounds remain
@@ -385,14 +460,19 @@ def run_protocol(
     est_p, truth_p = coalition_estimates(p_rounds, "p")
     mse_report = estimators.make_mse_report(coalition, est_x, truth_x, est_p, truth_p, gains)
 
-    witness = _witness_from_arrays(
-        cols,
-        alpha_x,
-        alpha_p,
-        witness_mask & (dealer == 0),
-        witness_mask & (dealer == 1),
-        require_min=True,
-    )
+    witness_x = witness_mask & (dealer == 0)
+    witness_p = witness_mask & (dealer == 1)
+    if coalition is Coalition.A_ALONE:
+        # dual-homodyne outcomes carry an extra vacuum unit per quadrature,
+        # so they cannot test the bound 4 e^{-2r}
+        witness = WitnessResult(
+            None, None, None, None, None, int(np.sum(witness_x)), int(np.sum(witness_p)),
+            WITNESS_THRESHOLD, "not-applicable",
+        )
+    else:
+        witness = _witness_from_arrays(
+            cols, alpha_x, alpha_p, witness_x, witness_p, require_min=True
+        )
 
     if coalition is Coalition.A_ALONE:
         bias_x, bias_p = bias_mask, bias_mask
@@ -412,33 +492,20 @@ def run_protocol(
         mean_err, se = estimators.bias_check(resid, np.zeros_like(resid))
         bias = BiasResult(mean_err, se, n_bias, bool(abs(mean_err) <= 5.0 * se), "ok")
 
-    records: list[RoundRecord] = []
     if keep_records:
-        basis_names = [_CHOICE_BY_INDEX[v] for v in range(3)]
-
-        def val(col: np.ndarray, i: int) -> float | None:
-            v = col[i]
-            return None if math.isnan(v) else float(v)
-
-        for i in range(n_rounds):
-            records.append(
-                RoundRecord(
-                    round_index=i,
-                    alpha_x=float(alpha_x[i]),
-                    alpha_p=float(alpha_p[i]),
-                    dealer_basis=_BASIS[dealer[i]],
-                    basis_a=basis_names[basis_a[i]],
-                    basis_b=basis_names[basis_b[i]],
-                    basis_c=basis_names[basis_c[i]],
-                    x_c=val(cols["x_c"], i),
-                    p_c=val(cols["p_c"], i),
-                    x_b=val(cols["x_b"], i),
-                    p_b=val(cols["p_b"], i),
-                    x_a=val(cols["x_a"], i),
-                    p_a=val(cols["p_a"], i),
-                    kept=bool(kept[i]),
-                )
-            )
+        records = RoundTable(
+            np.arange(n_rounds),
+            alpha_x,
+            alpha_p,
+            dealer.astype(np.int8),
+            basis_a.astype(np.int8),
+            basis_b.astype(np.int8),
+            basis_c.astype(np.int8),
+            *(cols[name] for name in OUTCOME_COLUMNS),
+            kept,
+        )
+    else:
+        records = RoundTable.empty()
     return ProtocolResult(records, mse_report, witness, bias)
 
 
@@ -482,43 +549,39 @@ def _fit_gains(
     return GainSet(g_b=g, g_bc=0.0, bias_scale=1.0 / root_eta)
 
 
-def sift(records: list[RoundRecord], basis: str) -> list[RoundRecord]:
+def sift(records: RoundTable, basis: str) -> RoundTable:
     """Rounds the coalition kept for the given dealer basis."""
-    if basis not in _BASIS:
+    if basis not in ("x", "p"):
         raise InvalidArgumentError("basis must be 'x' or 'p'")
-    return [r for r in records if r.kept and r.dealer_basis == basis]
+    return records[records.kept & (records.dealer_basis == BASIS_NAMES.index(basis))]
 
 
-def entanglement_check(witness_records: list[RoundRecord]) -> WitnessResult:
+def entanglement_check(witness_records: RoundTable) -> WitnessResult:
     """Witness MSE and entanglement verdict from witness rounds.
 
-    Every record must carry all three parties' outcomes in its dealer
-    basis; at least 100 rounds per quadrature are required.
+    Every party must have homodyned the dealer's basis in every round,
+    so dual-homodyne rounds are rejected; at least 100 rounds per
+    quadrature are required.
     """
-    n = len(witness_records)
-    if n == 0:
+    t = witness_records
+    if len(t) == 0:
         raise InvalidArgumentError("no witness rounds supplied")
-    cols = {k: np.full(n, np.nan) for k in ("x_a", "x_b", "x_c", "p_a", "p_b", "p_c")}
-    alpha_x = np.empty(n)
-    alpha_p = np.empty(n)
-    is_x = np.zeros(n, dtype=bool)
-    for i, r in enumerate(witness_records):
-        alpha_x[i], alpha_p[i] = r.alpha_x, r.alpha_p
-        quad = r.dealer_basis
-        is_x[i] = quad == "x"
-        for party in ("a", "b", "c"):
-            v = getattr(r, f"{quad}_{party}")
-            if v is None:
-                raise InvalidArgumentError(
-                    f"round {r.round_index} lacks {quad}_{party}; not a witness round"
-                )
-            cols[f"{quad}_{party}"][i] = v
-    n_x, n_p = int(np.sum(is_x)), int(n - np.sum(is_x))
+    off = np.stack((t.basis_a, t.basis_b, t.basis_c)) != t.dealer_basis
+    if off.any():
+        i = int(np.argmax(off.any(axis=0)))
+        party = "abc"[int(np.argmax(off[:, i]))]
+        raise InvalidArgumentError(
+            f"round {t.round_index[i]}: basis_{party} differs from the dealer basis "
+            f"{BASIS_NAMES[t.dealer_basis[i]]!r}; not a witness round"
+        )
+    is_x = t.dealer_basis == 0
+    n_x, n_p = int(np.sum(is_x)), int(np.sum(~is_x))
     if n_x < WITNESS_MIN_ROUNDS or n_p < WITNESS_MIN_ROUNDS:
         raise InvalidArgumentError(
             f"need >= {WITNESS_MIN_ROUNDS} witness rounds per quadrature, got {n_x}/{n_p}"
         )
-    return _witness_from_arrays(cols, alpha_x, alpha_p, is_x, ~is_x, require_min=True)
+    cols = {name: getattr(t, name) for name in OUTCOME_COLUMNS}
+    return _witness_from_arrays(cols, t.alpha_x, t.alpha_p, is_x, ~is_x, require_min=True)
 
 
 def surrogate_intercept_state(
@@ -567,6 +630,18 @@ def witness_verification_run(
     return _witness_from_arrays(cols, ax, ap, dealer == 0, dealer == 1, require_min=True)
 
 
+def linear_mse_batches(
+    outcomes: np.ndarray, weights: np.ndarray, truths: np.ndarray, n_batches: int
+) -> np.ndarray:
+    """Per-batch mean squared error of a linear estimator.
+
+    Rows of ``outcomes`` are grouped into n_batches equal consecutive
+    batches; returns, per batch, mean((outcomes @ weights - truths)^2).
+    """
+    err = outcomes @ weights - truths
+    return np.mean(err.reshape(n_batches, -1) ** 2, axis=1)
+
+
 def batch_mse_distribution(
     model: ExperimentModel,
     coalition: Coalition,
@@ -589,8 +664,6 @@ def batch_mse_distribution(
         raise ResourceLimitError(
             f"n_batches * n_probes * modes exceeds the cap of {max_terms}"
         )
-    from ._backend import kernels
-
     gen = stream.generator()
     n_tot = n_batches * n_probes_per_quadrature
     zeros = np.zeros(n_tot)
@@ -598,8 +671,8 @@ def batch_mse_distribution(
         reduced = partial_trace(build_dealer_state(model, 0.0, 0.0), [2])
         bias = 1.0 / math.sqrt(model.eta_a)
         out = sample_joint(reduced, MeasurementAssignment(("xp",)), n_tot, gen)
-        mse_x = kernels().linear_mse_batches(out, np.array([bias, 0.0]), zeros, n_batches)
-        mse_p = kernels().linear_mse_batches(out, np.array([0.0, bias]), zeros, n_batches)
+        mse_x = linear_mse_batches(out, np.array([bias, 0.0]), zeros, n_batches)
+        mse_p = linear_mse_batches(out, np.array([0.0, bias]), zeros, n_batches)
         return mse_x + mse_p
 
     base = build_dealer_state(model, 0.0, 0.0)
@@ -624,5 +697,5 @@ def batch_mse_distribution(
     total = np.zeros(n_batches)
     for quad in ("x", "p"):
         out = sample_joint(base, MeasurementAssignment(choices[quad]), n_tot, gen)
-        total += split * kernels().linear_mse_batches(out, weights[quad], zeros, n_batches)
+        total += split * linear_mse_batches(out, weights[quad], zeros, n_batches)
     return total

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import kernels
 from .errors import InvalidArgumentError
 from .gaussian_core import GaussianState
 
@@ -126,6 +125,18 @@ def outcome_moments(
     return mean, cov
 
 
+def mvn_sample(
+    gen: np.random.Generator, mean: np.ndarray, chol: np.ndarray, n_shots: int
+) -> np.ndarray:
+    """Sample n_shots rows from N(mean, chol @ chol.T).
+
+    :param mean: length-d mean vector.
+    :param chol: d x d lower-triangular Cholesky factor of the covariance.
+    """
+    z = gen.standard_normal((n_shots, mean.shape[0]))
+    return mean[None, :] + z @ chol.T
+
+
 def sample_joint(
     state: GaussianState,
     assignment: MeasurementAssignment,
@@ -144,7 +155,7 @@ def sample_joint(
     mean, cov = outcome_moments(state, assignment)
     gen = stream.generator() if isinstance(stream, RandomStream) else stream
     chol = np.linalg.cholesky(cov)
-    return kernels().mvn_sample(gen, mean, chol, n_shots)
+    return mvn_sample(gen, mean, chol, n_shots)
 
 
 def sample_homodyne(

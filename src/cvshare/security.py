@@ -157,7 +157,15 @@ def required_mse(c_bits: float, v_dist: float) -> float:
         raise InvalidArgumentError("c_bits must be finite and > 0")
     if not (math.isfinite(v_dist) and v_dist > 0.0):
         raise InvalidArgumentError("v_dist must be finite and > 0")
-    return v_dist / (2.0**c_bits - 1.0)
+    try:
+        target = v_dist / (2.0**c_bits - 1.0)
+    except (OverflowError, ZeroDivisionError):
+        target = math.nan
+    if not (math.isfinite(target) and target > 0.0):
+        raise InvalidArgumentError(
+            f"c_bits = {c_bits!r} at v_dist = {v_dist!r} gives no finite positive MSE target"
+        )
+    return target
 
 
 def prob_mi_above(c_bits: float, v_dist: float, dist: MseDistribution) -> float:

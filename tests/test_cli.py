@@ -1,5 +1,6 @@
 """Command-line interface: file outputs, manifests, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -186,6 +187,64 @@ def test_simulate_and_rerun_byte_identical(tmp_path, capsys):
     rounds = first["rounds.csv"].decode().splitlines()
     assert rounds[0].startswith("round_index,alpha_x,alpha_p,dealer_basis")
     assert len(rounds) == 1 + 10000
+
+
+# rounds.csv sha256 per (coalition, plan), from the per-round record writer
+# that the column writer replaced
+ROUNDS_CSV_SHA256 = {
+    ("a_alone", "fixed"): "bbb8c2441532ace0cdc50070cd2fda26f73efe715da76486c61ec6c794deb6a7",
+    ("ab", "fixed"): "018d1f759f018bcc866c601d8cd7b780846aa6f8f4953554a0e66362fa7b6a22",
+    ("ac", "fixed"): "552c5d40d32a6550bf665064423cb8b36d81c5636c8c13db682d2aef71e11666",
+    ("abc", "fixed"): "7e842e33f25b423816e8540baf0cae098e182d7650288c47fbca914c06879d8c",
+    ("a_alone", "gaussian"): "6425a3bf353e84aa1d9951e9ecf366620840d0b76361b8914818aa05ab81680b",
+    ("ab", "gaussian"): "57d9a385bbee108a4337cfd2565c3d9ad4005fa8d65f85d26968f4016448915e",
+    ("ac", "gaussian"): "8dcdbe10117c16a286e53d6b18571c0b5fc3f3569005be5a92bc2eb342f1439a",
+    ("abc", "gaussian"): "671421a68fb4e52a35e9b7d93dbabab4381a14716c945234c513241956d583d5",
+}
+
+
+@pytest.mark.parametrize("coalition, plan", sorted(ROUNDS_CSV_SHA256))
+def test_rounds_csv_bytes_pinned(tmp_path, capsys, coalition, plan):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"r = 1.0\nplan = {plan}\nalpha_x = 0.5\nalpha_p = -0.25\nv_dist = 1.5\n"
+        f"coalition = {coalition}\nn_rounds = 200\nseed = 11\n"
+    )
+    out = tmp_path / "out"
+    code, _, _ = run_cli(
+        ["simulate", "--out-dir", str(out), "--config", str(cfg), "--dump-rounds"], capsys
+    )
+    assert code == 0
+    digest = hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest()
+    assert digest == ROUNDS_CSV_SHA256[(coalition, plan)]
+
+
+MI_ARGS = ["mi", "--v-dist", "5", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",
+           "--n-max", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--steps", "2", "--band", "gaussian", "--band-samples", "0"],
+        ["bounds", "--steps", "2", "--band", "uniform", "--band-samples", "-3"],
+        MI_ARGS + ["--c-bits", "2000"],
+        ["state", "--load", "{dir}"],
+        ["simulate", "--config", "{dir}"],
+    ],
+    ids=["band-samples-0", "band-samples-negative", "mi-c-bits-2000", "state-load-dir",
+         "simulate-config-dir"],
+)
+def test_bad_input_is_one_line_json_error(tmp_path, capsys, argv):
+    argv = [str(tmp_path) if a == "{dir}" else a for a in argv]
+    code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "invalid-argument"
+    assert payload["message"]
 
 
 def test_simulate_missing_config(tmp_path, capsys):

@@ -17,12 +17,21 @@ from cvshare.gaussian_core import (
 from cvshare.sampler import (
     MeasurementAssignment,
     RandomStream,
+    mvn_sample,
     outcome_moments,
     outcomes_to_csv,
     sample_dual_homodyne,
     sample_homodyne,
     sample_joint,
 )
+
+
+def test_mvn_sample_matches_manual_expression():
+    mean = np.array([1.0, -2.0, 0.5])
+    a = np.array([[2.0, 0.0, 0.0], [0.3, 1.0, 0.0], [-0.2, 0.4, 0.7]])
+    got = mvn_sample(np.random.Generator(np.random.PCG64(42)), mean, a, 50)
+    z = np.random.Generator(np.random.PCG64(42)).standard_normal((50, 3))
+    assert np.array_equal(got, mean[None, :] + z @ a.T)
 
 
 def test_stream_reproducibility_and_independence():

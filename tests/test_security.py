@@ -152,6 +152,13 @@ def test_required_mse_inverts_mutual_information(c, v):
     assert mutual_information(v, v_alpha) == pytest.approx(c, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [2000.0, 1e-300])
+def test_required_mse_rejects_targets_out_of_float_range(c):
+    # 2^c overflows, or 2^c - 1 rounds to zero: no finite positive target
+    with pytest.raises(InvalidArgumentError, match="c_bits"):
+        required_mse(c, 5.0)
+
+
 def test_prob_mi_above_orderings():
     dist = MseDistribution(mu=4.0, n_probes=30)
     # more demanded bits -> smaller success probability
