@@ -1,9 +1,15 @@
-"""Gaussian states in shot-noise units and the operations that build the dealer's distributed state.
+"""Gaussian states in shot-noise units and the dealer's distributed state.
 
 Conventions: quadratures obey [x, p] = 2i, the vacuum has unit variance
 per quadrature, and vectors/matrices are ordered x1, p1, x2, p2, ...
 The three-mode state shared by the dealer is stored in mode order
 (C, B, A), so party A's quadratures occupy the last 2x2 block.
+
+The :class:`GaussianState` constructor is the one place where a state
+is checked (shape, symmetry, uncertainty relation, positivity). Every
+state passes through it once: user-built states, parsed state files,
+partial traces and the dealer state, which is assembled on plain arrays
+and checked when it is wrapped at the end.
 """
 
 from __future__ import annotations
@@ -15,12 +21,15 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedStateError
 
-#: absolute tolerance for algebraic identities between covariance entries
-ABS_TOL = 1e-12
 #: relative tolerance for covariance symmetry
 SYMMETRY_RTOL = 1e-10
-#: eigenvalue slack allowed when testing physicality of cov + i*Omega
+#: eigenvalue slack allowed when testing physicality of cov + i*Omega,
+#: relative to the largest |cov| entry (and never below this absolute value)
 PHYSICALITY_SLACK = 1e-9
+#: largest accepted squeezing: beyond it the e^{-2r} variance is lost in the
+#: round-off of the e^{2r} one, and the dealer state cannot be told from an
+#: unphysical one (the limit keeps a margin of about 50x above round-off)
+R_MAX = 8.0
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -69,7 +78,7 @@ class GaussianState:
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_RTOL * scale:
             raise InvalidArgumentError("cov must be symmetric")
         cov = 0.5 * (cov + cov.T)
-        if physicality_min_eigenvalue_of(cov) < -PHYSICALITY_SLACK:
+        if physicality_min_eigenvalue_of(cov) < -PHYSICALITY_SLACK * scale:
             raise InvalidArgumentError("cov violates the uncertainty relation")
         if np.linalg.eigvalsh(cov)[0] <= 0.0:
             raise InvalidArgumentError("cov must be positive definite")
@@ -77,11 +86,6 @@ class GaussianState:
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-
-    def mode_block(self, mode: int) -> np.ndarray:
-        """2x2 covariance block of one mode."""
-        _check_mode(self, mode)
-        return self.cov[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2]
 
 
 def physicality_min_eigenvalue_of(cov: np.ndarray) -> float:
@@ -104,7 +108,7 @@ class ExperimentModel:
     transmissivities and zero excess noise the state is the ideal
     dealer resource.
 
-    :param r: squeezing parameter, >= 0.
+    :param r: squeezing parameter, in [0, R_MAX].
     :param eta_a, eta_b, eta_c: transmissivity per arm, each in (0, 1].
     :param eps_a, eps_b, eps_c: excess thermal noise per arm, >= 0 shot-noise units.
     """
@@ -120,6 +124,11 @@ class ExperimentModel:
     def __post_init__(self):
         if not (math.isfinite(self.r) and self.r >= 0.0):
             raise InvalidArgumentError("r must be finite and >= 0")
+        if self.r > R_MAX:
+            raise InvalidArgumentError(
+                f"r must be <= R_MAX = {R_MAX}: beyond it e^(-2r) is lost in the "
+                "round-off of e^(2r)"
+            )
         for name in ("eta_a", "eta_b", "eta_c"):
             eta = getattr(self, name)
             if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
@@ -137,120 +146,6 @@ class ExperimentModel:
         )
 
 
-def _check_mode(state: GaussianState, mode: int) -> None:
-    if not (0 <= mode < state.n_modes):
-        raise InvalidArgumentError(f"mode {mode} out of range for {state.n_modes} modes")
-
-
-def vacuum(n_modes: int) -> GaussianState:
-    """Vacuum state: zero mean, identity covariance.
-
-    :param n_modes: number of modes, >= 1.
-    """
-    if n_modes < 1:
-        raise InvalidArgumentError("n_modes must be >= 1")
-    return GaussianState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
-
-
-def squeezed_vacuum(r: float, squeezed_quadrature: str) -> GaussianState:
-    """Single-mode squeezed vacuum with variance e^{-2r} in the chosen quadrature.
-
-    :param r: squeezing parameter, >= 0.
-    :param squeezed_quadrature: "x" or "p".
-    """
-    if not (math.isfinite(r) and r >= 0.0):
-        raise InvalidArgumentError("r must be finite and >= 0")
-    if squeezed_quadrature not in ("x", "p"):
-        raise InvalidArgumentError("squeezed_quadrature must be 'x' or 'p'")
-    lo, hi = math.exp(-2.0 * r), math.exp(2.0 * r)
-    diag = (lo, hi) if squeezed_quadrature == "x" else (hi, lo)
-    return GaussianState(1, np.zeros(2), np.diag(diag))
-
-
-def tensor(*states: GaussianState) -> GaussianState:
-    """Tensor product of states, modes concatenated in argument order."""
-    if not states:
-        raise InvalidArgumentError("tensor requires at least one state")
-    n_modes = sum(s.n_modes for s in states)
-    mean = np.concatenate([s.mean for s in states])
-    cov = np.zeros((2 * n_modes, 2 * n_modes))
-    offset = 0
-    for s in states:
-        d = 2 * s.n_modes
-        cov[offset : offset + d, offset : offset + d] = s.cov
-        offset += d
-    return GaussianState(n_modes, mean, cov)
-
-
-def beamsplitter(
-    state: GaussianState, mode_i: int, mode_j: int, transmissivity: float
-) -> GaussianState:
-    """Mix two modes on a beamsplitter of the given transmissivity.
-
-    The symplectic acting on the (mode_i, mode_j) quadrature blocks is
-    [[sqrt(t) I2, sqrt(1-t) I2], [-sqrt(1-t) I2, sqrt(t) I2]].
-
-    :param transmissivity: t in [0, 1]; t = 1 leaves the state unchanged.
-    """
-    _check_mode(state, mode_i)
-    _check_mode(state, mode_j)
-    if mode_i == mode_j:
-        raise InvalidArgumentError("beamsplitter requires two distinct modes")
-    t = transmissivity
-    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
-        raise InvalidArgumentError("transmissivity must be in [0, 1]")
-    ct, st = math.sqrt(t), math.sqrt(1.0 - t)
-    s_full = np.eye(2 * state.n_modes)
-    bi, bj = 2 * mode_i, 2 * mode_j
-    for k in range(2):
-        s_full[bi + k, bi + k] = ct
-        s_full[bj + k, bj + k] = ct
-        s_full[bi + k, bj + k] = st
-        s_full[bj + k, bi + k] = -st
-    return GaussianState(state.n_modes, s_full @ state.mean, s_full @ state.cov @ s_full.T)
-
-
-def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
-    """Displace one mode in phase space; covariance is untouched."""
-    _check_mode(state, mode)
-    if not (math.isfinite(dx) and math.isfinite(dp)):
-        raise InvalidArgumentError("displacement must be finite")
-    mean = state.mean.copy()
-    mean[2 * mode] += dx
-    mean[2 * mode + 1] += dp
-    return GaussianState(state.n_modes, mean, state.cov)
-
-
-def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
-    """Pure-loss channel of transmissivity eta on one mode.
-
-    The mode's mean and cross-covariances scale by sqrt(eta); its block
-    becomes eta * block + (1 - eta) * I2.
-    """
-    _check_mode(state, mode)
-    if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
-        raise InvalidArgumentError("eta must be in (0, 1]")
-    g = np.eye(2 * state.n_modes)
-    b = 2 * mode
-    g[b, b] = g[b + 1, b + 1] = math.sqrt(eta)
-    cov = g @ state.cov @ g.T
-    cov[b, b] += 1.0 - eta
-    cov[b + 1, b + 1] += 1.0 - eta
-    return GaussianState(state.n_modes, g @ state.mean, cov)
-
-
-def add_excess_noise(state: GaussianState, mode: int, eps: float) -> GaussianState:
-    """Add eps shot-noise units of thermal noise to one mode's block."""
-    _check_mode(state, mode)
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise InvalidArgumentError("eps must be >= 0")
-    cov = state.cov.copy()
-    b = 2 * mode
-    cov[b, b] += eps
-    cov[b + 1, b + 1] += eps
-    return GaussianState(state.n_modes, state.mean, cov)
-
-
 def partial_trace(state: GaussianState, keep: list[int]) -> GaussianState:
     """Restrict to the listed modes, in the order given.
 
@@ -261,7 +156,8 @@ def partial_trace(state: GaussianState, keep: list[int]) -> GaussianState:
     if len(set(keep)) != len(keep):
         raise InvalidArgumentError("keep must be duplicate-free")
     for m in keep:
-        _check_mode(state, m)
+        if not (0 <= m < state.n_modes):
+            raise InvalidArgumentError(f"mode {m} out of range for {state.n_modes} modes")
     idx = np.array([2 * m + k for m in keep for k in range(2)])
     return GaussianState(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)])
 
@@ -276,25 +172,49 @@ def build_dealer_state(model: ExperimentModel, alpha_x: float, alpha_p: float) -
     (alpha_x, alpha_p) is applied to arm A, then each arm passes through
     its loss channel and picks up its excess noise.
 
+    The steps are the standard symplectic and channel maps (Weedbrook et
+    al., Rev. Mod. Phys. 84, 621 (2012)) applied to one (mean, cov) pair;
+    they keep the state physical, so it is checked once, at the end.
+
     :return: three-mode state, mode order (C, B, A), mean
         (0, 0, 0, 0, alpha_x, alpha_p) before loss.
     """
     if not (math.isfinite(alpha_x) and math.isfinite(alpha_p)):
         raise InvalidArgumentError("displacement must be finite")
-    st = tensor(vacuum(1), squeezed_vacuum(model.r, "x"), squeezed_vacuum(model.r, "p"))
-    st = beamsplitter(st, 1, 2, 0.5)
-    st = beamsplitter(st, 1, 0, 0.5)
-    st = displace(st, 2, alpha_x, alpha_p)
-    for mode, eta, eps in (
-        (0, model.eta_c, model.eps_c),
-        (1, model.eta_b, model.eps_b),
-        (2, model.eta_a, model.eps_a),
-    ):
+    lo, hi = math.exp(-2.0 * model.r), math.exp(2.0 * model.r)
+    # inputs: vacuum C, x-squeezed B, p-squeezed A; each matrix sandwich
+    # below is symmetric only up to round-off, so it is symmetrized after
+    mean = np.zeros(6)
+    cov = np.diag([1.0, 1.0, lo, hi, hi, lo])
+    h = math.sqrt(0.5)
+    for bi, bj in ((2, 4), (2, 0)):
+        # 50:50 beamsplitter [[h I2, h I2], [-h I2, h I2]] on the mode blocks
+        # starting at bi and bj: first B with A, then B with C's vacuum
+        s = np.eye(6)
+        for k in range(2):
+            s[bi + k, bi + k] = s[bj + k, bj + k] = s[bi + k, bj + k] = h
+            s[bj + k, bi + k] = -h
+        mean = s @ mean
+        cov = s @ cov @ s.T
+        cov = 0.5 * (cov + cov.T)
+    mean[4] += alpha_x
+    mean[5] += alpha_p
+    for b, eta, eps in ((0, model.eta_c, model.eps_c), (2, model.eta_b, model.eps_b),
+                        (4, model.eta_a, model.eps_a)):
         if eta < 1.0:
-            st = loss(st, mode, eta)
+            # pure loss: the arm's mean and cross-covariances scale by
+            # sqrt(eta), its block becomes eta * block + (1 - eta) * I2
+            g = np.eye(6)
+            g[b, b] = g[b + 1, b + 1] = math.sqrt(eta)
+            cov = g @ cov @ g.T
+            cov[b, b] += 1.0 - eta
+            cov[b + 1, b + 1] += 1.0 - eta
+            cov = 0.5 * (cov + cov.T)
+            mean = g @ mean
         if eps > 0.0:
-            st = add_excess_noise(st, mode, eps)
-    return st
+            cov[b, b] += eps
+            cov[b + 1, b + 1] += eps
+    return GaussianState(3, mean, cov)
 
 
 def state_to_text(state: GaussianState) -> str:

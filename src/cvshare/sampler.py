@@ -157,50 +157,3 @@ def sample_joint(
     chol = np.linalg.cholesky(cov)
     return mvn_sample(gen, mean, chol, n_shots)
 
-
-def sample_homodyne(
-    state: GaussianState,
-    assignment: MeasurementAssignment,
-    n_shots: int,
-    stream: RandomStream | np.random.Generator,
-) -> np.ndarray:
-    """Draw homodyne outcomes for the selected quadratures.
-
-    The assignment may only use "x", "p" and "none"; dual-homodyne
-    rounds go through :func:`sample_dual_homodyne` (or
-    :func:`sample_joint` when mixed with homodyne modes).
-    """
-    if assignment.dual_modes():
-        raise InvalidArgumentError("assignment contains 'xp'; use sample_dual_homodyne")
-    return sample_joint(state, assignment, n_shots, stream)
-
-
-def sample_dual_homodyne(
-    state: GaussianState,
-    mode: int,
-    n_shots: int,
-    stream: RandomStream | np.random.Generator,
-) -> np.ndarray:
-    """Draw dual-homodyne outcome pairs (x, p) for one mode.
-
-    Outcomes are normal with the mode's mean and covariance block plus
-    the identity (one vacuum unit of penalty per quadrature).
-    """
-    if not (0 <= mode < state.n_modes):
-        raise InvalidArgumentError(f"mode {mode} out of range")
-    choices = ["none"] * state.n_modes
-    choices[mode] = "xp"
-    return sample_joint(state, MeasurementAssignment(tuple(choices)), n_shots, stream)
-
-
-def outcomes_to_csv(outcomes: np.ndarray, labels: list[str]) -> str:
-    """Render an outcome matrix as CSV with one header row of column labels."""
-    outcomes = np.asarray(outcomes)
-    if outcomes.ndim != 2:
-        raise InvalidArgumentError("outcomes must be a 2-d matrix")
-    if len(labels) != outcomes.shape[1]:
-        raise InvalidArgumentError("one label per outcome column required")
-    lines = [",".join(labels)]
-    for row in outcomes:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"

@@ -219,7 +219,87 @@ def test_rounds_csv_bytes_pinned(tmp_path, capsys, coalition, plan):
     assert digest == ROUNDS_CSV_SHA256[(coalition, plan)]
 
 
-MI_ARGS = ["mi", "--v-dist", "5", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",
+LOSSY_ARMS = ["--eta-a", "0.8", "--eta-b", "0.9", "--eta-c", "0.95", "--eps-a", "0.02",
+              "--eps-b", "0.05", "--eps-c", "0.1"]
+
+# sha256 of outputs that depend on the dealer covariance, from the writer
+# that chained one validated state per channel step
+DEALER_OUTPUT_SHA256 = {
+    "state-ideal": (
+        ["state", "--r", "1.0", "--alpha-x", "0.3", "--alpha-p", "-0.7"],
+        {"state.txt": "a76eff628de314cded95bcd20b7bdc43a2f89b50b199d32e7ca117fb36d1c6bd"},
+    ),
+    "state-lossy": (
+        ["state", "--r", "0.8", "--eta-a", "0.9", "--eta-b", "0.7", "--eps-c", "0.05",
+         "--alpha-x", "1.1"],
+        {"state.txt": "d624456116f25c292cf140784a8d2509cb52aade9cbae25c6302cd031d063fbc"},
+    ),
+    "bounds-ideal-gaussian-band": (
+        ["bounds", "--steps", "4", "--band", "gaussian", "--band-samples", "25"],
+        {
+            "bounds.csv": "1e379d8a5b4271ad59fd32f43277945c94df91a1d59588b1fd5593d77613798c",
+            "bounds_band.csv": "d573cc9694bfd10f6acdcb19a157cfba943b47b1129f413342a9b3cb087bc111",
+        },
+    ),
+    "bounds-lossy-uniform-band": (
+        ["bounds", "--steps", "4", "--band", "uniform", "--band-samples", "25"] + LOSSY_ARMS,
+        {
+            "bounds.csv": "ea7c5cd815a5953b640ebb2f353096db785b6d6920166a25c988140f5877b9b6",
+            "bounds_band.csv": "2350f668a976160d11324523f5b13449b143290731268f58a310a9e6a17b4d9f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEALER_OUTPUT_SHA256))
+def test_dealer_outputs_bytes_pinned(tmp_path, capsys, case):
+    argv, digests = DEALER_OUTPUT_SHA256[case]
+    code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    for name, want in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+def _large_r_runs(tmp_path, r):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"r = {r}\ncoalition = abc\nn_rounds = 2000\n")
+    out = str(tmp_path / "out")
+    return [
+        ["state", "--r", r],
+        ["simulate", "--config", str(cfg)],
+        ["witness", "--r", r],
+        ["bounds", "--r-min", r, "--r-max", r, "--steps", "1"],
+        ["state", "--load", os.path.join(out, "state.txt")],
+    ], out
+
+
+def test_squeezing_up_to_r_max_runs(tmp_path, capsys):
+    # the ideal dealer state at r = 8 used to fail the uncertainty check
+    # on round-off, because the slack did not grow with the covariance
+    runs, out = _large_r_runs(tmp_path, "8.0")
+    for argv in runs:
+        code, _, err = run_cli(argv + ["--out-dir", out], capsys)
+        assert code == 0, (argv, err)
+
+
+def test_squeezing_above_r_max_is_one_line_json_error(tmp_path, capsys):
+    runs, out = _large_r_runs(tmp_path, "8.5")
+    messages = []
+    for argv in runs:
+        code, _, err = run_cli(argv + ["--out-dir", out], capsys)
+        assert code == 2, argv
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "invalid-argument"
+        messages.append(payload["message"])
+    assert all("R_MAX = 8.0" in m for m in messages[:-1])
+    # the rejected state run wrote no state file for the load to read
+    assert messages[-1].startswith("state file not found")
+
+
+MI_ARGS = ["mi","--v-dist", "5", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",
            "--n-max", "2"]
 
 

@@ -1,4 +1,4 @@
-"""State construction, symplectic transforms and the dealer pipeline."""
+"""State construction and checks, the dealer state, partial trace and state files."""
 
 import math
 
@@ -9,21 +9,16 @@ from hypothesis import strategies as st
 
 from cvshare.errors import InvalidArgumentError, UnsupportedStateError
 from cvshare.gaussian_core import (
+    PHYSICALITY_SLACK,
+    R_MAX,
     ExperimentModel,
     GaussianState,
-    add_excess_noise,
-    beamsplitter,
     build_dealer_state,
-    displace,
-    loss,
     partial_trace,
     physicality_min_eigenvalue,
-    squeezed_vacuum,
     state_from_text,
     state_to_text,
     symplectic_form,
-    tensor,
-    vacuum,
 )
 
 
@@ -45,25 +40,22 @@ def ideal_dealer_cov(r: float) -> np.ndarray:
 
 
 def test_vacuum_is_identity_covariance():
-    st3 = vacuum(3)
+    # without squeezing every input is vacuum, and beamsplitters keep it so
+    st3 = build_dealer_state(ExperimentModel(r=0.0), 0.0, 0.0)
     assert st3.n_modes == 3
-    assert np.array_equal(st3.cov, np.eye(6))
+    assert np.allclose(st3.cov, np.eye(6), rtol=0.0, atol=1e-15)
     assert np.array_equal(st3.mean, np.zeros(6))
 
 
 def test_squeezed_vacuum_variances():
+    # undoing both beamsplitters recovers the inputs: vacuum C, x-squeezed
+    # B and p-squeezed A; rows are the input modes over outputs (C, B, A)
     r = 0.7
-    sx = squeezed_vacuum(r, "x")
-    assert sx.cov[0, 0] == pytest.approx(math.exp(-2 * r))
-    assert sx.cov[1, 1] == pytest.approx(math.exp(2 * r))
-    sp = squeezed_vacuum(r, "p")
-    assert sp.cov[0, 0] == pytest.approx(math.exp(2 * r))
-    assert sp.cov[1, 1] == pytest.approx(math.exp(-2 * r))
-
-
-def test_squeezed_vacuum_rejects_bad_quadrature():
-    with pytest.raises(InvalidArgumentError):
-        squeezed_vacuum(0.5, "q")
+    h = math.sqrt(0.5)
+    undo = np.kron([[h, h, 0.0], [-0.5, 0.5, -h], [-0.5, 0.5, h]], np.eye(2))
+    cov = build_dealer_state(ExperimentModel(r=r), 0.0, 0.0).cov
+    lo, hi = math.exp(-2 * r), math.exp(2 * r)
+    assert np.allclose(undo @ cov @ undo.T, np.diag([1.0, 1.0, lo, hi, hi, lo]), atol=1e-12)
 
 
 def test_symplectic_form_block_structure():
@@ -77,52 +69,55 @@ def test_symplectic_form_block_structure():
 
 
 def test_beamsplitter_preserves_symplectic_form():
-    # the transmissivity-t coupling must satisfy S Omega S^T = Omega
-    for t in (0.0, 0.3, 0.5, 1.0):
-        st2 = tensor(squeezed_vacuum(0.4, "x"), vacuum(1))
-        out = beamsplitter(st2, 0, 1, t)
-        assert physicality_min_eigenvalue(out) >= -1e-9
+    # the ideal state is pure, cov = S S^T with S symplectic, so that
+    # (cov Omega)^2 = -I: the beamsplitter network preserves Omega
+    om = symplectic_form(3)
+    for r in (0.0, 0.4, 1.0, 1.5):
+        cov = build_dealer_state(ExperimentModel(r=r), 0.0, 0.0).cov
+        assert np.allclose(cov @ om @ cov @ om, -np.eye(6), atol=1e-9)
 
 
 def test_beamsplitter_balanced_mixes_variances():
-    st2 = tensor(squeezed_vacuum(0.8, "x"), vacuum(1))
-    out = beamsplitter(st2, 0, 1, 0.5)
-    vx = 0.5 * (math.exp(-1.6) + 1.0)
-    assert out.cov[0, 0] == pytest.approx(vx)
-    assert out.cov[2, 2] == pytest.approx(vx)
+    r = 0.8
+    cov = build_dealer_state(ExperimentModel(r=r), 0.0, 0.0).cov
+    # the first 50:50 gives A the mean of the e^{-2r} and e^{2r} variances
+    va = 0.5 * (math.exp(-2 * r) + math.exp(2 * r))
+    assert cov[4, 4] == pytest.approx(va)
+    # the second mixes the other output with vacuum into C and B
+    assert cov[0, 0] == pytest.approx(0.5 * (va + 1.0))
+    assert cov[2, 2] == pytest.approx(0.5 * (va + 1.0))
 
 
 def test_displace_shifts_mean_only():
-    st1 = vacuum(2)
-    out = displace(st1, 1, 0.3, -0.4)
-    assert np.array_equal(out.cov, st1.cov)
-    assert out.mean[2] == pytest.approx(0.3)
-    assert out.mean[3] == pytest.approx(-0.4)
-    assert out.mean[0] == 0.0
+    model = ExperimentModel(r=0.6)
+    out = build_dealer_state(model, 0.3, -0.4)
+    assert np.array_equal(out.cov, build_dealer_state(model, 0.0, 0.0).cov)
+    assert np.array_equal(out.mean, [0.0, 0.0, 0.0, 0.0, 0.3, -0.4])
 
 
 def test_loss_interpolates_to_vacuum():
-    st1 = squeezed_vacuum(1.0, "x")
-    near = loss(st1, 0, 1e-12)
-    assert np.allclose(near.cov, np.eye(2), atol=1e-10)
-    half = loss(st1, 0, 0.5)
-    assert half.cov[0, 0] == pytest.approx(0.5 * math.exp(-2) + 0.5)
-    assert loss(st1, 0, 1.0).cov == pytest.approx(st1.cov)
+    ideal = build_dealer_state(ExperimentModel(r=1.0), 0.0, 0.0).cov
+    near = build_dealer_state(ExperimentModel(1.0, 1e-12, 1e-12, 1e-12), 0.0, 0.0)
+    assert np.allclose(near.cov, np.eye(6), atol=1e-10)
+    half = build_dealer_state(ExperimentModel(1.0, 0.5, 0.5, 0.5), 0.0, 0.0)
+    assert np.allclose(half.cov, 0.5 * ideal + 0.5 * np.eye(6), atol=1e-12)
     with pytest.raises(InvalidArgumentError):
-        loss(st1, 0, 0.0)
+        ExperimentModel(r=1.0, eta_b=0.0)
     with pytest.raises(InvalidArgumentError):
-        loss(st1, 0, 1.1)
+        ExperimentModel(r=1.0, eta_b=1.1)
 
 
 def test_loss_scales_mean_by_root_eta():
-    st1 = displace(vacuum(1), 0, 2.0, 0.0)
-    out = loss(st1, 0, 0.25)
-    assert out.mean[0] == pytest.approx(1.0)
+    out = build_dealer_state(ExperimentModel(r=0.5, eta_a=0.25, eta_b=0.5), 2.0, -1.0)
+    assert out.mean[4] == pytest.approx(1.0)
+    assert out.mean[5] == pytest.approx(-0.5)
 
 
 def test_excess_noise_adds_to_block():
-    out = add_excess_noise(vacuum(1), 0, 0.2)
-    assert np.allclose(out.cov, 1.2 * np.eye(2))
+    base = build_dealer_state(ExperimentModel(r=0.7, eta_b=0.8), 0.0, 0.0).cov
+    model = ExperimentModel(r=0.7, eta_b=0.8, eps_a=0.2, eps_b=0.1, eps_c=0.3)
+    noisy = build_dealer_state(model, 0.0, 0.0).cov
+    assert np.allclose(noisy - base, np.diag([0.3, 0.3, 0.1, 0.1, 0.2, 0.2]), atol=1e-12)
 
 
 def test_partial_trace_picks_mode_blocks():
@@ -152,6 +147,23 @@ def test_dealer_state_loss_and_noise():
     assert st3.mean[4] == pytest.approx(math.sqrt(eta))
 
 
+def test_dealer_state_is_checked_once(monkeypatch):
+    # the dealer state is assembled on arrays and validated only when wrapped
+    calls = []
+    post_init = GaussianState.__post_init__
+
+    def counted(self):
+        calls.append(self.n_modes)
+        post_init(self)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counted)
+    build_dealer_state(ExperimentModel(r=1.0), 0.3, -0.7)
+    assert calls == [3]
+    model = ExperimentModel(r=1.0, eta_a=0.8, eta_b=0.7, eta_c=0.9, eps_a=0.1, eps_b=0.2, eps_c=0.3)
+    build_dealer_state(model, 0.3, -0.7)
+    assert calls == [3, 3]
+
+
 def test_dealer_state_is_physical_under_heavy_loss():
     model = ExperimentModel(r=1.5, eta_a=0.3, eta_b=0.6, eta_c=0.9, eps_a=0.1)
     st3 = build_dealer_state(model, 0.0, 0.0)
@@ -171,7 +183,7 @@ def test_state_rejects_asymmetric_covariance():
 
 
 def test_state_arrays_are_read_only():
-    st1 = vacuum(1)
+    st1 = GaussianState(1, np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
         st1.cov[0, 0] = 5.0
 
@@ -179,6 +191,9 @@ def test_state_arrays_are_read_only():
 def test_experiment_model_validation():
     with pytest.raises(InvalidArgumentError):
         ExperimentModel(r=-0.1)
+    assert ExperimentModel(r=R_MAX).r == R_MAX
+    with pytest.raises(InvalidArgumentError, match="R_MAX"):
+        ExperimentModel(r=math.nextafter(R_MAX, math.inf))
     with pytest.raises(InvalidArgumentError):
         ExperimentModel(r=0.5, eta_a=1.5)
     with pytest.raises(InvalidArgumentError):
@@ -203,15 +218,30 @@ def test_state_from_text_rejects_malformed():
         state_from_text("2\n0 0 0 0\n1 0 0\n")
 
 
+unit = st.floats(0.05, 1.0)
+noise = st.floats(0.0, 0.5)
+
+
 @given(
-    r=st.floats(0.0, 1.5),
-    t=st.floats(0.0, 1.0),
-    eta=st.floats(0.1, 1.0),
-    eps=st.floats(0.0, 0.3),
+    r=st.floats(0.0, R_MAX),
+    etas=st.tuples(unit, unit, unit),
+    epss=st.tuples(noise, noise, noise),
+    alpha=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
 )
-def test_channel_chain_preserves_physicality(r, t, eta, eps):
-    st2 = tensor(squeezed_vacuum(r, "x"), squeezed_vacuum(r, "p"))
-    st2 = beamsplitter(st2, 0, 1, t)
-    st2 = loss(st2, 0, eta)
-    st2 = add_excess_noise(st2, 1, eps)
-    assert physicality_min_eigenvalue(st2) >= -1e-9
+def test_channel_chain_preserves_physicality(r, etas, epss, alpha):
+    # per arm (C, B, A), loss scales that arm's rows and columns by sqrt(eta)
+    # and adds (1 - eta) + eps to its diagonal; the mean is A's scaled alpha
+    eta_c, eta_b, eta_a = etas
+    eps_c, eps_b, eps_a = epss
+    model = ExperimentModel(r, eta_a, eta_b, eta_c, eps_a, eps_b, eps_c)
+    st3 = build_dealer_state(model, *alpha)
+    scale = max(1.0, float(np.max(np.abs(st3.cov))))
+    assert physicality_min_eigenvalue(st3) >= -PHYSICALITY_SLACK * scale
+    root = np.sqrt(np.repeat(etas, 2))
+    want_cov = ideal_dealer_cov(r) * np.outer(root, root)
+    want_cov += np.diag(np.repeat(1.0 - np.array(etas) + np.array(epss), 2))
+    assert np.max(np.abs(st3.cov - want_cov)) <= 1e-12 * scale
+    want_mean = root * np.array([0.0, 0.0, 0.0, 0.0, *alpha])
+    assert np.allclose(st3.mean, want_mean, rtol=1e-12, atol=1e-12)
+    ideal = build_dealer_state(ExperimentModel(r), 0.0, 0.0)
+    assert np.max(np.abs(ideal.cov - ideal_dealer_cov(r))) <= 1e-12 * np.max(np.abs(ideal.cov))

@@ -6,22 +6,12 @@ import numpy as np
 import pytest
 
 from cvshare.errors import InvalidArgumentError
-from cvshare.gaussian_core import (
-    ExperimentModel,
-    beamsplitter,
-    build_dealer_state,
-    partial_trace,
-    tensor,
-    vacuum,
-)
+from cvshare.gaussian_core import ExperimentModel, GaussianState, build_dealer_state, partial_trace
 from cvshare.sampler import (
     MeasurementAssignment,
     RandomStream,
     mvn_sample,
     outcome_moments,
-    outcomes_to_csv,
-    sample_dual_homodyne,
-    sample_homodyne,
     sample_joint,
 )
 
@@ -88,7 +78,11 @@ def test_dual_homodyne_moments_match_beamsplitter_model():
     )
     mean_d, cov_d = outcome_moments(target, MeasurementAssignment(("xp",)))
 
-    two = beamsplitter(tensor(target, vacuum(1)), 0, 1, 0.5)
+    # balanced beamsplitter [[I2, I2], [-I2, I2]] / sqrt(2) on target (+) vacuum
+    s = math.sqrt(0.5) * np.kron([[1.0, 1.0], [-1.0, 1.0]], np.eye(2))
+    mean4 = np.concatenate([target.mean, np.zeros(2)])
+    cov4 = np.block([[target.cov, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
+    two = GaussianState(2, s @ mean4, s @ cov4 @ s.T)
     mean2, cov2 = outcome_moments(two, MeasurementAssignment(("x", "p")))
     scale = np.diag([math.sqrt(2.0), -math.sqrt(2.0)])
     assert np.allclose(scale @ mean2, mean_d, atol=1e-12)
@@ -104,15 +98,9 @@ def test_sample_moments_converge():
     assert np.allclose(np.cov(out.T), cov, atol=0.05)
 
 
-def test_sample_homodyne_rejects_dual():
-    st1 = vacuum(1)
-    with pytest.raises(InvalidArgumentError):
-        sample_homodyne(st1, MeasurementAssignment(("xp",)), 10, RandomStream(0))
-
-
 def test_sample_dual_homodyne_variances():
     red = partial_trace(build_dealer_state(ExperimentModel(r=1.0), 0.0, 0.0), [2])
-    out = sample_dual_homodyne(red, 0, 200_000, RandomStream(9))
+    out = sample_joint(red, MeasurementAssignment(("xp",)), 200_000, RandomStream(9))
     want = math.cosh(2.0) + 1.0
     assert np.var(out[:, 0]) == pytest.approx(want, rel=0.02)
     assert np.var(out[:, 1]) == pytest.approx(want, rel=0.02)
@@ -120,15 +108,7 @@ def test_sample_dual_homodyne_variances():
 
 def test_sample_joint_validates_shots():
     with pytest.raises(InvalidArgumentError):
-        sample_joint(vacuum(1), MeasurementAssignment(("x",)), 0, RandomStream(0))
+        sample_joint(
+            GaussianState(1, np.zeros(2), np.eye(2)), MeasurementAssignment(("x",)), 0, RandomStream(0)
+        )
 
-
-def test_outcomes_to_csv_format():
-    out = np.array([[1.0, 2.5], [-0.25, 0.0]])
-    text = outcomes_to_csv(out, ["x_a", "p_a"])
-    lines = text.splitlines()
-    assert lines[0] == "x_a,p_a"
-    assert lines[1] == "1.0,2.5"
-    assert lines[2] == "-0.25,0.0"
-    with pytest.raises(InvalidArgumentError):
-        outcomes_to_csv(out, ["only_one"])
