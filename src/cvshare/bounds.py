@@ -7,6 +7,14 @@ Coalition predictions come from exact Gaussian channel composition plus
 the conditional variance of the optimal linear combination, normalized
 with the same resource-split and loss-correction conventions as the
 estimators module.
+
+:func:`predicted_mse_grid` computes them for every coalition over a
+whole array of squeezing values in one numpy pass: one checked dealer
+covariance stack (:func:`~cvshare.gaussian_core.dealer_covariances`),
+then the gains and residuals on the stack. :func:`predicted_mse` is that
+pass on a stack of one, so both give the same bits. ``cvshare bounds``
+evaluates its grid in one call and its ``--band`` r-samples, clipped to
+[0, R_MAX], in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -19,7 +27,12 @@ import numpy as np
 from . import estimators
 from .errors import InvalidArgumentError, UnsupportedStateError
 from .estimators import Coalition
-from .gaussian_core import ExperimentModel, GaussianState, build_dealer_state
+from .gaussian_core import (  # noqa: F401 (build_dealer_state: perfbench/tracing.py wraps it here)
+    ExperimentModel,
+    GaussianState,
+    build_dealer_state,
+    dealer_covariances,
+)
 
 #: allowed off-diagonal magnitude when reading thermal parameters off a state
 DIAGONAL_TOL = 1e-9
@@ -91,39 +104,47 @@ def witness_bound(r: float) -> float:
     return 4.0 * math.exp(-2.0 * r)
 
 
-def _conditional_residual(cov: np.ndarray, target: int, aux: np.ndarray) -> float:
-    """Var(target) - Cov(target, u)^2 / Var(u) for u = aux . quadratures."""
-    g = estimators.optimal_gain(cov, target, aux)
-    return float(cov[target, target] - g * (cov @ aux)[target])
+def _conditional_residuals(cov: np.ndarray, target: int, aux: np.ndarray) -> np.ndarray:
+    """Var(target) - Cov(target, u)^2 / Var(u) for u = aux . quadratures, per matrix."""
+    g = estimators.optimal_gains(cov, target, aux)
+    return cov[:, target, target] - g * (cov @ aux)[:, target]
+
+
+def predicted_mse_grid(
+    rs, arms: ExperimentModel
+) -> dict[Coalition, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Analytic (mse_x, mse_p, mse_sum) arrays of every coalition, one entry per r.
+
+    Takes the conditional variance of the optimal linear combination per
+    quadrature, divides by eta_A for the loss correction and doubles
+    single-quadrature coalitions for the resource split. The single-party
+    entry holds the dual-homodyne values, which sum to 4 + 2*n1 + 2*n2
+    when eta_A = 1.
+
+    :param rs: 1-D array of squeezing values, each in [0, R_MAX].
+    :param arms: transmissivity and excess noise per arm (its r is not used).
+    """
+    cov = dealer_covariances(rs, arms)
+    eta = arms.eta_a
+    mse_x = (cov[:, estimators.X_A, estimators.X_A] + 1.0) / eta
+    mse_p = (cov[:, estimators.P_A, estimators.P_A] + 1.0) / eta
+    out = {Coalition.A_ALONE: (mse_x, mse_p, mse_x + mse_p)}
+    split = estimators.RESOURCE_SPLIT_FACTOR
+    for coalition, aux_x in ((Coalition.AB, estimators.pair_aux_coefficients("b")),
+                             (Coalition.AC, estimators.pair_aux_coefficients("c")),
+                             (Coalition.ABC, estimators.triple_aux_coefficients())):
+        # the p-quadrature auxiliary mirrors aux_x one index up; residuals
+        # only involve squared covariances, so the sign pattern drops out
+        aux_p = np.roll(aux_x, 1)
+        mse_x = split * _conditional_residuals(cov, estimators.X_A, aux_x) / eta
+        mse_p = split * _conditional_residuals(cov, estimators.P_A, aux_p) / eta
+        out[coalition] = (mse_x, mse_p, mse_x + mse_p)
+    return out
 
 
 def predicted_mse(model: ExperimentModel, coalition: Coalition) -> tuple[float, float, float]:
-    """Analytic (mse_x, mse_p, mse_sum) for a coalition under the given model.
-
-    Builds the model covariance, takes the conditional variance of the
-    optimal linear combination per quadrature, divides by eta_A for the
-    loss correction and doubles single-quadrature coalitions for the
-    resource split. The single-party path reports the dual-homodyne
-    values, which sum to 4 + 2*n1 + 2*n2 when eta_A = 1.
-    """
+    """Analytic (mse_x, mse_p, mse_sum) for a coalition: :func:`predicted_mse_grid` at model.r."""
     if not isinstance(coalition, Coalition):
         raise InvalidArgumentError(f"unknown coalition {coalition!r}")
-    cov = build_dealer_state(model, 0.0, 0.0).cov
-    if coalition is Coalition.A_ALONE:
-        mse_x = (cov[estimators.X_A, estimators.X_A] + 1.0) / model.eta_a
-        mse_p = (cov[estimators.P_A, estimators.P_A] + 1.0) / model.eta_a
-        return mse_x, mse_p, mse_x + mse_p
-    if coalition is Coalition.ABC:
-        aux_x = estimators.triple_aux_coefficients()
-    else:
-        partner = "c" if coalition is Coalition.AC else "b"
-        aux_x = estimators.pair_aux_coefficients(partner)
-    # the p-quadrature auxiliary mirrors aux_x one index up; residuals
-    # only involve squared covariances, so the sign pattern drops out
-    aux_p = np.roll(aux_x, 1)
-    res_x = _conditional_residual(cov, estimators.X_A, aux_x)
-    res_p = _conditional_residual(cov, estimators.P_A, aux_p)
-    split = estimators.RESOURCE_SPLIT_FACTOR
-    mse_x = split * res_x / model.eta_a
-    mse_p = split * res_p / model.eta_a
-    return mse_x, mse_p, mse_x + mse_p
+    mse_x, mse_p, mse_sum = predicted_mse_grid([model.r], model)[coalition]
+    return float(mse_x[0]), float(mse_p[0]), float(mse_sum[0])

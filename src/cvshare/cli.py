@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -23,6 +24,7 @@ from . import __version__, backend_name, bounds, certificates, protocol, securit
 from .errors import USAGE_ERROR_CODES, CvshareError, InvalidArgumentError
 from .estimators import parse_coalition
 from .gaussian_core import (
+    R_MAX,
     ExperimentModel,
     build_dealer_state,
     physicality_min_eigenvalue,
@@ -73,6 +75,8 @@ def _column_cells(name: str, col: np.ndarray) -> list[str]:
 
 #: rounds formatted at a time, which bounds the per-cell strings held at once
 _CSV_CHUNK = 32768
+#: band r-samples evaluated at a time, which bounds the covariance stack held at once
+_BAND_CHUNK = 4096
 
 
 def _rounds_csv(table: protocol.RoundTable) -> str:
@@ -173,12 +177,16 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
         raise InvalidArgumentError("need 0 <= r-min <= r-max")
     run = _Run(args)
     grid = np.linspace(args.r_min, args.r_max, args.steps)
-    rows = []
-    for r in grid:
-        model = _model_from_args(args, r=float(r))
-        for name in _COALITION_ORDER:
-            mx, mp, ms = bounds.predicted_mse(model, parse_coalition(name))
-            rows.append([float(r), name, mx, mp, ms])
+    # the arms of every grid point, built at grid[0] so that a bad r is
+    # reported before a bad arm
+    arms = _model_from_args(args, r=float(grid[0]))
+    coalitions = [parse_coalition(name) for name in _COALITION_ORDER]
+    mse = bounds.predicted_mse_grid(grid, arms)
+    rows = [
+        [r, c.value, *(float(v[i]) for v in mse[c])]
+        for i, r in enumerate(grid.tolist())
+        for c in coalitions
+    ]
     run.write("bounds.csv", _csv_text(["r", "coalition", "mse_x", "mse_p", "mse_sum"], rows))
     if args.band is not None:
         if not (0.0 <= args.band_fluct < 1.0):
@@ -187,18 +195,21 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
             raise InvalidArgumentError("--band-samples must be >= 1")
         gen = RandomStream(args.band_seed).generator()
         band_rows = []
-        for r in grid:
-            if args.band == "uniform":
-                draws = gen.uniform(-1.0, 1.0, args.band_samples)
-            else:
-                draws = gen.standard_normal(args.band_samples)
-            r_samples = np.clip(float(r) * (1.0 + args.band_fluct * draws), 0.0, None)
-            for name in _COALITION_ORDER:
-                sums = [
-                    bounds.predicted_mse(_model_from_args(args, r=float(rs)), parse_coalition(name))[2]
-                    for rs in r_samples
-                ]
-                band_rows.append([float(r), name, min(sums), max(sums)])
+        for r in grid.tolist():
+            lo = dict.fromkeys(coalitions, math.inf)
+            hi = dict.fromkeys(coalitions, -math.inf)
+            for start in range(0, args.band_samples, _BAND_CHUNK):
+                n = min(_BAND_CHUNK, args.band_samples - start)
+                if args.band == "uniform":
+                    draws = gen.uniform(-1.0, 1.0, n)
+                else:
+                    draws = gen.standard_normal(n)
+                r_samples = np.clip(r * (1.0 + args.band_fluct * draws), 0.0, R_MAX)
+                sums = bounds.predicted_mse_grid(r_samples, arms)
+                for c in coalitions:
+                    lo[c] = min(lo[c], float(sums[c][2].min()))
+                    hi[c] = max(hi[c], float(sums[c][2].max()))
+            band_rows.extend([r, c.value, lo[c], hi[c]] for c in coalitions)
         run.write(
             "bounds_band.csv",
             _csv_text(["r", "coalition", "mse_sum_lo", "mse_sum_hi"], band_rows),

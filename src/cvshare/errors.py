@@ -43,7 +43,7 @@ class DegenerateDualError(CvshareError):
 
 
 class ResourceLimitError(InvalidArgumentError):
-    """A batch request exceeds the configured resource cap."""
+    """A request exceeds a resource cap (batch terms, protocol rounds)."""
 
     code = "resource-limit"
 

@@ -144,10 +144,25 @@ def optimal_gain(cov: np.ndarray, target_index: int, aux_coefficients: np.ndarra
         raise InvalidArgumentError("aux_coefficients must match cov dimension")
     if not (0 <= target_index < cov.shape[0]):
         raise InvalidArgumentError("target_index out of range")
-    var_u = float(c @ cov @ c)
-    if var_u <= DEGENERATE_VARIANCE_TOL:
-        raise DegenerateAuxiliaryError("auxiliary combination has (near) zero variance")
-    return float((cov @ c)[target_index]) / var_u
+    return float(optimal_gains(cov[np.newaxis], target_index, c)[0])
+
+
+def optimal_gains(cov: np.ndarray, target_index: int, aux_coefficients: np.ndarray) -> np.ndarray:
+    """:func:`optimal_gain` for every matrix of an (n, d, d) covariance stack.
+
+    Var(u) is reduced with ``np.vecdot``, which keeps each gain bit for bit
+    the one computed on that matrix alone; an (n, d) @ (d,) product sums
+    in another order.
+    """
+    c = aux_coefficients
+    var_u = np.vecdot(c @ cov, c)
+    degenerate = var_u <= DEGENERATE_VARIANCE_TOL
+    if np.any(degenerate):
+        message = "auxiliary combination has (near) zero variance"
+        if len(cov) > 1:
+            message += f" (stack member {int(np.argmax(degenerate))})"
+        raise DegenerateAuxiliaryError(message)
+    return (cov @ c)[:, target_index] / var_u
 
 
 def pair_aux_coefficients(partner: str) -> np.ndarray:

@@ -5,11 +5,14 @@ per quadrature, and vectors/matrices are ordered x1, p1, x2, p2, ...
 The three-mode state shared by the dealer is stored in mode order
 (C, B, A), so party A's quadratures occupy the last 2x2 block.
 
-The :class:`GaussianState` constructor is the one place where a state
-is checked (shape, symmetry, uncertainty relation, positivity). Every
+:func:`check_covariances` is the one covariance check (symmetry,
+uncertainty relation, positivity); it works on a stack of matrices. The
+:class:`GaussianState` constructor runs it on a stack of one, so every
 state passes through it once: user-built states, parsed state files,
 partial traces and the dealer state, which is assembled on plain arrays
-and checked when it is wrapped at the end.
+and checked when it is wrapped at the end. :func:`dealer_covariances`
+assembles the dealer covariance for a whole array of squeezing values in
+one pass and checks the stack once.
 """
 
 from __future__ import annotations
@@ -74,30 +77,63 @@ class GaussianState:
             raise InvalidArgumentError(f"cov must have shape ({d}, {d}), got {cov.shape}")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise InvalidArgumentError("mean and cov must be finite")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_RTOL * scale:
-            raise InvalidArgumentError("cov must be symmetric")
-        cov = 0.5 * (cov + cov.T)
-        if physicality_min_eigenvalue_of(cov) < -PHYSICALITY_SLACK * scale:
-            raise InvalidArgumentError("cov violates the uncertainty relation")
-        if np.linalg.eigvalsh(cov)[0] <= 0.0:
-            raise InvalidArgumentError("cov must be positive definite")
+        cov = check_covariances(cov[np.newaxis])[0]
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
 
-def physicality_min_eigenvalue_of(cov: np.ndarray) -> float:
-    """Minimum eigenvalue of cov + i*Omega (>= 0 up to slack for physical states)."""
-    n_modes = cov.shape[0] // 2
-    h = cov.astype(complex) + 1j * symplectic_form(n_modes)
-    return float(np.linalg.eigvalsh(h)[0])
+def physicality_min_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of cov + i*Omega per matrix of a (..., d, d) stack.
+
+    It is >= 0, up to round-off, exactly for physical states.
+    """
+    h = cov.astype(complex) + 1j * symplectic_form(cov.shape[-1] // 2)
+    return np.linalg.eigvalsh(h)[..., 0]
 
 
 def physicality_min_eigenvalue(state: GaussianState) -> float:
     """Minimum eigenvalue of state.cov + i*Omega."""
-    return physicality_min_eigenvalue_of(state.cov)
+    return float(physicality_min_eigenvalues(state.cov))
+
+
+def check_covariances(cov: np.ndarray) -> np.ndarray:
+    """Check a finite (n, d, d) stack of covariances and return it symmetrized.
+
+    Each matrix must be symmetric to SYMMETRY_RTOL of its largest |entry|
+    (at least 1), obey the uncertainty relation cov + i*Omega >= 0 within
+    PHYSICALITY_SLACK of that scale, and be positive definite. The checks
+    run batched over the stack; for a stack of more than one, the error
+    names the first failing member.
+    """
+
+    def reject(message: str, bad: np.ndarray) -> None:
+        if np.any(bad):
+            if len(cov) > 1:
+                message += f" (stack member {int(np.argmax(bad))})"
+            raise InvalidArgumentError(message)
+
+    scale = np.maximum(1.0, np.max(np.abs(cov), axis=(1, 2)))
+    reject("cov must be symmetric",
+           np.max(np.abs(cov - cov.mT), axis=(1, 2)) > SYMMETRY_RTOL * scale)
+    cov = 0.5 * (cov + cov.mT)
+    reject("cov violates the uncertainty relation",
+           physicality_min_eigenvalues(cov) < -PHYSICALITY_SLACK * scale)
+    reject("cov must be positive definite", np.linalg.eigvalsh(cov)[:, 0] <= 0.0)
+    return cov
+
+
+def check_squeezing(r) -> None:
+    """Reject a squeezing value, or any of an array of them, outside [0, R_MAX]."""
+    r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r) & (r >= 0.0)):
+        raise InvalidArgumentError("r must be finite and >= 0")
+    if np.any(r > R_MAX):
+        raise InvalidArgumentError(
+            f"r must be <= R_MAX = {R_MAX}: beyond it e^(-2r) is lost in the "
+            "round-off of e^(2r)"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,13 +158,7 @@ class ExperimentModel:
     eps_c: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise InvalidArgumentError("r must be finite and >= 0")
-        if self.r > R_MAX:
-            raise InvalidArgumentError(
-                f"r must be <= R_MAX = {R_MAX}: beyond it e^(-2r) is lost in the "
-                "round-off of e^(2r)"
-            )
+        check_squeezing(self.r)
         for name in ("eta_a", "eta_b", "eta_c"):
             eta = getattr(self, name)
             if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
@@ -162,30 +192,32 @@ def partial_trace(state: GaussianState, keep: list[int]) -> GaussianState:
     return GaussianState(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
-def build_dealer_state(model: ExperimentModel, alpha_x: float, alpha_p: float) -> GaussianState:
-    """Build the three-mode state distributed to parties (C, B, A).
+def _dealer_cov_stack(rs: np.ndarray, arms: ExperimentModel) -> np.ndarray:
+    """Unchecked (n, 6, 6) dealer covariances, one per squeezing value in rs.
 
     Pipeline: an x-squeezed and a p-squeezed vacuum (same r) meet on a
     50:50 beamsplitter to form the entangled pair; the first output is
     split again with vacuum on a 50:50 beamsplitter, yielding shares C
-    and B, while the unsplit arm becomes A. The secret displacement
-    (alpha_x, alpha_p) is applied to arm A, then each arm passes through
-    its loss channel and picks up its excess noise.
+    and B, while the unsplit arm becomes A. Each arm then passes through
+    its loss channel and picks up its excess noise; ``arms`` gives the
+    eta and eps per arm (its own r is not used).
 
     The steps are the standard symplectic and channel maps (Weedbrook et
-    al., Rev. Mod. Phys. 84, 621 (2012)) applied to one (mean, cov) pair;
-    they keep the state physical, so it is checked once, at the end.
-
-    :return: three-mode state, mode order (C, B, A), mean
-        (0, 0, 0, 0, alpha_x, alpha_p) before loss.
+    al., Rev. Mod. Phys. 84, 621 (2012)), applied to the whole stack with
+    the same arithmetic, matrix for matrix, as on a single covariance.
     """
-    if not (math.isfinite(alpha_x) and math.isfinite(alpha_p)):
-        raise InvalidArgumentError("displacement must be finite")
-    lo, hi = math.exp(-2.0 * model.r), math.exp(2.0 * model.r)
+    check_squeezing(rs)
+    # math.exp per value: np.exp differs from it in the last bit for a few
+    # percent of r, which would change the bytes of state and bounds files
+    values = rs.tolist()
+    lo = [math.exp(-2.0 * r) for r in values]
+    hi = [math.exp(2.0 * r) for r in values]
     # inputs: vacuum C, x-squeezed B, p-squeezed A; each matrix sandwich
     # below is symmetric only up to round-off, so it is symmetrized after
-    mean = np.zeros(6)
-    cov = np.diag([1.0, 1.0, lo, hi, hi, lo])
+    cov = np.zeros((len(rs), 6, 6))
+    cov[:, 0, 0] = cov[:, 1, 1] = 1.0
+    cov[:, 2, 2] = cov[:, 5, 5] = lo
+    cov[:, 3, 3] = cov[:, 4, 4] = hi
     h = math.sqrt(0.5)
     for bi, bj in ((2, 4), (2, 0)):
         # 50:50 beamsplitter [[h I2, h I2], [-h I2, h I2]] on the mode blocks
@@ -194,27 +226,56 @@ def build_dealer_state(model: ExperimentModel, alpha_x: float, alpha_p: float) -
         for k in range(2):
             s[bi + k, bi + k] = s[bj + k, bj + k] = s[bi + k, bj + k] = h
             s[bj + k, bi + k] = -h
-        mean = s @ mean
         cov = s @ cov @ s.T
-        cov = 0.5 * (cov + cov.T)
-    mean[4] += alpha_x
-    mean[5] += alpha_p
-    for b, eta, eps in ((0, model.eta_c, model.eps_c), (2, model.eta_b, model.eps_b),
-                        (4, model.eta_a, model.eps_a)):
+        cov = 0.5 * (cov + cov.mT)
+    for b, eta, eps in ((0, arms.eta_c, arms.eps_c), (2, arms.eta_b, arms.eps_b),
+                        (4, arms.eta_a, arms.eps_a)):
         if eta < 1.0:
-            # pure loss: the arm's mean and cross-covariances scale by
-            # sqrt(eta), its block becomes eta * block + (1 - eta) * I2
+            # pure loss: the arm's cross-covariances scale by sqrt(eta),
+            # its block becomes eta * block + (1 - eta) * I2
             g = np.eye(6)
             g[b, b] = g[b + 1, b + 1] = math.sqrt(eta)
             cov = g @ cov @ g.T
-            cov[b, b] += 1.0 - eta
-            cov[b + 1, b + 1] += 1.0 - eta
-            cov = 0.5 * (cov + cov.T)
-            mean = g @ mean
+            cov[:, b, b] += 1.0 - eta
+            cov[:, b + 1, b + 1] += 1.0 - eta
+            cov = 0.5 * (cov + cov.mT)
         if eps > 0.0:
-            cov[b, b] += eps
-            cov[b + 1, b + 1] += eps
-    return GaussianState(3, mean, cov)
+            cov[:, b, b] += eps
+            cov[:, b + 1, b + 1] += eps
+    return cov
+
+
+def dealer_covariances(rs, arms: ExperimentModel) -> np.ndarray:
+    """Checked covariances of the dealer state for every squeezing value in rs.
+
+    :param rs: 1-D array of squeezing values, each in [0, R_MAX].
+    :param arms: transmissivity and excess noise per arm (its r is not used).
+    :return: (len(rs), 6, 6) stack in mode order (C, B, A), each matrix
+        bit for bit the covariance of ``build_dealer_state`` at that r.
+    """
+    return check_covariances(_dealer_cov_stack(np.asarray(rs, dtype=float), arms))
+
+
+def build_dealer_state(model: ExperimentModel, alpha_x: float, alpha_p: float) -> GaussianState:
+    """Build the three-mode state distributed to parties (C, B, A).
+
+    The covariance is :func:`dealer_covariances` at model.r; the secret
+    displacement (alpha_x, alpha_p) is applied to arm A before its loss
+    channel, which scales it by sqrt(eta_A). The state is checked once,
+    when it is wrapped.
+
+    :return: three-mode state, mode order (C, B, A), mean
+        (0, 0, 0, 0, alpha_x, alpha_p) before loss.
+    """
+    if not (math.isfinite(alpha_x) and math.isfinite(alpha_p)):
+        raise InvalidArgumentError("displacement must be finite")
+    mean = np.zeros(6)
+    # += rather than =, so a -0.0 displacement is stored as 0.0
+    mean[4] += alpha_x
+    mean[5] += alpha_p
+    if model.eta_a < 1.0:
+        mean *= math.sqrt(model.eta_a)
+    return GaussianState(3, mean, _dealer_cov_stack(np.array([model.r]), model)[0])
 
 
 def state_to_text(state: GaussianState) -> str:

@@ -38,6 +38,9 @@ WITNESS_MIN_ROUNDS = 100
 WITNESS_THRESHOLD = 4.0
 #: default cap on n_batches * n_probes * modes for batch distribution runs
 DEFAULT_BATCH_TERM_CAP = 200_000_000
+#: cap on n_rounds of one protocol or witness run: the round columns take
+#: about 125 B per round, so the cap holds a run to about 2.5 GB
+MAX_ROUNDS = 20_000_000
 
 #: basis name per code in the basis columns: 0 = x, 1 = p, 2 = dual-homodyne
 BASIS_NAMES = ("x", "p", "xp")
@@ -394,6 +397,8 @@ def run_protocol(
     """
     if n_rounds < 10:
         raise InvalidArgumentError("n_rounds must be >= 10")
+    if n_rounds > MAX_ROUNDS:
+        raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_ROUNDS}")
     if gain_mode not in ("analytic", "fitted"):
         raise InvalidArgumentError("gain_mode must be 'analytic' or 'fitted'")
     if not isinstance(coalition, Coalition):
@@ -617,6 +622,8 @@ def witness_verification_run(
     """
     if n_rounds < 2 * WITNESS_MIN_ROUNDS:
         raise InvalidArgumentError(f"n_rounds must be >= {2 * WITNESS_MIN_ROUNDS}")
+    if n_rounds > MAX_ROUNDS:
+        raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_ROUNDS}")
     if surrogate:
         st = surrogate_intercept_state(model, alpha_x, alpha_p)
     else:

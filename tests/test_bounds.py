@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvshare import bounds, estimators
 from cvshare.bounds import (
@@ -12,14 +14,17 @@ from cvshare.bounds import (
     ideal_three_party_mse_sum,
     ideal_two_party_mse_sum,
     predicted_mse,
+    predicted_mse_grid,
     thermal_params_from_state,
     witness_bound,
 )
 from cvshare.errors import InvalidArgumentError, UnsupportedStateError
 from cvshare.estimators import Coalition
 from cvshare.gaussian_core import (
+    R_MAX,
     ExperimentModel,
     build_dealer_state,
+    dealer_covariances,
     partial_trace,
 )
 
@@ -141,3 +146,73 @@ def test_predicted_mse_rejects_non_coalition():
 
 def test_separability_threshold_constant():
     assert bounds.SEPARABILITY_THRESHOLD == 4.0
+
+
+def scalar_dealer_cov(model: ExperimentModel) -> np.ndarray:
+    """Reference copy of the one-matrix channel chain the stacked path replaced."""
+    lo, hi = math.exp(-2.0 * model.r), math.exp(2.0 * model.r)
+    cov = np.diag([1.0, 1.0, lo, hi, hi, lo])
+    h = math.sqrt(0.5)
+    for bi, bj in ((2, 4), (2, 0)):
+        s = np.eye(6)
+        for k in range(2):
+            s[bi + k, bi + k] = s[bj + k, bj + k] = s[bi + k, bj + k] = h
+            s[bj + k, bi + k] = -h
+        cov = s @ cov @ s.T
+        cov = 0.5 * (cov + cov.T)
+    for b, eta, eps in ((0, model.eta_c, model.eps_c), (2, model.eta_b, model.eps_b),
+                        (4, model.eta_a, model.eps_a)):
+        if eta < 1.0:
+            g = np.eye(6)
+            g[b, b] = g[b + 1, b + 1] = math.sqrt(eta)
+            cov = g @ cov @ g.T
+            cov[b, b] += 1.0 - eta
+            cov[b + 1, b + 1] += 1.0 - eta
+            cov = 0.5 * (cov + cov.T)
+        if eps > 0.0:
+            cov[b, b] += eps
+            cov[b + 1, b + 1] += eps
+    return 0.5 * (cov + cov.T)
+
+
+def scalar_pair_mse(cov: np.ndarray, eta_a: float, target: int, aux: np.ndarray) -> float:
+    """Reference one-matrix conditional residual, split and loss-corrected."""
+    var_u = float(aux @ cov @ aux)
+    g = float((cov @ aux)[target]) / var_u
+    return 2.0 * float(cov[target, target] - g * (cov @ aux)[target]) / eta_a
+
+
+unit = st.floats(0.05, 1.0)
+noise = st.floats(0.0, 0.5)
+
+
+@given(
+    rs=st.lists(st.floats(0.0, R_MAX), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    etas=st.tuples(unit, unit, unit),
+    epss=st.tuples(noise, noise, noise),
+)
+def test_stacked_path_matches_scalar_oracle(rs, seed, etas, epss):
+    # hypothesis favours round floats; the seeded draws add arbitrary bit
+    # patterns, where e^{2r} or a reduction order would show a last-bit change
+    spread = np.random.default_rng(seed).uniform(0.0, R_MAX, 8)
+    rs = np.array([0.0, *rs, *spread, R_MAX])
+    (eta_c, eta_b, eta_a), (eps_c, eps_b, eps_a) = etas, epss
+    arms = ExperimentModel(0.0, eta_a, eta_b, eta_c, eps_a, eps_b, eps_c)
+    covs = dealer_covariances(rs, arms)
+    grid = predicted_mse_grid(rs, arms)
+    aux = {Coalition.AB: estimators.pair_aux_coefficients("b"),
+           Coalition.AC: estimators.pair_aux_coefficients("c"),
+           Coalition.ABC: estimators.triple_aux_coefficients()}
+    for i, r in enumerate(rs.tolist()):
+        model = ExperimentModel(r, eta_a, eta_b, eta_c, eps_a, eps_b, eps_c)
+        want = scalar_dealer_cov(model)
+        assert np.array_equal(covs[i].view(np.uint64), want.view(np.uint64)), r
+        for coalition in Coalition:
+            got = tuple(float(v[i]) for v in grid[coalition])
+            assert got == predicted_mse(model, coalition), (r, coalition)
+            if coalition in aux:
+                ax = aux[coalition]
+                mx = scalar_pair_mse(want, eta_a, estimators.X_A, ax)
+                mp = scalar_pair_mse(want, eta_a, estimators.P_A, np.roll(ax, 1))
+                assert got == (mx, mp, mx + mp), (r, coalition)

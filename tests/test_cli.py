@@ -1,9 +1,11 @@
 """Command-line interface: file outputs, manifests, exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from conftest import MU_PAIR_ANCHOR, MU_SINGLE_ANCHOR, MU_TRIPLE_ANCHOR
 from cvshare import __version__
 from cvshare.cli import main, parse_config_text
 from cvshare.errors import InvalidArgumentError
+from cvshare.sampler import RandomStream
 from cvshare.security import MseDistribution, crossing_threshold, mse_cdf
 
 
@@ -248,6 +251,21 @@ DEALER_OUTPUT_SHA256 = {
             "bounds_band.csv": "2350f668a976160d11324523f5b13449b143290731268f58a310a9e6a17b4d9f",
         },
     ),
+    "bounds-16-gaussian-band": (
+        ["bounds", "--steps", "16", "--band", "gaussian"],
+        {
+            "bounds.csv": "4e7bae8c5c6ff72fb73c2b9c1c3db56c00ee5d1bf36c3cc9b24ef6ecde3decff",
+            "bounds_band.csv": "983d44a230388b7adb5912414389f4fee4798f0817ebeff3de202a9104d99d4e",
+        },
+    ),
+    "bounds-16-lossy-uniform-band": (
+        ["bounds", "--steps", "16", "--band", "uniform", "--band-samples", "50",
+         "--eta-a", "0.9", "--eta-b", "0.8", "--eps-c", "0.02"],
+        {
+            "bounds.csv": "0b9220eda3cf67011205fec771ad9471c55bc239bf89650eb7dc17f1b1338dc3",
+            "bounds_band.csv": "f964b77859f260648ed4347c3c426fd6d430b7569ef06dd8a596351f151a08b0",
+        },
+    ),
 }
 
 
@@ -297,6 +315,56 @@ def test_squeezing_above_r_max_is_one_line_json_error(tmp_path, capsys):
     assert all("R_MAX = 8.0" in m for m in messages[:-1])
     # the rejected state run wrote no state file for the load to read
     assert messages[-1].startswith("state file not found")
+
+
+def _one_json_error(err: str) -> dict:
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_band_near_r_max_clips_its_samples(tmp_path, capsys):
+    # band samples above R_MAX are clipped to it; they used to fail the run
+    argv = ["bounds", "--r-min", "7.9", "--r-max", "8.0", "--steps", "2", "--band", "uniform",
+            "--band-fluct", "0.001", "--out-dir", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    rows = read_lines(tmp_path / "bounds_band.csv")
+    assert len(rows) == 1 + 2 * 4
+    # a grid point above R_MAX is still an error
+    argv[4] = "8.1"
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    payload = _one_json_error(err)
+    assert payload["error"] == "invalid-argument"
+    assert "R_MAX = 8.0" in payload["message"]
+
+
+def test_simulate_rejects_n_rounds_above_cap(tmp_path, capsys, monkeypatch):
+    def no_rounds(self):
+        raise AssertionError("the rounds' random stream was opened")
+
+    monkeypatch.setattr(RandomStream, "generator", no_rounds)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_rounds = 20000001\n")
+    code, _, err = run_cli(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    payload = _one_json_error(err)
+    assert payload["error"] == "resource-limit"
+    assert "20000000" in payload["message"]
+
+
+def test_tracer_call_sites_exist():
+    # perfbench/tracing.py wraps these names; a missing one would crash a traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = tracing._sites()
+    assert sites
+    for module, attr, _, _ in sites:
+        assert hasattr(module, attr), f"{module.__name__}.{attr}"
 
 
 MI_ARGS = ["mi","--v-dist", "5", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",

@@ -14,6 +14,8 @@ from cvshare.gaussian_core import (
     ExperimentModel,
     GaussianState,
     build_dealer_state,
+    check_covariances,
+    dealer_covariances,
     partial_trace,
     physicality_min_eigenvalue,
     state_from_text,
@@ -162,6 +164,35 @@ def test_dealer_state_is_checked_once(monkeypatch):
     model = ExperimentModel(r=1.0, eta_a=0.8, eta_b=0.7, eta_c=0.9, eps_a=0.1, eps_b=0.2, eps_c=0.3)
     build_dealer_state(model, 0.3, -0.7)
     assert calls == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (0.5 * np.eye(6), "cov violates the uncertainty relation"),
+        (np.eye(6) + np.triu(np.ones((6, 6)), 1), "cov must be symmetric"),
+    ],
+    ids=["unphysical", "asymmetric"],
+)
+def test_covariance_stack_check_names_the_bad_member(bad, message):
+    model = ExperimentModel(r=0.0, eta_a=0.8, eps_b=0.1)
+    covs = dealer_covariances(np.array([0.0, 0.5, 1.0, 1.5]), model)
+    assert np.array_equal(check_covariances(covs), covs)
+    covs[2] = bad
+    with pytest.raises(InvalidArgumentError, match=rf"^{message} \(stack member 2\)$"):
+        check_covariances(covs)
+    # a stack of one, as the state constructor passes, keeps the bare message
+    with pytest.raises(InvalidArgumentError, match=rf"^{message}$"):
+        GaussianState(3, np.zeros(6), bad)
+
+
+def test_dealer_covariances_check_every_squeezing_value():
+    model = ExperimentModel(r=0.0)
+    with pytest.raises(InvalidArgumentError, match="R_MAX"):
+        dealer_covariances(np.array([1.0, math.nextafter(R_MAX, math.inf)]), model)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError, match="r must be finite and >= 0"):
+            dealer_covariances(np.array([0.5, bad]), model)
 
 
 def test_dealer_state_is_physical_under_heavy_loss():

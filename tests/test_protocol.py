@@ -16,6 +16,7 @@ from cvshare.errors import (
 from cvshare.estimators import Coalition
 from cvshare.gaussian_core import ExperimentModel, build_dealer_state
 from cvshare.protocol import (
+    MAX_ROUNDS,
     ROUND_COLUMNS,
     WITNESS_THRESHOLD,
     DisplacementPlan,
@@ -67,6 +68,18 @@ def test_run_protocol_argument_errors():
         run_protocol(IDEAL, PLAN, 100, Coalition.AB, POLICY, RandomStream(0), gain_mode="ml")
     with pytest.raises(InvalidArgumentError):
         run_protocol(IDEAL, PLAN, 100, "ab", POLICY, RandomStream(0))
+
+
+def test_n_rounds_cap(monkeypatch):
+    # the cap is checked before the random stream is opened, so nothing is allocated
+    def no_rounds(self):
+        raise AssertionError("the rounds' random stream was opened")
+
+    monkeypatch.setattr(RandomStream, "generator", no_rounds)
+    with pytest.raises(ResourceLimitError, match=str(MAX_ROUNDS)):
+        run_protocol(IDEAL, PLAN, MAX_ROUNDS + 1, Coalition.AB, POLICY, RandomStream(0))
+    with pytest.raises(ResourceLimitError, match=str(MAX_ROUNDS)):
+        witness_verification_run(IDEAL, 0.0, 0.0, MAX_ROUNDS + 1, RandomStream(0))
 
 
 def test_abort_on_declared_loss():
