@@ -156,12 +156,8 @@ def optimal_gains(cov: np.ndarray, target_index: int, aux_coefficients: np.ndarr
     """
     c = aux_coefficients
     var_u = np.vecdot(c @ cov, c)
-    degenerate = var_u <= DEGENERATE_VARIANCE_TOL
-    if np.any(degenerate):
-        message = "auxiliary combination has (near) zero variance"
-        if len(cov) > 1:
-            message += f" (stack member {int(np.argmax(degenerate))})"
-        raise DegenerateAuxiliaryError(message)
+    if np.any(var_u <= DEGENERATE_VARIANCE_TOL):
+        raise DegenerateAuxiliaryError("auxiliary combination has (near) zero variance")
     return (cov @ c)[:, target_index] / var_u
 
 

@@ -205,8 +205,8 @@ def _dealer_cov_stack(rs: np.ndarray, arms: ExperimentModel) -> np.ndarray:
     The steps are the standard symplectic and channel maps (Weedbrook et
     al., Rev. Mod. Phys. 84, 621 (2012)), applied to the whole stack with
     the same arithmetic, matrix for matrix, as on a single covariance.
+    The squeezing values are not checked here.
     """
-    check_squeezing(rs)
     # math.exp per value: np.exp differs from it in the last bit for a few
     # percent of r, which would change the bytes of state and bounds files
     values = rs.tolist()
@@ -253,16 +253,18 @@ def dealer_covariances(rs, arms: ExperimentModel) -> np.ndarray:
     :return: (len(rs), 6, 6) stack in mode order (C, B, A), each matrix
         bit for bit the covariance of ``build_dealer_state`` at that r.
     """
-    return check_covariances(_dealer_cov_stack(np.asarray(rs, dtype=float), arms))
+    rs = np.asarray(rs, dtype=float)
+    check_squeezing(rs)
+    return check_covariances(_dealer_cov_stack(rs, arms))
 
 
 def build_dealer_state(model: ExperimentModel, alpha_x: float, alpha_p: float) -> GaussianState:
     """Build the three-mode state distributed to parties (C, B, A).
 
-    The covariance is :func:`dealer_covariances` at model.r; the secret
-    displacement (alpha_x, alpha_p) is applied to arm A before its loss
-    channel, which scales it by sqrt(eta_A). The state is checked once,
-    when it is wrapped.
+    The covariance is :func:`dealer_covariances` at model.r, which the
+    model has already checked; the secret displacement (alpha_x, alpha_p)
+    is applied to arm A before its loss channel, which scales it by
+    sqrt(eta_A). The state is checked once, when it is wrapped.
 
     :return: three-mode state, mode order (C, B, A), mean
         (0, 0, 0, 0, alpha_x, alpha_p) before loss.

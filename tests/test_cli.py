@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import MU_PAIR_ANCHOR, MU_SINGLE_ANCHOR, MU_TRIPLE_ANCHOR
-from cvshare import __version__
+from cvshare import __version__, cli
 from cvshare.cli import main, parse_config_text
 from cvshare.errors import InvalidArgumentError
 from cvshare.sampler import RandomStream
@@ -271,6 +271,19 @@ DEALER_OUTPUT_SHA256 = {
 
 @pytest.mark.parametrize("case", sorted(DEALER_OUTPUT_SHA256))
 def test_dealer_outputs_bytes_pinned(tmp_path, capsys, case):
+    argv, digests = DEALER_OUTPUT_SHA256[case]
+    code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    for name, want in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+@pytest.mark.parametrize("case", ["bounds-16-gaussian-band", "bounds-16-lossy-uniform-band"])
+def test_band_chunks_do_not_change_the_band(tmp_path, capsys, monkeypatch, case):
+    # 200 and 50 band samples in chunks of 3: every grid point crosses
+    # chunk edges and ends on a partial chunk, and the band must still be
+    # the one drawn and reduced in a single chunk
+    monkeypatch.setattr(cli, "_BAND_CHUNK", 3)
     argv, digests = DEALER_OUTPUT_SHA256[case]
     code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
     assert code == 0
