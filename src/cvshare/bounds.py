@@ -38,6 +38,9 @@ from .gaussian_core import (  # noqa: F401 (build_dealer_state: perfbench/tracin
 DIAGONAL_TOL = 1e-9
 #: witness values at or above this are consistent with a separable state
 SEPARABILITY_THRESHOLD = 4.0
+#: largest thermal parameter: the certificate terms grow like n**4, so they
+#: stay finite (below about 1e49); a dealer state at R_MAX has n of about 2e6
+THERMAL_MAX = 1e12
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +48,8 @@ class ThermalParams:
     """Thermal occupation parameters of the single-party reduced state.
 
     Stored so that v1 = 1 + 2*n1 >= v2 = 1 + 2*n2; inputs in the other
-    order are swapped on construction.
+    order are swapped on construction. Both are at most
+    :data:`THERMAL_MAX`.
     """
 
     n1: float
@@ -56,6 +60,11 @@ class ThermalParams:
             raise InvalidArgumentError("thermal parameters must be finite")
         if self.n1 < 0.0 or self.n2 < 0.0:
             raise InvalidArgumentError("thermal parameters must be >= 0")
+        for name in ("n1", "n2"):
+            if getattr(self, name) > THERMAL_MAX:
+                raise InvalidArgumentError(
+                    f"thermal parameter {name} must be at most {THERMAL_MAX:g}"
+                )
         if self.n1 < self.n2:
             n1, n2 = self.n2, self.n1
             object.__setattr__(self, "n1", n1)

@@ -1,7 +1,8 @@
 """Command-line interface: one executable exposing every pipeline.
 
 Each run writes its outputs plus a manifest.json recording the tool
-version, backend, subcommand and full argument set, so any
+version, backend, subcommand and full argument set, and for the sampled
+subcommands (simulate, witness) the random-stream layout, so any
 manifest can be replayed to byte-identical outputs. All JSON is
 emitted with sorted keys and no timestamps for the same reason.
 
@@ -102,9 +103,10 @@ def _read_input(path: str, what: str) -> str:
 class _Run:
     """Collects output files for one subcommand run and writes the manifest."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, stream_layout: int | None = None):
         self.out_dir = args.out_dir
         self.args = args
+        self.stream_layout = stream_layout
         self.outputs: list[str] = []
         os.makedirs(self.out_dir, exist_ok=True)
 
@@ -125,6 +127,8 @@ class _Run:
             "arguments": arguments,
             "outputs": sorted(self.outputs),
         }
+        if self.stream_layout is not None:
+            manifest["stream_layout"] = self.stream_layout
         with open(os.path.join(self.out_dir, "manifest.json"), "w", newline="") as fh:
             fh.write(_json_text(manifest))
 
@@ -232,6 +236,9 @@ def _cmd_certify(args: argparse.Namespace) -> None:
     else:
         if args.grid < 1:
             raise InvalidArgumentError("--grid must be >= 1")
+        for flag, value in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
+            if value > bounds.THERMAL_MAX:
+                raise InvalidArgumentError(f"{flag} must be at most {bounds.THERMAL_MAX:g}")
         axis = np.linspace(args.grid_min, args.grid_max, args.grid)
         points = [(float(n1), float(n2)) for n1 in axis for n2 in axis]
     reports = []
@@ -321,7 +328,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     )
     coalition = parse_coalition(cfg["coalition"])
     stream = RandomStream(cfg["seed"], cfg["stream_id"])
-    run = _Run(args)
+    run = _Run(args, stream_layout=protocol.STREAM_LAYOUT)
     result = protocol.run_protocol(
         model,
         plan,
@@ -419,7 +426,7 @@ def _cmd_mi(args: argparse.Namespace) -> None:
 
 
 def _cmd_witness(args: argparse.Namespace) -> None:
-    run = _Run(args)
+    run = _Run(args, stream_layout=protocol.STREAM_LAYOUT)
     result = protocol.witness_verification_run(
         _model_from_args(args),
         args.alpha_x,

@@ -195,10 +195,14 @@ def fit_gain(target_residuals: np.ndarray, aux_values: np.ndarray) -> float:
     u = np.asarray(aux_values, dtype=float)
     if r.shape != u.shape or r.ndim != 1 or r.size == 0:
         raise InvalidArgumentError("residuals and aux values must be equal-length vectors")
-    denom = float(u @ u)
-    if denom <= DEGENERATE_VARIANCE_TOL * r.size:
+    return fit_gain_from_sums(float(r @ u), float(u @ u), r.size)
+
+
+def fit_gain_from_sums(sum_ru: float, sum_uu: float, n: int) -> float:
+    """:func:`fit_gain` from sum(r * u) and sum(u * u) over n calibration rounds."""
+    if sum_uu <= DEGENERATE_VARIANCE_TOL * n:
         raise DegenerateAuxiliaryError("auxiliary calibration data has (near) zero variance")
-    return float(r @ u) / denom
+    return sum_ru / sum_uu
 
 
 def estimate(
@@ -299,6 +303,41 @@ def make_mse_report(
         n_p=int(np.asarray(estimates_p).size),
         gains=gains,
     )
+
+
+class RunningMoments:
+    """Count, mean and sum of squared deviations of values added chunk by chunk.
+
+    Each :meth:`add` reduces one chunk and merges it into the totals with
+    the pairwise update of Chan, Golub and LeVeque, so no chunk is kept.
+    After a single chunk, ``mean`` and :meth:`standard_error` are bit for
+    bit ``np.mean`` and ``np.std(ddof=1) / sqrt(n)`` of it: the reductions
+    behind :func:`empirical_mse`, :func:`mse_standard_error` and
+    :func:`bias_check`.
+    """
+
+    __slots__ = ("n", "mean", "m2")
+
+    def __init__(self):
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        k = values.size
+        if k == 0:
+            return
+        mean = float(np.mean(values))
+        m2 = float(np.sum((values - mean) ** 2))
+        n = self.n + k
+        delta = mean - self.mean
+        self.mean += delta * (k / n)
+        self.m2 += m2 + delta * delta * (self.n * k / n)
+        self.n = n
+
+    def standard_error(self) -> float:
+        """Sample standard deviation (ddof = 1) over sqrt(n); needs n >= 2."""
+        return math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n)
 
 
 def bias_check(estimates: np.ndarray, truths: np.ndarray) -> tuple[float, float]:

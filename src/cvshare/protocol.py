@@ -10,6 +10,17 @@ happened to match the dealer's basis is reserved for entanglement
 verification, and a further random subset of the kept rounds feeds an
 unbiasedness spot-check; the remainder produces the coalition's MSE
 report.
+
+Rounds are drawn and reduced in chunks of ``_CHUNK_ROUNDS`` (stream
+layout 2). Chunk i draws from its own child stream,
+:meth:`~cvshare.sampler.RandomStream.chunk_generator`, in this order:
+the displacement blocks that start in it, the dealer's basis, the
+parties' bases, the witness, bias and calibration subsets, one sample
+of all six quadratures of the dealer state's Wigner function per round
+(in a fitted run, the calibration rounds' rows first), and for a lone A
+one vacuum unit per quadrature. Each party's outcome is the
+column its basis names. Reports come from running sums over the chunks,
+so only a run that keeps its records holds anything per round.
 """
 
 from __future__ import annotations
@@ -28,9 +39,9 @@ from .errors import (
     ProtocolFailureError,
     ResourceLimitError,
 )
-from .estimators import Coalition, GainSet, MseReport
+from .estimators import Coalition, GainSet, MseReport, RunningMoments
 from .gaussian_core import ExperimentModel, GaussianState, build_dealer_state, partial_trace
-from .sampler import MeasurementAssignment, RandomStream, sample_joint
+from .sampler import MeasurementAssignment, RandomStream, mvn_sample, sample_joint, wigner_sample
 
 #: witness rounds needed per quadrature before the entanglement verdict is meaningful
 WITNESS_MIN_ROUNDS = 100
@@ -38,13 +49,30 @@ WITNESS_MIN_ROUNDS = 100
 WITNESS_THRESHOLD = 4.0
 #: default cap on n_batches * n_probes * modes for batch distribution runs
 DEFAULT_BATCH_TERM_CAP = 200_000_000
-#: cap on n_rounds of one protocol or witness run: the round columns take
+#: cap on n_rounds of a run that keeps no records; memory is bounded by the
+#: chunk, so the cap only bounds the run time
+MAX_ROUNDS = 1_000_000_000
+#: cap on n_rounds of a run that keeps its round table: the columns take
 #: about 125 B per round, so the cap holds a run to about 2.5 GB
-MAX_ROUNDS = 20_000_000
+MAX_RECORD_ROUNDS = 20_000_000
+#: largest |alpha_x|, |alpha_p| and sqrt(v_dist); the round-off of a
+#: displacement this large (about 1e-10) stays far below the unit shot noise
+ALPHA_MAX = 1e6
+#: random-stream layout of the sampled outputs, recorded in their manifests
+STREAM_LAYOUT = 2
+#: rounds drawn and reduced at a time, each chunk from its own child stream
+_CHUNK_ROUNDS = 65536
 
 #: basis name per code in the basis columns: 0 = x, 1 = p, 2 = dual-homodyne
 BASIS_NAMES = ("x", "p", "xp")
 PARTY_NAMES = ("c", "b", "a")
+
+
+def _check_displacement(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"{name} must be finite")
+    if abs(value) > ALPHA_MAX:
+        raise InvalidArgumentError(f"|{name}| must be at most {ALPHA_MAX:g}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,9 +94,12 @@ class DisplacementPlan:
     def __post_init__(self):
         if self.kind not in ("fixed", "gaussian"):
             raise InvalidArgumentError("plan kind must be 'fixed' or 'gaussian'")
-        for name in ("alpha_x", "alpha_p", "v_dist"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidArgumentError(f"{name} must be finite")
+        _check_displacement("alpha_x", self.alpha_x)
+        _check_displacement("alpha_p", self.alpha_p)
+        if not math.isfinite(self.v_dist):
+            raise InvalidArgumentError("v_dist must be finite")
+        if self.v_dist > ALPHA_MAX**2:
+            raise InvalidArgumentError(f"v_dist must be at most {ALPHA_MAX**2:g}")
         if self.kind == "gaussian" and self.v_dist <= 0.0:
             raise InvalidArgumentError("v_dist must be > 0 for gaussian modulation")
         if not isinstance(self.n_rep, int) or self.n_rep < 1:
@@ -259,116 +290,221 @@ class ProtocolResult(NamedTuple):
     bias: BiasResult
 
 
-def _draw_alphas(
-    plan: DisplacementPlan, n_rounds: int, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Applied per-round displacements (block draws repeated and scaled)."""
-    n_blocks = -(-n_rounds // plan.n_rep)
+
+
+class _Chunk(NamedTuple):
+    """The draws of one chunk of rounds, in round order.
+
+    The round-table columns carry their table names; ``quads`` holds
+    every round's six quadratures in :data:`OUTCOME_COLUMNS` order,
+    measured or not, with A's displacement (and a lone A's vacuum
+    units) added. ``calib`` is None unless the gains are fitted.
+    """
+
+    start: int
+    alpha_x: np.ndarray
+    alpha_p: np.ndarray
+    dealer_basis: np.ndarray
+    basis_a: np.ndarray
+    basis_b: np.ndarray
+    basis_c: np.ndarray
+    kept: np.ndarray
+    witness: np.ndarray
+    bias: np.ndarray
+    calib: np.ndarray | None
+    quads: np.ndarray
+
+
+def _chunk_alphas(
+    plan: DisplacementPlan, start: int, end: int, gen: np.random.Generator,
+    carry: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Applied displacements of rounds [start, end), and the block draw to carry on.
+
+    A block of n_rep rounds shares one draw, made in the chunk where the
+    block starts; a block that runs on past the chunk's end carries its
+    draw into the next chunk, so chunks need not hold whole blocks.
+    """
+    m = end - start
     if plan.kind == "fixed":
-        block_x = np.full(n_blocks, plan.alpha_x)
-        block_p = np.full(n_blocks, plan.alpha_p)
-    else:
-        sd = math.sqrt(plan.v_dist)
-        block_x = sd * gen.standard_normal(n_blocks)
-        block_p = sd * gen.standard_normal(n_blocks)
-    ax = np.repeat(block_x, plan.n_rep)[:n_rounds] * plan.scale
-    ap = np.repeat(block_p, plan.n_rep)[:n_rounds] * plan.scale
-    return ax, ap
+        return np.full(m, plan.alpha_x * plan.scale), np.full(m, plan.alpha_p * plan.scale), carry
+    n_rep = plan.n_rep
+    first = start // n_rep
+    n_new = (end - 1) // n_rep + 1 - (-(-start // n_rep))
+    sd = math.sqrt(plan.v_dist)
+    block_x = sd * gen.standard_normal(n_new)
+    block_p = sd * gen.standard_normal(n_new)
+    if start % n_rep:
+        block_x = np.concatenate(([carry[0]], block_x))
+        block_p = np.concatenate(([carry[1]], block_p))
+    block = np.arange(start, end) // n_rep - first
+    return (block_x[block] * plan.scale, block_p[block] * plan.scale,
+            (float(block_x[-1]), float(block_p[-1])))
+
+
+def _coin(gen: np.random.Generator, n: int) -> np.ndarray:
+    return gen.integers(0, 2, n, dtype=np.int8)
 
 
 def _party_bases(
-    coalition: Coalition, n_rounds: int, gen: np.random.Generator
+    coalition: Coalition, n: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Basis index per party and round: 0 = x, 1 = p, 2 = dual-homodyne."""
+    """Basis code per party (a, b, c) and round: 0 = x, 1 = p, 2 = dual-homodyne."""
     if coalition is Coalition.A_ALONE:
-        basis_a = np.full(n_rounds, 2, dtype=np.int64)
-        basis_b = gen.integers(0, 2, n_rounds)
-        basis_c = gen.integers(0, 2, n_rounds)
-    elif coalition is Coalition.AB:
-        shared = gen.integers(0, 2, n_rounds)
-        basis_a, basis_b = shared, shared
-        basis_c = gen.integers(0, 2, n_rounds)
-    elif coalition is Coalition.AC:
-        shared = gen.integers(0, 2, n_rounds)
-        basis_a, basis_c = shared, shared
-        basis_b = gen.integers(0, 2, n_rounds)
-    else:
-        shared = gen.integers(0, 2, n_rounds)
-        basis_a = basis_b = basis_c = shared
-    return basis_a, basis_b, basis_c
+        return np.full(n, 2, dtype=np.int8), _coin(gen, n), _coin(gen, n)
+    shared = _coin(gen, n)
+    if coalition is Coalition.AB:
+        return shared, shared, _coin(gen, n)
+    if coalition is Coalition.AC:
+        return shared, _coin(gen, n), shared
+    return shared, shared, shared
 
 
-def _sample_rounds(
-    base: GaussianState,
-    basis_c: np.ndarray,
-    basis_b: np.ndarray,
-    basis_a: np.ndarray,
-    gen: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    """Jointly sample all rounds, grouped by the (C, B, A) basis pattern.
-
-    Returns full-length per-quadrature outcome arrays with NaN where a
-    quadrature was not measured.
-    """
-    n = basis_c.shape[0]
-    cols = {k: np.full(n, np.nan) for k in ("x_c", "p_c", "x_b", "p_b", "x_a", "p_a")}
-    keys = basis_c * 9 + basis_b * 3 + basis_a
-    for key in np.unique(keys):
-        idx = np.flatnonzero(keys == key)
-        kc, kb, ka = key // 9, (key // 3) % 3, key % 3
-        choices = (BASIS_NAMES[kc], BASIS_NAMES[kb], BASIS_NAMES[ka])
-        assignment = MeasurementAssignment(choices)
-        out = sample_joint(base, assignment, idx.size, gen)
-        labels = assignment.labels(PARTY_NAMES)
-        for col, label in enumerate(labels):
-            cols[label][idx] = out[:, col]
-    return cols
+def _share(fraction: float, start: int, end: int) -> int:
+    """Subset rounds due in [start, end): the chunks' shares add up to round(fraction * n)."""
+    return round(fraction * end) - round(fraction * start)
 
 
-def _mask_subset(
-    eligible: np.ndarray, target: int, gen: np.random.Generator
-) -> np.ndarray:
-    """Random subset of the eligible rounds, at most `target` of them, as a mask."""
+def _pick(eligible: np.ndarray, take: int, gen: np.random.Generator) -> np.ndarray:
+    """Mask of a random subset of the eligible rounds, at most ``take`` of them."""
     idx = np.flatnonzero(eligible)
-    take = min(target, idx.size)
+    take = min(take, idx.size)
     mask = np.zeros(eligible.shape[0], dtype=bool)
     if take > 0:
-        perm = gen.permutation(idx.size)
-        mask[idx[perm[:take]]] = True
+        mask[gen.choice(idx, take, replace=False, shuffle=False)] = True
     return mask
 
 
-def _witness_from_arrays(
-    cols: dict[str, np.ndarray],
-    alpha_x: np.ndarray,
-    alpha_p: np.ndarray,
-    x_rounds: np.ndarray,
-    p_rounds: np.ndarray,
-    require_min: bool,
-) -> WitnessResult:
-    """Witness MSE on the given round masks; verdict needs the minimum round count."""
-    n_x, n_p = int(np.sum(x_rounds)), int(np.sum(p_rounds))
+def _draw_chunks(
+    plan: DisplacementPlan,
+    n_rounds: int,
+    coalition: Coalition,
+    policy: ProtocolPolicy,
+    stream: RandomStream,
+    chol: np.ndarray,
+    root_eta: float,
+    fitted: bool,
+    calibrating: bool = False,
+) -> Iterator[_Chunk]:
+    """Every chunk of a protocol run, drawn from its own child stream.
+
+    Drawing again gives the same chunks, which is how fitted gains
+    replay the run after calibrating on it. In the calibration pass
+    (``calibrating``) only the calibration rounds' quadratures are drawn;
+    the others are NaN.
+    """
+    lone = coalition is Coalition.A_ALONE
+    carry = (0.0, 0.0)
+    n_est = 0
+    for i, start in enumerate(range(0, n_rounds, _CHUNK_ROUNDS)):
+        end = min(start + _CHUNK_ROUNDS, n_rounds)
+        m = end - start
+        gen = stream.chunk_generator(i)
+        alpha_x, alpha_p, carry = _chunk_alphas(plan, start, end, gen, carry)
+        dealer = _coin(gen, m)
+        basis_a, basis_b, basis_c = _party_bases(coalition, m, gen)
+        pool = (basis_b == dealer) & (basis_c == dealer)
+        if lone:
+            kept = np.ones(m, dtype=bool)
+        else:
+            kept = basis_a == dealer
+            pool &= kept
+        witness = _pick(pool, _share(policy.witness_fraction, start, end), gen)
+        eligible = kept & ~witness
+        bias = _pick(eligible, _share(policy.bias_fraction, start, end), gen)
+        if not fitted:
+            calib = None
+            quads = wigner_sample(gen, chol, m)
+        else:
+            # half of the estimation rounds so far, counted across chunks; their
+            # quadratures come first, so that the calibration pass draws no others
+            est = eligible & ~bias
+            k = int(np.count_nonzero(est))
+            calib = _pick(est, (n_est + k) // 2 - n_est // 2, gen)
+            n_est += k
+            quads = np.empty((m, 6))
+            rows = np.flatnonzero(calib)
+            quads[rows] = wigner_sample(gen, chol, rows.size)
+            rows = np.flatnonzero(~calib)
+            quads[rows] = np.nan if calibrating else wigner_sample(gen, chol, rows.size)
+        # the displacement reaches party A through its loss channel
+        quads[:, 4] += root_eta * alpha_x
+        quads[:, 5] += root_eta * alpha_p
+        if lone:
+            quads[:, 4:] += gen.standard_normal((m, 2))
+        yield _Chunk(start, alpha_x, alpha_p, dealer, basis_a, basis_b, basis_c, kept,
+                     witness, bias, calib, quads)
+
+
+def _coalition_errors(
+    coalition: Coalition, gains: GainSet, ch: _Chunk, rows: np.ndarray, quad: str
+) -> np.ndarray:
+    """Coalition estimate minus truth of one quadrature on the chunk's selected rounds."""
+    q = "xp".index(quad)
+    sub = ch.quads[rows]
+    outcomes = {
+        f"{quad}_{party}": sub[:, 2 * PARTY_NAMES.index(party) + q]
+        for party in coalition.party_columns
+    }
+    truth = (ch.alpha_p if q else ch.alpha_x)[rows]
+    return estimators.estimate(coalition, outcomes, gains, quad) - truth
+
+
+def _add_witness(
+    sq: tuple[RunningMoments, RunningMoments],
+    quads_x: np.ndarray,
+    quads_p: np.ndarray,
+    alpha_x: np.ndarray | float,
+    alpha_p: np.ndarray | float,
+) -> None:
+    """Add the squared witness errors of x rounds ``quads_x`` and p rounds ``quads_p``."""
+    ox = {name: quads_x[:, j] for j, name in enumerate(OUTCOME_COLUMNS) if name[0] == "x"}
+    op = {name: quads_p[:, j] for j, name in enumerate(OUTCOME_COLUMNS) if name[0] == "p"}
+    x_minus, p_plus = estimators.witness_estimate(ox, op)
+    sq[0].add((x_minus - alpha_x / math.sqrt(2.0)) ** 2)
+    sq[1].add((p_plus - alpha_p / math.sqrt(2.0)) ** 2)
+
+
+def _witness_result(sq_x: RunningMoments, sq_p: RunningMoments) -> WitnessResult:
+    """Witness MSE from the squared errors per quadrature; the verdict needs 100 rounds each."""
+    n_x, n_p = sq_x.n, sq_p.n
     if n_x < 1 or n_p < 1:
         return WitnessResult(None, None, None, None, None, n_x, n_p, WITNESS_THRESHOLD, "insufficient-rounds")
     split = estimators.RESOURCE_SPLIT_FACTOR
-    ox = {k: cols[k][x_rounds] for k in ("x_a", "x_b", "x_c")}
-    op = {k: cols[k][p_rounds] for k in ("p_a", "p_b", "p_c")}
-    x_minus, p_plus = estimators.witness_estimate(ox, op)
-    tx = alpha_x[x_rounds] / math.sqrt(2.0)
-    tp = alpha_p[p_rounds] / math.sqrt(2.0)
-    mse_x = split * estimators.empirical_mse(x_minus, tx)
-    mse_p = split * estimators.empirical_mse(p_plus, tp)
+    mse_x = split * sq_x.mean
+    mse_p = split * sq_p.mean
     mse_sum = mse_x + mse_p
     if n_x < 2 or n_p < 2:
         return WitnessResult(mse_x, mse_p, mse_sum, None, None, n_x, n_p, WITNESS_THRESHOLD, "insufficient-rounds")
-    se = math.hypot(
-        split * estimators.mse_standard_error(x_minus, tx),
-        split * estimators.mse_standard_error(p_plus, tp),
-    )
-    if require_min and (n_x < WITNESS_MIN_ROUNDS or n_p < WITNESS_MIN_ROUNDS):
+    se = math.hypot(split * sq_x.standard_error(), split * sq_p.standard_error())
+    if n_x < WITNESS_MIN_ROUNDS or n_p < WITNESS_MIN_ROUNDS:
         return WitnessResult(mse_x, mse_p, mse_sum, se, None, n_x, n_p, WITNESS_THRESHOLD, "insufficient-rounds")
     entangled = bool(mse_sum < WITNESS_THRESHOLD - 5.0 * se)
     return WitnessResult(mse_x, mse_p, mse_sum, se, entangled, n_x, n_p, WITNESS_THRESHOLD, "ok")
+
+
+def _record_table(n_rounds: int) -> RoundTable:
+    """A table of n_rounds rounds with its columns allocated, to be filled chunk by chunk."""
+    def floats():
+        return np.empty(n_rounds)
+
+    def codes():
+        return np.empty(n_rounds, dtype=np.int8)
+
+    return RoundTable(np.arange(n_rounds), floats(), floats(), codes(), codes(), codes(),
+                      codes(), *(floats() for _ in OUTCOME_COLUMNS),
+                      np.empty(n_rounds, dtype=bool))
+
+
+def _fill_records(table: RoundTable, ch: _Chunk) -> None:
+    """Write a chunk's rounds into their rows; unmeasured quadratures get NaN."""
+    rows = slice(ch.start, ch.start + ch.quads.shape[0])
+    for name in ("alpha_x", "alpha_p", *BASIS_COLUMNS, "kept"):
+        getattr(table, name)[rows] = getattr(ch, name)
+    for j, name in enumerate(OUTCOME_COLUMNS):
+        # the x quadrature is unread in p rounds (code 1) and the p one in x rounds (code 0)
+        unread = getattr(ch, f"basis_{name[2]}") == (1 if name[0] == "x" else 0)
+        getattr(table, name)[rows] = np.where(unread, np.nan, ch.quads[:, j])
 
 
 def run_protocol(
@@ -388,8 +524,10 @@ def run_protocol(
         fit the gain by least squares, mirroring an experimental
         calibration, and reports the MSE on the other half.
     :param keep_records: return every round as a :class:`RoundTable`;
-        with False the table is empty (for large runs where only the
-        reports matter).
+        with False the table is empty and memory does not grow with
+        n_rounds (for large runs where only the reports matter).
+    :raises ResourceLimitError: n_rounds is above :data:`MAX_ROUNDS`, or
+        above :data:`MAX_RECORD_ROUNDS` when the records are kept.
     :raises AbortLossError: the declared signal-arm transmissivity is
         below policy.eta_min.
     :raises ProtocolFailureError: fewer than two usable rounds remain
@@ -397,6 +535,10 @@ def run_protocol(
     """
     if n_rounds < 10:
         raise InvalidArgumentError("n_rounds must be >= 10")
+    if keep_records and n_rounds > MAX_RECORD_ROUNDS:
+        raise ResourceLimitError(
+            f"n_rounds exceeds the cap of {MAX_RECORD_ROUNDS} for a run that keeps its records"
+        )
     if n_rounds > MAX_ROUNDS:
         raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_ROUNDS}")
     if gain_mode not in ("analytic", "fitted"):
@@ -407,148 +549,103 @@ def run_protocol(
         raise AbortLossError(
             f"declared eta_A={model.eta_a} below policy minimum {policy.eta_min}"
         )
-    gen = stream.generator()
-    base = build_dealer_state(model, 0.0, 0.0)
-
-    alpha_x, alpha_p = _draw_alphas(plan, n_rounds, gen)
-    dealer = gen.integers(0, 2, n_rounds)
-    basis_a, basis_b, basis_c = _party_bases(coalition, n_rounds, gen)
-    cols = _sample_rounds(base, basis_c, basis_b, basis_a, gen)
-
-    # the displacement reaches party A through its loss channel
+    lone = coalition is Coalition.A_ALONE
+    fitted = gain_mode == "fitted" and not lone
     root_eta = math.sqrt(model.eta_a)
-    cols["x_a"] = cols["x_a"] + root_eta * alpha_x
-    cols["p_a"] = cols["p_a"] + root_eta * alpha_p
+    chol = np.linalg.cholesky(build_dealer_state(model, 0.0, 0.0).cov)
 
-    if coalition is Coalition.A_ALONE:
-        kept = np.ones(n_rounds, dtype=bool)
-        match_a = np.ones(n_rounds, dtype=bool)
-    else:
-        kept = basis_a == dealer
-        match_a = kept
-    witness_pool = match_a & (basis_b == dealer) & (basis_c == dealer)
-    witness_mask = _mask_subset(witness_pool, round(policy.witness_fraction * n_rounds), gen)
-    est_eligible = kept & ~witness_mask
-    bias_mask = _mask_subset(est_eligible, round(policy.bias_fraction * n_rounds), gen)
-    est_mask = est_eligible & ~bias_mask
+    def chunks(calibrating: bool = False) -> Iterator[_Chunk]:
+        return _draw_chunks(plan, n_rounds, coalition, policy, stream, chol, root_eta, fitted,
+                            calibrating)
 
-    if coalition is Coalition.A_ALONE:
+    if lone:
         gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / root_eta)
-        calib_mask = np.zeros(n_rounds, dtype=bool)
-    elif gain_mode == "analytic":
+    elif fitted:
+        gains = _fit_gains(coalition, chunks(calibrating=True), root_eta)
+    else:
         gains = estimators.gains_for_model(model, coalition)
-        calib_mask = np.zeros(n_rounds, dtype=bool)
-    else:
-        calib_mask = _mask_subset(est_mask, int(np.sum(est_mask)) // 2, gen)
-        est_mask = est_mask & ~calib_mask
-        gains = _fit_gains(model, coalition, cols, alpha_x, alpha_p, dealer, calib_mask)
 
-    if coalition is Coalition.A_ALONE:
-        x_rounds = est_mask
-        p_rounds = est_mask
-    else:
-        x_rounds = est_mask & (dealer == 0)
-        p_rounds = est_mask & (dealer == 1)
-    if int(np.sum(x_rounds)) < 2 or int(np.sum(p_rounds)) < 2:
+    sq_err = (RunningMoments(), RunningMoments())
+    sq_witness = (RunningMoments(), RunningMoments())
+    n_witness = [0, 0]
+    bias_err = RunningMoments()
+    table = _record_table(n_rounds) if keep_records else None
+    for ch in chunks():
+        if table is not None:
+            _fill_records(table, ch)
+        est = ch.kept & ~ch.witness & ~ch.bias
+        if ch.calib is not None:
+            est &= ~ch.calib
+        on_quad = (ch.dealer_basis == 0, ch.dealer_basis == 1)
+        for q, quad in enumerate("xp"):
+            # a lone A reads both quadratures of every round
+            est_q = est if lone else est & on_quad[q]
+            bias_q = ch.bias if lone else ch.bias & on_quad[q]
+            e = _coalition_errors(coalition, gains, ch, est_q, quad)
+            sq_err[q].add(e * e)
+            bias_err.add(_coalition_errors(coalition, gains, ch, bias_q, quad))
+        wx, wp = ch.witness & on_quad[0], ch.witness & on_quad[1]
+        if lone:
+            n_witness[0] += int(np.count_nonzero(wx))
+            n_witness[1] += int(np.count_nonzero(wp))
+        else:
+            _add_witness(sq_witness, ch.quads[wx], ch.quads[wp], ch.alpha_x[wx], ch.alpha_p[wp])
+
+    n_x, n_p = sq_err[0].n, sq_err[1].n
+    if n_x < 2 or n_p < 2:
         raise ProtocolFailureError("fewer than 2 usable rounds per quadrature")
+    split = 1.0 if lone else estimators.RESOURCE_SPLIT_FACTOR
+    mse_x, mse_p = split * sq_err[0].mean, split * sq_err[1].mean
+    mse_report = MseReport(coalition, mse_x, mse_p, mse_x + mse_p, n_x, n_p, gains)
 
-    def coalition_estimates(mask: np.ndarray, quad: str) -> tuple[np.ndarray, np.ndarray]:
-        outcomes = {
-            f"{quad}_{party}": cols[f"{quad}_{party}"][mask]
-            for party in coalition.party_columns
-        }
-        est = estimators.estimate(coalition, outcomes, gains, quad)
-        truth = (alpha_x if quad == "x" else alpha_p)[mask]
-        return est, truth
-
-    est_x, truth_x = coalition_estimates(x_rounds, "x")
-    est_p, truth_p = coalition_estimates(p_rounds, "p")
-    mse_report = estimators.make_mse_report(coalition, est_x, truth_x, est_p, truth_p, gains)
-
-    witness_x = witness_mask & (dealer == 0)
-    witness_p = witness_mask & (dealer == 1)
-    if coalition is Coalition.A_ALONE:
+    if lone:
         # dual-homodyne outcomes carry an extra vacuum unit per quadrature,
         # so they cannot test the bound 4 e^{-2r}
         witness = WitnessResult(
-            None, None, None, None, None, int(np.sum(witness_x)), int(np.sum(witness_p)),
+            None, None, None, None, None, n_witness[0], n_witness[1],
             WITNESS_THRESHOLD, "not-applicable",
         )
     else:
-        witness = _witness_from_arrays(
-            cols, alpha_x, alpha_p, witness_x, witness_p, require_min=True
-        )
+        witness = _witness_result(*sq_witness)
 
-    if coalition is Coalition.A_ALONE:
-        bias_x, bias_p = bias_mask, bias_mask
+    if bias_err.n < 2:
+        bias = BiasResult(None, None, bias_err.n, None, "insufficient-rounds")
     else:
-        bias_x = bias_mask & (dealer == 0)
-        bias_p = bias_mask & (dealer == 1)
-    n_bias = int(np.sum(bias_x)) + int(np.sum(bias_p))
-    if n_bias < 2:
-        bias = BiasResult(None, None, n_bias, None, "insufficient-rounds")
-    else:
-        parts = []
-        for mask, quad in ((bias_x, "x"), (bias_p, "p")):
-            if np.any(mask):
-                e, t = coalition_estimates(mask, quad)
-                parts.append(e - t)
-        resid = np.concatenate(parts)
-        mean_err, se = estimators.bias_check(resid, np.zeros_like(resid))
-        bias = BiasResult(mean_err, se, n_bias, bool(abs(mean_err) <= 5.0 * se), "ok")
+        mean_err, se = bias_err.mean, bias_err.standard_error()
+        bias = BiasResult(mean_err, se, bias_err.n, bool(abs(mean_err) <= 5.0 * se), "ok")
 
-    if keep_records:
-        records = RoundTable(
-            np.arange(n_rounds),
-            alpha_x,
-            alpha_p,
-            dealer.astype(np.int8),
-            basis_a.astype(np.int8),
-            basis_b.astype(np.int8),
-            basis_c.astype(np.int8),
-            *(cols[name] for name in OUTCOME_COLUMNS),
-            kept,
-        )
-    else:
-        records = RoundTable.empty()
+    records = table if table is not None else RoundTable.empty()
     return ProtocolResult(records, mse_report, witness, bias)
 
 
-def _fit_gains(
-    model: ExperimentModel,
-    coalition: Coalition,
-    cols: dict[str, np.ndarray],
-    alpha_x: np.ndarray,
-    alpha_p: np.ndarray,
-    dealer: np.ndarray,
-    calib_mask: np.ndarray,
-) -> GainSet:
+def _fit_gains(coalition: Coalition, chunks: Iterator[_Chunk], root_eta: float) -> GainSet:
     """Least-squares gain from the calibration rounds, pooled over quadratures.
 
     The x rounds regress (x_A - sqrt(eta_A) alpha_x) on the auxiliary
     combination; the p rounds enter with the auxiliary sign flipped,
     matching the estimator's p convention, so one shared gain fits both.
+    This is the first of a fitted run's two passes over its chunks: it
+    keeps only the sums the gain needs.
     """
-    root_eta = math.sqrt(model.eta_a)
-    cx = calib_mask & (dealer == 0)
-    cp = calib_mask & (dealer == 1)
-    if int(np.sum(cx)) + int(np.sum(cp)) < 2:
+    sum_ru = sum_uu = 0.0
+    n = 0
+    for ch in chunks:
+        for q, sign in ((0, 1.0), (1, -1.0)):
+            rows = ch.calib & (ch.dealer_basis == q)
+            sub = ch.quads[rows]
+            r = sub[:, 4 + q] - root_eta * (ch.alpha_p if q else ch.alpha_x)[rows]
+            if coalition is Coalition.ABC:
+                u = (sub[:, 2 + q] - sub[:, q]) / math.sqrt(2.0)
+            else:
+                partner = 2 if coalition is Coalition.AB else 0
+                u = sub[:, partner + q]
+            u = sign * u
+            sum_ru += float(r @ u)
+            sum_uu += float(u @ u)
+            n += r.size
+    if n < 2:
         raise ProtocolFailureError("not enough calibration rounds to fit gains")
-
-    def aux(quad: str, mask: np.ndarray) -> np.ndarray:
-        if coalition is Coalition.ABC:
-            return (cols[f"{quad}_b"][mask] - cols[f"{quad}_c"][mask]) / math.sqrt(2.0)
-        partner = "b" if coalition is Coalition.AB else "c"
-        return cols[f"{quad}_{partner}"][mask]
-
-    resid_parts, aux_parts = [], []
-    if np.any(cx):
-        resid_parts.append(cols["x_a"][cx] - root_eta * alpha_x[cx])
-        aux_parts.append(aux("x", cx))
-    if np.any(cp):
-        resid_parts.append(cols["p_a"][cp] - root_eta * alpha_p[cp])
-        aux_parts.append(-aux("p", cp))
-    g = estimators.fit_gain(np.concatenate(resid_parts), np.concatenate(aux_parts))
+    g = estimators.fit_gain_from_sums(sum_ru, sum_uu, n)
     if coalition is Coalition.ABC:
         return GainSet(g_b=0.0, g_bc=g, bias_scale=1.0 / root_eta)
     return GainSet(g_b=g, g_bc=0.0, bias_scale=1.0 / root_eta)
@@ -585,8 +682,10 @@ def entanglement_check(witness_records: RoundTable) -> WitnessResult:
         raise InvalidArgumentError(
             f"need >= {WITNESS_MIN_ROUNDS} witness rounds per quadrature, got {n_x}/{n_p}"
         )
-    cols = {name: getattr(t, name) for name in OUTCOME_COLUMNS}
-    return _witness_from_arrays(cols, t.alpha_x, t.alpha_p, is_x, ~is_x, require_min=True)
+    quads = np.column_stack([getattr(t, name) for name in OUTCOME_COLUMNS])
+    sq = (RunningMoments(), RunningMoments())
+    _add_witness(sq, quads[is_x], quads[~is_x], t.alpha_x[is_x], t.alpha_p[~is_x])
+    return _witness_result(*sq)
 
 
 def surrogate_intercept_state(
@@ -618,35 +717,28 @@ def witness_verification_run(
 
     Every round contributes to the witness statistic for its quadrature.
     With surrogate=True the distributed state is the intercept-and-resend
-    stand-in from :func:`surrogate_intercept_state`.
+    stand-in from :func:`surrogate_intercept_state`. Rounds are drawn in
+    chunks, each from its own child stream, and reduced to running sums.
     """
     if n_rounds < 2 * WITNESS_MIN_ROUNDS:
         raise InvalidArgumentError(f"n_rounds must be >= {2 * WITNESS_MIN_ROUNDS}")
     if n_rounds > MAX_ROUNDS:
         raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_ROUNDS}")
+    _check_displacement("alpha_x", alpha_x)
+    _check_displacement("alpha_p", alpha_p)
     if surrogate:
         st = surrogate_intercept_state(model, alpha_x, alpha_p)
     else:
         st = build_dealer_state(model, alpha_x, alpha_p)
-    gen = stream.generator()
-    dealer = gen.integers(0, 2, n_rounds)
-    basis = dealer.astype(np.int64)
-    cols = _sample_rounds(st, basis, basis, basis, gen)
-    ax = np.full(n_rounds, alpha_x)
-    ap = np.full(n_rounds, alpha_p)
-    return _witness_from_arrays(cols, ax, ap, dealer == 0, dealer == 1, require_min=True)
-
-
-def linear_mse_batches(
-    outcomes: np.ndarray, weights: np.ndarray, truths: np.ndarray, n_batches: int
-) -> np.ndarray:
-    """Per-batch mean squared error of a linear estimator.
-
-    Rows of ``outcomes`` are grouped into n_batches equal consecutive
-    batches; returns, per batch, mean((outcomes @ weights - truths)^2).
-    """
-    err = outcomes @ weights - truths
-    return np.mean(err.reshape(n_batches, -1) ** 2, axis=1)
+    chol = np.linalg.cholesky(st.cov)
+    sq = (RunningMoments(), RunningMoments())
+    for i, start in enumerate(range(0, n_rounds, _CHUNK_ROUNDS)):
+        m = min(_CHUNK_ROUNDS, n_rounds - start)
+        gen = stream.chunk_generator(i)
+        is_x = _coin(gen, m) == 0
+        quads = mvn_sample(gen, st.mean, chol, m)
+        _add_witness(sq, quads[is_x], quads[~is_x], alpha_x, alpha_p)
+    return _witness_result(*sq)
 
 
 def batch_mse_distribution(
@@ -662,6 +754,9 @@ def batch_mse_distribution(
     Samples without sifting (bases pre-agreed), estimates with analytic
     gains at zero displacement and returns one summed, resource-split
     MSE per batch, for comparison against the scaled chi-squared law.
+    Probe j of every quadrature belongs to batch j // N; probes are
+    drawn in chunks, each from its own child stream, and only the
+    per-batch sums of squared errors are kept.
     """
     if n_batches < 100:
         raise InvalidArgumentError("n_batches must be >= 100")
@@ -671,38 +766,40 @@ def batch_mse_distribution(
         raise ResourceLimitError(
             f"n_batches * n_probes * modes exceeds the cap of {max_terms}"
         )
-    gen = stream.generator()
-    n_tot = n_batches * n_probes_per_quadrature
-    zeros = np.zeros(n_tot)
-    if coalition is Coalition.A_ALONE:
-        reduced = partial_trace(build_dealer_state(model, 0.0, 0.0), [2])
-        bias = 1.0 / math.sqrt(model.eta_a)
-        out = sample_joint(reduced, MeasurementAssignment(("xp",)), n_tot, gen)
-        mse_x = linear_mse_batches(out, np.array([bias, 0.0]), zeros, n_batches)
-        mse_p = linear_mse_batches(out, np.array([0.0, bias]), zeros, n_batches)
-        return mse_x + mse_p
-
     base = build_dealer_state(model, 0.0, 0.0)
-    gains = estimators.gains_for_model(model, coalition)
-    bias = gains.bias_scale
-    g = gains.g_bc if coalition is Coalition.ABC else gains.g_b
-    weights = {}
-    if coalition is Coalition.ABC:
-        choices = {"x": ("x", "x", "x"), "p": ("p", "p", "p")}
-        s = 1.0 / math.sqrt(2.0)
-        weights["x"] = bias * np.array([g * s, -g * s, 1.0])
-        weights["p"] = bias * np.array([-g * s, g * s, 1.0])
-    elif coalition is Coalition.AB:
-        choices = {"x": ("none", "x", "x"), "p": ("none", "p", "p")}
-        weights["x"] = bias * np.array([-g, 1.0])
-        weights["p"] = bias * np.array([g, 1.0])
+    # (state, measurement, weights (columns x estimators), factor) per draw of a probe
+    if coalition is Coalition.A_ALONE:
+        reduced = partial_trace(base, [2])
+        bias = 1.0 / math.sqrt(model.eta_a)
+        draws = [(reduced, ("xp",), np.array([[bias, 0.0], [0.0, bias]]), 1.0)]
     else:
-        choices = {"x": ("x", "none", "x"), "p": ("p", "none", "p")}
-        weights["x"] = bias * np.array([-g, 1.0])
-        weights["p"] = bias * np.array([g, 1.0])
-    split = estimators.RESOURCE_SPLIT_FACTOR
+        gains = estimators.gains_for_model(model, coalition)
+        bias = gains.bias_scale
+        g = gains.g_bc if coalition is Coalition.ABC else gains.g_b
+        if coalition is Coalition.ABC:
+            choices = {"x": ("x", "x", "x"), "p": ("p", "p", "p")}
+            s = 1.0 / math.sqrt(2.0)
+            weights = {"x": bias * np.array([g * s, -g * s, 1.0]),
+                       "p": bias * np.array([-g * s, g * s, 1.0])}
+        else:
+            if coalition is Coalition.AB:
+                choices = {"x": ("none", "x", "x"), "p": ("none", "p", "p")}
+            else:
+                choices = {"x": ("x", "none", "x"), "p": ("p", "none", "p")}
+            weights = {"x": bias * np.array([-g, 1.0]), "p": bias * np.array([g, 1.0])}
+        split = estimators.RESOURCE_SPLIT_FACTOR
+        draws = [(base, choices[q], weights[q][:, None], split) for q in ("x", "p")]
+    n_probes = n_probes_per_quadrature
+    n_tot = n_batches * n_probes
     total = np.zeros(n_batches)
-    for quad in ("x", "p"):
-        out = sample_joint(base, MeasurementAssignment(choices[quad]), n_tot, gen)
-        total += split * linear_mse_batches(out, weights[quad], zeros, n_batches)
-    return total
+    for i, start in enumerate(range(0, n_tot, _CHUNK_ROUNDS)):
+        m = min(_CHUNK_ROUNDS, n_tot - start)
+        gen = stream.chunk_generator(i)
+        sq = np.zeros(m)
+        for state, choice, w, factor in draws:
+            err = sample_joint(state, MeasurementAssignment(choice), m, gen) @ w
+            sq += factor * np.sum(err * err, axis=1)
+        first = start // n_probes
+        sums = np.bincount(np.arange(start, start + m) // n_probes - first, weights=sq)
+        total[first : first + sums.size] += sums
+    return total / n_probes

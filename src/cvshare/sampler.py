@@ -45,6 +45,16 @@ class RandomStream:
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(seq))
 
+    def chunk_generator(self, index: int) -> np.random.Generator:
+        """Generator of chunk ``index`` of this stream: its own independent child stream.
+
+        ``SeedSequence(seed, spawn_key=(stream_id, index))`` is the
+        ``index``-th child that ``SeedSequence.spawn`` would give this
+        stream, so a chunk can be replayed on its own.
+        """
+        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, index))
+        return np.random.Generator(np.random.PCG64(seq))
+
     def child(self, stream_id: int) -> "RandomStream":
         """Stream with the same seed and a different stream_id."""
         return RandomStream(self.seed, stream_id)
@@ -125,6 +135,18 @@ def outcome_moments(
     return mean, cov
 
 
+def wigner_sample(gen: np.random.Generator, chol: np.ndarray, n_shots: int) -> np.ndarray:
+    """Sample n_shots rows of every quadrature from N(0, chol @ chol.T).
+
+    For a Gaussian state these are draws of its Wigner function, so any
+    set of commuting quadratures on distinct modes, read off one row, is
+    a joint homodyne outcome.
+
+    :param chol: d x d lower-triangular Cholesky factor of the covariance.
+    """
+    return gen.standard_normal((n_shots, chol.shape[0])) @ chol.T
+
+
 def mvn_sample(
     gen: np.random.Generator, mean: np.ndarray, chol: np.ndarray, n_shots: int
 ) -> np.ndarray:
@@ -133,8 +155,7 @@ def mvn_sample(
     :param mean: length-d mean vector.
     :param chol: d x d lower-triangular Cholesky factor of the covariance.
     """
-    z = gen.standard_normal((n_shots, mean.shape[0]))
-    return mean[None, :] + z @ chol.T
+    return mean[None, :] + wigner_sample(gen, chol, n_shots)
 
 
 def sample_joint(

@@ -192,17 +192,17 @@ def test_simulate_and_rerun_byte_identical(tmp_path, capsys):
     assert len(rounds) == 1 + 10000
 
 
-# rounds.csv sha256 per (coalition, plan), from the per-round record writer
-# that the column writer replaced
+# rounds.csv sha256 per (coalition, plan), from stream layout 2 (the chunked
+# six-quadrature draw)
 ROUNDS_CSV_SHA256 = {
-    ("a_alone", "fixed"): "bbb8c2441532ace0cdc50070cd2fda26f73efe715da76486c61ec6c794deb6a7",
-    ("ab", "fixed"): "018d1f759f018bcc866c601d8cd7b780846aa6f8f4953554a0e66362fa7b6a22",
-    ("ac", "fixed"): "552c5d40d32a6550bf665064423cb8b36d81c5636c8c13db682d2aef71e11666",
-    ("abc", "fixed"): "7e842e33f25b423816e8540baf0cae098e182d7650288c47fbca914c06879d8c",
-    ("a_alone", "gaussian"): "6425a3bf353e84aa1d9951e9ecf366620840d0b76361b8914818aa05ab81680b",
-    ("ab", "gaussian"): "57d9a385bbee108a4337cfd2565c3d9ad4005fa8d65f85d26968f4016448915e",
-    ("ac", "gaussian"): "8dcdbe10117c16a286e53d6b18571c0b5fc3f3569005be5a92bc2eb342f1439a",
-    ("abc", "gaussian"): "671421a68fb4e52a35e9b7d93dbabab4381a14716c945234c513241956d583d5",
+    ("a_alone", "fixed"): "15c67de5aea6a6d7cbf4d5b5eb4f7540d2bb77ac4cad642b112abb017780034b",
+    ("ab", "fixed"): "2b99332e045304cb1811ce109a1883ddfc4e360e7993eb6b98f5420e6275203d",
+    ("ac", "fixed"): "c0bcc53fac54267d922cb9bc8ad78f7dad63daf20b2db7493ac3ead6e1066c52",
+    ("abc", "fixed"): "959fbddf7437398e7c39beb19c0f1db5adb51fb4b8f6ab70a80aa9f3dede9e82",
+    ("a_alone", "gaussian"): "4ffd335bb818a3402a3836550c65a55514eb511b160c439b1e01be12339977d1",
+    ("ab", "gaussian"): "43048fd794b30eea30d34c9c1bbb13a1992074c41271103349391e87bdb0e7f0",
+    ("ac", "gaussian"): "6c86f1acb58ca6fcd85ed565e45512b1526d53b84692d3c27b2b534e0850e906",
+    ("abc", "gaussian"): "00ada612500ca61d8f2a68f56eabb991b21c24f5fad996be2688c89b14f913ed",
 }
 
 
@@ -354,18 +354,89 @@ def test_band_near_r_max_clips_its_samples(tmp_path, capsys):
     assert "R_MAX = 8.0" in payload["message"]
 
 
-def test_simulate_rejects_n_rounds_above_cap(tmp_path, capsys, monkeypatch):
-    def no_rounds(self):
+@pytest.mark.parametrize(
+    "n_rounds, dump, cap",
+    [(20_000_001, True, "20000000"), (1_000_000_001, False, "1000000000")],
+    ids=["records", "no-records"],
+)
+def test_simulate_rejects_n_rounds_above_cap(tmp_path, capsys, monkeypatch, n_rounds, dump, cap):
+    # runs that keep records have the lower cap, because their table grows with
+    # n_rounds; both caps fire before any chunk stream is opened
+    def no_rounds(self, *args):
         raise AssertionError("the rounds' random stream was opened")
 
     monkeypatch.setattr(RandomStream, "generator", no_rounds)
+    monkeypatch.setattr(RandomStream, "chunk_generator", no_rounds)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n_rounds = 20000001\n")
-    code, _, err = run_cli(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+    cfg.write_text(f"n_rounds = {n_rounds}\n")
+    argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]
+    code, _, err = run_cli(argv + (["--dump-rounds"] if dump else []), capsys)
     assert code == 2
     payload = _one_json_error(err)
     assert payload["error"] == "resource-limit"
-    assert "20000000" in payload["message"]
+    assert cap in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["witness", "--r", "1", "--n-rounds", "20000", "--seed", "3", "--surrogate",
+          "--alpha-x", "1e20", "--alpha-p", "1e20"], "alpha_x"),
+        (["witness", "--alpha-p=-2e6"], "alpha_p"),
+        (["simulate", "--config", "{cfg}"], "alpha_x"),
+        (["simulate", "--config", "{cfg_v}"], "v_dist"),
+    ],
+    ids=["witness-surrogate-1e20", "witness-alpha-p", "simulate-ab-1e20", "simulate-v-dist"],
+)
+def test_displacement_beyond_alpha_max_is_rejected(tmp_path, capsys, argv, key):
+    # at |alpha| = 1e20 the displacement's round-off swamps the shot noise: the
+    # surrogate (a separable state) read entangled and the ab MSE read 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coalition = ab\nalpha_x = 1e20\nalpha_p = 1e20\nn_rounds = 20000\n")
+    cfg_v = tmp_path / "run_v.cfg"
+    cfg_v.write_text("plan = gaussian\nv_dist = 1e13\nn_rounds = 20000\n")
+    argv = [str(cfg) if a == "{cfg}" else str(cfg_v) if a == "{cfg_v}" else a for a in argv]
+    code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    payload = _one_json_error(err)
+    assert payload["error"] == "invalid-argument"
+    assert key in payload["message"]
+    assert not (tmp_path / "out" / "witness.json").exists()
+
+
+def test_displacement_at_alpha_max_keeps_its_verdicts(tmp_path, capsys):
+    argv = ["witness", "--n-rounds", "20000", "--seed", "3", "--alpha-x", "1e6",
+            "--alpha-p=-1e6", "--out-dir", str(tmp_path)]
+    code, _, _ = run_cli(argv + ["--surrogate"], capsys)
+    assert code == 0
+    assert read_json(tmp_path / "witness.json")["entangled"] is False
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert read_json(tmp_path / "witness.json")["entangled"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--n1", "1e300", "--n2", "0"], "n1"), (["--n1", "0", "--n2", "1e13"], "n2"),
+     (["--grid", "2", "--grid-max", "1e300"], "--grid-max")],
+    ids=["n1-1e300", "n2-1e13", "grid-max-1e300"],
+)
+def test_certify_thermal_parameter_overflow_is_one_line_json_error(tmp_path, capsys, argv,
+                                                                   flag):
+    # (1 + n1) ** 2 raised OverflowError with a traceback at n1 = 1e300
+    code, _, err = run_cli(["certify", *argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    payload = _one_json_error(err)
+    assert payload["error"] == "invalid-argument"
+    assert flag in payload["message"]
+
+
+def test_certify_terms_finite_at_thermal_max(tmp_path, capsys):
+    code, _, _ = run_cli(["certify", "--n1", "1e12", "--n2", "1e12", "--out-dir", str(tmp_path)],
+                         capsys)
+    assert code == 0
+    text = (tmp_path / "certificates.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
 
 
 def test_tracer_call_sites_exist():

@@ -16,11 +16,13 @@ from cvshare.errors import (
 from cvshare.estimators import (
     Coalition,
     GainSet,
+    RunningMoments,
     X_A,
     bias_check,
     empirical_mse,
     estimate,
     fit_gain,
+    fit_gain_from_sums,
     gains_for_model,
     make_mse_report,
     mse_standard_error,
@@ -192,3 +194,37 @@ def test_bias_check_values():
     assert mean == pytest.approx(resid.mean())
     assert se == pytest.approx(np.std(resid, ddof=1) / 2.0)
     assert abs(mean) <= 5.0 * se
+
+
+@pytest.mark.parametrize("cuts", [[], [1, 2, 700], [500, 1001, 1002, 2500]],
+                         ids=["one-chunk", "uneven", "with-empty"])
+def test_running_moments_match_the_array_reductions(cuts):
+    rng = np.random.default_rng(47)
+    est = 3.0 + 1.7 * rng.standard_normal(3000)
+    truth = np.full(3000, 3.2)
+    err = est - truth
+    sq = RunningMoments()
+    res = RunningMoments()
+    for chunk in np.split(err, cuts):
+        sq.add(chunk * chunk)
+        res.add(chunk)
+    assert sq.n == res.n == 3000
+    assert sq.mean == pytest.approx(empirical_mse(est, truth), rel=1e-12)
+    assert sq.standard_error() == pytest.approx(mse_standard_error(est, truth), rel=1e-12)
+    mean_err, se = bias_check(est, truth)
+    assert res.mean == pytest.approx(mean_err, rel=1e-12)
+    assert res.standard_error() == pytest.approx(se, rel=1e-12)
+    if not cuts:
+        # one chunk gives the very bits of the array reductions
+        assert (sq.mean, sq.standard_error()) == (empirical_mse(est, truth),
+                                                 mse_standard_error(est, truth))
+        assert (res.mean, res.standard_error()) == bias_check(est, truth)
+
+
+def test_fit_gain_from_sums_matches_fit_gain():
+    rng = np.random.default_rng(53)
+    u = rng.standard_normal(1000)
+    r = 0.7 * u + 0.1 * rng.standard_normal(1000)
+    assert fit_gain_from_sums(float(r @ u), float(u @ u), 1000) == fit_gain(r, u)
+    with pytest.raises(DegenerateAuxiliaryError):
+        fit_gain_from_sums(0.0, 1e-20, 1000)

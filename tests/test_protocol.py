@@ -1,11 +1,13 @@
 """End-to-end protocol runs: sifting, verification subsets, reports."""
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from cvshare import protocol
 from cvshare.bounds import predicted_mse, witness_bound
 from cvshare.errors import (
     AbortLossError,
@@ -13,9 +15,10 @@ from cvshare.errors import (
     ProtocolFailureError,
     ResourceLimitError,
 )
-from cvshare.estimators import Coalition
+from cvshare.estimators import Coalition, fit_gain
 from cvshare.gaussian_core import ExperimentModel, build_dealer_state
 from cvshare.protocol import (
+    MAX_RECORD_ROUNDS,
     MAX_ROUNDS,
     ROUND_COLUMNS,
     WITNESS_THRESHOLD,
@@ -25,7 +28,6 @@ from cvshare.protocol import (
     RoundTable,
     batch_mse_distribution,
     entanglement_check,
-    linear_mse_batches,
     run_protocol,
     sift,
     surrogate_intercept_state,
@@ -71,13 +73,17 @@ def test_run_protocol_argument_errors():
 
 
 def test_n_rounds_cap(monkeypatch):
-    # the cap is checked before the random stream is opened, so nothing is allocated
-    def no_rounds(self):
+    # both caps are checked before any chunk stream is opened, so nothing is allocated
+    def no_rounds(self, *args):
         raise AssertionError("the rounds' random stream was opened")
 
     monkeypatch.setattr(RandomStream, "generator", no_rounds)
+    monkeypatch.setattr(RandomStream, "chunk_generator", no_rounds)
+    with pytest.raises(ResourceLimitError, match=f"{MAX_RECORD_ROUNDS} for a run that keeps"):
+        run_protocol(IDEAL, PLAN, MAX_RECORD_ROUNDS + 1, Coalition.AB, POLICY, RandomStream(0))
     with pytest.raises(ResourceLimitError, match=str(MAX_ROUNDS)):
-        run_protocol(IDEAL, PLAN, MAX_ROUNDS + 1, Coalition.AB, POLICY, RandomStream(0))
+        run_protocol(IDEAL, PLAN, MAX_ROUNDS + 1, Coalition.AB, POLICY, RandomStream(0),
+                     keep_records=False)
     with pytest.raises(ResourceLimitError, match=str(MAX_ROUNDS)):
         witness_verification_run(IDEAL, 0.0, 0.0, MAX_ROUNDS + 1, RandomStream(0))
 
@@ -146,24 +152,24 @@ def test_keep_records_off():
 
 
 def test_row_view_matches_round_record():
-    # rounds 0 and 1 as RoundRecord objects were built before the table existed
+    # rounds 0 and 1 as drawn by stream layout 2 (the chunked six-quadrature draw)
     res = run_protocol(IDEAL, PLAN, 100, Coalition.AB, POLICY, RandomStream(3))
     assert res.records[0] == RoundRecord(
         round_index=0, alpha_x=1.0, alpha_p=-0.5, dealer_basis="p", basis_a="x",
-        basis_b="x", basis_c="p", x_c=None, p_c=0.6119166457868633,
-        x_b=-0.10857395485024525, p_b=None, x_a=2.1769674782871586, p_a=None, kept=False,
+        basis_b="x", basis_c="x", x_c=0.7653682352346816, p_c=None,
+        x_b=-0.8133050817852664, p_b=None, x_a=0.018447045617147495, p_a=None, kept=False,
     )
     assert res.records[1] == RoundRecord(
         round_index=1, alpha_x=1.0, alpha_p=-0.5, dealer_basis="p", basis_a="p",
-        basis_b="p", basis_c="x", x_c=1.4964210607193285, p_c=None, x_b=None,
-        p_b=0.19060606396099042, x_a=None, p_a=0.47268194892808413, kept=True,
+        basis_b="p", basis_c="x", x_c=-0.13957580450178525, p_c=None, x_b=None,
+        p_b=-1.6706380123408104, x_a=None, p_a=1.2930514441207748, kept=True,
     )
     res = run_protocol(IDEAL, PLAN, 100, Coalition.A_ALONE, POLICY, RandomStream(3))
     assert res.records[0] == RoundRecord(
         round_index=0, alpha_x=1.0, alpha_p=-0.5, dealer_basis="p", basis_a="xp",
-        basis_b="x", basis_c="p", x_c=None, p_c=-3.208951902486326,
-        x_b=-0.36080058896677925, p_b=None, x_a=1.1075747487454481,
-        p_a=-2.9143668898002977, kept=True,
+        basis_b="x", basis_c="x", x_c=0.7653682352346816, p_c=None,
+        x_b=-0.8133050817852664, p_b=None, x_a=-0.3317590177472946,
+        p_a=0.2904482043808526, kept=True,
     )
     row = res.records[-1]
     assert row.round_index == 99 and type(row.round_index) is int
@@ -341,27 +347,6 @@ def test_batch_mse_distribution_single_party():
     assert out.mean() == pytest.approx(mu, rel=0.1)
 
 
-def test_linear_mse_batches_against_reshape():
-    rng = np.random.Generator(np.random.PCG64(5))
-    out = rng.standard_normal((600, 3))
-    w = np.array([0.25, -1.0, 0.5])
-    t = rng.standard_normal(600)
-    want = np.mean((out @ w - t).reshape(4, 150) ** 2, axis=1)
-    assert np.allclose(linear_mse_batches(out, w, t, 4), want, rtol=1e-12)
-
-
-def test_linear_mse_batches_validates_shapes():
-    out = np.zeros((10, 2))
-    w = np.zeros(2)
-    t = np.zeros(10)
-    with pytest.raises(ValueError):
-        linear_mse_batches(out, w, t, 3)
-    with pytest.raises(ValueError):
-        linear_mse_batches(out, np.zeros(3), t, 2)
-    with pytest.raises(ValueError):
-        linear_mse_batches(out, w, np.zeros(9), 2)
-
-
 def test_batch_mse_distribution_limits():
     with pytest.raises(InvalidArgumentError):
         batch_mse_distribution(IDEAL, Coalition.AB, 10, 99, RandomStream(0))
@@ -369,3 +354,125 @@ def test_batch_mse_distribution_limits():
         batch_mse_distribution(IDEAL, Coalition.AB, 0, 100, RandomStream(0))
     with pytest.raises(ResourceLimitError):
         batch_mse_distribution(IDEAL, Coalition.AB, 10_000_000, 100, RandomStream(0))
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        lambda n: run_protocol(IDEAL, PLAN, n, Coalition.ABC, POLICY, RandomStream(61),
+                               keep_records=False),
+        lambda n: run_protocol(IDEAL, DisplacementPlan.gaussian_modulated(2.0, n_rep=3), n,
+                               Coalition.AB, POLICY, RandomStream(61), gain_mode="fitted",
+                               keep_records=False),
+        lambda n: run_protocol(IDEAL, PLAN, n, Coalition.A_ALONE, POLICY, RandomStream(61),
+                               keep_records=False),
+        lambda n: witness_verification_run(IDEAL, 1.0, -1.0, n, RandomStream(61)),
+        lambda n: batch_mse_distribution(IDEAL, Coalition.ABC, n // 100, 100, RandomStream(61)),
+    ],
+    ids=["abc", "ab-fitted-gaussian", "a_alone", "witness", "batch"],
+)
+def test_peak_memory_does_not_grow_with_n_rounds(monkeypatch, job):
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 4096)
+    small = _peak_bytes(lambda: job(4 * 4096 + 100))
+    large = _peak_bytes(lambda: job(4 * (4 * 4096 + 100)))
+    # full-length round columns would take about 4x the small run's peak
+    assert large <= 1.1 * small
+
+
+def test_chunk_edges_keep_blocks_subsets_and_fitted_counts(monkeypatch):
+    # chunks of 50 rounds: n_rep = 3 blocks cross chunk edges, and the last
+    # chunk holds 31 rounds
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 50)
+    n = 1031
+    plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=3)
+    res = run_protocol(IDEAL, plan, n, Coalition.ABC, POLICY, RandomStream(59),
+                       gain_mode="fitted")
+    t = res.records
+    assert np.array_equal(t.round_index, np.arange(n))
+    blocks = np.arange(n) // 3
+    for col in (t.alpha_x, t.alpha_p):
+        assert np.array_equal(col, col[blocks * 3])
+        assert np.unique(col).size == blocks[-1] + 1
+    # the chunks' subset shares add up to the run's targets
+    n_witness = res.witness.n_x + res.witness.n_p
+    assert n_witness == round(POLICY.witness_fraction * n)
+    assert res.bias.n_rounds == round(POLICY.bias_fraction * n)
+    # calibration takes half of the estimation rounds, counted across chunks
+    n_est = int(t.kept.sum()) - n_witness - res.bias.n_rounds
+    assert res.mse_report.n_x + res.mse_report.n_p == n_est - n_est // 2
+    assert res.bias.status == "ok"
+
+
+def _chunks(coalition, n, fitted, calibrating=False, plan=PLAN):
+    chol = np.linalg.cholesky(build_dealer_state(IDEAL, 0.0, 0.0).cov)
+    return list(protocol._draw_chunks(plan, n, coalition, POLICY, RandomStream(67), chol,
+                                      1.0, fitted, calibrating))
+
+
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_chunk_masks_partition_the_rounds(monkeypatch, coalition):
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
+    n = 1000
+    lone = coalition is Coalition.A_ALONE
+    chunks = _chunks(coalition, n, fitted=not lone)
+    assert [ch.start for ch in chunks] == list(range(0, n, 64))
+    counts = dict.fromkeys(("discarded", "witness", "bias", "calib", "estimation"), 0)
+    for ch in chunks:
+        calib = np.zeros_like(ch.kept) if ch.calib is None else ch.calib
+        est = ch.kept & ~ch.witness & ~ch.bias & ~calib
+        parts = {"discarded": ~ch.kept, "witness": ch.witness, "bias": ch.bias,
+                 "calib": calib, "estimation": est}
+        # every round falls in exactly one part
+        assert np.array_equal(sum(p.astype(int) for p in parts.values()),
+                              np.ones(ch.kept.size, dtype=int))
+        # witness rounds are rounds where every party homodyned the dealer's basis
+        others = (ch.basis_b == ch.dealer_basis) & (ch.basis_c == ch.dealer_basis)
+        assert np.all(others[ch.witness])
+        if not lone:
+            assert np.all(ch.kept[ch.witness])
+        for name, mask in parts.items():
+            counts[name] += int(mask.sum())
+    assert sum(counts.values()) == n
+    res = run_protocol(IDEAL, PLAN, n, coalition, POLICY, RandomStream(67),
+                       gain_mode="analytic" if lone else "fitted")
+    # a lone A's bias check reads both quadratures of each of its rounds
+    assert res.bias.n_rounds == counts["bias"] * (2 if lone else 1)
+    assert res.witness.n_x + res.witness.n_p == counts["witness"]
+    n_est = res.mse_report.n_x if lone else res.mse_report.n_x + res.mse_report.n_p
+    assert n_est == counts["estimation"]
+    if lone:
+        assert res.mse_report.n_p == counts["estimation"]
+
+
+def test_fitted_gain_is_exact_over_the_replayed_chunks(monkeypatch):
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
+    n = 1000
+    plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=3)
+    full = _chunks(Coalition.ABC, n, fitted=True, plan=plan)
+    calibration = _chunks(Coalition.ABC, n, fitted=True, calibrating=True, plan=plan)
+    r, u = [], []
+    for a, b in zip(full, calibration, strict=True):
+        for name in a._fields:
+            if name not in ("start", "quads"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        # the calibration pass draws the calibration rounds alone, and the same ones
+        assert np.array_equal(a.quads[a.calib], b.quads[b.calib])
+        assert np.isnan(b.quads[~b.calib]).all()
+        for q, sign in ((0, 1.0), (1, -1.0)):
+            rows = a.calib & (a.dealer_basis == q)
+            truth = (a.alpha_p if q else a.alpha_x)[rows]
+            r.append(a.quads[rows, 4 + q] - truth)
+            u.append(sign * (a.quads[rows, 2 + q] - a.quads[rows, q]) / math.sqrt(2.0))
+    res = run_protocol(IDEAL, plan, n, Coalition.ABC, POLICY, RandomStream(67),
+                       gain_mode="fitted", keep_records=False)
+    expect = fit_gain(np.concatenate(r), np.concatenate(u))
+    assert res.mse_report.gains.g_bc == pytest.approx(expect, rel=1e-12)
