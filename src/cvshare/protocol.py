@@ -166,6 +166,8 @@ BASIS_COLUMNS = ("dealer_basis", "basis_a", "basis_b", "basis_c")
 OUTCOME_COLUMNS = ("x_c", "p_c", "x_b", "p_b", "x_a", "p_a")
 #: rows converted to RoundRecords at a time while iterating a table
 _ROW_CHUNK = 4096
+#: dtype of each round-table column that is not float64
+_COLUMN_DTYPES = {"round_index": np.int64, **dict.fromkeys(BASIS_COLUMNS, np.int8), "kept": bool}
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +198,10 @@ class RoundTable:
     kept: np.ndarray
 
     @classmethod
-    def empty(cls) -> "RoundTable":
-        """A table with no rounds."""
-        f, b = np.empty(0), np.empty(0, dtype=np.int8)
-        return cls(np.empty(0, dtype=np.int64), f, f, b, b, b, b, f, f, f, f, f, f,
-                   np.empty(0, dtype=bool))
+    def empty(cls, n_rounds: int = 0) -> "RoundTable":
+        """A table of n_rounds rounds whose values are not set yet (none by default)."""
+        return cls(*(np.empty(n_rounds, dtype=_COLUMN_DTYPES.get(name, float))
+                     for name in ROUND_COLUMNS))
 
     def __len__(self) -> int:
         return self.round_index.shape[0]
@@ -483,22 +484,10 @@ def _witness_result(sq_x: RunningMoments, sq_p: RunningMoments) -> WitnessResult
     return WitnessResult(mse_x, mse_p, mse_sum, se, entangled, n_x, n_p, WITNESS_THRESHOLD, "ok")
 
 
-def _record_table(n_rounds: int) -> RoundTable:
-    """A table of n_rounds rounds with its columns allocated, to be filled chunk by chunk."""
-    def floats():
-        return np.empty(n_rounds)
-
-    def codes():
-        return np.empty(n_rounds, dtype=np.int8)
-
-    return RoundTable(np.arange(n_rounds), floats(), floats(), codes(), codes(), codes(),
-                      codes(), *(floats() for _ in OUTCOME_COLUMNS),
-                      np.empty(n_rounds, dtype=bool))
-
-
 def _fill_records(table: RoundTable, ch: _Chunk) -> None:
     """Write a chunk's rounds into their rows; unmeasured quadratures get NaN."""
     rows = slice(ch.start, ch.start + ch.quads.shape[0])
+    table.round_index[rows] = np.arange(rows.start, rows.stop)
     for name in ("alpha_x", "alpha_p", *BASIS_COLUMNS, "kept"):
         getattr(table, name)[rows] = getattr(ch, name)
     for j, name in enumerate(OUTCOME_COLUMNS):
@@ -569,7 +558,7 @@ def run_protocol(
     sq_witness = (RunningMoments(), RunningMoments())
     n_witness = [0, 0]
     bias_err = RunningMoments()
-    table = _record_table(n_rounds) if keep_records else None
+    table = RoundTable.empty(n_rounds) if keep_records else None
     for ch in chunks():
         if table is not None:
             _fill_records(table, ch)
