@@ -299,7 +299,7 @@ class _Chunk(NamedTuple):
     The round-table columns carry their table names; ``quads`` holds
     every round's six quadratures in :data:`OUTCOME_COLUMNS` order,
     measured or not, with A's displacement (and a lone A's vacuum
-    units) added. ``calib`` is None unless the gains are fitted.
+    units) added. ``calib`` selects no round unless the gains are fitted.
     """
 
     start: int
@@ -312,7 +312,7 @@ class _Chunk(NamedTuple):
     kept: np.ndarray
     witness: np.ndarray
     bias: np.ndarray
-    calib: np.ndarray | None
+    calib: np.ndarray
     quads: np.ndarray
 
 
@@ -331,7 +331,8 @@ def _chunk_alphas(
         return np.full(m, plan.alpha_x * plan.scale), np.full(m, plan.alpha_p * plan.scale), carry
     n_rep = plan.n_rep
     first = start // n_rep
-    n_new = (end - 1) // n_rep + 1 - (-(-start // n_rep))
+    # blocks that start in [start, end): ceil(end / n_rep) - ceil(start / n_rep)
+    n_new = -(-end // n_rep) + (-start // n_rep)
     sd = math.sqrt(plan.v_dist)
     block_x = sd * gen.standard_normal(n_new)
     block_p = sd * gen.standard_normal(n_new)
@@ -414,7 +415,7 @@ def _draw_chunks(
         eligible = kept & ~witness
         bias = _pick(eligible, _share(policy.bias_fraction, start, end), gen)
         if not fitted:
-            calib = None
+            calib = np.zeros(m, dtype=bool)
             quads = wigner_sample(gen, chol, m)
         else:
             # half of the estimation rounds so far, counted across chunks; their
@@ -423,11 +424,12 @@ def _draw_chunks(
             k = int(np.count_nonzero(est))
             calib = _pick(est, (n_est + k) // 2 - n_est // 2, gen)
             n_est += k
-            quads = np.empty((m, 6))
+            quads = np.full((m, 6), np.nan) if calibrating else np.empty((m, 6))
             rows = np.flatnonzero(calib)
             quads[rows] = wigner_sample(gen, chol, rows.size)
-            rows = np.flatnonzero(~calib)
-            quads[rows] = np.nan if calibrating else wigner_sample(gen, chol, rows.size)
+            if not calibrating:
+                rows = np.flatnonzero(~calib)
+                quads[rows] = wigner_sample(gen, chol, rows.size)
         # the displacement reaches party A through its loss channel
         quads[:, 4] += root_eta * alpha_x
         quads[:, 5] += root_eta * alpha_p
@@ -562,9 +564,7 @@ def run_protocol(
     for ch in chunks():
         if table is not None:
             _fill_records(table, ch)
-        est = ch.kept & ~ch.witness & ~ch.bias
-        if ch.calib is not None:
-            est &= ~ch.calib
+        est = ch.kept & ~ch.witness & ~ch.bias & ~ch.calib
         on_quad = (ch.dealer_basis == 0, ch.dealer_basis == 1)
         for q, quad in enumerate("xp"):
             # a lone A reads both quadratures of every round

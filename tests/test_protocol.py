@@ -388,19 +388,20 @@ def test_peak_memory_does_not_grow_with_n_rounds(monkeypatch, job):
     assert large <= 1.1 * small
 
 
-def test_chunk_edges_keep_blocks_subsets_and_fitted_counts(monkeypatch):
-    # chunks of 50 rounds: n_rep = 3 blocks cross chunk edges, and the last
-    # chunk holds 31 rounds
+@pytest.mark.parametrize("n_rep", [3, 120])
+def test_chunk_edges_keep_blocks_subsets_and_fitted_counts(monkeypatch, n_rep):
+    # chunks of 50 rounds: n_rep = 3 blocks cross chunk edges, n_rep = 120
+    # blocks span whole chunks, and the last chunk holds 31 rounds
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 50)
     n = 1031
-    plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=3)
+    plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
     res = run_protocol(IDEAL, plan, n, Coalition.ABC, POLICY, RandomStream(59),
                        gain_mode="fitted")
     t = res.records
     assert np.array_equal(t.round_index, np.arange(n))
-    blocks = np.arange(n) // 3
+    blocks = np.arange(n) // n_rep
     for col in (t.alpha_x, t.alpha_p):
-        assert np.array_equal(col, col[blocks * 3])
+        assert np.array_equal(col, col[blocks * n_rep])
         assert np.unique(col).size == blocks[-1] + 1
     # the chunks' subset shares add up to the run's targets
     n_witness = res.witness.n_x + res.witness.n_p
@@ -427,10 +428,9 @@ def test_chunk_masks_partition_the_rounds(monkeypatch, coalition):
     assert [ch.start for ch in chunks] == list(range(0, n, 64))
     counts = dict.fromkeys(("discarded", "witness", "bias", "calib", "estimation"), 0)
     for ch in chunks:
-        calib = np.zeros_like(ch.kept) if ch.calib is None else ch.calib
-        est = ch.kept & ~ch.witness & ~ch.bias & ~calib
+        est = ch.kept & ~ch.witness & ~ch.bias & ~ch.calib
         parts = {"discarded": ~ch.kept, "witness": ch.witness, "bias": ch.bias,
-                 "calib": calib, "estimation": est}
+                 "calib": ch.calib, "estimation": est}
         # every round falls in exactly one part
         assert np.array_equal(sum(p.astype(int) for p in parts.values()),
                               np.ones(ch.kept.size, dtype=int))
