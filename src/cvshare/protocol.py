@@ -362,11 +362,6 @@ def _party_bases(
     return shared, shared, shared
 
 
-def _share(fraction: float, start: int, end: int) -> int:
-    """Subset rounds due in [start, end): the chunks' shares add up to round(fraction * n)."""
-    return round(fraction * end) - round(fraction * start)
-
-
 def _pick(eligible: np.ndarray, take: int, gen: np.random.Generator) -> np.ndarray:
     """Mask of a random subset of the eligible rounds, at most ``take`` of them."""
     idx = np.flatnonzero(eligible)
@@ -397,7 +392,9 @@ def _draw_chunks(
     """
     lone = coalition is Coalition.A_ALONE
     carry = (0.0, 0.0)
-    n_est = 0
+    # rounds taken so far: each chunk takes what is due by its end, round(fraction * end),
+    # so the run takes round(fraction * n_rounds) unless the eligible rounds run short
+    n_witness = n_bias = n_est = 0
     for i, start in enumerate(range(0, n_rounds, _CHUNK_ROUNDS)):
         end = min(start + _CHUNK_ROUNDS, n_rounds)
         m = end - start
@@ -411,9 +408,11 @@ def _draw_chunks(
         else:
             kept = basis_a == dealer
             pool &= kept
-        witness = _pick(pool, _share(policy.witness_fraction, start, end), gen)
+        witness = _pick(pool, round(policy.witness_fraction * end) - n_witness, gen)
+        n_witness += int(np.count_nonzero(witness))
         eligible = kept & ~witness
-        bias = _pick(eligible, _share(policy.bias_fraction, start, end), gen)
+        bias = _pick(eligible, round(policy.bias_fraction * end) - n_bias, gen)
+        n_bias += int(np.count_nonzero(bias))
         if not fitted:
             calib = np.zeros(m, dtype=bool)
             quads = wigner_sample(gen, chol, m)

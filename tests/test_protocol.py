@@ -411,6 +411,12 @@ def test_chunk_edges_keep_blocks_subsets_and_fitted_counts(monkeypatch, n_rep):
     n_est = int(t.kept.sum()) - n_witness - res.bias.n_rounds
     assert res.mse_report.n_x + res.mse_report.n_p == n_est - n_est // 2
     assert res.bias.status == "ok"
+    # for ab the witness pool is a quarter of the rounds, so a witness fraction
+    # of 0.22 leaves some chunks short; later chunks make up the shortfall
+    greedy = ProtocolPolicy(witness_fraction=0.22)
+    res = run_protocol(IDEAL, plan, n, Coalition.AB, greedy, RandomStream(59),
+                       keep_records=False)
+    assert res.witness.n_x + res.witness.n_p == round(0.22 * n)
 
 
 def _chunks(coalition, n, fitted, calibrating=False, plan=PLAN):
