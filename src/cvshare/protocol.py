@@ -82,7 +82,8 @@ class DisplacementPlan:
     kind "fixed" repeats (alpha_x, alpha_p); kind "gaussian" draws a
     fresh pair per block from N(0, v_dist) per quadrature. With
     n_rep > 1 the same draw is applied, scaled by 1/sqrt(n_rep), to
-    n_rep consecutive rounds (the repetition construction).
+    n_rep consecutive rounds (the repetition construction). |alpha_x|,
+    |alpha_p| and sqrt(v_dist) are at most :data:`ALPHA_MAX`.
     """
 
     kind: str
@@ -392,8 +393,9 @@ def _draw_chunks(
     """
     lone = coalition is Coalition.A_ALONE
     carry = (0.0, 0.0)
-    # rounds taken so far: each chunk takes what is due by its end, round(fraction * end),
-    # so the run takes round(fraction * n_rounds) unless the eligible rounds run short
+    # witness and bias rounds taken so far: a chunk takes what is due by its end,
+    # round(fraction * end), so the run takes round(fraction * n_rounds) unless its
+    # eligible rounds run short; and estimation rounds seen so far
     n_witness = n_bias = n_est = 0
     for i, start in enumerate(range(0, n_rounds, _CHUNK_ROUNDS)):
         end = min(start + _CHUNK_ROUNDS, n_rounds)
