@@ -260,14 +260,37 @@ def primal_value_blockwise(x2: np.ndarray, data: SdpData) -> float:
     return float(np.real(np.trace(x2[2:4, 2:4] @ data.c_core)))
 
 
+def _block_scale(eigs: np.ndarray) -> float:
+    """Largest |eigenvalue| of a block, and at least 1."""
+    return max(1.0, float(np.abs(eigs).max()))
+
+
+def _psd(eigs: np.ndarray) -> bool:
+    """Smallest eigenvalue of a block non-negative up to round-off.
+
+    ``eigvalsh`` is backward stable, so its round-off grows with the
+    block's largest eigenvalue, which is 5 + 4 n (2 + n) for X1: the
+    slack is DEFAULT_TOL relative to that scale.
+    """
+    return bool(eigs[0] >= -DEFAULT_TOL * _block_scale(eigs))
+
+
+def _eigs_match(eigs: np.ndarray, formulas, tol: float) -> bool:
+    """Sorted eigenvalues of a block equal to their closed forms within tol, relative to its scale."""
+    scale = _block_scale(eigs)
+    return all(abs(e - f) <= tol * (abs(f) + scale) for e, f in zip(sorted(eigs), sorted(formulas)))
+
+
 def verify_certificates(params: ThermalParams, tol: float = DEFAULT_TOL) -> CertificateReport:
     """Rebuild both certificates at (n1, n2) and check every printed property.
 
     Checks eigenvalue closed forms against numerical eigendecomposition,
     positive semidefiniteness of every block, the constraint traces, and
-    the agreement of primal and dual objective values. At n1 = n2 = 0
-    the dual Y3 block is skipped and the report status records the
-    degenerate case; the remaining checks still run.
+    the agreement of primal and dual objective values. Eigenvalues are
+    judged relative to their block's largest one, since that sets their
+    round-off. At n1 = n2 = 0 the dual Y3 block is skipped and the
+    report status records the degenerate case; the remaining checks
+    still run.
     """
     data = build_sdp_data(params)
     x1, x2 = build_primal_certificate(params)
@@ -280,57 +303,31 @@ def verify_certificates(params: ThermalParams, tol: float = DEFAULT_TOL) -> Cert
         primal_value = 4.0
     else:
         primal_value = primal_value_blockwise(x2, data)
-
-    expected_x1 = sorted((0.0, 0.0) + x1_eigenvalue_formulas(params))
-    expected_x2 = sorted((0.0, 0.0, 0.0, x2_eigenvalue_formula(params)))
-
-    def close(a, b):
-        return abs(a - b) <= tol * (1.0 + abs(b))
-
-    formulas_ok = all(close(e, f) for e, f in zip(sorted(x1_eigs), expected_x1))
-    formulas_ok &= all(close(e, f) for e, f in zip(sorted(x2_eigs), expected_x2))
     feasible_primal = bool(
-        min(x1_eigs[0], x2_eigs[0]) >= -DEFAULT_TOL
+        _psd(x1_eigs) and _psd(x2_eigs)
         and max(residuals) <= max(tol, DEFAULT_TOL)
-        and formulas_ok
+        and _eigs_match(x1_eigs, (0.0, 0.0) + x1_eigenvalue_formulas(params), tol)
+        and _eigs_match(x2_eigs, (0.0, 0.0, 0.0, x2_eigenvalue_formula(params)), tol)
     )
 
     y = dual_vector(params)
     dual_value = float(y @ data.b)
+    y1, y2 = _dual_y1_y2(params)
+    y1_eigs = np.linalg.eigvalsh(y1)
+    y2_eigs = np.linalg.eigvalsh(y2)
+    blocks = [(y1_eigs, (0.0, 0.0) + y1_eigenvalue_formulas(params)),
+              (y2_eigs, y2_eigenvalue_formulas(params))]
     if degenerate:
         status = STATUS_DEGENERATE_DUAL
-        y1, y2 = _dual_y1_y2(params)
-        y1_eigs = np.linalg.eigvalsh(y1)
-        y2_eigs = np.linalg.eigvalsh(y2)
         y3_eigs = np.array([])
-        dual_formulas_ok = all(
-            close(e, f)
-            for e, f in zip(sorted(y1_eigs), sorted((0.0, 0.0) + y1_eigenvalue_formulas(params)))
-        )
-        dual_formulas_ok &= all(
-            close(e, f) for e, f in zip(sorted(y2_eigs), sorted(y2_eigenvalue_formulas(params)))
-        )
-        feasible_dual = bool(min(y1_eigs[0], y2_eigs[0]) >= -DEFAULT_TOL and dual_formulas_ok)
     else:
         status = STATUS_OK
-        y, y1, y2, y3 = build_dual_certificate(params)
-        y1_eigs = np.linalg.eigvalsh(y1)
-        y2_eigs = np.linalg.eigvalsh(y2)
-        y3_eigs = np.linalg.eigvalsh(y3)
-        dual_formulas_ok = all(
-            close(e, f)
-            for e, f in zip(sorted(y1_eigs), sorted((0.0, 0.0) + y1_eigenvalue_formulas(params)))
-        )
-        dual_formulas_ok &= all(
-            close(e, f) for e, f in zip(sorted(y2_eigs), sorted(y2_eigenvalue_formulas(params)))
-        )
-        dual_formulas_ok &= all(
-            close(e, f)
-            for e, f in zip(sorted(y3_eigs), sorted((0.0, y3_eigenvalue_formula(params))))
-        )
-        feasible_dual = bool(
-            min(y1_eigs[0], y2_eigs[0], y3_eigs[0]) >= -DEFAULT_TOL and dual_formulas_ok
-        )
+        y3_eigs = np.linalg.eigvalsh(build_dual_certificate(params)[3])
+        blocks.append((y3_eigs, (0.0, y3_eigenvalue_formula(params))))
+    feasible_dual = all(_psd(eigs) and _eigs_match(eigs, formulas, tol) for eigs, formulas in blocks)
+
+    def close(a, b):
+        return abs(a - b) <= tol * (1.0 + abs(b))
 
     values_match = bool(
         abs(primal_value - dual_value) <= max(tol, 0.0) * (1.0 + abs(primal_value))

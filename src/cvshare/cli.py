@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, backend_name, bounds, certificates, protocol, security
-from .errors import USAGE_ERROR_CODES, CvshareError, InvalidArgumentError
+from .errors import USAGE_ERROR_CODES, CvshareError, InvalidArgumentError, ResourceLimitError
 from .estimators import parse_coalition
 from .gaussian_core import (
     R_MAX,
@@ -78,6 +78,14 @@ def _column_cells(name: str, col: np.ndarray) -> list[str]:
 _CSV_CHUNK = 32768
 #: band r-samples evaluated at a time, which bounds the covariance stack held at once
 _BAND_CHUNK = 4096
+#: caps on the work of the closed-form subcommands, checked before anything is
+#: allocated; at each cap a run took about a minute or less on a 2-core x86-64 host.
+#: Dealer covariances of ``bounds``: --steps x (1 + --band-samples)
+MAX_BOUNDS_POINTS = 1_000_000
+#: sweep length of ``security`` (--n-probes) and ``mi`` (--n-max), one loop step per N
+MAX_SWEEP_PROBES = 100_000
+#: (n1, n2) points of ``certify --grid K``: K squared
+MAX_CERTIFY_POINTS = 100_000
 
 
 def _rounds_csv(table: protocol.RoundTable) -> str:
@@ -179,6 +187,17 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
         raise InvalidArgumentError("--steps must be >= 1")
     if args.r_max < args.r_min or args.r_min < 0.0:
         raise InvalidArgumentError("need 0 <= r-min <= r-max")
+    points = args.steps
+    if args.band is not None:
+        if not (0.0 <= args.band_fluct < 1.0):
+            raise InvalidArgumentError("--band-fluct must be in [0, 1)")
+        if args.band_samples < 1:
+            raise InvalidArgumentError("--band-samples must be >= 1")
+        points *= 1 + args.band_samples
+    if points > MAX_BOUNDS_POINTS:
+        raise ResourceLimitError(
+            f"--steps x (1 + --band-samples) = {points} exceeds the cap of {MAX_BOUNDS_POINTS}"
+        )
     run = _Run(args)
     grid = np.linspace(args.r_min, args.r_max, args.steps)
     # the arms of every grid point, built at grid[0] so that a bad r is
@@ -193,10 +212,6 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
     ]
     run.write("bounds.csv", _csv_text(["r", "coalition", "mse_x", "mse_p", "mse_sum"], rows))
     if args.band is not None:
-        if not (0.0 <= args.band_fluct < 1.0):
-            raise InvalidArgumentError("--band-fluct must be in [0, 1)")
-        if args.band_samples < 1:
-            raise InvalidArgumentError("--band-samples must be >= 1")
         gen = RandomStream(args.band_seed).generator()
         band_rows = []
         for r in grid.tolist():
@@ -230,15 +245,21 @@ def _cmd_certify(args: argparse.Namespace) -> None:
         raise InvalidArgumentError("--n1 and --n2 must be given together")
     if not single and args.grid is None:
         raise InvalidArgumentError("give --n1/--n2 or --grid K")
+    if not single:
+        if args.grid < 1:
+            raise InvalidArgumentError("--grid must be >= 1")
+        if args.grid**2 > MAX_CERTIFY_POINTS:
+            raise ResourceLimitError(
+                f"--grid {args.grid} asks for {args.grid**2} points, above the cap of "
+                f"{MAX_CERTIFY_POINTS}"
+            )
+        for flag, value in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
+            if value > bounds.THERMAL_MAX:
+                raise InvalidArgumentError(f"{flag} must be at most {bounds.THERMAL_MAX:g}")
     run = _Run(args)
     if single:
         points = [(args.n1, args.n2)]
     else:
-        if args.grid < 1:
-            raise InvalidArgumentError("--grid must be >= 1")
-        for flag, value in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
-            if value > bounds.THERMAL_MAX:
-                raise InvalidArgumentError(f"{flag} must be at most {bounds.THERMAL_MAX:g}")
         axis = np.linspace(args.grid_min, args.grid_max, args.grid)
         points = [(float(n1), float(n2)) for n1 in axis for n2 in axis]
     reports = []
@@ -362,6 +383,8 @@ def _security_distributions(args: argparse.Namespace, n: int) -> dict[str, secur
 def _cmd_security(args: argparse.Namespace) -> None:
     if args.n_probes < 1:
         raise InvalidArgumentError("--n-probes must be >= 1")
+    if args.n_probes > MAX_SWEEP_PROBES:
+        raise ResourceLimitError(f"--n-probes exceeds the cap of {MAX_SWEEP_PROBES}")
     run = _Run(args)
     reports = []
     single = security.MseDistribution(args.mu_single, args.n_probes)
@@ -397,6 +420,12 @@ def _cmd_security(args: argparse.Namespace) -> None:
 def _cmd_mi(args: argparse.Namespace) -> None:
     if args.n_max < 1:
         raise InvalidArgumentError("--n-max must be >= 1")
+    if args.n_max > MAX_SWEEP_PROBES:
+        raise ResourceLimitError(f"--n-max exceeds the cap of {MAX_SWEEP_PROBES}")
+    # the same bound as a simulated modulation's v_dist; far larger values
+    # overflow the exceedance curve
+    if not (0.0 < args.v_dist <= protocol.ALPHA_MAX**2):
+        raise InvalidArgumentError(f"--v-dist must be in (0, {protocol.ALPHA_MAX**2:g}]")
     run = _Run(args)
     mus = {"a_alone": args.mu_single, "ab": args.mu_pair, "abc": args.mu_triple}
     curve_rows = []

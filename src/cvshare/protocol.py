@@ -12,15 +12,20 @@ unbiasedness spot-check; the remainder produces the coalition's MSE
 report.
 
 Rounds are drawn and reduced in chunks of ``_CHUNK_ROUNDS`` (stream
-layout 2). Chunk i draws from its own child stream,
+layout 3). Chunk i draws from its own child stream,
 :meth:`~cvshare.sampler.RandomStream.chunk_generator`, in this order:
 the displacement blocks that start in it, the dealer's basis, the
-parties' bases, the witness, bias and calibration subsets, one sample
-of all six quadratures of the dealer state's Wigner function per round
-(in a fitted run, the calibration rounds' rows first), and for a lone A
-one vacuum unit per quadrature. Each party's outcome is the
-column its basis names. Reports come from running sums over the chunks,
-so only a run that keeps its records holds anything per round.
+parties' bases, the witness, bias and calibration subsets, and then
+only the normals the reports read. A dealer state has no x-p
+correlation, so the (A, B, C) triple of each quadrature is an
+independent draw of its Wigner function: a kept round draws the triple
+of the dealer's basis (calibration rounds first, x rounds before p
+rounds), a discarded round draws nothing, and a lone A draws its x and
+p normals and one vacuum unit per quadrature. A run that keeps its
+records then draws the normals still missing, so that every party's
+outcome is its basis's entry of a full Wigner sample. Reports come
+from running sums over the chunks, so only a run that keeps its
+records holds anything per round.
 """
 
 from __future__ import annotations
@@ -38,10 +43,11 @@ from .errors import (
     InvalidArgumentError,
     ProtocolFailureError,
     ResourceLimitError,
+    UnsupportedStateError,
 )
 from .estimators import Coalition, GainSet, MseReport, RunningMoments
 from .gaussian_core import ExperimentModel, GaussianState, build_dealer_state, partial_trace
-from .sampler import MeasurementAssignment, RandomStream, mvn_sample, sample_joint, wigner_sample
+from .sampler import MeasurementAssignment, RandomStream, sample_joint
 
 #: witness rounds needed per quadrature before the entanglement verdict is meaningful
 WITNESS_MIN_ROUNDS = 100
@@ -59,7 +65,7 @@ MAX_RECORD_ROUNDS = 20_000_000
 #: displacement this large (about 1e-10) stays far below the unit shot noise
 ALPHA_MAX = 1e6
 #: random-stream layout of the sampled outputs, recorded in their manifests
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 #: rounds drawn and reduced at a time, each chunk from its own child stream
 _CHUNK_ROUNDS = 65536
 
@@ -292,15 +298,70 @@ class ProtocolResult(NamedTuple):
     bias: BiasResult
 
 
+#: indices of the (A, B, C) triple of the x and of the p quadrature among a
+#: dealer state's quadratures, which come in OUTCOME_COLUMNS order
+_TRIPLES = ((4, 2, 0), (5, 3, 1))
+
+
+def _triple_factors(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of the (A, B, C) x block and p block of a dealer covariance.
+
+    Squeezing, the beamsplitters, loss and noise act on x and p
+    separately, so a dealer state has no x-p correlation and its x and
+    p triples are independent draws of its Wigner function.
+    """
+    x, p = _TRIPLES
+    if np.any(cov[np.ix_(x, p)] != 0.0):
+        raise UnsupportedStateError("the dealer covariance correlates x and p quadratures")
+    return np.linalg.cholesky(cov[np.ix_(x, x)]), np.linalg.cholesky(cov[np.ix_(p, p)])
+
+
+def _apply(factor: np.ndarray, z: np.ndarray, shift_a: np.ndarray | float = 0.0) -> np.ndarray:
+    """Outcomes ``z @ factor.T`` of the first ``z.shape[1]`` parties, plus ``shift_a`` on A.
+
+    The factor is lower-triangular, so a party's value needs only the
+    normals of the parties before it. Each round's values are computed
+    element by element, so they do not depend on which rounds are
+    drawn with it.
+    """
+    out = np.empty_like(z)
+    for j in range(z.shape[1]):
+        col = factor[j, 0] * z[:, 0]
+        for i in range(1, j + 1):
+            col += factor[j, i] * z[:, i]
+        out[:, j] = col
+    out[:, 0] += shift_a
+    return out
+
+
+class _Reads(NamedTuple):
+    """Rounds of a chunk whose outcomes in quadrature ``quad`` (0 = x, 1 = p) the reports read.
+
+    ``triple`` holds their (A, B, C) outcomes in that quadrature, with
+    A's displacement added; for a lone A it holds A's dual-homodyne
+    outcome alone. ``rows`` are the rounds' indices in the chunk and
+    ``truth`` the displacement each estimates.
+    """
+
+    quad: int
+    rows: np.ndarray
+    triple: np.ndarray
+    truth: np.ndarray
+    witness: np.ndarray
+    bias: np.ndarray
 
 
 class _Chunk(NamedTuple):
-    """The draws of one chunk of rounds, in round order.
+    """The draws of one chunk of rounds.
 
-    The round-table columns carry their table names; ``quads`` holds
-    every round's six quadratures in :data:`OUTCOME_COLUMNS` order,
-    measured or not, with A's displacement (and a lone A's vacuum
-    units) added. ``calib`` selects no round unless the gains are fitted.
+    The round-table columns and the subset masks run over every round
+    and carry their table names; ``calib`` selects no round unless the
+    gains are fitted. ``calibration`` holds the calibration rounds per
+    quadrature and ``reads`` the other rounds the reports read: the
+    kept rounds per quadrature, or every round twice for a lone A;
+    ``reads`` is empty in the calibration pass. ``outcomes`` holds every
+    round's (A, B, C) triple in x and in p, shape (2, m, 3), only when the
+    records are kept.
     """
 
     start: int
@@ -314,7 +375,9 @@ class _Chunk(NamedTuple):
     witness: np.ndarray
     bias: np.ndarray
     calib: np.ndarray
-    quads: np.ndarray
+    calibration: tuple[_Reads, ...]
+    reads: tuple[_Reads, ...]
+    outcomes: np.ndarray | None
 
 
 def _chunk_alphas(
@@ -337,6 +400,8 @@ def _chunk_alphas(
     sd = math.sqrt(plan.v_dist)
     block_x = sd * gen.standard_normal(n_new)
     block_p = sd * gen.standard_normal(n_new)
+    if n_rep == 1:
+        return block_x, block_p, carry
     if start % n_rep:
         block_x = np.concatenate(([carry[0]], block_x))
         block_p = np.concatenate(([carry[1]], block_p))
@@ -379,17 +444,24 @@ def _draw_chunks(
     coalition: Coalition,
     policy: ProtocolPolicy,
     stream: RandomStream,
-    chol: np.ndarray,
+    factors: tuple[np.ndarray, np.ndarray],
     root_eta: float,
     fitted: bool,
     calibrating: bool = False,
+    records: bool = False,
 ) -> Iterator[_Chunk]:
     """Every chunk of a protocol run, drawn from its own child stream.
 
     Drawing again gives the same chunks, which is how fitted gains
-    replay the run after calibrating on it. In the calibration pass
-    (``calibrating``) only the calibration rounds' quadratures are drawn;
-    the others are NaN.
+    replay the run after calibrating on it. Only the normals the reports
+    read are drawn: one (A, B, C) triple in the dealer's basis per kept
+    round, calibration rounds first and x rounds before p rounds in each
+    group, or for a lone A the x and p normals of A and then its two
+    vacuum units. The calibration pass (``calibrating``) draws the
+    calibration rounds' triples alone. With ``records`` the normals still
+    missing are drawn afterwards (the missing x triples, then the p ones;
+    for a lone A, B's and C's normals) and every quadrature of every
+    round goes to ``outcomes``.
     """
     lone = coalition is Coalition.A_ALONE
     carry = (0.0, 0.0)
@@ -402,6 +474,7 @@ def _draw_chunks(
         m = end - start
         gen = stream.chunk_generator(i)
         alpha_x, alpha_p, carry = _chunk_alphas(plan, start, end, gen, carry)
+        alphas = (alpha_x, alpha_p)
         dealer = _coin(gen, m)
         basis_a, basis_b, basis_c = _party_bases(coalition, m, gen)
         pool = (basis_b == dealer) & (basis_c == dealer)
@@ -415,55 +488,74 @@ def _draw_chunks(
         eligible = kept & ~witness
         bias = _pick(eligible, round(policy.bias_fraction * end) - n_bias, gen)
         n_bias += int(np.count_nonzero(bias))
-        if not fitted:
-            calib = np.zeros(m, dtype=bool)
-            quads = wigner_sample(gen, chol, m)
-        else:
-            # half of the estimation rounds so far, counted across chunks; their
-            # quadratures come first, so that the calibration pass draws no others
+        calib = np.zeros(m, dtype=bool)
+        if fitted:
+            # half of the estimation rounds so far, counted across chunks
             est = eligible & ~bias
             k = int(np.count_nonzero(est))
             calib = _pick(est, (n_est + k) // 2 - n_est // 2, gen)
             n_est += k
-            quads = np.full((m, 6), np.nan) if calibrating else np.empty((m, 6))
-            rows = np.flatnonzero(calib)
-            quads[rows] = wigner_sample(gen, chol, rows.size)
-            if not calibrating:
-                rows = np.flatnonzero(~calib)
-                quads[rows] = wigner_sample(gen, chol, rows.size)
-        # the displacement reaches party A through its loss channel
-        quads[:, 4] += root_eta * alpha_x
-        quads[:, 5] += root_eta * alpha_p
         if lone:
-            quads[:, 4:] += gen.standard_normal((m, 2))
+            # A's x and p normals, then its vacuum units; the displacement
+            # reaches A through its loss channel
+            z = gen.standard_normal((m, 4))
+            shifts = [root_eta * alphas[q] + z[:, 2 + q] for q in (0, 1)]
+            rows = np.arange(m)
+            groups = [(0, rows, z[:, 0:1]), (1, rows, z[:, 1:2])]
+            n_calib = 0
+        else:
+            # one triple per kept round: calibration rounds first, x before p in each part
+            shifts = [root_eta * alpha for alpha in alphas]
+            on_x = dealer == 0
+            rows = [np.flatnonzero(part & on) for part in (calib, kept & ~calib)
+                    for on in (on_x, ~on_x)]
+            sizes = [r.size for r in rows]
+            z = gen.standard_normal((sizes[0] + sizes[1] if calibrating else sum(sizes), 3))
+            groups = list(zip((0, 1, 0, 1), rows, np.split(z, np.cumsum(sizes)[:-1])))
+            if calibrating:
+                del groups[2:]
+            n_calib = 2
+        reads = tuple(
+            _Reads(q, r, _apply(factors[q], z_r, shifts[q][r]), alphas[q][r], witness[r], bias[r])
+            for q, r, z_r in groups
+        )
+        outcomes = None
+        if records:
+            # every round's x and p triple: the ones drawn above, then the
+            # normals still missing, x triples before p triples
+            if lone:
+                bc = gen.standard_normal((2, m, 2))
+                outcomes = np.stack([_apply(factors[q], np.column_stack((z[:, q], bc[q])),
+                                            shifts[q]) for q in (0, 1)])
+            else:
+                outcomes = np.empty((2, m, 3))
+                for read in reads:
+                    outcomes[read.quad, read.rows] = read.triple
+                missing = [np.flatnonzero(~kept | (dealer != q)) for q in (0, 1)]
+                z = gen.standard_normal((missing[0].size + missing[1].size, 3))
+                for q, r, z_r in zip((0, 1), missing, np.split(z, [missing[0].size])):
+                    outcomes[q, r] = _apply(factors[q], z_r, shifts[q][r])
         yield _Chunk(start, alpha_x, alpha_p, dealer, basis_a, basis_b, basis_c, kept,
-                     witness, bias, calib, quads)
+                     witness, bias, calib, reads[:n_calib], reads[n_calib:], outcomes)
 
 
-def _coalition_errors(
-    coalition: Coalition, gains: GainSet, ch: _Chunk, rows: np.ndarray, quad: str
-) -> np.ndarray:
-    """Coalition estimate minus truth of one quadrature on the chunk's selected rounds."""
-    q = "xp".index(quad)
-    sub = ch.quads[rows]
-    outcomes = {
-        f"{quad}_{party}": sub[:, 2 * PARTY_NAMES.index(party) + q]
-        for party in coalition.party_columns
-    }
-    truth = (ch.alpha_p if q else ch.alpha_x)[rows]
-    return estimators.estimate(coalition, outcomes, gains, quad) - truth
+def _errors(coalition: Coalition, gains: GainSet, reads: _Reads, quad: str) -> np.ndarray:
+    """Coalition estimate minus truth of one quadrature on every read round."""
+    t = reads.triple
+    outcomes = {f"{quad}_{party}": t[:, "abc".index(party)] for party in coalition.party_columns}
+    return estimators.estimate(coalition, outcomes, gains, quad) - reads.truth
 
 
 def _add_witness(
     sq: tuple[RunningMoments, RunningMoments],
-    quads_x: np.ndarray,
-    quads_p: np.ndarray,
+    triple_x: np.ndarray,
+    triple_p: np.ndarray,
     alpha_x: np.ndarray | float,
     alpha_p: np.ndarray | float,
 ) -> None:
-    """Add the squared witness errors of x rounds ``quads_x`` and p rounds ``quads_p``."""
-    ox = {name: quads_x[:, j] for j, name in enumerate(OUTCOME_COLUMNS) if name[0] == "x"}
-    op = {name: quads_p[:, j] for j, name in enumerate(OUTCOME_COLUMNS) if name[0] == "p"}
+    """Add the squared witness errors of x rounds' and p rounds' (A, B, C) triples."""
+    ox = {f"x_{party}": triple_x[:, j] for j, party in enumerate("abc")}
+    op = {f"p_{party}": triple_p[:, j] for j, party in enumerate("abc")}
     x_minus, p_plus = estimators.witness_estimate(ox, op)
     sq[0].add((x_minus - alpha_x / math.sqrt(2.0)) ** 2)
     sq[1].add((p_plus - alpha_p / math.sqrt(2.0)) ** 2)
@@ -489,14 +581,15 @@ def _witness_result(sq_x: RunningMoments, sq_p: RunningMoments) -> WitnessResult
 
 def _fill_records(table: RoundTable, ch: _Chunk) -> None:
     """Write a chunk's rounds into their rows; unmeasured quadratures get NaN."""
-    rows = slice(ch.start, ch.start + ch.quads.shape[0])
+    rows = slice(ch.start, ch.start + ch.kept.size)
     table.round_index[rows] = np.arange(rows.start, rows.stop)
     for name in ("alpha_x", "alpha_p", *BASIS_COLUMNS, "kept"):
         getattr(table, name)[rows] = getattr(ch, name)
-    for j, name in enumerate(OUTCOME_COLUMNS):
+    for name in OUTCOME_COLUMNS:
+        q, party = "xp".index(name[0]), "abc".index(name[2])
         # the x quadrature is unread in p rounds (code 1) and the p one in x rounds (code 0)
-        unread = getattr(ch, f"basis_{name[2]}") == (1 if name[0] == "x" else 0)
-        getattr(table, name)[rows] = np.where(unread, np.nan, ch.quads[:, j])
+        unread = getattr(ch, f"basis_{name[2]}") == 1 - q
+        getattr(table, name)[rows] = np.where(unread, np.nan, ch.outcomes[q, :, party])
 
 
 def run_protocol(
@@ -544,11 +637,11 @@ def run_protocol(
     lone = coalition is Coalition.A_ALONE
     fitted = gain_mode == "fitted" and not lone
     root_eta = math.sqrt(model.eta_a)
-    chol = np.linalg.cholesky(build_dealer_state(model, 0.0, 0.0).cov)
+    factors = _triple_factors(build_dealer_state(model, 0.0, 0.0).cov)
 
     def chunks(calibrating: bool = False) -> Iterator[_Chunk]:
-        return _draw_chunks(plan, n_rounds, coalition, policy, stream, chol, root_eta, fitted,
-                            calibrating)
+        return _draw_chunks(plan, n_rounds, coalition, policy, stream, factors, root_eta, fitted,
+                            calibrating, records=keep_records and not calibrating)
 
     if lone:
         gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / root_eta)
@@ -561,25 +654,25 @@ def run_protocol(
     sq_witness = (RunningMoments(), RunningMoments())
     n_witness = [0, 0]
     bias_err = RunningMoments()
+    n_bias = 0
     table = RoundTable.empty(n_rounds) if keep_records else None
     for ch in chunks():
         if table is not None:
             _fill_records(table, ch)
-        est = ch.kept & ~ch.witness & ~ch.bias & ~ch.calib
-        on_quad = (ch.dealer_basis == 0, ch.dealer_basis == 1)
-        for q, quad in enumerate("xp"):
-            # a lone A reads both quadratures of every round
-            est_q = est if lone else est & on_quad[q]
-            bias_q = ch.bias if lone else ch.bias & on_quad[q]
-            e = _coalition_errors(coalition, gains, ch, est_q, quad)
-            sq_err[q].add(e * e)
-            bias_err.add(_coalition_errors(coalition, gains, ch, bias_q, quad))
-        wx, wp = ch.witness & on_quad[0], ch.witness & on_quad[1]
+        for r in ch.reads:
+            e = _errors(coalition, gains, r, "xp"[r.quad])
+            e_est = e[~(r.witness | r.bias)]
+            sq_err[r.quad].add(e_est * e_est)
+            bias_err.add(e[r.bias])
+        n_bias += int(np.count_nonzero(ch.bias))
         if lone:
-            n_witness[0] += int(np.count_nonzero(wx))
-            n_witness[1] += int(np.count_nonzero(wp))
+            w_x = int(np.count_nonzero(ch.witness & (ch.dealer_basis == 0)))
+            n_witness[0] += w_x
+            n_witness[1] += int(np.count_nonzero(ch.witness)) - w_x
         else:
-            _add_witness(sq_witness, ch.quads[wx], ch.quads[wp], ch.alpha_x[wx], ch.alpha_p[wp])
+            on_x, on_p = ch.reads
+            _add_witness(sq_witness, on_x.triple[on_x.witness], on_p.triple[on_p.witness],
+                         on_x.truth[on_x.witness], on_p.truth[on_p.witness])
 
     n_x, n_p = sq_err[0].n, sq_err[1].n
     if n_x < 2 or n_p < 2:
@@ -598,11 +691,12 @@ def run_protocol(
     else:
         witness = _witness_result(*sq_witness)
 
+    # a lone A's bias rounds give an x and a p residual each
     if bias_err.n < 2:
-        bias = BiasResult(None, None, bias_err.n, None, "insufficient-rounds")
+        bias = BiasResult(None, None, n_bias, None, "insufficient-rounds")
     else:
         mean_err, se = bias_err.mean, bias_err.standard_error()
-        bias = BiasResult(mean_err, se, bias_err.n, bool(abs(mean_err) <= 5.0 * se), "ok")
+        bias = BiasResult(mean_err, se, n_bias, bool(abs(mean_err) <= 5.0 * se), "ok")
 
     records = table if table is not None else RoundTable.empty()
     return ProtocolResult(records, mse_report, witness, bias)
@@ -620,16 +714,14 @@ def _fit_gains(coalition: Coalition, chunks: Iterator[_Chunk], root_eta: float) 
     sum_ru = sum_uu = 0.0
     n = 0
     for ch in chunks:
-        for q, sign in ((0, 1.0), (1, -1.0)):
-            rows = ch.calib & (ch.dealer_basis == q)
-            sub = ch.quads[rows]
-            r = sub[:, 4 + q] - root_eta * (ch.alpha_p if q else ch.alpha_x)[rows]
+        for c in ch.calibration:
+            r = c.triple[:, 0] - root_eta * c.truth
             if coalition is Coalition.ABC:
-                u = (sub[:, 2 + q] - sub[:, q]) / math.sqrt(2.0)
+                u = (c.triple[:, 1] - c.triple[:, 2]) / math.sqrt(2.0)
             else:
-                partner = 2 if coalition is Coalition.AB else 0
-                u = sub[:, partner + q]
-            u = sign * u
+                u = c.triple[:, 1 if coalition is Coalition.AB else 2]
+            if c.quad:
+                u = -u
             sum_ru += float(r @ u)
             sum_uu += float(u @ u)
             n += r.size
@@ -672,9 +764,9 @@ def entanglement_check(witness_records: RoundTable) -> WitnessResult:
         raise InvalidArgumentError(
             f"need >= {WITNESS_MIN_ROUNDS} witness rounds per quadrature, got {n_x}/{n_p}"
         )
-    quads = np.column_stack([getattr(t, name) for name in OUTCOME_COLUMNS])
     sq = (RunningMoments(), RunningMoments())
-    _add_witness(sq, quads[is_x], quads[~is_x], t.alpha_x[is_x], t.alpha_p[~is_x])
+    _add_witness(sq, np.column_stack((t.x_a, t.x_b, t.x_c))[is_x],
+                 np.column_stack((t.p_a, t.p_b, t.p_c))[~is_x], t.alpha_x[is_x], t.alpha_p[~is_x])
     return _witness_result(*sq)
 
 
@@ -720,14 +812,17 @@ def witness_verification_run(
         st = surrogate_intercept_state(model, alpha_x, alpha_p)
     else:
         st = build_dealer_state(model, alpha_x, alpha_p)
-    chol = np.linalg.cholesky(st.cov)
+    factors = _triple_factors(st.cov)
+    means = [st.mean[list(triple)] for triple in _TRIPLES]
     sq = (RunningMoments(), RunningMoments())
     for i, start in enumerate(range(0, n_rounds, _CHUNK_ROUNDS)):
         m = min(_CHUNK_ROUNDS, n_rounds - start)
         gen = stream.chunk_generator(i)
-        is_x = _coin(gen, m) == 0
-        quads = mvn_sample(gen, st.mean, chol, m)
-        _add_witness(sq, quads[is_x], quads[~is_x], alpha_x, alpha_p)
+        n_x = m - int(np.count_nonzero(_coin(gen, m)))
+        # one triple in the dealer's basis per round, the x rounds' first
+        z = gen.standard_normal((m, 3))
+        _add_witness(sq, _apply(factors[0], z[:n_x]) + means[0],
+                     _apply(factors[1], z[n_x:]) + means[1], alpha_x, alpha_p)
     return _witness_result(*sq)
 
 

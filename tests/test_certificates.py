@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cvshare import certificates
 from cvshare.bounds import ThermalParams, hcrb_thermal
 from cvshare.certificates import (
     STATUS_DEGENERATE_DUAL,
@@ -149,3 +150,31 @@ def test_strong_duality_holds(n1, n2):
     assert rep.feasible_dual
     assert rep.values_match
     assert rep.primal_value == pytest.approx(hcrb_thermal(p), rel=1e-9)
+
+
+@pytest.mark.parametrize("n1, n2", [(1e8, 0.0), (0.0, 1e8), (1e12, 0.0), (1e12, 1e12), (3e3, 0.5)])
+def test_large_occupation_certificates_hold(n1, n2):
+    # X1's largest eigenvalue is about 4 n^2, so eigvalsh's round-off on its zero
+    # eigenvalues grows with n; an absolute tolerance read it as infeasible
+    rep = verify_certificates(ThermalParams(n1, n2))
+    assert rep.feasible_primal and rep.feasible_dual and rep.values_match
+
+
+@pytest.mark.parametrize("n1", [0.5, 1e8, 1e12])
+def test_x1_with_a_negative_eigenvalue_fails(monkeypatch, n1):
+    params = ThermalParams(n1, 0.0)
+    build = certificates.build_primal_certificate
+    x1, _ = build(params)
+    # a real negative eigenvalue of a millionth of the block's scale
+    shift = 1e-6 * np.linalg.eigvalsh(x1)[-1] * np.eye(4)
+    assert certificates._psd(np.linalg.eigvalsh(x1))
+    assert not certificates._psd(np.linalg.eigvalsh(x1 - shift))
+
+    def shifted(p):
+        a, b = build(p)
+        return a - shift, b
+
+    monkeypatch.setattr(certificates, "build_primal_certificate", shifted)
+    rep = verify_certificates(params)
+    assert min(rep.x1_eigs) < 0.0
+    assert not rep.feasible_primal

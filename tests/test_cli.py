@@ -192,17 +192,17 @@ def test_simulate_and_rerun_byte_identical(tmp_path, capsys):
     assert len(rounds) == 1 + 10000
 
 
-# rounds.csv sha256 per (coalition, plan), from stream layout 2 (the chunked
-# six-quadrature draw)
+# rounds.csv sha256 per (coalition, plan), from stream layout 3 (the dealer-basis
+# triple of each kept round, then the normals still missing)
 ROUNDS_CSV_SHA256 = {
-    ("a_alone", "fixed"): "15c67de5aea6a6d7cbf4d5b5eb4f7540d2bb77ac4cad642b112abb017780034b",
-    ("ab", "fixed"): "2b99332e045304cb1811ce109a1883ddfc4e360e7993eb6b98f5420e6275203d",
-    ("ac", "fixed"): "c0bcc53fac54267d922cb9bc8ad78f7dad63daf20b2db7493ac3ead6e1066c52",
-    ("abc", "fixed"): "959fbddf7437398e7c39beb19c0f1db5adb51fb4b8f6ab70a80aa9f3dede9e82",
-    ("a_alone", "gaussian"): "4ffd335bb818a3402a3836550c65a55514eb511b160c439b1e01be12339977d1",
-    ("ab", "gaussian"): "43048fd794b30eea30d34c9c1bbb13a1992074c41271103349391e87bdb0e7f0",
-    ("ac", "gaussian"): "6c86f1acb58ca6fcd85ed565e45512b1526d53b84692d3c27b2b534e0850e906",
-    ("abc", "gaussian"): "00ada612500ca61d8f2a68f56eabb991b21c24f5fad996be2688c89b14f913ed",
+    ("a_alone", "fixed"): "f909d9a564191e811160b69ef0d0b4b98d8b83a886825706c9facf3cc98d0435",
+    ("ab", "fixed"): "d9960f2e3650693fefd3a1544b2408c42da440830da9dd676f0d6cac4baa00be",
+    ("ac", "fixed"): "f9d66082d1b3c2823f7ae638a87fa20f21a5b2b3696bdb53635e584cf10337f4",
+    ("abc", "fixed"): "8e14485446c963dcfd70b40ffca8d708612b2b8ad70cc65877e9f767fba97e0f",
+    ("a_alone", "gaussian"): "8d655fa8f9e5cebd28c0b54a6b30ff8da6a269b882e376db42c9ade135599a01",
+    ("ab", "gaussian"): "c1a0bd1daa49573120236473a45e37e8edbf092072b72628acfdbc2a6e046c6f",
+    ("ac", "gaussian"): "2ea5ccdbc427fd17c3363a0f20b76c30d4f8bebdabb1918e530b7189174136b2",
+    ("abc", "gaussian"): "cd30c88a1bc956d872dd4f2fb68f2814f4e3ed21110f5bfb839c6d186b9f8d26",
 }
 
 
@@ -434,6 +434,64 @@ def test_certify_terms_finite_at_thermal_max(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "certificates.json").read_text()
     assert "Infinity" not in text and "NaN" not in text
+
+
+def test_certify_large_occupation_is_ok(tmp_path, capsys):
+    # eigenvalue round-off at n1 = 1e8 was judged against an absolute tolerance
+    for n1 in ("1e8", "1e12"):
+        code, out, _ = run_cli(["certify", "--n1", n1, "--n2", "0", "--out-dir", str(tmp_path)],
+                               capsys)
+        assert code == 0
+        assert "1/1 certificates ok" in out
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("the work ran before its cap was checked")
+
+
+@pytest.mark.parametrize(
+    "argv, patched, cap",
+    [
+        (["bounds", "--steps", "100000000"], [(cli.np, "linspace")], cli.MAX_BOUNDS_POINTS),
+        (["bounds", "--steps", "5000", "--band", "gaussian", "--band-samples", "200"],
+         [(cli.np, "linspace")], cli.MAX_BOUNDS_POINTS),
+        (["security", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",
+          "--n-probes", "1000000000"],
+         [(cli.security, "MseDistribution"), (cli.security, "security_probabilities")],
+         cli.MAX_SWEEP_PROBES),
+        (["mi", "--v-dist", "2", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",
+          "--n-max", "1000000000"],
+         [(cli.security, "mutual_information"), (cli.security, "MseDistribution")],
+         cli.MAX_SWEEP_PROBES),
+        (["certify", "--grid", "100000"],
+         [(cli.np, "linspace"), (cli.certificates, "verify_certificates")],
+         cli.MAX_CERTIFY_POINTS),
+    ],
+    ids=["bounds-steps", "bounds-band-samples", "security-n-probes", "mi-n-max", "certify-grid"],
+)
+def test_work_caps_fire_before_any_work(tmp_path, capsys, monkeypatch, argv, patched, cap):
+    # the work is patched to fail, so a missing cap cannot allocate or loop
+    for module, name in patched:
+        monkeypatch.setattr(module, name, _fail)
+    out = tmp_path / "out"
+    code, _, err = run_cli(argv + ["--out-dir", str(out)], capsys)
+    assert code == 2
+    payload = _one_json_error(err)
+    assert payload["error"] == "resource-limit"
+    assert str(cap) in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e308", "1e13", "0", "-1", "nan", "inf"])
+def test_mi_v_dist_out_of_range_names_the_flag(tmp_path, capsys, value):
+    # 1e308 failed inside the exceedance curve with "MSE values must be finite"
+    argv = ["mi", f"--v-dist={value}", "--mu-single", "8", "--mu-pair", "5.83",
+            "--mu-triple", "4", "--n-max", "2", "--out-dir", str(tmp_path / "out")]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    payload = _one_json_error(err)
+    assert payload["error"] == "invalid-argument"
+    assert "--v-dist" in payload["message"]
 
 
 def test_tracer_call_sites_exist():

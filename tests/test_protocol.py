@@ -152,24 +152,25 @@ def test_keep_records_off():
 
 
 def test_row_view_matches_round_record():
-    # rounds 0 and 1 as drawn by stream layout 2 (the chunked six-quadrature draw)
+    # rounds 0 and 1 as drawn by stream layout 3: the dealer-basis triple of each
+    # kept round first, then the normals still missing
     res = run_protocol(IDEAL, PLAN, 100, Coalition.AB, POLICY, RandomStream(3))
     assert res.records[0] == RoundRecord(
         round_index=0, alpha_x=1.0, alpha_p=-0.5, dealer_basis="p", basis_a="x",
-        basis_b="x", basis_c="x", x_c=0.7653682352346816, p_c=None,
-        x_b=-0.8133050817852664, p_b=None, x_a=0.018447045617147495, p_a=None, kept=False,
+        basis_b="x", basis_c="x", x_c=-1.395049359813273, p_c=None,
+        x_b=1.8399223546309884, p_b=None, x_a=3.6632337730819247, p_a=None, kept=False,
     )
     assert res.records[1] == RoundRecord(
         round_index=1, alpha_x=1.0, alpha_p=-0.5, dealer_basis="p", basis_a="p",
-        basis_b="p", basis_c="x", x_c=-0.13957580450178525, p_c=None, x_b=None,
-        p_b=-1.6706380123408104, x_a=None, p_a=1.2930514441207748, kept=True,
+        basis_b="p", basis_c="x", x_c=0.2874825697005943, p_c=None, x_b=None,
+        p_b=1.2337770400114467, x_a=None, p_a=-0.5105116203114373, kept=True,
     )
     res = run_protocol(IDEAL, PLAN, 100, Coalition.A_ALONE, POLICY, RandomStream(3))
     assert res.records[0] == RoundRecord(
         round_index=0, alpha_x=1.0, alpha_p=-0.5, dealer_basis="p", basis_a="xp",
-        basis_b="x", basis_c="x", x_c=0.7653682352346816, p_c=None,
-        x_b=-0.8133050817852664, p_b=None, x_a=-0.3317590177472946,
-        p_a=0.2904482043808526, kept=True,
+        basis_b="x", basis_c="x", x_c=-0.1898308438777777, p_c=None,
+        x_b=1.5089215788405625, p_b=None, x_a=1.6682066719473845,
+        p_a=-0.48040110389602814, kept=True,
     )
     row = res.records[-1]
     assert row.round_index == 99 and type(row.round_index) is int
@@ -420,8 +421,8 @@ def test_chunk_edges_keep_blocks_subsets_and_fitted_counts(monkeypatch, n_rep):
 
 
 def _chunks(coalition, n, fitted, calibrating=False, plan=PLAN):
-    chol = np.linalg.cholesky(build_dealer_state(IDEAL, 0.0, 0.0).cov)
-    return list(protocol._draw_chunks(plan, n, coalition, POLICY, RandomStream(67), chol,
+    factors = protocol._triple_factors(build_dealer_state(IDEAL, 0.0, 0.0).cov)
+    return list(protocol._draw_chunks(plan, n, coalition, POLICY, RandomStream(67), factors,
                                       1.0, fitted, calibrating))
 
 
@@ -450,8 +451,9 @@ def test_chunk_masks_partition_the_rounds(monkeypatch, coalition):
     assert sum(counts.values()) == n
     res = run_protocol(IDEAL, PLAN, n, coalition, POLICY, RandomStream(67),
                        gain_mode="analytic" if lone else "fitted")
-    # a lone A's bias check reads both quadratures of each of its rounds
-    assert res.bias.n_rounds == counts["bias"] * (2 if lone else 1)
+    # a lone A's bias check reads both quadratures of each of its rounds, but
+    # counts rounds
+    assert res.bias.n_rounds == counts["bias"]
     assert res.witness.n_x + res.witness.n_p == counts["witness"]
     n_est = res.mse_report.n_x if lone else res.mse_report.n_x + res.mse_report.n_p
     assert n_est == counts["estimation"]
@@ -468,17 +470,148 @@ def test_fitted_gain_is_exact_over_the_replayed_chunks(monkeypatch):
     r, u = [], []
     for a, b in zip(full, calibration, strict=True):
         for name in a._fields:
-            if name not in ("start", "quads"):
+            if name not in ("start", "calibration", "reads", "outcomes"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
         # the calibration pass draws the calibration rounds alone, and the same ones
-        assert np.array_equal(a.quads[a.calib], b.quads[b.calib])
-        assert np.isnan(b.quads[~b.calib]).all()
-        for q, sign in ((0, 1.0), (1, -1.0)):
-            rows = a.calib & (a.dealer_basis == q)
-            truth = (a.alpha_p if q else a.alpha_x)[rows]
-            r.append(a.quads[rows, 4 + q] - truth)
-            u.append(sign * (a.quads[rows, 2 + q] - a.quads[rows, q]) / math.sqrt(2.0))
+        assert b.reads == () and b.outcomes is None
+        for ca, cb in zip(a.calibration, b.calibration, strict=True):
+            assert ca.quad == cb.quad
+            for name in ("rows", "triple", "truth"):
+                assert np.array_equal(getattr(ca, name), getattr(cb, name)), name
+            assert np.array_equal(ca.rows, np.flatnonzero(a.calib & (a.dealer_basis == ca.quad)))
+            truth = (a.alpha_p if ca.quad else a.alpha_x)[ca.rows]
+            assert np.array_equal(ca.truth, truth)
+            r.append(ca.triple[:, 0] - truth)
+            sign = -1.0 if ca.quad else 1.0
+            u.append(sign * (ca.triple[:, 1] - ca.triple[:, 2]) / math.sqrt(2.0))
     res = run_protocol(IDEAL, plan, n, Coalition.ABC, POLICY, RandomStream(67),
                        gain_mode="fitted", keep_records=False)
     expect = fit_gain(np.concatenate(r), np.concatenate(u))
     assert res.mse_report.gains.g_bc == pytest.approx(expect, rel=1e-12)
+
+
+class _CountingGenerator:
+    """A chunk generator that records the shape of every normal draw made through it."""
+
+    def __init__(self, gen, shapes):
+        self._gen, self._shapes = gen, shapes
+
+    def standard_normal(self, size):
+        out = self._gen.standard_normal(size)
+        self._shapes.append(out.shape)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def _count_normals(monkeypatch) -> list:
+    shapes = []
+    chunk_generator = RandomStream.chunk_generator
+    monkeypatch.setattr(RandomStream, "chunk_generator",
+                        lambda self, i: _CountingGenerator(chunk_generator(self, i), shapes))
+    return shapes
+
+
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.AC, Coalition.ABC],
+                         ids=lambda c: c.value)
+def test_non_lone_run_draws_one_triple_per_kept_round(monkeypatch, coalition, gain_mode):
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
+    n = 5000
+    plan = DisplacementPlan.gaussian_modulated(2.0)
+    kept = int(run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71),
+                            gain_mode=gain_mode).records.kept.sum())
+    shapes = _count_normals(monkeypatch)
+    res = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71),
+                       gain_mode=gain_mode, keep_records=False)
+    n_est = kept - (res.witness.n_x + res.witness.n_p) - res.bias.n_rounds
+    n_calib = n_est - (res.mse_report.n_x + res.mse_report.n_p)
+    assert n_calib == (n_est // 2 if gain_mode == "fitted" else 0)
+    passes = 2 if gain_mode == "fitted" else 1
+    # one x and one p displacement normal per round and pass
+    assert sum(s[0] for s in shapes if len(s) == 1) == 2 * n * passes
+    # three normals per kept round, none for a discarded one; the calibration
+    # pass draws the calibration rounds' triples again
+    triples = [s for s in shapes if len(s) == 2]
+    assert all(s[1] == 3 for s in triples)
+    assert sum(s[0] for s in triples) == kept + n_calib
+    assert len(shapes) == sum(1 for s in shapes if len(s) == 1) + len(triples)
+
+
+def test_lone_run_draws_four_normals_per_round(monkeypatch):
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
+    shapes = _count_normals(monkeypatch)
+    run_protocol(IDEAL, PLAN, 5000, Coalition.A_ALONE, POLICY, RandomStream(71),
+                 keep_records=False)
+    # A's x and p normals and its two vacuum units
+    assert all(s[1:] == (4,) for s in shapes)
+    assert sum(s[0] for s in shapes) == 5000
+
+
+def test_witness_run_draws_three_normals_per_round(monkeypatch):
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
+    shapes = _count_normals(monkeypatch)
+    witness_verification_run(IDEAL, 1.0, -1.0, 5000, RandomStream(71))
+    assert all(s[1:] == (3,) for s in shapes)
+    assert sum(s[0] for s in shapes) == 5000
+
+
+@pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
+                         ids=["fixed", "gaussian"])
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_keep_records_off_gives_the_same_reports(monkeypatch, coalition, gain_mode, plan):
+    # the records draw their missing normals after every draw the reports use
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 512)
+    off = run_protocol(IDEAL, plan, 3000, coalition, POLICY, RandomStream(1),
+                       gain_mode=gain_mode, keep_records=False)
+    on = run_protocol(IDEAL, plan, 3000, coalition, POLICY, RandomStream(1),
+                      gain_mode=gain_mode)
+    assert len(on.records) == 3000 and len(off.records) == 0
+    assert on.mse_report == off.mse_report
+    assert on.witness == off.witness
+    assert on.bias == off.bias
+
+
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition):
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
+    lone = coalition is Coalition.A_ALONE
+    factors = protocol._triple_factors(build_dealer_state(IDEAL, 0.0, 0.0).cov)
+    for ch in protocol._draw_chunks(PLAN, 1000, coalition, POLICY, RandomStream(67), factors,
+                                    1.0, fitted=not lone, records=True):
+        assert len(ch.reads) == 2 and len(ch.calibration) == (0 if lone else 2)
+        for r in ch.calibration + ch.reads:
+            assert np.array_equal(ch.outcomes[r.quad, r.rows, : r.triple.shape[1]], r.triple)
+
+
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_recorded_outcomes_follow_the_dealer_covariance(coalition):
+    # the outcomes a round records, whether the reports drew them or the records
+    # drew them afterwards, are a sample of the dealer covariance (plus a vacuum
+    # unit on each of a lone A's quadratures)
+    model = ExperimentModel(r=0.8, eta_a=0.9, eta_b=0.8, eps_c=0.05)
+    t = run_protocol(model, DisplacementPlan.gaussian_modulated(2.0), 40_000, coalition,
+                     POLICY, RandomStream(73)).records
+    cov = build_dealer_state(model, 0.0, 0.0).cov
+    values = {name: getattr(t, name) for name in protocol.OUTCOME_COLUMNS}
+    values["x_a"] = values["x_a"] - math.sqrt(model.eta_a) * t.alpha_x
+    values["p_a"] = values["p_a"] - math.sqrt(model.eta_a) * t.alpha_p
+    bases = np.stack((t.dealer_basis, t.basis_a, t.basis_b, t.basis_c), axis=1)
+    groups = np.unique(bases, axis=0)
+    assert len(groups) == (4 if coalition is Coalition.ABC else 8)
+    for group in groups:
+        rows = (bases == group).all(axis=1)
+        names = [n for n in protocol.OUTCOME_COLUMNS if not np.isnan(values[n][rows]).any()]
+        assert all(np.isnan(values[n][rows]).all() for n in protocol.OUTCOME_COLUMNS
+                   if n not in names)
+        assert len(names) == (4 if coalition is Coalition.A_ALONE else 3)
+        idx = [protocol.OUTCOME_COLUMNS.index(n) for n in names]
+        expect = cov[np.ix_(idx, idx)] + np.diag([1.0 if n[2] == "a" and group[1] == 2 else 0.0
+                                                  for n in names])
+        x = np.column_stack([values[n][rows] for n in names])
+        k = x.shape[0]
+        sample = x.T @ x / k
+        se = np.sqrt((np.outer(np.diag(expect), np.diag(expect)) + expect**2) / k)
+        assert np.all(np.abs(sample - expect) <= 5.0 * se), (group, names)
