@@ -260,25 +260,19 @@ def primal_value_blockwise(x2: np.ndarray, data: SdpData) -> float:
     return float(np.real(np.trace(x2[2:4, 2:4] @ data.c_core)))
 
 
-def _block_scale(eigs: np.ndarray) -> float:
-    """Largest |eigenvalue| of a block, and at least 1."""
-    return max(1.0, float(np.abs(eigs).max()))
-
-
-def _psd(eigs: np.ndarray) -> bool:
-    """Smallest eigenvalue of a block non-negative up to round-off.
+def _block_ok(eigs: np.ndarray, formulas, tol: float) -> bool:
+    """A block is PSD up to round-off and its eigenvalues equal their closed forms within tol.
 
     ``eigvalsh`` is backward stable, so its round-off grows with the
-    block's largest eigenvalue, which is 5 + 4 n (2 + n) for X1: the
-    slack is DEFAULT_TOL relative to that scale.
+    block's largest |eigenvalue|, which is 5 + 4 n (2 + n) for X1: both
+    checks are relative to that scale (and to at least 1). ``eigs``
+    comes from ``eigvalsh``, in ascending order.
     """
-    return bool(eigs[0] >= -DEFAULT_TOL * _block_scale(eigs))
-
-
-def _eigs_match(eigs: np.ndarray, formulas, tol: float) -> bool:
-    """Sorted eigenvalues of a block equal to their closed forms within tol, relative to its scale."""
-    scale = _block_scale(eigs)
-    return all(abs(e - f) <= tol * (abs(f) + scale) for e, f in zip(sorted(eigs), sorted(formulas)))
+    values = eigs.tolist()
+    scale = max(1.0, -values[0], values[-1])
+    return values[0] >= -DEFAULT_TOL * scale and all(
+        abs(e - f) <= tol * (abs(f) + scale) for e, f in zip(values, sorted(formulas))
+    )
 
 
 def verify_certificates(params: ThermalParams, tol: float = DEFAULT_TOL) -> CertificateReport:
@@ -304,10 +298,9 @@ def verify_certificates(params: ThermalParams, tol: float = DEFAULT_TOL) -> Cert
     else:
         primal_value = primal_value_blockwise(x2, data)
     feasible_primal = bool(
-        _psd(x1_eigs) and _psd(x2_eigs)
-        and max(residuals) <= max(tol, DEFAULT_TOL)
-        and _eigs_match(x1_eigs, (0.0, 0.0) + x1_eigenvalue_formulas(params), tol)
-        and _eigs_match(x2_eigs, (0.0, 0.0, 0.0, x2_eigenvalue_formula(params)), tol)
+        max(residuals) <= max(tol, DEFAULT_TOL)
+        and _block_ok(x1_eigs, (0.0, 0.0) + x1_eigenvalue_formulas(params), tol)
+        and _block_ok(x2_eigs, (0.0, 0.0, 0.0, x2_eigenvalue_formula(params)), tol)
     )
 
     y = dual_vector(params)
@@ -324,7 +317,7 @@ def verify_certificates(params: ThermalParams, tol: float = DEFAULT_TOL) -> Cert
         status = STATUS_OK
         y3_eigs = np.linalg.eigvalsh(build_dual_certificate(params)[3])
         blocks.append((y3_eigs, (0.0, y3_eigenvalue_formula(params))))
-    feasible_dual = all(_psd(eigs) and _eigs_match(eigs, formulas, tol) for eigs, formulas in blocks)
+    feasible_dual = all(_block_ok(eigs, formulas, tol) for eigs, formulas in blocks)
 
     def close(a, b):
         return abs(a - b) <= tol * (1.0 + abs(b))

@@ -316,16 +316,20 @@ def _triple_factors(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.cholesky(cov[np.ix_(x, x)]), np.linalg.cholesky(cov[np.ix_(p, p)])
 
 
-def _apply(factor: np.ndarray, z: np.ndarray, shift_a: np.ndarray | float = 0.0) -> np.ndarray:
+def _apply(
+    factor: np.ndarray, z: np.ndarray, shift_a: np.ndarray | float = 0.0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Outcomes ``z @ factor.T`` of the first ``z.shape[1]`` parties, plus ``shift_a`` on A.
 
     The factor is lower-triangular, so a party's value needs only the
-    normals of the parties before it. Each round's values are computed
+    normals of the parties before it; computing the parties last to
+    first lets ``out`` be ``z`` itself. Each round's values are computed
     element by element, so they do not depend on which rounds are
     drawn with it.
     """
-    out = np.empty_like(z)
-    for j in range(z.shape[1]):
+    out = np.empty_like(z) if out is None else out
+    for j in reversed(range(z.shape[1])):
         col = factor[j, 0] * z[:, 0]
         for i in range(1, j + 1):
             col += factor[j, i] * z[:, i]
@@ -339,12 +343,12 @@ class _Reads(NamedTuple):
 
     ``triple`` holds their (A, B, C) outcomes in that quadrature, with
     A's displacement added; for a lone A it holds A's dual-homodyne
-    outcome alone. ``rows`` are the rounds' indices in the chunk and
-    ``truth`` the displacement each estimates.
+    outcome alone. ``rows`` indexes the rounds in the chunk and
+    ``truth`` is the displacement each estimates.
     """
 
     quad: int
-    rows: np.ndarray
+    rows: np.ndarray | slice
     triple: np.ndarray
     truth: np.ndarray
     witness: np.ndarray
@@ -392,7 +396,8 @@ def _chunk_alphas(
     """
     m = end - start
     if plan.kind == "fixed":
-        return np.full(m, plan.alpha_x * plan.scale), np.full(m, plan.alpha_p * plan.scale), carry
+        return (np.broadcast_to(plan.alpha_x * plan.scale, m),
+                np.broadcast_to(plan.alpha_p * plan.scale, m), carry)
     n_rep = plan.n_rep
     first = start // n_rep
     # blocks that start in [start, end): ceil(end / n_rep) - ceil(start / n_rep)
@@ -495,17 +500,15 @@ def _draw_chunks(
             k = int(np.count_nonzero(est))
             calib = _pick(est, (n_est + k) // 2 - n_est // 2, gen)
             n_est += k
+        vacuum = None
         if lone:
-            # A's x and p normals, then its vacuum units; the displacement
-            # reaches A through its loss channel
+            # A's x and p normals, then its vacuum units
             z = gen.standard_normal((m, 4))
-            shifts = [root_eta * alphas[q] + z[:, 2 + q] for q in (0, 1)]
-            rows = np.arange(m)
-            groups = [(0, rows, z[:, 0:1]), (1, rows, z[:, 1:2])]
+            vacuum = z[:, 2:]
+            groups = [(q, slice(None), z[:, q : q + 1]) for q in (0, 1)]
             n_calib = 0
         else:
             # one triple per kept round: calibration rounds first, x before p in each part
-            shifts = [root_eta * alpha for alpha in alphas]
             on_x = dealer == 0
             rows = [np.flatnonzero(part & on) for part in (calib, kept & ~calib)
                     for on in (on_x, ~on_x)]
@@ -515,26 +518,34 @@ def _draw_chunks(
             if calibrating:
                 del groups[2:]
             n_calib = 2
+
+        def shift_a(q: int, r: np.ndarray | slice) -> np.ndarray:
+            # the displacement reaches A through its loss channel; a lone A adds its vacuum unit
+            shift = root_eta * alphas[q][r]
+            return shift if vacuum is None else shift + vacuum[r, q]
+
         reads = tuple(
-            _Reads(q, r, _apply(factors[q], z_r, shifts[q][r]), alphas[q][r], witness[r], bias[r])
+            _Reads(q, r, _apply(factors[q], z_r, shift_a(q, r)), alphas[q][r], witness[r], bias[r])
             for q, r, z_r in groups
         )
         outcomes = None
         if records:
-            # every round's x and p triple: the ones drawn above, then the
-            # normals still missing, x triples before p triples
-            if lone:
-                bc = gen.standard_normal((2, m, 2))
-                outcomes = np.stack([_apply(factors[q], np.column_stack((z[:, q], bc[q])),
-                                            shifts[q]) for q in (0, 1)])
-            else:
-                outcomes = np.empty((2, m, 3))
+            # every round's x and p triple: the ones drawn above, then the normals
+            # still missing, those of the x triples before those of the p triples
+            outcomes = np.empty((2, m, 3))
+            for q in (0, 1):
+                if lone:
+                    normals = outcomes[q]
+                    normals[:, 0] = z[:, q]
+                    normals[:, 1:] = gen.standard_normal((m, 2))
+                    _apply(factors[q], normals, shift_a(q, slice(None)), out=normals)
+                else:
+                    r = np.flatnonzero(~kept | (dealer != q))
+                    outcomes[q, r] = _apply(factors[q], gen.standard_normal((r.size, 3)),
+                                            shift_a(q, r))
+            if not lone:
                 for read in reads:
                     outcomes[read.quad, read.rows] = read.triple
-                missing = [np.flatnonzero(~kept | (dealer != q)) for q in (0, 1)]
-                z = gen.standard_normal((missing[0].size + missing[1].size, 3))
-                for q, r, z_r in zip((0, 1), missing, np.split(z, [missing[0].size])):
-                    outcomes[q, r] = _apply(factors[q], z_r, shifts[q][r])
         yield _Chunk(start, alpha_x, alpha_p, dealer, basis_a, basis_b, basis_c, kept,
                      witness, bias, calib, reads[:n_calib], reads[n_calib:], outcomes)
 
@@ -673,6 +684,9 @@ def run_protocol(
             on_x, on_p = ch.reads
             _add_witness(sq_witness, on_x.triple[on_x.witness], on_p.triple[on_p.witness],
                          on_x.truth[on_x.witness], on_p.truth[on_p.witness])
+            del on_x, on_p
+        # release the chunk before the next one is drawn
+        del ch
 
     n_x, n_p = sq_err[0].n, sq_err[1].n
     if n_x < 2 or n_p < 2:

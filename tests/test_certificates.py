@@ -165,10 +165,12 @@ def test_x1_with_a_negative_eigenvalue_fails(monkeypatch, n1):
     params = ThermalParams(n1, 0.0)
     build = certificates.build_primal_certificate
     x1, _ = build(params)
-    # a real negative eigenvalue of a millionth of the block's scale
+    # a real negative eigenvalue of a millionth of the block's scale; with the
+    # block's own eigenvalues as its formulas, only the PSD check can fail
     shift = 1e-6 * np.linalg.eigvalsh(x1)[-1] * np.eye(4)
-    assert certificates._psd(np.linalg.eigvalsh(x1))
-    assert not certificates._psd(np.linalg.eigvalsh(x1 - shift))
+    eigs, bad = np.linalg.eigvalsh(x1), np.linalg.eigvalsh(x1 - shift)
+    assert certificates._block_ok(eigs, eigs, certificates.DEFAULT_TOL)
+    assert not certificates._block_ok(bad, bad, certificates.DEFAULT_TOL)
 
     def shifted(p):
         a, b = build(p)
