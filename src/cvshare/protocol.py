@@ -681,12 +681,10 @@ def run_protocol(
             n_witness[0] += w_x
             n_witness[1] += int(np.count_nonzero(ch.witness)) - w_x
         else:
-            on_x, on_p = ch.reads
-            _add_witness(sq_witness, on_x.triple[on_x.witness], on_p.triple[on_p.witness],
-                         on_x.truth[on_x.witness], on_p.truth[on_p.witness])
-            del on_x, on_p
-        # release the chunk before the next one is drawn
-        del ch
+            _add_witness(sq_witness, *(r.triple[r.witness] for r in ch.reads),
+                         *(r.truth[r.witness] for r in ch.reads))
+        # drop this chunk's arrays before the next chunk is drawn
+        del ch, r
 
     n_x, n_p = sq_err[0].n, sq_err[1].n
     if n_x < 2 or n_p < 2:
