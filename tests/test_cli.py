@@ -269,9 +269,47 @@ DEALER_OUTPUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(DEALER_OUTPUT_SHA256))
+MU_ARGS = ["--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4"]
+
+# sha256 of the outputs that need no dealer state, from the writers that built
+# each table as one string before writing it
+SWEEP_OUTPUT_SHA256 = {
+    "security": (
+        ["security", *MU_ARGS, "--n-probes", "40"],
+        {
+            "security.json": "bef7c2d7bd766e848d9a3b9983794ebf22dbc19248f95c1d247befde1b6d6b3d",
+            "security_sweep.csv": "57f9bca2a973f4c06191ae3ee2b63a94bc3347ded4a27d1c3dc27cb34b5bde2b",
+        },
+    ),
+    "security-v-t": (
+        ["security", *MU_ARGS, "--n-probes", "9", "--v-t", "6.1"],
+        {
+            "security.json": "2226fd633932e80d71b2951fc91b003646f0ff3a06fd4df38debc8a77e67b31c",
+            "security_sweep.csv": "ef662bccab1f358e8e9ac2fb471358378e12b79fbfd33eaf2cc93817c2c1dce5",
+        },
+    ),
+    "mi": (
+        ["mi", "--v-dist", "5", *MU_ARGS, "--n-max", "40", "--c-bits", "1.5"],
+        {
+            "mi_curve.csv": "b08ff7f715f31967320c69b3b66044984607e80dcb33337da510e823f99d3dc5",
+            "exceedance.csv": "b2eb023ce7fbec20d9133696ad6086789f1518192d89505fe245a21db81b2624",
+        },
+    ),
+    "certify-grid-20": (
+        ["certify", "--grid", "20"],
+        {"certificates.json": "bd89481792d215450869a938e1c27069d2f3aa5f2068fd144daa820116c2bcdb"},
+    ),
+    "certify-point": (
+        ["certify", "--n1", "0.5", "--n2", "0.5"],
+        {"certificates.json": "eba76fdde1ceba53a8d25e2ad0a6a3354d48b78f2f88006ad5582aa3ae5c9aec"},
+    ),
+}
+PINNED_OUTPUT_SHA256 = {**DEALER_OUTPUT_SHA256, **SWEEP_OUTPUT_SHA256}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUT_SHA256))
 def test_dealer_outputs_bytes_pinned(tmp_path, capsys, case):
-    argv, digests = DEALER_OUTPUT_SHA256[case]
+    argv, digests = PINNED_OUTPUT_SHA256[case]
     code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
     assert code == 0
     for name, want in digests.items():
