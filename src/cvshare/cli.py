@@ -14,6 +14,7 @@ print one machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -44,37 +45,26 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _fmt(value) -> str:
-    """CSV cell: repr for floats so replays are byte-identical."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _column_cells(name: str, col: np.ndarray) -> list[str]:
-    """One round-table column as CSV cells, matching what _fmt gives per row."""
+def _cells(col) -> list[str]:
+    """One table column as CSV cells: repr for floats ("" for NaN, an
+    unmeasured outcome), true/false for bools, str for the rest."""
+    col = np.asarray(col)
     values = col.tolist()
-    if name in protocol.BASIS_COLUMNS:
-        return [protocol.BASIS_NAMES[v] for v in values]
     if col.dtype == bool:
         return ["true" if v else "false" for v in values]
     if col.dtype.kind == "f":
         return [repr(v) if v == v else "" for v in values]
-    return [str(v) for v in values]
+    return list(map(str, values))
 
 
-#: rounds formatted at a time, which bounds the per-cell strings held at once
+def _row_chunks(rows):
+    """Column chunks of up to _CSV_CHUNK rows each, from an iterable of row tuples."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+        yield list(zip(*chunk))
+
+
+#: table rows formatted at a time, which bounds the per-cell strings held at once
 _CSV_CHUNK = 32768
 #: band r-samples evaluated at a time, which bounds the covariance stack held at once
 _BAND_CHUNK = 4096
@@ -88,14 +78,13 @@ MAX_SWEEP_PROBES = 100_000
 MAX_CERTIFY_POINTS = 100_000
 
 
-def _rounds_csv(table: protocol.RoundTable) -> str:
-    """rounds.csv text, formatted column by column."""
-    lines = [",".join(protocol.ROUND_COLUMNS) + "\n"]
+def _round_chunks(table: protocol.RoundTable):
+    """rounds.csv column chunks of a round table, with basis names for the basis codes."""
+    basis_names = np.array(protocol.BASIS_NAMES)
     for start in range(0, len(table), _CSV_CHUNK):
         chunk = table[start : start + _CSV_CHUNK]
-        cells = [_column_cells(name, getattr(chunk, name)) for name in protocol.ROUND_COLUMNS]
-        lines.extend(",".join(row) + "\n" for row in zip(*cells))
-    return "".join(lines)
+        yield [basis_names[getattr(chunk, name)] if name in protocol.BASIS_COLUMNS
+               else getattr(chunk, name) for name in protocol.ROUND_COLUMNS]
 
 
 def _read_input(path: str, what: str) -> str:
@@ -121,6 +110,14 @@ class _Run:
     def write(self, name: str, text: str) -> None:
         with open(os.path.join(self.out_dir, name), "w", newline="") as fh:
             fh.write(text)
+        self.outputs.append(name)
+
+    def write_table(self, name: str, header, chunks) -> None:
+        """Write a CSV table from an iterable of column chunks, one chunk at a time."""
+        with open(os.path.join(self.out_dir, name), "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for columns in chunks:
+                fh.writelines(",".join(row) + "\n" for row in zip(*map(_cells, columns)))
         self.outputs.append(name)
 
     def finish(self) -> None:
@@ -204,37 +201,41 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
     # reported before a bad arm
     arms = _model_from_args(args, r=float(grid[0]))
     coalitions = [parse_coalition(name) for name in _COALITION_ORDER]
-    mse = bounds.predicted_mse_grid(grid, arms)
-    rows = [
-        [r, c.value, *(float(v[i]) for v in mse[c])]
-        for i, r in enumerate(grid.tolist())
-        for c in coalitions
-    ]
-    run.write("bounds.csv", _csv_text(["r", "coalition", "mse_x", "mse_p", "mse_sum"], rows))
+    names = np.array(_COALITION_ORDER)
+
+    def grid_chunks():
+        # one row per (r, coalition), r-major
+        for start in range(0, args.steps, _CSV_CHUNK):
+            rs = grid[start : start + _CSV_CHUNK]
+            mse = bounds.predicted_mse_grid(rs, arms)
+            yield [np.repeat(rs, len(names)), np.tile(names, len(rs)),
+                   *(np.stack([mse[c][k] for c in coalitions], axis=1).ravel() for k in range(3))]
+
+    run.write_table("bounds.csv", ["r", "coalition", "mse_x", "mse_p", "mse_sum"], grid_chunks())
     if args.band is not None:
         gen = RandomStream(args.band_seed).generator()
-        band_rows = []
-        for r in grid.tolist():
-            lo = dict.fromkeys(coalitions, math.inf)
-            hi = dict.fromkeys(coalitions, -math.inf)
-            for start in range(0, args.band_samples, _BAND_CHUNK):
-                n = min(_BAND_CHUNK, args.band_samples - start)
-                if args.band == "uniform":
-                    draws = gen.uniform(-1.0, 1.0, n)
-                else:
-                    draws = gen.standard_normal(n)
-                r_samples = np.clip(r * (1.0 + args.band_fluct * draws), 0.0, R_MAX)
-                sums = bounds.predicted_mse_grid(r_samples, arms)
-                for c in coalitions:
-                    lo[c] = min(lo[c], float(sums[c][2].min()))
-                    hi[c] = max(hi[c], float(sums[c][2].max()))
-            band_rows.extend([r, c.value, lo[c], hi[c]] for c in coalitions)
-        run.write(
-            "bounds_band.csv",
-            _csv_text(["r", "coalition", "mse_sum_lo", "mse_sum_hi"], band_rows),
-        )
+
+        def band_rows():
+            for r in grid.tolist():
+                lo = dict.fromkeys(coalitions, math.inf)
+                hi = dict.fromkeys(coalitions, -math.inf)
+                for start in range(0, args.band_samples, _BAND_CHUNK):
+                    n = min(_BAND_CHUNK, args.band_samples - start)
+                    if args.band == "uniform":
+                        draws = gen.uniform(-1.0, 1.0, n)
+                    else:
+                        draws = gen.standard_normal(n)
+                    r_samples = np.clip(r * (1.0 + args.band_fluct * draws), 0.0, R_MAX)
+                    sums = bounds.predicted_mse_grid(r_samples, arms)
+                    for c in coalitions:
+                        lo[c] = min(lo[c], float(sums[c][2].min()))
+                        hi[c] = max(hi[c], float(sums[c][2].max()))
+                yield from ((r, c.value, lo[c], hi[c]) for c in coalitions)
+
+        run.write_table("bounds_band.csv", ["r", "coalition", "mse_sum_lo", "mse_sum_hi"],
+                        _row_chunks(band_rows()))
     run.finish()
-    print(f"wrote {len(rows)} bound rows for {args.steps} squeezing values")
+    print(f"wrote {args.steps * len(names)} bound rows for {args.steps} squeezing values")
 
 
 def _cmd_certify(args: argparse.Namespace) -> None:
@@ -364,7 +365,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     run.write("witness.json", _json_text(result.witness.to_json_dict()))
     run.write("bias.json", _json_text(result.bias.to_json_dict()))
     if args.dump_rounds:
-        run.write("rounds.csv", _rounds_csv(result.records))
+        run.write_table("rounds.csv", protocol.ROUND_COLUMNS, _round_chunks(result.records))
     run.finish()
     rep = result.mse_report
     print(
@@ -373,42 +374,32 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     )
 
 
-def _security_distributions(args: argparse.Namespace, n: int) -> dict[str, security.MseDistribution]:
-    return {
-        "ab": security.MseDistribution(args.mu_pair, n),
-        "abc": security.MseDistribution(args.mu_triple, n),
-    }
-
-
 def _cmd_security(args: argparse.Namespace) -> None:
     if args.n_probes < 1:
         raise InvalidArgumentError("--n-probes must be >= 1")
     if args.n_probes > MAX_SWEEP_PROBES:
         raise ResourceLimitError(f"--n-probes exceeds the cap of {MAX_SWEEP_PROBES}")
     run = _Run(args)
+    mus = {"ab": args.mu_pair, "abc": args.mu_triple}
+    v_ts = {name: security.crossing_threshold(args.mu_single, mu) if args.v_t is None
+            else args.v_t for name, mu in mus.items()}
+    # security.json holds the sweep's reports at N = --n-probes
     reports = []
-    single = security.MseDistribution(args.mu_single, args.n_probes)
-    for name, dist in _security_distributions(args, args.n_probes).items():
-        v_t = args.v_t
-        if v_t is None:
-            v_t = security.crossing_threshold(args.mu_single, dist.mu)
-        reports.append(
-            security.security_probabilities(v_t, single, dist, coalition_name=name).to_json_dict()
-        )
+
+    def sweep_rows():
+        for n in range(1, args.n_probes + 1):
+            single = security.MseDistribution(args.mu_single, n)
+            for name, mu in mus.items():
+                rep = security.security_probabilities(
+                    v_ts[name], single, security.MseDistribution(mu, n), coalition_name=name
+                )
+                if n == args.n_probes:
+                    reports.append(rep.to_json_dict())
+                yield n, name, rep.v_t, rep.delta, rep.p_success
+
+    run.write_table("security_sweep.csv", ["n_probes", "coalition", "v_t", "delta", "p_success"],
+                    _row_chunks(sweep_rows()))
     run.write("security.json", _json_text(reports))
-    sweep_rows = []
-    for n in range(1, args.n_probes + 1):
-        single_n = security.MseDistribution(args.mu_single, n)
-        for name, dist in _security_distributions(args, n).items():
-            v_t = args.v_t
-            if v_t is None:
-                v_t = security.crossing_threshold(args.mu_single, dist.mu)
-            rep = security.security_probabilities(v_t, single_n, dist, coalition_name=name)
-            sweep_rows.append([n, name, rep.v_t, rep.delta, rep.p_success])
-    run.write(
-        "security_sweep.csv",
-        _csv_text(["n_probes", "coalition", "v_t", "delta", "p_success"], sweep_rows),
-    )
     run.finish()
     for rep in reports:
         print(
@@ -426,33 +417,25 @@ def _cmd_mi(args: argparse.Namespace) -> None:
     # overflow the exceedance curve
     if not (0.0 < args.v_dist <= protocol.ALPHA_MAX**2):
         raise InvalidArgumentError(f"--v-dist must be in (0, {protocol.ALPHA_MAX**2:g}]")
+    req = security.required_mse(args.c_bits, args.v_dist)
     run = _Run(args)
     mus = {"a_alone": args.mu_single, "ab": args.mu_pair, "abc": args.mu_triple}
-    curve_rows = []
-    exceed_rows = []
-    for n in range(1, args.n_max + 1):
-        for name in ("a_alone", "ab", "abc"):
-            mu = mus[name]
-            # mean summed MSE mu/N; per-quadrature achieved MSE is half that
-            v_alpha = 0.5 * mu / n
-            mi = security.mutual_information(args.v_dist, v_alpha)
-            curve_rows.append([n, name, v_alpha, mi])
-            dist = security.MseDistribution(mu, n)
-            exceed_rows.append(
-                [n, name, security.prob_mi_above(args.c_bits, args.v_dist, dist)]
-            )
-    run.write(
-        "mi_curve.csv",
-        _csv_text(["n_probes", "coalition", "mse_per_quadrature", "mi_bits"], curve_rows),
-    )
-    run.write(
-        "exceedance.csv",
-        _csv_text(["n_probes", "coalition", "p_exceed"], exceed_rows),
-    )
-    req = security.required_mse(args.c_bits, args.v_dist)
+
+    def sweep():
+        return ((n, name, mu) for n in range(1, args.n_max + 1) for name, mu in mus.items())
+
+    # mean summed MSE mu/N; per-quadrature achieved MSE is half that
+    curve_rows = ((n, name, 0.5 * mu / n, security.mutual_information(args.v_dist, 0.5 * mu / n))
+                  for n, name, mu in sweep())
+    run.write_table("mi_curve.csv", ["n_probes", "coalition", "mse_per_quadrature", "mi_bits"],
+                    _row_chunks(curve_rows))
+    exceed_rows = ((n, name, security.prob_mi_above(args.c_bits, args.v_dist,
+                                                     security.MseDistribution(mu, n)))
+                   for n, name, mu in sweep())
+    run.write_table("exceedance.csv", ["n_probes", "coalition", "p_exceed"],
+                    _row_chunks(exceed_rows))
     run.finish()
     print(f"required per-quadrature MSE for {args.c_bits} bits: {req:.6f}")
-
 
 def _cmd_witness(args: argparse.Namespace) -> None:
     run = _Run(args, stream_layout=protocol.STREAM_LAYOUT)
