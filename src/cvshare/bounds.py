@@ -13,8 +13,8 @@ whole array of squeezing values in one numpy pass: one checked dealer
 covariance stack (:func:`~cvshare.gaussian_core.dealer_covariances`),
 then the gains and residuals on the stack. :func:`predicted_mse` is that
 pass on a stack of one, so both give the same bits. ``cvshare bounds``
-evaluates its grid in one call and its ``--band`` r-samples, clipped to
-[0, R_MAX], in fixed-size chunks.
+evaluates its grid and its ``--band`` r-samples, clipped to [0, R_MAX],
+in fixed-size chunks.
 """
 
 from __future__ import annotations

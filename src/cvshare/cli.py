@@ -47,14 +47,15 @@ def _json_text(obj) -> str:
 
 def _cells(col) -> list[str]:
     """One table column as CSV cells: repr for floats ("" for NaN, an
-    unmeasured outcome), true/false for bools, str for the rest."""
+    unmeasured outcome), true/false for bools, strings as they are, str
+    for the rest."""
     col = np.asarray(col)
     values = col.tolist()
     if col.dtype == bool:
         return ["true" if v else "false" for v in values]
     if col.dtype.kind == "f":
         return [repr(v) if v == v else "" for v in values]
-    return list(map(str, values))
+    return values if col.dtype.kind == "U" else list(map(str, values))
 
 
 def _row_chunks(rows):
@@ -66,7 +67,8 @@ def _row_chunks(rows):
 
 #: table rows formatted at a time, which bounds the per-cell strings held at once
 _CSV_CHUNK = 32768
-#: band r-samples evaluated at a time, which bounds the covariance stack held at once
+#: grid points or band r-samples evaluated at a time, which bounds the covariance
+#: stack held at once
 _BAND_CHUNK = 4096
 #: caps on the work of the closed-form subcommands, checked before anything is
 #: allocated; at each cap a run took about a minute or less on a 2-core x86-64 host.
@@ -76,6 +78,9 @@ MAX_BOUNDS_POINTS = 1_000_000
 MAX_SWEEP_PROBES = 100_000
 #: (n1, n2) points of ``certify --grid K``: K squared
 MAX_CERTIFY_POINTS = 100_000
+#: largest accepted --mu-* of ``security`` and ``mi`` (a mean summed MSE), the
+#: scale of EPS_MAX and of v_dist; far larger means overflow the thresholds
+MU_MAX = 1e12
 
 
 def _round_chunks(table: protocol.RoundTable):
@@ -113,11 +118,14 @@ class _Run:
         self.outputs.append(name)
 
     def write_table(self, name: str, header, chunks) -> None:
-        """Write a CSV table from an iterable of column chunks, one chunk at a time."""
+        """Write a CSV table from an iterable of column chunks, one chunk at a time,
+        formatting at most _CSV_CHUNK rows at once."""
         with open(os.path.join(self.out_dir, name), "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for columns in chunks:
-                fh.writelines(",".join(row) + "\n" for row in zip(*map(_cells, columns)))
+                for start in range(0, len(columns[0]), _CSV_CHUNK):
+                    fh.writelines(",".join(row) + "\n" for row in zip(
+                        *(_cells(col[start : start + _CSV_CHUNK]) for col in columns)))
         self.outputs.append(name)
 
     def finish(self) -> None:
@@ -182,8 +190,11 @@ def _cmd_state(args: argparse.Namespace) -> None:
 def _cmd_bounds(args: argparse.Namespace) -> None:
     if args.steps < 1:
         raise InvalidArgumentError("--steps must be >= 1")
-    if args.r_max < args.r_min or args.r_min < 0.0:
-        raise InvalidArgumentError("need 0 <= r-min <= r-max")
+    for flag, r in (("--r-min", args.r_min), ("--r-max", args.r_max)):
+        if not (math.isfinite(r) and 0.0 <= r <= R_MAX):
+            raise InvalidArgumentError(f"{flag} must be finite and in [0, R_MAX = {R_MAX}]")
+    if args.r_max < args.r_min:
+        raise InvalidArgumentError("need --r-min <= --r-max")
     points = args.steps
     if args.band is not None:
         if not (0.0 <= args.band_fluct < 1.0):
@@ -197,16 +208,15 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
         )
     run = _Run(args)
     grid = np.linspace(args.r_min, args.r_max, args.steps)
-    # the arms of every grid point, built at grid[0] so that a bad r is
-    # reported before a bad arm
-    arms = _model_from_args(args, r=float(grid[0]))
+    # the arms of every grid point; predicted_mse_grid does not read their r
+    arms = _model_from_args(args, r=args.r_min)
     coalitions = [parse_coalition(name) for name in _COALITION_ORDER]
     names = np.array(_COALITION_ORDER)
 
     def grid_chunks():
         # one row per (r, coalition), r-major
-        for start in range(0, args.steps, _CSV_CHUNK):
-            rs = grid[start : start + _CSV_CHUNK]
+        for start in range(0, args.steps, _BAND_CHUNK):
+            rs = grid[start : start + _BAND_CHUNK]
             mse = bounds.predicted_mse_grid(rs, arms)
             yield [np.repeat(rs, len(names)), np.tile(names, len(rs)),
                    *(np.stack([mse[c][k] for c in coalitions], axis=1).ravel() for k in range(3))]
@@ -246,6 +256,8 @@ def _cmd_certify(args: argparse.Namespace) -> None:
         raise InvalidArgumentError("--n1 and --n2 must be given together")
     if not single and args.grid is None:
         raise InvalidArgumentError("give --n1/--n2 or --grid K")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise InvalidArgumentError("--tol must be finite and >= 0")
     if not single:
         if args.grid < 1:
             raise InvalidArgumentError("--grid must be >= 1")
@@ -374,11 +386,19 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     )
 
 
+def _check_mus(args: argparse.Namespace) -> None:
+    for flag, mu in (("--mu-single", args.mu_single), ("--mu-pair", args.mu_pair),
+                     ("--mu-triple", args.mu_triple)):
+        if not (0.0 < mu <= MU_MAX):
+            raise InvalidArgumentError(f"{flag} must be in (0, {MU_MAX:g}]")
+
+
 def _cmd_security(args: argparse.Namespace) -> None:
     if args.n_probes < 1:
         raise InvalidArgumentError("--n-probes must be >= 1")
     if args.n_probes > MAX_SWEEP_PROBES:
         raise ResourceLimitError(f"--n-probes exceeds the cap of {MAX_SWEEP_PROBES}")
+    _check_mus(args)
     run = _Run(args)
     mus = {"ab": args.mu_pair, "abc": args.mu_triple}
     v_ts = {name: security.crossing_threshold(args.mu_single, mu) if args.v_t is None
@@ -413,6 +433,7 @@ def _cmd_mi(args: argparse.Namespace) -> None:
         raise InvalidArgumentError("--n-max must be >= 1")
     if args.n_max > MAX_SWEEP_PROBES:
         raise ResourceLimitError(f"--n-max exceeds the cap of {MAX_SWEEP_PROBES}")
+    _check_mus(args)
     # the same bound as a simulated modulation's v_dist; far larger values
     # overflow the exceedance curve
     if not (0.0 < args.v_dist <= protocol.ALPHA_MAX**2):
@@ -422,20 +443,22 @@ def _cmd_mi(args: argparse.Namespace) -> None:
     mus = {"a_alone": args.mu_single, "ab": args.mu_pair, "abc": args.mu_triple}
 
     def sweep():
-        return ((n, name, mu) for n in range(1, args.n_max + 1) for name, mu in mus.items())
+        # mean summed MSE mu/N; per-quadrature achieved MSE is half that
+        return ((n, name, mu, 0.5 * mu / n)
+                for n in range(1, args.n_max + 1) for name, mu in mus.items())
 
-    # mean summed MSE mu/N; per-quadrature achieved MSE is half that
-    curve_rows = ((n, name, 0.5 * mu / n, security.mutual_information(args.v_dist, 0.5 * mu / n))
-                  for n, name, mu in sweep())
+    curve_rows = ((n, name, v_alpha, security.mutual_information(args.v_dist, v_alpha))
+                  for n, name, _, v_alpha in sweep())
     run.write_table("mi_curve.csv", ["n_probes", "coalition", "mse_per_quadrature", "mi_bits"],
                     _row_chunks(curve_rows))
     exceed_rows = ((n, name, security.prob_mi_above(args.c_bits, args.v_dist,
                                                      security.MseDistribution(mu, n)))
-                   for n, name, mu in sweep())
+                   for n, name, mu, _ in sweep())
     run.write_table("exceedance.csv", ["n_probes", "coalition", "p_exceed"],
                     _row_chunks(exceed_rows))
     run.finish()
     print(f"required per-quadrature MSE for {args.c_bits} bits: {req:.6f}")
+
 
 def _cmd_witness(args: argparse.Namespace) -> None:
     run = _Run(args, stream_layout=protocol.STREAM_LAYOUT)
@@ -456,8 +479,16 @@ def _cmd_witness(args: argparse.Namespace) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as an InvalidArgumentError, which main
+    reports as the one-line JSON error."""
+
+    def error(self, message: str):
+        raise InvalidArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvshare",
         description="Simulator and analysis toolkit for three-party continuous-variable secret sharing",
     )
@@ -538,11 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
-        parser.print_usage(sys.stderr)
-        return 2
     try:
+        args = parser.parse_args(argv)
+        if not hasattr(args, "handler"):
+            parser.print_usage(sys.stderr)
+            return 2
         args.handler(args)
     except CvshareError as exc:
         payload = {"error": exc.code, "message": str(exc)}

@@ -33,6 +33,10 @@ PHYSICALITY_SLACK = 1e-9
 #: round-off of the e^{2r} one, and the dealer state cannot be told from an
 #: unphysical one (the limit keeps a margin of about 50x above round-off)
 R_MAX = 8.0
+#: largest accepted excess noise per arm, the scale of the thermal parameters
+#: (bounds.THERMAL_MAX) and of v_dist; far above it, at r = 8 from about 1e16,
+#: round-off made physical dealer states fail the positivity check
+EPS_MAX = 1e12
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -146,7 +150,8 @@ class ExperimentModel:
 
     :param r: squeezing parameter, in [0, R_MAX].
     :param eta_a, eta_b, eta_c: transmissivity per arm, each in (0, 1].
-    :param eps_a, eps_b, eps_c: excess thermal noise per arm, >= 0 shot-noise units.
+    :param eps_a, eps_b, eps_c: excess thermal noise per arm, in [0, EPS_MAX]
+        shot-noise units.
     """
 
     r: float
@@ -165,8 +170,8 @@ class ExperimentModel:
                 raise InvalidArgumentError(f"{name} must be in (0, 1]")
         for name in ("eps_a", "eps_b", "eps_c"):
             eps = getattr(self, name)
-            if not (math.isfinite(eps) and eps >= 0.0):
-                raise InvalidArgumentError(f"{name} must be >= 0")
+            if not (math.isfinite(eps) and 0.0 <= eps <= EPS_MAX):
+                raise InvalidArgumentError(f"{name} must be in [0, EPS_MAX = {EPS_MAX:g}]")
 
     @property
     def is_ideal(self) -> bool:

@@ -53,7 +53,7 @@ from .sampler import MeasurementAssignment, RandomStream, sample_joint
 WITNESS_MIN_ROUNDS = 100
 #: witness MSE sums at or above this are consistent with a separable state
 WITNESS_THRESHOLD = 4.0
-#: default cap on n_batches * n_probes * modes for batch distribution runs
+#: cap on n_batches * n_probes * modes of a batch distribution run
 DEFAULT_BATCH_TERM_CAP = 200_000_000
 #: cap on n_rounds of a run that keeps no records; memory is bounded by the
 #: chunk, so the cap only bounds the run time
@@ -844,7 +844,6 @@ def batch_mse_distribution(
     n_probes_per_quadrature: int,
     n_batches: int,
     stream: RandomStream,
-    max_terms: int = DEFAULT_BATCH_TERM_CAP,
 ) -> np.ndarray:
     """Summed MSE of many independent batches of N probes per quadrature.
 
@@ -859,9 +858,9 @@ def batch_mse_distribution(
         raise InvalidArgumentError("n_batches must be >= 100")
     if n_probes_per_quadrature < 1:
         raise InvalidArgumentError("n_probes_per_quadrature must be >= 1")
-    if n_batches * n_probes_per_quadrature * 3 > max_terms:
+    if n_batches * n_probes_per_quadrature * 3 > DEFAULT_BATCH_TERM_CAP:
         raise ResourceLimitError(
-            f"n_batches * n_probes * modes exceeds the cap of {max_terms}"
+            f"n_batches * n_probes * modes exceeds the cap of {DEFAULT_BATCH_TERM_CAP}"
         )
     base = build_dealer_state(model, 0.0, 0.0)
     # (state, measurement, weights (columns x estimators), factor) per draw of a probe

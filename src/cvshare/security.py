@@ -176,27 +176,3 @@ def prob_mi_above(c_bits: float, v_dist: float, dist: MseDistribution) -> float:
     """
     return mse_cdf(2.0 * required_mse(c_bits, v_dist), dist)
 
-
-def build_dealer_player_correlation(
-    v_dist: float, v_alpha_x: float, v_alpha_p: float
-) -> np.ndarray:
-    """Correlation matrix between the dealer's draw and the players' estimate.
-
-    Ordering (dealer_x, dealer_p, player_x, player_p): the dealer block
-    is v_dist times the identity, the player diagonal adds the
-    estimation error per quadrature, and the cross blocks carry the full
-    modulation variance.
-    """
-    if not (math.isfinite(v_dist) and v_dist > 0.0):
-        raise InvalidArgumentError("v_dist must be finite and > 0")
-    for name, v in (("v_alpha_x", v_alpha_x), ("v_alpha_p", v_alpha_p)):
-        if not (math.isfinite(v) and v >= 0.0):
-            raise InvalidArgumentError(f"{name} must be finite and >= 0")
-    return np.array(
-        [
-            [v_dist, 0.0, v_dist, 0.0],
-            [0.0, v_dist, 0.0, v_dist],
-            [v_dist, 0.0, v_dist + v_alpha_x, 0.0],
-            [0.0, v_dist, 0.0, v_dist + v_alpha_p],
-        ]
-    )

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -320,13 +321,55 @@ def test_dealer_outputs_bytes_pinned(tmp_path, capsys, case):
 def test_band_chunks_do_not_change_the_band(tmp_path, capsys, monkeypatch, case):
     # 200 and 50 band samples in chunks of 3: every grid point crosses
     # chunk edges and ends on a partial chunk, and the band must still be
-    # the one drawn and reduced in a single chunk
+    # the one drawn and reduced in a single chunk; the 16-point grid is
+    # evaluated in chunks of 3 points too
     monkeypatch.setattr(cli, "_BAND_CHUNK", 3)
     argv, digests = DEALER_OUTPUT_SHA256[case]
     code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
     assert code == 0
     for name, want in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+@pytest.mark.parametrize("case", ["bounds-16-gaussian-band", "bounds-16-lossy-uniform-band",
+                                  "security", "security-v-t", "mi"])
+def test_csv_chunks_do_not_change_the_tables(tmp_path, capsys, monkeypatch, case):
+    # 18 to 120 rows formatted 3 at a time, most tables ending on a partial chunk
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
+    test_dealer_outputs_bytes_pinned(tmp_path, capsys, case)
+
+
+@pytest.mark.parametrize("coalition, plan", [("a_alone", "fixed"), ("abc", "gaussian")])
+def test_csv_chunks_do_not_change_rounds_csv(tmp_path, capsys, monkeypatch, coalition, plan):
+    # 200 rounds in chunks of 3, the last one partial
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
+    test_rounds_csv_bytes_pinned(tmp_path, capsys, coalition, plan)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["bounds"], "--steps"), (["mi", "--v-dist", "5", *MU_ARGS], "--n-max"),
+     (["security", *MU_ARGS], "--n-probes")],
+    ids=["bounds", "mi", "security"],
+)
+def test_table_memory_does_not_grow_with_the_sweep(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 1024)
+    monkeypatch.setattr(cli, "_BAND_CHUNK", 1024)
+
+    def peak_bytes(n):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(argv + [flag, str(n), "--out-dir", str(tmp_path)], capsys)
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # at least two full chunks of rows (bounds: of grid points) in either run
+    small = peak_bytes(2 * 1024 + 10)
+    large = peak_bytes(4 * (2 * 1024 + 10))
+    # a table held whole would take about 4x the small run's peak
+    assert large <= 1.1 * small
 
 
 def _large_r_runs(tmp_path, r):
@@ -570,6 +613,109 @@ def test_bad_input_is_one_line_json_error(tmp_path, capsys, argv):
     payload = json.loads(lines[0])
     assert payload["error"] == "invalid-argument"
     assert payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bounds", "--steps", "abc"], "--steps"),
+        (["bounds", "--no-such-flag", "1"], "--no-such-flag"),
+        # argparse reads -inf as an option, so --r has no value
+        (["state", "--r", "-inf"], "--r"),
+        (["simulate"], "--config"),
+    ],
+    ids=["steps-abc", "unknown-flag", "r-minus-inf", "missing-config"],
+)
+def test_malformed_command_line_is_one_line_json_error(tmp_path, capsys, argv, flag):
+    # argparse used to print its usage text and no JSON
+    code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    payload = _one_json_error(err)
+    assert payload["error"] == "invalid-argument"
+    assert flag in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["bounds", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "cvshare" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["certify", "--n1", "0.5", "--n2", "0.5", "--tol", "nan"], "--tol"),
+        (["certify", "--grid", "2", "--tol", "-1"], "--tol"),
+        (["bounds", "--r-max", "inf"], "--r-max"),
+        (["bounds", "--r-min", "nan"], "--r-min"),
+        (["bounds", "--r-min", "-0.5"], "--r-min"),
+        (["security", "--mu-single", "1e308", "--mu-pair", "5.83", "--mu-triple", "4",
+          "--n-probes", "3"], "--mu-single"),
+        (["security", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "0",
+          "--n-probes", "3"], "--mu-triple"),
+        (["mi", "--v-dist", "5", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "nan"],
+         "--mu-triple"),
+        (["mi", "--v-dist", "5", "--mu-single", "8", "--mu-pair", "nan", "--mu-triple", "4"],
+         "--mu-pair"),
+        (["mi", "--v-dist", "5", "--mu-single", "1.1e12", "--mu-pair", "5.83", "--mu-triple", "4"],
+         "--mu-single"),
+    ],
+    ids=["tol-nan", "tol-negative", "r-max-inf", "r-min-nan", "r-min-negative",
+         "security-mu-single-1e308", "security-mu-triple-0", "mi-mu-triple-nan",
+         "mi-mu-pair-nan", "mi-mu-single-above-1e12"],
+)
+def test_out_of_range_flag_is_named(tmp_path, capsys, argv, flag):
+    # --tol nan and -1 printed "0/1 certificates ok", --r-max inf warned on
+    # stderr, and the --mu-* errors blamed v_t, v_alpha or an unnamed mu
+    code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    payload = _one_json_error(err)
+    assert payload["error"] == "invalid-argument"
+    assert flag in payload["message"]
+    if flag.startswith("--r-"):
+        assert "R_MAX = 8.0" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_certify_zero_tolerance_is_accepted(tmp_path, capsys):
+    code, _, _ = run_cli(["certify", "--n1", "0.5", "--n2", "0.5", "--tol", "0",
+                          "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert read_json(tmp_path / "manifest.json")["arguments"]["tol"] == 0.0
+
+
+def _eps_runs(tmp_path, r, eps):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"r = {r}\nn_rounds = 2000\neps_a = {eps}\neps_b = {eps}\neps_c = {eps}\n")
+    arms = ["--eps-a", eps, "--eps-b", eps, "--eps-c", eps]
+    return [
+        ["state", "--r", r, *arms],
+        ["bounds", "--r-min", r, "--r-max", r, "--steps", "1", *arms],
+        ["witness", "--r", r, "--n-rounds", "2000", *arms],
+        ["simulate", "--config", str(cfg)],
+    ]
+
+
+@pytest.mark.parametrize("r", ["0", "1", "8"])
+def test_excess_noise_up_to_eps_max_runs(tmp_path, capsys, r):
+    for argv in _eps_runs(tmp_path, r, "1e12"):
+        code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize("eps", ["1.000001e12", "1e16", "1e308"])
+def test_excess_noise_above_eps_max_is_one_line_json_error(tmp_path, capsys, eps):
+    # 1e308 failed with a LinAlgError traceback, and from about 1e16 at r = 8
+    # physical states were rejected as not positive definite
+    for argv in _eps_runs(tmp_path, "8", eps):
+        code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 2, argv
+        payload = _one_json_error(err)
+        assert payload["error"] == "invalid-argument"
+        assert "eps_a" in payload["message"] and "EPS_MAX" in payload["message"]
 
 
 def test_simulate_missing_config(tmp_path, capsys):

@@ -12,7 +12,6 @@ from conftest import MU_PAIR_ANCHOR, MU_SINGLE_ANCHOR, MU_TRIPLE_ANCHOR
 from cvshare.errors import InvalidArgumentError
 from cvshare.security import (
     MseDistribution,
-    build_dealer_player_correlation,
     crossing_threshold,
     mse_cdf,
     mse_pdf,
@@ -174,17 +173,3 @@ def test_prob_mi_above_uses_summed_scale():
     c, v = 1.0, 5.0
     manual = mse_cdf(2.0 * required_mse(c, v), dist)
     assert prob_mi_above(c, v, dist) == manual
-
-
-def test_dealer_player_correlation_matrix():
-    m = build_dealer_player_correlation(2.0, 0.3, 0.5)
-    assert m.shape == (4, 4)
-    assert np.allclose(m, m.T)
-    assert m[0, 0] == 2.0 and m[2, 2] == 2.3 and m[3, 3] == 2.5
-    assert m[0, 2] == 2.0 and m[1, 3] == 2.0 and m[0, 1] == 0.0
-    # valid second-moment matrix
-    assert np.linalg.eigvalsh(m).min() >= -1e-12
-    with pytest.raises(InvalidArgumentError):
-        build_dealer_player_correlation(0.0, 0.1, 0.1)
-    with pytest.raises(InvalidArgumentError):
-        build_dealer_player_correlation(1.0, -0.1, 0.1)
