@@ -81,6 +81,9 @@ MAX_CERTIFY_POINTS = 100_000
 #: largest accepted --mu-* of ``security`` and ``mi`` (a mean summed MSE), the
 #: scale of EPS_MAX and of v_dist; far larger means overflow the thresholds
 MU_MAX = 1e12
+#: smallest accepted --mu-*; far smaller means underflow the per-probe MSE mu / N
+#: and overflow the tail integrals
+MU_MIN = 1.0 / MU_MAX
 
 
 def _round_chunks(table: protocol.RoundTable):
@@ -389,8 +392,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 def _check_mus(args: argparse.Namespace) -> None:
     for flag, mu in (("--mu-single", args.mu_single), ("--mu-pair", args.mu_pair),
                      ("--mu-triple", args.mu_triple)):
-        if not (0.0 < mu <= MU_MAX):
-            raise InvalidArgumentError(f"{flag} must be in (0, {MU_MAX:g}]")
+        if not (MU_MIN <= mu <= MU_MAX):
+            raise InvalidArgumentError(f"{flag} must be in [{MU_MIN:g}, {MU_MAX:g}]")
 
 
 def _cmd_security(args: argparse.Namespace) -> None:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidArgumentError
 
@@ -76,6 +75,8 @@ def mse_pdf(x, dist: MseDistribution):
     Evaluated in the log domain so large probe counts do not overflow
     the gamma function.
     """
+    from scipy import special
+
     arr = _check_x(x)
     n = dist.n_probes
     mu = dist.mu
@@ -99,6 +100,8 @@ def mse_pdf(x, dist: MseDistribution):
 
 def mse_cdf(x, dist: MseDistribution):
     """Probability that the summed MSE is at most x (vectorized)."""
+    from scipy import special
+
     arr = _check_x(x)
     val = special.gammainc(dist.n_probes, np.clip(arr, 0.0, None) * dist.n_probes / dist.mu)
     return float(val) if arr.ndim == 0 else val

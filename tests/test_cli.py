@@ -5,6 +5,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -575,6 +577,62 @@ def test_mi_v_dist_out_of_range_names_the_flag(tmp_path, capsys, value):
     assert "--v-dist" in payload["message"]
 
 
+# Runs each (name, argv) in one interpreter, in order, and prints the scipy
+# modules loaded after the imports and after each run, with its exit code and
+# the sha256 of each file it wrote.
+_IMPORT_SET_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+import cvshare, cvshare.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out, runs = Path(sys.argv[1]), json.loads(sys.argv[2])
+report = {"import": scipy_modules(), "runs": {}}
+for name, argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cvshare.cli.main(argv + ["--out-dir", str(out / name)])
+    files = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+             for f in sorted((out / name).iterdir())}
+    report["runs"][name] = {"code": code, "scipy": scipy_modules(), "files": files}
+print(json.dumps(report))
+"""
+
+
+def test_only_security_and_mi_load_scipy(tmp_path):
+    # scipy.special serves only the gamma functions of security and mi; the
+    # other five subcommands and the imports must not pay for loading it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 1.0\ncoalition = abc\nn_rounds = 2000\nseed = 5\n")
+    light = [
+        ("simulate", ["simulate", "--config", str(cfg)]),
+        ("witness", ["witness", "--n-rounds", "2000", "--seed", "3"]),
+        ("bounds", ["bounds", "--steps", "4"]),
+        ("certify", ["certify", "--n1", "0.5", "--n2", "0.5"]),
+        ("state", ["state", "--r", "1"]),
+    ]
+    pinned = ["security", "mi"]
+    runs = light + [(case, SWEEP_OUTPUT_SHA256[case][0]) for case in pinned]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET_SCRIPT, str(tmp_path / "out"),
+                           json.dumps(runs)], env=env, capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == []
+    for name, _ in light:
+        assert report["runs"][name]["code"] == 0, name
+        assert report["runs"][name]["scipy"] == [], name
+    for case in pinned:
+        run = report["runs"][case]
+        assert run["code"] == 0, case
+        assert "scipy.special" in run["scipy"], case
+        for name, want in SWEEP_OUTPUT_SHA256[case][1].items():
+            assert run["files"][name] == want, f"{case}: {name}"
+
+
 def test_tracer_call_sites_exist():
     # perfbench/tracing.py wraps these names; a missing one would crash a traced run
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -662,14 +720,25 @@ def test_help_and_version_exit_zero(capsys, argv):
          "--mu-pair"),
         (["mi", "--v-dist", "5", "--mu-single", "1.1e12", "--mu-pair", "5.83", "--mu-triple", "4"],
          "--mu-single"),
+        (["security", "--mu-single", "5e-324", "--mu-pair", "5", "--mu-triple", "4",
+          "--n-probes", "10"], "--mu-single"),
+        (["security", "--mu-single", "1e-310", "--mu-pair", "5", "--mu-triple", "4",
+          "--n-probes", "10"], "--mu-single"),
+        (["mi", "--v-dist", "5", "--mu-single", "5e-324", "--mu-pair", "5", "--mu-triple", "4"],
+         "--mu-single"),
+        (["mi", "--v-dist", "5", "--mu-single", "1e-310", "--mu-pair", "5", "--mu-triple", "4"],
+         "--mu-single"),
     ],
     ids=["tol-nan", "tol-negative", "r-max-inf", "r-min-nan", "r-min-negative",
          "security-mu-single-1e308", "security-mu-triple-0", "mi-mu-triple-nan",
-         "mi-mu-pair-nan", "mi-mu-single-above-1e12"],
+         "mi-mu-pair-nan", "mi-mu-single-above-1e12", "security-mu-single-5e-324",
+         "security-mu-single-1e-310", "mi-mu-single-5e-324", "mi-mu-single-1e-310"],
 )
+@pytest.mark.filterwarnings("error")
 def test_out_of_range_flag_is_named(tmp_path, capsys, argv, flag):
     # --tol nan and -1 printed "0/1 certificates ok", --r-max inf warned on
-    # stderr, and the --mu-* errors blamed v_t, v_alpha or an unnamed mu
+    # stderr, and the --mu-* errors blamed v_t, v_alpha or an unnamed mu; a
+    # tiny --mu-* underflowed mu / N, and mi at 1e-310 exited 0 with a warning
     code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     payload = _one_json_error(err)
