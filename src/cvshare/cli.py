@@ -65,16 +65,18 @@ def _row_chunks(rows):
         yield list(zip(*chunk))
 
 
-#: table rows formatted at a time, which bounds the per-cell strings held at once
+#: table rows formatted at a time, which bounds the per-cell strings held at once;
+#: also the probe counts of a security or mi sweep computed at a time
 _CSV_CHUNK = 32768
-#: grid points or band r-samples evaluated at a time, which bounds the covariance
-#: stack held at once
+#: grid points, band r-samples or certificate points evaluated at a time, which
+#: bounds the covariance or certificate stack held at once
 _BAND_CHUNK = 4096
 #: caps on the work of the closed-form subcommands, checked before anything is
-#: allocated; at each cap a run took about a minute or less on a 2-core x86-64 host.
+#: allocated; at each cap a run took, on a 2-core x86-64 host, about 30 s (bounds),
+#: 12 s (certify), 2.8 s (mi) and 1.4 s (security).
 #: Dealer covariances of ``bounds``: --steps x (1 + --band-samples)
 MAX_BOUNDS_POINTS = 1_000_000
-#: sweep length of ``security`` (--n-probes) and ``mi`` (--n-max), one loop step per N
+#: sweep length of ``security`` (--n-probes) and ``mi`` (--n-max)
 MAX_SWEEP_PROBES = 100_000
 #: (n1, n2) points of ``certify --grid K``: K squared
 MAX_CERTIFY_POINTS = 100_000
@@ -116,8 +118,17 @@ class _Run:
         os.makedirs(self.out_dir, exist_ok=True)
 
     def write(self, name: str, text: str) -> None:
+        self.write_pieces(name, [text])
+
+    def write_pieces(self, name: str, pieces) -> None:
+        """Write an iterable of text pieces to one file as they come. The file is
+        opened once the first piece is ready, so a run that fails before then
+        leaves none."""
+        pieces = iter(pieces)
+        first = next(pieces, "")
         with open(os.path.join(self.out_dir, name), "w", newline="") as fh:
-            fh.write(text)
+            fh.write(first)
+            fh.writelines(pieces)
         self.outputs.append(name)
 
     def write_table(self, name: str, header, chunks) -> None:
@@ -269,23 +280,37 @@ def _cmd_certify(args: argparse.Namespace) -> None:
                 f"--grid {args.grid} asks for {args.grid**2} points, above the cap of "
                 f"{MAX_CERTIFY_POINTS}"
             )
-        for flag, value in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
-            if value > bounds.THERMAL_MAX:
-                raise InvalidArgumentError(f"{flag} must be at most {bounds.THERMAL_MAX:g}")
+    flags = ((("--n1", args.n1), ("--n2", args.n2)) if single
+             else (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)))
+    for flag, value in flags:
+        if not (math.isfinite(value) and 0.0 <= value <= bounds.THERMAL_MAX):
+            raise InvalidArgumentError(
+                f"{flag} must be finite and in [0, THERMAL_MAX = {bounds.THERMAL_MAX:g}]")
     run = _Run(args)
     if single:
-        points = [(args.n1, args.n2)]
+        n1_axis, n2_axis = np.array([args.n1]), np.array([args.n2])
     else:
-        axis = np.linspace(args.grid_min, args.grid_max, args.grid)
-        points = [(float(n1), float(n2)) for n1 in axis for n2 in axis]
-    reports = []
-    for n1, n2 in points:
-        rep = certificates.verify_certificates(bounds.ThermalParams(n1, n2), tol=args.tol)
-        reports.append(rep.to_json_dict())
-    run.write("certificates.json", _json_text(reports))
+        n1_axis = n2_axis = np.linspace(args.grid_min, args.grid_max, args.grid)
+    n_points = len(n1_axis) * len(n2_axis)
+    n_ok = 0
+
+    def pieces():
+        # point k is (n1_axis[k // K], n2_axis[k % K]); the pieces join to the
+        # _json_text of the list of every report
+        nonlocal n_ok
+        for start in range(0, n_points, _BAND_CHUNK):
+            k = np.arange(start, min(start + _BAND_CHUNK, n_points))
+            reports = certificates.verify_certificate_stack(
+                n1_axis[k // len(n2_axis)], n2_axis[k % len(n2_axis)], tol=args.tol)
+            n_ok += sum(r.feasible_primal and r.feasible_dual and r.values_match for r in reports)
+            yield ("[\n" if start == 0 else ",\n") + ",\n".join(
+                "  " + json.dumps(r.to_json_dict(), sort_keys=True, indent=2).replace("\n", "\n  ")
+                for r in reports)
+        yield "\n]\n"
+
+    run.write_pieces("certificates.json", pieces())
     run.finish()
-    n_ok = sum(1 for r in reports if r["feasible_primal"] and r["feasible_dual"] and r["values_match"])
-    print(f"{n_ok}/{len(reports)} certificates ok")
+    print(f"{n_ok}/{n_points} certificates ok")
 
 
 #: config keys with their defaults; each value is cast to its default's type
@@ -396,32 +421,51 @@ def _check_mus(args: argparse.Namespace) -> None:
             raise InvalidArgumentError(f"{flag} must be in [{MU_MIN:g}, {MU_MAX:g}]")
 
 
+def _probe_chunks(n_max: int, names: np.ndarray, columns):
+    """Sweep column chunks for N = 1..n_max, n-major with one row per (N, coalition):
+    N, the coalition name, then the ``columns`` of an (n, 1) array of N, each of
+    shape (n, len(names))."""
+    for start in range(1, n_max + 1, _CSV_CHUNK):
+        n = np.arange(start, min(start + _CSV_CHUNK, n_max + 1))
+        yield [np.repeat(n, len(names)), np.tile(names, len(n)),
+               *(np.ravel(col) for col in columns(n[:, None]))]
+
+
 def _cmd_security(args: argparse.Namespace) -> None:
     if args.n_probes < 1:
         raise InvalidArgumentError("--n-probes must be >= 1")
     if args.n_probes > MAX_SWEEP_PROBES:
         raise ResourceLimitError(f"--n-probes exceeds the cap of {MAX_SWEEP_PROBES}")
     _check_mus(args)
-    run = _Run(args)
-    mus = {"ab": args.mu_pair, "abc": args.mu_triple}
+    mus = {"ab": ("--mu-pair", args.mu_pair), "abc": ("--mu-triple", args.mu_triple)}
+    if args.v_t is not None and not (0.0 <= args.v_t <= MU_MAX):
+        raise InvalidArgumentError(f"--v-t must be in [0, {MU_MAX:g}]")
+    for flag, mu in mus.values():
+        if args.v_t is None and mu == args.mu_single:
+            raise InvalidArgumentError(
+                f"--mu-single equals {flag}: equal means have no crossing, so give --v-t")
     v_ts = {name: security.crossing_threshold(args.mu_single, mu) if args.v_t is None
-            else args.v_t for name, mu in mus.items()}
-    # security.json holds the sweep's reports at N = --n-probes
-    reports = []
+            else args.v_t for name, (_, mu) in mus.items()}
+    run = _Run(args)
+    names = np.array(list(mus))
+    v_t = np.array(list(v_ts.values()))
+    # v_t does not change with N, so its cells are formatted once
+    v_t_cells = np.array([repr(v) for v in v_t.tolist()])
+    # per coalition, the means of the lone party and of the coalition
+    means = np.array([[args.mu_single, mu] for _, mu in mus.values()])
 
-    def sweep_rows():
-        for n in range(1, args.n_probes + 1):
-            single = security.MseDistribution(args.mu_single, n)
-            for name, mu in mus.items():
-                rep = security.security_probabilities(
-                    v_ts[name], single, security.MseDistribution(mu, n), coalition_name=name
-                )
-                if n == args.n_probes:
-                    reports.append(rep.to_json_dict())
-                yield n, name, rep.v_t, rep.delta, rep.p_success
+    def columns(n):
+        # delta and p_success of every row in the chunk from one gamma-function call
+        probs = security.mse_cdf_over_n(v_t[:, None], means, n[..., None])
+        return np.broadcast_to(v_t_cells, probs.shape[:2]), probs[..., 0], probs[..., 1]
 
     run.write_table("security_sweep.csv", ["n_probes", "coalition", "v_t", "delta", "p_success"],
-                    _row_chunks(sweep_rows()))
+                    _probe_chunks(args.n_probes, names, columns))
+    # security.json holds the sweep's reports at N = --n-probes
+    single = security.MseDistribution(args.mu_single, args.n_probes)
+    reports = [security.security_probabilities(
+        v_ts[name], single, security.MseDistribution(mu, args.n_probes), coalition_name=name
+    ).to_json_dict() for name, (_, mu) in mus.items()]
     run.write("security.json", _json_text(reports))
     run.finish()
     for rep in reports:
@@ -443,22 +487,23 @@ def _cmd_mi(args: argparse.Namespace) -> None:
         raise InvalidArgumentError(f"--v-dist must be in (0, {protocol.ALPHA_MAX**2:g}]")
     req = security.required_mse(args.c_bits, args.v_dist)
     run = _Run(args)
-    mus = {"a_alone": args.mu_single, "ab": args.mu_pair, "abc": args.mu_triple}
+    names = np.array(["a_alone", "ab", "abc"])
+    mus = np.array([args.mu_single, args.mu_pair, args.mu_triple])
 
-    def sweep():
+    def curve(n):
         # mean summed MSE mu/N; per-quadrature achieved MSE is half that
-        return ((n, name, mu, 0.5 * mu / n)
-                for n in range(1, args.n_max + 1) for name, mu in mus.items())
+        v_alpha = 0.5 * mus / n
+        return v_alpha, security.mutual_information(args.v_dist, v_alpha)
 
-    curve_rows = ((n, name, v_alpha, security.mutual_information(args.v_dist, v_alpha))
-                  for n, name, _, v_alpha in sweep())
-    run.write_table("mi_curve.csv", ["n_probes", "coalition", "mse_per_quadrature", "mi_bits"],
-                    _row_chunks(curve_rows))
-    exceed_rows = ((n, name, security.prob_mi_above(args.c_bits, args.v_dist,
-                                                     security.MseDistribution(mu, n)))
-                   for n, name, mu, _ in sweep())
-    run.write_table("exceedance.csv", ["n_probes", "coalition", "p_exceed"],
-                    _row_chunks(exceed_rows))
+    def exceedance(n):
+        # at least c bits takes a summed MSE of at most twice the per-quadrature target
+        return (security.mse_cdf_over_n(2.0 * req, mus, n),)
+
+    for name, header, columns in (
+        ("mi_curve.csv", ["n_probes", "coalition", "mse_per_quadrature", "mi_bits"], curve),
+        ("exceedance.csv", ["n_probes", "coalition", "p_exceed"], exceedance),
+    ):
+        run.write_table(name, header, _probe_chunks(args.n_max, names, columns))
     run.finish()
     print(f"required per-quadrature MSE for {args.c_bits} bits: {req:.6f}")
 

@@ -98,12 +98,19 @@ def mse_pdf(x, dist: MseDistribution):
     return float(out[0]) if scalar else out
 
 
-def mse_cdf(x, dist: MseDistribution):
-    """Probability that the summed MSE is at most x (vectorized)."""
+def mse_cdf_over_n(x, mu, n_probes):
+    """Probability that the summed MSE at mean mu and n_probes probes per
+    quadrature is at most x; broadcasts over all three, so one call covers a
+    sweep over N. The arguments are taken as checked."""
     from scipy import special
 
+    return special.gammainc(n_probes, np.clip(x, 0.0, None) * n_probes / mu)
+
+
+def mse_cdf(x, dist: MseDistribution):
+    """Probability that the summed MSE is at most x (vectorized)."""
     arr = _check_x(x)
-    val = special.gammainc(dist.n_probes, np.clip(arr, 0.0, None) * dist.n_probes / dist.mu)
+    val = mse_cdf_over_n(arr, dist.mu, dist.n_probes)
     return float(val) if arr.ndim == 0 else val
 
 
@@ -146,12 +153,19 @@ def security_probabilities(
     )
 
 
-def mutual_information(v_dist: float, v_alpha: float) -> float:
-    """Bits shared per use for modulation variance v_dist and per-quadrature MSE v_alpha."""
-    for name, v in (("v_dist", v_dist), ("v_alpha", v_alpha)):
-        if not (math.isfinite(v) and v > 0.0):
+def mutual_information(v_dist: float, v_alpha):
+    """Bits shared per use for modulation variance v_dist and per-quadrature MSE v_alpha.
+
+    v_alpha may be an array, such as one MSE per probe count of a sweep.
+    ``math.log2`` is applied per value: numpy's log2 differs from it in
+    the last bit on some inputs.
+    """
+    alphas = np.asarray(v_alpha, dtype=float)
+    for name, v in (("v_dist", np.asarray(v_dist, dtype=float)), ("v_alpha", alphas)):
+        if not np.all(np.isfinite(v) & (v > 0.0)):
             raise InvalidArgumentError(f"{name} must be finite and > 0")
-    return math.log2(v_dist + v_alpha) - math.log2(v_alpha)
+    bits = [math.log2(v_dist + a) - math.log2(a) for a in alphas.ravel().tolist()]
+    return bits[0] if alphas.ndim == 0 else np.reshape(bits, alphas.shape)
 
 
 def required_mse(c_bits: float, v_dist: float) -> float:

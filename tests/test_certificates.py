@@ -1,8 +1,11 @@
 """Closed-form primal/dual certificate pairs for the estimation bound."""
 
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvshare import certificates
@@ -16,6 +19,7 @@ from cvshare.certificates import (
     constraint_residuals,
     dual_vector,
     primal_value_blockwise,
+    verify_certificate_stack,
     verify_certificates,
     x1_eigenvalue_formulas,
     x2_eigenvalue_formula,
@@ -180,3 +184,114 @@ def test_x1_with_a_negative_eigenvalue_fails(monkeypatch, n1):
     rep = verify_certificates(params)
     assert min(rep.x1_eigs) < 0.0
     assert not rep.feasible_primal
+
+
+def _reference_report(params, tol):
+    """The check of one point as it ran before the stacked check: the builders and
+    checks of verify_certificates copied with Python floats, np.array blocks and
+    one eigvalsh per block, so the stack can be held to its bits."""
+    n1, n2, v1, v2 = params.n1, params.n2, params.v1, params.v2
+    x1 = np.array([[1.0, 0.0, -2.0 - 2.0 * n1, 0.0], [0.0, 1.0, 0.0, -2.0 - 2.0 * n2],
+                   [-2.0 - 2.0 * n1, 0.0, 4.0 * (1.0 + n1) ** 2, 0.0],
+                   [0.0, -2.0 - 2.0 * n2, 0.0, 4.0 * (1.0 + n2) ** 2]])
+    c, d = 4.0 * (1.0 + n2) ** 2 / v2, 4.0 * (1.0 + n1) ** 2 / v1
+    x2 = np.zeros((4, 4), dtype=complex)
+    x2[2, 2], x2[3, 3] = c, d
+    x2[2, 3], x2[3, 2] = 1j * math.sqrt(c * d), -1j * math.sqrt(c * d)
+    a1, a2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    a3, zero2 = np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))
+    ul = x1[0:2, 0:2] + x2[0:2, 0:2].real
+    residuals = [abs(float(np.trace(ul @ bj)) - bval) for bj, bval in
+                 zip((zero2, zero2, zero2, a1, a2, a3), (0.0, 0.0, 0.0, 1.0, 1.0, 0.0))]
+    degenerate = n1 == 0.0 and n2 == 0.0
+    if degenerate:
+        primal = 4.0
+    elif v1 * v2 == 1.0:
+        raise DegenerateDualError("objective core is singular at n1 = n2 = 0")
+    else:
+        off = 2.0 / math.sqrt(v1 * v2)
+        d_matrix = np.array([[0.0, off], [-off, 0.0]])
+        c_core = np.linalg.inv(np.eye(2, dtype=complex) + 1j * d_matrix / 2.0)
+        primal = float(np.real(np.trace(x2[2:4, 2:4] @ c_core)))
+
+    def block_ok(eigs, formulas):
+        values = eigs.tolist()
+        scale = max(1.0, -values[0], values[-1])
+        return values[0] >= -certificates.DEFAULT_TOL * scale and all(
+            abs(e - f) <= tol * (abs(f) + scale) for e, f in zip(values, sorted(formulas)))
+
+    x1_eigs, x2_eigs = np.linalg.eigvalsh(x1), np.linalg.eigvalsh(x2)
+    feasible_primal = bool(
+        max(residuals) <= max(tol, certificates.DEFAULT_TOL)
+        and block_ok(x1_eigs, (0.0, 0.0, 5.0 + 4.0 * n1 * (2.0 + n1), 5.0 + 4.0 * n2 * (2.0 + n2)))
+        and block_ok(x2_eigs, (0.0, 0.0, 0.0, c + d)))
+    y = np.array([v2 / (2.0 + 2.0 * n2), v1 / (2.0 + 2.0 * n1), 0.0, 2.0 + 2.0 * n1,
+                  2.0 + 2.0 * n2, 0.0])
+    dual = float(y @ np.array([0.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
+    y1 = np.array([[2.0 * (1.0 + n1), 0.0, 1.0, 0.0], [0.0, 2.0 * (1.0 + n2), 0.0, 1.0],
+                   [1.0, 0.0, 1.0 / (2.0 + 2.0 * n1), 0.0],
+                   [0.0, 1.0, 0.0, 1.0 / (2.0 + 2.0 * n2)]])
+    y2_diag = [1.0 - 1.0 / (2.0 * (1.0 + n2)), 1.0 - 1.0 / (2.0 * (1.0 + n1))]
+    e, f = 2.0 * (1.0 + n1), 2.0 * (1.0 + n2)
+    y1_eigs, y2_eigs = np.linalg.eigvalsh(y1), np.linalg.eigvalsh(np.diag(y2_diag))
+    blocks = [(y1_eigs, (0.0, 0.0, e + 1.0 / e, f + 1.0 / f)), (y2_eigs, y2_diag)]
+    y3_eigs = np.array([])
+    if not degenerate:
+        denom = 2.0 * n1 + 2.0 * n2 + 4.0 * n1 * n2
+        off = math.sqrt((1.0 + 2.0 * n1) * (1.0 + 2.0 * n2)) / denom
+        y3_eigs = np.linalg.eigvalsh(np.array(
+            [[1.0 / (2.0 * (1.0 + n2)) + 1.0 / denom, -1j * off],
+             [1j * off, 1.0 / (2.0 * (1.0 + n1)) + 1.0 / denom]], dtype=complex))
+        num = (1.0 + (2.0 + n2 / 2.0) * n2 + n1**2 * (0.5 + n2)
+               + n1 * (2.0 + n2 * (4.0 + n2)))
+        blocks.append((y3_eigs, (0.0, num / ((1.0 + n1) * (1.0 + n2) * (n1 + n2 + 2.0 * n1 * n2)))))
+    bound = 4.0 + 2.0 * n1 + 2.0 * n2
+    values_match = bool(abs(primal - dual) <= max(tol, 0.0) * (1.0 + abs(primal))
+                        and abs(primal - bound) <= tol * (1.0 + abs(bound)))
+    if tol == 0.0:
+        values_match = bool(primal == dual == bound)
+    return {
+        "n1": n1, "n2": n2, "primal_value": primal, "dual_value": dual,
+        "x1_eigs": x1_eigs.tolist(), "x2_eigs": x2_eigs.tolist(), "y1_eigs": y1_eigs.tolist(),
+        "y2_eigs": y2_eigs.tolist(), "y3_eigs": y3_eigs.tolist(),
+        "feasible_primal": feasible_primal, "feasible_dual": all(block_ok(*b) for b in blocks),
+        "values_match": values_match, "constraint_residuals": residuals,
+        "status": STATUS_DEGENERATE_DUAL if degenerate else STATUS_OK,
+    }
+
+
+_SPECIAL_OCCUPATIONS = [0.0, 1e-12, 1e-7, 0.5, 3e3, 1e8, 1e12]
+_occupation = st.one_of(st.sampled_from(_SPECIAL_OCCUPATIONS),
+                        st.floats(0.0, 1e12, allow_nan=False, allow_infinity=False),
+                        st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(_occupation, _occupation), min_size=1, max_size=40),
+       tol=st.sampled_from([0.0, certificates.DEFAULT_TOL]))
+@example(points=[(0.0, 0.0)], tol=certificates.DEFAULT_TOL)
+@example(points=[(0.0, 0.0)], tol=0.0)
+@example(points=[(a, b) for a in _SPECIAL_OCCUPATIONS for b in _SPECIAL_OCCUPATIONS], tol=0.0)
+@example(points=[(a, b) for a in _SPECIAL_OCCUPATIONS for b in _SPECIAL_OCCUPATIONS],
+         tol=certificates.DEFAULT_TOL)
+@example(points=[(0.1, 0.1), (0.2, 3.0), (0.0, 1e-12)], tol=0.0)
+# points where (1 + n) ** 2 through libm pow and (1 + n) * (1 + n) round apart
+@example(points=[(4.854727400604526, 3.6563962320681256),
+                 (175.06096189371112, 4.686711494159911e-10),
+                 (0.14624780096198772, 0.00040206272163356)], tol=certificates.DEFAULT_TOL)
+def test_stacked_check_matches_scalar_reference(points, tol):
+    # every field, bit for bit (JSON text carries each float's shortest repr),
+    # with the points checked as one stack; n1 < n2 is swapped by both
+    try:
+        want = [_reference_report(ThermalParams(a, b), tol) for a, b in points]
+    except DegenerateDualError:
+        # a point with 1 + 2 n == 1 in floating point but n > 0 has a singular core
+        with pytest.raises(DegenerateDualError):
+            verify_certificate_stack([a for a, _ in points], [b for _, b in points], tol)
+        return
+    got = verify_certificate_stack([a for a, _ in points], [b for _, b in points], tol)
+    assert len(got) == len(points)
+    for rep, ref in zip(got, want):
+        assert json.dumps(rep.to_json_dict(), sort_keys=True) == json.dumps(ref, sort_keys=True)
+    one = verify_certificates(ThermalParams(*points[-1]), tol)
+    assert json.dumps(one.to_json_dict(), sort_keys=True) == json.dumps(want[-1], sort_keys=True)

@@ -341,6 +341,16 @@ def test_csv_chunks_do_not_change_the_tables(tmp_path, capsys, monkeypatch, case
     test_dealer_outputs_bytes_pinned(tmp_path, capsys, case)
 
 
+@pytest.mark.parametrize("case", ["certify-grid-20", "certify-point"])
+def test_chunks_do_not_change_the_certificates(tmp_path, capsys, monkeypatch, case):
+    # certify --grid 20 checks its 400 points in stacks of 3, the last one
+    # partial; the security and mi sweeps, which compute 3 probe counts at a
+    # time under the same _CSV_CHUNK, are covered by the test above
+    monkeypatch.setattr(cli, "_BAND_CHUNK", 3)
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
+    test_dealer_outputs_bytes_pinned(tmp_path, capsys, case)
+
+
 @pytest.mark.parametrize("coalition, plan", [("a_alone", "fixed"), ("abc", "gaussian")])
 def test_csv_chunks_do_not_change_rounds_csv(tmp_path, capsys, monkeypatch, coalition, plan):
     # 200 rounds in chunks of 3, the last one partial
@@ -371,6 +381,25 @@ def test_table_memory_does_not_grow_with_the_sweep(tmp_path, capsys, monkeypatch
     small = peak_bytes(2 * 1024 + 10)
     large = peak_bytes(4 * (2 * 1024 + 10))
     # a table held whole would take about 4x the small run's peak
+    assert large <= 1.1 * small
+
+
+def test_certify_memory_does_not_grow_with_the_grid(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_BAND_CHUNK", 256)
+
+    def peak_bytes(k):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(["certify", "--grid", str(k), "--out-dir", str(tmp_path)], capsys)
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 529 and 2116 points, at least two full stacks of points in either run
+    small = peak_bytes(23)
+    large = peak_bytes(46)
+    # every report or the whole JSON text held at once would take about 4x
     assert large <= 1.1 * small
 
 
@@ -728,17 +757,33 @@ def test_help_and_version_exit_zero(capsys, argv):
          "--mu-single"),
         (["mi", "--v-dist", "5", "--mu-single", "1e-310", "--mu-pair", "5", "--mu-triple", "4"],
          "--mu-single"),
+        (["certify", "--grid", "3", "--grid-min", "-1"], "--grid-min"),
+        (["certify", "--grid", "3", "--grid-min", "nan"], "--grid-min"),
+        (["certify", "--grid", "3", "--grid-max", "inf"], "--grid-max"),
+        (["certify", "--n1", "-1", "--n2", "0"], "--n1"),
+        (["certify", "--n1", "0.5", "--n2", "nan"], "--n2"),
+        (["certify", "--n1", "0.5", "--n2", "1.5e12"], "--n2"),
+        (["security", "--mu-single", "8", "--mu-pair", "5", "--mu-triple", "4",
+          "--n-probes", "10", "--v-t", "1e308"], "--v-t"),
+        (["security", "--mu-single", "8", "--mu-pair", "5", "--mu-triple", "4",
+          "--n-probes", "10", "--v-t", "-1"], "--v-t"),
+        (["security", "--mu-single", "8", "--mu-pair", "5", "--mu-triple", "4",
+          "--n-probes", "10", "--v-t", "nan"], "--v-t"),
     ],
     ids=["tol-nan", "tol-negative", "r-max-inf", "r-min-nan", "r-min-negative",
          "security-mu-single-1e308", "security-mu-triple-0", "mi-mu-triple-nan",
          "mi-mu-pair-nan", "mi-mu-single-above-1e12", "security-mu-single-5e-324",
-         "security-mu-single-1e-310", "mi-mu-single-5e-324", "mi-mu-single-1e-310"],
+         "security-mu-single-1e-310", "mi-mu-single-5e-324", "mi-mu-single-1e-310",
+         "certify-grid-min-negative", "certify-grid-min-nan", "certify-grid-max-inf",
+         "certify-n1-negative", "certify-n2-nan", "certify-n2-above-thermal-max",
+         "security-v-t-1e308", "security-v-t-negative", "security-v-t-nan"],
 )
 @pytest.mark.filterwarnings("error")
 def test_out_of_range_flag_is_named(tmp_path, capsys, argv, flag):
     # --tol nan and -1 printed "0/1 certificates ok", --r-max inf warned on
     # stderr, and the --mu-* errors blamed v_t, v_alpha or an unnamed mu; a
-    # tiny --mu-* underflowed mu / N, and mi at 1e-310 exited 0 with a warning
+    # tiny --mu-* underflowed mu / N, and mi at 1e-310 exited 0 with a warning;
+    # the certify values named no flag, and --v-t 1e308 exited 0 with a warning
     code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     payload = _one_json_error(err)
@@ -747,6 +792,32 @@ def test_out_of_range_flag_is_named(tmp_path, capsys, argv, flag):
     if flag.startswith("--r-"):
         assert "R_MAX = 8.0" in payload["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("equal", ["--mu-pair", "--mu-triple"])
+def test_equal_means_name_both_flags(tmp_path, capsys, equal):
+    # "equal means have no crossing" named no flag
+    mus = {"--mu-single": "8", "--mu-pair": "5", "--mu-triple": "4", equal: "8"}
+    argv = ["security", *(a for kv in mus.items() for a in kv), "--n-probes", "10"]
+    code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    payload = _one_json_error(err)
+    assert payload["error"] == "invalid-argument"
+    assert "--mu-single" in payload["message"] and equal in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("v_t", ["1e12", "0"])
+@pytest.mark.parametrize("mu_single", ["8", "1e-12"])
+@pytest.mark.filterwarnings("error")
+def test_v_t_at_its_bounds_runs(tmp_path, capsys, v_t, mu_single):
+    # --v-t 1e308 overflowed v_t * N / mu; at 1e12 over a mean of 1e-12 it stays finite
+    argv = ["security", "--mu-single", mu_single, "--mu-pair", "5", "--mu-triple", "1e-12",
+            "--n-probes", "10", "--v-t", v_t, "--out-dir", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    for rep in read_json(tmp_path / "security.json"):
+        assert 0.0 <= rep["delta"] <= 1.0 and 0.0 <= rep["p_success"] <= 1.0
 
 
 def test_certify_zero_tolerance_is_accepted(tmp_path, capsys):
