@@ -7,13 +7,15 @@ manifest can be replayed to byte-identical outputs. All JSON is
 emitted with sorted keys and no timestamps for the same reason.
 
 Exit codes: 0 on success, 2 on argument and configuration errors,
-1 on runtime failures (abort on loss, protocol failure); failures
-print one machine-readable JSON object on stderr.
+1 on runtime failures (abort on loss, protocol failure, an output
+directory or file that cannot be written); failures print one
+machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -23,7 +25,13 @@ import sys
 import numpy as np
 
 from . import __version__, backend_name, bounds, certificates, protocol, security
-from .errors import USAGE_ERROR_CODES, CvshareError, InvalidArgumentError, ResourceLimitError
+from .errors import (
+    USAGE_ERROR_CODES,
+    CvshareError,
+    InvalidArgumentError,
+    OutputError,
+    ResourceLimitError,
+)
 from .estimators import parse_coalition
 from .gaussian_core import (
     R_MAX,
@@ -115,7 +123,22 @@ class _Run:
         self.args = args
         self.stream_layout = stream_layout
         self.outputs: list[str] = []
-        os.makedirs(self.out_dir, exist_ok=True)
+        with self._output():
+            os.makedirs(self.out_dir, exist_ok=True)
+
+    @contextlib.contextmanager
+    def _output(self, name: str | None = None):
+        """Report an OSError from making the output directory, or from opening or
+        writing the output file ``name``, as an OutputError naming the path."""
+        try:
+            yield
+        except OSError as exc:
+            what = f"output {name!r} in " if name else ""
+            raise OutputError(f"cannot write {what}--out-dir (or {OUT_DIR_ENV}) "
+                              f"{self.out_dir!r}: {exc.strerror or exc}") from None
+
+    def _open(self, name: str):
+        return open(os.path.join(self.out_dir, name), "w", newline="")
 
     def write(self, name: str, text: str) -> None:
         self.write_pieces(name, [text])
@@ -126,7 +149,7 @@ class _Run:
         leaves none."""
         pieces = iter(pieces)
         first = next(pieces, "")
-        with open(os.path.join(self.out_dir, name), "w", newline="") as fh:
+        with self._output(name), self._open(name) as fh:
             fh.write(first)
             fh.writelines(pieces)
         self.outputs.append(name)
@@ -134,7 +157,7 @@ class _Run:
     def write_table(self, name: str, header, chunks) -> None:
         """Write a CSV table from an iterable of column chunks, one chunk at a time,
         formatting at most _CSV_CHUNK rows at once."""
-        with open(os.path.join(self.out_dir, name), "w", newline="") as fh:
+        with self._output(name), self._open(name) as fh:
             fh.write(",".join(header) + "\n")
             for columns in chunks:
                 for start in range(0, len(columns[0]), _CSV_CHUNK):
@@ -156,7 +179,7 @@ class _Run:
         }
         if self.stream_layout is not None:
             manifest["stream_layout"] = self.stream_layout
-        with open(os.path.join(self.out_dir, "manifest.json"), "w", newline="") as fh:
+        with self._output("manifest.json"), self._open("manifest.json") as fh:
             fh.write(_json_text(manifest))
 
 

@@ -54,6 +54,12 @@ class AbortLossError(CvshareError):
     code = "abort-loss"
 
 
+class OutputError(CvshareError):
+    """An output directory or file could not be made or written."""
+
+    code = "output-error"
+
+
 class ProtocolFailureError(CvshareError):
     """A protocol run could not produce the required estimates."""
 

@@ -47,7 +47,9 @@ from .errors import (
 )
 from .estimators import Coalition, GainSet, MseReport, RunningMoments
 from .gaussian_core import ExperimentModel, GaussianState, build_dealer_state, partial_trace
-from .sampler import MeasurementAssignment, RandomStream, sample_joint
+from .sampler import MeasurementAssignment, RandomStream, outcome_moments
+# the benchmark tracer wraps protocol.sample_joint by name until stage hooks replace it
+from .sampler import sample_joint  # noqa: F401
 
 #: witness rounds needed per quadrature before the entanglement verdict is meaningful
 WITNESS_MIN_ROUNDS = 100
@@ -362,10 +364,9 @@ class _Chunk(NamedTuple):
     and carry their table names; ``calib`` selects no round unless the
     gains are fitted. ``calibration`` holds the calibration rounds per
     quadrature and ``reads`` the other rounds the reports read: the
-    kept rounds per quadrature, or every round twice for a lone A;
-    ``reads`` is empty in the calibration pass. ``outcomes`` holds every
-    round's (A, B, C) triple in x and in p, shape (2, m, 3), only when the
-    records are kept.
+    kept rounds per quadrature, or every round twice for a lone A.
+    ``outcomes`` holds every round's (A, B, C) triple in x and in p,
+    shape (2, m, 3), only when the records are kept.
     """
 
     start: int
@@ -452,21 +453,17 @@ def _draw_chunks(
     factors: tuple[np.ndarray, np.ndarray],
     root_eta: float,
     fitted: bool,
-    calibrating: bool = False,
     records: bool = False,
 ) -> Iterator[_Chunk]:
     """Every chunk of a protocol run, drawn from its own child stream.
 
-    Drawing again gives the same chunks, which is how fitted gains
-    replay the run after calibrating on it. Only the normals the reports
-    read are drawn: one (A, B, C) triple in the dealer's basis per kept
-    round, calibration rounds first and x rounds before p rounds in each
-    group, or for a lone A the x and p normals of A and then its two
-    vacuum units. The calibration pass (``calibrating``) draws the
-    calibration rounds' triples alone. With ``records`` the normals still
-    missing are drawn afterwards (the missing x triples, then the p ones;
-    for a lone A, B's and C's normals) and every quadrature of every
-    round goes to ``outcomes``.
+    Only the normals the reports read are drawn: one (A, B, C) triple in
+    the dealer's basis per kept round, calibration rounds first and x
+    rounds before p rounds in each group, or for a lone A the x and p
+    normals of A and then its two vacuum units. With ``records`` the
+    normals still missing are drawn afterwards (the missing x triples,
+    then the p ones; for a lone A, B's and C's normals) and every
+    quadrature of every round goes to ``outcomes``.
     """
     lone = coalition is Coalition.A_ALONE
     carry = (0.0, 0.0)
@@ -513,10 +510,8 @@ def _draw_chunks(
             rows = [np.flatnonzero(part & on) for part in (calib, kept & ~calib)
                     for on in (on_x, ~on_x)]
             sizes = [r.size for r in rows]
-            z = gen.standard_normal((sizes[0] + sizes[1] if calibrating else sum(sizes), 3))
+            z = gen.standard_normal((sum(sizes), 3))
             groups = list(zip((0, 1, 0, 1), rows, np.split(z, np.cumsum(sizes)[:-1])))
-            if calibrating:
-                del groups[2:]
             n_calib = 2
 
         def shift_a(q: int, r: np.ndarray | slice) -> np.ndarray:
@@ -555,6 +550,93 @@ def _errors(coalition: Coalition, gains: GainSet, reads: _Reads, quad: str) -> n
     t = reads.triple
     outcomes = {f"{quad}_{party}": t[:, "abc".index(party)] for party in coalition.party_columns}
     return estimators.estimate(coalition, outcomes, gains, quad) - reads.truth
+
+
+def _signed_aux(coalition: Coalition, reads: _Reads) -> np.ndarray:
+    """The auxiliary combination of a pair or of all three on every read round, negated in p.
+
+    It is what the gain multiplies: the x estimator subtracts g times
+    it, and the p estimator, whose gain has the opposite sign, does too.
+    """
+    t = reads.triple
+    if coalition is Coalition.ABC:
+        u = (t[:, 1] - t[:, 2]) / math.sqrt(2.0)
+    else:
+        u = t[:, 1 if coalition is Coalition.AB else 2]
+    return -u if reads.quad else u
+
+
+class _Fit:
+    """The sums a fitted run gathers in its one pass over the chunks.
+
+    The calibration rounds give sum(r u) and sum(u u) for the gain, with
+    r = x_A - sqrt(eta_A) alpha and u :func:`_signed_aux`; the p rounds
+    enter with u's sign flipped, matching the estimator's p convention,
+    so one gain fits both quadratures. Every other round is estimated
+    with the analytic gain g0, and its error is affine in the gain:
+    e(g) = e0 - s u with s = (g - g0) bias_scale. So the estimation
+    rounds keep sum(e0 u) and sum(u u) per quadrature, and the bias
+    rounds keep the moments of u and the co-moment of (e0, u), merged
+    chunk by chunk with the pairwise update of Chan, Golub and LeVeque.
+    The sums are taken about g0, not about g = 0: e0 is already close to
+    the least error, so applying the shift cancels nothing large, even
+    at high squeezing where A's outcome and u grow as e^r.
+    """
+
+    __slots__ = ("coalition", "root_eta", "sum_ru", "sum_uu", "n", "est", "bias_u", "bias_c")
+
+    def __init__(self, coalition: Coalition, root_eta: float):
+        self.coalition = coalition
+        self.root_eta = root_eta
+        self.sum_ru = self.sum_uu = 0.0
+        self.n = 0
+        self.est = ([0.0, 0.0], [0.0, 0.0])
+        self.bias_u = RunningMoments()
+        self.bias_c = 0.0
+
+    def calibrate(self, c: _Reads) -> None:
+        r = c.triple[:, 0] - self.root_eta * c.truth
+        u = _signed_aux(self.coalition, c)
+        self.sum_ru += float(r @ u)
+        self.sum_uu += float(u @ u)
+        self.n += r.size
+
+    def add(self, read: _Reads, e: np.ndarray, e_bias: np.ndarray,
+            bias_err: RunningMoments) -> None:
+        """Add a read's errors e0, of which ``e_bias`` are those of its bias rounds.
+        ``bias_err`` holds the moments of e0 over the bias rounds of the reads
+        before this one."""
+        u = _signed_aux(self.coalition, read)
+        # the estimation rounds are the read's rounds but its few witness and bias ones
+        out = np.flatnonzero(read.witness | read.bias)
+        e_out, u_out = e[out], u[out]
+        sums = self.est[read.quad]
+        sums[0] += float(e @ u) - float(e_out @ u_out)
+        sums[1] += float(u @ u) - float(u_out @ u_out)
+        k = e_bias.size
+        if k:
+            u = u_out[read.bias[out]]
+            mean_e, mean_u = float(np.mean(e_bias)), float(np.mean(u))
+            n = self.bias_u.n
+            shift = (mean_e - bias_err.mean) * (mean_u - self.bias_u.mean) * (n * k / (n + k))
+            self.bias_c += float((e_bias - mean_e) @ (u - mean_u)) + shift
+            self.bias_u.add(u)
+
+    def apply(self, gains: GainSet, sq_err: tuple[RunningMoments, RunningMoments],
+              bias_err: RunningMoments) -> GainSet:
+        """The fitted gains; moves the squared errors' means and the bias moments to them."""
+        if self.n < 2:
+            raise ProtocolFailureError("not enough calibration rounds to fit gains")
+        g = estimators.fit_gain_from_sums(self.sum_ru, self.sum_uu, self.n)
+        three = self.coalition is Coalition.ABC
+        s = (g - (gains.g_bc if three else gains.g_b)) * gains.bias_scale
+        for sq, (sum_eu, sum_uu) in zip(sq_err, self.est):
+            if sq.n:
+                sq.mean = sq.mean - 2.0 * s * (sum_eu / sq.n) + s * s * (sum_uu / sq.n)
+        bias_err.mean = bias_err.mean - s * self.bias_u.mean
+        bias_err.m2 = bias_err.m2 - 2.0 * s * self.bias_c + s * s * self.bias_u.m2
+        return GainSet(g_b=0.0 if three else g, g_bc=g if three else 0.0,
+                       bias_scale=gains.bias_scale)
 
 
 def _add_witness(
@@ -618,7 +700,9 @@ def run_protocol(
     :param gain_mode: "analytic" computes gains from the model
         covariance; "fitted" reserves half of the estimation rounds to
         fit the gain by least squares, mirroring an experimental
-        calibration, and reports the MSE on the other half.
+        calibration, and reports the MSE on the other half. Both modes
+        draw every chunk once: a fitted run estimates with the analytic
+        gain and moves its sums to the fitted gain at the end (:class:`_Fit`).
     :param keep_records: return every round as a :class:`RoundTable`;
         with False the table is empty and memory does not grow with
         n_rounds (for large runs where only the reports matter).
@@ -649,17 +733,11 @@ def run_protocol(
     fitted = gain_mode == "fitted" and not lone
     root_eta = math.sqrt(model.eta_a)
     factors = _triple_factors(build_dealer_state(model, 0.0, 0.0).cov)
-
-    def chunks(calibrating: bool = False) -> Iterator[_Chunk]:
-        return _draw_chunks(plan, n_rounds, coalition, policy, stream, factors, root_eta, fitted,
-                            calibrating, records=keep_records and not calibrating)
-
     if lone:
         gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / root_eta)
-    elif fitted:
-        gains = _fit_gains(coalition, chunks(calibrating=True), root_eta)
     else:
         gains = estimators.gains_for_model(model, coalition)
+    fit = _Fit(coalition, root_eta) if fitted else None
 
     sq_err = (RunningMoments(), RunningMoments())
     sq_witness = (RunningMoments(), RunningMoments())
@@ -667,14 +745,21 @@ def run_protocol(
     bias_err = RunningMoments()
     n_bias = 0
     table = RoundTable.empty(n_rounds) if keep_records else None
-    for ch in chunks():
+    for ch in _draw_chunks(plan, n_rounds, coalition, policy, stream, factors, root_eta, fitted,
+                           records=keep_records):
         if table is not None:
             _fill_records(table, ch)
+        if fit is not None:
+            for r in ch.calibration:
+                fit.calibrate(r)
         for r in ch.reads:
             e = _errors(coalition, gains, r, "xp"[r.quad])
             e_est = e[~(r.witness | r.bias)]
             sq_err[r.quad].add(e_est * e_est)
-            bias_err.add(e[r.bias])
+            e_bias = e[r.bias]
+            if fit is not None:
+                fit.add(r, e, e_bias, bias_err)
+            bias_err.add(e_bias)
         n_bias += int(np.count_nonzero(ch.bias))
         if lone:
             w_x = int(np.count_nonzero(ch.witness & (ch.dealer_basis == 0)))
@@ -686,6 +771,8 @@ def run_protocol(
         # drop this chunk's arrays before the next chunk is drawn
         del ch, r
 
+    if fit is not None:
+        gains = fit.apply(gains, sq_err, bias_err)
     n_x, n_p = sq_err[0].n, sq_err[1].n
     if n_x < 2 or n_p < 2:
         raise ProtocolFailureError("fewer than 2 usable rounds per quadrature")
@@ -712,37 +799,6 @@ def run_protocol(
 
     records = table if table is not None else RoundTable.empty()
     return ProtocolResult(records, mse_report, witness, bias)
-
-
-def _fit_gains(coalition: Coalition, chunks: Iterator[_Chunk], root_eta: float) -> GainSet:
-    """Least-squares gain from the calibration rounds, pooled over quadratures.
-
-    The x rounds regress (x_A - sqrt(eta_A) alpha_x) on the auxiliary
-    combination; the p rounds enter with the auxiliary sign flipped,
-    matching the estimator's p convention, so one shared gain fits both.
-    This is the first of a fitted run's two passes over its chunks: it
-    keeps only the sums the gain needs.
-    """
-    sum_ru = sum_uu = 0.0
-    n = 0
-    for ch in chunks:
-        for c in ch.calibration:
-            r = c.triple[:, 0] - root_eta * c.truth
-            if coalition is Coalition.ABC:
-                u = (c.triple[:, 1] - c.triple[:, 2]) / math.sqrt(2.0)
-            else:
-                u = c.triple[:, 1 if coalition is Coalition.AB else 2]
-            if c.quad:
-                u = -u
-            sum_ru += float(r @ u)
-            sum_uu += float(u @ u)
-            n += r.size
-    if n < 2:
-        raise ProtocolFailureError("not enough calibration rounds to fit gains")
-    g = estimators.fit_gain_from_sums(sum_ru, sum_uu, n)
-    if coalition is Coalition.ABC:
-        return GainSet(g_b=0.0, g_bc=g, bias_scale=1.0 / root_eta)
-    return GainSet(g_b=g, g_bc=0.0, bias_scale=1.0 / root_eta)
 
 
 def sift(records: RoundTable, basis: str) -> RoundTable:
@@ -863,7 +919,7 @@ def batch_mse_distribution(
             f"n_batches * n_probes * modes exceeds the cap of {DEFAULT_BATCH_TERM_CAP}"
         )
     base = build_dealer_state(model, 0.0, 0.0)
-    # (state, measurement, weights (columns x estimators), factor) per draw of a probe
+    # (state, measurement, weights (outcome columns x estimators), factor) per draw of a probe
     if coalition is Coalition.A_ALONE:
         reduced = partial_trace(base, [2])
         bias = 1.0 / math.sqrt(model.eta_a)
@@ -885,6 +941,11 @@ def batch_mse_distribution(
             weights = {"x": bias * np.array([-g, 1.0]), "p": bias * np.array([g, 1.0])}
         split = estimators.RESOURCE_SPLIT_FACTOR
         draws = [(base, choices[q], weights[q][:, None], split) for q in ("x", "p")]
+    # the state is built at zero displacement, so its outcomes have mean exactly 0
+    # and a draw's errors are its normals times the weights folded into the
+    # Cholesky factor of its outcome covariance
+    folded = [(np.linalg.cholesky(outcome_moments(state, MeasurementAssignment(choice))[1]).T @ w,
+               factor) for state, choice, w, factor in draws]
     n_probes = n_probes_per_quadrature
     n_tot = n_batches * n_probes
     total = np.zeros(n_batches)
@@ -892,8 +953,8 @@ def batch_mse_distribution(
         m = min(_CHUNK_ROUNDS, n_tot - start)
         gen = stream.chunk_generator(i)
         sq = np.zeros(m)
-        for state, choice, w, factor in draws:
-            err = sample_joint(state, MeasurementAssignment(choice), m, gen) @ w
+        for v, factor in folded:
+            err = gen.standard_normal((m, v.shape[0])) @ v
             sq += factor * np.sum(err * err, axis=1)
         first = start // n_probes
         sums = np.bincount(np.arange(start, start + m) // n_probes - first, weights=sq)

@@ -1004,6 +1004,83 @@ def test_out_dir_env_fallback(tmp_path, capsys, monkeypatch):
     assert os.path.exists(os.path.join(str(tmp_path), "certificates.json"))
 
 
+def _out_dir_cases(tmp_path):
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "taken" / "certificates.json").mkdir(parents=True)
+    return {
+        "existing-file": str(tmp_path / "a_file"),
+        "under-a-file": str(tmp_path / "a_file" / "sub"),
+        "empty": "",
+        "output-is-a-directory": str(tmp_path / "taken"),
+    }
+
+
+@pytest.mark.parametrize("case", ["existing-file", "under-a-file", "empty",
+                                  "output-is-a-directory"])
+def test_unwritable_out_dir_is_one_line_json_error(tmp_path, capsys, case):
+    path = _out_dir_cases(tmp_path)[case]
+    code, _, err = run_cli(["certify", "--n1", "1.0", "--n2", "1.0", "--out-dir", path], capsys)
+    assert code == 1
+    payload = _one_json_error(err)
+    assert payload["error"] == "output-error"
+    assert "--out-dir" in payload["message"] and repr(path) in payload["message"]
+
+
+def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CVSHARE_OUT_DIR", _out_dir_cases(tmp_path)["existing-file"])
+    code, _, err = run_cli(["state", "--r", "1.0"], capsys)
+    assert code == 1
+    assert "CVSHARE_OUT_DIR" in _one_json_error(err)["message"]
+
+
+# sha256 of analytic simulate's reports per (coalition, plan), in chunks of 512
+# rounds, from the two-pass code that drew a fitted run's chunks twice; a one-pass
+# run estimates with the analytic gain, so these must not move
+SIMULATE_REPORTS_SHA256 = {
+    ("a_alone", "fixed"): ("2ed82a5414edd8fefb3d0db2dbe4a8f2d6cba896851788d321ae2552f70f5800",
+                           "6ecc2315f342a4237378ce0c48fa088cc0269bcf54366f9c2cdf350f09e5b96f",
+                           "412f84fefc2de5e0603f4088ab2b8330861ea5a714ec88dd4c99800aa360398c"),
+    ("ab", "fixed"): ("a8462f62698abec3db12dae8c4a3cdb08a53b96846ad8e6f0389f05b697a6bfb",
+                      "0a5262d53f7f4a6f742de4a8113d0ad811573b9611b8cb1f40363dee47f3e264",
+                      "fed6ce356ba14c4a44414f09d2b7845f8ec8b53fe97a86835f7998a06435a959"),
+    ("ac", "fixed"): ("06b9c0424c00ff0e7363019ef4a7240bc8feb1982efe9db49ea1ef90656d7131",
+                      "60875160b7f1ce20231082cfba8e463ca20ec54ba6c29318895ed34715d81b90",
+                      "fed6ce356ba14c4a44414f09d2b7845f8ec8b53fe97a86835f7998a06435a959"),
+    ("abc", "fixed"): ("8e10663faf6e0a49b6bec4df02c0dcc8c73cb25b5f28dd9ed353abffdebd8906",
+                       "ed582455cdeba557e3d55de78f00587be88a82037960e1c651c040b6aa79d47b",
+                       "c31c0412d27e90e28ab467d1774e28b7d06e4da49f06622bc2515468bd56192c"),
+    ("a_alone", "gaussian"): ("5c82a57ad79f9fe4b22e1adc1b396dbdee2307de9b63a481097d0d272927c647",
+                              "c153270bff9ce5a73a5052ad691c6a049cbf610b4cf10e87203900e681079dba",
+                              "2dfc75b1c2a4e764c2985a834a98d3062166c2a0d81928f3b1bb809888ddc7ab"),
+    ("ab", "gaussian"): ("729108c9697cee26af0a2f6b0a141f59d84a131cefb865fe0e3dbc22f017b220",
+                         "476fa786ce32a02ccf41dc56f730f332ac3ebe8eb8054742cd8e2d1b0cedb1a3",
+                         "6783bbf912689cb352b65906fa387fe777ecacd9b0ed8be070e5441c9fe51c9c"),
+    ("ac", "gaussian"): ("903a76891fb4568984b9f3a30922c69792912eb53165071bca1f307172aa63ab",
+                         "0745f4e7ea741aee6ca39156c2ff915e5a1304df4a0a66629fb92fff49c57b33",
+                         "6783bbf912689cb352b65906fa387fe777ecacd9b0ed8be070e5441c9fe51c9c"),
+    ("abc", "gaussian"): ("ffe7b79c20fbf84083a015d9c6f18f5f194aefbf373ad1df5a01262cc57d0b3c",
+                          "e0d7e4db3f5642d45f25ab70c24702d69e2d4a20fefc0879e2305827d5af46e1",
+                          "f56ae7a78a658ee1813067f1c7296187ac8a43fc1d7ab12d83f8b02018c179e3"),
+}
+
+
+@pytest.mark.parametrize("coalition, plan", sorted(SIMULATE_REPORTS_SHA256))
+def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coalition, plan):
+    monkeypatch.setattr(cli.protocol, "_CHUNK_ROUNDS", 512)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"r = 1.2\neta_a = 0.85\neta_b = 0.9\neps_c = 0.05\nplan = {plan}\n"
+        f"alpha_x = 0.5\nalpha_p = -0.25\nv_dist = 1.5\nn_rep = 3\n"
+        f"coalition = {coalition}\nn_rounds = 3000\nseed = 13\n"
+    )
+    out = tmp_path / "out"
+    code, _, _ = run_cli(["simulate", "--out-dir", str(out), "--config", str(cfg)], capsys)
+    assert code == 0
+    names = ("mse_report.json", "bias.json", "witness.json")
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names)
+    assert got == SIMULATE_REPORTS_SHA256[(coalition, plan)]
+
+
 def test_manifest_lists_arguments(tmp_path, capsys):
     out = str(tmp_path)
     run_cli(["bounds", "--out-dir", out, "--steps", "2"], capsys)

@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cvshare import protocol
+from cvshare import estimators, protocol
 from cvshare.bounds import predicted_mse, witness_bound
 from cvshare.errors import (
     AbortLossError,
@@ -16,7 +16,7 @@ from cvshare.errors import (
     ResourceLimitError,
 )
 from cvshare.estimators import Coalition, fit_gain
-from cvshare.gaussian_core import ExperimentModel, build_dealer_state
+from cvshare.gaussian_core import ExperimentModel, build_dealer_state, partial_trace
 from cvshare.protocol import (
     MAX_RECORD_ROUNDS,
     MAX_ROUNDS,
@@ -33,7 +33,7 @@ from cvshare.protocol import (
     surrogate_intercept_state,
     witness_verification_run,
 )
-from cvshare.sampler import RandomStream
+from cvshare.sampler import MeasurementAssignment, RandomStream, sample_joint
 
 IDEAL = ExperimentModel(r=1.0)
 PLAN = DisplacementPlan.fixed(1.0, -0.5)
@@ -420,10 +420,10 @@ def test_chunk_edges_keep_blocks_subsets_and_fitted_counts(monkeypatch, n_rep):
     assert res.witness.n_x + res.witness.n_p == round(0.22 * n)
 
 
-def _chunks(coalition, n, fitted, calibrating=False, plan=PLAN):
+def _chunks(coalition, n, fitted, plan=PLAN):
     factors = protocol._triple_factors(build_dealer_state(IDEAL, 0.0, 0.0).cov)
     return list(protocol._draw_chunks(plan, n, coalition, POLICY, RandomStream(67), factors,
-                                      1.0, fitted, calibrating))
+                                      1.0, fitted))
 
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
@@ -461,29 +461,25 @@ def test_chunk_masks_partition_the_rounds(monkeypatch, coalition):
         assert res.mse_report.n_p == counts["estimation"]
 
 
-def test_fitted_gain_is_exact_over_the_replayed_chunks(monkeypatch):
+def test_fitted_gain_is_exact_over_the_calibration_reads(monkeypatch):
+    # one pass: each chunk's calibration reads are its calibration rounds in the
+    # dealer's basis, and the run's gain is the least-squares fit over them
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
     n = 1000
     plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=3)
-    full = _chunks(Coalition.ABC, n, fitted=True, plan=plan)
-    calibration = _chunks(Coalition.ABC, n, fitted=True, calibrating=True, plan=plan)
     r, u = [], []
-    for a, b in zip(full, calibration, strict=True):
-        for name in a._fields:
-            if name not in ("start", "calibration", "reads", "outcomes"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        # the calibration pass draws the calibration rounds alone, and the same ones
-        assert b.reads == () and b.outcomes is None
-        for ca, cb in zip(a.calibration, b.calibration, strict=True):
-            assert ca.quad == cb.quad
-            for name in ("rows", "triple", "truth"):
-                assert np.array_equal(getattr(ca, name), getattr(cb, name)), name
-            assert np.array_equal(ca.rows, np.flatnonzero(a.calib & (a.dealer_basis == ca.quad)))
-            truth = (a.alpha_p if ca.quad else a.alpha_x)[ca.rows]
-            assert np.array_equal(ca.truth, truth)
-            r.append(ca.triple[:, 0] - truth)
-            sign = -1.0 if ca.quad else 1.0
-            u.append(sign * (ca.triple[:, 1] - ca.triple[:, 2]) / math.sqrt(2.0))
+    for ch in _chunks(Coalition.ABC, n, fitted=True, plan=plan):
+        assert [c.quad for c in ch.calibration] == [0, 1]
+        for c in ch.calibration:
+            assert np.array_equal(c.rows, np.flatnonzero(ch.calib & (ch.dealer_basis == c.quad)))
+            truth = (ch.alpha_p if c.quad else ch.alpha_x)[c.rows]
+            assert np.array_equal(c.truth, truth)
+            r.append(c.triple[:, 0] - truth)
+            sign = -1.0 if c.quad else 1.0
+            u.append(sign * (c.triple[:, 1] - c.triple[:, 2]) / math.sqrt(2.0))
+        # no calibration round is read again by the reports
+        for read in ch.reads:
+            assert not ch.calib[read.rows].any()
     res = run_protocol(IDEAL, plan, n, Coalition.ABC, POLICY, RandomStream(67),
                        gain_mode="fitted", keep_records=False)
     expect = fit_gain(np.concatenate(r), np.concatenate(u))
@@ -528,14 +524,13 @@ def test_non_lone_run_draws_one_triple_per_kept_round(monkeypatch, coalition, ga
     n_est = kept - (res.witness.n_x + res.witness.n_p) - res.bias.n_rounds
     n_calib = n_est - (res.mse_report.n_x + res.mse_report.n_p)
     assert n_calib == (n_est // 2 if gain_mode == "fitted" else 0)
-    passes = 2 if gain_mode == "fitted" else 1
-    # one x and one p displacement normal per round and pass
-    assert sum(s[0] for s in shapes if len(s) == 1) == 2 * n * passes
-    # three normals per kept round, none for a discarded one; the calibration
-    # pass draws the calibration rounds' triples again
+    # one pass in either gain mode: one x and one p displacement normal per round
+    assert sum(s[0] for s in shapes if len(s) == 1) == 2 * n
+    # three normals per kept round, calibration rounds included, none for a
+    # discarded one
     triples = [s for s in shapes if len(s) == 2]
     assert all(s[1] == 3 for s in triples)
-    assert sum(s[0] for s in triples) == kept + n_calib
+    assert sum(s[0] for s in triples) == kept
     assert len(shapes) == sum(1 for s in shapes if len(s) == 1) + len(triples)
 
 
@@ -615,3 +610,90 @@ def test_recorded_outcomes_follow_the_dealer_covariance(coalition):
         sample = x.T @ x / k
         se = np.sqrt((np.outer(np.diag(expect), np.diag(expect)) + expect**2) / k)
         assert np.all(np.abs(sample - expect) <= 5.0 * se), (group, names)
+
+
+def _two_pass_reports(model, plan, n, coalition, stream, gains):
+    """A fitted run's reports the long way: draw every chunk again, estimate with
+    the final gain and reduce with RunningMoments."""
+    factors = protocol._triple_factors(build_dealer_state(model, 0.0, 0.0).cov)
+    sq = (estimators.RunningMoments(), estimators.RunningMoments())
+    bias = estimators.RunningMoments()
+    for ch in protocol._draw_chunks(plan, n, coalition, POLICY, stream, factors,
+                                    math.sqrt(model.eta_a), fitted=True):
+        for r in ch.reads:
+            t = r.triple
+            quad = "xp"[r.quad]
+            outcomes = {f"{quad}_{party}": t[:, "abc".index(party)]
+                        for party in coalition.party_columns}
+            e = estimators.estimate(coalition, outcomes, gains, quad) - r.truth
+            e_est = e[~(r.witness | r.bias)]
+            sq[r.quad].add(e_est * e_est)
+            bias.add(e[r.bias])
+    split = estimators.RESOURCE_SPLIT_FACTOR
+    return split * sq[0].mean, split * sq[1].mean, bias.mean, bias.standard_error()
+
+
+@pytest.mark.parametrize("r", [1.0, 4.0, 8.0])
+@pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
+                         ids=["fixed", "gaussian"])
+@pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.AC, Coalition.ABC],
+                         ids=lambda c: c.value)
+def test_one_pass_fitted_reports_match_the_two_pass_reference(monkeypatch, coalition, plan, r):
+    # the one-pass sums, shifted from the analytic gain to the fitted one, give the
+    # reports of estimating every round again with the fitted gain; sizes put the
+    # run's end on a chunk edge, one round past it and one round short of it
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
+    model = ExperimentModel(r=r, eta_a=0.9, eta_b=0.95, eps_c=0.02)
+    for seed, n in ((1, 640), (2, 641), (3, 1023)):
+        res = run_protocol(model, plan, n, coalition, POLICY, RandomStream(seed),
+                           gain_mode="fitted", keep_records=False)
+        mse_x, mse_p, mean, se = _two_pass_reports(model, plan, n, coalition,
+                                                   RandomStream(seed), res.mse_report.gains)
+        assert res.mse_report.mse_x == pytest.approx(mse_x, rel=1e-12, abs=0.0)
+        assert res.mse_report.mse_p == pytest.approx(mse_p, rel=1e-12, abs=0.0)
+        assert res.bias.standard_error == pytest.approx(se, rel=1e-9, abs=0.0)
+        assert abs(res.bias.mean_error - mean) <= 1e-9 * se
+
+
+def _sample_joint_batches(model, coalition, n_probes, n_batches, stream):
+    """batch_mse_distribution through the reference sampler: sample_joint(...) @ w
+    per draw of a probe, from the same chunk generators."""
+    base = build_dealer_state(model, 0.0, 0.0)
+    if coalition is Coalition.A_ALONE:
+        bias = 1.0 / math.sqrt(model.eta_a)
+        draws = [(partial_trace(base, [2]), ("xp",), np.diag([bias, bias]), 1.0)]
+    else:
+        gains = estimators.gains_for_model(model, coalition)
+        bias = gains.bias_scale
+        if coalition is Coalition.ABC:
+            g = gains.g_bc / math.sqrt(2.0)
+            draws = [(base, (q, q, q), bias * np.array([[s * g], [-s * g], [1.0]]), 2.0)
+                     for q, s in (("x", 1.0), ("p", -1.0))]
+        else:
+            g = gains.g_b
+            def choice(q):
+                return ("none", q, q) if coalition is Coalition.AB else (q, "none", q)
+            draws = [(base, choice(q), bias * np.array([[-s * g], [1.0]]), 2.0)
+                     for q, s in (("x", 1.0), ("p", -1.0))]
+    n_tot = n_batches * n_probes
+    total = np.zeros(n_batches)
+    for i, start in enumerate(range(0, n_tot, protocol._CHUNK_ROUNDS)):
+        m = min(protocol._CHUNK_ROUNDS, n_tot - start)
+        gen = stream.chunk_generator(i)
+        for state, assignment, w, factor in draws:
+            err = sample_joint(state, MeasurementAssignment(assignment), m, gen) @ w
+            np.add.at(total, np.arange(start, start + m) // n_probes,
+                      factor * np.sum(err * err, axis=1))
+    return total / n_probes
+
+
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_batch_distribution_matches_the_reference_sampler(monkeypatch, coalition):
+    # the weights folded into the Cholesky factor draw the same normals, in the
+    # same order, as sampling the outcomes and then applying the weights
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
+    model = ExperimentModel(r=1.2, eta_a=0.85, eta_b=0.9, eps_c=0.05)
+    for seed in (3, 4):
+        got = batch_mse_distribution(model, coalition, 7, 150, RandomStream(seed))
+        want = _sample_joint_batches(model, coalition, 7, 150, RandomStream(seed))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
