@@ -36,7 +36,6 @@ from .protocol import (
     DisplacementPlan,
     ProtocolPolicy,
     ProtocolResult,
-    RoundRecord,
     RoundTable,
     batch_mse_distribution,
     entanglement_check,
@@ -84,7 +83,6 @@ __all__ = [
     "ProtocolResult",
     "ResourceLimitError",
     "RandomStream",
-    "RoundRecord",
     "RoundTable",
     "SecurityReport",
     "ThermalParams",

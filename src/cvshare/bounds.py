@@ -139,12 +139,10 @@ def predicted_mse_grid(
     mse_p = (cov[:, estimators.P_A, estimators.P_A] + 1.0) / eta
     out = {Coalition.A_ALONE: (mse_x, mse_p, mse_x + mse_p)}
     split = estimators.RESOURCE_SPLIT_FACTOR
-    for coalition, aux_x in ((Coalition.AB, estimators.pair_aux_coefficients("b")),
-                             (Coalition.AC, estimators.pair_aux_coefficients("c")),
-                             (Coalition.ABC, estimators.triple_aux_coefficients())):
-        # the p-quadrature auxiliary mirrors aux_x one index up; residuals
-        # only involve squared covariances, so the sign pattern drops out
-        aux_p = np.roll(aux_x, 1)
+    for coalition in (Coalition.AB, Coalition.AC, Coalition.ABC):
+        # the estimator's own auxiliary combination; the Schur complement keeps
+        # the precision that w . cov . w loses, about e^{4r}, at the optimal gain
+        aux_x, aux_p = (estimators.aux_coefficients(coalition, q) for q in (0, 1))
         mse_x = split * _conditional_residuals(cov, estimators.X_A, aux_x) / eta
         mse_p = split * _conditional_residuals(cov, estimators.P_A, aux_p) / eta
         out[coalition] = (mse_x, mse_p, mse_x + mse_p)

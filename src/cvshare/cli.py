@@ -8,8 +8,8 @@ emitted with sorted keys and no timestamps for the same reason.
 
 Exit codes: 0 on success, 2 on argument and configuration errors,
 1 on runtime failures (abort on loss, protocol failure, an output
-directory or file that cannot be written); failures print one
-machine-readable JSON object on stderr.
+directory or file that cannot be written, which removes the run's
+outputs); failures print one machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def _read_input(path: str, what: str) -> str:
 
 
 class _Run:
-    """Collects output files for one subcommand run and writes the manifest."""
+    """Collects output files for one subcommand run and writes the manifest.
+    ``outputs`` lists the files opened so far; a failed write removes them."""
 
     def __init__(self, args: argparse.Namespace, stream_layout: int | None = None):
         self.out_dir = args.out_dir
@@ -129,16 +130,22 @@ class _Run:
     @contextlib.contextmanager
     def _output(self, name: str | None = None):
         """Report an OSError from making the output directory, or from opening or
-        writing the output file ``name``, as an OutputError naming the path."""
+        writing the output file ``name``, as an OutputError naming the path, after
+        removing the outputs written so far."""
         try:
             yield
         except OSError as exc:
+            for written in self.outputs:
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(self.out_dir, written))
             what = f"output {name!r} in " if name else ""
             raise OutputError(f"cannot write {what}--out-dir (or {OUT_DIR_ENV}) "
                               f"{self.out_dir!r}: {exc.strerror or exc}") from None
 
     def _open(self, name: str):
-        return open(os.path.join(self.out_dir, name), "w", newline="")
+        fh = open(os.path.join(self.out_dir, name), "w", newline="")
+        self.outputs.append(name)
+        return fh
 
     def write(self, name: str, text: str) -> None:
         self.write_pieces(name, [text])
@@ -152,7 +159,6 @@ class _Run:
         with self._output(name), self._open(name) as fh:
             fh.write(first)
             fh.writelines(pieces)
-        self.outputs.append(name)
 
     def write_table(self, name: str, header, chunks) -> None:
         """Write a CSV table from an iterable of column chunks, one chunk at a time,
@@ -163,7 +169,6 @@ class _Run:
                 for start in range(0, len(columns[0]), _CSV_CHUNK):
                     fh.writelines(",".join(row) + "\n" for row in zip(
                         *(_cells(col[start : start + _CSV_CHUNK]) for col in columns)))
-        self.outputs.append(name)
 
     def finish(self) -> None:
         arguments = {

@@ -1,13 +1,13 @@
 """Linear displacement estimators for each coalition, gain optimization and MSE accounting.
 
-Estimator forms on the dealer state (modes C, B, A):
-
-* A alone: the dual-homodyne outcome itself, scaled for loss.
-* pair (AB or AC): x_A - g * x_partner, with the signed gain g chosen to
-  minimize the residual variance; the p estimator flips the sign of g
-  because the partner's p quadrature is anticorrelated exactly where its
-  x quadrature is correlated.
-* all three: x_A - g * (x_B - x_C)/sqrt(2) and p_A + g * (p_B - p_C)/sqrt(2).
+One table, :data:`WEIGHTS`, holds every estimator: per coalition and
+quadrature, weight vectors w0 and w1 over the (A, B, C) outcomes t, for
+the estimate bias_scale * (t @ w0 + g * (t @ w1)) with g the coalition's
+gain and bias_scale = 1/sqrt(eta_A). A lone A has w1 = 0. w1 flips sign
+from x to p, because the partners' p quadratures are anticorrelated
+where their x quadratures are correlated. The witness is the all-three
+row at g = 1, scaled by 1/sqrt(2). The gains (auxiliary -w1), the gain
+fit, the batch sampler and the closed forms read the same table.
 
 MSE reporting convention: when a coalition measures a single quadrature
 per round, the probe budget is split between the two secrets, so the
@@ -29,7 +29,11 @@ from .errors import (
     InvalidArgumentError,
     NoSignalError,
 )
-from .gaussian_core import ExperimentModel, build_dealer_state
+from .gaussian_core import (  # noqa: F401 (build_dealer_state: perfbench/tracing.py wraps it here)
+    ExperimentModel,
+    build_dealer_state,
+    dealer_covariances,
+)
 
 #: variance below which an auxiliary combination is treated as degenerate
 DEGENERATE_VARIANCE_TOL = 1e-12
@@ -38,6 +42,10 @@ RESOURCE_SPLIT_FACTOR = 2.0
 
 # quadrature indices of the (C, B, A) dealer state
 X_C, P_C, X_B, P_B, X_A, P_A = range(6)
+#: the parties in the order of the weight vectors
+PARTIES = ("a", "b", "c")
+#: dealer-state quadrature index of each party's outcome, per quadrature (0 = x, 1 = p)
+TRIPLE_INDICES = ((X_A, X_B, X_C), (P_A, P_B, P_C))
 
 
 class Coalition(enum.Enum):
@@ -54,13 +62,27 @@ class Coalition(enum.Enum):
 
     @property
     def party_columns(self) -> tuple[str, ...]:
-        """Outcome columns the coalition's estimator consumes, per quadrature."""
-        return {
-            Coalition.A_ALONE: ("a",),
-            Coalition.AB: ("a", "b"),
-            Coalition.AC: ("a", "c"),
-            Coalition.ABC: ("a", "b", "c"),
-        }[self]
+        """Parties whose outcomes the coalition's estimator reads: a nonzero weight."""
+        w0, w1 = WEIGHTS[self, 0]
+        return tuple(p for p, v0, v1 in zip(PARTIES, w0, w1) if v0 or v1)
+
+
+_H = 1.0 / math.sqrt(2.0)
+#: the estimators: (w0, w1) weight vectors over the (A, B, C) outcomes of one
+#: quadrature, per (coalition, quadrature 0 = x or 1 = p); the estimate of a round
+#: with outcomes t is bias_scale * (t @ w0 + g * (t @ w1))
+WEIGHTS = {
+    (Coalition.A_ALONE, 0): np.array(((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
+    (Coalition.A_ALONE, 1): np.array(((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
+    (Coalition.AB, 0): np.array(((1.0, 0.0, 0.0), (0.0, -1.0, 0.0))),
+    (Coalition.AB, 1): np.array(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))),
+    (Coalition.AC, 0): np.array(((1.0, 0.0, 0.0), (0.0, 0.0, -1.0))),
+    (Coalition.AC, 1): np.array(((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))),
+    (Coalition.ABC, 0): np.array(((1.0, 0.0, 0.0), (0.0, -_H, _H))),
+    (Coalition.ABC, 1): np.array(((1.0, 0.0, 0.0), (0.0, _H, -_H))),
+}
+for _w in WEIGHTS.values():
+    _w.setflags(write=False)
 
 
 #: inputs that are rejected because they carry no information about the secret
@@ -99,8 +121,16 @@ class GainSet:
         if self.bias_scale <= 0.0:
             raise InvalidArgumentError("bias_scale must be > 0")
 
+    def gain(self, coalition: Coalition) -> float:
+        """The gain the coalition's estimator applies: g_bc for all three, else g_b."""
+        return self.g_bc if coalition is Coalition.ABC else self.g_b
+
     def to_json_dict(self) -> dict:
         return {"g_b": self.g_b, "g_bc": self.g_bc, "bias_scale": self.bias_scale}
+
+
+#: the witness combination: the all-three estimator at g = 1, scaled by 1/sqrt(2)
+_WITNESS_GAINS = GainSet(g_b=0.0, g_bc=1.0, bias_scale=_H)
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,27 +191,31 @@ def optimal_gains(cov: np.ndarray, target_index: int, aux_coefficients: np.ndarr
     return (cov @ c)[:, target_index] / var_u
 
 
-def pair_aux_coefficients(partner: str) -> np.ndarray:
-    """Unit vector selecting the partner's x quadrature (b or c)."""
+def aux_coefficients(coalition: Coalition, quad: int) -> np.ndarray:
+    """The auxiliary combination u = -(t @ w1), which the estimate weighs by -g, as
+    coefficients over the six dealer quadratures."""
     c = np.zeros(6)
-    c[X_B if partner == "b" else X_C] = 1.0
+    c[list(TRIPLE_INDICES[quad])] -= WEIGHTS[coalition, quad][1]
     return c
+
+
+def pair_aux_coefficients(partner: str) -> np.ndarray:
+    """:func:`aux_coefficients` of the pair with ``partner`` (b or c) in x."""
+    return aux_coefficients(Coalition.AB if partner == "b" else Coalition.AC, 0)
 
 
 def triple_aux_coefficients() -> np.ndarray:
-    """Coefficients of (x_B - x_C)/sqrt(2)."""
-    c = np.zeros(6)
-    c[X_B] = 1.0 / math.sqrt(2.0)
-    c[X_C] = -1.0 / math.sqrt(2.0)
-    return c
+    """:func:`aux_coefficients` of all three in x: (x_B - x_C)/sqrt(2)."""
+    return aux_coefficients(Coalition.ABC, 0)
 
 
 def gains_for_model(model: ExperimentModel, coalition: Coalition) -> GainSet:
-    """Analytic gains from the model covariance, plus the 1/sqrt(eta_A) bias scale."""
-    cov = build_dealer_state(model, 0.0, 0.0).cov
-    partner = "c" if coalition is Coalition.AC else "b"
-    g_b = optimal_gain(cov, X_A, pair_aux_coefficients(partner))
-    g_bc = optimal_gain(cov, X_A, triple_aux_coefficients())
+    """Analytic gains from the model covariance, plus the 1/sqrt(eta_A) bias scale:
+    g_b of the pair (A with C for AC, else with B) and g_bc of all three."""
+    cov = dealer_covariances([model.r], model)
+    pair = Coalition.AC if coalition is Coalition.AC else Coalition.AB
+    g_b, g_bc = (float(optimal_gains(cov, X_A, aux_coefficients(c, 0))[0])
+                 for c in (pair, Coalition.ABC))
     return GainSet(g_b=g_b, g_bc=g_bc, bias_scale=1.0 / math.sqrt(model.eta_a))
 
 
@@ -205,13 +239,42 @@ def fit_gain_from_sums(sum_ru: float, sum_uu: float, n: int) -> float:
     return sum_ru / sum_uu
 
 
+def weighted_sum(columns, w: np.ndarray) -> np.ndarray:
+    """t @ w per round from the (A, B, C) outcome columns, reading only those with a
+    nonzero weight; summed in party order one numpy operation at a time, so the
+    rounding does not depend on the BLAS kernel. A weight of 1 returns the column."""
+    terms = [columns[j] if w[j] == 1.0 else w[j] * columns[j] for j in np.flatnonzero(w)]
+    return sum(terms[1:], terms[0])
+
+
+def combine(columns, coalition: Coalition, quad: int, gains: GainSet) -> np.ndarray:
+    """Estimates bias_scale * (t @ w0 + g * (t @ w1)) from the (A, B, C) outcome columns
+    of one quadrature (:func:`weighted_sum`); a lone A reads A's column alone."""
+    w0, w1 = WEIGHTS[coalition, quad]
+    est = weighted_sum(columns, w0)
+    if w1.any():
+        est = est + gains.gain(coalition) * weighted_sum(columns, w1)
+    return gains.bias_scale * est
+
+
+def _columns(outcomes: dict[str, np.ndarray], quadrature: str, parties) -> list:
+    """The (A, B, C) columns of one quadrature; None for a party not in ``parties``."""
+    cols = dict.fromkeys(PARTIES)
+    for party in parties:
+        key = f"{quadrature}_{party}"
+        if key not in outcomes:
+            raise InvalidArgumentError(f"missing outcome column {key!r}")
+        cols[party] = np.asarray(outcomes[key], dtype=float)
+    return list(cols.values())
+
+
 def estimate(
     coalition: Coalition,
     outcomes: dict[str, np.ndarray],
     gains: GainSet,
     quadrature: str,
 ) -> np.ndarray:
-    """Per-round estimates of one displacement component.
+    """Per-round estimates of one displacement component (:func:`combine`).
 
     :param outcomes: columns keyed "<quadrature>_<party>", e.g. "x_a";
         for A alone the single column is the dual-homodyne outcome.
@@ -221,22 +284,8 @@ def estimate(
         raise InvalidArgumentError("quadrature must be 'x' or 'p'")
     if not isinstance(coalition, Coalition):
         raise NoSignalError(f"coalition {coalition!r} has no access to the secret")
-    cols = {}
-    for party in coalition.party_columns:
-        key = f"{quadrature}_{party}"
-        if key not in outcomes:
-            raise InvalidArgumentError(f"missing outcome column {key!r}")
-        cols[party] = np.asarray(outcomes[key], dtype=float)
-    a = cols["a"]
-    sign = 1.0 if quadrature == "x" else -1.0
-    if coalition is Coalition.A_ALONE:
-        combined = a
-    elif coalition is Coalition.ABC:
-        combined = a - sign * gains.g_bc * (cols["b"] - cols["c"]) / math.sqrt(2.0)
-    else:
-        partner = "b" if coalition is Coalition.AB else "c"
-        combined = a - sign * gains.g_b * cols[partner]
-    return gains.bias_scale * combined
+    columns = _columns(outcomes, quadrature, coalition.party_columns)
+    return combine(columns, coalition, "xp".index(quadrature), gains)
 
 
 def witness_estimate(
@@ -245,21 +294,11 @@ def witness_estimate(
     """Three-party witness combinations, unbiased for (alpha_x, alpha_p)/sqrt(2).
 
     x_minus = x_A/sqrt(2) - (x_B - x_C)/2 and
-    p_plus = p_A/sqrt(2) + (p_B - p_C)/2.
+    p_plus = p_A/sqrt(2) + (p_B - p_C)/2: the all-three estimator at
+    g = 1, scaled by 1/sqrt(2).
     """
-    def pull(d: dict[str, np.ndarray], quad: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        vals = []
-        for party in ("a", "b", "c"):
-            key = f"{quad}_{party}"
-            if key not in d:
-                raise InvalidArgumentError(f"missing outcome column {key!r}")
-            vals.append(np.asarray(d[key], dtype=float))
-        return vals[0], vals[1], vals[2]
-
-    x_a, x_b, x_c = pull(outcomes_x, "x")
-    p_a, p_b, p_c = pull(outcomes_p, "p")
-    x_minus = x_a / math.sqrt(2.0) - (x_b - x_c) / 2.0
-    p_plus = p_a / math.sqrt(2.0) + (p_b - p_c) / 2.0
+    x_minus = combine(_columns(outcomes_x, "x", PARTIES), Coalition.ABC, 0, _WITNESS_GAINS)
+    p_plus = combine(_columns(outcomes_p, "p", PARTIES), Coalition.ABC, 1, _WITNESS_GAINS)
     return x_minus, p_plus
 
 

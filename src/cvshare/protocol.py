@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,9 +46,11 @@ from .errors import (
     UnsupportedStateError,
 )
 from .estimators import Coalition, GainSet, MseReport, RunningMoments
-from .gaussian_core import ExperimentModel, GaussianState, build_dealer_state, partial_trace
-from .sampler import MeasurementAssignment, RandomStream, outcome_moments
-# the benchmark tracer wraps protocol.sample_joint by name until stage hooks replace it
+from .gaussian_core import ExperimentModel, GaussianState, build_dealer_state, dealer_covariances
+from .sampler import RandomStream
+# the benchmark tracer wraps protocol.sample_joint and protocol.partial_trace by name
+# until stage hooks replace them
+from .gaussian_core import partial_trace  # noqa: F401
 from .sampler import sample_joint  # noqa: F401
 
 #: witness rounds needed per quadrature before the entanglement verdict is meaningful
@@ -145,32 +147,6 @@ class ProtocolPolicy:
                 raise InvalidArgumentError(f"{name} must be in [0, 0.5]")
 
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
-    """One protocol round: the truth, every basis, the outcomes, and the sifting flag.
-
-    Outcome fields are None for unmeasured quadratures; party A's
-    basis is "xp" when it runs dual-homodyne.
-    """
-
-    round_index: int
-    alpha_x: float
-    alpha_p: float
-    dealer_basis: str
-    basis_a: str
-    basis_b: str
-    basis_c: str
-    x_c: float | None
-    p_c: float | None
-    x_b: float | None
-    p_b: float | None
-    x_a: float | None
-    p_a: float | None
-    kept: bool
-
-
-#: round table columns, in RoundRecord field order (also the rounds.csv order)
-ROUND_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 BASIS_COLUMNS = ("dealer_basis", "basis_a", "basis_b", "basis_c")
 OUTCOME_COLUMNS = ("x_c", "p_c", "x_b", "p_b", "x_a", "p_a")
 #: rows converted to RoundRecords at a time while iterating a table
@@ -183,12 +159,11 @@ _COLUMN_DTYPES = {"round_index": np.int64, **dict.fromkeys(BASIS_COLUMNS, np.int
 class RoundTable:
     """Every protocol round as numpy columns, one entry per round.
 
-    Columns follow :class:`RoundRecord`: ``round_index`` is int64, the
-    basis columns hold int8 codes into :data:`BASIS_NAMES`, outcome
-    columns hold NaN for unmeasured quadratures, and ``kept`` is bool.
-    ``table[mask_or_slice]`` and ``table + other`` give tables;
-    ``table[i]`` and iteration give :class:`RoundRecord` rows, built on
-    demand.
+    ``round_index`` is int64, the basis columns hold int8 codes into
+    :data:`BASIS_NAMES`, outcome columns hold NaN for unmeasured
+    quadratures, and ``kept`` is bool. ``table[mask_or_slice]`` and
+    ``table + other`` give tables. Iteration gives :data:`RoundRecord` rows,
+    built on demand, which only ``perfbench/workloads.py`` reads.
     """
 
     round_index: np.ndarray
@@ -215,10 +190,7 @@ class RoundTable:
     def __len__(self) -> int:
         return self.round_index.shape[0]
 
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            i = range(len(self))[key]
-            return next(iter(self[i : i + 1]))
+    def __getitem__(self, key) -> "RoundTable":
         return RoundTable(*(getattr(self, name)[key] for name in ROUND_COLUMNS))
 
     def __add__(self, other: "RoundTable") -> "RoundTable":
@@ -230,19 +202,23 @@ class RoundTable:
 
     def __iter__(self) -> Iterator[RoundRecord]:
         for start in range(0, len(self), _ROW_CHUNK):
-            yield from map(RoundRecord, *self[start : start + _ROW_CHUNK]._row_values())
+            chunk = self[start : start + _ROW_CHUNK]
+            columns = []
+            for name in ROUND_COLUMNS:
+                values = getattr(chunk, name).tolist()
+                if name in BASIS_COLUMNS:
+                    values = [BASIS_NAMES[v] for v in values]
+                elif name in OUTCOME_COLUMNS:
+                    values = [None if v != v else v for v in values]
+                columns.append(values)
+            yield from map(RoundRecord, *columns)
 
-    def _row_values(self) -> list[list]:
-        """Columns as Python lists in RoundRecord form: basis names, None for NaN."""
-        out = []
-        for name in ROUND_COLUMNS:
-            values = getattr(self, name).tolist()
-            if name in BASIS_COLUMNS:
-                values = [BASIS_NAMES[v] for v in values]
-            elif name in OUTCOME_COLUMNS:
-                values = [None if v != v else v for v in values]
-            out.append(values)
-        return out
+
+#: round table columns, in field order (also the rounds.csv order)
+ROUND_COLUMNS = tuple(f.name for f in fields(RoundTable))
+#: one round of a table as a row, with basis names and None for an unmeasured outcome
+RoundRecord = make_dataclass("RoundRecord", ROUND_COLUMNS, namespace={"__module__": __name__},
+                             frozen=True, slots=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,11 +276,6 @@ class ProtocolResult(NamedTuple):
     bias: BiasResult
 
 
-#: indices of the (A, B, C) triple of the x and of the p quadrature among a
-#: dealer state's quadratures, which come in OUTCOME_COLUMNS order
-_TRIPLES = ((4, 2, 0), (5, 3, 1))
-
-
 def _triple_factors(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of the (A, B, C) x block and p block of a dealer covariance.
 
@@ -312,7 +283,7 @@ def _triple_factors(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     separately, so a dealer state has no x-p correlation and its x and
     p triples are independent draws of its Wigner function.
     """
-    x, p = _TRIPLES
+    x, p = estimators.TRIPLE_INDICES
     if np.any(cov[np.ix_(x, p)] != 0.0):
         raise UnsupportedStateError("the dealer covariance correlates x and p quadratures")
     return np.linalg.cholesky(cov[np.ix_(x, x)]), np.linalg.cholesky(cov[np.ix_(p, p)])
@@ -545,35 +516,15 @@ def _draw_chunks(
                      witness, bias, calib, reads[:n_calib], reads[n_calib:], outcomes)
 
 
-def _errors(coalition: Coalition, gains: GainSet, reads: _Reads, quad: str) -> np.ndarray:
-    """Coalition estimate minus truth of one quadrature on every read round."""
-    t = reads.triple
-    outcomes = {f"{quad}_{party}": t[:, "abc".index(party)] for party in coalition.party_columns}
-    return estimators.estimate(coalition, outcomes, gains, quad) - reads.truth
-
-
-def _signed_aux(coalition: Coalition, reads: _Reads) -> np.ndarray:
-    """The auxiliary combination of a pair or of all three on every read round, negated in p.
-
-    It is what the gain multiplies: the x estimator subtracts g times
-    it, and the p estimator, whose gain has the opposite sign, does too.
-    """
-    t = reads.triple
-    if coalition is Coalition.ABC:
-        u = (t[:, 1] - t[:, 2]) / math.sqrt(2.0)
-    else:
-        u = t[:, 1 if coalition is Coalition.AB else 2]
-    return -u if reads.quad else u
-
-
 class _Fit:
     """The sums a fitted run gathers in its one pass over the chunks.
 
     The calibration rounds give sum(r u) and sum(u u) for the gain, with
-    r = x_A - sqrt(eta_A) alpha and u :func:`_signed_aux`; the p rounds
-    enter with u's sign flipped, matching the estimator's p convention,
-    so one gain fits both quadratures. Every other round is estimated
-    with the analytic gain g0, and its error is affine in the gain:
+    r = x_A - sqrt(eta_A) alpha and u = -(t @ w1), the auxiliary
+    combination of the coalition's weights in the read's quadrature
+    (:data:`~cvshare.estimators.WEIGHTS`). The estimate weighs u by -g
+    in x and in p alike, so one gain fits both quadratures. Every other
+    round is estimated with the analytic gain g0, and its error is affine in the gain:
     e(g) = e0 - s u with s = (g - g0) bias_scale. So the estimation
     rounds keep sum(e0 u) and sum(u u) per quadrature, and the bias
     rounds keep the moments of u and the co-moment of (e0, u), merged
@@ -594,9 +545,15 @@ class _Fit:
         self.bias_u = RunningMoments()
         self.bias_c = 0.0
 
+    def _aux(self, read: _Reads) -> np.ndarray:
+        # weighing by -w1 leaves a pair's x auxiliary the partner's column itself, as the
+        # gain fit always read it, so the dot products below keep their bits
+        w1 = estimators.WEIGHTS[self.coalition, read.quad][1]
+        return estimators.weighted_sum(read.triple.T, -w1)
+
     def calibrate(self, c: _Reads) -> None:
         r = c.triple[:, 0] - self.root_eta * c.truth
-        u = _signed_aux(self.coalition, c)
+        u = self._aux(c)
         self.sum_ru += float(r @ u)
         self.sum_uu += float(u @ u)
         self.n += r.size
@@ -606,7 +563,7 @@ class _Fit:
         """Add a read's errors e0, of which ``e_bias`` are those of its bias rounds.
         ``bias_err`` holds the moments of e0 over the bias rounds of the reads
         before this one."""
-        u = _signed_aux(self.coalition, read)
+        u = self._aux(read)
         # the estimation rounds are the read's rounds but its few witness and bias ones
         out = np.flatnonzero(read.witness | read.bias)
         e_out, u_out = e[out], u[out]
@@ -628,13 +585,13 @@ class _Fit:
         if self.n < 2:
             raise ProtocolFailureError("not enough calibration rounds to fit gains")
         g = estimators.fit_gain_from_sums(self.sum_ru, self.sum_uu, self.n)
-        three = self.coalition is Coalition.ABC
-        s = (g - (gains.g_bc if three else gains.g_b)) * gains.bias_scale
+        s = (g - gains.gain(self.coalition)) * gains.bias_scale
         for sq, (sum_eu, sum_uu) in zip(sq_err, self.est):
             if sq.n:
                 sq.mean = sq.mean - 2.0 * s * (sum_eu / sq.n) + s * s * (sum_uu / sq.n)
         bias_err.mean = bias_err.mean - s * self.bias_u.mean
         bias_err.m2 = bias_err.m2 - 2.0 * s * self.bias_c + s * s * self.bias_u.m2
+        three = self.coalition is Coalition.ABC
         return GainSet(g_b=0.0 if three else g, g_bc=g if three else 0.0,
                        bias_scale=gains.bias_scale)
 
@@ -753,7 +710,8 @@ def run_protocol(
             for r in ch.calibration:
                 fit.calibrate(r)
         for r in ch.reads:
-            e = _errors(coalition, gains, r, "xp"[r.quad])
+            # estimate minus truth on every read round
+            e = estimators.combine(r.triple.T, coalition, r.quad, gains) - r.truth
             e_est = e[~(r.witness | r.bias)]
             sq_err[r.quad].add(e_est * e_est)
             e_bias = e[r.bias]
@@ -881,7 +839,7 @@ def witness_verification_run(
     else:
         st = build_dealer_state(model, alpha_x, alpha_p)
     factors = _triple_factors(st.cov)
-    means = [st.mean[list(triple)] for triple in _TRIPLES]
+    means = [st.mean[list(triple)] for triple in estimators.TRIPLE_INDICES]
     sq = (RunningMoments(), RunningMoments())
     for i, start in enumerate(range(0, n_rounds, _CHUNK_ROUNDS)):
         m = min(_CHUNK_ROUNDS, n_rounds - start)
@@ -918,34 +876,33 @@ def batch_mse_distribution(
         raise ResourceLimitError(
             f"n_batches * n_probes * modes exceeds the cap of {DEFAULT_BATCH_TERM_CAP}"
         )
-    base = build_dealer_state(model, 0.0, 0.0)
-    # (state, measurement, weights (outcome columns x estimators), factor) per draw of a probe
+    cov = dealer_covariances([model.r], model)[0]
+    gains = estimators.gains_for_model(model, coalition)
+    # per quadrature, the dealer quadratures of the parties the estimator reads, in
+    # mode order (C, B, A), and their weights bias_scale * (w0 + g w1)
+    parties = [estimators.PARTIES.index(p) for p in reversed(coalition.party_columns)]
+    g, bias = gains.gain(coalition), gains.bias_scale
+    columns = []
+    for q in (0, 1):
+        w0, w1 = estimators.WEIGHTS[coalition, q]
+        idx = [estimators.TRIPLE_INDICES[q][j] for j in parties]
+        columns.append((idx, bias * (w0 + g * w1)[parties]))
+    # (columns, weights (columns x estimators), vacuum units, factor) per draw of a probe
     if coalition is Coalition.A_ALONE:
-        reduced = partial_trace(base, [2])
-        bias = 1.0 / math.sqrt(model.eta_a)
-        draws = [(reduced, ("xp",), np.array([[bias, 0.0], [0.0, bias]]), 1.0)]
+        # dual homodyne reads x_A and p_A of each probe, each with a vacuum unit
+        (idx_x, w_x), (idx_p, w_p) = columns
+        draws = [(idx_x + idx_p, np.diag(np.concatenate((w_x, w_p))), 1.0, 1.0)]
     else:
-        gains = estimators.gains_for_model(model, coalition)
-        bias = gains.bias_scale
-        g = gains.g_bc if coalition is Coalition.ABC else gains.g_b
-        if coalition is Coalition.ABC:
-            choices = {"x": ("x", "x", "x"), "p": ("p", "p", "p")}
-            s = 1.0 / math.sqrt(2.0)
-            weights = {"x": bias * np.array([g * s, -g * s, 1.0]),
-                       "p": bias * np.array([-g * s, g * s, 1.0])}
-        else:
-            if coalition is Coalition.AB:
-                choices = {"x": ("none", "x", "x"), "p": ("none", "p", "p")}
-            else:
-                choices = {"x": ("x", "none", "x"), "p": ("p", "none", "p")}
-            weights = {"x": bias * np.array([-g, 1.0]), "p": bias * np.array([g, 1.0])}
         split = estimators.RESOURCE_SPLIT_FACTOR
-        draws = [(base, choices[q], weights[q][:, None], split) for q in ("x", "p")]
-    # the state is built at zero displacement, so its outcomes have mean exactly 0
-    # and a draw's errors are its normals times the weights folded into the
-    # Cholesky factor of its outcome covariance
-    folded = [(np.linalg.cholesky(outcome_moments(state, MeasurementAssignment(choice))[1]).T @ w,
-               factor) for state, choice, w, factor in draws]
+        draws = [(idx, w[:, None], 0.0, split) for idx, w in columns]
+    # the state sits at zero displacement, so its outcomes have mean exactly 0 and a
+    # draw's errors are its normals times the weights folded into the Cholesky factor
+    # of its columns' covariance
+    folded = []
+    for idx, w, vacuum, factor in draws:
+        sub = cov[np.ix_(idx, idx)]
+        sub[np.diag_indices_from(sub)] += vacuum
+        folded.append((np.linalg.cholesky(sub).T @ w, factor))
     n_probes = n_probes_per_quadrature
     n_tot = n_batches * n_probes
     total = np.zeros(n_batches)

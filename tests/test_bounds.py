@@ -216,3 +216,34 @@ def test_stacked_path_matches_scalar_oracle(rs, seed, etas, epss):
                 mx = scalar_pair_mse(want, eta_a, estimators.X_A, ax)
                 mp = scalar_pair_mse(want, eta_a, estimators.P_A, np.roll(ax, 1))
                 assert got == (mx, mp, mx + mp), (r, coalition)
+
+
+@given(
+    r=st.floats(0.0, 3.0),
+    etas=st.tuples(unit, unit, unit),
+    epss=st.tuples(noise, noise, noise),
+)
+def test_weights_table_reproduces_the_closed_form(r, etas, epss):
+    # the variance of the estimator the run applies, at the analytic gain, is the
+    # closed form. r stops at 3: at the optimal all-three gain this quadratic form
+    # cancels about e^{4r}, and was measured off predicted_mse by 4e-12 relative at
+    # r = 3, 1.8e-8 at r = 5 and 3.7e-3 at r = 8, which is why bounds keeps the Schur
+    # complement
+    (eta_c, eta_b, eta_a), (eps_c, eps_b, eps_a) = etas, epss
+    model = ExperimentModel(r, eta_a, eta_b, eta_c, eps_a, eps_b, eps_c)
+    cov = dealer_covariances([r], model)[0]
+    for coalition in Coalition:
+        gains = estimators.gains_for_model(model, coalition)
+        lone = coalition is Coalition.A_ALONE
+        split = 1.0 if lone else estimators.RESOURCE_SPLIT_FACTOR
+        want = predicted_mse(model, coalition)
+        for q in (0, 1):
+            idx = list(estimators.TRIPLE_INDICES[q])
+            sigma = cov[np.ix_(idx, idx)]
+            if lone:
+                # dual homodyne adds a vacuum unit to A's outcome
+                sigma = sigma + np.diag([1.0, 0.0, 0.0])
+            w0, w1 = estimators.WEIGHTS[coalition, q]
+            w = w0 + gains.gain(coalition) * w1
+            got = split * gains.bias_scale**2 * (w @ sigma @ w)
+            assert got == pytest.approx(want[q], rel=1e-10, abs=0.0), (coalition, q)

@@ -10,12 +10,15 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import MU_PAIR_ANCHOR, MU_SINGLE_ANCHOR, MU_TRIPLE_ANCHOR
-from cvshare import __version__, cli
+from cvshare import __version__, cli, estimators, protocol
 from cvshare.cli import main, parse_config_text
 from cvshare.errors import InvalidArgumentError
+from cvshare.estimators import Coalition
+from cvshare.gaussian_core import ExperimentModel
 from cvshare.sampler import RandomStream
 from cvshare.security import MseDistribution, crossing_threshold, mse_cdf
 
@@ -674,6 +677,54 @@ def test_tracer_call_sites_exist():
         assert hasattr(module, attr), f"{module.__name__}.{attr}"
 
 
+def test_traced_runs_match_untraced_runs():
+    # perfbench's counters read what these calls return and bind their parameters
+    # by name: estimate returns one array, witness_estimate a pair, and
+    # batch_mse_distribution keeps n_probes_per_quadrature, n_batches and coalition
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    model = ExperimentModel(r=1.0, eta_a=0.9, eps_c=0.05)
+
+    def runs():
+        return (
+            protocol.run_protocol(model, protocol.DisplacementPlan.fixed(0.5, -0.5), 2000,
+                                  Coalition.ABC, protocol.ProtocolPolicy(), RandomStream(5)),
+            protocol.witness_verification_run(model, 0.5, -0.5, 1000, RandomStream(6)),
+            protocol.batch_mse_distribution(model, Coalition.AB, 5, 100, RandomStream(7)),
+            estimators.estimate(Coalition.AB, {"x_a": [1.0, 2.0], "x_b": [0.5, 0.0]},
+                                estimators.GainSet(0.5, 0.0), "x"),
+        )
+
+    plain = runs()
+    original = protocol.run_protocol
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.job = 0
+        traced = runs()
+    finally:
+        tracer.uninstall()
+    spans, counters = tracer.take()
+    assert protocol.run_protocol is original
+    (run, witness, batch, est), (run_t, witness_t, batch_t, est_t) = plain, traced
+    assert run_t.mse_report == run.mse_report
+    assert run_t.witness == run.witness and run_t.bias == run.bias
+    for name in protocol.ROUND_COLUMNS:
+        assert np.array_equal(getattr(run_t.records, name), getattr(run.records, name),
+                              equal_nan=True), name
+    assert witness_t == witness
+    assert np.array_equal(batch_t, batch)
+    assert np.array_equal(est_t, est)
+    assert len(spans) > 0
+    assert counters["protocol.rounds"] == 2000 + 1000 + 2 * 5 * 100
+    assert counters["protocol.records"] == 2000
+    # the witness rounds of the run and of the verification run, x and p each once
+    n_witness = run.witness.n_x + run.witness.n_p + witness.n_x + witness.n_p
+    assert counters["estimators.values"] == n_witness + est.size
+
+
 MI_ARGS = ["mi","--v-dist", "5", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",
            "--n-max", "2"]
 
@@ -1026,6 +1077,20 @@ def test_unwritable_out_dir_is_one_line_json_error(tmp_path, capsys, case):
     assert "--out-dir" in payload["message"] and repr(path) in payload["message"]
 
 
+def test_failed_output_removes_the_outputs_already_written(tmp_path, capsys):
+    # bias.json is the third report simulate writes; the two before it must not stay
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 1.0\ncoalition = ab\nn_rounds = 1000\nseed = 5\n")
+    out = tmp_path / "out"
+    (out / "bias.json").mkdir(parents=True)
+    code, _, err = run_cli(["simulate", "--out-dir", str(out), "--config", str(cfg)], capsys)
+    assert code == 1
+    payload = _one_json_error(err)
+    assert payload["error"] == "output-error" and "'bias.json'" in payload["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["bias.json"]
+    assert (out / "bias.json").is_dir()
+
+
 def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CVSHARE_OUT_DIR", _out_dir_cases(tmp_path)["existing-file"])
     code, _, err = run_cli(["state", "--r", "1.0"], capsys)
@@ -1035,32 +1100,35 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 
 # sha256 of analytic simulate's reports per (coalition, plan), in chunks of 512
 # rounds, from the two-pass code that drew a fitted run's chunks twice; a one-pass
-# run estimates with the analytic gain, so these must not move
+# run estimates with the analytic gain, so these must not move. The abc reports and
+# every witness.json but a lone A's were re-pinned once, when the estimators came to
+# apply the weights table as products t @ w, which round the last digit of a weight
+# of 1/sqrt(2) differently; lone-A, ab and ac estimates kept their bits
 SIMULATE_REPORTS_SHA256 = {
     ("a_alone", "fixed"): ("2ed82a5414edd8fefb3d0db2dbe4a8f2d6cba896851788d321ae2552f70f5800",
                            "6ecc2315f342a4237378ce0c48fa088cc0269bcf54366f9c2cdf350f09e5b96f",
                            "412f84fefc2de5e0603f4088ab2b8330861ea5a714ec88dd4c99800aa360398c"),
     ("ab", "fixed"): ("a8462f62698abec3db12dae8c4a3cdb08a53b96846ad8e6f0389f05b697a6bfb",
                       "0a5262d53f7f4a6f742de4a8113d0ad811573b9611b8cb1f40363dee47f3e264",
-                      "fed6ce356ba14c4a44414f09d2b7845f8ec8b53fe97a86835f7998a06435a959"),
+                      "2b9040c0fa76b5649a26618ab30e37d4e529d08f5f904e6f562ff063a68afb7b"),
     ("ac", "fixed"): ("06b9c0424c00ff0e7363019ef4a7240bc8feb1982efe9db49ea1ef90656d7131",
                       "60875160b7f1ce20231082cfba8e463ca20ec54ba6c29318895ed34715d81b90",
-                      "fed6ce356ba14c4a44414f09d2b7845f8ec8b53fe97a86835f7998a06435a959"),
-    ("abc", "fixed"): ("8e10663faf6e0a49b6bec4df02c0dcc8c73cb25b5f28dd9ed353abffdebd8906",
-                       "ed582455cdeba557e3d55de78f00587be88a82037960e1c651c040b6aa79d47b",
-                       "c31c0412d27e90e28ab467d1774e28b7d06e4da49f06622bc2515468bd56192c"),
+                      "2b9040c0fa76b5649a26618ab30e37d4e529d08f5f904e6f562ff063a68afb7b"),
+    ("abc", "fixed"): ("0a8add1049e406620262aab479993ab6aac3ee61d8ca49e2f3ff60a662f86708",
+                       "02d40f6dc70adfad506a0427c93e6d1aaedf3ee4bfc58d82edc975531f2c3cfa",
+                       "28d83193a4ced2fe841c09f506070ae60ffb033dbb42d9b5e28c2f26e2113060"),
     ("a_alone", "gaussian"): ("5c82a57ad79f9fe4b22e1adc1b396dbdee2307de9b63a481097d0d272927c647",
                               "c153270bff9ce5a73a5052ad691c6a049cbf610b4cf10e87203900e681079dba",
                               "2dfc75b1c2a4e764c2985a834a98d3062166c2a0d81928f3b1bb809888ddc7ab"),
     ("ab", "gaussian"): ("729108c9697cee26af0a2f6b0a141f59d84a131cefb865fe0e3dbc22f017b220",
                          "476fa786ce32a02ccf41dc56f730f332ac3ebe8eb8054742cd8e2d1b0cedb1a3",
-                         "6783bbf912689cb352b65906fa387fe777ecacd9b0ed8be070e5441c9fe51c9c"),
+                         "a46697f7a654275ca1e950b1bbe79f12c6e43e0b6910b5681b7173f720e929e7"),
     ("ac", "gaussian"): ("903a76891fb4568984b9f3a30922c69792912eb53165071bca1f307172aa63ab",
                          "0745f4e7ea741aee6ca39156c2ff915e5a1304df4a0a66629fb92fff49c57b33",
-                         "6783bbf912689cb352b65906fa387fe777ecacd9b0ed8be070e5441c9fe51c9c"),
+                         "a46697f7a654275ca1e950b1bbe79f12c6e43e0b6910b5681b7173f720e929e7"),
     ("abc", "gaussian"): ("ffe7b79c20fbf84083a015d9c6f18f5f194aefbf373ad1df5a01262cc57d0b3c",
-                          "e0d7e4db3f5642d45f25ab70c24702d69e2d4a20fefc0879e2305827d5af46e1",
-                          "f56ae7a78a658ee1813067f1c7296187ac8a43fc1d7ab12d83f8b02018c179e3"),
+                          "16fa5d8ba592db8ac26b0b91eba6717ce12aa68b9002430c24a3bc4ec1880146",
+                          "b83a85cf08df271776b65fe36532def33dd34213a05670196b155abb4e8b79bc"),
 }
 
 
@@ -1079,6 +1147,38 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
     names = ("mse_report.json", "bias.json", "witness.json")
     got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names)
     assert got == SIMULATE_REPORTS_SHA256[(coalition, plan)]
+
+
+# sha256 of fitted simulate's mse_report.json and bias.json for the pairs, in the
+# setup of SIMULATE_REPORTS_SHA256, taken before the estimators moved to the weights
+# table: a pair's weights are 0 and +-1, so its gain fit keeps every bit
+FITTED_PAIR_REPORTS_SHA256 = {
+    ("ab", "fixed"): ("a9fb869e5d30d05efe7813125712a43f401398bc156486063e86f2c2efa26bd0",
+                      "43a89731e70334de5fa4015f53b401349935d7002ed36951153cdb302dd2326d"),
+    ("ab", "gaussian"): ("54378ba044122c1cd9a93e144870f99142e1ec1717762394364dcc960f7eba42",
+                         "f629e982e6b3ead432c4bbe9025ed6ae17df090dabce0b35edabffa5c99c1083"),
+    ("ac", "fixed"): ("fb54e67f52a47a0b7f3aee88a09c1502a2d684c4c462e4a3186049ea8a333501",
+                      "081a08eb3a9b27b5bc516d67cf8ce6cabc89b967664587cbfba61bb72d2b51a7"),
+    ("ac", "gaussian"): ("ecae065cbee9ea3145d3b10721c8ab3fbf8fe864b48d89a01b3279533a02ac45",
+                         "1b9011b901a3a376c2a5c416fe2f0c1ffadfa0db014376ffb4ed467916d9a4dc"),
+}
+
+
+@pytest.mark.parametrize("coalition, plan", sorted(FITTED_PAIR_REPORTS_SHA256))
+def test_fitted_pair_reports_pinned(tmp_path, capsys, monkeypatch, coalition, plan):
+    monkeypatch.setattr(cli.protocol, "_CHUNK_ROUNDS", 512)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"r = 1.2\neta_a = 0.85\neta_b = 0.9\neps_c = 0.05\nplan = {plan}\n"
+        f"alpha_x = 0.5\nalpha_p = -0.25\nv_dist = 1.5\nn_rep = 3\n"
+        f"coalition = {coalition}\nn_rounds = 3000\nseed = 13\ngain_mode = fitted\n"
+    )
+    out = tmp_path / "out"
+    code, _, _ = run_cli(["simulate", "--out-dir", str(out), "--config", str(cfg)], capsys)
+    assert code == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("mse_report.json", "bias.json"))
+    assert got == FITTED_PAIR_REPORTS_SHA256[(coalition, plan)]
 
 
 def test_manifest_lists_arguments(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cvshare import estimators
@@ -32,7 +32,7 @@ from cvshare.estimators import (
     triple_aux_coefficients,
     witness_estimate,
 )
-from cvshare.gaussian_core import ExperimentModel, build_dealer_state
+from cvshare.gaussian_core import R_MAX, ExperimentModel, build_dealer_state
 
 
 def _ideal_cov(r):
@@ -101,6 +101,48 @@ def test_gains_for_model_signs_and_bias():
     assert gab.g_b > 0.0
     assert gac.g_b < 0.0
     assert gab.bias_scale == pytest.approx(1.0 / math.sqrt(0.8))
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()  # tells -0.0 from 0.0
+
+
+@given(
+    r=st.floats(0.0, R_MAX),
+    etas=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+    epss=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+    coalition=st.sampled_from(list(Coalition)),
+)
+@example(r=R_MAX, etas=(1.0, 1.0, 1.0), epss=(0.0, 0.0, 0.0), coalition=Coalition.ABC)
+@example(r=0.0, etas=(1.0, 1.0, 1.0), epss=(0.0, 0.0, 0.0), coalition=Coalition.AC)
+def test_gains_for_model_keeps_the_bits_of_the_state_path(r, etas, epss, coalition):
+    # oracle: the gains off the checked dealer state, with the auxiliary combinations
+    # written out, x_B or x_C for a pair and (x_B - x_C)/sqrt(2) for all three
+    (eta_c, eta_b, eta_a), (eps_c, eps_b, eps_a) = etas, epss
+    model = ExperimentModel(r, eta_a, eta_b, eta_c, eps_a, eps_b, eps_c)
+    cov = build_dealer_state(model, 0.0, 0.0).cov
+    pair, triple = np.zeros(6), np.zeros(6)
+    pair[estimators.X_C if coalition is Coalition.AC else estimators.X_B] = 1.0
+    triple[estimators.X_B] = 1.0 / math.sqrt(2.0)
+    triple[estimators.X_C] = -1.0 / math.sqrt(2.0)
+    gains = gains_for_model(model, coalition)
+    assert _bits(gains.g_b) == _bits(optimal_gain(cov, X_A, pair))
+    assert _bits(gains.g_bc) == _bits(optimal_gain(cov, X_A, triple))
+    assert _bits(gains.bias_scale) == _bits(1.0 / math.sqrt(eta_a))
+
+
+def test_weights_table_shape_and_aux_coefficients():
+    for (coalition, q), (w0, w1) in estimators.WEIGHTS.items():
+        assert w0.shape == w1.shape == (3,)
+        assert list(w0) == [1.0, 0.0, 0.0]
+        # x and p weigh the partners with opposite signs
+        assert np.array_equal(w1, -estimators.WEIGHTS[coalition, 1 - q][1])
+        assert not w0.flags.writeable and not w1.flags.writeable
+    assert not estimators.WEIGHTS[Coalition.A_ALONE, 0][1].any()
+    assert np.array_equal(pair_aux_coefficients("b"), np.eye(6)[estimators.X_B])
+    assert np.array_equal(pair_aux_coefficients("c"), np.eye(6)[estimators.X_C])
+    h = 1.0 / math.sqrt(2.0)
+    assert list(triple_aux_coefficients()) == [-h, 0.0, h, 0.0, 0.0, 0.0]
 
 
 def test_gain_set_validation():

@@ -38,6 +38,14 @@ from cvshare.sampler import MeasurementAssignment, RandomStream, sample_joint
 IDEAL = ExperimentModel(r=1.0)
 PLAN = DisplacementPlan.fixed(1.0, -0.5)
 POLICY = ProtocolPolicy()
+# basis codes of the round table's basis columns
+X, P, XP = range(3)
+
+
+def _assert_same_rounds(got: RoundTable, want: RoundTable) -> None:
+    assert len(got) == len(want)
+    for name in ROUND_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
 
 
 def test_plan_validation():
@@ -110,9 +118,7 @@ def test_determinism_and_stream_independence():
     b = run_protocol(IDEAL, PLAN, 2000, Coalition.ABC, POLICY, RandomStream(7))
     assert a.mse_report.mse_sum == b.mse_report.mse_sum
     assert a.witness.mse_sum == b.witness.mse_sum
-    assert list(a.records[:50]) == list(b.records[:50])
-    for name in ROUND_COLUMNS:
-        assert np.array_equal(getattr(a.records, name), getattr(b.records, name), equal_nan=True)
+    _assert_same_rounds(a.records, b.records)
     c = run_protocol(IDEAL, PLAN, 2000, Coalition.ABC, POLICY, RandomStream(7, stream_id=1))
     assert a.mse_report.mse_sum != c.mse_report.mse_sum
 
@@ -120,30 +126,29 @@ def test_determinism_and_stream_independence():
 def test_record_structure_pair_coalition():
     res = run_protocol(IDEAL, PLAN, 4000, Coalition.AB, POLICY, RandomStream(3))
     assert len(res.records) == 4000
-    for rec in res.records[:200]:
-        assert rec.basis_a == rec.basis_b  # shared coin
-        assert rec.kept == (rec.basis_a == rec.dealer_basis)
-        # exactly the chosen quadrature was measured
-        if rec.basis_b == "x":
-            assert rec.x_b is not None and rec.p_b is None
-        else:
-            assert rec.p_b is not None and rec.x_b is None
-        assert rec.alpha_x == 1.0 and rec.alpha_p == -0.5
+    t = res.records[:200]
+    assert np.array_equal(t.basis_a, t.basis_b)  # shared coin
+    assert np.array_equal(t.kept, t.basis_a == t.dealer_basis)
+    # exactly the chosen quadrature was measured
+    on_x = t.basis_b == X
+    assert np.array_equal(on_x, ~np.isnan(t.x_b))
+    assert np.array_equal(~on_x, ~np.isnan(t.p_b))
+    assert np.all(t.alpha_x == 1.0) and np.all(t.alpha_p == -0.5)
 
 
 def test_record_structure_single_party():
     res = run_protocol(IDEAL, PLAN, 500, Coalition.A_ALONE, POLICY, RandomStream(3))
-    for rec in res.records:
-        assert rec.basis_a == "xp"
-        assert rec.x_a is not None and rec.p_a is not None
-        assert rec.kept
+    t = res.records
+    assert np.all(t.basis_a == XP)
+    assert not np.isnan(t.x_a).any() and not np.isnan(t.p_a).any()
+    assert t.kept.all()
 
 
 def test_keep_records_off():
     res = run_protocol(IDEAL, PLAN, 1000, Coalition.AB, POLICY, RandomStream(1), keep_records=False)
     assert isinstance(res.records, RoundTable)
     assert len(res.records) == 0
-    assert list(res.records) == []
+    assert all(getattr(res.records, name).size == 0 for name in ROUND_COLUMNS)
     assert res.mse_report.n_x >= 2
     # the reports do not depend on whether the rounds are kept
     full = run_protocol(IDEAL, PLAN, 1000, Coalition.AB, POLICY, RandomStream(1))
@@ -151,33 +156,54 @@ def test_keep_records_off():
     assert full.witness == res.witness
 
 
-def test_row_view_matches_round_record():
+def _assert_round(table: RoundTable, i: int, **want) -> None:
+    """Round i of the table holds ``want``, one value per column; NaN where unmeasured."""
+    assert sorted(want) == sorted(ROUND_COLUMNS)
+    for name in ROUND_COLUMNS:
+        assert np.array_equal(getattr(table, name)[i], want[name], equal_nan=True), name
+
+
+def test_round_columns_hold_the_drawn_rounds():
     # rounds 0 and 1 as drawn by stream layout 3: the dealer-basis triple of each
     # kept round first, then the normals still missing
+    nan = np.nan
     res = run_protocol(IDEAL, PLAN, 100, Coalition.AB, POLICY, RandomStream(3))
-    assert res.records[0] == RoundRecord(
-        round_index=0, alpha_x=1.0, alpha_p=-0.5, dealer_basis="p", basis_a="x",
-        basis_b="x", basis_c="x", x_c=-1.395049359813273, p_c=None,
-        x_b=1.8399223546309884, p_b=None, x_a=3.6632337730819247, p_a=None, kept=False,
+    _assert_round(
+        res.records, 0, round_index=0, alpha_x=1.0, alpha_p=-0.5, dealer_basis=P, basis_a=X,
+        basis_b=X, basis_c=X, x_c=-1.395049359813273, p_c=nan,
+        x_b=1.8399223546309884, p_b=nan, x_a=3.6632337730819247, p_a=nan, kept=False,
     )
-    assert res.records[1] == RoundRecord(
-        round_index=1, alpha_x=1.0, alpha_p=-0.5, dealer_basis="p", basis_a="p",
-        basis_b="p", basis_c="x", x_c=0.2874825697005943, p_c=None, x_b=None,
-        p_b=1.2337770400114467, x_a=None, p_a=-0.5105116203114373, kept=True,
+    _assert_round(
+        res.records, 1, round_index=1, alpha_x=1.0, alpha_p=-0.5, dealer_basis=P, basis_a=P,
+        basis_b=P, basis_c=X, x_c=0.2874825697005943, p_c=nan, x_b=nan,
+        p_b=1.2337770400114467, x_a=nan, p_a=-0.5105116203114373, kept=True,
     )
     res = run_protocol(IDEAL, PLAN, 100, Coalition.A_ALONE, POLICY, RandomStream(3))
-    assert res.records[0] == RoundRecord(
-        round_index=0, alpha_x=1.0, alpha_p=-0.5, dealer_basis="p", basis_a="xp",
-        basis_b="x", basis_c="x", x_c=-0.1898308438777777, p_c=None,
-        x_b=1.5089215788405625, p_b=None, x_a=1.6682066719473845,
+    _assert_round(
+        res.records, 0, round_index=0, alpha_x=1.0, alpha_p=-0.5, dealer_basis=P, basis_a=XP,
+        basis_b=X, basis_c=X, x_c=-0.1898308438777777, p_c=nan,
+        x_b=1.5089215788405625, p_b=nan, x_a=1.6682066719473845,
         p_a=-0.48040110389602814, kept=True,
     )
-    row = res.records[-1]
-    assert row.round_index == 99 and type(row.round_index) is int
-    assert type(row.x_a) is float and type(row.kept) is bool
-    assert res.records[99] == row == list(res.records)[-1]
-    with pytest.raises(IndexError):
-        res.records[100]
+    assert len(res.records) == 100 and res.records.round_index[-1] == 99
+
+
+def test_row_view_matches_round_record():
+    # iteration crosses the row-conversion chunks, keeps the order and gives each
+    # round's columns with basis names and None for an unmeasured outcome
+    t = run_protocol(IDEAL, PLAN, 10_000, Coalition.AB, POLICY, RandomStream(19)).records
+    rows = list(t)
+    assert len(rows) == 10_000 and all(type(r) is RoundRecord for r in rows)
+    assert [r.round_index for r in rows] == list(range(10_000))
+    assert [r.kept for r in rows] == t.kept.tolist()
+    for name in protocol.BASIS_COLUMNS:
+        assert [getattr(r, name) for r in rows] == [protocol.BASIS_NAMES[v]
+                                                     for v in getattr(t, name)]
+    for name in protocol.OUTCOME_COLUMNS:
+        col = getattr(t, name)
+        assert [getattr(r, name) for r in rows] == [None if np.isnan(v) else v
+                                                     for v in col.tolist()]
+    assert type(rows[-1].round_index) is int and type(rows[-1].kept) is bool
 
 
 def test_round_table_operations():
@@ -187,15 +213,14 @@ def test_round_table_operations():
     assert table.round_index.dtype == np.int64
     assert table.dealer_basis.dtype == np.int8 and table.basis_a.dtype == np.int8
     assert table.kept.dtype == bool
-    # iteration crosses the row-conversion chunks and keeps the order
-    assert [r.round_index for r in table] == list(range(10_000))
+    assert np.array_equal(table.round_index, np.arange(10_000))
     # mask selection
     mask = table.kept & (table.alpha_x > 0.0)
     picked = table[mask]
     assert isinstance(picked, RoundTable)
     assert len(picked) == int(mask.sum())
     assert np.array_equal(picked.round_index, np.flatnonzero(mask))
-    assert list(picked[:20]) == [table[int(i)] for i in np.flatnonzero(mask)[:20]]
+    _assert_same_rounds(picked[:20], table[np.flatnonzero(mask)[:20]])
     # concatenation
     head, tail = table[:300], table[300:]
     joined = head + tail
@@ -204,19 +229,20 @@ def test_round_table_operations():
         col = getattr(joined, name)
         assert col.dtype == getattr(table, name).dtype
         assert np.array_equal(col, getattr(table, name), equal_nan=True)
-    assert list(table[5:8] + table[:2]) == [table[5], table[6], table[7], table[0], table[1]]
+    _assert_same_rounds(table[5:8] + table[:2], table[np.array([5, 6, 7, 0, 1])])
     assert len(RoundTable.empty() + table[:3]) == 3
 
 
 def test_sift():
     res = run_protocol(IDEAL, PLAN, 1000, Coalition.AB, POLICY, RandomStream(5))
-    xs = sift(res.records, "x")
-    assert len(xs) and all(r.kept and r.dealer_basis == "x" for r in xs)
-    ps = sift(res.records, "p")
-    assert len(ps) and all(r.kept and r.dealer_basis == "p" for r in ps)
-    assert len(xs) + len(ps) == sum(r.kept for r in res.records)
-    kept = [r for r in res.records if r.kept]
-    assert sorted(list(xs) + list(ps), key=lambda r: r.round_index) == kept
+    t = res.records
+    xs = sift(t, "x")
+    assert len(xs) and np.all(xs.kept & (xs.dealer_basis == X))
+    ps = sift(t, "p")
+    assert len(ps) and np.all(ps.kept & (ps.dealer_basis == P))
+    assert len(xs) + len(ps) == int(t.kept.sum())
+    both = xs + ps
+    _assert_same_rounds(both[np.argsort(both.round_index)], t[t.kept])
     with pytest.raises(InvalidArgumentError):
         sift(res.records, "xp")
 
@@ -250,10 +276,10 @@ def test_fitted_gain_close_to_analytic():
 def test_repetition_blocks():
     plan = DisplacementPlan.fixed(2.0, 0.0, n_rep=4)
     res = run_protocol(IDEAL, plan, 200, Coalition.AB, POLICY, RandomStream(2))
-    assert all(r.alpha_x == 1.0 for r in res.records)  # 2.0 / sqrt(4)
+    assert np.all(res.records.alpha_x == 1.0)  # 2.0 / sqrt(4)
     gplan = DisplacementPlan.gaussian_modulated(2.0, n_rep=4)
     res = run_protocol(IDEAL, gplan, 200, Coalition.AB, POLICY, RandomStream(2))
-    ax = [r.alpha_x for r in res.records]
+    ax = res.records.alpha_x.tolist()
     for start in range(0, 200, 4):
         assert len(set(ax[start : start + 4])) == 1
     assert len(set(ax)) == 50
