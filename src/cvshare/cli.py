@@ -56,13 +56,17 @@ def _json_text(obj) -> str:
 def _cells(col) -> list[str]:
     """One table column as CSV cells: repr for floats ("" for NaN, an
     unmeasured outcome), true/false for bools, strings as they are, str
-    for the rest."""
+    for the rest. A float column whose values all share the first one's
+    bits is formatted once; bits, not ==, since -0.0 == 0.0."""
     col = np.asarray(col)
+    if col.dtype.kind == "f":
+        bits = col.view(f"u{col.itemsize}")
+        if len(col) > 1 and (bits == bits[0]).all():
+            return _cells(col[:1]) * len(col)
+        return [repr(v) if v == v else "" for v in col.tolist()]
     values = col.tolist()
     if col.dtype == bool:
         return ["true" if v else "false" for v in values]
-    if col.dtype.kind == "f":
-        return [repr(v) if v == v else "" for v in values]
     return values if col.dtype.kind == "U" else list(map(str, values))
 
 
@@ -75,13 +79,13 @@ def _row_chunks(rows):
 
 #: table rows formatted at a time, which bounds the per-cell strings held at once;
 #: also the probe counts of a security or mi sweep computed at a time
-_CSV_CHUNK = 32768
+_CSV_CHUNK = 4096
 #: grid points, band r-samples or certificate points evaluated at a time, which
 #: bounds the covariance or certificate stack held at once
 _BAND_CHUNK = 4096
 #: caps on the work of the closed-form subcommands, checked before anything is
 #: allocated; at each cap a run took, on a 2-core x86-64 host, about 30 s (bounds),
-#: 12 s (certify), 2.8 s (mi) and 1.4 s (security).
+#: 12 s (certify), 1.7 s (mi) and 1.1 s (security).
 #: Dealer covariances of ``bounds``: --steps x (1 + --band-samples)
 MAX_BOUNDS_POINTS = 1_000_000
 #: sweep length of ``security`` (--n-probes) and ``mi`` (--n-max)
@@ -167,8 +171,8 @@ class _Run:
             fh.write(",".join(header) + "\n")
             for columns in chunks:
                 for start in range(0, len(columns[0]), _CSV_CHUNK):
-                    fh.writelines(",".join(row) + "\n" for row in zip(
-                        *(_cells(col[start : start + _CSV_CHUNK]) for col in columns)))
+                    cells = [_cells(col[start : start + _CSV_CHUNK]) for col in columns]
+                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
     def finish(self) -> None:
         arguments = {

@@ -1,17 +1,23 @@
 """Command-line interface: file outputs, manifests, exit codes."""
 
+import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import MU_PAIR_ANCHOR, MU_SINGLE_ANCHOR, MU_TRIPLE_ANCHOR
 from cvshare import __version__, cli, estimators, protocol
@@ -385,6 +391,111 @@ def test_table_memory_does_not_grow_with_the_sweep(tmp_path, capsys, monkeypatch
     large = peak_bytes(4 * (2 * 1024 + 10))
     # a table held whole would take about 4x the small run's peak
     assert large <= 1.1 * small
+
+
+def _oracle_cells(col):
+    """The per-value formatter that _cells replaced: repr of every float cell
+    ("" for NaN), true/false for bools, strings as they are, str for the rest."""
+    col = np.asarray(col)
+    values = col.tolist()
+    if col.dtype == bool:
+        return ["true" if v else "false" for v in values]
+    if col.dtype.kind == "f":
+        return [repr(v) if v == v else "" for v in values]
+    return values if col.dtype.kind == "U" else list(map(str, values))
+
+
+def _oracle_table(header, chunks):
+    """The per-row writer that write_table replaced, as text."""
+    text = ",".join(header) + "\n"
+    for columns in chunks:
+        text += "".join(",".join(row) + "\n" for row in zip(*map(_oracle_cells, columns)))
+    return text
+
+
+# a quiet NaN whose payload, and so whose bits, differ from np.nan's
+_PAYLOAD_NAN = float(np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0])
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, np.nan, -np.nan, _PAYLOAD_NAN,
+                   5e-324, -2.5e-310, 1.7976931348623157e308]
+_TABLE_FLOATS = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(width=64))
+
+
+def _one_column(values):
+    """A one-column table in one chunk, as _tables draws them."""
+    return ["c0"], [[np.array(values, dtype=np.float64)]]
+
+
+@st.composite
+def _tables(draw):
+    """A header and column chunks of up to 10 rows: float columns (constant,
+    signed zeros or any values), int, bool and str columns, split at drawn rows."""
+    n = draw(st.integers(0, 10))
+
+    def column(kind):
+        if kind == "f":
+            values = draw(st.one_of(_TABLE_FLOATS.map(lambda v: [v] * n),
+                                    st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n),
+                                    st.lists(_TABLE_FLOATS, min_size=n, max_size=n)))
+            return np.array(values, dtype=np.float64)
+        if kind == "i":
+            return np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)),
+                            dtype=np.int64)
+        if kind == "b":
+            return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        return np.array(draw(st.lists(st.text("abxp_", max_size=4), min_size=n, max_size=n)),
+                        dtype=str)
+
+    columns = [column(kind) for kind in draw(st.lists(st.sampled_from("fffibU"), min_size=1,
+                                                      max_size=6))]
+    edges = [0, *sorted(draw(st.lists(st.integers(0, n), max_size=3))), n]
+    return ([f"c{i}" for i in range(len(columns))],
+            [[col[a:b] for col in columns] for a, b in zip(edges, edges[1:])])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables())
+@example(table=_one_column([0.0, -0.0, 0.0, -0.0]))
+@example(table=_one_column([-0.0, 0.0, 0.0, 0.0, -0.0, -0.0, -0.0]))
+@example(table=_one_column([np.nan, -np.nan, _PAYLOAD_NAN, np.nan]))
+@example(table=_one_column(np.array([0x7FF0_0000_0000_0001, 0x7FF8_0000_0000_0002],
+                                    dtype=np.uint64).view(np.float64)))
+@example(table=_one_column([0.0] * 7))
+@example(table=_one_column([-0.0] * 7))
+@example(table=_one_column([math.inf] * 7))
+@example(table=_one_column([-math.inf] * 7))
+@example(table=_one_column([np.nan] * 7))
+@example(table=_one_column([-np.nan] * 7))
+@example(table=_one_column([_PAYLOAD_NAN] * 7))
+@example(table=_one_column([5e-324] * 7))
+@example(table=_one_column([-2.5e-310] * 7))
+def test_write_table_matches_the_per_row_writer(tmp_path, monkeypatch, table):
+    # blocks of 3 rows, so most columns end on a partial or a constant block
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
+    header, chunks = table
+    cli._Run(argparse.Namespace(out_dir=str(tmp_path))).write_table("t.csv", header, chunks)
+    assert (tmp_path / "t.csv").read_bytes() == _oracle_table(header, chunks).encode()
+
+
+def test_write_table_holds_one_block_at_a_time(tmp_path):
+    run = cli._Run(argparse.Namespace(out_dir=str(tmp_path)))
+
+    def peak_bytes(n):
+        # 14 columns like rounds.csv: an index, 11 float columns and 2 of basis names
+        gen = np.random.default_rng(5)
+        columns = [np.arange(n), *gen.standard_normal((11, n)),
+                   *np.array(["x", "p"])[gen.integers(0, 2, (2, n))]]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run.write_table("t.csv", [f"c{i}" for i in range(14)], [columns])
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    small = peak_bytes(10_000)
+    large = peak_bytes(40_000)
+    # a block as long as most of the larger table would take about 3x
+    assert large <= 1.25 * small
 
 
 def test_certify_memory_does_not_grow_with_the_grid(tmp_path, capsys, monkeypatch):
@@ -1048,6 +1159,24 @@ def test_witness_subcommand(tmp_path, capsys):
     assert payload["entangled"] is False
 
 
+# sha256 of the witness subcommand's witness.json, plain and with --surrogate, from
+# the estimators that apply the weights table
+WITNESS_OUTPUT_SHA256 = {
+    False: "3dbae40398cf9a2c48fd3117d7fcd7ccfa124343572bf1aab6efa7b87d37f78a",
+    True: "c4db020d215a44a503557a872523a69eed51ae27243dce94b4e8f44490ebaa6c",
+}
+
+
+@pytest.mark.parametrize("surrogate", sorted(WITNESS_OUTPUT_SHA256), ids=["plain", "surrogate"])
+def test_witness_output_bytes_pinned(tmp_path, capsys, surrogate):
+    argv = ["witness", "--r", "1.2", "--eta-a", "0.9", "--n-rounds", "5000", "--seed", "3",
+            "--out-dir", str(tmp_path)]
+    code, _, _ = run_cli(argv + ["--surrogate"] * surrogate, capsys)
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "witness.json").read_bytes()).hexdigest()
+    assert digest == WITNESS_OUTPUT_SHA256[surrogate]
+
+
 def test_out_dir_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CVSHARE_OUT_DIR", str(tmp_path))
     code, _, _ = run_cli(["certify", "--n1", "1.0", "--n2", "1.0"], capsys)
@@ -1189,3 +1318,54 @@ def test_manifest_lists_arguments(tmp_path, capsys):
     assert manifest["subcommand"] == "bounds"
     assert "timestamp" not in manifest
     assert sorted(manifest["outputs"]) == manifest["outputs"]
+
+
+# edge values and, about as often, ordinary ones
+_FUZZ_FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1e308", "-1e308", "1e-308", "-1e-308"]),
+    st.sampled_from(["0.02", "0.5", "0.9", "2", "6"]))
+# sizes above a cap only reach the cap check, which runs before any allocation
+_FUZZ_SIZES = st.one_of(st.sampled_from(["0", "-1", "-7", str(10**30)]),
+                        st.sampled_from(["1", "2", "5"]))
+_FUZZ_SEEDS = st.sampled_from(["0", "-1", "7", str(2**64 - 1), str(2**64), str(10**30)])
+
+
+_MU_FLAGS = {"--mu-single": "8", "--mu-pair": "5.83", "--mu-triple": "4"}
+# per subcommand: a valid command line, and the flags a case may redraw
+_FUZZ_COMMANDS = {
+    "bounds": ({"--steps": "3"}, {
+        "--steps": _FUZZ_SIZES, "--band-samples": _FUZZ_SIZES, "--band-seed": _FUZZ_SEEDS,
+        "--r-min": _FUZZ_FLOATS, "--r-max": _FUZZ_FLOATS, "--band-fluct": _FUZZ_FLOATS,
+        "--band": st.sampled_from(["uniform", "gaussian"]),
+        **{f"--{q}-{arm}": _FUZZ_FLOATS for q in ("eta", "eps") for arm in "abc"}}),
+    "security": ({**_MU_FLAGS, "--n-probes": "3"}, {
+        **dict.fromkeys(_MU_FLAGS, _FUZZ_FLOATS), "--n-probes": _FUZZ_SIZES,
+        "--v-t": _FUZZ_FLOATS}),
+    "mi": ({**_MU_FLAGS, "--v-dist": "5", "--n-max": "3"}, {
+        **dict.fromkeys(_MU_FLAGS, _FUZZ_FLOATS), "--n-max": _FUZZ_SIZES,
+        "--v-dist": _FUZZ_FLOATS, "--c-bits": _FUZZ_FLOATS}),
+}
+
+
+@st.composite
+def _table_writer_argv(draw):
+    """A valid bounds, security or mi command line with one to three flags redrawn,
+    each given as --flag=value so that a negative value reaches its flag."""
+    subcommand = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    valid, flags = _FUZZ_COMMANDS[subcommand]
+    redrawn = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3, unique=True))
+    values = {**valid, **{flag: draw(flags[flag]) for flag in redrawn}}
+    return [subcommand, *(f"{flag}={value}" for flag, value in values.items())]
+
+
+@settings(max_examples=200)
+@given(argv=_table_writer_argv())
+def test_table_writers_exit_cleanly_on_any_numeric_flag(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + [f"--out-dir={out}"])
+    if code != 0:
+        assert code in (1, 2)
+        payload = _one_json_error(err.getvalue())
+        assert set(payload) == {"error", "message"}
