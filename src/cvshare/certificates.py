@@ -14,16 +14,19 @@ pairs the lower-right 2x2 block of X2 with the complex core matrix
 C_core = (1 + i D / 2)^{-1}. With that bookkeeping every printed
 quantity is reproduced exactly.
 
-:func:`verify_certificate_stack` checks a stack of points in one numpy
-pass, with one batched ``eigvalsh`` per block kind; LAPACK runs the same
-routine on each member as on a single matrix. The builders take a
-ThermalParams or a stack alike, and :func:`verify_certificates` is the
-stacked check on a stack of one, so both give the same bits.
+:func:`certificate_columns` checks a stack of points in one numpy pass,
+with one batched ``eigvalsh`` per block kind; LAPACK runs the same
+routine on each member as on a single matrix. It returns the checks as
+arrays, and :func:`verify_certificate_stack` turns them into one report
+per point. The builders take a ThermalParams or a stack alike, and
+:func:`verify_certificates` is the stacked check on a stack of one, so
+both give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,7 +279,28 @@ def _block_ok(eigs: np.ndarray, formulas, tol: float) -> np.ndarray:
     )
 
 
-def verify_certificate_stack(n1, n2, tol: float = DEFAULT_TOL) -> list[CertificateReport]:
+class CertificateColumns(NamedTuple):
+    """The checks of a stack of points as arrays, one row per point (the fields of
+    :class:`CertificateReport`). ``y3_eigs`` has rows for the regular points
+    only, in order; the degenerate points have no Y3 block."""
+
+    n1: np.ndarray
+    n2: np.ndarray
+    primal_value: np.ndarray
+    dual_value: np.ndarray
+    x1_eigs: np.ndarray
+    x2_eigs: np.ndarray
+    y1_eigs: np.ndarray
+    y2_eigs: np.ndarray
+    y3_eigs: np.ndarray
+    degenerate: np.ndarray
+    feasible_primal: np.ndarray
+    feasible_dual: np.ndarray
+    values_match: np.ndarray
+    constraint_residuals: np.ndarray
+
+
+def certificate_columns(n1, n2, tol: float = DEFAULT_TOL) -> CertificateColumns:
     """Rebuild both certificates at each point (n1[k], n2[k]) and check every printed property.
 
     Checks eigenvalue closed forms against numerical eigendecomposition,
@@ -284,9 +308,9 @@ def verify_certificate_stack(n1, n2, tol: float = DEFAULT_TOL) -> list[Certifica
     the agreement of primal and dual objective values. Eigenvalues are
     judged relative to their block's largest one, since that sets their
     round-off. At n1 = n2 = 0 the dual Y3 block is skipped and the
-    report status records the degenerate case; the remaining checks
-    still run. The points are swapped into n1 >= n2 as ThermalParams
-    does, and are taken as valid thermal parameters without a check.
+    point is marked degenerate; the remaining checks still run. The
+    points are swapped into n1 >= n2 as ThermalParams does, and are
+    taken as valid thermal parameters without a check.
     """
     n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
     swap = n1 < n2
@@ -326,7 +350,14 @@ def verify_certificate_stack(n1, n2, tol: float = DEFAULT_TOL) -> list[Certifica
         # exact comparison of float expressions; only bitwise-equal values pass
         values_match = (primal == dual) & (dual == bound)
 
-    y3_rows = iter(y3_eigs.tolist())
+    return CertificateColumns(
+        params.n1, params.n2, primal, dual, x1_eigs, x2_eigs, y1_eigs, y2_eigs, y3_eigs,
+        degenerate, feasible_primal, feasible_dual, values_match, residuals)
+
+
+def reports_from_columns(cols: CertificateColumns) -> list[CertificateReport]:
+    """One :class:`CertificateReport` per row of ``cols``."""
+    y3_rows = iter(cols.y3_eigs.tolist())
     return [
         CertificateReport(
             n1=a, n2=b, primal_value=pv, dual_value=dv,
@@ -337,10 +368,16 @@ def verify_certificate_stack(n1, n2, tol: float = DEFAULT_TOL) -> list[Certifica
             status=STATUS_DEGENERATE_DUAL if deg else STATUS_OK,
         )
         for a, b, pv, dv, e1, e2, f1, f2, deg, fp, fd, vm, res in zip(*(
-            v.tolist() for v in (params.n1, params.n2, primal, dual, x1_eigs, x2_eigs,
-                                 y1_eigs, y2_eigs, degenerate, feasible_primal, feasible_dual,
-                                 values_match, residuals)))
+            v.tolist() for v in (cols.n1, cols.n2, cols.primal_value, cols.dual_value,
+                                 cols.x1_eigs, cols.x2_eigs, cols.y1_eigs, cols.y2_eigs,
+                                 cols.degenerate, cols.feasible_primal, cols.feasible_dual,
+                                 cols.values_match, cols.constraint_residuals)))
     ]
+
+
+def verify_certificate_stack(n1, n2, tol: float = DEFAULT_TOL) -> list[CertificateReport]:
+    """:func:`certificate_columns` as one report per point (n1[k], n2[k])."""
+    return reports_from_columns(certificate_columns(n1, n2, tol))
 
 
 def verify_certificates(params: ThermalParams, tol: float = DEFAULT_TOL) -> CertificateReport:

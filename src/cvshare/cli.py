@@ -85,7 +85,7 @@ _CSV_CHUNK = 4096
 _BAND_CHUNK = 4096
 #: caps on the work of the closed-form subcommands, checked before anything is
 #: allocated; at each cap a run took, on a 2-core x86-64 host, about 30 s (bounds),
-#: 12 s (certify), 1.7 s (mi) and 1.1 s (security).
+#: 3 s (certify), 1.7 s (mi) and 1.1 s (security).
 #: Dealer covariances of ``bounds``: --steps x (1 + --band-samples)
 MAX_BOUNDS_POINTS = 1_000_000
 #: sweep length of ``security`` (--n-probes) and ``mi`` (--n-max)
@@ -252,10 +252,10 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
         raise ResourceLimitError(
             f"--steps x (1 + --band-samples) = {points} exceeds the cap of {MAX_BOUNDS_POINTS}"
         )
-    run = _Run(args)
-    grid = np.linspace(args.r_min, args.r_max, args.steps)
     # the arms of every grid point; predicted_mse_grid does not read their r
     arms = _model_from_args(args, r=args.r_min)
+    run = _Run(args)
+    grid = np.linspace(args.r_min, args.r_max, args.steps)
     coalitions = [parse_coalition(name) for name in _COALITION_ORDER]
     names = np.array(_COALITION_ORDER)
 
@@ -294,6 +294,70 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
     print(f"wrote {args.steps * len(names)} bound rows for {args.steps} squeezing values")
 
 
+def _json_floats(values: np.ndarray) -> list[str]:
+    """The JSON text of each value, as json.dumps writes a float: its repr when
+    every value is finite, else NaN, Infinity or -Infinity where they are. Each
+    distinct bit pattern is formatted once (bits, not ==, since -0.0 == 0.0); a
+    grid's symmetric points and zero eigenvalues repeat most values."""
+    bits, index = np.unique(np.ascontiguousarray(values).view(np.uint64), return_inverse=True)
+    encode = float.__repr__ if np.isfinite(values).all() else json.dumps
+    cells = np.array(list(map(encode, bits.view(float).tolist())), dtype=object)
+    return cells[index.ravel()].tolist()
+
+
+def _json_list(n: int) -> str:
+    """A slot for each of n values of a list at the depth of a report's keys."""
+    return "[" + ",".join(["\n      %s"] * n) + "\n    ]"
+
+
+#: one report of certificates.json, laid out as json.dumps(report, sort_keys=True,
+#: indent=2) lays it out with every line indented two more spaces
+_CERTIFICATE_TEMPLATE = "  {\n" + ",\n".join(f'    "{key}": {slot}' for key, slot in (
+    ("constraint_residuals", _json_list(6)),
+    ("dual_value", "%s"),
+    ("feasible_dual", "%s"),
+    ("feasible_primal", "%s"),
+    ("n1", "%s"),
+    ("n2", "%s"),
+    ("primal_value", "%s"),
+    ("status", '"%s"'),
+    ("values_match", "%s"),
+    ("x1_eigs", _json_list(4)),
+    ("x2_eigs", _json_list(4)),
+    ("y1_eigs", _json_list(4)),
+    ("y2_eigs", _json_list(2)),
+    ("y3_eigs", "%s"),
+)) + "\n  }"
+_Y3_TEMPLATE = _json_list(2)
+
+
+def _certificate_cells(cols: certificates.CertificateColumns):
+    """The cells of each report of one stack of checks, in _CERTIFICATE_TEMPLATE's
+    order. A degenerate point has no Y3 block and lists no y3_eigs."""
+    k = len(cols.n1)
+    floats = _json_floats(np.concatenate(
+        [cols.constraint_residuals, cols.dual_value[:, None], cols.n1[:, None],
+         cols.n2[:, None], cols.primal_value[:, None], cols.x1_eigs, cols.x2_eigs,
+         cols.y1_eigs, cols.y2_eigs], axis=1).T)
+    floats = [floats[i : i + k] for i in range(0, len(floats), k)]
+    y3 = _json_floats(cols.y3_eigs)
+    y3 = list(map(_Y3_TEMPLATE.__mod__, zip(y3[0::2], y3[1::2])))
+    if cols.degenerate.any():
+        regular = iter(y3)
+        y3 = ["[]" if deg else next(regular) for deg in cols.degenerate.tolist()]
+    status = np.where(cols.degenerate, certificates.STATUS_DEGENERATE_DUAL,
+                      certificates.STATUS_OK).tolist()
+    fp, fd, vm = (np.where(v, "true", "false").tolist()
+                  for v in (cols.feasible_primal, cols.feasible_dual, cols.values_match))
+    return zip(*floats[:7], fd, fp, *floats[7:10], status, vm, *floats[10:], y3)
+
+
+def _certificate_text(cols: certificates.CertificateColumns) -> str:
+    """The reports of one stack of checks as certificates.json holds them, joined
+    by ",\n". The cells are freed once every report is formatted, before the join."""
+    return ",\n".join(list(map(_CERTIFICATE_TEMPLATE.__mod__, _certificate_cells(cols))))
+
+
 def _cmd_certify(args: argparse.Namespace) -> None:
     single = args.n1 is not None or args.n2 is not None
     if single and args.grid is not None:
@@ -302,8 +366,9 @@ def _cmd_certify(args: argparse.Namespace) -> None:
         raise InvalidArgumentError("--n1 and --n2 must be given together")
     if not single and args.grid is None:
         raise InvalidArgumentError("give --n1/--n2 or --grid K")
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise InvalidArgumentError("--tol must be finite and >= 0")
+    # a relative tolerance of 1 already admits an error as large as the value
+    if not (0.0 <= args.tol <= 1.0):
+        raise InvalidArgumentError("--tol must be in [0, 1]")
     if not single:
         if args.grid < 1:
             raise InvalidArgumentError("--grid must be >= 1")
@@ -332,12 +397,10 @@ def _cmd_certify(args: argparse.Namespace) -> None:
         nonlocal n_ok
         for start in range(0, n_points, _BAND_CHUNK):
             k = np.arange(start, min(start + _BAND_CHUNK, n_points))
-            reports = certificates.verify_certificate_stack(
+            cols = certificates.certificate_columns(
                 n1_axis[k // len(n2_axis)], n2_axis[k % len(n2_axis)], tol=args.tol)
-            n_ok += sum(r.feasible_primal and r.feasible_dual and r.values_match for r in reports)
-            yield ("[\n" if start == 0 else ",\n") + ",\n".join(
-                "  " + json.dumps(r.to_json_dict(), sort_keys=True, indent=2).replace("\n", "\n  ")
-                for r in reports)
+            n_ok += np.count_nonzero(cols.feasible_primal & cols.feasible_dual & cols.values_match)
+            yield ("[\n" if start == 0 else ",\n") + _certificate_text(cols)
         yield "\n]\n"
 
     run.write_pieces("certificates.json", pieces())

@@ -37,6 +37,9 @@ R_MAX = 8.0
 #: (bounds.THERMAL_MAX) and of v_dist; far above it, at r = 8 from about 1e16,
 #: round-off made physical dealer states fail the positivity check
 EPS_MAX = 1e12
+#: smallest accepted transmissivity per arm, the reciprocal of EPS_MAX; the
+#: predicted MSEs divide by eta_A, and far smaller values overflow them
+ETA_MIN = 1.0 / EPS_MAX
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -149,7 +152,7 @@ class ExperimentModel:
     dealer resource.
 
     :param r: squeezing parameter, in [0, R_MAX].
-    :param eta_a, eta_b, eta_c: transmissivity per arm, each in (0, 1].
+    :param eta_a, eta_b, eta_c: transmissivity per arm, each in [ETA_MIN, 1].
     :param eps_a, eps_b, eps_c: excess thermal noise per arm, in [0, EPS_MAX]
         shot-noise units.
     """
@@ -166,8 +169,8 @@ class ExperimentModel:
         check_squeezing(self.r)
         for name in ("eta_a", "eta_b", "eta_c"):
             eta = getattr(self, name)
-            if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
-                raise InvalidArgumentError(f"{name} must be in (0, 1]")
+            if not (ETA_MIN <= eta <= 1.0):
+                raise InvalidArgumentError(f"{name} must be in [ETA_MIN = {ETA_MIN:g}, 1]")
         for name in ("eps_a", "eps_b", "eps_c"):
             eps = getattr(self, name)
             if not (math.isfinite(eps) and 0.0 <= eps <= EPS_MAX):

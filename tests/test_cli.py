@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MU_PAIR_ANCHOR, MU_SINGLE_ANCHOR, MU_TRIPLE_ANCHOR
-from cvshare import __version__, cli, estimators, protocol
+from cvshare import __version__, certificates, cli, estimators, protocol
 from cvshare.cli import main, parse_config_text
 from cvshare.errors import InvalidArgumentError
 from cvshare.estimators import Coalition
@@ -315,6 +316,12 @@ SWEEP_OUTPUT_SHA256 = {
         ["certify", "--n1", "0.5", "--n2", "0.5"],
         {"certificates.json": "eba76fdde1ceba53a8d25e2ad0a6a3354d48b78f2f88006ad5582aa3ae5c9aec"},
     ),
+    # the vacuum point's empty y3_eigs, false verdicts, the exact mode and
+    # floats in exponent form
+    "certify-grid-7-exact": (
+        ["certify", "--grid", "7", "--grid-min", "0", "--grid-max", "1e12", "--tol", "0"],
+        {"certificates.json": "ac1757e6250488a3a5b124cbaa87299edf141d257b8fc50bd6bb1cae5bfe1feb"},
+    ),
 }
 PINNED_OUTPUT_SHA256 = {**DEALER_OUTPUT_SHA256, **SWEEP_OUTPUT_SHA256}
 
@@ -350,7 +357,7 @@ def test_csv_chunks_do_not_change_the_tables(tmp_path, capsys, monkeypatch, case
     test_dealer_outputs_bytes_pinned(tmp_path, capsys, case)
 
 
-@pytest.mark.parametrize("case", ["certify-grid-20", "certify-point"])
+@pytest.mark.parametrize("case", ["certify-grid-20", "certify-point", "certify-grid-7-exact"])
 def test_chunks_do_not_change_the_certificates(tmp_path, capsys, monkeypatch, case):
     # certify --grid 20 checks its 400 points in stacks of 3, the last one
     # partial; the security and mi sweeps, which compute 3 probe counts at a
@@ -358,6 +365,57 @@ def test_chunks_do_not_change_the_certificates(tmp_path, capsys, monkeypatch, ca
     monkeypatch.setattr(cli, "_BAND_CHUNK", 3)
     monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
     test_dealer_outputs_bytes_pinned(tmp_path, capsys, case)
+
+
+@pytest.mark.parametrize("chunk", [3, 4096])
+def test_certify_counts_the_ok_points_of_every_stack(tmp_path, capsys, monkeypatch, chunk):
+    # one point of 49 passes the exact mode; with stacks of 3 it lies in the first
+    monkeypatch.setattr(cli, "_BAND_CHUNK", chunk)
+    argv, _ = SWEEP_OUTPUT_SHA256["certify-grid-7-exact"]
+    code, out, _ = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert out == "1/49 certificates ok\n"
+
+
+# every float64 class: subnormals, signed zeros, the extremes and the non-finite
+_ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308, 1e308,
+                     -1e308, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _certificate_columns(draw):
+    """Columns of a stack of 1 to 5 points with every float and verdict drawn freely,
+    degenerate points among regular ones."""
+    k = draw(st.integers(1, 5))
+
+    def flags():
+        return np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)
+
+    def floats(rows, width=None):
+        n = rows * (width or 1)
+        values = np.array(draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n)), dtype=float)
+        return values if width is None else values.reshape(rows, width)
+
+    degenerate = flags()
+    return certificates.CertificateColumns(
+        n1=floats(k), n2=floats(k), primal_value=floats(k), dual_value=floats(k),
+        x1_eigs=floats(k, 4), x2_eigs=floats(k, 4), y1_eigs=floats(k, 4), y2_eigs=floats(k, 2),
+        y3_eigs=floats(int(np.count_nonzero(~degenerate)), 2), degenerate=degenerate,
+        feasible_primal=flags(), feasible_dual=flags(), values_match=flags(),
+        constraint_residuals=floats(k, 6))
+
+
+@settings(max_examples=300)
+@given(cols=_certificate_columns())
+def test_certificate_template_is_json_dumps(cols):
+    # the writer before the template: each report's dict through json.dumps with
+    # indent=2, every line indented two more spaces
+    want = ",\n".join(
+        "  " + json.dumps(r.to_json_dict(), sort_keys=True, indent=2).replace("\n", "\n  ")
+        for r in certificates.reports_from_columns(cols))
+    assert cli._certificate_text(cols) == want
 
 
 @pytest.mark.parametrize("coalition, plan", [("a_alone", "fixed"), ("abc", "gaussian")])
@@ -690,7 +748,7 @@ def _fail(*args, **kwargs):
          [(cli.security, "mutual_information"), (cli.security, "MseDistribution")],
          cli.MAX_SWEEP_PROBES),
         (["certify", "--grid", "100000"],
-         [(cli.np, "linspace"), (cli.certificates, "verify_certificates")],
+         [(cli.np, "linspace"), (cli.certificates, "certificate_columns")],
          cli.MAX_CERTIFY_POINTS),
     ],
     ids=["bounds-steps", "bounds-band-samples", "security-n-probes", "mi-n-max", "certify-grid"],
@@ -898,6 +956,10 @@ def test_help_and_version_exit_zero(capsys, argv):
     [
         (["certify", "--n1", "0.5", "--n2", "0.5", "--tol", "nan"], "--tol"),
         (["certify", "--grid", "2", "--tol", "-1"], "--tol"),
+        (["certify", "--grid", "3", "--tol", "1e308"], "--tol"),
+        (["certify", "--grid", "3", "--tol", "1.000001"], "--tol"),
+        (["bounds", "--steps", "2", "--eta-a", "1e-308"], "eta_a"),
+        (["bounds", "--steps", "2", "--eta-c", "9.99999e-13"], "eta_c"),
         (["bounds", "--r-max", "inf"], "--r-max"),
         (["bounds", "--r-min", "nan"], "--r-min"),
         (["bounds", "--r-min", "-0.5"], "--r-min"),
@@ -932,7 +994,8 @@ def test_help_and_version_exit_zero(capsys, argv):
         (["security", "--mu-single", "8", "--mu-pair", "5", "--mu-triple", "4",
           "--n-probes", "10", "--v-t", "nan"], "--v-t"),
     ],
-    ids=["tol-nan", "tol-negative", "r-max-inf", "r-min-nan", "r-min-negative",
+    ids=["tol-nan", "tol-negative", "tol-1e308", "tol-above-one", "bounds-eta-a-1e-308",
+         "bounds-eta-c-below-eta-min", "r-max-inf", "r-min-nan", "r-min-negative",
          "security-mu-single-1e308", "security-mu-triple-0", "mi-mu-triple-nan",
          "mi-mu-pair-nan", "mi-mu-single-above-1e12", "security-mu-single-5e-324",
          "security-mu-single-1e-310", "mi-mu-single-5e-324", "mi-mu-single-1e-310",
@@ -945,7 +1008,9 @@ def test_out_of_range_flag_is_named(tmp_path, capsys, argv, flag):
     # --tol nan and -1 printed "0/1 certificates ok", --r-max inf warned on
     # stderr, and the --mu-* errors blamed v_t, v_alpha or an unnamed mu; a
     # tiny --mu-* underflowed mu / N, and mi at 1e-310 exited 0 with a warning;
-    # the certify values named no flag, and --v-t 1e308 exited 0 with a warning
+    # the certify values named no flag, and --v-t 1e308 exited 0 with a warning;
+    # --tol 1e308 overflowed the eigenvalue check and --eta-a 1e-308 the
+    # predicted MSEs, each exiting 0 with numpy overflow warnings
     code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     payload = _one_json_error(err)
@@ -953,6 +1018,8 @@ def test_out_of_range_flag_is_named(tmp_path, capsys, argv, flag):
     assert flag in payload["message"]
     if flag.startswith("--r-"):
         assert "R_MAX = 8.0" in payload["message"]
+    if flag.startswith("eta_"):
+        assert "ETA_MIN = 1e-12" in payload["message"]
     assert not (tmp_path / "out").exists()
 
 
@@ -1006,6 +1073,18 @@ def test_excess_noise_up_to_eps_max_runs(tmp_path, capsys, r):
     for argv in _eps_runs(tmp_path, r, "1e12"):
         code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
         assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize("r", ["0", "8"])
+@pytest.mark.filterwarnings("error")
+def test_transmissivity_down_to_eta_min_runs(tmp_path, capsys, r):
+    # ETA_MIN on every arm, with the largest excess noise on each arm too
+    arms = [f"--{q}-{arm}={v}" for arm in "abc" for q, v in (("eta", "1e-12"), ("eps", "1e12"))]
+    for argv in (["state", "--r", r, *arms], ["bounds", "--r-min", r, "--r-max", r, *arms],
+                 ["witness", "--r", r, "--n-rounds", "2000", *arms]):
+        code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 0, (argv, err)
+        assert err == ""
 
 
 @pytest.mark.parametrize("eps", ["1.000001e12", "1e16", "1e308"])
@@ -1331,7 +1410,10 @@ _FUZZ_SEEDS = st.sampled_from(["0", "-1", "7", str(2**64 - 1), str(2**64), str(1
 
 
 _MU_FLAGS = {"--mu-single": "8", "--mu-pair": "5.83", "--mu-triple": "4"}
-# per subcommand: a valid command line, and the flags a case may redraw
+_CERTIFY_FLAGS = {"--n1": _FUZZ_FLOATS, "--n2": _FUZZ_FLOATS, "--grid": _FUZZ_SIZES,
+                  "--grid-min": _FUZZ_FLOATS, "--grid-max": _FUZZ_FLOATS, "--tol": _FUZZ_FLOATS}
+# per subcommand (and form, after a "-"): a valid command line, and the flags a
+# case may redraw
 _FUZZ_COMMANDS = {
     "bounds": ({"--steps": "3"}, {
         "--steps": _FUZZ_SIZES, "--band-samples": _FUZZ_SIZES, "--band-seed": _FUZZ_SEEDS,
@@ -1344,15 +1426,18 @@ _FUZZ_COMMANDS = {
     "mi": ({**_MU_FLAGS, "--v-dist": "5", "--n-max": "3"}, {
         **dict.fromkeys(_MU_FLAGS, _FUZZ_FLOATS), "--n-max": _FUZZ_SIZES,
         "--v-dist": _FUZZ_FLOATS, "--c-bits": _FUZZ_FLOATS}),
+    "certify-point": ({"--n1": "0.5", "--n2": "0.5"}, _CERTIFY_FLAGS),
+    "certify-grid": ({"--grid": "3"}, _CERTIFY_FLAGS),
 }
 
 
 @st.composite
 def _table_writer_argv(draw):
-    """A valid bounds, security or mi command line with one to three flags redrawn,
-    each given as --flag=value so that a negative value reaches its flag."""
-    subcommand = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
-    valid, flags = _FUZZ_COMMANDS[subcommand]
+    """A valid bounds, security, mi or certify command line with one to three flags
+    redrawn, each given as --flag=value so that a negative value reaches its flag."""
+    form = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    valid, flags = _FUZZ_COMMANDS[form]
+    subcommand = form.split("-")[0]
     redrawn = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3, unique=True))
     values = {**valid, **{flag: draw(flags[flag]) for flag in redrawn}}
     return [subcommand, *(f"{flag}={value}" for flag, value in values.items())]
@@ -1360,12 +1445,20 @@ def _table_writer_argv(draw):
 
 @settings(max_examples=200)
 @given(argv=_table_writer_argv())
+# each exited 0 with numpy overflow warnings
+@example(argv=["bounds", "--steps=3", "--eta-a=1e-308"])
+@example(argv=["certify", "--grid=3", "--tol=1e308"])
 def test_table_writers_exit_cleanly_on_any_numeric_flag(argv):
+    # pytest captures warnings, so an empty stderr would not show one
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv + [f"--out-dir={out}"])
-    if code != 0:
+    if code == 0:
+        assert [str(w.message) for w in caught] == []
+    else:
         assert code in (1, 2)
         payload = _one_json_error(err.getvalue())
         assert set(payload) == {"error", "message"}

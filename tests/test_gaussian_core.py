@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cvshare.errors import InvalidArgumentError, UnsupportedStateError
 from cvshare.gaussian_core import (
+    ETA_MIN,
     PHYSICALITY_SLACK,
     R_MAX,
     ExperimentModel,
@@ -105,6 +106,9 @@ def test_loss_interpolates_to_vacuum():
     assert np.allclose(half.cov, 0.5 * ideal + 0.5 * np.eye(6), atol=1e-12)
     with pytest.raises(InvalidArgumentError):
         ExperimentModel(r=1.0, eta_b=0.0)
+    assert ExperimentModel(r=1.0, eta_c=ETA_MIN).eta_c == 1e-12
+    with pytest.raises(InvalidArgumentError, match="ETA_MIN"):
+        ExperimentModel(r=1.0, eta_a=math.nextafter(ETA_MIN, 0.0))
     with pytest.raises(InvalidArgumentError):
         ExperimentModel(r=1.0, eta_b=1.1)
 
