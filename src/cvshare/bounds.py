@@ -9,10 +9,11 @@ with the same resource-split and loss-correction conventions as the
 estimators module.
 
 :func:`predicted_mse_grid` computes them for every coalition over a
-whole array of squeezing values in one numpy pass: one checked dealer
-covariance stack (:func:`~cvshare.gaussian_core.dealer_covariances`),
-then the gains and residuals on the stack. :func:`predicted_mse` is that
-pass on a stack of one, so both give the same bits. ``cvshare bounds``
+whole array of squeezing values in one numpy pass: one dealer covariance
+stack (:func:`~cvshare.gaussian_core.dealer_covariances`, which checks
+the squeezing values), then the gains and residuals on the stack.
+:func:`predicted_mse` is that pass on a stack of one, so both give the
+same bits. ``cvshare bounds``
 evaluates its grid and its ``--band`` r-samples, clipped to [0, R_MAX],
 in fixed-size chunks.
 """

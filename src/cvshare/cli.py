@@ -8,8 +8,9 @@ emitted with sorted keys and no timestamps for the same reason.
 
 Exit codes: 0 on success, 2 on argument and configuration errors,
 1 on runtime failures (abort on loss, protocol failure, an output
-directory or file that cannot be written, which removes the run's
-outputs); failures print one machine-readable JSON object on stderr.
+directory or file that cannot be written); failures print one
+machine-readable JSON object on stderr, and remove the files and the
+directories the run made.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ _CSV_CHUNK = 4096
 #: bounds the covariance or certificate stack held at once
 _BAND_CHUNK = 4096
 #: caps on the work of the closed-form subcommands, checked before anything is
-#: allocated; at each cap a run took, on a 2-core x86-64 host, about 30 s (bounds),
+#: allocated; at each cap a run took, on a 2-core x86-64 host, about 22 s (bounds),
 #: 3 s (certify), 1.7 s (mi) and 1.1 s (security).
 #: Dealer covariances of ``bounds``: --steps x (1 + --band-samples)
 MAX_BOUNDS_POINTS = 1_000_000
@@ -121,27 +122,49 @@ def _read_input(path: str, what: str) -> str:
 
 class _Run:
     """Collects output files for one subcommand run and writes the manifest.
-    ``outputs`` lists the files opened so far; a failed write removes them."""
+    ``outputs`` lists the files opened so far. Used as ``with _Run(args) as run``:
+    a run that raises, or fails to write, removes those files and the directories
+    it made, so a rejected run leaves nothing behind; a directory that was there
+    stays."""
 
     def __init__(self, args: argparse.Namespace, stream_layout: int | None = None):
         self.out_dir = args.out_dir
         self.args = args
         self.stream_layout = stream_layout
         self.outputs: list[str] = []
+        # the directories of out_dir that do not exist yet, deepest first
+        self.made: list[str] = []
+        path = self.out_dir
+        while path and not os.path.lexists(path):
+            self.made.append(path)
+            path = os.path.dirname(path)
         with self._output():
             os.makedirs(self.out_dir, exist_ok=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self._discard()
+
+    def _discard(self) -> None:
+        for name in self.outputs:
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(self.out_dir, name))
+        for path in self.made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
 
     @contextlib.contextmanager
     def _output(self, name: str | None = None):
         """Report an OSError from making the output directory, or from opening or
         writing the output file ``name``, as an OutputError naming the path, after
-        removing the outputs written so far."""
+        removing what the run wrote so far."""
         try:
             yield
         except OSError as exc:
-            for written in self.outputs:
-                with contextlib.suppress(OSError):
-                    os.remove(os.path.join(self.out_dir, written))
+            self._discard()
             what = f"output {name!r} in " if name else ""
             raise OutputError(f"cannot write {what}--out-dir (or {OUT_DIR_ENV}) "
                               f"{self.out_dir!r}: {exc.strerror or exc}") from None
@@ -209,25 +232,19 @@ def _add_model_flags(sub: argparse.ArgumentParser, with_r: bool = True) -> None:
 
 
 def _model_from_args(args: argparse.Namespace, r: float | None = None) -> ExperimentModel:
-    return ExperimentModel(
-        r=args.r if r is None else r,
-        eta_a=args.eta_a,
-        eta_b=args.eta_b,
-        eta_c=args.eta_c,
-        eps_a=args.eps_a,
-        eps_b=args.eps_b,
-        eps_c=args.eps_c,
-    )
+    """The model of the --r (or ``r``), --eta-* and --eps-* flags, or of a config's keys."""
+    arms = {f"{q}_{arm}": getattr(args, f"{q}_{arm}") for q in ("eta", "eps") for arm in "abc"}
+    return ExperimentModel(r=args.r if r is None else r, **arms)
 
 
 def _cmd_state(args: argparse.Namespace) -> None:
-    run = _Run(args)
-    if args.load is not None:
-        state = state_from_text(_read_input(args.load, "state file"))
-    else:
-        state = build_dealer_state(_model_from_args(args), args.alpha_x, args.alpha_p)
-        run.write("state.txt", state_to_text(state))
-    run.finish()
+    with _Run(args) as run:
+        if args.load is not None:
+            state = state_from_text(_read_input(args.load, "state file"))
+        else:
+            state = build_dealer_state(_model_from_args(args), args.alpha_x, args.alpha_p)
+            run.write("state.txt", state_to_text(state))
+        run.finish()
     print(f"modes: {state.n_modes}")
     print(f"mean: {' '.join(repr(float(v)) for v in state.mean)}")
     print(f"min physicality eigenvalue: {physicality_min_eigenvalue(state):.6e}")
@@ -254,43 +271,45 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
         )
     # the arms of every grid point; predicted_mse_grid does not read their r
     arms = _model_from_args(args, r=args.r_min)
-    run = _Run(args)
-    grid = np.linspace(args.r_min, args.r_max, args.steps)
-    coalitions = [parse_coalition(name) for name in _COALITION_ORDER]
-    names = np.array(_COALITION_ORDER)
+    with _Run(args) as run:
+        grid = np.linspace(args.r_min, args.r_max, args.steps)
+        coalitions = [parse_coalition(name) for name in _COALITION_ORDER]
+        names = np.array(_COALITION_ORDER)
 
-    def grid_chunks():
-        # one row per (r, coalition), r-major
-        for start in range(0, args.steps, _BAND_CHUNK):
-            rs = grid[start : start + _BAND_CHUNK]
-            mse = bounds.predicted_mse_grid(rs, arms)
-            yield [np.repeat(rs, len(names)), np.tile(names, len(rs)),
-                   *(np.stack([mse[c][k] for c in coalitions], axis=1).ravel() for k in range(3))]
+        def grid_chunks():
+            # one row per (r, coalition), r-major
+            for start in range(0, args.steps, _BAND_CHUNK):
+                rs = grid[start : start + _BAND_CHUNK]
+                mse = bounds.predicted_mse_grid(rs, arms)
+                yield [np.repeat(rs, len(names)), np.tile(names, len(rs)),
+                       *(np.stack([mse[c][k] for c in coalitions], axis=1).ravel()
+                         for k in range(3))]
 
-    run.write_table("bounds.csv", ["r", "coalition", "mse_x", "mse_p", "mse_sum"], grid_chunks())
-    if args.band is not None:
-        gen = RandomStream(args.band_seed).generator()
+        run.write_table("bounds.csv", ["r", "coalition", "mse_x", "mse_p", "mse_sum"],
+                        grid_chunks())
+        if args.band is not None:
+            gen = RandomStream(args.band_seed).generator()
 
-        def band_rows():
-            for r in grid.tolist():
-                lo = dict.fromkeys(coalitions, math.inf)
-                hi = dict.fromkeys(coalitions, -math.inf)
-                for start in range(0, args.band_samples, _BAND_CHUNK):
-                    n = min(_BAND_CHUNK, args.band_samples - start)
-                    if args.band == "uniform":
-                        draws = gen.uniform(-1.0, 1.0, n)
-                    else:
-                        draws = gen.standard_normal(n)
-                    r_samples = np.clip(r * (1.0 + args.band_fluct * draws), 0.0, R_MAX)
-                    sums = bounds.predicted_mse_grid(r_samples, arms)
-                    for c in coalitions:
-                        lo[c] = min(lo[c], float(sums[c][2].min()))
-                        hi[c] = max(hi[c], float(sums[c][2].max()))
-                yield from ((r, c.value, lo[c], hi[c]) for c in coalitions)
+            def band_rows():
+                for r in grid.tolist():
+                    lo = dict.fromkeys(coalitions, math.inf)
+                    hi = dict.fromkeys(coalitions, -math.inf)
+                    for start in range(0, args.band_samples, _BAND_CHUNK):
+                        n = min(_BAND_CHUNK, args.band_samples - start)
+                        if args.band == "uniform":
+                            draws = gen.uniform(-1.0, 1.0, n)
+                        else:
+                            draws = gen.standard_normal(n)
+                        r_samples = np.clip(r * (1.0 + args.band_fluct * draws), 0.0, R_MAX)
+                        sums = bounds.predicted_mse_grid(r_samples, arms)
+                        for c in coalitions:
+                            lo[c] = min(lo[c], float(sums[c][2].min()))
+                            hi[c] = max(hi[c], float(sums[c][2].max()))
+                    yield from ((r, c.value, lo[c], hi[c]) for c in coalitions)
 
-        run.write_table("bounds_band.csv", ["r", "coalition", "mse_sum_lo", "mse_sum_hi"],
-                        _row_chunks(band_rows()))
-    run.finish()
+            run.write_table("bounds_band.csv", ["r", "coalition", "mse_sum_lo", "mse_sum_hi"],
+                            _row_chunks(band_rows()))
+        run.finish()
     print(f"wrote {args.steps * len(names)} bound rows for {args.steps} squeezing values")
 
 
@@ -383,28 +402,29 @@ def _cmd_certify(args: argparse.Namespace) -> None:
         if not (math.isfinite(value) and 0.0 <= value <= bounds.THERMAL_MAX):
             raise InvalidArgumentError(
                 f"{flag} must be finite and in [0, THERMAL_MAX = {bounds.THERMAL_MAX:g}]")
-    run = _Run(args)
-    if single:
-        n1_axis, n2_axis = np.array([args.n1]), np.array([args.n2])
-    else:
-        n1_axis = n2_axis = np.linspace(args.grid_min, args.grid_max, args.grid)
-    n_points = len(n1_axis) * len(n2_axis)
-    n_ok = 0
+    with _Run(args) as run:
+        if single:
+            n1_axis, n2_axis = np.array([args.n1]), np.array([args.n2])
+        else:
+            n1_axis = n2_axis = np.linspace(args.grid_min, args.grid_max, args.grid)
+        n_points = len(n1_axis) * len(n2_axis)
+        n_ok = 0
 
-    def pieces():
-        # point k is (n1_axis[k // K], n2_axis[k % K]); the pieces join to the
-        # _json_text of the list of every report
-        nonlocal n_ok
-        for start in range(0, n_points, _BAND_CHUNK):
-            k = np.arange(start, min(start + _BAND_CHUNK, n_points))
-            cols = certificates.certificate_columns(
-                n1_axis[k // len(n2_axis)], n2_axis[k % len(n2_axis)], tol=args.tol)
-            n_ok += np.count_nonzero(cols.feasible_primal & cols.feasible_dual & cols.values_match)
-            yield ("[\n" if start == 0 else ",\n") + _certificate_text(cols)
-        yield "\n]\n"
+        def pieces():
+            # point k is (n1_axis[k // K], n2_axis[k % K]); the pieces join to the
+            # _json_text of the list of every report
+            nonlocal n_ok
+            for start in range(0, n_points, _BAND_CHUNK):
+                k = np.arange(start, min(start + _BAND_CHUNK, n_points))
+                cols = certificates.certificate_columns(
+                    n1_axis[k // len(n2_axis)], n2_axis[k % len(n2_axis)], tol=args.tol)
+                ok = cols.feasible_primal & cols.feasible_dual & cols.values_match
+                n_ok += np.count_nonzero(ok)
+                yield ("[\n" if start == 0 else ",\n") + _certificate_text(cols)
+            yield "\n]\n"
 
-    run.write_pieces("certificates.json", pieces())
-    run.finish()
+        run.write_pieces("certificates.json", pieces())
+        run.finish()
     print(f"{n_ok}/{n_points} certificates ok")
 
 
@@ -462,46 +482,22 @@ def parse_config_text(text: str) -> dict:
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     cfg = parse_config_text(_read_input(args.config, "config file"))
-    model = ExperimentModel(
-        r=cfg["r"],
-        eta_a=cfg["eta_a"],
-        eta_b=cfg["eta_b"],
-        eta_c=cfg["eta_c"],
-        eps_a=cfg["eps_a"],
-        eps_b=cfg["eps_b"],
-        eps_c=cfg["eps_c"],
-    )
-    plan = DisplacementPlan(
-        kind=cfg["plan"],
-        alpha_x=cfg["alpha_x"],
-        alpha_p=cfg["alpha_p"],
-        v_dist=cfg["v_dist"],
-        n_rep=cfg["n_rep"],
-    )
-    policy = ProtocolPolicy(
-        eta_min=cfg["eta_min"],
-        witness_fraction=cfg["witness_fraction"],
-        bias_fraction=cfg["bias_fraction"],
-    )
+    model = _model_from_args(argparse.Namespace(**cfg))
+    plan = DisplacementPlan(kind=cfg["plan"], alpha_x=cfg["alpha_x"], alpha_p=cfg["alpha_p"],
+                            v_dist=cfg["v_dist"], n_rep=cfg["n_rep"])
+    policy = ProtocolPolicy(eta_min=cfg["eta_min"], witness_fraction=cfg["witness_fraction"],
+                            bias_fraction=cfg["bias_fraction"])
     coalition = parse_coalition(cfg["coalition"])
     stream = RandomStream(cfg["seed"], cfg["stream_id"])
-    run = _Run(args, stream_layout=protocol.STREAM_LAYOUT)
-    result = protocol.run_protocol(
-        model,
-        plan,
-        cfg["n_rounds"],
-        coalition,
-        policy,
-        stream,
-        gain_mode=cfg["gain_mode"],
-        keep_records=args.dump_rounds,
-    )
-    run.write("mse_report.json", _json_text(result.mse_report.to_json_dict()))
-    run.write("witness.json", _json_text(result.witness.to_json_dict()))
-    run.write("bias.json", _json_text(result.bias.to_json_dict()))
-    if args.dump_rounds:
-        run.write_table("rounds.csv", protocol.ROUND_COLUMNS, _round_chunks(result.records))
-    run.finish()
+    with _Run(args, stream_layout=protocol.STREAM_LAYOUT) as run:
+        result = protocol.run_protocol(model, plan, cfg["n_rounds"], coalition, policy, stream,
+                                       gain_mode=cfg["gain_mode"], keep_records=args.dump_rounds)
+        run.write("mse_report.json", _json_text(result.mse_report.to_json_dict()))
+        run.write("witness.json", _json_text(result.witness.to_json_dict()))
+        run.write("bias.json", _json_text(result.bias.to_json_dict()))
+        if args.dump_rounds:
+            run.write_table("rounds.csv", protocol.ROUND_COLUMNS, _round_chunks(result.records))
+        run.finish()
     rep = result.mse_report
     print(
         f"coalition {rep.coalition.value}: mse_sum = {rep.mse_sum:.6f} "
@@ -541,28 +537,29 @@ def _cmd_security(args: argparse.Namespace) -> None:
                 f"--mu-single equals {flag}: equal means have no crossing, so give --v-t")
     v_ts = {name: security.crossing_threshold(args.mu_single, mu) if args.v_t is None
             else args.v_t for name, (_, mu) in mus.items()}
-    run = _Run(args)
-    names = np.array(list(mus))
-    v_t = np.array(list(v_ts.values()))
-    # v_t does not change with N, so its cells are formatted once
-    v_t_cells = np.array([repr(v) for v in v_t.tolist()])
-    # per coalition, the means of the lone party and of the coalition
-    means = np.array([[args.mu_single, mu] for _, mu in mus.values()])
+    with _Run(args) as run:
+        names = np.array(list(mus))
+        v_t = np.array(list(v_ts.values()))
+        # v_t does not change with N, so its cells are formatted once
+        v_t_cells = np.array([repr(v) for v in v_t.tolist()])
+        # per coalition, the means of the lone party and of the coalition
+        means = np.array([[args.mu_single, mu] for _, mu in mus.values()])
 
-    def columns(n):
-        # delta and p_success of every row in the chunk from one gamma-function call
-        probs = security.mse_cdf_over_n(v_t[:, None], means, n[..., None])
-        return np.broadcast_to(v_t_cells, probs.shape[:2]), probs[..., 0], probs[..., 1]
+        def columns(n):
+            # delta and p_success of every row in the chunk from one gamma-function call
+            probs = security.mse_cdf_over_n(v_t[:, None], means, n[..., None])
+            return np.broadcast_to(v_t_cells, probs.shape[:2]), probs[..., 0], probs[..., 1]
 
-    run.write_table("security_sweep.csv", ["n_probes", "coalition", "v_t", "delta", "p_success"],
-                    _probe_chunks(args.n_probes, names, columns))
-    # security.json holds the sweep's reports at N = --n-probes
-    single = security.MseDistribution(args.mu_single, args.n_probes)
-    reports = [security.security_probabilities(
-        v_ts[name], single, security.MseDistribution(mu, args.n_probes), coalition_name=name
-    ).to_json_dict() for name, (_, mu) in mus.items()]
-    run.write("security.json", _json_text(reports))
-    run.finish()
+        run.write_table("security_sweep.csv",
+                        ["n_probes", "coalition", "v_t", "delta", "p_success"],
+                        _probe_chunks(args.n_probes, names, columns))
+        # security.json holds the sweep's reports at N = --n-probes
+        single = security.MseDistribution(args.mu_single, args.n_probes)
+        reports = [security.security_probabilities(
+            v_ts[name], single, security.MseDistribution(mu, args.n_probes), coalition_name=name
+        ).to_json_dict() for name, (_, mu) in mus.items()]
+        run.write("security.json", _json_text(reports))
+        run.finish()
     for rep in reports:
         print(
             f"{rep['coalition']}: v_t = {rep['v_t']:.6f}, delta = {rep['delta']:.6g}, "
@@ -581,40 +578,40 @@ def _cmd_mi(args: argparse.Namespace) -> None:
     if not (0.0 < args.v_dist <= protocol.ALPHA_MAX**2):
         raise InvalidArgumentError(f"--v-dist must be in (0, {protocol.ALPHA_MAX**2:g}]")
     req = security.required_mse(args.c_bits, args.v_dist)
-    run = _Run(args)
-    names = np.array(["a_alone", "ab", "abc"])
-    mus = np.array([args.mu_single, args.mu_pair, args.mu_triple])
+    with _Run(args) as run:
+        names = np.array(["a_alone", "ab", "abc"])
+        mus = np.array([args.mu_single, args.mu_pair, args.mu_triple])
 
-    def curve(n):
-        # mean summed MSE mu/N; per-quadrature achieved MSE is half that
-        v_alpha = 0.5 * mus / n
-        return v_alpha, security.mutual_information(args.v_dist, v_alpha)
+        def curve(n):
+            # mean summed MSE mu/N; per-quadrature achieved MSE is half that
+            v_alpha = 0.5 * mus / n
+            return v_alpha, security.mutual_information(args.v_dist, v_alpha)
 
-    def exceedance(n):
-        # at least c bits takes a summed MSE of at most twice the per-quadrature target
-        return (security.mse_cdf_over_n(2.0 * req, mus, n),)
+        def exceedance(n):
+            # at least c bits takes a summed MSE of at most twice the per-quadrature target
+            return (security.mse_cdf_over_n(2.0 * req, mus, n),)
 
-    for name, header, columns in (
-        ("mi_curve.csv", ["n_probes", "coalition", "mse_per_quadrature", "mi_bits"], curve),
-        ("exceedance.csv", ["n_probes", "coalition", "p_exceed"], exceedance),
-    ):
-        run.write_table(name, header, _probe_chunks(args.n_max, names, columns))
-    run.finish()
+        for name, header, columns in (
+            ("mi_curve.csv", ["n_probes", "coalition", "mse_per_quadrature", "mi_bits"], curve),
+            ("exceedance.csv", ["n_probes", "coalition", "p_exceed"], exceedance),
+        ):
+            run.write_table(name, header, _probe_chunks(args.n_max, names, columns))
+        run.finish()
     print(f"required per-quadrature MSE for {args.c_bits} bits: {req:.6f}")
 
 
 def _cmd_witness(args: argparse.Namespace) -> None:
-    run = _Run(args, stream_layout=protocol.STREAM_LAYOUT)
-    result = protocol.witness_verification_run(
-        _model_from_args(args),
-        args.alpha_x,
-        args.alpha_p,
-        args.n_rounds,
-        RandomStream(args.seed, args.stream_id),
-        surrogate=args.surrogate,
-    )
-    run.write("witness.json", _json_text(result.to_json_dict()))
-    run.finish()
+    with _Run(args, stream_layout=protocol.STREAM_LAYOUT) as run:
+        result = protocol.witness_verification_run(
+            _model_from_args(args),
+            args.alpha_x,
+            args.alpha_p,
+            args.n_rounds,
+            RandomStream(args.seed, args.stream_id),
+            surrogate=args.surrogate,
+        )
+        run.write("witness.json", _json_text(result.to_json_dict()))
+        run.finish()
     shown = "n/a" if result.mse_sum is None else f"{result.mse_sum:.6f}"
     print(
         f"witness mse_sum = {shown} (threshold {result.threshold}), "

@@ -9,10 +9,9 @@ The three-mode state shared by the dealer is stored in mode order
 uncertainty relation, positivity); it works on a stack of matrices. The
 :class:`GaussianState` constructor runs it on a stack of one, so every
 state passes through it once: user-built states, parsed state files,
-partial traces and the dealer state, which is assembled on plain arrays
-and checked when it is wrapped at the end. :func:`dealer_covariances`
-assembles the dealer covariance for a whole array of squeezing values in
-one pass and checks the stack once.
+partial traces and the dealer state. :func:`dealer_covariances` builds
+the dealer covariance for a whole array of squeezing values in one pass
+by physicality-preserving channel maps, so it checks its inputs only.
 """
 
 from __future__ import annotations
@@ -200,21 +199,28 @@ def partial_trace(state: GaussianState, keep: list[int]) -> GaussianState:
     return GaussianState(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
-def _dealer_cov_stack(rs: np.ndarray, arms: ExperimentModel) -> np.ndarray:
-    """Unchecked (n, 6, 6) dealer covariances, one per squeezing value in rs.
+def dealer_covariances(rs, arms: ExperimentModel) -> np.ndarray:
+    """Covariances of the dealer state, one per squeezing value in rs.
 
     Pipeline: an x-squeezed and a p-squeezed vacuum (same r) meet on a
     50:50 beamsplitter to form the entangled pair; the first output is
     split again with vacuum on a 50:50 beamsplitter, yielding shares C
     and B, while the unsplit arm becomes A. Each arm then passes through
-    its loss channel and picks up its excess noise; ``arms`` gives the
-    eta and eps per arm (its own r is not used).
+    its loss channel and picks up its excess noise.
 
     The steps are the standard symplectic and channel maps (Weedbrook et
     al., Rev. Mod. Phys. 84, 621 (2012)), applied to the whole stack with
     the same arithmetic, matrix for matrix, as on a single covariance.
-    The squeezing values are not checked here.
+    They preserve physicality, so only the inputs are checked (rs here, eta
+    and eps by the model); a test proves over the whole box of inputs that
+    :func:`check_covariances` accepts the stack as built, bit for bit.
+
+    :param rs: 1-D array of squeezing values, each in [0, R_MAX].
+    :param arms: transmissivity and excess noise per arm (its r is not used).
+    :return: (len(rs), 6, 6) stack in mode order (C, B, A).
     """
+    rs = np.asarray(rs, dtype=float)
+    check_squeezing(rs)
     # math.exp per value: np.exp differs from it in the last bit for a few
     # percent of r, which would change the bytes of state and bounds files
     values = rs.tolist()
@@ -253,26 +259,12 @@ def _dealer_cov_stack(rs: np.ndarray, arms: ExperimentModel) -> np.ndarray:
     return cov
 
 
-def dealer_covariances(rs, arms: ExperimentModel) -> np.ndarray:
-    """Checked covariances of the dealer state for every squeezing value in rs.
-
-    :param rs: 1-D array of squeezing values, each in [0, R_MAX].
-    :param arms: transmissivity and excess noise per arm (its r is not used).
-    :return: (len(rs), 6, 6) stack in mode order (C, B, A), each matrix
-        bit for bit the covariance of ``build_dealer_state`` at that r.
-    """
-    rs = np.asarray(rs, dtype=float)
-    check_squeezing(rs)
-    return check_covariances(_dealer_cov_stack(rs, arms))
-
-
 def build_dealer_state(model: ExperimentModel, alpha_x: float, alpha_p: float) -> GaussianState:
     """Build the three-mode state distributed to parties (C, B, A).
 
-    The covariance is :func:`dealer_covariances` at model.r, which the
-    model has already checked; the secret displacement (alpha_x, alpha_p)
-    is applied to arm A before its loss channel, which scales it by
-    sqrt(eta_A). The state is checked once, when it is wrapped.
+    The covariance is :func:`dealer_covariances` at model.r; the secret
+    displacement (alpha_x, alpha_p) is applied to arm A before its loss
+    channel, which scales it by sqrt(eta_A).
 
     :return: three-mode state, mode order (C, B, A), mean
         (0, 0, 0, 0, alpha_x, alpha_p) before loss.
@@ -285,7 +277,7 @@ def build_dealer_state(model: ExperimentModel, alpha_x: float, alpha_p: float) -
     mean[5] += alpha_p
     if model.eta_a < 1.0:
         mean *= math.sqrt(model.eta_a)
-    return GaussianState(3, mean, _dealer_cov_stack(np.array([model.r]), model)[0])
+    return GaussianState(3, mean, dealer_covariances([model.r], model)[0])
 
 
 def state_to_text(state: GaussianState) -> str:

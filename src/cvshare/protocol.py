@@ -689,7 +689,7 @@ def run_protocol(
     lone = coalition is Coalition.A_ALONE
     fitted = gain_mode == "fitted" and not lone
     root_eta = math.sqrt(model.eta_a)
-    factors = _triple_factors(build_dealer_state(model, 0.0, 0.0).cov)
+    factors = _triple_factors(dealer_covariances([model.r], model)[0])
     if lone:
         gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / root_eta)
     else:

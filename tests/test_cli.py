@@ -279,6 +279,17 @@ DEALER_OUTPUT_SHA256 = {
             "bounds_band.csv": "f964b77859f260648ed4347c3c426fd6d430b7569ef06dd8a596351f151a08b0",
         },
     ),
+    # the corners of the accepted box, from the writer that checked every
+    # dealer covariance it built
+    "bounds-box-corners": (
+        ["bounds", "--r-min", "0", "--r-max", "8", "--steps", "9", "--eta-a", "1e-12",
+         "--eta-b", "0.5", "--eps-b", "1e12", "--eps-c", "1e-12", "--band", "uniform",
+         "--band-samples", "40", "--band-fluct", "0.5"],
+        {
+            "bounds.csv": "673f69f734788df6fc922a5e35b46b30740a927a57e65e5454d3a4fe014948c9",
+            "bounds_band.csv": "9f3c25c0e461d91cc7ddd8bdb59c9aebcc4e63b86fbe6b1e5203c694f774bde7",
+        },
+    ),
 }
 
 
@@ -1299,6 +1310,55 @@ def test_failed_output_removes_the_outputs_already_written(tmp_path, capsys):
     assert (out / "bias.json").is_dir()
 
 
+# a command line rejected after the output directory is made, and its error message
+_REJECTED_RUNS = {
+    "witness-eta-a-0": (["witness", "--eta-a", "0"], "eta_a must be in [ETA_MIN = 1e-12, 1]"),
+    "witness-n-rounds-5": (["witness", "--n-rounds", "5"], "n_rounds must be >= 200"),
+    "state-eps-b-negative": (["state", "--eps-b", "-1"], "eps_b must be in [0, EPS_MAX = 1e+12]"),
+    "state-load-missing": (["state", "--load", "missing.txt"],
+                           "state file not found: missing.txt"),
+    "simulate-n-rounds-5": (["simulate", "--config", "n_rounds = 5"], "n_rounds must be >= 10"),
+    "simulate-gain-mode-bogus": (["simulate", "--config", "gain_mode = bogus"],
+                                 "gain_mode must be 'analytic' or 'fitted'"),
+}
+
+
+def _rejected_argv(tmp_path, case):
+    """The case's command line, with a --config value written to a file first."""
+    argv, message = _REJECTED_RUNS[case]
+    if "--config" in argv:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(argv[-1] + "\n")
+        argv = [*argv[:-1], str(cfg)]
+    return argv, message
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_RUNS))
+def test_rejected_run_leaves_no_out_dir(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    argv, message = _rejected_argv(tmp_path, case)
+    out = tmp_path / "made" / "out"
+    code, _, err = run_cli([*argv, "--out-dir", str(out)], capsys)
+    assert code == 2
+    assert _one_json_error(err)["message"] == message
+    # the run made both levels, and removes both
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"] * ("--config" in argv)
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_RUNS))
+def test_rejected_run_keeps_an_out_dir_that_was_there(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    argv, _ = _rejected_argv(tmp_path, case)
+    for out in (tmp_path / "empty", tmp_path / "full"):
+        out.mkdir()
+    (tmp_path / "full" / "mine.txt").write_text("kept")
+    for out in (tmp_path / "empty", tmp_path / "full"):
+        code, _, _ = run_cli([*argv, "--out-dir", str(out)], capsys)
+        assert code == 2
+    assert not any((tmp_path / "empty").iterdir())
+    assert [p.name for p in (tmp_path / "full").iterdir()] == ["mine.txt"]
+
+
 def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CVSHARE_OUT_DIR", _out_dir_cases(tmp_path)["existing-file"])
     code, _, err = run_cli(["state", "--r", "1.0"], capsys)
@@ -1409,17 +1469,30 @@ _FUZZ_SIZES = st.one_of(st.sampled_from(["0", "-1", "-7", str(10**30)]),
 _FUZZ_SEEDS = st.sampled_from(["0", "-1", "7", str(2**64 - 1), str(2**64), str(10**30)])
 
 
+# path values, resolved under a fresh directory {root} that holds an empty file
+# a_file and an empty directory a_dir: a missing path, a directory, a file, a file
+# where a directory is expected, and the empty string
+_FUZZ_PATHS = st.sampled_from(["{root}/missing", "{root}/a_dir", "{root}/a_file",
+                               "{root}/a_file/sub", ""])
+# rounds of a witness run: below its minimum, at its edges and above the cap
+_FUZZ_ROUNDS = st.one_of(_FUZZ_SIZES, st.sampled_from(["399", "400", "1999", "2000"]))
+# a bare flag, given without a value
+_FUZZ_SWITCH = st.none()
+_MODEL_FLAGS = {f"--{q}-{arm}": _FUZZ_FLOATS for q in ("eta", "eps") for arm in "abc"}
+_STATE_FLAGS = {**_MODEL_FLAGS, "--r": _FUZZ_FLOATS, "--alpha-x": _FUZZ_FLOATS,
+                "--alpha-p": _FUZZ_FLOATS}
+
+
 _MU_FLAGS = {"--mu-single": "8", "--mu-pair": "5.83", "--mu-triple": "4"}
 _CERTIFY_FLAGS = {"--n1": _FUZZ_FLOATS, "--n2": _FUZZ_FLOATS, "--grid": _FUZZ_SIZES,
                   "--grid-min": _FUZZ_FLOATS, "--grid-max": _FUZZ_FLOATS, "--tol": _FUZZ_FLOATS}
 # per subcommand (and form, after a "-"): a valid command line, and the flags a
-# case may redraw
+# case may redraw; every form may also redraw --out-dir
 _FUZZ_COMMANDS = {
     "bounds": ({"--steps": "3"}, {
         "--steps": _FUZZ_SIZES, "--band-samples": _FUZZ_SIZES, "--band-seed": _FUZZ_SEEDS,
         "--r-min": _FUZZ_FLOATS, "--r-max": _FUZZ_FLOATS, "--band-fluct": _FUZZ_FLOATS,
-        "--band": st.sampled_from(["uniform", "gaussian"]),
-        **{f"--{q}-{arm}": _FUZZ_FLOATS for q in ("eta", "eps") for arm in "abc"}}),
+        "--band": st.sampled_from(["uniform", "gaussian"]), **_MODEL_FLAGS}),
     "security": ({**_MU_FLAGS, "--n-probes": "3"}, {
         **dict.fromkeys(_MU_FLAGS, _FUZZ_FLOATS), "--n-probes": _FUZZ_SIZES,
         "--v-t": _FUZZ_FLOATS}),
@@ -1428,37 +1501,58 @@ _FUZZ_COMMANDS = {
         "--v-dist": _FUZZ_FLOATS, "--c-bits": _FUZZ_FLOATS}),
     "certify-point": ({"--n1": "0.5", "--n2": "0.5"}, _CERTIFY_FLAGS),
     "certify-grid": ({"--grid": "3"}, _CERTIFY_FLAGS),
+    "state": ({}, {**_STATE_FLAGS, "--load": _FUZZ_PATHS}),
+    "witness": ({"--n-rounds": "400"}, {
+        **_STATE_FLAGS, "--n-rounds": _FUZZ_ROUNDS, "--seed": _FUZZ_SEEDS,
+        "--stream-id": _FUZZ_SEEDS, "--surrogate": _FUZZ_SWITCH}),
 }
 
 
 @st.composite
-def _table_writer_argv(draw):
-    """A valid bounds, security, mi or certify command line with one to three flags
-    redrawn, each given as --flag=value so that a negative value reaches its flag."""
+def _fuzz_argv(draw):
+    """A valid command line of a _FUZZ_COMMANDS form, writing to the fresh
+    {root}/out, with one to three flags redrawn, each given as --flag=value so that
+    a negative value reaches its flag."""
     form = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
     valid, flags = _FUZZ_COMMANDS[form]
+    flags = {**flags, "--out-dir": _FUZZ_PATHS}
     subcommand = form.split("-")[0]
     redrawn = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3, unique=True))
-    values = {**valid, **{flag: draw(flags[flag]) for flag in redrawn}}
-    return [subcommand, *(f"{flag}={value}" for flag, value in values.items())]
+    values = {**valid, "--out-dir": "{root}/out",
+              **{flag: draw(flags[flag]) for flag in redrawn}}
+    return [subcommand, *(flag if value is None else f"{flag}={value}"
+                          for flag, value in values.items())]
 
 
-@settings(max_examples=200)
-@given(argv=_table_writer_argv())
+def _tree(root):
+    return sorted((path, sorted(dirs), sorted(files)) for path, dirs, files in os.walk(root))
+
+
+@settings(max_examples=300)
+@given(argv=_fuzz_argv())
 # each exited 0 with numpy overflow warnings
-@example(argv=["bounds", "--steps=3", "--eta-a=1e-308"])
-@example(argv=["certify", "--grid=3", "--tol=1e308"])
-def test_table_writers_exit_cleanly_on_any_numeric_flag(argv):
+@example(argv=["bounds", "--steps=3", "--eta-a=1e-308", "--out-dir={root}/out"])
+@example(argv=["certify", "--grid=3", "--tol=1e308", "--out-dir={root}/out"])
+# each left an empty --out-dir behind
+@example(argv=["witness", "--eta-a=0", "--out-dir={root}/out"])
+@example(argv=["state", "--load={root}/a_file/sub", "--out-dir={root}/out"])
+def test_cli_exits_cleanly_on_any_flag(argv):
     # pytest captures warnings, so an empty stderr would not show one
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()), \
             warnings.catch_warnings(record=True) as caught:
+        (Path(root) / "a_file").write_text("")
+        (Path(root) / "a_dir").mkdir()
+        before = _tree(root)
         warnings.simplefilter("always")
-        code = main(argv + [f"--out-dir={out}"])
+        code = main([arg.replace("{root}", root) for arg in argv])
+        after = _tree(root)
     if code == 0:
         assert [str(w.message) for w in caught] == []
     else:
         assert code in (1, 2)
         payload = _one_json_error(err.getvalue())
         assert set(payload) == {"error", "message"}
+        # a rejected run removes what it wrote and the directories it made
+        assert after == before

@@ -1,14 +1,16 @@
 """State construction and checks, the dealer state, partial trace and state files."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvshare.errors import InvalidArgumentError, UnsupportedStateError
 from cvshare.gaussian_core import (
+    EPS_MAX,
     ETA_MIN,
     PHYSICALITY_SLACK,
     R_MAX,
@@ -197,6 +199,42 @@ def test_dealer_covariances_check_every_squeezing_value():
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(InvalidArgumentError, match="r must be finite and >= 0"):
             dealer_covariances(np.array([0.5, bad]), model)
+
+
+def _assert_check_keeps_every_bit(rs, model):
+    covs = dealer_covariances(rs, model)
+    checked = check_covariances(covs)
+    assert np.array_equal(checked.view(np.uint64), covs.view(np.uint64)), model
+
+
+# dealer_covariances does not check what it builds: its channel maps keep a state
+# physical, and these two tests prove over the whole box of accepted inputs (r in
+# [0, R_MAX], each eta in [ETA_MIN, 1], each eps in [0, EPS_MAX]) that the check
+# would accept every stack and leave every bit
+BOX_RS = [0.0, 1e-300, 0.5, 4.0, math.nextafter(R_MAX, 0.0), R_MAX]
+
+
+def test_dealer_covariances_pass_the_check_at_every_corner_of_the_box():
+    # 27 eta and 64 eps corners, 6 squeezing values each: 10,368 matrices
+    for etas in itertools.product([ETA_MIN, 0.5, 1.0], repeat=3):
+        for epss in itertools.product([0.0, 1e-12, 1.0, EPS_MAX], repeat=3):
+            _assert_check_keeps_every_bit(BOX_RS, ExperimentModel(0.0, *etas, *epss))
+
+
+eta_box = st.floats(ETA_MIN, 1.0)
+eps_box = st.floats(0.0, EPS_MAX)
+
+
+@settings(max_examples=300)
+@given(
+    rs=st.lists(st.floats(0.0, R_MAX), min_size=1, max_size=8),
+    etas=st.tuples(eta_box, eta_box, eta_box),
+    epss=st.tuples(eps_box, eps_box, eps_box),
+)
+@example(rs=BOX_RS, etas=(ETA_MIN,) * 3, epss=(EPS_MAX,) * 3)
+@example(rs=BOX_RS, etas=(1.0, ETA_MIN, 0.5), epss=(0.0, 1e-12, EPS_MAX))
+def test_dealer_covariances_pass_the_check_across_the_box(rs, etas, epss):
+    _assert_check_keeps_every_bit(rs, ExperimentModel(0.0, *etas, *epss))
 
 
 def test_dealer_state_is_physical_under_heavy_loss():
