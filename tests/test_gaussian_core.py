@@ -210,7 +210,8 @@ def _assert_check_keeps_every_bit(rs, model):
 # dealer_covariances does not check what it builds: its channel maps keep a state
 # physical, and these two tests prove over the whole box of accepted inputs (r in
 # [0, R_MAX], each eta in [ETA_MIN, 1], each eps in [0, EPS_MAX]) that the check
-# would accept every stack and leave every bit
+# would accept every stack and leave every bit; that also proves each stack exactly
+# symmetric as built, so dealer_covariances symmetrises none
 BOX_RS = [0.0, 1e-300, 0.5, 4.0, math.nextafter(R_MAX, 0.0), R_MAX]
 
 

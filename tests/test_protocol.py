@@ -60,6 +60,23 @@ def test_plan_validation():
     assert DisplacementPlan.fixed(1.0, 1.0, n_rep=4).scale == 0.5
 
 
+@pytest.mark.parametrize("n_rep", [0, MAX_ROUNDS + 1, 2**63 - 1, 2**63, 10**30])
+def test_n_rep_above_the_longest_run_is_rejected(n_rep):
+    # at 2**63 the block index np.arange(start, end) // n_rep raised OverflowError
+    for make in (lambda: DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep),
+                 lambda: DisplacementPlan.fixed(1.0, 1.0, n_rep=n_rep)):
+        with pytest.raises(InvalidArgumentError, match=r"n_rep must be an integer in \[1, "
+                                                       r"MAX_ROUNDS = 1000000000\]"):
+            make()
+
+
+def test_n_rep_up_to_the_longest_run_is_one_block():
+    plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=MAX_ROUNDS)
+    rounds = run_protocol(IDEAL, plan, 2000, Coalition.ABC, POLICY, RandomStream(3),
+                          keep_records=True).records
+    assert np.unique(rounds.alpha_x).size == 1 and np.unique(rounds.alpha_p).size == 1
+
+
 def test_policy_validation():
     with pytest.raises(InvalidArgumentError):
         ProtocolPolicy(eta_min=0.0)
