@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
+import functools
 import json
 import math
 import os
@@ -69,13 +69,6 @@ def _cells(col) -> list[str]:
     if col.dtype == bool:
         return ["true" if v else "false" for v in values]
     return values if col.dtype.kind == "U" else list(map(str, values))
-
-
-def _row_chunks(rows):
-    """Column chunks of up to _CSV_CHUNK rows each, from an iterable of row tuples."""
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
-        yield list(zip(*chunk))
 
 
 #: table rows formatted at a time, which bounds the per-cell strings held at once;
@@ -240,7 +233,7 @@ class _Run:
 def _add_out_dir(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--out-dir",
-        default=os.environ.get(OUT_DIR_ENV, "."),
+        default=None,
         help=f"output directory (default: ${OUT_DIR_ENV} or the working directory)",
     )
 
@@ -302,26 +295,28 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
                         grid_chunks())
         if args.band is not None:
             gen = RandomStream(args.band_seed).generator()
+            draw = gen.standard_normal if args.band == "gaussian" else functools.partial(
+                gen.uniform, -1.0, 1.0)
+            # whole grid points per stack, their samples drawn r-major as the stream runs;
+            # a point of more than _BAND_CHUNK samples carries its min and max across stacks
+            per = max(1, _BAND_CHUNK // args.band_samples)
 
-            def band_rows():
-                for r in grid.tolist():
-                    lo = dict.fromkeys(coalitions, math.inf)
-                    hi = dict.fromkeys(coalitions, -math.inf)
-                    for start in range(0, args.band_samples, _BAND_CHUNK):
-                        n = min(_BAND_CHUNK, args.band_samples - start)
-                        if args.band == "uniform":
-                            draws = gen.uniform(-1.0, 1.0, n)
-                        else:
-                            draws = gen.standard_normal(n)
-                        r_samples = np.clip(r * (1.0 + args.band_fluct * draws), 0.0, R_MAX)
-                        sums = bounds.predicted_mse_grid(r_samples, arms)
-                        for c in coalitions:
-                            lo[c] = min(lo[c], float(sums[c][2].min()))
-                            hi[c] = max(hi[c], float(sums[c][2].max()))
-                    yield from ((r, c.value, lo[c], hi[c]) for c in coalitions)
+            def band_chunks():
+                for start in range(0, args.steps, per):
+                    rs = grid[start : start + per, None]
+                    lo, hi = math.inf, -math.inf
+                    for s in range(0, args.band_samples, _BAND_CHUNK):
+                        shape = (len(rs), min(_BAND_CHUNK, args.band_samples - s))
+                        r_samples = np.clip(rs * (1.0 + args.band_fluct * draw(shape)), 0.0, R_MAX)
+                        mse = bounds.predicted_mse_grid(r_samples.ravel(), arms)
+                        # (point, coalition, sample)
+                        sums = np.stack([mse[c][2].reshape(shape) for c in coalitions], axis=1)
+                        lo, hi = np.minimum(lo, sums.min(axis=2)), np.maximum(hi, sums.max(axis=2))
+                    yield [np.repeat(rs, len(names)), np.tile(names, len(rs)),
+                           lo.ravel(), hi.ravel()]
 
             run.write_table("bounds_band.csv", ["r", "coalition", "mse_sum_lo", "mse_sum_hi"],
-                            _row_chunks(band_rows()))
+                            band_chunks())
         run.finish()
     print(f"wrote {args.steps * len(names)} bound rows for {args.steps} squeezing values")
 
@@ -622,7 +617,10 @@ _MU_RULE = f"in [{MU_MIN:g}, {MU_MAX:g}]"
 _MU_FLAGS = ("--mu-single", "--mu-pair", "--mu-triple")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared by every
+    later one, so callers only read it; no default depends on the environment."""
     parser = _Parser(
         prog="cvshare",
         description="Simulator and analysis toolkit for three-party continuous-variable secret sharing",
@@ -713,6 +711,8 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "handler"):
             parser.print_usage(sys.stderr)
             return 2
+        if args.out_dir is None:
+            args.out_dir = os.environ.get(OUT_DIR_ENV, ".")
         args.handler(args)
     except CvshareError as exc:
         payload = {"error": exc.code, "message": str(exc)}

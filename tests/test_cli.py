@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -358,6 +359,66 @@ def test_band_chunks_do_not_change_the_band(tmp_path, capsys, monkeypatch, case)
     assert code == 0
     for name, want in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+# sha256 of bounds_band.csv per (_BAND_CHUNK, bounds flags), from the writer that
+# evaluated one grid point per stack; a stack now holds _BAND_CHUNK // --band-samples
+# whole points, and a point of more samples keeps its own stacks
+BAND_STACK_SHA256 = {
+    # 2 points a stack, the last stack holding 1
+    "two-points-a-stack": (7, ["--steps", "5", "--band", "gaussian", "--band-samples", "3"],
+                           "8d822dabb989751815884eb533fac8cd08b6038ac7ad4a2e2fa2cf5f9b8afd13"),
+    "two-points-a-stack-lossy": (
+        7, ["--steps", "5", "--band", "uniform", "--band-samples", "3", "--eta-a", "0.9",
+            "--eps-c", "0.02"],
+        "b73375ac14195315e170cc70143c003992f1fe218c6b8a5cd07a9bf15a9580f3"),
+    # the same band as two-points-a-stack, its 5 points in one stack
+    "one-stack": (4096, ["--steps", "5", "--band", "gaussian", "--band-samples", "3"],
+                  "8d822dabb989751815884eb533fac8cd08b6038ac7ad4a2e2fa2cf5f9b8afd13"),
+    "samples-fill-a-stack": (7, ["--steps", "5", "--band", "uniform", "--band-samples", "7"],
+                             "293eba7b959d9af6355c2cf38071c0bd20c149883efc0338dd10c99810d97ea4"),
+    "one-sample-past-a-stack": (
+        7, ["--steps", "5", "--band", "gaussian", "--band-samples", "8"],
+        "cf255bdbdd2ea94a0562c0756772f07ae976cadd480c187a2c8e4b6ec71b7ce2"),
+    "samples-fill-a-full-stack": (
+        4096, ["--steps", "3", "--band", "gaussian", "--band-samples", "4096"],
+        "19ef13eac679c829a1bd17acd313dce4afd52453a1e9ca39ebf6dcfc3db4d77a"),
+    "one-sample-past-a-full-stack": (
+        4096, ["--steps", "3", "--band", "uniform", "--band-samples", "4097"],
+        "ad6ba83b457c6609268442319914e7facc1ea2b77042c33a64b9c849e15ffda3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_STACK_SHA256))
+def test_band_stacks_of_whole_points_keep_the_band(tmp_path, capsys, monkeypatch, case):
+    chunk, argv, want = BAND_STACK_SHA256[case]
+    monkeypatch.setattr(cli, "_BAND_CHUNK", chunk)
+    code, _, _ = run_cli(["bounds", *argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "bounds_band.csv").read_bytes()).hexdigest() == want
+
+
+def test_band_memory_does_not_grow_with_the_grid(tmp_path, capsys, monkeypatch):
+    # stacks of 6 points x 20 samples; grids of 300 and 1,200 points, each at least
+    # two full stacks of bounds.csv points as well
+    monkeypatch.setattr(cli, "_BAND_CHUNK", 128)
+
+    def peak_bytes(steps):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(["bounds", "--steps", str(steps), "--band", "gaussian",
+                                  "--band-samples", "20", "--out-dir", str(tmp_path)], capsys)
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the first run also builds the parser and warms first-call caches
+    peak_bytes(300)
+    small = peak_bytes(300)
+    large = peak_bytes(1200)
+    # the row writer, which held up to 4,096 band rows at once, took about 3.4x
+    assert large <= 1.1 * small
 
 
 @pytest.mark.parametrize("case", ["bounds-16-gaussian-band", "bounds-16-lossy-uniform-band",
@@ -1272,6 +1333,79 @@ def test_out_dir_env_fallback(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(["certify", "--n1", "1.0", "--n2", "1.0"], capsys)
     assert code == 0
     assert os.path.exists(os.path.join(str(tmp_path), "certificates.json"))
+
+
+def test_the_shared_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # one interleaved sequence of runs, once with the parser main shares and once
+    # with a parser built afresh for every run: exit codes, stdout, stderr and every
+    # output byte must agree. $CVSHARE_OUT_DIR is set only once the shared parser
+    # exists, and the run must still write there
+    out, cwd = tmp_path / "out", tmp_path / "cwd"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coalition = ab\nn_rounds = 2000\n")
+    model = ["--r", "0.9", "--eta-b", "0.8"]
+    runs = [
+        (["state", *model, "--alpha-x", "0.4", "--out-dir", str(out / "state")], None),
+        (["--help"], None),
+        (["bounds", "--steps", "3", "--band", "uniform", "--band-samples", "9",
+          "--out-dir", str(out / "bounds")], None),
+        (["bounds", "--steps", "0", "--out-dir", str(out / "range")], None),
+        (["state", "--load", str(out / "state" / "state.txt"), "--out-dir", str(out / "load")],
+         None),
+        (["bounds", "--help"], None),
+        (["certify", "--n1", "0.5", "--n2", "0.5"], out / "env"),
+        (["certify", "--grid", "3", "--out-dir", str(out / "certify")], None),
+        (["certify", "--help"], None),
+        (["bounds", "--steps", "abc", "--out-dir", str(out / "type")], None),
+        (["simulate", "--config", str(cfg), "--out-dir", str(out / "simulate")], None),
+        (["simulate", "--help"], None),
+        (["nope"], None),
+        (["security", *MU_ARGS, "--n-probes", "5", "--out-dir", str(out / "security")], None),
+        (["security", "--help"], None),
+        ([], None),
+        (["mi", "--v-dist", "5", *MU_ARGS, "--n-max", "5", "--out-dir", str(out / "mi")], None),
+        (["mi", "--help"], None),
+        (["witness", *model, "--eta-a", "0", "--out-dir", str(out / "rejected")], None),
+        (["witness", *model, "--n-rounds", "2000", "--out-dir", str(out / "witness")], None),
+        (["witness", "--help"], None),
+        (["state", "--help"], None),
+        (["state", *model], None),
+        (["--version"], None),
+    ]
+
+    def answers(fresh):
+        for path in (out, cwd):
+            shutil.rmtree(path, ignore_errors=True)
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        cli.build_parser.cache_clear()
+        seen = []
+        for argv, env_dir in runs:
+            if env_dir is None:
+                monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+            else:
+                monkeypatch.setenv(cli.OUT_DIR_ENV, str(env_dir))
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+            captured = capsys.readouterr()
+            seen.append((argv, code, captured.out, captured.err))
+        files = {str(p.relative_to(tmp_path)): p.read_bytes()
+                 for root in (out, cwd) for p in sorted(root.rglob("*")) if p.is_file()}
+        return seen, files
+
+    shared = answers(fresh=False)
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = answers(fresh=True)
+    assert shared[0] == fresh[0]
+    assert shared[1] == fresh[1]
+    assert "out/env/certificates.json" in shared[1]
+    assert "cwd/state.txt" in shared[1]
+    assert not (out / "rejected").exists()
+    assert {code for _, code, _, _ in shared[0]} == {0, 2, "SystemExit(0)"}
 
 
 def _out_dir_cases(tmp_path):
