@@ -619,8 +619,8 @@ _MU_FLAGS = ("--mu-single", "--mu-pair", "--mu-triple")
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built on the first call and shared by every
-    later one, so callers only read it; no default depends on the environment."""
+    """The parser of every subcommand, built once per process and shared, so callers only read
+    it; that saves only a later main call in the same process. No default reads os.environ."""
     parser = _Parser(
         prog="cvshare",
         description="Simulator and analysis toolkit for three-party continuous-variable secret sharing",

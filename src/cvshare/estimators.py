@@ -344,54 +344,35 @@ def make_mse_report(
     )
 
 
-class RunningMean:
-    """Count and mean of values added chunk by chunk.
+class RunningMoments:
+    """Count, mean and sum of squared deviations of values added chunk by chunk.
 
-    Each :meth:`add` reduces one chunk and merges its mean into the total
-    with the pairwise update of Chan, Golub and LeVeque, so no chunk is
-    kept. ``n`` and ``mean`` keep the bits :class:`RunningMoments` gives
-    them; the MSE sums need no more.
+    Each :meth:`add` reduces one chunk and merges it into the totals with
+    the pairwise update of Chan, Golub and LeVeque, so no chunk is kept.
+    After a single chunk, ``mean`` and :meth:`standard_error` are bit for
+    bit ``np.mean`` and ``np.std(ddof=1) / sqrt(n)`` of it: the reductions
+    behind :func:`empirical_mse`, :func:`mse_standard_error` and
+    :func:`bias_check`.
     """
 
-    __slots__ = ("n", "mean")
+    __slots__ = ("n", "mean", "m2")
 
     def __init__(self):
         self.n = 0
         self.mean = 0.0
-
-    def add(self, values: np.ndarray) -> None:
-        if values.size:
-            self._merge(values.size, float(np.mean(values)))
-
-    def _merge(self, k: int, mean: float) -> None:
-        n = self.n + k
-        self.mean += (mean - self.mean) * (k / n)
-        self.n = n
-
-
-class RunningMoments(RunningMean):
-    """Count, mean and sum of squared deviations of values added chunk by chunk.
-
-    The sum of squared deviations is merged with the same pairwise update
-    as the mean. After a single chunk, ``mean`` and :meth:`standard_error`
-    are bit for bit ``np.mean`` and ``np.std(ddof=1) / sqrt(n)`` of it:
-    the reductions behind :func:`empirical_mse`, :func:`mse_standard_error`
-    and :func:`bias_check`.
-    """
-
-    __slots__ = ("m2",)
-
-    def __init__(self):
-        super().__init__()
         self.m2 = 0.0
 
     def add(self, values: np.ndarray) -> None:
         k = values.size
-        if k:
-            mean = float(np.mean(values))
-            delta, n = mean - self.mean, self.n + k
-            self.m2 += float(np.sum((values - mean) ** 2)) + delta * delta * (self.n * k / n)
-            self._merge(k, mean)
+        if k == 0:
+            return
+        mean = float(np.mean(values))
+        m2 = float(np.sum((values - mean) ** 2))
+        n = self.n + k
+        delta = mean - self.mean
+        self.mean += delta * (k / n)
+        self.m2 += m2 + delta * delta * (self.n * k / n)
+        self.n = n
 
     def standard_error(self) -> float:
         """Sample standard deviation (ddof = 1) over sqrt(n); needs n >= 2."""

@@ -45,7 +45,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedStateError,
 )
-from .estimators import Coalition, GainSet, MseReport, RunningMean, RunningMoments
+from .estimators import Coalition, GainSet, MseReport, RunningMoments
 from .gaussian_core import ExperimentModel, GaussianState, build_dealer_state, dealer_covariances
 from .sampler import RandomStream
 # the benchmark tracer wraps protocol.sample_joint and protocol.partial_trace by name
@@ -582,7 +582,7 @@ class _Fit:
             self.bias_c += float((e_bias - mean_e) @ (u - mean_u)) + shift
             self.bias_u.add(u)
 
-    def apply(self, gains: GainSet, sq_err: tuple[RunningMean, RunningMean],
+    def apply(self, gains: GainSet, sq_err: tuple[RunningMoments, RunningMoments],
               bias_err: RunningMoments) -> GainSet:
         """The fitted gains; moves the squared errors' means and the bias moments to them."""
         if self.n < 2:
@@ -699,7 +699,7 @@ def run_protocol(
         gains = estimators.gains_for_model(model, coalition)
     fit = _Fit(coalition, root_eta) if fitted else None
 
-    sq_err = (RunningMean(), RunningMean())
+    sq_err = (RunningMoments(), RunningMoments())
     sq_witness = (RunningMoments(), RunningMoments())
     n_witness = [0, 0]
     bias_err = RunningMoments()

@@ -16,7 +16,6 @@ from cvshare.errors import (
 from cvshare.estimators import (
     Coalition,
     GainSet,
-    RunningMean,
     RunningMoments,
     X_A,
     bias_check,
@@ -262,44 +261,6 @@ def test_running_moments_match_the_array_reductions(cuts):
         assert (sq.mean, sq.standard_error()) == (empirical_mse(est, truth),
                                                  mse_standard_error(est, truth))
         assert (res.mean, res.standard_error()) == bias_check(est, truth)
-
-
-class _PairwiseMoments:
-    """RunningMoments as it was before RunningMean split off its mean: the
-    Chan-Golub-LeVeque update written out in one add."""
-
-    def __init__(self):
-        self.n, self.mean, self.m2 = 0, 0.0, 0.0
-
-    def add(self, values):
-        k = values.size
-        if k == 0:
-            return
-        mean = float(np.mean(values))
-        m2 = float(np.sum((values - mean) ** 2))
-        n = self.n + k
-        delta = mean - self.mean
-        self.mean += delta * (k / n)
-        self.m2 += m2 + delta * delta * (self.n * k / n)
-        self.n = n
-
-
-@given(values=st.lists(st.floats(-1e6, 1e6), max_size=60),
-       cuts=st.lists(st.integers(0, 60), max_size=8))
-@example(values=[], cuts=[])
-@example(values=[1.0, 2.0, 3.0], cuts=[0, 0, 3])
-def test_running_mean_keeps_the_bits_of_running_moments(values, cuts):
-    # the MSE sums reduce with RunningMean; their n and mean must keep every bit,
-    # over any chunking, empty chunks included
-    values = np.array(values, dtype=float)
-    want, moments, mean = _PairwiseMoments(), RunningMoments(), RunningMean()
-    for chunk in np.split(values, sorted(c for c in cuts if c <= values.size)):
-        for acc in (want, moments, mean):
-            acc.add(chunk)
-    # repr tells -0.0 from 0.0
-    assert repr((mean.n, mean.mean)) == repr((want.n, want.mean))
-    assert repr((moments.n, moments.mean, moments.m2)) == repr((want.n, want.mean, want.m2))
-    assert not hasattr(mean, "m2")
 
 
 def test_fit_gain_from_sums_matches_fit_gain():
