@@ -12,20 +12,23 @@ unbiasedness spot-check; the remainder produces the coalition's MSE
 report.
 
 Rounds are drawn and reduced in chunks of ``_CHUNK_ROUNDS`` (stream
-layout 3). Chunk i draws from its own child stream,
+layout 4). Chunk i draws from its own SFC64 child stream,
 :meth:`~cvshare.sampler.RandomStream.chunk_generator`, in this order:
 the displacement blocks that start in it, the dealer's basis, the
-parties' bases, the witness, bias and calibration subsets, and then
-only the normals the reports read. A dealer state has no x-p
-correlation, so the (A, B, C) triple of each quadrature is an
-independent draw of its Wigner function: a kept round draws the triple
-of the dealer's basis (calibration rounds first, x rounds before p
-rounds), a discarded round draws nothing, and a lone A draws its x and
-p normals and one vacuum unit per quadrature. A run that keeps its
-records then draws the normals still missing, so that every party's
-outcome is its basis's entry of a full Wigner sample. Reports come
-from running sums over the chunks, so only a run that keeps its
-records holds anything per round.
+parties' bases (each basis a coin per round, taken from random bytes),
+the witness, bias and calibration subsets, and then only the normals
+the reports read. A dealer state has no x-p correlation, so the
+(A, B, C) triple of each quadrature is an independent draw of its
+Wigner function, drawn party-major: one row of normals per party. A
+kept round draws the triple of the dealer's basis (calibration rounds
+first, x rounds before p rounds), a discarded round draws nothing, and
+a lone A draws one normal per quadrature, its dual-homodyne outcome,
+whose factor carries the unit vacuum. A run that keeps its records
+then draws the normals still missing, so that every party's outcome is
+its basis's entry of a full Wigner sample (for a lone A, B's and C's
+drawn conditional on A's outcome). Reports come from running sums over
+the chunks, so only a run that keeps its records holds anything per
+round.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ MAX_RECORD_ROUNDS = 20_000_000
 #: displacement this large (about 1e-10) stays far below the unit shot noise
 ALPHA_MAX = 1e6
 #: random-stream layout of the sampled outputs, recorded in their manifests
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 #: rounds drawn and reduced at a time, each chunk from its own child stream
 _CHUNK_ROUNDS = 65536
 
@@ -296,31 +299,32 @@ def _apply(
     factor: np.ndarray, z: np.ndarray, shift_a: np.ndarray | float = 0.0,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Outcomes ``z @ factor.T`` of the first ``z.shape[1]`` parties, plus ``shift_a`` on A.
+    """Outcomes ``factor @ z`` of the first ``z.shape[0]`` parties, plus ``shift_a`` on A.
 
-    The factor is lower-triangular, so a party's value needs only the
-    normals of the parties before it; computing the parties last to
-    first lets ``out`` be ``z`` itself. Each round's values are computed
-    element by element, so they do not depend on which rounds are
-    drawn with it.
+    ``z`` holds one row of normals per party, so every row read and
+    written is contiguous. The factor is lower-triangular, so a party's
+    value needs only the normals of the parties before it; computing the
+    parties last to first lets ``out`` be ``z`` itself. Each round's
+    values are computed element by element, so they do not depend on
+    which rounds are drawn with it.
     """
     out = np.empty_like(z) if out is None else out
-    for j in reversed(range(z.shape[1])):
-        col = factor[j, 0] * z[:, 0]
+    for j in reversed(range(z.shape[0])):
+        row = factor[j, 0] * z[0]
         for i in range(1, j + 1):
-            col += factor[j, i] * z[:, i]
-        out[:, j] = col
-    out[:, 0] += shift_a
+            row += factor[j, i] * z[i]
+        out[j] = row
+    out[0] += shift_a
     return out
 
 
 class _Reads(NamedTuple):
     """Rounds of a chunk whose outcomes in quadrature ``quad`` (0 = x, 1 = p) the reports read.
 
-    ``triple`` holds their (A, B, C) outcomes in that quadrature, with
-    A's displacement added; for a lone A it holds A's dual-homodyne
-    outcome alone. ``rows`` indexes the rounds in the chunk and
-    ``truth`` is the displacement each estimates.
+    ``triple`` holds their (A, B, C) outcomes in that quadrature, one
+    row per party, with A's displacement added; for a lone A it holds
+    the one row of A's dual-homodyne outcomes. ``rows`` indexes the
+    rounds in the chunk and ``truth`` is the displacement each estimates.
     """
 
     quad: int
@@ -340,7 +344,7 @@ class _Chunk(NamedTuple):
     quadrature and ``reads`` the other rounds the reports read: the
     kept rounds per quadrature, or every round twice for a lone A.
     ``outcomes`` holds every round's (A, B, C) triple in x and in p,
-    shape (2, m, 3), only when the records are kept.
+    shape (2, 3, m), only when the records are kept.
     """
 
     start: int
@@ -391,7 +395,8 @@ def _chunk_alphas(
 
 
 def _coin(gen: np.random.Generator, n: int) -> np.ndarray:
-    return gen.integers(0, 2, n, dtype=np.int8)
+    """n fair coins as int8 0 or 1: the bits of ceil(n / 8) random bytes, high bit first."""
+    return np.unpackbits(np.frombuffer(gen.bytes(-(-n // 8)), np.uint8), count=n).view(np.int8)
 
 
 def _party_bases(
@@ -431,12 +436,14 @@ def _draw_chunks(
 ) -> Iterator[_Chunk]:
     """Every chunk of a protocol run, drawn from its own child stream.
 
-    Only the normals the reports read are drawn: one (A, B, C) triple in
-    the dealer's basis per kept round, calibration rounds first and x
-    rounds before p rounds in each group, or for a lone A the x and p
-    normals of A and then its two vacuum units. With ``records`` the
+    Only the normals the reports read are drawn, party-major: one
+    (A, B, C) triple in the dealer's basis per kept round, as a (3, k)
+    array, calibration rounds first and x rounds before p rounds in each
+    group; or for a lone A a (2, m) array, A's x and p outcomes, whose
+    factors carry the unit vacuum of dual homodyne. With ``records`` the
     normals still missing are drawn afterwards (the missing x triples,
-    then the p ones; for a lone A, B's and C's normals) and every
+    then the p ones; for a lone A, B's and C's normals per quadrature,
+    which the factor makes conditional on A's outcome) and every
     quadrature of every round goes to ``outcomes``.
     """
     lone = coalition is Coalition.A_ALONE
@@ -471,12 +478,10 @@ def _draw_chunks(
             k = int(np.count_nonzero(est))
             calib = _pick(est, (n_est + k) // 2 - n_est // 2, gen)
             n_est += k
-        vacuum = None
         if lone:
-            # A's x and p normals, then its vacuum units
-            z = gen.standard_normal((m, 4))
-            vacuum = z[:, 2:]
-            groups = [(q, slice(None), z[:, q : q + 1]) for q in (0, 1)]
+            # A's dual-homodyne outcomes in x and in p
+            z = gen.standard_normal((2, m))
+            groups = [(q, slice(None), z[q : q + 1]) for q in (0, 1)]
             n_calib = 0
         else:
             # one triple per kept round: calibration rounds first, x before p in each part
@@ -484,37 +489,33 @@ def _draw_chunks(
             rows = [np.flatnonzero(part & on) for part in (calib, kept & ~calib)
                     for on in (on_x, ~on_x)]
             sizes = [r.size for r in rows]
-            z = gen.standard_normal((sum(sizes), 3))
-            groups = list(zip((0, 1, 0, 1), rows, np.split(z, np.cumsum(sizes)[:-1])))
+            z = gen.standard_normal((3, sum(sizes)))
+            groups = list(zip((0, 1, 0, 1), rows, np.split(z, np.cumsum(sizes)[:-1], axis=1)))
             n_calib = 2
-
-        def shift_a(q: int, r: np.ndarray | slice) -> np.ndarray:
-            # the displacement reaches A through its loss channel; a lone A adds its vacuum unit
-            shift = root_eta * alphas[q][r]
-            return shift if vacuum is None else shift + vacuum[r, q]
-
+        # the displacement reaches A through its loss channel
         reads = tuple(
-            _Reads(q, r, _apply(factors[q], z_r, shift_a(q, r)), alphas[q][r], witness[r], bias[r])
+            _Reads(q, r, _apply(factors[q], z_r, root_eta * alphas[q][r]), alphas[q][r],
+                   witness[r], bias[r])
             for q, r, z_r in groups
         )
         outcomes = None
         if records:
             # every round's x and p triple: the ones drawn above, then the normals
             # still missing, those of the x triples before those of the p triples
-            outcomes = np.empty((2, m, 3))
+            outcomes = np.empty((2, 3, m))
             for q in (0, 1):
                 if lone:
                     normals = outcomes[q]
-                    normals[:, 0] = z[:, q]
-                    normals[:, 1:] = gen.standard_normal((m, 2))
-                    _apply(factors[q], normals, shift_a(q, slice(None)), out=normals)
+                    normals[0] = z[q]
+                    normals[1:] = gen.standard_normal((2, m))
+                    _apply(factors[q], normals, root_eta * alphas[q], out=normals)
                 else:
                     r = np.flatnonzero(~kept | (dealer != q))
-                    outcomes[q, r] = _apply(factors[q], gen.standard_normal((r.size, 3)),
-                                            shift_a(q, r))
+                    outcomes[q][:, r] = _apply(factors[q], gen.standard_normal((3, r.size)),
+                                               root_eta * alphas[q][r])
             if not lone:
                 for read in reads:
-                    outcomes[read.quad, read.rows] = read.triple
+                    outcomes[read.quad][:, read.rows] = read.triple
         yield _Chunk(start, alpha_x, alpha_p, dealer, basis_a, basis_b, basis_c, kept,
                      witness, bias, calib, reads[:n_calib], reads[n_calib:], outcomes)
 
@@ -552,10 +553,10 @@ class _Fit:
         # weighing by -w1 leaves a pair's x auxiliary the partner's column itself, as the
         # gain fit always read it, so the dot products below keep their bits
         w1 = estimators.WEIGHTS[self.coalition, read.quad][1]
-        return estimators.weighted_sum(read.triple.T, -w1)
+        return estimators.weighted_sum(read.triple, -w1)
 
     def calibrate(self, c: _Reads) -> None:
-        r = c.triple[:, 0] - self.root_eta * c.truth
+        r = c.triple[0] - self.root_eta * c.truth
         u = self._aux(c)
         self.sum_ru += float(r @ u)
         self.sum_uu += float(u @ u)
@@ -606,9 +607,10 @@ def _add_witness(
     alpha_x: np.ndarray | float,
     alpha_p: np.ndarray | float,
 ) -> None:
-    """Add the squared witness errors of x rounds' and p rounds' (A, B, C) triples."""
-    ox = {f"x_{party}": triple_x[:, j] for j, party in enumerate("abc")}
-    op = {f"p_{party}": triple_p[:, j] for j, party in enumerate("abc")}
+    """Add the squared witness errors of x rounds' and p rounds' (A, B, C) triples, one
+    row per party."""
+    ox = {f"x_{party}": triple_x[j] for j, party in enumerate("abc")}
+    op = {f"p_{party}": triple_p[j] for j, party in enumerate("abc")}
     x_minus, p_plus = estimators.witness_estimate(ox, op)
     sq[0].add((x_minus - alpha_x / math.sqrt(2.0)) ** 2)
     sq[1].add((p_plus - alpha_p / math.sqrt(2.0)) ** 2)
@@ -642,7 +644,7 @@ def _fill_records(table: RoundTable, ch: _Chunk) -> None:
         q, party = "xp".index(name[0]), "abc".index(name[2])
         # the x quadrature is unread in p rounds (code 1) and the p one in x rounds (code 0)
         unread = getattr(ch, f"basis_{name[2]}") == 1 - q
-        getattr(table, name)[rows] = np.where(unread, np.nan, ch.outcomes[q, :, party])
+        getattr(table, name)[rows] = np.where(unread, np.nan, ch.outcomes[q, party])
 
 
 def run_protocol(
@@ -692,11 +694,17 @@ def run_protocol(
     lone = coalition is Coalition.A_ALONE
     fitted = gain_mode == "fitted" and not lone
     root_eta = math.sqrt(model.eta_a)
-    factors = _triple_factors(dealer_covariances([model.r], model)[0])
+    cov = dealer_covariances([model.r], model)[0]
     if lone:
+        # dual homodyne adds a unit vacuum to each of A's quadratures, so A's outcome
+        # is one normal of the model's variance plus 1, and B's and C's are drawn
+        # conditional on it
+        a = [estimators.X_A, estimators.P_A]
+        cov[a, a] += 1.0
         gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / root_eta)
     else:
         gains = estimators.gains_for_model(model, coalition)
+    factors = _triple_factors(cov)
     fit = _Fit(coalition, root_eta) if fitted else None
 
     sq_err = (RunningMoments(), RunningMoments())
@@ -714,7 +722,7 @@ def run_protocol(
                 fit.calibrate(r)
         for r in ch.reads:
             # estimate minus truth on every read round
-            e = estimators.combine(r.triple.T, coalition, r.quad, gains) - r.truth
+            e = estimators.combine(r.triple, coalition, r.quad, gains) - r.truth
             e_est = e[~(r.witness | r.bias)]
             sq_err[r.quad].add(e_est * e_est)
             e_bias = e[r.bias]
@@ -727,7 +735,7 @@ def run_protocol(
             n_witness[0] += w_x
             n_witness[1] += int(np.count_nonzero(ch.witness)) - w_x
         else:
-            _add_witness(sq_witness, *(r.triple[r.witness] for r in ch.reads),
+            _add_witness(sq_witness, *(r.triple[:, r.witness] for r in ch.reads),
                          *(r.truth[r.witness] for r in ch.reads))
         # drop this chunk's arrays before the next chunk is drawn
         del ch, r
@@ -794,8 +802,8 @@ def entanglement_check(witness_records: RoundTable) -> WitnessResult:
             f"need >= {WITNESS_MIN_ROUNDS} witness rounds per quadrature, got {n_x}/{n_p}"
         )
     sq = (RunningMoments(), RunningMoments())
-    _add_witness(sq, np.column_stack((t.x_a, t.x_b, t.x_c))[is_x],
-                 np.column_stack((t.p_a, t.p_b, t.p_c))[~is_x], t.alpha_x[is_x], t.alpha_p[~is_x])
+    _add_witness(sq, np.stack((t.x_a, t.x_b, t.x_c))[:, is_x],
+                 np.stack((t.p_a, t.p_b, t.p_c))[:, ~is_x], t.alpha_x[is_x], t.alpha_p[~is_x])
     return _witness_result(*sq)
 
 
@@ -842,16 +850,16 @@ def witness_verification_run(
     else:
         st = build_dealer_state(model, alpha_x, alpha_p)
     factors = _triple_factors(st.cov)
-    means = [st.mean[list(triple)] for triple in estimators.TRIPLE_INDICES]
+    means = [st.mean[list(triple), None] for triple in estimators.TRIPLE_INDICES]
     sq = (RunningMoments(), RunningMoments())
     for i, start in enumerate(range(0, n_rounds, _CHUNK_ROUNDS)):
         m = min(_CHUNK_ROUNDS, n_rounds - start)
         gen = stream.chunk_generator(i)
         n_x = m - int(np.count_nonzero(_coin(gen, m)))
-        # one triple in the dealer's basis per round, the x rounds' first
-        z = gen.standard_normal((m, 3))
-        _add_witness(sq, _apply(factors[0], z[:n_x]) + means[0],
-                     _apply(factors[1], z[n_x:]) + means[1], alpha_x, alpha_p)
+        # one triple in the dealer's basis per round, party-major, the x rounds' first
+        z = gen.standard_normal((3, m))
+        _add_witness(sq, _apply(factors[0], z[:, :n_x]) + means[0],
+                     _apply(factors[1], z[:, n_x:]) + means[1], alpha_x, alpha_p)
     return _witness_result(*sq)
 
 

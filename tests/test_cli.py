@@ -206,17 +206,18 @@ def test_simulate_and_rerun_byte_identical(tmp_path, capsys):
     assert len(rounds) == 1 + 10000
 
 
-# rounds.csv sha256 per (coalition, plan), from stream layout 3 (the dealer-basis
-# triple of each kept round, then the normals still missing)
+# rounds.csv sha256 per (coalition, plan), from stream layout 4 (SFC64 chunk streams,
+# coins from random bytes, the party-major dealer-basis triple of each kept round or
+# a lone A's two outcomes, then the normals still missing)
 ROUNDS_CSV_SHA256 = {
-    ("a_alone", "fixed"): "f909d9a564191e811160b69ef0d0b4b98d8b83a886825706c9facf3cc98d0435",
-    ("ab", "fixed"): "d9960f2e3650693fefd3a1544b2408c42da440830da9dd676f0d6cac4baa00be",
-    ("ac", "fixed"): "f9d66082d1b3c2823f7ae638a87fa20f21a5b2b3696bdb53635e584cf10337f4",
-    ("abc", "fixed"): "8e14485446c963dcfd70b40ffca8d708612b2b8ad70cc65877e9f767fba97e0f",
-    ("a_alone", "gaussian"): "8d655fa8f9e5cebd28c0b54a6b30ff8da6a269b882e376db42c9ade135599a01",
-    ("ab", "gaussian"): "c1a0bd1daa49573120236473a45e37e8edbf092072b72628acfdbc2a6e046c6f",
-    ("ac", "gaussian"): "2ea5ccdbc427fd17c3363a0f20b76c30d4f8bebdabb1918e530b7189174136b2",
-    ("abc", "gaussian"): "cd30c88a1bc956d872dd4f2fb68f2814f4e3ed21110f5bfb839c6d186b9f8d26",
+    ("a_alone", "fixed"): "d0401723ecb1b5aa8873e9d1c5b70f1fb660ea9a611d1ff0275886f3c79fa58b",
+    ("ab", "fixed"): "7e72ecc1847752b75ed20bc666aad6ab79dfdd21e9a15457fbd92a45cd57a1eb",
+    ("ac", "fixed"): "b2d4687c69d9fab3d4927de15ffcfd810a3a6212bfbbd66157e0b8d3742200b5",
+    ("abc", "fixed"): "7fc02e5c0df6d7c81a903b3b9b8547995bb0f8d6d670987bb83a7d8349601715",
+    ("a_alone", "gaussian"): "21c472092189e93240916974bd993b98f818324f039dccf2e75fe70aaab407bb",
+    ("ab", "gaussian"): "02d716596165de5d61c453410a2c54f399b729795a22bc1bbbc42b3f7bdf03e0",
+    ("ac", "gaussian"): "5aa4d58cc726434d0060c16c1644aad5239b90dd593733b21259104d98889162",
+    ("abc", "gaussian"): "3106cec981cd417a4d7a3efa5d1268961103970b0ed480b758ba76230ad42bc8",
 }
 
 
@@ -1315,10 +1316,10 @@ def test_witness_subcommand(tmp_path, capsys):
 
 
 # sha256 of the witness subcommand's witness.json, plain and with --surrogate, from
-# the estimators that apply the weights table
+# stream layout 4
 WITNESS_OUTPUT_SHA256 = {
-    False: "3dbae40398cf9a2c48fd3117d7fcd7ccfa124343572bf1aab6efa7b87d37f78a",
-    True: "c4db020d215a44a503557a872523a69eed51ae27243dce94b4e8f44490ebaa6c",
+    False: "a660843db348afb017e89edc5f82f6746d2f733aebe0bac684515d4ffe8a1afe",
+    True: "5d6e711487f3a89ff6fb55faa111ea69c58911bc6af888cf9641f909cdba0e24",
 }
 
 
@@ -1505,36 +1506,33 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 
 
 # sha256 of analytic simulate's reports per (coalition, plan), in chunks of 512
-# rounds, from the two-pass code that drew a fitted run's chunks twice; a one-pass
-# run estimates with the analytic gain, so these must not move. The abc reports and
-# every witness.json but a lone A's were re-pinned once, when the estimators came to
-# apply the weights table as products t @ w, which round the last digit of a weight
-# of 1/sqrt(2) differently; lone-A, ab and ac estimates kept their bits
+# rounds, from stream layout 4; a one-pass run estimates with the analytic gain, so
+# a fitted run's drawing must not move these
 SIMULATE_REPORTS_SHA256 = {
-    ("a_alone", "fixed"): ("2ed82a5414edd8fefb3d0db2dbe4a8f2d6cba896851788d321ae2552f70f5800",
-                           "6ecc2315f342a4237378ce0c48fa088cc0269bcf54366f9c2cdf350f09e5b96f",
-                           "412f84fefc2de5e0603f4088ab2b8330861ea5a714ec88dd4c99800aa360398c"),
-    ("ab", "fixed"): ("a8462f62698abec3db12dae8c4a3cdb08a53b96846ad8e6f0389f05b697a6bfb",
-                      "0a5262d53f7f4a6f742de4a8113d0ad811573b9611b8cb1f40363dee47f3e264",
-                      "2b9040c0fa76b5649a26618ab30e37d4e529d08f5f904e6f562ff063a68afb7b"),
-    ("ac", "fixed"): ("06b9c0424c00ff0e7363019ef4a7240bc8feb1982efe9db49ea1ef90656d7131",
-                      "60875160b7f1ce20231082cfba8e463ca20ec54ba6c29318895ed34715d81b90",
-                      "2b9040c0fa76b5649a26618ab30e37d4e529d08f5f904e6f562ff063a68afb7b"),
-    ("abc", "fixed"): ("0a8add1049e406620262aab479993ab6aac3ee61d8ca49e2f3ff60a662f86708",
-                       "02d40f6dc70adfad506a0427c93e6d1aaedf3ee4bfc58d82edc975531f2c3cfa",
-                       "28d83193a4ced2fe841c09f506070ae60ffb033dbb42d9b5e28c2f26e2113060"),
-    ("a_alone", "gaussian"): ("5c82a57ad79f9fe4b22e1adc1b396dbdee2307de9b63a481097d0d272927c647",
-                              "c153270bff9ce5a73a5052ad691c6a049cbf610b4cf10e87203900e681079dba",
-                              "2dfc75b1c2a4e764c2985a834a98d3062166c2a0d81928f3b1bb809888ddc7ab"),
-    ("ab", "gaussian"): ("729108c9697cee26af0a2f6b0a141f59d84a131cefb865fe0e3dbc22f017b220",
-                         "476fa786ce32a02ccf41dc56f730f332ac3ebe8eb8054742cd8e2d1b0cedb1a3",
-                         "a46697f7a654275ca1e950b1bbe79f12c6e43e0b6910b5681b7173f720e929e7"),
-    ("ac", "gaussian"): ("903a76891fb4568984b9f3a30922c69792912eb53165071bca1f307172aa63ab",
-                         "0745f4e7ea741aee6ca39156c2ff915e5a1304df4a0a66629fb92fff49c57b33",
-                         "a46697f7a654275ca1e950b1bbe79f12c6e43e0b6910b5681b7173f720e929e7"),
-    ("abc", "gaussian"): ("ffe7b79c20fbf84083a015d9c6f18f5f194aefbf373ad1df5a01262cc57d0b3c",
-                          "16fa5d8ba592db8ac26b0b91eba6717ce12aa68b9002430c24a3bc4ec1880146",
-                          "b83a85cf08df271776b65fe36532def33dd34213a05670196b155abb4e8b79bc"),
+    ("a_alone", "fixed"): ("619c78d20d283466c29d8b8af18b06ba4f84171dd138995acb688839bec99f7d",
+                           "ef361a86d24d4dc5cef325c21ab24423777f6bd688a4aa9bbac9f924c228d2cf",
+                           "bbfc6b774d485605e261af4205b4b24508d2f9f31867b582b74c1e94eb5b0291"),
+    ("ab", "fixed"): ("db49f2586b0b7791520786ca9d097dbf4e4d7b7e21271062b22550743b5c0f69",
+                      "b8ed09d61ea0a4410e018f9dd51eb5cc669371ecc1c5814f10910d833888b1d0",
+                      "9e273c62d01a7a3e02b976fe2a6718c22a5781c77396f5be882a8824baee6ddc"),
+    ("ac", "fixed"): ("5fc75120337bcfe611068acbb9163646b3ce3e8c0b546bd34290c2f6d3eb4fb8",
+                      "04935a0b1cb30f8f8bde7ea2863fdbf9d01f8c79b76f62e7d3c17ec091d2366b",
+                      "9e273c62d01a7a3e02b976fe2a6718c22a5781c77396f5be882a8824baee6ddc"),
+    ("abc", "fixed"): ("f37c550c0b13999fdb08401638f43e8d3335e7aa8e330ee0d655e97e5f74d915",
+                       "5dc3f92d4ea03f18257a3d672139be3273c5b62aec2733a34403a18963891a02",
+                       "c6279622940135978ed11cc37887617fa7e9bc8fe9820f332e1bf359a5a9f109"),
+    ("a_alone", "gaussian"): ("7a33fab532683e4506b4bfeebe45269983f58112885ed743b36c86cd0be2d2c9",
+                              "ea8a32c55644175889a4335a0377ad27279d8643f850d2bc206de20b0c591e00",
+                              "9417cd147d642e0b6ddbb18084a00903824939313acbb7206238bf7c88c26671"),
+    ("ab", "gaussian"): ("98b47f6f1ee9832715a9a6f9b370d95336a51273923b663d1b4ae96d5adf3f2e",
+                         "2f2a1d8190a8cc05b4b66c5510b537c403c6aee25b4c3c0d057434d2558db025",
+                         "98027f17de66d539356b698e4d65d35ad69e6de661eea27e81a6edb7bbbcaa03"),
+    ("ac", "gaussian"): ("72e0073acb4aba99ec7c21831e2ad7470d9d744d9d720d03518600497082b6b0",
+                         "07007caed93672893b5c3e71f4d2d35104f98a846b9e7543fc45cc198ef6ed49",
+                         "98027f17de66d539356b698e4d65d35ad69e6de661eea27e81a6edb7bbbcaa03"),
+    ("abc", "gaussian"): ("f69816917e420172c4e89d99e465b16e2c5b8b546166ef6080350416d700afa7",
+                          "ea110364aaf110560e29984df487a27a72cf7485c939c1f668b090ec6e99e846",
+                          "aa844285d508e8c513fda31da99bdcec389d82b633b08aa51656f8f5e320438e"),
 }
 
 
@@ -1556,17 +1554,16 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
 
 
 # sha256 of fitted simulate's mse_report.json and bias.json for the pairs, in the
-# setup of SIMULATE_REPORTS_SHA256, taken before the estimators moved to the weights
-# table: a pair's weights are 0 and +-1, so its gain fit keeps every bit
+# setup of SIMULATE_REPORTS_SHA256, from stream layout 4
 FITTED_PAIR_REPORTS_SHA256 = {
-    ("ab", "fixed"): ("a9fb869e5d30d05efe7813125712a43f401398bc156486063e86f2c2efa26bd0",
-                      "43a89731e70334de5fa4015f53b401349935d7002ed36951153cdb302dd2326d"),
-    ("ab", "gaussian"): ("54378ba044122c1cd9a93e144870f99142e1ec1717762394364dcc960f7eba42",
-                         "f629e982e6b3ead432c4bbe9025ed6ae17df090dabce0b35edabffa5c99c1083"),
-    ("ac", "fixed"): ("fb54e67f52a47a0b7f3aee88a09c1502a2d684c4c462e4a3186049ea8a333501",
-                      "081a08eb3a9b27b5bc516d67cf8ce6cabc89b967664587cbfba61bb72d2b51a7"),
-    ("ac", "gaussian"): ("ecae065cbee9ea3145d3b10721c8ab3fbf8fe864b48d89a01b3279533a02ac45",
-                         "1b9011b901a3a376c2a5c416fe2f0c1ffadfa0db014376ffb4ed467916d9a4dc"),
+    ("ab", "fixed"): ("e14adbe611aa28dec7292094dbcad2a5f13a0a92acb198d5b4a04f0da908d8d8",
+                      "6734f669dc3754c1c2c53878155d8e033873ad58fdea7ca373816d8c3498bd5a"),
+    ("ab", "gaussian"): ("eafda8f86d6dd0b747df95f3f773a031f790c61b2a8ef07eacef6d54f54e3487",
+                         "841eaa04c4c86f1024053a8b1052276e56a772572ccff966d30395e2d6e2d29f"),
+    ("ac", "fixed"): ("f5372495f1a91586b706bb834a02325265e8f5884505fa26f604974eccfaea9f",
+                      "012dad962166ddc0f718e107d6244275e1ee3670a15e434f8ad96b040e9696de"),
+    ("ac", "gaussian"): ("56899309d1f20ac6d496b31f2203608bd3d04d5613ea2b8addf5abbced011bca",
+                         "4c92edde926a9c1943c1d3fa0573fd58f4e6aba7701433b00d029f923b8c1fd5"),
 }
 
 
@@ -1585,6 +1582,18 @@ def test_fitted_pair_reports_pinned(tmp_path, capsys, monkeypatch, coalition, pl
     got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("mse_report.json", "bias.json"))
     assert got == FITTED_PAIR_REPORTS_SHA256[(coalition, plan)]
+
+
+def test_sampled_manifests_name_stream_layout_4(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coalition = ab\nn_rounds = 1000\n")
+    runs = {"simulate": ["simulate", "--config", str(cfg)],
+            "witness": ["witness", "--n-rounds", "1000"], "bounds": ["bounds", "--steps", "2"]}
+    for name, argv in runs.items():
+        code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path / name)], capsys)
+        assert code == 0
+        manifest = read_json(os.path.join(str(tmp_path / name), "manifest.json"))
+        assert manifest.get("stream_layout") == (None if name == "bounds" else 4), name
 
 
 def test_manifest_lists_arguments(tmp_path, capsys):

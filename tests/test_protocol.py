@@ -33,7 +33,7 @@ from cvshare.protocol import (
     surrogate_intercept_state,
     witness_verification_run,
 )
-from cvshare.sampler import MeasurementAssignment, RandomStream, sample_joint
+from cvshare.sampler import MeasurementAssignment, RandomStream, outcome_moments, sample_joint
 
 IDEAL = ExperimentModel(r=1.0)
 PLAN = DisplacementPlan.fixed(1.0, -0.5)
@@ -180,29 +180,82 @@ def _assert_round(table: RoundTable, i: int, **want) -> None:
         assert np.array_equal(getattr(table, name)[i], want[name], equal_nan=True), name
 
 
+def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) -> dict:
+    """The round-table columns of an n-round analytic run on IDEAL with a gaussian plan
+    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 4."""
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, 0))))
+    lone = coalition is Coalition.A_ALONE
+    # one displacement block per round, x then p
+    alpha = [math.sqrt(v_dist) * gen.standard_normal(n) for _ in "xp"]
+
+    def coins():
+        # the bits of ceil(n / 8) random bytes, most significant bit first
+        return np.unpackbits(np.frombuffer(gen.bytes(-(-n // 8)), np.uint8))[:n].astype(np.int8)
+
+    dealer = coins()
+    if lone:
+        bases = {"a": np.full(n, XP, dtype=np.int8), "b": coins(), "c": coins()}
+    else:
+        # the coalition's shared coin, then the outsider's own
+        shared = coins()
+        other = shared if coalition is Coalition.ABC else coins()
+        bases = {"a": shared, "b": other if coalition is Coalition.AC else shared,
+                 "c": shared if coalition is Coalition.AC else other}
+    kept = np.ones(n, dtype=bool) if lone else bases["a"] == dealer
+    pool = np.flatnonzero(kept & (bases["b"] == dealer) & (bases["c"] == dealer))
+    witness = np.zeros(n, dtype=bool)
+    witness[gen.choice(pool, round(POLICY.witness_fraction * n), replace=False,
+                       shuffle=False)] = True
+    # the bias subset, which the table does not show
+    gen.choice(np.flatnonzero(kept & ~witness), round(POLICY.bias_fraction * n), replace=False,
+               shuffle=False)
+    # every round's normals per quadrature, one row per party (A, B, C)
+    normals = np.empty((2, 3, n))
+    cov = build_dealer_state(IDEAL, 0.0, 0.0).cov
+    vacuum = np.diag([1.0 if lone else 0.0, 0.0, 0.0])
+    factors = [np.linalg.cholesky(cov[np.ix_(idx, idx)] + vacuum)
+               for idx in estimators.TRIPLE_INDICES]
+    if lone:
+        # A's dual-homodyne outcomes, then B's and C's normals in x and in p
+        normals[:, 0] = gen.standard_normal((2, n))
+        for q in (0, 1):
+            normals[q, 1:] = gen.standard_normal((2, n))
+    else:
+        # the kept rounds' triples in the dealer's basis, x rounds first; then the
+        # triples still missing, x before p
+        drawn = [np.flatnonzero(kept & (dealer == q)) for q in (0, 1)]
+        z = gen.standard_normal((3, drawn[0].size + drawn[1].size))
+        normals[0][:, drawn[0]], normals[1][:, drawn[1]] = np.split(z, [drawn[0].size], axis=1)
+        for q in (0, 1):
+            missing = np.flatnonzero(~kept | (dealer != q))
+            normals[q][:, missing] = gen.standard_normal((3, missing.size))
+    want = {"round_index": np.arange(n), "alpha_x": alpha[0], "alpha_p": alpha[1],
+            "dealer_basis": dealer, "kept": kept}
+    for j, party in enumerate("abc"):
+        want[f"basis_{party}"] = bases[party]
+        for q, quad in enumerate("xp"):
+            f, z = factors[q][j], normals[q]
+            value = f[0] * z[0]
+            for i in range(1, j + 1):
+                value = value + f[i] * z[i]
+            if party == "a":
+                value = value + alpha[q]
+            want[f"{quad}_{party}"] = np.where(bases[party] == 1 - q, np.nan, value)
+    return want
+
+
 def test_round_columns_hold_the_drawn_rounds():
-    # rounds 0 and 1 as drawn by stream layout 3: the dealer-basis triple of each
-    # kept round first, then the normals still missing
-    nan = np.nan
-    res = run_protocol(IDEAL, PLAN, 100, Coalition.AB, POLICY, RandomStream(3))
-    _assert_round(
-        res.records, 0, round_index=0, alpha_x=1.0, alpha_p=-0.5, dealer_basis=P, basis_a=X,
-        basis_b=X, basis_c=X, x_c=-1.395049359813273, p_c=nan,
-        x_b=1.8399223546309884, p_b=nan, x_a=3.6632337730819247, p_a=nan, kept=False,
-    )
-    _assert_round(
-        res.records, 1, round_index=1, alpha_x=1.0, alpha_p=-0.5, dealer_basis=P, basis_a=P,
-        basis_b=P, basis_c=X, x_c=0.2874825697005943, p_c=nan, x_b=nan,
-        p_b=1.2337770400114467, x_a=nan, p_a=-0.5105116203114373, kept=True,
-    )
-    res = run_protocol(IDEAL, PLAN, 100, Coalition.A_ALONE, POLICY, RandomStream(3))
-    _assert_round(
-        res.records, 0, round_index=0, alpha_x=1.0, alpha_p=-0.5, dealer_basis=P, basis_a=XP,
-        basis_b=X, basis_c=X, x_c=-0.1898308438777777, p_c=nan,
-        x_b=1.5089215788405625, p_b=nan, x_a=1.6682066719473845,
-        p_a=-0.48040110389602814, kept=True,
-    )
-    assert len(res.records) == 100 and res.records.round_index[-1] == 99
+    # every round of a one-chunk run as drawn by stream layout 4: the displacements,
+    # the basis coins from random bytes, the witness and bias picks, then the
+    # party-major triples of the kept rounds and the normals still missing
+    n = 100
+    plan = DisplacementPlan.gaussian_modulated(1.5)
+    for coalition in Coalition:
+        res = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(3))
+        want = _replay_first_chunk(coalition, n, 1.5, 3)
+        for i in range(n):
+            _assert_round(res.records, i, **{name: col[i] for name, col in want.items()})
+        assert len(res.records) == n
 
 
 def test_row_view_matches_round_record():
@@ -517,9 +570,9 @@ def test_fitted_gain_is_exact_over_the_calibration_reads(monkeypatch):
             assert np.array_equal(c.rows, np.flatnonzero(ch.calib & (ch.dealer_basis == c.quad)))
             truth = (ch.alpha_p if c.quad else ch.alpha_x)[c.rows]
             assert np.array_equal(c.truth, truth)
-            r.append(c.triple[:, 0] - truth)
+            r.append(c.triple[0] - truth)
             sign = -1.0 if c.quad else 1.0
-            u.append(sign * (c.triple[:, 1] - c.triple[:, 2]) / math.sqrt(2.0))
+            u.append(sign * (c.triple[1] - c.triple[2]) / math.sqrt(2.0))
         # no calibration round is read again by the reports
         for read in ch.reads:
             assert not ch.calib[read.rows].any()
@@ -569,30 +622,117 @@ def test_non_lone_run_draws_one_triple_per_kept_round(monkeypatch, coalition, ga
     assert n_calib == (n_est // 2 if gain_mode == "fitted" else 0)
     # one pass in either gain mode: one x and one p displacement normal per round
     assert sum(s[0] for s in shapes if len(s) == 1) == 2 * n
-    # three normals per kept round, calibration rounds included, none for a
-    # discarded one
+    # three normals per kept round, party-major, calibration rounds included, none
+    # for a discarded one
     triples = [s for s in shapes if len(s) == 2]
-    assert all(s[1] == 3 for s in triples)
-    assert sum(s[0] for s in triples) == kept
+    assert all(s[0] == 3 for s in triples)
+    assert sum(s[1] for s in triples) == kept
     assert len(shapes) == sum(1 for s in shapes if len(s) == 1) + len(triples)
 
 
-def test_lone_run_draws_four_normals_per_round(monkeypatch):
+def test_lone_run_draws_two_normals_per_round(monkeypatch):
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     shapes = _count_normals(monkeypatch)
     run_protocol(IDEAL, PLAN, 5000, Coalition.A_ALONE, POLICY, RandomStream(71),
                  keep_records=False)
-    # A's x and p normals and its two vacuum units
-    assert all(s[1:] == (4,) for s in shapes)
-    assert sum(s[0] for s in shapes) == 5000
+    # A's dual-homodyne outcome in x and in p, one normal each: the factors carry
+    # its vacuum unit
+    assert all(len(s) == 2 and s[0] == 2 for s in shapes)
+    assert sum(s[1] for s in shapes) == 5000
 
 
 def test_witness_run_draws_three_normals_per_round(monkeypatch):
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     shapes = _count_normals(monkeypatch)
     witness_verification_run(IDEAL, 1.0, -1.0, 5000, RandomStream(71))
-    assert all(s[1:] == (3,) for s in shapes)
-    assert sum(s[0] for s in shapes) == 5000
+    assert all(len(s) == 2 and s[0] == 3 for s in shapes)
+    assert sum(s[1] for s in shapes) == 5000
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 65535, 65536])
+def test_coins_at_the_byte_edges(m):
+    gen = RandomStream(5).chunk_generator(0)
+    coins = protocol._coin(gen, m)
+    assert coins.dtype == np.int8 and coins.shape == (m,)
+    assert np.isin(coins, (0, 1)).all()
+    # a coin array takes whole bytes of the stream
+    after = gen.bytes(1)
+    gen = RandomStream(5).chunk_generator(0)
+    gen.bytes(-(-m // 8))
+    assert gen.bytes(1) == after
+
+
+def test_coins_are_fair():
+    n = 1_000_000
+    coins = protocol._coin(RandomStream(7).chunk_generator(0), n)
+    assert abs(coins.mean() - 0.5) <= 5.0 * 0.5 / math.sqrt(n)
+
+
+def test_a_last_chunk_of_one_round():
+    # 65537 rounds leave one round for the last chunk: one coin per basis, and a
+    # subset share and a triple of at most one round
+    n = protocol._CHUNK_ROUNDS + 1
+    plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=3)
+    for coalition in (Coalition.AB, Coalition.A_ALONE):
+        on = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(79))
+        off = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(79),
+                           keep_records=False)
+        assert on.mse_report == off.mse_report and on.bias == off.bias
+        last = on.records[n - 1 :]
+        assert last.round_index.tolist() == [n - 1]
+        # its block began in the chunk before, at round n - 2
+        assert last.alpha_x[0] == on.records.alpha_x[n - 2] != on.records.alpha_x[n - 3]
+        for name in protocol.BASIS_COLUMNS:
+            assert getattr(last, name)[0] in ((0, 1, 2) if name == "basis_a" else (0, 1))
+        read = [name for name in protocol.OUTCOME_COLUMNS if not np.isnan(getattr(last, name)[0])]
+        assert len(read) == (4 if coalition is Coalition.A_ALONE else 3)
+        assert all(np.isfinite(getattr(last, name)[0]) for name in read)
+
+
+def test_lone_factor_carries_the_vacuum(monkeypatch):
+    # a lone A draws its dual-homodyne outcome from the Cholesky factor of the
+    # (A, B, C) block with a unit on A, which is the law outcome_moments gives
+    model = ExperimentModel(r=0.8, eta_a=0.9, eta_b=0.8, eps_c=0.05)
+    seen = []
+    draw_chunks = protocol._draw_chunks
+
+    def spy(*args, **kwargs):
+        seen.append(args[5])
+        return draw_chunks(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_draw_chunks", spy)
+    run_protocol(model, PLAN, 100, Coalition.A_ALONE, POLICY, RandomStream(3))
+    state = build_dealer_state(model, 0.0, 0.0)
+    unit_on_a = np.diag([1.0, 0.0, 0.0])
+    for q, quad in enumerate("xp"):
+        idx = estimators.TRIPLE_INDICES[q]
+        assert np.array_equal(seen[0][q],
+                              np.linalg.cholesky(state.cov[np.ix_(idx, idx)] + unit_on_a))
+        # outcome columns of homodyne C and B and dual-homodyne A, in mode order
+        _, law = outcome_moments(state, MeasurementAssignment((quad, quad, "xp")))
+        cols = [2 + q, 1, 0]  # (A's quad, B, C) among the columns (C, B, x_A, p_A)
+        np.testing.assert_allclose(seen[0][q] @ seen[0][q].T, law[np.ix_(cols, cols)],
+                                   rtol=1e-13, atol=1e-13)
+
+
+def test_lone_outcomes_follow_the_model_plus_the_vacuum():
+    model = ExperimentModel(r=0.8, eta_a=0.9, eta_b=0.8, eps_c=0.05)
+    t = run_protocol(model, DisplacementPlan.gaussian_modulated(2.0), 40_000, Coalition.A_ALONE,
+                     POLICY, RandomStream(83)).records
+    cov = build_dealer_state(model, 0.0, 0.0).cov
+    x_a = t.x_a - math.sqrt(model.eta_a) * t.alpha_x
+    p_a = t.p_a - math.sqrt(model.eta_a) * t.alpha_p
+    # the outcomes have mean 0, so the moments are taken about 0
+    for a, var in ((x_a, cov[estimators.X_A, estimators.X_A] + 1.0),
+                   (p_a, cov[estimators.P_A, estimators.P_A] + 1.0)):
+        k = a.size
+        assert abs(a @ a / k - var) <= 5.0 * var * math.sqrt(2.0 / k)
+    on_x = t.basis_b == X
+    a, b = x_a[on_x], t.x_b[on_x]
+    k = a.size
+    var_a, var_b = cov[estimators.X_A, estimators.X_A] + 1.0, cov[estimators.X_B, estimators.X_B]
+    c = cov[estimators.X_A, estimators.X_B]
+    assert abs(a @ b / k - c) <= 5.0 * math.sqrt((var_a * var_b + c * c) / k)
 
 
 @pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
@@ -621,7 +761,7 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition):
                                     1.0, fitted=not lone, records=True):
         assert len(ch.reads) == 2 and len(ch.calibration) == (0 if lone else 2)
         for r in ch.calibration + ch.reads:
-            assert np.array_equal(ch.outcomes[r.quad, r.rows, : r.triple.shape[1]], r.triple)
+            assert np.array_equal(ch.outcomes[r.quad][: r.triple.shape[0], r.rows], r.triple)
 
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
@@ -666,7 +806,7 @@ def _two_pass_reports(model, plan, n, coalition, stream, gains):
         for r in ch.reads:
             t = r.triple
             quad = "xp"[r.quad]
-            outcomes = {f"{quad}_{party}": t[:, "abc".index(party)]
+            outcomes = {f"{quad}_{party}": t["abc".index(party)]
                         for party in coalition.party_columns}
             e = estimators.estimate(coalition, outcomes, gains, quad) - r.truth
             e_est = e[~(r.witness | r.bias)]

@@ -45,6 +45,18 @@ def test_stream_child_and_validation():
         RandomStream(1.5)
 
 
+def test_stream_and_chunk_bit_generators():
+    # the whole-stream generator, which bounds --band and the reference sampler
+    # read, stays PCG64; the chunk streams of the sampled runs are SFC64
+    s = RandomStream(5, stream_id=2)
+    assert type(s.generator().bit_generator) is np.random.PCG64
+    for i in (0, 1, 7):
+        gen = s.chunk_generator(i)
+        assert type(gen.bit_generator) is np.random.SFC64
+        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(5, spawn_key=(2, i))))
+        assert np.array_equal(gen.standard_normal(8), want.standard_normal(8))
+
+
 def test_assignment_validation():
     with pytest.raises(InvalidArgumentError):
         MeasurementAssignment(())
