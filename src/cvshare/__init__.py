@@ -5,55 +5,16 @@ modes to three parties, homodyne estimation under loss and excess
 noise, estimation-theoretic bounds with verifiable certificates, and
 threshold security analysis of which coalitions can recover the
 dealer's secret displacement.
+
+``import cvshare`` loads no submodule. Each public name, and each
+submodule such as ``cvshare.protocol``, is imported on its first access
+and then kept in the package namespace, so a caller pays only for the
+layers it uses.
 """
 
-__version__ = "0.1.0"
+import importlib
 
-from .bounds import (
-    ThermalParams,
-    hcrb_thermal,
-    ideal_three_party_mse_sum,
-    ideal_two_party_mse_sum,
-    predicted_mse,
-    thermal_params_from_state,
-    witness_bound,
-)
-from .certificates import CertificateReport, verify_certificates
-from .errors import (
-    AbortLossError,
-    CvshareError,
-    DegenerateAuxiliaryError,
-    DegenerateDualError,
-    InvalidArgumentError,
-    NoSignalError,
-    ProtocolFailureError,
-    ResourceLimitError,
-    UnsupportedStateError,
-)
-from .estimators import Coalition, GainSet, MseReport, parse_coalition
-from .gaussian_core import ExperimentModel, GaussianState, build_dealer_state
-from .protocol import (
-    DisplacementPlan,
-    ProtocolPolicy,
-    ProtocolResult,
-    RoundTable,
-    batch_mse_distribution,
-    entanglement_check,
-    run_protocol,
-    sift,
-)
-from .sampler import MeasurementAssignment, RandomStream
-from .security import (
-    MseDistribution,
-    SecurityReport,
-    crossing_threshold,
-    mse_cdf,
-    mse_pdf,
-    mutual_information,
-    prob_mi_above,
-    required_mse,
-    security_probabilities,
-)
+__version__ = "0.1.0"
 
 
 def backend_name() -> str:
@@ -61,51 +22,39 @@ def backend_name() -> str:
     return "python"
 
 
-__all__ = [
-    "__version__",
-    "AbortLossError",
-    "CvshareError",
-    "Coalition",
-    "CertificateReport",
-    "DegenerateAuxiliaryError",
-    "DegenerateDualError",
-    "DisplacementPlan",
-    "ExperimentModel",
-    "GainSet",
-    "GaussianState",
-    "InvalidArgumentError",
-    "MeasurementAssignment",
-    "MseDistribution",
-    "MseReport",
-    "NoSignalError",
-    "ProtocolFailureError",
-    "ProtocolPolicy",
-    "ProtocolResult",
-    "ResourceLimitError",
-    "RandomStream",
-    "RoundTable",
-    "SecurityReport",
-    "ThermalParams",
-    "UnsupportedStateError",
-    "backend_name",
-    "batch_mse_distribution",
-    "build_dealer_state",
-    "crossing_threshold",
-    "entanglement_check",
-    "hcrb_thermal",
-    "ideal_three_party_mse_sum",
-    "ideal_two_party_mse_sum",
-    "mse_cdf",
-    "mse_pdf",
-    "mutual_information",
-    "parse_coalition",
-    "predicted_mse",
-    "prob_mi_above",
-    "required_mse",
-    "run_protocol",
-    "security_probabilities",
-    "sift",
-    "thermal_params_from_state",
-    "verify_certificates",
-    "witness_bound",
-]
+#: each submodule and the public names it exports at the package level
+_EXPORTS = {
+    "bounds": ("ThermalParams", "hcrb_thermal", "ideal_three_party_mse_sum",
+               "ideal_two_party_mse_sum", "predicted_mse", "thermal_params_from_state",
+               "witness_bound"),
+    "certificates": ("CertificateReport", "verify_certificates"),
+    "cli": (),
+    "errors": ("AbortLossError", "CvshareError", "DegenerateAuxiliaryError",
+               "DegenerateDualError", "InvalidArgumentError", "NoSignalError",
+               "ProtocolFailureError", "ResourceLimitError", "UnsupportedStateError"),
+    "estimators": ("Coalition", "GainSet", "MseReport", "parse_coalition"),
+    "gaussian_core": ("ExperimentModel", "GaussianState", "build_dealer_state"),
+    "protocol": ("DisplacementPlan", "ProtocolPolicy", "ProtocolResult", "RoundTable",
+                 "batch_mse_distribution", "entanglement_check", "run_protocol", "sift"),
+    "sampler": ("MeasurementAssignment", "RandomStream"),
+    "security": ("MseDistribution", "SecurityReport", "crossing_threshold", "mse_cdf",
+                 "mse_pdf", "mutual_information", "prob_mi_above", "required_mse",
+                 "security_probabilities"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", "backend_name", *_HOME]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -29,6 +29,7 @@ from . import estimators
 from .errors import InvalidArgumentError, UnsupportedStateError
 from .estimators import Coalition
 from .gaussian_core import (  # noqa: F401 (build_dealer_state: perfbench/tracing.py wraps it here)
+    THERMAL_MAX,
     ExperimentModel,
     GaussianState,
     build_dealer_state,
@@ -39,9 +40,6 @@ from .gaussian_core import (  # noqa: F401 (build_dealer_state: perfbench/tracin
 DIAGONAL_TOL = 1e-9
 #: witness values at or above this are consistent with a separable state
 SEPARABILITY_THRESHOLD = 4.0
-#: largest thermal parameter: the certificate terms grow like n**4, so they
-#: stay finite (below about 1e49); a dealer state at R_MAX has n of about 2e6
-THERMAL_MAX = 1e12
 
 
 @dataclass(frozen=True, slots=True)

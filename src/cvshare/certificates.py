@@ -32,9 +32,7 @@ import numpy as np
 
 from .bounds import ThermalParams, hcrb_thermal
 from .errors import DegenerateDualError
-
-#: default numerical tolerance for certificate verification
-DEFAULT_TOL = 1e-9
+from .gaussian_core import DEFAULT_TOL
 
 #: status values a CertificateReport can carry
 STATUS_OK = "ok"

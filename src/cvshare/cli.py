@@ -11,6 +11,14 @@ Exit codes: 0 on success, 2 on argument and configuration errors,
 directory or file that cannot be written); failures print one
 machine-readable JSON object on stderr, and remove the files and the
 directories the run made.
+
+Importing this module loads numpy, ``errors``, ``estimators`` and
+``gaussian_core``, which hold what every subcommand reads, the parser's
+flag ranges included. Each handler imports the layers it runs on its
+first call: ``bounds`` (and ``sampler`` for a band), ``certificates``,
+``protocol`` and ``sampler`` for ``simulate`` and ``witness``, and
+``security`` for ``security`` and ``mi``. So one process loads only what
+its subcommand runs.
 """
 
 from __future__ import annotations
@@ -22,10 +30,11 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, backend_name, bounds, certificates, protocol, security
+from . import __version__, backend_name
 from .errors import (
     USAGE_ERROR_CODES,
     CvshareError,
@@ -35,15 +44,19 @@ from .errors import (
 )
 from .estimators import parse_coalition
 from .gaussian_core import (
+    ALPHA_MAX,
+    DEFAULT_TOL,
     R_MAX,
+    THERMAL_MAX,
     ExperimentModel,
     build_dealer_state,
     physicality_min_eigenvalue,
     state_from_text,
     state_to_text,
 )
-from .protocol import DisplacementPlan, ProtocolPolicy
-from .sampler import RandomStream
+
+if TYPE_CHECKING:
+    from . import certificates, protocol
 
 OUT_DIR_ENV = "CVSHARE_OUT_DIR"
 
@@ -118,6 +131,8 @@ class _Bounded:
 
 def _round_chunks(table: protocol.RoundTable):
     """rounds.csv column chunks of a round table, with basis names for the basis codes."""
+    from . import protocol
+
     basis_names = np.array(protocol.BASIS_NAMES)
     for start in range(0, len(table), _CSV_CHUNK):
         chunk = table[start : start + _CSV_CHUNK]
@@ -126,13 +141,20 @@ def _round_chunks(table: protocol.RoundTable):
 
 
 def _read_input(path: str, what: str) -> str:
-    """Text of an input file; a missing path or a directory is a usage error."""
+    """Text of a UTF-8 input file; a missing path, a directory, text that is not
+    UTF-8 or a failed read is a usage error naming the file."""
     if not os.path.exists(path):
         raise InvalidArgumentError(f"{what} not found: {path}")
     if os.path.isdir(path):
         raise InvalidArgumentError(f"{what} is a directory: {path}")
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(
+            f"{what} is not UTF-8 text: {path} (byte {exc.start}: {exc.reason})") from None
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot read {what}: {path}: {exc.strerror or exc}") from None
 
 
 class _Run:
@@ -266,6 +288,8 @@ def _cmd_state(args: argparse.Namespace) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> None:
+    from . import bounds
+
     if args.r_max < args.r_min:
         raise InvalidArgumentError("need --r-min <= --r-max")
     points = args.steps
@@ -294,6 +318,8 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
         run.write_table("bounds.csv", ["r", "coalition", "mse_x", "mse_p", "mse_sum"],
                         grid_chunks())
         if args.band is not None:
+            from .sampler import RandomStream
+
             gen = RandomStream(args.band_seed).generator()
             draw = gen.standard_normal if args.band == "gaussian" else functools.partial(
                 gen.uniform, -1.0, 1.0)
@@ -361,6 +387,8 @@ _Y3_TEMPLATE = _json_list(2)
 def _certificate_cells(cols: certificates.CertificateColumns):
     """The cells of each report of one stack of checks, in _CERTIFICATE_TEMPLATE's
     order. A degenerate point has no Y3 block and lists no y3_eigs."""
+    from . import certificates
+
     k = len(cols.n1)
     floats = _json_floats(np.concatenate(
         [cols.constraint_residuals, cols.dual_value[:, None], cols.n1[:, None],
@@ -386,6 +414,8 @@ def _certificate_text(cols: certificates.CertificateColumns) -> str:
 
 
 def _cmd_certify(args: argparse.Namespace) -> None:
+    from . import certificates
+
     single = args.n1 is not None or args.n2 is not None
     if single and args.grid is not None:
         raise InvalidArgumentError("--grid conflicts with --n1/--n2")
@@ -477,12 +507,17 @@ def parse_config_text(text: str) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
+    from . import protocol
+    from .sampler import RandomStream
+
     cfg = parse_config_text(_read_input(args.config, "config file"))
     model = _model_from_args(argparse.Namespace(**cfg))
-    plan = DisplacementPlan(kind=cfg["plan"], alpha_x=cfg["alpha_x"], alpha_p=cfg["alpha_p"],
-                            v_dist=cfg["v_dist"], n_rep=cfg["n_rep"])
-    policy = ProtocolPolicy(eta_min=cfg["eta_min"], witness_fraction=cfg["witness_fraction"],
-                            bias_fraction=cfg["bias_fraction"])
+    plan = protocol.DisplacementPlan(kind=cfg["plan"], alpha_x=cfg["alpha_x"],
+                                     alpha_p=cfg["alpha_p"], v_dist=cfg["v_dist"],
+                                     n_rep=cfg["n_rep"])
+    policy = protocol.ProtocolPolicy(eta_min=cfg["eta_min"],
+                                     witness_fraction=cfg["witness_fraction"],
+                                     bias_fraction=cfg["bias_fraction"])
     coalition = parse_coalition(cfg["coalition"])
     stream = RandomStream(cfg["seed"], cfg["stream_id"])
     with _Run(args, stream_layout=protocol.STREAM_LAYOUT) as run:
@@ -512,6 +547,8 @@ def _probe_chunks(n_max: int, names: np.ndarray, columns):
 
 
 def _cmd_security(args: argparse.Namespace) -> None:
+    from . import security
+
     if args.n_probes > MAX_SWEEP_PROBES:
         raise ResourceLimitError(f"--n-probes exceeds the cap of {MAX_SWEEP_PROBES}")
     mus = {"ab": ("--mu-pair", args.mu_pair), "abc": ("--mu-triple", args.mu_triple)}
@@ -552,6 +589,8 @@ def _cmd_security(args: argparse.Namespace) -> None:
 
 
 def _cmd_mi(args: argparse.Namespace) -> None:
+    from . import security
+
     if args.n_max > MAX_SWEEP_PROBES:
         raise ResourceLimitError(f"--n-max exceeds the cap of {MAX_SWEEP_PROBES}")
     req = security.required_mse(args.c_bits, args.v_dist)
@@ -578,6 +617,9 @@ def _cmd_mi(args: argparse.Namespace) -> None:
 
 
 def _cmd_witness(args: argparse.Namespace) -> None:
+    from . import protocol
+    from .sampler import RandomStream
+
     with _Run(args, stream_layout=protocol.STREAM_LAYOUT) as run:
         result = protocol.witness_verification_run(
             _model_from_args(args),
@@ -612,7 +654,7 @@ class _Parser(argparse.ArgumentParser):
 #: accepted ranges, as the errors state them; --r, --eta-*, --eps-*, --alpha-*, the
 #: seeds, --n-rounds and --c-bits are left to the library, which checks them
 _R_RULE = f"finite and in [0, R_MAX = {R_MAX}]"
-_THERMAL_RULE = f"finite and in [0, THERMAL_MAX = {bounds.THERMAL_MAX:g}]"
+_THERMAL_RULE = f"finite and in [0, THERMAL_MAX = {THERMAL_MAX:g}]"
 _MU_RULE = f"in [{MU_MIN:g}, {MU_MAX:g}]"
 _MU_FLAGS = ("--mu-single", "--mu-pair", "--mu-triple")
 
@@ -650,14 +692,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_bounds)
 
     sp = subs.add_parser("certify", help="verify estimation-bound certificates")
-    sp.add_bounded("--n1", float, _THERMAL_RULE, 0.0, bounds.THERMAL_MAX, default=None)
-    sp.add_bounded("--n2", float, _THERMAL_RULE, 0.0, bounds.THERMAL_MAX, default=None)
+    sp.add_bounded("--n1", float, _THERMAL_RULE, 0.0, THERMAL_MAX, default=None)
+    sp.add_bounded("--n2", float, _THERMAL_RULE, 0.0, THERMAL_MAX, default=None)
     sp.add_bounded("--grid", int, ">= 1", 1, default=None,
                    help="K for a K x K thermal-parameter grid")
-    sp.add_bounded("--grid-min", float, _THERMAL_RULE, 0.0, bounds.THERMAL_MAX, default=0.1)
-    sp.add_bounded("--grid-max", float, _THERMAL_RULE, 0.0, bounds.THERMAL_MAX, default=3.0)
+    sp.add_bounded("--grid-min", float, _THERMAL_RULE, 0.0, THERMAL_MAX, default=0.1)
+    sp.add_bounded("--grid-max", float, _THERMAL_RULE, 0.0, THERMAL_MAX, default=3.0)
     # a relative tolerance of 1 already admits an error as large as the value
-    sp.add_bounded("--tol", float, "in [0, 1]", 0.0, 1.0, default=certificates.DEFAULT_TOL)
+    sp.add_bounded("--tol", float, "in [0, 1]", 0.0, 1.0, default=DEFAULT_TOL)
     _add_out_dir(sp)
     sp.set_defaults(handler=_cmd_certify)
 
@@ -679,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("mi", help="mutual information and exceedance curves")
     # the same bound as a simulated modulation's v_dist; far larger values
     # overflow the exceedance curve
-    v_dist_max = protocol.ALPHA_MAX**2
+    v_dist_max = ALPHA_MAX**2
     sp.add_bounded("--v-dist", float, f"in (0, {v_dist_max:g}]", 0.0, v_dist_max, ends="(]",
                    required=True)
     sp.add_argument("--c-bits", type=float, default=1.0)

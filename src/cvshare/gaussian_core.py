@@ -33,12 +33,23 @@ PHYSICALITY_SLACK = 1e-9
 #: unphysical one (the limit keeps a margin of about 50x above round-off)
 R_MAX = 8.0
 #: largest accepted excess noise per arm, the scale of the thermal parameters
-#: (bounds.THERMAL_MAX) and of v_dist; far above it, at r = 8 from about 1e16,
+#: (THERMAL_MAX) and of v_dist; far above it, at r = 8 from about 1e16,
 #: round-off made physical dealer states fail the positivity check
 EPS_MAX = 1e12
 #: smallest accepted transmissivity per arm, the reciprocal of EPS_MAX; the
 #: predicted MSEs divide by eta_A, and far smaller values overflow them
 ETA_MIN = 1.0 / EPS_MAX
+# The limits below belong to bounds, certificates and protocol, which re-export
+# them; they are declared here so that the CLI parser, which states every flag's
+# range, loads none of those modules.
+#: largest thermal parameter: the certificate terms grow like n**4, so they
+#: stay finite (below about 1e49); a dealer state at R_MAX has n of about 2e6
+THERMAL_MAX = 1e12
+#: default numerical tolerance for certificate verification
+DEFAULT_TOL = 1e-9
+#: largest |alpha_x|, |alpha_p| and sqrt(v_dist); the round-off of a
+#: displacement this large (about 1e-10) stays far below the unit shot noise
+ALPHA_MAX = 1e6
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

@@ -49,7 +49,13 @@ from .errors import (
     UnsupportedStateError,
 )
 from .estimators import Coalition, GainSet, MseReport, RunningMoments
-from .gaussian_core import ExperimentModel, GaussianState, build_dealer_state, dealer_covariances
+from .gaussian_core import (
+    ALPHA_MAX,
+    ExperimentModel,
+    GaussianState,
+    build_dealer_state,
+    dealer_covariances,
+)
 from .sampler import RandomStream
 # the benchmark tracer wraps protocol.sample_joint and protocol.partial_trace by name
 # until stage hooks replace them
@@ -68,9 +74,6 @@ MAX_ROUNDS = 1_000_000_000
 #: cap on n_rounds of a run that keeps its round table: the columns take
 #: about 125 B per round, so the cap holds a run to about 2.5 GB
 MAX_RECORD_ROUNDS = 20_000_000
-#: largest |alpha_x|, |alpha_p| and sqrt(v_dist); the round-off of a
-#: displacement this large (about 1e-10) stays far below the unit shot noise
-ALPHA_MAX = 1e6
 #: random-stream layout of the sampled outputs, recorded in their manifests
 STREAM_LAYOUT = 4
 #: rounds drawn and reduced at a time, each chunk from its own child stream

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import io
@@ -22,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MU_PAIR_ANCHOR, MU_SINGLE_ANCHOR, MU_TRIPLE_ANCHOR
-from cvshare import __version__, certificates, cli, estimators, protocol
+from cvshare import __version__, certificates, cli, estimators, protocol, security
 from cvshare.cli import main, parse_config_text
 from cvshare.errors import InvalidArgumentError
 from cvshare.estimators import Coalition
@@ -818,14 +819,14 @@ def _fail(*args, **kwargs):
          [(cli.np, "linspace")], cli.MAX_BOUNDS_POINTS),
         (["security", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",
           "--n-probes", "1000000000"],
-         [(cli.security, "MseDistribution"), (cli.security, "security_probabilities")],
+         [(security, "MseDistribution"), (security, "security_probabilities")],
          cli.MAX_SWEEP_PROBES),
         (["mi", "--v-dist", "2", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",
           "--n-max", "1000000000"],
-         [(cli.security, "mutual_information"), (cli.security, "MseDistribution")],
+         [(security, "mutual_information"), (security, "MseDistribution")],
          cli.MAX_SWEEP_PROBES),
         (["certify", "--grid", "100000"],
-         [(cli.np, "linspace"), (cli.certificates, "certificate_columns")],
+         [(cli.np, "linspace"), (certificates, "certificate_columns")],
          cli.MAX_CERTIFY_POINTS),
     ],
     ids=["bounds-steps", "bounds-band-samples", "security-n-probes", "mi-n-max", "certify-grid"],
@@ -855,60 +856,83 @@ def test_mi_v_dist_out_of_range_names_the_flag(tmp_path, capsys, value):
     assert "--v-dist" in payload["message"]
 
 
-# Runs each (name, argv) in one interpreter, in order, and prints the scipy
-# modules loaded after the imports and after each run, with its exit code and
-# the sha256 of each file it wrote.
-_IMPORT_SET_SCRIPT = """
+# Runs one process's work in a fresh interpreter and prints the cvshare and scipy
+# modules it loaded, with the exit code and the sha256 of each file it wrote. The
+# work is "cvshare" for a bare import of the package, [] for an import of the CLI,
+# or a command line that main runs after that import.
+_LOADED_MODULES_SCRIPT = """
 import contextlib, hashlib, io, json, sys
 from pathlib import Path
-import cvshare, cvshare.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
-out, runs = Path(sys.argv[1]), json.loads(sys.argv[2])
-report = {"import": scipy_modules(), "runs": {}}
-for name, argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cvshare.cli.main(argv + ["--out-dir", str(out / name)])
-    files = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-             for f in sorted((out / name).iterdir())}
-    report["runs"][name] = {"code": code, "scipy": scipy_modules(), "files": files}
-print(json.dumps(report))
+out, work = Path(sys.argv[1]), json.loads(sys.argv[2])
+code, files = None, {}
+if work == "cvshare":
+    import cvshare
+else:
+    import cvshare.cli
+    if work:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cvshare.cli.main(work + ["--out-dir", str(out)])
+        files = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                 for f in sorted(out.iterdir())}
+print(json.dumps({"cvshare": loaded("cvshare"), "scipy": loaded("scipy"), "code": code,
+                  "files": files}))
 """
 
+#: the modules import cvshare.cli loads, and so every subcommand with it
+_CLI_MODULES = ["cvshare", "cvshare.cli", "cvshare.errors", "cvshare.estimators",
+                "cvshare.gaussian_core"]
+_RUN_CFG = "r = 1.0\ncoalition = abc\nn_rounds = 2000\nseed = 5\n"
 
-def test_only_security_and_mi_load_scipy(tmp_path):
-    # scipy.special serves only the gamma functions of security and mi; the
-    # other five subcommands and the imports must not pay for loading it
+
+@pytest.mark.parametrize(
+    "work, layers",
+    [
+        ("cvshare", None),
+        ([], []),
+        (["state", "--r", "1"], []),
+        (["bounds", "--steps", "4"], ["bounds"]),
+        (["bounds", "--steps", "4", "--band", "gaussian", "--band-samples", "3"],
+         ["bounds", "sampler"]),
+        (["certify", "--n1", "0.5", "--n2", "0.5"], ["bounds", "certificates"]),
+        (["simulate", "--config", "{cfg}"], ["protocol", "sampler"]),
+        (["witness", "--n-rounds", "2000", "--seed", "3"], ["protocol", "sampler"]),
+        (SWEEP_OUTPUT_SHA256["security"][0], ["security"]),
+        (SWEEP_OUTPUT_SHA256["mi"][0], ["security"]),
+    ],
+    ids=["import-cvshare", "import-cli", "state", "bounds", "bounds-band", "certify",
+         "simulate", "witness", "security", "mi"],
+)
+def test_each_process_loads_only_the_layers_it_runs(tmp_path, work, layers):
+    # a bare import of the package loads no submodule, and a subcommand loads the
+    # CLI's modules and the layers it runs, nothing more; scipy.special serves only
+    # the gamma functions of security and mi, so nothing else pays for loading it
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("r = 1.0\ncoalition = abc\nn_rounds = 2000\nseed = 5\n")
-    light = [
-        ("simulate", ["simulate", "--config", str(cfg)]),
-        ("witness", ["witness", "--n-rounds", "2000", "--seed", "3"]),
-        ("bounds", ["bounds", "--steps", "4"]),
-        ("certify", ["certify", "--n1", "0.5", "--n2", "0.5"]),
-        ("state", ["state", "--r", "1"]),
-    ]
-    pinned = ["security", "mi"]
-    runs = light + [(case, SWEEP_OUTPUT_SHA256[case][0]) for case in pinned]
+    cfg.write_text(_RUN_CFG)
+    if work != "cvshare":
+        work = [str(cfg) if a == "{cfg}" else a for a in work]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET_SCRIPT, str(tmp_path / "out"),
-                           json.dumps(runs)], env=env, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES_SCRIPT, str(tmp_path / "out"),
+                           json.dumps(work)], env=env, capture_output=True, text=True,
                           timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["import"] == []
-    for name, _ in light:
-        assert report["runs"][name]["code"] == 0, name
-        assert report["runs"][name]["scipy"] == [], name
-    for case in pinned:
-        run = report["runs"][case]
-        assert run["code"] == 0, case
-        assert "scipy.special" in run["scipy"], case
-        for name, want in SWEEP_OUTPUT_SHA256[case][1].items():
-            assert run["files"][name] == want, f"{case}: {name}"
+    if layers is None:
+        assert report["cvshare"] == ["cvshare"]
+    else:
+        assert report["cvshare"] == sorted(_CLI_MODULES + [f"cvshare.{m}" for m in layers])
+    if layers == ["security"]:
+        assert report["code"] == 0
+        assert "scipy.special" in report["scipy"]
+        for name, want in SWEEP_OUTPUT_SHA256[work[0]][1].items():
+            assert report["files"][name] == want, name
+    else:
+        assert report["code"] in (None, 0)
+        assert report["scipy"] == []
 
 
 def test_tracer_call_sites_exist():
@@ -973,6 +997,9 @@ def test_traced_runs_match_untraced_runs():
 
 MI_ARGS = ["mi","--v-dist", "5", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",
            "--n-max", "2"]
+#: input files that are not UTF-8, by their name under the test's directory; each
+#: was a UnicodeDecodeError traceback with exit 1
+_UNDECODABLE = {"config.bin": b"\xff\xfe", "state.bin": b"\xff"}
 
 
 @pytest.mark.parametrize(
@@ -983,12 +1010,16 @@ MI_ARGS = ["mi","--v-dist", "5", "--mu-single", "8", "--mu-pair", "5.83", "--mu-
         MI_ARGS + ["--c-bits", "2000"],
         ["state", "--load", "{dir}"],
         ["simulate", "--config", "{dir}"],
+        ["state", "--load", "{dir}/state.bin"],
+        ["simulate", "--config", "{dir}/config.bin"],
     ],
     ids=["band-samples-0", "band-samples-negative", "mi-c-bits-2000", "state-load-dir",
-         "simulate-config-dir"],
+         "simulate-config-dir", "state-load-not-utf8", "simulate-config-not-utf8"],
 )
 def test_bad_input_is_one_line_json_error(tmp_path, capsys, argv):
-    argv = [str(tmp_path) if a == "{dir}" else a for a in argv]
+    for name, data in _UNDECODABLE.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
     code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     assert "Traceback" not in err
@@ -997,6 +1028,29 @@ def test_bad_input_is_one_line_json_error(tmp_path, capsys, argv):
     payload = json.loads(lines[0])
     assert payload["error"] == "invalid-argument"
     assert payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv",
+                         [["state", "--load", "{file}"], ["simulate", "--config", "{file}"]],
+                         ids=["state-load", "simulate-config"])
+def test_input_read_error_names_the_file(tmp_path, capsys, monkeypatch, argv):
+    # an OSError while reading an input is the one-line usage error, not a traceback
+    path = tmp_path / "input.txt"
+    path.write_text("r = 1.0\n")
+
+    def failing_open(*args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    payload = _one_json_error(err)
+    assert payload["error"] == "invalid-argument"
+    assert str(path) in payload["message"]
+    assert "Input/output error" in payload["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -1538,7 +1592,7 @@ SIMULATE_REPORTS_SHA256 = {
 
 @pytest.mark.parametrize("coalition, plan", sorted(SIMULATE_REPORTS_SHA256))
 def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coalition, plan):
-    monkeypatch.setattr(cli.protocol, "_CHUNK_ROUNDS", 512)
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 512)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"r = 1.2\neta_a = 0.85\neta_b = 0.9\neps_c = 0.05\nplan = {plan}\n"
@@ -1569,7 +1623,7 @@ FITTED_PAIR_REPORTS_SHA256 = {
 
 @pytest.mark.parametrize("coalition, plan", sorted(FITTED_PAIR_REPORTS_SHA256))
 def test_fitted_pair_reports_pinned(tmp_path, capsys, monkeypatch, coalition, plan):
-    monkeypatch.setattr(cli.protocol, "_CHUNK_ROUNDS", 512)
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 512)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"r = 1.2\neta_a = 0.85\neta_b = 0.9\neps_c = 0.05\nplan = {plan}\n"
@@ -1617,10 +1671,11 @@ _FUZZ_SEEDS = st.sampled_from(["0", "-1", "7", str(2**64 - 1), str(2**64), str(1
 
 
 # path values, resolved under a fresh directory {root} that holds an empty file
-# a_file and an empty directory a_dir: a missing path, a directory, a file, a file
-# where a directory is expected, and the empty string
+# a_file, a file not_utf8 of bytes that are not UTF-8 and an empty directory a_dir:
+# a missing path, a directory, a file, a file that is not text, a file where a
+# directory is expected, and the empty string
 _FUZZ_PATHS = st.sampled_from(["{root}/missing", "{root}/a_dir", "{root}/a_file",
-                               "{root}/a_file/sub", ""])
+                               "{root}/not_utf8", "{root}/a_file/sub", ""])
 # rounds of a witness run: below its minimum, at its edges and above the cap
 _FUZZ_ROUNDS = st.one_of(_FUZZ_SIZES, st.sampled_from(["399", "400", "1999", "2000"]))
 # a bare flag, given without a value
@@ -1742,6 +1797,7 @@ def test_cli_exits_cleanly_on_any_flag(argv, config):
             contextlib.redirect_stdout(io.StringIO()), \
             warnings.catch_warnings(record=True) as caught:
         (Path(root) / "a_file").write_text("")
+        (Path(root) / "not_utf8").write_bytes(b"\xff\xfe")
         (Path(root) / "a_dir").mkdir()
         (Path(root) / "run.cfg").write_text(
             "".join(f"{key} = {value}\n" for key, value in {**_FUZZ_CONFIG, **config}.items()))
