@@ -129,15 +129,12 @@ class _Bounded:
         return value
 
 
-def _round_chunks(table: protocol.RoundTable):
-    """rounds.csv column chunks of a round table, with basis names for the basis codes."""
+def _round_columns(rows: protocol.RoundTable) -> list:
+    """The rounds.csv columns of some rounds, with basis names for the basis codes."""
     from . import protocol
 
-    basis_names = np.array(protocol.BASIS_NAMES)
-    for start in range(0, len(table), _CSV_CHUNK):
-        chunk = table[start : start + _CSV_CHUNK]
-        yield [basis_names[getattr(chunk, name)] if name in protocol.BASIS_COLUMNS
-               else getattr(chunk, name) for name in protocol.ROUND_COLUMNS]
+    return [np.array(protocol.BASIS_NAMES)[getattr(rows, name)] if name in protocol.BASIS_COLUMNS
+            else getattr(rows, name) for name in protocol.ROUND_COLUMNS]
 
 
 def _read_input(path: str, what: str) -> str:
@@ -521,15 +518,19 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     coalition = parse_coalition(cfg["coalition"])
     stream = RandomStream(cfg["seed"], cfg["stream_id"])
     with _Run(args, stream_layout=protocol.STREAM_LAYOUT) as run:
-        result = protocol.run_protocol(model, plan, cfg["n_rounds"], coalition, policy, stream,
-                                       gain_mode=cfg["gain_mode"], keep_records=args.dump_rounds)
-        run.write("mse_report.json", _json_text(result.mse_report.to_json_dict()))
-        run.write("witness.json", _json_text(result.witness.to_json_dict()))
-        run.write("bias.json", _json_text(result.bias.to_json_dict()))
         if args.dump_rounds:
-            run.write_table("rounds.csv", protocol.ROUND_COLUMNS, _round_chunks(result.records))
+            # each chunk's rows go to rounds.csv as it is drawn, from one chunk-sized table
+            rounds = protocol._ProtocolRun(model, plan, cfg["n_rounds"], coalition, policy,
+                                           stream, cfg["gain_mode"], protocol._CHUNK_ROUNDS)
+            run.write_table("rounds.csv", protocol.ROUND_COLUMNS, map(_round_columns, rounds))
+            reports = rounds.result()
+        else:
+            reports = protocol.run_protocol(model, plan, cfg["n_rounds"], coalition, policy, stream,
+                                            gain_mode=cfg["gain_mode"], keep_records=False)[1:]
+        for name, report in zip(("mse_report.json", "witness.json", "bias.json"), reports):
+            run.write(name, _json_text(report.to_json_dict()))
         run.finish()
-    rep = result.mse_report
+    rep = reports[0]
     print(
         f"coalition {rep.coalition.value}: mse_sum = {rep.mse_sum:.6f} "
         f"({rep.n_x}+{rep.n_p} rounds)"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -150,15 +150,7 @@ class MseReport:
     gains: GainSet
 
     def to_json_dict(self) -> dict:
-        return {
-            "coalition": self.coalition.value,
-            "mse_x": self.mse_x,
-            "mse_p": self.mse_p,
-            "mse_sum": self.mse_sum,
-            "n_x": self.n_x,
-            "n_p": self.n_p,
-            "gains": self.gains.to_json_dict(),
-        }
+        return {**asdict(self), "coalition": self.coalition.value}
 
 
 def optimal_gain(cov: np.ndarray, target_index: int, aux_coefficients: np.ndarray) -> float:

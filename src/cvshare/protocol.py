@@ -27,15 +27,15 @@ whose factor carries the unit vacuum. A run that keeps its records
 then draws the normals still missing, so that every party's outcome is
 its basis's entry of a full Wigner sample (for a lone A, B's and C's
 drawn conditional on A's outcome). Reports come from running sums over
-the chunks, so only a run that keeps its records holds anything per
-round.
+the chunks, so only a run that keeps every round in one table holds
+anything per round.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, fields, make_dataclass
+from dataclasses import asdict, dataclass, fields, make_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -71,8 +71,9 @@ DEFAULT_BATCH_TERM_CAP = 200_000_000
 #: cap on n_rounds of a run that keeps no records; memory is bounded by the
 #: chunk, so the cap only bounds the run time
 MAX_ROUNDS = 1_000_000_000
-#: cap on n_rounds of a run that keeps its round table: the columns take
-#: about 125 B per round, so the cap holds a run to about 2.5 GB
+#: cap on n_rounds of a run that keeps its records: it holds run_protocol's round table
+#: (77 B a round) to about 1.5 GB, and the rounds.csv of simulate --dump-rounds (89 B a
+#: row for abc under a fixed plan, 139 B for a lone A under a gaussian one) to 1.8-2.8 GB
 MAX_RECORD_ROUNDS = 20_000_000
 #: random-stream layout of the sampled outputs, recorded in their manifests
 STREAM_LAYOUT = 4
@@ -81,7 +82,6 @@ _CHUNK_ROUNDS = 65536
 
 #: basis name per code in the basis columns: 0 = x, 1 = p, 2 = dual-homodyne
 BASIS_NAMES = ("x", "p", "xp")
-PARTY_NAMES = ("c", "b", "a")
 
 
 def _check_displacement(name: str, value: float) -> None:
@@ -172,7 +172,7 @@ class RoundTable:
     :data:`BASIS_NAMES`, outcome columns hold NaN for unmeasured
     quadratures, and ``kept`` is bool. ``table[mask_or_slice]`` and
     ``table + other`` give tables. Iteration gives :data:`RoundRecord` rows,
-    built on demand, which only ``perfbench/workloads.py`` reads.
+    built on demand, which the benchmark harness and the tests read.
     """
 
     round_index: np.ndarray
@@ -245,17 +245,7 @@ class WitnessResult:
     status: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "mse_x": self.mse_x,
-            "mse_p": self.mse_p,
-            "mse_sum": self.mse_sum,
-            "standard_error": self.standard_error,
-            "entangled": self.entangled,
-            "n_x": self.n_x,
-            "n_p": self.n_p,
-            "threshold": self.threshold,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,13 +259,7 @@ class BiasResult:
     status: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean_error": self.mean_error,
-            "standard_error": self.standard_error,
-            "n_rounds": self.n_rounds,
-            "passed": self.passed,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 class ProtocolResult(NamedTuple):
@@ -447,7 +431,8 @@ def _draw_chunks(
     normals still missing are drawn afterwards (the missing x triples,
     then the p ones; for a lone A, B's and C's normals per quadrature,
     which the factor makes conditional on A's outcome) and every
-    quadrature of every round goes to ``outcomes``.
+    quadrature of every round goes to ``outcomes``. Only the caller holds a
+    chunk, so dropping it frees the chunk's arrays.
     """
     lone = coalition is Coalition.A_ALONE
     carry = (0.0, 0.0)
@@ -455,7 +440,10 @@ def _draw_chunks(
     # round(fraction * end), so the run takes round(fraction * n_rounds) unless its
     # eligible rounds run short; and estimation rounds seen so far
     n_witness = n_bias = n_est = 0
-    for i, start in enumerate(range(0, n_rounds, _CHUNK_ROUNDS)):
+
+    def draw(i: int) -> _Chunk:
+        nonlocal carry, n_witness, n_bias, n_est
+        start = i * _CHUNK_ROUNDS
         end = min(start + _CHUNK_ROUNDS, n_rounds)
         m = end - start
         gen = stream.chunk_generator(i)
@@ -519,8 +507,10 @@ def _draw_chunks(
             if not lone:
                 for read in reads:
                     outcomes[read.quad][:, read.rows] = read.triple
-        yield _Chunk(start, alpha_x, alpha_p, dealer, basis_a, basis_b, basis_c, kept,
-                     witness, bias, calib, reads[:n_calib], reads[n_calib:], outcomes)
+        return _Chunk(start, alpha_x, alpha_p, dealer, basis_a, basis_b, basis_c, kept,
+                      witness, bias, calib, reads[:n_calib], reads[n_calib:], outcomes)
+
+    return map(draw, range(-(-n_rounds // _CHUNK_ROUNDS)))
 
 
 class _Fit:
@@ -637,10 +627,10 @@ def _witness_result(sq_x: RunningMoments, sq_p: RunningMoments) -> WitnessResult
     return WitnessResult(mse_x, mse_p, mse_sum, se, entangled, n_x, n_p, WITNESS_THRESHOLD, "ok")
 
 
-def _fill_records(table: RoundTable, ch: _Chunk) -> None:
-    """Write a chunk's rounds into their rows; unmeasured quadratures get NaN."""
-    rows = slice(ch.start, ch.start + ch.kept.size)
-    table.round_index[rows] = np.arange(rows.start, rows.stop)
+def _fill_records(table: RoundTable, ch: _Chunk, row: int) -> None:
+    """Write a chunk's rounds into the table from ``row`` on; unmeasured quadratures get NaN."""
+    rows = slice(row, row + ch.kept.size)
+    table.round_index[rows] = np.arange(ch.start, ch.start + ch.kept.size)
     for name in ("alpha_x", "alpha_p", *BASIS_COLUMNS, "kept"):
         getattr(table, name)[rows] = getattr(ch, name)
     for name in OUTCOME_COLUMNS:
@@ -648,6 +638,111 @@ def _fill_records(table: RoundTable, ch: _Chunk) -> None:
         # the x quadrature is unread in p rounds (code 1) and the p one in x rounds (code 0)
         unread = getattr(ch, f"basis_{name[2]}") == 1 - q
         getattr(table, name)[rows] = np.where(unread, np.nan, ch.outcomes[q, party])
+
+
+class _ProtocolRun:
+    """One :func:`run_protocol` run. Constructing it checks every input, so each error
+    fires before a chunk stream is opened. Iterating it draws and reduces each chunk,
+    writes the chunk's rounds into ``table`` and yields the rows it wrote; ``result()``
+    then gives the reports. ``table_rows`` sizes the table: ``n_rounds`` keeps every
+    round in its own row, ``_CHUNK_ROUNDS`` reuses one chunk's rows, 0 keeps none."""
+
+    def __init__(self, model: ExperimentModel, plan: DisplacementPlan, n_rounds: int,
+                 coalition: Coalition, policy: ProtocolPolicy, stream: RandomStream,
+                 gain_mode: str, table_rows: int):
+        if n_rounds < 10:
+            raise InvalidArgumentError("n_rounds must be >= 10")
+        if table_rows and n_rounds > MAX_RECORD_ROUNDS:
+            raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_RECORD_ROUNDS} for a run "
+                                     "that keeps its records")
+        if n_rounds > MAX_ROUNDS:
+            raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_ROUNDS}")
+        if gain_mode not in ("analytic", "fitted"):
+            raise InvalidArgumentError("gain_mode must be 'analytic' or 'fitted'")
+        if not isinstance(coalition, Coalition):
+            raise InvalidArgumentError(f"unknown coalition {coalition!r}")
+        if model.eta_a < policy.eta_min:
+            raise AbortLossError(
+                f"declared eta_A={model.eta_a} below policy minimum {policy.eta_min}")
+        lone = coalition is Coalition.A_ALONE
+        root_eta = math.sqrt(model.eta_a)
+        cov = dealer_covariances([model.r], model)[0]
+        if lone:
+            # dual homodyne adds a unit vacuum to each of A's quadratures, so A's outcome
+            # is one normal of the model's variance plus 1, and B's and C's are drawn
+            # conditional on it
+            a = [estimators.X_A, estimators.P_A]
+            cov[a, a] += 1.0
+            self.gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / root_eta)
+        else:
+            self.gains = estimators.gains_for_model(model, coalition)
+        self.coalition, self.lone, self.n_rounds = coalition, lone, n_rounds
+        self.table = RoundTable.empty(min(table_rows, n_rounds))
+        self.fit = _Fit(coalition, root_eta) if gain_mode == "fitted" and not lone else None
+        # no chunk stream is opened before the first chunk is asked for
+        self.chunks = _draw_chunks(plan, n_rounds, coalition, policy, stream, _triple_factors(cov),
+                                   root_eta, self.fit is not None, records=table_rows > 0)
+        self.sq_err, self.sq_witness = [(RunningMoments(), RunningMoments()) for _ in range(2)]
+        self.bias_err, self.n_witness = RunningMoments(), [0, 0]
+
+    def __iter__(self) -> Iterator[RoundTable]:
+        for ch in self.chunks:
+            # a whole-run table holds the chunk at its own rows, a chunk-sized one at its top
+            row = ch.start if len(self.table) == self.n_rounds else 0
+            if len(self.table):
+                _fill_records(self.table, ch, row)
+            if self.fit is not None:
+                for r in ch.calibration:
+                    self.fit.calibrate(r)
+            for r in ch.reads:
+                # estimate minus truth on every read round
+                e = estimators.combine(r.triple, self.coalition, r.quad, self.gains) - r.truth
+                e_est = e[~(r.witness | r.bias)]
+                self.sq_err[r.quad].add(e_est * e_est)
+                e_bias = e[r.bias]
+                if self.fit is not None:
+                    self.fit.add(r, e, e_bias, self.bias_err)
+                self.bias_err.add(e_bias)
+            if self.lone:
+                w_x = int(np.count_nonzero(ch.witness & (ch.dealer_basis == 0)))
+                self.n_witness[0] += w_x
+                self.n_witness[1] += int(np.count_nonzero(ch.witness)) - w_x
+            else:
+                _add_witness(self.sq_witness, *(r.triple[:, r.witness] for r in ch.reads),
+                             *(r.truth[r.witness] for r in ch.reads))
+            m = ch.kept.size
+            # drop this chunk's arrays before its rows go out and the next chunk is drawn
+            del ch, r
+            yield self.table[row : row + m]
+
+    def result(self) -> tuple[MseReport, WitnessResult, BiasResult]:
+        """The reports of the drawn chunks; call it once, after iterating."""
+        sq_err, bias_err, gains = self.sq_err, self.bias_err, self.gains
+        if self.fit is not None:
+            gains = self.fit.apply(gains, sq_err, bias_err)
+        n_x, n_p = sq_err[0].n, sq_err[1].n
+        if n_x < 2 or n_p < 2:
+            raise ProtocolFailureError("fewer than 2 usable rounds per quadrature")
+        split = 1.0 if self.lone else estimators.RESOURCE_SPLIT_FACTOR
+        mse_x, mse_p = split * sq_err[0].mean, split * sq_err[1].mean
+        mse_report = MseReport(self.coalition, mse_x, mse_p, mse_x + mse_p, n_x, n_p, gains)
+
+        if self.lone:
+            # dual-homodyne outcomes carry an extra vacuum unit per quadrature,
+            # so they cannot test the bound 4 e^{-2r}
+            witness = WitnessResult(None, None, None, None, None, *self.n_witness,
+                                    WITNESS_THRESHOLD, "not-applicable")
+        else:
+            witness = _witness_result(*self.sq_witness)
+
+        # a lone A's bias rounds give an x and a p residual each
+        n_bias = bias_err.n // 2 if self.lone else bias_err.n
+        if bias_err.n < 2:
+            bias = BiasResult(None, None, n_bias, None, "insufficient-rounds")
+        else:
+            mean_err, se = bias_err.mean, bias_err.standard_error()
+            bias = BiasResult(mean_err, se, n_bias, bool(abs(mean_err) <= 5.0 * se), "ok")
+        return mse_report, witness, bias
 
 
 def run_protocol(
@@ -678,99 +773,11 @@ def run_protocol(
     :raises ProtocolFailureError: fewer than two usable rounds remain
         for either quadrature after sifting and subset removal.
     """
-    if n_rounds < 10:
-        raise InvalidArgumentError("n_rounds must be >= 10")
-    if keep_records and n_rounds > MAX_RECORD_ROUNDS:
-        raise ResourceLimitError(
-            f"n_rounds exceeds the cap of {MAX_RECORD_ROUNDS} for a run that keeps its records"
-        )
-    if n_rounds > MAX_ROUNDS:
-        raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_ROUNDS}")
-    if gain_mode not in ("analytic", "fitted"):
-        raise InvalidArgumentError("gain_mode must be 'analytic' or 'fitted'")
-    if not isinstance(coalition, Coalition):
-        raise InvalidArgumentError(f"unknown coalition {coalition!r}")
-    if model.eta_a < policy.eta_min:
-        raise AbortLossError(
-            f"declared eta_A={model.eta_a} below policy minimum {policy.eta_min}"
-        )
-    lone = coalition is Coalition.A_ALONE
-    fitted = gain_mode == "fitted" and not lone
-    root_eta = math.sqrt(model.eta_a)
-    cov = dealer_covariances([model.r], model)[0]
-    if lone:
-        # dual homodyne adds a unit vacuum to each of A's quadratures, so A's outcome
-        # is one normal of the model's variance plus 1, and B's and C's are drawn
-        # conditional on it
-        a = [estimators.X_A, estimators.P_A]
-        cov[a, a] += 1.0
-        gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / root_eta)
-    else:
-        gains = estimators.gains_for_model(model, coalition)
-    factors = _triple_factors(cov)
-    fit = _Fit(coalition, root_eta) if fitted else None
-
-    sq_err = (RunningMoments(), RunningMoments())
-    sq_witness = (RunningMoments(), RunningMoments())
-    n_witness = [0, 0]
-    bias_err = RunningMoments()
-    n_bias = 0
-    table = RoundTable.empty(n_rounds) if keep_records else None
-    for ch in _draw_chunks(plan, n_rounds, coalition, policy, stream, factors, root_eta, fitted,
-                           records=keep_records):
-        if table is not None:
-            _fill_records(table, ch)
-        if fit is not None:
-            for r in ch.calibration:
-                fit.calibrate(r)
-        for r in ch.reads:
-            # estimate minus truth on every read round
-            e = estimators.combine(r.triple, coalition, r.quad, gains) - r.truth
-            e_est = e[~(r.witness | r.bias)]
-            sq_err[r.quad].add(e_est * e_est)
-            e_bias = e[r.bias]
-            if fit is not None:
-                fit.add(r, e, e_bias, bias_err)
-            bias_err.add(e_bias)
-        n_bias += int(np.count_nonzero(ch.bias))
-        if lone:
-            w_x = int(np.count_nonzero(ch.witness & (ch.dealer_basis == 0)))
-            n_witness[0] += w_x
-            n_witness[1] += int(np.count_nonzero(ch.witness)) - w_x
-        else:
-            _add_witness(sq_witness, *(r.triple[:, r.witness] for r in ch.reads),
-                         *(r.truth[r.witness] for r in ch.reads))
-        # drop this chunk's arrays before the next chunk is drawn
-        del ch, r
-
-    if fit is not None:
-        gains = fit.apply(gains, sq_err, bias_err)
-    n_x, n_p = sq_err[0].n, sq_err[1].n
-    if n_x < 2 or n_p < 2:
-        raise ProtocolFailureError("fewer than 2 usable rounds per quadrature")
-    split = 1.0 if lone else estimators.RESOURCE_SPLIT_FACTOR
-    mse_x, mse_p = split * sq_err[0].mean, split * sq_err[1].mean
-    mse_report = MseReport(coalition, mse_x, mse_p, mse_x + mse_p, n_x, n_p, gains)
-
-    if lone:
-        # dual-homodyne outcomes carry an extra vacuum unit per quadrature,
-        # so they cannot test the bound 4 e^{-2r}
-        witness = WitnessResult(
-            None, None, None, None, None, n_witness[0], n_witness[1],
-            WITNESS_THRESHOLD, "not-applicable",
-        )
-    else:
-        witness = _witness_result(*sq_witness)
-
-    # a lone A's bias rounds give an x and a p residual each
-    if bias_err.n < 2:
-        bias = BiasResult(None, None, n_bias, None, "insufficient-rounds")
-    else:
-        mean_err, se = bias_err.mean, bias_err.standard_error()
-        bias = BiasResult(mean_err, se, n_bias, bool(abs(mean_err) <= 5.0 * se), "ok")
-
-    records = table if table is not None else RoundTable.empty()
-    return ProtocolResult(records, mse_report, witness, bias)
+    run = _ProtocolRun(model, plan, n_rounds, coalition, policy, stream, gain_mode,
+                       n_rounds if keep_records else 0)
+    for _ in run:
+        pass
+    return ProtocolResult(run.table, *run.result())
 
 
 def sift(records: RoundTable, basis: str) -> RoundTable:

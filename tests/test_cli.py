@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from conftest import MU_PAIR_ANCHOR, MU_SINGLE_ANCHOR, MU_TRIPLE_ANCHOR
 from cvshare import __version__, certificates, cli, estimators, protocol, security
 from cvshare.cli import main, parse_config_text
-from cvshare.errors import InvalidArgumentError
+from cvshare.errors import InvalidArgumentError, ProtocolFailureError
 from cvshare.estimators import Coalition
 from cvshare.gaussian_core import ExperimentModel
 from cvshare.sampler import RandomStream
@@ -236,6 +236,38 @@ def test_rounds_csv_bytes_pinned(tmp_path, capsys, coalition, plan):
     assert code == 0
     digest = hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest()
     assert digest == ROUNDS_CSV_SHA256[(coalition, plan)]
+
+
+# rounds.csv sha256 of runs of several chunks, from stream layout 4, as the
+# whole-run round table wrote them: (config lines, _CHUNK_ROUNDS or None, digest).
+# 1031 rounds in chunks of 50 end on a partial chunk of 31; 150,000 rounds are two
+# full chunks of 65,536 and a partial one
+MULTI_CHUNK_ROUNDS_CSV_SHA256 = {
+    "a_alone-fixed-chunks-of-50": (
+        "coalition = a_alone\nplan = fixed\nn_rounds = 1031\n", 50,
+        "bdcb821dc6760b06819eb971b6340de5923492b46e0688d1eae2c64b5a5b0da3"),
+    "abc-gaussian-n_rep-3-fitted-chunks-of-50": (
+        "coalition = abc\nplan = gaussian\nn_rep = 3\ngain_mode = fitted\nn_rounds = 1031\n", 50,
+        "018c7ee68467a83058412d00f48c96f594e8318a0cee10079acd9028d795ed86"),
+    "abc-fixed-150000": (
+        "coalition = abc\nn_rounds = 150000\n", None,
+        "6909aa128983b334fdc79a9e5c72509ab9b7013ae5ff978f149e95775ad37373"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_CHUNK_ROUNDS_CSV_SHA256))
+def test_multi_chunk_rounds_csv_bytes_pinned(tmp_path, capsys, monkeypatch, case):
+    lines, chunk, expected = MULTI_CHUNK_ROUNDS_CSV_SHA256[case]
+    if chunk is not None:
+        monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", chunk)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 1.0\nalpha_x = 0.5\nalpha_p = -0.25\nv_dist = 1.5\nseed = 11\n" + lines)
+    out = tmp_path / "out"
+    code, _, _ = run_cli(
+        ["simulate", "--out-dir", str(out), "--config", str(cfg), "--dump-rounds"], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest() == expected
 
 
 LOSSY_ARMS = ["--eta-a", "0.8", "--eta-b", "0.9", "--eta-c", "0.95", "--eps-a", "0.02",
@@ -717,8 +749,8 @@ def test_band_near_r_max_clips_its_samples(tmp_path, capsys):
 
 
 def test_simulate_rejects_n_rounds_above_cap(tmp_path, capsys, monkeypatch):
-    # runs that keep records have the lower cap, because their table grows with
-    # n_rounds; both caps fire before any chunk stream is opened
+    # runs that dump their rounds have the lower cap, which bounds the size of
+    # rounds.csv; both caps fire before any chunk stream is opened
     def no_rounds(self, *args):
         raise AssertionError("the rounds' random stream was opened")
 
@@ -734,6 +766,81 @@ def test_simulate_rejects_n_rounds_above_cap(tmp_path, capsys, monkeypatch):
         payload = _one_json_error(err)
         assert payload["error"] == "resource-limit"
         assert cap in payload["message"]
+
+
+@pytest.mark.parametrize("dump", [["--dump-rounds"], []], ids=["dump", "no-dump"])
+def test_simulate_abort_on_loss_opens_no_chunk_stream(tmp_path, capsys, monkeypatch, dump):
+    def no_rounds(self, *args):
+        raise AssertionError("the rounds' random stream was opened")
+
+    monkeypatch.setattr(RandomStream, "generator", no_rounds)
+    monkeypatch.setattr(RandomStream, "chunk_generator", no_rounds)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eta_a = 0.4\neta_min = 0.5\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out), *dump],
+                           capsys)
+    assert code == 1
+    assert _one_json_error(err)["error"] == "abort-loss"
+    assert not out.exists()
+
+
+def test_dump_rounds_memory_does_not_grow_with_n_rounds(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 4096)
+    cfg = tmp_path / "run.cfg"
+
+    def peak_bytes(n):
+        cfg.write_text(f"coalition = abc\nn_rounds = {n}\nseed = 61\n")
+        argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path), "--dump-rounds"]
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(argv, capsys)
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the untimed first run builds the parser and warms first-call caches
+    peak_bytes(4 * 4096 + 100)
+    small = peak_bytes(4 * 4096 + 100)
+    large = peak_bytes(4 * (4 * 4096 + 100))
+    # a round table of the whole run would take about 4x the small run's rows
+    assert large <= 1.1 * small
+
+
+@pytest.mark.parametrize("failing", ["second-chunk", "too-few-usable-rounds"])
+def test_dump_rounds_failure_leaves_no_file(tmp_path, capsys, monkeypatch, failing):
+    # the run raises after rounds.csv holds rows: on drawing the second chunk, or
+    # when every kept round went to the witness and bias subsets
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 512)
+    out = tmp_path / "out"
+    config = "coalition = abc\nn_rounds = 2000\n"
+    if failing == "second-chunk":
+        chunk_generator = RandomStream.chunk_generator
+
+        def fail_second(self, i):
+            if i == 1:
+                assert (out / "rounds.csv").stat().st_size > 0
+                raise ProtocolFailureError("the second chunk failed")
+            return chunk_generator(self, i)
+
+        monkeypatch.setattr(RandomStream, "chunk_generator", fail_second)
+    else:
+        config += "witness_fraction = 0.5\nbias_fraction = 0.5\n"
+        write_table = cli._Run.write_table
+
+        def written(self, *args):
+            write_table(self, *args)
+            assert (out / "rounds.csv").stat().st_size > 0
+
+        monkeypatch.setattr(cli._Run, "write_table", written)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code, _, err = run_cli(
+        ["simulate", "--config", str(cfg), "--out-dir", str(out), "--dump-rounds"], capsys)
+    assert code == 1
+    assert _one_json_error(err)["error"] == "protocol-failure"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
