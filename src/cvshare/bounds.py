@@ -38,8 +38,6 @@ from .gaussian_core import (  # noqa: F401 (build_dealer_state: perfbench/tracin
 
 #: allowed off-diagonal magnitude when reading thermal parameters off a state
 DIAGONAL_TOL = 1e-9
-#: witness values at or above this are consistent with a separable state
-SEPARABILITY_THRESHOLD = 4.0
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,13 +25,13 @@ both give the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import ThermalParams, hcrb_thermal
-from .errors import DegenerateDualError
+from .errors import DegenerateDualError, InvalidArgumentError
 from .gaussian_core import DEFAULT_TOL
 
 #: status values a CertificateReport can carry
@@ -49,13 +49,9 @@ class SdpData:
     by :func:`verify_certificate_stack`.
     """
 
-    a_basis: tuple[np.ndarray, ...]
     b_basis: tuple[np.ndarray, ...]
     b: np.ndarray
-    m_matrix: np.ndarray
     d_matrix: np.ndarray
-    c_upper: np.ndarray
-    c_middle: np.ndarray
     c_core: np.ndarray | None
 
 
@@ -79,22 +75,7 @@ class CertificateReport:
     status: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "n1": self.n1,
-            "n2": self.n2,
-            "primal_value": self.primal_value,
-            "dual_value": self.dual_value,
-            "x1_eigs": list(self.x1_eigs),
-            "x2_eigs": list(self.x2_eigs),
-            "y1_eigs": list(self.y1_eigs),
-            "y2_eigs": list(self.y2_eigs),
-            "y3_eigs": list(self.y3_eigs),
-            "feasible_primal": self.feasible_primal,
-            "feasible_dual": self.feasible_dual,
-            "values_match": self.values_match,
-            "constraint_residuals": list(self.constraint_residuals),
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,27 +101,21 @@ def _columns(*cols) -> np.ndarray:
 
 
 def build_sdp_data(params: ThermalParams) -> SdpData:
-    """Constraint basis, objective blocks and core matrices for (n1, n2)."""
+    """Constraint basis, D matrix and objective core for (n1, n2)."""
     v1, v2 = np.asarray(params.v1), np.asarray(params.v2)
     a1 = np.array([[1.0, 0.0], [0.0, 0.0]])
     a2 = np.array([[0.0, 0.0], [0.0, 1.0]])
     a3 = np.array([[0.0, 1.0], [1.0, 0.0]])
     zero2 = np.zeros((2, 2))
-    m_matrix = np.zeros(v1.shape + (2, 2))
-    m_matrix[..., 0, 0], m_matrix[..., 1, 1] = 1.0 / np.sqrt(v1), 1.0 / np.sqrt(v2)
     d_matrix = np.zeros(v1.shape + (2, 2))
     d_matrix[..., 0, 1] = 2.0 / np.sqrt(v1 * v2)
     d_matrix[..., 1, 0] = -d_matrix[..., 0, 1]
     # det(1 + i D / 2) = 1 - 1/(v1 v2): singular exactly at the vacuum point
     singular = np.any(v1 * v2 == 1.0)
     return SdpData(
-        a_basis=(a1, a2, a3, zero2, zero2, zero2),
         b_basis=(zero2, zero2, zero2, a1, a2, a3),
         b=np.array([0.0, 0.0, 0.0, 1.0, 1.0, 0.0]),
-        m_matrix=m_matrix,
         d_matrix=d_matrix,
-        c_upper=np.block([[zero2, np.eye(2)], [np.eye(2), zero2]]),
-        c_middle=np.zeros((4, 4)),
         c_core=None if singular else np.linalg.inv(np.eye(2, dtype=complex) + 1j * d_matrix / 2.0),
     )
 
@@ -189,6 +164,19 @@ def _dual_y1_y2(params: ThermalParams) -> tuple[np.ndarray, np.ndarray]:
     return y1, y2
 
 
+def _dual_y3(params: ThermalParams) -> np.ndarray:
+    n1, n2 = np.asarray(params.n1), np.asarray(params.n2)
+    denom = 2.0 * n1 + 2.0 * n2 + 4.0 * n1 * n2
+    if np.any(denom == 0.0):
+        raise DegenerateDualError("Y3 is undefined at n1 = n2 = 0")
+    off = np.sqrt((1.0 + 2.0 * n1) * (1.0 + 2.0 * n2)) / denom
+    y3 = np.zeros(n1.shape + (2, 2), dtype=complex)
+    y3[..., 0, 0] = 1.0 / (2.0 * (1.0 + n2)) + 1.0 / denom
+    y3[..., 1, 1] = 1.0 / (2.0 * (1.0 + n1)) + 1.0 / denom
+    y3.imag[..., 0, 1], y3.imag[..., 1, 0] = -off, off
+    return y3
+
+
 def build_dual_certificate(
     params: ThermalParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -198,18 +186,7 @@ def build_dual_certificate(
     n1 = n2 = 0 is rejected with a degenerate-dual error; the bound
     there is the vacuum value 4 and the Y3 block is vacuous.
     """
-    n1, n2 = np.asarray(params.n1), np.asarray(params.n2)
-    y = dual_vector(params)
-    y1, y2 = _dual_y1_y2(params)
-    denom = 2.0 * n1 + 2.0 * n2 + 4.0 * n1 * n2
-    if np.any(denom == 0.0):
-        raise DegenerateDualError("Y3 is undefined at n1 = n2 = 0")
-    off = np.sqrt((1.0 + 2.0 * n1) * (1.0 + 2.0 * n2)) / denom
-    y3 = np.zeros(n1.shape + (2, 2), dtype=complex)
-    y3[..., 0, 0] = 1.0 / (2.0 * (1.0 + n2)) + 1.0 / denom
-    y3[..., 1, 1] = 1.0 / (2.0 * (1.0 + n1)) + 1.0 / denom
-    y3.imag[..., 0, 1], y3.imag[..., 1, 0] = -off, off
-    return y, y1, y2, y3
+    return (dual_vector(params), *_dual_y1_y2(params), _dual_y3(params))
 
 
 def dual_vector(params: ThermalParams) -> np.ndarray:
@@ -309,7 +286,11 @@ def certificate_columns(n1, n2, tol: float = DEFAULT_TOL) -> CertificateColumns:
     point is marked degenerate; the remaining checks still run. The
     points are swapped into n1 >= n2 as ThermalParams does, and are
     taken as valid thermal parameters without a check.
+
+    :raises InvalidArgumentError: tol is not in [0, 1].
     """
+    if not 0.0 <= tol <= 1.0:
+        raise InvalidArgumentError("tol must be in [0, 1]")
     n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
     swap = n1 < n2
     params = _ThermalStack(np.where(swap, n2, n1), np.where(swap, n1, n2))
@@ -331,7 +312,7 @@ def certificate_columns(n1, n2, tol: float = DEFAULT_TOL) -> CertificateColumns:
     dual = dual_vector(params) @ data.b
     y1, y2 = _dual_y1_y2(params)
     y1_eigs, y2_eigs = np.linalg.eigvalsh(y1), np.linalg.eigvalsh(y2)
-    y3_eigs = np.linalg.eigvalsh(build_dual_certificate(regular)[3])
+    y3_eigs = np.linalg.eigvalsh(_dual_y3(regular))
     feasible_dual = (
         _block_ok(y1_eigs, _columns(0.0, 0.0, *y1_eigenvalue_formulas(params)), tol)
         & _block_ok(y2_eigs, _columns(*y2_eigenvalue_formulas(params)), tol)
@@ -341,12 +322,10 @@ def certificate_columns(n1, n2, tol: float = DEFAULT_TOL) -> CertificateColumns:
     )
 
     bound = hcrb_thermal(params)
-    values_match = (np.abs(primal - dual) <= max(tol, 0.0) * (1.0 + np.abs(primal))) & (
+    # every value is finite, so at tol 0 only bitwise-equal values pass
+    values_match = (np.abs(primal - dual) <= tol * (1.0 + np.abs(primal))) & (
         np.abs(primal - bound) <= tol * (1.0 + np.abs(bound))
     )
-    if tol == 0.0:
-        # exact comparison of float expressions; only bitwise-equal values pass
-        values_match = (primal == dual) & (dual == bound)
 
     return CertificateColumns(
         params.n1, params.n2, primal, dual, x1_eigs, x2_eigs, y1_eigs, y2_eigs, y3_eigs,

@@ -57,10 +57,6 @@ class Coalition(enum.Enum):
     ABC = "abc"
 
     @property
-    def uses_dual_homodyne(self) -> bool:
-        return self is Coalition.A_ALONE
-
-    @property
     def party_columns(self) -> tuple[str, ...]:
         """Parties whose outcomes the coalition's estimator reads: a nonzero weight."""
         w0, w1 = WEIGHTS[self, 0]
@@ -124,9 +120,6 @@ class GainSet:
     def gain(self, coalition: Coalition) -> float:
         """The gain the coalition's estimator applies: g_bc for all three, else g_b."""
         return self.g_bc if coalition is Coalition.ABC else self.g_b
-
-    def to_json_dict(self) -> dict:
-        return {"g_b": self.g_b, "g_bc": self.g_bc, "bias_scale": self.bias_scale}
 
 
 #: the witness combination: the all-three estimator at g = 1, scaled by 1/sqrt(2)
@@ -322,7 +315,7 @@ def make_mse_report(
     gains: GainSet,
 ) -> MseReport:
     """Assemble an MseReport with the resource-split convention applied."""
-    split = 1.0 if coalition.uses_dual_homodyne else RESOURCE_SPLIT_FACTOR
+    split = 1.0 if coalition is Coalition.A_ALONE else RESOURCE_SPLIT_FACTOR
     mse_x = split * empirical_mse(estimates_x, truths_x)
     mse_p = split * empirical_mse(estimates_p, truths_p)
     return MseReport(

@@ -186,13 +186,6 @@ class ExperimentModel:
             if not (math.isfinite(eps) and 0.0 <= eps <= EPS_MAX):
                 raise InvalidArgumentError(f"{name} must be in [0, EPS_MAX = {EPS_MAX:g}]")
 
-    @property
-    def is_ideal(self) -> bool:
-        return (
-            self.eta_a == self.eta_b == self.eta_c == 1.0
-            and self.eps_a == self.eps_b == self.eps_c == 0.0
-        )
-
 
 def partial_trace(state: GaussianState, keep: list[int]) -> GaussianState:
     """Restrict to the listed modes, in the order given.

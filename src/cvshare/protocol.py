@@ -34,6 +34,7 @@ anything per round.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, make_dataclass
 from typing import NamedTuple
@@ -82,6 +83,14 @@ _CHUNK_ROUNDS = 65536
 
 #: basis name per code in the basis columns: 0 = x, 1 = p, 2 = dual-homodyne
 BASIS_NAMES = ("x", "p", "xp")
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int; numpy integers pass, a float or any other value does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer") from None
 
 
 def _check_displacement(name: str, value: float) -> None:
@@ -650,6 +659,7 @@ class _ProtocolRun:
     def __init__(self, model: ExperimentModel, plan: DisplacementPlan, n_rounds: int,
                  coalition: Coalition, policy: ProtocolPolicy, stream: RandomStream,
                  gain_mode: str, table_rows: int):
+        n_rounds = _count("n_rounds", n_rounds)
         if n_rounds < 10:
             raise InvalidArgumentError("n_rounds must be >= 10")
         if table_rows and n_rounds > MAX_RECORD_ROUNDS:
@@ -849,6 +859,7 @@ def witness_verification_run(
     stand-in from :func:`surrogate_intercept_state`. Rounds are drawn in
     chunks, each from its own child stream, and reduced to running sums.
     """
+    n_rounds = _count("n_rounds", n_rounds)
     if n_rounds < 2 * WITNESS_MIN_ROUNDS:
         raise InvalidArgumentError(f"n_rounds must be >= {2 * WITNESS_MIN_ROUNDS}")
     if n_rounds > MAX_ROUNDS:
@@ -889,6 +900,8 @@ def batch_mse_distribution(
     drawn in chunks, each from its own child stream, and only the
     per-batch sums of squared errors are kept.
     """
+    n_batches = _count("n_batches", n_batches)
+    n_probes_per_quadrature = _count("n_probes_per_quadrature", n_probes_per_quadrature)
     if n_batches < 100:
         raise InvalidArgumentError("n_batches must be >= 100")
     if n_probes_per_quadrature < 1:

@@ -58,10 +58,6 @@ class RandomStream:
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, index))
         return np.random.Generator(np.random.SFC64(seq))
 
-    def child(self, stream_id: int) -> "RandomStream":
-        """Stream with the same seed and a different stream_id."""
-        return RandomStream(self.seed, stream_id)
-
 
 @dataclass(frozen=True, slots=True)
 class MeasurementAssignment:

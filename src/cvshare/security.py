@@ -16,7 +16,7 @@ assumption that both quadratures are estimated equally well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,13 +53,7 @@ class SecurityReport:
     n_probes: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "v_t": self.v_t,
-            "delta": self.delta,
-            "p_success": self.p_success,
-            "coalition": self.coalition,
-            "n_probes": self.n_probes,
-        }
+        return asdict(self)
 
 
 def _check_x(x) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvshare import bounds, estimators
+from cvshare import estimators
 from cvshare.bounds import (
     ThermalParams,
     hcrb_thermal,
@@ -142,10 +142,6 @@ def test_access_hierarchy(r):
 def test_predicted_mse_rejects_non_coalition():
     with pytest.raises(InvalidArgumentError):
         predicted_mse(ExperimentModel(r=1.0), "ab")
-
-
-def test_separability_threshold_constant():
-    assert bounds.SEPARABILITY_THRESHOLD == 4.0
 
 
 def scalar_dealer_cov(model: ExperimentModel) -> np.ndarray:

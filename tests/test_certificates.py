@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cvshare import certificates
@@ -16,6 +16,7 @@ from cvshare.certificates import (
     build_dual_certificate,
     build_primal_certificate,
     build_sdp_data,
+    certificate_columns,
     constraint_residuals,
     dual_vector,
     primal_value_blockwise,
@@ -27,7 +28,8 @@ from cvshare.certificates import (
     y2_eigenvalue_formulas,
     y3_eigenvalue_formula,
 )
-from cvshare.errors import DegenerateDualError
+from cvshare.errors import DegenerateDualError, InvalidArgumentError
+from cvshare.gaussian_core import THERMAL_MAX
 
 
 def test_vacuum_point_eigenvalues():
@@ -39,9 +41,8 @@ def test_vacuum_point_eigenvalues():
     assert sorted(np.linalg.eigvalsh(x2)) == pytest.approx([0.0, 0.0, 0.0, 8.0], abs=1e-12)
 
 
-def test_vacuum_point_m_is_identity():
+def test_vacuum_point_core_is_singular():
     data = build_sdp_data(ThermalParams(0.0, 0.0))
-    assert np.array_equal(data.m_matrix, np.eye(2))
     assert data.c_core is None
 
 
@@ -140,6 +141,33 @@ def test_zero_tolerance_exposes_rounding():
     rep = verify_certificates(ThermalParams(0.1, 0.1), tol=0.0)
     assert rep.primal_value != rep.dual_value
     assert not rep.values_match
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(*2 * [st.one_of(st.just(0.0), st.floats(1e-300, THERMAL_MAX))]),
+                       min_size=1, max_size=20))
+@example(points=[(0.0, 0.0), (0.1, 0.1), (0.5, 0.5), (THERMAL_MAX, THERMAL_MAX)])
+def test_zero_tolerance_is_bitwise_equality(points):
+    # every value is finite, so the relative rule at tol 0 passes exactly the points
+    # whose primal, dual and bound are bitwise equal
+    # a point with 1 + 2 n == 1 but n > 0 has a singular core and raises; leave it out
+    points = [(a, b) for a, b in points
+              if a == b == 0.0 or (1.0 + 2.0 * a) * (1.0 + 2.0 * b) != 1.0]
+    assume(points)
+    cols = certificate_columns([a for a, _ in points], [b for _, b in points], tol=0.0)
+    exact = (cols.primal_value == cols.dual_value) & (cols.dual_value == hcrb_thermal(cols))
+    assert np.array_equal(cols.values_match, exact)
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1.0, -5e-324, 1.5])
+def test_tolerance_outside_the_unit_interval_is_rejected(tol):
+    # tol = inf once marked every point ok, and NaN or a negative tol every point failed
+    for check in (lambda: certificate_columns([0.5], [0.5], tol),
+                  lambda: verify_certificate_stack([0.5], [0.5], tol),
+                  lambda: verify_certificates(ThermalParams(0.5, 0.5), tol)):
+        with pytest.raises(InvalidArgumentError, match=r"^tol must be in \[0, 1\]$"):
+            check()
+    assert verify_certificates(ThermalParams(0.5, 0.5), 1.0).values_match
 
 
 @given(

@@ -52,8 +52,6 @@ def test_parse_coalition_names():
 
 
 def test_coalition_properties():
-    assert Coalition.A_ALONE.uses_dual_homodyne
-    assert not Coalition.ABC.uses_dual_homodyne
     assert Coalition.AC.party_columns == ("a", "c")
 
 

@@ -272,8 +272,6 @@ def test_experiment_model_validation():
         ExperimentModel(r=0.5, eta_a=1.5)
     with pytest.raises(InvalidArgumentError):
         ExperimentModel(r=0.5, eps_b=-0.01)
-    assert ExperimentModel(r=0.5).is_ideal
-    assert not ExperimentModel(r=0.5, eta_c=0.99).is_ideal
 
 
 def test_state_text_roundtrip():

@@ -444,6 +444,30 @@ def test_batch_mse_distribution_single_party():
     assert out.mean() == pytest.approx(mu, rel=0.1)
 
 
+# each counted argument: (its name, a valid count, a call with the count in its place)
+_COUNTS = {
+    "run_protocol": ("n_rounds", 1000, lambda n: run_protocol(
+        IDEAL, PLAN, n, Coalition.AB, POLICY, RandomStream(7), keep_records=False).mse_report),
+    "witness_verification_run": ("n_rounds", 1000, lambda n: witness_verification_run(
+        IDEAL, 1.0, 1.0, n, RandomStream(7))),
+    "batch_n_probes": ("n_probes_per_quadrature", 10, lambda n: batch_mse_distribution(
+        IDEAL, Coalition.AB, n, 100, RandomStream(7)).tolist()),
+    "batch_n_batches": ("n_batches", 100, lambda n: batch_mse_distribution(
+        IDEAL, Coalition.AB, 10, n, RandomStream(7)).tolist()),
+}
+
+
+@pytest.mark.parametrize("case", list(_COUNTS))
+def test_counts_must_be_integers(case):
+    name, good, run = _COUNTS[case]
+    # a float count once raised a bare TypeError from range
+    for bad in (float(good), str(good), None):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer$"):
+            run(bad)
+    # a numpy integer runs as the int does
+    assert run(np.int64(good)) == run(good)
+
+
 def test_batch_mse_distribution_limits():
     with pytest.raises(InvalidArgumentError):
         batch_mse_distribution(IDEAL, Coalition.AB, 10, 99, RandomStream(0))

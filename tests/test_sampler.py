@@ -34,9 +34,7 @@ def test_stream_reproducibility_and_independence():
     assert not np.allclose(a, c)
 
 
-def test_stream_child_and_validation():
-    s = RandomStream(5)
-    assert s.child(3) == RandomStream(5, 3)
+def test_stream_validation():
     with pytest.raises(InvalidArgumentError):
         RandomStream(-1)
     with pytest.raises(InvalidArgumentError):
