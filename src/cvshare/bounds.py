@@ -53,15 +53,7 @@ class ThermalParams:
     n2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.n1) and math.isfinite(self.n2)):
-            raise InvalidArgumentError("thermal parameters must be finite")
-        if self.n1 < 0.0 or self.n2 < 0.0:
-            raise InvalidArgumentError("thermal parameters must be >= 0")
-        for name in ("n1", "n2"):
-            if getattr(self, name) > THERMAL_MAX:
-                raise InvalidArgumentError(
-                    f"thermal parameter {name} must be at most {THERMAL_MAX:g}"
-                )
+        check_thermal(self.n1, self.n2)
         if self.n1 < self.n2:
             n1, n2 = self.n2, self.n1
             object.__setattr__(self, "n1", n1)
@@ -74,6 +66,19 @@ class ThermalParams:
     @property
     def v2(self) -> float:
         return 1.0 + 2.0 * self.n2
+
+
+def check_thermal(n1, n2) -> None:
+    """Reject thermal parameters, floats or arrays alike, that are not finite, are
+    negative or exceed :data:`THERMAL_MAX`; the error names the first rule broken."""
+    if not (np.all(np.isfinite(n1)) and np.all(np.isfinite(n2))):
+        raise InvalidArgumentError("thermal parameters must be finite")
+    if np.any(np.less(n1, 0.0)) or np.any(np.less(n2, 0.0)):
+        raise InvalidArgumentError("thermal parameters must be >= 0")
+    for name, n in (("n1", n1), ("n2", n2)):
+        if np.any(np.greater(n, THERMAL_MAX)):
+            raise InvalidArgumentError(
+                f"thermal parameter {name} must be at most {THERMAL_MAX:g}")
 
 
 def hcrb_thermal(params: ThermalParams) -> float:

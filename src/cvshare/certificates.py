@@ -7,12 +7,15 @@ module rebuilds them and verifies every printed eigenvalue formula,
 positive semidefiniteness, the constraint traces and the matching of
 the primal and dual values.
 
-The certificate data pairs blocks of different sizes, so the trace
-objective and the constraints are evaluated blockwise: the constraint
-basis acts on the upper-left 2x2 blocks of X1 and X2, and the objective
-pairs the lower-right 2x2 block of X2 with the complex core matrix
-C_core = (1 + i D / 2)^{-1}. With that bookkeeping every printed
-quantity is reproduced exactly.
+The constraint basis (0, 0, 0, a1, a2, a3) reads single entries of the
+upper-left 2x2 blocks of X1 and X2. The objective pairs X2's lower-right
+block [[c, i sqrt(cd)], [-i sqrt(cd), d]] with (1 + i D / 2)^{-1}, where
+D / 2 = [[0, delta], [-delta, 0]] and delta = 1 / sqrt(v1 v2); its trace
+is (sqrt(c) - sqrt(d))^2 v1 v2 / s + 2 sqrt(cd) / (1 + delta), with c and
+d read off the built X2. s = v1 v2 - 1 is taken from n as 2 n1 + 2 n2 +
+4 n1 n2, since v1 v2 - 1 cancels near the vacuum; so the objective holds
+its precision down to n1 = n2 = 0, the one point where s = 0 and the
+objective is its limit 4.
 
 :func:`certificate_columns` checks a stack of points in one numpy pass,
 with one batched ``eigvalsh`` per block kind; LAPACK runs the same
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import ThermalParams, hcrb_thermal
+from .bounds import ThermalParams, check_thermal, hcrb_thermal
 from .errors import DegenerateDualError, InvalidArgumentError
 from .gaussian_core import DEFAULT_TOL
 
@@ -38,21 +41,11 @@ from .gaussian_core import DEFAULT_TOL
 STATUS_OK = "ok"
 STATUS_DEGENERATE_DUAL = "degenerate-dual"
 
+#: right-hand sides b of the constraints tr{X B_j} = b_j
+CONSTRAINT_RHS = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
 
-@dataclass(frozen=True, slots=True)
-class SdpData:
-    """Constraint and objective data for the certificate problem.
-
-    The point-dependent matrices carry the leading axes of the points.
-    c_core is None when a point is n1 = n2 = 0, where 1 + i D / 2 is
-    exactly singular; the objective there is the analytic limit handled
-    by :func:`verify_certificate_stack`.
-    """
-
-    b_basis: tuple[np.ndarray, ...]
-    b: np.ndarray
-    d_matrix: np.ndarray
-    c_core: np.ndarray | None
+#: smallest s at which Y3's eigenvalue, about 2 / s, and twice it are finite
+_S_MIN = 2.0 * np.finfo(float).tiny
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,24 +93,15 @@ def _columns(*cols) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
 
-def build_sdp_data(params: ThermalParams) -> SdpData:
-    """Constraint basis, D matrix and objective core for (n1, n2)."""
-    v1, v2 = np.asarray(params.v1), np.asarray(params.v2)
-    a1 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    a2 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    a3 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    zero2 = np.zeros((2, 2))
-    d_matrix = np.zeros(v1.shape + (2, 2))
-    d_matrix[..., 0, 1] = 2.0 / np.sqrt(v1 * v2)
-    d_matrix[..., 1, 0] = -d_matrix[..., 0, 1]
-    # det(1 + i D / 2) = 1 - 1/(v1 v2): singular exactly at the vacuum point
-    singular = np.any(v1 * v2 == 1.0)
-    return SdpData(
-        b_basis=(zero2, zero2, zero2, a1, a2, a3),
-        b=np.array([0.0, 0.0, 0.0, 1.0, 1.0, 0.0]),
-        d_matrix=d_matrix,
-        c_core=None if singular else np.linalg.inv(np.eye(2, dtype=complex) + 1j * d_matrix / 2.0),
-    )
+def _excess(params: ThermalParams) -> np.ndarray:
+    """s = v1 v2 - 1, as 2 n1 + 2 n2 + 4 n1 n2, which Y3 and the objective divide by:
+    0 only at the vacuum point, and below _S_MIN Y3 overflows."""
+    n1, n2 = np.asarray(params.n1), np.asarray(params.n2)
+    s = 2.0 * n1 + 2.0 * n2 + 4.0 * n1 * n2
+    if np.any(s < _S_MIN):
+        raise DegenerateDualError("the certificate divides by 2 n1 + 2 n2 + 4 n1 n2: undefined "
+                                  "at n1 = n2 = 0, overflowing where 0 < n1 + n2 < 2.2e-308")
+    return s
 
 
 def build_primal_certificate(params: ThermalParams) -> tuple[np.ndarray, np.ndarray]:
@@ -166,9 +150,7 @@ def _dual_y1_y2(params: ThermalParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _dual_y3(params: ThermalParams) -> np.ndarray:
     n1, n2 = np.asarray(params.n1), np.asarray(params.n2)
-    denom = 2.0 * n1 + 2.0 * n2 + 4.0 * n1 * n2
-    if np.any(denom == 0.0):
-        raise DegenerateDualError("Y3 is undefined at n1 = n2 = 0")
+    denom = _excess(params)
     off = np.sqrt((1.0 + 2.0 * n1) * (1.0 + 2.0 * n2)) / denom
     y3 = np.zeros(n1.shape + (2, 2), dtype=complex)
     y3[..., 0, 0] = 1.0 / (2.0 * (1.0 + n2)) + 1.0 / denom
@@ -184,7 +166,9 @@ def build_dual_certificate(
 
     Y3's closed form divides by 2*n1 + 2*n2 + 4*n1*n2, so the point
     n1 = n2 = 0 is rejected with a degenerate-dual error; the bound
-    there is the vacuum value 4 and the Y3 block is vacuous.
+    there is the vacuum value 4 and the Y3 block is vacuous. So are the
+    points with 0 < n1 + n2 below the smallest normal float, 2.2e-308,
+    where Y3 overflows.
     """
     return (dual_vector(params), *_dual_y1_y2(params), _dual_y3(params))
 
@@ -214,9 +198,7 @@ def y2_eigenvalue_formulas(params: ThermalParams) -> tuple[float, float]:
 def y3_eigenvalue_formula(params: ThermalParams) -> float:
     """Sole nonzero eigenvalue of Y3 (rational closed form)."""
     n1, n2 = params.n1, params.n2
-    denom = (1.0 + n1) * (1.0 + n2) * (n1 + n2 + 2.0 * n1 * n2)
-    if np.any(denom == 0.0):
-        raise DegenerateDualError("Y3 is undefined at n1 = n2 = 0")
+    denom = (1.0 + n1) * (1.0 + n2) * (_excess(params) / 2.0)
     num = (
         1.0
         + (2.0 + n2 / 2.0) * n2
@@ -226,17 +208,26 @@ def y3_eigenvalue_formula(params: ThermalParams) -> float:
     return num / denom
 
 
-def constraint_residuals(x1: np.ndarray, x2: np.ndarray, data: SdpData) -> np.ndarray:
-    """|tr{X B_j} - b_j| per j, pairing B_j with the upper-left 2x2 blocks of X1 and X2."""
-    ul = x1[..., None, 0:2, 0:2] + x2[..., None, 0:2, 0:2].real
-    return np.abs(np.trace(ul @ np.array(data.b_basis), axis1=-2, axis2=-1) - data.b)
+def constraint_residuals(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """|tr{X B_j} - b_j| per j for B = (0, 0, 0, a1, a2, a3) on the upper-left 2x2
+    blocks of X1 and X2: the traces there are 0, ul[0, 0], ul[1, 1] and ul[0, 1] + ul[1, 0]."""
+    ul = x1[..., 0:2, 0:2] + x2[..., 0:2, 0:2].real
+    return np.abs(_columns(0.0, 0.0, 0.0, ul[..., 0, 0], ul[..., 1, 1],
+                           ul[..., 0, 1] + ul[..., 1, 0]) - CONSTRAINT_RHS)
 
 
-def primal_value_blockwise(x2: np.ndarray, data: SdpData) -> float:
-    """Objective tr{X C} under the blockwise pairing: tr{X2[2:4, 2:4] C_core}."""
-    if data.c_core is None:
-        raise DegenerateDualError("objective core is singular at n1 = n2 = 0")
-    return np.real(np.trace(x2[..., 2:4, 2:4] @ data.c_core, axis1=-2, axis2=-1))
+def primal_value(x2: np.ndarray, params: ThermalParams) -> np.ndarray:
+    """Objective tr{X2[2:4, 2:4] (1 + i D / 2)^{-1}} in closed form, from c and d read
+    off X2: (sqrt(c) - sqrt(d))^2 v1 v2 / s + 2 sqrt(cd) / (1 + 1 / sqrt(v1 v2)).
+
+    :raises DegenerateDualError: a point is n1 = n2 = 0, where s = 0, or has
+        0 < n1 + n2 below the smallest normal float.
+    """
+    s = _excess(params)
+    c, d = x2[..., 2, 2].real, x2[..., 3, 3].real
+    v1v2 = params.v1 * params.v2
+    return (np.square(np.sqrt(c) - np.sqrt(d)) * v1v2 / s
+            + 2.0 * np.sqrt(c * d) / (1.0 + 1.0 / np.sqrt(v1v2)))
 
 
 def _block_ok(eigs: np.ndarray, formulas, tol: float) -> np.ndarray:
@@ -282,34 +273,38 @@ def certificate_columns(n1, n2, tol: float = DEFAULT_TOL) -> CertificateColumns:
     positive semidefiniteness of every block, the constraint traces, and
     the agreement of primal and dual objective values. Eigenvalues are
     judged relative to their block's largest one, since that sets their
-    round-off. At n1 = n2 = 0 the dual Y3 block is skipped and the
-    point is marked degenerate; the remaining checks still run. The
-    points are swapped into n1 >= n2 as ThermalParams does, and are
-    taken as valid thermal parameters without a check.
+    round-off. At n1 = n2 = 0 the dual Y3 block is skipped, the
+    objective is its limit 4 and the point is marked degenerate; the
+    remaining checks still run. The points are checked and swapped into
+    n1 >= n2 as ThermalParams does.
 
-    :raises InvalidArgumentError: tol is not in [0, 1].
+    :raises InvalidArgumentError: tol is not in [0, 1]; n1 and n2 are not
+        1-D sequences of one length; a point is not finite, is negative
+        or exceeds THERMAL_MAX.
     """
     if not 0.0 <= tol <= 1.0:
         raise InvalidArgumentError("tol must be in [0, 1]")
     n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
+    if n1.ndim != 1 or n1.shape != n2.shape:
+        raise InvalidArgumentError("n1 and n2 must be 1-D sequences of one length")
+    check_thermal(n1, n2)
     swap = n1 < n2
     params = _ThermalStack(np.where(swap, n2, n1), np.where(swap, n1, n2))
     degenerate = (params.n1 == 0.0) & (params.n2 == 0.0)
     regular = _ThermalStack(params.n1[~degenerate], params.n2[~degenerate])
-    data = build_sdp_data(regular)
     x1, x2 = build_primal_certificate(params)
     x1_eigs, x2_eigs = np.linalg.eigvalsh(x1), np.linalg.eigvalsh(x2)
-    residuals = constraint_residuals(x1, x2, data)
-    # objective core is singular at the vacuum point; the traced value has the finite limit 4
+    residuals = constraint_residuals(x1, x2)
+    # 1 + i D / 2 is singular at the vacuum point; the traced value has the finite limit 4
     primal = np.full(degenerate.shape, 4.0)
-    primal[~degenerate] = primal_value_blockwise(x2[~degenerate], data)
+    primal[~degenerate] = primal_value(x2[~degenerate], regular)
     feasible_primal = (
         (residuals.max(axis=-1) <= max(tol, DEFAULT_TOL))
         & _block_ok(x1_eigs, _columns(0.0, 0.0, *x1_eigenvalue_formulas(params)), tol)
         & _block_ok(x2_eigs, _columns(0.0, 0.0, 0.0, x2_eigenvalue_formula(params)), tol)
     )
 
-    dual = dual_vector(params) @ data.b
+    dual = dual_vector(params) @ CONSTRAINT_RHS
     y1, y2 = _dual_y1_y2(params)
     y1_eigs, y2_eigs = np.linalg.eigvalsh(y1), np.linalg.eigvalsh(y2)
     y3_eigs = np.linalg.eigvalsh(_dual_y3(regular))

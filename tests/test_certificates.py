@@ -5,21 +5,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvshare import certificates
 from cvshare.bounds import ThermalParams, hcrb_thermal
 from cvshare.certificates import (
+    CONSTRAINT_RHS,
     STATUS_DEGENERATE_DUAL,
     STATUS_OK,
     build_dual_certificate,
     build_primal_certificate,
-    build_sdp_data,
     certificate_columns,
     constraint_residuals,
     dual_vector,
-    primal_value_blockwise,
+    primal_value,
     verify_certificate_stack,
     verify_certificates,
     x1_eigenvalue_formulas,
@@ -41,22 +41,28 @@ def test_vacuum_point_eigenvalues():
     assert sorted(np.linalg.eigvalsh(x2)) == pytest.approx([0.0, 0.0, 0.0, 8.0], abs=1e-12)
 
 
-def test_vacuum_point_core_is_singular():
-    data = build_sdp_data(ThermalParams(0.0, 0.0))
-    assert data.c_core is None
+def test_objective_is_singular_only_at_the_vacuum():
+    # 1 + i D / 2 is singular where v1 v2 = 1; s from n is 0 only at n1 = n2 = 0, so
+    # the points where 1 + 2 n rounds to 1 keep their objective, 4 to the last bit
+    for n in (1e-17, 1e-300, 2.2250738585072014e-308):
+        p = ThermalParams(n, 0.0)
+        assert p.v1 * p.v2 == 1.0
+        assert primal_value(build_primal_certificate(p)[1], p) == 4.0
 
 
-def test_d_matrix_entries_at_unit_occupation():
-    data = build_sdp_data(ThermalParams(1.0, 1.0))
-    assert data.d_matrix[0, 1] == pytest.approx(2.0 / 3.0)
-    assert data.d_matrix[1, 0] == pytest.approx(-2.0 / 3.0)
-    assert data.d_matrix[0, 0] == 0.0
+def test_objective_pairs_x2_with_the_core_at_unit_occupation():
+    # at n1 = n2 = 1, D = [[0, 2/3], [-2/3, 0]] and the traced objective is the bound 8
+    p = ThermalParams(1.0, 1.0)
+    _, x2 = build_primal_certificate(p)
+    core = np.linalg.inv(np.eye(2) + 0.5j * np.array([[0.0, 2.0 / 3.0], [-2.0 / 3.0, 0.0]]))
+    traced = np.trace(x2[2:4, 2:4] @ core)
+    assert traced.real == pytest.approx(8.0, rel=1e-15)
+    assert primal_value(x2, p) == pytest.approx(traced.real, rel=1e-15)
 
 
 def test_dual_vector_reproduces_bound():
     for p in (ThermalParams(0.0, 0.0), ThermalParams(0.4, 1.1), ThermalParams(2.0, 0.3)):
-        data = build_sdp_data(p)
-        assert float(dual_vector(p) @ data.b) == pytest.approx(hcrb_thermal(p), rel=1e-14)
+        assert float(dual_vector(p) @ CONSTRAINT_RHS) == pytest.approx(hcrb_thermal(p), rel=1e-14)
 
 
 def test_x2_hermitian_psd():
@@ -89,18 +95,16 @@ def test_y1_eigenvalue_formulas_match():
 
 def test_constraint_residuals_vanish():
     p = ThermalParams(0.8, 0.2)
-    data = build_sdp_data(p)
     x1, x2 = build_primal_certificate(p)
-    res = constraint_residuals(x1, x2, data)
+    res = constraint_residuals(x1, x2)
     assert res.shape == (6,)
     assert res.max() <= 1e-12
 
 
-def test_primal_value_blockwise_matches_bound():
+def test_primal_value_matches_bound():
     p = ThermalParams(0.5, 1.5)
-    data = build_sdp_data(p)
     _, x2 = build_primal_certificate(p)
-    assert primal_value_blockwise(x2, data) == pytest.approx(hcrb_thermal(p), rel=1e-12)
+    assert primal_value(x2, p) == pytest.approx(hcrb_thermal(p), rel=1e-12)
 
 
 def test_degenerate_point_raises_where_undefined():
@@ -109,10 +113,9 @@ def test_degenerate_point_raises_where_undefined():
         build_dual_certificate(p)
     with pytest.raises(DegenerateDualError):
         y3_eigenvalue_formula(p)
-    data = build_sdp_data(p)
     _, x2 = build_primal_certificate(p)
     with pytest.raises(DegenerateDualError):
-        primal_value_blockwise(x2, data)
+        primal_value(x2, p)
 
 
 def test_verify_at_degenerate_point():
@@ -138,7 +141,7 @@ def test_verify_regular_point():
 
 def test_zero_tolerance_exposes_rounding():
     # primal and dual agree to ~1e-16 here but not bitwise
-    rep = verify_certificates(ThermalParams(0.1, 0.1), tol=0.0)
+    rep = verify_certificates(ThermalParams(0.3, 0.3), tol=0.0)
     assert rep.primal_value != rep.dual_value
     assert not rep.values_match
 
@@ -147,13 +150,10 @@ def test_zero_tolerance_exposes_rounding():
 @given(points=st.lists(st.tuples(*2 * [st.one_of(st.just(0.0), st.floats(1e-300, THERMAL_MAX))]),
                        min_size=1, max_size=20))
 @example(points=[(0.0, 0.0), (0.1, 0.1), (0.5, 0.5), (THERMAL_MAX, THERMAL_MAX)])
+@example(points=[(1e-17, 0.0), (0.0, 1e-12), (1e-300, 1e-300), (3e-8, 1e-16)])
 def test_zero_tolerance_is_bitwise_equality(points):
     # every value is finite, so the relative rule at tol 0 passes exactly the points
     # whose primal, dual and bound are bitwise equal
-    # a point with 1 + 2 n == 1 but n > 0 has a singular core and raises; leave it out
-    points = [(a, b) for a, b in points
-              if a == b == 0.0 or (1.0 + 2.0 * a) * (1.0 + 2.0 * b) != 1.0]
-    assume(points)
     cols = certificate_columns([a for a, _ in points], [b for _, b in points], tol=0.0)
     exact = (cols.primal_value == cols.dual_value) & (cols.dual_value == hcrb_thermal(cols))
     assert np.array_equal(cols.values_match, exact)
@@ -234,13 +234,10 @@ def _reference_report(params, tol):
     degenerate = n1 == 0.0 and n2 == 0.0
     if degenerate:
         primal = 4.0
-    elif v1 * v2 == 1.0:
-        raise DegenerateDualError("objective core is singular at n1 = n2 = 0")
     else:
-        off = 2.0 / math.sqrt(v1 * v2)
-        d_matrix = np.array([[0.0, off], [-off, 0.0]])
-        c_core = np.linalg.inv(np.eye(2, dtype=complex) + 1j * d_matrix / 2.0)
-        primal = float(np.real(np.trace(x2[2:4, 2:4] @ c_core)))
+        root_diff = math.sqrt(c) - math.sqrt(d)
+        primal = (root_diff * root_diff * (v1 * v2) / (2.0 * n1 + 2.0 * n2 + 4.0 * n1 * n2)
+                  + 2.0 * math.sqrt(c * d) / (1.0 + 1.0 / math.sqrt(v1 * v2)))
 
     def block_ok(eigs, formulas):
         values = eigs.tolist()
@@ -288,10 +285,13 @@ def _reference_report(params, tol):
     }
 
 
-_SPECIAL_OCCUPATIONS = [0.0, 1e-12, 1e-7, 0.5, 3e3, 1e8, 1e12]
+_TINY = np.finfo(float).tiny
+_SPECIAL_OCCUPATIONS = [0.0, _TINY, 1e-300, 1e-17, 1e-12, 1e-7, 0.5, 3e3, 1e8, 1e12]
+# 0 or at least the smallest normal float; Y3 overflows below that (see
+# test_y3_overflow_below_the_smallest_normal_float_is_an_error)
 _occupation = st.one_of(st.sampled_from(_SPECIAL_OCCUPATIONS),
-                        st.floats(0.0, 1e12, allow_nan=False, allow_infinity=False),
-                        st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False))
+                        st.floats(_TINY, 1e12, allow_nan=False, allow_infinity=False),
+                        st.floats(_TINY, 5.0, allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=200, deadline=None)
@@ -302,7 +302,7 @@ _occupation = st.one_of(st.sampled_from(_SPECIAL_OCCUPATIONS),
 @example(points=[(a, b) for a in _SPECIAL_OCCUPATIONS for b in _SPECIAL_OCCUPATIONS], tol=0.0)
 @example(points=[(a, b) for a in _SPECIAL_OCCUPATIONS for b in _SPECIAL_OCCUPATIONS],
          tol=certificates.DEFAULT_TOL)
-@example(points=[(0.1, 0.1), (0.2, 3.0), (0.0, 1e-12)], tol=0.0)
+@example(points=[(0.1, 0.1), (0.2, 3.0), (0.0, 1e-12), (1e-17, 0.0), (_TINY, 0.0)], tol=0.0)
 # points where (1 + n) ** 2 through libm pow and (1 + n) * (1 + n) round apart
 @example(points=[(4.854727400604526, 3.6563962320681256),
                  (175.06096189371112, 4.686711494159911e-10),
@@ -310,16 +310,87 @@ _occupation = st.one_of(st.sampled_from(_SPECIAL_OCCUPATIONS),
 def test_stacked_check_matches_scalar_reference(points, tol):
     # every field, bit for bit (JSON text carries each float's shortest repr),
     # with the points checked as one stack; n1 < n2 is swapped by both
-    try:
-        want = [_reference_report(ThermalParams(a, b), tol) for a, b in points]
-    except DegenerateDualError:
-        # a point with 1 + 2 n == 1 in floating point but n > 0 has a singular core
-        with pytest.raises(DegenerateDualError):
-            verify_certificate_stack([a for a, _ in points], [b for _, b in points], tol)
-        return
+    want = [_reference_report(ThermalParams(a, b), tol) for a, b in points]
     got = verify_certificate_stack([a for a, _ in points], [b for _, b in points], tol)
     assert len(got) == len(points)
     for rep, ref in zip(got, want):
         assert json.dumps(rep.to_json_dict(), sort_keys=True) == json.dumps(ref, sort_keys=True)
     one = verify_certificates(ThermalParams(*points[-1]), tol)
     assert json.dumps(one.to_json_dict(), sort_keys=True) == json.dumps(want[-1], sort_keys=True)
+
+
+@pytest.mark.parametrize("n1, n2", [(5e-324, 0.0), (1e-310, 1e-310), (_TINY / 2, _TINY / 4)])
+def test_y3_overflow_below_the_smallest_normal_float_is_an_error(n1, n2):
+    # Y3's eigenvalue is about 2 / s, which overflows where n1 + n2 is below the
+    # smallest normal float; the check raises before it builds any Y3
+    p = ThermalParams(n1, n2)
+    for check in (lambda: certificate_columns([0.5, n1], [0.5, n2]),
+                  lambda: verify_certificates(p), lambda: y3_eigenvalue_formula(p),
+                  lambda: build_dual_certificate(p),
+                  lambda: primal_value(build_primal_certificate(p)[1], p)):
+        with pytest.raises(DegenerateDualError,
+                           match=r"overflowing where 0 < n1 \+ n2 < 2.2e-308$"):
+            check()
+
+
+def _oracle_objective(n1: float, n2: float, c: float, d: float):
+    """tr{[[c, i sqrt(cd)], [-i sqrt(cd), d]] (1 + i D / 2)^{-1}} with complex mpmath
+    matrices, D / 2 = [[0, delta], [-delta, 0]] and delta = 1 / sqrt(v1 v2) from the
+    exact n; 1 - delta^2 is about s, so the precision grows with the digits of 1 / s."""
+    mpmath = pytest.importorskip("mpmath")
+    s = 2 * mpmath.mpf(n1) + 2 * mpmath.mpf(n2) + 4 * mpmath.mpf(n1) * mpmath.mpf(n2)
+    with mpmath.workdps(40 + max(0, int(mpmath.ceil(-mpmath.log10(s))))):
+        n1, n2, c, d = map(mpmath.mpf, (n1, n2, c, d))
+        delta = 1 / mpmath.sqrt((1 + 2 * n1) * (1 + 2 * n2))
+        off = mpmath.sqrt(c * d)
+        block = mpmath.matrix([[c, 1j * off], [-1j * off, d]])
+        core = mpmath.matrix([[1, 1j * delta], [-1j * delta, 1]]) ** -1
+        product = block * core
+        return mpmath.re(product[0, 0] + product[1, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n1=st.one_of(st.just(0.0), st.floats(1e-300, THERMAL_MAX)),
+       n2=st.one_of(st.just(0.0), st.floats(1e-300, THERMAL_MAX)))
+@example(n1=1e-17, n2=0.0)
+@example(n1=0.0, n2=1e-12)
+@example(n1=1e-300, n2=0.0)
+@example(n1=7.4e-17, n2=3.1e-17)
+def test_objective_matches_a_high_precision_trace(n1, n2):
+    # the closed form against the trace it replaces, evaluated directly; the c and d
+    # of the float X2 are taken as exact, so only the objective's own rounding counts
+    if n1 == n2 == 0.0:
+        return
+    p = ThermalParams(n1, n2)
+    _, x2 = build_primal_certificate(p)
+    want = _oracle_objective(p.n1, p.n2, x2[2, 2].real, x2[3, 3].real)
+    got = float(primal_value(x2, p))
+    assert abs(got - want) <= 4 * math.ulp(float(want))
+
+
+@pytest.mark.parametrize(
+    "n1, n2, message",
+    [([math.nan], [0.5], "thermal parameters must be finite"),
+     ([math.inf], [0.0], "thermal parameters must be finite"),
+     ([0.0], [-math.inf], "thermal parameters must be finite"),
+     ([-1.0], [0.0], "thermal parameters must be >= 0"),
+     ([0.5], [-5e-324], "thermal parameters must be >= 0"),
+     ([2e12], [0.0], "thermal parameter n1 must be at most 1e\\+12"),
+     ([0.0, 0.5], [0.5, 1.5e12], "thermal parameter n2 must be at most 1e\\+12"),
+     ([0.5, 0.5], [0.5], "n1 and n2 must be 1-D sequences of one length"),
+     ([[0.5]], [[0.5]], "n1 and n2 must be 1-D sequences of one length"),
+     (0.5, 0.5, "n1 and n2 must be 1-D sequences of one length")],
+    ids=["nan", "inf", "minus-inf", "negative", "minus-denormal", "above-thermal-max-n1",
+         "above-thermal-max-n2", "lengths", "two-d", "scalars"],
+)
+def test_points_are_checked_where_they_enter(monkeypatch, n1, n2, message):
+    # NaN raised numpy's LinAlgError, -1 and inf warned, 2e12 read ok and arrays of
+    # different lengths failed to broadcast; each is now one InvalidArgumentError
+    # with ThermalParams' wording, raised before any eigvalsh
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh ran before the points were checked")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    for check in (certificate_columns, verify_certificate_stack):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            check(n1, n2)

@@ -142,9 +142,36 @@ def test_certify_degenerate_point(tmp_path, capsys):
         ["certify", "--out-dir", str(tmp_path), "--n1", "0", "--n2", "0"], capsys
     )
     assert code == 0
+    assert "1/1 certificates ok" in stdout
     reports = read_json(os.path.join(str(tmp_path), "certificates.json"))
     assert reports[0]["status"] == "degenerate-dual"
     assert reports[0]["primal_value"] == 4.0
+    assert reports[0]["y3_eigs"] == []
+
+
+@pytest.mark.parametrize("n1, n2", [("1e-17", "0"), ("0", "1e-12")])
+def test_certify_near_the_vacuum_is_ok(tmp_path, capsys, n1, n2):
+    # the inverted objective core read 4.000444 at (0, 1e-12), and at 1e-17, where
+    # 1 + 2 n rounds to 1, it was singular and certify exited 1 with degenerate-dual
+    code, stdout, _ = run_cli(
+        ["certify", "--out-dir", str(tmp_path), "--n1", n1, "--n2", n2], capsys
+    )
+    assert code == 0
+    assert "1/1 certificates ok" in stdout
+    (report,) = read_json(os.path.join(str(tmp_path), "certificates.json"))
+    assert report["status"] == "ok" and report["values_match"]
+    assert report["primal_value"] == 4.0 + 2.0 * float(n1) + 2.0 * float(n2)
+    assert len(report["y3_eigs"]) == 2
+
+
+def test_certify_below_the_smallest_normal_float_is_one_line_json_error(tmp_path, capsys):
+    # Y3's eigenvalue, about 2 / s, overflows there; the stack fails before a file is written
+    code, stdout, err = run_cli(
+        ["certify", "--out-dir", str(tmp_path), "--n1", "1e-310", "--n2", "0"], capsys
+    )
+    assert code == 1 and stdout == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "degenerate-dual"
+    assert not os.path.exists(os.path.join(str(tmp_path), "certificates.json"))
 
 
 def test_certify_grid(tmp_path, capsys):
@@ -356,7 +383,7 @@ SWEEP_OUTPUT_SHA256 = {
     ),
     "certify-grid-20": (
         ["certify", "--grid", "20"],
-        {"certificates.json": "bd89481792d215450869a938e1c27069d2f3aa5f2068fd144daa820116c2bcdb"},
+        {"certificates.json": "3f4131a2bb27a617a6e96835c16a9e4e614e6834a7b31a32f3602c77fc7f74ca"},
     ),
     "certify-point": (
         ["certify", "--n1", "0.5", "--n2", "0.5"],
@@ -366,7 +393,7 @@ SWEEP_OUTPUT_SHA256 = {
     # floats in exponent form
     "certify-grid-7-exact": (
         ["certify", "--grid", "7", "--grid-min", "0", "--grid-max", "1e12", "--tol", "0"],
-        {"certificates.json": "ac1757e6250488a3a5b124cbaa87299edf141d257b8fc50bd6bb1cae5bfe1feb"},
+        {"certificates.json": "52dc9101a9e99522a42b7f537df2290755c5adcc804043c66d7f372bceb18056"},
     ),
 }
 PINNED_OUTPUT_SHA256 = {**DEALER_OUTPUT_SHA256, **SWEEP_OUTPUT_SHA256}
