@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .errors import InvalidArgumentError, UnsupportedStateError
+from .errors import InvalidArgumentError, UnsupportedStateError, check_scalar
 from .estimators import Coalition
 from .gaussian_core import (  # noqa: F401 (build_dealer_state: perfbench/tracing.py wraps it here)
     THERMAL_MAX,
@@ -53,11 +53,13 @@ class ThermalParams:
     n2: float
 
     def __post_init__(self):
-        check_thermal(self.n1, self.n2)
-        if self.n1 < self.n2:
-            n1, n2 = self.n2, self.n1
-            object.__setattr__(self, "n1", n1)
-            object.__setattr__(self, "n2", n2)
+        n1, n2 = (check_scalar("thermal parameters", n, "finite", ends="()")
+                  for n in (self.n1, self.n2))
+        check_thermal(n1, n2)
+        if n1 < n2:
+            n1, n2 = n2, n1
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
 
     @property
     def v1(self) -> float:
@@ -103,15 +105,13 @@ def ideal_two_party_mse_sum() -> float:
 
 def ideal_three_party_mse_sum(r: float) -> float:
     """Three-party summed MSE in the ideal model: 8 / (e^{2r} + e^{-2r})."""
-    if not (math.isfinite(r) and r >= 0.0):
-        raise InvalidArgumentError("r must be finite and >= 0")
+    r = check_scalar("r", r, "finite and >= 0", 0.0, ends="[)")
     return 8.0 / (math.exp(2.0 * r) + math.exp(-2.0 * r))
 
 
 def witness_bound(r: float) -> float:
     """Resource-split witness MSE sum attainable with the entangled resource: 4 e^{-2r}."""
-    if not (math.isfinite(r) and r >= 0.0):
-        raise InvalidArgumentError("r must be finite and >= 0")
+    r = check_scalar("r", r, "finite and >= 0", 0.0, ends="[)")
     return 4.0 * math.exp(-2.0 * r)
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import ThermalParams, check_thermal, hcrb_thermal
-from .errors import DegenerateDualError, InvalidArgumentError
+from .errors import DegenerateDualError, InvalidArgumentError, check_scalar
 from .gaussian_core import DEFAULT_TOL
 
 #: status values a CertificateReport can carry
@@ -282,8 +282,7 @@ def certificate_columns(n1, n2, tol: float = DEFAULT_TOL) -> CertificateColumns:
         1-D sequences of one length; a point is not finite, is negative
         or exceeds THERMAL_MAX.
     """
-    if not 0.0 <= tol <= 1.0:
-        raise InvalidArgumentError("tol must be in [0, 1]")
+    tol = check_scalar("tol", tol, "in [0, 1]", 0.0, 1.0)
     n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
     if n1.ndim != 1 or n1.shape != n2.shape:
         raise InvalidArgumentError("n1 and n2 must be 1-D sequences of one length")

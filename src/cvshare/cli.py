@@ -29,6 +29,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -36,11 +37,11 @@ import numpy as np
 
 from . import __version__, backend_name
 from .errors import (
-    USAGE_ERROR_CODES,
     CvshareError,
     InvalidArgumentError,
     OutputError,
     ResourceLimitError,
+    check_scalar,
 )
 from .estimators import parse_coalition
 from .gaussian_core import (
@@ -110,9 +111,10 @@ MU_MIN = 1.0 / MU_MAX
 class _Bounded:
     """The argparse type of a flag with an accepted range: ``cast`` of the text,
     which must lie in [lo, hi], strict at an end that ``ends`` marks open with
-    "(" or ")"; NaN lies in no range. Out of range it raises the
-    InvalidArgumentError "{flag} must be {rule}", which argparse lets through to
-    main. Named after ``cast``, so text ``cast`` rejects reads "invalid int value"."""
+    "(" or ")", as :func:`~cvshare.errors.check_scalar` checks it. Out of range it
+    raises the InvalidArgumentError "{flag} must be {rule}", which argparse lets
+    through to main. Named after ``cast``, so text ``cast`` rejects reads "invalid
+    int value"."""
 
     def __init__(self, flag: str, cast: type, rule: str, lo: float, hi: float = math.inf,
                  ends: str = "[]"):
@@ -121,12 +123,8 @@ class _Bounded:
         self.__name__ = cast.__name__
 
     def __call__(self, text: str):
-        value = self.cast(text)
-        above = self.lo < value if self.ends[0] == "(" else self.lo <= value
-        below = value < self.hi if self.ends[1] == ")" else value <= self.hi
-        if not (above and below):
-            raise InvalidArgumentError(f"{self.flag} must be {self.rule}")
-        return value
+        return check_scalar(self.flag, self.cast(text), self.rule, self.lo, self.hi, self.ends,
+                            integer=self.cast is int)
 
 
 def _round_columns(rows: protocol.RoundTable) -> list:
@@ -639,9 +637,20 @@ def _cmd_witness(args: argparse.Namespace) -> None:
     )
 
 
+#: what argparse takes for a negative number, not an option, so that the value of a
+#: flag such as --alpha-x -1e-3 reaches its own check; argparse's own pattern has no
+#: exponent, infinity or NaN
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises a malformed command line as an InvalidArgumentError, which main
     reports as the one-line JSON error."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):
         raise InvalidArgumentError(message)
@@ -760,7 +769,7 @@ def main(argv: list[str] | None = None) -> int:
     except CvshareError as exc:
         payload = {"error": exc.code, "message": str(exc)}
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
-        return 2 if exc.code in USAGE_ERROR_CODES else 1
+        return 2 if isinstance(exc, InvalidArgumentError) else 1
     return 0
 
 

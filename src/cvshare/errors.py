@@ -1,9 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one scalar check.
 
 Every error carries a stable machine-readable ``code`` that the CLI
-reports in its error JSON and maps to an exit status: usage-level codes
-exit with 2, runtime protocol failures exit with 1.
+reports in its error JSON. The CLI exits with 2 on an
+:class:`InvalidArgumentError` (bad usage) and with 1 on any other error
+(a runtime failure).
 """
+
+import math
+import numbers
+import operator
 
 
 class CvshareError(Exception):
@@ -66,13 +71,25 @@ class ProtocolFailureError(CvshareError):
     code = "protocol-failure"
 
 
-#: Error codes that indicate bad usage rather than a runtime failure.
-USAGE_ERROR_CODES = frozenset(
-    {
-        "invalid-argument",
-        "degenerate-auxiliary",
-        "no-signal",
-        "unsupported-state",
-        "resource-limit",
-    }
-)
+def check_scalar(name: str, value, rule: str, lo: float = -math.inf, hi: float = math.inf,
+                 ends: str = "[]", integer: bool = False):
+    """``value`` as a Python int (``integer``) or float, checked to lie in [lo, hi],
+    strict at an end that ``ends`` marks open with "(" or ")"; NaN lies in no range.
+
+    Python and numpy reals pass, numpy integers as the int they equal; a bool, a
+    string, None or an array does not, nor, when ``integer``, a float. The error is
+    the InvalidArgumentError "{name} must be {rule}", or "{name} must be an
+    integer" for an ``integer`` value that is not one.
+    """
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real):
+        raise InvalidArgumentError(f"{name} must be {'an integer' if integer else rule}")
+    try:
+        value = operator.index(value) if integer else float(value)
+    except OverflowError:  # an int beyond the largest float
+        value = math.nan
+    above = lo < value if ends[0] == "(" else lo <= value
+    below = value < hi if ends[1] == ")" else value <= hi
+    if not (above and below):
+        raise InvalidArgumentError(f"{name} must be {rule}")
+    return value

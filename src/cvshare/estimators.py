@@ -28,6 +28,7 @@ from .errors import (
     DegenerateAuxiliaryError,
     InvalidArgumentError,
     NoSignalError,
+    check_scalar,
 )
 from .gaussian_core import (  # noqa: F401 (build_dealer_state: perfbench/tracing.py wraps it here)
     ExperimentModel,
@@ -112,10 +113,9 @@ class GainSet:
 
     def __post_init__(self):
         for name in ("g_b", "g_bc", "bias_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidArgumentError(f"{name} must be finite")
-        if self.bias_scale <= 0.0:
-            raise InvalidArgumentError("bias_scale must be > 0")
+            object.__setattr__(self, name, check_scalar(
+                name, getattr(self, name), "finite", ends="()"))
+        check_scalar("bias_scale", self.bias_scale, "> 0", 0.0, ends="(]")
 
     def gain(self, coalition: Coalition) -> float:
         """The gain the coalition's estimator applies: g_bc for all three, else g_b."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedStateError
+from .errors import InvalidArgumentError, UnsupportedStateError, check_scalar
 
 #: relative tolerance for covariance symmetry
 SYMMETRY_RTOL = 1e-10
@@ -58,8 +58,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     :param n_modes: number of modes.
     :return: 2n x 2n real antisymmetric matrix.
     """
-    if n_modes < 1:
-        raise InvalidArgumentError("n_modes must be >= 1")
+    n_modes = check_scalar("n_modes", n_modes, ">= 1", 1, integer=True)
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for m in range(n_modes):
         omega[2 * m, 2 * m + 1] = 1.0
@@ -83,11 +82,10 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise InvalidArgumentError("n_modes must be >= 1")
+        n_modes = check_scalar("n_modes", self.n_modes, ">= 1", 1, integer=True)
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.cov, dtype=float)
-        d = 2 * self.n_modes
+        d = 2 * n_modes
         if mean.shape != (d,):
             raise InvalidArgumentError(f"mean must have shape ({d},), got {mean.shape}")
         if cov.shape != (d, d):
@@ -97,6 +95,7 @@ class GaussianState:
         cov = check_covariances(cov[np.newaxis])[0]
         mean.setflags(write=False)
         cov.setflags(write=False)
+        object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -141,16 +140,16 @@ def check_covariances(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
+_R_MAX_RULE = f"<= R_MAX = {R_MAX}: beyond it e^(-2r) is lost in the round-off of e^(2r)"
+
+
 def check_squeezing(r) -> None:
-    """Reject a squeezing value, or any of an array of them, outside [0, R_MAX]."""
+    """Reject any of an array of squeezing values outside [0, R_MAX]."""
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r) & (r >= 0.0)):
         raise InvalidArgumentError("r must be finite and >= 0")
     if np.any(r > R_MAX):
-        raise InvalidArgumentError(
-            f"r must be <= R_MAX = {R_MAX}: beyond it e^(-2r) is lost in the "
-            "round-off of e^(2r)"
-        )
+        raise InvalidArgumentError(f"r must be {_R_MAX_RULE}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,15 +175,14 @@ class ExperimentModel:
     eps_c: float = 0.0
 
     def __post_init__(self):
-        check_squeezing(self.r)
+        r = check_scalar("r", self.r, "finite and >= 0", 0.0, ends="[)")
+        object.__setattr__(self, "r", check_scalar("r", r, _R_MAX_RULE, hi=R_MAX))
         for name in ("eta_a", "eta_b", "eta_c"):
-            eta = getattr(self, name)
-            if not (ETA_MIN <= eta <= 1.0):
-                raise InvalidArgumentError(f"{name} must be in [ETA_MIN = {ETA_MIN:g}, 1]")
+            object.__setattr__(self, name, check_scalar(
+                name, getattr(self, name), f"in [ETA_MIN = {ETA_MIN:g}, 1]", ETA_MIN, 1.0))
         for name in ("eps_a", "eps_b", "eps_c"):
-            eps = getattr(self, name)
-            if not (math.isfinite(eps) and 0.0 <= eps <= EPS_MAX):
-                raise InvalidArgumentError(f"{name} must be in [0, EPS_MAX = {EPS_MAX:g}]")
+            object.__setattr__(self, name, check_scalar(
+                name, getattr(self, name), f"in [0, EPS_MAX = {EPS_MAX:g}]", 0.0, EPS_MAX))
 
 
 def partial_trace(state: GaussianState, keep: list[int]) -> GaussianState:
@@ -271,8 +269,8 @@ def build_dealer_state(model: ExperimentModel, alpha_x: float, alpha_p: float) -
     :return: three-mode state, mode order (C, B, A), mean
         (0, 0, 0, 0, alpha_x, alpha_p) before loss.
     """
-    if not (math.isfinite(alpha_x) and math.isfinite(alpha_p)):
-        raise InvalidArgumentError("displacement must be finite")
+    alpha_x, alpha_p = (check_scalar("displacement", a, "finite", ends="()")
+                        for a in (alpha_x, alpha_p))
     mean = np.zeros(6)
     # += rather than =, so a -0.0 displacement is stored as 0.0
     mean[4] += alpha_x

@@ -34,7 +34,6 @@ anything per round.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, make_dataclass
 from typing import NamedTuple
@@ -48,6 +47,7 @@ from .errors import (
     ProtocolFailureError,
     ResourceLimitError,
     UnsupportedStateError,
+    check_scalar,
 )
 from .estimators import Coalition, GainSet, MseReport, RunningMoments
 from .gaussian_core import (
@@ -85,21 +85,6 @@ _CHUNK_ROUNDS = 65536
 BASIS_NAMES = ("x", "p", "xp")
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int; numpy integers pass, a float or any other value does not."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer") from None
-
-
-def _check_displacement(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise InvalidArgumentError(f"{name} must be finite")
-    if abs(value) > ALPHA_MAX:
-        raise InvalidArgumentError(f"|{name}| must be at most {ALPHA_MAX:g}")
-
-
 @dataclass(frozen=True, slots=True)
 class DisplacementPlan:
     """How the dealer draws the secret displacement.
@@ -121,18 +106,19 @@ class DisplacementPlan:
     def __post_init__(self):
         if self.kind not in ("fixed", "gaussian"):
             raise InvalidArgumentError("plan kind must be 'fixed' or 'gaussian'")
-        _check_displacement("alpha_x", self.alpha_x)
-        _check_displacement("alpha_p", self.alpha_p)
-        if not math.isfinite(self.v_dist):
-            raise InvalidArgumentError("v_dist must be finite")
-        if self.v_dist > ALPHA_MAX**2:
-            raise InvalidArgumentError(f"v_dist must be at most {ALPHA_MAX**2:g}")
-        if self.kind == "gaussian" and self.v_dist <= 0.0:
-            raise InvalidArgumentError("v_dist must be > 0 for gaussian modulation")
+        for name in ("alpha_x", "alpha_p"):
+            alpha = check_scalar(name, getattr(self, name), "finite", ends="()")
+            check_scalar(f"|{name}|", alpha, f"at most {ALPHA_MAX:g}", -ALPHA_MAX, ALPHA_MAX)
+            object.__setattr__(self, name, alpha)
+        v_dist = check_scalar("v_dist", self.v_dist, "finite", ends="()")
+        check_scalar("v_dist", v_dist, f"at most {ALPHA_MAX**2:g}", hi=ALPHA_MAX**2)
+        if self.kind == "gaussian":
+            check_scalar("v_dist", v_dist, "> 0 for gaussian modulation", 0.0, ends="(]")
+        object.__setattr__(self, "v_dist", v_dist)
         # no block is longer than the longest run
-        if not isinstance(self.n_rep, int) or not 1 <= self.n_rep <= MAX_ROUNDS:
-            raise InvalidArgumentError(
-                f"n_rep must be an integer in [1, MAX_ROUNDS = {MAX_ROUNDS}]")
+        object.__setattr__(self, "n_rep", check_scalar(
+            "n_rep", self.n_rep, f"an integer in [1, MAX_ROUNDS = {MAX_ROUNDS}]", 1, MAX_ROUNDS,
+            integer=True))
 
     @property
     def scale(self) -> float:
@@ -157,12 +143,11 @@ class ProtocolPolicy:
     bias_fraction: float = 0.05
 
     def __post_init__(self):
-        if not (0.0 < self.eta_min <= 1.0):
-            raise InvalidArgumentError("eta_min must be in (0, 1]")
+        object.__setattr__(self, "eta_min", check_scalar(
+            "eta_min", self.eta_min, "in (0, 1]", 0.0, 1.0, ends="(]"))
         for name in ("witness_fraction", "bias_fraction"):
-            f = getattr(self, name)
-            if not (math.isfinite(f) and 0.0 <= f <= 0.5):
-                raise InvalidArgumentError(f"{name} must be in [0, 0.5]")
+            object.__setattr__(self, name, check_scalar(
+                name, getattr(self, name), "in [0, 0.5]", 0.0, 0.5))
 
 
 BASIS_COLUMNS = ("dealer_basis", "basis_a", "basis_b", "basis_c")
@@ -659,9 +644,7 @@ class _ProtocolRun:
     def __init__(self, model: ExperimentModel, plan: DisplacementPlan, n_rounds: int,
                  coalition: Coalition, policy: ProtocolPolicy, stream: RandomStream,
                  gain_mode: str, table_rows: int):
-        n_rounds = _count("n_rounds", n_rounds)
-        if n_rounds < 10:
-            raise InvalidArgumentError("n_rounds must be >= 10")
+        n_rounds = check_scalar("n_rounds", n_rounds, ">= 10", 10, integer=True)
         if table_rows and n_rounds > MAX_RECORD_ROUNDS:
             raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_RECORD_ROUNDS} for a run "
                                      "that keeps its records")
@@ -859,13 +842,13 @@ def witness_verification_run(
     stand-in from :func:`surrogate_intercept_state`. Rounds are drawn in
     chunks, each from its own child stream, and reduced to running sums.
     """
-    n_rounds = _count("n_rounds", n_rounds)
-    if n_rounds < 2 * WITNESS_MIN_ROUNDS:
-        raise InvalidArgumentError(f"n_rounds must be >= {2 * WITNESS_MIN_ROUNDS}")
+    n_rounds = check_scalar("n_rounds", n_rounds, f">= {2 * WITNESS_MIN_ROUNDS}",
+                            2 * WITNESS_MIN_ROUNDS, integer=True)
     if n_rounds > MAX_ROUNDS:
         raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_ROUNDS}")
-    _check_displacement("alpha_x", alpha_x)
-    _check_displacement("alpha_p", alpha_p)
+    # the plan checks the displacement as a run's fixed plan does
+    plan = DisplacementPlan.fixed(alpha_x, alpha_p)
+    alpha_x, alpha_p = plan.alpha_x, plan.alpha_p
     if surrogate:
         st = surrogate_intercept_state(model, alpha_x, alpha_p)
     else:
@@ -900,12 +883,9 @@ def batch_mse_distribution(
     drawn in chunks, each from its own child stream, and only the
     per-batch sums of squared errors are kept.
     """
-    n_batches = _count("n_batches", n_batches)
-    n_probes_per_quadrature = _count("n_probes_per_quadrature", n_probes_per_quadrature)
-    if n_batches < 100:
-        raise InvalidArgumentError("n_batches must be >= 100")
-    if n_probes_per_quadrature < 1:
-        raise InvalidArgumentError("n_probes_per_quadrature must be >= 1")
+    n_batches = check_scalar("n_batches", n_batches, ">= 100", 100, integer=True)
+    n_probes_per_quadrature = check_scalar("n_probes_per_quadrature", n_probes_per_quadrature,
+                                           ">= 1", 1, integer=True)
     if n_batches * n_probes_per_quadrature * 3 > DEFAULT_BATCH_TERM_CAP:
         raise ResourceLimitError(
             f"n_batches * n_probes * modes exceeds the cap of {DEFAULT_BATCH_TERM_CAP}"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_scalar
 from .gaussian_core import GaussianState
 
 #: valid per-mode measurement choices
@@ -37,9 +37,9 @@ class RandomStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or not (0 <= v <= _UINT64_MAX):
-                raise InvalidArgumentError(f"{name} must be a 64-bit unsigned integer")
+            object.__setattr__(self, name, check_scalar(
+                name, getattr(self, name), "a 64-bit unsigned integer", 0, _UINT64_MAX,
+                integer=True))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -170,8 +170,7 @@ def sample_joint(
         (used by callers that interleave several sampling steps).
     :return: (n_shots, n_columns) outcome matrix.
     """
-    if n_shots < 1:
-        raise InvalidArgumentError("n_shots must be >= 1")
+    n_shots = check_scalar("n_shots", n_shots, ">= 1", 1, integer=True)
     mean, cov = outcome_moments(state, assignment)
     gen = stream.generator() if isinstance(stream, RandomStream) else stream
     chol = np.linalg.cholesky(cov)

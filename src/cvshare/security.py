@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_scalar
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,10 +36,10 @@ class MseDistribution:
     n_probes: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise InvalidArgumentError("mu must be finite and > 0")
-        if not isinstance(self.n_probes, int) or self.n_probes < 1:
-            raise InvalidArgumentError("n_probes must be an integer >= 1")
+        object.__setattr__(self, "mu", check_scalar(
+            "mu", self.mu, "finite and > 0", 0.0, ends="()"))
+        object.__setattr__(self, "n_probes", check_scalar(
+            "n_probes", self.n_probes, "an integer >= 1", 1, integer=True))
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,9 +115,8 @@ def crossing_threshold(mu_a: float, mu_b: float) -> float:
     exponential factors of the two densities balance at the same point
     for every N, so the crossing is N-independent.
     """
-    for name, mu in (("mu_a", mu_a), ("mu_b", mu_b)):
-        if not (math.isfinite(mu) and mu > 0.0):
-            raise InvalidArgumentError(f"{name} must be finite and > 0")
+    mu_a, mu_b = (check_scalar(name, mu, "finite and > 0", 0.0, ends="()")
+                  for name, mu in (("mu_a", mu_a), ("mu_b", mu_b)))
     if mu_a == mu_b:
         raise InvalidArgumentError("equal means have no crossing")
     return mu_a * mu_b * math.log(mu_b / mu_a) / (mu_b - mu_a)
@@ -134,8 +133,7 @@ def security_probabilities(
     delta = Pr(single MSE <= v_t), p_success = Pr(coalition MSE <= v_t),
     both at the shared probe count.
     """
-    if not (math.isfinite(v_t) and v_t >= 0.0):
-        raise InvalidArgumentError("v_t must be finite and >= 0")
+    v_t = check_scalar("v_t", v_t, "finite and >= 0", 0.0, ends="[)")
     if single.n_probes != coalition.n_probes:
         raise InvalidArgumentError("distributions must share the probe count")
     return SecurityReport(
@@ -164,10 +162,8 @@ def mutual_information(v_dist: float, v_alpha):
 
 def required_mse(c_bits: float, v_dist: float) -> float:
     """Per-quadrature MSE needed for at least c bits: v_dist / (2^c - 1)."""
-    if not (math.isfinite(c_bits) and c_bits > 0.0):
-        raise InvalidArgumentError("c_bits must be finite and > 0")
-    if not (math.isfinite(v_dist) and v_dist > 0.0):
-        raise InvalidArgumentError("v_dist must be finite and > 0")
+    c_bits, v_dist = (check_scalar(name, v, "finite and > 0", 0.0, ends="()")
+                      for name, v in (("c_bits", c_bits), ("v_dist", v_dist)))
     try:
         target = v_dist / (2.0**c_bits - 1.0)
     except (OverflowError, ZeroDivisionError):

@@ -1192,11 +1192,10 @@ def test_input_read_error_names_the_file(tmp_path, capsys, monkeypatch, argv):
     [
         (["bounds", "--steps", "abc"], "--steps"),
         (["bounds", "--no-such-flag", "1"], "--no-such-flag"),
-        # argparse reads -inf as an option, so --r has no value
-        (["state", "--r", "-inf"], "--r"),
+        (["state", "--r"], "--r"),
         (["simulate"], "--config"),
     ],
-    ids=["steps-abc", "unknown-flag", "r-minus-inf", "missing-config"],
+    ids=["steps-abc", "unknown-flag", "r-no-value", "missing-config"],
 )
 def test_malformed_command_line_is_one_line_json_error(tmp_path, capsys, argv, flag):
     # argparse used to print its usage text and no JSON
@@ -1206,6 +1205,34 @@ def test_malformed_command_line_is_one_line_json_error(tmp_path, capsys, argv, f
     assert payload["error"] == "invalid-argument"
     assert flag in payload["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["state", "--alpha-x", "-1e-3"], None),
+        (["witness", "--n-rounds", "200", "--alpha-p", "-2.5E+0"], None),
+        (["state", "--alpha-p", "-.5e1"], None),
+        (["state", "--r", "-inf"], "r must be finite and >= 0"),
+        (["state", "--r", "-1e-3"], "r must be finite and >= 0"),
+        (["state", "--alpha-x", "-NaN"], "displacement must be finite"),
+        (["witness", "--alpha-x", "-Infinity"], "alpha_x must be finite"),
+        (["bounds", "--r-min", "-1e-3"], f"--r-min must be {cli._R_RULE}"),
+        (["witness", "--seed", "-1e3"], "argument --seed: invalid int value: '-1e3'"),
+    ],
+    ids=["alpha-x-exponent", "alpha-p-signed-exponent", "alpha-p-leading-dot", "r-minus-inf",
+         "r-exponent", "alpha-x-minus-nan", "alpha-x-minus-infinity", "r-min-exponent",
+         "seed-exponent"],
+)
+def test_negative_values_reach_their_own_check(tmp_path, capsys, argv, message):
+    # argparse took a negative number with an exponent, -inf or -nan for an option,
+    # so the flag read "expected one argument"
+    code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    if message is None:
+        assert code == 0, err
+        return
+    assert code == 2
+    assert _one_json_error(err) == {"error": "invalid-argument", "message": message}
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["bounds", "--help"]])

@@ -1,5 +1,6 @@
 """End-to-end protocol runs: sifting, verification subsets, reports."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import fields
@@ -16,7 +17,13 @@ from cvshare.errors import (
     ResourceLimitError,
 )
 from cvshare.estimators import Coalition, fit_gain
-from cvshare.gaussian_core import ExperimentModel, build_dealer_state, partial_trace
+from cvshare.gaussian_core import (
+    ExperimentModel,
+    GaussianState,
+    build_dealer_state,
+    partial_trace,
+    state_to_text,
+)
 from cvshare.protocol import (
     MAX_RECORD_ROUNDS,
     MAX_ROUNDS,
@@ -34,6 +41,7 @@ from cvshare.protocol import (
     witness_verification_run,
 )
 from cvshare.sampler import MeasurementAssignment, RandomStream, outcome_moments, sample_joint
+from cvshare.security import MseDistribution, security_probabilities
 
 IDEAL = ExperimentModel(r=1.0)
 PLAN = DisplacementPlan.fixed(1.0, -0.5)
@@ -454,14 +462,30 @@ _COUNTS = {
         IDEAL, Coalition.AB, n, 100, RandomStream(7)).tolist()),
     "batch_n_batches": ("n_batches", 100, lambda n: batch_mse_distribution(
         IDEAL, Coalition.AB, 10, n, RandomStream(7)).tolist()),
+    "n_rep": ("n_rep", 2, lambda n: run_protocol(
+        IDEAL, DisplacementPlan.gaussian_modulated(2.0, n_rep=n), 1000, Coalition.AB, POLICY,
+        RandomStream(7), keep_records=False).mse_report),
+    "seed": ("seed", 7, lambda n: run_protocol(
+        IDEAL, PLAN, 1000, Coalition.AB, POLICY, RandomStream(n), keep_records=False).mse_report),
+    "stream_id": ("stream_id", 3, lambda n: run_protocol(
+        IDEAL, PLAN, 1000, Coalition.AB, POLICY, RandomStream(7, n),
+        keep_records=False).mse_report),
+    # the report's JSON text, which a numpy integer in it would fail to give
+    "mse_n_probes": ("n_probes", 10, lambda n: json.dumps(security_probabilities(
+        3.0, MseDistribution(4.0, n), MseDistribution(2.0, n)).to_json_dict())),
+    "n_modes": ("n_modes", 1, lambda n: state_to_text(GaussianState(n, [0.0, 0.0], np.eye(2)))),
+    "n_shots": ("n_shots", 5, lambda n: sample_joint(
+        build_dealer_state(IDEAL, 0.0, 0.0), MeasurementAssignment(("x", "p", "x")), n,
+        RandomStream(7)).tolist()),
 }
 
 
 @pytest.mark.parametrize("case", list(_COUNTS))
 def test_counts_must_be_integers(case):
     name, good, run = _COUNTS[case]
-    # a float count once raised a bare TypeError from range
-    for bad in (float(good), str(good), None):
+    # a float count once raised a bare TypeError from range, a float n_modes made a
+    # state file that state_from_text rejects, and True ran as 1
+    for bad in (float(good), str(good), None, True):
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer$"):
             run(bad)
     # a numpy integer runs as the int does
