@@ -29,6 +29,8 @@ from . import estimators
 from .errors import InvalidArgumentError, UnsupportedStateError, check_scalar
 from .estimators import Coalition
 from .gaussian_core import (  # noqa: F401 (build_dealer_state: perfbench/tracing.py wraps it here)
+    _R_MAX_RULE,
+    R_MAX,
     THERMAL_MAX,
     ExperimentModel,
     GaussianState,
@@ -104,8 +106,9 @@ def ideal_two_party_mse_sum() -> float:
 
 
 def ideal_three_party_mse_sum(r: float) -> float:
-    """Three-party summed MSE in the ideal model: 8 / (e^{2r} + e^{-2r})."""
+    """Three-party summed MSE in the ideal model: 8 / (e^{2r} + e^{-2r}), r in [0, R_MAX]."""
     r = check_scalar("r", r, "finite and >= 0", 0.0, ends="[)")
+    r = check_scalar("r", r, _R_MAX_RULE, hi=R_MAX)
     return 8.0 / (math.exp(2.0 * r) + math.exp(-2.0 * r))
 
 

@@ -190,13 +190,12 @@ def partial_trace(state: GaussianState, keep: list[int]) -> GaussianState:
 
     :param keep: non-empty, duplicate-free mode indices.
     """
+    keep = [check_scalar("keep", m, f"mode indices in [0, {state.n_modes})", 0, state.n_modes,
+                         ends="[)", integer=True) for m in keep]
     if len(keep) == 0:
         raise InvalidArgumentError("keep must be non-empty")
     if len(set(keep)) != len(keep):
         raise InvalidArgumentError("keep must be duplicate-free")
-    for m in keep:
-        if not (0 <= m < state.n_modes):
-            raise InvalidArgumentError(f"mode {m} out of range for {state.n_modes} modes")
     idx = np.array([2 * m + k for m in keep for k in range(2)])
     return GaussianState(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)])
 

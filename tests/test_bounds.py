@@ -84,6 +84,11 @@ def test_ideal_closed_forms_frozen():
     assert witness_bound(0.0) == pytest.approx(4.0)
     with pytest.raises(InvalidArgumentError):
         ideal_three_party_mse_sum(-0.1)
+    # r = 400 raised a bare OverflowError from e^(2r); r takes the model's R_MAX rule
+    assert ideal_three_party_mse_sum(R_MAX) == pytest.approx(8.0 / (math.exp(16.0) + math.exp(-16.0)))
+    for r in (400.0, math.nextafter(R_MAX, math.inf)):
+        with pytest.raises(InvalidArgumentError, match="^r must be <= R_MAX = 8.0"):
+            ideal_three_party_mse_sum(r)
     with pytest.raises(InvalidArgumentError):
         witness_bound(math.nan)
 

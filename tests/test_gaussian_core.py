@@ -137,6 +137,21 @@ def test_partial_trace_picks_mode_blocks():
     assert np.allclose(red.mean, [0.5, -0.5])
 
 
+def test_partial_trace_reads_integer_mode_indices():
+    st3 = build_dealer_state(ExperimentModel(r=0.9), 0.5, -0.5)
+    assert np.array_equal(partial_trace(st3, [np.int64(2)]).cov, partial_trace(st3, [2]).cov)
+    # True ran as mode 1 and 0.0 raised numpy's IndexError
+    for keep in ([True], [0.0], [np.float64(1.0)], ["0"]):
+        with pytest.raises(InvalidArgumentError, match="^keep must be an integer$"):
+            partial_trace(st3, keep)
+    for keep in ([3], [-1], [0, 5]):
+        with pytest.raises(InvalidArgumentError, match=r"^keep must be mode indices in \[0, 3\)$"):
+            partial_trace(st3, keep)
+    for keep, message in (([], "keep must be non-empty"), ([1, 1], "keep must be duplicate-free")):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            partial_trace(st3, keep)
+
+
 @pytest.mark.parametrize("r", [0.0, 0.25, 0.5, 1.0, 1.5])
 def test_dealer_state_matches_closed_form(r):
     st3 = build_dealer_state(ExperimentModel(r=r), 0.3, -0.7)

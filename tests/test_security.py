@@ -2,18 +2,21 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import MU_PAIR_ANCHOR, MU_SINGLE_ANCHOR, MU_TRIPLE_ANCHOR
+from cvshare import security
 from cvshare.errors import InvalidArgumentError
 from cvshare.security import (
     MseDistribution,
     crossing_threshold,
     mse_cdf,
+    mse_cdf_over_n,
     mse_pdf,
     mutual_information,
     prob_mi_above,
@@ -173,3 +176,188 @@ def test_prob_mi_above_uses_summed_scale():
     c, v = 1.0, 5.0
     manual = mse_cdf(2.0 * required_mse(c, v), dist)
     assert prob_mi_above(c, v, dist) == manual
+
+
+def test_rejects_non_real_inputs():
+    # each raised a bare ValueError or TypeError, or ran with True as 1.0
+    dist = MseDistribution(mu=4.0, n_probes=3)
+    for bad in ("x", True, [1.0, "x"], None, [[1.0], [1.0, 2.0]], 1j):
+        for f in (mse_cdf, mse_pdf):
+            with pytest.raises(InvalidArgumentError, match="^MSE values must be finite$"):
+                f(bad, dist)
+    for bad in (True, [1.0, 2.0], np.float64("nan"), "1"):
+        with pytest.raises(InvalidArgumentError, match="^v_dist must be finite and > 0$"):
+            mutual_information(bad, 1.0)
+    for bad in (True, np.array([True, False]), "x", [1.0, None]):
+        with pytest.raises(InvalidArgumentError, match="^v_alpha must be finite and > 0$"):
+            mutual_information(1.0, bad)
+    assert mutual_information(np.int64(3), np.array([1, 3])).tolist() == [2.0, 1.0]
+
+
+# P(n, x) and Q(n, x) = 1 - P(n, x) at integer n by their Poisson sums, at 50
+# digits: P = e^-x sum_(k >= n) x^k / k! and Q = e^-x sum_(k < n) x^k / k!,
+# every term positive, summed outward from k = n and downward from k = n - 1
+def _mp_tail(n: int, x: float):
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        upper = x >= n
+        first = n - 1 if upper else n
+        lead = mpmath.exp(first * mpmath.log(x) - x - mpmath.loggamma(first + 1))
+        term = total = mpmath.mpf(1)
+        j = 0
+        while term > total * mpmath.mpf(10) ** -45:
+            j += 1
+            term *= (n - j) / x if upper else x / (n + j)
+            total += term
+        return lead * total
+
+
+@pytest.mark.parametrize("n, x", [(1, 0.5), (7, 3.0), (7, 11.0), (40, 40.0), (300, 270.0),
+                                  (300, 340.0)])
+def test_poisson_oracle_matches_mpmath_gammainc(n, x):
+    with mpmath.workdps(50):
+        want = mpmath.gammainc(n, 0, x, regularized=True) if x < n else \
+            mpmath.gammainc(n, x, mpmath.inf, regularized=True)
+        assert abs(_mp_tail(n, x) / want - 1) < mpmath.mpf(10) ** -40
+
+
+_TINY = 2.0**-1022
+_HALF_SUBNORMAL = 2.0**-1075
+
+
+def _check_tail(n: int, x: float):
+    # the smaller tail, P below x = n and Q from x = n on, keeps 5e-13 relative
+    # where it is a normal double and is 0.0 where it rounds below the subnormals
+    tail, upper = security._gamma_tail(n, x)
+    assert bool(upper) == (x >= n)
+    want = _mp_tail(n, x)
+    if want >= _TINY:
+        assert abs(float(tail) - want) <= 5e-13 * want, (n, x, float(tail), want)
+    elif want < _HALF_SUBNORMAL:
+        assert float(tail) == 0.0, (n, x, float(tail), want)
+    else:
+        assert abs(float(tail) - want) <= 5e-13 * want + 2.0 * 2.0**-1074
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 100_000), ratio=st.floats(0.3, 3.0))
+def test_gamma_tail_matches_mpmath(n, ratio):
+    _check_tail(n, n * ratio)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 100_000), exponent=st.floats(0.0, 760.0), upper=st.booleans())
+def test_gamma_tail_matches_mpmath_down_to_underflow(n, exponent, upper):
+    # x/n solves n (lam - 1 - ln lam) = exponent on one side of 1, so the draws
+    # spread over the tails down to the smallest doubles, where the exponent's
+    # round-off counts most
+    lo, hi = (1.0, 3.0) if upper else (0.3, 1.0)
+
+    def gap(lam):
+        return n * (lam - 1.0 - math.log(lam)) - exponent
+
+    assume(gap(hi if upper else lo) >= 0.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if (gap(mid) < 0.0) == upper:
+            lo = mid
+        else:
+            hi = mid
+    _check_tail(n, n * 0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-17, 1e-8, 0.3, 1.0, 2.5, 30.0, 700.0])
+def test_gamma_tail_at_one_probe_is_the_exponential_law(x):
+    tail, upper = security._gamma_tail(1, x)
+    want = math.exp(-x) if upper else -math.expm1(-x)
+    assert float(tail) == pytest.approx(want, rel=4e-16)
+
+
+def test_cdf_at_zero_and_beyond_float_range():
+    for n in (1, 2, 19, 20, 100_000):
+        assert mse_cdf_over_n(0.0, 4.0, n) == 0.0
+        assert mse_cdf_over_n(-3.0, 4.0, n) == 0.0
+        assert mse_cdf_over_n(np.inf, 4.0, n) == 1.0
+        tail, upper = security._gamma_tail(n, 0.0)
+        assert float(tail) == 0.0 and not upper
+    assert math.isnan(mse_cdf_over_n(np.nan, 4.0, 3))
+    # x / n below the subnormals and n * x/n beyond the largest float: the
+    # tails are far below the smallest double, with no overflow or divide warning
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert mse_cdf_over_n(5e-324, 1.0, 7) == 0.0
+        assert mse_cdf_over_n(1e303, 1.0, 100_000) == 1.0
+
+
+# the smaller tail at the CLI's probe cap, MAX_SWEEP_PROBES = 100,000, from
+# the Poisson sums at 50 digits
+_CAP_TAILS = [
+    (100_000.0, 0.4995794778896348),
+    (99_000.0, 0.0007574199211747679),
+    (101_000.0, 0.0008084215129255907),
+    (98_000.0, 9.690835158160487e-11),
+    (102_500.0, 2.220496052041097e-15),
+]
+
+
+@pytest.mark.parametrize("x, want", _CAP_TAILS)
+def test_gamma_tail_at_the_probe_cap(x, want):
+    tail, upper = security._gamma_tail(100_000, x)
+    assert bool(upper) == (x >= 100_000)
+    assert float(tail) == pytest.approx(want, rel=1e-14)
+    cdf = mse_cdf(x * 4.0 / 100_000, MseDistribution(mu=4.0, n_probes=100_000))
+    assert cdf == pytest.approx(1.0 - want if upper else want, rel=1e-14)
+
+
+def test_cdf_broadcasts_like_a_ufunc():
+    # the CLI passes (chunk, coalition, 2) grids; every cell is the scalar value
+    v_t = np.array([6.8, 5.545177444479562])
+    means = np.array([[8.0, 5.83], [8.0, 4.0]])
+    n = np.array([1, 19, 20, 200, 5000])[:, None, None]
+    grid = mse_cdf_over_n(v_t[:, None], means, n)
+    assert grid.shape == (5, 2, 2)
+    for i, k in enumerate(n.ravel().tolist()):
+        for c in range(2):
+            for m in range(2):
+                dist = MseDistribution(mu=float(means[c, m]), n_probes=k)
+                assert grid[i, c, m] == mse_cdf(float(v_t[c]), dist)
+    assert isinstance(mse_cdf_over_n(1.0, 2.0, 3), np.float64)
+
+
+def test_gamma_tail_does_not_depend_on_the_array_around_it():
+    # the CLI's tables must keep their bits whatever chunk a row falls in, so a
+    # value must not depend on its neighbours, as a BLAS product's last bits can
+    gen = np.random.default_rng(7)
+    n = np.floor(10.0 ** gen.uniform(0.0, 5.0, 600))
+    x = n * gen.uniform(0.05, 4.0, 600)
+    whole, _ = security._gamma_tail(n, x)
+    assert np.count_nonzero(whole) > 300
+    for step in (1, 7, 64):
+        parts = [security._gamma_tail(n[i:i + step], x[i:i + step])[0] for i in range(0, 600, step)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_atanh_fit_holds_on_its_range():
+    # the fit of sum_k w^k / (2k + 3) that the saddle-point exponent uses near x = n
+    w = np.linspace(0.0, 0.36, 2001)
+    got = security._horner(w, security._ATANH_FIT)
+    with mpmath.workdps(40):
+        want = [mpmath.mpf(1) / 3 if v == 0 else
+                (mpmath.atanh(mpmath.sqrt(v)) - mpmath.sqrt(v)) / mpmath.mpf(v) ** 1.5
+                for v in w.tolist()]
+        worst = max(abs(mpmath.mpf(g) / t - 1) for g, t in zip(got.tolist(), want))
+    assert worst <= 1.5 * 2.0**-53
+
+
+def test_stirling_error_and_temme_leading_coefficients():
+    n = np.arange(1.0, 40.0)
+    with mpmath.workdps(40):
+        want = [float(mpmath.log(mpmath.factorial(k)) - (k * mpmath.log(k) - k
+                                                         + mpmath.log(2 * mpmath.pi * k) / 2))
+                for k in range(1, 40)]
+    # e^-s(n) enters the tails, so what counts is the absolute error of s(n)
+    assert np.max(np.abs(security._stirling_error(n) - want)) <= 4e-17
+    # g_0(eta) = 1 / (lam - 1) - 1 / eta, whose Taylor coefficients DiDonato and
+    # Morris list as -1/3, 1/12, -2/135, 1/864, 1/2835, -139/777600
+    g0 = security._temme_table()[:6, 0, 0]
+    assert np.allclose(g0, [-1 / 3, 1 / 12, -2 / 135, 1 / 864, 1 / 2835, -139 / 777600],
+                       rtol=1e-14, atol=0.0)
