@@ -55,9 +55,7 @@ class ThermalParams:
     n2: float
 
     def __post_init__(self):
-        n1, n2 = (check_scalar("thermal parameters", n, "finite", ends="()")
-                  for n in (self.n1, self.n2))
-        check_thermal(n1, n2)
+        n1, n2 = check_thermal(check_scalar, self.n1, self.n2)
         if n1 < n2:
             n1, n2 = n2, n1
         object.__setattr__(self, "n1", n1)
@@ -72,17 +70,14 @@ class ThermalParams:
         return 1.0 + 2.0 * self.n2
 
 
-def check_thermal(n1, n2) -> None:
-    """Reject thermal parameters, floats or arrays alike, that are not finite, are
-    negative or exceed :data:`THERMAL_MAX`; the error names the first rule broken."""
-    if not (np.all(np.isfinite(n1)) and np.all(np.isfinite(n2))):
-        raise InvalidArgumentError("thermal parameters must be finite")
-    if np.any(np.less(n1, 0.0)) or np.any(np.less(n2, 0.0)):
-        raise InvalidArgumentError("thermal parameters must be >= 0")
-    for name, n in (("n1", n1), ("n2", n2)):
-        if np.any(np.greater(n, THERMAL_MAX)):
-            raise InvalidArgumentError(
-                f"thermal parameter {name} must be at most {THERMAL_MAX:g}")
+def check_thermal(check, n1, n2):
+    """n1 and n2 through ``check``, ``check_scalar`` for floats or ``check_array`` for
+    arrays: finite, then >= 0, then at most :data:`THERMAL_MAX`, each rule on both
+    before the next, so the error names the first rule broken."""
+    n1, n2 = (check("thermal parameters", n, "finite", ends="()") for n in (n1, n2))
+    n1, n2 = (check("thermal parameters", n, ">= 0", 0.0) for n in (n1, n2))
+    return tuple(check(f"thermal parameter {name}", n, f"at most {THERMAL_MAX:g}",
+                       hi=THERMAL_MAX) for name, n in (("n1", n1), ("n2", n2)))
 
 
 def hcrb_thermal(params: ThermalParams) -> float:

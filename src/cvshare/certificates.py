@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import ThermalParams, check_thermal, hcrb_thermal
-from .errors import DegenerateDualError, InvalidArgumentError, check_scalar
+from .errors import DegenerateDualError, InvalidArgumentError, check_array, check_scalar
 from .gaussian_core import DEFAULT_TOL
 
 #: status values a CertificateReport can carry
@@ -278,15 +278,14 @@ def certificate_columns(n1, n2, tol: float = DEFAULT_TOL) -> CertificateColumns:
     remaining checks still run. The points are checked and swapped into
     n1 >= n2 as ThermalParams does.
 
-    :raises InvalidArgumentError: tol is not in [0, 1]; n1 and n2 are not
-        1-D sequences of one length; a point is not finite, is negative
-        or exceeds THERMAL_MAX.
+    :raises InvalidArgumentError: tol is not in [0, 1]; a point is not a
+        finite real, is negative or exceeds THERMAL_MAX; n1 and n2 are not
+        1-D sequences of one length.
     """
     tol = check_scalar("tol", tol, "in [0, 1]", 0.0, 1.0)
-    n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
+    n1, n2 = check_thermal(check_array, n1, n2)
     if n1.ndim != 1 or n1.shape != n2.shape:
         raise InvalidArgumentError("n1 and n2 must be 1-D sequences of one length")
-    check_thermal(n1, n2)
     swap = n1 < n2
     params = _ThermalStack(np.where(swap, n2, n1), np.where(swap, n1, n2))
     degenerate = (params.n1 == 0.0) & (params.n2 == 0.0)

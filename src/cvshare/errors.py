@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one scalar check.
+"""Exception types shared across the package, and its one scalar and one array check.
 
 Every error carries a stable machine-readable ``code`` that the CLI
 reports in its error JSON. The CLI exits with 2 on an
@@ -9,6 +9,8 @@ reports in its error JSON. The CLI exits with 2 on an
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class CvshareError(Exception):
@@ -71,6 +73,13 @@ class ProtocolFailureError(CvshareError):
     code = "protocol-failure"
 
 
+def _in_range(value, lo: float, hi: float, ends: str):
+    """Whether value, or each value of a float array, lies in the range of check_scalar."""
+    above = lo < value if ends[0] == "(" else lo <= value
+    below = value < hi if ends[1] == ")" else value <= hi
+    return above & below
+
+
 def check_scalar(name: str, value, rule: str, lo: float = -math.inf, hi: float = math.inf,
                  ends: str = "[]", integer: bool = False):
     """``value`` as a Python int (``integer``) or float, checked to lie in [lo, hi],
@@ -88,8 +97,25 @@ def check_scalar(name: str, value, rule: str, lo: float = -math.inf, hi: float =
         value = operator.index(value) if integer else float(value)
     except OverflowError:  # an int beyond the largest float
         value = math.nan
-    above = lo < value if ends[0] == "(" else lo <= value
-    below = value < hi if ends[1] == ")" else value <= hi
-    if not (above and below):
+    if not _in_range(value, lo, hi, ends):
         raise InvalidArgumentError(f"{name} must be {rule}")
     return value
+
+
+def check_array(name: str, values, rule: str, lo: float = -math.inf, hi: float = math.inf,
+                ends: str = "[]") -> np.ndarray:
+    """``values`` as a float ndarray, each value checked as :func:`check_scalar` checks
+    one; a float64 array comes back uncopied. Integer and float dtypes pass; a bool,
+    string, complex or object dtype (None among the values, say) or a ragged nesting
+    fails with the InvalidArgumentError "{name} must be {rule}", as a value out of range.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting of sequences
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"{name} must be {rule}")
+    arr = arr.astype(float, copy=False)
+    if not np.all(_in_range(arr, lo, hi, ends)):
+        raise InvalidArgumentError(f"{name} must be {rule}")
+    return arr

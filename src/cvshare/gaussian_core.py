@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedStateError, check_scalar
+from .errors import InvalidArgumentError, UnsupportedStateError, check_array, check_scalar
 
 #: relative tolerance for covariance symmetry
 SYMMETRY_RTOL = 1e-10
@@ -83,15 +83,14 @@ class GaussianState:
 
     def __post_init__(self):
         n_modes = check_scalar("n_modes", self.n_modes, ">= 1", 1, integer=True)
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
+        mean, cov = (check_array("mean and cov", a, "finite", ends="()")
+                     for a in (self.mean, self.cov))
+        mean = mean.copy()  # it is stored read-only; check_covariances returns a new cov
         d = 2 * n_modes
         if mean.shape != (d,):
             raise InvalidArgumentError(f"mean must have shape ({d},), got {mean.shape}")
         if cov.shape != (d, d):
             raise InvalidArgumentError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise InvalidArgumentError("mean and cov must be finite")
         cov = check_covariances(cov[np.newaxis])[0]
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -141,15 +140,6 @@ def check_covariances(cov: np.ndarray) -> np.ndarray:
 
 
 _R_MAX_RULE = f"<= R_MAX = {R_MAX}: beyond it e^(-2r) is lost in the round-off of e^(2r)"
-
-
-def check_squeezing(r) -> None:
-    """Reject any of an array of squeezing values outside [0, R_MAX]."""
-    r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r) & (r >= 0.0)):
-        raise InvalidArgumentError("r must be finite and >= 0")
-    if np.any(r > R_MAX):
-        raise InvalidArgumentError(f"r must be {_R_MAX_RULE}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,8 +210,10 @@ def dealer_covariances(rs, arms: ExperimentModel) -> np.ndarray:
     :param arms: transmissivity and excess noise per arm (its r is not used).
     :return: (len(rs), 6, 6) stack in mode order (C, B, A).
     """
-    rs = np.asarray(rs, dtype=float)
-    check_squeezing(rs)
+    rs = check_array("r", rs, "finite and >= 0", 0.0, ends="[)")
+    rs = check_array("r", rs, _R_MAX_RULE, hi=R_MAX)
+    if rs.ndim != 1:
+        raise InvalidArgumentError("r must be a 1-D array of squeezing values")
     # math.exp per value: np.exp differs from it in the last bit for a few
     # percent of r, which would change the bytes of state and bounds files
     values = rs.tolist()

@@ -33,6 +33,7 @@ anything per round.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, make_dataclass
@@ -404,6 +405,13 @@ def _pick(eligible: np.ndarray, take: int, gen: np.random.Generator) -> np.ndarr
     return mask
 
 
+def _chunks(stream: RandomStream, n: int) -> Iterator[tuple[int, int, np.random.Generator]]:
+    """(start, end, generator) of each chunk of n rounds, chunk i drawing from the
+    stream's child i, which opens only when the chunk is asked for."""
+    for i, start in enumerate(range(0, n, _CHUNK_ROUNDS)):
+        yield start, min(start + _CHUNK_ROUNDS, n), stream.chunk_generator(i)
+
+
 def _draw_chunks(
     plan: DisplacementPlan,
     n_rounds: int,
@@ -435,12 +443,9 @@ def _draw_chunks(
     # eligible rounds run short; and estimation rounds seen so far
     n_witness = n_bias = n_est = 0
 
-    def draw(i: int) -> _Chunk:
+    def draw(start: int, end: int, gen: np.random.Generator) -> _Chunk:
         nonlocal carry, n_witness, n_bias, n_est
-        start = i * _CHUNK_ROUNDS
-        end = min(start + _CHUNK_ROUNDS, n_rounds)
         m = end - start
-        gen = stream.chunk_generator(i)
         alpha_x, alpha_p, carry = _chunk_alphas(plan, start, end, gen, carry)
         alphas = (alpha_x, alpha_p)
         dealer = _coin(gen, m)
@@ -504,7 +509,8 @@ def _draw_chunks(
         return _Chunk(start, alpha_x, alpha_p, dealer, basis_a, basis_b, basis_c, kept,
                       witness, bias, calib, reads[:n_calib], reads[n_calib:], outcomes)
 
-    return map(draw, range(-(-n_rounds // _CHUNK_ROUNDS)))
+    # a call per chunk, not a generator body: a chunk's arrays die before the next is drawn
+    return itertools.starmap(draw, _chunks(stream, n_rounds))
 
 
 class _Fit:
@@ -856,9 +862,8 @@ def witness_verification_run(
     factors = _triple_factors(st.cov)
     means = [st.mean[list(triple), None] for triple in estimators.TRIPLE_INDICES]
     sq = (RunningMoments(), RunningMoments())
-    for i, start in enumerate(range(0, n_rounds, _CHUNK_ROUNDS)):
-        m = min(_CHUNK_ROUNDS, n_rounds - start)
-        gen = stream.chunk_generator(i)
+    for start, end, gen in _chunks(stream, n_rounds):
+        m = end - start
         n_x = m - int(np.count_nonzero(_coin(gen, m)))
         # one triple in the dealer's basis per round, party-major, the x rounds' first
         z = gen.standard_normal((3, m))
@@ -920,14 +925,13 @@ def batch_mse_distribution(
     n_probes = n_probes_per_quadrature
     n_tot = n_batches * n_probes
     total = np.zeros(n_batches)
-    for i, start in enumerate(range(0, n_tot, _CHUNK_ROUNDS)):
-        m = min(_CHUNK_ROUNDS, n_tot - start)
-        gen = stream.chunk_generator(i)
+    for start, end, gen in _chunks(stream, n_tot):
+        m = end - start
         sq = np.zeros(m)
         for v, factor in folded:
             err = gen.standard_normal((m, v.shape[0])) @ v
             sq += factor * np.sum(err * err, axis=1)
         first = start // n_probes
-        sums = np.bincount(np.arange(start, start + m) // n_probes - first, weights=sq)
+        sums = np.bincount(np.arange(start, end) // n_probes - first, weights=sq)
         total[first : first + sums.size] += sums
     return total / n_probes

@@ -61,7 +61,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_scalar
+from .errors import InvalidArgumentError, check_array, check_scalar
+
+#: largest probe count of a distribution, the scale of ``protocol.MAX_ROUNDS``
+MAX_PROBES = 10**9
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,8 +72,8 @@ class MseDistribution:
     """Scaled chi-squared law of the summed two-quadrature MSE.
 
     :param mu: mean summed MSE, > 0 (shot-noise units squared).
-    :param n_probes: probes per quadrature, >= 1; the statistic has
-        2 * n_probes degrees of freedom.
+    :param n_probes: probes per quadrature, in [1, MAX_PROBES]; the
+        statistic has 2 * n_probes degrees of freedom.
     """
 
     mu: float
@@ -80,7 +83,8 @@ class MseDistribution:
         object.__setattr__(self, "mu", check_scalar(
             "mu", self.mu, "finite and > 0", 0.0, ends="()"))
         object.__setattr__(self, "n_probes", check_scalar(
-            "n_probes", self.n_probes, "an integer >= 1", 1, integer=True))
+            "n_probes", self.n_probes, f"an integer in [1, MAX_PROBES = {MAX_PROBES}]", 1,
+            MAX_PROBES, integer=True))
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,25 +99,6 @@ class SecurityReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def _real_array(name: str, values, rule: str) -> np.ndarray:
-    """values as a float array; a bool, string, complex or object dtype, or a
-    ragged nesting, fails with the InvalidArgumentError "{name} must be {rule}"."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # a ragged nesting of sequences
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise InvalidArgumentError(f"{name} must be {rule}")
-    return arr.astype(float)
-
-
-def _check_x(x) -> np.ndarray:
-    arr = _real_array("MSE values", x, "finite")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("MSE values must be finite")
-    return arr
 
 
 _EPS = np.finfo(float).eps
@@ -299,11 +284,15 @@ def _gamma_tail(n, x):
     return tail, upper
 
 
+def _lead(n, e):
+    """x^n e^-x / n! = e^-E e^-s(n) / sqrt(2 pi n), E being the saddle exponent."""
+    return np.exp(-e) * np.exp(-_stirling_error(n)) / np.sqrt(2.0 * math.pi * n)
+
+
 def _live_tail(n, x):
     """_gamma_tail's value at 1-D n and x with 0 < x < inf."""
     e = _saddle_exponent(n, x)
-    # x^n e^-x / n!
-    lead = np.exp(-e) * np.exp(-_stirling_error(n)) / np.sqrt(2.0 * math.pi * n)
+    lead = _lead(n, e)
     tail = np.zeros_like(x)
     live = e <= _E_UNDERFLOW
     temme = live & (n >= _TEMME_MIN_N) & (e <= 0.125 * n)
@@ -323,41 +312,36 @@ def _live_tail(n, x):
 def mse_pdf(x, dist: MseDistribution):
     """Density of the summed-MSE law at x (vectorized; 0 for x < 0).
 
-    Evaluated in the log domain so large probe counts do not overflow
-    the gamma function.
+    It is n / mu times the Gamma(n, 1) density at y = x n / mu,
+    y^(n-1) e^-y / (n-1)! = x^n e^-x / n! * n / y, whose first factor the
+    tails take from the saddle exponent, so no large exponent cancels.
     """
-    arr = _check_x(x)
-    n = dist.n_probes
-    mu = dist.mu
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    xp = arr[pos]
-    log_pdf = (
-        math.log(2.0 * n / mu)
-        - n * math.log(2.0)
-        - math.lgamma(n)
-        + (n - 1.0) * np.log(2.0 * xp * n / mu)
-        - xp * n / mu
-    )
-    out[pos] = np.exp(log_pdf)
-    if np.any(arr == 0.0):
-        out[arr == 0.0] = 1.0 / mu if n == 1 else 0.0
-    return float(out[0]) if scalar else out
+    arr = check_array("MSE values", x, "finite", ends="()")
+    n, mu = dist.n_probes, dist.mu
+    # a y beyond the largest float is inf, where the density is 0, and so is a density
+    with np.errstate(over="ignore"):
+        y = np.atleast_1d(arr) * n / mu
+        out = np.where(y == 0.0, 1.0 / mu if n == 1 else 0.0, 0.0)
+        live = (y > 0.0) & (y < np.inf)
+        y = y[live]
+        shape = np.full_like(y, n)
+        out[live] = _lead(shape, _saddle_exponent(shape, y)) / y * n * n / mu
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def mse_cdf_over_n(x, mu, n_probes):
     """Probability that the summed MSE at mean mu and n_probes probes per
     quadrature is at most x; broadcasts over all three, so one call covers a
     sweep over N. The arguments are taken as checked."""
-    tail, upper = _gamma_tail(n_probes, np.clip(x, 0.0, None) * n_probes / mu)
+    with np.errstate(over="ignore"):  # x n / mu beyond the largest float is inf: P = 1
+        y = np.clip(x, 0.0, None) * n_probes / mu
+    tail, upper = _gamma_tail(n_probes, y)
     return np.where(upper, 1.0 - tail, tail)[()]
 
 
 def mse_cdf(x, dist: MseDistribution):
     """Probability that the summed MSE is at most x (vectorized)."""
-    arr = _check_x(x)
+    arr = check_array("MSE values", x, "finite", ends="()")
     val = mse_cdf_over_n(arr, dist.mu, dist.n_probes)
     return float(val) if arr.ndim == 0 else val
 
@@ -409,9 +393,7 @@ def mutual_information(v_dist: float, v_alpha):
     the last bit on some inputs.
     """
     v_dist = check_scalar("v_dist", v_dist, "finite and > 0", 0.0, ends="()")
-    alphas = _real_array("v_alpha", v_alpha, "finite and > 0")
-    if not np.all(np.isfinite(alphas) & (alphas > 0.0)):
-        raise InvalidArgumentError("v_alpha must be finite and > 0")
+    alphas = check_array("v_alpha", v_alpha, "finite and > 0", 0.0, ends="()")
     bits = [math.log2(v_dist + a) - math.log2(a) for a in alphas.ravel().tolist()]
     return bits[0] if alphas.ndim == 0 else np.reshape(bits, alphas.shape)
 

@@ -214,6 +214,11 @@ def test_dealer_covariances_check_every_squeezing_value():
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(InvalidArgumentError, match="r must be finite and >= 0"):
             dealer_covariances(np.array([0.5, bad]), model)
+    # a 0-d r raised a bare TypeError and a 2-D one a bare ValueError
+    for bad in (0.5, np.array(0.5), [[0.5, 1.0]]):
+        with pytest.raises(InvalidArgumentError,
+                           match="^r must be a 1-D array of squeezing values$"):
+            dealer_covariances(bad, model)
 
 
 def _assert_check_keeps_every_bit(rs, model):

@@ -32,6 +32,12 @@ def test_distribution_validation():
         MseDistribution(mu=1.0, n_probes=0)
     with pytest.raises(InvalidArgumentError):
         MseDistribution(mu=1.0, n_probes=1.5)
+    # 10**400 raised a bare OverflowError from mse_cdf and mse_pdf
+    assert MseDistribution(mu=1.0, n_probes=security.MAX_PROBES).n_probes == 10**9
+    message = r"^n_probes must be an integer in \[1, MAX_PROBES = 1000000000\]$"
+    for n in (security.MAX_PROBES + 1, 10**400):
+        with pytest.raises(InvalidArgumentError, match=message):
+            MseDistribution(mu=1.0, n_probes=n)
 
 
 @pytest.mark.parametrize("mu,n", [(8.0, 1), (8.0, 10), (4.0, 50), (1.3, 100)])
@@ -61,6 +67,22 @@ def test_pdf_no_overflow_at_large_n():
     dist = MseDistribution(mu=4.0, n_probes=5000)
     val = mse_pdf(4.0, dist)
     assert math.isfinite(val) and val > 0.0
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6, 10**9])
+def test_pdf_matches_mpmath_at_large_n(n):
+    # within 8 standard deviations of the mean; the log-space exponent
+    # (n - 1) ln y - y - ln (n-1)! cancelled to 3.4e-10 relative at n = 1e5 and 3.5e-6
+    # at 1e9, and the tails' prefactor leaves the rounding of y = x n / mu, about
+    # 8 sqrt(n) units in the last place of E at the edge
+    mu = 4.0
+    xs = mu * (1.0 + np.linspace(-8.0, 8.0, 41) / math.sqrt(n))
+    got = mse_pdf(xs, MseDistribution(mu, n))
+    with mpmath.workdps(50):
+        for x, g in zip(xs.tolist(), got.tolist()):
+            y = mpmath.mpf(x) * n / mu
+            want = n / mpmath.mpf(mu) * mpmath.exp((n - 1) * mpmath.log(y) - y - mpmath.loggamma(n))
+            assert abs(g - want) <= 4e-11 * want, (x, g)
 
 
 def test_crossing_threshold_frozen_values():
@@ -286,6 +308,10 @@ def test_cdf_at_zero_and_beyond_float_range():
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         assert mse_cdf_over_n(5e-324, 1.0, 7) == 0.0
         assert mse_cdf_over_n(1e303, 1.0, 100_000) == 1.0
+        # x n / mu itself beyond the largest float overflowed with a RuntimeWarning
+        dist = MseDistribution(1e-3, 10)
+        assert mse_cdf(1e308, dist) == 1.0
+        assert mse_pdf(1e308, dist) == 0.0
 
 
 # the smaller tail at the CLI's probe cap, MAX_SWEEP_PROBES = 100,000, from
