@@ -221,13 +221,16 @@ class _Run:
 
     def write_table(self, name: str, header, chunks) -> None:
         """Write a CSV table from an iterable of column chunks, one chunk at a time,
-        formatting at most _CSV_CHUNK rows at once."""
+        formatting at most _CSV_CHUNK rows at once. Neither a chunk nor its cells
+        outlive their writing, so none is held while the next chunk is made."""
         with self._output(name), self._open(name) as fh:
             fh.write(",".join(header) + "\n")
             for columns in chunks:
                 for start in range(0, len(columns[0]), _CSV_CHUNK):
                     cells = [_cells(col[start : start + _CSV_CHUNK]) for col in columns]
                     fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                    del cells
+                del columns
 
     def finish(self) -> None:
         arguments = {
@@ -517,9 +520,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     stream = RandomStream(cfg["seed"], cfg["stream_id"])
     with _Run(args, stream_layout=protocol.STREAM_LAYOUT) as run:
         if args.dump_rounds:
-            # each chunk's rows go to rounds.csv as it is drawn, from one chunk-sized table
+            # each chunk's table goes to rounds.csv as the chunk is drawn
             rounds = protocol._ProtocolRun(model, plan, cfg["n_rounds"], coalition, policy,
-                                           stream, cfg["gain_mode"], protocol._CHUNK_ROUNDS)
+                                           stream, cfg["gain_mode"], keep_records=True)
             run.write_table("rounds.csv", protocol.ROUND_COLUMNS, map(_round_columns, rounds))
             reports = rounds.result()
         else:

@@ -257,11 +257,14 @@ def build_dealer_state(model: ExperimentModel, alpha_x: float, alpha_p: float) -
     displacement (alpha_x, alpha_p) is applied to arm A before its loss
     channel, which scales it by sqrt(eta_A).
 
+    :param alpha_x, alpha_p: the displacement, each at most :data:`ALPHA_MAX` in size.
     :return: three-mode state, mode order (C, B, A), mean
         (0, 0, 0, 0, alpha_x, alpha_p) before loss.
     """
-    alpha_x, alpha_p = (check_scalar("displacement", a, "finite", ends="()")
-                        for a in (alpha_x, alpha_p))
+    alpha_x, alpha_p = (
+        check_scalar(f"|{name}|", check_scalar("displacement", a, "finite", ends="()"),
+                     f"at most {ALPHA_MAX:g}", -ALPHA_MAX, ALPHA_MAX)
+        for name, a in (("alpha_x", alpha_x), ("alpha_p", alpha_p)))
     mean = np.zeros(6)
     # += rather than =, so a -0.0 displacement is stored as 0.0
     mean[4] += alpha_x

@@ -26,14 +26,14 @@ a lone A draws one normal per quadrature, its dual-homodyne outcome,
 whose factor carries the unit vacuum. A run that keeps its records
 then draws the normals still missing, so that every party's outcome is
 its basis's entry of a full Wigner sample (for a lone A, B's and C's
-drawn conditional on A's outcome). Reports come from running sums over
-the chunks, so only a run that keeps every round in one table holds
-anything per round.
+drawn conditional on A's outcome), and hands out the chunk's rounds as
+a :class:`RoundTable` of their own. Reports come from running sums over
+the chunks, so only :func:`run_protocol` with records, which copies each
+chunk's table into one whole-run table, holds anything per round.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, make_dataclass
@@ -320,29 +320,22 @@ class _Reads(NamedTuple):
 class _Chunk(NamedTuple):
     """The draws of one chunk of rounds.
 
-    The round-table columns and the subset masks run over every round
-    and carry their table names; ``calib`` selects no round unless the
-    gains are fitted. ``calibration`` holds the calibration rounds per
-    quadrature and ``reads`` the other rounds the reports read: the
-    kept rounds per quadrature, or every round twice for a lone A.
-    ``outcomes`` holds every round's (A, B, C) triple in x and in p,
-    shape (2, 3, m), only when the records are kept.
+    The subset masks run over every round of the chunk and carry their
+    table names; ``calib`` selects no round unless the gains are fitted.
+    ``calibration`` holds the calibration rounds per quadrature and
+    ``reads`` the other rounds the reports read: the kept rounds per
+    quadrature, or every round twice for a lone A. ``table`` holds the
+    chunk's rounds only when the records are kept.
     """
 
-    start: int
-    alpha_x: np.ndarray
-    alpha_p: np.ndarray
     dealer_basis: np.ndarray
-    basis_a: np.ndarray
-    basis_b: np.ndarray
-    basis_c: np.ndarray
     kept: np.ndarray
     witness: np.ndarray
     bias: np.ndarray
     calib: np.ndarray
     calibration: tuple[_Reads, ...]
     reads: tuple[_Reads, ...]
-    outcomes: np.ndarray | None
+    table: RoundTable | None
 
 
 def _chunk_alphas(
@@ -410,107 +403,6 @@ def _chunks(stream: RandomStream, n: int) -> Iterator[tuple[int, int, np.random.
     stream's child i, which opens only when the chunk is asked for."""
     for i, start in enumerate(range(0, n, _CHUNK_ROUNDS)):
         yield start, min(start + _CHUNK_ROUNDS, n), stream.chunk_generator(i)
-
-
-def _draw_chunks(
-    plan: DisplacementPlan,
-    n_rounds: int,
-    coalition: Coalition,
-    policy: ProtocolPolicy,
-    stream: RandomStream,
-    factors: tuple[np.ndarray, np.ndarray],
-    root_eta: float,
-    fitted: bool,
-    records: bool = False,
-) -> Iterator[_Chunk]:
-    """Every chunk of a protocol run, drawn from its own child stream.
-
-    Only the normals the reports read are drawn, party-major: one
-    (A, B, C) triple in the dealer's basis per kept round, as a (3, k)
-    array, calibration rounds first and x rounds before p rounds in each
-    group; or for a lone A a (2, m) array, A's x and p outcomes, whose
-    factors carry the unit vacuum of dual homodyne. With ``records`` the
-    normals still missing are drawn afterwards (the missing x triples,
-    then the p ones; for a lone A, B's and C's normals per quadrature,
-    which the factor makes conditional on A's outcome) and every
-    quadrature of every round goes to ``outcomes``. Only the caller holds a
-    chunk, so dropping it frees the chunk's arrays.
-    """
-    lone = coalition is Coalition.A_ALONE
-    carry = (0.0, 0.0)
-    # witness and bias rounds taken so far: a chunk takes what is due by its end,
-    # round(fraction * end), so the run takes round(fraction * n_rounds) unless its
-    # eligible rounds run short; and estimation rounds seen so far
-    n_witness = n_bias = n_est = 0
-
-    def draw(start: int, end: int, gen: np.random.Generator) -> _Chunk:
-        nonlocal carry, n_witness, n_bias, n_est
-        m = end - start
-        alpha_x, alpha_p, carry = _chunk_alphas(plan, start, end, gen, carry)
-        alphas = (alpha_x, alpha_p)
-        dealer = _coin(gen, m)
-        basis_a, basis_b, basis_c = _party_bases(coalition, m, gen)
-        pool = (basis_b == dealer) & (basis_c == dealer)
-        if lone:
-            kept = np.ones(m, dtype=bool)
-        else:
-            kept = basis_a == dealer
-            pool &= kept
-        witness = _pick(pool, round(policy.witness_fraction * end) - n_witness, gen)
-        n_witness += int(np.count_nonzero(witness))
-        eligible = kept & ~witness
-        bias = _pick(eligible, round(policy.bias_fraction * end) - n_bias, gen)
-        n_bias += int(np.count_nonzero(bias))
-        calib = np.zeros(m, dtype=bool)
-        if fitted:
-            # half of the estimation rounds so far, counted across chunks
-            est = eligible & ~bias
-            k = int(np.count_nonzero(est))
-            calib = _pick(est, (n_est + k) // 2 - n_est // 2, gen)
-            n_est += k
-        if lone:
-            # A's dual-homodyne outcomes in x and in p
-            z = gen.standard_normal((2, m))
-            groups = [(q, slice(None), z[q : q + 1]) for q in (0, 1)]
-            n_calib = 0
-        else:
-            # one triple per kept round: calibration rounds first, x before p in each part
-            on_x = dealer == 0
-            rows = [np.flatnonzero(part & on) for part in (calib, kept & ~calib)
-                    for on in (on_x, ~on_x)]
-            sizes = [r.size for r in rows]
-            z = gen.standard_normal((3, sum(sizes)))
-            groups = list(zip((0, 1, 0, 1), rows, np.split(z, np.cumsum(sizes)[:-1], axis=1)))
-            n_calib = 2
-        # the displacement reaches A through its loss channel
-        reads = tuple(
-            _Reads(q, r, _apply(factors[q], z_r, root_eta * alphas[q][r]), alphas[q][r],
-                   witness[r], bias[r])
-            for q, r, z_r in groups
-        )
-        outcomes = None
-        if records:
-            # every round's x and p triple: the ones drawn above, then the normals
-            # still missing, those of the x triples before those of the p triples
-            outcomes = np.empty((2, 3, m))
-            for q in (0, 1):
-                if lone:
-                    normals = outcomes[q]
-                    normals[0] = z[q]
-                    normals[1:] = gen.standard_normal((2, m))
-                    _apply(factors[q], normals, root_eta * alphas[q], out=normals)
-                else:
-                    r = np.flatnonzero(~kept | (dealer != q))
-                    outcomes[q][:, r] = _apply(factors[q], gen.standard_normal((3, r.size)),
-                                               root_eta * alphas[q][r])
-            if not lone:
-                for read in reads:
-                    outcomes[read.quad][:, read.rows] = read.triple
-        return _Chunk(start, alpha_x, alpha_p, dealer, basis_a, basis_b, basis_c, kept,
-                      witness, bias, calib, reads[:n_calib], reads[n_calib:], outcomes)
-
-    # a call per chunk, not a generator body: a chunk's arrays die before the next is drawn
-    return itertools.starmap(draw, _chunks(stream, n_rounds))
 
 
 class _Fit:
@@ -627,31 +519,20 @@ def _witness_result(sq_x: RunningMoments, sq_p: RunningMoments) -> WitnessResult
     return WitnessResult(mse_x, mse_p, mse_sum, se, entangled, n_x, n_p, WITNESS_THRESHOLD, "ok")
 
 
-def _fill_records(table: RoundTable, ch: _Chunk, row: int) -> None:
-    """Write a chunk's rounds into the table from ``row`` on; unmeasured quadratures get NaN."""
-    rows = slice(row, row + ch.kept.size)
-    table.round_index[rows] = np.arange(ch.start, ch.start + ch.kept.size)
-    for name in ("alpha_x", "alpha_p", *BASIS_COLUMNS, "kept"):
-        getattr(table, name)[rows] = getattr(ch, name)
-    for name in OUTCOME_COLUMNS:
-        q, party = "xp".index(name[0]), "abc".index(name[2])
-        # the x quadrature is unread in p rounds (code 1) and the p one in x rounds (code 0)
-        unread = getattr(ch, f"basis_{name[2]}") == 1 - q
-        getattr(table, name)[rows] = np.where(unread, np.nan, ch.outcomes[q, party])
-
-
 class _ProtocolRun:
-    """One :func:`run_protocol` run. Constructing it checks every input, so each error
-    fires before a chunk stream is opened. Iterating it draws and reduces each chunk,
-    writes the chunk's rounds into ``table`` and yields the rows it wrote; ``result()``
-    then gives the reports. ``table_rows`` sizes the table: ``n_rounds`` keeps every
-    round in its own row, ``_CHUNK_ROUNDS`` reuses one chunk's rows, 0 keeps none."""
+    """One protocol run, the owner of its draws and running sums. Constructing it checks
+    every input, so each error fires before a chunk stream is opened. Iterating it draws
+    each chunk from its own child stream (:meth:`_draw`), adds it to the sums and, with
+    ``keep_records``, yields the chunk's rounds as a :class:`RoundTable` of their own;
+    ``result()`` then gives the reports. :func:`run_protocol` copies the tables into its
+    whole-run table and ``simulate --dump-rounds`` writes them to rounds.csv; a caller
+    that drops each table before asking for the next holds at most one chunk's rounds."""
 
     def __init__(self, model: ExperimentModel, plan: DisplacementPlan, n_rounds: int,
                  coalition: Coalition, policy: ProtocolPolicy, stream: RandomStream,
-                 gain_mode: str, table_rows: int):
+                 gain_mode: str, keep_records: bool):
         n_rounds = check_scalar("n_rounds", n_rounds, ">= 10", 10, integer=True)
-        if table_rows and n_rounds > MAX_RECORD_ROUNDS:
+        if keep_records and n_rounds > MAX_RECORD_ROUNDS:
             raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_RECORD_ROUNDS} for a run "
                                      "that keeps its records")
         if n_rounds > MAX_ROUNDS:
@@ -675,21 +556,110 @@ class _ProtocolRun:
             self.gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / root_eta)
         else:
             self.gains = estimators.gains_for_model(model, coalition)
+        self.plan, self.policy, self.stream = plan, policy, stream
         self.coalition, self.lone, self.n_rounds = coalition, lone, n_rounds
-        self.table = RoundTable.empty(min(table_rows, n_rounds))
+        self.keep_records, self.root_eta = keep_records, root_eta
+        self.factors = _triple_factors(cov)
         self.fit = _Fit(coalition, root_eta) if gain_mode == "fitted" and not lone else None
-        # no chunk stream is opened before the first chunk is asked for
-        self.chunks = _draw_chunks(plan, n_rounds, coalition, policy, stream, _triple_factors(cov),
-                                   root_eta, self.fit is not None, records=table_rows > 0)
+        # the block draw carried into the next chunk; the witness and bias rounds taken so
+        # far, since a chunk takes what is due by its end, round(fraction * end), so the run
+        # takes round(fraction * n_rounds) unless its eligible rounds run short; and the
+        # estimation rounds seen so far
+        self.carry = (0.0, 0.0)
+        self.taken_witness = self.taken_bias = self.seen_est = 0
         self.sq_err, self.sq_witness = [(RunningMoments(), RunningMoments()) for _ in range(2)]
         self.bias_err, self.n_witness = RunningMoments(), [0, 0]
 
+    def _draw(self, start: int, end: int, gen: np.random.Generator) -> _Chunk:
+        """The chunk of rounds [start, end), drawn from its generator.
+
+        Only the normals the reports read are drawn, party-major: one
+        (A, B, C) triple in the dealer's basis per kept round, as a (3, k)
+        array, calibration rounds first and x rounds before p rounds in each
+        group; or for a lone A a (2, m) array, A's x and p outcomes, whose
+        factors carry the unit vacuum of dual homodyne. With ``keep_records``
+        the normals still missing are drawn afterwards (the missing x
+        triples, then the p ones; for a lone A, B's and C's normals per
+        quadrature, which the factor makes conditional on A's outcome) into
+        one (2, 3, m) array of every round's x and p triples, whose rows are
+        the table's outcome columns.
+        """
+        lone, factors, policy = self.lone, self.factors, self.policy
+        m = end - start
+        alpha_x, alpha_p, self.carry = _chunk_alphas(self.plan, start, end, gen, self.carry)
+        alphas = (alpha_x, alpha_p)
+        dealer = _coin(gen, m)
+        bases = _party_bases(self.coalition, m, gen)
+        basis_a, basis_b, basis_c = bases
+        pool = (basis_b == dealer) & (basis_c == dealer)
+        if lone:
+            kept = np.ones(m, dtype=bool)
+        else:
+            kept = basis_a == dealer
+            pool &= kept
+        witness = _pick(pool, round(policy.witness_fraction * end) - self.taken_witness, gen)
+        self.taken_witness += int(np.count_nonzero(witness))
+        eligible = kept & ~witness
+        bias = _pick(eligible, round(policy.bias_fraction * end) - self.taken_bias, gen)
+        self.taken_bias += int(np.count_nonzero(bias))
+        calib = np.zeros(m, dtype=bool)
+        if self.fit is not None:
+            # half of the estimation rounds so far, counted across chunks
+            est = eligible & ~bias
+            k = int(np.count_nonzero(est))
+            calib = _pick(est, (self.seen_est + k) // 2 - self.seen_est // 2, gen)
+            self.seen_est += k
+        if lone:
+            # A's dual-homodyne outcomes in x and in p
+            z = gen.standard_normal((2, m))
+            groups = [(q, slice(None), z[q : q + 1]) for q in (0, 1)]
+            n_calib = 0
+        else:
+            # one triple per kept round: calibration rounds first, x before p in each part
+            on_x = dealer == 0
+            rows = [np.flatnonzero(part & on) for part in (calib, kept & ~calib)
+                    for on in (on_x, ~on_x)]
+            sizes = [r.size for r in rows]
+            z = gen.standard_normal((3, sum(sizes)))
+            groups = list(zip((0, 1, 0, 1), rows, np.split(z, np.cumsum(sizes)[:-1], axis=1)))
+            n_calib = 2
+        # the displacement reaches A through its loss channel
+        reads = tuple(
+            _Reads(q, r, _apply(factors[q], z_r, self.root_eta * alphas[q][r]), alphas[q][r],
+                   witness[r], bias[r])
+            for q, r, z_r in groups
+        )
+        table = None
+        if self.keep_records:
+            # every round's x and p triple: the ones drawn above, then the normals
+            # still missing, those of the x triples before those of the p triples
+            outcomes = np.empty((2, 3, m))
+            if not lone:
+                for read in reads:
+                    outcomes[read.quad][:, read.rows] = read.triple
+            for q in (0, 1):
+                if lone:
+                    normals = outcomes[q]
+                    normals[0] = z[q]
+                    normals[1:] = gen.standard_normal((2, m))
+                    _apply(factors[q], normals, self.root_eta * alphas[q], out=normals)
+                else:
+                    r = np.flatnonzero(~kept | (dealer != q))
+                    outcomes[q][:, r] = _apply(factors[q], gen.standard_normal((3, r.size)),
+                                               self.root_eta * alphas[q][r])
+                # the x quadrature is unread in p rounds (code 1), the p one in x rounds (code 0)
+                for j, basis in enumerate(bases):
+                    outcomes[q, j][basis == 1 - q] = np.nan
+            table = RoundTable(
+                round_index=np.arange(start, end), alpha_x=alpha_x, alpha_p=alpha_p,
+                dealer_basis=dealer, basis_a=basis_a, basis_b=basis_b, basis_c=basis_c,
+                kept=kept, **{name: outcomes["xp".index(name[0]), "abc".index(name[2])]
+                              for name in OUTCOME_COLUMNS})
+        return _Chunk(dealer, kept, witness, bias, calib, reads[:n_calib], reads[n_calib:], table)
+
     def __iter__(self) -> Iterator[RoundTable]:
-        for ch in self.chunks:
-            # a whole-run table holds the chunk at its own rows, a chunk-sized one at its top
-            row = ch.start if len(self.table) == self.n_rounds else 0
-            if len(self.table):
-                _fill_records(self.table, ch, row)
+        for start, end, gen in _chunks(self.stream, self.n_rounds):
+            ch = self._draw(start, end, gen)
             if self.fit is not None:
                 for r in ch.calibration:
                     self.fit.calibrate(r)
@@ -709,10 +679,13 @@ class _ProtocolRun:
             else:
                 _add_witness(self.sq_witness, *(r.triple[:, r.witness] for r in ch.reads),
                              *(r.truth[r.witness] for r in ch.reads))
-            m = ch.kept.size
-            # drop this chunk's arrays before its rows go out and the next chunk is drawn
+            table = ch.table
+            # drop the chunk's reads before its table goes out, and the table before the
+            # next chunk is drawn
             del ch, r
-            yield self.table[row : row + m]
+            if table is not None:
+                yield table
+                del table
 
     def result(self) -> tuple[MseReport, WitnessResult, BiasResult]:
         """The reports of the drawn chunks; call it once, after iterating."""
@@ -762,9 +735,10 @@ def run_protocol(
         calibration, and reports the MSE on the other half. Both modes
         draw every chunk once: a fitted run estimates with the analytic
         gain and moves its sums to the fitted gain at the end (:class:`_Fit`).
-    :param keep_records: return every round as a :class:`RoundTable`;
-        with False the table is empty and memory does not grow with
-        n_rounds (for large runs where only the reports matter).
+    :param keep_records: return every round as a :class:`RoundTable`,
+        allocated once and filled from each chunk's table as the chunk
+        is drawn; with False the table is empty and memory does not grow
+        with n_rounds (for large runs where only the reports matter).
     :raises ResourceLimitError: n_rounds is above :data:`MAX_ROUNDS`, or
         above :data:`MAX_RECORD_ROUNDS` when the records are kept.
     :raises AbortLossError: the declared signal-arm transmissivity is
@@ -772,11 +746,16 @@ def run_protocol(
     :raises ProtocolFailureError: fewer than two usable rounds remain
         for either quadrature after sifting and subset removal.
     """
-    run = _ProtocolRun(model, plan, n_rounds, coalition, policy, stream, gain_mode,
-                       n_rounds if keep_records else 0)
-    for _ in run:
-        pass
-    return ProtocolResult(run.table, *run.result())
+    run = _ProtocolRun(model, plan, n_rounds, coalition, policy, stream, gain_mode, keep_records)
+    records = RoundTable.empty(n_rounds if keep_records else 0)
+    row = 0
+    for table in run:
+        for name in ROUND_COLUMNS:
+            getattr(records, name)[row : row + len(table)] = getattr(table, name)
+        row += len(table)
+        # the chunk's table must not outlive the draw of the next chunk
+        del table
+    return ProtocolResult(records, *run.result())
 
 
 def sift(records: RoundTable, basis: str) -> RoundTable:

@@ -315,17 +315,21 @@ def mse_pdf(x, dist: MseDistribution):
     It is n / mu times the Gamma(n, 1) density at y = x n / mu,
     y^(n-1) e^-y / (n-1)! = x^n e^-x / n! * n / y, whose first factor the
     tails take from the saddle exponent, so no large exponent cancels.
+    At n = 1 it is the exponential density e^-y / mu, as exact as exp.
     """
     arr = check_array("MSE values", x, "finite", ends="()")
     n, mu = dist.n_probes, dist.mu
     # a y beyond the largest float is inf, where the density is 0, and so is a density
     with np.errstate(over="ignore"):
         y = np.atleast_1d(arr) * n / mu
-        out = np.where(y == 0.0, 1.0 / mu if n == 1 else 0.0, 0.0)
-        live = (y > 0.0) & (y < np.inf)
-        y = y[live]
-        shape = np.full_like(y, n)
-        out[live] = _lead(shape, _saddle_exponent(shape, y)) / y * n * n / mu
+        if n == 1:
+            out = np.where(y < 0.0, 0.0, np.exp(-np.abs(y)) / mu)
+        else:
+            out = np.zeros_like(y)
+            live = (y > 0.0) & (y < np.inf)
+            y = y[live]
+            shape = np.full_like(y, n)
+            out[live] = _lead(shape, _saddle_exponent(shape, y)) / y * n * n / mu
     return float(out[0]) if arr.ndim == 0 else out
 
 

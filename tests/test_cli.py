@@ -880,12 +880,16 @@ def test_dump_rounds_failure_leaves_no_file(tmp_path, capsys, monkeypatch, faili
         (["witness", "--alpha-p=-2e6"], "alpha_p"),
         (["simulate", "--config", "{cfg}"], "alpha_x"),
         (["simulate", "--config", "{cfg_v}"], "v_dist"),
+        (["state", "--alpha-x", "2e6"], "alpha_x"),
+        (["state", "--alpha-p=-2e6"], "alpha_p"),
     ],
-    ids=["witness-surrogate-1e20", "witness-alpha-p", "simulate-ab-1e20", "simulate-v-dist"],
+    ids=["witness-surrogate-1e20", "witness-alpha-p", "simulate-ab-1e20", "simulate-v-dist",
+         "state-alpha-x", "state-alpha-p"],
 )
 def test_displacement_beyond_alpha_max_is_rejected(tmp_path, capsys, argv, key):
     # at |alpha| = 1e20 the displacement's round-off swamps the shot noise: the
-    # surrogate (a separable state) read entangled and the ab MSE read 0
+    # surrogate (a separable state) read entangled and the ab MSE read 0; state took
+    # any finite displacement and wrote mean 2000000.0 at --alpha-x 2e6
     cfg = tmp_path / "run.cfg"
     cfg.write_text("coalition = ab\nalpha_x = 1e20\nalpha_p = 1e20\nn_rounds = 20000\n")
     cfg_v = tmp_path / "run_v.cfg"

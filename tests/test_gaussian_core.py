@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cvshare.errors import InvalidArgumentError, UnsupportedStateError
 from cvshare.gaussian_core import (
+    ALPHA_MAX,
     EPS_MAX,
     ETA_MIN,
     PHYSICALITY_SLACK,
@@ -301,6 +302,19 @@ def test_state_text_roundtrip():
     assert back.n_modes == 3
     assert np.array_equal(back.mean, st3.mean)
     assert np.array_equal(back.cov, st3.cov)
+
+
+def test_dealer_displacement_is_bounded_by_alpha_max():
+    # only finiteness was checked, so a displacement of 2e6 built a state
+    model = ExperimentModel(r=1.0)
+    assert build_dealer_state(model, ALPHA_MAX, -ALPHA_MAX).mean[4:].tolist() == [1e6, -1e6]
+    for bad in (np.nextafter(ALPHA_MAX, math.inf), -2e6):
+        with pytest.raises(InvalidArgumentError, match=r"^\|alpha_x\| must be at most 1e\+06$"):
+            build_dealer_state(model, bad, 0.0)
+        with pytest.raises(InvalidArgumentError, match=r"^\|alpha_p\| must be at most 1e\+06$"):
+            build_dealer_state(model, 0.0, bad)
+    with pytest.raises(InvalidArgumentError, match="^displacement must be finite$"):
+        build_dealer_state(model, math.inf, 0.0)
 
 
 def test_state_from_text_rejects_malformed():

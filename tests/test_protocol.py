@@ -533,6 +533,24 @@ def test_peak_memory_does_not_grow_with_n_rounds(monkeypatch, job):
     assert large <= 1.1 * small
 
 
+def test_peak_memory_of_a_recorded_run_is_its_table_plus_a_few_chunks(monkeypatch):
+    # a run that keeps its records holds its whole-run table and, while a chunk is
+    # drawn, that chunk's arrays: about 2.3 chunk tables at the peak here; a chunk
+    # table that outlived the draw of the next chunk added one more
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 4096)
+    plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=3)
+
+    def job(n):
+        return run_protocol(IDEAL, plan, n, Coalition.AB, POLICY, RandomStream(61),
+                            gain_mode="fitted")
+
+    row = sum(column.nbytes for column in vars(RoundTable.empty(1)).values())
+    assert row == 77
+    job(4096)  # the first run fills caches that later runs reuse
+    for n in (4 * 4096 + 100, 16 * 4096 + 100):
+        assert _peak_bytes(lambda: job(n)) <= row * (n + 2.75 * 4096)
+
+
 @pytest.mark.parametrize("n_rep", [3, 120])
 def test_chunk_edges_keep_blocks_subsets_and_fitted_counts(monkeypatch, n_rep):
     # chunks of 50 rounds: n_rep = 3 blocks cross chunk edges, n_rep = 120
@@ -564,10 +582,16 @@ def test_chunk_edges_keep_blocks_subsets_and_fitted_counts(monkeypatch, n_rep):
     assert res.witness.n_x + res.witness.n_p == round(0.22 * n)
 
 
+def _drawn(run):
+    """Every chunk of a run as its draw method gives it, before any reduction."""
+    for start, end, gen in protocol._chunks(run.stream, run.n_rounds):
+        yield run._draw(start, end, gen)
+
+
 def _chunks(coalition, n, fitted, plan=PLAN):
-    factors = protocol._triple_factors(build_dealer_state(IDEAL, 0.0, 0.0).cov)
-    return list(protocol._draw_chunks(plan, n, coalition, POLICY, RandomStream(67), factors,
-                                      1.0, fitted))
+    run = protocol._ProtocolRun(IDEAL, plan, n, coalition, POLICY, RandomStream(67),
+                                "fitted" if fitted else "analytic", keep_records=True)
+    return list(_drawn(run))
 
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
@@ -576,7 +600,7 @@ def test_chunk_masks_partition_the_rounds(monkeypatch, coalition):
     n = 1000
     lone = coalition is Coalition.A_ALONE
     chunks = _chunks(coalition, n, fitted=not lone)
-    assert [ch.start for ch in chunks] == list(range(0, n, 64))
+    assert [ch.table.round_index[0] for ch in chunks] == list(range(0, n, 64))
     counts = dict.fromkeys(("discarded", "witness", "bias", "calib", "estimation"), 0)
     for ch in chunks:
         est = ch.kept & ~ch.witness & ~ch.bias & ~ch.calib
@@ -586,7 +610,7 @@ def test_chunk_masks_partition_the_rounds(monkeypatch, coalition):
         assert np.array_equal(sum(p.astype(int) for p in parts.values()),
                               np.ones(ch.kept.size, dtype=int))
         # witness rounds are rounds where every party homodyned the dealer's basis
-        others = (ch.basis_b == ch.dealer_basis) & (ch.basis_c == ch.dealer_basis)
+        others = (ch.table.basis_b == ch.dealer_basis) & (ch.table.basis_c == ch.dealer_basis)
         assert np.all(others[ch.witness])
         if not lone:
             assert np.all(ch.kept[ch.witness])
@@ -616,7 +640,7 @@ def test_fitted_gain_is_exact_over_the_calibration_reads(monkeypatch):
         assert [c.quad for c in ch.calibration] == [0, 1]
         for c in ch.calibration:
             assert np.array_equal(c.rows, np.flatnonzero(ch.calib & (ch.dealer_basis == c.quad)))
-            truth = (ch.alpha_p if c.quad else ch.alpha_x)[c.rows]
+            truth = (ch.table.alpha_p if c.quad else ch.table.alpha_x)[c.rows]
             assert np.array_equal(c.truth, truth)
             r.append(c.triple[0] - truth)
             sign = -1.0 if c.quad else 1.0
@@ -737,19 +761,12 @@ def test_a_last_chunk_of_one_round():
         assert all(np.isfinite(getattr(last, name)[0]) for name in read)
 
 
-def test_lone_factor_carries_the_vacuum(monkeypatch):
+def test_lone_factor_carries_the_vacuum():
     # a lone A draws its dual-homodyne outcome from the Cholesky factor of the
     # (A, B, C) block with a unit on A, which is the law outcome_moments gives
     model = ExperimentModel(r=0.8, eta_a=0.9, eta_b=0.8, eps_c=0.05)
-    seen = []
-    draw_chunks = protocol._draw_chunks
-
-    def spy(*args, **kwargs):
-        seen.append(args[5])
-        return draw_chunks(*args, **kwargs)
-
-    monkeypatch.setattr(protocol, "_draw_chunks", spy)
-    run_protocol(model, PLAN, 100, Coalition.A_ALONE, POLICY, RandomStream(3))
+    seen = [protocol._ProtocolRun(model, PLAN, 100, Coalition.A_ALONE, POLICY, RandomStream(3),
+                                  "analytic", keep_records=True).factors]
     state = build_dealer_state(model, 0.0, 0.0)
     unit_on_a = np.diag([1.0, 0.0, 0.0])
     for q, quad in enumerate("xp"):
@@ -800,16 +817,44 @@ def test_keep_records_off_gives_the_same_reports(monkeypatch, coalition, gain_mo
     assert on.bias == off.bias
 
 
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_chunk_tables_and_the_run_table_hold_the_same_rounds(monkeypatch, coalition, gain_mode):
+    # simulate --dump-rounds writes the tables a run yields and run_protocol copies them
+    # into its whole-run table; runs of 1 to 4 chunks of 64 rounds, with blocks of 3
+    # rounds crossing the chunk edges
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
+    plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=3)
+    for n in (64, 100, 191, 256):
+        run = protocol._ProtocolRun(IDEAL, plan, n, coalition, POLICY, RandomStream(n),
+                                    gain_mode, keep_records=True)
+        tables = list(run)
+        assert [len(t) for t in tables] == [min(64, n - start) for start in range(0, n, 64)]
+        joined = sum(tables[1:], tables[0])
+        whole = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(n),
+                             gain_mode=gain_mode)
+        for name in ROUND_COLUMNS:
+            got, want = getattr(joined, name), getattr(whole.records, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, name)
+        assert run.result() == tuple(whole[1:])
+        off = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(n),
+                           gain_mode=gain_mode, keep_records=False)
+        assert tuple(off[1:]) == tuple(whole[1:])
+
+
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition):
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
     lone = coalition is Coalition.A_ALONE
-    factors = protocol._triple_factors(build_dealer_state(IDEAL, 0.0, 0.0).cov)
-    for ch in protocol._draw_chunks(PLAN, 1000, coalition, POLICY, RandomStream(67), factors,
-                                    1.0, fitted=not lone, records=True):
+    for ch in _chunks(coalition, 1000, fitted=not lone):
         assert len(ch.reads) == 2 and len(ch.calibration) == (0 if lone else 2)
         for r in ch.calibration + ch.reads:
-            assert np.array_equal(ch.outcomes[r.quad][: r.triple.shape[0], r.rows], r.triple)
+            # a party's outcome in a quadrature its basis did not read is NaN in the table
+            for j, party in enumerate("abc"[: r.triple.shape[0]]):
+                col = getattr(ch.table, f"{'xp'[r.quad]}_{party}")[r.rows]
+                read = getattr(ch.table, f"basis_{party}")[r.rows] != 1 - r.quad
+                assert np.array_equal(col[read], r.triple[j][read])
+                assert np.isnan(col[~read]).all()
 
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
@@ -846,11 +891,10 @@ def test_recorded_outcomes_follow_the_dealer_covariance(coalition):
 def _two_pass_reports(model, plan, n, coalition, stream, gains):
     """A fitted run's reports the long way: draw every chunk again, estimate with
     the final gain and reduce with RunningMoments."""
-    factors = protocol._triple_factors(build_dealer_state(model, 0.0, 0.0).cov)
     sq = (estimators.RunningMoments(), estimators.RunningMoments())
     bias = estimators.RunningMoments()
-    for ch in protocol._draw_chunks(plan, n, coalition, POLICY, stream, factors,
-                                    math.sqrt(model.eta_a), fitted=True):
+    for ch in _drawn(protocol._ProtocolRun(model, plan, n, coalition, POLICY, stream, "fitted",
+                                           keep_records=False)):
         for r in ch.reads:
             t = r.triple
             quad = "xp"[r.quad]

@@ -63,6 +63,21 @@ def test_pdf_edge_cases():
         mse_pdf(math.nan, d2)
 
 
+@pytest.mark.parametrize("mu", [2.0, 0.3, 7.5])
+def test_pdf_at_one_probe_is_the_exponential_density(mu):
+    # mse_pdf(1e-300, MseDistribution(2.0, 1)) read 0.4999999999999825 through the
+    # saddle-point form
+    dist = MseDistribution(mu=mu, n_probes=1)
+    ratios = [0.0, 1e-300, 1e-17, 1e-3, 1.0, 700.0]
+    xs = [t * mu for t in ratios]
+    got = mse_pdf(np.array(xs), dist)
+    for x, g in zip(xs, got.tolist()):
+        want = math.exp(-x / mu) / mu
+        assert abs(g - want) <= math.ulp(want), (x, g)
+        assert mse_pdf(x, dist) == g
+    assert mse_pdf(-1.0, dist) == 0.0 and mse_pdf(-1e-300, dist) == 0.0
+
+
 def test_pdf_no_overflow_at_large_n():
     dist = MseDistribution(mu=4.0, n_probes=5000)
     val = mse_pdf(4.0, dist)
