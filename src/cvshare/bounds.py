@@ -108,8 +108,10 @@ def ideal_three_party_mse_sum(r: float) -> float:
 
 
 def witness_bound(r: float) -> float:
-    """Resource-split witness MSE sum attainable with the entangled resource: 4 e^{-2r}."""
+    """Resource-split witness MSE sum attainable with the entangled resource: 4 e^{-2r},
+    r in [0, R_MAX]."""
     r = check_scalar("r", r, "finite and >= 0", 0.0, ends="[)")
+    r = check_scalar("r", r, _R_MAX_RULE, hi=R_MAX)
     return 4.0 * math.exp(-2.0 * r)
 
 

@@ -152,12 +152,29 @@ def _read_input(path: str, what: str) -> str:
         raise InvalidArgumentError(f"cannot read {what}: {path}: {exc.strerror or exc}") from None
 
 
+def _csv(header, chunks):
+    """A CSV table as text pieces: the header line, then the rows of each column chunk,
+    at most _CSV_CHUNK at a time. A suspended generator keeps its locals, so each
+    block's cells, each yielded piece and each chunk are dropped before the next is
+    made."""
+    yield ",".join(header) + "\n"
+    for columns in chunks:
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            cells = [_cells(col[start : start + _CSV_CHUNK]) for col in columns]
+            text = "\n".join(map(",".join, zip(*cells))) + "\n"
+            del cells
+            yield text
+            del text
+        del columns
+
+
 class _Run:
-    """Collects output files for one subcommand run and writes the manifest.
-    ``outputs`` lists the files opened so far. Used as ``with _Run(args) as run``:
-    a run that raises, or fails to write, removes those files and the directories
-    it made, so a rejected run leaves nothing behind; a directory that was there
-    stays."""
+    """The one writer of a subcommand run's files. Used as ``with _Run(args) as run``:
+    :meth:`write` streams each output, and ``outputs`` lists the files opened so
+    far. When the block ends without an exception, the run writes manifest.json,
+    so the manifest is always the last file written. A run that raises, or fails to
+    write, removes its files and the directories it made, so a rejected run leaves
+    nothing behind; a directory that was there stays."""
 
     def __init__(self, args: argparse.Namespace, stream_layout: int | None = None):
         self.out_dir = args.out_dir
@@ -179,6 +196,18 @@ class _Run:
     def __exit__(self, exc_type, exc, tb):
         if exc_type is not None:
             self._discard()
+            return
+        manifest = {
+            "tool": "cvshare",
+            "version": __version__,
+            "backend": backend_name(),
+            "subcommand": self.args.subcommand,
+            "arguments": {k: v for k, v in sorted(vars(self.args).items()) if k != "handler"},
+            "outputs": sorted(self.outputs),
+        }
+        if self.stream_layout is not None:
+            manifest["stream_layout"] = self.stream_layout
+        self.write("manifest.json", _json_text(manifest))
 
     def _discard(self) -> None:
         for name in self.outputs:
@@ -201,53 +230,17 @@ class _Run:
             raise OutputError(f"cannot write {what}--out-dir (or {OUT_DIR_ENV}) "
                               f"{self.out_dir!r}: {exc.strerror or exc}") from None
 
-    def _open(self, name: str):
-        fh = open(os.path.join(self.out_dir, name), "w", newline="")
-        self.outputs.append(name)
-        return fh
-
-    def write(self, name: str, text: str) -> None:
-        self.write_pieces(name, [text])
-
-    def write_pieces(self, name: str, pieces) -> None:
-        """Write an iterable of text pieces to one file as they come. The file is
-        opened once the first piece is ready, so a run that fails before then
-        leaves none."""
-        pieces = iter(pieces)
+    def write(self, name: str, pieces) -> None:
+        """Write a text, or an iterable of text pieces as they come, to the file
+        ``name``. The file is opened once the first piece is ready, so a run that
+        fails before then leaves none; no piece is held once it is written."""
+        pieces = iter([pieces] if isinstance(pieces, str) else pieces)
         first = next(pieces, "")
-        with self._output(name), self._open(name) as fh:
+        with self._output(name), open(os.path.join(self.out_dir, name), "w", newline="") as fh:
+            self.outputs.append(name)
             fh.write(first)
+            del first
             fh.writelines(pieces)
-
-    def write_table(self, name: str, header, chunks) -> None:
-        """Write a CSV table from an iterable of column chunks, one chunk at a time,
-        formatting at most _CSV_CHUNK rows at once. Neither a chunk nor its cells
-        outlive their writing, so none is held while the next chunk is made."""
-        with self._output(name), self._open(name) as fh:
-            fh.write(",".join(header) + "\n")
-            for columns in chunks:
-                for start in range(0, len(columns[0]), _CSV_CHUNK):
-                    cells = [_cells(col[start : start + _CSV_CHUNK]) for col in columns]
-                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-                    del cells
-                del columns
-
-    def finish(self) -> None:
-        arguments = {
-            k: v for k, v in sorted(vars(self.args).items()) if k != "handler"
-        }
-        manifest = {
-            "tool": "cvshare",
-            "version": __version__,
-            "backend": backend_name(),
-            "subcommand": self.args.subcommand,
-            "arguments": arguments,
-            "outputs": sorted(self.outputs),
-        }
-        if self.stream_layout is not None:
-            manifest["stream_layout"] = self.stream_layout
-        with self._output("manifest.json"), self._open("manifest.json") as fh:
-            fh.write(_json_text(manifest))
 
 
 def _add_out_dir(sub: argparse.ArgumentParser) -> None:
@@ -279,7 +272,6 @@ def _cmd_state(args: argparse.Namespace) -> None:
         else:
             state = build_dealer_state(_model_from_args(args), args.alpha_x, args.alpha_p)
             run.write("state.txt", state_to_text(state))
-        run.finish()
     print(f"modes: {state.n_modes}")
     print(f"mean: {' '.join(repr(float(v)) for v in state.mean)}")
     print(f"min physicality eigenvalue: {physicality_min_eigenvalue(state):.6e}")
@@ -313,8 +305,8 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
                        *(np.stack([mse[c][k] for c in coalitions], axis=1).ravel()
                          for k in range(3))]
 
-        run.write_table("bounds.csv", ["r", "coalition", "mse_x", "mse_p", "mse_sum"],
-                        grid_chunks())
+        run.write("bounds.csv", _csv(["r", "coalition", "mse_x", "mse_p", "mse_sum"],
+                                     grid_chunks()))
         if args.band is not None:
             from .sampler import RandomStream
 
@@ -339,9 +331,8 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
                     yield [np.repeat(rs, len(names)), np.tile(names, len(rs)),
                            lo.ravel(), hi.ravel()]
 
-            run.write_table("bounds_band.csv", ["r", "coalition", "mse_sum_lo", "mse_sum_hi"],
-                            band_chunks())
-        run.finish()
+            run.write("bounds_band.csv", _csv(["r", "coalition", "mse_sum_lo", "mse_sum_hi"],
+                                              band_chunks()))
     print(f"wrote {args.steps * len(names)} bound rows for {args.steps} squeezing values")
 
 
@@ -447,8 +438,7 @@ def _cmd_certify(args: argparse.Namespace) -> None:
                 yield ("[\n" if start == 0 else ",\n") + _certificate_text(cols)
             yield "\n]\n"
 
-        run.write_pieces("certificates.json", pieces())
-        run.finish()
+        run.write("certificates.json", pieces())
     print(f"{n_ok}/{n_points} certificates ok")
 
 
@@ -523,14 +513,13 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
             # each chunk's table goes to rounds.csv as the chunk is drawn
             rounds = protocol._ProtocolRun(model, plan, cfg["n_rounds"], coalition, policy,
                                            stream, cfg["gain_mode"], keep_records=True)
-            run.write_table("rounds.csv", protocol.ROUND_COLUMNS, map(_round_columns, rounds))
+            run.write("rounds.csv", _csv(protocol.ROUND_COLUMNS, map(_round_columns, rounds)))
             reports = rounds.result()
         else:
             reports = protocol.run_protocol(model, plan, cfg["n_rounds"], coalition, policy, stream,
                                             gain_mode=cfg["gain_mode"], keep_records=False)[1:]
         for name, report in zip(("mse_report.json", "witness.json", "bias.json"), reports):
             run.write(name, _json_text(report.to_json_dict()))
-        run.finish()
     rep = reports[0]
     print(
         f"coalition {rep.coalition.value}: mse_sum = {rep.mse_sum:.6f} "
@@ -573,16 +562,15 @@ def _cmd_security(args: argparse.Namespace) -> None:
             probs = security.mse_cdf_over_n(v_t[:, None], means, n[..., None])
             return np.broadcast_to(v_t_cells, probs.shape[:2]), probs[..., 0], probs[..., 1]
 
-        run.write_table("security_sweep.csv",
-                        ["n_probes", "coalition", "v_t", "delta", "p_success"],
-                        _probe_chunks(args.n_probes, names, columns))
+        run.write("security_sweep.csv",
+                  _csv(["n_probes", "coalition", "v_t", "delta", "p_success"],
+                       _probe_chunks(args.n_probes, names, columns)))
         # security.json holds the sweep's reports at N = --n-probes
         single = security.MseDistribution(args.mu_single, args.n_probes)
         reports = [security.security_probabilities(
             v_ts[name], single, security.MseDistribution(mu, args.n_probes), coalition_name=name
         ).to_json_dict() for name, (_, mu) in mus.items()]
         run.write("security.json", _json_text(reports))
-        run.finish()
     for rep in reports:
         print(
             f"{rep['coalition']}: v_t = {rep['v_t']:.6f}, delta = {rep['delta']:.6g}, "
@@ -613,8 +601,7 @@ def _cmd_mi(args: argparse.Namespace) -> None:
             ("mi_curve.csv", ["n_probes", "coalition", "mse_per_quadrature", "mi_bits"], curve),
             ("exceedance.csv", ["n_probes", "coalition", "p_exceed"], exceedance),
         ):
-            run.write_table(name, header, _probe_chunks(args.n_max, names, columns))
-        run.finish()
+            run.write(name, _csv(header, _probe_chunks(args.n_max, names, columns)))
     print(f"required per-quadrature MSE for {args.c_bits} bits: {req:.6f}")
 
 
@@ -632,7 +619,6 @@ def _cmd_witness(args: argparse.Namespace) -> None:
             surrogate=args.surrogate,
         )
         run.write("witness.json", _json_text(result.to_json_dict()))
-        run.finish()
     shown = "n/a" if result.mse_sum is None else f"{result.mse_sum:.6f}"
     print(
         f"witness mse_sum = {shown} (threshold {result.threshold}), "

@@ -284,22 +284,25 @@ def state_to_text(state: GaussianState) -> str:
 
 
 def state_from_text(text: str) -> GaussianState:
-    """Parse the textual state format produced by :func:`state_to_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse the textual state format produced by :func:`state_to_text`. Blank lines
+    are skipped; an error in a row names the row's 1-based line in ``text``."""
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise UnsupportedStateError("empty state text")
     try:
-        n_modes = int(lines[0].strip())
+        n_modes = int(lines[0][1].strip())
     except ValueError as exc:
-        raise UnsupportedStateError(f"bad n_modes line: {lines[0]!r}") from exc
+        raise UnsupportedStateError(f"bad n_modes line: {lines[0][1]!r}") from exc
     d = 2 * n_modes
     if len(lines) != 2 + d:
         raise UnsupportedStateError(f"expected {2 + d} lines for {n_modes} modes, got {len(lines)}")
-    try:
-        mean = np.array([float(v) for v in lines[1].split()])
-        cov = np.array([[float(v) for v in lines[2 + i].split()] for i in range(d)])
-    except ValueError as exc:
-        raise UnsupportedStateError("non-numeric entry in state text") from exc
-    if mean.shape != (d,) or cov.shape != (d, d):
-        raise UnsupportedStateError("wrong row length in state text")
-    return GaussianState(n_modes, mean, cov)
+    rows = []
+    for lineno, line in lines[1:]:
+        try:
+            rows.append([float(v) for v in line.split()])
+        except ValueError:
+            raise UnsupportedStateError(f"non-numeric entry in state text, line {lineno}") from None
+        if len(rows[-1]) != d:
+            raise UnsupportedStateError(f"wrong row length in state text, line {lineno}: "
+                                        f"expected {d} entries, got {len(rows[-1])}")
+    return GaussianState(n_modes, np.array(rows[0]), np.array(rows[1:]))

@@ -355,13 +355,29 @@ def crossing_threshold(mu_a: float, mu_b: float) -> float:
 
     v* = mu_a * mu_b * ln(mu_b / mu_a) / (mu_b - mu_a); the power and
     exponential factors of the two densities balance at the same point
-    for every N, so the crossing is N-independent.
+    for every N, so the crossing is N-independent. It lies between the
+    means, so any two distinct positive floats have a finite one, given
+    within a few ulp by one of three forms. Means at least 1.3 apart in
+    [1e-150, 1e150] take the closed form, whose product, ratio and
+    numerator are normal floats there; the security subcommand's means,
+    in [1e-12, 1e12], keep its bits. Closer means take hi * ln(1 + t) / t
+    with t = (hi - lo) / lo: their difference is exact, where ln of their
+    rounded ratio would lose digits. The rest take
+    lo * ln(hi / lo) * hi / (hi - lo), which multiplies no two means.
     """
     mu_a, mu_b = (check_scalar(name, mu, "finite and > 0", 0.0, ends="()")
                   for name, mu in (("mu_a", mu_a), ("mu_b", mu_b)))
     if mu_a == mu_b:
         raise InvalidArgumentError("equal means have no crossing")
-    return mu_a * mu_b * math.log(mu_b / mu_a) / (mu_b - mu_a)
+    lo, hi = sorted((mu_a, mu_b))
+    ratio = hi / lo
+    if ratio < 1.3:
+        t = (hi - lo) / lo
+        return hi * (math.log1p(t) / t)
+    if 1e-150 <= lo and hi <= 1e150:
+        return mu_a * mu_b * math.log(mu_b / mu_a) / (mu_b - mu_a)
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
+    return lo * (log_ratio * (hi / (hi - lo)))
 
 
 def security_probabilities(

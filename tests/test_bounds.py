@@ -93,6 +93,14 @@ def test_ideal_closed_forms_frozen():
         witness_bound(math.nan)
 
 
+def test_witness_bound_takes_the_r_max_rule():
+    # witness_bound(9.0) read 6.1e-08 and witness_bound(400.0) read 0.0
+    assert witness_bound(R_MAX) == 4.0 * math.exp(-16.0)
+    for r in (np.nextafter(R_MAX, np.inf), 9.0, 400.0):
+        with pytest.raises(InvalidArgumentError, match=r"^r must be <= R_MAX = 8.0: beyond it"):
+            witness_bound(r)
+
+
 @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 1.5])
 def test_predicted_mse_ideal_matches_closed_forms(r):
     m = ExperimentModel(r=r)

@@ -601,7 +601,7 @@ def _oracle_cells(col):
 
 
 def _oracle_table(header, chunks):
-    """The per-row writer that write_table replaced, as text."""
+    """The per-row writer that the block writer, now _csv, replaced, as text."""
     text = ",".join(header) + "\n"
     for columns in chunks:
         text += "".join(",".join(row) + "\n" for row in zip(*map(_oracle_cells, columns)))
@@ -663,34 +663,83 @@ def _tables(draw):
 @example(table=_one_column([_PAYLOAD_NAN] * 7))
 @example(table=_one_column([5e-324] * 7))
 @example(table=_one_column([-2.5e-310] * 7))
-def test_write_table_matches_the_per_row_writer(tmp_path, monkeypatch, table):
+def test_csv_matches_the_per_row_writer(tmp_path, monkeypatch, table):
     # blocks of 3 rows, so most columns end on a partial or a constant block
     monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
     header, chunks = table
-    cli._Run(argparse.Namespace(out_dir=str(tmp_path))).write_table("t.csv", header, chunks)
+    cli._Run(argparse.Namespace(out_dir=str(tmp_path))).write("t.csv", cli._csv(header, chunks))
     assert (tmp_path / "t.csv").read_bytes() == _oracle_table(header, chunks).encode()
 
 
-def test_write_table_holds_one_block_at_a_time(tmp_path):
-    run = cli._Run(argparse.Namespace(out_dir=str(tmp_path)))
+def _round_like_columns(n, seed=5):
+    """14 columns like rounds.csv: an index, 11 float columns and 2 of basis names."""
+    gen = np.random.default_rng(seed)
+    return [np.arange(n), *gen.standard_normal((11, n)),
+            *np.array(["x", "p"])[gen.integers(0, 2, (2, n))]]
 
-    def peak_bytes(n):
-        # 14 columns like rounds.csv: an index, 11 float columns and 2 of basis names
-        gen = np.random.default_rng(5)
-        columns = [np.arange(n), *gen.standard_normal((11, n)),
-                   *np.array(["x", "p"])[gen.integers(0, 2, (2, n))]]
+
+def test_csv_holds_one_block_at_a_time(tmp_path, monkeypatch):
+    run = cli._Run(argparse.Namespace(out_dir=str(tmp_path)))
+    header = [f"c{i}" for i in range(14)]
+
+    def traced(chunks):
+        """Peak bytes of writing the table, and the bytes held as each chunk is asked for."""
+        held = []
+
+        def source():
+            for make in chunks:
+                held.append(tracemalloc.get_traced_memory()[0] - start)
+                yield make()
+
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            run.write_table("t.csv", [f"c{i}" for i in range(14)], [columns])
-            return tracemalloc.get_traced_memory()[1] - start
+            run.write("t.csv", cli._csv(header, source()))
+            return tracemalloc.get_traced_memory()[1] - start, held
         finally:
             tracemalloc.stop()
 
-    small = peak_bytes(10_000)
-    large = peak_bytes(40_000)
+    def one_chunk_peak(n):
+        columns = _round_like_columns(n)  # made before tracing starts
+        return traced([lambda: columns])[0]
+
+    small = one_chunk_peak(10_000)
+    large = one_chunk_peak(40_000)
     # a block as long as most of the larger table would take about 3x
     assert large <= 1.25 * small
+
+    # chunks of one block each, every one made only when _csv asks for it
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 2048)
+    makers = [lambda seed=seed: _round_like_columns(2048, seed) for seed in range(4)]
+    piece = len("".join(cli._csv([], [makers[0]()])))
+    traced(makers[:1])  # warms first-call allocations
+    one, _ = traced(makers[:1])
+    four, held = traced(makers)
+    # the previous piece or its cells, held while the next block is formatted,
+    # would add a whole piece or more
+    assert four <= one + piece // 2
+    # nothing of the previous chunk, piece or cells is held while the next chunk is made
+    assert max(held[1:]) <= held[0] + piece // 16
+
+
+def test_write_holds_no_piece_once_written(tmp_path):
+    # the first piece, certify's first stack of reports, stayed referenced until
+    # the file was complete
+    run = cli._Run(argparse.Namespace(out_dir=str(tmp_path)))
+    held = []
+
+    def pieces():
+        for _ in range(3):
+            held.append(tracemalloc.get_traced_memory()[0])
+            yield "x" * 1_000_000
+
+    tracemalloc.start()
+    try:
+        run.write("t.txt", pieces())
+    finally:
+        tracemalloc.stop()
+    assert max(held[1:]) - held[0] < 100_000
+    assert (tmp_path / "t.txt").stat().st_size == 3_000_000
 
 
 def test_certify_memory_does_not_grow_with_the_grid(tmp_path, capsys, monkeypatch):
@@ -856,13 +905,14 @@ def test_dump_rounds_failure_leaves_no_file(tmp_path, capsys, monkeypatch, faili
         monkeypatch.setattr(RandomStream, "chunk_generator", fail_second)
     else:
         config += "witness_fraction = 0.5\nbias_fraction = 0.5\n"
-        write_table = cli._Run.write_table
+        write = cli._Run.write
 
-        def written(self, *args):
-            write_table(self, *args)
-            assert (out / "rounds.csv").stat().st_size > 0
+        def written(self, name, pieces):
+            write(self, name, pieces)
+            if name == "rounds.csv":
+                assert (out / "rounds.csv").stat().st_size > 0
 
-        monkeypatch.setattr(cli._Run, "write_table", written)
+        monkeypatch.setattr(cli._Run, "write", written)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     code, _, err = run_cli(
@@ -1192,6 +1242,27 @@ def test_input_read_error_names_the_file(tmp_path, capsys, monkeypatch, argv):
     assert str(path) in payload["message"]
     assert "Input/output error" in payload["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, row, message", [
+    (3, "0.0 0.0 0.0 0.0 0.0", "wrong row length in state text, line 3: expected 6 entries, got 5"),
+    (6, "0.0 0.0 1.0 0.0 0.0", "wrong row length in state text, line 6: expected 6 entries, got 5"),
+    (9, "0.0 0.0 0.0 0.0 0.0 1.0 0.0",
+     "wrong row length in state text, line 9: expected 6 entries, got 7"),
+    (7, "0.0 0.0 0.0 1.0 0.0 x", "non-numeric entry in state text, line 7"),
+], ids=["short-mean", "short-cov", "long-cov", "non-numeric"])
+def test_load_names_the_bad_row(tmp_path, capsys, monkeypatch, line, row, message):
+    # a three-mode state whose mean row is line 3, after a blank line 2; a covariance
+    # row of 5 of its 6 entries read "non-numeric entry in state text"
+    monkeypatch.chdir(tmp_path)
+    lines = ["3", "", "0.0 " * 5 + "0.0"] + [
+        " ".join("1.0" if j == i else "0.0" for j in range(6)) for i in range(6)]
+    lines[line - 1] = row
+    Path("state.txt").write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(["state", "--load", "state.txt", "--out-dir", "out"], capsys)
+    assert code == 2
+    assert _one_json_error(err) == {"error": "unsupported-state", "message": message}
+    assert not Path("out").exists()
 
 
 @pytest.mark.parametrize(
@@ -1669,6 +1740,7 @@ def test_failed_output_removes_the_outputs_already_written(tmp_path, capsys):
     assert payload["error"] == "output-error" and "'bias.json'" in payload["message"]
     assert sorted(p.name for p in out.iterdir()) == ["bias.json"]
     assert (out / "bias.json").is_dir()
+    assert not (out / "manifest.json").exists()
 
 
 # a command line rejected after the output directory is made, and its error message
@@ -1804,6 +1876,44 @@ def test_fitted_pair_reports_pinned(tmp_path, capsys, monkeypatch, coalition, pl
     got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("mse_report.json", "bias.json"))
     assert got == FITTED_PAIR_REPORTS_SHA256[(coalition, plan)]
+
+
+# sha256 of each subcommand's manifest.json, run from the working directory with
+# relative --out-dir, --config and --load so the recorded arguments hold on any
+# machine; from the writer whose handlers each ended with a manifest call
+MANIFEST_SHA256 = {
+    "state": (["state", "--r", "0.5", "--alpha-x", "0.3"],
+              "feefe7961e7f91736b0b53691f91bc698b331cf1813a5eea49d783503bdf3d03"),
+    "state-load": (["state", "--load", "dealer.txt"],
+                   "a85f15aa8d7642fc06d867c907a92111333cb319b90e34362beada51258b5774"),
+    "bounds": (["bounds", "--steps", "4", "--band", "uniform", "--band-samples", "5"],
+               "f1d00310f655737220c9b5cea7d0e7177ed30a212f078b4d80261785f0bf30cc"),
+    "certify": (["certify", "--grid", "3"],
+                "ba143e7b8595f2a755f56cc3a97b2780c758be70f274e827510b693077c50fe1"),
+    "simulate": (["simulate", "--config", "run.cfg", "--dump-rounds"],
+                 "633f78d8c45fadb6b47cb47f5f441faffe30c9073ee3d5d50c685f75a9c0ac36"),
+    "security": (["security", *MU_ARGS, "--n-probes", "5"],
+                 "5cc9aa63394f51596b24559f5642c862bed7119596eea59c6211441bc0e9ce25"),
+    "mi": (["mi", "--v-dist", "5", *MU_ARGS, "--n-max", "5"],
+           "ba872b7bc5353e2ff05223895bc7e400f03b4a536db58adf96716485afb998fd"),
+    "witness": (["witness", "--n-rounds", "400", "--seed", "2"],
+                "355b497e139c2e9405dfbc65b621a23b7e897d2366b6399b0d356743cfeceda1"),
+}
+
+
+def test_manifest_bytes_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("dealer.txt").write_text("1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n")
+    Path("run.cfg").write_text("coalition = ab\nn_rounds = 400\nseed = 3\n")
+    for case, (argv, want) in MANIFEST_SHA256.items():
+        out = Path("out", case)
+        code, _, _ = run_cli(argv + ["--out-dir", str(out)], capsys)
+        assert code == 0, case
+        manifest = (out / "manifest.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == want, case
+        # the manifest lists every other file the run wrote
+        assert json.loads(manifest)["outputs"] == sorted(
+            p.name for p in out.iterdir() if p.name != "manifest.json"), case
 
 
 def test_sampled_manifests_name_stream_layout_4(tmp_path, capsys):

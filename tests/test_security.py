@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MU_PAIR_ANCHOR, MU_SINGLE_ANCHOR, MU_TRIPLE_ANCHOR
@@ -114,6 +114,54 @@ def test_crossing_is_density_equality_for_every_n(n):
     pa = mse_pdf(v, MseDistribution(mu=8.0, n_probes=n))
     pb = mse_pdf(v, MseDistribution(mu=4.0, n_probes=n))
     assert pa == pytest.approx(pb, rel=1e-10)
+
+
+_MEANS = st.floats(min_value=5e-324, max_value=np.finfo(float).max)
+
+
+@st.composite
+def _mean_pairs(draw):
+    """Two distinct positive means: any two floats, within a factor of 2, or a few ulp apart."""
+    mu_a = draw(_MEANS)
+    kind = draw(st.sampled_from(["any", "factor", "ulps"]))
+    if kind == "any":
+        mu_b = draw(_MEANS)
+    elif kind == "factor":
+        mu_b = mu_a * draw(st.floats(0.5, 2.0))
+    else:
+        mu_b = float((np.float64(mu_a).view(np.int64) + draw(st.integers(-64, 64))).view(float))
+    assume(0.0 < mu_b < math.inf and mu_b != mu_a)
+    return mu_a, mu_b
+
+
+@settings(max_examples=1000)
+@given(means=_mean_pairs())
+@example(means=(1e-200, 2e-200))  # read 0.0
+@example(means=(1e200, 2e200))  # read inf
+@example(means=(1e-160, 2e-160))  # off by 3.9e-5: mu_a * mu_b is subnormal
+@example(means=(1e10, 1e296))  # mu_a * mu_b * ln(mu_b / mu_a) overflowed
+@example(means=(7.0, 7.00001))  # off by 1.7e5 ulp: ln of a rounded ratio near 1
+@example(means=(5e-324, np.finfo(float).max))
+@example(means=(5e-324, 1e-323))
+@example(means=(MU_SINGLE_ANCHOR, MU_PAIR_ANCHOR))
+def test_crossing_threshold_matches_mpmath(means):
+    # a few ulp anywhere: the worst of 1e6 random pairs was 4.97 ulp, for means
+    # at least 1.3 apart, where ln amplifies the rounding of their ratio by up to
+    # 1 / ln(1.3) = 3.8
+    mu_a, mu_b = means
+    got = crossing_threshold(mu_a, mu_b)
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(mu_a), mpmath.mpf(mu_b)
+        want = a * b * mpmath.log(b / a) / (b - a)
+        assert abs(got - want) <= 8 * math.ulp(float(want)), (got, float(want))
+
+
+@given(mu_a=st.floats(1e-12, 1e12), mu_b=st.floats(1e-12, 1e12))
+def test_crossing_threshold_keeps_its_bits_on_the_cli_range(mu_a, mu_b):
+    # the security subcommand's means, at least 1.3 apart, keep the closed
+    # form's bits, so its outputs keep their bytes
+    assume(max(mu_a, mu_b) / min(mu_a, mu_b) >= 1.3)
+    assert crossing_threshold(mu_a, mu_b) == mu_a * mu_b * math.log(mu_b / mu_a) / (mu_b - mu_a)
 
 
 def test_crossing_threshold_rejects_equal_means():
