@@ -20,14 +20,16 @@ objective is its limit 4.
 :func:`certificate_columns` checks a stack of points in one numpy pass,
 with one batched ``eigvalsh`` per block kind; LAPACK runs the same
 routine on each member as on a single matrix. It returns the checks as
-arrays, and :func:`verify_certificate_stack` turns them into one report
-per point. The builders take a ThermalParams or a stack alike, and
+arrays, which :func:`reports_from_columns` turns into one report per
+point and :func:`reports_to_text` into the reports' certificates.json
+text. The builders take a ThermalParams or a stack alike, and
 :func:`verify_certificates` is the stacked check on a stack of one, so
 both give the same bits.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -325,31 +327,97 @@ def certificate_columns(n1, n2, tol: float = DEFAULT_TOL) -> CertificateColumns:
         degenerate, feasible_primal, feasible_dual, values_match, residuals)
 
 
+def _statuses(cols: CertificateColumns) -> list[str]:
+    """The status of each point: degenerate-dual at a point without a Y3 block."""
+    return np.where(cols.degenerate, STATUS_DEGENERATE_DUAL, STATUS_OK).tolist()
+
+
+def _y3_per_point(cols: CertificateColumns, rows: list, empty) -> list:
+    """``rows``, one per regular point, spread over every point with ``empty`` at a
+    degenerate one, which has no Y3 block."""
+    if not cols.degenerate.any():
+        return rows
+    regular = iter(rows)
+    return [empty if deg else next(regular) for deg in cols.degenerate.tolist()]
+
+
 def reports_from_columns(cols: CertificateColumns) -> list[CertificateReport]:
     """One :class:`CertificateReport` per row of ``cols``."""
-    y3_rows = iter(cols.y3_eigs.tolist())
     return [
         CertificateReport(
             n1=a, n2=b, primal_value=pv, dual_value=dv,
             x1_eigs=tuple(e1), x2_eigs=tuple(e2), y1_eigs=tuple(f1), y2_eigs=tuple(f2),
-            y3_eigs=() if deg else tuple(next(y3_rows)),
-            feasible_primal=fp, feasible_dual=fd, values_match=vm,
-            constraint_residuals=tuple(res),
-            status=STATUS_DEGENERATE_DUAL if deg else STATUS_OK,
+            y3_eigs=y3, feasible_primal=fp, feasible_dual=fd, values_match=vm,
+            constraint_residuals=tuple(res), status=status,
         )
-        for a, b, pv, dv, e1, e2, f1, f2, deg, fp, fd, vm, res in zip(*(
-            v.tolist() for v in (cols.n1, cols.n2, cols.primal_value, cols.dual_value,
-                                 cols.x1_eigs, cols.x2_eigs, cols.y1_eigs, cols.y2_eigs,
-                                 cols.degenerate, cols.feasible_primal, cols.feasible_dual,
-                                 cols.values_match, cols.constraint_residuals)))
+        for a, b, pv, dv, e1, e2, f1, f2, fp, fd, vm, res, y3, status in zip(
+            *(v.tolist() for v in (cols.n1, cols.n2, cols.primal_value, cols.dual_value,
+                                   cols.x1_eigs, cols.x2_eigs, cols.y1_eigs, cols.y2_eigs,
+                                   cols.feasible_primal, cols.feasible_dual,
+                                   cols.values_match, cols.constraint_residuals)),
+            _y3_per_point(cols, list(map(tuple, cols.y3_eigs.tolist())), ()),
+            _statuses(cols))
     ]
 
 
-def verify_certificate_stack(n1, n2, tol: float = DEFAULT_TOL) -> list[CertificateReport]:
-    """:func:`certificate_columns` as one report per point (n1[k], n2[k])."""
-    return reports_from_columns(certificate_columns(n1, n2, tol))
+def _json_floats(values: np.ndarray) -> list[str]:
+    """The JSON text of each value, as json.dumps writes a float: its repr when
+    every value is finite, else NaN, Infinity or -Infinity where they are. Each
+    distinct bit pattern is formatted once (bits, not ==, since -0.0 == 0.0); a
+    grid's symmetric points and zero eigenvalues repeat most values."""
+    bits, index = np.unique(np.ascontiguousarray(values).view(np.uint64), return_inverse=True)
+    encode = float.__repr__ if np.isfinite(values).all() else json.dumps
+    cells = np.array(list(map(encode, bits.view(float).tolist())), dtype=object)
+    return cells[index.ravel()].tolist()
+
+
+def _json_list(n: int) -> str:
+    """A slot for each of n values of a list at the depth of a report's keys."""
+    return "[" + ",".join(["\n      %s"] * n) + "\n    ]"
+
+
+#: one report of certificates.json, laid out as json.dumps(report, sort_keys=True,
+#: indent=2) lays it out with every line indented two more spaces
+_CERTIFICATE_TEMPLATE = "  {\n" + ",\n".join(f'    "{key}": {slot}' for key, slot in (
+    ("constraint_residuals", _json_list(6)),
+    ("dual_value", "%s"),
+    ("feasible_dual", "%s"),
+    ("feasible_primal", "%s"),
+    ("n1", "%s"),
+    ("n2", "%s"),
+    ("primal_value", "%s"),
+    ("status", '"%s"'),
+    ("values_match", "%s"),
+    ("x1_eigs", _json_list(4)),
+    ("x2_eigs", _json_list(4)),
+    ("y1_eigs", _json_list(4)),
+    ("y2_eigs", _json_list(2)),
+    ("y3_eigs", "%s"),
+)) + "\n  }"
+_Y3_TEMPLATE = _json_list(2)
+
+
+def _certificate_cells(cols: CertificateColumns):
+    """The cells of each report of ``cols``, in _CERTIFICATE_TEMPLATE's order."""
+    k = len(cols.n1)
+    floats = _json_floats(np.concatenate(
+        [cols.constraint_residuals, cols.dual_value[:, None], cols.n1[:, None],
+         cols.n2[:, None], cols.primal_value[:, None], cols.x1_eigs, cols.x2_eigs,
+         cols.y1_eigs, cols.y2_eigs], axis=1).T)
+    floats = [floats[i : i + k] for i in range(0, len(floats), k)]
+    y3 = _json_floats(cols.y3_eigs)
+    y3 = _y3_per_point(cols, list(map(_Y3_TEMPLATE.__mod__, zip(y3[0::2], y3[1::2]))), "[]")
+    fp, fd, vm = (np.where(v, "true", "false").tolist()
+                  for v in (cols.feasible_primal, cols.feasible_dual, cols.values_match))
+    return zip(*floats[:7], fd, fp, *floats[7:10], _statuses(cols), vm, *floats[10:], y3)
+
+
+def reports_to_text(cols: CertificateColumns) -> str:
+    """The reports of ``cols`` as certificates.json holds them, joined by ",\n". The
+    cells are freed once every report is formatted, before the join."""
+    return ",\n".join(list(map(_CERTIFICATE_TEMPLATE.__mod__, _certificate_cells(cols))))
 
 
 def verify_certificates(params: ThermalParams, tol: float = DEFAULT_TOL) -> CertificateReport:
-    """:func:`verify_certificate_stack` at the one point ``params``."""
-    return verify_certificate_stack([params.n1], [params.n2], tol)[0]
+    """:func:`certificate_columns` at the one point ``params``, as its report."""
+    return reports_from_columns(certificate_columns([params.n1], [params.n2], tol))[0]

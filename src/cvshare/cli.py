@@ -12,6 +12,10 @@ directory or file that cannot be written); failures print one
 machine-readable JSON object on stderr, and remove the files and the
 directories the run made.
 
+The CLI owns parsing, the run's files (:class:`_Run`), the generic CSV and
+JSON writers and its own sweep tables; state.txt, certificates.json and
+rounds.csv are laid out where their types live.
+
 Importing this module loads numpy, ``errors``, ``estimators`` and
 ``gaussian_core``, which hold what every subcommand reads, the parser's
 flag ranges included. Each handler imports the layers it runs on its
@@ -31,7 +35,6 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .errors import (
     ResourceLimitError,
     check_scalar,
 )
-from .estimators import parse_coalition
+from .estimators import Coalition, parse_coalition
 from .gaussian_core import (
     ALPHA_MAX,
     DEFAULT_TOL,
@@ -56,12 +59,7 @@ from .gaussian_core import (
     state_to_text,
 )
 
-if TYPE_CHECKING:
-    from . import certificates, protocol
-
 OUT_DIR_ENV = "CVSHARE_OUT_DIR"
-
-_COALITION_ORDER = ("a_alone", "ab", "ac", "abc")
 
 
 def _json_text(obj) -> str:
@@ -125,14 +123,6 @@ class _Bounded:
     def __call__(self, text: str):
         return check_scalar(self.flag, self.cast(text), self.rule, self.lo, self.hi, self.ends,
                             integer=self.cast is int)
-
-
-def _round_columns(rows: protocol.RoundTable) -> list:
-    """The rounds.csv columns of some rounds, with basis names for the basis codes."""
-    from . import protocol
-
-    return [np.array(protocol.BASIS_NAMES)[getattr(rows, name)] if name in protocol.BASIS_COLUMNS
-            else getattr(rows, name) for name in protocol.ROUND_COLUMNS]
 
 
 def _read_input(path: str, what: str) -> str:
@@ -293,8 +283,8 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
     arms = _model_from_args(args, r=args.r_min)
     with _Run(args) as run:
         grid = np.linspace(args.r_min, args.r_max, args.steps)
-        coalitions = [parse_coalition(name) for name in _COALITION_ORDER]
-        names = np.array(_COALITION_ORDER)
+        coalitions = list(Coalition)
+        names = np.array([c.value for c in coalitions])
 
         def grid_chunks():
             # one row per (r, coalition), r-major
@@ -336,72 +326,6 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
     print(f"wrote {args.steps * len(names)} bound rows for {args.steps} squeezing values")
 
 
-def _json_floats(values: np.ndarray) -> list[str]:
-    """The JSON text of each value, as json.dumps writes a float: its repr when
-    every value is finite, else NaN, Infinity or -Infinity where they are. Each
-    distinct bit pattern is formatted once (bits, not ==, since -0.0 == 0.0); a
-    grid's symmetric points and zero eigenvalues repeat most values."""
-    bits, index = np.unique(np.ascontiguousarray(values).view(np.uint64), return_inverse=True)
-    encode = float.__repr__ if np.isfinite(values).all() else json.dumps
-    cells = np.array(list(map(encode, bits.view(float).tolist())), dtype=object)
-    return cells[index.ravel()].tolist()
-
-
-def _json_list(n: int) -> str:
-    """A slot for each of n values of a list at the depth of a report's keys."""
-    return "[" + ",".join(["\n      %s"] * n) + "\n    ]"
-
-
-#: one report of certificates.json, laid out as json.dumps(report, sort_keys=True,
-#: indent=2) lays it out with every line indented two more spaces
-_CERTIFICATE_TEMPLATE = "  {\n" + ",\n".join(f'    "{key}": {slot}' for key, slot in (
-    ("constraint_residuals", _json_list(6)),
-    ("dual_value", "%s"),
-    ("feasible_dual", "%s"),
-    ("feasible_primal", "%s"),
-    ("n1", "%s"),
-    ("n2", "%s"),
-    ("primal_value", "%s"),
-    ("status", '"%s"'),
-    ("values_match", "%s"),
-    ("x1_eigs", _json_list(4)),
-    ("x2_eigs", _json_list(4)),
-    ("y1_eigs", _json_list(4)),
-    ("y2_eigs", _json_list(2)),
-    ("y3_eigs", "%s"),
-)) + "\n  }"
-_Y3_TEMPLATE = _json_list(2)
-
-
-def _certificate_cells(cols: certificates.CertificateColumns):
-    """The cells of each report of one stack of checks, in _CERTIFICATE_TEMPLATE's
-    order. A degenerate point has no Y3 block and lists no y3_eigs."""
-    from . import certificates
-
-    k = len(cols.n1)
-    floats = _json_floats(np.concatenate(
-        [cols.constraint_residuals, cols.dual_value[:, None], cols.n1[:, None],
-         cols.n2[:, None], cols.primal_value[:, None], cols.x1_eigs, cols.x2_eigs,
-         cols.y1_eigs, cols.y2_eigs], axis=1).T)
-    floats = [floats[i : i + k] for i in range(0, len(floats), k)]
-    y3 = _json_floats(cols.y3_eigs)
-    y3 = list(map(_Y3_TEMPLATE.__mod__, zip(y3[0::2], y3[1::2])))
-    if cols.degenerate.any():
-        regular = iter(y3)
-        y3 = ["[]" if deg else next(regular) for deg in cols.degenerate.tolist()]
-    status = np.where(cols.degenerate, certificates.STATUS_DEGENERATE_DUAL,
-                      certificates.STATUS_OK).tolist()
-    fp, fd, vm = (np.where(v, "true", "false").tolist()
-                  for v in (cols.feasible_primal, cols.feasible_dual, cols.values_match))
-    return zip(*floats[:7], fd, fp, *floats[7:10], status, vm, *floats[10:], y3)
-
-
-def _certificate_text(cols: certificates.CertificateColumns) -> str:
-    """The reports of one stack of checks as certificates.json holds them, joined
-    by ",\n". The cells are freed once every report is formatted, before the join."""
-    return ",\n".join(list(map(_CERTIFICATE_TEMPLATE.__mod__, _certificate_cells(cols))))
-
-
 def _cmd_certify(args: argparse.Namespace) -> None:
     from . import certificates
 
@@ -435,7 +359,7 @@ def _cmd_certify(args: argparse.Namespace) -> None:
                     n1_axis[k // len(n2_axis)], n2_axis[k % len(n2_axis)], tol=args.tol)
                 ok = cols.feasible_primal & cols.feasible_dual & cols.values_match
                 n_ok += np.count_nonzero(ok)
-                yield ("[\n" if start == 0 else ",\n") + _certificate_text(cols)
+                yield ("[\n" if start == 0 else ",\n") + certificates.reports_to_text(cols)
             yield "\n]\n"
 
         run.write("certificates.json", pieces())
@@ -513,7 +437,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
             # each chunk's table goes to rounds.csv as the chunk is drawn
             rounds = protocol._ProtocolRun(model, plan, cfg["n_rounds"], coalition, policy,
                                            stream, cfg["gain_mode"], keep_records=True)
-            run.write("rounds.csv", _csv(protocol.ROUND_COLUMNS, map(_round_columns, rounds)))
+            run.write("rounds.csv", _csv(protocol.ROUND_COLUMNS,
+                                          map(protocol.RoundTable.named_columns, rounds)))
             reports = rounds.result()
         else:
             reports = protocol.run_protocol(model, plan, cfg["n_rounds"], coalition, policy, stream,

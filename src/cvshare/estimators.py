@@ -273,18 +273,16 @@ def estimate(
     return combine(columns, coalition, "xp".index(quadrature), gains)
 
 
-def witness_estimate(
-    outcomes_x: dict[str, np.ndarray], outcomes_p: dict[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Three-party witness combinations, unbiased for (alpha_x, alpha_p)/sqrt(2).
+def witness_estimate(triple_x: np.ndarray, triple_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Three-party witness combinations, unbiased for (alpha_x, alpha_p)/sqrt(2), from
+    the (A, B, C) outcomes of x rounds and of p rounds, one row per party.
 
     x_minus = x_A/sqrt(2) - (x_B - x_C)/2 and
     p_plus = p_A/sqrt(2) + (p_B - p_C)/2: the all-three estimator at
     g = 1, scaled by 1/sqrt(2).
     """
-    x_minus = combine(_columns(outcomes_x, "x", PARTIES), Coalition.ABC, 0, _WITNESS_GAINS)
-    p_plus = combine(_columns(outcomes_p, "p", PARTIES), Coalition.ABC, 1, _WITNESS_GAINS)
-    return x_minus, p_plus
+    return (combine(triple_x, Coalition.ABC, 0, _WITNESS_GAINS),
+            combine(triple_p, Coalition.ABC, 1, _WITNESS_GAINS))
 
 
 def empirical_mse(estimates: np.ndarray, truths: np.ndarray) -> float:

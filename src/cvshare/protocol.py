@@ -166,8 +166,9 @@ class RoundTable:
     ``round_index`` is int64, the basis columns hold int8 codes into
     :data:`BASIS_NAMES`, outcome columns hold NaN for unmeasured
     quadratures, and ``kept`` is bool. ``table[mask_or_slice]`` and
-    ``table + other`` give tables. Iteration gives :data:`RoundRecord` rows,
-    built on demand, which the benchmark harness and the tests read.
+    ``table + other`` give tables. :meth:`named_columns` gives the rounds.csv
+    columns, and iteration gives :data:`RoundRecord` rows of them, built on
+    demand, which the benchmark harness and the tests read.
     """
 
     round_index: np.ndarray
@@ -204,15 +205,17 @@ class RoundTable:
             *(np.concatenate((getattr(self, n), getattr(other, n))) for n in ROUND_COLUMNS)
         )
 
+    def named_columns(self) -> list[np.ndarray]:
+        """The columns in :data:`ROUND_COLUMNS` order, with basis names for basis codes."""
+        return [np.array(BASIS_NAMES)[getattr(self, name)] if name in BASIS_COLUMNS
+                else getattr(self, name) for name in ROUND_COLUMNS]
+
     def __iter__(self) -> Iterator[RoundRecord]:
         for start in range(0, len(self), _ROW_CHUNK):
-            chunk = self[start : start + _ROW_CHUNK]
             columns = []
-            for name in ROUND_COLUMNS:
-                values = getattr(chunk, name).tolist()
-                if name in BASIS_COLUMNS:
-                    values = [BASIS_NAMES[v] for v in values]
-                elif name in OUTCOME_COLUMNS:
+            for name, col in zip(ROUND_COLUMNS, self[start : start + _ROW_CHUNK].named_columns()):
+                values = col.tolist()
+                if name in OUTCOME_COLUMNS:
                     values = [None if v != v else v for v in values]
                 columns.append(values)
             yield from map(RoundRecord, *columns)
@@ -494,9 +497,7 @@ def _add_witness(
 ) -> None:
     """Add the squared witness errors of x rounds' and p rounds' (A, B, C) triples, one
     row per party."""
-    ox = {f"x_{party}": triple_x[j] for j, party in enumerate("abc")}
-    op = {f"p_{party}": triple_p[j] for j, party in enumerate("abc")}
-    x_minus, p_plus = estimators.witness_estimate(ox, op)
+    x_minus, p_plus = estimators.witness_estimate(triple_x, triple_p)
     sq[0].add((x_minus - alpha_x / math.sqrt(2.0)) ** 2)
     sq[1].add((p_plus - alpha_p / math.sqrt(2.0)) ** 2)
 

@@ -20,7 +20,7 @@ from cvshare.certificates import (
     constraint_residuals,
     dual_vector,
     primal_value,
-    verify_certificate_stack,
+    reports_from_columns,
     verify_certificates,
     x1_eigenvalue_formulas,
     x2_eigenvalue_formula,
@@ -30,6 +30,11 @@ from cvshare.certificates import (
 )
 from cvshare.errors import DegenerateDualError, InvalidArgumentError
 from cvshare.gaussian_core import THERMAL_MAX
+
+
+def _reports(n1, n2, tol=certificates.DEFAULT_TOL):
+    """One report per point (n1[k], n2[k]), checked as one stack."""
+    return reports_from_columns(certificate_columns(n1, n2, tol))
 
 
 def test_vacuum_point_eigenvalues():
@@ -163,7 +168,7 @@ def test_zero_tolerance_is_bitwise_equality(points):
 def test_tolerance_outside_the_unit_interval_is_rejected(tol):
     # tol = inf once marked every point ok, and NaN or a negative tol every point failed
     for check in (lambda: certificate_columns([0.5], [0.5], tol),
-                  lambda: verify_certificate_stack([0.5], [0.5], tol),
+                  lambda: _reports([0.5], [0.5], tol),
                   lambda: verify_certificates(ThermalParams(0.5, 0.5), tol)):
         with pytest.raises(InvalidArgumentError, match=r"^tol must be in \[0, 1\]$"):
             check()
@@ -311,7 +316,7 @@ def test_stacked_check_matches_scalar_reference(points, tol):
     # every field, bit for bit (JSON text carries each float's shortest repr),
     # with the points checked as one stack; n1 < n2 is swapped by both
     want = [_reference_report(ThermalParams(a, b), tol) for a, b in points]
-    got = verify_certificate_stack([a for a, _ in points], [b for _, b in points], tol)
+    got = _reports([a for a, _ in points], [b for _, b in points], tol)
     assert len(got) == len(points)
     for rep, ref in zip(got, want):
         assert json.dumps(rep.to_json_dict(), sort_keys=True) == json.dumps(ref, sort_keys=True)
@@ -391,6 +396,6 @@ def test_points_are_checked_where_they_enter(monkeypatch, n1, n2, message):
         raise AssertionError("eigvalsh ran before the points were checked")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-    for check in (certificate_columns, verify_certificate_stack):
+    for check in (certificate_columns, _reports):
         with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
             check(n1, n2)

@@ -550,7 +550,7 @@ def test_certificate_template_is_json_dumps(cols):
     want = ",\n".join(
         "  " + json.dumps(r.to_json_dict(), sort_keys=True, indent=2).replace("\n", "\n  ")
         for r in certificates.reports_from_columns(cols))
-    assert cli._certificate_text(cols) == want
+    assert certificates.reports_to_text(cols) == want
 
 
 @pytest.mark.parametrize("coalition, plan", [("a_alone", "fixed"), ("abc", "gaussian")])

@@ -184,9 +184,9 @@ def test_estimate_unbiased_under_loss():
 
 
 def test_witness_estimate_algebra():
-    ox = {"x_a": np.array([2.0]), "x_b": np.array([1.0]), "x_c": np.array([0.5])}
-    op = {"p_a": np.array([-1.0]), "p_b": np.array([0.5]), "p_c": np.array([1.5])}
-    x_minus, p_plus = witness_estimate(ox, op)
+    # party-major (A, B, C) triples of one x round and one p round
+    x_minus, p_plus = witness_estimate(np.array([[2.0], [1.0], [0.5]]),
+                                       np.array([[-1.0], [0.5], [1.5]]))
     assert x_minus[0] == pytest.approx(2.0 / math.sqrt(2.0) - (1.0 - 0.5) / 2.0)
     assert p_plus[0] == pytest.approx(-1.0 / math.sqrt(2.0) + (0.5 - 1.5) / 2.0)
 

@@ -284,6 +284,25 @@ def test_row_view_matches_round_record():
     assert type(rows[-1].round_index) is int and type(rows[-1].kept) is bool
 
 
+@pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(1.5)],
+                         ids=["fixed", "gaussian"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_rows_are_the_named_columns(coalition, plan):
+    # the rounds.csv columns and the rows come from one mapping: each row holds the
+    # named columns' entries at its round, an unmeasured outcome as None, across the
+    # row-conversion chunks
+    t = run_protocol(IDEAL, plan, 5_000, coalition, POLICY, RandomStream(23)).records
+    columns = t.named_columns()
+    assert [len(col) for col in columns] == [5_000] * len(ROUND_COLUMNS)
+    rows = [tuple(getattr(r, name) for name in ROUND_COLUMNS) for r in t]
+    assert rows == [tuple(None if v != v else v for v in row)
+                    for row in zip(*(col.tolist() for col in columns))]
+    for name in protocol.BASIS_COLUMNS:
+        j = ROUND_COLUMNS.index(name)
+        assert all(type(row[j]) is str for row in rows)
+        assert set(columns[j].tolist()) <= set(protocol.BASIS_NAMES)
+
+
 def test_round_table_operations():
     res = run_protocol(IDEAL, PLAN, 10_000, Coalition.ABC, POLICY, RandomStream(19))
     table = res.records
