@@ -12,24 +12,30 @@ unbiasedness spot-check; the remainder produces the coalition's MSE
 report.
 
 Rounds are drawn and reduced in chunks of ``_CHUNK_ROUNDS`` (stream
-layout 4). Chunk i draws from its own SFC64 child stream,
-:meth:`~cvshare.sampler.RandomStream.chunk_generator`, in this order:
-the displacement blocks that start in it, the dealer's basis, the
-parties' bases (each basis a coin per round, taken from random bytes),
-the witness, bias and calibration subsets, and then only the normals
-the reports read. A dealer state has no x-p correlation, so the
-(A, B, C) triple of each quadrature is an independent draw of its
-Wigner function, drawn party-major: one row of normals per party. A
-kept round draws the triple of the dealer's basis (calibration rounds
-first, x rounds before p rounds), a discarded round draws nothing, and
-a lone A draws one normal per quadrature, its dual-homodyne outcome,
-whose factor carries the unit vacuum. A run that keeps its records
-then draws the normals still missing, so that every party's outcome is
-its basis's entry of a full Wigner sample (for a lone A, B's and C's
-drawn conditional on A's outcome), and hands out the chunk's rounds as
-a :class:`RoundTable` of their own. Reports come from running sums over
-the chunks, so only :func:`run_protocol` with records, which copies each
-chunk's table into one whole-run table, holds anything per round.
+layout 5). Chunk i draws from its own SFC64 child stream,
+:meth:`~cvshare.sampler.RandomStream.chunk_generator`, only the normals
+the reports read, in this order: the dealer's basis and the parties'
+bases (each basis a coin per round, taken from random bytes), the
+witness, bias and calibration subsets, a gaussian plan's displacement
+blocks that hold a kept round or run past the chunk's end, and then the
+reads' normals. A dealer state has no x-p correlation, so the (A, B, C)
+triple of each quadrature is an independent draw of its Wigner function,
+drawn party-major through the lower Cholesky factor of its block: one
+row of normals per party. A kept round draws the normals of the
+dealer's basis (calibration rounds first, x rounds before p rounds), a
+discarded round draws nothing. All three draw three normals per kept
+round. A pair orders its factors (A, partner, outsider), so it draws two
+normals per kept round and the outsider's normal, which only the
+witness reads, for its witness rounds alone. A lone A draws one normal
+per quadrature, its dual-homodyne outcome, whose factor carries the
+unit vacuum. With lower-triangular factors a normal drawn later is a
+draw conditional on those before it, so every law stays exact. A run
+that keeps its records then draws the blocks and normals still missing,
+so that every party's outcome is its basis's entry of a full Wigner
+sample, and hands out the chunk's rounds as a :class:`RoundTable` of
+their own. Reports come from running sums over the chunks, so only
+:func:`run_protocol` with records, which copies each chunk's table into
+one whole-run table, holds anything per round.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ MAX_ROUNDS = 1_000_000_000
 #: row for abc under a fixed plan, 139 B for a lone A under a gaussian one) to 1.8-2.8 GB
 MAX_RECORD_ROUNDS = 20_000_000
 #: random-stream layout of the sampled outputs, recorded in their manifests
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 #: rounds drawn and reduced at a time, each chunk from its own child stream
 _CHUNK_ROUNDS = 65536
 
@@ -267,8 +273,28 @@ class ProtocolResult(NamedTuple):
     bias: BiasResult
 
 
-def _triple_factors(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of the (A, B, C) x block and p block of a dealer covariance.
+def _party_order(coalition: Coalition) -> tuple[int, int, int]:
+    """The party (0 = A, 1 = B, 2 = C) of each row of the coalition's factors and triples.
+
+    A pair puts its partner second and its outsider last, so the partner's
+    outcome needs no outsider normal. Every order here is its own inverse,
+    so it also gives the row of each party.
+    """
+    return (0, 2, 1) if coalition is Coalition.AC else (0, 1, 2)
+
+
+def _columns(triple: np.ndarray, order: tuple[int, int, int]) -> list:
+    """The (A, B, C) columns of a triple whose rows follow ``order``, None for a party
+    it holds no row of; the estimators read only the columns they weigh."""
+    columns = [None, None, None]
+    for party, row in zip(order, triple):
+        columns[party] = row
+    return columns
+
+
+def _triple_factors(cov: np.ndarray, order: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of the x block and the p block of a dealer covariance, their
+    parties in ``order``.
 
     Squeezing, the beamsplitters, loss and noise act on x and p
     separately, so a dealer state has no x-p correlation and its x and
@@ -277,19 +303,20 @@ def _triple_factors(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x, p = estimators.TRIPLE_INDICES
     if np.any(cov[np.ix_(x, p)] != 0.0):
         raise UnsupportedStateError("the dealer covariance correlates x and p quadratures")
-    return np.linalg.cholesky(cov[np.ix_(x, x)]), np.linalg.cholesky(cov[np.ix_(p, p)])
+    return tuple(np.linalg.cholesky(cov[np.ix_(idx, idx)])
+                 for idx in ([quad[j] for j in order] for quad in (x, p)))
 
 
 def _apply(
     factor: np.ndarray, z: np.ndarray, shift_a: np.ndarray | float = 0.0,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Outcomes ``factor @ z`` of the first ``z.shape[0]`` parties, plus ``shift_a`` on A.
+    """Outcomes ``factor @ z`` of the first ``z.shape[0]`` rows, plus ``shift_a`` on A.
 
     ``z`` holds one row of normals per party, so every row read and
-    written is contiguous. The factor is lower-triangular, so a party's
-    value needs only the normals of the parties before it; computing the
-    parties last to first lets ``out`` be ``z`` itself. Each round's
+    written is contiguous. The factor is lower-triangular, so a row's
+    value needs only the normals of the rows before it; computing the
+    rows last to first lets ``out`` be ``z`` itself. Each round's
     values are computed element by element, so they do not depend on
     which rounds are drawn with it.
     """
@@ -303,19 +330,26 @@ def _apply(
     return out
 
 
+def _at(alpha: np.ndarray | float, rows: np.ndarray | slice) -> np.ndarray | float:
+    """The displacements of the given rounds; a fixed plan's one float stands for them all."""
+    return alpha if isinstance(alpha, float) else alpha[rows]
+
+
 class _Reads(NamedTuple):
     """Rounds of a chunk whose outcomes in quadrature ``quad`` (0 = x, 1 = p) the reports read.
 
-    ``triple`` holds their (A, B, C) outcomes in that quadrature, one
-    row per party, with A's displacement added; for a lone A it holds
-    the one row of A's dual-homodyne outcomes. ``rows`` indexes the
-    rounds in the chunk and ``truth`` is the displacement each estimates.
+    ``triple`` holds their outcomes in that quadrature, one row per party
+    in the factors' order (:func:`_party_order`), with A's displacement
+    added: A, B and C for all three, A and the partner for a pair, and
+    A's dual-homodyne outcome for a lone A. ``rows`` indexes the rounds
+    in the chunk and ``truth`` is the displacement each estimates.
+    ``witness`` and ``bias`` mark the read's witness and bias rounds.
     """
 
     quad: int
     rows: np.ndarray | slice
     triple: np.ndarray
-    truth: np.ndarray
+    truth: np.ndarray | float
     witness: np.ndarray
     bias: np.ndarray
 
@@ -325,10 +359,13 @@ class _Chunk(NamedTuple):
 
     The subset masks run over every round of the chunk and carry their
     table names; ``calib`` selects no round unless the gains are fitted.
-    ``calibration`` holds the calibration rounds per quadrature and
-    ``reads`` the other rounds the reports read: the kept rounds per
-    quadrature, or every round twice for a lone A. ``table`` holds the
-    chunk's rounds only when the records are kept.
+    ``calibration`` holds the calibration rounds per quadrature when the
+    gains are fitted and ``reads`` the other rounds the reports read: the
+    kept rounds per quadrature, or every round twice for a lone A.
+    ``witnessed`` holds per quadrature the (A, B, C) outcomes of the
+    witness rounds, one row per party, and their displacements (nothing
+    for a lone A). ``table`` holds the chunk's rounds only when the
+    records are kept.
     """
 
     dealer_basis: np.ndarray
@@ -338,38 +375,61 @@ class _Chunk(NamedTuple):
     calib: np.ndarray
     calibration: tuple[_Reads, ...]
     reads: tuple[_Reads, ...]
+    witnessed: tuple[tuple[np.ndarray, np.ndarray | float], ...]
     table: RoundTable | None
 
 
-def _chunk_alphas(
-    plan: DisplacementPlan, start: int, end: int, gen: np.random.Generator,
-    carry: tuple[float, float],
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """Applied displacements of rounds [start, end), and the block draw to carry on.
+class _Blocks:
+    """A gaussian plan's displacement blocks over the rounds [start, end) of one chunk.
 
-    A block of n_rep rounds shares one draw, made in the chunk where the
-    block starts; a block that runs on past the chunk's end carries its
-    draw into the next chunk, so chunks need not hold whole blocks.
+    A block of n_rep rounds shares one draw per quadrature. A block that
+    began in an earlier chunk was drawn there and its draw is carried in;
+    :meth:`draw` draws, x values before p values, the blocks a mask
+    selects among those not drawn yet, so a chunk need not hold whole
+    blocks and need not draw the blocks no kept round reads.
     """
-    m = end - start
-    if plan.kind == "fixed":
-        return (np.broadcast_to(plan.alpha_x * plan.scale, m),
-                np.broadcast_to(plan.alpha_p * plan.scale, m), carry)
-    n_rep = plan.n_rep
-    first = start // n_rep
-    # blocks that start in [start, end): ceil(end / n_rep) - ceil(start / n_rep)
-    n_new = -(-end // n_rep) + (-start // n_rep)
-    sd = math.sqrt(plan.v_dist)
-    block_x = sd * gen.standard_normal(n_new)
-    block_p = sd * gen.standard_normal(n_new)
-    if n_rep == 1:
-        return block_x, block_p, carry
-    if start % n_rep:
-        block_x = np.concatenate(([carry[0]], block_x))
-        block_p = np.concatenate(([carry[1]], block_p))
-    block = np.arange(start, end) // n_rep - first
-    return (block_x[block] * plan.scale, block_p[block] * plan.scale,
-            (float(block_x[-1]), float(block_p[-1])))
+
+    def __init__(self, plan: DisplacementPlan, start: int, end: int,
+                 carry: list[float]):
+        self.plan = plan
+        n_rep = plan.n_rep
+        # block of each round, counted from the first block the chunk touches
+        self.block = None if n_rep == 1 else np.arange(start, end) // n_rep - start // n_rep
+        n_blocks = end - start if n_rep == 1 else int(self.block[-1]) + 1
+        self.values = np.full((2, n_blocks), np.nan)
+        self.todo = np.ones(n_blocks, dtype=bool)
+        self.runs_on = end % n_rep != 0
+        if start % n_rep:
+            self.values[:, 0] = carry
+            self.todo[0] = False
+
+    def draw(self, gen: np.random.Generator, kept: np.ndarray | None = None) -> None:
+        """Draw the blocks not drawn yet; given ``kept``, only those that hold a kept round
+        or run past the chunk's end, whose draw the next chunk carries on."""
+        todo = self.todo
+        if kept is not None and self.block is None:
+            todo = todo & kept
+        elif kept is not None:
+            due = np.zeros_like(todo)
+            due[self.block[kept]] = True
+            due[-1] |= self.runs_on
+            todo = todo & due
+        idx = np.flatnonzero(todo)
+        sd = math.sqrt(self.plan.v_dist)
+        for values in self.values:
+            if idx.size == values.size:
+                # every block at once, drawn in place
+                gen.standard_normal(out=values)
+                values *= sd
+            else:
+                values[idx] = sd * gen.standard_normal(idx.size)
+        self.todo &= ~todo
+
+    def alphas(self) -> tuple[np.ndarray, np.ndarray]:
+        """Applied displacement of each round, x and p; NaN in a block not drawn yet."""
+        if self.block is None:
+            return self.values[0], self.values[1]
+        return tuple(values[self.block] * self.plan.scale for values in self.values)
 
 
 def _coin(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -426,10 +486,11 @@ class _Fit:
     at high squeezing where A's outcome and u grow as e^r.
     """
 
-    __slots__ = ("coalition", "root_eta", "sum_ru", "sum_uu", "n", "est", "bias_u", "bias_c")
+    __slots__ = ("coalition", "order", "root_eta", "sum_ru", "sum_uu", "n", "est", "bias_u",
+                 "bias_c")
 
     def __init__(self, coalition: Coalition, root_eta: float):
-        self.coalition = coalition
+        self.coalition, self.order = coalition, _party_order(coalition)
         self.root_eta = root_eta
         self.sum_ru = self.sum_uu = 0.0
         self.n = 0
@@ -441,7 +502,7 @@ class _Fit:
         # weighing by -w1 leaves a pair's x auxiliary the partner's column itself, as the
         # gain fit always read it, so the dot products below keep their bits
         w1 = estimators.WEIGHTS[self.coalition, read.quad][1]
-        return estimators.weighted_sum(read.triple, -w1)
+        return estimators.weighted_sum(_columns(read.triple, self.order), -w1)
 
     def calibrate(self, c: _Reads) -> None:
         r = c.triple[0] - self.root_eta * c.truth
@@ -560,13 +621,14 @@ class _ProtocolRun:
         self.plan, self.policy, self.stream = plan, policy, stream
         self.coalition, self.lone, self.n_rounds = coalition, lone, n_rounds
         self.keep_records, self.root_eta = keep_records, root_eta
-        self.factors = _triple_factors(cov)
+        self.order = _party_order(coalition)
+        self.factors = _triple_factors(cov, self.order)
         self.fit = _Fit(coalition, root_eta) if gain_mode == "fitted" and not lone else None
         # the block draw carried into the next chunk; the witness and bias rounds taken so
         # far, since a chunk takes what is due by its end, round(fraction * end), so the run
         # takes round(fraction * n_rounds) unless its eligible rounds run short; and the
         # estimation rounds seen so far
-        self.carry = (0.0, 0.0)
+        self.carry = [0.0, 0.0]
         self.taken_witness = self.taken_bias = self.seen_est = 0
         self.sq_err, self.sq_witness = [(RunningMoments(), RunningMoments()) for _ in range(2)]
         self.bias_err, self.n_witness = RunningMoments(), [0, 0]
@@ -574,21 +636,27 @@ class _ProtocolRun:
     def _draw(self, start: int, end: int, gen: np.random.Generator) -> _Chunk:
         """The chunk of rounds [start, end), drawn from its generator.
 
-        Only the normals the reports read are drawn, party-major: one
-        (A, B, C) triple in the dealer's basis per kept round, as a (3, k)
-        array, calibration rounds first and x rounds before p rounds in each
-        group; or for a lone A a (2, m) array, A's x and p outcomes, whose
-        factors carry the unit vacuum of dual homodyne. With ``keep_records``
-        the normals still missing are drawn afterwards (the missing x
-        triples, then the p ones; for a lone A, B's and C's normals per
-        quadrature, which the factor makes conditional on A's outcome) into
-        one (2, 3, m) array of every round's x and p triples, whose rows are
-        the table's outcome columns.
+        After the coins and the subsets come a gaussian plan's blocks
+        that hold a kept round or run past the chunk's end, and then only
+        the normals the reports read, party-major through the factors
+        (:func:`_party_order`). A kept round draws the rows of the
+        dealer's basis, calibration rounds first and x rounds before p
+        rounds in each group, as one (3, k) array for all three or a
+        (2, k) array of A and the partner for a pair; a pair then draws
+        its outsider's normal for its witness rounds, x rounds first. A
+        lone A draws a (2, m) array, its x and p outcomes, whose factors
+        carry the unit vacuum of dual homodyne. With ``keep_records`` the
+        blocks still missing are drawn afterwards, then per quadrature, x
+        first, the normals still missing: a pair's outsider in its other
+        read rounds, then the triples of the rounds not read in that
+        quadrature (for a lone A, B's and C's normals, which the factor
+        makes conditional on A's outcome). They fill one (2, 3, m) array
+        of every round's x and p triples, whose rows are the table's
+        outcome columns.
         """
-        lone, factors, policy = self.lone, self.factors, self.policy
+        lone, factors, policy, plan = self.lone, self.factors, self.policy, self.plan
+        three = self.coalition is Coalition.ABC
         m = end - start
-        alpha_x, alpha_p, self.carry = _chunk_alphas(self.plan, start, end, gen, self.carry)
-        alphas = (alpha_x, alpha_p)
         dealer = _coin(gen, m)
         bases = _party_bases(self.coalition, m, gen)
         basis_a, basis_b, basis_c = bases
@@ -610,53 +678,90 @@ class _ProtocolRun:
             k = int(np.count_nonzero(est))
             calib = _pick(est, (self.seen_est + k) // 2 - self.seen_est // 2, gen)
             self.seen_est += k
+        if plan.kind == "fixed":
+            blocks, alphas = None, (plan.alpha_x * plan.scale, plan.alpha_p * plan.scale)
+        else:
+            blocks = _Blocks(plan, start, end, self.carry)
+            blocks.draw(gen, kept)
+            # the last block's draw, which the next chunk carries on when the block runs on
+            self.carry = blocks.values[:, -1].tolist()
+            alphas = blocks.alphas()
         if lone:
             # A's dual-homodyne outcomes in x and in p
             z = gen.standard_normal((2, m))
             groups = [(q, slice(None), z[q : q + 1]) for q in (0, 1)]
-            n_calib = 0
         else:
-            # one triple per kept round: calibration rounds first, x before p in each part
+            # the read rows of each kept round: calibration rounds first, x before p in each part
             on_x = dealer == 0
-            rows = [np.flatnonzero(part & on) for part in (calib, kept & ~calib)
-                    for on in (on_x, ~on_x)]
+            parts = (kept,) if self.fit is None else (calib, kept & ~calib)
+            rows = [np.flatnonzero(part & on) for part in parts for on in (on_x, ~on_x)]
             sizes = [r.size for r in rows]
-            z = gen.standard_normal((3, sum(sizes)))
-            groups = list(zip((0, 1, 0, 1), rows, np.split(z, np.cumsum(sizes)[:-1], axis=1)))
-            n_calib = 2
-        # the displacement reaches A through its loss channel
-        reads = tuple(
-            _Reads(q, r, _apply(factors[q], z_r, self.root_eta * alphas[q][r]), alphas[q][r],
-                   witness[r], bias[r])
-            for q, r, z_r in groups
-        )
+            z = gen.standard_normal((3 if three else 2, sum(sizes)))
+            groups = list(zip((0, 1) * len(parts), rows,
+                              np.split(z, np.cumsum(sizes)[:-1], axis=1)))
+        reads = []
+        for q, r, z_r in groups:
+            truth = _at(alphas[q], r)
+            # the displacement reaches A through its loss channel
+            reads.append(_Reads(q, r, _apply(factors[q], z_r, self.root_eta * truth), truth,
+                                witness[r], bias[r]))
+        n_calib = len(reads) - 2
+        # per quadrature the witness rounds' (A, B, C) outcomes and displacements, and a
+        # pair's outsider normals of those rounds
+        witnessed, outsiders = [], []
+        if not lone:
+            # a pair draws its outsider's normals for its witness rounds now, x rounds first
+            picks = [np.flatnonzero(read.witness) for read in reads[n_calib:]]
+            if not three:
+                z_out = np.split(gen.standard_normal(picks[0].size + picks[1].size),
+                                 [picks[0].size])
+            for read, w, (_, _, z_r) in zip(reads[n_calib:], picks, groups[n_calib:]):
+                truth = _at(read.truth, w)
+                if three:
+                    triple = np.take(read.triple, w, axis=1)
+                else:
+                    z_w = np.empty((3, w.size))
+                    z_w[:2] = np.take(z_r, w, axis=1)
+                    z_w[2] = z_out[read.quad]
+                    outsiders.append((read.quad, read.rows[w], z_w[2]))
+                    triple = _apply(factors[read.quad], z_w, self.root_eta * truth)[
+                        list(self.order)]
+                witnessed.append((triple, truth))
         table = None
         if self.keep_records:
-            # every round's x and p triple: the ones drawn above, then the normals
-            # still missing, those of the x triples before those of the p triples
-            outcomes = np.empty((2, 3, m))
-            if not lone:
-                for read in reads:
-                    outcomes[read.quad][:, read.rows] = read.triple
+            if blocks is not None:
+                blocks.draw(gen)
+                alphas = blocks.alphas()
+            # every round's x and p normals, one row per party in the factors' order,
+            # turned into outcomes in place
+            normals = np.empty((2, 3, m))
+            for q, r, z_r in groups:
+                normals[q][: z_r.shape[0], r] = z_r
+            for q, r, z_o in outsiders:
+                normals[q][2, r] = z_o
             for q in (0, 1):
+                z_q = normals[q]
                 if lone:
-                    normals = outcomes[q]
-                    normals[0] = z[q]
-                    normals[1:] = gen.standard_normal((2, m))
-                    _apply(factors[q], normals, self.root_eta * alphas[q], out=normals)
+                    z_q[1:] = gen.standard_normal((2, m))
                 else:
-                    r = np.flatnonzero(~kept | (dealer != q))
-                    outcomes[q][:, r] = _apply(factors[q], gen.standard_normal((3, r.size)),
-                                               self.root_eta * alphas[q][r])
+                    read = kept & (dealer == q)
+                    if not three:
+                        r = np.flatnonzero(read & ~witness)
+                        z_q[2, r] = gen.standard_normal(r.size)
+                    r = np.flatnonzero(~read)
+                    z_q[:, r] = gen.standard_normal((3, r.size))
+                _apply(factors[q], z_q, self.root_eta * alphas[q], out=z_q)
                 # the x quadrature is unread in p rounds (code 1), the p one in x rounds (code 0)
                 for j, basis in enumerate(bases):
-                    outcomes[q, j][basis == 1 - q] = np.nan
+                    z_q[self.order[j]][basis == 1 - q] = np.nan
             table = RoundTable(
-                round_index=np.arange(start, end), alpha_x=alpha_x, alpha_p=alpha_p,
-                dealer_basis=dealer, basis_a=basis_a, basis_b=basis_b, basis_c=basis_c,
-                kept=kept, **{name: outcomes["xp".index(name[0]), "abc".index(name[2])]
-                              for name in OUTCOME_COLUMNS})
-        return _Chunk(dealer, kept, witness, bias, calib, reads[:n_calib], reads[n_calib:], table)
+                round_index=np.arange(start, end), alpha_x=np.broadcast_to(alphas[0], m),
+                alpha_p=np.broadcast_to(alphas[1], m), dealer_basis=dealer, basis_a=basis_a,
+                basis_b=basis_b, basis_c=basis_c, kept=kept,
+                **{name: normals["xp".index(name[0]), self.order["abc".index(name[2])]]
+                   for name in OUTCOME_COLUMNS})
+        return _Chunk(dealer, kept, witness, bias, calib, tuple(reads[:n_calib]),
+                      tuple(reads[n_calib:]), tuple(witnessed), table)
 
     def __iter__(self) -> Iterator[RoundTable]:
         for start, end, gen in _chunks(self.stream, self.n_rounds):
@@ -666,7 +771,8 @@ class _ProtocolRun:
                     self.fit.calibrate(r)
             for r in ch.reads:
                 # estimate minus truth on every read round
-                e = estimators.combine(r.triple, self.coalition, r.quad, self.gains) - r.truth
+                e = estimators.combine(_columns(r.triple, self.order), self.coalition, r.quad,
+                                       self.gains) - r.truth
                 e_est = e[~(r.witness | r.bias)]
                 self.sq_err[r.quad].add(e_est * e_est)
                 e_bias = e[r.bias]
@@ -678,8 +784,8 @@ class _ProtocolRun:
                 self.n_witness[0] += w_x
                 self.n_witness[1] += int(np.count_nonzero(ch.witness)) - w_x
             else:
-                _add_witness(self.sq_witness, *(r.triple[:, r.witness] for r in ch.reads),
-                             *(r.truth[r.witness] for r in ch.reads))
+                (triple_x, alpha_x), (triple_p, alpha_p) = ch.witnessed
+                _add_witness(self.sq_witness, triple_x, triple_p, alpha_x, alpha_p)
             table = ch.table
             # drop the chunk's reads before its table goes out, and the table before the
             # next chunk is drawn
@@ -827,6 +933,10 @@ def witness_verification_run(
     With surrogate=True the distributed state is the intercept-and-resend
     stand-in from :func:`surrogate_intercept_state`. Rounds are drawn in
     chunks, each from its own child stream, and reduced to running sums.
+    A round's witness error c·t − α_q/√2 is linear in its (A, B, C)
+    outcomes t ~ N(μ_q, Σ_q), so each chunk draws its dealer basis coins
+    and then one normal per round, the x rounds' first, scaled by
+    √(cᵀΣ_q c) and shifted by c·μ_q − α_q/√2.
     """
     n_rounds = check_scalar("n_rounds", n_rounds, f">= {2 * WITNESS_MIN_ROUNDS}",
                             2 * WITNESS_MIN_ROUNDS, integer=True)
@@ -834,21 +944,26 @@ def witness_verification_run(
         raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_ROUNDS}")
     # the plan checks the displacement as a run's fixed plan does
     plan = DisplacementPlan.fixed(alpha_x, alpha_p)
-    alpha_x, alpha_p = plan.alpha_x, plan.alpha_p
     if surrogate:
-        st = surrogate_intercept_state(model, alpha_x, alpha_p)
+        st = surrogate_intercept_state(model, plan.alpha_x, plan.alpha_p)
     else:
-        st = build_dealer_state(model, alpha_x, alpha_p)
-    factors = _triple_factors(st.cov)
-    means = [st.mean[list(triple), None] for triple in estimators.TRIPLE_INDICES]
+        st = build_dealer_state(model, plan.alpha_x, plan.alpha_p)
+    # the witness weights c over (A, B, C), per quadrature
+    weights = estimators.witness_estimate(np.eye(3), np.eye(3))
+    laws = []
+    for c, idx, alpha in zip(weights, estimators.TRIPLE_INDICES, (plan.alpha_x, plan.alpha_p)):
+        idx = list(idx)
+        laws.append((math.sqrt(c @ st.cov[np.ix_(idx, idx)] @ c),
+                     float(c @ st.mean[idx]) - alpha / math.sqrt(2.0)))
     sq = (RunningMoments(), RunningMoments())
     for start, end, gen in _chunks(stream, n_rounds):
         m = end - start
         n_x = m - int(np.count_nonzero(_coin(gen, m)))
-        # one triple in the dealer's basis per round, party-major, the x rounds' first
-        z = gen.standard_normal((3, m))
-        _add_witness(sq, _apply(factors[0], z[:, :n_x]) + means[0],
-                     _apply(factors[1], z[:, n_x:]) + means[1], alpha_x, alpha_p)
+        e = gen.standard_normal(m)
+        for sq_q, (sd, shift), e_q in zip(sq, laws, (e[:n_x], e[n_x:])):
+            e_q *= sd
+            e_q += shift
+            sq_q.add(e_q * e_q)
     return _witness_result(*sq)
 
 
@@ -866,7 +981,11 @@ def batch_mse_distribution(
     MSE per batch, for comparison against the scaled chi-squared law.
     Probe j of every quadrature belongs to batch j // N; probes are
     drawn in chunks, each from its own child stream, and only the
-    per-batch sums of squared errors are kept.
+    per-batch sums of squared errors are kept. An estimate is linear in
+    the outcomes it reads, so a probe's error in quadrature q is one
+    normal scaled by √(wᵀΣ_q w), with w the estimator's weights and Σ_q
+    the covariance of the outcomes it reads (with its vacuum unit for a
+    lone A): each chunk draws a (2, m) array, x errors then p errors.
     """
     n_batches = check_scalar("n_batches", n_batches, ">= 100", 100, integer=True)
     n_probes_per_quadrature = check_scalar("n_probes_per_quadrature", n_probes_per_quadrature,
@@ -877,41 +996,29 @@ def batch_mse_distribution(
         )
     cov = dealer_covariances([model.r], model)[0]
     gains = estimators.gains_for_model(model, coalition)
-    # per quadrature, the dealer quadratures of the parties the estimator reads, in
-    # mode order (C, B, A), and their weights bias_scale * (w0 + g w1)
-    parties = [estimators.PARTIES.index(p) for p in reversed(coalition.party_columns)]
     g, bias = gains.gain(coalition), gains.bias_scale
-    columns = []
+    lone = coalition is Coalition.A_ALONE
+    # dual homodyne reads x_A and p_A of each probe, each with a vacuum unit; a coalition
+    # that reads one quadrature per probe splits its probes between the two
+    vacuum, split = (1.0, 1.0) if lone else (0.0, estimators.RESOURCE_SPLIT_FACTOR)
+    # per quadrature, the dealer quadratures of the parties the estimator reads and
+    # their weights bias_scale * (w0 + g w1)
+    parties = [estimators.PARTIES.index(p) for p in coalition.party_columns]
+    sd = np.empty((2, 1))
     for q in (0, 1):
         w0, w1 = estimators.WEIGHTS[coalition, q]
         idx = [estimators.TRIPLE_INDICES[q][j] for j in parties]
-        columns.append((idx, bias * (w0 + g * w1)[parties]))
-    # (columns, weights (columns x estimators), vacuum units, factor) per draw of a probe
-    if coalition is Coalition.A_ALONE:
-        # dual homodyne reads x_A and p_A of each probe, each with a vacuum unit
-        (idx_x, w_x), (idx_p, w_p) = columns
-        draws = [(idx_x + idx_p, np.diag(np.concatenate((w_x, w_p))), 1.0, 1.0)]
-    else:
-        split = estimators.RESOURCE_SPLIT_FACTOR
-        draws = [(idx, w[:, None], 0.0, split) for idx, w in columns]
-    # the state sits at zero displacement, so its outcomes have mean exactly 0 and a
-    # draw's errors are its normals times the weights folded into the Cholesky factor
-    # of its columns' covariance
-    folded = []
-    for idx, w, vacuum, factor in draws:
-        sub = cov[np.ix_(idx, idx)]
-        sub[np.diag_indices_from(sub)] += vacuum
-        folded.append((np.linalg.cholesky(sub).T @ w, factor))
+        w = bias * (w0 + g * w1)[parties]
+        sub = cov[np.ix_(idx, idx)] + vacuum * np.eye(len(idx))
+        sd[q] = math.sqrt(split * (w @ sub @ w))
     n_probes = n_probes_per_quadrature
     n_tot = n_batches * n_probes
     total = np.zeros(n_batches)
     for start, end, gen in _chunks(stream, n_tot):
-        m = end - start
-        sq = np.zeros(m)
-        for v, factor in folded:
-            err = gen.standard_normal((m, v.shape[0])) @ v
-            sq += factor * np.sum(err * err, axis=1)
+        err = gen.standard_normal((2, end - start))
+        err *= sd
+        err *= err
         first = start // n_probes
-        sums = np.bincount(np.arange(start, end) // n_probes - first, weights=sq)
+        sums = np.bincount(np.arange(start, end) // n_probes - first, weights=err[0] + err[1])
         total[first : first + sums.size] += sums
     return total / n_probes

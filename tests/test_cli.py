@@ -234,18 +234,20 @@ def test_simulate_and_rerun_byte_identical(tmp_path, capsys):
     assert len(rounds) == 1 + 10000
 
 
-# rounds.csv sha256 per (coalition, plan), from stream layout 4 (SFC64 chunk streams,
-# coins from random bytes, the party-major dealer-basis triple of each kept round or
-# a lone A's two outcomes, then the normals still missing)
+# rounds.csv sha256 per (coalition, plan), from stream layout 5 (SFC64 chunk streams,
+# coins from random bytes, the blocks of the kept rounds, the party-major normals of
+# each kept round's dealer basis, a pair's outsider for its witness rounds or a lone
+# A's two outcomes, then the blocks and normals still missing); the fixed-plan
+# a_alone and abc digests are those of layout 4
 ROUNDS_CSV_SHA256 = {
     ("a_alone", "fixed"): "d0401723ecb1b5aa8873e9d1c5b70f1fb660ea9a611d1ff0275886f3c79fa58b",
-    ("ab", "fixed"): "7e72ecc1847752b75ed20bc666aad6ab79dfdd21e9a15457fbd92a45cd57a1eb",
-    ("ac", "fixed"): "b2d4687c69d9fab3d4927de15ffcfd810a3a6212bfbbd66157e0b8d3742200b5",
+    ("ab", "fixed"): "7854d0aea8a9bd39e6695e06708922d9dc3564a87c9cd72433a0a766814d5d09",
+    ("ac", "fixed"): "275595a052e073b9c31915190f5c4e9e952fefb7e1f80632c90d3127e7304161",
     ("abc", "fixed"): "7fc02e5c0df6d7c81a903b3b9b8547995bb0f8d6d670987bb83a7d8349601715",
-    ("a_alone", "gaussian"): "21c472092189e93240916974bd993b98f818324f039dccf2e75fe70aaab407bb",
-    ("ab", "gaussian"): "02d716596165de5d61c453410a2c54f399b729795a22bc1bbbc42b3f7bdf03e0",
-    ("ac", "gaussian"): "5aa4d58cc726434d0060c16c1644aad5239b90dd593733b21259104d98889162",
-    ("abc", "gaussian"): "3106cec981cd417a4d7a3efa5d1268961103970b0ed480b758ba76230ad42bc8",
+    ("a_alone", "gaussian"): "34bdc7157d8de7ac7b5ccf09629b201199aed54e6a7405efa1ca2cb983d8d515",
+    ("ab", "gaussian"): "26ed02ce238a76527305fa329da0f80f076cf9e68df5c4883e30b357dc5622ac",
+    ("ac", "gaussian"): "8680730bc6f9bffb138de41c5aa4b95a778a85b9c35fbc9b93b86793d2984f3c",
+    ("abc", "gaussian"): "9838ba77204ef7bd274d4dbbbae2f95ca6bb9eeb529558d25d4cc04af1b7ee43",
 }
 
 
@@ -265,7 +267,7 @@ def test_rounds_csv_bytes_pinned(tmp_path, capsys, coalition, plan):
     assert digest == ROUNDS_CSV_SHA256[(coalition, plan)]
 
 
-# rounds.csv sha256 of runs of several chunks, from stream layout 4, as the
+# rounds.csv sha256 of runs of several chunks, from stream layout 5, as the
 # whole-run round table wrote them: (config lines, _CHUNK_ROUNDS or None, digest).
 # 1031 rounds in chunks of 50 end on a partial chunk of 31; 150,000 rounds are two
 # full chunks of 65,536 and a partial one
@@ -275,7 +277,7 @@ MULTI_CHUNK_ROUNDS_CSV_SHA256 = {
         "bdcb821dc6760b06819eb971b6340de5923492b46e0688d1eae2c64b5a5b0da3"),
     "abc-gaussian-n_rep-3-fitted-chunks-of-50": (
         "coalition = abc\nplan = gaussian\nn_rep = 3\ngain_mode = fitted\nn_rounds = 1031\n", 50,
-        "018c7ee68467a83058412d00f48c96f594e8318a0cee10079acd9028d795ed86"),
+        "1665934de4d87ad9cd255790a8fd29ba7a28ba02a2a2e9f381790d240e66dec8"),
     "abc-fixed-150000": (
         "coalition = abc\nn_rounds = 150000\n", None,
         "6909aa128983b334fdc79a9e5c72509ab9b7013ae5ff978f149e95775ad37373"),
@@ -1181,9 +1183,10 @@ def test_traced_runs_match_untraced_runs():
     assert len(spans) > 0
     assert counters["protocol.rounds"] == 2000 + 1000 + 2 * 5 * 100
     assert counters["protocol.records"] == 2000
-    # the witness rounds of the run and of the verification run, x and p each once
-    n_witness = run.witness.n_x + run.witness.n_p + witness.n_x + witness.n_p
-    assert counters["estimators.values"] == n_witness + est.size
+    # the run's witness rounds, x and p each once, and the verification run's one
+    # fold of the witness weights, the combinations of the 3 x 3 identity's rows
+    n_witness = run.witness.n_x + run.witness.n_p
+    assert counters["estimators.values"] == n_witness + 2 * 3 + est.size
 
 
 MI_ARGS = ["mi","--v-dist", "5", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",
@@ -1609,10 +1612,10 @@ def test_witness_subcommand(tmp_path, capsys):
 
 
 # sha256 of the witness subcommand's witness.json, plain and with --surrogate, from
-# stream layout 4
+# stream layout 5: one normal per round
 WITNESS_OUTPUT_SHA256 = {
-    False: "a660843db348afb017e89edc5f82f6746d2f733aebe0bac684515d4ffe8a1afe",
-    True: "5d6e711487f3a89ff6fb55faa111ea69c58911bc6af888cf9641f909cdba0e24",
+    False: "14e1ab15899b781a9aae62d39ff38774fcb4129ff9ccd32cd0833bd6ad770c71",
+    True: "8ca115d16cb8d0a5bb0582612b5573d479a6089014be883907d3ff92e8b3b9cc",
 }
 
 
@@ -1800,7 +1803,7 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 
 
 # sha256 of analytic simulate's reports per (coalition, plan), in chunks of 512
-# rounds, from stream layout 4; a one-pass run estimates with the analytic gain, so
+# rounds, from stream layout 5; a one-pass run estimates with the analytic gain, so
 # a fitted run's drawing must not move these
 SIMULATE_REPORTS_SHA256 = {
     ("a_alone", "fixed"): ("619c78d20d283466c29d8b8af18b06ba4f84171dd138995acb688839bec99f7d",
@@ -1808,25 +1811,25 @@ SIMULATE_REPORTS_SHA256 = {
                            "bbfc6b774d485605e261af4205b4b24508d2f9f31867b582b74c1e94eb5b0291"),
     ("ab", "fixed"): ("db49f2586b0b7791520786ca9d097dbf4e4d7b7e21271062b22550743b5c0f69",
                       "b8ed09d61ea0a4410e018f9dd51eb5cc669371ecc1c5814f10910d833888b1d0",
-                      "9e273c62d01a7a3e02b976fe2a6718c22a5781c77396f5be882a8824baee6ddc"),
-    ("ac", "fixed"): ("5fc75120337bcfe611068acbb9163646b3ce3e8c0b546bd34290c2f6d3eb4fb8",
-                      "04935a0b1cb30f8f8bde7ea2863fdbf9d01f8c79b76f62e7d3c17ec091d2366b",
-                      "9e273c62d01a7a3e02b976fe2a6718c22a5781c77396f5be882a8824baee6ddc"),
+                      "a523bbbe1803807f1549a51ee803242150e16e26cc34ead9fa671c1cf21413e1"),
+    ("ac", "fixed"): ("85eff63637e60652857bf2b3c0e8d9c3c44a9395f685efd45f1bbd2ac9185a45",
+                      "07b1c5f143cc79e6a19a686c6063fdef33dda634fe9cd93633e1789d57f93877",
+                      "380b23fc2e14dd2f2cabadded9a4572af1a0f7001a439ca1cecae83ddc907762"),
     ("abc", "fixed"): ("f37c550c0b13999fdb08401638f43e8d3335e7aa8e330ee0d655e97e5f74d915",
                        "5dc3f92d4ea03f18257a3d672139be3273c5b62aec2733a34403a18963891a02",
                        "c6279622940135978ed11cc37887617fa7e9bc8fe9820f332e1bf359a5a9f109"),
-    ("a_alone", "gaussian"): ("7a33fab532683e4506b4bfeebe45269983f58112885ed743b36c86cd0be2d2c9",
-                              "ea8a32c55644175889a4335a0377ad27279d8643f850d2bc206de20b0c591e00",
-                              "9417cd147d642e0b6ddbb18084a00903824939313acbb7206238bf7c88c26671"),
-    ("ab", "gaussian"): ("98b47f6f1ee9832715a9a6f9b370d95336a51273923b663d1b4ae96d5adf3f2e",
-                         "2f2a1d8190a8cc05b4b66c5510b537c403c6aee25b4c3c0d057434d2558db025",
-                         "98027f17de66d539356b698e4d65d35ad69e6de661eea27e81a6edb7bbbcaa03"),
-    ("ac", "gaussian"): ("72e0073acb4aba99ec7c21831e2ad7470d9d744d9d720d03518600497082b6b0",
-                         "07007caed93672893b5c3e71f4d2d35104f98a846b9e7543fc45cc198ef6ed49",
-                         "98027f17de66d539356b698e4d65d35ad69e6de661eea27e81a6edb7bbbcaa03"),
-    ("abc", "gaussian"): ("f69816917e420172c4e89d99e465b16e2c5b8b546166ef6080350416d700afa7",
-                          "ea110364aaf110560e29984df487a27a72cf7485c939c1f668b090ec6e99e846",
-                          "aa844285d508e8c513fda31da99bdcec389d82b633b08aa51656f8f5e320438e"),
+    ("a_alone", "gaussian"): ("c84800fb8d20a1f16421cea65fadc9336e0d81256f473d672e4fa765cf4c9f1b",
+                              "626ca287ae671bdef79b4f619707581470657f998d0c53bd87fb434bd4f9c5e6",
+                              "bbfc6b774d485605e261af4205b4b24508d2f9f31867b582b74c1e94eb5b0291"),
+    ("ab", "gaussian"): ("17f8cc9b159035b1e4886894cbe97adb9fc77ee67e72b943953acfe19f91acc4",
+                         "c70fe42e6958c66aea5a01bac3065cdd1c8b7c0e66c4d1e7df0ba870f256cbf0",
+                         "83426c6d387df90f4adfcbf3a268c1394df0953a73ad246bb96c75c600db2a9c"),
+    ("ac", "gaussian"): ("f4d782de398b0722077ca1e95b77b29eeab3cfd195e9d40d31fc44a6bb23e0b9",
+                         "80a6fd341457f372d7c1bd264cf13eeeac5f63e60134058c01354093202568a0",
+                         "0ffcddbd0a4f0561b5e05f969a93ef248dd7cbb0bf3077493a3d946864e6978d"),
+    ("abc", "gaussian"): ("f7d1372981a4582d84b52799f2adc592d52f2547163e05b73d903c5014b4fe79",
+                          "2419adc43ece37811c46bb8e95de6d875a090900b46e009a135d7af15bc8d093",
+                          "92a39e0418be1f761e15c68beed1ddec94239995d4e456f399beaee34a9d30c3"),
 }
 
 
@@ -1848,16 +1851,16 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
 
 
 # sha256 of fitted simulate's mse_report.json and bias.json for the pairs, in the
-# setup of SIMULATE_REPORTS_SHA256, from stream layout 4
+# setup of SIMULATE_REPORTS_SHA256, from stream layout 5
 FITTED_PAIR_REPORTS_SHA256 = {
     ("ab", "fixed"): ("e14adbe611aa28dec7292094dbcad2a5f13a0a92acb198d5b4a04f0da908d8d8",
                       "6734f669dc3754c1c2c53878155d8e033873ad58fdea7ca373816d8c3498bd5a"),
-    ("ab", "gaussian"): ("eafda8f86d6dd0b747df95f3f773a031f790c61b2a8ef07eacef6d54f54e3487",
-                         "841eaa04c4c86f1024053a8b1052276e56a772572ccff966d30395e2d6e2d29f"),
-    ("ac", "fixed"): ("f5372495f1a91586b706bb834a02325265e8f5884505fa26f604974eccfaea9f",
-                      "012dad962166ddc0f718e107d6244275e1ee3670a15e434f8ad96b040e9696de"),
-    ("ac", "gaussian"): ("56899309d1f20ac6d496b31f2203608bd3d04d5613ea2b8addf5abbced011bca",
-                         "4c92edde926a9c1943c1d3fa0573fd58f4e6aba7701433b00d029f923b8c1fd5"),
+    ("ab", "gaussian"): ("e2f962b3bf625cd5da4a90af4cee22513f68f48e7c0ae7eff12f47dc152cdb88",
+                         "4570ac22f923ae3a5e08d739c33b0d4c23dcbe245a9624b9b22434322c59043c"),
+    ("ac", "fixed"): ("b86a73a299d7ab71761d5d09d26cb451f4231fad85ba01e81d49b6e43cce76cd",
+                      "9f2bfab6c1d5769c4fd978ec10462c9d0d13ddfc8cb06d5e7ec9479f950613c1"),
+    ("ac", "gaussian"): ("de225c20c129cca0ed2f0c9651759cbfcdf8af1fc6d6ad7b03795b4608a14796",
+                         "7cfc5223893e5fe1b81c90d79f26cf9f16cb4a0a7387b194a4cd498d0a0790c3"),
 }
 
 
@@ -1891,13 +1894,13 @@ MANIFEST_SHA256 = {
     "certify": (["certify", "--grid", "3"],
                 "ba143e7b8595f2a755f56cc3a97b2780c758be70f274e827510b693077c50fe1"),
     "simulate": (["simulate", "--config", "run.cfg", "--dump-rounds"],
-                 "633f78d8c45fadb6b47cb47f5f441faffe30c9073ee3d5d50c685f75a9c0ac36"),
+                 "50057241c6280270eea177334104aad43ef0f28c5dbbdf23def0d7eedf94a2a9"),
     "security": (["security", *MU_ARGS, "--n-probes", "5"],
                  "5cc9aa63394f51596b24559f5642c862bed7119596eea59c6211441bc0e9ce25"),
     "mi": (["mi", "--v-dist", "5", *MU_ARGS, "--n-max", "5"],
            "ba872b7bc5353e2ff05223895bc7e400f03b4a536db58adf96716485afb998fd"),
     "witness": (["witness", "--n-rounds", "400", "--seed", "2"],
-                "355b497e139c2e9405dfbc65b621a23b7e897d2366b6399b0d356743cfeceda1"),
+                "dbefcec78d5fc5276122125d799bfa79e5b96b6dbac3b2ba2566dce288304d79"),
 }
 
 
@@ -1916,7 +1919,7 @@ def test_manifest_bytes_pinned(tmp_path, capsys, monkeypatch):
             p.name for p in out.iterdir() if p.name != "manifest.json"), case
 
 
-def test_sampled_manifests_name_stream_layout_4(tmp_path, capsys):
+def test_sampled_manifests_name_stream_layout_5(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("coalition = ab\nn_rounds = 1000\n")
     runs = {"simulate": ["simulate", "--config", str(cfg)],
@@ -1925,7 +1928,7 @@ def test_sampled_manifests_name_stream_layout_4(tmp_path, capsys):
         code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path / name)], capsys)
         assert code == 0
         manifest = read_json(os.path.join(str(tmp_path / name), "manifest.json"))
-        assert manifest.get("stream_layout") == (None if name == "bounds" else 4), name
+        assert manifest.get("stream_layout") == (None if name == "bounds" else 5), name
 
 
 def test_manifest_lists_arguments(tmp_path, capsys):

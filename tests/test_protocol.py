@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +139,12 @@ def test_too_few_usable_rounds():
         run_protocol(IDEAL, PLAN, 10, Coalition.ABC, greedy, RandomStream(0))
 
 
+def test_readme_describes_the_current_stream_layout():
+    # the manifests name the layout, and the README's section of that name says what it draws
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"\n### Stream layout {protocol.STREAM_LAYOUT}\n" in readme
+
+
 def test_determinism_and_stream_independence():
     a = run_protocol(IDEAL, PLAN, 2000, Coalition.ABC, POLICY, RandomStream(7))
     b = run_protocol(IDEAL, PLAN, 2000, Coalition.ABC, POLICY, RandomStream(7))
@@ -190,11 +197,10 @@ def _assert_round(table: RoundTable, i: int, **want) -> None:
 
 def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) -> dict:
     """The round-table columns of an n-round analytic run on IDEAL with a gaussian plan
-    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 4."""
+    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 5."""
     gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, 0))))
     lone = coalition is Coalition.A_ALONE
-    # one displacement block per round, x then p
-    alpha = [math.sqrt(v_dist) * gen.standard_normal(n) for _ in "xp"]
+    three = coalition is Coalition.ABC
 
     def coins():
         # the bits of ceil(n / 8) random bytes, most significant bit first
@@ -206,7 +212,7 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
     else:
         # the coalition's shared coin, then the outsider's own
         shared = coins()
-        other = shared if coalition is Coalition.ABC else coins()
+        other = shared if three else coins()
         bases = {"a": shared, "b": other if coalition is Coalition.AC else shared,
                  "c": shared if coalition is Coalition.AC else other}
     kept = np.ones(n, dtype=bool) if lone else bases["a"] == dealer
@@ -217,34 +223,59 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
     # the bias subset, which the table does not show
     gen.choice(np.flatnonzero(kept & ~witness), round(POLICY.bias_fraction * n), replace=False,
                shuffle=False)
-    # every round's normals per quadrature, one row per party (A, B, C)
+    alpha = np.empty((2, n))
+
+    def blocks(rounds):
+        # one displacement block per round: the x draws of the given rounds, then the p ones
+        for q in (0, 1):
+            alpha[q, rounds] = math.sqrt(v_dist) * gen.standard_normal(rounds.size)
+
+    blocks(np.flatnonzero(kept))
+    # every round's normals per quadrature, one row per party in the factors' order:
+    # A, then a pair's partner before its outsider
+    order = (0, 2, 1) if coalition is Coalition.AC else (0, 1, 2)
     normals = np.empty((2, 3, n))
     cov = build_dealer_state(IDEAL, 0.0, 0.0).cov
     vacuum = np.diag([1.0 if lone else 0.0, 0.0, 0.0])
     factors = [np.linalg.cholesky(cov[np.ix_(idx, idx)] + vacuum)
-               for idx in estimators.TRIPLE_INDICES]
+               for idx in ([quad[j] for j in order] for quad in estimators.TRIPLE_INDICES)]
     if lone:
-        # A's dual-homodyne outcomes, then B's and C's normals in x and in p
+        # A's dual-homodyne outcomes in x and in p
         normals[:, 0] = gen.standard_normal((2, n))
-        for q in (0, 1):
-            normals[q, 1:] = gen.standard_normal((2, n))
     else:
-        # the kept rounds' triples in the dealer's basis, x rounds first; then the
-        # triples still missing, x before p
+        # the kept rounds' normals in the dealer's basis, x rounds first: three rows for
+        # all three, two for a pair, whose outsider's normals follow for its witness rounds
+        rows = 3 if three else 2
         drawn = [np.flatnonzero(kept & (dealer == q)) for q in (0, 1)]
-        z = gen.standard_normal((3, drawn[0].size + drawn[1].size))
-        normals[0][:, drawn[0]], normals[1][:, drawn[1]] = np.split(z, [drawn[0].size], axis=1)
-        for q in (0, 1):
-            missing = np.flatnonzero(~kept | (dealer != q))
-            normals[q][:, missing] = gen.standard_normal((3, missing.size))
+        z = gen.standard_normal((rows, drawn[0].size + drawn[1].size))
+        normals[0][:rows, drawn[0]], normals[1][:rows, drawn[1]] = np.split(
+            z, [drawn[0].size], axis=1)
+        if not three:
+            w = [np.flatnonzero(witness & (dealer == q)) for q in (0, 1)]
+            normals[0][2, w[0]], normals[1][2, w[1]] = np.split(
+                gen.standard_normal(w[0].size + w[1].size), [w[0].size])
+    # the records' draws: the blocks of the discarded rounds, then per quadrature a
+    # pair's outsider in its other read rounds and every normal of the unread rounds
+    blocks(np.flatnonzero(~kept))
+    for q in (0, 1):
+        if lone:
+            normals[q, 1:] = gen.standard_normal((2, n))
+            continue
+        read = kept & (dealer == q)
+        if not three:
+            other = np.flatnonzero(read & ~witness)
+            normals[q][2, other] = gen.standard_normal(other.size)
+        missing = np.flatnonzero(~read)
+        normals[q][:, missing] = gen.standard_normal((3, missing.size))
     want = {"round_index": np.arange(n), "alpha_x": alpha[0], "alpha_p": alpha[1],
             "dealer_basis": dealer, "kept": kept}
     for j, party in enumerate("abc"):
         want[f"basis_{party}"] = bases[party]
+        row = order.index(j)
         for q, quad in enumerate("xp"):
-            f, z = factors[q][j], normals[q]
+            f, z = factors[q][row], normals[q]
             value = f[0] * z[0]
-            for i in range(1, j + 1):
+            for i in range(1, row + 1):
                 value = value + f[i] * z[i]
             if party == "a":
                 value = value + alpha[q]
@@ -253,9 +284,10 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
 
 
 def test_round_columns_hold_the_drawn_rounds():
-    # every round of a one-chunk run as drawn by stream layout 4: the displacements,
-    # the basis coins from random bytes, the witness and bias picks, then the
-    # party-major triples of the kept rounds and the normals still missing
+    # every round of a one-chunk run as drawn by stream layout 5: the basis coins from
+    # random bytes, the witness and bias picks, the kept rounds' displacements, the
+    # party-major normals of the kept rounds, then the displacements and normals
+    # still missing
     n = 100
     plan = DisplacementPlan.gaussian_modulated(1.5)
     for coalition in Coalition:
@@ -594,11 +626,26 @@ def test_chunk_edges_keep_blocks_subsets_and_fitted_counts(monkeypatch, n_rep):
     assert res.mse_report.n_x + res.mse_report.n_p == n_est - n_est // 2
     assert res.bias.status == "ok"
     # for ab the witness pool is a quarter of the rounds, so a witness fraction
-    # of 0.22 leaves some chunks short; later chunks make up the shortfall
+    # of 0.22 leaves some chunks short; later chunks make up the shortfall as far as
+    # their own pools reach: each takes what is due by its end, or its whole pool
     greedy = ProtocolPolicy(witness_fraction=0.22)
+    run = protocol._ProtocolRun(IDEAL, plan, n, Coalition.AB, greedy, RandomStream(59),
+                                "analytic", keep_records=True)
+    taken, made_up = 0, False
+    for ch in _drawn(run):
+        start, end = ch.table.round_index[0], ch.table.round_index[-1] + 1
+        t = ch.table
+        pool = int(np.count_nonzero(ch.kept & (t.basis_b == t.dealer_basis)
+                                    & (t.basis_c == t.dealer_basis)))
+        due = round(0.22 * end) - taken
+        took = int(np.count_nonzero(ch.witness))
+        assert took == min(due, pool)
+        made_up |= took > round(0.22 * end) - round(0.22 * start)
+        taken += took
+    assert made_up
     res = run_protocol(IDEAL, plan, n, Coalition.AB, greedy, RandomStream(59),
                        keep_records=False)
-    assert res.witness.n_x + res.witness.n_p == round(0.22 * n)
+    assert res.witness.n_x + res.witness.n_p == taken
 
 
 def _drawn(run):
@@ -679,8 +726,8 @@ class _CountingGenerator:
     def __init__(self, gen, shapes):
         self._gen, self._shapes = gen, shapes
 
-    def standard_normal(self, size):
-        out = self._gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        out = self._gen.standard_normal(size, out=out)
         self._shapes.append(out.shape)
         return out
 
@@ -699,7 +746,7 @@ def _count_normals(monkeypatch) -> list:
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
 @pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.AC, Coalition.ABC],
                          ids=lambda c: c.value)
-def test_non_lone_run_draws_one_triple_per_kept_round(monkeypatch, coalition, gain_mode):
+def test_non_lone_run_draws_the_normals_its_reads_need(monkeypatch, coalition, gain_mode):
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     n = 5000
     plan = DisplacementPlan.gaussian_modulated(2.0)
@@ -708,17 +755,46 @@ def test_non_lone_run_draws_one_triple_per_kept_round(monkeypatch, coalition, ga
     shapes = _count_normals(monkeypatch)
     res = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71),
                        gain_mode=gain_mode, keep_records=False)
-    n_est = kept - (res.witness.n_x + res.witness.n_p) - res.bias.n_rounds
+    n_witness = res.witness.n_x + res.witness.n_p
+    n_est = kept - n_witness - res.bias.n_rounds
     n_calib = n_est - (res.mse_report.n_x + res.mse_report.n_p)
     assert n_calib == (n_est // 2 if gain_mode == "fitted" else 0)
-    # one pass in either gain mode: one x and one p displacement normal per round
-    assert sum(s[0] for s in shapes if len(s) == 1) == 2 * n
-    # three normals per kept round, party-major, calibration rounds included, none
-    # for a discarded one
-    triples = [s for s in shapes if len(s) == 2]
-    assert all(s[0] == 3 for s in triples)
-    assert sum(s[1] for s in triples) == kept
-    assert len(shapes) == sum(1 for s in shapes if len(s) == 1) + len(triples)
+    three = coalition is Coalition.ABC
+    # one pass in either gain mode: per kept round an x and a p displacement normal and
+    # the party-major normals of the dealer's basis, three for all three and two for a
+    # pair, calibration rounds included; a pair adds its outsider's normal per witness
+    # round; a discarded round draws nothing
+    rows = [s for s in shapes if len(s) == 2]
+    assert all(s[0] == (3 if three else 2) for s in rows)
+    assert sum(s[1] for s in rows) == kept
+    flat = sum(s[0] for s in shapes if len(s) == 1)
+    assert flat == 2 * kept + (0 if three else n_witness)
+    assert len(shapes) == len(rows) * (3 if three else 4)
+
+
+@pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.A_ALONE], ids=lambda c: c.value)
+def test_blocks_are_drawn_where_a_kept_round_reads_them(monkeypatch, coalition):
+    # chunks of 1024 rounds and blocks of 3: a chunk draws the blocks that start in it
+    # and hold one of its kept rounds or run past its end, two normals each
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
+    n, n_rep = 5000, 3
+    plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
+    kept = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71)).records.kept
+    due = 0
+    for start in range(0, n, 1024):
+        end = min(start + 1024, n)
+        for first in range(-(-start // n_rep) * n_rep, end, n_rep):
+            due += first + n_rep > end or bool(kept[first : first + n_rep].any())
+    shapes = _count_normals(monkeypatch)
+    run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), keep_records=False)
+    # the chunk's first two draws are its blocks' x and p values
+    per_chunk = len(shapes) // -(-n // 1024)
+    blocks = [s for i, s in enumerate(shapes) if i % per_chunk < 2]
+    assert all(len(s) == 1 for s in blocks)
+    assert sum(s[0] for s in blocks) == 2 * due
+    if coalition is Coalition.A_ALONE:
+        # every round is kept, so every block is drawn, once
+        assert due == -(-n // n_rep)
 
 
 def test_lone_run_draws_two_normals_per_round(monkeypatch):
@@ -732,12 +808,21 @@ def test_lone_run_draws_two_normals_per_round(monkeypatch):
     assert sum(s[1] for s in shapes) == 5000
 
 
-def test_witness_run_draws_three_normals_per_round(monkeypatch):
+def test_witness_run_draws_one_normal_per_round(monkeypatch):
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     shapes = _count_normals(monkeypatch)
     witness_verification_run(IDEAL, 1.0, -1.0, 5000, RandomStream(71))
-    assert all(len(s) == 2 and s[0] == 3 for s in shapes)
-    assert sum(s[1] for s in shapes) == 5000
+    assert all(len(s) == 1 for s in shapes)
+    assert sum(s[0] for s in shapes) == 5000
+
+
+def test_batch_run_draws_two_normals_per_probe(monkeypatch):
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
+    shapes = _count_normals(monkeypatch)
+    batch_mse_distribution(IDEAL, Coalition.ABC, 30, 150, RandomStream(71))
+    # one error normal per probe in x and one in p
+    assert all(len(s) == 2 and s[0] == 2 for s in shapes)
+    assert sum(s[1] for s in shapes) == 30 * 150
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 65535, 65536])
@@ -865,15 +950,27 @@ def test_chunk_tables_and_the_run_table_hold_the_same_rounds(monkeypatch, coalit
 def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition):
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
     lone = coalition is Coalition.A_ALONE
+    # a read's rows follow the factors' order, and a pair's read holds A's and the
+    # partner's rows only
+    order = protocol._party_order(coalition)
     for ch in _chunks(coalition, 1000, fitted=not lone):
         assert len(ch.reads) == 2 and len(ch.calibration) == (0 if lone else 2)
         for r in ch.calibration + ch.reads:
+            assert r.triple.shape[0] == (1 if lone else 3 if coalition is Coalition.ABC else 2)
             # a party's outcome in a quadrature its basis did not read is NaN in the table
-            for j, party in enumerate("abc"[: r.triple.shape[0]]):
+            for j, triple_row in enumerate(r.triple):
+                party = "abc"[order[j]]
                 col = getattr(ch.table, f"{'xp'[r.quad]}_{party}")[r.rows]
                 read = getattr(ch.table, f"basis_{party}")[r.rows] != 1 - r.quad
-                assert np.array_equal(col[read], r.triple[j][read])
+                assert np.array_equal(col[read], triple_row[read])
                 assert np.isnan(col[~read]).all()
+        # the witness reads every party's outcome of its rounds, in (A, B, C) order
+        assert len(ch.witnessed) == (0 if lone else 2)
+        for q, (triple, truth) in enumerate(ch.witnessed):
+            rows = np.flatnonzero(ch.witness & (ch.dealer_basis == q))
+            assert np.all(truth == getattr(ch.table, f"alpha_{'xp'[q]}")[rows])
+            for j, party in enumerate("abc"):
+                assert np.array_equal(getattr(ch.table, f"{'xp'[q]}_{party}")[rows], triple[j])
 
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
@@ -915,10 +1012,10 @@ def _two_pass_reports(model, plan, n, coalition, stream, gains):
     for ch in _drawn(protocol._ProtocolRun(model, plan, n, coalition, POLICY, stream, "fitted",
                                            keep_records=False)):
         for r in ch.reads:
-            t = r.triple
             quad = "xp"[r.quad]
-            outcomes = {f"{quad}_{party}": t["abc".index(party)]
-                        for party in coalition.party_columns}
+            # the triple's rows follow the factors' order
+            outcomes = {f"{quad}_{'abc'[j]}": row
+                        for j, row in zip(protocol._party_order(coalition), r.triple)}
             e = estimators.estimate(coalition, outcomes, gains, quad) - r.truth
             e_est = e[~(r.witness | r.bias)]
             sq[r.quad].add(e_est * e_est)
@@ -950,8 +1047,9 @@ def test_one_pass_fitted_reports_match_the_two_pass_reference(monkeypatch, coali
 
 
 def _sample_joint_batches(model, coalition, n_probes, n_batches, stream):
-    """batch_mse_distribution through the reference sampler: sample_joint(...) @ w
-    per draw of a probe, from the same chunk generators."""
+    """batch_mse_distribution through the reference sampler's law: per quadrature the
+    variance of the weighted outcomes, (outcome_moments' covariance) @ w, then one
+    normal per probe and quadrature, x before p, from the same chunk generators."""
     base = build_dealer_state(model, 0.0, 0.0)
     if coalition is Coalition.A_ALONE:
         bias = 1.0 / math.sqrt(model.eta_a)
@@ -969,25 +1067,51 @@ def _sample_joint_batches(model, coalition, n_probes, n_batches, stream):
                 return ("none", q, q) if coalition is Coalition.AB else (q, "none", q)
             draws = [(base, choice(q), bias * np.array([[-s * g], [1.0]]), 2.0)
                      for q, s in (("x", 1.0), ("p", -1.0))]
+    variances = []
+    for state, assignment, w, factor in draws:
+        _, cov = outcome_moments(state, MeasurementAssignment(assignment))
+        variances.extend(factor * np.diag(w.T @ cov @ w))
+    sd = np.sqrt(variances)
+    assert sd.shape == (2,)
     n_tot = n_batches * n_probes
     total = np.zeros(n_batches)
     for i, start in enumerate(range(0, n_tot, protocol._CHUNK_ROUNDS)):
         m = min(protocol._CHUNK_ROUNDS, n_tot - start)
-        gen = stream.chunk_generator(i)
-        for state, assignment, w, factor in draws:
-            err = sample_joint(state, MeasurementAssignment(assignment), m, gen) @ w
-            np.add.at(total, np.arange(start, start + m) // n_probes,
-                      factor * np.sum(err * err, axis=1))
+        err = sd[:, None] * stream.chunk_generator(i).standard_normal((2, m))
+        np.add.at(total, np.arange(start, start + m) // n_probes, np.sum(err * err, axis=0))
     return total / n_probes
 
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_batch_distribution_matches_the_reference_sampler(monkeypatch, coalition):
-    # the weights folded into the Cholesky factor draw the same normals, in the
-    # same order, as sampling the outcomes and then applying the weights
+    # each probe's error in a quadrature is one normal scaled by the spread of the
+    # estimator's weighted outcomes, drawn in the same order as the reference
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
     model = ExperimentModel(r=1.2, eta_a=0.85, eta_b=0.9, eps_c=0.05)
     for seed in (3, 4):
         got = batch_mse_distribution(model, coalition, 7, 150, RandomStream(seed))
         want = _sample_joint_batches(model, coalition, 7, 150, RandomStream(seed))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("surrogate", [False, True], ids=["plain", "surrogate"])
+def test_witness_run_follows_the_law_of_its_folded_combination(surrogate):
+    # a round's witness error c.t - alpha_q/sqrt(2) is normal, with t ~ N(mu_q, Sigma_q)
+    # the outcomes of the distributed state, so split * e^2 has mean
+    # split (sigma_q^2 + offset_q^2) and variance split^2 (2 sigma_q^4 + 4 sigma_q^2 offset_q^2);
+    # under loss on A the offset is (sqrt(eta_A) - 1) alpha_q / sqrt(2)
+    model = ExperimentModel(r=0.8, eta_a=0.9, eta_b=0.8, eps_c=0.05)
+    alpha = (2.0, -1.5)
+    res = witness_verification_run(model, *alpha, 200_000, RandomStream(89), surrogate=surrogate)
+    st = (surrogate_intercept_state if surrogate else build_dealer_state)(model, *alpha)
+    h = 1.0 / math.sqrt(2.0)
+    # x_A/sqrt(2) - (x_B - x_C)/2 and p_A/sqrt(2) + (p_B - p_C)/2 over (A, B, C)
+    weights = (np.array([h, -0.5, 0.5]), np.array([h, 0.5, -0.5]))
+    split = estimators.RESOURCE_SPLIT_FACTOR
+    for c, idx, a, mse, n in zip(weights, estimators.TRIPLE_INDICES, alpha,
+                                 (res.mse_x, res.mse_p), (res.n_x, res.n_p)):
+        idx = list(idx)
+        var = c @ st.cov[np.ix_(idx, idx)] @ c
+        offset = c @ st.mean[idx] - a * h
+        se = split * math.sqrt((2.0 * var * var + 4.0 * var * offset * offset) / n)
+        assert abs(mse - split * (var + offset * offset)) <= 5.0 * se
