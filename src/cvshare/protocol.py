@@ -330,11 +330,6 @@ def _apply(
     return out
 
 
-def _at(alpha: np.ndarray | float, rows: np.ndarray | slice) -> np.ndarray | float:
-    """The displacements of the given rounds; a fixed plan's one float stands for them all."""
-    return alpha if isinstance(alpha, float) else alpha[rows]
-
-
 class _Reads(NamedTuple):
     """Rounds of a chunk whose outcomes in quadrature ``quad`` (0 = x, 1 = p) the reports read.
 
@@ -349,7 +344,7 @@ class _Reads(NamedTuple):
     quad: int
     rows: np.ndarray | slice
     triple: np.ndarray
-    truth: np.ndarray | float
+    truth: np.ndarray
     witness: np.ndarray
     bias: np.ndarray
 
@@ -375,7 +370,7 @@ class _Chunk(NamedTuple):
     calib: np.ndarray
     calibration: tuple[_Reads, ...]
     reads: tuple[_Reads, ...]
-    witnessed: tuple[tuple[np.ndarray, np.ndarray | float], ...]
+    witnessed: tuple[tuple[np.ndarray, np.ndarray], ...]
     table: RoundTable | None
 
 
@@ -417,12 +412,7 @@ class _Blocks:
         idx = np.flatnonzero(todo)
         sd = math.sqrt(self.plan.v_dist)
         for values in self.values:
-            if idx.size == values.size:
-                # every block at once, drawn in place
-                gen.standard_normal(out=values)
-                values *= sd
-            else:
-                values[idx] = sd * gen.standard_normal(idx.size)
+            values[idx] = sd * gen.standard_normal(idx.size)
         self.todo &= ~todo
 
     def alphas(self) -> tuple[np.ndarray, np.ndarray]:
@@ -553,8 +543,8 @@ def _add_witness(
     sq: tuple[RunningMoments, RunningMoments],
     triple_x: np.ndarray,
     triple_p: np.ndarray,
-    alpha_x: np.ndarray | float,
-    alpha_p: np.ndarray | float,
+    alpha_x: np.ndarray,
+    alpha_p: np.ndarray,
 ) -> None:
     """Add the squared witness errors of x rounds' and p rounds' (A, B, C) triples, one
     row per party."""
@@ -679,7 +669,9 @@ class _ProtocolRun:
             calib = _pick(est, (self.seen_est + k) // 2 - self.seen_est // 2, gen)
             self.seen_est += k
         if plan.kind == "fixed":
-            blocks, alphas = None, (plan.alpha_x * plan.scale, plan.alpha_p * plan.scale)
+            blocks = None
+            alphas = (np.broadcast_to(plan.alpha_x * plan.scale, m),
+                      np.broadcast_to(plan.alpha_p * plan.scale, m))
         else:
             blocks = _Blocks(plan, start, end, self.carry)
             blocks.draw(gen, kept)
@@ -701,7 +693,7 @@ class _ProtocolRun:
                               np.split(z, np.cumsum(sizes)[:-1], axis=1)))
         reads = []
         for q, r, z_r in groups:
-            truth = _at(alphas[q], r)
+            truth = alphas[q][r]
             # the displacement reaches A through its loss channel
             reads.append(_Reads(q, r, _apply(factors[q], z_r, self.root_eta * truth), truth,
                                 witness[r], bias[r]))
@@ -716,7 +708,7 @@ class _ProtocolRun:
                 z_out = np.split(gen.standard_normal(picks[0].size + picks[1].size),
                                  [picks[0].size])
             for read, w, (_, _, z_r) in zip(reads[n_calib:], picks, groups[n_calib:]):
-                truth = _at(read.truth, w)
+                truth = read.truth[w]
                 if three:
                     triple = np.take(read.triple, w, axis=1)
                 else:
@@ -755,9 +747,8 @@ class _ProtocolRun:
                 for j, basis in enumerate(bases):
                     z_q[self.order[j]][basis == 1 - q] = np.nan
             table = RoundTable(
-                round_index=np.arange(start, end), alpha_x=np.broadcast_to(alphas[0], m),
-                alpha_p=np.broadcast_to(alphas[1], m), dealer_basis=dealer, basis_a=basis_a,
-                basis_b=basis_b, basis_c=basis_c, kept=kept,
+                round_index=np.arange(start, end), alpha_x=alphas[0], alpha_p=alphas[1],
+                dealer_basis=dealer, basis_a=basis_a, basis_b=basis_b, basis_c=basis_c, kept=kept,
                 **{name: normals["xp".index(name[0]), self.order["abc".index(name[2])]]
                    for name in OUTCOME_COLUMNS})
         return _Chunk(dealer, kept, witness, bias, calib, tuple(reads[:n_calib]),

@@ -726,8 +726,8 @@ class _CountingGenerator:
     def __init__(self, gen, shapes):
         self._gen, self._shapes = gen, shapes
 
-    def standard_normal(self, size=None, out=None):
-        out = self._gen.standard_normal(size, out=out)
+    def standard_normal(self, size):
+        out = self._gen.standard_normal(size)
         self._shapes.append(out.shape)
         return out
 
