@@ -2,9 +2,12 @@
 
 Each run writes its outputs plus a manifest.json recording the tool
 version, backend, subcommand and full argument set, and for the sampled
-subcommands (simulate, witness) the random-stream layout, so any
-manifest can be replayed to byte-identical outputs. All JSON is
-emitted with sorted keys and no timestamps for the same reason.
+subcommands (simulate, witness) the random-stream layout. All JSON is
+emitted with sorted keys and no timestamps, so the same arguments and
+inputs give byte-identical outputs. A manifest records an input file by
+its path, not its contents, so the manifests of ``simulate`` (its
+``--config``) and ``state --load`` cannot replay their runs yet: a file
+changed at that path gives other outputs under the same manifest.
 
 Exit codes: 0 on success, 2 on argument and configuration errors,
 1 on runtime failures (abort on loss, protocol failure, an output
@@ -575,8 +578,10 @@ class _Parser(argparse.ArgumentParser):
         self.add_argument(flag, type=_Bounded(flag, cast, rule, lo, hi, ends), **kwargs)
 
 
-#: accepted ranges, as the errors state them; --r, --eta-*, --eps-*, --alpha-*, the
-#: seeds, --n-rounds and --c-bits are left to the library, which checks them
+#: accepted ranges, as the errors state them; --r, --eta-*, --eps-*, --alpha-*, witness
+#: --seed and --stream-id, --n-rounds and --c-bits are left to the library, which checks
+#: them under names that match the flags; --band-seed is declared here, since the
+#: library's name for it, seed, would name no flag of bounds
 _R_RULE = f"finite and in [0, R_MAX = {R_MAX}]"
 _THERMAL_RULE = f"finite and in [0, THERMAL_MAX = {THERMAL_MAX:g}]"
 _MU_RULE = f"in [{MU_MIN:g}, {MU_MAX:g}]"
@@ -611,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also emit a squeezing-fluctuation band")
     sp.add_bounded("--band-fluct", float, "in [0, 1)", 0.0, 1.0, ends="[)", default=0.03)
     sp.add_bounded("--band-samples", int, ">= 1", 1, default=200)
-    sp.add_argument("--band-seed", type=int, default=0)
+    sp.add_bounded("--band-seed", int, "a 64-bit unsigned integer", 0, 2**64 - 1, default=0)
     _add_out_dir(sp)
     sp.set_defaults(handler=_cmd_bounds)
 

@@ -21,17 +21,18 @@ blocks that hold a kept round or run past the chunk's end, and then the
 reads' normals. A dealer state has no x-p correlation, so the (A, B, C)
 triple of each quadrature is an independent draw of its Wigner function,
 drawn party-major through the lower Cholesky factor of its block: one
-row of normals per party. A kept round draws the normals of the
-dealer's basis (calibration rounds first, x rounds before p rounds), a
-discarded round draws nothing. All three draw three normals per kept
-round. A pair orders its factors (A, partner, outsider), so it draws two
-normals per kept round and the outsider's normal, which only the
-witness reads, for its witness rounds alone. A lone A draws one normal
-per quadrature, its dual-homodyne outcome, whose factor carries the
-unit vacuum. With lower-triangular factors a normal drawn later is a
-draw conditional on those before it, so every law stays exact. A run
-that keeps its records then draws the blocks and normals still missing,
-so that every party's outcome is its basis's entry of a full Wigner
+row of normals per party, the parties the estimator reads first. One
+rule serves every coalition: a read round draws the first ``n_read``
+rows of its quadrature's factor, the number of parties the estimator
+reads (3 for all three, 2 for a pair, 1 for a lone A, whose factors
+carry the unit vacuum of dual homodyne and who reads both quadratures
+of every round), and a witness round then draws the remaining
+3 - n_read rows. A kept round reads the dealer's basis (calibration
+rounds first, x rounds before p rounds), a discarded round draws
+nothing. With lower-triangular factors a normal drawn later is a draw
+conditional on those before it, so every law stays exact. A run that
+keeps its records then draws the blocks and normals still missing, so
+that every party's outcome is its basis's entry of a full Wigner
 sample, and hands out the chunk's rounds as a :class:`RoundTable` of
 their own. Reports come from running sums over the chunks, so only
 :func:`run_protocol` with records, which copies each chunk's table into
@@ -308,8 +309,7 @@ def _triple_factors(cov: np.ndarray, order: tuple[int, int, int]) -> tuple[np.nd
 
 
 def _apply(
-    factor: np.ndarray, z: np.ndarray, shift_a: np.ndarray | float = 0.0,
-    out: np.ndarray | None = None,
+    factor: np.ndarray, z: np.ndarray, shift_a: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Outcomes ``factor @ z`` of the first ``z.shape[0]`` rows, plus ``shift_a`` on A.
 
@@ -333,16 +333,16 @@ def _apply(
 class _Reads(NamedTuple):
     """Rounds of a chunk whose outcomes in quadrature ``quad`` (0 = x, 1 = p) the reports read.
 
-    ``triple`` holds their outcomes in that quadrature, one row per party
-    in the factors' order (:func:`_party_order`), with A's displacement
-    added: A, B and C for all three, A and the partner for a pair, and
-    A's dual-homodyne outcome for a lone A. ``rows`` indexes the rounds
-    in the chunk and ``truth`` is the displacement each estimates.
-    ``witness`` and ``bias`` mark the read's witness and bias rounds.
+    ``triple`` holds their outcomes in that quadrature, with A's
+    displacement added, one row for each of the ``n_read`` parties the
+    estimator reads: the first rows of the factors' order
+    (:func:`_party_order`). ``rows`` indexes the rounds in the chunk and
+    ``truth`` is the displacement each estimates. ``witness`` and
+    ``bias`` mark the read's witness and bias rounds.
     """
 
     quad: int
-    rows: np.ndarray | slice
+    rows: np.ndarray
     triple: np.ndarray
     truth: np.ndarray
     witness: np.ndarray
@@ -355,12 +355,13 @@ class _Chunk(NamedTuple):
     The subset masks run over every round of the chunk and carry their
     table names; ``calib`` selects no round unless the gains are fitted.
     ``calibration`` holds the calibration rounds per quadrature when the
-    gains are fitted and ``reads`` the other rounds the reports read: the
-    kept rounds per quadrature, or every round twice for a lone A.
-    ``witnessed`` holds per quadrature the (A, B, C) outcomes of the
-    witness rounds, one row per party, and their displacements (nothing
-    for a lone A). ``table`` holds the chunk's rounds only when the
-    records are kept.
+    gains are fitted and ``reads`` the other rounds the reports read: per
+    quadrature the kept rounds whose A reads it, so every round twice for
+    a lone A. ``witnessed`` holds per quadrature the witness rounds' (A,
+    B, C) outcomes, one row per party, their displacements, their rows in
+    the chunk and the normals they drew after the reads' (no rounds for a
+    lone A). ``table`` holds the chunk's rounds only when the records are
+    kept.
     """
 
     dealer_basis: np.ndarray
@@ -612,6 +613,8 @@ class _ProtocolRun:
         self.coalition, self.lone, self.n_rounds = coalition, lone, n_rounds
         self.keep_records, self.root_eta = keep_records, root_eta
         self.order = _party_order(coalition)
+        # the parties the estimator reads, which the order puts first
+        self.n_read = len(coalition.party_columns)
         self.factors = _triple_factors(cov, self.order)
         self.fit = _Fit(coalition, root_eta) if gain_mode == "fitted" and not lone else None
         # the block draw carried into the next chunk; the witness and bias rounds taken so
@@ -629,33 +632,31 @@ class _ProtocolRun:
         After the coins and the subsets come a gaussian plan's blocks
         that hold a kept round or run past the chunk's end, and then only
         the normals the reports read, party-major through the factors
-        (:func:`_party_order`). A kept round draws the rows of the
-        dealer's basis, calibration rounds first and x rounds before p
-        rounds in each group, as one (3, k) array for all three or a
-        (2, k) array of A and the partner for a pair; a pair then draws
-        its outsider's normal for its witness rounds, x rounds first. A
-        lone A draws a (2, m) array, its x and p outcomes, whose factors
-        carry the unit vacuum of dual homodyne. With ``keep_records`` the
-        blocks still missing are drawn afterwards, then per quadrature, x
-        first, the normals still missing: a pair's outsider in its other
-        read rounds, then the triples of the rounds not read in that
-        quadrature (for a lone A, B's and C's normals, which the factor
-        makes conditional on A's outcome). They fill one (2, 3, m) array
-        of every round's x and p triples, whose rows are the table's
-        outcome columns.
+        (:func:`_party_order`). A read needs the first ``n_read`` rows of
+        its quadrature's factor: 3 for all three, 2 for a pair (A and the
+        partner) and 1 for a lone A, whose factors carry the unit vacuum
+        of dual homodyne and who reads every round in both quadratures.
+        The read rounds draw one (n_read, k) array, calibration rounds
+        first and x rounds before p rounds in each group. Each witness
+        round then draws its remaining 3 - n_read rows, one
+        (3 - n_read, w) array with x rounds first; a lone A's rounds
+        witness nothing. With ``keep_records`` the blocks still missing
+        are drawn afterwards, then per quadrature, x first, the normals
+        still missing: the remaining rows of its other read rounds, then
+        every row of the rounds it did not read. They fill one (2, 3, m)
+        array of every round's x and p triples, whose rows are the
+        table's outcome columns.
         """
-        lone, factors, policy, plan = self.lone, self.factors, self.policy, self.plan
-        three = self.coalition is Coalition.ABC
+        factors, policy, plan, n_read = self.factors, self.policy, self.plan, self.n_read
         m = end - start
         dealer = _coin(gen, m)
         bases = _party_bases(self.coalition, m, gen)
         basis_a, basis_b, basis_c = bases
-        pool = (basis_b == dealer) & (basis_c == dealer)
-        if lone:
-            kept = np.ones(m, dtype=bool)
-        else:
-            kept = basis_a == dealer
-            pool &= kept
+        # A reads quadrature q where its basis is not the other one, so dual homodyne reads
+        # both; a round is kept where A reads the dealer's basis
+        on = (basis_a != 1, basis_a != 0)
+        kept = basis_a != 1 - dealer
+        pool = kept & (basis_b == dealer) & (basis_c == dealer)
         witness = _pick(pool, round(policy.witness_fraction * end) - self.taken_witness, gen)
         self.taken_witness += int(np.count_nonzero(witness))
         eligible = kept & ~witness
@@ -678,19 +679,12 @@ class _ProtocolRun:
             # the last block's draw, which the next chunk carries on when the block runs on
             self.carry = blocks.values[:, -1].tolist()
             alphas = blocks.alphas()
-        if lone:
-            # A's dual-homodyne outcomes in x and in p
-            z = gen.standard_normal((2, m))
-            groups = [(q, slice(None), z[q : q + 1]) for q in (0, 1)]
-        else:
-            # the read rows of each kept round: calibration rounds first, x before p in each part
-            on_x = dealer == 0
-            parts = (kept,) if self.fit is None else (calib, kept & ~calib)
-            rows = [np.flatnonzero(part & on) for part in parts for on in (on_x, ~on_x)]
-            sizes = [r.size for r in rows]
-            z = gen.standard_normal((3 if three else 2, sum(sizes)))
-            groups = list(zip((0, 1) * len(parts), rows,
-                              np.split(z, np.cumsum(sizes)[:-1], axis=1)))
+        # the read rows of each kept round: calibration rounds first, x before p in each part
+        parts = (kept,) if self.fit is None else (calib, kept & ~calib)
+        rows = [np.flatnonzero(part & on[q]) for part in parts for q in (0, 1)]
+        sizes = [r.size for r in rows]
+        z = gen.standard_normal((n_read, sum(sizes)))
+        groups = list(zip((0, 1) * len(parts), rows, np.split(z, np.cumsum(sizes)[:-1], axis=1)))
         reads = []
         for q, r, z_r in groups:
             truth = alphas[q][r]
@@ -698,27 +692,20 @@ class _ProtocolRun:
             reads.append(_Reads(q, r, _apply(factors[q], z_r, self.root_eta * truth), truth,
                                 witness[r], bias[r]))
         n_calib = len(reads) - 2
-        # per quadrature the witness rounds' (A, B, C) outcomes and displacements, and a
-        # pair's outsider normals of those rounds
-        witnessed, outsiders = [], []
-        if not lone:
-            # a pair draws its outsider's normals for its witness rounds now, x rounds first
-            picks = [np.flatnonzero(read.witness) for read in reads[n_calib:]]
-            if not three:
-                z_out = np.split(gen.standard_normal(picks[0].size + picks[1].size),
-                                 [picks[0].size])
-            for read, w, (_, _, z_r) in zip(reads[n_calib:], picks, groups[n_calib:]):
-                truth = read.truth[w]
-                if three:
-                    triple = np.take(read.triple, w, axis=1)
-                else:
-                    z_w = np.empty((3, w.size))
-                    z_w[:2] = np.take(z_r, w, axis=1)
-                    z_w[2] = z_out[read.quad]
-                    outsiders.append((read.quad, read.rows[w], z_w[2]))
-                    triple = _apply(factors[read.quad], z_w, self.root_eta * truth)[
-                        list(self.order)]
-                witnessed.append((triple, truth))
+        picks = [np.flatnonzero(read.witness) for read in reads[n_calib:]]
+        if self.lone:
+            # dual-homodyne outcomes carry a vacuum unit, so they cannot witness
+            picks = [w[:0] for w in picks]
+        # each witness round draws the rows its read left, x rounds first; per quadrature
+        # the witness rounds' (A, B, C) outcomes, displacements, rows and those normals
+        z_rest = gen.standard_normal((3 - n_read, picks[0].size + picks[1].size))
+        witnessed = []
+        for read, w, (_, _, z_r), z_o in zip(reads[n_calib:], picks, groups[n_calib:],
+                                             np.split(z_rest, [picks[0].size], axis=1)):
+            truth = read.truth[w]
+            triple = _apply(factors[read.quad], np.concatenate((z_r[:, w], z_o)),
+                            self.root_eta * truth)
+            witnessed.append((triple[list(self.order)], truth, read.rows[w], z_o))
         table = None
         if self.keep_records:
             if blocks is not None:
@@ -728,20 +715,18 @@ class _ProtocolRun:
             # turned into outcomes in place
             normals = np.empty((2, 3, m))
             for q, r, z_r in groups:
-                normals[q][: z_r.shape[0], r] = z_r
-            for q, r, z_o in outsiders:
-                normals[q][2, r] = z_o
+                normals[q][:n_read, r] = z_r
             for q in (0, 1):
-                z_q = normals[q]
-                if lone:
-                    z_q[1:] = gen.standard_normal((2, m))
-                else:
-                    read = kept & (dealer == q)
-                    if not three:
-                        r = np.flatnonzero(read & ~witness)
-                        z_q[2, r] = gen.standard_normal(r.size)
-                    r = np.flatnonzero(~read)
-                    z_q[:, r] = gen.standard_normal((3, r.size))
+                z_q, (_, _, done, z_o) = normals[q], witnessed[q]
+                z_q[n_read:, done] = z_o
+                # the remaining rows of the other read rounds, then every row of the rest
+                read = kept & on[q]
+                rest = read.copy()
+                rest[done] = False
+                r = np.flatnonzero(rest)
+                z_q[n_read:, r] = gen.standard_normal((3 - n_read, r.size))
+                r = np.flatnonzero(~read)
+                z_q[:, r] = gen.standard_normal((3, r.size))
                 _apply(factors[q], z_q, self.root_eta * alphas[q], out=z_q)
                 # the x quadrature is unread in p rounds (code 1), the p one in x rounds (code 0)
                 for j, basis in enumerate(bases):
@@ -775,7 +760,7 @@ class _ProtocolRun:
                 self.n_witness[0] += w_x
                 self.n_witness[1] += int(np.count_nonzero(ch.witness)) - w_x
             else:
-                (triple_x, alpha_x), (triple_p, alpha_p) = ch.witnessed
+                (triple_x, alpha_x, *_), (triple_p, alpha_p, *_) = ch.witnessed
                 _add_witness(self.sq_witness, triple_x, triple_p, alpha_x, alpha_p)
             table = ch.table
             # drop the chunk's reads before its table goes out, and the table before the

@@ -1300,10 +1300,14 @@ def test_malformed_command_line_is_one_line_json_error(tmp_path, capsys, argv, f
         (["witness", "--alpha-x", "-Infinity"], "alpha_x must be finite"),
         (["bounds", "--r-min", "-1e-3"], f"--r-min must be {cli._R_RULE}"),
         (["witness", "--seed", "-1e3"], "argument --seed: invalid int value: '-1e3'"),
+        # the library's check of the seed read "seed must be ...", which names no flag of
+        # bounds
+        (["bounds", "--steps", "2", "--band", "gaussian", "--band-seed", "-1"],
+         "--band-seed must be a 64-bit unsigned integer"),
     ],
     ids=["alpha-x-exponent", "alpha-p-signed-exponent", "alpha-p-leading-dot", "r-minus-inf",
          "r-exponent", "alpha-x-minus-nan", "alpha-x-minus-infinity", "r-min-exponent",
-         "seed-exponent"],
+         "seed-exponent", "band-seed-negative"],
 )
 def test_negative_values_reach_their_own_check(tmp_path, capsys, argv, message):
     # argparse took a negative number with an exponent, -inf or -nan for an option,

@@ -721,14 +721,14 @@ def test_fitted_gain_is_exact_over_the_calibration_reads(monkeypatch):
 
 
 class _CountingGenerator:
-    """A chunk generator that records the shape of every normal draw made through it."""
+    """A chunk generator that records the size of every normal draw made through it."""
 
-    def __init__(self, gen, shapes):
-        self._gen, self._shapes = gen, shapes
+    def __init__(self, gen, sizes):
+        self._gen, self._sizes = gen, sizes
 
     def standard_normal(self, size):
         out = self._gen.standard_normal(size)
-        self._shapes.append(out.shape)
+        self._sizes.append(out.size)
         return out
 
     def __getattr__(self, name):
@@ -736,40 +736,51 @@ class _CountingGenerator:
 
 
 def _count_normals(monkeypatch) -> list:
-    shapes = []
+    sizes = []
     chunk_generator = RandomStream.chunk_generator
     monkeypatch.setattr(RandomStream, "chunk_generator",
-                        lambda self, i: _CountingGenerator(chunk_generator(self, i), shapes))
-    return shapes
+                        lambda self, i: _CountingGenerator(chunk_generator(self, i), sizes))
+    return sizes
 
 
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
-@pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.AC, Coalition.ABC],
-                         ids=lambda c: c.value)
-def test_non_lone_run_draws_the_normals_its_reads_need(monkeypatch, coalition, gain_mode):
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_run_draws_the_normals_its_reads_need(monkeypatch, coalition, gain_mode):
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
-    n = 5000
+    n, n_chunks = 5000, 5
     plan = DisplacementPlan.gaussian_modulated(2.0)
-    kept = int(run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71),
-                            gain_mode=gain_mode).records.kept.sum())
-    shapes = _count_normals(monkeypatch)
+    t = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71),
+                     gain_mode=gain_mode).records
+    kept = int(t.kept.sum())
+    # a kept round is read in each quadrature its A reads: the dealer's, or both for a
+    # lone A's dual homodyne
+    reads = sum(int(np.count_nonzero(t.kept & (t.basis_a != 1 - q))) for q in (X, P))
+    sizes = _count_normals(monkeypatch)
     res = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71),
                        gain_mode=gain_mode, keep_records=False)
-    n_witness = res.witness.n_x + res.witness.n_p
-    n_est = kept - n_witness - res.bias.n_rounds
-    n_calib = n_est - (res.mse_report.n_x + res.mse_report.n_p)
-    assert n_calib == (n_est // 2 if gain_mode == "fitted" else 0)
-    three = coalition is Coalition.ABC
-    # one pass in either gain mode: per kept round an x and a p displacement normal and
-    # the party-major normals of the dealer's basis, three for all three and two for a
-    # pair, calibration rounds included; a pair adds its outsider's normal per witness
-    # round; a discarded round draws nothing
-    rows = [s for s in shapes if len(s) == 2]
-    assert all(s[0] == (3 if three else 2) for s in rows)
-    assert sum(s[1] for s in rows) == kept
-    flat = sum(s[0] for s in shapes if len(s) == 1)
-    assert flat == 2 * kept + (0 if three else n_witness)
-    assert len(shapes) == len(rows) * (3 if three else 4)
+    lone = coalition is Coalition.A_ALONE
+    n_read = 1 if lone else 3 if coalition is Coalition.ABC else 2
+    n_witness = 0 if lone else res.witness.n_x + res.witness.n_p
+    if lone:
+        assert reads == 2 * n
+    else:
+        assert reads == kept
+        n_est = kept - n_witness - res.bias.n_rounds
+        n_calib = n_est - (res.mse_report.n_x + res.mse_report.n_p)
+        assert n_calib == (n_est // 2 if gain_mode == "fitted" else 0)
+    # one pass in either gain mode, four draws a chunk: the x and the p values of the
+    # blocks due, one per kept round at n_rep = 1; n_read normals per read round,
+    # calibration rounds included; and 3 - n_read per witness round, the rows the
+    # witness reads and the reports do not (none for a lone A, whose rounds witness
+    # nothing). A discarded round draws nothing
+    assert len(sizes) == 4 * n_chunks
+    assert sum(sizes[0::4]) == sum(sizes[1::4]) == kept
+    assert sum(sizes[2::4]) == n_read * reads
+    assert sum(sizes[3::4]) == (3 - n_read) * n_witness
+    # with the records every round draws its x and p triple once, its blocks included
+    sizes.clear()
+    run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), gain_mode=gain_mode)
+    assert sum(sizes) == 2 * n + 6 * n
 
 
 @pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.A_ALONE], ids=lambda c: c.value)
@@ -785,44 +796,30 @@ def test_blocks_are_drawn_where_a_kept_round_reads_them(monkeypatch, coalition):
         end = min(start + 1024, n)
         for first in range(-(-start // n_rep) * n_rep, end, n_rep):
             due += first + n_rep > end or bool(kept[first : first + n_rep].any())
-    shapes = _count_normals(monkeypatch)
+    sizes = _count_normals(monkeypatch)
     run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), keep_records=False)
     # the chunk's first two draws are its blocks' x and p values
-    per_chunk = len(shapes) // -(-n // 1024)
-    blocks = [s for i, s in enumerate(shapes) if i % per_chunk < 2]
-    assert all(len(s) == 1 for s in blocks)
-    assert sum(s[0] for s in blocks) == 2 * due
+    per_chunk = len(sizes) // -(-n // 1024)
+    blocks = [s for i, s in enumerate(sizes) if i % per_chunk < 2]
+    assert sum(blocks) == 2 * due
     if coalition is Coalition.A_ALONE:
         # every round is kept, so every block is drawn, once
         assert due == -(-n // n_rep)
 
 
-def test_lone_run_draws_two_normals_per_round(monkeypatch):
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
-    shapes = _count_normals(monkeypatch)
-    run_protocol(IDEAL, PLAN, 5000, Coalition.A_ALONE, POLICY, RandomStream(71),
-                 keep_records=False)
-    # A's dual-homodyne outcome in x and in p, one normal each: the factors carry
-    # its vacuum unit
-    assert all(len(s) == 2 and s[0] == 2 for s in shapes)
-    assert sum(s[1] for s in shapes) == 5000
-
-
 def test_witness_run_draws_one_normal_per_round(monkeypatch):
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
-    shapes = _count_normals(monkeypatch)
+    sizes = _count_normals(monkeypatch)
     witness_verification_run(IDEAL, 1.0, -1.0, 5000, RandomStream(71))
-    assert all(len(s) == 1 for s in shapes)
-    assert sum(s[0] for s in shapes) == 5000
+    assert len(sizes) == 5 and sum(sizes) == 5000
 
 
 def test_batch_run_draws_two_normals_per_probe(monkeypatch):
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
-    shapes = _count_normals(monkeypatch)
+    sizes = _count_normals(monkeypatch)
     batch_mse_distribution(IDEAL, Coalition.ABC, 30, 150, RandomStream(71))
-    # one error normal per probe in x and one in p
-    assert all(len(s) == 2 and s[0] == 2 for s in shapes)
-    assert sum(s[1] for s in shapes) == 30 * 150
+    # one draw per chunk: an error normal per probe in x and one in p
+    assert len(sizes) == -(-30 * 150 // 1024) and sum(sizes) == 2 * 30 * 150
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 65535, 65536])
@@ -921,6 +918,32 @@ def test_keep_records_off_gives_the_same_reports(monkeypatch, coalition, gain_mo
     assert on.bias == off.bias
 
 
+@pytest.mark.parametrize("policy", [ProtocolPolicy(witness_fraction=0.0),
+                                    ProtocolPolicy(witness_fraction=0.0, bias_fraction=0.0)],
+                         ids=["no-witness", "no-witness-no-bias"])
+@pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
+                         ids=["fixed", "gaussian"])
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_runs_without_witness_rounds(monkeypatch, coalition, gain_mode, plan, policy):
+    # every chunk makes zero-size witness draws, and the records still draw after them
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 512)
+    off = run_protocol(IDEAL, plan, 3000, coalition, policy, RandomStream(2),
+                       gain_mode=gain_mode, keep_records=False)
+    on = run_protocol(IDEAL, plan, 3000, coalition, policy, RandomStream(2),
+                      gain_mode=gain_mode)
+    assert tuple(on[1:]) == tuple(off[1:])
+    assert on.witness.n_x == on.witness.n_p == 0
+    assert on.bias.n_rounds == round(policy.bias_fraction * 3000)
+    # an outcome is finite exactly where its party's basis read its quadrature
+    t = on.records
+    for party in "abc":
+        basis = getattr(t, f"basis_{party}")
+        for q, quad in enumerate("xp"):
+            col = getattr(t, f"{quad}_{party}")
+            assert np.array_equal(np.isfinite(col), basis != 1 - q), (party, quad)
+
+
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_chunk_tables_and_the_run_table_hold_the_same_rounds(monkeypatch, coalition, gain_mode):
@@ -964,10 +987,15 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition):
                 read = getattr(ch.table, f"basis_{party}")[r.rows] != 1 - r.quad
                 assert np.array_equal(col[read], triple_row[read])
                 assert np.isnan(col[~read]).all()
-        # the witness reads every party's outcome of its rounds, in (A, B, C) order
-        assert len(ch.witnessed) == (0 if lone else 2)
-        for q, (triple, truth) in enumerate(ch.witnessed):
-            rows = np.flatnonzero(ch.witness & (ch.dealer_basis == q))
+        # the witness reads every party's outcome of its rounds, in (A, B, C) order, and
+        # holds the normals those rounds drew after the reads'; a lone A's rounds witness
+        # nothing
+        assert len(ch.witnessed) == 2
+        for q, (triple, truth, rows, normals) in enumerate(ch.witnessed):
+            want = np.flatnonzero(ch.witness & (ch.dealer_basis == q))
+            assert np.array_equal(rows, want[:0] if lone else want)
+            assert triple.shape == (3, rows.size)
+            assert normals.shape == (3 - ch.reads[q].triple.shape[0], rows.size)
             assert np.all(truth == getattr(ch.table, f"alpha_{'xp'[q]}")[rows])
             for j, party in enumerate("abc"):
                 assert np.array_equal(getattr(ch.table, f"{'xp'[q]}_{party}")[rows], triple[j])
