@@ -34,9 +34,19 @@ conditional on those before it, so every law stays exact. A run that
 keeps its records then draws the blocks and normals still missing, so
 that every party's outcome is its basis's entry of a full Wigner
 sample, and hands out the chunk's rounds as a :class:`RoundTable` of
-their own. Reports come from running sums over the chunks, so only
-:func:`run_protocol` with records, which copies each chunk's table into
-one whole-run table, holds anything per round.
+their own.
+
+Every quantity the reports read from a read round is a fixed linear
+functional of its normals, with coefficient rows computed once per run
+and quadrature (:class:`_Functionals`): its error, its gain auxiliary
+and its calibration residual. So a read is its normals and those
+functionals, and a chunk turns normals into outcomes only for its
+witness rounds and, when the records are kept, for its table. Reports
+come from sums over the chunks: sums of squares over all of a read's
+rounds minus its few witness and bias rounds, and moments where a
+standard error is read. Only :func:`run_protocol` with records, which
+copies each chunk's table into one whole-run table, holds anything per
+round.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ from .errors import (
     UnsupportedStateError,
     check_scalar,
 )
-from .estimators import Coalition, GainSet, MseReport, RunningMoments
+from .estimators import Coalition, GainSet, MseReport, RunningMoments, weighted_sum
 from .gaussian_core import (
     ALPHA_MAX,
     ExperimentModel,
@@ -284,15 +294,6 @@ def _party_order(coalition: Coalition) -> tuple[int, int, int]:
     return (0, 2, 1) if coalition is Coalition.AC else (0, 1, 2)
 
 
-def _columns(triple: np.ndarray, order: tuple[int, int, int]) -> list:
-    """The (A, B, C) columns of a triple whose rows follow ``order``, None for a party
-    it holds no row of; the estimators read only the columns they weigh."""
-    columns = [None, None, None]
-    for party, row in zip(order, triple):
-        columns[party] = row
-    return columns
-
-
 def _triple_factors(cov: np.ndarray, order: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of the x block and the p block of a dealer covariance, their
     parties in ``order``.
@@ -330,21 +331,61 @@ def _apply(
     return out
 
 
+class _Functionals(NamedTuple):
+    """The linear functionals of a read's normals z that the reports take, in one quadrature.
+
+    ``c`` and ``aux`` hold one coefficient per read row, in the factors'
+    order (:func:`_party_order`). A round's error is ``c @ z + k * alpha``
+    with c = w^T L, w = bias_scale (w0 + g0 w1) the estimator's weights at
+    the analytic gain g0 and L the quadrature's factor; ``k = w_A sqrt(eta_A)
+    - 1`` is the displacement left over, 0 wherever the bias scale inverts
+    A's loss exactly. Its gain auxiliary is ``aux @ z``, aux = (-w1)^T L,
+    and its calibration residual x_A - sqrt(eta_A) alpha is ``l00 * z[0]``.
+    """
+
+    c: np.ndarray
+    k: float
+    aux: np.ndarray
+    l00: float
+
+
+def _functionals(factor: np.ndarray, coalition: Coalition, quad: int, gains: GainSet,
+                 root_eta: float) -> _Functionals:
+    """The :class:`_Functionals` of one quadrature's factor, each coefficient one
+    ``math.fsum`` of its terms."""
+    w0, w1 = estimators.WEIGHTS[coalition, quad]
+    parties = _party_order(coalition)[: len(coalition.party_columns)]
+    g = gains.gain(coalition)
+    w = [gains.bias_scale * (w0[p] + g * w1[p]) for p in parties]
+
+    def row(weights):
+        # L is lower-triangular, so the coefficient of normal i sums over the rows j >= i
+        return np.array([math.fsum(weights[j] * factor[j, i] for j in range(i, len(parties)))
+                         for i in range(len(parties))])
+
+    return _Functionals(row(w), w[0] * root_eta - 1.0, row([-w1[p] for p in parties]),
+                        float(factor[0, 0]))
+
+
 class _Reads(NamedTuple):
     """Rounds of a chunk whose outcomes in quadrature ``quad`` (0 = x, 1 = p) the reports read.
 
-    ``triple`` holds their outcomes in that quadrature, with A's
-    displacement added, one row for each of the ``n_read`` parties the
-    estimator reads: the first rows of the factors' order
-    (:func:`_party_order`). ``rows`` indexes the rounds in the chunk and
-    ``truth`` is the displacement each estimates. ``witness`` and
-    ``bias`` mark the read's witness and bias rounds.
+    ``z`` holds their normals, one row for each of the ``n_read`` parties
+    the estimator reads: the first rows of the factors' order
+    (:func:`_party_order`). The reports read only linear functionals of
+    them (:class:`_Functionals`): ``err`` is each round's error at the
+    analytic gain (None for calibration reads) and ``aux`` its gain
+    auxiliary (fitted runs only). ``rows`` indexes the rounds in the chunk,
+    a slice when they are all of its rounds, so such reads take views.
+    ``witness`` and ``bias`` are the positions of the read's witness and
+    bias rounds among its rounds.
     """
 
     quad: int
-    rows: np.ndarray
-    triple: np.ndarray
-    truth: np.ndarray
+    rows: np.ndarray | slice
+    z: np.ndarray
+    err: np.ndarray | None
+    aux: np.ndarray | None
     witness: np.ndarray
     bias: np.ndarray
 
@@ -360,7 +401,8 @@ class _Chunk(NamedTuple):
     a lone A. ``witnessed`` holds per quadrature the witness rounds' (A,
     B, C) outcomes, one row per party, their displacements, their rows in
     the chunk and the normals they drew after the reads' (no rounds for a
-    lone A). ``table`` holds the chunk's rounds only when the records are
+    lone A); these, and the records, are the only outcomes a chunk
+    computes. ``table`` holds the chunk's rounds only when the records are
     kept.
     """
 
@@ -371,7 +413,7 @@ class _Chunk(NamedTuple):
     calib: np.ndarray
     calibration: tuple[_Reads, ...]
     reads: tuple[_Reads, ...]
-    witnessed: tuple[tuple[np.ndarray, np.ndarray], ...]
+    witnessed: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     table: RoundTable | None
 
 
@@ -410,10 +452,14 @@ class _Blocks:
             due[self.block[kept]] = True
             due[-1] |= self.runs_on
             todo = todo & due
-        idx = np.flatnonzero(todo)
+        k = int(np.count_nonzero(todo))
+        # drawing every block, as a chunk of a lone A's rounds does, fills the values by view
+        idx = slice(None) if k == todo.size else np.flatnonzero(todo)
         sd = math.sqrt(self.plan.v_dist)
         for values in self.values:
-            values[idx] = sd * gen.standard_normal(idx.size)
+            draw = gen.standard_normal(k)
+            draw *= sd
+            values[idx] = draw
         self.todo &= ~todo
 
     def alphas(self) -> tuple[np.ndarray, np.ndarray]:
@@ -463,76 +509,66 @@ class _Fit:
     """The sums a fitted run gathers in its one pass over the chunks.
 
     The calibration rounds give sum(r u) and sum(u u) for the gain, with
-    r = x_A - sqrt(eta_A) alpha and u = -(t @ w1), the auxiliary
-    combination of the coalition's weights in the read's quadrature
-    (:data:`~cvshare.estimators.WEIGHTS`). The estimate weighs u by -g
-    in x and in p alike, so one gain fits both quadratures. Every other
-    round is estimated with the analytic gain g0, and its error is affine in the gain:
-    e(g) = e0 - s u with s = (g - g0) bias_scale. So the estimation
-    rounds keep sum(e0 u) and sum(u u) per quadrature, and the bias
-    rounds keep the moments of u and the co-moment of (e0, u), merged
-    chunk by chunk with the pairwise update of Chan, Golub and LeVeque.
-    The sums are taken about g0, not about g = 0: e0 is already close to
-    the least error, so applying the shift cancels nothing large, even
-    at high squeezing where A's outcome and u grow as e^r.
+    r = x_A - sqrt(eta_A) alpha the calibration residual and u = -(t @ w1)
+    the auxiliary combination of the coalition's weights in the read's
+    quadrature (:data:`~cvshare.estimators.WEIGHTS`), both linear in the
+    read's normals (:class:`_Functionals`). The estimate weighs u by -g in
+    x and in p alike, so one gain fits both quadratures. Every other round
+    is estimated with the analytic gain g0, and its error is affine in the
+    gain: e(g) = e0 - s u with s = (g - g0) bias_scale. So the estimation
+    rounds keep sum(e0 u) and sum(u u) per quadrature, totals over the
+    reads minus their few witness and bias rounds, and the bias rounds
+    keep the moments of u and the co-moment of (e0, u), merged chunk by
+    chunk with the pairwise update of Chan, Golub and LeVeque. The sums
+    are taken about g0, not about g = 0: e0 is already close to the least
+    error, so applying the shift cancels nothing large, even at high
+    squeezing where A's outcome and u grow as e^r.
     """
 
-    __slots__ = ("coalition", "order", "root_eta", "sum_ru", "sum_uu", "n", "est", "bias_u",
-                 "bias_c")
+    __slots__ = ("coalition", "l00", "sum_ru", "sum_uu", "n", "est", "bias_u", "bias_c")
 
-    def __init__(self, coalition: Coalition, root_eta: float):
-        self.coalition, self.order = coalition, _party_order(coalition)
-        self.root_eta = root_eta
+    def __init__(self, coalition: Coalition, l00: tuple[float, float]):
+        self.coalition, self.l00 = coalition, l00
         self.sum_ru = self.sum_uu = 0.0
         self.n = 0
         self.est = ([0.0, 0.0], [0.0, 0.0])
         self.bias_u = RunningMoments()
         self.bias_c = 0.0
 
-    def _aux(self, read: _Reads) -> np.ndarray:
-        # weighing by -w1 leaves a pair's x auxiliary the partner's column itself, as the
-        # gain fit always read it, so the dot products below keep their bits
-        w1 = estimators.WEIGHTS[self.coalition, read.quad][1]
-        return estimators.weighted_sum(_columns(read.triple, self.order), -w1)
-
     def calibrate(self, c: _Reads) -> None:
-        r = c.triple[0] - self.root_eta * c.truth
-        u = self._aux(c)
-        self.sum_ru += float(r @ u)
+        u = c.aux
+        self.sum_ru += self.l00[c.quad] * float(c.z[0] @ u)
         self.sum_uu += float(u @ u)
-        self.n += r.size
+        self.n += u.size
 
-    def add(self, read: _Reads, e: np.ndarray, e_bias: np.ndarray,
+    def add(self, read: _Reads, e_witness: np.ndarray, e_bias: np.ndarray,
             bias_err: RunningMoments) -> None:
-        """Add a read's errors e0, of which ``e_bias`` are those of its bias rounds.
-        ``bias_err`` holds the moments of e0 over the bias rounds of the reads
-        before this one."""
-        u = self._aux(read)
-        # the estimation rounds are the read's rounds but its few witness and bias ones
-        out = np.flatnonzero(read.witness | read.bias)
-        e_out, u_out = e[out], u[out]
+        """Add a read's errors e0, of which ``e_witness`` and ``e_bias`` are those of its
+        witness and bias rounds. ``bias_err`` holds the moments of e0 over the bias
+        rounds of the reads before this one."""
+        e, u = read.err, read.aux
+        u_witness, u_bias = u[read.witness], u[read.bias]
         sums = self.est[read.quad]
-        sums[0] += float(e @ u) - float(e_out @ u_out)
-        sums[1] += float(u @ u) - float(u_out @ u_out)
+        # the estimation rounds are the read's rounds but its few witness and bias ones
+        sums[0] += float(e @ u) - float(e_witness @ u_witness) - float(e_bias @ u_bias)
+        sums[1] += float(u @ u) - float(u_witness @ u_witness) - float(u_bias @ u_bias)
         k = e_bias.size
         if k:
-            u = u_out[read.bias[out]]
-            mean_e, mean_u = float(np.mean(e_bias)), float(np.mean(u))
+            mean_e, mean_u = float(np.mean(e_bias)), float(np.mean(u_bias))
             n = self.bias_u.n
             shift = (mean_e - bias_err.mean) * (mean_u - self.bias_u.mean) * (n * k / (n + k))
-            self.bias_c += float((e_bias - mean_e) @ (u - mean_u)) + shift
-            self.bias_u.add(u)
+            self.bias_c += float((e_bias - mean_e) @ (u_bias - mean_u)) + shift
+            self.bias_u.add(u_bias)
 
-    def apply(self, gains: GainSet, sq_err: tuple[RunningMoments, RunningMoments],
+    def apply(self, gains: GainSet, sq_err: tuple[list, list],
               bias_err: RunningMoments) -> GainSet:
-        """The fitted gains; moves the squared errors' means and the bias moments to them."""
+        """The fitted gains; moves the sums of squared errors and the bias moments to them."""
         if self.n < 2:
             raise ProtocolFailureError("not enough calibration rounds to fit gains")
         g = estimators.fit_gain_from_sums(self.sum_ru, self.sum_uu, self.n)
         s = (g - gains.gain(self.coalition)) * gains.bias_scale
         for sq, (sum_eu, sum_uu) in zip(sq_err, self.est):
-            if sq.n:
-                sq.mean = sq.mean - 2.0 * s * (sum_eu / sq.n) + s * s * (sum_uu / sq.n)
+            sq[0] = sq[0] - 2.0 * s * sum_eu + s * s * sum_uu
         bias_err.mean = bias_err.mean - s * self.bias_u.mean
         bias_err.m2 = bias_err.m2 - 2.0 * s * self.bias_c + s * s * self.bias_u.m2
         three = self.coalition is Coalition.ABC
@@ -616,14 +652,20 @@ class _ProtocolRun:
         # the parties the estimator reads, which the order puts first
         self.n_read = len(coalition.party_columns)
         self.factors = _triple_factors(cov, self.order)
-        self.fit = _Fit(coalition, root_eta) if gain_mode == "fitted" and not lone else None
+        self.functionals = [_functionals(f, coalition, q, self.gains, root_eta)
+                            for q, f in enumerate(self.factors)]
+        self.fit = (_Fit(coalition, tuple(f.l00 for f in self.functionals))
+                    if gain_mode == "fitted" and not lone else None)
         # the block draw carried into the next chunk; the witness and bias rounds taken so
         # far, since a chunk takes what is due by its end, round(fraction * end), so the run
         # takes round(fraction * n_rounds) unless its eligible rounds run short; and the
         # estimation rounds seen so far
         self.carry = [0.0, 0.0]
         self.taken_witness = self.taken_bias = self.seen_est = 0
-        self.sq_err, self.sq_witness = [(RunningMoments(), RunningMoments()) for _ in range(2)]
+        # per quadrature the sum of the squared errors and their count; the witness and
+        # the bias check read a standard error too, so they keep moments
+        self.sq_err = ([0.0, 0], [0.0, 0])
+        self.sq_witness = (RunningMoments(), RunningMoments())
         self.bias_err, self.n_witness = RunningMoments(), [0, 0]
 
     def _draw(self, start: int, end: int, gen: np.random.Generator) -> _Chunk:
@@ -637,15 +679,16 @@ class _ProtocolRun:
         partner) and 1 for a lone A, whose factors carry the unit vacuum
         of dual homodyne and who reads every round in both quadratures.
         The read rounds draw one (n_read, k) array, calibration rounds
-        first and x rounds before p rounds in each group. Each witness
-        round then draws its remaining 3 - n_read rows, one
-        (3 - n_read, w) array with x rounds first; a lone A's rounds
-        witness nothing. With ``keep_records`` the blocks still missing
-        are drawn afterwards, then per quadrature, x first, the normals
-        still missing: the remaining rows of its other read rounds, then
-        every row of the rounds it did not read. They fill one (2, 3, m)
-        array of every round's x and p triples, whose rows are the
-        table's outcome columns.
+        first and x rounds before p rounds in each group, and each read
+        keeps its normals and their functionals (:class:`_Reads`). Each
+        witness round then draws its remaining 3 - n_read rows, one
+        (3 - n_read, w) array with x rounds first, and its outcomes are
+        computed; a lone A's rounds witness nothing. With ``keep_records``
+        the blocks still missing are drawn afterwards, then per
+        quadrature, x first, the normals still missing: the remaining rows
+        of its other read rounds, then every row of the rounds it did not
+        read. They fill one (2, 3, m) array of every round's x and p
+        triples, whose rows are the table's outcome columns.
         """
         factors, policy, plan, n_read = self.factors, self.policy, self.plan, self.n_read
         m = end - start
@@ -679,33 +722,44 @@ class _ProtocolRun:
             # the last block's draw, which the next chunk carries on when the block runs on
             self.carry = blocks.values[:, -1].tolist()
             alphas = blocks.alphas()
-        # the read rows of each kept round: calibration rounds first, x before p in each part
+        # the read rows of each kept round: calibration rounds first, x before p in each part;
+        # a read of every round of the chunk indexes it by view
         parts = (kept,) if self.fit is None else (calib, kept & ~calib)
-        rows = [np.flatnonzero(part & on[q]) for part in parts for q in (0, 1)]
-        sizes = [r.size for r in rows]
+        masks = [part & on[q] for part in parts for q in (0, 1)]
+        sizes = [int(np.count_nonzero(mask)) for mask in masks]
+        rows = [slice(None) if k == m else np.flatnonzero(mask) for k, mask in zip(sizes, masks)]
         z = gen.standard_normal((n_read, sum(sizes)))
-        groups = list(zip((0, 1) * len(parts), rows, np.split(z, np.cumsum(sizes)[:-1], axis=1)))
+        ends = np.cumsum(sizes).tolist()
+        groups = [(i % 2, r, z[:, end - k : end])
+                  for i, (r, k, end) in enumerate(zip(rows, sizes, ends))]
+        n_calib = len(groups) - 2
+        none = np.empty(0, dtype=np.intp)
+        calibration = [_Reads(q, r, z_r, None, weighted_sum(z_r, self.functionals[q].aux),
+                              none, none) for q, r, z_r in groups[:n_calib]]
         reads = []
-        for q, r, z_r in groups:
-            truth = alphas[q][r]
-            # the displacement reaches A through its loss channel
-            reads.append(_Reads(q, r, _apply(factors[q], z_r, self.root_eta * truth), truth,
-                                witness[r], bias[r]))
-        n_calib = len(reads) - 2
-        picks = [np.flatnonzero(read.witness) for read in reads[n_calib:]]
-        if self.lone:
-            # dual-homodyne outcomes carry a vacuum unit, so they cannot witness
-            picks = [w[:0] for w in picks]
+        for q, r, z_r in groups[n_calib:]:
+            f = self.functionals[q]
+            err = weighted_sum(z_r, f.c)
+            if f.k:
+                # what the bias scale leaves of the displacement, which reaches A through
+                # its loss channel
+                err = err + f.k * alphas[q][r]
+            reads.append(_Reads(q, r, z_r, err,
+                                None if self.fit is None else weighted_sum(z_r, f.aux),
+                                np.flatnonzero(witness[r]), np.flatnonzero(bias[r])))
         # each witness round draws the rows its read left, x rounds first; per quadrature
-        # the witness rounds' (A, B, C) outcomes, displacements, rows and those normals
-        z_rest = gen.standard_normal((3 - n_read, picks[0].size + picks[1].size))
+        # the witness rounds' (A, B, C) outcomes, displacements, rows and those normals.
+        # Dual-homodyne outcomes carry a vacuum unit, so a lone A's rounds witness nothing
+        picks = [read.witness[:0] if self.lone else read.witness for read in reads]
+        w_x = picks[0].size
+        z_rest = gen.standard_normal((3 - n_read, w_x + picks[1].size))
         witnessed = []
-        for read, w, (_, _, z_r), z_o in zip(reads[n_calib:], picks, groups[n_calib:],
-                                             np.split(z_rest, [picks[0].size], axis=1)):
-            truth = read.truth[w]
-            triple = _apply(factors[read.quad], np.concatenate((z_r[:, w], z_o)),
+        for read, w, z_o in zip(reads, picks, (z_rest[:, :w_x], z_rest[:, w_x:])):
+            done = w if isinstance(read.rows, slice) else read.rows[w]
+            truth = alphas[read.quad][done]
+            triple = _apply(factors[read.quad], np.concatenate((read.z[:, w], z_o)),
                             self.root_eta * truth)
-            witnessed.append((triple[list(self.order)], truth, read.rows[w], z_o))
+            witnessed.append((triple[list(self.order)], truth, done, z_o))
         table = None
         if self.keep_records:
             if blocks is not None:
@@ -736,8 +790,8 @@ class _ProtocolRun:
                 dealer_basis=dealer, basis_a=basis_a, basis_b=basis_b, basis_c=basis_c, kept=kept,
                 **{name: normals["xp".index(name[0]), self.order["abc".index(name[2])]]
                    for name in OUTCOME_COLUMNS})
-        return _Chunk(dealer, kept, witness, bias, calib, tuple(reads[:n_calib]),
-                      tuple(reads[n_calib:]), tuple(witnessed), table)
+        return _Chunk(dealer, kept, witness, bias, calib, tuple(calibration), tuple(reads),
+                      tuple(witnessed), table)
 
     def __iter__(self) -> Iterator[RoundTable]:
         for start, end, gen in _chunks(self.stream, self.n_rounds):
@@ -746,14 +800,14 @@ class _ProtocolRun:
                 for r in ch.calibration:
                     self.fit.calibrate(r)
             for r in ch.reads:
-                # estimate minus truth on every read round
-                e = estimators.combine(_columns(r.triple, self.order), self.coalition, r.quad,
-                                       self.gains) - r.truth
-                e_est = e[~(r.witness | r.bias)]
-                self.sq_err[r.quad].add(e_est * e_est)
-                e_bias = e[r.bias]
+                e = r.err
+                e_witness, e_bias = e[r.witness], e[r.bias]
+                # the estimation rounds are the read's rounds but its witness and bias ones
+                sq = self.sq_err[r.quad]
+                sq[0] += float(e @ e) - float(e_witness @ e_witness) - float(e_bias @ e_bias)
+                sq[1] += e.size - e_witness.size - e_bias.size
                 if self.fit is not None:
-                    self.fit.add(r, e, e_bias, self.bias_err)
+                    self.fit.add(r, e_witness, e_bias, self.bias_err)
                 self.bias_err.add(e_bias)
             if self.lone:
                 w_x = int(np.count_nonzero(ch.witness & (ch.dealer_basis == 0)))
@@ -775,11 +829,11 @@ class _ProtocolRun:
         sq_err, bias_err, gains = self.sq_err, self.bias_err, self.gains
         if self.fit is not None:
             gains = self.fit.apply(gains, sq_err, bias_err)
-        n_x, n_p = sq_err[0].n, sq_err[1].n
+        (sum_x, n_x), (sum_p, n_p) = sq_err
         if n_x < 2 or n_p < 2:
             raise ProtocolFailureError("fewer than 2 usable rounds per quadrature")
         split = 1.0 if self.lone else estimators.RESOURCE_SPLIT_FACTOR
-        mse_x, mse_p = split * sq_err[0].mean, split * sq_err[1].mean
+        mse_x, mse_p = split * (sum_x / n_x), split * (sum_p / n_p)
         mse_report = MseReport(self.coalition, mse_x, mse_p, mse_x + mse_p, n_x, n_p, gains)
 
         if self.lone:

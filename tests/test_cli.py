@@ -1807,32 +1807,34 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 
 
 # sha256 of analytic simulate's reports per (coalition, plan), in chunks of 512
-# rounds, from stream layout 5; a one-pass run estimates with the analytic gain, so
-# a fitted run's drawing must not move these
+# rounds, from stream layout 5 with every read reduced to its estimator's linear
+# functionals of the read's normals (witness.json from the layout's own writer); a
+# one-pass run estimates with the analytic gain, so a fitted run's drawing must not
+# move these
 SIMULATE_REPORTS_SHA256 = {
-    ("a_alone", "fixed"): ("619c78d20d283466c29d8b8af18b06ba4f84171dd138995acb688839bec99f7d",
+    ("a_alone", "fixed"): ("f5760f5e29d219eac34b9ce8768e6fdfa06a2314bfcda3a6bfd9f37128ab8fb6",
                            "ef361a86d24d4dc5cef325c21ab24423777f6bd688a4aa9bbac9f924c228d2cf",
                            "bbfc6b774d485605e261af4205b4b24508d2f9f31867b582b74c1e94eb5b0291"),
-    ("ab", "fixed"): ("db49f2586b0b7791520786ca9d097dbf4e4d7b7e21271062b22550743b5c0f69",
-                      "b8ed09d61ea0a4410e018f9dd51eb5cc669371ecc1c5814f10910d833888b1d0",
+    ("ab", "fixed"): ("f48eadc8a6d6e7071ed9a747f8e239913a801a2276238516c323d077c10d1190",
+                      "63b83c3cd3f878ead01be9300bf94cef86e0ab9023fd85fb1dcd5ce1ace67ad7",
                       "a523bbbe1803807f1549a51ee803242150e16e26cc34ead9fa671c1cf21413e1"),
-    ("ac", "fixed"): ("85eff63637e60652857bf2b3c0e8d9c3c44a9395f685efd45f1bbd2ac9185a45",
-                      "07b1c5f143cc79e6a19a686c6063fdef33dda634fe9cd93633e1789d57f93877",
+    ("ac", "fixed"): ("be92f72944895393cf2346eff214c7d16903d260fe3bdcf92c7e5439a660389b",
+                      "0e54fa65469bc63e68f1b8d1d7553173aba3ac645b3fca260e227be75c391e26",
                       "380b23fc2e14dd2f2cabadded9a4572af1a0f7001a439ca1cecae83ddc907762"),
-    ("abc", "fixed"): ("f37c550c0b13999fdb08401638f43e8d3335e7aa8e330ee0d655e97e5f74d915",
-                       "5dc3f92d4ea03f18257a3d672139be3273c5b62aec2733a34403a18963891a02",
+    ("abc", "fixed"): ("8cb503f26f6da1550d26468619fde9bf6b9ad5c23ddd157964b662fff40187a1",
+                       "f5b6f5b862e49e731ee8b4f4d7b195375178443649c6c1a492df353005d8dfdc",
                        "c6279622940135978ed11cc37887617fa7e9bc8fe9820f332e1bf359a5a9f109"),
-    ("a_alone", "gaussian"): ("c84800fb8d20a1f16421cea65fadc9336e0d81256f473d672e4fa765cf4c9f1b",
-                              "626ca287ae671bdef79b4f619707581470657f998d0c53bd87fb434bd4f9c5e6",
+    ("a_alone", "gaussian"): ("edfbe1b527e475fe0890a87fedc4e4fa06a9a9968b0f955422f0b5667f8dd89d",
+                              "bcb0faac55876f5b96e89793eb38ba6f72cf18c73e92b0c723d12b1de8ddd8e9",
                               "bbfc6b774d485605e261af4205b4b24508d2f9f31867b582b74c1e94eb5b0291"),
-    ("ab", "gaussian"): ("17f8cc9b159035b1e4886894cbe97adb9fc77ee67e72b943953acfe19f91acc4",
-                         "c70fe42e6958c66aea5a01bac3065cdd1c8b7c0e66c4d1e7df0ba870f256cbf0",
+    ("ab", "gaussian"): ("5a8e46129cb3ccda6de69472eba29827ebfa9ea84305309d27d29b4d77b11171",
+                         "b5b6ce124fe54da06db9c2256c97bc223c430346776835d4cf02b25a82a53d6b",
                          "83426c6d387df90f4adfcbf3a268c1394df0953a73ad246bb96c75c600db2a9c"),
-    ("ac", "gaussian"): ("f4d782de398b0722077ca1e95b77b29eeab3cfd195e9d40d31fc44a6bb23e0b9",
-                         "80a6fd341457f372d7c1bd264cf13eeeac5f63e60134058c01354093202568a0",
+    ("ac", "gaussian"): ("749fd9410c5e3eb2c5c586ee4b124f399c220f8c951cca1dfb66c6b6c25ecabc",
+                         "d57fa367dfc9f68d13efb890c8d174fe6f89edec6b24c1919e234950035778b9",
                          "0ffcddbd0a4f0561b5e05f969a93ef248dd7cbb0bf3077493a3d946864e6978d"),
-    ("abc", "gaussian"): ("f7d1372981a4582d84b52799f2adc592d52f2547163e05b73d903c5014b4fe79",
-                          "2419adc43ece37811c46bb8e95de6d875a090900b46e009a135d7af15bc8d093",
+    ("abc", "gaussian"): ("bbe549c3b7e2e85f171a8f109c87f4a031c6341dac119581fb6a1595b39df8f8",
+                          "128756861c6cbc3459e2d6243cd06b9f46fc2f5bff0ba52bf928f981238ab23e",
                           "92a39e0418be1f761e15c68beed1ddec94239995d4e456f399beaee34a9d30c3"),
 }
 
@@ -1855,16 +1857,17 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
 
 
 # sha256 of fitted simulate's mse_report.json and bias.json for the pairs, in the
-# setup of SIMULATE_REPORTS_SHA256, from stream layout 5
+# setup of SIMULATE_REPORTS_SHA256, from stream layout 5 with the reads reduced to
+# linear functionals
 FITTED_PAIR_REPORTS_SHA256 = {
-    ("ab", "fixed"): ("e14adbe611aa28dec7292094dbcad2a5f13a0a92acb198d5b4a04f0da908d8d8",
-                      "6734f669dc3754c1c2c53878155d8e033873ad58fdea7ca373816d8c3498bd5a"),
-    ("ab", "gaussian"): ("e2f962b3bf625cd5da4a90af4cee22513f68f48e7c0ae7eff12f47dc152cdb88",
-                         "4570ac22f923ae3a5e08d739c33b0d4c23dcbe245a9624b9b22434322c59043c"),
-    ("ac", "fixed"): ("b86a73a299d7ab71761d5d09d26cb451f4231fad85ba01e81d49b6e43cce76cd",
-                      "9f2bfab6c1d5769c4fd978ec10462c9d0d13ddfc8cb06d5e7ec9479f950613c1"),
-    ("ac", "gaussian"): ("de225c20c129cca0ed2f0c9651759cbfcdf8af1fc6d6ad7b03795b4608a14796",
-                         "7cfc5223893e5fe1b81c90d79f26cf9f16cb4a0a7387b194a4cd498d0a0790c3"),
+    ("ab", "fixed"): ("f6b0362e882003881e003c1facf8e885a6f115436a9b2b75799ee73ff1451333",
+                      "ad5e70f94c420b5ea37d510b5684cd561751613f5727387c124494abfe067bf5"),
+    ("ab", "gaussian"): ("2132b2d70296e3ff3b74bb4fd9b6052715500891d26ff3ce26f48f1259c2ea22",
+                         "2143bb649152e6908ddfa0a8dba414e09f25a4e679a17e21be4c7e9de190fdf7"),
+    ("ac", "fixed"): ("d9a5d9844858b6993e79816214fbf77d4cf24c7c2404e7f6b953f8d97a4d1bb9",
+                      "de25258fd1c8bb328539d9356ba7fa8ceda815349db9206828ebad3f83942e52"),
+    ("ac", "gaussian"): ("1333dc17ba6bafaf93995cd5eef4455995754482e85870a04d25e055fa2e4d56",
+                         "8d46c9489598326c28813430b5ada47527171fcaa36c80f8760188c0517af292"),
 }
 
 
@@ -1883,6 +1886,24 @@ def test_fitted_pair_reports_pinned(tmp_path, capsys, monkeypatch, coalition, pl
     got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("mse_report.json", "bias.json"))
     assert got == FITTED_PAIR_REPORTS_SHA256[(coalition, plan)]
+
+
+# sha256 of batch_mse_distribution's values per coalition, 7 probes x 300 batches in
+# chunks of 512 probes, from stream layout 5
+BATCH_VALUES_SHA256 = {
+    "a_alone": "47a2159f1b58bfd7f1ad24cdfa73ea1a9720eefa8ebe8c7e076124f4b2b2ebca",
+    "ab": "66b53dd0ff07170f3b868eacd9fdff0517e5198d8408830076c7b9dfdb8f50d2",
+    "ac": "f55cd7497545f51c90d01c77f2d1a5b9172e65db3225d2b0a7000c664ee768ec",
+    "abc": "d0fce123271dd45f438ae955ca3ad484a79b22001fd6168629970d6f1585aac7",
+}
+
+
+@pytest.mark.parametrize("coalition", sorted(BATCH_VALUES_SHA256))
+def test_batch_values_pinned(monkeypatch, coalition):
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 512)
+    model = ExperimentModel(r=1.2, eta_a=0.85, eta_b=0.9, eps_c=0.05)
+    values = protocol.batch_mse_distribution(model, Coalition(coalition), 7, 300, RandomStream(13))
+    assert hashlib.sha256(values.tobytes()).hexdigest() == BATCH_VALUES_SHA256[coalition]
 
 
 # sha256 of each subcommand's manifest.json, run from the working directory with

@@ -3,7 +3,7 @@
 import json
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -697,7 +697,8 @@ def test_chunk_masks_partition_the_rounds(monkeypatch, coalition):
 
 def test_fitted_gain_is_exact_over_the_calibration_reads(monkeypatch):
     # one pass: each chunk's calibration reads are its calibration rounds in the
-    # dealer's basis, and the run's gain is the least-squares fit over them
+    # dealer's basis, and the run's gain is the least-squares fit over them; the
+    # reference residuals and auxiliaries come from the chunk's records
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
     n = 1000
     plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=3)
@@ -706,11 +707,14 @@ def test_fitted_gain_is_exact_over_the_calibration_reads(monkeypatch):
         assert [c.quad for c in ch.calibration] == [0, 1]
         for c in ch.calibration:
             assert np.array_equal(c.rows, np.flatnonzero(ch.calib & (ch.dealer_basis == c.quad)))
-            truth = (ch.table.alpha_p if c.quad else ch.table.alpha_x)[c.rows]
-            assert np.array_equal(c.truth, truth)
-            r.append(c.triple[0] - truth)
+            quad = "xp"[c.quad]
+            a, b, cc = (getattr(ch.table, f"{quad}_{party}")[c.rows] for party in "abc")
+            truth = getattr(ch.table, f"alpha_{quad}")[c.rows]
+            # the read holds a normal of each of the three parties for each of its rounds
+            assert c.z.shape == (3, truth.size) and c.err is None
+            r.append(a - truth)
             sign = -1.0 if c.quad else 1.0
-            u.append(sign * (c.triple[1] - c.triple[2]) / math.sqrt(2.0))
+            u.append(sign * (b - cc) / math.sqrt(2.0))
         # no calibration round is read again by the reports
         for read in ch.reads:
             assert not ch.calib[read.rows].any()
@@ -976,12 +980,17 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition):
     # a read's rows follow the factors' order, and a pair's read holds A's and the
     # partner's rows only
     order = protocol._party_order(coalition)
-    for ch in _chunks(coalition, 1000, fitted=not lone):
+    run = protocol._ProtocolRun(IDEAL, PLAN, 1000, coalition, POLICY, RandomStream(67),
+                                "analytic" if lone else "fitted", keep_records=True)
+    for ch in _drawn(run):
         assert len(ch.reads) == 2 and len(ch.calibration) == (0 if lone else 2)
         for r in ch.calibration + ch.reads:
-            assert r.triple.shape[0] == (1 if lone else 3 if coalition is Coalition.ABC else 2)
+            assert r.z.shape[0] == (1 if lone else 3 if coalition is Coalition.ABC else 2)
+            # the table's outcomes of the read rounds are those of the read's normals, and
             # a party's outcome in a quadrature its basis did not read is NaN in the table
-            for j, triple_row in enumerate(r.triple):
+            truth = getattr(ch.table, f"alpha_{'xp'[r.quad]}")[r.rows]
+            outcomes = protocol._apply(run.factors[r.quad], r.z, run.root_eta * truth)
+            for j, triple_row in enumerate(outcomes):
                 party = "abc"[order[j]]
                 col = getattr(ch.table, f"{'xp'[r.quad]}_{party}")[r.rows]
                 read = getattr(ch.table, f"basis_{party}")[r.rows] != 1 - r.quad
@@ -995,10 +1004,99 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition):
             want = np.flatnonzero(ch.witness & (ch.dealer_basis == q))
             assert np.array_equal(rows, want[:0] if lone else want)
             assert triple.shape == (3, rows.size)
-            assert normals.shape == (3 - ch.reads[q].triple.shape[0], rows.size)
+            assert normals.shape == (3 - ch.reads[q].z.shape[0], rows.size)
             assert np.all(truth == getattr(ch.table, f"alpha_{'xp'[q]}")[rows])
             for j, party in enumerate("abc"):
                 assert np.array_equal(getattr(ch.table, f"{'xp'[q]}_{party}")[rows], triple[j])
+
+
+def _magnitude(columns, weights, alpha=0.0):
+    """Root mean square over the rounds of sum_j |w_j t_j| + |alpha|: the size of the
+    terms a reference sums, so its rounding error is a small multiple of eps times it."""
+    total = np.abs(alpha) + sum(abs(w) * np.abs(col) for w, col in zip(weights, columns) if w)
+    return math.sqrt(float(np.mean(total * total)))
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 8.0])
+@pytest.mark.parametrize("arms", ["ideal", "lossy", "lossy-unscaled"])
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0),
+                                  DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
+                         ids=["fixed", "gaussian-1", "gaussian-3"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_reads_are_linear_functionals_of_the_recorded_outcomes(monkeypatch, coalition, plan,
+                                                               gain_mode, arms, r):
+    # every read's error, auxiliary and calibration residual, computed from its normals
+    # by the run's coefficient rows, match the estimator applied to the chunk's recorded
+    # outcomes, within 1e-13 of the spread of the terms the reference sums. The
+    # unscaled arms estimate with bias_scale 1, which leaves (sqrt(eta_A) - 1) alpha of
+    # the displacement in every error; eta_A = 0.82 leaves a rounding-sized k
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
+    model = (ExperimentModel(r=r) if arms == "ideal"
+             else ExperimentModel(r=r, eta_a=0.82, eta_b=0.9, eps_c=0.05))
+    run = protocol._ProtocolRun(model, plan, 600, coalition, POLICY, RandomStream(97), gain_mode,
+                                keep_records=True)
+    if arms == "lossy-unscaled":
+        run.gains = replace(run.gains, bias_scale=1.0)
+        run.functionals = [protocol._functionals(f, coalition, q, run.gains, run.root_eta)
+                           for q, f in enumerate(run.factors)]
+        assert all(f.k == run.root_eta - 1.0 for f in run.functionals)
+    fitted = run.fit is not None
+    n_reads = 0
+    for ch in _drawn(run):
+        for i, read in enumerate(ch.calibration + ch.reads):
+            quad = "xp"[read.quad]
+            cols = [getattr(ch.table, f"{quad}_{party}")[read.rows]
+                    if party in coalition.party_columns else None for party in "abc"]
+            alpha = getattr(ch.table, f"alpha_{quad}")[read.rows]
+            w0, w1 = estimators.WEIGHTS[coalition, read.quad]
+            if i < len(ch.calibration):
+                assert read.err is None
+                want = cols[0] - run.root_eta * alpha
+                got = run.functionals[read.quad].l00 * read.z[0]
+                bound = 1e-13 * _magnitude(cols[:1], [1.0], run.root_eta * alpha)
+                assert np.max(np.abs(got - want)) <= bound
+            else:
+                want = estimators.combine(cols, coalition, read.quad, run.gains) - alpha
+                g = run.gains.gain(coalition)
+                weights = run.gains.bias_scale * (w0 + g * w1)
+                bound = 1e-13 * _magnitude(cols, weights, alpha)
+                assert np.max(np.abs(read.err - want)) <= bound, (quad, bound)
+            if fitted:
+                want = estimators.weighted_sum(cols, -w1)
+                bound = 1e-13 * _magnitude(cols, w1)
+                assert np.max(np.abs(read.aux - want)) <= bound, (quad, bound)
+            else:
+                assert read.aux is None
+            n_reads += 1
+    assert n_reads == (4 if fitted else 2) * 3
+
+
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_only_witness_rounds_and_records_compute_outcomes(monkeypatch, coalition, gain_mode):
+    # the reads reduce to functionals of their normals, so a run without records turns
+    # normals into outcomes only for its witness rounds (none for a lone A); with records
+    # every round's x and p triples as well
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
+    columns = []
+    apply = protocol._apply
+
+    def counting_apply(factor, z, shift_a, out=None):
+        columns.append(z.shape[1])
+        return apply(factor, z, shift_a, out)
+
+    monkeypatch.setattr(protocol, "_apply", counting_apply)
+    n, plan = 5000, DisplacementPlan.gaussian_modulated(2.0)
+    res = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), gain_mode=gain_mode,
+                       keep_records=False)
+    lone = coalition is Coalition.A_ALONE
+    n_witness = 0 if lone else res.witness.n_x + res.witness.n_p
+    assert n_witness > 0 or lone
+    assert sum(columns) == n_witness
+    columns.clear()
+    run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), gain_mode=gain_mode)
+    assert sum(columns) == n_witness + 2 * n
 
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
@@ -1033,21 +1131,23 @@ def test_recorded_outcomes_follow_the_dealer_covariance(coalition):
 
 
 def _two_pass_reports(model, plan, n, coalition, stream, gains):
-    """A fitted run's reports the long way: draw every chunk again, estimate with
-    the final gain and reduce with RunningMoments."""
+    """A fitted run's reports the long way: draw every chunk again with its records,
+    estimate each read round from the records' outcomes with the final gain and
+    reduce with RunningMoments."""
     sq = (estimators.RunningMoments(), estimators.RunningMoments())
     bias = estimators.RunningMoments()
     for ch in _drawn(protocol._ProtocolRun(model, plan, n, coalition, POLICY, stream, "fitted",
-                                           keep_records=False)):
+                                           keep_records=True)):
         for r in ch.reads:
             quad = "xp"[r.quad]
-            # the triple's rows follow the factors' order
-            outcomes = {f"{quad}_{'abc'[j]}": row
-                        for j, row in zip(protocol._party_order(coalition), r.triple)}
-            e = estimators.estimate(coalition, outcomes, gains, quad) - r.truth
-            e_est = e[~(r.witness | r.bias)]
+            outcomes = {f"{quad}_{party}": getattr(ch.table, f"{quad}_{party}")[r.rows]
+                        for party in coalition.party_columns}
+            truth = getattr(ch.table, f"alpha_{quad}")[r.rows]
+            e = estimators.estimate(coalition, outcomes, gains, quad) - truth
+            witness, is_bias = ch.witness[r.rows], ch.bias[r.rows]
+            e_est = e[~(witness | is_bias)]
             sq[r.quad].add(e_est * e_est)
-            bias.add(e[r.bias])
+            bias.add(e[is_bias])
     split = estimators.RESOURCE_SPLIT_FACTOR
     return split * sq[0].mean, split * sq[1].mean, bias.mean, bias.standard_error()
 
