@@ -335,24 +335,29 @@ class _Functionals(NamedTuple):
     """The linear functionals of a read's normals z that the reports take, in one quadrature.
 
     ``c`` and ``aux`` hold one coefficient per read row, in the factors'
-    order (:func:`_party_order`). A round's error is ``c @ z + k * alpha``
-    with c = w^T L, w = bias_scale (w0 + g0 w1) the estimator's weights at
-    the analytic gain g0 and L the quadrature's factor; ``k = w_A sqrt(eta_A)
-    - 1`` is the displacement left over, 0 wherever the bias scale inverts
-    A's loss exactly. Its gain auxiliary is ``aux @ z``, aux = (-w1)^T L,
-    and its calibration residual x_A - sqrt(eta_A) alpha is ``l00 * z[0]``.
+    order (:func:`_party_order`). A round's error is ``c @ z`` with
+    c = w^T L, w = bias_scale (w0 + g0 w1) the estimator's weights at the
+    analytic gain g0 and L the quadrature's factor. Its gain auxiliary is
+    ``aux @ z``, aux = (-w1)^T L, and its calibration residual
+    x_A - sqrt(eta_A) alpha is ``l00 * z[0]``.
     """
 
     c: np.ndarray
-    k: float
     aux: np.ndarray
     l00: float
 
 
-def _functionals(factor: np.ndarray, coalition: Coalition, quad: int, gains: GainSet,
-                 root_eta: float) -> _Functionals:
+def _functionals(factor: np.ndarray, coalition: Coalition, quad: int,
+                 gains: GainSet) -> _Functionals:
     """The :class:`_Functionals` of one quadrature's factor, each coefficient one
-    ``math.fsum`` of its terms."""
+    ``math.fsum`` of its terms.
+
+    A's outcome carries sqrt(eta_A) alpha, which its estimate weighs by
+    bias_scale w0[A] + g0 w1[A]. Every estimator has w0[A] = 1 and
+    w1[A] = 0 (:data:`~cvshare.estimators.WEIGHTS`), and every run's bias
+    scale is 1/sqrt(eta_A), so that weight is 1 and the displacement
+    cancels from the error: it is c @ z alone, with no alpha to read.
+    """
     w0, w1 = estimators.WEIGHTS[coalition, quad]
     parties = _party_order(coalition)[: len(coalition.party_columns)]
     g = gains.gain(coalition)
@@ -363,8 +368,7 @@ def _functionals(factor: np.ndarray, coalition: Coalition, quad: int, gains: Gai
         return np.array([math.fsum(weights[j] * factor[j, i] for j in range(i, len(parties)))
                          for i in range(len(parties))])
 
-    return _Functionals(row(w), w[0] * root_eta - 1.0, row([-w1[p] for p in parties]),
-                        float(factor[0, 0]))
+    return _Functionals(row(w), row([-w1[p] for p in parties]), float(factor[0, 0]))
 
 
 class _Reads(NamedTuple):
@@ -505,6 +509,12 @@ def _chunks(stream: RandomStream, n: int) -> Iterator[tuple[int, int, np.random.
         yield start, min(start + _CHUNK_ROUNDS, n), stream.chunk_generator(i)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) by numpy's own loop, without a temporary. ``a @ b`` would go to
+    the BLAS, whose kernel and thread split can change the last bits per host."""
+    return float(np.einsum("i,i->", a, b))
+
+
 class _Fit:
     """The sums a fitted run gathers in its one pass over the chunks.
 
@@ -537,8 +547,8 @@ class _Fit:
 
     def calibrate(self, c: _Reads) -> None:
         u = c.aux
-        self.sum_ru += self.l00[c.quad] * float(c.z[0] @ u)
-        self.sum_uu += float(u @ u)
+        self.sum_ru += self.l00[c.quad] * _dot(c.z[0], u)
+        self.sum_uu += _dot(u, u)
         self.n += u.size
 
     def add(self, read: _Reads, e_witness: np.ndarray, e_bias: np.ndarray,
@@ -550,14 +560,14 @@ class _Fit:
         u_witness, u_bias = u[read.witness], u[read.bias]
         sums = self.est[read.quad]
         # the estimation rounds are the read's rounds but its few witness and bias ones
-        sums[0] += float(e @ u) - float(e_witness @ u_witness) - float(e_bias @ u_bias)
-        sums[1] += float(u @ u) - float(u_witness @ u_witness) - float(u_bias @ u_bias)
+        sums[0] += _dot(e, u) - _dot(e_witness, u_witness) - _dot(e_bias, u_bias)
+        sums[1] += _dot(u, u) - _dot(u_witness, u_witness) - _dot(u_bias, u_bias)
         k = e_bias.size
         if k:
             mean_e, mean_u = float(np.mean(e_bias)), float(np.mean(u_bias))
             n = self.bias_u.n
             shift = (mean_e - bias_err.mean) * (mean_u - self.bias_u.mean) * (n * k / (n + k))
-            self.bias_c += float((e_bias - mean_e) @ (u_bias - mean_u)) + shift
+            self.bias_c += _dot(e_bias - mean_e, u_bias - mean_u) + shift
             self.bias_u.add(u_bias)
 
     def apply(self, gains: GainSet, sq_err: tuple[list, list],
@@ -652,7 +662,7 @@ class _ProtocolRun:
         # the parties the estimator reads, which the order puts first
         self.n_read = len(coalition.party_columns)
         self.factors = _triple_factors(cov, self.order)
-        self.functionals = [_functionals(f, coalition, q, self.gains, root_eta)
+        self.functionals = [_functionals(f, coalition, q, self.gains)
                             for q, f in enumerate(self.factors)]
         self.fit = (_Fit(coalition, tuple(f.l00 for f in self.functionals))
                     if gain_mode == "fitted" and not lone else None)
@@ -739,12 +749,7 @@ class _ProtocolRun:
         reads = []
         for q, r, z_r in groups[n_calib:]:
             f = self.functionals[q]
-            err = weighted_sum(z_r, f.c)
-            if f.k:
-                # what the bias scale leaves of the displacement, which reaches A through
-                # its loss channel
-                err = err + f.k * alphas[q][r]
-            reads.append(_Reads(q, r, z_r, err,
+            reads.append(_Reads(q, r, z_r, weighted_sum(z_r, f.c),
                                 None if self.fit is None else weighted_sum(z_r, f.aux),
                                 np.flatnonzero(witness[r]), np.flatnonzero(bias[r])))
         # each witness round draws the rows its read left, x rounds first; per quadrature
@@ -804,7 +809,7 @@ class _ProtocolRun:
                 e_witness, e_bias = e[r.witness], e[r.bias]
                 # the estimation rounds are the read's rounds but its witness and bias ones
                 sq = self.sq_err[r.quad]
-                sq[0] += float(e @ e) - float(e_witness @ e_witness) - float(e_bias @ e_bias)
+                sq[0] += _dot(e, e) - _dot(e_witness, e_witness) - _dot(e_bias, e_bias)
                 sq[1] += e.size - e_witness.size - e_bias.size
                 if self.fit is not None:
                     self.fit.add(r, e_witness, e_bias, self.bias_err)

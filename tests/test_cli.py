@@ -1808,29 +1808,29 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 
 # sha256 of analytic simulate's reports per (coalition, plan), in chunks of 512
 # rounds, from stream layout 5 with every read reduced to its estimator's linear
-# functionals of the read's normals (witness.json from the layout's own writer); a
-# one-pass run estimates with the analytic gain, so a fitted run's drawing must not
-# move these
+# functionals of the read's normals and its sums of squares taken without the BLAS
+# (witness.json from the layout's own writer); a one-pass run estimates with the
+# analytic gain, so a fitted run's drawing must not move these
 SIMULATE_REPORTS_SHA256 = {
-    ("a_alone", "fixed"): ("f5760f5e29d219eac34b9ce8768e6fdfa06a2314bfcda3a6bfd9f37128ab8fb6",
+    ("a_alone", "fixed"): ("2ac18cce0795fb82611fe8fa457b4d693a46f546de42e324e444cca408498f24",
                            "ef361a86d24d4dc5cef325c21ab24423777f6bd688a4aa9bbac9f924c228d2cf",
                            "bbfc6b774d485605e261af4205b4b24508d2f9f31867b582b74c1e94eb5b0291"),
-    ("ab", "fixed"): ("f48eadc8a6d6e7071ed9a747f8e239913a801a2276238516c323d077c10d1190",
+    ("ab", "fixed"): ("db49f2586b0b7791520786ca9d097dbf4e4d7b7e21271062b22550743b5c0f69",
                       "63b83c3cd3f878ead01be9300bf94cef86e0ab9023fd85fb1dcd5ce1ace67ad7",
                       "a523bbbe1803807f1549a51ee803242150e16e26cc34ead9fa671c1cf21413e1"),
-    ("ac", "fixed"): ("be92f72944895393cf2346eff214c7d16903d260fe3bdcf92c7e5439a660389b",
+    ("ac", "fixed"): ("6570f2f4ce0b716e2a7187b01f9644e8c8effe74fdccc43355eb9d69cc856370",
                       "0e54fa65469bc63e68f1b8d1d7553173aba3ac645b3fca260e227be75c391e26",
                       "380b23fc2e14dd2f2cabadded9a4572af1a0f7001a439ca1cecae83ddc907762"),
-    ("abc", "fixed"): ("8cb503f26f6da1550d26468619fde9bf6b9ad5c23ddd157964b662fff40187a1",
+    ("abc", "fixed"): ("b135124b3281ce49a2a65ce4801d37a536abbc3403fcad4ec8c9f600d59feddb",
                        "f5b6f5b862e49e731ee8b4f4d7b195375178443649c6c1a492df353005d8dfdc",
                        "c6279622940135978ed11cc37887617fa7e9bc8fe9820f332e1bf359a5a9f109"),
-    ("a_alone", "gaussian"): ("edfbe1b527e475fe0890a87fedc4e4fa06a9a9968b0f955422f0b5667f8dd89d",
+    ("a_alone", "gaussian"): ("0ca4d9b798f7f739b0acb7de9a169071cac35bb78e935cdbf66a3ba0cd7657c7",
                               "bcb0faac55876f5b96e89793eb38ba6f72cf18c73e92b0c723d12b1de8ddd8e9",
                               "bbfc6b774d485605e261af4205b4b24508d2f9f31867b582b74c1e94eb5b0291"),
-    ("ab", "gaussian"): ("5a8e46129cb3ccda6de69472eba29827ebfa9ea84305309d27d29b4d77b11171",
+    ("ab", "gaussian"): ("f838a3cecb70b67e337989f3873471de2630ff89ae93ac9d3f0f924fded99bfb",
                          "b5b6ce124fe54da06db9c2256c97bc223c430346776835d4cf02b25a82a53d6b",
                          "83426c6d387df90f4adfcbf3a268c1394df0953a73ad246bb96c75c600db2a9c"),
-    ("ac", "gaussian"): ("749fd9410c5e3eb2c5c586ee4b124f399c220f8c951cca1dfb66c6b6c25ecabc",
+    ("ac", "gaussian"): ("e309fd2ddd46990585fb9fedeaedb9997b33a8f67185af7bf357f193771246fa",
                          "d57fa367dfc9f68d13efb890c8d174fe6f89edec6b24c1919e234950035778b9",
                          "0ffcddbd0a4f0561b5e05f969a93ef248dd7cbb0bf3077493a3d946864e6978d"),
     ("abc", "gaussian"): ("bbe549c3b7e2e85f171a8f109c87f4a031c6341dac119581fb6a1595b39df8f8",
@@ -1858,16 +1858,16 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
 
 # sha256 of fitted simulate's mse_report.json and bias.json for the pairs, in the
 # setup of SIMULATE_REPORTS_SHA256, from stream layout 5 with the reads reduced to
-# linear functionals
+# linear functionals and summed without the BLAS
 FITTED_PAIR_REPORTS_SHA256 = {
-    ("ab", "fixed"): ("f6b0362e882003881e003c1facf8e885a6f115436a9b2b75799ee73ff1451333",
+    ("ab", "fixed"): ("9f691b9d28661f71a513e6f69822d43cf0d82af6d71d3583c7d5b226e313bdf8",
                       "ad5e70f94c420b5ea37d510b5684cd561751613f5727387c124494abfe067bf5"),
-    ("ab", "gaussian"): ("2132b2d70296e3ff3b74bb4fd9b6052715500891d26ff3ce26f48f1259c2ea22",
-                         "2143bb649152e6908ddfa0a8dba414e09f25a4e679a17e21be4c7e9de190fdf7"),
-    ("ac", "fixed"): ("d9a5d9844858b6993e79816214fbf77d4cf24c7c2404e7f6b953f8d97a4d1bb9",
+    ("ab", "gaussian"): ("4411d70a08fc1db598bb8c07185ece0e2b210a2a807bed7b90f7ebf5405fa09b",
+                         "2d4ad851e4e31259ce85a41aa6465d5aa133e19ad5d307fcf1faee6abb5692fe"),
+    ("ac", "fixed"): ("d83be487c08f6c279893a9c9cd6a47eef636c7ab5e4d872201a48068b5f2f9fe",
                       "de25258fd1c8bb328539d9356ba7fa8ceda815349db9206828ebad3f83942e52"),
-    ("ac", "gaussian"): ("1333dc17ba6bafaf93995cd5eef4455995754482e85870a04d25e055fa2e4d56",
-                         "8d46c9489598326c28813430b5ada47527171fcaa36c80f8760188c0517af292"),
+    ("ac", "gaussian"): ("f3247c652bc5d18decd5a411be4f923a4460adf3b5e0ef3254ac48cb06f30795",
+                         "0f21f76e01f1d0ec00edec0e9eaeb113ef7d0ce776d2ad8c6b88d1c793026984"),
 }
 
 
