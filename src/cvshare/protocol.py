@@ -7,19 +7,22 @@ runs dual-homodyne so both quadratures are read every round). Rounds
 whose coalition basis disagrees with the dealer's are discarded by
 sifting. A random subset of the rounds in which all three parties
 happened to match the dealer's basis is reserved for entanglement
-verification, and a further random subset of the kept rounds feeds an
+verification (none for a lone A, whose dual-homodyne outcomes witness
+nothing), and a further random subset of the kept rounds feeds an
 unbiasedness spot-check; the remainder produces the coalition's MSE
 report.
 
 Rounds are drawn and reduced in chunks of ``_CHUNK_ROUNDS`` (stream
-layout 5). Chunk i draws from its own SFC64 child stream,
+layout 6). Chunk i draws from its own SFC64 child stream,
 :meth:`~cvshare.sampler.RandomStream.chunk_generator`, only the normals
 the reports read, in this order: the dealer's basis and the parties'
 bases (each basis a coin per round, taken from random bytes), the
 witness, bias and calibration subsets, a gaussian plan's displacement
-blocks that hold a kept round or run past the chunk's end, and then the
-reads' normals. A dealer state has no x-p correlation, so the (A, B, C)
-triple of each quadrature is an independent draw of its Wigner function,
+blocks that hold a witness round or run past the chunk's end (the
+displacement cancels from every other read, so no other round reads
+one), and then the reads' normals. A dealer state has no x-p
+correlation, so the (A, B, C) triple of each quadrature is an
+independent draw of its Wigner function,
 drawn party-major through the lower Cholesky factor of its block: one
 row of normals per party, the parties the estimator reads first. One
 rule serves every coalition: a read round draws the first ``n_read``
@@ -85,7 +88,8 @@ from .sampler import sample_joint  # noqa: F401
 WITNESS_MIN_ROUNDS = 100
 #: witness MSE sums at or above this are consistent with a separable state
 WITNESS_THRESHOLD = 4.0
-#: cap on n_batches * n_probes * modes of a batch distribution run
+#: cap on n_batches * n_probes * modes of a batch distribution run; a run draws one
+#: chi-squared value per batch and quadrature, so its time scales with n_batches alone
 DEFAULT_BATCH_TERM_CAP = 200_000_000
 #: cap on n_rounds of a run that keeps no records; memory is bounded by the
 #: chunk, so the cap only bounds the run time
@@ -95,7 +99,7 @@ MAX_ROUNDS = 1_000_000_000
 #: row for abc under a fixed plan, 139 B for a lone A under a gaussian one) to 1.8-2.8 GB
 MAX_RECORD_ROUNDS = 20_000_000
 #: random-stream layout of the sampled outputs, recorded in their manifests
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 #: rounds drawn and reduced at a time, each chunk from its own child stream
 _CHUNK_ROUNDS = 65536
 
@@ -154,7 +158,14 @@ class DisplacementPlan:
 
 @dataclass(frozen=True, slots=True)
 class ProtocolPolicy:
-    """Abort and verification policy knobs."""
+    """Abort and verification policy knobs.
+
+    ``witness_fraction`` of the rounds are reserved for the entanglement
+    witness and ``bias_fraction`` for the unbiasedness check, each in
+    [0, 0.5]. The witness share does not apply to a lone A: its
+    dual-homodyne outcomes witness nothing, so none of its rounds are
+    reserved and every kept round but the bias ones is estimated.
+    """
 
     eta_min: float = 0.5
     witness_fraction: float = 0.05
@@ -213,6 +224,10 @@ class RoundTable:
         return self.round_index.shape[0]
 
     def __getitem__(self, key) -> "RoundTable":
+        # a mask becomes indices once, not once per column: numpy takes a mask's rows
+        # several times slower than the same rows by index
+        if isinstance(key, np.ndarray) and key.dtype == bool and key.shape == (len(self),):
+            key = np.flatnonzero(key)
         return RoundTable(*(getattr(self, name)[key] for name in ROUND_COLUMNS))
 
     def __add__(self, other: "RoundTable") -> "RoundTable":
@@ -428,7 +443,8 @@ class _Blocks:
     began in an earlier chunk was drawn there and its draw is carried in;
     :meth:`draw` draws, x values before p values, the blocks a mask
     selects among those not drawn yet, so a chunk need not hold whole
-    blocks and need not draw the blocks no kept round reads.
+    blocks and need not draw the blocks no report reads: the displacement
+    cancels from every read's error, so only the witness rounds read it.
     """
 
     def __init__(self, plan: DisplacementPlan, start: int, end: int,
@@ -445,19 +461,19 @@ class _Blocks:
             self.values[:, 0] = carry
             self.todo[0] = False
 
-    def draw(self, gen: np.random.Generator, kept: np.ndarray | None = None) -> None:
-        """Draw the blocks not drawn yet; given ``kept``, only those that hold a kept round
-        or run past the chunk's end, whose draw the next chunk carries on."""
+    def draw(self, gen: np.random.Generator, rounds: np.ndarray | None = None) -> None:
+        """Draw the blocks not drawn yet; given a mask of ``rounds``, only those that hold
+        one of them or run past the chunk's end, whose draw the next chunk carries on."""
         todo = self.todo
-        if kept is not None and self.block is None:
-            todo = todo & kept
-        elif kept is not None:
+        if rounds is not None and self.block is None:
+            todo = todo & rounds
+        elif rounds is not None:
             due = np.zeros_like(todo)
-            due[self.block[kept]] = True
+            due[self.block[rounds]] = True
             due[-1] |= self.runs_on
             todo = todo & due
         k = int(np.count_nonzero(todo))
-        # drawing every block, as a chunk of a lone A's rounds does, fills the values by view
+        # drawing every block, as a lone A's records do, fills the values by view
         idx = slice(None) if k == todo.size else np.flatnonzero(todo)
         sd = math.sqrt(self.plan.v_dist)
         for values in self.values:
@@ -676,29 +692,34 @@ class _ProtocolRun:
         # the bias check read a standard error too, so they keep moments
         self.sq_err = ([0.0, 0], [0.0, 0])
         self.sq_witness = (RunningMoments(), RunningMoments())
-        self.bias_err, self.n_witness = RunningMoments(), [0, 0]
+        self.bias_err = RunningMoments()
 
     def _draw(self, start: int, end: int, gen: np.random.Generator) -> _Chunk:
         """The chunk of rounds [start, end), drawn from its generator.
 
         After the coins and the subsets come a gaussian plan's blocks
-        that hold a kept round or run past the chunk's end, and then only
-        the normals the reports read, party-major through the factors
-        (:func:`_party_order`). A read needs the first ``n_read`` rows of
-        its quadrature's factor: 3 for all three, 2 for a pair (A and the
-        partner) and 1 for a lone A, whose factors carry the unit vacuum
-        of dual homodyne and who reads every round in both quadratures.
-        The read rounds draw one (n_read, k) array, calibration rounds
-        first and x rounds before p rounds in each group, and each read
-        keeps its normals and their functionals (:class:`_Reads`). Each
-        witness round then draws its remaining 3 - n_read rows, one
-        (3 - n_read, w) array with x rounds first, and its outcomes are
-        computed; a lone A's rounds witness nothing. With ``keep_records``
-        the blocks still missing are drawn afterwards, then per
-        quadrature, x first, the normals still missing: the remaining rows
-        of its other read rounds, then every row of the rounds it did not
-        read. They fill one (2, 3, m) array of every round's x and p
-        triples, whose rows are the table's outcome columns.
+        that hold a witness round or run past the chunk's end: the
+        displacement cancels from every read's error and residuals, so
+        the witness is all that reads it before the records (a lone A's
+        rounds witness nothing, so it draws no block here). Then come
+        only the normals the reports read, party-major through the
+        factors (:func:`_party_order`). A read needs the first ``n_read``
+        rows of its quadrature's factor: 3 for all three, 2 for a pair (A
+        and the partner) and 1 for a lone A, whose factors carry the unit
+        vacuum of dual homodyne and who reads every round in both
+        quadratures. The read rounds draw one (n_read, k) array,
+        calibration rounds first and x rounds before p rounds in each
+        group, and each read keeps its normals and their functionals
+        (:class:`_Reads`). Each witness round then draws its remaining
+        3 - n_read rows, one (3 - n_read, w) array with x rounds first,
+        and its outcomes are computed. With ``keep_records`` the blocks
+        still missing are drawn afterwards, then per quadrature, x first,
+        the normals still missing: the remaining rows of its other read
+        rounds, then every row of the rounds it did not read. They fill
+        one (2, 3, m) array of every round's x and p triples, whose rows
+        are the table's outcome columns. The reports read nothing these
+        last draws give, so they do not depend on whether the records
+        are kept.
         """
         factors, policy, plan, n_read = self.factors, self.policy, self.plan, self.n_read
         m = end - start
@@ -709,7 +730,9 @@ class _ProtocolRun:
         # both; a round is kept where A reads the dealer's basis
         on = (basis_a != 1, basis_a != 0)
         kept = basis_a != 1 - dealer
-        pool = kept & (basis_b == dealer) & (basis_c == dealer)
+        # dual-homodyne outcomes carry a vacuum unit, so a lone A's rounds witness nothing
+        pool = (np.zeros(m, dtype=bool) if self.lone
+                else kept & (basis_b == dealer) & (basis_c == dealer))
         witness = _pick(pool, round(policy.witness_fraction * end) - self.taken_witness, gen)
         self.taken_witness += int(np.count_nonzero(witness))
         eligible = kept & ~witness
@@ -728,9 +751,11 @@ class _ProtocolRun:
                       np.broadcast_to(plan.alpha_p * plan.scale, m))
         else:
             blocks = _Blocks(plan, start, end, self.carry)
-            blocks.draw(gen, kept)
-            # the last block's draw, which the next chunk carries on when the block runs on
-            self.carry = blocks.values[:, -1].tolist()
+            # the displacement cancels from every read, so only witness rounds read it
+            # before the records; a lone A's rounds witness nothing, and no later chunk of
+            # its run reads the block that runs on without the records, which draw it
+            if not self.lone:
+                blocks.draw(gen, witness)
             alphas = blocks.alphas()
         # the read rows of each kept round: calibration rounds first, x before p in each part;
         # a read of every round of the chunk indexes it by view
@@ -753,13 +778,12 @@ class _ProtocolRun:
                                 None if self.fit is None else weighted_sum(z_r, f.aux),
                                 np.flatnonzero(witness[r]), np.flatnonzero(bias[r])))
         # each witness round draws the rows its read left, x rounds first; per quadrature
-        # the witness rounds' (A, B, C) outcomes, displacements, rows and those normals.
-        # Dual-homodyne outcomes carry a vacuum unit, so a lone A's rounds witness nothing
-        picks = [read.witness[:0] if self.lone else read.witness for read in reads]
-        w_x = picks[0].size
-        z_rest = gen.standard_normal((3 - n_read, w_x + picks[1].size))
+        # the witness rounds' (A, B, C) outcomes, displacements, rows and those normals
+        w_x = reads[0].witness.size
+        z_rest = gen.standard_normal((3 - n_read, w_x + reads[1].witness.size))
         witnessed = []
-        for read, w, z_o in zip(reads, picks, (z_rest[:, :w_x], z_rest[:, w_x:])):
+        for read, z_o in zip(reads, (z_rest[:, :w_x], z_rest[:, w_x:])):
+            w = read.witness
             done = w if isinstance(read.rows, slice) else read.rows[w]
             truth = alphas[read.quad][done]
             triple = _apply(factors[read.quad], np.concatenate((read.z[:, w], z_o)),
@@ -795,6 +819,9 @@ class _ProtocolRun:
                 dealer_basis=dealer, basis_a=basis_a, basis_b=basis_b, basis_c=basis_c, kept=kept,
                 **{name: normals["xp".index(name[0]), self.order["abc".index(name[2])]]
                    for name in OUTCOME_COLUMNS})
+        if blocks is not None:
+            # the last block's draw, which the next chunk carries on when the block runs on
+            self.carry = blocks.values[:, -1].tolist()
         return _Chunk(dealer, kept, witness, bias, calib, tuple(calibration), tuple(reads),
                       tuple(witnessed), table)
 
@@ -814,13 +841,8 @@ class _ProtocolRun:
                 if self.fit is not None:
                     self.fit.add(r, e_witness, e_bias, self.bias_err)
                 self.bias_err.add(e_bias)
-            if self.lone:
-                w_x = int(np.count_nonzero(ch.witness & (ch.dealer_basis == 0)))
-                self.n_witness[0] += w_x
-                self.n_witness[1] += int(np.count_nonzero(ch.witness)) - w_x
-            else:
-                (triple_x, alpha_x, *_), (triple_p, alpha_p, *_) = ch.witnessed
-                _add_witness(self.sq_witness, triple_x, triple_p, alpha_x, alpha_p)
+            (triple_x, alpha_x, *_), (triple_p, alpha_p, *_) = ch.witnessed
+            _add_witness(self.sq_witness, triple_x, triple_p, alpha_x, alpha_p)
             table = ch.table
             # drop the chunk's reads before its table goes out, and the table before the
             # next chunk is drawn
@@ -843,8 +865,8 @@ class _ProtocolRun:
 
         if self.lone:
             # dual-homodyne outcomes carry an extra vacuum unit per quadrature,
-            # so they cannot test the bound 4 e^{-2r}
-            witness = WitnessResult(None, None, None, None, None, *self.n_witness,
+            # so they cannot test the bound 4 e^{-2r}, and no round is reserved for it
+            witness = WitnessResult(None, None, None, None, None, 0, 0,
                                     WITNESS_THRESHOLD, "not-applicable")
         else:
             witness = _witness_result(*self.sq_witness)
@@ -1014,13 +1036,14 @@ def batch_mse_distribution(
     Samples without sifting (bases pre-agreed), estimates with analytic
     gains at zero displacement and returns one summed, resource-split
     MSE per batch, for comparison against the scaled chi-squared law.
-    Probe j of every quadrature belongs to batch j // N; probes are
-    drawn in chunks, each from its own child stream, and only the
-    per-batch sums of squared errors are kept. An estimate is linear in
-    the outcomes it reads, so a probe's error in quadrature q is one
-    normal scaled by √(wᵀΣ_q w), with w the estimator's weights and Σ_q
-    the covariance of the outcomes it reads (with its vacuum unit for a
-    lone A): each chunk draws a (2, m) array, x errors then p errors.
+    An estimate is linear in the outcomes it reads, so a probe's error
+    in quadrature q is normal with variance sd_q² = split·wᵀΣ_q w, with
+    w the estimator's weights and Σ_q the covariance of the outcomes it
+    reads (with its vacuum unit for a lone A). A batch's sum of its N
+    squared errors in q is then sd_q²·χ²_N = 2·sd_q²·Γ(N/2, 1), so each
+    batch draws one standard gamma per quadrature and nothing per
+    probe. Batches are drawn in chunks, each from its own child stream:
+    a (2, m) array per chunk, x sums then p sums.
     """
     n_batches = check_scalar("n_batches", n_batches, ">= 100", 100, integer=True)
     n_probes_per_quadrature = check_scalar("n_probes_per_quadrature", n_probes_per_quadrature,
@@ -1039,21 +1062,18 @@ def batch_mse_distribution(
     # per quadrature, the dealer quadratures of the parties the estimator reads and
     # their weights bias_scale * (w0 + g w1)
     parties = [estimators.PARTIES.index(p) for p in coalition.party_columns]
-    sd = np.empty((2, 1))
+    # 2 sd_q^2 per quadrature, the scale of a batch's gamma draw
+    scale = np.empty((2, 1))
     for q in (0, 1):
         w0, w1 = estimators.WEIGHTS[coalition, q]
         idx = [estimators.TRIPLE_INDICES[q][j] for j in parties]
         w = bias * (w0 + g * w1)[parties]
         sub = cov[np.ix_(idx, idx)] + vacuum * np.eye(len(idx))
-        sd[q] = math.sqrt(split * (w @ sub @ w))
+        scale[q] = 2.0 * split * (w @ sub @ w)
     n_probes = n_probes_per_quadrature
-    n_tot = n_batches * n_probes
-    total = np.zeros(n_batches)
-    for start, end, gen in _chunks(stream, n_tot):
-        err = gen.standard_normal((2, end - start))
-        err *= sd
-        err *= err
-        first = start // n_probes
-        sums = np.bincount(np.arange(start, end) // n_probes - first, weights=err[0] + err[1])
-        total[first : first + sums.size] += sums
+    total = np.empty(n_batches)
+    for start, end, gen in _chunks(stream, n_batches):
+        sums = gen.standard_gamma(n_probes / 2.0, (2, end - start))
+        sums *= scale
+        np.add(sums[0], sums[1], out=total[start:end])
     return total / n_probes

@@ -234,20 +234,21 @@ def test_simulate_and_rerun_byte_identical(tmp_path, capsys):
     assert len(rounds) == 1 + 10000
 
 
-# rounds.csv sha256 per (coalition, plan), from stream layout 5 (SFC64 chunk streams,
-# coins from random bytes, the blocks of the kept rounds, the party-major normals of
+# rounds.csv sha256 per (coalition, plan), from stream layout 6 (SFC64 chunk streams,
+# coins from random bytes, the blocks of the witness rounds, the party-major normals of
 # each kept round's dealer basis, a pair's outsider for its witness rounds or a lone
-# A's two outcomes, then the blocks and normals still missing); the fixed-plan
-# a_alone and abc digests are those of layout 4
+# A's two outcomes, then the blocks and normals still missing); a lone A reserves no
+# witness rounds. The fixed-plan ab, ac and abc digests are those of layout 5, and
+# the abc one is that of layout 4
 ROUNDS_CSV_SHA256 = {
-    ("a_alone", "fixed"): "d0401723ecb1b5aa8873e9d1c5b70f1fb660ea9a611d1ff0275886f3c79fa58b",
+    ("a_alone", "fixed"): "f38769ded117f44d80767df8c09bedd4d6f7f873afd3804b0d55e853ca6e1ce8",
     ("ab", "fixed"): "7854d0aea8a9bd39e6695e06708922d9dc3564a87c9cd72433a0a766814d5d09",
     ("ac", "fixed"): "275595a052e073b9c31915190f5c4e9e952fefb7e1f80632c90d3127e7304161",
     ("abc", "fixed"): "7fc02e5c0df6d7c81a903b3b9b8547995bb0f8d6d670987bb83a7d8349601715",
-    ("a_alone", "gaussian"): "34bdc7157d8de7ac7b5ccf09629b201199aed54e6a7405efa1ca2cb983d8d515",
-    ("ab", "gaussian"): "26ed02ce238a76527305fa329da0f80f076cf9e68df5c4883e30b357dc5622ac",
-    ("ac", "gaussian"): "8680730bc6f9bffb138de41c5aa4b95a778a85b9c35fbc9b93b86793d2984f3c",
-    ("abc", "gaussian"): "9838ba77204ef7bd274d4dbbbae2f95ca6bb9eeb529558d25d4cc04af1b7ee43",
+    ("a_alone", "gaussian"): "20a35d1cc2f225a574c9a32f46b7dd33b69dcd36612710531a39dc4070f7ee3b",
+    ("ab", "gaussian"): "762a567fa4e32668984dab54cba174c1f20ce567d991291d87c309edebfcac77",
+    ("ac", "gaussian"): "37f36c1fe360aff63f17d4ba1dd091a73fd037ee217164a3dbd1ca428a761e79",
+    ("abc", "gaussian"): "22783f558ffab4db53201252827eed3891089cb8b339e08f29d084c45d3b71d8",
 }
 
 
@@ -267,17 +268,17 @@ def test_rounds_csv_bytes_pinned(tmp_path, capsys, coalition, plan):
     assert digest == ROUNDS_CSV_SHA256[(coalition, plan)]
 
 
-# rounds.csv sha256 of runs of several chunks, from stream layout 5, as the
+# rounds.csv sha256 of runs of several chunks, from stream layout 6, as the
 # whole-run round table wrote them: (config lines, _CHUNK_ROUNDS or None, digest).
 # 1031 rounds in chunks of 50 end on a partial chunk of 31; 150,000 rounds are two
 # full chunks of 65,536 and a partial one
 MULTI_CHUNK_ROUNDS_CSV_SHA256 = {
     "a_alone-fixed-chunks-of-50": (
         "coalition = a_alone\nplan = fixed\nn_rounds = 1031\n", 50,
-        "bdcb821dc6760b06819eb971b6340de5923492b46e0688d1eae2c64b5a5b0da3"),
+        "59d3fa33f5cdfbbec02e80a7e45a35bb9c016139251e5b474e8e9eb5417a8657"),
     "abc-gaussian-n_rep-3-fitted-chunks-of-50": (
         "coalition = abc\nplan = gaussian\nn_rep = 3\ngain_mode = fitted\nn_rounds = 1031\n", 50,
-        "1665934de4d87ad9cd255790a8fd29ba7a28ba02a2a2e9f381790d240e66dec8"),
+        "51deed9b7e554de923a8cbc184a38641aaf8f77d3976acb454e1da16b74c047e"),
     "abc-fixed-150000": (
         "coalition = abc\nn_rounds = 150000\n", None,
         "6909aa128983b334fdc79a9e5c72509ab9b7013ae5ff978f149e95775ad37373"),
@@ -1616,7 +1617,7 @@ def test_witness_subcommand(tmp_path, capsys):
 
 
 # sha256 of the witness subcommand's witness.json, plain and with --surrogate, from
-# stream layout 5: one normal per round
+# stream layout 5, which layout 6 keeps: one normal per round
 WITNESS_OUTPUT_SHA256 = {
     False: "14e1ab15899b781a9aae62d39ff38774fcb4129ff9ccd32cd0833bd6ad770c71",
     True: "8ca115d16cb8d0a5bb0582612b5573d479a6089014be883907d3ff92e8b3b9cc",
@@ -1807,14 +1808,15 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 
 
 # sha256 of analytic simulate's reports per (coalition, plan), in chunks of 512
-# rounds, from stream layout 5 with every read reduced to its estimator's linear
-# functionals of the read's normals and its sums of squares taken without the BLAS
-# (witness.json from the layout's own writer); a one-pass run estimates with the
-# analytic gain, so a fitted run's drawing must not move these
+# rounds, from stream layout 6 with every read reduced to its estimator's linear
+# functionals of the read's normals and its sums of squares taken without the BLAS;
+# the fixed-plan pairs and abc keep their layout-5 bytes, and a lone A draws no block
+# and reserves no witness round, so its two plans give the same reports. A one-pass
+# run estimates with the analytic gain, so a fitted run's drawing must not move these
 SIMULATE_REPORTS_SHA256 = {
-    ("a_alone", "fixed"): ("2ac18cce0795fb82611fe8fa457b4d693a46f546de42e324e444cca408498f24",
-                           "ef361a86d24d4dc5cef325c21ab24423777f6bd688a4aa9bbac9f924c228d2cf",
-                           "bbfc6b774d485605e261af4205b4b24508d2f9f31867b582b74c1e94eb5b0291"),
+    ("a_alone", "fixed"): ("b975fc3fc0aa31b87017c610cdcd7f5a9b9c494b3cf5fcd7808f62d5ff2d056a",
+                           "65a8b8e1de3c4d6f283c96005401bae8110aa74bf572c871c0d3cd1888d551f7",
+                           "373267225e54f38e267224dc043cb79da2c2f692a427c9f85ea415c66e2ea70e"),
     ("ab", "fixed"): ("db49f2586b0b7791520786ca9d097dbf4e4d7b7e21271062b22550743b5c0f69",
                       "63b83c3cd3f878ead01be9300bf94cef86e0ab9023fd85fb1dcd5ce1ace67ad7",
                       "a523bbbe1803807f1549a51ee803242150e16e26cc34ead9fa671c1cf21413e1"),
@@ -1824,18 +1826,18 @@ SIMULATE_REPORTS_SHA256 = {
     ("abc", "fixed"): ("b135124b3281ce49a2a65ce4801d37a536abbc3403fcad4ec8c9f600d59feddb",
                        "f5b6f5b862e49e731ee8b4f4d7b195375178443649c6c1a492df353005d8dfdc",
                        "c6279622940135978ed11cc37887617fa7e9bc8fe9820f332e1bf359a5a9f109"),
-    ("a_alone", "gaussian"): ("0ca4d9b798f7f739b0acb7de9a169071cac35bb78e935cdbf66a3ba0cd7657c7",
-                              "bcb0faac55876f5b96e89793eb38ba6f72cf18c73e92b0c723d12b1de8ddd8e9",
-                              "bbfc6b774d485605e261af4205b4b24508d2f9f31867b582b74c1e94eb5b0291"),
-    ("ab", "gaussian"): ("f838a3cecb70b67e337989f3873471de2630ff89ae93ac9d3f0f924fded99bfb",
-                         "b5b6ce124fe54da06db9c2256c97bc223c430346776835d4cf02b25a82a53d6b",
-                         "83426c6d387df90f4adfcbf3a268c1394df0953a73ad246bb96c75c600db2a9c"),
-    ("ac", "gaussian"): ("e309fd2ddd46990585fb9fedeaedb9997b33a8f67185af7bf357f193771246fa",
-                         "d57fa367dfc9f68d13efb890c8d174fe6f89edec6b24c1919e234950035778b9",
-                         "0ffcddbd0a4f0561b5e05f969a93ef248dd7cbb0bf3077493a3d946864e6978d"),
-    ("abc", "gaussian"): ("bbe549c3b7e2e85f171a8f109c87f4a031c6341dac119581fb6a1595b39df8f8",
-                          "128756861c6cbc3459e2d6243cd06b9f46fc2f5bff0ba52bf928f981238ab23e",
-                          "92a39e0418be1f761e15c68beed1ddec94239995d4e456f399beaee34a9d30c3"),
+    ("a_alone", "gaussian"): ("b975fc3fc0aa31b87017c610cdcd7f5a9b9c494b3cf5fcd7808f62d5ff2d056a",
+                              "65a8b8e1de3c4d6f283c96005401bae8110aa74bf572c871c0d3cd1888d551f7",
+                              "373267225e54f38e267224dc043cb79da2c2f692a427c9f85ea415c66e2ea70e"),
+    ("ab", "gaussian"): ("13b4142ba6e76ee8da82242748c9878ce563376112bc344142a6e510a9411d7a",
+                         "e17ee18ef776b277f29dc2f5d4bac345a6678a179f0612bfd354196d5c68c012",
+                         "3892b51d9d4f037ec4ab5b2da8686182820d05d9ecbb508fa3e140ebbcf9a91a"),
+    ("ac", "gaussian"): ("45257e9374de1158ca170abf1e0bb99ed8a293400172e956630cfcd19bece9d5",
+                         "b241978dbeff6c50c663be1a3ba375ec5760ba7ce15d2880fc313c6ef9e0dac9",
+                         "eeb0e1bfe3627205f8766d08c94e455ab73a105e6593432ed002bfb636d0a0fa"),
+    ("abc", "gaussian"): ("adc53dd45df64b1028c69ed98f454daea99c50b96282e9acbfe2f04065f789b8",
+                          "7da9411efd102524f0f20583ef85e0847fb68e28b5fbb71abadc59bdfcf81386",
+                          "8349dea0ff1dc720c815b02b0e92a2775d523df930c1069586935be632307c2a"),
 }
 
 
@@ -1857,17 +1859,18 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
 
 
 # sha256 of fitted simulate's mse_report.json and bias.json for the pairs, in the
-# setup of SIMULATE_REPORTS_SHA256, from stream layout 5 with the reads reduced to
-# linear functionals and summed without the BLAS
+# setup of SIMULATE_REPORTS_SHA256, from stream layout 6 with the reads reduced to
+# linear functionals and summed without the BLAS; the fixed-plan digests are those
+# of layout 5
 FITTED_PAIR_REPORTS_SHA256 = {
     ("ab", "fixed"): ("9f691b9d28661f71a513e6f69822d43cf0d82af6d71d3583c7d5b226e313bdf8",
                       "ad5e70f94c420b5ea37d510b5684cd561751613f5727387c124494abfe067bf5"),
-    ("ab", "gaussian"): ("4411d70a08fc1db598bb8c07185ece0e2b210a2a807bed7b90f7ebf5405fa09b",
-                         "2d4ad851e4e31259ce85a41aa6465d5aa133e19ad5d307fcf1faee6abb5692fe"),
+    ("ab", "gaussian"): ("8e19a034162f15dddc27b02a317711baeb05fada4eae878f98e630fd430e3b36",
+                         "1a60d59815c3419383227f3bfe1b4048f67cd706b26b84ac45e307be639b974e"),
     ("ac", "fixed"): ("d83be487c08f6c279893a9c9cd6a47eef636c7ab5e4d872201a48068b5f2f9fe",
                       "de25258fd1c8bb328539d9356ba7fa8ceda815349db9206828ebad3f83942e52"),
-    ("ac", "gaussian"): ("f3247c652bc5d18decd5a411be4f923a4460adf3b5e0ef3254ac48cb06f30795",
-                         "0f21f76e01f1d0ec00edec0e9eaeb113ef7d0ce776d2ad8c6b88d1c793026984"),
+    ("ac", "gaussian"): ("51d70aa09d7060218ceccd7280a343b823c07f58d877f6849ec9cf84b03db016",
+                         "e644496787af2eac47be17c1311193611a369180da142e6a6ec3b984e5c023bc"),
 }
 
 
@@ -1889,18 +1892,19 @@ def test_fitted_pair_reports_pinned(tmp_path, capsys, monkeypatch, coalition, pl
 
 
 # sha256 of batch_mse_distribution's values per coalition, 7 probes x 300 batches in
-# chunks of 512 probes, from stream layout 5
+# chunks of 128 batches (two full and one of 44), from stream layout 6: one gamma draw
+# per batch and quadrature
 BATCH_VALUES_SHA256 = {
-    "a_alone": "47a2159f1b58bfd7f1ad24cdfa73ea1a9720eefa8ebe8c7e076124f4b2b2ebca",
-    "ab": "66b53dd0ff07170f3b868eacd9fdff0517e5198d8408830076c7b9dfdb8f50d2",
-    "ac": "f55cd7497545f51c90d01c77f2d1a5b9172e65db3225d2b0a7000c664ee768ec",
-    "abc": "d0fce123271dd45f438ae955ca3ad484a79b22001fd6168629970d6f1585aac7",
+    "a_alone": "115ab1d75d9febacf0c76eba214f86cae78245633bef3ab9596637ceb7546182",
+    "ab": "e78f60c6666012853bf0e77090228e110c01a9dcefa2a9b6709785aebefd9a87",
+    "ac": "989d53c03e15a4e9eb10fa5b665c1bf1d7295c4fea6a8c2e2e30f41cc7bd8416",
+    "abc": "7b4982706896ad7ae17d14f70d54949464523981ef4f615db972de68ea99e7bf",
 }
 
 
 @pytest.mark.parametrize("coalition", sorted(BATCH_VALUES_SHA256))
 def test_batch_values_pinned(monkeypatch, coalition):
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 512)
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 128)
     model = ExperimentModel(r=1.2, eta_a=0.85, eta_b=0.9, eps_c=0.05)
     values = protocol.batch_mse_distribution(model, Coalition(coalition), 7, 300, RandomStream(13))
     assert hashlib.sha256(values.tobytes()).hexdigest() == BATCH_VALUES_SHA256[coalition]
@@ -1919,13 +1923,13 @@ MANIFEST_SHA256 = {
     "certify": (["certify", "--grid", "3"],
                 "ba143e7b8595f2a755f56cc3a97b2780c758be70f274e827510b693077c50fe1"),
     "simulate": (["simulate", "--config", "run.cfg", "--dump-rounds"],
-                 "50057241c6280270eea177334104aad43ef0f28c5dbbdf23def0d7eedf94a2a9"),
+                 "7c0f6afbabb440d53021232f59c4fe1af6729149ca8a285766b03cb95295ce5e"),
     "security": (["security", *MU_ARGS, "--n-probes", "5"],
                  "5cc9aa63394f51596b24559f5642c862bed7119596eea59c6211441bc0e9ce25"),
     "mi": (["mi", "--v-dist", "5", *MU_ARGS, "--n-max", "5"],
            "ba872b7bc5353e2ff05223895bc7e400f03b4a536db58adf96716485afb998fd"),
     "witness": (["witness", "--n-rounds", "400", "--seed", "2"],
-                "dbefcec78d5fc5276122125d799bfa79e5b96b6dbac3b2ba2566dce288304d79"),
+                "f24f26302819a4d45782abaf65e8d985aa818bd919a45023de872969a7c73fb8"),
 }
 
 
@@ -1944,7 +1948,7 @@ def test_manifest_bytes_pinned(tmp_path, capsys, monkeypatch):
             p.name for p in out.iterdir() if p.name != "manifest.json"), case
 
 
-def test_sampled_manifests_name_stream_layout_5(tmp_path, capsys):
+def test_sampled_manifests_name_the_stream_layout(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("coalition = ab\nn_rounds = 1000\n")
     runs = {"simulate": ["simulate", "--config", str(cfg)],
@@ -1953,7 +1957,8 @@ def test_sampled_manifests_name_stream_layout_5(tmp_path, capsys):
         code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path / name)], capsys)
         assert code == 0
         manifest = read_json(os.path.join(str(tmp_path / name), "manifest.json"))
-        assert manifest.get("stream_layout") == (None if name == "bounds" else 5), name
+        assert manifest.get("stream_layout") == (
+            None if name == "bounds" else protocol.STREAM_LAYOUT), name
 
 
 def test_manifest_lists_arguments(tmp_path, capsys):

@@ -197,7 +197,7 @@ def _assert_round(table: RoundTable, i: int, **want) -> None:
 
 def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) -> dict:
     """The round-table columns of an n-round analytic run on IDEAL with a gaussian plan
-    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 5."""
+    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 6."""
     gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, 0))))
     lone = coalition is Coalition.A_ALONE
     three = coalition is Coalition.ABC
@@ -216,10 +216,12 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
         bases = {"a": shared, "b": other if coalition is Coalition.AC else shared,
                  "c": shared if coalition is Coalition.AC else other}
     kept = np.ones(n, dtype=bool) if lone else bases["a"] == dealer
-    pool = np.flatnonzero(kept & (bases["b"] == dealer) & (bases["c"] == dealer))
     witness = np.zeros(n, dtype=bool)
-    witness[gen.choice(pool, round(POLICY.witness_fraction * n), replace=False,
-                       shuffle=False)] = True
+    if not lone:
+        # a lone A's rounds witness nothing, so it picks no witness rounds
+        pool = np.flatnonzero(kept & (bases["b"] == dealer) & (bases["c"] == dealer))
+        witness[gen.choice(pool, round(POLICY.witness_fraction * n), replace=False,
+                           shuffle=False)] = True
     # the bias subset, which the table does not show
     gen.choice(np.flatnonzero(kept & ~witness), round(POLICY.bias_fraction * n), replace=False,
                shuffle=False)
@@ -230,7 +232,8 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
         for q in (0, 1):
             alpha[q, rounds] = math.sqrt(v_dist) * gen.standard_normal(rounds.size)
 
-    blocks(np.flatnonzero(kept))
+    # the blocks of the witness rounds, the only rounds that read one before the records
+    blocks(np.flatnonzero(witness))
     # every round's normals per quadrature, one row per party in the factors' order:
     # A, then a pair's partner before its outsider
     order = (0, 2, 1) if coalition is Coalition.AC else (0, 1, 2)
@@ -254,9 +257,9 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
             w = [np.flatnonzero(witness & (dealer == q)) for q in (0, 1)]
             normals[0][2, w[0]], normals[1][2, w[1]] = np.split(
                 gen.standard_normal(w[0].size + w[1].size), [w[0].size])
-    # the records' draws: the blocks of the discarded rounds, then per quadrature a
-    # pair's outsider in its other read rounds and every normal of the unread rounds
-    blocks(np.flatnonzero(~kept))
+    # the records' draws: the blocks of the other rounds, then per quadrature a pair's
+    # outsider in its other read rounds and every normal of the unread rounds
+    blocks(np.flatnonzero(~witness))
     for q in (0, 1):
         if lone:
             normals[q, 1:] = gen.standard_normal((2, n))
@@ -284,8 +287,8 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
 
 
 def test_round_columns_hold_the_drawn_rounds():
-    # every round of a one-chunk run as drawn by stream layout 5: the basis coins from
-    # random bytes, the witness and bias picks, the kept rounds' displacements, the
+    # every round of a one-chunk run as drawn by stream layout 6: the basis coins from
+    # random bytes, the witness and bias picks, the witness rounds' displacements, the
     # party-major normals of the kept rounds, then the displacements and normals
     # still missing
     n = 100
@@ -360,6 +363,36 @@ def test_round_table_operations():
         assert np.array_equal(col, getattr(table, name), equal_nan=True)
     _assert_same_rounds(table[5:8] + table[:2], table[np.array([5, 6, 7, 0, 1])])
     assert len(RoundTable.empty() + table[:3]) == 3
+
+
+def test_table_selection_takes_each_columns_rows_by_the_key():
+    # a mask is turned into indices once for all the columns; every key gives each
+    # column's own numpy selection, bit for bit and with its dtype
+    t = run_protocol(IDEAL, DisplacementPlan.gaussian_modulated(1.5), 3000, Coalition.AB, POLICY,
+                     RandomStream(47)).records
+    rng = np.random.default_rng(0)
+    keys = {
+        "random-mask": rng.random(3000) < 0.3,
+        "sparse-mask": rng.random(3000) < 0.001,
+        "no-round": np.zeros(3000, dtype=bool),
+        "every-round": np.ones(3000, dtype=bool),
+        "kept": t.kept,
+        "indices": rng.permutation(3000)[:500],
+        "slice": slice(10, 2000, 7),
+        "reversed": slice(None, None, -3),
+        "empty-slice": slice(5, 5),
+    }
+    for name, key in keys.items():
+        got = t[key]
+        for column in ROUND_COLUMNS:
+            want = getattr(t, column)[key]
+            col = getattr(got, column)
+            assert col.dtype == want.dtype and col.tobytes() == want.tobytes(), (name, column)
+    empty = RoundTable.empty()
+    assert len(empty[np.zeros(0, dtype=bool)]) == 0
+    # a mask of another length is refused as numpy refuses it
+    with pytest.raises(IndexError):
+        t[np.ones(2999, dtype=bool)]
 
 
 def test_sift():
@@ -457,9 +490,9 @@ def test_single_party_witness_not_applicable():
     assert wit.entangled is None
     assert wit.mse_x is None and wit.mse_p is None and wit.mse_sum is None
     assert wit.standard_error is None
-    # the witness subset is still reserved, so estimation rounds are unchanged
-    assert wit.n_x + wit.n_p == round(POLICY.witness_fraction * 40_000)
-    assert res.mse_report.n_x == 40_000 - 2_000 - 2_000  # witness and bias subsets, 5% each
+    # no witness round is reserved, so only the bias subset (5%) leaves estimation
+    assert wit.n_x == wit.n_p == 0
+    assert res.mse_report.n_x == res.mse_report.n_p == 40_000 - 2_000
 
 
 def test_witness_verification_run_entangled():
@@ -725,26 +758,36 @@ def test_fitted_gain_is_exact_over_the_calibration_reads(monkeypatch):
 
 
 class _CountingGenerator:
-    """A chunk generator that records the size of every normal draw made through it."""
+    """A chunk generator that records the size of every normal draw made through it, and
+    the shape and size of every gamma draw."""
 
-    def __init__(self, gen, sizes):
-        self._gen, self._sizes = gen, sizes
+    def __init__(self, gen, sizes, gammas):
+        self._gen, self._sizes, self._gammas = gen, sizes, gammas
 
     def standard_normal(self, size):
         out = self._gen.standard_normal(size)
         self._sizes.append(out.size)
         return out
 
+    def standard_gamma(self, shape, size):
+        out = self._gen.standard_gamma(shape, size)
+        self._gammas.append((shape, out.size))
+        return out
+
     def __getattr__(self, name):
         return getattr(self._gen, name)
 
 
-def _count_normals(monkeypatch) -> list:
-    sizes = []
+def _count_draws(monkeypatch) -> tuple[list, list]:
+    sizes, gammas = [], []
     chunk_generator = RandomStream.chunk_generator
-    monkeypatch.setattr(RandomStream, "chunk_generator",
-                        lambda self, i: _CountingGenerator(chunk_generator(self, i), sizes))
-    return sizes
+    monkeypatch.setattr(RandomStream, "chunk_generator", lambda self, i: _CountingGenerator(
+        chunk_generator(self, i), sizes, gammas))
+    return sizes, gammas
+
+
+def _count_normals(monkeypatch) -> list:
+    return _count_draws(monkeypatch)[0]
 
 
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
@@ -764,51 +807,80 @@ def test_run_draws_the_normals_its_reads_need(monkeypatch, coalition, gain_mode)
                        gain_mode=gain_mode, keep_records=False)
     lone = coalition is Coalition.A_ALONE
     n_read = 1 if lone else 3 if coalition is Coalition.ABC else 2
-    n_witness = 0 if lone else res.witness.n_x + res.witness.n_p
+    n_witness = res.witness.n_x + res.witness.n_p
     if lone:
-        assert reads == 2 * n
+        assert reads == 2 * n and n_witness == 0
     else:
-        assert reads == kept
+        assert reads == kept and n_witness == round(POLICY.witness_fraction * n)
         n_est = kept - n_witness - res.bias.n_rounds
         n_calib = n_est - (res.mse_report.n_x + res.mse_report.n_p)
         assert n_calib == (n_est // 2 if gain_mode == "fitted" else 0)
-    # one pass in either gain mode, four draws a chunk: the x and the p values of the
-    # blocks due, one per kept round at n_rep = 1; n_read normals per read round,
-    # calibration rounds included; and 3 - n_read per witness round, the rows the
-    # witness reads and the reports do not (none for a lone A, whose rounds witness
-    # nothing). A discarded round draws nothing
-    assert len(sizes) == 4 * n_chunks
-    assert sum(sizes[0::4]) == sum(sizes[1::4]) == kept
-    assert sum(sizes[2::4]) == n_read * reads
-    assert sum(sizes[3::4]) == (3 - n_read) * n_witness
+    # one pass in either gain mode: the x and the p values of the blocks due, one per
+    # witness round at n_rep = 1 (a lone A's rounds witness nothing, so it makes no
+    # block draw); n_read normals per read round, calibration rounds included; and
+    # 3 - n_read per witness round, the rows the witness reads and the reports do not.
+    # A discarded round draws nothing
+    per_chunk = 2 if lone else 4
+    assert len(sizes) == per_chunk * n_chunks
+    if not lone:
+        assert sum(sizes[0::4]) == sum(sizes[1::4]) == n_witness
+    assert sum(sizes[per_chunk - 2 :: per_chunk]) == n_read * reads
+    assert sum(sizes[per_chunk - 1 :: per_chunk]) == (3 - n_read) * n_witness
     # with the records every round draws its x and p triple once, its blocks included
     sizes.clear()
     run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), gain_mode=gain_mode)
     assert sum(sizes) == 2 * n + 6 * n
 
 
-@pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.A_ALONE], ids=lambda c: c.value)
-def test_blocks_are_drawn_where_a_kept_round_reads_them(monkeypatch, coalition):
-    # chunks of 1024 rounds and blocks of 3: a chunk draws the blocks that start in it
-    # and hold one of its kept rounds or run past its end, two normals each
+@pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.ABC], ids=lambda c: c.value)
+def test_blocks_are_drawn_where_a_witness_round_reads_them(monkeypatch, coalition):
+    # chunks of 1024 rounds and blocks of 3: a chunk draws, before its reads, the blocks
+    # that start in it and hold one of its witness rounds or run past its end, two
+    # normals each; the other blocks wait for the records
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     n, n_rep = 5000, 3
     plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
-    kept = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71)).records.kept
+    run = protocol._ProtocolRun(IDEAL, plan, n, coalition, POLICY, RandomStream(71), "analytic",
+                                keep_records=False)
+    witness = np.concatenate([ch.witness for ch in _drawn(run)])
+    assert witness.sum() == round(POLICY.witness_fraction * n)
     due = 0
     for start in range(0, n, 1024):
         end = min(start + 1024, n)
         for first in range(-(-start // n_rep) * n_rep, end, n_rep):
-            due += first + n_rep > end or bool(kept[first : first + n_rep].any())
+            due += first + n_rep > end or bool(witness[first : first + n_rep].any())
     sizes = _count_normals(monkeypatch)
     run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), keep_records=False)
     # the chunk's first two draws are its blocks' x and p values
-    per_chunk = len(sizes) // -(-n // 1024)
-    blocks = [s for i, s in enumerate(sizes) if i % per_chunk < 2]
-    assert sum(blocks) == 2 * due
-    if coalition is Coalition.A_ALONE:
-        # every round is kept, so every block is drawn, once
-        assert due == -(-n // n_rep)
+    n_chunks = -(-n // 1024)
+    assert len(sizes) == 4 * n_chunks
+    assert sum(sizes[0::4]) == sum(sizes[1::4]) == due
+    # far fewer than the blocks that hold a kept round
+    assert due < (n // n_rep) // 4
+
+
+def test_a_lone_a_draws_no_block_without_its_records(monkeypatch):
+    # a lone A's rounds witness nothing and the displacement cancels from its reads, so
+    # without records a chunk draws only its reads' normals and an empty witness draw,
+    # even where a block runs past the chunk's end; with records every block is drawn
+    # once
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
+    n, n_chunks = 5000, 5
+    for n_rep in (1, 3, 1000):
+        plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
+        sizes = _count_normals(monkeypatch)
+        off = run_protocol(IDEAL, plan, n, Coalition.A_ALONE, POLICY, RandomStream(71),
+                           keep_records=False)
+        assert sizes == [2 * min(1024, n - start) if i % 2 == 0 else 0
+                         for start in range(0, n, 1024) for i in (0, 1)]
+        sizes.clear()
+        on = run_protocol(IDEAL, plan, n, Coalition.A_ALONE, POLICY, RandomStream(71))
+        assert tuple(on[1:]) == tuple(off[1:])
+        # the reads' normals, an empty witness draw, then the records' blocks (x and p),
+        # B's and C's normals in x and in p, and the empty draws of the unread rounds
+        assert len(sizes) == 8 * n_chunks
+        assert sum(sizes[2::8]) == sum(sizes[3::8]) == -(-n // n_rep)
+        assert sum(sizes) == 2 * -(-n // n_rep) + 6 * n
 
 
 def test_witness_run_draws_one_normal_per_round(monkeypatch):
@@ -818,12 +890,14 @@ def test_witness_run_draws_one_normal_per_round(monkeypatch):
     assert len(sizes) == 5 and sum(sizes) == 5000
 
 
-def test_batch_run_draws_two_normals_per_probe(monkeypatch):
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
-    sizes = _count_normals(monkeypatch)
+def test_batch_run_draws_one_gamma_per_batch_and_quadrature(monkeypatch):
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
+    sizes, gammas = _count_draws(monkeypatch)
     batch_mse_distribution(IDEAL, Coalition.ABC, 30, 150, RandomStream(71))
-    # one draw per chunk: an error normal per probe in x and one in p
-    assert len(sizes) == -(-30 * 150 // 1024) and sum(sizes) == 2 * 30 * 150
+    # one draw per chunk of batches: a batch's summed squared errors in x and in p, each
+    # a Gamma(N / 2) draw; no normal is drawn per probe
+    assert sizes == []
+    assert gammas == [(15.0, 128), (15.0, 128), (15.0, 44)]
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 65535, 65536])
@@ -920,6 +994,31 @@ def test_keep_records_off_gives_the_same_reports(monkeypatch, coalition, gain_mo
     assert on.mse_report == off.mse_report
     assert on.witness == off.witness
     assert on.bias == off.bias
+
+
+@pytest.mark.parametrize("n_rep", [1, 3, 1000])
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_gaussian_reports_do_not_depend_on_the_records(monkeypatch, coalition, gain_mode,
+                                                       n_rep):
+    # a chunk draws the blocks of its witness rounds, and those running on into the next
+    # chunk, before its reads, and the records draw the rest after every draw the reports
+    # use; chunks of 256 rounds end on a partial one, blocks of 3 cross chunk edges and
+    # blocks of 1000 span several chunks
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
+    plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
+    off = run_protocol(IDEAL, plan, 6000, coalition, POLICY, RandomStream(5),
+                       gain_mode=gain_mode, keep_records=False)
+    on = run_protocol(IDEAL, plan, 6000, coalition, POLICY, RandomStream(5),
+                      gain_mode=gain_mode)
+    assert tuple(on[1:]) == tuple(off[1:])
+    if coalition is not Coalition.A_ALONE:
+        assert on.witness.status == "ok"
+    # the records hold one draw per block
+    blocks = np.arange(6000) // n_rep
+    for col in (on.records.alpha_x, on.records.alpha_p):
+        assert np.array_equal(col, col[blocks * n_rep])
+        assert np.unique(col).size == blocks[-1] + 1
 
 
 @pytest.mark.parametrize("policy", [ProtocolPolicy(witness_fraction=0.0),
@@ -1169,10 +1268,10 @@ def test_one_pass_fitted_reports_match_the_two_pass_reference(monkeypatch, coali
         assert abs(res.bias.mean_error - mean) <= 1e-9 * se
 
 
-def _sample_joint_batches(model, coalition, n_probes, n_batches, stream):
-    """batch_mse_distribution through the reference sampler's law: per quadrature the
-    variance of the weighted outcomes, (outcome_moments' covariance) @ w, then one
-    normal per probe and quadrature, x before p, from the same chunk generators."""
+def _reference_sd(model, coalition) -> np.ndarray:
+    """Per quadrature the spread of a probe's error through the reference sampler's law:
+    the resource-split variance of the weighted outcomes, (outcome_moments' covariance)
+    @ w, square-rooted."""
     base = build_dealer_state(model, 0.0, 0.0)
     if coalition is Coalition.A_ALONE:
         bias = 1.0 / math.sqrt(model.eta_a)
@@ -1196,25 +1295,65 @@ def _sample_joint_batches(model, coalition, n_probes, n_batches, stream):
         variances.extend(factor * np.diag(w.T @ cov @ w))
     sd = np.sqrt(variances)
     assert sd.shape == (2,)
-    n_tot = n_batches * n_probes
+    return sd
+
+
+def _sample_joint_batches(model, coalition, n_probes, n_batches, stream):
+    """batch_mse_distribution through the reference sampler's law: a batch's summed
+    squared errors in a quadrature are sd^2 chi^2_N = 2 sd^2 Gamma(N / 2), one gamma
+    per batch and quadrature, x before p, from the same chunk generators."""
+    sd = _reference_sd(model, coalition)
     total = np.zeros(n_batches)
-    for i, start in enumerate(range(0, n_tot, protocol._CHUNK_ROUNDS)):
-        m = min(protocol._CHUNK_ROUNDS, n_tot - start)
-        err = sd[:, None] * stream.chunk_generator(i).standard_normal((2, m))
-        np.add.at(total, np.arange(start, start + m) // n_probes, np.sum(err * err, axis=0))
+    for i, start in enumerate(range(0, n_batches, protocol._CHUNK_ROUNDS)):
+        m = min(protocol._CHUNK_ROUNDS, n_batches - start)
+        gamma = stream.chunk_generator(i).standard_gamma(n_probes / 2.0, (2, m))
+        total[start : start + m] = np.sum(2.0 * sd[:, None] ** 2 * gamma, axis=0)
     return total / n_probes
 
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_batch_distribution_matches_the_reference_sampler(monkeypatch, coalition):
-    # each probe's error in a quadrature is one normal scaled by the spread of the
-    # estimator's weighted outcomes, drawn in the same order as the reference
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
+    # a batch's sum of squared errors in a quadrature is one gamma draw scaled by twice
+    # the variance of the estimator's weighted outcomes, drawn in the same order as the
+    # reference; 150 batches in chunks of 64 end on a partial chunk
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
     model = ExperimentModel(r=1.2, eta_a=0.85, eta_b=0.9, eps_c=0.05)
     for seed in (3, 4):
         got = batch_mse_distribution(model, coalition, 7, 150, RandomStream(seed))
         want = _sample_joint_batches(model, coalition, 7, 150, RandomStream(seed))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _per_probe_batches(sd, n_probes, n_batches, gen) -> np.ndarray:
+    """Each batch's summed MSE the long way: one error normal per probe and quadrature,
+    scaled by its spread, squared and summed over the batch's N probes."""
+    err = sd[:, None] * gen.standard_normal((2, n_batches * n_probes))
+    return np.sum(err * err, axis=0).reshape(n_batches, n_probes).sum(axis=1) / n_probes
+
+
+def _moments_and_errors(values) -> tuple[float, float, float, float]:
+    """Sample mean and variance of the values, each with its standard error."""
+    k = values.size
+    mean, var = float(np.mean(values)), float(np.var(values, ddof=1))
+    m4 = float(np.mean((values - mean) ** 4))
+    return mean, math.sqrt(var / k), var, math.sqrt(max(m4 - var * var, 0.0) / k)
+
+
+@pytest.mark.parametrize("n_probes", [1, 7, 500])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_batch_distribution_follows_the_per_probe_normal_sum(coalition, n_probes):
+    # the one-gamma batch sums follow the law of summing each probe's squared error
+    # normal: batch means and variances agree within 5 standard errors of their
+    # difference, for a single probe, a few and many
+    model = ExperimentModel(r=1.2, eta_a=0.85, eta_b=0.9, eps_c=0.05)
+    n_batches = 4000
+    got = batch_mse_distribution(model, coalition, n_probes, n_batches, RandomStream(101))
+    want = _per_probe_batches(_reference_sd(model, coalition), n_probes, n_batches,
+                              np.random.default_rng(103))
+    mean_g, se_mean_g, var_g, se_var_g = _moments_and_errors(got)
+    mean_w, se_mean_w, var_w, se_var_w = _moments_and_errors(want)
+    assert abs(mean_g - mean_w) <= 5.0 * math.hypot(se_mean_g, se_mean_w)
+    assert abs(var_g - var_w) <= 5.0 * math.hypot(se_var_g, se_var_w)
 
 
 @pytest.mark.parametrize("surrogate", [False, True], ids=["plain", "surrogate"])
