@@ -866,9 +866,10 @@ def test_a_lone_a_draws_no_block_without_its_records(monkeypatch):
     # once
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     n, n_chunks = 5000, 5
+    sizes = _count_normals(monkeypatch)
     for n_rep in (1, 3, 1000):
         plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
-        sizes = _count_normals(monkeypatch)
+        sizes.clear()
         off = run_protocol(IDEAL, plan, n, Coalition.A_ALONE, POLICY, RandomStream(71),
                            keep_records=False)
         assert sizes == [2 * min(1024, n - start) if i % 2 == 0 else 0
