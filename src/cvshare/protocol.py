@@ -12,44 +12,36 @@ nothing), and a further random subset of the kept rounds feeds an
 unbiasedness spot-check; the remainder produces the coalition's MSE
 report.
 
-Rounds are drawn and reduced in chunks of ``_CHUNK_ROUNDS`` (stream
-layout 6). Chunk i draws from its own SFC64 child stream,
-:meth:`~cvshare.sampler.RandomStream.chunk_generator`, only the normals
-the reports read, in this order: the dealer's basis and the parties'
-bases (each basis a coin per round, taken from random bytes), the
-witness, bias and calibration subsets, a gaussian plan's displacement
-blocks that hold a witness round or run past the chunk's end (the
-displacement cancels from every other read, so no other round reads
-one), and then the reads' normals. A dealer state has no x-p
-correlation, so the (A, B, C) triple of each quadrature is an
-independent draw of its Wigner function,
-drawn party-major through the lower Cholesky factor of its block: one
-row of normals per party, the parties the estimator reads first. One
-rule serves every coalition: a read round draws the first ``n_read``
-rows of its quadrature's factor, the number of parties the estimator
-reads (3 for all three, 2 for a pair, 1 for a lone A, whose factors
-carry the unit vacuum of dual homodyne and who reads both quadratures
-of every round), and a witness round then draws the remaining
-3 - n_read rows. A kept round reads the dealer's basis (calibration
-rounds first, x rounds before p rounds), a discarded round draws
-nothing. With lower-triangular factors a normal drawn later is a draw
-conditional on those before it, so every law stays exact. A run that
-keeps its records then draws the blocks and normals still missing, so
-that every party's outcome is its basis's entry of a full Wigner
-sample, and hands out the chunk's rounds as a :class:`RoundTable` of
-their own.
+Rounds are drawn in chunks of ``_CHUNK_ROUNDS`` (stream layout 7), chunk
+i from its own SFC64 child stream,
+:meth:`~cvshare.sampler.RandomStream.chunk_generator`. A dealer state
+has no x-p correlation, so the (A, B, C) triple of each quadrature is an
+independent draw of its Wigner function, L z with L the lower Cholesky
+factor of its block and z standard normals, one per party, the parties
+the estimator reads first (:func:`_party_order`). Every quantity a
+report reads from a round is a fixed linear functional of its normals
+(:class:`_Functionals`): its error c·z at the analytic gain, its gain
+auxiliary, its calibration residual and, in a witness round, its witness
+error. The displacement cancels from each of them, so no report reads
+it.
 
-Every quantity the reports read from a read round is a fixed linear
-functional of its normals, with coefficient rows computed once per run
-and quadrature (:class:`_Functionals`): its error, its gain auxiliary
-and its calibration residual. So a read is its normals and those
-functionals, and a chunk turns normals into outcomes only for its
-witness rounds and, when the records are kept, for its table. Reports
-come from sums over the chunks: sums of squares over all of a read's
-rounds minus its few witness and bias rounds, and moments where a
-standard error is read. Only :func:`run_protocol` with records, which
-copies each chunk's table into one whole-run table, holds anything per
-round.
+So a chunk draws the exact law of what its reports read, not its rounds
+(:meth:`_ProtocolRun._draw`): the counts of its rounds per basis cell
+(one multinomial), the witness, bias and calibration splits
+(multivariate hypergeometric draws), per quadrature the estimation
+rounds' sum of squared errors, 2|c|²·Γ(k/2), or in a fitted run the
+2 x 2 Wishart scatter of (error, auxiliary) and of (residual, auxiliary)
+by Bartlett's decomposition, and one normal per functional of each bias
+and witness round, whose standard errors read per-round values. A run
+without records draws nothing else: a few numbers per chunk and about
+one normal per tenth of its rounds. A run that keeps its records draws
+the same statistics first, so its reports are the same, and then the
+rounds conditioned on them (:meth:`_ProtocolRun._records`): a uniform
+arrangement of the counts over the chunk, the bases no count fixes, a
+gaussian plan's displacement blocks, and every round's normals, moved
+along the read functionals so that they give the drawn statistics.
+Those records are the per-round simulation: the reference estimators
+applied to them give back the reports.
 """
 
 from __future__ import annotations
@@ -73,6 +65,7 @@ from .errors import (
 from .estimators import Coalition, GainSet, MseReport, RunningMoments, weighted_sum
 from .gaussian_core import (
     ALPHA_MAX,
+    ETA_MIN,
     ExperimentModel,
     GaussianState,
     build_dealer_state,
@@ -99,7 +92,7 @@ MAX_ROUNDS = 1_000_000_000
 #: row for abc under a fixed plan, 139 B for a lone A under a gaussian one) to 1.8-2.8 GB
 MAX_RECORD_ROUNDS = 20_000_000
 #: random-stream layout of the sampled outputs, recorded in their manifests
-STREAM_LAYOUT = 6
+STREAM_LAYOUT = 7
 #: rounds drawn and reduced at a time, each chunk from its own child stream
 _CHUNK_ROUNDS = 65536
 
@@ -325,7 +318,8 @@ def _triple_factors(cov: np.ndarray, order: tuple[int, int, int]) -> tuple[np.nd
 
 
 def _apply(
-    factor: np.ndarray, z: np.ndarray, shift_a: np.ndarray, out: np.ndarray | None = None
+    factor: np.ndarray, z: np.ndarray, shift_a: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Outcomes ``factor @ z`` of the first ``z.shape[0]`` rows, plus ``shift_a`` on A.
 
@@ -342,12 +336,13 @@ def _apply(
         for i in range(1, j + 1):
             row += factor[j, i] * z[i]
         out[j] = row
-    out[0] += shift_a
+    if shift_a is not None:
+        out[0] += shift_a
     return out
 
 
 class _Functionals(NamedTuple):
-    """The linear functionals of a read's normals z that the reports take, in one quadrature.
+    """The linear functionals of a round's normals z that the reports take, in one quadrature.
 
     ``c`` and ``aux`` hold one coefficient per read row, in the factors'
     order (:func:`_party_order`). A round's error is ``c @ z`` with
@@ -362,10 +357,32 @@ class _Functionals(NamedTuple):
     l00: float
 
 
+def _coefficients(factor: np.ndarray, weights) -> np.ndarray:
+    """The coefficients w^T L over the normals of the first len(w) rows of a lower
+    factor L, each one ``math.fsum`` of its terms: L is lower-triangular, so the
+    coefficient of normal i sums over the rows j >= i."""
+    n = len(weights)
+    return np.array([math.fsum(weights[j] * factor[j, i] for j in range(i, n))
+                     for i in range(n)])
+
+
+def _functional_sd(factor: np.ndarray, c) -> float:
+    """sd = √(cᵀΣc) of the linear functional c·t of normal outcomes t = L z, with Σ = L Lᵀ
+    and z standard normals: the norm of its coefficients L^T c over the normals.
+
+    It is the law of every error a report reads, N(mean, sd²): the witness
+    error of a run and of :func:`witness_verification_run` (c the witness
+    weights over (A, B, C)), and a probe's error in
+    :func:`batch_mse_distribution` (c the estimator's weights over the
+    outcomes it reads). Taken from the factor, a run's law is the one its
+    records are drawn from, and no sum cancels the e^{±2r} entries of Σ.
+    """
+    return math.sqrt(math.fsum(x * x for x in _coefficients(factor, c)))
+
+
 def _functionals(factor: np.ndarray, coalition: Coalition, quad: int,
                  gains: GainSet) -> _Functionals:
-    """The :class:`_Functionals` of one quadrature's factor, each coefficient one
-    ``math.fsum`` of its terms.
+    """The :class:`_Functionals` of one quadrature's factor.
 
     A's outcome carries sqrt(eta_A) alpha, which its estimate weighs by
     bias_scale w0[A] + g0 w1[A]. Every estimator has w0[A] = 1 and
@@ -376,117 +393,151 @@ def _functionals(factor: np.ndarray, coalition: Coalition, quad: int,
     w0, w1 = estimators.WEIGHTS[coalition, quad]
     parties = _party_order(coalition)[: len(coalition.party_columns)]
     g = gains.gain(coalition)
-    w = [gains.bias_scale * (w0[p] + g * w1[p]) for p in parties]
-
-    def row(weights):
-        # L is lower-triangular, so the coefficient of normal i sums over the rows j >= i
-        return np.array([math.fsum(weights[j] * factor[j, i] for j in range(i, len(parties)))
-                         for i in range(len(parties))])
-
-    return _Functionals(row(w), row([-w1[p] for p in parties]), float(factor[0, 0]))
+    return _Functionals(
+        _coefficients(factor, [gains.bias_scale * (w0[p] + g * w1[p]) for p in parties]),
+        _coefficients(factor, [-w1[p] for p in parties]), float(factor[0, 0]))
 
 
-class _Reads(NamedTuple):
-    """Rounds of a chunk whose outcomes in quadrature ``quad`` (0 = x, 1 = p) the reports read.
+class _Whitened(NamedTuple):
+    """Functionals F z of iid standard normals z, as F = lower @ basis.T.
 
-    ``z`` holds their normals, one row for each of the ``n_read`` parties
-    the estimator reads: the first rows of the factors' order
-    (:func:`_party_order`). The reports read only linear functionals of
-    them (:class:`_Functionals`): ``err`` is each round's error at the
-    analytic gain (None for calibration reads) and ``aux`` its gain
-    auxiliary (fitted runs only). ``rows`` indexes the rounds in the chunk,
-    a slice when they are all of its rounds, so such reads take views.
-    ``witness`` and ``bias`` are the positions of the read's witness and
-    bias rounds among its rounds.
+    ``basis`` holds orthonormal columns (one row per normal), so
+    y = basis.T @ z is a standard normal vector and F z = lower @ y, with
+    ``lower`` lower-triangular: the Cholesky factor of the scale F Fᵀ.
     """
 
-    quad: int
-    rows: np.ndarray | slice
-    z: np.ndarray
-    err: np.ndarray | None
-    aux: np.ndarray | None
-    witness: np.ndarray
-    bias: np.ndarray
+    lower: tuple[tuple[float, ...], ...]
+    basis: np.ndarray
 
 
-class _Chunk(NamedTuple):
-    """The draws of one chunk of rounds.
+def _whiten(rows: list[np.ndarray]) -> _Whitened:
+    """Gram-Schmidt of the functionals' coefficient rows, each product one ``math.fsum``
+    and each projection taken twice. A row in the span of those before it, such as an
+    auxiliary proportional to the error or a zero one, gets a zero diagonal entry and a
+    zero column, so its functional is a multiple of the earlier ones."""
+    lower = [[0.0] * len(rows) for _ in rows]
+    basis = []
+    for j, f in enumerate(rows):
+        v = [float(x) for x in f]
+        for _ in range(2):
+            for i, b in enumerate(basis):
+                s = math.fsum(x * y for x, y in zip(b, v))
+                lower[j][i] += s
+                v = [x - s * y for x, y in zip(v, b)]
+        norm = math.sqrt(math.fsum(x * x for x in v))
+        lower[j][j] = norm
+        basis.append([x / norm for x in v] if norm > 0.0 else [0.0] * len(v))
+    return _Whitened(tuple(map(tuple, lower)), np.array(basis).T)
 
-    The subset masks run over every round of the chunk and carry their
-    table names; ``calib`` selects no round unless the gains are fitted.
-    ``calibration`` holds the calibration rounds per quadrature when the
-    gains are fitted and ``reads`` the other rounds the reports read: per
-    quadrature the kept rounds whose A reads it, so every round twice for
-    a lone A. ``witnessed`` holds per quadrature the witness rounds' (A,
-    B, C) outcomes, one row per party, their displacements, their rows in
-    the chunk and the normals they drew after the reads' (no rounds for a
-    lone A); these, and the records, are the only outcomes a chunk
-    computes. ``table`` holds the chunk's rounds only when the records are
-    kept.
-    """
 
-    dealer_basis: np.ndarray
-    kept: np.ndarray
-    witness: np.ndarray
-    bias: np.ndarray
-    calib: np.ndarray
-    calibration: tuple[_Reads, ...]
-    reads: tuple[_Reads, ...]
-    witnessed: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
-    table: RoundTable | None
+def _bartlett(gamma: tuple[float, ...], normal: float, k: int) -> tuple[tuple[float, ...], ...]:
+    """Lower Bartlett factor A of a standard Wishart of k degrees of freedom, A Aᵀ ~ W(I, k):
+    sqrt(2 Gamma(k/2)) and sqrt(2 Gamma((k - 1)/2)) on the diagonal and a standard normal
+    below it (Anderson, An Introduction to Multivariate Statistical Analysis, 3rd ed.,
+    §7.2). k < 2 gives the singular Wishart of k normal vectors, and 1 x 1 a chi-squared."""
+    a = math.sqrt(2.0 * gamma[0])
+    if len(gamma) == 1:
+        return ((a,),)
+    return ((a, 0.0), (normal if k > 0 else 0.0, math.sqrt(2.0 * gamma[1])))
+
+
+def _scatter(lower, bartlett) -> tuple[float, float, float]:
+    """(S_00, S_01, S_11) of the scatter T Tᵀ, T = lower @ bartlett, of the functionals
+    whose scale has Cholesky factor ``lower``; S_01 and S_11 are 0 for one functional."""
+    if len(lower) == 1:
+        t00 = lower[0][0] * bartlett[0][0]
+        return t00 * t00, 0.0, 0.0
+    (l00, _), (l10, l11) = lower
+    (a00, _), (a10, a11) = bartlett
+    t00, t10, t11 = l00 * a00, l10 * a00 + l11 * a10, l11 * a11
+    return t00 * t00, t00 * t10, t10 * t10 + t11 * t11
+
+
+def _values(lower, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The functionals lower @ y of whitened coordinates y (one row per functional)."""
+    e = lower[0][0] * y[0]
+    if len(lower) == 1:
+        return e, None
+    return e, lower[1][0] * y[0] + lower[1][1] * y[1]
+
+
+def _coordinates(z: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """basis.T @ z, one row per basis column and one column per round, from the normals z
+    (one row per normal); zero for a zero column. Element by element, without the BLAS,
+    so the records' bytes do not depend on its kernel."""
+    if basis.shape[1] == 1:
+        return weighted_sum(z, basis[:, 0])[None]
+    return np.stack([weighted_sum(z, b) if b.any() else np.zeros(z.shape[1]) for b in basis.T])
+
+
+def _shift(z: np.ndarray, basis: np.ndarray, delta: np.ndarray) -> None:
+    """Move the normals z (one row per normal) in place by basis @ delta: their coordinates
+    along the orthonormal basis columns change by delta and their orthogonal components
+    stay."""
+    for i, row in enumerate(basis):
+        for j in np.flatnonzero(row):
+            z[i] += delta[j] if row[j] == 1.0 else row[j] * delta[j]
+
+
+def _stiefel_shift(free: np.ndarray, bartlett) -> np.ndarray:
+    """The change bartlett @ Q - free that takes the rows ``free`` to bartlett @ Q, with Q
+    the rows of ``free`` orthonormalised (Gram-Schmidt with a positive diagonal, each
+    projection taken twice). For standard normal rows Q is uniform on the Stiefel
+    manifold and independent of their scatter, so bartlett @ Q are standard normal rows
+    conditioned on their scatter being bartlett @ bartlettᵀ: the whitened form of
+    Y (YᵀY)^(-1/2) W^(1/2). One row is scaled, by bartlett / |free|."""
+    if len(bartlett) == 1:
+        norm = math.sqrt(_dot(free[0], free[0]))
+        return (bartlett[0][0] / norm - 1.0) * free if norm > 0.0 else -free
+    q = np.empty_like(free)
+    for j in range(free.shape[0]):
+        v = free[j].copy()
+        for _ in range(2):
+            for i in range(j):
+                v -= _dot(q[i], v) * q[i]
+        norm = math.sqrt(_dot(v, v))
+        q[j] = v / norm if norm > 0.0 else 0.0
+    out = -free
+    for j, row in enumerate(bartlett):
+        for i in range(j + 1):
+            if row[i]:
+                out[j] += row[i] * q[i]
+    return out
 
 
 class _Blocks:
-    """A gaussian plan's displacement blocks over the rounds [start, end) of one chunk.
+    """A gaussian plan's displacement draws over the rounds [start, end) of one chunk.
 
-    A block of n_rep rounds shares one draw per quadrature. A block that
-    began in an earlier chunk was drawn there and its draw is carried in;
-    :meth:`draw` draws, x values before p values, the blocks a mask
-    selects among those not drawn yet, so a chunk need not hold whole
-    blocks and need not draw the blocks no report reads: the displacement
-    cancels from every read's error, so only the witness rounds read it.
+    A block of n_rep rounds shares one draw per quadrature. Only the
+    records read a displacement (it cancels from every error a report
+    reads), so only a run that keeps its records makes a :class:`_Blocks`.
+    A block that began in an earlier chunk was drawn there and its draw is
+    carried in; :meth:`draw` draws the others, x values before p values.
     """
 
-    def __init__(self, plan: DisplacementPlan, start: int, end: int,
-                 carry: list[float]):
-        self.plan = plan
-        n_rep = plan.n_rep
-        # block of each round, counted from the first block the chunk touches
-        self.block = None if n_rep == 1 else np.arange(start, end) // n_rep - start // n_rep
-        n_blocks = end - start if n_rep == 1 else int(self.block[-1]) + 1
-        self.values = np.full((2, n_blocks), np.nan)
-        self.todo = np.ones(n_blocks, dtype=bool)
-        self.runs_on = end % n_rep != 0
-        if start % n_rep:
-            self.values[:, 0] = carry
-            self.todo[0] = False
+    def __init__(self, plan: DisplacementPlan, start: int, end: int, carry: list[float]):
+        self.plan, self.start, self.end, self.carry = plan, start, end, carry
 
-    def draw(self, gen: np.random.Generator, rounds: np.ndarray | None = None) -> None:
-        """Draw the blocks not drawn yet; given a mask of ``rounds``, only those that hold
-        one of them or run past the chunk's end, whose draw the next chunk carries on."""
-        todo = self.todo
-        if rounds is not None and self.block is None:
-            todo = todo & rounds
-        elif rounds is not None:
-            due = np.zeros_like(todo)
-            due[self.block[rounds]] = True
-            due[-1] |= self.runs_on
-            todo = todo & due
-        k = int(np.count_nonzero(todo))
-        # drawing every block, as a lone A's records do, fills the values by view
-        idx = slice(None) if k == todo.size else np.flatnonzero(todo)
+    def draw(self, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """The applied displacement of each round, x and p; the last block's draw becomes
+        the carry of the next chunk."""
+        n_rep, start, end = self.plan.n_rep, self.start, self.end
+        carried = start % n_rep != 0
+        first = start // n_rep
+        n_blocks = (end - 1) // n_rep - first + 1
+        values = np.empty((2, n_blocks))
         sd = math.sqrt(self.plan.v_dist)
-        for values in self.values:
-            draw = gen.standard_normal(k)
+        for q in (0, 1):
+            draw = gen.standard_normal(n_blocks - carried)
             draw *= sd
-            values[idx] = draw
-        self.todo &= ~todo
-
-    def alphas(self) -> tuple[np.ndarray, np.ndarray]:
-        """Applied displacement of each round, x and p; NaN in a block not drawn yet."""
-        if self.block is None:
-            return self.values[0], self.values[1]
-        return tuple(values[self.block] * self.plan.scale for values in self.values)
+            values[q, carried:] = draw
+            if carried:
+                values[q, 0] = self.carry[q]
+        self.carry[:] = values[:, -1].tolist()
+        if n_rep == 1:
+            return values[0], values[1]
+        block = np.arange(start, end) // n_rep - first
+        return tuple(v[block] * self.plan.scale for v in values)
 
 
 def _coin(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -494,28 +545,13 @@ def _coin(gen: np.random.Generator, n: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(gen.bytes(-(-n // 8)), np.uint8), count=n).view(np.int8)
 
 
-def _party_bases(
-    coalition: Coalition, n: int, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Basis code per party (a, b, c) and round: 0 = x, 1 = p, 2 = dual-homodyne."""
-    if coalition is Coalition.A_ALONE:
-        return np.full(n, 2, dtype=np.int8), _coin(gen, n), _coin(gen, n)
-    shared = _coin(gen, n)
-    if coalition is Coalition.AB:
-        return shared, shared, _coin(gen, n)
-    if coalition is Coalition.AC:
-        return shared, _coin(gen, n), shared
-    return shared, shared, shared
-
-
-def _pick(eligible: np.ndarray, take: int, gen: np.random.Generator) -> np.ndarray:
-    """Mask of a random subset of the eligible rounds, at most ``take`` of them."""
-    idx = np.flatnonzero(eligible)
-    take = min(take, idx.size)
-    mask = np.zeros(eligible.shape[0], dtype=bool)
-    if take > 0:
-        mask[gen.choice(idx, take, replace=False, shuffle=False)] = True
-    return mask
+def _split(gen: np.random.Generator, cells: np.ndarray, take: int) -> np.ndarray:
+    """How many of a uniformly random subset of the cells' rounds, ``take`` of them or
+    every one if fewer, fall in each cell: a multivariate hypergeometric draw."""
+    take = min(take, int(cells.sum()))
+    if take <= 0:
+        return np.zeros_like(cells)
+    return gen.multivariate_hypergeometric(cells.ravel(), take).reshape(cells.shape)
 
 
 def _chunks(stream: RandomStream, n: int) -> Iterator[tuple[int, int, np.random.Generator]]:
@@ -531,6 +567,53 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+#: a round's role, the first index of a chunk's counts: its witness, bias, calibration and
+#: estimation rounds, all kept, then the discarded ones
+WITNESS, BIAS, CALIB, EST, DISCARDED = range(5)
+#: per label (role, dealer basis, pool), the chunk's counts flattened: the dealer basis, whether
+#: the round is kept, A's basis (a lone A's is dual homodyne, code 2) and the outsider's basis,
+#: the dealer's in the witness pool and the other one outside it (-1 for a discarded round, whose
+#: outsider flips a coin of its own)
+_LABEL_ROLE, _LABEL_DEALER, _LABEL_POOL = (a.ravel().astype(np.int8)
+                                           for a in np.indices((5, 2, 2)))
+_LABEL_KEPT = _LABEL_ROLE != DISCARDED
+_LABEL_BASIS_A = np.where(_LABEL_KEPT, _LABEL_DEALER, 1 - _LABEL_DEALER).astype(np.int8)
+_LABEL_OUTSIDER = np.where(_LABEL_KEPT, _LABEL_DEALER ^ _LABEL_POOL, -1).astype(np.int8)
+
+
+class _Stats(NamedTuple):
+    """The statistics a chunk's reports read, per quadrature (x, then p).
+
+    ``est`` and ``calib`` hold the Bartlett factors of the estimation and
+    calibration rounds' scatter of their functionals, in whitened
+    coordinates (``calib`` is None unless the gains are fitted); ``bias``
+    holds the bias rounds' whitened coordinates, one row per functional,
+    and ``witness`` the witness rounds' standard normals.
+    """
+
+    est: tuple
+    calib: tuple | None
+    bias: tuple[np.ndarray, np.ndarray]
+    witness: tuple[np.ndarray, np.ndarray]
+
+
+class _Chunk(NamedTuple):
+    """The draws of one chunk of rounds: its counts per label (role, dealer basis, pool; see
+    :data:`WITNESS`), the statistics the reports read and, when the records are kept, the
+    label of each round (an index into the flattened counts) and the chunk's
+    :class:`RoundTable`."""
+
+    counts: np.ndarray
+    stats: _Stats
+    labels: np.ndarray | None
+    table: RoundTable | None
+
+    @property
+    def roles(self) -> np.ndarray:
+        """The role of each round, :data:`WITNESS` to :data:`DISCARDED`."""
+        return _LABEL_ROLE[self.labels]
+
+
 class _Fit:
     """The sums a fitted run gathers in its one pass over the chunks.
 
@@ -538,53 +621,50 @@ class _Fit:
     r = x_A - sqrt(eta_A) alpha the calibration residual and u = -(t @ w1)
     the auxiliary combination of the coalition's weights in the read's
     quadrature (:data:`~cvshare.estimators.WEIGHTS`), both linear in the
-    read's normals (:class:`_Functionals`). The estimate weighs u by -g in
-    x and in p alike, so one gain fits both quadratures. Every other round
-    is estimated with the analytic gain g0, and its error is affine in the
-    gain: e(g) = e0 - s u with s = (g - g0) bias_scale. So the estimation
-    rounds keep sum(e0 u) and sum(u u) per quadrature, totals over the
-    reads minus their few witness and bias rounds, and the bias rounds
-    keep the moments of u and the co-moment of (e0, u), merged chunk by
-    chunk with the pairwise update of Chan, Golub and LeVeque. The sums
+    round's normals (:class:`_Functionals`), so each chunk adds the
+    off-diagonal and the second diagonal entry of their drawn scatter. The
+    estimate weighs u by -g in x and in p alike, so one gain fits both
+    quadratures. Every other round is estimated with the analytic gain g0,
+    and its error is affine in the gain: e(g) = e0 - s u with
+    s = (g - g0) bias_scale. So the estimation rounds keep sum(e0 u) and
+    sum(u u) per quadrature, entries of their drawn scatter, and the bias
+    rounds keep the moments of u and the co-moment of (e0, u), merged chunk
+    by chunk with the pairwise update of Chan, Golub and LeVeque. The sums
     are taken about g0, not about g = 0: e0 is already close to the least
     error, so applying the shift cancels nothing large, even at high
     squeezing where A's outcome and u grow as e^r.
     """
 
-    __slots__ = ("coalition", "l00", "sum_ru", "sum_uu", "n", "est", "bias_u", "bias_c")
+    __slots__ = ("coalition", "sum_ru", "sum_uu", "n", "est", "bias_u", "bias_c")
 
-    def __init__(self, coalition: Coalition, l00: tuple[float, float]):
-        self.coalition, self.l00 = coalition, l00
+    def __init__(self, coalition: Coalition):
+        self.coalition = coalition
         self.sum_ru = self.sum_uu = 0.0
         self.n = 0
         self.est = ([0.0, 0.0], [0.0, 0.0])
         self.bias_u = RunningMoments()
         self.bias_c = 0.0
 
-    def calibrate(self, c: _Reads) -> None:
-        u = c.aux
-        self.sum_ru += self.l00[c.quad] * _dot(c.z[0], u)
-        self.sum_uu += _dot(u, u)
-        self.n += u.size
+    def add(self, quad: int, est: tuple[float, float, float], calib: tuple[float, float, float],
+            n_calib: int) -> None:
+        """Add a quadrature's estimation and calibration scatters (S_00, S_01, S_11)."""
+        sums = self.est[quad]
+        sums[0] += est[1]
+        sums[1] += est[2]
+        self.sum_ru += calib[1]
+        self.sum_uu += calib[2]
+        self.n += n_calib
 
-    def add(self, read: _Reads, e_witness: np.ndarray, e_bias: np.ndarray,
-            bias_err: RunningMoments) -> None:
-        """Add a read's errors e0, of which ``e_witness`` and ``e_bias`` are those of its
-        witness and bias rounds. ``bias_err`` holds the moments of e0 over the bias
-        rounds of the reads before this one."""
-        e, u = read.err, read.aux
-        u_witness, u_bias = u[read.witness], u[read.bias]
-        sums = self.est[read.quad]
-        # the estimation rounds are the read's rounds but its few witness and bias ones
-        sums[0] += _dot(e, u) - _dot(e_witness, u_witness) - _dot(e_bias, u_bias)
-        sums[1] += _dot(u, u) - _dot(u_witness, u_witness) - _dot(u_bias, u_bias)
-        k = e_bias.size
+    def add_bias(self, e: np.ndarray, u: np.ndarray, bias_err: RunningMoments) -> None:
+        """Add bias rounds' errors e0 and auxiliaries u; ``bias_err`` holds the moments of
+        e0 over the bias rounds added before these."""
+        k = e.size
         if k:
-            mean_e, mean_u = float(np.mean(e_bias)), float(np.mean(u_bias))
+            mean_e, mean_u = float(np.mean(e)), float(np.mean(u))
             n = self.bias_u.n
             shift = (mean_e - bias_err.mean) * (mean_u - self.bias_u.mean) * (n * k / (n + k))
-            self.bias_c += _dot(e_bias - mean_e, u_bias - mean_u) + shift
-            self.bias_u.add(u_bias)
+            self.bias_c += _dot(e - mean_e, u - mean_u) + shift
+            self.bias_u.add(u)
 
     def apply(self, gains: GainSet, sq_err: tuple[list, list],
               bias_err: RunningMoments) -> GainSet:
@@ -600,20 +680,6 @@ class _Fit:
         three = self.coalition is Coalition.ABC
         return GainSet(g_b=0.0 if three else g, g_bc=g if three else 0.0,
                        bias_scale=gains.bias_scale)
-
-
-def _add_witness(
-    sq: tuple[RunningMoments, RunningMoments],
-    triple_x: np.ndarray,
-    triple_p: np.ndarray,
-    alpha_x: np.ndarray,
-    alpha_p: np.ndarray,
-) -> None:
-    """Add the squared witness errors of x rounds' and p rounds' (A, B, C) triples, one
-    row per party."""
-    x_minus, p_plus = estimators.witness_estimate(triple_x, triple_p)
-    sq[0].add((x_minus - alpha_x / math.sqrt(2.0)) ** 2)
-    sq[1].add((p_plus - alpha_p / math.sqrt(2.0)) ** 2)
 
 
 def _witness_result(sq_x: RunningMoments, sq_p: RunningMoments) -> WitnessResult:
@@ -637,10 +703,10 @@ def _witness_result(sq_x: RunningMoments, sq_p: RunningMoments) -> WitnessResult
 class _ProtocolRun:
     """One protocol run, the owner of its draws and running sums. Constructing it checks
     every input, so each error fires before a chunk stream is opened. Iterating it draws
-    each chunk from its own child stream (:meth:`_draw`), adds it to the sums and, with
-    ``keep_records``, yields the chunk's rounds as a :class:`RoundTable` of their own;
-    ``result()`` then gives the reports. :func:`run_protocol` copies the tables into its
-    whole-run table and ``simulate --dump-rounds`` writes them to rounds.csv; a caller
+    each chunk from its own child stream (:meth:`_draw`), adds its statistics to the sums
+    and, with ``keep_records``, yields the chunk's rounds as a :class:`RoundTable` of their
+    own; ``result()`` then gives the reports. :func:`run_protocol` copies the tables into
+    its whole-run table and ``simulate --dump-rounds`` writes them to rounds.csv; a caller
     that drops each table before asking for the next holds at most one chunk's rounds."""
 
     def __init__(self, model: ExperimentModel, plan: DisplacementPlan, n_rounds: int,
@@ -680,8 +746,30 @@ class _ProtocolRun:
         self.factors = _triple_factors(cov, self.order)
         self.functionals = [_functionals(f, coalition, q, self.gains)
                             for q, f in enumerate(self.factors)]
-        self.fit = (_Fit(coalition, tuple(f.l00 for f in self.functionals))
-                    if gain_mode == "fitted" and not lone else None)
+        fitted = gain_mode == "fitted" and not lone
+        self.fit = _Fit(coalition) if fitted else None
+        # per quadrature the whitened functionals of the estimation and bias rounds (the
+        # error, and its auxiliary in a fitted run), of the calibration rounds (residual
+        # and auxiliary), and the witness error's sd and direction over the normals
+        self.read_laws = [_whiten([f.c, f.aux] if fitted else [f.c]) for f in self.functionals]
+        self.calib_laws = [_whiten([np.eye(self.n_read)[0] * f.l00, f.aux]) if fitted else None
+                           for f in self.functionals]
+        self.witness_laws = []
+        if not lone:
+            # the witness weighs A by 1/sqrt(2) and subtracts sqrt(eta_A) alpha/sqrt(2), the
+            # mean A's outcome carries, so its error is a functional of all three normals
+            weights = estimators.witness_estimate(np.eye(3), np.eye(3))
+            for factor, c in zip(self.factors, weights):
+                c = [c[p] for p in self.order]
+                self.witness_laws.append((_functional_sd(factor, c),
+                                          _whiten([_coefficients(factor, c)]).basis))
+        # a round's cell per dealer basis: kept in the witness pool, kept outside it,
+        # discarded. A lone A keeps every round and witnesses none; all three keep a
+        # round where the shared coin meets the dealer's, and that round is in the pool;
+        # a pair's kept round is in it where the outsider's coin meets the dealer's too
+        cells = (0.0, 0.5, 0.0) if lone else (0.25, 0.0, 0.25) if coalition is Coalition.ABC \
+            else (0.125, 0.125, 0.25)
+        self.cells = cells * 2
         # the block draw carried into the next chunk; the witness and bias rounds taken so
         # far, since a chunk takes what is due by its end, round(fraction * end), so the run
         # takes round(fraction * n_rounds) unless its eligible rounds run short; and the
@@ -694,159 +782,177 @@ class _ProtocolRun:
         self.sq_witness = (RunningMoments(), RunningMoments())
         self.bias_err = RunningMoments()
 
-    def _draw(self, start: int, end: int, gen: np.random.Generator) -> _Chunk:
-        """The chunk of rounds [start, end), drawn from its generator.
-
-        After the coins and the subsets come a gaussian plan's blocks
-        that hold a witness round or run past the chunk's end: the
-        displacement cancels from every read's error and residuals, so
-        the witness is all that reads it before the records (a lone A's
-        rounds witness nothing, so it draws no block here). Then come
-        only the normals the reports read, party-major through the
-        factors (:func:`_party_order`). A read needs the first ``n_read``
-        rows of its quadrature's factor: 3 for all three, 2 for a pair (A
-        and the partner) and 1 for a lone A, whose factors carry the unit
-        vacuum of dual homodyne and who reads every round in both
-        quadratures. The read rounds draw one (n_read, k) array,
-        calibration rounds first and x rounds before p rounds in each
-        group, and each read keeps its normals and their functionals
-        (:class:`_Reads`). Each witness round then draws its remaining
-        3 - n_read rows, one (3 - n_read, w) array with x rounds first,
-        and its outcomes are computed. With ``keep_records`` the blocks
-        still missing are drawn afterwards, then per quadrature, x first,
-        the normals still missing: the remaining rows of its other read
-        rounds, then every row of the rounds it did not read. They fill
-        one (2, 3, m) array of every round's x and p triples, whose rows
-        are the table's outcome columns. The reports read nothing these
-        last draws give, so they do not depend on whether the records
-        are kept.
-        """
-        factors, policy, plan, n_read = self.factors, self.policy, self.plan, self.n_read
-        m = end - start
-        dealer = _coin(gen, m)
-        bases = _party_bases(self.coalition, m, gen)
-        basis_a, basis_b, basis_c = bases
-        # A reads quadrature q where its basis is not the other one, so dual homodyne reads
-        # both; a round is kept where A reads the dealer's basis
-        on = (basis_a != 1, basis_a != 0)
-        kept = basis_a != 1 - dealer
-        # dual-homodyne outcomes carry a vacuum unit, so a lone A's rounds witness nothing
-        pool = (np.zeros(m, dtype=bool) if self.lone
-                else kept & (basis_b == dealer) & (basis_c == dealer))
-        witness = _pick(pool, round(policy.witness_fraction * end) - self.taken_witness, gen)
-        self.taken_witness += int(np.count_nonzero(witness))
-        eligible = kept & ~witness
-        bias = _pick(eligible, round(policy.bias_fraction * end) - self.taken_bias, gen)
-        self.taken_bias += int(np.count_nonzero(bias))
-        calib = np.zeros(m, dtype=bool)
+    def _counts(self, gen: np.random.Generator, m: int, end: int) -> np.ndarray:
+        """The chunk's rounds per label (role, dealer basis, pool), a (5, 2, 2) array."""
+        policy = self.policy
+        cells = gen.multinomial(m, self.cells).reshape(2, 3)
+        counts = np.zeros((5, 2, 2), dtype=np.int64)
+        counts[DISCARDED, :, 0] = cells[:, 2]
+        kept = cells[:, :2]
+        counts[WITNESS, :, 0] = _split(gen, kept[:, 0],
+                                       round(policy.witness_fraction * end) - self.taken_witness)
+        self.taken_witness += int(counts[WITNESS].sum())
+        kept = kept - counts[WITNESS]
+        counts[BIAS] = _split(gen, kept, round(policy.bias_fraction * end) - self.taken_bias)
+        self.taken_bias += int(counts[BIAS].sum())
+        kept = kept - counts[BIAS]
         if self.fit is not None:
             # half of the estimation rounds so far, counted across chunks
-            est = eligible & ~bias
-            k = int(np.count_nonzero(est))
-            calib = _pick(est, (self.seen_est + k) // 2 - self.seen_est // 2, gen)
+            k = int(kept.sum())
+            counts[CALIB] = _split(gen, kept, (self.seen_est + k) // 2 - self.seen_est // 2)
             self.seen_est += k
-        if plan.kind == "fixed":
-            blocks = None
-            alphas = (np.broadcast_to(plan.alpha_x * plan.scale, m),
-                      np.broadcast_to(plan.alpha_p * plan.scale, m))
+        counts[EST] = kept - counts[CALIB]
+        return counts
+
+    def _read(self, counts: np.ndarray) -> np.ndarray:
+        """Rounds per role and quadrature whose outcomes in it the reports read, a (4, 2)
+        array: the kept rounds of the dealer's basis, or every round twice for a lone A."""
+        if self.lone:
+            return np.repeat(counts[:EST + 1].sum(axis=(1, 2))[:, None], 2, axis=1)
+        return counts[:EST + 1].sum(axis=2)
+
+    def _draw(self, start: int, end: int, gen: np.random.Generator) -> _Chunk:
+        """The chunk of rounds [start, end), drawn from its generator, its statistics
+        added to the run's sums.
+
+        First come the statistics, the same with and without records: the
+        counts per label (one multinomial over the cells, then the witness,
+        bias and calibration splits, :meth:`_counts`), one standard gamma
+        array (per quadrature, x first, the Bartlett chi-squared entries of
+        the estimation rounds and then of the calibration rounds) and one
+        standard normal array (Bartlett's normals, then per quadrature the
+        bias rounds' whitened coordinates, one row per functional, then the
+        witness rounds' normals, x before p in each). A run without records
+        draws nothing else. A run with records then draws the rounds
+        conditioned on those statistics (:meth:`_records`).
+        """
+        counts = self._counts(gen, end - start, end)
+        read = self._read(counts)
+        d = 1 if self.fit is None else 2
+        dfs = read[EST].tolist() + ([] if self.fit is None else read[CALIB].tolist())
+        gammas = gen.standard_gamma([max(k - j, 0) / 2.0 for k in dfs for j in range(d)]).tolist()
+        n_bias, n_witness = read[BIAS].tolist(), read[WITNESS].tolist()
+        sizes = [(d - 1) * len(dfs), d * n_bias[0], d * n_bias[1], *n_witness]
+        parts = np.split(gen.standard_normal(sum(sizes)), np.cumsum(sizes[:-1]).tolist())
+        wisharts = [_bartlett(gammas[d * i : d * i + d], float(parts[0][i]) if d == 2 else 0.0, k)
+                    for i, k in enumerate(dfs)]
+        stats = _Stats(tuple(wisharts[:2]), tuple(wisharts[2:]) or None,
+                       (parts[1].reshape(d, -1), parts[2].reshape(d, -1)), (parts[3], parts[4]))
+        self._add(read, stats)
+        if not self.keep_records:
+            return _Chunk(counts, stats, None, None)
+        return _Chunk(counts, stats, *self._records(start, end, counts, stats, gen))
+
+    def _add(self, read: np.ndarray, stats: _Stats) -> None:
+        """Add a chunk's statistics to the run's sums."""
+        for q in (0, 1):
+            lower = self.read_laws[q].lower
+            est = _scatter(lower, stats.est[q])
+            sq = self.sq_err[q]
+            sq[0] += est[0]
+            sq[1] += int(read[EST, q])
+            e, u = _values(lower, stats.bias[q])
+            if self.fit is not None:
+                calib = _scatter(self.calib_laws[q].lower, stats.calib[q])
+                self.fit.add(q, est, calib, int(read[CALIB, q]))
+                self.fit.add_bias(e, u, self.bias_err)
+            self.bias_err.add(e)
+            if self.witness_laws:
+                e_w = self.witness_laws[q][0] * stats.witness[q]
+                self.sq_witness[q].add(e_w * e_w)
+
+    def _records(self, start: int, end: int, counts: np.ndarray, stats: _Stats,
+                 gen: np.random.Generator) -> tuple[np.ndarray, RoundTable]:
+        """The label of each round of the chunk and its :class:`RoundTable`, drawn after
+        and conditioned on the chunk's statistics.
+
+        First comes a uniform random arrangement of the labels over the
+        chunk's rounds: the labels laid out in the order of the counts and
+        then permuted. Then come the coins of the bases that no label fixes
+        (a pair's outsider in its discarded rounds; a lone A's B and C in
+        every round), a gaussian plan's blocks (:class:`_Blocks`), and per
+        quadrature, x first, every round's three normals in the factors'
+        order, as (3, m) arrays in the layout's order. Each group of
+        rounds that a report reads in a quadrature (its witness, bias,
+        calibration and estimation rounds, contiguous in the layout) then
+        has its normals moved along the span of the functionals the report
+        reads (:func:`_shift`) so that they give the drawn statistics: the
+        bias and witness rounds' drawn coordinates, and for the estimation
+        and calibration rounds coordinates whose scatter is the drawn one
+        (:func:`_stiefel_shift`). The components orthogonal to the read
+        functionals keep their free draws. ``_apply`` turns the normals
+        into outcomes, which the permutation takes to the table's rounds,
+        and A's outcome gains sqrt(eta_A) alpha.
+        """
+        m = end - start
+        perm = gen.permutation(m)
+        label = np.repeat(np.arange(20, dtype=np.int8), counts.ravel())[perm]
+        dealer, kept = _LABEL_DEALER[label], _LABEL_KEPT[label]
+        if self.lone:
+            basis_a = np.full(m, 2, dtype=np.int8)
+            bases = (basis_a, _coin(gen, m), _coin(gen, m))
         else:
-            blocks = _Blocks(plan, start, end, self.carry)
-            # the displacement cancels from every read, so only witness rounds read it
-            # before the records; a lone A's rounds witness nothing, and no later chunk of
-            # its run reads the block that runs on without the records, which draw it
-            if not self.lone:
-                blocks.draw(gen, witness)
-            alphas = blocks.alphas()
-        # the read rows of each kept round: calibration rounds first, x before p in each part;
-        # a read of every round of the chunk indexes it by view
-        parts = (kept,) if self.fit is None else (calib, kept & ~calib)
-        masks = [part & on[q] for part in parts for q in (0, 1)]
-        sizes = [int(np.count_nonzero(mask)) for mask in masks]
-        rows = [slice(None) if k == m else np.flatnonzero(mask) for k, mask in zip(sizes, masks)]
-        z = gen.standard_normal((n_read, sum(sizes)))
-        ends = np.cumsum(sizes).tolist()
-        groups = [(i % 2, r, z[:, end - k : end])
-                  for i, (r, k, end) in enumerate(zip(rows, sizes, ends))]
-        n_calib = len(groups) - 2
-        none = np.empty(0, dtype=np.intp)
-        calibration = [_Reads(q, r, z_r, None, weighted_sum(z_r, self.functionals[q].aux),
-                              none, none) for q, r, z_r in groups[:n_calib]]
-        reads = []
-        for q, r, z_r in groups[n_calib:]:
-            f = self.functionals[q]
-            reads.append(_Reads(q, r, z_r, weighted_sum(z_r, f.c),
-                                None if self.fit is None else weighted_sum(z_r, f.aux),
-                                np.flatnonzero(witness[r]), np.flatnonzero(bias[r])))
-        # each witness round draws the rows its read left, x rounds first; per quadrature
-        # the witness rounds' (A, B, C) outcomes, displacements, rows and those normals
-        w_x = reads[0].witness.size
-        z_rest = gen.standard_normal((3 - n_read, w_x + reads[1].witness.size))
-        witnessed = []
-        for read, z_o in zip(reads, (z_rest[:, :w_x], z_rest[:, w_x:])):
-            w = read.witness
-            done = w if isinstance(read.rows, slice) else read.rows[w]
-            truth = alphas[read.quad][done]
-            triple = _apply(factors[read.quad], np.concatenate((read.z[:, w], z_o)),
-                            self.root_eta * truth)
-            witnessed.append((triple[list(self.order)], truth, done, z_o))
-        table = None
-        if self.keep_records:
-            if blocks is not None:
-                blocks.draw(gen)
-                alphas = blocks.alphas()
-            # every round's x and p normals, one row per party in the factors' order,
-            # turned into outcomes in place
-            normals = np.empty((2, 3, m))
-            for q, r, z_r in groups:
-                normals[q][:n_read, r] = z_r
-            for q in (0, 1):
-                z_q, (_, _, done, z_o) = normals[q], witnessed[q]
-                z_q[n_read:, done] = z_o
-                # the remaining rows of the other read rounds, then every row of the rest
-                read = kept & on[q]
-                rest = read.copy()
-                rest[done] = False
-                r = np.flatnonzero(rest)
-                z_q[n_read:, r] = gen.standard_normal((3 - n_read, r.size))
-                r = np.flatnonzero(~read)
-                z_q[:, r] = gen.standard_normal((3, r.size))
-                _apply(factors[q], z_q, self.root_eta * alphas[q], out=z_q)
-                # the x quadrature is unread in p rounds (code 1), the p one in x rounds (code 0)
-                for j, basis in enumerate(bases):
-                    z_q[self.order[j]][basis == 1 - q] = np.nan
-            table = RoundTable(
-                round_index=np.arange(start, end), alpha_x=alphas[0], alpha_p=alphas[1],
-                dealer_basis=dealer, basis_a=basis_a, basis_b=basis_b, basis_c=basis_c, kept=kept,
-                **{name: normals["xp".index(name[0]), self.order["abc".index(name[2])]]
-                   for name in OUTCOME_COLUMNS})
-        if blocks is not None:
-            # the last block's draw, which the next chunk carries on when the block runs on
-            self.carry = blocks.values[:, -1].tolist()
-        return _Chunk(dealer, kept, witness, bias, calib, tuple(calibration), tuple(reads),
-                      tuple(witnessed), table)
+            basis_a = _LABEL_BASIS_A[label]
+            if self.coalition is Coalition.ABC:
+                bases = (basis_a, basis_a, basis_a)
+            else:
+                outsider = _LABEL_OUTSIDER[label]
+                outsider[~kept] = _coin(gen, int(counts[DISCARDED].sum()))
+                bases = ((basis_a, basis_a, outsider) if self.coalition is Coalition.AB
+                         else (basis_a, outsider, basis_a))
+        plan = self.plan
+        if plan.kind == "fixed":
+            alphas = (plan.alpha_x * plan.scale, plan.alpha_p * plan.scale)
+        else:
+            alphas = _Blocks(plan, start, end, self.carry).draw(gen)
+        outcomes = np.empty((2, 3, m))
+        offsets = np.concatenate(([0], np.cumsum(counts.ravel()))).tolist()
+        # each quadrature's normals in the layout's order, x first: the (2, 3, m) draw in two
+        z = np.empty((3, m))
+        for q in (0, 1):
+            gen.standard_normal(out=z)
+            for role in (WITNESS, BIAS, CALIB, EST):
+                # the layout's rounds of this role read in q: those of dealer basis q, or both
+                # dealer bases for a lone A
+                first = 4 * role + (0 if self.lone else 2 * q)
+                rows = slice(offsets[first], offsets[first + (4 if self.lone else 2)])
+                if rows.start == rows.stop:
+                    continue
+                if role == WITNESS:
+                    basis, zr = self.witness_laws[q][1], z[:, rows]
+                else:
+                    law = self.calib_laws[q] if role == CALIB else self.read_laws[q]
+                    basis, zr = law.basis, z[: self.n_read, rows]
+                free = _coordinates(zr, basis)
+                if role == WITNESS:
+                    delta = stats.witness[q][None] - free
+                elif role == BIAS:
+                    delta = stats.bias[q] - free
+                else:
+                    delta = _stiefel_shift(free, (stats.calib if role == CALIB else stats.est)[q])
+                _shift(zr, basis, delta)
+            _apply(self.factors[q], z, out=z)
+            out = outcomes[q]
+            for j in range(3):
+                # the indices are in range, so clipping checks nothing and spares numpy's buffer
+                np.take(z[j], perm, out=out[j], mode="clip")
+            out[0] += self.root_eta * alphas[q]
+            # the x quadrature is unread in p rounds (code 1), the p one in x rounds (code 0)
+            for j, basis in enumerate(bases):
+                np.putmask(out[self.order[j]], basis == 1 - q, np.nan)
+        if plan.kind == "fixed":
+            alphas = tuple(np.broadcast_to(alpha, m) for alpha in alphas)
+        table = RoundTable(
+            round_index=np.arange(start, end), alpha_x=alphas[0], alpha_p=alphas[1],
+            dealer_basis=dealer, basis_a=bases[0], basis_b=bases[1], basis_c=bases[2], kept=kept,
+            **{name: outcomes["xp".index(name[0]), self.order["abc".index(name[2])]]
+               for name in OUTCOME_COLUMNS})
+        return label, table
 
     def __iter__(self) -> Iterator[RoundTable]:
         for start, end, gen in _chunks(self.stream, self.n_rounds):
-            ch = self._draw(start, end, gen)
-            if self.fit is not None:
-                for r in ch.calibration:
-                    self.fit.calibrate(r)
-            for r in ch.reads:
-                e = r.err
-                e_witness, e_bias = e[r.witness], e[r.bias]
-                # the estimation rounds are the read's rounds but its witness and bias ones
-                sq = self.sq_err[r.quad]
-                sq[0] += _dot(e, e) - _dot(e_witness, e_witness) - _dot(e_bias, e_bias)
-                sq[1] += e.size - e_witness.size - e_bias.size
-                if self.fit is not None:
-                    self.fit.add(r, e_witness, e_bias, self.bias_err)
-                self.bias_err.add(e_bias)
-            (triple_x, alpha_x, *_), (triple_p, alpha_p, *_) = ch.witnessed
-            _add_witness(self.sq_witness, triple_x, triple_p, alpha_x, alpha_p)
-            table = ch.table
-            # drop the chunk's reads before its table goes out, and the table before the
-            # next chunk is drawn
-            del ch, r
+            table = self._draw(start, end, gen).table
+            # the chunk's table must not outlive the draw of the next chunk
             if table is not None:
                 yield table
                 del table
@@ -929,13 +1035,18 @@ def sift(records: RoundTable, basis: str) -> RoundTable:
     return records[records.kept & (records.dealer_basis == BASIS_NAMES.index(basis))]
 
 
-def entanglement_check(witness_records: RoundTable) -> WitnessResult:
+def entanglement_check(witness_records: RoundTable, eta_a: float = 1.0) -> WitnessResult:
     """Witness MSE and entanglement verdict from witness rounds.
 
     Every party must have homodyned the dealer's basis in every round,
     so dual-homodyne rounds are rejected; at least 100 rounds per
-    quadrature are required.
+    quadrature are required. The table holds each round's displacement
+    before loss, and A's outcome carries sqrt(eta_A) times it, so the
+    witness subtracts sqrt(eta_a) alpha/sqrt(2): pass the run's eta_A, in
+    [ETA_MIN, 1] as the model takes it, for records of a lossy signal arm.
     """
+    root_eta = math.sqrt(check_scalar("eta_a", eta_a, f"in [ETA_MIN = {ETA_MIN:g}, 1]",
+                                      ETA_MIN, 1.0))
     t = witness_records
     if len(t) == 0:
         raise InvalidArgumentError("no witness rounds supplied")
@@ -953,9 +1064,11 @@ def entanglement_check(witness_records: RoundTable) -> WitnessResult:
         raise InvalidArgumentError(
             f"need >= {WITNESS_MIN_ROUNDS} witness rounds per quadrature, got {n_x}/{n_p}"
         )
+    x_minus, p_plus = estimators.witness_estimate(np.stack((t.x_a, t.x_b, t.x_c))[:, is_x],
+                                                  np.stack((t.p_a, t.p_b, t.p_c))[:, ~is_x])
     sq = (RunningMoments(), RunningMoments())
-    _add_witness(sq, np.stack((t.x_a, t.x_b, t.x_c))[:, is_x],
-                 np.stack((t.p_a, t.p_b, t.p_c))[:, ~is_x], t.alpha_x[is_x], t.alpha_p[~is_x])
+    sq[0].add((x_minus - root_eta * t.alpha_x[is_x] / math.sqrt(2.0)) ** 2)
+    sq[1].add((p_plus - root_eta * t.alpha_p[~is_x] / math.sqrt(2.0)) ** 2)
     return _witness_result(*sq)
 
 
@@ -990,10 +1103,11 @@ def witness_verification_run(
     With surrogate=True the distributed state is the intercept-and-resend
     stand-in from :func:`surrogate_intercept_state`. Rounds are drawn in
     chunks, each from its own child stream, and reduced to running sums.
-    A round's witness error c·t − α_q/√2 is linear in its (A, B, C)
-    outcomes t ~ N(μ_q, Σ_q), so each chunk draws its dealer basis coins
-    and then one normal per round, the x rounds' first, scaled by
-    √(cᵀΣ_q c) and shifted by c·μ_q − α_q/√2.
+    A round's witness error c·t − √η_A·α_q/√2 is linear in its (A, B, C)
+    outcomes t ~ N(μ_q, Σ_q), and A's outcome carries √η_A·α_q, so each
+    chunk draws its dealer basis coins and then one normal per round, the
+    x rounds' first, scaled by √(cᵀΣ_q c) (:func:`_functional_sd`)
+    and shifted by c·μ_q − √η_A·α_q/√2, which is 0 up to rounding.
     """
     n_rounds = check_scalar("n_rounds", n_rounds, f">= {2 * WITNESS_MIN_ROUNDS}",
                             2 * WITNESS_MIN_ROUNDS, integer=True)
@@ -1007,11 +1121,12 @@ def witness_verification_run(
         st = build_dealer_state(model, plan.alpha_x, plan.alpha_p)
     # the witness weights c over (A, B, C), per quadrature
     weights = estimators.witness_estimate(np.eye(3), np.eye(3))
+    root_eta = math.sqrt(model.eta_a)
     laws = []
     for c, idx, alpha in zip(weights, estimators.TRIPLE_INDICES, (plan.alpha_x, plan.alpha_p)):
         idx = list(idx)
-        laws.append((math.sqrt(c @ st.cov[np.ix_(idx, idx)] @ c),
-                     float(c @ st.mean[idx]) - alpha / math.sqrt(2.0)))
+        laws.append((_functional_sd(np.linalg.cholesky(st.cov[np.ix_(idx, idx)]), c),
+                     float(c @ st.mean[idx]) - root_eta * alpha / math.sqrt(2.0)))
     sq = (RunningMoments(), RunningMoments())
     for start, end, gen in _chunks(stream, n_rounds):
         m = end - start
@@ -1037,9 +1152,10 @@ def batch_mse_distribution(
     gains at zero displacement and returns one summed, resource-split
     MSE per batch, for comparison against the scaled chi-squared law.
     An estimate is linear in the outcomes it reads, so a probe's error
-    in quadrature q is normal with variance sd_q² = split·wᵀΣ_q w, with
-    w the estimator's weights and Σ_q the covariance of the outcomes it
-    reads (with its vacuum unit for a lone A). A batch's sum of its N
+    in quadrature q is normal with variance split·wᵀΣ_q w
+    (:func:`_functional_sd`), with w the estimator's weights and Σ_q the
+    covariance of the outcomes it reads (with its vacuum unit for a lone
+    A); call it sd_q². A batch's sum of its N
     squared errors in q is then sd_q²·χ²_N = 2·sd_q²·Γ(N/2, 1), so each
     batch draws one standard gamma per quadrature and nothing per
     probe. Batches are drawn in chunks, each from its own child stream:
@@ -1056,9 +1172,12 @@ def batch_mse_distribution(
     gains = estimators.gains_for_model(model, coalition)
     g, bias = gains.gain(coalition), gains.bias_scale
     lone = coalition is Coalition.A_ALONE
-    # dual homodyne reads x_A and p_A of each probe, each with a vacuum unit; a coalition
-    # that reads one quadrature per probe splits its probes between the two
-    vacuum, split = (1.0, 1.0) if lone else (0.0, estimators.RESOURCE_SPLIT_FACTOR)
+    # dual homodyne reads x_A and p_A of each probe, each with a vacuum unit, as in a run; a
+    # coalition that reads one quadrature per probe splits its probes between the two
+    split = 1.0 if lone else estimators.RESOURCE_SPLIT_FACTOR
+    if lone:
+        a = [estimators.X_A, estimators.P_A]
+        cov[a, a] += 1.0
     # per quadrature, the dealer quadratures of the parties the estimator reads and
     # their weights bias_scale * (w0 + g w1)
     parties = [estimators.PARTIES.index(p) for p in coalition.party_columns]
@@ -1068,8 +1187,8 @@ def batch_mse_distribution(
         w0, w1 = estimators.WEIGHTS[coalition, q]
         idx = [estimators.TRIPLE_INDICES[q][j] for j in parties]
         w = bias * (w0 + g * w1)[parties]
-        sub = cov[np.ix_(idx, idx)] + vacuum * np.eye(len(idx))
-        scale[q] = 2.0 * split * (w @ sub @ w)
+        sd = _functional_sd(np.linalg.cholesky(cov[np.ix_(idx, idx)]), w)
+        scale[q] = 2.0 * split * sd * sd
     n_probes = n_probes_per_quadrature
     total = np.empty(n_batches)
     for start, end, gen in _chunks(stream, n_batches):

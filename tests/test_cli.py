@@ -234,21 +234,19 @@ def test_simulate_and_rerun_byte_identical(tmp_path, capsys):
     assert len(rounds) == 1 + 10000
 
 
-# rounds.csv sha256 per (coalition, plan), from stream layout 6 (SFC64 chunk streams,
-# coins from random bytes, the blocks of the witness rounds, the party-major normals of
-# each kept round's dealer basis, a pair's outsider for its witness rounds or a lone
-# A's two outcomes, then the blocks and normals still missing); a lone A reserves no
-# witness rounds. The fixed-plan ab, ac and abc digests are those of layout 5, and
-# the abc one is that of layout 4
+# rounds.csv sha256 per (coalition, plan), from stream layout 7 (SFC64 chunk streams; the
+# counts, splits and statistics the reports read, then a uniform arrangement of the
+# counts, the coins no count fixes, the blocks and every round's normals conditioned on
+# the statistics)
 ROUNDS_CSV_SHA256 = {
-    ("a_alone", "fixed"): "f38769ded117f44d80767df8c09bedd4d6f7f873afd3804b0d55e853ca6e1ce8",
-    ("ab", "fixed"): "7854d0aea8a9bd39e6695e06708922d9dc3564a87c9cd72433a0a766814d5d09",
-    ("ac", "fixed"): "275595a052e073b9c31915190f5c4e9e952fefb7e1f80632c90d3127e7304161",
-    ("abc", "fixed"): "7fc02e5c0df6d7c81a903b3b9b8547995bb0f8d6d670987bb83a7d8349601715",
-    ("a_alone", "gaussian"): "20a35d1cc2f225a574c9a32f46b7dd33b69dcd36612710531a39dc4070f7ee3b",
-    ("ab", "gaussian"): "762a567fa4e32668984dab54cba174c1f20ce567d991291d87c309edebfcac77",
-    ("ac", "gaussian"): "37f36c1fe360aff63f17d4ba1dd091a73fd037ee217164a3dbd1ca428a761e79",
-    ("abc", "gaussian"): "22783f558ffab4db53201252827eed3891089cb8b339e08f29d084c45d3b71d8",
+    ("a_alone", "fixed"): "34db4cca309bf4e68f49bc948f43f370b4a8b0110e1bc4ea48f3276abc028ce6",
+    ("ab", "fixed"): "a32c9dd467abf331d212f599edd69a9e1c82054160ea3d0083c20507fcd7e347",
+    ("ac", "fixed"): "d3b6a347461807bea8f29298dab2615066ee43a9600c28d1554255ac05d4bbc3",
+    ("abc", "fixed"): "70b43caf1ef55c875a842aff07b1b2b813cbedef4444b1f9cf75d6f2a984cace",
+    ("a_alone", "gaussian"): "331f8ec74fffe3f6b4d479c82fb18b297ca0d98ea088d5e0055f0183a9ed59b4",
+    ("ab", "gaussian"): "45623d6464e582594b3e7bccbf635f07519161f420795451a966eb2f7cfc28f8",
+    ("ac", "gaussian"): "209df9948739de123a2dc1c6ba1d9d61f509a7aa7a7c0e71d6158241614a0505",
+    ("abc", "gaussian"): "57edf0877c8660143d7f93f384273d41ab7b03fdf2da79cbc45a29d544f8036d",
 }
 
 
@@ -268,20 +266,20 @@ def test_rounds_csv_bytes_pinned(tmp_path, capsys, coalition, plan):
     assert digest == ROUNDS_CSV_SHA256[(coalition, plan)]
 
 
-# rounds.csv sha256 of runs of several chunks, from stream layout 6, as the
+# rounds.csv sha256 of runs of several chunks, from stream layout 7, as the
 # whole-run round table wrote them: (config lines, _CHUNK_ROUNDS or None, digest).
 # 1031 rounds in chunks of 50 end on a partial chunk of 31; 150,000 rounds are two
 # full chunks of 65,536 and a partial one
 MULTI_CHUNK_ROUNDS_CSV_SHA256 = {
     "a_alone-fixed-chunks-of-50": (
         "coalition = a_alone\nplan = fixed\nn_rounds = 1031\n", 50,
-        "59d3fa33f5cdfbbec02e80a7e45a35bb9c016139251e5b474e8e9eb5417a8657"),
+        "c6ac07a9cb1558a14d9ee5f4d8c0d9ea51c437a36289ad8c897d8f01e837201a"),
     "abc-gaussian-n_rep-3-fitted-chunks-of-50": (
         "coalition = abc\nplan = gaussian\nn_rep = 3\ngain_mode = fitted\nn_rounds = 1031\n", 50,
-        "51deed9b7e554de923a8cbc184a38641aaf8f77d3976acb454e1da16b74c047e"),
+        "353ecb59f707ec256c59e41d802bc8c41e84ac05ba6d5b7d92275a9c3d8bea37"),
     "abc-fixed-150000": (
         "coalition = abc\nn_rounds = 150000\n", None,
-        "6909aa128983b334fdc79a9e5c72509ab9b7013ae5ff978f149e95775ad37373"),
+        "67491fa377d6fd552ac160fef0c41c4059e963ccaee56a1b7e2afedfa8e66a4f"),
 }
 
 
@@ -1184,10 +1182,10 @@ def test_traced_runs_match_untraced_runs():
     assert len(spans) > 0
     assert counters["protocol.rounds"] == 2000 + 1000 + 2 * 5 * 100
     assert counters["protocol.records"] == 2000
-    # the run's witness rounds, x and p each once, and the verification run's one
-    # fold of the witness weights, the combinations of the 3 x 3 identity's rows
-    n_witness = run.witness.n_x + run.witness.n_p
-    assert counters["estimators.values"] == n_witness + 2 * 3 + est.size
+    # one fold of the witness weights, the combinations of the 3 x 3 identity's rows, in
+    # the run and in the verification run: neither estimates a round, as both draw their
+    # witness errors from the law of the folded combination
+    assert counters["estimators.values"] == 2 * 2 * 3 + est.size
 
 
 MI_ARGS = ["mi","--v-dist", "5", "--mu-single", "8", "--mu-pair", "5.83", "--mu-triple", "4",
@@ -1617,10 +1615,11 @@ def test_witness_subcommand(tmp_path, capsys):
 
 
 # sha256 of the witness subcommand's witness.json, plain and with --surrogate, from
-# stream layout 5, which layout 6 keeps: one normal per round
+# stream layout 7: one normal per round, its sd the norm of the witness weights over the
+# Cholesky factor's normals
 WITNESS_OUTPUT_SHA256 = {
-    False: "14e1ab15899b781a9aae62d39ff38774fcb4129ff9ccd32cd0833bd6ad770c71",
-    True: "8ca115d16cb8d0a5bb0582612b5573d479a6089014be883907d3ff92e8b3b9cc",
+    False: "9c5ee13598d6c188ae155a4d60553dc5230a0d1f446d89e3ef6c1b6b82ac95c4",
+    True: "d4c4a7483270e01a9f2e4d80cbca99d190e3251e01a3ac4f0332df026cf1e610",
 }
 
 
@@ -1632,6 +1631,18 @@ def test_witness_output_bytes_pinned(tmp_path, capsys, surrogate):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "witness.json").read_bytes()).hexdigest()
     assert digest == WITNESS_OUTPUT_SHA256[surrogate]
+
+
+def test_witness_under_loss_reads_a_large_secret_as_entangled(tmp_path, capsys):
+    # A's outcome carries sqrt(eta_A) alpha and the witness subtracts sqrt(eta_A) alpha/sqrt(2);
+    # it subtracted alpha/sqrt(2), so this run read mse_sum 156.5 and not entangled
+    argv = ["witness", "--eta-a", "0.5", "--alpha-x", "30", "--alpha-p", "30", "--n-rounds",
+            "200000", "--seed", "9", "--out-dir", str(tmp_path)]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    payload = read_json(os.path.join(str(tmp_path), "witness.json"))
+    assert payload["status"] == "ok" and payload["entangled"] is True
+    assert payload["mse_sum"] < 4.0 - 5.0 * payload["standard_error"]
 
 
 def test_out_dir_env_fallback(tmp_path, capsys, monkeypatch):
@@ -1808,36 +1819,34 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 
 
 # sha256 of analytic simulate's reports per (coalition, plan), in chunks of 512
-# rounds, from stream layout 6 with every read reduced to its estimator's linear
-# functionals of the read's normals and its sums of squares taken without the BLAS;
-# the fixed-plan pairs and abc keep their layout-5 bytes, and a lone A draws no block
-# and reserves no witness round, so its two plans give the same reports. A one-pass
+# rounds, from stream layout 7, which draws the exact laws of what the reports read
+# and no displacement: each coalition's two plans give the same reports. A one-pass
 # run estimates with the analytic gain, so a fitted run's drawing must not move these
 SIMULATE_REPORTS_SHA256 = {
-    ("a_alone", "fixed"): ("b975fc3fc0aa31b87017c610cdcd7f5a9b9c494b3cf5fcd7808f62d5ff2d056a",
-                           "65a8b8e1de3c4d6f283c96005401bae8110aa74bf572c871c0d3cd1888d551f7",
+    ("a_alone", "fixed"): ("7e7cec3c4f9b3de8080411902e7a1745a1995169af37aa7e4edc6f11d5a2794d",
+                           "6c976a5b4e380e4af40ac994503154a19b05e30472dab8b29230a6c019404799",
                            "373267225e54f38e267224dc043cb79da2c2f692a427c9f85ea415c66e2ea70e"),
-    ("ab", "fixed"): ("db49f2586b0b7791520786ca9d097dbf4e4d7b7e21271062b22550743b5c0f69",
-                      "63b83c3cd3f878ead01be9300bf94cef86e0ab9023fd85fb1dcd5ce1ace67ad7",
-                      "a523bbbe1803807f1549a51ee803242150e16e26cc34ead9fa671c1cf21413e1"),
-    ("ac", "fixed"): ("6570f2f4ce0b716e2a7187b01f9644e8c8effe74fdccc43355eb9d69cc856370",
-                      "0e54fa65469bc63e68f1b8d1d7553173aba3ac645b3fca260e227be75c391e26",
-                      "380b23fc2e14dd2f2cabadded9a4572af1a0f7001a439ca1cecae83ddc907762"),
-    ("abc", "fixed"): ("b135124b3281ce49a2a65ce4801d37a536abbc3403fcad4ec8c9f600d59feddb",
-                       "f5b6f5b862e49e731ee8b4f4d7b195375178443649c6c1a492df353005d8dfdc",
-                       "c6279622940135978ed11cc37887617fa7e9bc8fe9820f332e1bf359a5a9f109"),
-    ("a_alone", "gaussian"): ("b975fc3fc0aa31b87017c610cdcd7f5a9b9c494b3cf5fcd7808f62d5ff2d056a",
-                              "65a8b8e1de3c4d6f283c96005401bae8110aa74bf572c871c0d3cd1888d551f7",
+    ("ab", "fixed"): ("7cd353c7488185a5b3db651d829c678907bae462c55335485d9892a7759a3b55",
+                      "ab4b2c5e0911d3b09babc858baeb5c3915a7d2ac03daf0217248996a85c804e5",
+                      "66518465b3b46923f4603a8874a9eb4b8c7300a175446066d8abf6fe603f53b8"),
+    ("ac", "fixed"): ("a0ae509196c248660e9336609e767ce6135f67b942b35c70b2cd4ad527389f7d",
+                      "2e77b18ec93be43ddfa72129c1a024ea9381c1ab39cb6d0aed39be518f2f19d5",
+                      "6e4ee0205798f3261fc046857c2d64c46703c2757914cff2fab394a6ba7437b1"),
+    ("abc", "fixed"): ("677de62b31d49ae5d35ba01035b8489b29de62b243fafad93610b95924cbebc1",
+                       "1a362bad9272cc086df72d35287708b3e429a2403f51356873e415d0bd8fb82b",
+                       "93b04b1ace4ad455aa9173253e106550eeec6d5e56cbf71cdfde13d86481d443"),
+    ("a_alone", "gaussian"): ("7e7cec3c4f9b3de8080411902e7a1745a1995169af37aa7e4edc6f11d5a2794d",
+                              "6c976a5b4e380e4af40ac994503154a19b05e30472dab8b29230a6c019404799",
                               "373267225e54f38e267224dc043cb79da2c2f692a427c9f85ea415c66e2ea70e"),
-    ("ab", "gaussian"): ("13b4142ba6e76ee8da82242748c9878ce563376112bc344142a6e510a9411d7a",
-                         "e17ee18ef776b277f29dc2f5d4bac345a6678a179f0612bfd354196d5c68c012",
-                         "3892b51d9d4f037ec4ab5b2da8686182820d05d9ecbb508fa3e140ebbcf9a91a"),
-    ("ac", "gaussian"): ("45257e9374de1158ca170abf1e0bb99ed8a293400172e956630cfcd19bece9d5",
-                         "b241978dbeff6c50c663be1a3ba375ec5760ba7ce15d2880fc313c6ef9e0dac9",
-                         "eeb0e1bfe3627205f8766d08c94e455ab73a105e6593432ed002bfb636d0a0fa"),
-    ("abc", "gaussian"): ("adc53dd45df64b1028c69ed98f454daea99c50b96282e9acbfe2f04065f789b8",
-                          "7da9411efd102524f0f20583ef85e0847fb68e28b5fbb71abadc59bdfcf81386",
-                          "8349dea0ff1dc720c815b02b0e92a2775d523df930c1069586935be632307c2a"),
+    ("ab", "gaussian"): ("7cd353c7488185a5b3db651d829c678907bae462c55335485d9892a7759a3b55",
+                         "ab4b2c5e0911d3b09babc858baeb5c3915a7d2ac03daf0217248996a85c804e5",
+                         "66518465b3b46923f4603a8874a9eb4b8c7300a175446066d8abf6fe603f53b8"),
+    ("ac", "gaussian"): ("a0ae509196c248660e9336609e767ce6135f67b942b35c70b2cd4ad527389f7d",
+                         "2e77b18ec93be43ddfa72129c1a024ea9381c1ab39cb6d0aed39be518f2f19d5",
+                         "6e4ee0205798f3261fc046857c2d64c46703c2757914cff2fab394a6ba7437b1"),
+    ("abc", "gaussian"): ("677de62b31d49ae5d35ba01035b8489b29de62b243fafad93610b95924cbebc1",
+                          "1a362bad9272cc086df72d35287708b3e429a2403f51356873e415d0bd8fb82b",
+                          "93b04b1ace4ad455aa9173253e106550eeec6d5e56cbf71cdfde13d86481d443"),
 }
 
 
@@ -1859,18 +1868,17 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
 
 
 # sha256 of fitted simulate's mse_report.json and bias.json for the pairs, in the
-# setup of SIMULATE_REPORTS_SHA256, from stream layout 6 with the reads reduced to
-# linear functionals and summed without the BLAS; the fixed-plan digests are those
-# of layout 5
+# setup of SIMULATE_REPORTS_SHA256, from stream layout 7: the calibration and
+# estimation scatters drawn as Bartlett Wisharts
 FITTED_PAIR_REPORTS_SHA256 = {
-    ("ab", "fixed"): ("9f691b9d28661f71a513e6f69822d43cf0d82af6d71d3583c7d5b226e313bdf8",
-                      "ad5e70f94c420b5ea37d510b5684cd561751613f5727387c124494abfe067bf5"),
-    ("ab", "gaussian"): ("8e19a034162f15dddc27b02a317711baeb05fada4eae878f98e630fd430e3b36",
-                         "1a60d59815c3419383227f3bfe1b4048f67cd706b26b84ac45e307be639b974e"),
-    ("ac", "fixed"): ("d83be487c08f6c279893a9c9cd6a47eef636c7ab5e4d872201a48068b5f2f9fe",
-                      "de25258fd1c8bb328539d9356ba7fa8ceda815349db9206828ebad3f83942e52"),
-    ("ac", "gaussian"): ("51d70aa09d7060218ceccd7280a343b823c07f58d877f6849ec9cf84b03db016",
-                         "e644496787af2eac47be17c1311193611a369180da142e6a6ec3b984e5c023bc"),
+    ("ab", "fixed"): ("696189652f5deb7c615929b93c69083a05719a026209ac1824787b1de95750e6",
+                      "f4e1b0523f21abd65c7ecff5d9e2073e296cc07cb56f943639f519506c63fa8b"),
+    ("ab", "gaussian"): ("696189652f5deb7c615929b93c69083a05719a026209ac1824787b1de95750e6",
+                         "f4e1b0523f21abd65c7ecff5d9e2073e296cc07cb56f943639f519506c63fa8b"),
+    ("ac", "fixed"): ("9f925d65f25372f2f4dd4936e940522851b04f34f4d12ba07d5e7847451991d2",
+                      "a79b86f33918f1a4ffb24766cba5d8d4b58e209b50cc5e4211cdb64422a2296c"),
+    ("ac", "gaussian"): ("9f925d65f25372f2f4dd4936e940522851b04f34f4d12ba07d5e7847451991d2",
+                         "a79b86f33918f1a4ffb24766cba5d8d4b58e209b50cc5e4211cdb64422a2296c"),
 }
 
 
@@ -1892,13 +1900,14 @@ def test_fitted_pair_reports_pinned(tmp_path, capsys, monkeypatch, coalition, pl
 
 
 # sha256 of batch_mse_distribution's values per coalition, 7 probes x 300 batches in
-# chunks of 128 batches (two full and one of 44), from stream layout 6: one gamma draw
-# per batch and quadrature
+# chunks of 128 batches (two full and one of 44), from stream layout 7: one gamma draw
+# per batch and quadrature, scaled by twice the squared norm of the weights over the
+# Cholesky factor's normals
 BATCH_VALUES_SHA256 = {
-    "a_alone": "115ab1d75d9febacf0c76eba214f86cae78245633bef3ab9596637ceb7546182",
-    "ab": "e78f60c6666012853bf0e77090228e110c01a9dcefa2a9b6709785aebefd9a87",
-    "ac": "989d53c03e15a4e9eb10fa5b665c1bf1d7295c4fea6a8c2e2e30f41cc7bd8416",
-    "abc": "7b4982706896ad7ae17d14f70d54949464523981ef4f615db972de68ea99e7bf",
+    "a_alone": "c94c6ea4be19c90611ec1e388bbcafc6812fc6fc8e4a98926cea8d315ed49137",
+    "ab": "c9afdc29ee2373f49c64217570dbca7ea7421380060f1e43e0b08030342be944",
+    "ac": "64df675ab2ab6749178de83deba27dbdebd6ad794dc26063f48b520336521094",
+    "abc": "a9ff1fececcf4b56ac8720e7e5cb88a0c22a7e24566a7bb798e6f212ff67c0e6",
 }
 
 
@@ -1923,13 +1932,13 @@ MANIFEST_SHA256 = {
     "certify": (["certify", "--grid", "3"],
                 "ba143e7b8595f2a755f56cc3a97b2780c758be70f274e827510b693077c50fe1"),
     "simulate": (["simulate", "--config", "run.cfg", "--dump-rounds"],
-                 "7c0f6afbabb440d53021232f59c4fe1af6729149ca8a285766b03cb95295ce5e"),
+                 "0221bf884c3efcf248bb86b6353fe529a840d7649ef5ccfc76c846e28a8cddaf"),
     "security": (["security", *MU_ARGS, "--n-probes", "5"],
                  "5cc9aa63394f51596b24559f5642c862bed7119596eea59c6211441bc0e9ce25"),
     "mi": (["mi", "--v-dist", "5", *MU_ARGS, "--n-max", "5"],
            "ba872b7bc5353e2ff05223895bc7e400f03b4a536db58adf96716485afb998fd"),
     "witness": (["witness", "--n-rounds", "400", "--seed", "2"],
-                "f24f26302819a4d45782abaf65e8d985aa818bd919a45023de872969a7c73fb8"),
+                "49ae1fe6a8c96194a6f298bf7a34eece870a5642714574de93641ba651302241"),
 }
 
 

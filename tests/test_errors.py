@@ -29,6 +29,7 @@ from cvshare.protocol import (
     ROUND_COLUMNS,
     DisplacementPlan,
     ProtocolPolicy,
+    RoundTable,
     witness_verification_run,
 )
 from cvshare.sampler import RandomStream
@@ -193,6 +194,14 @@ def test_inputs_once_rejected_or_let_through():
 #: three stack builders, by keyword; _DIST's mu makes x n / mu overflow at x = 1e300
 _MODEL = ExperimentModel(r=0.5, eta_a=0.9, eps_b=0.1)
 _DIST = MseDistribution(1e-9, 100)
+#: 100 witness rounds per quadrature, every party in the dealer's basis
+_BASES = np.repeat(np.array([0, 1], dtype=np.int8), 100)
+_WITNESS_ROUNDS = RoundTable(
+    round_index=np.arange(200), alpha_x=np.ones(200), alpha_p=np.ones(200),
+    dealer_basis=_BASES, basis_a=_BASES, basis_b=_BASES, basis_c=_BASES,
+    **{name: np.where(_BASES == "xp".index(name[0]), 0.5, np.nan)
+       for name in ("x_c", "p_c", "x_b", "p_b", "x_a", "p_a")},
+    kept=np.ones(200, dtype=bool))
 _VALID_CALLS = {
     "ThermalParams": dict(n1=0.5, n2=0.25),
     "ideal_three_party_mse_sum": dict(r=0.5),
@@ -213,6 +222,7 @@ _VALID_CALLS = {
     "DisplacementPlan": dict(kind="fixed", alpha_x=1.0, alpha_p=0.5, v_dist=1.0, n_rep=2),
     "ProtocolPolicy": dict(eta_min=0.5, witness_fraction=0.05, bias_fraction=0.05),
     "RoundTable": dict.fromkeys(ROUND_COLUMNS, np.zeros(2)),
+    "entanglement_check": dict(witness_records=_WITNESS_ROUNDS, eta_a=0.9),
     "batch_mse_distribution": dict(model=_MODEL, coalition=Coalition.ABC,
                                    n_probes_per_quadrature=2, n_batches=100,
                                    stream=RandomStream(3)),

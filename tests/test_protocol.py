@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from cvshare import estimators, protocol
 from cvshare.bounds import predicted_mse, witness_bound
 from cvshare.errors import (
     AbortLossError,
+    DegenerateAuxiliaryError,
     InvalidArgumentError,
     ProtocolFailureError,
     ResourceLimitError,
@@ -188,117 +190,119 @@ def test_keep_records_off():
     assert full.witness == res.witness
 
 
-def _assert_round(table: RoundTable, i: int, **want) -> None:
-    """Round i of the table holds ``want``, one value per column; NaN where unmeasured."""
-    assert sorted(want) == sorted(ROUND_COLUMNS)
-    for name in ROUND_COLUMNS:
-        assert np.array_equal(getattr(table, name)[i], want[name], equal_nan=True), name
-
-
 def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) -> dict:
     """The round-table columns of an n-round analytic run on IDEAL with a gaussian plan
-    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 6."""
+    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 7: the statistics,
+    then the records conditioned on them, with numpy's own linear algebra."""
     gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, 0))))
     lone = coalition is Coalition.A_ALONE
     three = coalition is Coalition.ABC
-
-    def coins():
-        # the bits of ceil(n / 8) random bytes, most significant bit first
-        return np.unpackbits(np.frombuffer(gen.bytes(-(-n // 8)), np.uint8))[:n].astype(np.int8)
-
-    dealer = coins()
+    # a round's cell per dealer basis: kept in the witness pool, kept outside it, discarded
+    cells = (0.0, 0.5, 0.0) if lone else (0.25, 0.0, 0.25) if three else (0.125, 0.125, 0.25)
+    cell = gen.multinomial(n, cells * 2).reshape(2, 3)
+    # rounds per (role, dealer basis, pool); roles witness, bias, calibration, estimation,
+    # discarded
+    counts = np.zeros((5, 2, 2), dtype=np.int64)
+    counts[4, :, 0] = cell[:, 2]
+    kept = cell[:, :2].copy()
+    take = min(round(POLICY.witness_fraction * n), int(kept[:, 0].sum()))
+    if take:
+        counts[0, :, 0] = gen.multivariate_hypergeometric(kept[:, 0], take)
+    kept -= counts[0]
+    take = min(round(POLICY.bias_fraction * n), int(kept.sum()))
+    counts[1] = gen.multivariate_hypergeometric(kept.ravel(), take).reshape(2, 2)
+    counts[3] = kept - counts[1]
+    # rounds per role read in each quadrature: the dealer's, or both for a lone A
+    read = [[int(counts[r].sum()) if lone else int(counts[r, q].sum()) for q in (0, 1)]
+            for r in range(4)]
+    gammas = gen.standard_gamma([read[3][0] / 2.0, read[3][1] / 2.0])
+    z = gen.standard_normal(read[1][0] + read[1][1] + read[0][0] + read[0][1])
+    bias = np.split(z[: read[1][0] + read[1][1]], [read[1][0]])
+    witness = np.split(z[read[1][0] + read[1][1] :], [read[0][0]])
+    # the records: a uniform arrangement of the labels, the coins no label fixes, the
+    # blocks, then every round's normals in the layout, x then p
+    perm = gen.permutation(n)
+    label = np.repeat(np.arange(20), counts.ravel())[perm]
+    role, dealer, pool = label // 4, (label // 2) % 2, label % 2
+    kept = role != 4
     if lone:
-        bases = {"a": np.full(n, XP, dtype=np.int8), "b": coins(), "c": coins()}
+        bases = {"a": np.full(n, XP), "b": gen_coins(gen, n), "c": gen_coins(gen, n)}
     else:
-        # the coalition's shared coin, then the outsider's own
-        shared = coins()
-        other = shared if three else coins()
+        shared = np.where(kept, dealer, 1 - dealer)
+        other = np.where(pool == 0, dealer, 1 - dealer)
+        if not three:
+            other[~kept] = gen_coins(gen, int((~kept).sum()))
+        else:
+            other = shared
         bases = {"a": shared, "b": other if coalition is Coalition.AC else shared,
                  "c": shared if coalition is Coalition.AC else other}
-    kept = np.ones(n, dtype=bool) if lone else bases["a"] == dealer
-    witness = np.zeros(n, dtype=bool)
-    if not lone:
-        # a lone A's rounds witness nothing, so it picks no witness rounds
-        pool = np.flatnonzero(kept & (bases["b"] == dealer) & (bases["c"] == dealer))
-        witness[gen.choice(pool, round(POLICY.witness_fraction * n), replace=False,
-                           shuffle=False)] = True
-    # the bias subset, which the table does not show
-    gen.choice(np.flatnonzero(kept & ~witness), round(POLICY.bias_fraction * n), replace=False,
-               shuffle=False)
-    alpha = np.empty((2, n))
-
-    def blocks(rounds):
-        # one displacement block per round: the x draws of the given rounds, then the p ones
-        for q in (0, 1):
-            alpha[q, rounds] = math.sqrt(v_dist) * gen.standard_normal(rounds.size)
-
-    # the blocks of the witness rounds, the only rounds that read one before the records
-    blocks(np.flatnonzero(witness))
-    # every round's normals per quadrature, one row per party in the factors' order:
-    # A, then a pair's partner before its outsider
+    alpha = math.sqrt(v_dist) * gen.standard_normal((2, n))
+    normals = gen.standard_normal((2, 3, n))
     order = (0, 2, 1) if coalition is Coalition.AC else (0, 1, 2)
-    normals = np.empty((2, 3, n))
     cov = build_dealer_state(IDEAL, 0.0, 0.0).cov
     vacuum = np.diag([1.0 if lone else 0.0, 0.0, 0.0])
     factors = [np.linalg.cholesky(cov[np.ix_(idx, idx)] + vacuum)
                for idx in ([quad[j] for j in order] for quad in estimators.TRIPLE_INDICES)]
-    if lone:
-        # A's dual-homodyne outcomes in x and in p
-        normals[:, 0] = gen.standard_normal((2, n))
-    else:
-        # the kept rounds' normals in the dealer's basis, x rounds first: three rows for
-        # all three, two for a pair, whose outsider's normals follow for its witness rounds
-        rows = 3 if three else 2
-        drawn = [np.flatnonzero(kept & (dealer == q)) for q in (0, 1)]
-        z = gen.standard_normal((rows, drawn[0].size + drawn[1].size))
-        normals[0][:rows, drawn[0]], normals[1][:rows, drawn[1]] = np.split(
-            z, [drawn[0].size], axis=1)
-        if not three:
-            w = [np.flatnonzero(witness & (dealer == q)) for q in (0, 1)]
-            normals[0][2, w[0]], normals[1][2, w[1]] = np.split(
-                gen.standard_normal(w[0].size + w[1].size), [w[0].size])
-    # the records' draws: the blocks of the other rounds, then per quadrature a pair's
-    # outsider in its other read rounds and every normal of the unread rounds
-    blocks(np.flatnonzero(~witness))
-    for q in (0, 1):
-        if lone:
-            normals[q, 1:] = gen.standard_normal((2, n))
-            continue
-        read = kept & (dealer == q)
-        if not three:
-            other = np.flatnonzero(read & ~witness)
-            normals[q][2, other] = gen.standard_normal(other.size)
-        missing = np.flatnonzero(~read)
-        normals[q][:, missing] = gen.standard_normal((3, missing.size))
+    gains = (estimators.GainSet(0.0, 0.0, 1.0) if lone
+             else estimators.gains_for_model(IDEAL, coalition))
+    offsets = np.concatenate(([0], np.cumsum(counts.ravel())))
     want = {"round_index": np.arange(n), "alpha_x": alpha[0], "alpha_p": alpha[1],
             "dealer_basis": dealer, "kept": kept}
-    for j, party in enumerate("abc"):
+    for q in (0, 1):
+        z, factor = normals[q], factors[q]
+        # each group's normals move along its functional's direction to the drawn values
+        n_read = len(coalition.party_columns)
+        w0, w1 = estimators.WEIGHTS[coalition, q]
+        w = [(w0 + gains.gain(coalition) * w1)[p] for p in order[:n_read]]
+        c = np.array(w) @ factor[:n_read, :n_read]
+        groups = [(1, c, bias[q])]
+        if not lone:
+            c_w = estimators.witness_estimate(np.eye(3), np.eye(3))[q][list(order)] @ factor
+            groups.append((0, c_w, witness[q]))
+        groups.append((3, c, None))
+        for r, c_r, y in groups:
+            first = 4 * r + (0 if lone else 2 * q)
+            rows = slice(offsets[first], offsets[first + (4 if lone else 2)])
+            b = c_r / np.linalg.norm(c_r)
+            zr = z[: b.size, rows]
+            g = b @ zr
+            if y is None:
+                y = math.sqrt(2.0 * gammas[q]) * g / np.linalg.norm(g)
+            zr += np.outer(b, y - g)
+        outcomes = (factor @ z)[:, perm]
+        outcomes[0] += alpha[q]
+        for j, party in enumerate("abc"):
+            value = outcomes[order.index(j)]
+            want[f"{'xp'[q]}_{party}"] = np.where(bases[party] == 1 - q, np.nan, value)
+    for party in "abc":
         want[f"basis_{party}"] = bases[party]
-        row = order.index(j)
-        for q, quad in enumerate("xp"):
-            f, z = factors[q][row], normals[q]
-            value = f[0] * z[0]
-            for i in range(1, row + 1):
-                value = value + f[i] * z[i]
-            if party == "a":
-                value = value + alpha[q]
-            want[f"{quad}_{party}"] = np.where(bases[party] == 1 - q, np.nan, value)
     return want
 
 
+def gen_coins(gen, n):
+    """n fair coins: the bits of ceil(n / 8) random bytes, most significant bit first."""
+    return np.unpackbits(np.frombuffer(gen.bytes(-(-n // 8)), np.uint8))[:n].astype(np.int8)
+
+
 def test_round_columns_hold_the_drawn_rounds():
-    # every round of a one-chunk run as drawn by stream layout 6: the basis coins from
-    # random bytes, the witness and bias picks, the witness rounds' displacements, the
-    # party-major normals of the kept rounds, then the displacements and normals
-    # still missing
+    # every round of a one-chunk run as drawn by stream layout 7: the counts, the
+    # estimation rounds' gamma draws and the bias and witness rounds' normals, then the
+    # arrangement, the coins, the displacements and the normals conditioned on those
+    # statistics; the outcomes are replayed with numpy's linear algebra, so they agree to
+    # rounding, and every other column exactly
     n = 100
     plan = DisplacementPlan.gaussian_modulated(1.5)
     for coalition in Coalition:
         res = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(3))
         want = _replay_first_chunk(coalition, n, 1.5, 3)
-        for i in range(n):
-            _assert_round(res.records, i, **{name: col[i] for name, col in want.items()})
         assert len(res.records) == n
+        for name in ROUND_COLUMNS:
+            got = getattr(res.records, name)
+            if name in protocol.OUTCOME_COLUMNS:
+                np.testing.assert_allclose(got, want[name], rtol=1e-12, atol=1e-13,
+                                           err_msg=name)
+            else:
+                assert np.array_equal(got, want[name]), (coalition, name)
 
 
 def test_row_view_matches_round_record():
@@ -668,10 +672,10 @@ def test_chunk_edges_keep_blocks_subsets_and_fitted_counts(monkeypatch, n_rep):
     for ch in _drawn(run):
         start, end = ch.table.round_index[0], ch.table.round_index[-1] + 1
         t = ch.table
-        pool = int(np.count_nonzero(ch.kept & (t.basis_b == t.dealer_basis)
+        pool = int(np.count_nonzero(t.kept & (t.basis_b == t.dealer_basis)
                                     & (t.basis_c == t.dealer_basis)))
         due = round(0.22 * end) - taken
-        took = int(np.count_nonzero(ch.witness))
+        took = int(np.count_nonzero(ch.roles == protocol.WITNESS))
         assert took == min(due, pool)
         made_up |= took > round(0.22 * end) - round(0.22 * start)
         taken += took
@@ -700,21 +704,29 @@ def test_chunk_masks_partition_the_rounds(monkeypatch, coalition):
     lone = coalition is Coalition.A_ALONE
     chunks = _chunks(coalition, n, fitted=not lone)
     assert [ch.table.round_index[0] for ch in chunks] == list(range(0, n, 64))
-    counts = dict.fromkeys(("discarded", "witness", "bias", "calib", "estimation"), 0)
+    names = ("witness", "bias", "calib", "estimation", "discarded")
+    counts = dict.fromkeys(names, 0)
     for ch in chunks:
-        est = ch.kept & ~ch.witness & ~ch.bias & ~ch.calib
-        parts = {"discarded": ~ch.kept, "witness": ch.witness, "bias": ch.bias,
-                 "calib": ch.calib, "estimation": est}
-        # every round falls in exactly one part
-        assert np.array_equal(sum(p.astype(int) for p in parts.values()),
-                              np.ones(ch.kept.size, dtype=int))
+        t = ch.table
+        # every round has one role, and the chunk's counts per label are the table's
+        assert ch.roles.dtype == np.int8 and set(np.unique(ch.roles)) <= set(range(5))
+        assert np.array_equal(ch.roles != protocol.DISCARDED, t.kept)
+        for role in range(5):
+            for d in (0, 1):
+                rounds = (ch.roles == role) & (t.dealer_basis == d)
+                assert int(rounds.sum()) == int(ch.counts[role, d].sum())
         # witness rounds are rounds where every party homodyned the dealer's basis
-        others = (ch.table.basis_b == ch.dealer_basis) & (ch.table.basis_c == ch.dealer_basis)
-        assert np.all(others[ch.witness])
+        others = (t.basis_b == t.dealer_basis) & (t.basis_c == t.dealer_basis)
+        assert np.all(others[ch.roles == protocol.WITNESS])
         if not lone:
-            assert np.all(ch.kept[ch.witness])
-        for name, mask in parts.items():
-            counts[name] += int(mask.sum())
+            assert np.array_equal(t.kept, t.basis_a == t.dealer_basis)
+            # a kept round's pool cell is whether the others homodyned the dealer's basis
+            for d in (0, 1):
+                for role in range(4):
+                    rounds = (ch.roles == role) & (t.dealer_basis == d)
+                    assert int(np.count_nonzero(rounds & others)) == int(ch.counts[role, d, 0])
+        for role, name in enumerate(names):
+            counts[name] += int(np.count_nonzero(ch.roles == role))
     assert sum(counts.values()) == n
     res = run_protocol(IDEAL, PLAN, n, coalition, POLICY, RandomStream(67),
                        gain_mode="analytic" if lone else "fitted")
@@ -725,32 +737,38 @@ def test_chunk_masks_partition_the_rounds(monkeypatch, coalition):
     n_est = res.mse_report.n_x if lone else res.mse_report.n_x + res.mse_report.n_p
     assert n_est == counts["estimation"]
     if lone:
-        assert res.mse_report.n_p == counts["estimation"]
+        assert res.mse_report.n_p == counts["estimation"] and counts["discarded"] == 0
+
+
+def _read_rounds(ch, coalition, quad):
+    """A chunk's rounds read in a quadrature, as a mask over its table: the kept rounds of
+    that dealer basis, or every round for a lone A."""
+    t = ch.table
+    if coalition is Coalition.A_ALONE:
+        return np.ones(len(t), dtype=bool)
+    return t.kept & (t.dealer_basis == quad)
+
+
+def _columns(table, coalition, quad, rows):
+    """The (A, B, C) outcome columns of a quadrature at the given rows; None for a party
+    the coalition's estimator does not read."""
+    return [getattr(table, f"{'xp'[quad]}_{party}")[rows] if party in coalition.party_columns
+            else None for party in "abc"]
 
 
 def test_fitted_gain_is_exact_over_the_calibration_reads(monkeypatch):
-    # one pass: each chunk's calibration reads are its calibration rounds in the
-    # dealer's basis, and the run's gain is the least-squares fit over them; the
-    # reference residuals and auxiliaries come from the chunk's records
+    # one pass: the run's gain is the least-squares fit over its calibration rounds, as
+    # the estimators fit it from the records' residuals and auxiliaries
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
     n = 1000
     plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=3)
     r, u = [], []
     for ch in _chunks(Coalition.ABC, n, fitted=True, plan=plan):
-        assert [c.quad for c in ch.calibration] == [0, 1]
-        for c in ch.calibration:
-            assert np.array_equal(c.rows, np.flatnonzero(ch.calib & (ch.dealer_basis == c.quad)))
-            quad = "xp"[c.quad]
-            a, b, cc = (getattr(ch.table, f"{quad}_{party}")[c.rows] for party in "abc")
-            truth = getattr(ch.table, f"alpha_{quad}")[c.rows]
-            # the read holds a normal of each of the three parties for each of its rounds
-            assert c.z.shape == (3, truth.size) and c.err is None
-            r.append(a - truth)
-            sign = -1.0 if c.quad else 1.0
-            u.append(sign * (b - cc) / math.sqrt(2.0))
-        # no calibration round is read again by the reports
-        for read in ch.reads:
-            assert not ch.calib[read.rows].any()
+        for q, quad in enumerate("xp"):
+            rows = _read_rounds(ch, Coalition.ABC, q) & (ch.roles == protocol.CALIB)
+            a, b, cc = _columns(ch.table, Coalition.ABC, q, rows)
+            r.append(a - getattr(ch.table, f"alpha_{quad}")[rows])
+            u.append((-1.0 if q else 1.0) * (b - cc) / math.sqrt(2.0))
     res = run_protocol(IDEAL, plan, n, Coalition.ABC, POLICY, RandomStream(67),
                        gain_mode="fitted", keep_records=False)
     expect = fit_gain(np.concatenate(r), np.concatenate(u))
@@ -764,12 +782,12 @@ class _CountingGenerator:
     def __init__(self, gen, sizes, gammas):
         self._gen, self._sizes, self._gammas = gen, sizes, gammas
 
-    def standard_normal(self, size):
-        out = self._gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        out = self._gen.standard_normal(size, out=out)
         self._sizes.append(out.size)
         return out
 
-    def standard_gamma(self, shape, size):
+    def standard_gamma(self, shape, size=None):
         out = self._gen.standard_gamma(shape, size)
         self._gammas.append((shape, out.size))
         return out
@@ -792,96 +810,93 @@ def _count_normals(monkeypatch) -> list:
 
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
-def test_run_draws_the_normals_its_reads_need(monkeypatch, coalition, gain_mode):
+def test_run_without_records_draws_its_statistics_and_no_round(monkeypatch, coalition,
+                                                               gain_mode):
+    # stream layout 7: without records a chunk draws one gamma array, the Bartlett entries
+    # of its estimation (and, fitted, calibration) rounds' scatter per quadrature, and one
+    # normal array: a fitted run's four Bartlett normals, then one normal per bias round
+    # and functional (the error, and its auxiliary in a fitted run; a lone A's bias round
+    # is read in x and in p), then one per witness round. No other round draws a number
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     n, n_chunks = 5000, 5
-    plan = DisplacementPlan.gaussian_modulated(2.0)
-    t = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71),
-                     gain_mode=gain_mode).records
-    kept = int(t.kept.sum())
-    # a kept round is read in each quadrature its A reads: the dealer's, or both for a
-    # lone A's dual homodyne
-    reads = sum(int(np.count_nonzero(t.kept & (t.basis_a != 1 - q))) for q in (X, P))
-    sizes = _count_normals(monkeypatch)
-    res = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71),
-                       gain_mode=gain_mode, keep_records=False)
+    sizes, gammas = _count_draws(monkeypatch)
+    res = run_protocol(IDEAL, DisplacementPlan.gaussian_modulated(2.0), n, coalition, POLICY,
+                       RandomStream(71), gain_mode=gain_mode, keep_records=False)
     lone = coalition is Coalition.A_ALONE
-    n_read = 1 if lone else 3 if coalition is Coalition.ABC else 2
+    fitted = gain_mode == "fitted" and not lone
+    d = 2 if fitted else 1
     n_witness = res.witness.n_x + res.witness.n_p
-    if lone:
-        assert reads == 2 * n and n_witness == 0
-    else:
-        assert reads == kept and n_witness == round(POLICY.witness_fraction * n)
-        n_est = kept - n_witness - res.bias.n_rounds
-        n_calib = n_est - (res.mse_report.n_x + res.mse_report.n_p)
-        assert n_calib == (n_est // 2 if gain_mode == "fitted" else 0)
-    # one pass in either gain mode: the x and the p values of the blocks due, one per
-    # witness round at n_rep = 1 (a lone A's rounds witness nothing, so it makes no
-    # block draw); n_read normals per read round, calibration rounds included; and
-    # 3 - n_read per witness round, the rows the witness reads and the reports do not.
-    # A discarded round draws nothing
-    per_chunk = 2 if lone else 4
-    assert len(sizes) == per_chunk * n_chunks
-    if not lone:
-        assert sum(sizes[0::4]) == sum(sizes[1::4]) == n_witness
-    assert sum(sizes[per_chunk - 2 :: per_chunk]) == n_read * reads
-    assert sum(sizes[per_chunk - 1 :: per_chunk]) == (3 - n_read) * n_witness
-    # with the records every round draws its x and p triple once, its blocks included
-    sizes.clear()
-    run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), gain_mode=gain_mode)
-    assert sum(sizes) == 2 * n + 6 * n
+    n_bias = res.bias.n_rounds * (2 if lone else 1)
+    assert n_witness == (0 if lone else round(POLICY.witness_fraction * n))
+    assert n_bias == (2 if lone else 1) * round(POLICY.bias_fraction * n)
+    assert len(sizes) == n_chunks
+    assert sum(sizes) == n_witness + d * n_bias + (4 * n_chunks if fitted else 0)
+    assert [size for _, size in gammas] == [(4 if fitted else 2) * d] * n_chunks
+    assert all(np.ndim(shape) == 1 for shape, _ in gammas)
 
 
-@pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.ABC], ids=lambda c: c.value)
-def test_blocks_are_drawn_where_a_witness_round_reads_them(monkeypatch, coalition):
-    # chunks of 1024 rounds and blocks of 3: a chunk draws, before its reads, the blocks
-    # that start in it and hold one of its witness rounds or run past its end, two
-    # normals each; the other blocks wait for the records
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_a_run_without_records_draws_no_block(monkeypatch, coalition, gain_mode):
+    # the displacement cancels from every error a report reads, the witness's included,
+    # so without records a gaussian plan draws no block: every n_rep draws what the fixed
+    # plan draws and gives its reports, byte for byte
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
+    sizes, gammas = _count_draws(monkeypatch)
+    fixed = run_protocol(IDEAL, PLAN, 5000, coalition, POLICY, RandomStream(71),
+                         gain_mode=gain_mode, keep_records=False)
+    want = (list(sizes), [size for _, size in gammas])
+    for n_rep in (1, 3, 1000):
+        sizes.clear()
+        gammas.clear()
+        plan = DisplacementPlan.gaussian_modulated(100.0, n_rep=n_rep)
+        res = run_protocol(IDEAL, plan, 5000, coalition, POLICY, RandomStream(71),
+                           gain_mode=gain_mode, keep_records=False)
+        assert (sizes, [size for _, size in gammas]) == want
+        assert tuple(res[1:]) == tuple(fixed[1:])
+
+
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_records_draw_every_round_once_after_the_statistics(monkeypatch, coalition):
+    # with records a chunk draws the statistics first, the same numbers as without, then
+    # its blocks (x values, then p values) and every round's x triple, then its p triple
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     n, n_rep = 5000, 3
+    sizes = _count_normals(monkeypatch)
     plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
-    run = protocol._ProtocolRun(IDEAL, plan, n, coalition, POLICY, RandomStream(71), "analytic",
-                                keep_records=False)
-    witness = np.concatenate([ch.witness for ch in _drawn(run)])
-    assert witness.sum() == round(POLICY.witness_fraction * n)
-    due = 0
-    for start in range(0, n, 1024):
-        end = min(start + 1024, n)
-        for first in range(-(-start // n_rep) * n_rep, end, n_rep):
-            due += first + n_rep > end or bool(witness[first : first + n_rep].any())
-    sizes = _count_normals(monkeypatch)
     run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), keep_records=False)
-    # the chunk's first two draws are its blocks' x and p values
-    n_chunks = -(-n // 1024)
-    assert len(sizes) == 4 * n_chunks
-    assert sum(sizes[0::4]) == sum(sizes[1::4]) == due
-    # far fewer than the blocks that hold a kept round
-    assert due < (n // n_rep) // 4
+    statistics = list(sizes)
+    sizes.clear()
+    run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71))
+    assert sizes[0::5] == statistics
+    # a chunk draws the blocks that begin in it
+    starts = [-(-start // n_rep) for start in range(0, n, 1024)] + [-(-n // n_rep)]
+    blocks = [b - a for a, b in zip(starts, starts[1:])]
+    assert sizes[1::5] == sizes[2::5] == blocks
+    triples = [3 * min(1024, n - start) for start in range(0, n, 1024)]
+    assert sizes[3::5] == sizes[4::5] == triples
 
 
-def test_a_lone_a_draws_no_block_without_its_records(monkeypatch):
-    # a lone A's rounds witness nothing and the displacement cancels from its reads, so
-    # without records a chunk draws only its reads' normals and an empty witness draw,
-    # even where a block runs past the chunk's end; with records every block is drawn
-    # once
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_only_the_records_compute_outcomes(monkeypatch, coalition, gain_mode):
+    # the reports read statistics drawn from their exact laws, so a run without records
+    # turns no normal into an outcome; with records every round's x and p triples once
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
-    n, n_chunks = 5000, 5
-    sizes = _count_normals(monkeypatch)
-    for n_rep in (1, 3, 1000):
-        plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
-        sizes.clear()
-        off = run_protocol(IDEAL, plan, n, Coalition.A_ALONE, POLICY, RandomStream(71),
-                           keep_records=False)
-        assert sizes == [2 * min(1024, n - start) if i % 2 == 0 else 0
-                         for start in range(0, n, 1024) for i in (0, 1)]
-        sizes.clear()
-        on = run_protocol(IDEAL, plan, n, Coalition.A_ALONE, POLICY, RandomStream(71))
-        assert tuple(on[1:]) == tuple(off[1:])
-        # the reads' normals, an empty witness draw, then the records' blocks (x and p),
-        # B's and C's normals in x and in p, and the empty draws of the unread rounds
-        assert len(sizes) == 8 * n_chunks
-        assert sum(sizes[2::8]) == sum(sizes[3::8]) == -(-n // n_rep)
-        assert sum(sizes) == 2 * -(-n // n_rep) + 6 * n
+    columns = []
+    apply = protocol._apply
+
+    def counting_apply(factor, z, shift_a=None, out=None):
+        columns.append(z.shape[1])
+        return apply(factor, z, shift_a, out)
+
+    monkeypatch.setattr(protocol, "_apply", counting_apply)
+    n, plan = 5000, DisplacementPlan.gaussian_modulated(2.0)
+    run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), gain_mode=gain_mode,
+                 keep_records=False)
+    assert columns == []
+    run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), gain_mode=gain_mode)
+    assert sum(columns) == 2 * n
 
 
 def test_witness_run_draws_one_normal_per_round(monkeypatch):
@@ -1002,10 +1017,9 @@ def test_keep_records_off_gives_the_same_reports(monkeypatch, coalition, gain_mo
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_gaussian_reports_do_not_depend_on_the_records(monkeypatch, coalition, gain_mode,
                                                        n_rep):
-    # a chunk draws the blocks of its witness rounds, and those running on into the next
-    # chunk, before its reads, and the records draw the rest after every draw the reports
-    # use; chunks of 256 rounds end on a partial one, blocks of 3 cross chunk edges and
-    # blocks of 1000 span several chunks
+    # the reports read the statistics a chunk draws first, and only the records draw the
+    # blocks, after them; chunks of 256 rounds end on a partial one, blocks of 3 cross
+    # chunk edges and blocks of 1000 span several chunks
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
     plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
     off = run_protocol(IDEAL, plan, 6000, coalition, POLICY, RandomStream(5),
@@ -1073,41 +1087,69 @@ def test_chunk_tables_and_the_run_table_hold_the_same_rounds(monkeypatch, coalit
         assert tuple(off[1:]) == tuple(whole[1:])
 
 
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
-def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition):
+def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain_mode):
+    # each chunk's records give back, through the reference estimators, the statistics
+    # its reports read: the witness rounds' witness errors and the bias rounds' errors
+    # (and auxiliaries) as drawn, and the estimation and calibration rounds' scatter
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
-    lone = coalition is Coalition.A_ALONE
-    # a read's rows follow the factors' order, and a pair's read holds A's and the
-    # partner's rows only
-    order = protocol._party_order(coalition)
-    run = protocol._ProtocolRun(IDEAL, PLAN, 1000, coalition, POLICY, RandomStream(67),
-                                "analytic" if lone else "fitted", keep_records=True)
+    model = ExperimentModel(r=1.0, eta_a=0.9, eta_b=0.95, eps_c=0.02)
+    run = protocol._ProtocolRun(model, DisplacementPlan.gaussian_modulated(2.0, n_rep=3), 1000,
+                                coalition, POLICY, RandomStream(67), gain_mode,
+                                keep_records=True)
+    fitted = run.fit is not None
+    w_weights = estimators.witness_estimate(np.eye(3), np.eye(3))
     for ch in _drawn(run):
-        assert len(ch.reads) == 2 and len(ch.calibration) == (0 if lone else 2)
-        for r in ch.calibration + ch.reads:
-            assert r.z.shape[0] == (1 if lone else 3 if coalition is Coalition.ABC else 2)
-            # the table's outcomes of the read rounds are those of the read's normals, and
-            # a party's outcome in a quadrature its basis did not read is NaN in the table
-            truth = getattr(ch.table, f"alpha_{'xp'[r.quad]}")[r.rows]
-            outcomes = protocol._apply(run.factors[r.quad], r.z, run.root_eta * truth)
-            for j, triple_row in enumerate(outcomes):
-                party = "abc"[order[j]]
-                col = getattr(ch.table, f"{'xp'[r.quad]}_{party}")[r.rows]
-                read = getattr(ch.table, f"basis_{party}")[r.rows] != 1 - r.quad
-                assert np.array_equal(col[read], triple_row[read])
-                assert np.isnan(col[~read]).all()
-        # the witness reads every party's outcome of its rounds, in (A, B, C) order, and
-        # holds the normals those rounds drew after the reads'; a lone A's rounds witness
-        # nothing
-        assert len(ch.witnessed) == 2
-        for q, (triple, truth, rows, normals) in enumerate(ch.witnessed):
-            want = np.flatnonzero(ch.witness & (ch.dealer_basis == q))
-            assert np.array_equal(rows, want[:0] if lone else want)
-            assert triple.shape == (3, rows.size)
-            assert normals.shape == (3 - ch.reads[q].z.shape[0], rows.size)
-            assert np.all(truth == getattr(ch.table, f"alpha_{'xp'[q]}")[rows])
-            for j, party in enumerate("abc"):
-                assert np.array_equal(getattr(ch.table, f"{'xp'[q]}_{party}")[rows], triple[j])
+        t = ch.table
+        for q, quad in enumerate("xp"):
+            read = _read_rounds(ch, coalition, q)
+            alpha = getattr(t, f"alpha_{quad}")
+            w1 = estimators.WEIGHTS[coalition, q][1]
+            law = run.read_laws[q]
+
+            def errors(role):
+                rows = read & (ch.roles == role)
+                cols = _columns(t, coalition, q, rows)
+                e = estimators.combine(cols, coalition, q, run.gains) - alpha[rows]
+                return e, estimators.weighted_sum(cols, -w1) if fitted else None
+
+            # the witness rounds: every party's outcome, less the sqrt(eta_A) alpha/sqrt(2)
+            # that A's carries; a lone A has none
+            rows = read & (ch.roles == protocol.WITNESS)
+            if coalition is Coalition.A_ALONE:
+                assert not rows.any() and ch.stats.witness[q].size == 0
+            else:
+                triple = np.stack([getattr(t, f"{quad}_{p}")[rows] for p in "abc"])
+                e_w = w_weights[q] @ triple - run.root_eta * alpha[rows] / math.sqrt(2.0)
+                sd_w = run.witness_laws[q][0]
+                np.testing.assert_allclose(np.sort(e_w), np.sort(sd_w * ch.stats.witness[q]),
+                                           rtol=0, atol=1e-12 * (1.0 + sd_w))
+            # the bias rounds, in the order of their draws up to the arrangement
+            e, u = errors(protocol.BIAS)
+            want_e, want_u = protocol._values(law.lower, ch.stats.bias[q])
+            order, want_order = np.argsort(e), np.argsort(want_e)
+            np.testing.assert_allclose(e[order], want_e[want_order], rtol=1e-12, atol=1e-13)
+            if fitted:
+                np.testing.assert_allclose(u[order], want_u[want_order], rtol=1e-12,
+                                           atol=1e-13)
+            # the estimation rounds' scatter of (e, u)
+            e, u = errors(protocol.EST)
+            want = protocol._scatter(law.lower, ch.stats.est[q])
+            got = (_sum(e, e),) + ((_sum(e, u), _sum(u, u)) if fitted else (0.0, 0.0))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
+            if fitted:
+                rows = read & (ch.roles == protocol.CALIB)
+                cols = _columns(t, coalition, q, rows)
+                r_c = cols[0] - run.root_eta * alpha[rows]
+                u_c = estimators.weighted_sum(cols, -w1)
+                want = protocol._scatter(run.calib_laws[q].lower, ch.stats.calib[q])
+                got = (_sum(r_c, r_c), _sum(r_c, u_c), _sum(u_c, u_c))
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
+
+
+def _sum(a, b) -> float:
+    return float(np.sum(a * b))
 
 
 def _magnitude(columns, weights, alpha=0.0):
@@ -1124,74 +1166,52 @@ def _magnitude(columns, weights, alpha=0.0):
                                   DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
                          ids=["fixed", "gaussian-1", "gaussian-3"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
-def test_reads_are_linear_functionals_of_the_recorded_outcomes(monkeypatch, coalition, plan,
-                                                               gain_mode, arms, r):
-    # every read's error, auxiliary and calibration residual, computed from its normals
-    # by the run's coefficient rows, match the estimator applied to the chunk's recorded
-    # outcomes, within 1e-13 of the spread of the terms the reference sums. The
-    # reference subtracts alpha from an estimate whose A outcome carries sqrt(eta_A) alpha,
-    # so on lossy arms it checks that the bias scale cancels the displacement
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
+def test_reads_are_linear_functionals_of_the_recorded_outcomes(coalition, plan, gain_mode, arms,
+                                                               r):
+    # a round's error, auxiliary and calibration residual, and its witness error, computed
+    # from its normals by the run's coefficient rows, match the estimators applied to the
+    # outcomes the factors make of those normals, within 1e-13 of the spread of the terms
+    # the reference sums. The reference subtracts alpha from an estimate whose A outcome
+    # carries sqrt(eta_A) alpha, so on lossy arms it checks that the bias scale cancels
+    # the displacement; the witness subtracts sqrt(eta_A) alpha/sqrt(2)
     model = (ExperimentModel(r=r) if arms == "ideal"
              else ExperimentModel(r=r, eta_a=0.82, eta_b=0.9, eps_c=0.05))
     run = protocol._ProtocolRun(model, plan, 600, coalition, POLICY, RandomStream(97), gain_mode,
                                 keep_records=True)
     fitted = run.fit is not None
-    n_reads = 0
-    for ch in _drawn(run):
-        for i, read in enumerate(ch.calibration + ch.reads):
-            quad = "xp"[read.quad]
-            cols = [getattr(ch.table, f"{quad}_{party}")[read.rows]
-                    if party in coalition.party_columns else None for party in "abc"]
-            alpha = getattr(ch.table, f"alpha_{quad}")[read.rows]
-            w0, w1 = estimators.WEIGHTS[coalition, read.quad]
-            if i < len(ch.calibration):
-                assert read.err is None
-                want = cols[0] - run.root_eta * alpha
-                got = run.functionals[read.quad].l00 * read.z[0]
-                bound = 1e-13 * _magnitude(cols[:1], [1.0], run.root_eta * alpha)
-                assert np.max(np.abs(got - want)) <= bound
-            else:
-                want = estimators.combine(cols, coalition, read.quad, run.gains) - alpha
-                g = run.gains.gain(coalition)
-                weights = run.gains.bias_scale * (w0 + g * w1)
-                bound = 1e-13 * _magnitude(cols, weights, alpha)
-                assert np.max(np.abs(read.err - want)) <= bound, (quad, bound)
-            if fitted:
-                want = estimators.weighted_sum(cols, -w1)
-                bound = 1e-13 * _magnitude(cols, w1)
-                assert np.max(np.abs(read.aux - want)) <= bound, (quad, bound)
-            else:
-                assert read.aux is None
-            n_reads += 1
-    assert n_reads == (4 if fitted else 2) * 3
-
-
-@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
-@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
-def test_only_witness_rounds_and_records_compute_outcomes(monkeypatch, coalition, gain_mode):
-    # the reads reduce to functionals of their normals, so a run without records turns
-    # normals into outcomes only for its witness rounds (none for a lone A); with records
-    # every round's x and p triples as well
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
-    columns = []
-    apply = protocol._apply
-
-    def counting_apply(factor, z, shift_a, out=None):
-        columns.append(z.shape[1])
-        return apply(factor, z, shift_a, out)
-
-    monkeypatch.setattr(protocol, "_apply", counting_apply)
-    n, plan = 5000, DisplacementPlan.gaussian_modulated(2.0)
-    res = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), gain_mode=gain_mode,
-                       keep_records=False)
-    lone = coalition is Coalition.A_ALONE
-    n_witness = 0 if lone else res.witness.n_x + res.witness.n_p
-    assert n_witness > 0 or lone
-    assert sum(columns) == n_witness
-    columns.clear()
-    run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), gain_mode=gain_mode)
-    assert sum(columns) == n_witness + 2 * n
+    assert (run.calib_laws[0] is not None) == fitted
+    gen = np.random.default_rng(97)
+    alpha = (2.0 * gen.standard_normal(600) if plan.kind == "gaussian"
+             else np.full(600, plan.alpha_x))
+    order = protocol._party_order(coalition)
+    for q, quad in enumerate("xp"):
+        z = gen.standard_normal((3, 600))
+        outcomes = protocol._apply(run.factors[q], z.copy(), run.root_eta * alpha)
+        by_party = {party: outcomes[order.index(j)] for j, party in enumerate("abc")}
+        cols = [by_party[party] if party in coalition.party_columns else None
+                for party in "abc"]
+        f = run.functionals[q]
+        n_read = f.c.size
+        w0, w1 = estimators.WEIGHTS[coalition, q]
+        want = estimators.combine(cols, coalition, q, run.gains) - alpha
+        g = run.gains.gain(coalition)
+        bound = 1e-13 * _magnitude(cols, run.gains.bias_scale * (w0 + g * w1), alpha)
+        assert np.max(np.abs(f.c @ z[:n_read] - want)) <= bound, (quad, bound)
+        want = cols[0] - run.root_eta * alpha
+        bound = 1e-13 * _magnitude(cols[:1], [1.0], run.root_eta * alpha)
+        assert np.max(np.abs(f.l00 * z[0] - want)) <= bound
+        if fitted:
+            want = estimators.weighted_sum(cols, -w1)
+            assert np.max(np.abs(f.aux @ z[:n_read] - want)) <= 1e-13 * _magnitude(cols, w1)
+        if coalition is not Coalition.A_ALONE:
+            # the witness reads all three outcomes; its law's sd times its direction
+            c_w = estimators.witness_estimate(np.eye(3), np.eye(3))[q]
+            triple = [by_party[party] for party in "abc"]
+            want = c_w @ np.stack(triple) - run.root_eta * alpha / math.sqrt(2.0)
+            sd, basis = run.witness_laws[q]
+            got = sd * (basis[:, 0] @ z)
+            bound = 1e-13 * _magnitude(triple, c_w, run.root_eta * alpha)
+            assert np.max(np.abs(got - want)) <= bound, (quad, bound)
 
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
@@ -1233,16 +1253,16 @@ def _two_pass_reports(model, plan, n, coalition, stream, gains):
     bias = estimators.RunningMoments()
     for ch in _drawn(protocol._ProtocolRun(model, plan, n, coalition, POLICY, stream, "fitted",
                                            keep_records=True)):
-        for r in ch.reads:
-            quad = "xp"[r.quad]
-            outcomes = {f"{quad}_{party}": getattr(ch.table, f"{quad}_{party}")[r.rows]
+        for q, quad in enumerate("xp"):
+            rows = _read_rounds(ch, coalition, q)
+            outcomes = {f"{quad}_{party}": getattr(ch.table, f"{quad}_{party}")[rows]
                         for party in coalition.party_columns}
-            truth = getattr(ch.table, f"alpha_{quad}")[r.rows]
+            truth = getattr(ch.table, f"alpha_{quad}")[rows]
             e = estimators.estimate(coalition, outcomes, gains, quad) - truth
-            witness, is_bias = ch.witness[r.rows], ch.bias[r.rows]
-            e_est = e[~(witness | is_bias)]
-            sq[r.quad].add(e_est * e_est)
-            bias.add(e[is_bias])
+            roles = ch.roles[rows]
+            e_est = e[roles == protocol.EST]
+            sq[q].add(e_est * e_est)
+            bias.add(e[roles == protocol.BIAS])
     split = estimators.RESOURCE_SPLIT_FACTOR
     return split * sq[0].mean, split * sq[1].mean, bias.mean, bias.standard_error()
 
@@ -1359,10 +1379,10 @@ def test_batch_distribution_follows_the_per_probe_normal_sum(coalition, n_probes
 
 @pytest.mark.parametrize("surrogate", [False, True], ids=["plain", "surrogate"])
 def test_witness_run_follows_the_law_of_its_folded_combination(surrogate):
-    # a round's witness error c.t - alpha_q/sqrt(2) is normal, with t ~ N(mu_q, Sigma_q)
-    # the outcomes of the distributed state, so split * e^2 has mean
+    # a round's witness error c.t - sqrt(eta_A) alpha_q/sqrt(2) is normal, with
+    # t ~ N(mu_q, Sigma_q) the outcomes of the distributed state, so split * e^2 has mean
     # split (sigma_q^2 + offset_q^2) and variance split^2 (2 sigma_q^4 + 4 sigma_q^2 offset_q^2);
-    # under loss on A the offset is (sqrt(eta_A) - 1) alpha_q / sqrt(2)
+    # A's outcome carries sqrt(eta_A) alpha_q, so the offset is 0 under loss on A too
     model = ExperimentModel(r=0.8, eta_a=0.9, eta_b=0.8, eps_c=0.05)
     alpha = (2.0, -1.5)
     res = witness_verification_run(model, *alpha, 200_000, RandomStream(89), surrogate=surrogate)
@@ -1375,6 +1395,274 @@ def test_witness_run_follows_the_law_of_its_folded_combination(surrogate):
                                  (res.mse_x, res.mse_p), (res.n_x, res.n_p)):
         idx = list(idx)
         var = c @ st.cov[np.ix_(idx, idx)] @ c
-        offset = c @ st.mean[idx] - a * h
+        offset = c @ st.mean[idx] - math.sqrt(model.eta_a) * a * h
         se = split * math.sqrt((2.0 * var * var + 4.0 * var * offset * offset) / n)
         assert abs(mse - split * (var + offset * offset)) <= 5.0 * se
+
+
+LOSSY = ExperimentModel(r=1.0, eta_a=0.9, eta_b=0.95, eps_c=0.02)
+
+
+def _run_chunks(model, plan, n, coalition, gain_mode, seed):
+    """A run that keeps its records, drawn chunk by chunk, and its reports."""
+    run = protocol._ProtocolRun(model, plan, n, coalition, POLICY, RandomStream(seed), gain_mode,
+                                keep_records=True)
+    chunks = list(_drawn(run))
+    return run, chunks, run.result()
+
+
+@pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
+                         ids=["fixed", "gaussian"])
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_reports_recomputed_from_the_records_match_the_run(monkeypatch, coalition, gain_mode,
+                                                          plan):
+    # the run's reports come from statistics drawn from their exact laws; its records are
+    # the rounds conditioned on those statistics, so the reference estimators applied to
+    # the records (the gain fitted by fit_gain, the MSE, the bias check and the witness
+    # through entanglement_check) give the same reports, across chunks of 256 rounds
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
+    run, chunks, (report, witness, bias) = _run_chunks(LOSSY, plan, 6000, coalition, gain_mode, 3)
+    lone = coalition is Coalition.A_ALONE
+    reads = []
+    for ch in chunks:
+        for q in (0, 1):
+            rows = _read_rounds(ch, coalition, q)
+            reads.append((q, _columns(ch.table, coalition, q, rows),
+                          getattr(ch.table, f"alpha_{'xp'[q]}")[rows], ch.roles[rows]))
+    gains = run.gains
+    if run.fit is not None:
+        r, u = [], []
+        for q, cols, alpha, roles in reads:
+            calib = roles == protocol.CALIB
+            r.append(cols[0][calib] - run.root_eta * alpha[calib])
+            w1 = estimators.WEIGHTS[coalition, q][1]
+            u.append(estimators.weighted_sum([None if c is None else c[calib] for c in cols], -w1))
+        g = fit_gain(np.concatenate(r), np.concatenate(u))
+        three = coalition is Coalition.ABC
+        gains = estimators.GainSet(0.0 if three else g, g if three else 0.0, gains.bias_scale)
+        assert report.gains.gain(coalition) == pytest.approx(g, rel=1e-12)
+    sq, residuals = ([], []), []
+    for q, cols, alpha, roles in reads:
+        e = estimators.combine(cols, coalition, q, gains) - alpha
+        sq[q].append(e[roles == protocol.EST])
+        residuals.append(e[roles == protocol.BIAS])
+    split = 1.0 if lone else estimators.RESOURCE_SPLIT_FACTOR
+    for got, errors in ((report.mse_x, sq[0]), (report.mse_p, sq[1])):
+        assert got == pytest.approx(split * estimators.empirical_mse(
+            np.concatenate(errors), np.zeros(sum(e.size for e in errors))), rel=1e-12)
+    mean, se = estimators.bias_check(np.concatenate(residuals),
+                                     np.zeros(sum(e.size for e in residuals)))
+    assert bias.standard_error == pytest.approx(se, rel=1e-12)
+    assert abs(bias.mean_error - mean) <= 1e-12 * se
+    if not lone:
+        witness_rounds = sum((ch.table[ch.roles == protocol.WITNESS] for ch in chunks[1:]),
+                             chunks[0].table[chunks[0].roles == protocol.WITNESS])
+        got = entanglement_check(witness_rounds, eta_a=LOSSY.eta_a)
+        assert (got.n_x, got.n_p, got.entangled) == (witness.n_x, witness.n_p, witness.entangled)
+        for name in ("mse_x", "mse_p", "mse_sum", "standard_error"):
+            assert getattr(got, name) == pytest.approx(getattr(witness, name), rel=1e-12), name
+
+
+@pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
+                         ids=["fixed", "gaussian"])
+@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_recorded_errors_follow_their_normal_law(monkeypatch, coalition, gain_mode, plan):
+    # a recorded estimation round's error at the analytic gain is N(0, |c|^2), with |c|^2
+    # the per-quadrature MSE that bounds.predicted_mse gives through its Schur complement
+    # (split between the quadratures for a coalition that reads one per round), although
+    # the records draw it conditioned on the chunk's drawn sum of squares
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
+    run, chunks, _ = _run_chunks(LOSSY, plan, 8000, coalition, gain_mode, 29)
+    split = 1.0 if coalition is Coalition.A_ALONE else estimators.RESOURCE_SPLIT_FACTOR
+    for q, mse in enumerate(predicted_mse(LOSSY, coalition)[:2]):
+        errors = []
+        for ch in chunks:
+            rows = _read_rounds(ch, coalition, q) & (ch.roles == protocol.EST)
+            alpha = getattr(ch.table, f"alpha_{'xp'[q]}")[rows]
+            cols = _columns(ch.table, coalition, q, rows)
+            errors.append(estimators.combine(cols, coalition, q, run.gains) - alpha)
+        errors = np.concatenate(errors)
+        assert errors.size > 500
+        p = scipy.stats.kstest(errors, scipy.stats.norm(scale=math.sqrt(mse / split)).cdf).pvalue
+        assert p > 1e-3, (q, p)
+
+
+def _per_round_fitted_mse_x(model, coalition, n, gen):
+    """A one-chunk fitted run's mse_x the long way, round by round: a coin per basis, the
+    witness, bias and calibration subsets picked round by round under the run's take
+    rule, every kept round's outcomes as a draw of the dealer covariance, the gain
+    fitted by least squares over the calibration rounds, and the x estimation rounds'
+    squared errors at that gain."""
+    dealer, shared, outsider = gen.integers(0, 2, (3, n))
+    kept = shared == dealer
+    pool = kept if coalition is Coalition.ABC else kept & (outsider == dealer)
+
+    def pick(mask, take):
+        chosen = np.zeros(n, dtype=bool)
+        idx = np.flatnonzero(mask)
+        chosen[gen.choice(idx, min(take, idx.size), replace=False)] = True
+        return chosen
+
+    witness = pick(pool, round(POLICY.witness_fraction * n))
+    bias = pick(kept & ~witness, round(POLICY.bias_fraction * n))
+    est = kept & ~witness & ~bias
+    calib = pick(est, int(est.sum()) // 2)
+    cov = build_dealer_state(model, 0.0, 0.0).cov
+    r, u, cols_x = [], [], None
+    for q, idx in enumerate(estimators.TRIPLE_INDICES):
+        rows = kept & (dealer == q)
+        t = gen.multivariate_normal(np.zeros(3), cov[np.ix_(idx, idx)], int(rows.sum())).T
+        cols = [t[j] if party in coalition.party_columns else None
+                for j, party in enumerate("abc")]
+        c = calib[rows]
+        r.append(cols[0][c])
+        u.append(estimators.weighted_sum([None if x is None else x[c] for x in cols],
+                                         -estimators.WEIGHTS[coalition, q][1]))
+        if q == 0:
+            cols_x = [None if x is None else x[(est & ~calib)[rows]] for x in cols]
+    g = fit_gain(np.concatenate(r), np.concatenate(u))
+    three = coalition is Coalition.ABC
+    gains = estimators.gains_for_model(model, coalition)
+    gains = estimators.GainSet(0.0 if three else g, g if three else 0.0, gains.bias_scale)
+    e = estimators.combine(cols_x, coalition, 0, gains)
+    return estimators.RESOURCE_SPLIT_FACTOR * float(np.mean(e * e))
+
+
+@pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.AC, Coalition.ABC],
+                         ids=lambda c: c.value)
+def test_fitted_mse_follows_the_per_round_simulation(coalition):
+    # a fitted run draws its calibration and estimation scatters from their exact Wishart
+    # laws; over 2,000 seeds of a 400-round run its mse_x follows the law of simulating
+    # every round, picking every subset and fitting the gain (two-sample KS)
+    model = ExperimentModel(r=1.0, eta_a=0.9, eta_b=0.95, eps_c=0.02)
+    got = [run_protocol(model, DisplacementPlan.fixed(0.0, 0.0), 400, coalition, POLICY,
+                        RandomStream(seed), gain_mode="fitted",
+                        keep_records=False).mse_report.mse_x for seed in range(2000)]
+    gen = np.random.default_rng(113)
+    want = [_per_round_fitted_mse_x(model, coalition, 400, gen) for _ in range(2000)]
+    assert scipy.stats.ks_2samp(got, want).pvalue > 1e-3
+
+
+def test_wishart_draws_of_one_round_or_none():
+    # Bartlett's factor for k < 2 rounds: no round gives a zero scatter, one round the
+    # outer product of one normal vector; the records' rows then have that scatter
+    assert protocol._bartlett((0.0, 0.0), 0.7, 0) == ((0.0, 0.0), (0.0, 0.0))
+    one = protocol._bartlett((1.3, 0.0), 0.7, 1)
+    assert one == ((math.sqrt(2.6), 0.0), (0.7, 0.0))
+    free = np.array([[0.4], [-1.1]])
+    y = free + protocol._stiefel_shift(free, one)
+    np.testing.assert_allclose(y @ y.T, np.array(one) @ np.array(one).T, rtol=1e-15)
+    assert protocol._stiefel_shift(np.empty((2, 0)), protocol._bartlett((0.0, 0.0), 0.2, 0)
+                                   ).shape == (2, 0)
+    # one functional: the round's value takes the drawn size and keeps its sign
+    y = np.array([[-0.3]]) + protocol._stiefel_shift(np.array([[-0.3]]), ((2.0,),))
+    assert y.tolist() == [[-2.0]]
+    # a scatter of several rounds: the rows' scatter is the Bartlett factor's
+    free = np.random.default_rng(5).standard_normal((2, 7))
+    a = protocol._bartlett((2.5, 1.7), -0.4, 7)
+    y = free + protocol._stiefel_shift(free, a)
+    np.testing.assert_allclose(y @ y.T, np.array(a) @ np.array(a).T, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("aux", ["proportional", "zero"])
+def test_degenerate_wishart_scales(monkeypatch, aux):
+    # an auxiliary proportional to the error, or zero, makes the scale of their Wishart
+    # singular: the whitening gives it a zero diagonal entry, and every drawn scatter
+    # keeps u = -2 e (or u = 0) with and without records
+    orig = protocol._functionals
+
+    def degenerate(factor, coalition, quad, gains):
+        f = orig(factor, coalition, quad, gains)
+        return f._replace(aux=-2.0 * f.c if aux == "proportional" else np.zeros_like(f.c))
+
+    monkeypatch.setattr(protocol, "_functionals", degenerate)
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
+    plan = DisplacementPlan.gaussian_modulated(2.0)
+    run = protocol._ProtocolRun(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
+                                "fitted", keep_records=True)
+    for q in (0, 1):
+        (l00, _), (l10, l11) = run.read_laws[q].lower
+        assert abs(l11) <= 1e-15 * l00
+        assert l10 == (pytest.approx(-2.0 * l00, rel=1e-15) if aux == "proportional" else 0.0)
+    for ch in _drawn(run):
+        for q in (0, 1):
+            s_ee, s_eu, s_uu = protocol._scatter(run.read_laws[q].lower, ch.stats.est[q])
+            factor = -2.0 if aux == "proportional" else 0.0
+            assert s_eu == pytest.approx(factor * s_ee, rel=1e-12, abs=1e-300)
+            assert s_uu == pytest.approx(factor * factor * s_ee, rel=1e-12, abs=1e-300)
+            e, u = protocol._values(run.read_laws[q].lower, ch.stats.bias[q])
+            np.testing.assert_allclose(u, factor * e, rtol=1e-12, atol=1e-15)
+    for keep_records in (False, True):
+        if aux == "zero":
+            with pytest.raises(DegenerateAuxiliaryError):
+                run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
+                             gain_mode="fitted", keep_records=keep_records)
+    if aux == "proportional":
+        off = run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
+                           gain_mode="fitted", keep_records=False)
+        on = run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
+                          gain_mode="fitted")
+        assert tuple(on[1:]) == tuple(off[1:])
+
+
+def test_fewer_than_two_calibration_rounds_fail_with_and_without_records():
+    greedy = ProtocolPolicy(witness_fraction=0.5, bias_fraction=0.5)
+    for keep_records in (False, True):
+        with pytest.raises(ProtocolFailureError, match="not enough calibration rounds"):
+            run_protocol(IDEAL, PLAN, 10, Coalition.ABC, greedy, RandomStream(0),
+                         gain_mode="fitted", keep_records=keep_records)
+
+
+def test_witness_under_loss_does_not_depend_on_the_secret():
+    # A's outcome carries sqrt(eta_A) alpha and the witness subtracts sqrt(eta_A)
+    # alpha/sqrt(2), so at eta_A = 0.5 a large secret reads as entangled as none
+    lossy = ExperimentModel(r=1.0, eta_a=0.5)
+
+    def within(a, b):
+        assert a.status == b.status == "ok" and a.entangled is b.entangled is True
+        assert abs(a.mse_sum - b.mse_sum) <= 5.0 * math.hypot(a.standard_error,
+                                                              b.standard_error)
+
+    within(witness_verification_run(lossy, 30.0, 30.0, 200_000, RandomStream(9)),
+           witness_verification_run(lossy, 0.0, 0.0, 200_000, RandomStream(10)))
+    runs = [run_protocol(lossy, plan, 200_000, Coalition.ABC, POLICY, RandomStream(seed),
+                         keep_records=False).witness
+            for plan, seed in ((DisplacementPlan.gaussian_modulated(100.0), 9), (PLAN, 10))]
+    within(*runs)
+    # the records hold the displacement before loss, so their witness check takes eta_A
+    _, chunks, (_, witness, _) = _run_chunks(lossy, DisplacementPlan.gaussian_modulated(100.0),
+                                             20_000, Coalition.ABC, "analytic", 9)
+    rounds = chunks[0].table[chunks[0].roles == protocol.WITNESS]
+    got = entanglement_check(rounds, eta_a=0.5)
+    assert got.entangled is True
+    assert got.mse_sum == pytest.approx(witness.mse_sum, rel=1e-12)
+    # read as eta_A = 1, each round's witness error gains (1 - sqrt(eta_A)) alpha / sqrt(2)
+    assert entanglement_check(rounds).mse_sum > 5.0 * got.mse_sum
+    with pytest.raises(InvalidArgumentError, match=r"^eta_a must be in \[ETA_MIN = 1e-12, 1\]$"):
+        entanglement_check(rounds, eta_a=1.5)
+
+
+def test_readme_states_the_size_of_the_bias_rule():
+    # the bias verdict |mean| <= 5 SE over n residuals is a t test with n - 1 degrees of
+    # freedom; the README's false-alarm rates are its two-sided tails, to the digits shown
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("| pool n |"))
+    pools = [cell.strip() for cell in lines[head].strip("|").split("|")][1:]
+    # the row's label holds escaped pipes, |t|
+    rates = [cell.strip() for cell in lines[head + 2].replace("\\|", "").strip("|").split("|")][1:]
+    assert pools == ["2", "5", "10", "20", "100", "normal"]
+    for pool, rate in zip(pools, rates):
+        want = (2.0 * scipy.stats.norm.sf(5.0) if pool == "normal"
+                else 2.0 * scipy.stats.t.sf(5.0, int(pool) - 1))
+        digits = len(rate.split("e")[0].replace(".", "").lstrip("0"))
+        assert float(rate) == float(f"{want:.{digits}g}"), (pool, rate, want)
+    # the smallest pool that reads ok is 2 residuals, as a lone A's single bias round gives
+    res = run_protocol(IDEAL, PLAN, 20, Coalition.A_ALONE, POLICY, RandomStream(0),
+                       keep_records=False)
+    assert res.bias.n_rounds == 1 and res.bias.status == "ok"
+    res = run_protocol(IDEAL, PLAN, 10, Coalition.A_ALONE, POLICY, RandomStream(0),
+                       keep_records=False)
+    assert res.bias.status == "insufficient-rounds"
