@@ -317,11 +317,8 @@ def _triple_factors(cov: np.ndarray, order: tuple[int, int, int]) -> tuple[np.nd
                  for idx in ([quad[j] for j in order] for quad in (x, p)))
 
 
-def _apply(
-    factor: np.ndarray, z: np.ndarray, shift_a: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Outcomes ``factor @ z`` of the first ``z.shape[0]`` rows, plus ``shift_a`` on A.
+def _apply(factor: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Outcomes ``factor @ z`` of the first ``z.shape[0]`` rows, before A's displacement.
 
     ``z`` holds one row of normals per party, so every row read and
     written is contiguous. The factor is lower-triangular, so a row's
@@ -336,8 +333,6 @@ def _apply(
         for i in range(1, j + 1):
             row += factor[j, i] * z[i]
         out[j] = row
-    if shift_a is not None:
-        out[0] += shift_a
     return out
 
 
@@ -413,8 +408,9 @@ class _Whitened(NamedTuple):
 def _whiten(rows: list[np.ndarray]) -> _Whitened:
     """Gram-Schmidt of the functionals' coefficient rows, each product one ``math.fsum``
     and each projection taken twice. A row in the span of those before it, such as an
-    auxiliary proportional to the error or a zero one, gets a zero diagonal entry and a
-    zero column, so its functional is a multiple of the earlier ones."""
+    auxiliary proportional to the error or a zero one, gets a diagonal entry of zero (or
+    of rounding size, with a direction that then weighs nothing), so its functional is a
+    multiple of the earlier ones."""
     lower = [[0.0] * len(rows) for _ in rows]
     basis = []
     for j, f in enumerate(rows):
@@ -574,11 +570,14 @@ WITNESS, BIAS, CALIB, EST, DISCARDED = range(5)
 #: the round is kept, A's basis (a lone A's is dual homodyne, code 2) and the outsider's basis,
 #: the dealer's in the witness pool and the other one outside it (-1 for a discarded round, whose
 #: outsider flips a coin of its own)
-_LABEL_ROLE, _LABEL_DEALER, _LABEL_POOL = (a.ravel().astype(np.int8)
-                                           for a in np.indices((5, 2, 2)))
-_LABEL_KEPT = _LABEL_ROLE != DISCARDED
-_LABEL_BASIS_A = np.where(_LABEL_KEPT, _LABEL_DEALER, 1 - _LABEL_DEALER).astype(np.int8)
-_LABEL_OUTSIDER = np.where(_LABEL_KEPT, _LABEL_DEALER ^ _LABEL_POOL, -1).astype(np.int8)
+_LABELS = [(role, d, pool) for role in range(5) for d in (0, 1) for pool in (0, 1)]
+_LABEL_ROLE = np.array([role for role, _, _ in _LABELS], dtype=np.int8)
+_LABEL_DEALER = np.array([d for _, d, _ in _LABELS], dtype=np.int8)
+_LABEL_KEPT = np.array([role != DISCARDED for role, _, _ in _LABELS])
+_LABEL_BASIS_A = np.array([d if role != DISCARDED else 1 - d for role, d, _ in _LABELS],
+                          dtype=np.int8)
+_LABEL_OUTSIDER = np.array([d ^ pool if role != DISCARDED else -1 for role, d, pool in _LABELS],
+                           dtype=np.int8)
 
 
 class _Stats(NamedTuple):
@@ -1007,8 +1006,10 @@ def run_protocol(
         gain and moves its sums to the fitted gain at the end (:class:`_Fit`).
     :param keep_records: return every round as a :class:`RoundTable`,
         allocated once and filled from each chunk's table as the chunk
-        is drawn; with False the table is empty and memory does not grow
-        with n_rounds (for large runs where only the reports matter).
+        is drawn; with False the table is empty, memory does not grow
+        with n_rounds, and each chunk draws only the statistics its
+        reports read (for large runs where only the reports matter). The
+        reports are the same either way.
     :raises ResourceLimitError: n_rounds is above :data:`MAX_ROUNDS`, or
         above :data:`MAX_RECORD_ROUNDS` when the records are kept.
     :raises AbortLossError: the declared signal-arm transmissivity is

@@ -886,9 +886,9 @@ def test_only_the_records_compute_outcomes(monkeypatch, coalition, gain_mode):
     columns = []
     apply = protocol._apply
 
-    def counting_apply(factor, z, shift_a=None, out=None):
+    def counting_apply(factor, z, out=None):
         columns.append(z.shape[1])
-        return apply(factor, z, shift_a, out)
+        return apply(factor, z, out)
 
     monkeypatch.setattr(protocol, "_apply", counting_apply)
     n, plan = 5000, DisplacementPlan.gaussian_modulated(2.0)
@@ -1186,7 +1186,8 @@ def test_reads_are_linear_functionals_of_the_recorded_outcomes(coalition, plan, 
     order = protocol._party_order(coalition)
     for q, quad in enumerate("xp"):
         z = gen.standard_normal((3, 600))
-        outcomes = protocol._apply(run.factors[q], z.copy(), run.root_eta * alpha)
+        outcomes = protocol._apply(run.factors[q], z.copy())
+        outcomes[0] += run.root_eta * alpha
         by_party = {party: outcomes[order.index(j)] for j, party in enumerate("abc")}
         cols = [by_party[party] if party in coalition.party_columns else None
                 for party in "abc"]
