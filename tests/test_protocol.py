@@ -226,12 +226,12 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
     role, dealer, pool = label // 4, (label // 2) % 2, label % 2
     kept = role != 4
     if lone:
-        bases = {"a": np.full(n, XP), "b": gen_coins(gen, n), "c": gen_coins(gen, n)}
+        bases = {"a": np.full(n, XP), "b": _coins(gen, n), "c": _coins(gen, n)}
     else:
         shared = np.where(kept, dealer, 1 - dealer)
         other = np.where(pool == 0, dealer, 1 - dealer)
         if not three:
-            other[~kept] = gen_coins(gen, int((~kept).sum()))
+            other[~kept] = _coins(gen, int((~kept).sum()))
         else:
             other = shared
         bases = {"a": shared, "b": other if coalition is Coalition.AC else shared,
@@ -279,7 +279,7 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
     return want
 
 
-def gen_coins(gen, n):
+def _coins(gen, n):
     """n fair coins: the bits of ceil(n / 8) random bytes, most significant bit first."""
     return np.unpackbits(np.frombuffer(gen.bytes(-(-n // 8)), np.uint8))[:n].astype(np.int8)
 
@@ -1570,8 +1570,8 @@ def test_wishart_draws_of_one_round_or_none():
 @pytest.mark.parametrize("aux", ["proportional", "zero"])
 def test_degenerate_wishart_scales(monkeypatch, aux):
     # an auxiliary proportional to the error, or zero, makes the scale of their Wishart
-    # singular: the whitening gives it a zero diagonal entry, and every drawn scatter
-    # keeps u = -2 e (or u = 0) with and without records
+    # singular: the whitening gives it a diagonal entry of rounding size at most, and
+    # every drawn scatter and bias round keeps u = -2 e (or u = 0)
     orig = protocol._functionals
 
     def degenerate(factor, coalition, quad, gains):
@@ -1595,12 +1595,13 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
             assert s_uu == pytest.approx(factor * factor * s_ee, rel=1e-12, abs=1e-300)
             e, u = protocol._values(run.read_laws[q].lower, ch.stats.bias[q])
             np.testing.assert_allclose(u, factor * e, rtol=1e-12, atol=1e-15)
-    for keep_records in (False, True):
-        if aux == "zero":
+    if aux == "zero":
+        # a zero auxiliary cannot fit a gain, with or without records
+        for keep_records in (False, True):
             with pytest.raises(DegenerateAuxiliaryError):
                 run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
                              gain_mode="fitted", keep_records=keep_records)
-    if aux == "proportional":
+    else:
         off = run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
                            gain_mode="fitted", keep_records=False)
         on = run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
