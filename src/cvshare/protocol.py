@@ -23,7 +23,9 @@ report reads from a round is a fixed linear functional of its normals
 (:class:`_Functionals`): its error c·z at the analytic gain, its gain
 auxiliary, its calibration residual and, in a witness round, its witness
 error. The displacement cancels from each of them, so no report reads
-it.
+it. One derivation gives the factors, gains and functionals of a run
+and of a batch (:func:`_coalition_laws`), and each role of a run's
+rounds reads them through one whitened law (:class:`_Whitened`).
 
 So a chunk draws the exact law of what its reports read, not its rounds
 (:meth:`_ProtocolRun._draw`): the counts of its rounds per basis cell
@@ -304,7 +306,8 @@ def _party_order(coalition: Coalition) -> tuple[int, int, int]:
 
 def _triple_factors(cov: np.ndarray, order: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of the x block and the p block of a dealer covariance, their
-    parties in ``order``.
+    parties in ``order``: the one rule by which a run, a witness run and a batch turn a
+    covariance into the factors they draw through.
 
     Squeezing, the beamsplitters, loss and noise act on x and p
     separately, so a dealer state has no x-p correlation and its x and
@@ -339,12 +342,12 @@ def _apply(factor: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> 
 class _Functionals(NamedTuple):
     """The linear functionals of a round's normals z that the reports take, in one quadrature.
 
-    ``c`` and ``aux`` hold one coefficient per read row, in the factors'
-    order (:func:`_party_order`). A round's error is ``c @ z`` with
-    c = w^T L, w = bias_scale (w0 + g0 w1) the estimator's weights at the
-    analytic gain g0 and L the quadrature's factor. Its gain auxiliary is
-    ``aux @ z``, aux = (-w1)^T L, and its calibration residual
-    x_A - sqrt(eta_A) alpha is ``l00 * z[0]``.
+    ``c`` and ``aux`` hold one coefficient per normal, in the factors'
+    order (:func:`_party_order`), zero past the rows the estimator reads.
+    A round's error is ``c @ z`` with c = w^T L, w = bias_scale (w0 + g0 w1)
+    the estimator's weights at the analytic gain g0 and L the quadrature's
+    factor. Its gain auxiliary is ``aux @ z``, aux = (-w1)^T L, and its
+    calibration residual x_A - sqrt(eta_A) alpha is ``l00 * z[0]``.
     """
 
     c: np.ndarray
@@ -353,26 +356,12 @@ class _Functionals(NamedTuple):
 
 
 def _coefficients(factor: np.ndarray, weights) -> np.ndarray:
-    """The coefficients w^T L over the normals of the first len(w) rows of a lower
-    factor L, each one ``math.fsum`` of its terms: L is lower-triangular, so the
-    coefficient of normal i sums over the rows j >= i."""
+    """The coefficients w^T L over the normals of every row of a lower factor L, for weights
+    w on its first len(w) rows, each one ``math.fsum`` of its terms: L is lower-triangular,
+    so the coefficient of normal i sums over the rows j >= i, and it is zero past len(w)."""
     n = len(weights)
     return np.array([math.fsum(weights[j] * factor[j, i] for j in range(i, n))
-                     for i in range(n)])
-
-
-def _functional_sd(factor: np.ndarray, c) -> float:
-    """sd = √(cᵀΣc) of the linear functional c·t of normal outcomes t = L z, with Σ = L Lᵀ
-    and z standard normals: the norm of its coefficients L^T c over the normals.
-
-    It is the law of every error a report reads, N(mean, sd²): the witness
-    error of a run and of :func:`witness_verification_run` (c the witness
-    weights over (A, B, C)), and a probe's error in
-    :func:`batch_mse_distribution` (c the estimator's weights over the
-    outcomes it reads). Taken from the factor, a run's law is the one its
-    records are drawn from, and no sum cancels the e^{±2r} entries of Σ.
-    """
-    return math.sqrt(math.fsum(x * x for x in _coefficients(factor, c)))
+                     for i in range(factor.shape[0])])
 
 
 def _functionals(factor: np.ndarray, coalition: Coalition, quad: int,
@@ -391,6 +380,45 @@ def _functionals(factor: np.ndarray, coalition: Coalition, quad: int,
     return _Functionals(
         _coefficients(factor, [gains.bias_scale * (w0[p] + g * w1[p]) for p in parties]),
         _coefficients(factor, [-w1[p] for p in parties]), float(factor[0, 0]))
+
+
+class _CoalitionLaws(NamedTuple):
+    """A coalition's estimate gains, and per quadrature (x, then p) its factor, parties in
+    ``order``, and the :class:`_Functionals` its reads take (:func:`_coalition_laws`)."""
+
+    gains: GainSet
+    order: tuple[int, int, int]
+    factors: tuple[np.ndarray, np.ndarray]
+    functionals: list[_Functionals]
+
+
+def _coalition_laws(model: ExperimentModel, coalition: Coalition) -> _CoalitionLaws:
+    """The laws a run and a batch sample a coalition's reads from, under a model.
+
+    Every error a report reads is a fixed linear functional of the normals
+    behind a round's outcomes, so this is the one derivation of them: the
+    dealer covariance, its factors (:func:`_triple_factors`), the gains and
+    the functionals at those gains. A lone A's dual homodyne adds a unit
+    vacuum to each of A's quadratures, so its outcome is one normal of the
+    model's variance plus 1, and B's and C's are drawn conditional on it;
+    its estimate reads A alone, with no gain, only the 1/sqrt(eta_A) bias
+    scale.
+
+    :raises InvalidArgumentError: ``coalition`` is not a :class:`Coalition`.
+    """
+    if not isinstance(coalition, Coalition):
+        raise InvalidArgumentError(f"unknown coalition {coalition!r}")
+    cov = dealer_covariances([model.r], model)[0]
+    if coalition is Coalition.A_ALONE:
+        a = [estimators.X_A, estimators.P_A]
+        cov[a, a] += 1.0
+        gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / math.sqrt(model.eta_a))
+    else:
+        gains = estimators.gains_for_model(model, coalition)
+    order = _party_order(coalition)
+    factors = _triple_factors(cov, order)
+    return _CoalitionLaws(gains, order, factors,
+                          [_functionals(f, coalition, q, gains) for q, f in enumerate(factors)])
 
 
 class _Whitened(NamedTuple):
@@ -426,6 +454,17 @@ def _whiten(rows: list[np.ndarray]) -> _Whitened:
     return _Whitened(tuple(map(tuple, lower)), np.array(basis).T)
 
 
+def _witness_laws(factors, order: tuple[int, int, int]) -> tuple[np.ndarray, list[_Whitened]]:
+    """The witness weights c over (A, B, C) per quadrature, folded once, and the law of
+    each quadrature's witness error c·t over the normals of its factor, parties in ``order``.
+
+    The witness weighs A by 1/sqrt(2) and subtracts sqrt(eta_A) alpha/sqrt(2), the mean
+    A's outcome carries, so its error is a functional of the three normals, with no alpha."""
+    weights = estimators.witness_estimate(np.eye(3), np.eye(3))
+    return weights, [_whiten([_coefficients(f, [c[p] for p in order])])
+                     for f, c in zip(factors, weights)]
+
+
 def _bartlett(gamma: tuple[float, ...], normal: float, k: int) -> tuple[tuple[float, ...], ...]:
     """Lower Bartlett factor A of a standard Wishart of k degrees of freedom, A Aᵀ ~ W(I, k):
     sqrt(2 Gamma(k/2)) and sqrt(2 Gamma((k - 1)/2)) on the diagonal and a standard normal
@@ -459,8 +498,10 @@ def _values(lower, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _coordinates(z: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """basis.T @ z, one row per basis column and one column per round, from the normals z
-    (one row per normal); zero for a zero column. Element by element, without the BLAS,
-    so the records' bytes do not depend on its kernel."""
+    (one row per normal); a normal whose coefficient is zero is not read, and a zero column
+    gives zeros. Element by element, without the BLAS, so the records' bytes do not depend
+    on its kernel. One column is returned without a copy: the copy raised the peak RSS
+    of a --dump-rounds run by about 2 MB."""
     if basis.shape[1] == 1:
         return weighted_sum(z, basis[:, 0])[None]
     return np.stack([weighted_sum(z, b) if b.any() else np.zeros(z.shape[1]) for b in basis.T])
@@ -501,39 +542,36 @@ def _stiefel_shift(free: np.ndarray, bartlett) -> np.ndarray:
     return out
 
 
-class _Blocks:
-    """A gaussian plan's displacement draws over the rounds [start, end) of one chunk.
+def _displacements(plan: DisplacementPlan, start: int, end: int, carry: list[float],
+                   gen: np.random.Generator) -> tuple:
+    """The applied displacement of each round of [start, end), x and p.
 
-    A block of n_rep rounds shares one draw per quadrature. Only the
-    records read a displacement (it cancels from every error a report
-    reads), so only a run that keeps its records makes a :class:`_Blocks`.
-    A block that began in an earlier chunk was drawn there and its draw is
-    carried in; :meth:`draw` draws the others, x values before p values.
+    Only the records read a displacement (it cancels from every error a
+    report reads). A fixed plan's is one scalar per quadrature. A gaussian
+    plan's blocks of n_rep rounds share one draw per quadrature: a block
+    that began in an earlier chunk was drawn there and its draw is in
+    ``carry``, the others are drawn here, x values before p values, and
+    the last block's draw becomes the carry of the next chunk.
     """
-
-    def __init__(self, plan: DisplacementPlan, start: int, end: int, carry: list[float]):
-        self.plan, self.start, self.end, self.carry = plan, start, end, carry
-
-    def draw(self, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """The applied displacement of each round, x and p; the last block's draw becomes
-        the carry of the next chunk."""
-        n_rep, start, end = self.plan.n_rep, self.start, self.end
-        carried = start % n_rep != 0
-        first = start // n_rep
-        n_blocks = (end - 1) // n_rep - first + 1
-        values = np.empty((2, n_blocks))
-        sd = math.sqrt(self.plan.v_dist)
-        for q in (0, 1):
-            draw = gen.standard_normal(n_blocks - carried)
-            draw *= sd
-            values[q, carried:] = draw
-            if carried:
-                values[q, 0] = self.carry[q]
-        self.carry[:] = values[:, -1].tolist()
-        if n_rep == 1:
-            return values[0], values[1]
-        block = np.arange(start, end) // n_rep - first
-        return tuple(v[block] * self.plan.scale for v in values)
+    if plan.kind == "fixed":
+        return plan.alpha_x * plan.scale, plan.alpha_p * plan.scale
+    n_rep = plan.n_rep
+    carried = start % n_rep != 0
+    first = start // n_rep
+    n_blocks = (end - 1) // n_rep - first + 1
+    values = np.empty((2, n_blocks))
+    sd = math.sqrt(plan.v_dist)
+    for q in (0, 1):
+        draw = gen.standard_normal(n_blocks - carried)
+        draw *= sd
+        values[q, carried:] = draw
+        if carried:
+            values[q, 0] = carry[q]
+    carry[:] = values[:, -1].tolist()
+    if n_rep == 1:
+        return values[0], values[1]
+    block = np.arange(start, end) // n_rep - first
+    return tuple(v[block] * plan.scale for v in values)
 
 
 def _coin(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -581,19 +619,20 @@ _LABEL_OUTSIDER = np.array([d ^ pool if role != DISCARDED else -1 for role, d, p
 
 
 class _Stats(NamedTuple):
-    """The statistics a chunk's reports read, per quadrature (x, then p).
+    """The statistics a chunk's reports read, indexed by role (:data:`WITNESS` to
+    :data:`EST`) and then by quadrature (x, then p), in the whitened coordinates of the
+    role's law (:attr:`_ProtocolRun.laws`).
 
-    ``est`` and ``calib`` hold the Bartlett factors of the estimation and
-    calibration rounds' scatter of their functionals, in whitened
-    coordinates (``calib`` is None unless the gains are fitted); ``bias``
-    holds the bias rounds' whitened coordinates, one row per functional,
-    and ``witness`` the witness rounds' standard normals.
+    The witness and bias rounds' entries hold their coordinates, one row
+    per functional and one column per round. The calibration and
+    estimation rounds' hold the Bartlett factor of their scatter
+    (``calib`` is None unless the gains are fitted).
     """
 
-    est: tuple
-    calib: tuple | None
-    bias: tuple[np.ndarray, np.ndarray]
     witness: tuple[np.ndarray, np.ndarray]
+    bias: tuple[np.ndarray, np.ndarray]
+    calib: tuple | None
+    est: tuple
 
 
 class _Chunk(NamedTuple):
@@ -719,49 +758,27 @@ class _ProtocolRun:
             raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_ROUNDS}")
         if gain_mode not in ("analytic", "fitted"):
             raise InvalidArgumentError("gain_mode must be 'analytic' or 'fitted'")
-        if not isinstance(coalition, Coalition):
-            raise InvalidArgumentError(f"unknown coalition {coalition!r}")
+        laws = _coalition_laws(model, coalition)
         if model.eta_a < policy.eta_min:
             raise AbortLossError(
                 f"declared eta_A={model.eta_a} below policy minimum {policy.eta_min}")
         lone = coalition is Coalition.A_ALONE
-        root_eta = math.sqrt(model.eta_a)
-        cov = dealer_covariances([model.r], model)[0]
-        if lone:
-            # dual homodyne adds a unit vacuum to each of A's quadratures, so A's outcome
-            # is one normal of the model's variance plus 1, and B's and C's are drawn
-            # conditional on it
-            a = [estimators.X_A, estimators.P_A]
-            cov[a, a] += 1.0
-            self.gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / root_eta)
-        else:
-            self.gains = estimators.gains_for_model(model, coalition)
+        self.gains, self.order, self.factors, self.functionals = laws
         self.plan, self.policy, self.stream = plan, policy, stream
         self.coalition, self.lone, self.n_rounds = coalition, lone, n_rounds
-        self.keep_records, self.root_eta = keep_records, root_eta
-        self.order = _party_order(coalition)
-        # the parties the estimator reads, which the order puts first
-        self.n_read = len(coalition.party_columns)
-        self.factors = _triple_factors(cov, self.order)
-        self.functionals = [_functionals(f, coalition, q, self.gains)
-                            for q, f in enumerate(self.factors)]
+        self.keep_records, self.root_eta = keep_records, math.sqrt(model.eta_a)
         fitted = gain_mode == "fitted" and not lone
         self.fit = _Fit(coalition) if fitted else None
-        # per quadrature the whitened functionals of the estimation and bias rounds (the
-        # error, and its auxiliary in a fitted run), of the calibration rounds (residual
-        # and auxiliary), and the witness error's sd and direction over the normals
-        self.read_laws = [_whiten([f.c, f.aux] if fitted else [f.c]) for f in self.functionals]
-        self.calib_laws = [_whiten([np.eye(self.n_read)[0] * f.l00, f.aux]) if fitted else None
-                           for f in self.functionals]
-        self.witness_laws = []
-        if not lone:
-            # the witness weighs A by 1/sqrt(2) and subtracts sqrt(eta_A) alpha/sqrt(2), the
-            # mean A's outcome carries, so its error is a functional of all three normals
-            weights = estimators.witness_estimate(np.eye(3), np.eye(3))
-            for factor, c in zip(self.factors, weights):
-                c = [c[p] for p in self.order]
-                self.witness_laws.append((_functional_sd(factor, c),
-                                          _whiten([_coefficients(factor, c)]).basis))
+        # per role and quadrature the whitened functionals its rounds read: the witness
+        # error (a lone A witnesses nothing, so its law weighs no normal); the error, and
+        # its auxiliary in a fitted run, of the bias and estimation rounds; the residual
+        # and auxiliary of a fitted run's calibration rounds
+        witness = ([_whiten([np.zeros(3)])] * 2 if lone
+                   else _witness_laws(self.factors, self.order)[1])
+        read = [_whiten([f.c, f.aux] if fitted else [f.c]) for f in self.functionals]
+        calib = ([_whiten([np.eye(3)[0] * f.l00, f.aux]) for f in self.functionals] if fitted
+                 else None)
+        self.laws = (witness, read, calib, read)
         # a round's cell per dealer basis: kept in the witness pool, kept outside it,
         # discarded. A lone A keeps every round and witnesses none; all three keep a
         # round where the shared coin meets the dealer's, and that round is in the pool;
@@ -821,8 +838,8 @@ class _ProtocolRun:
         the estimation rounds and then of the calibration rounds) and one
         standard normal array (Bartlett's normals, then per quadrature the
         bias rounds' whitened coordinates, one row per functional, then the
-        witness rounds' normals, x before p in each). A run without records
-        draws nothing else. A run with records then draws the rounds
+        witness rounds' one coordinate, x before p in each). A run without
+        records draws nothing else. A run with records then draws the rounds
         conditioned on those statistics (:meth:`_records`).
         """
         counts = self._counts(gen, end - start, end)
@@ -835,8 +852,9 @@ class _ProtocolRun:
         parts = np.split(gen.standard_normal(sum(sizes)), np.cumsum(sizes[:-1]).tolist())
         wisharts = [_bartlett(gammas[d * i : d * i + d], float(parts[0][i]) if d == 2 else 0.0, k)
                     for i, k in enumerate(dfs)]
-        stats = _Stats(tuple(wisharts[:2]), tuple(wisharts[2:]) or None,
-                       (parts[1].reshape(d, -1), parts[2].reshape(d, -1)), (parts[3], parts[4]))
+        coords = [part.reshape(k, -1) for part, k in zip(parts[1:], (d, d, 1, 1))]
+        stats = _Stats(tuple(coords[2:]), tuple(coords[:2]), tuple(wisharts[2:]) or None,
+                       tuple(wisharts[:2]))
         self._add(read, stats)
         if not self.keep_records:
             return _Chunk(counts, stats, None, None)
@@ -845,20 +863,20 @@ class _ProtocolRun:
     def _add(self, read: np.ndarray, stats: _Stats) -> None:
         """Add a chunk's statistics to the run's sums."""
         for q in (0, 1):
-            lower = self.read_laws[q].lower
+            # the bias rounds read the estimation rounds' law
+            lower = self.laws[EST][q].lower
             est = _scatter(lower, stats.est[q])
             sq = self.sq_err[q]
             sq[0] += est[0]
             sq[1] += int(read[EST, q])
             e, u = _values(lower, stats.bias[q])
             if self.fit is not None:
-                calib = _scatter(self.calib_laws[q].lower, stats.calib[q])
+                calib = _scatter(self.laws[CALIB][q].lower, stats.calib[q])
                 self.fit.add(q, est, calib, int(read[CALIB, q]))
                 self.fit.add_bias(e, u, self.bias_err)
             self.bias_err.add(e)
-            if self.witness_laws:
-                e_w = self.witness_laws[q][0] * stats.witness[q]
-                self.sq_witness[q].add(e_w * e_w)
+            e_w, _ = _values(self.laws[WITNESS][q].lower, stats.witness[q])
+            self.sq_witness[q].add(e_w * e_w)
 
     def _records(self, start: int, end: int, counts: np.ndarray, stats: _Stats,
                  gen: np.random.Generator) -> tuple[np.ndarray, RoundTable]:
@@ -869,17 +887,16 @@ class _ProtocolRun:
         chunk's rounds: the labels laid out in the order of the counts and
         then permuted. Then come the coins of the bases that no label fixes
         (a pair's outsider in its discarded rounds; a lone A's B and C in
-        every round), a gaussian plan's blocks (:class:`_Blocks`), and per
-        quadrature, x first, every round's three normals in the factors'
-        order, as (3, m) arrays in the layout's order. Each group of
-        rounds that a report reads in a quadrature (its witness, bias,
-        calibration and estimation rounds, contiguous in the layout) then
-        has its normals moved along the span of the functionals the report
-        reads (:func:`_shift`) so that they give the drawn statistics: the
-        bias and witness rounds' drawn coordinates, and for the estimation
-        and calibration rounds coordinates whose scatter is the drawn one
-        (:func:`_stiefel_shift`). The components orthogonal to the read
-        functionals keep their free draws. ``_apply`` turns the normals
+        every round), a gaussian plan's blocks (:func:`_displacements`), and
+        per quadrature, x first, every round's three normals in the factors'
+        order, as (3, m) arrays in the layout's order. Each role's rounds
+        read in a quadrature (its witness, bias, calibration and estimation
+        rounds, contiguous in the layout) then have their normals moved along
+        the span of the role's law (:func:`_shift`) so that they give the
+        drawn statistics: the witness and bias rounds' drawn coordinates, and
+        for the calibration and estimation rounds coordinates whose scatter
+        is the drawn one (:func:`_stiefel_shift`). The components orthogonal
+        to the law keep their free draws. ``_apply`` turns the normals
         into outcomes, which the permutation takes to the table's rounds,
         and A's outcome gains sqrt(eta_A) alpha.
         """
@@ -899,11 +916,7 @@ class _ProtocolRun:
                 outsider[~kept] = _coin(gen, int(counts[DISCARDED].sum()))
                 bases = ((basis_a, basis_a, outsider) if self.coalition is Coalition.AB
                          else (basis_a, outsider, basis_a))
-        plan = self.plan
-        if plan.kind == "fixed":
-            alphas = (plan.alpha_x * plan.scale, plan.alpha_p * plan.scale)
-        else:
-            alphas = _Blocks(plan, start, end, self.carry).draw(gen)
+        alphas = _displacements(self.plan, start, end, self.carry, gen)
         outcomes = np.empty((2, 3, m))
         offsets = np.concatenate(([0], np.cumsum(counts.ravel()))).tolist()
         # each quadrature's normals in the layout's order, x first: the (2, 3, m) draw in two
@@ -917,19 +930,9 @@ class _ProtocolRun:
                 rows = slice(offsets[first], offsets[first + (4 if self.lone else 2)])
                 if rows.start == rows.stop:
                     continue
-                if role == WITNESS:
-                    basis, zr = self.witness_laws[q][1], z[:, rows]
-                else:
-                    law = self.calib_laws[q] if role == CALIB else self.read_laws[q]
-                    basis, zr = law.basis, z[: self.n_read, rows]
+                basis, zr, drawn = self.laws[role][q].basis, z[:, rows], stats[role][q]
                 free = _coordinates(zr, basis)
-                if role == WITNESS:
-                    delta = stats.witness[q][None] - free
-                elif role == BIAS:
-                    delta = stats.bias[q] - free
-                else:
-                    delta = _stiefel_shift(free, (stats.calib if role == CALIB else stats.est)[q])
-                _shift(zr, basis, delta)
+                _shift(zr, basis, drawn - free if role < CALIB else _stiefel_shift(free, drawn))
             _apply(self.factors[q], z, out=z)
             out = outcomes[q]
             for j in range(3):
@@ -939,7 +942,7 @@ class _ProtocolRun:
             # the x quadrature is unread in p rounds (code 1), the p one in x rounds (code 0)
             for j, basis in enumerate(bases):
                 np.putmask(out[self.order[j]], basis == 1 - q, np.nan)
-        if plan.kind == "fixed":
+        if self.plan.kind == "fixed":
             alphas = tuple(np.broadcast_to(alpha, m) for alpha in alphas)
         table = RoundTable(
             round_index=np.arange(start, end), alpha_x=alphas[0], alpha_p=alphas[1],
@@ -1107,8 +1110,10 @@ def witness_verification_run(
     A round's witness error c·t − √η_A·α_q/√2 is linear in its (A, B, C)
     outcomes t ~ N(μ_q, Σ_q), and A's outcome carries √η_A·α_q, so each
     chunk draws its dealer basis coins and then one normal per round, the
-    x rounds' first, scaled by √(cᵀΣ_q c) (:func:`_functional_sd`)
-    and shifted by c·μ_q − √η_A·α_q/√2, which is 0 up to rounding.
+    x rounds' first, scaled by the sd of the witness law over the normals
+    of Σ_q's factor (:func:`_triple_factors` in (A, B, C) order and
+    :func:`_witness_laws`, as a run's witness law) and shifted by
+    c·μ_q − √η_A·α_q/√2, which is 0 up to rounding.
     """
     n_rounds = check_scalar("n_rounds", n_rounds, f">= {2 * WITNESS_MIN_ROUNDS}",
                             2 * WITNESS_MIN_ROUNDS, integer=True)
@@ -1120,14 +1125,12 @@ def witness_verification_run(
         st = surrogate_intercept_state(model, plan.alpha_x, plan.alpha_p)
     else:
         st = build_dealer_state(model, plan.alpha_x, plan.alpha_p)
-    # the witness weights c over (A, B, C), per quadrature
-    weights = estimators.witness_estimate(np.eye(3), np.eye(3))
+    abc = (0, 1, 2)
+    weights, witness = _witness_laws(_triple_factors(st.cov, abc), abc)
     root_eta = math.sqrt(model.eta_a)
-    laws = []
-    for c, idx, alpha in zip(weights, estimators.TRIPLE_INDICES, (plan.alpha_x, plan.alpha_p)):
-        idx = list(idx)
-        laws.append((_functional_sd(np.linalg.cholesky(st.cov[np.ix_(idx, idx)]), c),
-                     float(c @ st.mean[idx]) - root_eta * alpha / math.sqrt(2.0)))
+    laws = [(law.lower[0][0], float(c @ st.mean[list(idx)]) - root_eta * alpha / math.sqrt(2.0))
+            for law, c, idx, alpha in zip(witness, weights, estimators.TRIPLE_INDICES,
+                                          (plan.alpha_x, plan.alpha_p))]
     sq = (RunningMoments(), RunningMoments())
     for start, end, gen in _chunks(stream, n_rounds):
         m = end - start
@@ -1153,14 +1156,17 @@ def batch_mse_distribution(
     gains at zero displacement and returns one summed, resource-split
     MSE per batch, for comparison against the scaled chi-squared law.
     An estimate is linear in the outcomes it reads, so a probe's error
-    in quadrature q is normal with variance split·wᵀΣ_q w
-    (:func:`_functional_sd`), with w the estimator's weights and Σ_q the
-    covariance of the outcomes it reads (with its vacuum unit for a lone
-    A); call it sd_q². A batch's sum of its N
-    squared errors in q is then sd_q²·χ²_N = 2·sd_q²·Γ(N/2, 1), so each
-    batch draws one standard gamma per quadrature and nothing per
-    probe. Batches are drawn in chunks, each from its own child stream:
-    a (2, m) array per chunk, x sums then p sums.
+    in quadrature q is normal with variance split·sd_q², with sd_q the
+    norm of its coefficients over the normals of a run's factor (the
+    diagonal of its :func:`_whiten`), from the laws a run of the same
+    coalition takes (:func:`_coalition_laws`, with its vacuum unit for a
+    lone A). A batch's sum of its N squared errors in q is then
+    split·sd_q²·χ²_N = 2·split·sd_q²·Γ(N/2, 1), so each batch draws one
+    standard gamma per quadrature and nothing per probe. Batches are
+    drawn in chunks, each from its own child stream: a (2, m) array per
+    chunk, x sums then p sums.
+
+    :raises InvalidArgumentError: ``coalition`` is not a :class:`Coalition`.
     """
     n_batches = check_scalar("n_batches", n_batches, ">= 100", 100, integer=True)
     n_probes_per_quadrature = check_scalar("n_probes_per_quadrature", n_probes_per_quadrature,
@@ -1169,26 +1175,14 @@ def batch_mse_distribution(
         raise ResourceLimitError(
             f"n_batches * n_probes * modes exceeds the cap of {DEFAULT_BATCH_TERM_CAP}"
         )
-    cov = dealer_covariances([model.r], model)[0]
-    gains = estimators.gains_for_model(model, coalition)
-    g, bias = gains.gain(coalition), gains.bias_scale
-    lone = coalition is Coalition.A_ALONE
-    # dual homodyne reads x_A and p_A of each probe, each with a vacuum unit, as in a run; a
-    # coalition that reads one quadrature per probe splits its probes between the two
-    split = 1.0 if lone else estimators.RESOURCE_SPLIT_FACTOR
-    if lone:
-        a = [estimators.X_A, estimators.P_A]
-        cov[a, a] += 1.0
-    # per quadrature, the dealer quadratures of the parties the estimator reads and
-    # their weights bias_scale * (w0 + g w1)
-    parties = [estimators.PARTIES.index(p) for p in coalition.party_columns]
-    # 2 sd_q^2 per quadrature, the scale of a batch's gamma draw
+    laws = _coalition_laws(model, coalition)
+    # dual homodyne reads x_A and p_A of each probe, as in a run; a coalition that reads
+    # one quadrature per probe splits its probes between the two
+    split = 1.0 if coalition is Coalition.A_ALONE else estimators.RESOURCE_SPLIT_FACTOR
+    # 2 split sd_q^2 per quadrature, the scale of a batch's gamma draw
     scale = np.empty((2, 1))
-    for q in (0, 1):
-        w0, w1 = estimators.WEIGHTS[coalition, q]
-        idx = [estimators.TRIPLE_INDICES[q][j] for j in parties]
-        w = bias * (w0 + g * w1)[parties]
-        sd = _functional_sd(np.linalg.cholesky(cov[np.ix_(idx, idx)]), w)
+    for q, f in enumerate(laws.functionals):
+        sd = _whiten([f.c]).lower[0][0]
         scale[q] = 2.0 * split * sd * sd
     n_probes = n_probes_per_quadrature
     total = np.empty(n_batches)

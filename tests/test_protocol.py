@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvshare import estimators, protocol
 from cvshare.bounds import predicted_mse, witness_bound
@@ -21,9 +23,14 @@ from cvshare.errors import (
 )
 from cvshare.estimators import Coalition, fit_gain
 from cvshare.gaussian_core import (
+    ALPHA_MAX,
+    EPS_MAX,
+    ETA_MIN,
+    R_MAX,
     ExperimentModel,
     GaussianState,
     build_dealer_state,
+    dealer_covariances,
     partial_trace,
     state_to_text,
 )
@@ -589,6 +596,28 @@ def test_batch_mse_distribution_limits():
         batch_mse_distribution(IDEAL, Coalition.AB, 10_000_000, 100, RandomStream(0))
 
 
+@pytest.mark.parametrize("coalition", ["ab", None])
+def test_sampled_paths_reject_a_coalition_that_is_not_one(coalition):
+    # a string or None was an AttributeError in the batch; every path that
+    # takes a Coalition names it in an InvalidArgumentError
+    message = f"^unknown coalition {coalition!r}$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        batch_mse_distribution(ExperimentModel(r=1.0), coalition, 5, 100, RandomStream(1))
+    with pytest.raises(InvalidArgumentError, match=message):
+        run_protocol(IDEAL, PLAN, 100, coalition, POLICY, RandomStream(1))
+    with pytest.raises(InvalidArgumentError, match=message):
+        predicted_mse(IDEAL, coalition)
+    # the run checks the gain mode before the coalition, and the coalition before the
+    # loss abort
+    with pytest.raises(InvalidArgumentError, match="^gain_mode"):
+        run_protocol(IDEAL, PLAN, 100, coalition, POLICY, RandomStream(1), gain_mode="x")
+    lossy = ExperimentModel(r=1.0, eta_a=0.2)
+    with pytest.raises(InvalidArgumentError, match=message):
+        run_protocol(lossy, PLAN, 100, coalition, POLICY, RandomStream(1))
+    with pytest.raises(AbortLossError):
+        run_protocol(lossy, PLAN, 100, Coalition.AB, POLICY, RandomStream(1))
+
+
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -1106,7 +1135,7 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
             read = _read_rounds(ch, coalition, q)
             alpha = getattr(t, f"alpha_{quad}")
             w1 = estimators.WEIGHTS[coalition, q][1]
-            law = run.read_laws[q]
+            law = run.laws[protocol.EST][q]
 
             def errors(role):
                 rows = read & (ch.roles == role)
@@ -1122,8 +1151,8 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
             else:
                 triple = np.stack([getattr(t, f"{quad}_{p}")[rows] for p in "abc"])
                 e_w = w_weights[q] @ triple - run.root_eta * alpha[rows] / math.sqrt(2.0)
-                sd_w = run.witness_laws[q][0]
-                np.testing.assert_allclose(np.sort(e_w), np.sort(sd_w * ch.stats.witness[q]),
+                sd_w = run.laws[protocol.WITNESS][q].lower[0][0]
+                np.testing.assert_allclose(np.sort(e_w), np.sort(sd_w * ch.stats.witness[q][0]),
                                            rtol=0, atol=1e-12 * (1.0 + sd_w))
             # the bias rounds, in the order of their draws up to the arrangement
             e, u = errors(protocol.BIAS)
@@ -1143,7 +1172,7 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
                 cols = _columns(t, coalition, q, rows)
                 r_c = cols[0] - run.root_eta * alpha[rows]
                 u_c = estimators.weighted_sum(cols, -w1)
-                want = protocol._scatter(run.calib_laws[q].lower, ch.stats.calib[q])
+                want = protocol._scatter(run.laws[protocol.CALIB][q].lower, ch.stats.calib[q])
                 got = (_sum(r_c, r_c), _sum(r_c, u_c), _sum(u_c, u_c))
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
 
@@ -1179,7 +1208,7 @@ def test_reads_are_linear_functionals_of_the_recorded_outcomes(coalition, plan, 
     run = protocol._ProtocolRun(model, plan, 600, coalition, POLICY, RandomStream(97), gain_mode,
                                 keep_records=True)
     fitted = run.fit is not None
-    assert (run.calib_laws[0] is not None) == fitted
+    assert (run.laws[protocol.CALIB] is not None) == fitted
     gen = np.random.default_rng(97)
     alpha = (2.0 * gen.standard_normal(600) if plan.kind == "gaussian"
              else np.full(600, plan.alpha_x))
@@ -1209,8 +1238,8 @@ def test_reads_are_linear_functionals_of_the_recorded_outcomes(coalition, plan, 
             c_w = estimators.witness_estimate(np.eye(3), np.eye(3))[q]
             triple = [by_party[party] for party in "abc"]
             want = c_w @ np.stack(triple) - run.root_eta * alpha / math.sqrt(2.0)
-            sd, basis = run.witness_laws[q]
-            got = sd * (basis[:, 0] @ z)
+            law = run.laws[protocol.WITNESS][q]
+            got = law.lower[0][0] * (law.basis[:, 0] @ z)
             bound = 1e-13 * _magnitude(triple, c_w, run.root_eta * alpha)
             assert np.max(np.abs(got - want)) <= bound, (quad, bound)
 
@@ -1331,6 +1360,134 @@ def _sample_joint_batches(model, coalition, n_probes, n_batches, stream):
         gamma = stream.chunk_generator(i).standard_gamma(n_probes / 2.0, (2, m))
         total[start : start + m] = np.sum(2.0 * sd[:, None] ** 2 * gamma, axis=0)
     return total / n_probes
+
+
+def _own_sd(factor, c) -> float:
+    """sqrt(c^T Sigma c), Sigma = L L^T, as each sampled path took it for itself before
+    they shared one derivation: the fsum norm of the coefficients L^T c over the normals
+    of the first len(c) rows of L."""
+    n = len(c)
+    coefficients = [math.fsum(c[j] * factor[j, i] for j in range(i, n)) for i in range(n)]
+    return math.sqrt(math.fsum(x * x for x in coefficients))
+
+
+def _own_run_laws(model, coalition):
+    """A run's factors and witness sds as the run derived them itself: the dealer
+    covariance with a lone A's vacuum unit, its blocks' Cholesky factors in the run's
+    party order, and the witness weights' norm over them (none for a lone A)."""
+    cov = dealer_covariances([model.r], model)[0]
+    lone = coalition is Coalition.A_ALONE
+    if lone:
+        a = [estimators.X_A, estimators.P_A]
+        cov[a, a] += 1.0
+    order = (0, 2, 1) if coalition is Coalition.AC else (0, 1, 2)
+    factors = [np.linalg.cholesky(cov[np.ix_(idx, idx)])
+               for idx in ([quad[j] for j in order] for quad in estimators.TRIPLE_INDICES)]
+    if lone:
+        return factors, None
+    weights = estimators.witness_estimate(np.eye(3), np.eye(3))
+    return factors, [_own_sd(f, [c[p] for p in order]) for f, c in zip(factors, weights)]
+
+
+def _own_batch_scale(model, coalition) -> np.ndarray:
+    """2 split sd_q^2 per quadrature as the batch derived it itself: the Cholesky factor of
+    the read parties' sub-block of the dealer covariance, with a lone A's vacuum unit, and
+    the estimator's weights at the model's gains."""
+    cov = dealer_covariances([model.r], model)[0]
+    gains = estimators.gains_for_model(model, coalition)
+    g, bias = gains.gain(coalition), gains.bias_scale
+    lone = coalition is Coalition.A_ALONE
+    split = 1.0 if lone else estimators.RESOURCE_SPLIT_FACTOR
+    if lone:
+        a = [estimators.X_A, estimators.P_A]
+        cov[a, a] += 1.0
+    parties = [estimators.PARTIES.index(p) for p in coalition.party_columns]
+    scale = np.empty((2, 1))
+    for q in (0, 1):
+        w0, w1 = estimators.WEIGHTS[coalition, q]
+        idx = [estimators.TRIPLE_INDICES[q][j] for j in parties]
+        sd = _own_sd(np.linalg.cholesky(cov[np.ix_(idx, idx)]), bias * (w0 + g * w1)[parties])
+        scale[q] = 2.0 * split * sd * sd
+    return scale
+
+
+def _own_witness_run(model, alpha_x, alpha_p, n_rounds, stream, surrogate):
+    """witness_verification_run as it derived its law itself, the Cholesky factor of each
+    quadrature's (A, B, C) block of the state and the witness weights' norm over it, with
+    its draws; and those sds."""
+    state = (surrogate_intercept_state if surrogate else build_dealer_state)(model, alpha_x,
+                                                                             alpha_p)
+    weights = estimators.witness_estimate(np.eye(3), np.eye(3))
+    laws = []
+    for c, idx, alpha in zip(weights, estimators.TRIPLE_INDICES, (alpha_x, alpha_p)):
+        idx = list(idx)
+        laws.append((_own_sd(np.linalg.cholesky(state.cov[np.ix_(idx, idx)]), c),
+                     float(c @ state.mean[idx])
+                     - math.sqrt(model.eta_a) * alpha / math.sqrt(2.0)))
+    sq = (estimators.RunningMoments(), estimators.RunningMoments())
+    for start, end, gen in protocol._chunks(stream, n_rounds):
+        n_x = end - start - int(np.count_nonzero(protocol._coin(gen, end - start)))
+        e = gen.standard_normal(end - start)
+        for sq_q, (sd, shift), e_q in zip(sq, laws, (e[:n_x], e[n_x:])):
+            e_q *= sd
+            e_q += shift
+            sq_q.add(e_q * e_q)
+    return protocol._witness_result(*sq), [sd for sd, _ in laws]
+
+
+_arm_eta = st.floats(ETA_MIN, 1.0)
+_arm_eps = st.floats(0.0, EPS_MAX)
+
+
+@settings(max_examples=150)
+@given(r=st.floats(0.0, R_MAX), etas=st.tuples(_arm_eta, _arm_eta, _arm_eta),
+       epss=st.tuples(_arm_eps, _arm_eps, _arm_eps),
+       alphas=st.tuples(st.floats(-ALPHA_MAX, ALPHA_MAX), st.floats(-ALPHA_MAX, ALPHA_MAX)),
+       seed=st.integers(0, 2**32 - 1))
+def test_shared_derivation_is_each_path_own_bit_for_bit(r, etas, epss, alphas, seed):
+    # the run, the witness run and the batch each took their own Cholesky factors and
+    # norms; the shared derivation gives every one of them bit for bit over the model's
+    # box (hypothesis favours round floats, so a seeded r adds arbitrary bit patterns)
+    (eta_a, eta_b, eta_c), (eps_a, eps_b, eps_c) = etas, epss
+    spread = float(np.random.default_rng(seed).uniform(0.0, R_MAX))
+    for r_ in (r, spread):
+        model = ExperimentModel(r_, eta_a, eta_b, eta_c, eps_a, eps_b, eps_c)
+        policy = ProtocolPolicy(eta_min=ETA_MIN)
+        for coalition in Coalition:
+            laws = protocol._coalition_laws(model, coalition)
+            n_read = len(coalition.party_columns)
+            factors, witness_sd = _own_run_laws(model, coalition)
+            scale = _own_batch_scale(model, coalition)
+            split = 1.0 if coalition is Coalition.A_ALONE else estimators.RESOURCE_SPLIT_FACTOR
+            run = protocol._ProtocolRun(model, PLAN, 10, coalition, policy, RandomStream(0),
+                                        "fitted", keep_records=False)
+            for q, f in enumerate(laws.functionals):
+                assert laws.factors[q].tobytes() == factors[q].tobytes(), (coalition, q)
+                assert run.factors[q].tobytes() == factors[q].tobytes(), (coalition, q)
+                # the batch's sd and the run's witness sd
+                sd = protocol._whiten([f.c]).lower[0][0]
+                assert 2.0 * split * sd * sd == scale[q, 0], (coalition, q)
+                if witness_sd is not None:
+                    assert run.laws[protocol.WITNESS][q].lower[0][0] == witness_sd[q]
+                # the zero-padded rows whiten as the read rows alone did
+                rows = [f.c, f.aux] if run.fit is not None else [f.c]
+                want = protocol._whiten([row[:n_read] for row in rows])
+                got = run.laws[protocol.EST][q]
+                assert got.lower == want.lower and not got.basis[n_read:].any()
+                assert got.basis[:n_read].tobytes() == want.basis.tobytes()
+            got = batch_mse_distribution(model, coalition, 3, 100, RandomStream(seed))
+            sums = RandomStream(seed).chunk_generator(0).standard_gamma(1.5, (2, 100))
+            sums *= scale
+            assert got.tobytes() == ((sums[0] + sums[1]) / 3).tobytes(), coalition
+        for surrogate in (False, True):
+            state = (surrogate_intercept_state if surrogate
+                     else build_dealer_state)(model, *alphas)
+            factors = protocol._triple_factors(state.cov, (0, 1, 2))
+            want, sds = _own_witness_run(model, *alphas, 200, RandomStream(seed), surrogate)
+            assert [law.lower[0][0] for law in protocol._witness_laws(factors, (0, 1, 2))[1]] \
+                == sds
+            assert witness_verification_run(model, *alphas, 200, RandomStream(seed),
+                                            surrogate=surrogate) == want
 
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
@@ -1584,16 +1741,16 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
     run = protocol._ProtocolRun(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
                                 "fitted", keep_records=True)
     for q in (0, 1):
-        (l00, _), (l10, l11) = run.read_laws[q].lower
+        (l00, _), (l10, l11) = run.laws[protocol.EST][q].lower
         assert abs(l11) <= 1e-15 * l00
         assert l10 == (pytest.approx(-2.0 * l00, rel=1e-15) if aux == "proportional" else 0.0)
     for ch in _drawn(run):
         for q in (0, 1):
-            s_ee, s_eu, s_uu = protocol._scatter(run.read_laws[q].lower, ch.stats.est[q])
+            s_ee, s_eu, s_uu = protocol._scatter(run.laws[protocol.EST][q].lower, ch.stats.est[q])
             factor = -2.0 if aux == "proportional" else 0.0
             assert s_eu == pytest.approx(factor * s_ee, rel=1e-12, abs=1e-300)
             assert s_uu == pytest.approx(factor * factor * s_ee, rel=1e-12, abs=1e-300)
-            e, u = protocol._values(run.read_laws[q].lower, ch.stats.bias[q])
+            e, u = protocol._values(run.laws[protocol.EST][q].lower, ch.stats.bias[q])
             np.testing.assert_allclose(u, factor * e, rtol=1e-12, atol=1e-15)
     if aux == "zero":
         # a zero auxiliary cannot fit a gain, with or without records
