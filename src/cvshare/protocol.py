@@ -12,7 +12,7 @@ nothing), and a further random subset of the kept rounds feeds an
 unbiasedness spot-check; the remainder produces the coalition's MSE
 report.
 
-Rounds are drawn in chunks of ``_CHUNK_ROUNDS`` (stream layout 7), chunk
+Rounds are drawn in chunks of ``_CHUNK_ROUNDS`` (stream layout 8), chunk
 i from its own SFC64 child stream,
 :meth:`~cvshare.sampler.RandomStream.chunk_generator`. A dealer state
 has no x-p correlation, so the (A, B, C) triple of each quadrature is an
@@ -30,13 +30,13 @@ rounds reads them through one whitened law (:class:`_Whitened`).
 So a chunk draws the exact law of what its reports read, not its rounds
 (:meth:`_ProtocolRun._draw`): the counts of its rounds per basis cell
 (one multinomial), the witness, bias and calibration splits
-(multivariate hypergeometric draws), per quadrature the estimation
-rounds' sum of squared errors, 2|c|²·Γ(k/2), or in a fitted run the
-2 x 2 Wishart scatter of (error, auxiliary) and of (residual, auxiliary)
-by Bartlett's decomposition, and one normal per functional of each bias
-and witness round, whose standard errors read per-round values. A run
+(multivariate hypergeometric draws), per quadrature the witness and
+estimation rounds' sums of squared errors, 2|c|²·Γ(k/2), or in a fitted
+run the 2 x 2 Wishart scatter of (error, auxiliary) and of (residual,
+auxiliary) by Bartlett's decomposition, and one normal per functional of
+each bias round, whose standard error reads per-round values. A run
 without records draws nothing else: a few numbers per chunk and about
-one normal per tenth of its rounds. A run that keeps its records draws
+one normal per twentieth of its rounds. A run that keeps its records draws
 the same statistics first, so its reports are the same, and then the
 rounds conditioned on them (:meth:`_ProtocolRun._records`): a uniform
 arrangement of the counts over the chunk, the bases no count fixes, a
@@ -94,7 +94,7 @@ MAX_ROUNDS = 1_000_000_000
 #: row for abc under a fixed plan, 139 B for a lone A under a gaussian one) to 1.8-2.8 GB
 MAX_RECORD_ROUNDS = 20_000_000
 #: random-stream layout of the sampled outputs, recorded in their manifests
-STREAM_LAYOUT = 7
+STREAM_LAYOUT = 8
 #: rounds drawn and reduced at a time, each chunk from its own child stream
 _CHUNK_ROUNDS = 65536
 
@@ -257,12 +257,14 @@ RoundRecord = make_dataclass("RoundRecord", ROUND_COLUMNS, namespace={"__module_
 
 @dataclass(frozen=True, slots=True)
 class WitnessResult:
-    """Entanglement verification outcome on the witness rounds."""
+    """Entanglement verification outcome on the witness rounds: ``standard_error`` is the
+    SE of ``mse_sum``, ``null_standard_error`` the one the verdict reads."""
 
     mse_x: float | None
     mse_p: float | None
     mse_sum: float | None
     standard_error: float | None
+    null_standard_error: float | None
     entangled: bool | None
     n_x: int
     n_p: int
@@ -454,15 +456,14 @@ def _whiten(rows: list[np.ndarray]) -> _Whitened:
     return _Whitened(tuple(map(tuple, lower)), np.array(basis).T)
 
 
-def _witness_laws(factors, order: tuple[int, int, int]) -> tuple[np.ndarray, list[_Whitened]]:
-    """The witness weights c over (A, B, C) per quadrature, folded once, and the law of
-    each quadrature's witness error c·t over the normals of its factor, parties in ``order``.
+def _witness_laws(factors, order: tuple[int, int, int]) -> list[_Whitened]:
+    """The law of each quadrature's witness error c·t over the normals of its factor,
+    parties in ``order``, with c the witness weights over (A, B, C), folded once.
 
     The witness weighs A by 1/sqrt(2) and subtracts sqrt(eta_A) alpha/sqrt(2), the mean
     A's outcome carries, so its error is a functional of the three normals, with no alpha."""
     weights = estimators.witness_estimate(np.eye(3), np.eye(3))
-    return weights, [_whiten([_coefficients(f, [c[p] for p in order])])
-                     for f, c in zip(factors, weights)]
+    return [_whiten([_coefficients(f, [c[p] for p in order])]) for f, c in zip(factors, weights)]
 
 
 def _bartlett(gamma: tuple[float, ...], normal: float, k: int) -> tuple[tuple[float, ...], ...]:
@@ -623,13 +624,13 @@ class _Stats(NamedTuple):
     :data:`EST`) and then by quadrature (x, then p), in the whitened coordinates of the
     role's law (:attr:`_ProtocolRun.laws`).
 
-    The witness and bias rounds' entries hold their coordinates, one row
-    per functional and one column per round. The calibration and
-    estimation rounds' hold the Bartlett factor of their scatter
-    (``calib`` is None unless the gains are fitted).
+    The bias rounds' entries hold their coordinates, one row per
+    functional and one column per round. The witness, calibration and
+    estimation rounds' hold the Bartlett factor of their scatter, 1 x 1
+    for the witness (``calib`` is None unless the gains are fitted).
     """
 
-    witness: tuple[np.ndarray, np.ndarray]
+    witness: tuple
     bias: tuple[np.ndarray, np.ndarray]
     calib: tuple | None
     est: tuple
@@ -720,22 +721,24 @@ class _Fit:
                        bias_scale=gains.bias_scale)
 
 
-def _witness_result(sq_x: RunningMoments, sq_p: RunningMoments) -> WitnessResult:
-    """Witness MSE from the squared errors per quadrature; the verdict needs 100 rounds each."""
-    n_x, n_p = sq_x.n, sq_p.n
+def _witness_result(sq_x: tuple[float, int], sq_p: tuple[float, int]) -> WitnessResult:
+    """The witness report from each quadrature's (sum of squared errors, rounds). A witness
+    error is a centred normal, so mse_q is μ_q·χ²_n/n, of SE μ_q·sqrt(2/n), taken at
+    μ_q = mse_q. The verdict needs 100 rounds per quadrature and reads Σe² and n alone:
+    entangled when mse_sum < 4 − 5·SE₀, SE₀ = 4·sqrt(2/min(n_x, n_p)) the largest SE over
+    the separability boundary μ_x + μ_p = 4 (a sample SE falls with a low sample mean)."""
+    (sum_x, n_x), (sum_p, n_p) = sq_x, sq_p
     if n_x < 1 or n_p < 1:
-        return WitnessResult(None, None, None, None, None, n_x, n_p, WITNESS_THRESHOLD, "insufficient-rounds")
+        return WitnessResult(None, None, None, None, None, None, n_x, n_p, WITNESS_THRESHOLD,
+                             "insufficient-rounds")
     split = estimators.RESOURCE_SPLIT_FACTOR
-    mse_x = split * sq_x.mean
-    mse_p = split * sq_p.mean
-    mse_sum = mse_x + mse_p
-    if n_x < 2 or n_p < 2:
-        return WitnessResult(mse_x, mse_p, mse_sum, None, None, n_x, n_p, WITNESS_THRESHOLD, "insufficient-rounds")
-    se = math.hypot(split * sq_x.standard_error(), split * sq_p.standard_error())
-    if n_x < WITNESS_MIN_ROUNDS or n_p < WITNESS_MIN_ROUNDS:
-        return WitnessResult(mse_x, mse_p, mse_sum, se, None, n_x, n_p, WITNESS_THRESHOLD, "insufficient-rounds")
-    entangled = bool(mse_sum < WITNESS_THRESHOLD - 5.0 * se)
-    return WitnessResult(mse_x, mse_p, mse_sum, se, entangled, n_x, n_p, WITNESS_THRESHOLD, "ok")
+    mse_x, mse_p = split * (sum_x / n_x), split * (sum_p / n_p)
+    se = math.hypot(mse_x * math.sqrt(2.0 / n_x), mse_p * math.sqrt(2.0 / n_p))
+    se0 = WITNESS_THRESHOLD * math.sqrt(2.0 / min(n_x, n_p))
+    ok = min(n_x, n_p) >= WITNESS_MIN_ROUNDS
+    entangled = bool(mse_x + mse_p < WITNESS_THRESHOLD - 5.0 * se0) if ok else None
+    return WitnessResult(mse_x, mse_p, mse_x + mse_p, se, se0, entangled, n_x, n_p,
+                         WITNESS_THRESHOLD, "ok" if ok else "insufficient-rounds")
 
 
 class _ProtocolRun:
@@ -774,7 +777,7 @@ class _ProtocolRun:
         # its auxiliary in a fitted run, of the bias and estimation rounds; the residual
         # and auxiliary of a fitted run's calibration rounds
         witness = ([_whiten([np.zeros(3)])] * 2 if lone
-                   else _witness_laws(self.factors, self.order)[1])
+                   else _witness_laws(self.factors, self.order))
         read = [_whiten([f.c, f.aux] if fitted else [f.c]) for f in self.functionals]
         calib = ([_whiten([np.eye(3)[0] * f.l00, f.aux]) for f in self.functionals] if fitted
                  else None)
@@ -792,10 +795,10 @@ class _ProtocolRun:
         # estimation rounds seen so far
         self.carry = [0.0, 0.0]
         self.taken_witness = self.taken_bias = self.seen_est = 0
-        # per quadrature the sum of the squared errors and their count; the witness and
-        # the bias check read a standard error too, so they keep moments
+        # per quadrature the sum of the squared errors and their count, of the estimation
+        # and of the witness rounds; the bias check reads a spread too, so it keeps moments
         self.sq_err = ([0.0, 0], [0.0, 0])
-        self.sq_witness = (RunningMoments(), RunningMoments())
+        self.sq_witness = ([0.0, 0], [0.0, 0])
         self.bias_err = RunningMoments()
 
     def _counts(self, gen: np.random.Generator, m: int, end: int) -> np.ndarray:
@@ -835,26 +838,29 @@ class _ProtocolRun:
         counts per label (one multinomial over the cells, then the witness,
         bias and calibration splits, :meth:`_counts`), one standard gamma
         array (per quadrature, x first, the Bartlett chi-squared entries of
-        the estimation rounds and then of the calibration rounds) and one
-        standard normal array (Bartlett's normals, then per quadrature the
-        bias rounds' whitened coordinates, one row per functional, then the
-        witness rounds' one coordinate, x before p in each). A run without
-        records draws nothing else. A run with records then draws the rounds
-        conditioned on those statistics (:meth:`_records`).
+        the estimation rounds, then of the calibration rounds, then the
+        witness rounds' one entry) and one standard normal array (Bartlett's
+        normals, then per quadrature, x first, the bias rounds' whitened
+        coordinates, one row per functional). A run without records draws
+        nothing else. A run with records then draws the rounds conditioned on
+        those statistics (:meth:`_records`).
         """
         counts = self._counts(gen, end - start, end)
         read = self._read(counts)
         d = 1 if self.fit is None else 2
         dfs = read[EST].tolist() + ([] if self.fit is None else read[CALIB].tolist())
-        gammas = gen.standard_gamma([max(k - j, 0) / 2.0 for k in dfs for j in range(d)]).tolist()
-        n_bias, n_witness = read[BIAS].tolist(), read[WITNESS].tolist()
-        sizes = [(d - 1) * len(dfs), d * n_bias[0], d * n_bias[1], *n_witness]
-        parts = np.split(gen.standard_normal(sum(sizes)), np.cumsum(sizes[:-1]).tolist())
-        wisharts = [_bartlett(gammas[d * i : d * i + d], float(parts[0][i]) if d == 2 else 0.0, k)
-                    for i, k in enumerate(dfs)]
-        coords = [part.reshape(k, -1) for part, k in zip(parts[1:], (d, d, 1, 1))]
-        stats = _Stats(tuple(coords[2:]), tuple(coords[:2]), tuple(wisharts[2:]) or None,
-                       tuple(wisharts[:2]))
+        # (rounds, dimension) of each scatter, the witness rounds' last
+        blocks = [(k, d) for k in dfs] + [(k, 1) for k in read[WITNESS].tolist()]
+        gammas = iter(gen.standard_gamma([max(k - j, 0) / 2.0 for k, n in blocks
+                                          for j in range(n)]).tolist())
+        n_bias = read[BIAS].tolist()
+        sizes = [(d - 1) * len(dfs), d * n_bias[0], d * n_bias[1]]
+        normals, *bias = np.split(gen.standard_normal(sum(sizes)), np.cumsum(sizes[:-1]).tolist())
+        wisharts = [_bartlett([next(gammas) for _ in range(n)],
+                              float(normals[i]) if n == 2 else 0.0, k)
+                    for i, (k, n) in enumerate(blocks)]
+        stats = _Stats(tuple(wisharts[-2:]), tuple(part.reshape(d, -1) for part in bias),
+                       tuple(wisharts[2:-2]) or None, tuple(wisharts[:2]))
         self._add(read, stats)
         if not self.keep_records:
             return _Chunk(counts, stats, None, None)
@@ -866,17 +872,17 @@ class _ProtocolRun:
             # the bias rounds read the estimation rounds' law
             lower = self.laws[EST][q].lower
             est = _scatter(lower, stats.est[q])
-            sq = self.sq_err[q]
-            sq[0] += est[0]
-            sq[1] += int(read[EST, q])
+            witness = _scatter(self.laws[WITNESS][q].lower, stats.witness[q])[0]
+            for sq, value, role in ((self.sq_err[q], est[0], EST),
+                                    (self.sq_witness[q], witness, WITNESS)):
+                sq[0] += value
+                sq[1] += int(read[role, q])
             e, u = _values(lower, stats.bias[q])
             if self.fit is not None:
                 calib = _scatter(self.laws[CALIB][q].lower, stats.calib[q])
                 self.fit.add(q, est, calib, int(read[CALIB, q]))
                 self.fit.add_bias(e, u, self.bias_err)
             self.bias_err.add(e)
-            e_w, _ = _values(self.laws[WITNESS][q].lower, stats.witness[q])
-            self.sq_witness[q].add(e_w * e_w)
 
     def _records(self, start: int, end: int, counts: np.ndarray, stats: _Stats,
                  gen: np.random.Generator) -> tuple[np.ndarray, RoundTable]:
@@ -893,8 +899,8 @@ class _ProtocolRun:
         read in a quadrature (its witness, bias, calibration and estimation
         rounds, contiguous in the layout) then have their normals moved along
         the span of the role's law (:func:`_shift`) so that they give the
-        drawn statistics: the witness and bias rounds' drawn coordinates, and
-        for the calibration and estimation rounds coordinates whose scatter
+        drawn statistics: the bias rounds' drawn coordinates, and for the
+        witness, calibration and estimation rounds coordinates whose scatter
         is the drawn one (:func:`_stiefel_shift`). The components orthogonal
         to the law keep their free draws. ``_apply`` turns the normals
         into outcomes, which the permutation takes to the table's rounds,
@@ -932,7 +938,7 @@ class _ProtocolRun:
                     continue
                 basis, zr, drawn = self.laws[role][q].basis, z[:, rows], stats[role][q]
                 free = _coordinates(zr, basis)
-                _shift(zr, basis, drawn - free if role < CALIB else _stiefel_shift(free, drawn))
+                _shift(zr, basis, drawn - free if role == BIAS else _stiefel_shift(free, drawn))
             _apply(self.factors[q], z, out=z)
             out = outcomes[q]
             for j in range(3):
@@ -974,7 +980,7 @@ class _ProtocolRun:
         if self.lone:
             # dual-homodyne outcomes carry an extra vacuum unit per quadrature,
             # so they cannot test the bound 4 e^{-2r}, and no round is reserved for it
-            witness = WitnessResult(None, None, None, None, None, 0, 0,
+            witness = WitnessResult(None, None, None, None, None, None, 0, 0,
                                     WITNESS_THRESHOLD, "not-applicable")
         else:
             witness = _witness_result(*self.sq_witness)
@@ -1068,12 +1074,11 @@ def entanglement_check(witness_records: RoundTable, eta_a: float = 1.0) -> Witne
         raise InvalidArgumentError(
             f"need >= {WITNESS_MIN_ROUNDS} witness rounds per quadrature, got {n_x}/{n_p}"
         )
-    x_minus, p_plus = estimators.witness_estimate(np.stack((t.x_a, t.x_b, t.x_c))[:, is_x],
-                                                  np.stack((t.p_a, t.p_b, t.p_c))[:, ~is_x])
-    sq = (RunningMoments(), RunningMoments())
-    sq[0].add((x_minus - root_eta * t.alpha_x[is_x] / math.sqrt(2.0)) ** 2)
-    sq[1].add((p_plus - root_eta * t.alpha_p[~is_x] / math.sqrt(2.0)) ** 2)
-    return _witness_result(*sq)
+    estimates = estimators.witness_estimate(np.stack((t.x_a, t.x_b, t.x_c))[:, is_x],
+                                            np.stack((t.p_a, t.p_b, t.p_c))[:, ~is_x])
+    errors = [estimate - root_eta * alpha / math.sqrt(2.0)
+              for estimate, alpha in zip(estimates, (t.alpha_x[is_x], t.alpha_p[~is_x]))]
+    return _witness_result(*((_dot(e, e), e.size) for e in errors))
 
 
 def surrogate_intercept_state(
@@ -1108,12 +1113,12 @@ def witness_verification_run(
     stand-in from :func:`surrogate_intercept_state`. Rounds are drawn in
     chunks, each from its own child stream, and reduced to running sums.
     A round's witness error c·t − √η_A·α_q/√2 is linear in its (A, B, C)
-    outcomes t ~ N(μ_q, Σ_q), and A's outcome carries √η_A·α_q, so each
-    chunk draws its dealer basis coins and then one normal per round, the
-    x rounds' first, scaled by the sd of the witness law over the normals
-    of Σ_q's factor (:func:`_triple_factors` in (A, B, C) order and
-    :func:`_witness_laws`, as a run's witness law) and shifted by
-    c·μ_q − √η_A·α_q/√2, which is 0 up to rounding.
+    outcomes t ~ N(μ_q, Σ_q), and A's outcome carries √η_A·α_q, so it is
+    N(0, sd_q²) up to rounding, sd_q the sd of the witness law over the
+    normals of Σ_q's factor (:func:`_triple_factors` in (A, B, C) order and
+    :func:`_witness_laws`, as a run's). Each chunk of m rounds draws its
+    count of x rounds, Binomial(m, 1/2) as the dealer's fair coins give it,
+    and per quadrature, x first, its k rounds' sum of squares 2·sd_q²·Γ(k/2).
     """
     n_rounds = check_scalar("n_rounds", n_rounds, f">= {2 * WITNESS_MIN_ROUNDS}",
                             2 * WITNESS_MIN_ROUNDS, integer=True)
@@ -1126,20 +1131,14 @@ def witness_verification_run(
     else:
         st = build_dealer_state(model, plan.alpha_x, plan.alpha_p)
     abc = (0, 1, 2)
-    weights, witness = _witness_laws(_triple_factors(st.cov, abc), abc)
-    root_eta = math.sqrt(model.eta_a)
-    laws = [(law.lower[0][0], float(c @ st.mean[list(idx)]) - root_eta * alpha / math.sqrt(2.0))
-            for law, c, idx, alpha in zip(witness, weights, estimators.TRIPLE_INDICES,
-                                          (plan.alpha_x, plan.alpha_p))]
-    sq = (RunningMoments(), RunningMoments())
+    sds = [law.lower[0][0] for law in _witness_laws(_triple_factors(st.cov, abc), abc)]
+    sq = ([0.0, 0], [0.0, 0])
     for start, end, gen in _chunks(stream, n_rounds):
-        m = end - start
-        n_x = m - int(np.count_nonzero(_coin(gen, m)))
-        e = gen.standard_normal(m)
-        for sq_q, (sd, shift), e_q in zip(sq, laws, (e[:n_x], e[n_x:])):
-            e_q *= sd
-            e_q += shift
-            sq_q.add(e_q * e_q)
+        n_x = int(gen.binomial(end - start, 0.5))
+        ks = (n_x, end - start - n_x)
+        for sums, sd, k, g in zip(sq, sds, ks, gen.standard_gamma([k / 2.0 for k in ks]).tolist()):
+            sums[0] += 2.0 * sd * sd * g
+            sums[1] += k
     return _witness_result(*sq)
 
 

@@ -234,19 +234,19 @@ def test_simulate_and_rerun_byte_identical(tmp_path, capsys):
     assert len(rounds) == 1 + 10000
 
 
-# rounds.csv sha256 per (coalition, plan), from stream layout 7 (SFC64 chunk streams; the
+# rounds.csv sha256 per (coalition, plan), from stream layout 8 (SFC64 chunk streams; the
 # counts, splits and statistics the reports read, then a uniform arrangement of the
 # counts, the coins no count fixes, the blocks and every round's normals conditioned on
-# the statistics)
+# the statistics); a lone A's kept its layout 7 bytes, since it has no witness round
 ROUNDS_CSV_SHA256 = {
     ("a_alone", "fixed"): "34db4cca309bf4e68f49bc948f43f370b4a8b0110e1bc4ea48f3276abc028ce6",
-    ("ab", "fixed"): "a32c9dd467abf331d212f599edd69a9e1c82054160ea3d0083c20507fcd7e347",
-    ("ac", "fixed"): "d3b6a347461807bea8f29298dab2615066ee43a9600c28d1554255ac05d4bbc3",
-    ("abc", "fixed"): "70b43caf1ef55c875a842aff07b1b2b813cbedef4444b1f9cf75d6f2a984cace",
+    ("ab", "fixed"): "13ffdcaf68f4fec89ac752dd4886241400ff6468939af99a608bbb8df007efbe",
+    ("ac", "fixed"): "5905e7f0a89a98358b0fa06bafe18ae81a62ab818d430902570b87961f1061dc",
+    ("abc", "fixed"): "d6a4bc3e5b269f29138ee1e5defec70a69747bf67930069af01f25bc53518604",
     ("a_alone", "gaussian"): "331f8ec74fffe3f6b4d479c82fb18b297ca0d98ea088d5e0055f0183a9ed59b4",
-    ("ab", "gaussian"): "45623d6464e582594b3e7bccbf635f07519161f420795451a966eb2f7cfc28f8",
-    ("ac", "gaussian"): "209df9948739de123a2dc1c6ba1d9d61f509a7aa7a7c0e71d6158241614a0505",
-    ("abc", "gaussian"): "57edf0877c8660143d7f93f384273d41ab7b03fdf2da79cbc45a29d544f8036d",
+    ("ab", "gaussian"): "60e1964f2ca19576ff4d62d30887319c08f3a6b0db028bb52ba14b584d232d51",
+    ("ac", "gaussian"): "2c9e0cff3bff6cd581a42147db7251499f953ae4e778052b1d290916494dfa91",
+    ("abc", "gaussian"): "3f224bc49ebefb4d677a41738a76f6314838e6a83460fa2227ac18845215540b",
 }
 
 
@@ -266,7 +266,7 @@ def test_rounds_csv_bytes_pinned(tmp_path, capsys, coalition, plan):
     assert digest == ROUNDS_CSV_SHA256[(coalition, plan)]
 
 
-# rounds.csv sha256 of runs of several chunks, from stream layout 7, as the
+# rounds.csv sha256 of runs of several chunks, from stream layout 8, as the
 # whole-run round table wrote them: (config lines, _CHUNK_ROUNDS or None, digest).
 # 1031 rounds in chunks of 50 end on a partial chunk of 31; 150,000 rounds are two
 # full chunks of 65,536 and a partial one
@@ -276,10 +276,10 @@ MULTI_CHUNK_ROUNDS_CSV_SHA256 = {
         "c6ac07a9cb1558a14d9ee5f4d8c0d9ea51c437a36289ad8c897d8f01e837201a"),
     "abc-gaussian-n_rep-3-fitted-chunks-of-50": (
         "coalition = abc\nplan = gaussian\nn_rep = 3\ngain_mode = fitted\nn_rounds = 1031\n", 50,
-        "353ecb59f707ec256c59e41d802bc8c41e84ac05ba6d5b7d92275a9c3d8bea37"),
+        "0ff40a824631181c5f8fcabcf96cf7fda171c9390d5820a99b179fe771914045"),
     "abc-fixed-150000": (
         "coalition = abc\nn_rounds = 150000\n", None,
-        "67491fa377d6fd552ac160fef0c41c4059e963ccaee56a1b7e2afedfa8e66a4f"),
+        "b0512b29756ba723f5940feddb4af79ba4df4d759a070bdb6e7710a0cb45be52"),
 }
 
 
@@ -1615,11 +1615,11 @@ def test_witness_subcommand(tmp_path, capsys):
 
 
 # sha256 of the witness subcommand's witness.json, plain and with --surrogate, from
-# stream layout 7: one normal per round, its sd the norm of the witness weights over the
-# Cholesky factor's normals
+# stream layout 8: one gamma per chunk and quadrature, scaled by twice the squared norm
+# of the witness weights over the Cholesky factor's normals
 WITNESS_OUTPUT_SHA256 = {
-    False: "9c5ee13598d6c188ae155a4d60553dc5230a0d1f446d89e3ef6c1b6b82ac95c4",
-    True: "d4c4a7483270e01a9f2e4d80cbca99d190e3251e01a3ac4f0332df026cf1e610",
+    False: "018e47268285431d185e1747fc234074c29ecdea60438eedd6c51a15e91d1eec",
+    True: "de11884719a69645a8e4eda1f4d13fb990ac32ec86673ab0eb794ea64a591946",
 }
 
 
@@ -1819,34 +1819,34 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 
 
 # sha256 of analytic simulate's reports per (coalition, plan), in chunks of 512
-# rounds, from stream layout 7, which draws the exact laws of what the reports read
+# rounds, from stream layout 8, which draws the exact laws of what the reports read
 # and no displacement: each coalition's two plans give the same reports. A one-pass
 # run estimates with the analytic gain, so a fitted run's drawing must not move these
 SIMULATE_REPORTS_SHA256 = {
     ("a_alone", "fixed"): ("7e7cec3c4f9b3de8080411902e7a1745a1995169af37aa7e4edc6f11d5a2794d",
                            "6c976a5b4e380e4af40ac994503154a19b05e30472dab8b29230a6c019404799",
-                           "373267225e54f38e267224dc043cb79da2c2f692a427c9f85ea415c66e2ea70e"),
+                           "7c26b6f5b7860d58f30fdcb8af026d1c1eee7083d90edd52da8c1b2b39a8c8c4"),
     ("ab", "fixed"): ("7cd353c7488185a5b3db651d829c678907bae462c55335485d9892a7759a3b55",
-                      "ab4b2c5e0911d3b09babc858baeb5c3915a7d2ac03daf0217248996a85c804e5",
-                      "66518465b3b46923f4603a8874a9eb4b8c7300a175446066d8abf6fe603f53b8"),
+                      "9421fa935e6a5575d61924350e4f73275a3e176cc7c5df3f7dc8dcfe323dbd0a",
+                      "adbc5b65f72476ca90dd5ef020886344d379c22245457829ba48dfdea1d39c18"),
     ("ac", "fixed"): ("a0ae509196c248660e9336609e767ce6135f67b942b35c70b2cd4ad527389f7d",
-                      "2e77b18ec93be43ddfa72129c1a024ea9381c1ab39cb6d0aed39be518f2f19d5",
-                      "6e4ee0205798f3261fc046857c2d64c46703c2757914cff2fab394a6ba7437b1"),
+                      "e163a3f362757f86aeb63e1e086354b3e6b936f06345d496589fed5c7acd1731",
+                      "a6ef6b960514d3cf02fd4ec1120d68efe64c9cf6825119f3898298a27bbcb492"),
     ("abc", "fixed"): ("677de62b31d49ae5d35ba01035b8489b29de62b243fafad93610b95924cbebc1",
-                       "1a362bad9272cc086df72d35287708b3e429a2403f51356873e415d0bd8fb82b",
-                       "93b04b1ace4ad455aa9173253e106550eeec6d5e56cbf71cdfde13d86481d443"),
+                       "3b65a2f3073ebc9fe9a80cfd8cd99c25596c73eeccd6379046e62cf70066cec3",
+                       "e5107ef90bd37b34e162fe0969275aced78c3e87c90a46422681d0b6b7173f36"),
     ("a_alone", "gaussian"): ("7e7cec3c4f9b3de8080411902e7a1745a1995169af37aa7e4edc6f11d5a2794d",
                               "6c976a5b4e380e4af40ac994503154a19b05e30472dab8b29230a6c019404799",
-                              "373267225e54f38e267224dc043cb79da2c2f692a427c9f85ea415c66e2ea70e"),
+                              "7c26b6f5b7860d58f30fdcb8af026d1c1eee7083d90edd52da8c1b2b39a8c8c4"),
     ("ab", "gaussian"): ("7cd353c7488185a5b3db651d829c678907bae462c55335485d9892a7759a3b55",
-                         "ab4b2c5e0911d3b09babc858baeb5c3915a7d2ac03daf0217248996a85c804e5",
-                         "66518465b3b46923f4603a8874a9eb4b8c7300a175446066d8abf6fe603f53b8"),
+                         "9421fa935e6a5575d61924350e4f73275a3e176cc7c5df3f7dc8dcfe323dbd0a",
+                         "adbc5b65f72476ca90dd5ef020886344d379c22245457829ba48dfdea1d39c18"),
     ("ac", "gaussian"): ("a0ae509196c248660e9336609e767ce6135f67b942b35c70b2cd4ad527389f7d",
-                         "2e77b18ec93be43ddfa72129c1a024ea9381c1ab39cb6d0aed39be518f2f19d5",
-                         "6e4ee0205798f3261fc046857c2d64c46703c2757914cff2fab394a6ba7437b1"),
+                         "e163a3f362757f86aeb63e1e086354b3e6b936f06345d496589fed5c7acd1731",
+                         "a6ef6b960514d3cf02fd4ec1120d68efe64c9cf6825119f3898298a27bbcb492"),
     ("abc", "gaussian"): ("677de62b31d49ae5d35ba01035b8489b29de62b243fafad93610b95924cbebc1",
-                          "1a362bad9272cc086df72d35287708b3e429a2403f51356873e415d0bd8fb82b",
-                          "93b04b1ace4ad455aa9173253e106550eeec6d5e56cbf71cdfde13d86481d443"),
+                          "3b65a2f3073ebc9fe9a80cfd8cd99c25596c73eeccd6379046e62cf70066cec3",
+                          "e5107ef90bd37b34e162fe0969275aced78c3e87c90a46422681d0b6b7173f36"),
 }
 
 
@@ -1868,17 +1868,17 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
 
 
 # sha256 of fitted simulate's mse_report.json and bias.json for the pairs, in the
-# setup of SIMULATE_REPORTS_SHA256, from stream layout 7: the calibration and
+# setup of SIMULATE_REPORTS_SHA256, from stream layout 8: the calibration and
 # estimation scatters drawn as Bartlett Wisharts
 FITTED_PAIR_REPORTS_SHA256 = {
-    ("ab", "fixed"): ("696189652f5deb7c615929b93c69083a05719a026209ac1824787b1de95750e6",
-                      "f4e1b0523f21abd65c7ecff5d9e2073e296cc07cb56f943639f519506c63fa8b"),
-    ("ab", "gaussian"): ("696189652f5deb7c615929b93c69083a05719a026209ac1824787b1de95750e6",
-                         "f4e1b0523f21abd65c7ecff5d9e2073e296cc07cb56f943639f519506c63fa8b"),
-    ("ac", "fixed"): ("9f925d65f25372f2f4dd4936e940522851b04f34f4d12ba07d5e7847451991d2",
-                      "a79b86f33918f1a4ffb24766cba5d8d4b58e209b50cc5e4211cdb64422a2296c"),
-    ("ac", "gaussian"): ("9f925d65f25372f2f4dd4936e940522851b04f34f4d12ba07d5e7847451991d2",
-                         "a79b86f33918f1a4ffb24766cba5d8d4b58e209b50cc5e4211cdb64422a2296c"),
+    ("ab", "fixed"): ("c4641d80e8067a4bafec04358b1115b3cb4e87b23e31087cdfd6236368caf4ba",
+                      "82d204af1f5da8f98c51e52f2edfc59805377e52dc6df48b24431a8a87b24b55"),
+    ("ab", "gaussian"): ("c4641d80e8067a4bafec04358b1115b3cb4e87b23e31087cdfd6236368caf4ba",
+                         "82d204af1f5da8f98c51e52f2edfc59805377e52dc6df48b24431a8a87b24b55"),
+    ("ac", "fixed"): ("db70a3b0801b10c2bfdf83d8d8ebf104026251d9d0c46b94b54aa2776b2dfe8d",
+                      "5780d7745d58c23d4230b5f8c8fbf8348388f2742e8dade74298759e5a345106"),
+    ("ac", "gaussian"): ("db70a3b0801b10c2bfdf83d8d8ebf104026251d9d0c46b94b54aa2776b2dfe8d",
+                         "5780d7745d58c23d4230b5f8c8fbf8348388f2742e8dade74298759e5a345106"),
 }
 
 
@@ -1932,13 +1932,13 @@ MANIFEST_SHA256 = {
     "certify": (["certify", "--grid", "3"],
                 "ba143e7b8595f2a755f56cc3a97b2780c758be70f274e827510b693077c50fe1"),
     "simulate": (["simulate", "--config", "run.cfg", "--dump-rounds"],
-                 "0221bf884c3efcf248bb86b6353fe529a840d7649ef5ccfc76c846e28a8cddaf"),
+                 "e72b0683a5ee005d2465f3fd45c3580e6385ee7edb427808ce89092720ae2166"),
     "security": (["security", *MU_ARGS, "--n-probes", "5"],
                  "5cc9aa63394f51596b24559f5642c862bed7119596eea59c6211441bc0e9ce25"),
     "mi": (["mi", "--v-dist", "5", *MU_ARGS, "--n-max", "5"],
            "ba872b7bc5353e2ff05223895bc7e400f03b4a536db58adf96716485afb998fd"),
     "witness": (["witness", "--n-rounds", "400", "--seed", "2"],
-                "49ae1fe6a8c96194a6f298bf7a34eece870a5642714574de93641ba651302241"),
+                "a969b79b8474b905de9203472e8be02e32adf43f453816337db1012ad763337c"),
 }
 
 

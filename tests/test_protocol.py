@@ -199,7 +199,7 @@ def test_keep_records_off():
 
 def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) -> dict:
     """The round-table columns of an n-round analytic run on IDEAL with a gaussian plan
-    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 7: the statistics,
+    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 8: the statistics,
     then the records conditioned on them, with numpy's own linear algebra."""
     gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, 0))))
     lone = coalition is Coalition.A_ALONE
@@ -222,10 +222,10 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
     # rounds per role read in each quadrature: the dealer's, or both for a lone A
     read = [[int(counts[r].sum()) if lone else int(counts[r, q].sum()) for q in (0, 1)]
             for r in range(4)]
-    gammas = gen.standard_gamma([read[3][0] / 2.0, read[3][1] / 2.0])
-    z = gen.standard_normal(read[1][0] + read[1][1] + read[0][0] + read[0][1])
-    bias = np.split(z[: read[1][0] + read[1][1]], [read[1][0]])
-    witness = np.split(z[read[1][0] + read[1][1] :], [read[0][0]])
+    # the estimation rounds' chi-squared halves, then the witness rounds'
+    gammas = gen.standard_gamma([read[3][0] / 2.0, read[3][1] / 2.0,
+                                 read[0][0] / 2.0, read[0][1] / 2.0])
+    bias = np.split(gen.standard_normal(read[1][0] + read[1][1]), [read[1][0]])
     # the records: a uniform arrangement of the labels, the coins no label fixes, the
     # blocks, then every round's normals in the layout, x then p
     perm = gen.permutation(n)
@@ -257,7 +257,8 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
             "dealer_basis": dealer, "kept": kept}
     for q in (0, 1):
         z, factor = normals[q], factors[q]
-        # each group's normals move along its functional's direction to the drawn values
+        # each group's normals move along its functional's direction to the drawn values,
+        # or to the drawn sum of squares
         n_read = len(coalition.party_columns)
         w0, w1 = estimators.WEIGHTS[coalition, q]
         w = [(w0 + gains.gain(coalition) * w1)[p] for p in order[:n_read]]
@@ -265,16 +266,16 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
         groups = [(1, c, bias[q])]
         if not lone:
             c_w = estimators.witness_estimate(np.eye(3), np.eye(3))[q][list(order)] @ factor
-            groups.append((0, c_w, witness[q]))
-        groups.append((3, c, None))
+            groups.append((0, c_w, gammas[2 + q]))
+        groups.append((3, c, gammas[q]))
         for r, c_r, y in groups:
             first = 4 * r + (0 if lone else 2 * q)
             rows = slice(offsets[first], offsets[first + (4 if lone else 2)])
             b = c_r / np.linalg.norm(c_r)
             zr = z[: b.size, rows]
             g = b @ zr
-            if y is None:
-                y = math.sqrt(2.0 * gammas[q]) * g / np.linalg.norm(g)
+            if r != 1:
+                y = math.sqrt(2.0 * y) * g / np.linalg.norm(g)
             zr += np.outer(b, y - g)
         outcomes = (factor @ z)[:, perm]
         outcomes[0] += alpha[q]
@@ -292,8 +293,8 @@ def _coins(gen, n):
 
 
 def test_round_columns_hold_the_drawn_rounds():
-    # every round of a one-chunk run as drawn by stream layout 7: the counts, the
-    # estimation rounds' gamma draws and the bias and witness rounds' normals, then the
+    # every round of a one-chunk run as drawn by stream layout 8: the counts, the
+    # estimation and witness rounds' gamma draws and the bias rounds' normals, then the
     # arrangement, the coins, the displacements and the normals conditioned on those
     # statistics; the outcomes are replayed with numpy's linear algebra, so they agree to
     # rounding, and every other column exactly
@@ -841,11 +842,12 @@ def _count_normals(monkeypatch) -> list:
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_run_without_records_draws_its_statistics_and_no_round(monkeypatch, coalition,
                                                                gain_mode):
-    # stream layout 7: without records a chunk draws one gamma array, the Bartlett entries
-    # of its estimation (and, fitted, calibration) rounds' scatter per quadrature, and one
-    # normal array: a fitted run's four Bartlett normals, then one normal per bias round
-    # and functional (the error, and its auxiliary in a fitted run; a lone A's bias round
-    # is read in x and in p), then one per witness round. No other round draws a number
+    # stream layout 8: without records a chunk draws one gamma array, the Bartlett entries
+    # of its estimation (and, fitted, calibration) rounds' scatter per quadrature and its
+    # witness rounds' chi-squared half per quadrature, and one normal array: a fitted
+    # run's four Bartlett normals, then one normal per bias round and functional (the
+    # error, and its auxiliary in a fitted run; a lone A's bias round is read in x and in
+    # p). No other round draws a number, and no witness round draws a normal
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     n, n_chunks = 5000, 5
     sizes, gammas = _count_draws(monkeypatch)
@@ -859,8 +861,10 @@ def test_run_without_records_draws_its_statistics_and_no_round(monkeypatch, coal
     assert n_witness == (0 if lone else round(POLICY.witness_fraction * n))
     assert n_bias == (2 if lone else 1) * round(POLICY.bias_fraction * n)
     assert len(sizes) == n_chunks
-    assert sum(sizes) == n_witness + d * n_bias + (4 * n_chunks if fitted else 0)
-    assert [size for _, size in gammas] == [(4 if fitted else 2) * d] * n_chunks
+    assert sum(sizes) == d * n_bias + (4 * n_chunks if fitted else 0)
+    assert [size for _, size in gammas] == [(4 if fitted else 2) * d + 2] * n_chunks
+    # the witness entries come last, a Gamma(k/2) for the k witness rounds of x and of p
+    assert sum(2 * sum(shape[-2:]) for shape, _ in gammas) == n_witness
     assert all(np.ndim(shape) == 1 for shape, _ in gammas)
 
 
@@ -928,11 +932,16 @@ def test_only_the_records_compute_outcomes(monkeypatch, coalition, gain_mode):
     assert sum(columns) == 2 * n
 
 
-def test_witness_run_draws_one_normal_per_round(monkeypatch):
+def test_witness_run_draws_one_gamma_per_chunk_and_no_normal(monkeypatch):
+    # stream layout 8: a chunk's k rounds of a quadrature sum their squared witness errors
+    # to 2 sd^2 Gamma(k/2), so it draws its count of x rounds and one (x, p) gamma pair
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
-    sizes = _count_normals(monkeypatch)
-    witness_verification_run(IDEAL, 1.0, -1.0, 5000, RandomStream(71))
-    assert len(sizes) == 5 and sum(sizes) == 5000
+    sizes, gammas = _count_draws(monkeypatch)
+    res = witness_verification_run(IDEAL, 1.0, -1.0, 5000, RandomStream(71))
+    assert sizes == []
+    assert [size for _, size in gammas] == [2] * 5
+    assert [2 * sum(shape) for shape, _ in gammas] == [1024] * 4 + [904]
+    assert sum(2 * shape[0] for shape, _ in gammas) == res.n_x
 
 
 def test_batch_run_draws_one_gamma_per_batch_and_quadrature(monkeypatch):
@@ -1143,17 +1152,16 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
                 e = estimators.combine(cols, coalition, q, run.gains) - alpha[rows]
                 return e, estimators.weighted_sum(cols, -w1) if fitted else None
 
-            # the witness rounds: every party's outcome, less the sqrt(eta_A) alpha/sqrt(2)
-            # that A's carries; a lone A has none
+            # the witness rounds' sum of squared errors: every party's outcome, less the
+            # sqrt(eta_A) alpha/sqrt(2) that A's carries; a lone A has none
             rows = read & (ch.roles == protocol.WITNESS)
+            want = protocol._scatter(run.laws[protocol.WITNESS][q].lower, ch.stats.witness[q])[0]
             if coalition is Coalition.A_ALONE:
-                assert not rows.any() and ch.stats.witness[q].size == 0
+                assert not rows.any() and want == 0.0
             else:
                 triple = np.stack([getattr(t, f"{quad}_{p}")[rows] for p in "abc"])
                 e_w = w_weights[q] @ triple - run.root_eta * alpha[rows] / math.sqrt(2.0)
-                sd_w = run.laws[protocol.WITNESS][q].lower[0][0]
-                np.testing.assert_allclose(np.sort(e_w), np.sort(sd_w * ch.stats.witness[q][0]),
-                                           rtol=0, atol=1e-12 * (1.0 + sd_w))
+                np.testing.assert_allclose(_sum(e_w, e_w), want, rtol=1e-12, atol=1e-300)
             # the bias rounds, in the order of their draws up to the arrangement
             e, u = errors(protocol.BIAS)
             want_e, want_u = protocol._values(law.lower, ch.stats.bias[q])
@@ -1414,25 +1422,21 @@ def _own_batch_scale(model, coalition) -> np.ndarray:
 def _own_witness_run(model, alpha_x, alpha_p, n_rounds, stream, surrogate):
     """witness_verification_run as it derived its law itself, the Cholesky factor of each
     quadrature's (A, B, C) block of the state and the witness weights' norm over it, with
-    its draws; and those sds."""
+    its draws (stream layout 8: per chunk its count of x rounds and a Gamma(k/2) per
+    quadrature); and those sds."""
     state = (surrogate_intercept_state if surrogate else build_dealer_state)(model, alpha_x,
                                                                              alpha_p)
     weights = estimators.witness_estimate(np.eye(3), np.eye(3))
-    laws = []
-    for c, idx, alpha in zip(weights, estimators.TRIPLE_INDICES, (alpha_x, alpha_p)):
-        idx = list(idx)
-        laws.append((_own_sd(np.linalg.cholesky(state.cov[np.ix_(idx, idx)]), c),
-                     float(c @ state.mean[idx])
-                     - math.sqrt(model.eta_a) * alpha / math.sqrt(2.0)))
-    sq = (estimators.RunningMoments(), estimators.RunningMoments())
+    sds = [_own_sd(np.linalg.cholesky(state.cov[np.ix_(idx, idx)]), c)
+           for c, idx in zip(weights, map(list, estimators.TRIPLE_INDICES))]
+    sq = ([0.0, 0], [0.0, 0])
     for start, end, gen in protocol._chunks(stream, n_rounds):
-        n_x = end - start - int(np.count_nonzero(protocol._coin(gen, end - start)))
-        e = gen.standard_normal(end - start)
-        for sq_q, (sd, shift), e_q in zip(sq, laws, (e[:n_x], e[n_x:])):
-            e_q *= sd
-            e_q += shift
-            sq_q.add(e_q * e_q)
-    return protocol._witness_result(*sq), [sd for sd, _ in laws]
+        n_x = int(gen.binomial(end - start, 0.5))
+        ks = (n_x, end - start - n_x)
+        for sums, sd, k, g in zip(sq, sds, ks, gen.standard_gamma([k / 2.0 for k in ks])):
+            sums[0] += 2.0 * sd * sd * float(g)
+            sums[1] += k
+    return protocol._witness_result(*sq), sds
 
 
 _arm_eta = st.floats(ETA_MIN, 1.0)
@@ -1486,8 +1490,7 @@ def test_shared_derivation_is_each_path_own_bit_for_bit(r, etas, epss, alphas, s
                      else build_dealer_state)(model, *alphas)
             factors = protocol._triple_factors(state.cov, (0, 1, 2))
             want, sds = _own_witness_run(model, *alphas, 200, RandomStream(seed), surrogate)
-            assert [law.lower[0][0] for law in protocol._witness_laws(factors, (0, 1, 2))[1]] \
-                == sds
+            assert [law.lower[0][0] for law in protocol._witness_laws(factors, (0, 1, 2))] == sds
             assert witness_verification_run(model, *alphas, 200, RandomStream(seed),
                                             surrogate=surrogate) == want
 
@@ -1560,6 +1563,89 @@ def test_witness_run_follows_the_law_of_its_folded_combination(surrogate):
         assert abs(mse - split * (var + offset * offset)) <= 5.0 * se
 
 
+@settings(max_examples=200)
+@given(r=st.floats(0.0, R_MAX), etas=st.tuples(_arm_eta, _arm_eta, _arm_eta),
+       epss=st.tuples(_arm_eps, _arm_eps, _arm_eps),
+       alphas=st.tuples(st.floats(-ALPHA_MAX, ALPHA_MAX), st.floats(-ALPHA_MAX, ALPHA_MAX)))
+def test_the_witness_error_has_no_mean_to_rounding(r, etas, epss, alphas):
+    # a witness error c.t - sqrt(eta_A) alpha_q/sqrt(2) has mean c.mu_q - sqrt(eta_A)
+    # alpha_q/sqrt(2), since t ~ N(mu_q, Sigma_q); only A's mean carries the secret, so
+    # that mean is rounding alone, for the dealer state and the surrogate, and the witness
+    # run draws the centred law
+    model = ExperimentModel(r, *etas, *epss)
+    weights = estimators.witness_estimate(np.eye(3), np.eye(3))
+    eps = np.finfo(float).eps
+    for make in (build_dealer_state, surrogate_intercept_state):
+        state = make(model, *alphas)
+        for c, idx, alpha in zip(weights, estimators.TRIPLE_INDICES, alphas):
+            mean = float(c @ state.mean[list(idx)])
+            shift = mean - math.sqrt(model.eta_a) * alpha / math.sqrt(2.0)
+            assert abs(shift) <= 4.0 * eps * max(1.0, abs(alpha)), (make.__name__, shift)
+
+
+@pytest.mark.parametrize("n", [100, 240, 1000])
+def test_witness_verdict_keeps_its_size_at_the_separability_boundary(n):
+    # at the boundary mu_x + mu_p = 4 a separable state's mse_sum is
+    # mu_x chi2_n/n + (4 - mu_x) chi2_n/n, its sum of squared errors per quadrature
+    # mu_q chi2_n/split = mu_q Gamma(n/2). A 5-SE rule promises a false alarm with
+    # probability at most Phi(-5) = 2.9e-7, a mean count of 0.29 in 1e6 draws: the
+    # verdict may call at most 3 of 1e6 boundary draws entangled (a Poisson count of mean
+    # 0.29 exceeds 3 with probability 2.5e-4). The sample-SE rule it replaces read 24 of
+    # 200,000 vacuum runs of 240 rounds entangled
+    split = estimators.RESOURCE_SPLIT_FACTOR
+    gen = np.random.default_rng(n)
+    for mu_x in (0.0, 1.0, 2.0, 3.0, 4.0):
+        mus = (mu_x, WITNESS_THRESHOLD - mu_x)
+        chi2 = 2.0 * gen.standard_gamma(n / 2.0, (2, 1_000_000))
+        sums = np.array(mus)[:, None] * chi2 / split
+        # the verdict reads mse_sum alone at a fixed n, and falls with it: the library's
+        # verdicts on the smallest draws, up to one it calls separable, are the count
+        smallest = np.argsort(sums.sum(axis=0))[:20]
+        verdicts = [protocol._witness_result((sums[0, i], n), (sums[1, i], n)).entangled
+                    for i in smallest]
+        assert verdicts[-1] is False, mu_x
+        assert sum(verdicts) <= 3, (mu_x, sum(verdicts))
+    # the exact rates where the law has a closed form: one chi-squared at mu_x = 0 or 4,
+    # and chi2_2n at mu_x = 2; each is below Phi(-5)
+    cut = protocol._witness_result((1.0, n), (1.0, n))
+    cut = WITNESS_THRESHOLD - 5.0 * cut.null_standard_error
+    assert scipy.stats.chi2.cdf(n * cut / WITNESS_THRESHOLD, n) < scipy.stats.norm.cdf(-5.0)
+    assert scipy.stats.chi2.cdf(n * cut / 2.0, 2 * n) < scipy.stats.norm.cdf(-5.0)
+
+
+def test_witness_mse_follows_its_scaled_chi_squared_law():
+    # over 2,000 seeds of 240-round witness runs a quadrature's mse over its n rounds is
+    # mu chi2_n/n, of mean mu and variance 2 mu^2/n: z = (mse/mu - 1) sqrt(n/2) has mean 0
+    # and variance 1 at every n, within 5 standard errors. A wrong gamma shape, such as
+    # Gamma(k) for Gamma(k/2), moves both
+    model = ExperimentModel(r=1.0, eta_a=0.9, eta_b=0.8, eps_c=0.05)
+    runs = [witness_verification_run(model, 0.5, -0.5, 240, RandomStream(seed))
+            for seed in range(2000)]
+    # a run's x rounds are as many as the dealer's fair coins give: Binomial(240, 1/2)
+    n_x = np.array([run.n_x for run in runs])
+    assert all(run.n_x + run.n_p == 240 for run in runs)
+    mean, se_mean, var, se_var = _moments_and_errors((n_x - 120.0) / math.sqrt(60.0))
+    assert abs(mean) <= 5.0 * se_mean and abs(var - 1.0) <= 5.0 * se_var
+    cov = build_dealer_state(model, 0.0, 0.0).cov
+    weights = estimators.witness_estimate(np.eye(3), np.eye(3))
+    for q, (c, idx) in enumerate(zip(weights, estimators.TRIPLE_INDICES)):
+        mu = estimators.RESOURCE_SPLIT_FACTOR * (c @ cov[np.ix_(idx, idx)] @ c)
+        mse = np.array([(run.mse_x, run.mse_p)[q] for run in runs])
+        n = np.array([(run.n_x, run.n_p)[q] for run in runs])
+        mean, se_mean, var, se_var = _moments_and_errors((mse / mu - 1.0) * np.sqrt(n / 2.0))
+        assert abs(mean) <= 5.0 * se_mean, (q, mean, se_mean)
+        assert abs(var - 1.0) <= 5.0 * se_var, (q, var, se_var)
+
+
+def test_witness_reads_entangled_at_r_1_at_the_default_rounds():
+    # power: at r = 1 mse_sum is near 4 e^-2 = 0.54, and at the witness subcommand's
+    # default 2,000 rounds the verdict's cut 4 - 5 SE0 is near 3.1
+    for seed in range(20):
+        wit = witness_verification_run(IDEAL, 0.0, 0.0, 2000, RandomStream(seed))
+        assert wit.status == "ok" and wit.entangled is True, seed
+        assert wit.null_standard_error == 4.0 * math.sqrt(2.0 / min(wit.n_x, wit.n_p))
+
+
 LOSSY = ExperimentModel(r=1.0, eta_a=0.9, eta_b=0.95, eps_c=0.02)
 
 
@@ -1620,7 +1706,7 @@ def test_reports_recomputed_from_the_records_match_the_run(monkeypatch, coalitio
                              chunks[0].table[chunks[0].roles == protocol.WITNESS])
         got = entanglement_check(witness_rounds, eta_a=LOSSY.eta_a)
         assert (got.n_x, got.n_p, got.entangled) == (witness.n_x, witness.n_p, witness.entangled)
-        for name in ("mse_x", "mse_p", "mse_sum", "standard_error"):
+        for name in ("mse_x", "mse_p", "mse_sum", "standard_error", "null_standard_error"):
             assert getattr(got, name) == pytest.approx(getattr(witness, name), rel=1e-12), name
 
 
