@@ -35,8 +35,8 @@ estimation rounds' sums of squared errors, 2|c|²·Γ(k/2), or in a fitted
 run the 2 x 2 Wishart scatter of (error, auxiliary) and of (residual,
 auxiliary) by Bartlett's decomposition, and one normal per functional of
 each bias round, whose standard error reads per-round values. A run
-without records draws nothing else: a few numbers per chunk and about
-one normal per twentieth of its rounds. A run that keeps its records draws
+without records draws nothing else: a few numbers per chunk and one or
+two normals per twentieth of its rounds. A run that keeps its records draws
 the same statistics first, so its reports are the same, and then the
 rounds conditioned on them (:meth:`_ProtocolRun._records`): a uniform
 arrangement of the counts over the chunk, the bases no count fixes, a
