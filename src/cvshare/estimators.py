@@ -330,12 +330,13 @@ def make_mse_report(
 class RunningMoments:
     """Count, mean and sum of squared deviations of values added chunk by chunk.
 
-    Each :meth:`add` reduces one chunk and merges it into the totals with
-    the pairwise update of Chan, Golub and LeVeque, so no chunk is kept.
-    After a single chunk, ``mean`` and :meth:`standard_error` are bit for
-    bit ``np.mean`` and ``np.std(ddof=1) / sqrt(n)`` of it: the reductions
-    behind :func:`empirical_mse`, :func:`mse_standard_error` and
-    :func:`bias_check`.
+    Each :meth:`merge` adds one chunk's count, mean and sum of squared
+    deviations to the totals with the pairwise update of Chan, Golub and
+    LeVeque, so no chunk is kept; :meth:`add` reduces a chunk's values to
+    those three and merges them. After a single chunk added, ``mean`` and
+    :meth:`standard_error` are bit for bit ``np.mean`` and
+    ``np.std(ddof=1) / sqrt(n)`` of it: the reductions behind
+    :func:`empirical_mse`, :func:`mse_standard_error` and :func:`bias_check`.
     """
 
     __slots__ = ("n", "mean", "m2")
@@ -346,11 +347,14 @@ class RunningMoments:
         self.m2 = 0.0
 
     def add(self, values: np.ndarray) -> None:
-        k = values.size
+        if values.size:
+            mean = float(np.mean(values))
+            self.merge(values.size, mean, float(np.sum((values - mean) ** 2)))
+
+    def merge(self, k: int, mean: float, m2: float) -> None:
+        """Merge k values of the given mean and sum of squared deviations about it."""
         if k == 0:
             return
-        mean = float(np.mean(values))
-        m2 = float(np.sum((values - mean) ** 2))
         n = self.n + k
         delta = mean - self.mean
         self.mean += delta * (k / n)

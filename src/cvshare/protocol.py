@@ -12,7 +12,7 @@ nothing), and a further random subset of the kept rounds feeds an
 unbiasedness spot-check; the remainder produces the coalition's MSE
 report.
 
-Rounds are drawn in chunks of ``_CHUNK_ROUNDS`` (stream layout 8), chunk
+Rounds are drawn in chunks of ``_CHUNK_ROUNDS`` (stream layout 9), chunk
 i from its own SFC64 child stream,
 :meth:`~cvshare.sampler.RandomStream.chunk_generator`. A dealer state
 has no x-p correlation, so the (A, B, C) triple of each quadrature is an
@@ -33,10 +33,10 @@ So a chunk draws the exact law of what its reports read, not its rounds
 (multivariate hypergeometric draws), per quadrature the witness and
 estimation rounds' sums of squared errors, 2|c|²·Γ(k/2), or in a fitted
 run the 2 x 2 Wishart scatter of (error, auxiliary) and of (residual,
-auxiliary) by Bartlett's decomposition, and one normal per functional of
-each bias round, whose standard error reads per-round values. A run
-without records draws nothing else: a few numbers per chunk and one or
-two normals per twentieth of its rounds. A run that keeps its records draws
+auxiliary) by Bartlett's decomposition, and the bias rounds' mean and
+scatter about it, independent normal and Wishart draws. A run without
+records draws nothing else, a few numbers per chunk whatever its size,
+and reduces no array. A run that keeps its records draws
 the same statistics first, so its reports are the same, and then the
 rounds conditioned on them (:meth:`_ProtocolRun._records`): a uniform
 arrangement of the counts over the chunk, the bases no count fixes, a
@@ -94,7 +94,7 @@ MAX_ROUNDS = 1_000_000_000
 #: row for abc under a fixed plan, 139 B for a lone A under a gaussian one) to 1.8-2.8 GB
 MAX_RECORD_ROUNDS = 20_000_000
 #: random-stream layout of the sampled outputs, recorded in their manifests
-STREAM_LAYOUT = 8
+STREAM_LAYOUT = 9
 #: rounds drawn and reduced at a time, each chunk from its own child stream
 _CHUNK_ROUNDS = 65536
 
@@ -489,8 +489,8 @@ def _scatter(lower, bartlett) -> tuple[float, float, float]:
     return t00 * t00, t00 * t10, t10 * t10 + t11 * t11
 
 
-def _values(lower, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The functionals lower @ y of whitened coordinates y (one row per functional)."""
+def _values(lower, y) -> tuple[float, float | None]:
+    """The functionals lower @ y of whitened coordinates y, one per functional."""
     e = lower[0][0] * y[0]
     if len(lower) == 1:
         return e, None
@@ -541,6 +541,15 @@ def _stiefel_shift(free: np.ndarray, bartlett) -> np.ndarray:
             if row[i]:
                 out[j] += row[i] * q[i]
     return out
+
+
+def _centred_shift(free: np.ndarray, mean, bartlett) -> np.ndarray:
+    """The change that takes the rows ``free`` to rows of means ``mean`` and scatter about
+    them bartlett @ bartlettᵀ: the means' shift plus :func:`_stiefel_shift` of the centred
+    rows, which lie in the complement of the ones vector, uniform on its Stiefel manifold
+    once orthonormalised and independent of their mean and scatter."""
+    centre = free.sum(axis=1, keepdims=True) / max(free.shape[1], 1)
+    return np.array(mean)[:, None] - centre + _stiefel_shift(free - centre, bartlett)
 
 
 def _displacements(plan: DisplacementPlan, start: int, end: int, carry: list[float],
@@ -624,14 +633,15 @@ class _Stats(NamedTuple):
     :data:`EST`) and then by quadrature (x, then p), in the whitened coordinates of the
     role's law (:attr:`_ProtocolRun.laws`).
 
-    The bias rounds' entries hold their coordinates, one row per
-    functional and one column per round. The witness, calibration and
-    estimation rounds' hold the Bartlett factor of their scatter, 1 x 1
-    for the witness (``calib`` is None unless the gains are fitted).
+    The witness, calibration and estimation rounds' entries hold the
+    Bartlett factor of their scatter, 1 x 1 for the witness (``calib`` is
+    None unless the gains are fitted). The bias rounds' hold the mean of
+    their coordinates, one per functional, and the Bartlett factor of the
+    scatter about it.
     """
 
     witness: tuple
-    bias: tuple[np.ndarray, np.ndarray]
+    bias: tuple
     calib: tuple | None
     est: tuple
 
@@ -667,11 +677,11 @@ class _Fit:
     and its error is affine in the gain: e(g) = e0 - s u with
     s = (g - g0) bias_scale. So the estimation rounds keep sum(e0 u) and
     sum(u u) per quadrature, entries of their drawn scatter, and the bias
-    rounds keep the moments of u and the co-moment of (e0, u), merged chunk
-    by chunk with the pairwise update of Chan, Golub and LeVeque. The sums
-    are taken about g0, not about g = 0: e0 is already close to the least
-    error, so applying the shift cancels nothing large, even at high
-    squeezing where A's outcome and u grow as e^r.
+    rounds keep the moments of u and the co-moment of (e0, u), each chunk's
+    drawn means and centred scatter merged with the pairwise update of Chan,
+    Golub and LeVeque. The sums are taken about g0, not about g = 0: e0 is
+    already close to the least error, so applying the shift cancels nothing
+    large, even at high squeezing where A's outcome and u grow as e^r.
     """
 
     __slots__ = ("coalition", "sum_ru", "sum_uu", "n", "est", "bias_u", "bias_c")
@@ -694,16 +704,16 @@ class _Fit:
         self.sum_uu += calib[2]
         self.n += n_calib
 
-    def add_bias(self, e: np.ndarray, u: np.ndarray, bias_err: RunningMoments) -> None:
-        """Add bias rounds' errors e0 and auxiliaries u; ``bias_err`` holds the moments of
-        e0 over the bias rounds added before these."""
-        k = e.size
+    def add_bias(self, k: int, mean_e: float, mean_u: float,
+                 scatter: tuple[float, float, float], bias_err: RunningMoments) -> None:
+        """Add k bias rounds by the means of their errors e0 and auxiliaries u and their
+        centred scatter (S_ee, S_eu, S_uu); ``bias_err`` holds the moments of e0 over the
+        bias rounds added before these."""
         if k:
-            mean_e, mean_u = float(np.mean(e)), float(np.mean(u))
             n = self.bias_u.n
             shift = (mean_e - bias_err.mean) * (mean_u - self.bias_u.mean) * (n * k / (n + k))
-            self.bias_c += _dot(e - mean_e, u - mean_u) + shift
-            self.bias_u.add(u)
+            self.bias_c += scatter[1] + shift
+            self.bias_u.merge(k, mean_u, scatter[2])
 
     def apply(self, gains: GainSet, sq_err: tuple[list, list],
               bias_err: RunningMoments) -> GainSet:
@@ -834,33 +844,42 @@ class _ProtocolRun:
         """The chunk of rounds [start, end), drawn from its generator, its statistics
         added to the run's sums.
 
-        First come the statistics, the same with and without records: the
-        counts per label (one multinomial over the cells, then the witness,
-        bias and calibration splits, :meth:`_counts`), one standard gamma
-        array (per quadrature, x first, the Bartlett chi-squared entries of
-        the estimation rounds, then of the calibration rounds, then the
-        witness rounds' one entry) and one standard normal array (Bartlett's
-        normals, then per quadrature, x first, the bias rounds' whitened
-        coordinates, one row per functional). A run without records draws
-        nothing else. A run with records then draws the rounds conditioned on
-        those statistics (:meth:`_records`).
+        First come the statistics, the same with and without records and as
+        many whatever the chunk's size: the counts per label (one multinomial
+        over the cells, then the witness, bias and calibration splits,
+        :meth:`_counts`), one standard gamma array (per quadrature, x first,
+        the Bartlett chi-squared entries of the estimation rounds, then of the
+        calibration rounds, then the witness rounds' one entry), one standard
+        normal array (a fitted run's Bartlett normals, then per quadrature the
+        bias rounds' mean coordinates times sqrt(k) and their scatter's
+        Bartlett normal) and that scatter's chi-squared entries, of k - 1
+        degrees of freedom. A run without records draws nothing else. A run
+        with records then draws the rounds conditioned on those statistics
+        (:meth:`_records`).
         """
         counts = self._counts(gen, end - start, end)
         read = self._read(counts)
         d = 1 if self.fit is None else 2
         dfs = read[EST].tolist() + ([] if self.fit is None else read[CALIB].tolist())
-        # (rounds, dimension) of each scatter, the witness rounds' last
+        # (degrees of freedom, dimension) of each scatter, the witness rounds' last
         blocks = [(k, d) for k in dfs] + [(k, 1) for k in read[WITNESS].tolist()]
         gammas = iter(gen.standard_gamma([max(k - j, 0) / 2.0 for k, n in blocks
                                           for j in range(n)]).tolist())
-        n_bias = read[BIAS].tolist()
-        sizes = [(d - 1) * len(dfs), d * n_bias[0], d * n_bias[1]]
-        normals, *bias = np.split(gen.standard_normal(sum(sizes)), np.cumsum(sizes[:-1]).tolist())
+        normals = iter(gen.standard_normal((d - 1) * len(dfs) + 2 * (2 * d - 1)).tolist())
         wisharts = [_bartlett([next(gammas) for _ in range(n)],
-                              float(normals[i]) if n == 2 else 0.0, k)
-                    for i, (k, n) in enumerate(blocks)]
-        stats = _Stats(tuple(wisharts[-2:]), tuple(part.reshape(d, -1) for part in bias),
-                       tuple(wisharts[2:-2]) or None, tuple(wisharts[:2]))
+                              next(normals) if n == 2 else 0.0, k) for k, n in blocks]
+        bias = []
+        for k in read[BIAS].tolist():
+            # k standard normals have a mean N(0, 1/k) and, independent of it, a scatter
+            # about it W(I, k - 1), its gammas drawn one at a time: the numbers of one array
+            # draw, which would leave about 50 bytes a call in the interpreter's free lists
+            # until a full collection. No bias round (k = 0) adds nothing
+            mean = [next(normals) / math.sqrt(max(k, 1)) for _ in range(d)]
+            bias.append((mean, _bartlett([gen.standard_gamma(max(k - 1 - j, 0) / 2.0)
+                                          for j in range(d)], next(normals) if d == 2 else 0.0,
+                                         k - 1)))
+        stats = _Stats(tuple(wisharts[-2:]), tuple(bias), tuple(wisharts[2:-2]) or None,
+                       tuple(wisharts[:2]))
         self._add(read, stats)
         if not self.keep_records:
             return _Chunk(counts, stats, None, None)
@@ -877,12 +896,14 @@ class _ProtocolRun:
                                     (self.sq_witness[q], witness, WITNESS)):
                 sq[0] += value
                 sq[1] += int(read[role, q])
-            e, u = _values(lower, stats.bias[q])
+            k, (mean, bartlett) = int(read[BIAS, q]), stats.bias[q]
+            e, u = _values(lower, mean)
+            scatter = _scatter(lower, bartlett)
             if self.fit is not None:
                 calib = _scatter(self.laws[CALIB][q].lower, stats.calib[q])
                 self.fit.add(q, est, calib, int(read[CALIB, q]))
-                self.fit.add_bias(e, u, self.bias_err)
-            self.bias_err.add(e)
+                self.fit.add_bias(k, e, u, scatter, self.bias_err)
+            self.bias_err.merge(k, e, scatter[0])
 
     def _records(self, start: int, end: int, counts: np.ndarray, stats: _Stats,
                  gen: np.random.Generator) -> tuple[np.ndarray, RoundTable]:
@@ -899,9 +920,10 @@ class _ProtocolRun:
         read in a quadrature (its witness, bias, calibration and estimation
         rounds, contiguous in the layout) then have their normals moved along
         the span of the role's law (:func:`_shift`) so that they give the
-        drawn statistics: the bias rounds' drawn coordinates, and for the
-        witness, calibration and estimation rounds coordinates whose scatter
-        is the drawn one (:func:`_stiefel_shift`). The components orthogonal
+        drawn statistics: coordinates whose scatter is the drawn one for the
+        witness, calibration and estimation rounds (:func:`_stiefel_shift`),
+        and whose mean and scatter about it are for the bias rounds
+        (:func:`_centred_shift`). The components orthogonal
         to the law keep their free draws. ``_apply`` turns the normals
         into outcomes, which the permutation takes to the table's rounds,
         and A's outcome gains sqrt(eta_A) alpha.
@@ -938,7 +960,8 @@ class _ProtocolRun:
                     continue
                 basis, zr, drawn = self.laws[role][q].basis, z[:, rows], stats[role][q]
                 free = _coordinates(zr, basis)
-                _shift(zr, basis, drawn - free if role == BIAS else _stiefel_shift(free, drawn))
+                _shift(zr, basis, _centred_shift(free, *drawn) if role == BIAS
+                       else _stiefel_shift(free, drawn))
             _apply(self.factors[q], z, out=z)
             out = outcomes[q]
             for j in range(3):

@@ -234,19 +234,19 @@ def test_simulate_and_rerun_byte_identical(tmp_path, capsys):
     assert len(rounds) == 1 + 10000
 
 
-# rounds.csv sha256 per (coalition, plan), from stream layout 8 (SFC64 chunk streams; the
-# counts, splits and statistics the reports read, then a uniform arrangement of the
-# counts, the coins no count fixes, the blocks and every round's normals conditioned on
-# the statistics); a lone A's kept its layout 7 bytes, since it has no witness round
+# rounds.csv sha256 per (coalition, plan), from stream layout 9 (SFC64 chunk streams; the
+# counts, splits and statistics the reports read, the bias rounds' as their mean and
+# scatter about it, then a uniform arrangement of the counts, the coins no count fixes,
+# the blocks and every round's normals conditioned on the statistics)
 ROUNDS_CSV_SHA256 = {
-    ("a_alone", "fixed"): "34db4cca309bf4e68f49bc948f43f370b4a8b0110e1bc4ea48f3276abc028ce6",
-    ("ab", "fixed"): "13ffdcaf68f4fec89ac752dd4886241400ff6468939af99a608bbb8df007efbe",
-    ("ac", "fixed"): "5905e7f0a89a98358b0fa06bafe18ae81a62ab818d430902570b87961f1061dc",
-    ("abc", "fixed"): "d6a4bc3e5b269f29138ee1e5defec70a69747bf67930069af01f25bc53518604",
-    ("a_alone", "gaussian"): "331f8ec74fffe3f6b4d479c82fb18b297ca0d98ea088d5e0055f0183a9ed59b4",
-    ("ab", "gaussian"): "60e1964f2ca19576ff4d62d30887319c08f3a6b0db028bb52ba14b584d232d51",
-    ("ac", "gaussian"): "2c9e0cff3bff6cd581a42147db7251499f953ae4e778052b1d290916494dfa91",
-    ("abc", "gaussian"): "3f224bc49ebefb4d677a41738a76f6314838e6a83460fa2227ac18845215540b",
+    ("a_alone", "fixed"): "bb4bc52fbd5d4e1dd1037f7b0a2e8e3a15dc319484be937d8615eff3073c0fd3",
+    ("ab", "fixed"): "16da74f802083b2b9c371ed9b58776e2b34598cfe908e7d1771f0f95fd62b33e",
+    ("ac", "fixed"): "e11207b0b4394656770a9a69bc65d7bf8e06b693ef21fb2805a25187e08ddd0c",
+    ("abc", "fixed"): "24303a9de739e0337c27f9f374443c0205321cb0d3fb659dcadba759559e7549",
+    ("a_alone", "gaussian"): "f90f1c9188f9063c1948d20bc1ef9a43824d0d3960a6e048378144a8e3bba9e6",
+    ("ab", "gaussian"): "7019ffc8a26cee8656e1e32c1c10bec545a92a86c3b72fdcfee7eb9b709d65d2",
+    ("ac", "gaussian"): "8e95d8d177efa2cad494ead3e0079d77ed488c0136c511dfa283c6ac4cd130b7",
+    ("abc", "gaussian"): "b932d51abe25f46cff83e1afd2f258848ee07aacf71c7ec3aeca30a2b1426112",
 }
 
 
@@ -266,20 +266,20 @@ def test_rounds_csv_bytes_pinned(tmp_path, capsys, coalition, plan):
     assert digest == ROUNDS_CSV_SHA256[(coalition, plan)]
 
 
-# rounds.csv sha256 of runs of several chunks, from stream layout 8, as the
+# rounds.csv sha256 of runs of several chunks, from stream layout 9, as the
 # whole-run round table wrote them: (config lines, _CHUNK_ROUNDS or None, digest).
 # 1031 rounds in chunks of 50 end on a partial chunk of 31; 150,000 rounds are two
 # full chunks of 65,536 and a partial one
 MULTI_CHUNK_ROUNDS_CSV_SHA256 = {
     "a_alone-fixed-chunks-of-50": (
         "coalition = a_alone\nplan = fixed\nn_rounds = 1031\n", 50,
-        "c6ac07a9cb1558a14d9ee5f4d8c0d9ea51c437a36289ad8c897d8f01e837201a"),
+        "5e27fbdb2bc598338605aa59afa3169dfc59f0a0e393200b78ab77289df844e6"),
     "abc-gaussian-n_rep-3-fitted-chunks-of-50": (
         "coalition = abc\nplan = gaussian\nn_rep = 3\ngain_mode = fitted\nn_rounds = 1031\n", 50,
-        "0ff40a824631181c5f8fcabcf96cf7fda171c9390d5820a99b179fe771914045"),
+        "76210530ee999f196492d6530e50d1a9ea3879fff90076be1a9bc2ba6933dfce"),
     "abc-fixed-150000": (
         "coalition = abc\nn_rounds = 150000\n", None,
-        "b0512b29756ba723f5940feddb4af79ba4df4d759a070bdb6e7710a0cb45be52"),
+        "3bd92d142b3983743912d0e8f4361e35867e11cc470bfc903cabbbd784cefb54"),
 }
 
 
@@ -1819,33 +1819,34 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 
 
 # sha256 of analytic simulate's reports per (coalition, plan), in chunks of 512
-# rounds, from stream layout 8, which draws the exact laws of what the reports read
+# rounds, from stream layout 9, which draws the exact laws of what the reports read
 # and no displacement: each coalition's two plans give the same reports. A one-pass
-# run estimates with the analytic gain, so a fitted run's drawing must not move these
+# run estimates with the analytic gain, so a fitted run's drawing must not move these.
+# Layout 9 moved only bias.json, since it draws the bias rounds' mean and scatter
 SIMULATE_REPORTS_SHA256 = {
     ("a_alone", "fixed"): ("7e7cec3c4f9b3de8080411902e7a1745a1995169af37aa7e4edc6f11d5a2794d",
-                           "6c976a5b4e380e4af40ac994503154a19b05e30472dab8b29230a6c019404799",
+                           "722ad07d2f696b7f8eac7baadab26de5ac14f76ece47898fe6b2928554082d10",
                            "7c26b6f5b7860d58f30fdcb8af026d1c1eee7083d90edd52da8c1b2b39a8c8c4"),
     ("ab", "fixed"): ("7cd353c7488185a5b3db651d829c678907bae462c55335485d9892a7759a3b55",
-                      "9421fa935e6a5575d61924350e4f73275a3e176cc7c5df3f7dc8dcfe323dbd0a",
+                      "5f843677e5e9a00920fad881f2fecf24f6c625c8c80514f2d126bd78ba0af24e",
                       "adbc5b65f72476ca90dd5ef020886344d379c22245457829ba48dfdea1d39c18"),
     ("ac", "fixed"): ("a0ae509196c248660e9336609e767ce6135f67b942b35c70b2cd4ad527389f7d",
-                      "e163a3f362757f86aeb63e1e086354b3e6b936f06345d496589fed5c7acd1731",
+                      "ab69030b608899e24d220cf4e74369f6aa5cb3b87ab4ca6f2b8708ffbff5f33b",
                       "a6ef6b960514d3cf02fd4ec1120d68efe64c9cf6825119f3898298a27bbcb492"),
     ("abc", "fixed"): ("677de62b31d49ae5d35ba01035b8489b29de62b243fafad93610b95924cbebc1",
-                       "3b65a2f3073ebc9fe9a80cfd8cd99c25596c73eeccd6379046e62cf70066cec3",
+                       "e0aa477a7f7935fc784fce5a04690eb01704b1aaac9b5617fe5f1880fbd9de89",
                        "e5107ef90bd37b34e162fe0969275aced78c3e87c90a46422681d0b6b7173f36"),
     ("a_alone", "gaussian"): ("7e7cec3c4f9b3de8080411902e7a1745a1995169af37aa7e4edc6f11d5a2794d",
-                              "6c976a5b4e380e4af40ac994503154a19b05e30472dab8b29230a6c019404799",
+                              "722ad07d2f696b7f8eac7baadab26de5ac14f76ece47898fe6b2928554082d10",
                               "7c26b6f5b7860d58f30fdcb8af026d1c1eee7083d90edd52da8c1b2b39a8c8c4"),
     ("ab", "gaussian"): ("7cd353c7488185a5b3db651d829c678907bae462c55335485d9892a7759a3b55",
-                         "9421fa935e6a5575d61924350e4f73275a3e176cc7c5df3f7dc8dcfe323dbd0a",
+                         "5f843677e5e9a00920fad881f2fecf24f6c625c8c80514f2d126bd78ba0af24e",
                          "adbc5b65f72476ca90dd5ef020886344d379c22245457829ba48dfdea1d39c18"),
     ("ac", "gaussian"): ("a0ae509196c248660e9336609e767ce6135f67b942b35c70b2cd4ad527389f7d",
-                         "e163a3f362757f86aeb63e1e086354b3e6b936f06345d496589fed5c7acd1731",
+                         "ab69030b608899e24d220cf4e74369f6aa5cb3b87ab4ca6f2b8708ffbff5f33b",
                          "a6ef6b960514d3cf02fd4ec1120d68efe64c9cf6825119f3898298a27bbcb492"),
     ("abc", "gaussian"): ("677de62b31d49ae5d35ba01035b8489b29de62b243fafad93610b95924cbebc1",
-                          "3b65a2f3073ebc9fe9a80cfd8cd99c25596c73eeccd6379046e62cf70066cec3",
+                          "e0aa477a7f7935fc784fce5a04690eb01704b1aaac9b5617fe5f1880fbd9de89",
                           "e5107ef90bd37b34e162fe0969275aced78c3e87c90a46422681d0b6b7173f36"),
 }
 
@@ -1868,17 +1869,18 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
 
 
 # sha256 of fitted simulate's mse_report.json and bias.json for the pairs, in the
-# setup of SIMULATE_REPORTS_SHA256, from stream layout 8: the calibration and
-# estimation scatters drawn as Bartlett Wisharts
+# setup of SIMULATE_REPORTS_SHA256: the calibration and estimation scatters drawn as
+# Bartlett Wisharts (stream layout 8), and the bias rounds' mean and scatter about it
+# (stream layout 9, which moved bias.json alone)
 FITTED_PAIR_REPORTS_SHA256 = {
     ("ab", "fixed"): ("c4641d80e8067a4bafec04358b1115b3cb4e87b23e31087cdfd6236368caf4ba",
-                      "82d204af1f5da8f98c51e52f2edfc59805377e52dc6df48b24431a8a87b24b55"),
+                      "3aedc67c604d255a93e957913c2863212d7317e43290e200636f3764a7972bb8"),
     ("ab", "gaussian"): ("c4641d80e8067a4bafec04358b1115b3cb4e87b23e31087cdfd6236368caf4ba",
-                         "82d204af1f5da8f98c51e52f2edfc59805377e52dc6df48b24431a8a87b24b55"),
+                         "3aedc67c604d255a93e957913c2863212d7317e43290e200636f3764a7972bb8"),
     ("ac", "fixed"): ("db70a3b0801b10c2bfdf83d8d8ebf104026251d9d0c46b94b54aa2776b2dfe8d",
-                      "5780d7745d58c23d4230b5f8c8fbf8348388f2742e8dade74298759e5a345106"),
+                      "04830e77ade79b7ec32cf5f737ee3d055cfc2daed64a076337db8232eace5e5f"),
     ("ac", "gaussian"): ("db70a3b0801b10c2bfdf83d8d8ebf104026251d9d0c46b94b54aa2776b2dfe8d",
-                         "5780d7745d58c23d4230b5f8c8fbf8348388f2742e8dade74298759e5a345106"),
+                         "04830e77ade79b7ec32cf5f737ee3d055cfc2daed64a076337db8232eace5e5f"),
 }
 
 
@@ -1932,13 +1934,13 @@ MANIFEST_SHA256 = {
     "certify": (["certify", "--grid", "3"],
                 "ba143e7b8595f2a755f56cc3a97b2780c758be70f274e827510b693077c50fe1"),
     "simulate": (["simulate", "--config", "run.cfg", "--dump-rounds"],
-                 "e72b0683a5ee005d2465f3fd45c3580e6385ee7edb427808ce89092720ae2166"),
+                 "993bb57fb88ab9573c402ea7f641aa4d241029ee4c4748d2ac18f0ae5b8b420c"),
     "security": (["security", *MU_ARGS, "--n-probes", "5"],
                  "5cc9aa63394f51596b24559f5642c862bed7119596eea59c6211441bc0e9ce25"),
     "mi": (["mi", "--v-dist", "5", *MU_ARGS, "--n-max", "5"],
            "ba872b7bc5353e2ff05223895bc7e400f03b4a536db58adf96716485afb998fd"),
     "witness": (["witness", "--n-rounds", "400", "--seed", "2"],
-                "a969b79b8474b905de9203472e8be02e32adf43f453816337db1012ad763337c"),
+                "24b718633e4810c517f59641986d908445ded22d85e6e8414f710c49d9deee7e"),
 }
 
 

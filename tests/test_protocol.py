@@ -1,5 +1,6 @@
 """End-to-end protocol runs: sifting, verification subsets, reports."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -199,7 +200,7 @@ def test_keep_records_off():
 
 def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) -> dict:
     """The round-table columns of an n-round analytic run on IDEAL with a gaussian plan
-    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 8: the statistics,
+    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 9: the statistics,
     then the records conditioned on them, with numpy's own linear algebra."""
     gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, 0))))
     lone = coalition is Coalition.A_ALONE
@@ -225,7 +226,10 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
     # the estimation rounds' chi-squared halves, then the witness rounds'
     gammas = gen.standard_gamma([read[3][0] / 2.0, read[3][1] / 2.0,
                                  read[0][0] / 2.0, read[0][1] / 2.0])
-    bias = np.split(gen.standard_normal(read[1][0] + read[1][1]), [read[1][0]])
+    # the bias rounds' mean times sqrt(k) per quadrature, then the chi-squared halves of
+    # their scatter about it, of k - 1 degrees of freedom
+    bias_mean = gen.standard_normal(2) / np.sqrt(np.maximum(read[1], 1))
+    bias_gammas = gen.standard_gamma(np.maximum(np.array(read[1]) - 1, 0) / 2.0)
     # the records: a uniform arrangement of the labels, the coins no label fixes, the
     # blocks, then every round's normals in the layout, x then p
     perm = gen.permutation(n)
@@ -257,13 +261,13 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
             "dealer_basis": dealer, "kept": kept}
     for q in (0, 1):
         z, factor = normals[q], factors[q]
-        # each group's normals move along its functional's direction to the drawn values,
-        # or to the drawn sum of squares
+        # each group's normals move along its functional's direction to the drawn sum of
+        # squares, or for the bias rounds to the drawn mean and sum of squares about it
         n_read = len(coalition.party_columns)
         w0, w1 = estimators.WEIGHTS[coalition, q]
         w = [(w0 + gains.gain(coalition) * w1)[p] for p in order[:n_read]]
         c = np.array(w) @ factor[:n_read, :n_read]
-        groups = [(1, c, bias[q])]
+        groups = [(1, c, bias_gammas[q])]
         if not lone:
             c_w = estimators.witness_estimate(np.eye(3), np.eye(3))[q][list(order)] @ factor
             groups.append((0, c_w, gammas[2 + q]))
@@ -274,7 +278,11 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
             b = c_r / np.linalg.norm(c_r)
             zr = z[: b.size, rows]
             g = b @ zr
-            if r != 1:
+            if r == 1:
+                centred = g - g.mean() if g.size else g
+                norm = np.linalg.norm(centred)
+                y = bias_mean[q] + (math.sqrt(2.0 * y) * centred / norm if norm else 0.0)
+            else:
                 y = math.sqrt(2.0 * y) * g / np.linalg.norm(g)
             zr += np.outer(b, y - g)
         outcomes = (factor @ z)[:, perm]
@@ -293,8 +301,8 @@ def _coins(gen, n):
 
 
 def test_round_columns_hold_the_drawn_rounds():
-    # every round of a one-chunk run as drawn by stream layout 8: the counts, the
-    # estimation and witness rounds' gamma draws and the bias rounds' normals, then the
+    # every round of a one-chunk run as drawn by stream layout 9: the counts, the
+    # estimation and witness rounds' gamma draws and the bias rounds' mean and scatter, then the
     # arrangement, the coins, the displacements and the normals conditioned on those
     # statistics; the outcomes are replayed with numpy's linear algebra, so they agree to
     # rounding, and every other column exactly
@@ -819,7 +827,7 @@ class _CountingGenerator:
 
     def standard_gamma(self, shape, size=None):
         out = self._gen.standard_gamma(shape, size)
-        self._gammas.append((shape, out.size))
+        self._gammas.append((shape, np.size(out)))
         return out
 
     def __getattr__(self, name):
@@ -842,30 +850,39 @@ def _count_normals(monkeypatch) -> list:
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_run_without_records_draws_its_statistics_and_no_round(monkeypatch, coalition,
                                                                gain_mode):
-    # stream layout 8: without records a chunk draws one gamma array, the Bartlett entries
-    # of its estimation (and, fitted, calibration) rounds' scatter per quadrature and its
-    # witness rounds' chi-squared half per quadrature, and one normal array: a fitted
-    # run's four Bartlett normals, then one normal per bias round and functional (the
-    # error, and its auxiliary in a fitted run; a lone A's bias round is read in x and in
-    # p). No other round draws a number, and no witness round draws a normal
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
-    n, n_chunks = 5000, 5
-    sizes, gammas = _count_draws(monkeypatch)
-    res = run_protocol(IDEAL, DisplacementPlan.gaussian_modulated(2.0), n, coalition, POLICY,
-                       RandomStream(71), gain_mode=gain_mode, keep_records=False)
+    # stream layout 9: without records a chunk draws the same number of variates whatever
+    # its size. One gamma array: the Bartlett entries of its estimation (and, fitted,
+    # calibration) rounds' scatter per quadrature and its witness rounds' chi-squared
+    # half per quadrature. One normal array: a fitted run's four Bartlett normals, then
+    # per quadrature the bias rounds' mean, one normal per functional (the error, and its
+    # auxiliary in a fitted run; a lone A's bias round is read in x and in p), and the
+    # Bartlett normal of their scatter about it. Then that scatter's Bartlett entries,
+    # of k - 1 degrees of freedom, one gamma each. No round draws a number
     lone = coalition is Coalition.A_ALONE
     fitted = gain_mode == "fitted" and not lone
     d = 2 if fitted else 1
-    n_witness = res.witness.n_x + res.witness.n_p
-    n_bias = res.bias.n_rounds * (2 if lone else 1)
-    assert n_witness == (0 if lone else round(POLICY.witness_fraction * n))
-    assert n_bias == (2 if lone else 1) * round(POLICY.bias_fraction * n)
-    assert len(sizes) == n_chunks
-    assert sum(sizes) == d * n_bias + (4 * n_chunks if fitted else 0)
-    assert [size for _, size in gammas] == [(4 if fitted else 2) * d + 2] * n_chunks
-    # the witness entries come last, a Gamma(k/2) for the k witness rounds of x and of p
-    assert sum(2 * sum(shape[-2:]) for shape, _ in gammas) == n_witness
-    assert all(np.ndim(shape) == 1 for shape, _ in gammas)
+    sizes, gammas = _count_draws(monkeypatch)
+    for chunk in (1024, 4096):
+        monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", chunk)
+        sizes.clear()
+        gammas.clear()
+        n, n_chunks = 5 * chunk - 120, 5
+        res = run_protocol(IDEAL, DisplacementPlan.gaussian_modulated(2.0), n, coalition,
+                           POLICY, RandomStream(71), gain_mode=gain_mode, keep_records=False)
+        n_witness = res.witness.n_x + res.witness.n_p
+        n_bias = res.bias.n_rounds * (2 if lone else 1)
+        assert n_witness == (0 if lone else round(POLICY.witness_fraction * n))
+        assert n_bias == (2 if lone else 1) * round(POLICY.bias_fraction * n)
+        assert sizes == [(4 if fitted else 0) + 2 * (2 * d - 1)] * n_chunks
+        per_chunk = [(4 if fitted else 2) * d + 2] + [1] * (2 * d)
+        assert [size for _, size in gammas] == per_chunk * n_chunks
+        arrays = [shape for shape, _ in gammas[0::2 * d + 1]]
+        assert all(np.ndim(shape) == 1 for shape in arrays)
+        # the witness entries end the array, a Gamma(k/2) for the k witness rounds of x
+        # and of p; the bias rounds' first entry per quadrature is a Gamma((k - 1)/2)
+        assert sum(2 * sum(shape[-2:]) for shape in arrays) == n_witness
+        firsts = [shape for i, (shape, _) in enumerate(gammas) if i % (2 * d + 1) in (1, d + 1)]
+        assert sum(2 * shape + 1 for shape in firsts) == n_bias
 
 
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
@@ -1129,14 +1146,16 @@ def test_chunk_tables_and_the_run_table_hold_the_same_rounds(monkeypatch, coalit
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain_mode):
     # each chunk's records give back, through the reference estimators, the statistics
-    # its reports read: the witness rounds' witness errors and the bias rounds' errors
-    # (and auxiliaries) as drawn, and the estimation and calibration rounds' scatter
+    # its reports read: the witness rounds' witness errors, the bias rounds' mean errors
+    # (and auxiliaries) and their scatter about it, and the estimation and calibration
+    # rounds' scatter
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
     model = ExperimentModel(r=1.0, eta_a=0.9, eta_b=0.95, eps_c=0.02)
     run = protocol._ProtocolRun(model, DisplacementPlan.gaussian_modulated(2.0, n_rep=3), 1000,
                                 coalition, POLICY, RandomStream(67), gain_mode,
                                 keep_records=True)
     fitted = run.fit is not None
+    d = 2 if fitted else 1
     w_weights = estimators.witness_estimate(np.eye(3), np.eye(3))
     for ch in _drawn(run):
         t = ch.table
@@ -1162,14 +1181,19 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
                 triple = np.stack([getattr(t, f"{quad}_{p}")[rows] for p in "abc"])
                 e_w = w_weights[q] @ triple - run.root_eta * alpha[rows] / math.sqrt(2.0)
                 np.testing.assert_allclose(_sum(e_w, e_w), want, rtol=1e-12, atol=1e-300)
-            # the bias rounds, in the order of their draws up to the arrangement
+            # the bias rounds' means and scatter about them
             e, u = errors(protocol.BIAS)
-            want_e, want_u = protocol._values(law.lower, ch.stats.bias[q])
-            order, want_order = np.argsort(e), np.argsort(want_e)
-            np.testing.assert_allclose(e[order], want_e[want_order], rtol=1e-12, atol=1e-13)
-            if fitted:
-                np.testing.assert_allclose(u[order], want_u[want_order], rtol=1e-12,
-                                           atol=1e-13)
+            mean, bartlett = ch.stats.bias[q]
+            want = protocol._scatter(law.lower, bartlett)
+            if e.size:
+                got = [float(np.mean(e))] + ([float(np.mean(u))] if fitted else [])
+                np.testing.assert_allclose(got, protocol._values(law.lower, mean)[:d],
+                                           rtol=1e-12, atol=1e-13)
+                e, u = e - np.mean(e), (u - np.mean(u) if fitted else None)
+                got = (_sum(e, e),) + ((_sum(e, u), _sum(u, u)) if fitted else (0.0, 0.0))
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
+            else:
+                assert want == (0.0, 0.0, 0.0)
             # the estimation rounds' scatter of (e, u)
             e, u = errors(protocol.EST)
             want = protocol._scatter(law.lower, ch.stats.est[q])
@@ -1735,12 +1759,13 @@ def test_recorded_errors_follow_their_normal_law(monkeypatch, coalition, gain_mo
         assert p > 1e-3, (q, p)
 
 
-def _per_round_fitted_mse_x(model, coalition, n, gen):
-    """A one-chunk fitted run's mse_x the long way, round by round: a coin per basis, the
-    witness, bias and calibration subsets picked round by round under the run's take
-    rule, every kept round's outcomes as a draw of the dealer covariance, the gain
-    fitted by least squares over the calibration rounds, and the x estimation rounds'
-    squared errors at that gain."""
+def _per_round_fitted_run(model, coalition, n, gen):
+    """A one-chunk fitted run's mse_x and bias statistic mean_error / standard_error the
+    long way, round by round: a coin per basis, the witness, bias and calibration subsets
+    picked round by round under the run's take rule, every kept round's outcomes as a
+    draw of the dealer covariance, the gain fitted by least squares over the calibration
+    rounds, the x estimation rounds' squared errors at that gain and the bias check of
+    the bias rounds' errors at it, x and p pooled."""
     dealer, shared, outsider = gen.integers(0, 2, (3, n))
     kept = shared == dealer
     pool = kept if coalition is Coalition.ABC else kept & (outsider == dealer)
@@ -1756,7 +1781,7 @@ def _per_round_fitted_mse_x(model, coalition, n, gen):
     est = kept & ~witness & ~bias
     calib = pick(est, int(est.sum()) // 2)
     cov = build_dealer_state(model, 0.0, 0.0).cov
-    r, u, cols_x = [], [], None
+    r, u, reads = [], [], []
     for q, idx in enumerate(estimators.TRIPLE_INDICES):
         rows = kept & (dealer == q)
         t = gen.multivariate_normal(np.zeros(3), cov[np.ix_(idx, idx)], int(rows.sum())).T
@@ -1766,14 +1791,21 @@ def _per_round_fitted_mse_x(model, coalition, n, gen):
         r.append(cols[0][c])
         u.append(estimators.weighted_sum([None if x is None else x[c] for x in cols],
                                          -estimators.WEIGHTS[coalition, q][1]))
-        if q == 0:
-            cols_x = [None if x is None else x[(est & ~calib)[rows]] for x in cols]
+        reads.append((cols, rows))
     g = fit_gain(np.concatenate(r), np.concatenate(u))
     three = coalition is Coalition.ABC
     gains = estimators.gains_for_model(model, coalition)
     gains = estimators.GainSet(0.0 if three else g, g if three else 0.0, gains.bias_scale)
-    e = estimators.combine(cols_x, coalition, 0, gains)
-    return estimators.RESOURCE_SPLIT_FACTOR * float(np.mean(e * e))
+
+    def errors(q, mask):
+        cols, rows = reads[q]
+        return estimators.combine([None if x is None else x[mask[rows]] for x in cols],
+                                  coalition, q, gains)
+
+    e = errors(0, est & ~calib)
+    residuals = np.concatenate([errors(q, bias) for q in (0, 1)])
+    mean, se = estimators.bias_check(residuals, np.zeros(residuals.size))
+    return estimators.RESOURCE_SPLIT_FACTOR * float(np.mean(e * e)), mean / se
 
 
 @pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.AC, Coalition.ABC],
@@ -1787,7 +1819,48 @@ def test_fitted_mse_follows_the_per_round_simulation(coalition):
                         RandomStream(seed), gain_mode="fitted",
                         keep_records=False).mse_report.mse_x for seed in range(2000)]
     gen = np.random.default_rng(113)
-    want = [_per_round_fitted_mse_x(model, coalition, 400, gen) for _ in range(2000)]
+    want = [_per_round_fitted_run(model, coalition, 400, gen)[0] for _ in range(2000)]
+    assert scipy.stats.ks_2samp(got, want).pvalue > 1e-3
+
+
+@functools.cache
+def _bias_statistics(coalition: Coalition, gain_mode: str) -> tuple[int, list[float]]:
+    """The residual pool n and the bias statistic mean_error / standard_error of 2,000
+    seeds of a 400-round run at ideal arms, without records."""
+    runs = [run_protocol(IDEAL, DisplacementPlan.fixed(0.0, 0.0), 400, coalition, POLICY,
+                         RandomStream(seed), gain_mode=gain_mode, keep_records=False).bias
+            for seed in range(2000)]
+    pools = {b.n_rounds * (2 if coalition is Coalition.A_ALONE else 1) for b in runs}
+    assert len(pools) == 1
+    return pools.pop(), [b.mean_error / b.standard_error for b in runs]
+
+
+@pytest.mark.parametrize("coalition, gain_mode", [
+    (Coalition.AB, "analytic"), (Coalition.AB, "fitted"), (Coalition.ABC, "analytic"),
+    (Coalition.ABC, "fitted"), (Coalition.A_ALONE, "analytic")],
+    ids=lambda v: getattr(v, "value", v))
+def test_bias_statistic_follows_student_t(coalition, gain_mode):
+    # a run draws its bias rounds' mean and scatter about it, not the rounds. At ideal
+    # arms x and p errors have one law at every gain, so the pooled residuals are iid
+    # centred normals given the fitted gain, which the calibration rounds alone fix, and
+    # mean_error / standard_error over n of them is Student's t with n - 1 degrees of
+    # freedom
+    run = protocol._ProtocolRun(IDEAL, PLAN, 400, coalition, POLICY, RandomStream(0), gain_mode,
+                                keep_records=False)
+    x, p = (law.lower for law in run.laws[protocol.EST])
+    np.testing.assert_allclose(p, x, rtol=1e-12, atol=1e-12)
+    n, stats = _bias_statistics(coalition, gain_mode)
+    assert n == (40 if coalition is Coalition.A_ALONE else 20)
+    assert scipy.stats.kstest(stats, scipy.stats.t(n - 1).cdf).pvalue > 1e-3
+
+
+def test_fitted_bias_statistic_follows_the_per_round_simulation():
+    # a fitted pair's bias statistic, from the drawn bias means and scatters merged at the
+    # fitted gain, against simulating every round, picking every subset, fitting the gain
+    # and applying the bias check (two-sample KS)
+    _, got = _bias_statistics(Coalition.AB, "fitted")
+    gen = np.random.default_rng(127)
+    want = [_per_round_fitted_run(IDEAL, Coalition.AB, 400, gen)[1] for _ in range(2000)]
     assert scipy.stats.ks_2samp(got, want).pvalue > 1e-3
 
 
@@ -1812,11 +1885,34 @@ def test_wishart_draws_of_one_round_or_none():
     np.testing.assert_allclose(y @ y.T, np.array(a) @ np.array(a).T, rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 7])
+def test_bias_rows_take_their_drawn_mean_and_scatter(k, d):
+    # the bias rounds' records: free rows moved by the mean shift and the Stiefel shift of
+    # their centred rows have the drawn mean and the drawn scatter about it, W(I, k - 1);
+    # one round has no scatter, and no round gives no row
+    gen = np.random.default_rng(10 * k + d)
+    free = gen.standard_normal((d, k))
+    mean = (gen.standard_normal(d) / math.sqrt(max(k, 1))).tolist()
+    a = protocol._bartlett(gen.standard_gamma([max(k - 1 - j, 0) / 2.0 for j in range(d)]),
+                           float(gen.standard_normal()), k - 1)
+    y = free + protocol._centred_shift(free, mean, a)
+    assert y.shape == (d, k)
+    if k == 0:
+        return
+    np.testing.assert_allclose(y.mean(axis=1), mean, rtol=1e-14, atol=1e-14)
+    centred = y - y.mean(axis=1, keepdims=True)
+    np.testing.assert_allclose(centred @ centred.T, np.array(a) @ np.array(a).T, rtol=1e-14,
+                               atol=1e-14)
+    if k == 1:
+        assert np.array(a).tolist() == np.zeros((d, d)).tolist()
+
+
 @pytest.mark.parametrize("aux", ["proportional", "zero"])
 def test_degenerate_wishart_scales(monkeypatch, aux):
     # an auxiliary proportional to the error, or zero, makes the scale of their Wishart
     # singular: the whitening gives it a diagonal entry of rounding size at most, and
-    # every drawn scatter and bias round keeps u = -2 e (or u = 0)
+    # every drawn scatter and bias mean keeps u = -2 e (or u = 0)
     orig = protocol._functionals
 
     def degenerate(factor, coalition, quad, gains):
@@ -1832,14 +1928,17 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
         (l00, _), (l10, l11) = run.laws[protocol.EST][q].lower
         assert abs(l11) <= 1e-15 * l00
         assert l10 == (pytest.approx(-2.0 * l00, rel=1e-15) if aux == "proportional" else 0.0)
+    factor = -2.0 if aux == "proportional" else 0.0
     for ch in _drawn(run):
         for q in (0, 1):
-            s_ee, s_eu, s_uu = protocol._scatter(run.laws[protocol.EST][q].lower, ch.stats.est[q])
-            factor = -2.0 if aux == "proportional" else 0.0
-            assert s_eu == pytest.approx(factor * s_ee, rel=1e-12, abs=1e-300)
-            assert s_uu == pytest.approx(factor * factor * s_ee, rel=1e-12, abs=1e-300)
-            e, u = protocol._values(run.laws[protocol.EST][q].lower, ch.stats.bias[q])
-            np.testing.assert_allclose(u, factor * e, rtol=1e-12, atol=1e-15)
+            lower = run.laws[protocol.EST][q].lower
+            mean, bartlett = ch.stats.bias[q]
+            for drawn in (ch.stats.est[q], bartlett):
+                s_ee, s_eu, s_uu = protocol._scatter(lower, drawn)
+                assert s_eu == pytest.approx(factor * s_ee, rel=1e-12, abs=1e-300)
+                assert s_uu == pytest.approx(factor * factor * s_ee, rel=1e-12, abs=1e-300)
+            e, u = protocol._values(lower, mean)
+            assert u == pytest.approx(factor * e, rel=1e-12, abs=1e-15)
     if aux == "zero":
         # a zero auxiliary cannot fit a gain, with or without records
         for keep_records in (False, True):
