@@ -197,11 +197,16 @@ def triple_aux_coefficients() -> np.ndarray:
 def gains_for_model(model: ExperimentModel, coalition: Coalition) -> GainSet:
     """Analytic gains from the model covariance, plus the 1/sqrt(eta_A) bias scale:
     g_b of the pair (A with C for AC, else with B) and g_bc of all three."""
-    cov = dealer_covariances([model.r], model)
+    return _gains(dealer_covariances([model.r], model), coalition, model.eta_a)
+
+
+def _gains(cov: np.ndarray, coalition: Coalition, eta_a: float) -> GainSet:
+    """:func:`gains_for_model` from the model's dealer covariance, a (1, 6, 6) stack, for a
+    caller that has built it already."""
     pair = Coalition.AC if coalition is Coalition.AC else Coalition.AB
     g_b, g_bc = (float(optimal_gains(cov, X_A, aux_coefficients(c, 0))[0])
                  for c in (pair, Coalition.ABC))
-    return GainSet(g_b=g_b, g_bc=g_bc, bias_scale=1.0 / math.sqrt(model.eta_a))
+    return GainSet(g_b=g_b, g_bc=g_bc, bias_scale=1.0 / math.sqrt(eta_a))
 
 
 def fit_gain(target_residuals: np.ndarray, aux_values: np.ndarray) -> float:

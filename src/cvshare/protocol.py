@@ -12,14 +12,15 @@ nothing), and a further random subset of the kept rounds feeds an
 unbiasedness spot-check; the remainder produces the coalition's MSE
 report.
 
-Rounds are drawn in chunks of ``_CHUNK_ROUNDS`` (stream layout 9), chunk
-i from its own SFC64 child stream,
-:meth:`~cvshare.sampler.RandomStream.chunk_generator`. A dealer state
-has no x-p correlation, so the (A, B, C) triple of each quadrature is an
-independent draw of its Wigner function, L z with L the lower Cholesky
-factor of its block and z standard normals, one per party, the parties
-the estimator reads first (:func:`_party_order`). Every quantity a
-report reads from a round is a fixed linear functional of its normals
+A run draws the exact law of what its reports read, not its rounds
+(stream layout 10), once for the whole run, from the first child stream
+of its :class:`~cvshare.sampler.RandomStream`,
+:meth:`~cvshare.sampler.RandomStream.chunk_generator` ``(0)``. A dealer
+state has no x-p correlation, so the (A, B, C) triple of each quadrature
+is an independent draw of its Wigner function, L z with L the lower
+Cholesky factor of its block and z standard normals, one per party, the
+parties the estimator reads first (:func:`_party_order`). Every quantity
+a report reads from a round is a fixed linear functional of its normals
 (:class:`_Functionals`): its error c·z at the analytic gain, its gain
 auxiliary, its calibration residual and, in a witness round, its witness
 error. The displacement cancels from each of them, so no report reads
@@ -27,23 +28,24 @@ it. One derivation gives the factors, gains and functionals of a run
 and of a batch (:func:`_coalition_laws`), and each role of a run's
 rounds reads them through one whitened law (:class:`_Whitened`).
 
-So a chunk draws the exact law of what its reports read, not its rounds
-(:meth:`_ProtocolRun._draw`): the counts of its rounds per basis cell
-(one multinomial), the witness, bias and calibration splits
-(multivariate hypergeometric draws), per quadrature the witness and
-estimation rounds' sums of squared errors, 2|c|²·Γ(k/2), or in a fitted
-run the 2 x 2 Wishart scatter of (error, auxiliary) and of (residual,
-auxiliary) by Bartlett's decomposition, and the bias rounds' mean and
-scatter about it, independent normal and Wishart draws. A run without
-records draws nothing else, a few numbers per chunk whatever its size,
-and reduces no array. A run that keeps its records draws
-the same statistics first, so its reports are the same, and then the
-rounds conditioned on them (:meth:`_ProtocolRun._records`): a uniform
-arrangement of the counts over the chunk, the bases no count fixes, a
-gaussian plan's displacement blocks, and every round's normals, moved
-along the read functionals so that they give the drawn statistics.
-Those records are the per-round simulation: the reference estimators
-applied to them give back the reports.
+So a run draws (:meth:`_ProtocolRun._draw`) the counts of its rounds
+per basis cell (one multinomial), the witness, bias and calibration
+subsets (multivariate hypergeometric draws), per quadrature the witness
+and estimation rounds' sums of squared errors, 2|c|²·Γ(k/2), or in a
+fitted run the 2 x 2 Wishart scatter of (error, auxiliary) and of
+(residual, auxiliary) by Bartlett's decomposition, and the bias rounds'
+mean and scatter about it, independent normal and Wishart draws. A run
+without records draws nothing else: the same few numbers whatever its
+size, and no array of its rounds. A run that keeps its records draws
+the same statistics first, so its reports are the same, and then its
+rounds in chunks of ``_CHUNK_ROUNDS``, chunk i from child stream i
+(:meth:`_ProtocolRun._records`): the chunk's share of the counts and of
+each statistic, conditioned on what the chunks before it took, a
+uniform arrangement of its counts, the bases no count fixes, a gaussian
+plan's displacement blocks, and every round's normals, moved along the
+read functionals so that they give the chunk's share. Those records are
+the per-round simulation: the reference estimators applied to them give
+back the reports.
 """
 
 from __future__ import annotations
@@ -86,16 +88,17 @@ WITNESS_THRESHOLD = 4.0
 #: cap on n_batches * n_probes * modes of a batch distribution run; a run draws one
 #: chi-squared value per batch and quadrature, so its time scales with n_batches alone
 DEFAULT_BATCH_TERM_CAP = 200_000_000
-#: cap on n_rounds of a run that keeps no records; memory is bounded by the
-#: chunk, so the cap only bounds the run time
+#: cap on n_rounds of a run that keeps no records. Such a run draws the same few statistics
+#: whatever its size, so neither its memory nor its time grows with n_rounds; the cap keeps
+#: every cell of its counts below the 1e9 rounds numpy's hypergeometric draw takes
 MAX_ROUNDS = 1_000_000_000
 #: cap on n_rounds of a run that keeps its records: it holds run_protocol's round table
 #: (77 B a round) to about 1.5 GB, and the rounds.csv of simulate --dump-rounds (89 B a
 #: row for abc under a fixed plan, 139 B for a lone A under a gaussian one) to 1.8-2.8 GB
 MAX_RECORD_ROUNDS = 20_000_000
 #: random-stream layout of the sampled outputs, recorded in their manifests
-STREAM_LAYOUT = 9
-#: rounds drawn and reduced at a time, each chunk from its own child stream
+STREAM_LAYOUT = 10
+#: rounds of a recorded run drawn at a time, each chunk from its own child stream
 _CHUNK_ROUNDS = 65536
 
 #: basis name per code in the basis columns: 0 = x, 1 = p, 2 = dual-homodyne
@@ -410,13 +413,14 @@ def _coalition_laws(model: ExperimentModel, coalition: Coalition) -> _CoalitionL
     """
     if not isinstance(coalition, Coalition):
         raise InvalidArgumentError(f"unknown coalition {coalition!r}")
-    cov = dealer_covariances([model.r], model)[0]
+    covs = dealer_covariances([model.r], model)
+    cov = covs[0]
     if coalition is Coalition.A_ALONE:
         a = [estimators.X_A, estimators.P_A]
         cov[a, a] += 1.0
         gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / math.sqrt(model.eta_a))
     else:
-        gains = estimators.gains_for_model(model, coalition)
+        gains = estimators._gains(covs, coalition, model.eta_a)
     order = _party_order(coalition)
     factors = _triple_factors(cov, order)
     return _CoalitionLaws(gains, order, factors,
@@ -552,6 +556,51 @@ def _centred_shift(free: np.ndarray, mean, bartlett) -> np.ndarray:
     return np.array(mean)[:, None] - centre + _stiefel_shift(free - centre, bartlett)
 
 
+def _share(free: np.ndarray, left, rest) -> tuple[np.ndarray, np.ndarray]:
+    """The change that takes the free coordinates F (d x k) of k of the K rounds whose
+    scatter has Bartlett factor ``left`` to theirs, and the Bartlett factor of the other
+    K - k rounds' scatter.
+
+    ``rest`` is a Bartlett factor R of W(I, K - k), the free scatter of the
+    other rounds. Gram-Schmidt of the rows of (F | R) gives (F | R) = L Q with
+    L the Cholesky factor of F Fᵀ + R Rᵀ, and Q is independent of L for any
+    free rounds of scatter R Rᵀ (Olkin and Rubin, Ann. Math. Statist. 35
+    (1964) 261-269). So ``left`` @ Q, :func:`_stiefel_shift` of (F | R), gives
+    all K rounds the scatter left leftᵀ: the k rounds' coordinates, and
+    left L⁻¹ R, which is lower-triangular, the factor of the others' scatter.
+    Without other rounds (R = 0) this is :func:`_stiefel_shift` of F.
+    """
+    rest = np.array(rest)
+    change = _stiefel_shift(np.hstack((free, rest)), left)
+    return change[:, :free.shape[1]], change[:, free.shape[1]:] + rest
+
+
+def _centred_share(free: np.ndarray, left, rest, n: int) -> tuple[np.ndarray, tuple]:
+    """The change that takes the free coordinates F (d x k) of k of the n rounds whose mean
+    and Bartlett factor of the scatter about it are ``left`` to theirs, and the other
+    n - k rounds' mean and factor.
+
+    ``rest`` is the free mean m_r ~ N(0, I/(n - k)) and the factor of the free
+    scatter about it, W(I, n - k - 1), of the other rounds. F has mean m, and
+    all n rounds have the centred scatter of (F - m 1ᵀ | b) and the other
+    rounds' centred scatter, b = sqrt(k (n - k)/n) (m - m_r), so the map T of
+    :func:`_share` of those columns takes the centred rounds to rounds of the
+    scatter left about the mean ȳ: each of the k rows becomes
+    ȳ + (n - k)/n T (m - m_r) + T (f - m), and the other rounds keep the mean
+    ȳ - k/n T (m - m_r). Without other rounds this is :func:`_centred_shift`.
+    """
+    (mean, bartlett), (rest_mean, rest_bartlett) = left, rest
+    k = free.shape[1]
+    m = free.sum(axis=1, keepdims=True) / k
+    w = math.sqrt(k * (n - k) / n)
+    cols = np.hstack((free - m, w * (m - np.array(rest_mean)[:, None])))
+    change, rest_bartlett = _share(cols, bartlett, rest_bartlett)
+    # T (m - m_r), and the drawn mean
+    gap, mean = (cols[:, k:] + change[:, k:]) / w, np.array(mean)[:, None]
+    return (change[:, :k] + mean + (n - k) / n * gap - m,
+            ((mean - k / n * gap)[:, 0].tolist(), rest_bartlett))
+
+
 def _displacements(plan: DisplacementPlan, start: int, end: int, carry: list[float],
                    gen: np.random.Generator) -> tuple:
     """The applied displacement of each round of [start, end), x and p.
@@ -591,18 +640,28 @@ def _coin(gen: np.random.Generator, n: int) -> np.ndarray:
 
 def _split(gen: np.random.Generator, cells: np.ndarray, take: int) -> np.ndarray:
     """How many of a uniformly random subset of the cells' rounds, ``take`` of them or
-    every one if fewer, fall in each cell: a multivariate hypergeometric draw."""
-    take = min(take, int(cells.sum()))
-    if take <= 0:
-        return np.zeros_like(cells)
-    return gen.multivariate_hypergeometric(cells.ravel(), take).reshape(cells.shape)
+    every one if fewer, fall in each cell: a multivariate hypergeometric draw.
 
-
-def _chunks(stream: RandomStream, n: int) -> Iterator[tuple[int, int, np.random.Generator]]:
-    """(start, end, generator) of each chunk of n rounds, chunk i drawing from the
-    stream's child i, which opens only when the chunk is asked for."""
-    for i, start in enumerate(range(0, n, _CHUNK_ROUNDS)):
-        yield start, min(start + _CHUNK_ROUNDS, n), stream.chunk_generator(i)
+    It is numpy's ``multivariate_hypergeometric`` by its marginals rule, with
+    its numbers: one hypergeometric draw per cell, of what is left of the
+    take from what is left of the rounds, the complement's take when the take
+    is more than half. numpy's own refuses 1e9 rounds; here a rest of 1e9
+    rounds, which only empty cells can leave in a run of at most
+    :data:`MAX_ROUNDS`, takes nothing from the empty cell before it.
+    """
+    colors = cells.ravel().tolist()
+    total = sum(colors)
+    take = min(take, total)
+    half = take > total // 2
+    left, rest, out = (total - take if half else take), total, []
+    for cell in colors[:-1]:
+        rest -= cell
+        out.append(int(gen.hypergeometric(cell, rest, left)) if left > 0 and rest < 10**9 else 0)
+        left -= out[-1]
+    out.append(left)
+    if half:
+        out = [c - v for c, v in zip(colors, out)]
+    return np.array(out, dtype=np.int64).reshape(cells.shape)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -629,9 +688,9 @@ _LABEL_OUTSIDER = np.array([d ^ pool if role != DISCARDED else -1 for role, d, p
 
 
 class _Stats(NamedTuple):
-    """The statistics a chunk's reports read, indexed by role (:data:`WITNESS` to
-    :data:`EST`) and then by quadrature (x, then p), in the whitened coordinates of the
-    role's law (:attr:`_ProtocolRun.laws`).
+    """The statistics a run's reports read, or those of some of its rounds, indexed by role
+    (:data:`WITNESS` to :data:`EST`) and then by quadrature (x, then p), in the whitened
+    coordinates of the role's law (:attr:`_ProtocolRun.laws`).
 
     The witness, calibration and estimation rounds' entries hold the
     Bartlett factor of their scatter, 1 x 1 for the witness (``calib`` is
@@ -647,15 +706,13 @@ class _Stats(NamedTuple):
 
 
 class _Chunk(NamedTuple):
-    """The draws of one chunk of rounds: its counts per label (role, dealer basis, pool; see
-    :data:`WITNESS`), the statistics the reports read and, when the records are kept, the
-    label of each round (an index into the flattened counts) and the chunk's
-    :class:`RoundTable`."""
+    """One chunk of a recorded run: its counts per label (role, dealer basis, pool; see
+    :data:`WITNESS`), the label of each round (an index into the flattened counts) and the
+    chunk's :class:`RoundTable`."""
 
     counts: np.ndarray
-    stats: _Stats
-    labels: np.ndarray | None
-    table: RoundTable | None
+    labels: np.ndarray
+    table: RoundTable
 
     @property
     def roles(self) -> np.ndarray:
@@ -664,20 +721,20 @@ class _Chunk(NamedTuple):
 
 
 class _Fit:
-    """The sums a fitted run gathers in its one pass over the chunks.
+    """The sums a fitted run gathers from its drawn statistics.
 
     The calibration rounds give sum(r u) and sum(u u) for the gain, with
     r = x_A - sqrt(eta_A) alpha the calibration residual and u = -(t @ w1)
     the auxiliary combination of the coalition's weights in the read's
     quadrature (:data:`~cvshare.estimators.WEIGHTS`), both linear in the
-    round's normals (:class:`_Functionals`), so each chunk adds the
+    round's normals (:class:`_Functionals`), so each quadrature adds the
     off-diagonal and the second diagonal entry of their drawn scatter. The
     estimate weighs u by -g in x and in p alike, so one gain fits both
     quadratures. Every other round is estimated with the analytic gain g0,
     and its error is affine in the gain: e(g) = e0 - s u with
     s = (g - g0) bias_scale. So the estimation rounds keep sum(e0 u) and
     sum(u u) per quadrature, entries of their drawn scatter, and the bias
-    rounds keep the moments of u and the co-moment of (e0, u), each chunk's
+    rounds keep the moments of u and the co-moment of (e0, u), each quadrature's
     drawn means and centred scatter merged with the pairwise update of Chan,
     Golub and LeVeque. The sums are taken about g0, not about g = 0: e0 is
     already close to the least error, so applying the shift cancels nothing
@@ -754,11 +811,12 @@ def _witness_result(sq_x: tuple[float, int], sq_p: tuple[float, int]) -> Witness
 class _ProtocolRun:
     """One protocol run, the owner of its draws and running sums. Constructing it checks
     every input, so each error fires before a chunk stream is opened. Iterating it draws
-    each chunk from its own child stream (:meth:`_draw`), adds its statistics to the sums
-    and, with ``keep_records``, yields the chunk's rounds as a :class:`RoundTable` of their
-    own; ``result()`` then gives the reports. :func:`run_protocol` copies the tables into
-    its whole-run table and ``simulate --dump-rounds`` writes them to rounds.csv; a caller
-    that drops each table before asking for the next holds at most one chunk's rounds."""
+    the run's statistics once (:meth:`_draw`), adds them to the sums and, with
+    ``keep_records``, yields each chunk's rounds as a :class:`RoundTable` of their own
+    (:meth:`_records`); ``result()`` then gives the reports. :func:`run_protocol` copies
+    the tables into its whole-run table and ``simulate --dump-rounds`` writes them to
+    rounds.csv; a caller that drops each table before asking for the next holds at most
+    one chunk's rounds."""
 
     def __init__(self, model: ExperimentModel, plan: DisplacementPlan, n_rounds: int,
                  coalition: Coalition, policy: ProtocolPolicy, stream: RandomStream,
@@ -799,37 +857,35 @@ class _ProtocolRun:
         cells = (0.0, 0.5, 0.0) if lone else (0.25, 0.0, 0.25) if coalition is Coalition.ABC \
             else (0.125, 0.125, 0.25)
         self.cells = cells * 2
-        # the block draw carried into the next chunk; the witness and bias rounds taken so
-        # far, since a chunk takes what is due by its end, round(fraction * end), so the run
-        # takes round(fraction * n_rounds) unless its eligible rounds run short; and the
-        # estimation rounds seen so far
+        # the block draw carried into the next chunk; the run's counts and statistics, once
+        # drawn; and what the recorded chunks have still to take of them, the counts per
+        # label and per role and quadrature a statistic (see _Stats)
         self.carry = [0.0, 0.0]
-        self.taken_witness = self.taken_bias = self.seen_est = 0
+        self.counts = self.stats = None
+        self.left = self.left_stats = None
         # per quadrature the sum of the squared errors and their count, of the estimation
         # and of the witness rounds; the bias check reads a spread too, so it keeps moments
         self.sq_err = ([0.0, 0], [0.0, 0])
         self.sq_witness = ([0.0, 0], [0.0, 0])
         self.bias_err = RunningMoments()
 
-    def _counts(self, gen: np.random.Generator, m: int, end: int) -> np.ndarray:
-        """The chunk's rounds per label (role, dealer basis, pool), a (5, 2, 2) array."""
-        policy = self.policy
-        cells = gen.multinomial(m, self.cells).reshape(2, 3)
+    def _counts(self, gen: np.random.Generator) -> np.ndarray:
+        """The run's rounds per label (role, dealer basis, pool), a (5, 2, 2) array: one
+        multinomial over the cells, then uniformly random subsets of the run's rounds, the
+        witness rounds (round(witness_fraction * n_rounds) of the pool, or all of it if
+        fewer), the bias rounds (likewise of the kept rounds left) and, in a fitted run,
+        half of the estimation rounds for calibration."""
+        policy, n = self.policy, self.n_rounds
+        cells = gen.multinomial(n, self.cells).reshape(2, 3)
         counts = np.zeros((5, 2, 2), dtype=np.int64)
         counts[DISCARDED, :, 0] = cells[:, 2]
         kept = cells[:, :2]
-        counts[WITNESS, :, 0] = _split(gen, kept[:, 0],
-                                       round(policy.witness_fraction * end) - self.taken_witness)
-        self.taken_witness += int(counts[WITNESS].sum())
+        counts[WITNESS, :, 0] = _split(gen, kept[:, 0], round(policy.witness_fraction * n))
         kept = kept - counts[WITNESS]
-        counts[BIAS] = _split(gen, kept, round(policy.bias_fraction * end) - self.taken_bias)
-        self.taken_bias += int(counts[BIAS].sum())
+        counts[BIAS] = _split(gen, kept, round(policy.bias_fraction * n))
         kept = kept - counts[BIAS]
         if self.fit is not None:
-            # half of the estimation rounds so far, counted across chunks
-            k = int(kept.sum())
-            counts[CALIB] = _split(gen, kept, (self.seen_est + k) // 2 - self.seen_est // 2)
-            self.seen_est += k
+            counts[CALIB] = _split(gen, kept, int(kept.sum()) // 2)
         counts[EST] = kept - counts[CALIB]
         return counts
 
@@ -840,25 +896,18 @@ class _ProtocolRun:
             return np.repeat(counts[:EST + 1].sum(axis=(1, 2))[:, None], 2, axis=1)
         return counts[:EST + 1].sum(axis=2)
 
-    def _draw(self, start: int, end: int, gen: np.random.Generator) -> _Chunk:
-        """The chunk of rounds [start, end), drawn from its generator, its statistics
-        added to the run's sums.
+    def _draw(self, gen: np.random.Generator, read: np.ndarray) -> _Stats:
+        """The statistics of rounds read ``read`` times per role and quadrature
+        (:meth:`_read`), drawn from their exact laws.
 
-        First come the statistics, the same with and without records and as
-        many whatever the chunk's size: the counts per label (one multinomial
-        over the cells, then the witness, bias and calibration splits,
-        :meth:`_counts`), one standard gamma array (per quadrature, x first,
-        the Bartlett chi-squared entries of the estimation rounds, then of the
-        calibration rounds, then the witness rounds' one entry), one standard
-        normal array (a fitted run's Bartlett normals, then per quadrature the
-        bias rounds' mean coordinates times sqrt(k) and their scatter's
-        Bartlett normal) and that scatter's chi-squared entries, of k - 1
-        degrees of freedom. A run without records draws nothing else. A run
-        with records then draws the rounds conditioned on those statistics
-        (:meth:`_records`).
+        One standard gamma array (per quadrature, x first, the Bartlett
+        chi-squared entries of the estimation rounds, then of the calibration
+        rounds, then the witness rounds' one entry), one standard normal array
+        (a fitted run's Bartlett normals, then per quadrature the bias rounds'
+        mean coordinates times sqrt(k) and their scatter's Bartlett normal)
+        and that scatter's chi-squared entries, of k - 1 degrees of freedom:
+        as many numbers whatever the counts.
         """
-        counts = self._counts(gen, end - start, end)
-        read = self._read(counts)
         d = 1 if self.fit is None else 2
         dfs = read[EST].tolist() + ([] if self.fit is None else read[CALIB].tolist())
         # (degrees of freedom, dimension) of each scatter, the witness rounds' last
@@ -878,15 +927,11 @@ class _ProtocolRun:
             bias.append((mean, _bartlett([gen.standard_gamma(max(k - 1 - j, 0) / 2.0)
                                           for j in range(d)], next(normals) if d == 2 else 0.0,
                                          k - 1)))
-        stats = _Stats(tuple(wisharts[-2:]), tuple(bias), tuple(wisharts[2:-2]) or None,
-                       tuple(wisharts[:2]))
-        self._add(read, stats)
-        if not self.keep_records:
-            return _Chunk(counts, stats, None, None)
-        return _Chunk(counts, stats, *self._records(start, end, counts, stats, gen))
+        return _Stats(tuple(wisharts[-2:]), tuple(bias), tuple(wisharts[2:-2]) or None,
+                      tuple(wisharts[:2]))
 
     def _add(self, read: np.ndarray, stats: _Stats) -> None:
-        """Add a chunk's statistics to the run's sums."""
+        """Add the run's statistics to its sums."""
         for q in (0, 1):
             # the bias rounds read the estimation rounds' law
             lower = self.laws[EST][q].lower
@@ -905,30 +950,56 @@ class _ProtocolRun:
                 self.fit.add_bias(k, e, u, scatter, self.bias_err)
             self.bias_err.merge(k, e, scatter[0])
 
-    def _records(self, start: int, end: int, counts: np.ndarray, stats: _Stats,
-                 gen: np.random.Generator) -> tuple[np.ndarray, RoundTable]:
-        """The label of each round of the chunk and its :class:`RoundTable`, drawn after
-        and conditioned on the chunk's statistics.
+    def _chunks(self) -> Iterator[_Chunk]:
+        """Draw the run's counts and statistics from child stream 0 and add them to the
+        sums; with records, then draw its chunks, chunk i from child stream i (stream 0
+        going on), each its share of what is left (:meth:`_records`)."""
+        gen = self.stream.chunk_generator(0)
+        self.counts = self._counts(gen)
+        read = self._read(self.counts)
+        self.stats = self._draw(gen, read)
+        self._add(read, self.stats)
+        if not self.keep_records:
+            return
+        self.left, self.left_stats = self.counts, [list(s or ()) for s in self.stats]
+        for i, start in enumerate(range(0, self.n_rounds, _CHUNK_ROUNDS)):
+            if i:
+                gen = self.stream.chunk_generator(i)
+            yield self._records(start, min(start + _CHUNK_ROUNDS, self.n_rounds), gen)
 
-        First comes a uniform random arrangement of the labels over the
-        chunk's rounds: the labels laid out in the order of the counts and
-        then permuted. Then come the coins of the bases that no label fixes
-        (a pair's outsider in its discarded rounds; a lone A's B and C in
-        every round), a gaussian plan's blocks (:func:`_displacements`), and
-        per quadrature, x first, every round's three normals in the factors'
-        order, as (3, m) arrays in the layout's order. Each role's rounds
-        read in a quadrature (its witness, bias, calibration and estimation
-        rounds, contiguous in the layout) then have their normals moved along
-        the span of the role's law (:func:`_shift`) so that they give the
-        drawn statistics: coordinates whose scatter is the drawn one for the
-        witness, calibration and estimation rounds (:func:`_stiefel_shift`),
-        and whose mean and scatter about it are for the bias rounds
-        (:func:`_centred_shift`). The components orthogonal
-        to the law keep their free draws. ``_apply`` turns the normals
-        into outcomes, which the permutation takes to the table's rounds,
-        and A's outcome gains sqrt(eta_A) alpha.
+    def _records(self, start: int, end: int, gen: np.random.Generator) -> _Chunk:
+        """The chunk of rounds [start, end), its counts and statistics a share of what
+        is left of the run's, drawn with its rounds conditioned on them.
+
+        First comes the share: the last chunk takes what is left and draws
+        nothing; another takes a uniformly random m of the rounds left, their
+        labels a multivariate hypergeometric draw of the counts left, and then
+        draws the free statistics of the rounds it leaves (:meth:`_draw`), which
+        split each statistic left between the chunk and the rounds after it.
+        Then comes a uniform random arrangement of the labels over the chunk's
+        rounds: the labels laid out in the order of the counts and then
+        permuted. Then come the coins of the bases that no label fixes (a
+        pair's outsider in its discarded rounds; a lone A's B and C in every
+        round), a gaussian plan's blocks (:func:`_displacements`), and per
+        quadrature, x first, every round's three normals in the factors'
+        order, as (3, m) arrays in the layout's order. Each role's rounds read
+        in a quadrature (its witness, bias, calibration and estimation rounds,
+        contiguous in the layout) then have their normals moved along the span
+        of the role's law (:func:`_shift`) so that they give their share of
+        the statistic left: coordinates of the scatter left, or of a share of
+        it, for the witness, calibration and estimation rounds
+        (:func:`_stiefel_shift`, :func:`_share`), and of the mean and
+        scatter about it for the bias rounds (:func:`_centred_shift`,
+        :func:`_centred_share`). The components orthogonal to the law keep
+        their free draws. ``_apply`` turns the normals into outcomes, which
+        the permutation takes to the table's rounds, and A's outcome gains
+        sqrt(eta_A) alpha.
         """
-        m = end - start
+        m, left = end - start, self._read(self.left)
+        counts = self.left if end == self.n_rounds else _split(gen, self.left, m)
+        taken = self._read(counts)
+        rest = self._draw(gen, left - taken) if end < self.n_rounds else None
+        self.left = self.left - counts
         perm = gen.permutation(m)
         label = np.repeat(np.arange(20, dtype=np.int8), counts.ravel())[perm]
         dealer, kept = _LABEL_DEALER[label], _LABEL_KEPT[label]
@@ -958,10 +1029,17 @@ class _ProtocolRun:
                 rows = slice(offsets[first], offsets[first + (4 if self.lone else 2)])
                 if rows.start == rows.stop:
                     continue
-                basis, zr, drawn = self.laws[role][q].basis, z[:, rows], stats[role][q]
+                basis, zr, drawn = self.laws[role][q].basis, z[:, rows], self.left_stats[role][q]
                 free = _coordinates(zr, basis)
-                _shift(zr, basis, _centred_shift(free, *drawn) if role == BIAS
-                       else _stiefel_shift(free, drawn))
+                k, n = int(taken[role, q]), int(left[role, q])
+                if k == n:
+                    delta = (_centred_shift(free, *drawn) if role == BIAS
+                             else _stiefel_shift(free, drawn))
+                else:
+                    share = _centred_share(free, drawn, rest[role][q], n) if role == BIAS \
+                        else _share(free, drawn, rest[role][q])
+                    delta, self.left_stats[role][q] = share
+                _shift(zr, basis, delta)
             _apply(self.factors[q], z, out=z)
             out = outcomes[q]
             for j in range(3):
@@ -978,18 +1056,18 @@ class _ProtocolRun:
             dealer_basis=dealer, basis_a=bases[0], basis_b=bases[1], basis_c=bases[2], kept=kept,
             **{name: outcomes["xp".index(name[0]), self.order["abc".index(name[2])]]
                for name in OUTCOME_COLUMNS})
-        return label, table
+        return _Chunk(counts, label, table)
 
     def __iter__(self) -> Iterator[RoundTable]:
-        for start, end, gen in _chunks(self.stream, self.n_rounds):
-            table = self._draw(start, end, gen).table
+        for chunk in self._chunks():
+            table = chunk.table
             # the chunk's table must not outlive the draw of the next chunk
-            if table is not None:
-                yield table
-                del table
+            del chunk
+            yield table
+            del table
 
     def result(self) -> tuple[MseReport, WitnessResult, BiasResult]:
-        """The reports of the drawn chunks; call it once, after iterating."""
+        """The reports of the drawn statistics; call it once, after iterating."""
         sq_err, bias_err, gains = self.sq_err, self.bias_err, self.gains
         if self.fit is not None:
             gains = self.fit.apply(gains, sq_err, bias_err)
@@ -1034,13 +1112,14 @@ def run_protocol(
         covariance; "fitted" reserves half of the estimation rounds to
         fit the gain by least squares, mirroring an experimental
         calibration, and reports the MSE on the other half. Both modes
-        draw every chunk once: a fitted run estimates with the analytic
-        gain and moves its sums to the fitted gain at the end (:class:`_Fit`).
+        draw the run's statistics once: a fitted run estimates with the
+        analytic gain and moves its sums to the fitted gain at the end
+        (:class:`_Fit`).
     :param keep_records: return every round as a :class:`RoundTable`,
         allocated once and filled from each chunk's table as the chunk
-        is drawn; with False the table is empty, memory does not grow
-        with n_rounds, and each chunk draws only the statistics its
-        reports read (for large runs where only the reports matter). The
+        is drawn; with False the table is empty, and the run draws only the
+        statistics its reports read, whose memory and time do not grow
+        with n_rounds (for large runs where only the reports matter). The
         reports are the same either way.
     :raises ResourceLimitError: n_rounds is above :data:`MAX_ROUNDS`, or
         above :data:`MAX_RECORD_ROUNDS` when the records are kept.
@@ -1133,15 +1212,15 @@ def witness_verification_run(
 
     Every round contributes to the witness statistic for its quadrature.
     With surrogate=True the distributed state is the intercept-and-resend
-    stand-in from :func:`surrogate_intercept_state`. Rounds are drawn in
-    chunks, each from its own child stream, and reduced to running sums.
-    A round's witness error c·t − √η_A·α_q/√2 is linear in its (A, B, C)
-    outcomes t ~ N(μ_q, Σ_q), and A's outcome carries √η_A·α_q, so it is
-    N(0, sd_q²) up to rounding, sd_q the sd of the witness law over the
-    normals of Σ_q's factor (:func:`_triple_factors` in (A, B, C) order and
-    :func:`_witness_laws`, as a run's). Each chunk of m rounds draws its
-    count of x rounds, Binomial(m, 1/2) as the dealer's fair coins give it,
-    and per quadrature, x first, its k rounds' sum of squares 2·sd_q²·Γ(k/2).
+    stand-in from :func:`surrogate_intercept_state`. A round's witness error
+    c·t − √η_A·α_q/√2 is linear in its (A, B, C) outcomes t ~ N(μ_q, Σ_q), and
+    A's outcome carries √η_A·α_q, so it is N(0, sd_q²) up to rounding, sd_q the
+    sd of the witness law over the normals of Σ_q's factor
+    (:func:`_triple_factors` in (A, B, C) order and :func:`_witness_laws`, as a
+    run's). So the run draws, from child stream 0, its count of x rounds,
+    Binomial(n_rounds, 1/2) as the dealer's fair coins give it, and per
+    quadrature, x first, its k rounds' sum of squares 2·sd_q²·Γ(k/2), and
+    nothing per round.
     """
     n_rounds = check_scalar("n_rounds", n_rounds, f">= {2 * WITNESS_MIN_ROUNDS}",
                             2 * WITNESS_MIN_ROUNDS, integer=True)
@@ -1155,14 +1234,11 @@ def witness_verification_run(
         st = build_dealer_state(model, plan.alpha_x, plan.alpha_p)
     abc = (0, 1, 2)
     sds = [law.lower[0][0] for law in _witness_laws(_triple_factors(st.cov, abc), abc)]
-    sq = ([0.0, 0], [0.0, 0])
-    for start, end, gen in _chunks(stream, n_rounds):
-        n_x = int(gen.binomial(end - start, 0.5))
-        ks = (n_x, end - start - n_x)
-        for sums, sd, k, g in zip(sq, sds, ks, gen.standard_gamma([k / 2.0 for k in ks]).tolist()):
-            sums[0] += 2.0 * sd * sd * g
-            sums[1] += k
-    return _witness_result(*sq)
+    gen = stream.chunk_generator(0)
+    n_x = int(gen.binomial(n_rounds, 0.5))
+    ks = (n_x, n_rounds - n_x)
+    return _witness_result(*((2.0 * sd * sd * g, k) for sd, k, g in
+                             zip(sds, ks, gen.standard_gamma([k / 2.0 for k in ks]).tolist())))
 
 
 def batch_mse_distribution(
@@ -1208,8 +1284,9 @@ def batch_mse_distribution(
         scale[q] = 2.0 * split * sd * sd
     n_probes = n_probes_per_quadrature
     total = np.empty(n_batches)
-    for start, end, gen in _chunks(stream, n_batches):
-        sums = gen.standard_gamma(n_probes / 2.0, (2, end - start))
+    for i, start in enumerate(range(0, n_batches, _CHUNK_ROUNDS)):
+        end = min(start + _CHUNK_ROUNDS, n_batches)
+        sums = stream.chunk_generator(i).standard_gamma(n_probes / 2.0, (2, end - start))
         sums *= scale
         np.add(sums[0], sums[1], out=total[start:end])
     return total / n_probes

@@ -234,10 +234,11 @@ def test_simulate_and_rerun_byte_identical(tmp_path, capsys):
     assert len(rounds) == 1 + 10000
 
 
-# rounds.csv sha256 per (coalition, plan), from stream layout 9 (SFC64 chunk streams; the
-# counts, splits and statistics the reports read, the bias rounds' as their mean and
-# scatter about it, then a uniform arrangement of the counts, the coins no count fixes,
-# the blocks and every round's normals conditioned on the statistics)
+# rounds.csv sha256 per (coalition, plan), from stream layout 9, which layout 10 keeps for
+# a run of one chunk (SFC64 chunk streams; the counts, splits and statistics the reports
+# read, the bias rounds' as their mean and scatter about it, then a uniform arrangement of
+# the counts, the coins no count fixes, the blocks and every round's normals conditioned
+# on the statistics)
 ROUNDS_CSV_SHA256 = {
     ("a_alone", "fixed"): "bb4bc52fbd5d4e1dd1037f7b0a2e8e3a15dc319484be937d8615eff3073c0fd3",
     ("ab", "fixed"): "16da74f802083b2b9c371ed9b58776e2b34598cfe908e7d1771f0f95fd62b33e",
@@ -266,20 +267,21 @@ def test_rounds_csv_bytes_pinned(tmp_path, capsys, coalition, plan):
     assert digest == ROUNDS_CSV_SHA256[(coalition, plan)]
 
 
-# rounds.csv sha256 of runs of several chunks, from stream layout 9, as the
-# whole-run round table wrote them: (config lines, _CHUNK_ROUNDS or None, digest).
+# rounds.csv sha256 of runs of several chunks, from stream layout 10 (the run's statistics
+# drawn once, each chunk taking its share of them), as the whole-run round table wrote
+# them: (config lines, _CHUNK_ROUNDS or None, digest).
 # 1031 rounds in chunks of 50 end on a partial chunk of 31; 150,000 rounds are two
 # full chunks of 65,536 and a partial one
 MULTI_CHUNK_ROUNDS_CSV_SHA256 = {
     "a_alone-fixed-chunks-of-50": (
         "coalition = a_alone\nplan = fixed\nn_rounds = 1031\n", 50,
-        "5e27fbdb2bc598338605aa59afa3169dfc59f0a0e393200b78ab77289df844e6"),
+        "b444b44439fab04bfb55f4fb11fdfa7c6527d98b7052225479a3ffd0cdfda7aa"),
     "abc-gaussian-n_rep-3-fitted-chunks-of-50": (
         "coalition = abc\nplan = gaussian\nn_rep = 3\ngain_mode = fitted\nn_rounds = 1031\n", 50,
-        "76210530ee999f196492d6530e50d1a9ea3879fff90076be1a9bc2ba6933dfce"),
+        "50170efb58fa579362623116a8f16465135b21142f1541dab51dc7c3734cf8c5"),
     "abc-fixed-150000": (
         "coalition = abc\nn_rounds = 150000\n", None,
-        "3bd92d142b3983743912d0e8f4361e35867e11cc470bfc903cabbbd784cefb54"),
+        "6d9d5f1d33a0f6f765d609c1c21da16b7cd4870eefd674bb00815e4aa91bf2aa"),
 }
 
 
@@ -1819,35 +1821,36 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 
 
 # sha256 of analytic simulate's reports per (coalition, plan), in chunks of 512
-# rounds, from stream layout 9, which draws the exact laws of what the reports read
-# and no displacement: each coalition's two plans give the same reports. A one-pass
-# run estimates with the analytic gain, so a fitted run's drawing must not move these.
-# Layout 9 moved only bias.json, since it draws the bias rounds' mean and scatter
+# rounds, from stream layout 10, which draws the exact laws of what the reports read
+# once for the run, and no displacement: each coalition's two plans give the same
+# reports. A one-pass run estimates with the analytic gain, so a fitted run's drawing
+# must not move these. Layout 10 moved all three of a run of several chunks (a lone A's
+# witness.json says not-applicable)
 SIMULATE_REPORTS_SHA256 = {
-    ("a_alone", "fixed"): ("7e7cec3c4f9b3de8080411902e7a1745a1995169af37aa7e4edc6f11d5a2794d",
-                           "722ad07d2f696b7f8eac7baadab26de5ac14f76ece47898fe6b2928554082d10",
+    ("a_alone", "fixed"): ("439b69354a53c508126eda519cf55a101e4ca26785bc4a9a742b47a06e582448",
+                           "53078e71a7d4cf29892804ad861634370a1f13701c2b6875d5a1bf3ae8499c4d",
                            "7c26b6f5b7860d58f30fdcb8af026d1c1eee7083d90edd52da8c1b2b39a8c8c4"),
-    ("ab", "fixed"): ("7cd353c7488185a5b3db651d829c678907bae462c55335485d9892a7759a3b55",
-                      "5f843677e5e9a00920fad881f2fecf24f6c625c8c80514f2d126bd78ba0af24e",
-                      "adbc5b65f72476ca90dd5ef020886344d379c22245457829ba48dfdea1d39c18"),
-    ("ac", "fixed"): ("a0ae509196c248660e9336609e767ce6135f67b942b35c70b2cd4ad527389f7d",
-                      "ab69030b608899e24d220cf4e74369f6aa5cb3b87ab4ca6f2b8708ffbff5f33b",
-                      "a6ef6b960514d3cf02fd4ec1120d68efe64c9cf6825119f3898298a27bbcb492"),
-    ("abc", "fixed"): ("677de62b31d49ae5d35ba01035b8489b29de62b243fafad93610b95924cbebc1",
-                       "e0aa477a7f7935fc784fce5a04690eb01704b1aaac9b5617fe5f1880fbd9de89",
-                       "e5107ef90bd37b34e162fe0969275aced78c3e87c90a46422681d0b6b7173f36"),
-    ("a_alone", "gaussian"): ("7e7cec3c4f9b3de8080411902e7a1745a1995169af37aa7e4edc6f11d5a2794d",
-                              "722ad07d2f696b7f8eac7baadab26de5ac14f76ece47898fe6b2928554082d10",
+    ("ab", "fixed"): ("2282bf30ff557697d98d9b5b4ef7277fe80a6af043addebc0403d8243a239938",
+                      "402d98fb2dd4c14e7f3845c4231ecdbdfa8befcb6301a464fbe8ea5c0d1b7f1a",
+                      "e40703090d1fda912200d0332c15d6c30fd62cb202112154655c55d9f236a2a8"),
+    ("ac", "fixed"): ("b314fff3d9549acb09253d7bcee5fd7ac59ff0607fdea591f9fcd518d1edb014",
+                      "5bea7c5874d918c921ca66dafe3d5554311f4e1c1b9d018199a55dd5f82d1a49",
+                      "651ef92b6263fe1e76c987531d55eb3e03e166e5027b863dff23e662132ec9da"),
+    ("abc", "fixed"): ("636d2f9d62f5ef0bed4b0b948709dbf4b4820af1961e9a548eda4a44217f14d0",
+                       "d681d2a7a21c41b40adfaca87921b3ce1fc5da6ac1c2c82384635db41f71cdee",
+                       "3924fbddf1fd812bba9a508526caacdc05388e4080bc5d500912b2032516f44b"),
+    ("a_alone", "gaussian"): ("439b69354a53c508126eda519cf55a101e4ca26785bc4a9a742b47a06e582448",
+                              "53078e71a7d4cf29892804ad861634370a1f13701c2b6875d5a1bf3ae8499c4d",
                               "7c26b6f5b7860d58f30fdcb8af026d1c1eee7083d90edd52da8c1b2b39a8c8c4"),
-    ("ab", "gaussian"): ("7cd353c7488185a5b3db651d829c678907bae462c55335485d9892a7759a3b55",
-                         "5f843677e5e9a00920fad881f2fecf24f6c625c8c80514f2d126bd78ba0af24e",
-                         "adbc5b65f72476ca90dd5ef020886344d379c22245457829ba48dfdea1d39c18"),
-    ("ac", "gaussian"): ("a0ae509196c248660e9336609e767ce6135f67b942b35c70b2cd4ad527389f7d",
-                         "ab69030b608899e24d220cf4e74369f6aa5cb3b87ab4ca6f2b8708ffbff5f33b",
-                         "a6ef6b960514d3cf02fd4ec1120d68efe64c9cf6825119f3898298a27bbcb492"),
-    ("abc", "gaussian"): ("677de62b31d49ae5d35ba01035b8489b29de62b243fafad93610b95924cbebc1",
-                          "e0aa477a7f7935fc784fce5a04690eb01704b1aaac9b5617fe5f1880fbd9de89",
-                          "e5107ef90bd37b34e162fe0969275aced78c3e87c90a46422681d0b6b7173f36"),
+    ("ab", "gaussian"): ("2282bf30ff557697d98d9b5b4ef7277fe80a6af043addebc0403d8243a239938",
+                         "402d98fb2dd4c14e7f3845c4231ecdbdfa8befcb6301a464fbe8ea5c0d1b7f1a",
+                         "e40703090d1fda912200d0332c15d6c30fd62cb202112154655c55d9f236a2a8"),
+    ("ac", "gaussian"): ("b314fff3d9549acb09253d7bcee5fd7ac59ff0607fdea591f9fcd518d1edb014",
+                         "5bea7c5874d918c921ca66dafe3d5554311f4e1c1b9d018199a55dd5f82d1a49",
+                         "651ef92b6263fe1e76c987531d55eb3e03e166e5027b863dff23e662132ec9da"),
+    ("abc", "gaussian"): ("636d2f9d62f5ef0bed4b0b948709dbf4b4820af1961e9a548eda4a44217f14d0",
+                          "d681d2a7a21c41b40adfaca87921b3ce1fc5da6ac1c2c82384635db41f71cdee",
+                          "3924fbddf1fd812bba9a508526caacdc05388e4080bc5d500912b2032516f44b"),
 }
 
 
@@ -1870,17 +1873,17 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
 
 # sha256 of fitted simulate's mse_report.json and bias.json for the pairs, in the
 # setup of SIMULATE_REPORTS_SHA256: the calibration and estimation scatters drawn as
-# Bartlett Wisharts (stream layout 8), and the bias rounds' mean and scatter about it
-# (stream layout 9, which moved bias.json alone)
+# Bartlett Wisharts (stream layout 8), the bias rounds' mean and scatter about it (stream
+# layout 9), all drawn once for the run (stream layout 10)
 FITTED_PAIR_REPORTS_SHA256 = {
-    ("ab", "fixed"): ("c4641d80e8067a4bafec04358b1115b3cb4e87b23e31087cdfd6236368caf4ba",
-                      "3aedc67c604d255a93e957913c2863212d7317e43290e200636f3764a7972bb8"),
-    ("ab", "gaussian"): ("c4641d80e8067a4bafec04358b1115b3cb4e87b23e31087cdfd6236368caf4ba",
-                         "3aedc67c604d255a93e957913c2863212d7317e43290e200636f3764a7972bb8"),
-    ("ac", "fixed"): ("db70a3b0801b10c2bfdf83d8d8ebf104026251d9d0c46b94b54aa2776b2dfe8d",
-                      "04830e77ade79b7ec32cf5f737ee3d055cfc2daed64a076337db8232eace5e5f"),
-    ("ac", "gaussian"): ("db70a3b0801b10c2bfdf83d8d8ebf104026251d9d0c46b94b54aa2776b2dfe8d",
-                         "04830e77ade79b7ec32cf5f737ee3d055cfc2daed64a076337db8232eace5e5f"),
+    ("ab", "fixed"): ("34648859b38368dfc81193d85ea212e59762ff5370d4ad51172a19cf4f2c7459",
+                      "61cd2564da4ef5a68f8cc9f4bebba65e68e2392f98fb4488132cdddf08b15932"),
+    ("ab", "gaussian"): ("34648859b38368dfc81193d85ea212e59762ff5370d4ad51172a19cf4f2c7459",
+                         "61cd2564da4ef5a68f8cc9f4bebba65e68e2392f98fb4488132cdddf08b15932"),
+    ("ac", "fixed"): ("2e37fc8c302a49cc01714971e628907918bc8d118038b02a8ec56de3f2670a6f",
+                      "2e9b4db3d173d5007b783573323aa0d5bed875bb3874d624cb5b84c87c20e81f"),
+    ("ac", "gaussian"): ("2e37fc8c302a49cc01714971e628907918bc8d118038b02a8ec56de3f2670a6f",
+                         "2e9b4db3d173d5007b783573323aa0d5bed875bb3874d624cb5b84c87c20e81f"),
 }
 
 
@@ -1934,13 +1937,13 @@ MANIFEST_SHA256 = {
     "certify": (["certify", "--grid", "3"],
                 "ba143e7b8595f2a755f56cc3a97b2780c758be70f274e827510b693077c50fe1"),
     "simulate": (["simulate", "--config", "run.cfg", "--dump-rounds"],
-                 "993bb57fb88ab9573c402ea7f641aa4d241029ee4c4748d2ac18f0ae5b8b420c"),
+                 "6fa042b95987089fb5b23c273d439e9900e5ffafabbdccac4dcaf00d6bf313e8"),
     "security": (["security", *MU_ARGS, "--n-probes", "5"],
                  "5cc9aa63394f51596b24559f5642c862bed7119596eea59c6211441bc0e9ce25"),
     "mi": (["mi", "--v-dist", "5", *MU_ARGS, "--n-max", "5"],
            "ba872b7bc5353e2ff05223895bc7e400f03b4a536db58adf96716485afb998fd"),
     "witness": (["witness", "--n-rounds", "400", "--seed", "2"],
-                "24b718633e4810c517f59641986d908445ded22d85e6e8414f710c49d9deee7e"),
+                "c31d26f7a70ee9acf9ad7c52206054ff1c4a6e962ac3eadda73ebf4de61b3382"),
 }
 
 

@@ -200,7 +200,7 @@ def test_keep_records_off():
 
 def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) -> dict:
     """The round-table columns of an n-round analytic run on IDEAL with a gaussian plan
-    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 9: the statistics,
+    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 10: the statistics,
     then the records conditioned on them, with numpy's own linear algebra."""
     gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, 0))))
     lone = coalition is Coalition.A_ALONE
@@ -301,7 +301,7 @@ def _coins(gen, n):
 
 
 def test_round_columns_hold_the_drawn_rounds():
-    # every round of a one-chunk run as drawn by stream layout 9: the counts, the
+    # every round of a one-chunk run as drawn by stream layout 10: the counts, the
     # estimation and witness rounds' gamma draws and the bias rounds' mean and scatter, then the
     # arrangement, the coins, the displacements and the normals conditioned on those
     # statistics; the outcomes are replayed with numpy's linear algebra, so they agree to
@@ -700,33 +700,27 @@ def test_chunk_edges_keep_blocks_subsets_and_fitted_counts(monkeypatch, n_rep):
     n_est = int(t.kept.sum()) - n_witness - res.bias.n_rounds
     assert res.mse_report.n_x + res.mse_report.n_p == n_est - n_est // 2
     assert res.bias.status == "ok"
-    # for ab the witness pool is a quarter of the rounds, so a witness fraction
-    # of 0.22 leaves some chunks short; later chunks make up the shortfall as far as
-    # their own pools reach: each takes what is due by its end, or its whole pool
-    greedy = ProtocolPolicy(witness_fraction=0.22)
+    # the subsets are uniformly random subsets of the whole run: for ab the witness pool is
+    # a quarter of the rounds, so a witness fraction of 0.3 takes all of it, which the
+    # chunks' records hold
+    greedy = ProtocolPolicy(witness_fraction=0.3)
     run = protocol._ProtocolRun(IDEAL, plan, n, Coalition.AB, greedy, RandomStream(59),
                                 "analytic", keep_records=True)
-    taken, made_up = 0, False
+    pool = took = 0
     for ch in _drawn(run):
-        start, end = ch.table.round_index[0], ch.table.round_index[-1] + 1
         t = ch.table
-        pool = int(np.count_nonzero(t.kept & (t.basis_b == t.dealer_basis)
-                                    & (t.basis_c == t.dealer_basis)))
-        due = round(0.22 * end) - taken
-        took = int(np.count_nonzero(ch.roles == protocol.WITNESS))
-        assert took == min(due, pool)
-        made_up |= took > round(0.22 * end) - round(0.22 * start)
-        taken += took
-    assert made_up
+        pool += int(np.count_nonzero(t.kept & (t.basis_b == t.dealer_basis)
+                                     & (t.basis_c == t.dealer_basis)))
+        took += int(np.count_nonzero(ch.roles == protocol.WITNESS))
+    assert took == pool < round(0.3 * n)
     res = run_protocol(IDEAL, plan, n, Coalition.AB, greedy, RandomStream(59),
                        keep_records=False)
-    assert res.witness.n_x + res.witness.n_p == taken
+    assert res.witness.n_x + res.witness.n_p == took
 
 
 def _drawn(run):
-    """Every chunk of a run as its draw method gives it, before any reduction."""
-    for start, end, gen in protocol._chunks(run.stream, run.n_rounds):
-        yield run._draw(start, end, gen)
+    """Every chunk of a recorded run: its counts, its rounds' labels and its table."""
+    return run._chunks()
 
 
 def _chunks(coalition, n, fitted, plan=PLAN):
@@ -846,43 +840,63 @@ def _count_normals(monkeypatch) -> list:
     return _count_draws(monkeypatch)[0]
 
 
+def _count_streams(monkeypatch) -> list:
+    """The index of every child stream opened, in order."""
+    opened = []
+    chunk_generator = RandomStream.chunk_generator
+
+    def counting(self, i):
+        opened.append(i)
+        return chunk_generator(self, i)
+
+    monkeypatch.setattr(RandomStream, "chunk_generator", counting)
+    return opened
+
+
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
-def test_run_without_records_draws_its_statistics_and_no_round(monkeypatch, coalition,
-                                                               gain_mode):
-    # stream layout 9: without records a chunk draws the same number of variates whatever
-    # its size. One gamma array: the Bartlett entries of its estimation (and, fitted,
-    # calibration) rounds' scatter per quadrature and its witness rounds' chi-squared
-    # half per quadrature. One normal array: a fitted run's four Bartlett normals, then
-    # per quadrature the bias rounds' mean, one normal per functional (the error, and its
-    # auxiliary in a fitted run; a lone A's bias round is read in x and in p), and the
-    # Bartlett normal of their scatter about it. Then that scatter's Bartlett entries,
-    # of k - 1 degrees of freedom, one gamma each. No round draws a number
+def test_run_without_records_opens_one_stream_and_draws_as_much_at_any_size(monkeypatch,
+                                                                            coalition,
+                                                                            gain_mode):
+    # stream layout 10: without records a run opens child stream 0 alone and draws its
+    # statistics once, as many variates at 1e3 rounds as at MAX_ROUNDS. One gamma array:
+    # the Bartlett entries of its estimation (and, fitted, calibration) rounds' scatter per
+    # quadrature and its witness rounds' chi-squared half per quadrature. One normal array:
+    # a fitted run's four Bartlett normals, then per quadrature the bias rounds' mean, one
+    # normal per functional (the error, and its auxiliary in a fitted run; a lone A's bias
+    # round is read in x and in p), and the Bartlett normal of their scatter about it. Then
+    # that scatter's Bartlett entries, of k - 1 degrees of freedom, one gamma each. No
+    # round draws a number, and a run of MAX_ROUNDS rounds reads MSEs within 5 standard
+    # errors of predicted_mse
     lone = coalition is Coalition.A_ALONE
     fitted = gain_mode == "fitted" and not lone
     d = 2 if fitted else 1
     sizes, gammas = _count_draws(monkeypatch)
-    for chunk in (1024, 4096):
-        monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", chunk)
+    opened = _count_streams(monkeypatch)
+    draws = []
+    for n in (1000, MAX_ROUNDS):
         sizes.clear()
         gammas.clear()
-        n, n_chunks = 5 * chunk - 120, 5
+        opened.clear()
         res = run_protocol(IDEAL, DisplacementPlan.gaussian_modulated(2.0), n, coalition,
                            POLICY, RandomStream(71), gain_mode=gain_mode, keep_records=False)
+        assert opened == [0]
         n_witness = res.witness.n_x + res.witness.n_p
         n_bias = res.bias.n_rounds * (2 if lone else 1)
         assert n_witness == (0 if lone else round(POLICY.witness_fraction * n))
         assert n_bias == (2 if lone else 1) * round(POLICY.bias_fraction * n)
-        assert sizes == [(4 if fitted else 0) + 2 * (2 * d - 1)] * n_chunks
-        per_chunk = [(4 if fitted else 2) * d + 2] + [1] * (2 * d)
-        assert [size for _, size in gammas] == per_chunk * n_chunks
-        arrays = [shape for shape, _ in gammas[0::2 * d + 1]]
-        assert all(np.ndim(shape) == 1 for shape in arrays)
+        assert sizes == [(4 if fitted else 0) + 2 * (2 * d - 1)]
+        assert [size for _, size in gammas] == [(4 if fitted else 2) * d + 2] + [1] * (2 * d)
         # the witness entries end the array, a Gamma(k/2) for the k witness rounds of x
         # and of p; the bias rounds' first entry per quadrature is a Gamma((k - 1)/2)
-        assert sum(2 * sum(shape[-2:]) for shape in arrays) == n_witness
-        firsts = [shape for i, (shape, _) in enumerate(gammas) if i % (2 * d + 1) in (1, d + 1)]
-        assert sum(2 * shape + 1 for shape in firsts) == n_bias
+        assert 2 * sum(gammas[0][0][-2:]) == n_witness
+        assert sum(2 * gammas[i][0] + 1 for i in (1, d + 1)) == n_bias
+        draws.append((list(sizes), [size for _, size in gammas]))
+        report = res.mse_report
+        for mse, n_q, want in zip((report.mse_x, report.mse_p), (report.n_x, report.n_p),
+                                  predicted_mse(IDEAL, coalition)[:2]):
+            assert abs(mse - want) <= 5.0 * want * math.sqrt(2.0 / n_q), (n, mse, want)
+    assert draws[0] == draws[1]
 
 
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
@@ -908,36 +922,44 @@ def test_a_run_without_records_draws_no_block(monkeypatch, coalition, gain_mode)
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_records_draw_every_round_once_after_the_statistics(monkeypatch, coalition):
-    # with records a chunk draws the statistics first, the same numbers as without, then
-    # its blocks (x values, then p values) and every round's x triple, then its p triple
+    # with records a run draws the statistics first, the same numbers as without; then
+    # each chunk but the last draws the free statistics of the rounds it leaves, one normal
+    # array as long, and every chunk its blocks (x values, then p values) and every
+    # round's x triple, then its p triple
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     n, n_rep = 5000, 3
     sizes = _count_normals(monkeypatch)
     plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
     run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), keep_records=False)
     statistics = list(sizes)
+    assert len(statistics) == 1
     sizes.clear()
+    opened = _count_streams(monkeypatch)
     run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71))
-    assert sizes[0::5] == statistics
+    assert opened == list(range(5))
     # a chunk draws the blocks that begin in it
     starts = [-(-start // n_rep) for start in range(0, n, 1024)] + [-(-n // n_rep)]
     blocks = [b - a for a, b in zip(starts, starts[1:])]
-    assert sizes[1::5] == sizes[2::5] == blocks
     triples = [3 * min(1024, n - start) for start in range(0, n, 1024)]
-    assert sizes[3::5] == sizes[4::5] == triples
+    want = list(statistics)
+    for i, (block, triple) in enumerate(zip(blocks, triples)):
+        want += statistics * (i < len(blocks) - 1) + [block, block, triple, triple]
+    assert sizes == want
 
 
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_only_the_records_compute_outcomes(monkeypatch, coalition, gain_mode):
     # the reports read statistics drawn from their exact laws, so a run without records
-    # turns no normal into an outcome; with records every round's x and p triples once
+    # turns no normal into an outcome; with records every round's x and p triples once (the
+    # chunks' shares apply their 1 x 1 or 2 x 2 factors to coordinates, not to triples)
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     columns = []
     apply = protocol._apply
 
     def counting_apply(factor, z, out=None):
-        columns.append(z.shape[1])
+        if z.shape[0] == 3:
+            columns.append(z.shape[1])
         return apply(factor, z, out)
 
     monkeypatch.setattr(protocol, "_apply", counting_apply)
@@ -949,16 +971,20 @@ def test_only_the_records_compute_outcomes(monkeypatch, coalition, gain_mode):
     assert sum(columns) == 2 * n
 
 
-def test_witness_run_draws_one_gamma_per_chunk_and_no_normal(monkeypatch):
-    # stream layout 8: a chunk's k rounds of a quadrature sum their squared witness errors
-    # to 2 sd^2 Gamma(k/2), so it draws its count of x rounds and one (x, p) gamma pair
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
+def test_witness_run_draws_one_gamma_pair_and_no_normal(monkeypatch):
+    # stream layout 10: the run's k rounds of a quadrature sum their squared witness
+    # errors to 2 sd^2 Gamma(k/2), so it draws, from child stream 0 alone, its count of x
+    # rounds and one (x, p) gamma pair, at any size
     sizes, gammas = _count_draws(monkeypatch)
-    res = witness_verification_run(IDEAL, 1.0, -1.0, 5000, RandomStream(71))
-    assert sizes == []
-    assert [size for _, size in gammas] == [2] * 5
-    assert [2 * sum(shape) for shape, _ in gammas] == [1024] * 4 + [904]
-    assert sum(2 * shape[0] for shape, _ in gammas) == res.n_x
+    opened = _count_streams(monkeypatch)
+    for n in (5000, MAX_ROUNDS):
+        gammas.clear()
+        opened.clear()
+        res = witness_verification_run(IDEAL, 1.0, -1.0, n, RandomStream(71))
+        assert sizes == [] and opened == [0]
+        assert [size for _, size in gammas] == [2]
+        assert 2 * sum(gammas[0][0]) == n and 2 * gammas[0][0][0] == res.n_x
+        assert res.entangled is True
 
 
 def test_batch_run_draws_one_gamma_per_batch_and_quadrature(monkeypatch):
@@ -982,6 +1008,29 @@ def test_coins_at_the_byte_edges(m):
     gen = RandomStream(5).chunk_generator(0)
     gen.bytes(-(-m // 8))
     assert gen.bytes(1) == after
+
+
+def test_split_draws_numpys_multivariate_hypergeometric():
+    # the subset split is numpy's multivariate_hypergeometric by its marginals rule, the
+    # same numbers from the same stream, so a run of one chunk keeps layout 9's bytes:
+    # with empty cells, and takes of none, of all, of more than half and of more than
+    # there are. numpy's own refuses a total of 1e9 rounds, which a lone A's MAX_ROUNDS
+    # run reaches behind its empty witness-pool cells; the split takes none of those
+    rng = np.random.default_rng(3)
+    for seed in range(600):
+        cells = rng.integers(0, (5, 60, 70_000)[seed % 3], (2, 2))
+        cells[rng.random((2, 2)) < 0.3] = 0
+        take = int(rng.integers(0, cells.sum() + 5))
+        want, got = (RandomStream(seed).chunk_generator(0) for _ in range(2))
+        drawn = want.multivariate_hypergeometric(cells.ravel(), min(take, int(cells.sum())))
+        assert protocol._split(got, cells, take).tolist() == drawn.reshape(2, 2).tolist()
+        assert got.bytes(8) == want.bytes(8)
+    cells = np.array([[0, 500_000_123], [0, 499_999_877]])
+    gen = RandomStream(5).chunk_generator(0)
+    with pytest.raises(ValueError):
+        gen.multivariate_hypergeometric(cells.ravel(), 50_000_000)
+    got = protocol._split(gen, cells, 50_000_000)
+    assert got[:, 0].tolist() == [0, 0] and int(got.sum()) == 50_000_000
 
 
 def test_coins_are_fair():
@@ -1145,68 +1194,73 @@ def test_chunk_tables_and_the_run_table_hold_the_same_rounds(monkeypatch, coalit
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain_mode):
-    # each chunk's records give back, through the reference estimators, the statistics
-    # its reports read: the witness rounds' witness errors, the bias rounds' mean errors
-    # (and auxiliaries) and their scatter about it, and the estimation and calibration
-    # rounds' scatter
+    # the chunks' records, each chunk holding its share, give back through the reference
+    # estimators the statistics the run's reports read: the witness rounds' witness
+    # errors, the bias rounds' mean errors (and auxiliaries) and their scatter about it,
+    # and the estimation and calibration rounds' scatter
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
     model = ExperimentModel(r=1.0, eta_a=0.9, eta_b=0.95, eps_c=0.02)
     run = protocol._ProtocolRun(model, DisplacementPlan.gaussian_modulated(2.0, n_rep=3), 1000,
                                 coalition, POLICY, RandomStream(67), gain_mode,
                                 keep_records=True)
+    chunks = list(_drawn(run))
     fitted = run.fit is not None
     d = 2 if fitted else 1
     w_weights = estimators.witness_estimate(np.eye(3), np.eye(3))
-    for ch in _drawn(run):
-        t = ch.table
-        for q, quad in enumerate("xp"):
-            read = _read_rounds(ch, coalition, q)
-            alpha = getattr(t, f"alpha_{quad}")
-            w1 = estimators.WEIGHTS[coalition, q][1]
-            law = run.laws[protocol.EST][q]
+    for q, quad in enumerate("xp"):
+        w1 = estimators.WEIGHTS[coalition, q][1]
+        law = run.laws[protocol.EST][q]
 
-            def errors(role):
-                rows = read & (ch.roles == role)
+        def reads(role):
+            """Per chunk the outcome columns and alphas of the role's rounds read in q."""
+            for ch in chunks:
+                rows = _read_rounds(ch, coalition, q) & (ch.roles == role)
+                yield ch.table, rows, getattr(ch.table, f"alpha_{quad}")[rows]
+
+        def errors(role):
+            e, u = [], []
+            for t, rows, alpha in reads(role):
                 cols = _columns(t, coalition, q, rows)
-                e = estimators.combine(cols, coalition, q, run.gains) - alpha[rows]
-                return e, estimators.weighted_sum(cols, -w1) if fitted else None
+                e.append(estimators.combine(cols, coalition, q, run.gains) - alpha)
+                u.append(estimators.weighted_sum(cols, -w1) if fitted else None)
+            return np.concatenate(e), np.concatenate(u) if fitted else None
 
-            # the witness rounds' sum of squared errors: every party's outcome, less the
-            # sqrt(eta_A) alpha/sqrt(2) that A's carries; a lone A has none
-            rows = read & (ch.roles == protocol.WITNESS)
-            want = protocol._scatter(run.laws[protocol.WITNESS][q].lower, ch.stats.witness[q])[0]
-            if coalition is Coalition.A_ALONE:
-                assert not rows.any() and want == 0.0
-            else:
-                triple = np.stack([getattr(t, f"{quad}_{p}")[rows] for p in "abc"])
-                e_w = w_weights[q] @ triple - run.root_eta * alpha[rows] / math.sqrt(2.0)
-                np.testing.assert_allclose(_sum(e_w, e_w), want, rtol=1e-12, atol=1e-300)
-            # the bias rounds' means and scatter about them
-            e, u = errors(protocol.BIAS)
-            mean, bartlett = ch.stats.bias[q]
-            want = protocol._scatter(law.lower, bartlett)
-            if e.size:
-                got = [float(np.mean(e))] + ([float(np.mean(u))] if fitted else [])
-                np.testing.assert_allclose(got, protocol._values(law.lower, mean)[:d],
-                                           rtol=1e-12, atol=1e-13)
-                e, u = e - np.mean(e), (u - np.mean(u) if fitted else None)
-                got = (_sum(e, e),) + ((_sum(e, u), _sum(u, u)) if fitted else (0.0, 0.0))
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
-            else:
-                assert want == (0.0, 0.0, 0.0)
-            # the estimation rounds' scatter of (e, u)
-            e, u = errors(protocol.EST)
-            want = protocol._scatter(law.lower, ch.stats.est[q])
-            got = (_sum(e, e),) + ((_sum(e, u), _sum(u, u)) if fitted else (0.0, 0.0))
+        # the witness rounds' sum of squared errors: every party's outcome, less the
+        # sqrt(eta_A) alpha/sqrt(2) that A's carries; a lone A has none
+        want = protocol._scatter(run.laws[protocol.WITNESS][q].lower, run.stats.witness[q])[0]
+        e_w = np.concatenate([
+            w_weights[q] @ np.stack([getattr(t, f"{quad}_{p}")[rows] for p in "abc"])
+            - run.root_eta * alpha / math.sqrt(2.0) for t, rows, alpha in reads(protocol.WITNESS)])
+        if coalition is Coalition.A_ALONE:
+            assert e_w.size == 0 and want == 0.0
+        else:
+            np.testing.assert_allclose(_sum(e_w, e_w), want, rtol=1e-12, atol=1e-300)
+        # the bias rounds' means and scatter about them
+        e, u = errors(protocol.BIAS)
+        mean, bartlett = run.stats.bias[q]
+        want = protocol._scatter(law.lower, bartlett)
+        assert e.size > 10
+        got = [float(np.mean(e))] + ([float(np.mean(u))] if fitted else [])
+        np.testing.assert_allclose(got, protocol._values(law.lower, mean)[:d],
+                                   rtol=1e-12, atol=1e-13)
+        e, u = e - np.mean(e), (u - np.mean(u) if fitted else None)
+        got = (_sum(e, e),) + ((_sum(e, u), _sum(u, u)) if fitted else (0.0, 0.0))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
+        # the estimation rounds' scatter of (e, u)
+        e, u = errors(protocol.EST)
+        want = protocol._scatter(law.lower, run.stats.est[q])
+        got = (_sum(e, e),) + ((_sum(e, u), _sum(u, u)) if fitted else (0.0, 0.0))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
+        if fitted:
+            r_c, u_c = [], []
+            for t, rows, alpha in reads(protocol.CALIB):
+                cols = _columns(t, coalition, q, rows)
+                r_c.append(cols[0] - run.root_eta * alpha)
+                u_c.append(estimators.weighted_sum(cols, -w1))
+            r_c, u_c = np.concatenate(r_c), np.concatenate(u_c)
+            want = protocol._scatter(run.laws[protocol.CALIB][q].lower, run.stats.calib[q])
+            got = (_sum(r_c, r_c), _sum(r_c, u_c), _sum(u_c, u_c))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
-            if fitted:
-                rows = read & (ch.roles == protocol.CALIB)
-                cols = _columns(t, coalition, q, rows)
-                r_c = cols[0] - run.root_eta * alpha[rows]
-                u_c = estimators.weighted_sum(cols, -w1)
-                want = protocol._scatter(run.laws[protocol.CALIB][q].lower, ch.stats.calib[q])
-                got = (_sum(r_c, r_c), _sum(r_c, u_c), _sum(u_c, u_c))
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
 
 
 def _sum(a, b) -> float:
@@ -1446,20 +1500,18 @@ def _own_batch_scale(model, coalition) -> np.ndarray:
 def _own_witness_run(model, alpha_x, alpha_p, n_rounds, stream, surrogate):
     """witness_verification_run as it derived its law itself, the Cholesky factor of each
     quadrature's (A, B, C) block of the state and the witness weights' norm over it, with
-    its draws (stream layout 8: per chunk its count of x rounds and a Gamma(k/2) per
-    quadrature); and those sds."""
+    its draws (stream layout 10: its count of x rounds and a Gamma(k/2) per quadrature,
+    from child stream 0); and those sds."""
     state = (surrogate_intercept_state if surrogate else build_dealer_state)(model, alpha_x,
                                                                              alpha_p)
     weights = estimators.witness_estimate(np.eye(3), np.eye(3))
     sds = [_own_sd(np.linalg.cholesky(state.cov[np.ix_(idx, idx)]), c)
            for c, idx in zip(weights, map(list, estimators.TRIPLE_INDICES))]
-    sq = ([0.0, 0], [0.0, 0])
-    for start, end, gen in protocol._chunks(stream, n_rounds):
-        n_x = int(gen.binomial(end - start, 0.5))
-        ks = (n_x, end - start - n_x)
-        for sums, sd, k, g in zip(sq, sds, ks, gen.standard_gamma([k / 2.0 for k in ks])):
-            sums[0] += 2.0 * sd * sd * float(g)
-            sums[1] += k
+    gen = stream.chunk_generator(0)
+    n_x = int(gen.binomial(n_rounds, 0.5))
+    ks = (n_x, n_rounds - n_x)
+    sq = [(2.0 * sd * sd * float(g), k)
+          for sd, k, g in zip(sds, ks, gen.standard_gamma([k / 2.0 for k in ks]))]
     return protocol._witness_result(*sq), sds
 
 
@@ -1683,15 +1735,17 @@ def _run_chunks(model, plan, n, coalition, gain_mode, seed):
 
 @pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
                          ids=["fixed", "gaussian"])
-@pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
+@pytest.mark.parametrize("gain_mode, chunk", [("analytic", 256), ("fitted", 256), ("fitted", 16)],
+                         ids=["analytic", "fitted", "fitted-chunks-of-16"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_reports_recomputed_from_the_records_match_the_run(monkeypatch, coalition, gain_mode,
-                                                          plan):
+                                                          chunk, plan):
     # the run's reports come from statistics drawn from their exact laws; its records are
-    # the rounds conditioned on those statistics, so the reference estimators applied to
-    # the records (the gain fitted by fit_gain, the MSE, the bias check and the witness
-    # through entanglement_check) give the same reports, across chunks of 256 rounds
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
+    # the rounds conditioned on those statistics, each chunk taking its share, so the
+    # reference estimators applied to the records (the gain fitted by fit_gain, the MSE,
+    # the bias check and the witness through entanglement_check) give the same reports,
+    # across chunks of 256 rounds and of 16, which take a few rounds of each role
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", chunk)
     run, chunks, (report, witness, bias) = _run_chunks(LOSSY, plan, 6000, coalition, gain_mode, 3)
     lone = coalition is Coalition.A_ALONE
     reads = []
@@ -1908,6 +1962,59 @@ def test_bias_rows_take_their_drawn_mean_and_scatter(k, d):
         assert np.array(a).tolist() == np.zeros((d, d)).tolist()
 
 
+@pytest.mark.parametrize("coalition, gain_mode", [(Coalition.AB, "analytic"),
+                                                 (Coalition.ABC, "fitted")],
+                         ids=["ab-analytic", "abc-fitted"])
+def test_a_chunk_takes_its_share_by_the_split_law(monkeypatch, coalition, gain_mode):
+    # the first of four chunks of a recorded 400-round run takes its share of the run's
+    # statistics conditioned on them, yet over 2,000 seeds its rounds follow the laws of
+    # rounds drawn free. In units of the error's sd, in each quadrature its k estimation
+    # rounds' sum of squared errors is chi-squared with k degrees of freedom (so Σe² is
+    # 2|c|^2 Gamma(k/2)), its bias rounds' mean times sqrt(k) is standard normal and their
+    # scatter about it chi-squared with k - 1; and its pooled bias residuals' mean over
+    # their SE is Student's t with n - 1, as the run's (test_bias_statistic_follows_student_t).
+    # Each through its probability integral transform, one-sample KS against the uniform,
+    # p > 1e-3. Its label counts have the hypergeometric mean, a quarter of the run's. A
+    # bias share that dropped the later rounds' free mean read p = 1.5e-4 on the mean
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 100)
+    plan, policy = DisplacementPlan.fixed(0.0, 0.0), ProtocolPolicy(bias_fraction=0.25)
+    laws = {name: [] for name in ("est", "mean", "scatter", "t")}
+    shares = []
+    for seed in range(2000):
+        run = protocol._ProtocolRun(IDEAL, plan, 400, coalition, policy, RandomStream(seed),
+                                    gain_mode, keep_records=True)
+        ch = next(run._chunks())
+        residuals = []
+        for q in (0, 1):
+            sd = run.laws[protocol.EST][q].lower[0][0]
+            read = _read_rounds(ch, coalition, q)
+            est, bias = (estimators.combine(_columns(ch.table, coalition, q,
+                                                     read & (ch.roles == role)),
+                                            coalition, q, run.gains) / sd
+                         for role in (protocol.EST, protocol.BIAS))
+            if est.size:
+                laws["est"].append((_sum(est, est), est.size))
+            if bias.size >= 2:
+                laws["mean"].append((float(np.mean(bias)) * math.sqrt(bias.size),))
+                centred = bias - np.mean(bias)
+                laws["scatter"].append((_sum(centred, centred), bias.size - 1))
+            residuals.append(bias)
+        residuals = np.concatenate(residuals)
+        if residuals.size >= 2:
+            mean, se = estimators.bias_check(residuals, np.zeros(residuals.size))
+            laws["t"].append((mean / se, residuals.size - 1))
+        shares.append(ch.counts - run.counts / 4.0)
+    assert min(len(values) for values in laws.values()) > 1900
+    for name, law in (("est", scipy.stats.chi2), ("mean", scipy.stats.norm),
+                      ("scatter", scipy.stats.chi2), ("t", scipy.stats.t)):
+        p = scipy.stats.kstest(law.cdf(*np.array(laws[name]).T), "uniform").pvalue
+        assert p > 1e-3, (name, p)
+    shares = np.array(shares).reshape(2000, -1)
+    spread = shares.std(axis=0, ddof=1)
+    assert spread.any()
+    assert np.all(np.abs(shares.mean(axis=0)) <= 5.0 * spread / math.sqrt(2000))
+
+
 @pytest.mark.parametrize("aux", ["proportional", "zero"])
 def test_degenerate_wishart_scales(monkeypatch, aux):
     # an auxiliary proportional to the error, or zero, makes the scale of their Wishart
@@ -1920,7 +2027,8 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
         return f._replace(aux=-2.0 * f.c if aux == "proportional" else np.zeros_like(f.c))
 
     monkeypatch.setattr(protocol, "_functionals", degenerate)
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
+    # chunks of 8 rounds take 0, 1, 2 and more of a role's rounds
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 8)
     plan = DisplacementPlan.gaussian_modulated(2.0)
     run = protocol._ProtocolRun(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
                                 "fitted", keep_records=True)
@@ -1929,16 +2037,42 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
         assert abs(l11) <= 1e-15 * l00
         assert l10 == (pytest.approx(-2.0 * l00, rel=1e-15) if aux == "proportional" else 0.0)
     factor = -2.0 if aux == "proportional" else 0.0
-    for ch in _drawn(run):
+
+    def check(drawn_est, drawn_bias):
         for q in (0, 1):
             lower = run.laws[protocol.EST][q].lower
-            mean, bartlett = ch.stats.bias[q]
-            for drawn in (ch.stats.est[q], bartlett):
+            mean, bartlett = drawn_bias[q]
+            for drawn in (drawn_est[q], bartlett):
                 s_ee, s_eu, s_uu = protocol._scatter(lower, drawn)
                 assert s_eu == pytest.approx(factor * s_ee, rel=1e-12, abs=1e-300)
                 assert s_uu == pytest.approx(factor * factor * s_ee, rel=1e-12, abs=1e-300)
             e, u = protocol._values(lower, mean)
             assert u == pytest.approx(factor * e, rel=1e-12, abs=1e-15)
+
+    # the run's statistics, and what each chunk leaves of them; the chunks' records of the
+    # errors give the run's statistics back
+    taken, errors = set(), {role: ([], []) for role in (protocol.BIAS, protocol.EST)}
+    for ch in _drawn(run):
+        check(run.left_stats[protocol.EST], run.left_stats[protocol.BIAS])
+        for q in (0, 1):
+            for role, got in errors.items():
+                rows = _read_rounds(ch, Coalition.ABC, q) & (ch.roles == role)
+                taken.add((role, int(rows.sum())))
+                cols = _columns(ch.table, Coalition.ABC, q, rows)
+                alpha = getattr(ch.table, f"alpha_{'xp'[q]}")[rows]
+                got[q].append(estimators.combine(cols, Coalition.ABC, q, run.gains) - alpha)
+    check(run.stats.est, run.stats.bias)
+    assert {(role, k) for role in errors for k in (0, 1, 2)} <= taken
+    for q in (0, 1):
+        lower = run.laws[protocol.EST][q].lower
+        e = np.concatenate(errors[protocol.EST][q])
+        want = protocol._scatter(lower, run.stats.est[q])[0]
+        assert _sum(e, e) == pytest.approx(want, rel=1e-12)
+        e = np.concatenate(errors[protocol.BIAS][q])
+        mean, bartlett = run.stats.bias[q]
+        assert float(np.mean(e)) == pytest.approx(protocol._values(lower, mean)[0], abs=1e-13)
+        e = e - np.mean(e)
+        assert _sum(e, e) == pytest.approx(protocol._scatter(lower, bartlett)[0], rel=1e-12)
     if aux == "zero":
         # a zero auxiliary cannot fit a gain, with or without records
         for keep_records in (False, True):
