@@ -1974,8 +1974,9 @@ def test_a_chunk_takes_its_share_by_the_split_law(monkeypatch, coalition, gain_m
     # scatter about it chi-squared with k - 1; and its pooled bias residuals' mean over
     # their SE is Student's t with n - 1, as the run's (test_bias_statistic_follows_student_t).
     # Each through its probability integral transform, one-sample KS against the uniform,
-    # p > 1e-3. Its label counts have the hypergeometric mean, a quarter of the run's. A
-    # bias share that dropped the later rounds' free mean read p = 1.5e-4 on the mean
+    # p > 1e-3, and the mean's variance within 5 standard errors of 1. Its label counts
+    # have the hypergeometric mean, a quarter of the run's. A bias share that dropped the
+    # later rounds' free mean read a variance of 0.83 in both cases
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 100)
     plan, policy = DisplacementPlan.fixed(0.0, 0.0), ProtocolPolicy(bias_fraction=0.25)
     laws = {name: [] for name in ("est", "mean", "scatter", "t")}
@@ -2009,6 +2010,9 @@ def test_a_chunk_takes_its_share_by_the_split_law(monkeypatch, coalition, gain_m
                       ("scatter", scipy.stats.chi2), ("t", scipy.stats.t)):
         p = scipy.stats.kstest(law.cdf(*np.array(laws[name]).T), "uniform").pvalue
         assert p > 1e-3, (name, p)
+    # KS sees a change of scale weakly: the mean's variance is 1 within 5 standard errors
+    _, _, var, se_var = _moments_and_errors(np.array(laws["mean"])[:, 0])
+    assert abs(var - 1.0) <= 5.0 * se_var, (var, se_var)
     shares = np.array(shares).reshape(2000, -1)
     spread = shares.std(axis=0, ddof=1)
     assert spread.any()
