@@ -857,12 +857,8 @@ class _ProtocolRun:
         cells = (0.0, 0.5, 0.0) if lone else (0.25, 0.0, 0.25) if coalition is Coalition.ABC \
             else (0.125, 0.125, 0.25)
         self.cells = cells * 2
-        # the block draw carried into the next chunk; the run's counts and statistics, once
-        # drawn; and what the recorded chunks have still to take of them, the counts per
-        # label and per role and quadrature a statistic (see _Stats)
+        # the block draw carried into the next chunk
         self.carry = [0.0, 0.0]
-        self.counts = self.stats = None
-        self.left = self.left_stats = None
         # per quadrature the sum of the squared errors and their count, of the estimation
         # and of the witness rounds; the bias check reads a spread too, so it keeps moments
         self.sq_err = ([0.0, 0], [0.0, 0])
@@ -955,21 +951,26 @@ class _ProtocolRun:
         sums; with records, then draw its chunks, chunk i from child stream i (stream 0
         going on), each its share of what is left (:meth:`_records`)."""
         gen = self.stream.chunk_generator(0)
-        self.counts = self._counts(gen)
-        read = self._read(self.counts)
-        self.stats = self._draw(gen, read)
-        self._add(read, self.stats)
+        counts = self._counts(gen)
+        read = self._read(counts)
+        stats = self._draw(gen, read)
+        self._add(read, stats)
         if not self.keep_records:
             return
-        self.left, self.left_stats = self.counts, [list(s or ()) for s in self.stats]
+        # what the recorded chunks have still to take: the counts per label, and per role
+        # and quadrature a statistic (see _Stats)
+        left_stats = [list(s or ()) for s in stats]
         for i, start in enumerate(range(0, self.n_rounds, _CHUNK_ROUNDS)):
             if i:
                 gen = self.stream.chunk_generator(i)
-            yield self._records(start, min(start + _CHUNK_ROUNDS, self.n_rounds), gen)
+            yield self._records(start, min(start + _CHUNK_ROUNDS, self.n_rounds), gen,
+                                counts, left_stats)
 
-    def _records(self, start: int, end: int, gen: np.random.Generator) -> _Chunk:
+    def _records(self, start: int, end: int, gen: np.random.Generator, left: np.ndarray,
+                 left_stats: list) -> _Chunk:
         """The chunk of rounds [start, end), its counts and statistics a share of what
-        is left of the run's, drawn with its rounds conditioned on them.
+        is left of the run's, ``left`` and ``left_stats``, drawn with its rounds
+        conditioned on them; it takes its share from both, in place.
 
         First comes the share: the last chunk takes what is left and draws
         nothing; another takes a uniformly random m of the rounds left, their
@@ -995,11 +996,11 @@ class _ProtocolRun:
         the permutation takes to the table's rounds, and A's outcome gains
         sqrt(eta_A) alpha.
         """
-        m, left = end - start, self._read(self.left)
-        counts = self.left if end == self.n_rounds else _split(gen, self.left, m)
+        m, read = end - start, self._read(left)
+        counts = left.copy() if end == self.n_rounds else _split(gen, left, m)
         taken = self._read(counts)
-        rest = self._draw(gen, left - taken) if end < self.n_rounds else None
-        self.left = self.left - counts
+        rest = self._draw(gen, read - taken) if end < self.n_rounds else None
+        left -= counts
         perm = gen.permutation(m)
         label = np.repeat(np.arange(20, dtype=np.int8), counts.ravel())[perm]
         dealer, kept = _LABEL_DEALER[label], _LABEL_KEPT[label]
@@ -1029,16 +1030,16 @@ class _ProtocolRun:
                 rows = slice(offsets[first], offsets[first + (4 if self.lone else 2)])
                 if rows.start == rows.stop:
                     continue
-                basis, zr, drawn = self.laws[role][q].basis, z[:, rows], self.left_stats[role][q]
+                basis, zr, drawn = self.laws[role][q].basis, z[:, rows], left_stats[role][q]
                 free = _coordinates(zr, basis)
-                k, n = int(taken[role, q]), int(left[role, q])
+                k, n = int(taken[role, q]), int(read[role, q])
                 if k == n:
                     delta = (_centred_shift(free, *drawn) if role == BIAS
                              else _stiefel_shift(free, drawn))
                 else:
                     share = _centred_share(free, drawn, rest[role][q], n) if role == BIAS \
                         else _share(free, drawn, rest[role][q])
-                    delta, self.left_stats[role][q] = share
+                    delta, left_stats[role][q] = share
                 _shift(zr, basis, delta)
             _apply(self.factors[q], z, out=z)
             out = outcomes[q]

@@ -1,5 +1,6 @@
 """End-to-end protocol runs: sifting, verification subsets, reports."""
 
+import copy
 import functools
 import json
 import math
@@ -723,6 +724,20 @@ def _drawn(run):
     return run._chunks()
 
 
+def _returned(run, name):
+    """The list of what the run's method ``name`` returns, call by call, from now on: copies,
+    which the run's later work in place leaves as they were returned."""
+    got, method = [], getattr(run, name)
+
+    def record(*args):
+        value = method(*args)
+        got.append(copy.deepcopy(value))
+        return value
+
+    setattr(run, name, record)
+    return got
+
+
 def _chunks(coalition, n, fitted, plan=PLAN):
     run = protocol._ProtocolRun(IDEAL, plan, n, coalition, POLICY, RandomStream(67),
                                 "fitted" if fitted else "analytic", keep_records=True)
@@ -951,15 +966,13 @@ def test_records_draw_every_round_once_after_the_statistics(monkeypatch, coaliti
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_only_the_records_compute_outcomes(monkeypatch, coalition, gain_mode):
     # the reports read statistics drawn from their exact laws, so a run without records
-    # turns no normal into an outcome; with records every round's x and p triples once (the
-    # chunks' shares apply their 1 x 1 or 2 x 2 factors to coordinates, not to triples)
+    # turns no normal into an outcome; with records every round's x and p triples once
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     columns = []
     apply = protocol._apply
 
     def counting_apply(factor, z, out=None):
-        if z.shape[0] == 3:
-            columns.append(z.shape[1])
+        columns.append(z.shape[1])
         return apply(factor, z, out)
 
     monkeypatch.setattr(protocol, "_apply", counting_apply)
@@ -1203,7 +1216,9 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
     run = protocol._ProtocolRun(model, DisplacementPlan.gaussian_modulated(2.0, n_rep=3), 1000,
                                 coalition, POLICY, RandomStream(67), gain_mode,
                                 keep_records=True)
+    drawn = _returned(run, "_draw")
     chunks = list(_drawn(run))
+    stats = drawn[0]
     fitted = run.fit is not None
     d = 2 if fitted else 1
     w_weights = estimators.witness_estimate(np.eye(3), np.eye(3))
@@ -1227,7 +1242,7 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
 
         # the witness rounds' sum of squared errors: every party's outcome, less the
         # sqrt(eta_A) alpha/sqrt(2) that A's carries; a lone A has none
-        want = protocol._scatter(run.laws[protocol.WITNESS][q].lower, run.stats.witness[q])[0]
+        want = protocol._scatter(run.laws[protocol.WITNESS][q].lower, stats.witness[q])[0]
         e_w = np.concatenate([
             w_weights[q] @ np.stack([getattr(t, f"{quad}_{p}")[rows] for p in "abc"])
             - run.root_eta * alpha / math.sqrt(2.0) for t, rows, alpha in reads(protocol.WITNESS)])
@@ -1237,7 +1252,7 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
             np.testing.assert_allclose(_sum(e_w, e_w), want, rtol=1e-12, atol=1e-300)
         # the bias rounds' means and scatter about them
         e, u = errors(protocol.BIAS)
-        mean, bartlett = run.stats.bias[q]
+        mean, bartlett = stats.bias[q]
         want = protocol._scatter(law.lower, bartlett)
         assert e.size > 10
         got = [float(np.mean(e))] + ([float(np.mean(u))] if fitted else [])
@@ -1248,7 +1263,7 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
         # the estimation rounds' scatter of (e, u)
         e, u = errors(protocol.EST)
-        want = protocol._scatter(law.lower, run.stats.est[q])
+        want = protocol._scatter(law.lower, stats.est[q])
         got = (_sum(e, e),) + ((_sum(e, u), _sum(u, u)) if fitted else (0.0, 0.0))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
         if fitted:
@@ -1258,7 +1273,7 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
                 r_c.append(cols[0] - run.root_eta * alpha)
                 u_c.append(estimators.weighted_sum(cols, -w1))
             r_c, u_c = np.concatenate(r_c), np.concatenate(u_c)
-            want = protocol._scatter(run.laws[protocol.CALIB][q].lower, run.stats.calib[q])
+            want = protocol._scatter(run.laws[protocol.CALIB][q].lower, stats.calib[q])
             got = (_sum(r_c, r_c), _sum(r_c, u_c), _sum(u_c, u_c))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
 
@@ -1984,6 +1999,7 @@ def test_a_chunk_takes_its_share_by_the_split_law(monkeypatch, coalition, gain_m
     for seed in range(2000):
         run = protocol._ProtocolRun(IDEAL, plan, 400, coalition, policy, RandomStream(seed),
                                     gain_mode, keep_records=True)
+        counts = _returned(run, "_counts")
         ch = next(run._chunks())
         residuals = []
         for q in (0, 1):
@@ -2004,7 +2020,7 @@ def test_a_chunk_takes_its_share_by_the_split_law(monkeypatch, coalition, gain_m
         if residuals.size >= 2:
             mean, se = estimators.bias_check(residuals, np.zeros(residuals.size))
             laws["t"].append((mean / se, residuals.size - 1))
-        shares.append(ch.counts - run.counts / 4.0)
+        shares.append(ch.counts - counts[0] / 4.0)
     assert min(len(values) for values in laws.values()) > 1900
     for name, law in (("est", scipy.stats.chi2), ("mean", scipy.stats.norm),
                       ("scatter", scipy.stats.chi2), ("t", scipy.stats.t)):
@@ -2055,9 +2071,16 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
 
     # the run's statistics, and what each chunk leaves of them; the chunks' records of the
     # errors give the run's statistics back
+    drawn, records = _returned(run, "_draw"), run._records
+
+    def checked(start, end, gen, left, left_stats):
+        chunk = records(start, end, gen, left, left_stats)
+        check(left_stats[protocol.EST], left_stats[protocol.BIAS])
+        return chunk
+
+    run._records = checked
     taken, errors = set(), {role: ([], []) for role in (protocol.BIAS, protocol.EST)}
     for ch in _drawn(run):
-        check(run.left_stats[protocol.EST], run.left_stats[protocol.BIAS])
         for q in (0, 1):
             for role, got in errors.items():
                 rows = _read_rounds(ch, Coalition.ABC, q) & (ch.roles == role)
@@ -2065,15 +2088,16 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
                 cols = _columns(ch.table, Coalition.ABC, q, rows)
                 alpha = getattr(ch.table, f"alpha_{'xp'[q]}")[rows]
                 got[q].append(estimators.combine(cols, Coalition.ABC, q, run.gains) - alpha)
-    check(run.stats.est, run.stats.bias)
+    stats = drawn[0]
+    check(stats.est, stats.bias)
     assert {(role, k) for role in errors for k in (0, 1, 2)} <= taken
     for q in (0, 1):
         lower = run.laws[protocol.EST][q].lower
         e = np.concatenate(errors[protocol.EST][q])
-        want = protocol._scatter(lower, run.stats.est[q])[0]
+        want = protocol._scatter(lower, stats.est[q])[0]
         assert _sum(e, e) == pytest.approx(want, rel=1e-12)
         e = np.concatenate(errors[protocol.BIAS][q])
-        mean, bartlett = run.stats.bias[q]
+        mean, bartlett = stats.bias[q]
         assert float(np.mean(e)) == pytest.approx(protocol._values(lower, mean)[0], abs=1e-13)
         e = e - np.mean(e)
         assert _sum(e, e) == pytest.approx(protocol._scatter(lower, bartlett)[0], rel=1e-12)
