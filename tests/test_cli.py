@@ -1871,8 +1871,8 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
     assert got == SIMULATE_REPORTS_SHA256[(coalition, plan)]
 
 
-# sha256 of fitted simulate's mse_report.json and bias.json for the pairs, in the
-# setup of SIMULATE_REPORTS_SHA256: the calibration and estimation scatters drawn as
+# sha256 of fitted simulate's mse_report.json and bias.json for the pairs and all three
+# (whose one fitted gain is g_bc), in the setup of SIMULATE_REPORTS_SHA256: the calibration and estimation scatters drawn as
 # Bartlett Wisharts (stream layout 8), the bias rounds' mean and scatter about it (stream
 # layout 9), all drawn once for the run (stream layout 10)
 FITTED_PAIR_REPORTS_SHA256 = {
@@ -1884,6 +1884,10 @@ FITTED_PAIR_REPORTS_SHA256 = {
                       "2e9b4db3d173d5007b783573323aa0d5bed875bb3874d624cb5b84c87c20e81f"),
     ("ac", "gaussian"): ("2e37fc8c302a49cc01714971e628907918bc8d118038b02a8ec56de3f2670a6f",
                          "2e9b4db3d173d5007b783573323aa0d5bed875bb3874d624cb5b84c87c20e81f"),
+    ("abc", "fixed"): ("6a72116c89086aa14cf0dd545aab786bd19dd7a7a8979faae7eea368ee860147",
+                       "2949b111e9fcc0f1be6d94f7b701ef99e47f1f0e22f40b4db0c5b461bad77606"),
+    ("abc", "gaussian"): ("6a72116c89086aa14cf0dd545aab786bd19dd7a7a8979faae7eea368ee860147",
+                          "2949b111e9fcc0f1be6d94f7b701ef99e47f1f0e22f40b4db0c5b461bad77606"),
 }
 
 
