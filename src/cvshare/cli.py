@@ -442,7 +442,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
                                            stream, cfg["gain_mode"], keep_records=True)
             run.write("rounds.csv", _csv(protocol.ROUND_COLUMNS,
                                           map(protocol.RoundTable.named_columns, rounds)))
-            reports = rounds.result()
+            reports = rounds.reports
         else:
             reports = protocol.run_protocol(model, plan, cfg["n_rounds"], coalition, policy, stream,
                                             gain_mode=cfg["gain_mode"], keep_records=False)[1:]

@@ -21,12 +21,12 @@ is an independent draw of its Wigner function, L z with L the lower
 Cholesky factor of its block and z standard normals, one per party, the
 parties the estimator reads first (:func:`_party_order`). Every quantity
 a report reads from a round is a fixed linear functional of its normals
-(:class:`_Functionals`): its error c·z at the analytic gain, its gain
+(:func:`_functionals`): its error c·z at the analytic gain, its gain
 auxiliary, its calibration residual and, in a witness round, its witness
 error. The displacement cancels from each of them, so no report reads
-it. One derivation gives the factors, gains and functionals of a run
-and of a batch (:func:`_coalition_laws`), and each role of a run's
-rounds reads them through one whitened law (:class:`_Whitened`).
+it. One derivation, the law record (:func:`_coalition_laws`), gives the
+factors, gains and resource split of a run and of a batch, and per role
+of a run's rounds the whitened law (:class:`_Whitened`) of what they read.
 
 So a run draws (:meth:`_ProtocolRun._draw`) the counts of its rounds
 per basis cell (one multinomial), the witness, bias and calibration
@@ -34,8 +34,9 @@ subsets (multivariate hypergeometric draws), per quadrature the witness
 and estimation rounds' sums of squared errors, 2|c|²·Γ(k/2), or in a
 fitted run the 2 x 2 Wishart scatter of (error, auxiliary) and of
 (residual, auxiliary) by Bartlett's decomposition, and the bias rounds'
-mean and scatter about it, independent normal and Wishart draws. A run
-without records draws nothing else: the same few numbers whatever its
+mean and scatter about it, independent normal and Wishart draws. One
+function of those statistics gives the run's reports (:func:`_reports`).
+A run without records draws nothing else: the same few numbers whatever its
 size, and no array of its rounds. A run that keeps its records draws
 the same statistics first, so its reports are the same, and then its
 rounds in chunks of ``_CHUNK_ROUNDS``, chunk i from child stream i
@@ -85,8 +86,8 @@ from .sampler import sample_joint  # noqa: F401
 WITNESS_MIN_ROUNDS = 100
 #: witness MSE sums at or above this are consistent with a separable state
 WITNESS_THRESHOLD = 4.0
-#: cap on n_batches * n_probes * modes of a batch distribution run; a run draws one
-#: chi-squared value per batch and quadrature, so its time scales with n_batches alone
+#: cap on n_batches of a batch distribution run. It draws one gamma per batch and
+#: quadrature whatever the probe count, and holds 8 B a batch: 1.6 GB at the cap
 DEFAULT_BATCH_TERM_CAP = 200_000_000
 #: cap on n_rounds of a run that keeps no records. Such a run draws the same few statistics
 #: whatever its size, so neither its memory nor its time grows with n_rounds; the cap keeps
@@ -344,22 +345,6 @@ def _apply(factor: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
-class _Functionals(NamedTuple):
-    """The linear functionals of a round's normals z that the reports take, in one quadrature.
-
-    ``c`` and ``aux`` hold one coefficient per normal, in the factors'
-    order (:func:`_party_order`), zero past the rows the estimator reads.
-    A round's error is ``c @ z`` with c = w^T L, w = bias_scale (w0 + g0 w1)
-    the estimator's weights at the analytic gain g0 and L the quadrature's
-    factor. Its gain auxiliary is ``aux @ z``, aux = (-w1)^T L, and its
-    calibration residual x_A - sqrt(eta_A) alpha is ``l00 * z[0]``.
-    """
-
-    c: np.ndarray
-    aux: np.ndarray
-    l00: float
-
-
 def _coefficients(factor: np.ndarray, weights) -> np.ndarray:
     """The coefficients w^T L over the normals of every row of a lower factor L, for weights
     w on its first len(w) rows, each one ``math.fsum`` of its terms: L is lower-triangular,
@@ -369,9 +354,13 @@ def _coefficients(factor: np.ndarray, weights) -> np.ndarray:
                      for i in range(factor.shape[0])])
 
 
-def _functionals(factor: np.ndarray, coalition: Coalition, quad: int,
-                 gains: GainSet) -> _Functionals:
-    """The :class:`_Functionals` of one quadrature's factor.
+def _functionals(factor: np.ndarray, coalition: Coalition, quad: int, gains: GainSet,
+                 fitted: bool) -> list[np.ndarray]:
+    """The coefficient rows, over the normals z of one quadrature's factor L in the
+    factors' order (:func:`_party_order`), of what an estimate reads from a round: its error
+    c @ z, c = w^T L with w = bias_scale (w0 + g0 w1) the estimator's weights at the
+    analytic gain g0, and in a fitted run its gain auxiliary aux @ z, aux = (-w1)^T L. Each
+    row is zero past the rows the estimator reads.
 
     A's outcome carries sqrt(eta_A) alpha, which its estimate weighs by
     bias_scale w0[A] + g0 w1[A]. Every estimator has w0[A] = 1 and
@@ -382,49 +371,10 @@ def _functionals(factor: np.ndarray, coalition: Coalition, quad: int,
     w0, w1 = estimators.WEIGHTS[coalition, quad]
     parties = _party_order(coalition)[: len(coalition.party_columns)]
     g = gains.gain(coalition)
-    return _Functionals(
-        _coefficients(factor, [gains.bias_scale * (w0[p] + g * w1[p]) for p in parties]),
-        _coefficients(factor, [-w1[p] for p in parties]), float(factor[0, 0]))
-
-
-class _CoalitionLaws(NamedTuple):
-    """A coalition's estimate gains, and per quadrature (x, then p) its factor, parties in
-    ``order``, and the :class:`_Functionals` its reads take (:func:`_coalition_laws`)."""
-
-    gains: GainSet
-    order: tuple[int, int, int]
-    factors: tuple[np.ndarray, np.ndarray]
-    functionals: list[_Functionals]
-
-
-def _coalition_laws(model: ExperimentModel, coalition: Coalition) -> _CoalitionLaws:
-    """The laws a run and a batch sample a coalition's reads from, under a model.
-
-    Every error a report reads is a fixed linear functional of the normals
-    behind a round's outcomes, so this is the one derivation of them: the
-    dealer covariance, its factors (:func:`_triple_factors`), the gains and
-    the functionals at those gains. A lone A's dual homodyne adds a unit
-    vacuum to each of A's quadratures, so its outcome is one normal of the
-    model's variance plus 1, and B's and C's are drawn conditional on it;
-    its estimate reads A alone, with no gain, only the 1/sqrt(eta_A) bias
-    scale.
-
-    :raises InvalidArgumentError: ``coalition`` is not a :class:`Coalition`.
-    """
-    if not isinstance(coalition, Coalition):
-        raise InvalidArgumentError(f"unknown coalition {coalition!r}")
-    covs = dealer_covariances([model.r], model)
-    cov = covs[0]
-    if coalition is Coalition.A_ALONE:
-        a = [estimators.X_A, estimators.P_A]
-        cov[a, a] += 1.0
-        gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / math.sqrt(model.eta_a))
-    else:
-        gains = estimators._gains(covs, coalition, model.eta_a)
-    order = _party_order(coalition)
-    factors = _triple_factors(cov, order)
-    return _CoalitionLaws(gains, order, factors,
-                          [_functionals(f, coalition, q, gains) for q, f in enumerate(factors)])
+    rows = [_coefficients(factor, [gains.bias_scale * (w0[p] + g * w1[p]) for p in parties])]
+    if fitted:
+        rows.append(_coefficients(factor, [-w1[p] for p in parties]))
+    return rows
 
 
 class _Whitened(NamedTuple):
@@ -468,6 +418,81 @@ def _witness_laws(factors, order: tuple[int, int, int]) -> list[_Whitened]:
     A's outcome carries, so its error is a functional of the three normals, with no alpha."""
     weights = estimators.witness_estimate(np.eye(3), np.eye(3))
     return [_whiten([_coefficients(f, [c[p] for p in order])]) for f, c in zip(factors, weights)]
+
+
+#: a round's role, the first index of a chunk's counts: its witness, bias, calibration and
+#: estimation rounds, all kept, then the discarded ones
+WITNESS, BIAS, CALIB, EST, DISCARDED = range(5)
+
+
+class _CoalitionLaws(NamedTuple):
+    """The law record of a coalition under a model (:func:`_coalition_laws`).
+
+    Its first four fields are indexed by role, :data:`WITNESS` to
+    :data:`EST`: per quadrature (x, then p) the whitened law of what the
+    role's rounds read, or None where its caller reads no such round. The
+    witness rounds read their witness error; the bias and estimation rounds
+    one law, their error at the analytic gain and, in a fitted run, its
+    gain auxiliary; a fitted run's calibration rounds read their
+    calibration residual x_A - sqrt(eta_A) alpha = l00 z[0] and the
+    auxiliary. Then come the coalition, its estimate gains, the resource
+    split of its MSE, and per quadrature its factor, parties in ``order``.
+    """
+
+    witness: list[_Whitened] | None
+    bias: list[_Whitened]
+    calib: list[_Whitened] | None
+    est: list[_Whitened]
+    coalition: Coalition
+    gains: GainSet
+    split: float
+    order: tuple[int, int, int]
+    factors: tuple[np.ndarray, np.ndarray]
+
+
+def _coalition_laws(model: ExperimentModel, coalition: Coalition,
+                    gain_mode: str | None = None) -> _CoalitionLaws:
+    """The law record a run or a batch samples a coalition's reads from, under a model.
+
+    Every quantity a report reads is a fixed linear functional of the normals
+    behind a round's outcomes, so this is the one derivation of them: the
+    dealer covariance, its factors (:func:`_triple_factors`), the gains, the
+    functionals at those gains (:func:`_functionals`) and their whitened
+    laws. A lone A's dual homodyne adds a unit vacuum to each of A's
+    quadratures, so its outcome is one normal of the model's variance plus 1,
+    and B's and C's are drawn conditional on it; its estimate reads A alone,
+    with no gain, only the 1/sqrt(eta_A) bias scale, and reads both
+    quadratures of every round, so its MSE takes no resource split. Without
+    a ``gain_mode`` (a batch) the record holds the estimation law alone; a
+    run's gain mode adds the witness law, which a lone A lacks, and
+    "fitted" the auxiliary and the calibration law.
+
+    :raises InvalidArgumentError: ``coalition`` is not a :class:`Coalition`.
+    """
+    if not isinstance(coalition, Coalition):
+        raise InvalidArgumentError(f"unknown coalition {coalition!r}")
+    covs = dealer_covariances([model.r], model)
+    cov = covs[0]
+    lone = coalition is Coalition.A_ALONE
+    if lone:
+        a = [estimators.X_A, estimators.P_A]
+        cov[a, a] += 1.0
+        gains = GainSet(g_b=0.0, g_bc=0.0, bias_scale=1.0 / math.sqrt(model.eta_a))
+    else:
+        gains = estimators._gains(covs, coalition, model.eta_a)
+    order = _party_order(coalition)
+    factors = _triple_factors(cov, order)
+    fitted = gain_mode == "fitted" and not lone
+    est, calib = [], []
+    for q, factor in enumerate(factors):
+        rows = _functionals(factor, coalition, q, gains, fitted)
+        est.append(_whiten(rows))
+        if fitted:
+            calib.append(_whiten([np.eye(3)[0] * factor[0, 0], rows[1]]))
+    witness = None if gain_mode is None or lone else _witness_laws(factors, order)
+    split = 1.0 if lone else estimators.RESOURCE_SPLIT_FACTOR
+    return _CoalitionLaws(witness, est, calib if fitted else None, est, coalition, gains, split,
+                          order, factors)
 
 
 def _bartlett(gamma: tuple[float, ...], normal: float, k: int) -> tuple[tuple[float, ...], ...]:
@@ -670,9 +695,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-#: a round's role, the first index of a chunk's counts: its witness, bias, calibration and
-#: estimation rounds, all kept, then the discarded ones
-WITNESS, BIAS, CALIB, EST, DISCARDED = range(5)
 #: per label (role, dealer basis, pool), the chunk's counts flattened: the dealer basis, whether
 #: the round is kept, A's basis (a lone A's is dual homodyne, code 2) and the outsider's basis,
 #: the dealer's in the witness pool and the other one outside it (-1 for a discarded round, whose
@@ -720,74 +742,6 @@ class _Chunk(NamedTuple):
         return _LABEL_ROLE[self.labels]
 
 
-class _Fit:
-    """The sums a fitted run gathers from its drawn statistics.
-
-    The calibration rounds give sum(r u) and sum(u u) for the gain, with
-    r = x_A - sqrt(eta_A) alpha the calibration residual and u = -(t @ w1)
-    the auxiliary combination of the coalition's weights in the read's
-    quadrature (:data:`~cvshare.estimators.WEIGHTS`), both linear in the
-    round's normals (:class:`_Functionals`), so each quadrature adds the
-    off-diagonal and the second diagonal entry of their drawn scatter. The
-    estimate weighs u by -g in x and in p alike, so one gain fits both
-    quadratures. Every other round is estimated with the analytic gain g0,
-    and its error is affine in the gain: e(g) = e0 - s u with
-    s = (g - g0) bias_scale. So the estimation rounds keep sum(e0 u) and
-    sum(u u) per quadrature, entries of their drawn scatter, and the bias
-    rounds keep the moments of u and the co-moment of (e0, u), each quadrature's
-    drawn means and centred scatter merged with the pairwise update of Chan,
-    Golub and LeVeque. The sums are taken about g0, not about g = 0: e0 is
-    already close to the least error, so applying the shift cancels nothing
-    large, even at high squeezing where A's outcome and u grow as e^r.
-    """
-
-    __slots__ = ("coalition", "sum_ru", "sum_uu", "n", "est", "bias_u", "bias_c")
-
-    def __init__(self, coalition: Coalition):
-        self.coalition = coalition
-        self.sum_ru = self.sum_uu = 0.0
-        self.n = 0
-        self.est = ([0.0, 0.0], [0.0, 0.0])
-        self.bias_u = RunningMoments()
-        self.bias_c = 0.0
-
-    def add(self, quad: int, est: tuple[float, float, float], calib: tuple[float, float, float],
-            n_calib: int) -> None:
-        """Add a quadrature's estimation and calibration scatters (S_00, S_01, S_11)."""
-        sums = self.est[quad]
-        sums[0] += est[1]
-        sums[1] += est[2]
-        self.sum_ru += calib[1]
-        self.sum_uu += calib[2]
-        self.n += n_calib
-
-    def add_bias(self, k: int, mean_e: float, mean_u: float,
-                 scatter: tuple[float, float, float], bias_err: RunningMoments) -> None:
-        """Add k bias rounds by the means of their errors e0 and auxiliaries u and their
-        centred scatter (S_ee, S_eu, S_uu); ``bias_err`` holds the moments of e0 over the
-        bias rounds added before these."""
-        if k:
-            n = self.bias_u.n
-            shift = (mean_e - bias_err.mean) * (mean_u - self.bias_u.mean) * (n * k / (n + k))
-            self.bias_c += scatter[1] + shift
-            self.bias_u.merge(k, mean_u, scatter[2])
-
-    def apply(self, gains: GainSet, sq_err: tuple[list, list],
-              bias_err: RunningMoments) -> GainSet:
-        """The fitted gains; moves the sums of squared errors and the bias moments to them."""
-        if self.n < 2:
-            raise ProtocolFailureError("not enough calibration rounds to fit gains")
-        g = estimators.fit_gain_from_sums(self.sum_ru, self.sum_uu, self.n)
-        s = (g - gains.gain(self.coalition)) * gains.bias_scale
-        for sq, (sum_eu, sum_uu) in zip(sq_err, self.est):
-            sq[0] = sq[0] - 2.0 * s * sum_eu + s * s * sum_uu
-        bias_err.mean = bias_err.mean - s * self.bias_u.mean
-        bias_err.m2 = bias_err.m2 - 2.0 * s * self.bias_c + s * s * self.bias_u.m2
-        three = self.coalition is Coalition.ABC
-        return GainSet(g_b=0.0 if three else g, g_bc=g if three else 0.0,
-                       bias_scale=gains.bias_scale)
-
-
 def _witness_result(sq_x: tuple[float, int], sq_p: tuple[float, int]) -> WitnessResult:
     """The witness report from each quadrature's (sum of squared errors, rounds). A witness
     error is a centred normal, so mse_q is μ_q·χ²_n/n, of SE μ_q·sqrt(2/n), taken at
@@ -808,12 +762,103 @@ def _witness_result(sq_x: tuple[float, int], sq_p: tuple[float, int]) -> Witness
                          WITNESS_THRESHOLD, "ok" if ok else "insufficient-rounds")
 
 
+def _reports(laws: _CoalitionLaws, read: np.ndarray,
+             stats: _Stats) -> tuple[MseReport, WitnessResult, BiasResult]:
+    """A run's reports from its statistics (:class:`_Stats`), drawn for rounds read ``read``
+    times per role and quadrature (:meth:`_ProtocolRun._read`) from the laws of its record.
+
+    Per quadrature, the estimation and witness rounds give their sum of
+    squared errors, the first entry of their scatter, and the bias rounds'
+    count, mean and centred scatter merge, x then p, into the moments of
+    the pooled residuals (:class:`~cvshare.estimators.RunningMoments`).
+
+    A fitted run estimates at the analytic gain g0, then moves to the gain
+    g fitted from its calibration scatters' sum(r u) and sum(u u), with r
+    the calibration residual and u the auxiliary, which the estimate
+    weighs by -g in x and p alike. A round's error is affine in the gain,
+    e(g) = e0 - s u with s = (g - g0) bias_scale, so the sums of squares
+    move by their scatters' sum(e0 u) and sum(u u), and the bias moments
+    by u's moments and the co-moment of (e0, u), merged by the pairwise
+    update of Chan, Golub and LeVeque. Taken about g0, not about g = 0,
+    the shift cancels nothing large, even at high squeezing, where A's
+    outcome and u grow as e^r.
+
+    :raises ProtocolFailureError: a fitted run has fewer than two
+        calibration rounds, or a quadrature fewer than two estimation rounds.
+    :raises DegenerateAuxiliaryError: a fitted run's auxiliary has (near)
+        zero variance over the calibration rounds.
+    """
+    coalition, gains = laws.coalition, laws.gains
+    lone, fitted = coalition is Coalition.A_ALONE, laws.calib is not None
+    sq_err, sq_witness, est_u = [], [], []
+    bias_err, bias_u = RunningMoments(), RunningMoments()
+    sum_ru = sum_uu = bias_c = 0.0
+    for q in (0, 1):
+        # the bias rounds read the estimation rounds' law
+        lower = laws.est[q].lower
+        est = _scatter(lower, stats.est[q])
+        sq_err.append(est[0])
+        if not lone:
+            sq_witness.append((_scatter(laws.witness[q].lower, stats.witness[q])[0],
+                               int(read[WITNESS, q])))
+        k, (mean, bartlett) = int(read[BIAS, q]), stats.bias[q]
+        e, u = _values(lower, mean)
+        scatter = _scatter(lower, bartlett)
+        if fitted:
+            calib = _scatter(laws.calib[q].lower, stats.calib[q])
+            sum_ru += calib[1]
+            sum_uu += calib[2]
+            est_u.append(est[1:])
+            if k:
+                # the co-moment of (e0, u) gains the scatter's and the means' shift
+                n = bias_u.n
+                bias_c += scatter[1] + (e - bias_err.mean) * (u - bias_u.mean) * (n * k / (n + k))
+                bias_u.merge(k, u, scatter[2])
+        bias_err.merge(k, e, scatter[0])
+    if fitted:
+        n_calib = int(read[CALIB].sum())
+        if n_calib < 2:
+            raise ProtocolFailureError("not enough calibration rounds to fit gains")
+        g = estimators.fit_gain_from_sums(sum_ru, sum_uu, n_calib)
+        s = (g - gains.gain(coalition)) * gains.bias_scale
+        sq_err = [sq - 2.0 * s * sum_eu + s * s * sum_u2 for sq, (sum_eu, sum_u2) in
+                  zip(sq_err, est_u)]
+        bias_err.mean = bias_err.mean - s * bias_u.mean
+        bias_err.m2 = bias_err.m2 - 2.0 * s * bias_c + s * s * bias_u.m2
+        three = coalition is Coalition.ABC
+        gains = GainSet(g_b=0.0 if three else g, g_bc=g if three else 0.0,
+                        bias_scale=gains.bias_scale)
+    n_x, n_p = read[EST].tolist()
+    if n_x < 2 or n_p < 2:
+        raise ProtocolFailureError("fewer than 2 usable rounds per quadrature")
+    mse_x, mse_p = laws.split * (sq_err[0] / n_x), laws.split * (sq_err[1] / n_p)
+    mse_report = MseReport(coalition, mse_x, mse_p, mse_x + mse_p, n_x, n_p, gains)
+
+    if lone:
+        # dual-homodyne outcomes carry an extra vacuum unit per quadrature,
+        # so they cannot test the bound 4 e^{-2r}, and no round is reserved for it
+        witness = WitnessResult(None, None, None, None, None, None, 0, 0,
+                                WITNESS_THRESHOLD, "not-applicable")
+    else:
+        witness = _witness_result(*sq_witness)
+
+    # a lone A's bias rounds give an x and a p residual each
+    n_bias = bias_err.n // 2 if lone else bias_err.n
+    if bias_err.n < 2:
+        bias = BiasResult(None, None, n_bias, None, "insufficient-rounds")
+    else:
+        mean_err, se = bias_err.mean, bias_err.standard_error()
+        bias = BiasResult(mean_err, se, n_bias, bool(abs(mean_err) <= 5.0 * se), "ok")
+    return mse_report, witness, bias
+
+
 class _ProtocolRun:
-    """One protocol run, the owner of its draws and running sums. Constructing it checks
-    every input, so each error fires before a chunk stream is opened. Iterating it draws
-    the run's statistics once (:meth:`_draw`), adds them to the sums and, with
-    ``keep_records``, yields each chunk's rounds as a :class:`RoundTable` of their own
-    (:meth:`_records`); ``result()`` then gives the reports. :func:`run_protocol` copies
+    """One protocol run, the owner of its draws. Constructing it checks every input and
+    derives the run's law record (:func:`_coalition_laws`), so each error fires before a
+    chunk stream is opened. Iterating it draws the run's statistics once (:meth:`_draw`),
+    sets ``reports`` to the reports they give (:func:`_reports`), so a run that cannot
+    report fails before any record, and, with ``keep_records``, yields each chunk's rounds
+    as a :class:`RoundTable` of their own (:meth:`_records`). :func:`run_protocol` copies
     the tables into its whole-run table and ``simulate --dump-rounds`` writes them to
     rounds.csv; a caller that drops each table before asking for the next holds at most
     one chunk's rounds."""
@@ -829,27 +874,14 @@ class _ProtocolRun:
             raise ResourceLimitError(f"n_rounds exceeds the cap of {MAX_ROUNDS}")
         if gain_mode not in ("analytic", "fitted"):
             raise InvalidArgumentError("gain_mode must be 'analytic' or 'fitted'")
-        laws = _coalition_laws(model, coalition)
+        self.laws = _coalition_laws(model, coalition, gain_mode)
         if model.eta_a < policy.eta_min:
             raise AbortLossError(
                 f"declared eta_A={model.eta_a} below policy minimum {policy.eta_min}")
         lone = coalition is Coalition.A_ALONE
-        self.gains, self.order, self.factors, self.functionals = laws
         self.plan, self.policy, self.stream = plan, policy, stream
         self.coalition, self.lone, self.n_rounds = coalition, lone, n_rounds
         self.keep_records, self.root_eta = keep_records, math.sqrt(model.eta_a)
-        fitted = gain_mode == "fitted" and not lone
-        self.fit = _Fit(coalition) if fitted else None
-        # per role and quadrature the whitened functionals its rounds read: the witness
-        # error (a lone A witnesses nothing, so its law weighs no normal); the error, and
-        # its auxiliary in a fitted run, of the bias and estimation rounds; the residual
-        # and auxiliary of a fitted run's calibration rounds
-        witness = ([_whiten([np.zeros(3)])] * 2 if lone
-                   else _witness_laws(self.factors, self.order))
-        read = [_whiten([f.c, f.aux] if fitted else [f.c]) for f in self.functionals]
-        calib = ([_whiten([np.eye(3)[0] * f.l00, f.aux]) for f in self.functionals] if fitted
-                 else None)
-        self.laws = (witness, read, calib, read)
         # a round's cell per dealer basis: kept in the witness pool, kept outside it,
         # discarded. A lone A keeps every round and witnesses none; all three keep a
         # round where the shared coin meets the dealer's, and that round is in the pool;
@@ -859,11 +891,6 @@ class _ProtocolRun:
         self.cells = cells * 2
         # the block draw carried into the next chunk
         self.carry = [0.0, 0.0]
-        # per quadrature the sum of the squared errors and their count, of the estimation
-        # and of the witness rounds; the bias check reads a spread too, so it keeps moments
-        self.sq_err = ([0.0, 0], [0.0, 0])
-        self.sq_witness = ([0.0, 0], [0.0, 0])
-        self.bias_err = RunningMoments()
 
     def _counts(self, gen: np.random.Generator) -> np.ndarray:
         """The run's rounds per label (role, dealer basis, pool), a (5, 2, 2) array: one
@@ -880,7 +907,7 @@ class _ProtocolRun:
         kept = kept - counts[WITNESS]
         counts[BIAS] = _split(gen, kept, round(policy.bias_fraction * n))
         kept = kept - counts[BIAS]
-        if self.fit is not None:
+        if self.laws.calib is not None:
             counts[CALIB] = _split(gen, kept, int(kept.sum()) // 2)
         counts[EST] = kept - counts[CALIB]
         return counts
@@ -904,8 +931,9 @@ class _ProtocolRun:
         and that scatter's chi-squared entries, of k - 1 degrees of freedom:
         as many numbers whatever the counts.
         """
-        d = 1 if self.fit is None else 2
-        dfs = read[EST].tolist() + ([] if self.fit is None else read[CALIB].tolist())
+        fitted = self.laws.calib is not None
+        d = 2 if fitted else 1
+        dfs = read[EST].tolist() + (read[CALIB].tolist() if fitted else [])
         # (degrees of freedom, dimension) of each scatter, the witness rounds' last
         blocks = [(k, d) for k in dfs] + [(k, 1) for k in read[WITNESS].tolist()]
         gammas = iter(gen.standard_gamma([max(k - j, 0) / 2.0 for k, n in blocks
@@ -926,35 +954,15 @@ class _ProtocolRun:
         return _Stats(tuple(wisharts[-2:]), tuple(bias), tuple(wisharts[2:-2]) or None,
                       tuple(wisharts[:2]))
 
-    def _add(self, read: np.ndarray, stats: _Stats) -> None:
-        """Add the run's statistics to its sums."""
-        for q in (0, 1):
-            # the bias rounds read the estimation rounds' law
-            lower = self.laws[EST][q].lower
-            est = _scatter(lower, stats.est[q])
-            witness = _scatter(self.laws[WITNESS][q].lower, stats.witness[q])[0]
-            for sq, value, role in ((self.sq_err[q], est[0], EST),
-                                    (self.sq_witness[q], witness, WITNESS)):
-                sq[0] += value
-                sq[1] += int(read[role, q])
-            k, (mean, bartlett) = int(read[BIAS, q]), stats.bias[q]
-            e, u = _values(lower, mean)
-            scatter = _scatter(lower, bartlett)
-            if self.fit is not None:
-                calib = _scatter(self.laws[CALIB][q].lower, stats.calib[q])
-                self.fit.add(q, est, calib, int(read[CALIB, q]))
-                self.fit.add_bias(k, e, u, scatter, self.bias_err)
-            self.bias_err.merge(k, e, scatter[0])
-
     def _chunks(self) -> Iterator[_Chunk]:
-        """Draw the run's counts and statistics from child stream 0 and add them to the
-        sums; with records, then draw its chunks, chunk i from child stream i (stream 0
-        going on), each its share of what is left (:meth:`_records`)."""
+        """Draw the run's counts and statistics from child stream 0 and take its reports
+        from them; with records, then draw its chunks, chunk i from child stream i (stream
+        0 going on), each its share of what is left (:meth:`_records`)."""
         gen = self.stream.chunk_generator(0)
         counts = self._counts(gen)
         read = self._read(counts)
         stats = self._draw(gen, read)
-        self._add(read, stats)
+        self.reports = _reports(self.laws, read, stats)
         if not self.keep_records:
             return
         # what the recorded chunks have still to take: the counts per label, and per role
@@ -1041,7 +1049,7 @@ class _ProtocolRun:
                         else _share(free, drawn, rest[role][q])
                     delta, left_stats[role][q] = share
                 _shift(zr, basis, delta)
-            _apply(self.factors[q], z, out=z)
+            _apply(self.laws.factors[q], z, out=z)
             out = outcomes[q]
             for j in range(3):
                 # the indices are in range, so clipping checks nothing and spares numpy's buffer
@@ -1049,13 +1057,13 @@ class _ProtocolRun:
             out[0] += self.root_eta * alphas[q]
             # the x quadrature is unread in p rounds (code 1), the p one in x rounds (code 0)
             for j, basis in enumerate(bases):
-                np.putmask(out[self.order[j]], basis == 1 - q, np.nan)
+                np.putmask(out[self.laws.order[j]], basis == 1 - q, np.nan)
         if self.plan.kind == "fixed":
             alphas = tuple(np.broadcast_to(alpha, m) for alpha in alphas)
         table = RoundTable(
             round_index=np.arange(start, end), alpha_x=alphas[0], alpha_p=alphas[1],
             dealer_basis=dealer, basis_a=bases[0], basis_b=bases[1], basis_c=bases[2], kept=kept,
-            **{name: outcomes["xp".index(name[0]), self.order["abc".index(name[2])]]
+            **{name: outcomes["xp".index(name[0]), self.laws.order["abc".index(name[2])]]
                for name in OUTCOME_COLUMNS})
         return _Chunk(counts, label, table)
 
@@ -1066,35 +1074,6 @@ class _ProtocolRun:
             del chunk
             yield table
             del table
-
-    def result(self) -> tuple[MseReport, WitnessResult, BiasResult]:
-        """The reports of the drawn statistics; call it once, after iterating."""
-        sq_err, bias_err, gains = self.sq_err, self.bias_err, self.gains
-        if self.fit is not None:
-            gains = self.fit.apply(gains, sq_err, bias_err)
-        (sum_x, n_x), (sum_p, n_p) = sq_err
-        if n_x < 2 or n_p < 2:
-            raise ProtocolFailureError("fewer than 2 usable rounds per quadrature")
-        split = 1.0 if self.lone else estimators.RESOURCE_SPLIT_FACTOR
-        mse_x, mse_p = split * (sum_x / n_x), split * (sum_p / n_p)
-        mse_report = MseReport(self.coalition, mse_x, mse_p, mse_x + mse_p, n_x, n_p, gains)
-
-        if self.lone:
-            # dual-homodyne outcomes carry an extra vacuum unit per quadrature,
-            # so they cannot test the bound 4 e^{-2r}, and no round is reserved for it
-            witness = WitnessResult(None, None, None, None, None, None, 0, 0,
-                                    WITNESS_THRESHOLD, "not-applicable")
-        else:
-            witness = _witness_result(*self.sq_witness)
-
-        # a lone A's bias rounds give an x and a p residual each
-        n_bias = bias_err.n // 2 if self.lone else bias_err.n
-        if bias_err.n < 2:
-            bias = BiasResult(None, None, n_bias, None, "insufficient-rounds")
-        else:
-            mean_err, se = bias_err.mean, bias_err.standard_error()
-            bias = BiasResult(mean_err, se, n_bias, bool(abs(mean_err) <= 5.0 * se), "ok")
-        return mse_report, witness, bias
 
 
 def run_protocol(
@@ -1113,9 +1092,9 @@ def run_protocol(
         covariance; "fitted" reserves half of the estimation rounds to
         fit the gain by least squares, mirroring an experimental
         calibration, and reports the MSE on the other half. Both modes
-        draw the run's statistics once: a fitted run estimates with the
-        analytic gain and moves its sums to the fitted gain at the end
-        (:class:`_Fit`).
+        draw the run's statistics once, and one function of them gives
+        the reports (:func:`_reports`): a fitted run estimates with the
+        analytic gain and moves its sums to the fitted gain.
     :param keep_records: return every round as a :class:`RoundTable`,
         allocated once and filled from each chunk's table as the chunk
         is drawn; with False the table is empty, and the run draws only the
@@ -1127,7 +1106,9 @@ def run_protocol(
     :raises AbortLossError: the declared signal-arm transmissivity is
         below policy.eta_min.
     :raises ProtocolFailureError: fewer than two usable rounds remain
-        for either quadrature after sifting and subset removal.
+        for either quadrature after sifting and subset removal, or fewer
+        than two calibration rounds in a fitted run; the run fails before
+        it draws any record.
     """
     run = _ProtocolRun(model, plan, n_rounds, coalition, policy, stream, gain_mode, keep_records)
     records = RoundTable.empty(n_rounds if keep_records else 0)
@@ -1138,7 +1119,7 @@ def run_protocol(
         row += len(table)
         # the chunk's table must not outlive the draw of the next chunk
         del table
-    return ProtocolResult(records, *run.result())
+    return ProtocolResult(records, *run.reports)
 
 
 def sift(records: RoundTable, basis: str) -> RoundTable:
@@ -1255,39 +1236,37 @@ def batch_mse_distribution(
     gains at zero displacement and returns one summed, resource-split
     MSE per batch, for comparison against the scaled chi-squared law.
     An estimate is linear in the outcomes it reads, so a probe's error
-    in quadrature q is normal with variance split·sd_q², with sd_q the
-    norm of its coefficients over the normals of a run's factor (the
-    diagonal of its :func:`_whiten`), from the laws a run of the same
-    coalition takes (:func:`_coalition_laws`, with its vacuum unit for a
-    lone A). A batch's sum of its N squared errors in q is then
+    in quadrature q is normal with variance split·sd_q², with split the
+    coalition's resource split and sd_q the scale of the estimation law
+    of its law record (:func:`_coalition_laws`, the record a run of the
+    same coalition reads, with its vacuum unit for a lone A). A batch's
+    sum of its N squared errors in q is then
     split·sd_q²·χ²_N = 2·split·sd_q²·Γ(N/2, 1), so each batch draws one
     standard gamma per quadrature and nothing per probe. Batches are
     drawn in chunks, each from its own child stream: a (2, m) array per
-    chunk, x sums then p sums.
+    chunk, x sums then p sums. The call holds 8 B a batch and one chunk,
+    whatever N is.
 
     :raises InvalidArgumentError: ``coalition`` is not a :class:`Coalition`.
+    :raises ResourceLimitError: n_batches is above
+        :data:`DEFAULT_BATCH_TERM_CAP`, or n_probes_per_quadrature above
+        :data:`MAX_ROUNDS`.
     """
     n_batches = check_scalar("n_batches", n_batches, ">= 100", 100, integer=True)
-    n_probes_per_quadrature = check_scalar("n_probes_per_quadrature", n_probes_per_quadrature,
-                                           ">= 1", 1, integer=True)
-    if n_batches * n_probes_per_quadrature * 3 > DEFAULT_BATCH_TERM_CAP:
-        raise ResourceLimitError(
-            f"n_batches * n_probes * modes exceeds the cap of {DEFAULT_BATCH_TERM_CAP}"
-        )
+    n_probes = check_scalar("n_probes_per_quadrature", n_probes_per_quadrature, ">= 1", 1,
+                            integer=True)
+    if n_batches > DEFAULT_BATCH_TERM_CAP:
+        raise ResourceLimitError(f"n_batches exceeds the cap of {DEFAULT_BATCH_TERM_CAP}")
+    if n_probes > MAX_ROUNDS:
+        raise ResourceLimitError(f"n_probes_per_quadrature exceeds the cap of {MAX_ROUNDS}")
     laws = _coalition_laws(model, coalition)
-    # dual homodyne reads x_A and p_A of each probe, as in a run; a coalition that reads
-    # one quadrature per probe splits its probes between the two
-    split = 1.0 if coalition is Coalition.A_ALONE else estimators.RESOURCE_SPLIT_FACTOR
     # 2 split sd_q^2 per quadrature, the scale of a batch's gamma draw
-    scale = np.empty((2, 1))
-    for q, f in enumerate(laws.functionals):
-        sd = _whiten([f.c]).lower[0][0]
-        scale[q] = 2.0 * split * sd * sd
-    n_probes = n_probes_per_quadrature
+    scale = np.array([[2.0 * laws.split * law.lower[0][0] * law.lower[0][0]] for law in laws.est])
     total = np.empty(n_batches)
     for i, start in enumerate(range(0, n_batches, _CHUNK_ROUNDS)):
         end = min(start + _CHUNK_ROUNDS, n_batches)
         sums = stream.chunk_generator(i).standard_gamma(n_probes / 2.0, (2, end - start))
         sums *= scale
         np.add(sums[0], sums[1], out=total[start:end])
-    return total / n_probes
+    total /= n_probes
+    return total

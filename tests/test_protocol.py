@@ -602,8 +602,18 @@ def test_batch_mse_distribution_limits():
         batch_mse_distribution(IDEAL, Coalition.AB, 10, 99, RandomStream(0))
     with pytest.raises(InvalidArgumentError):
         batch_mse_distribution(IDEAL, Coalition.AB, 0, 100, RandomStream(0))
-    with pytest.raises(ResourceLimitError):
-        batch_mse_distribution(IDEAL, Coalition.AB, 10_000_000, 100, RandomStream(0))
+    # the caps count what the call holds, 8 B a batch, and the probes up to the longest run;
+    # a product of the two refused 67,000 probes x 1,000 batches, which draw 2,000 gammas
+    with pytest.raises(ResourceLimitError, match=r"^n_batches exceeds the cap of 200000000$"):
+        batch_mse_distribution(IDEAL, Coalition.AB, 10, protocol.DEFAULT_BATCH_TERM_CAP + 1,
+                               RandomStream(0))
+    with pytest.raises(ResourceLimitError,
+                       match=r"^n_probes_per_quadrature exceeds the cap of 1000000000$"):
+        batch_mse_distribution(IDEAL, Coalition.AB, MAX_ROUNDS + 1, 100, RandomStream(0))
+    for n_probes, n_batches in ((67_000, 1_000), (MAX_ROUNDS, 100)):
+        values = batch_mse_distribution(IDEAL, Coalition.ABC, n_probes, n_batches,
+                                        RandomStream(1))
+        assert values.shape == (n_batches,) and np.all(np.isfinite(values) & (values > 0))
 
 
 @pytest.mark.parametrize("coalition", ["ab", None])
@@ -1078,7 +1088,7 @@ def test_lone_factor_carries_the_vacuum():
     # (A, B, C) block with a unit on A, which is the law outcome_moments gives
     model = ExperimentModel(r=0.8, eta_a=0.9, eta_b=0.8, eps_c=0.05)
     seen = [protocol._ProtocolRun(model, PLAN, 100, Coalition.A_ALONE, POLICY, RandomStream(3),
-                                  "analytic", keep_records=True).factors]
+                                  "analytic", keep_records=True).laws.factors]
     state = build_dealer_state(model, 0.0, 0.0)
     unit_on_a = np.diag([1.0, 0.0, 0.0])
     for q, quad in enumerate("xp"):
@@ -1198,7 +1208,7 @@ def test_chunk_tables_and_the_run_table_hold_the_same_rounds(monkeypatch, coalit
         for name in ROUND_COLUMNS:
             got, want = getattr(joined, name), getattr(whole.records, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, name)
-        assert run.result() == tuple(whole[1:])
+        assert run.reports == tuple(whole[1:])
         off = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(n),
                            gain_mode=gain_mode, keep_records=False)
         assert tuple(off[1:]) == tuple(whole[1:])
@@ -1219,7 +1229,7 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
     drawn = _returned(run, "_draw")
     chunks = list(_drawn(run))
     stats = drawn[0]
-    fitted = run.fit is not None
+    fitted = run.laws.calib is not None
     d = 2 if fitted else 1
     w_weights = estimators.witness_estimate(np.eye(3), np.eye(3))
     for q, quad in enumerate("xp"):
@@ -1236,19 +1246,19 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
             e, u = [], []
             for t, rows, alpha in reads(role):
                 cols = _columns(t, coalition, q, rows)
-                e.append(estimators.combine(cols, coalition, q, run.gains) - alpha)
+                e.append(estimators.combine(cols, coalition, q, run.laws.gains) - alpha)
                 u.append(estimators.weighted_sum(cols, -w1) if fitted else None)
             return np.concatenate(e), np.concatenate(u) if fitted else None
 
         # the witness rounds' sum of squared errors: every party's outcome, less the
-        # sqrt(eta_A) alpha/sqrt(2) that A's carries; a lone A has none
-        want = protocol._scatter(run.laws[protocol.WITNESS][q].lower, stats.witness[q])[0]
+        # sqrt(eta_A) alpha/sqrt(2) that A's carries; a lone A has none, and no witness law
         e_w = np.concatenate([
             w_weights[q] @ np.stack([getattr(t, f"{quad}_{p}")[rows] for p in "abc"])
             - run.root_eta * alpha / math.sqrt(2.0) for t, rows, alpha in reads(protocol.WITNESS)])
         if coalition is Coalition.A_ALONE:
-            assert e_w.size == 0 and want == 0.0
+            assert e_w.size == 0 and run.laws[protocol.WITNESS] is None
         else:
+            want = protocol._scatter(run.laws[protocol.WITNESS][q].lower, stats.witness[q])[0]
             np.testing.assert_allclose(_sum(e_w, e_w), want, rtol=1e-12, atol=1e-300)
         # the bias rounds' means and scatter about them
         e, u = errors(protocol.BIAS)
@@ -1299,41 +1309,50 @@ def _magnitude(columns, weights, alpha=0.0):
 def test_reads_are_linear_functionals_of_the_recorded_outcomes(coalition, plan, gain_mode, arms,
                                                                r):
     # a round's error, auxiliary and calibration residual, and its witness error, computed
-    # from its normals by the run's coefficient rows, match the estimators applied to the
-    # outcomes the factors make of those normals, within 1e-13 of the spread of the terms
-    # the reference sums. The reference subtracts alpha from an estimate whose A outcome
+    # from its normals through the whitened laws of the run's law record, match the
+    # estimators applied to the outcomes the factors make of those normals, within 1e-13 of
+    # the spread of the terms the reference sums. The reference subtracts alpha from an estimate whose A outcome
     # carries sqrt(eta_A) alpha, so on lossy arms it checks that the bias scale cancels
     # the displacement; the witness subtracts sqrt(eta_A) alpha/sqrt(2)
     model = (ExperimentModel(r=r) if arms == "ideal"
              else ExperimentModel(r=r, eta_a=0.82, eta_b=0.9, eps_c=0.05))
     run = protocol._ProtocolRun(model, plan, 600, coalition, POLICY, RandomStream(97), gain_mode,
                                 keep_records=True)
-    fitted = run.fit is not None
-    assert (run.laws[protocol.CALIB] is not None) == fitted
+    fitted = gain_mode == "fitted" and coalition is not Coalition.A_ALONE
+    assert (run.laws.calib is not None) == fitted
     gen = np.random.default_rng(97)
     alpha = (2.0 * gen.standard_normal(600) if plan.kind == "gaussian"
              else np.full(600, plan.alpha_x))
     order = protocol._party_order(coalition)
     for q, quad in enumerate("xp"):
         z = gen.standard_normal((3, 600))
-        outcomes = protocol._apply(run.factors[q], z.copy())
+        outcomes = protocol._apply(run.laws.factors[q], z.copy())
         outcomes[0] += run.root_eta * alpha
         by_party = {party: outcomes[order.index(j)] for j, party in enumerate("abc")}
         cols = [by_party[party] if party in coalition.party_columns else None
                 for party in "abc"]
-        f = run.functionals[q]
-        n_read = f.c.size
+        law = run.laws[protocol.EST][q]
+        e, u = protocol._values(law.lower, law.basis.T @ z)
         w0, w1 = estimators.WEIGHTS[coalition, q]
-        want = estimators.combine(cols, coalition, q, run.gains) - alpha
-        g = run.gains.gain(coalition)
-        bound = 1e-13 * _magnitude(cols, run.gains.bias_scale * (w0 + g * w1), alpha)
-        assert np.max(np.abs(f.c @ z[:n_read] - want)) <= bound, (quad, bound)
-        want = cols[0] - run.root_eta * alpha
-        bound = 1e-13 * _magnitude(cols[:1], [1.0], run.root_eta * alpha)
-        assert np.max(np.abs(f.l00 * z[0] - want)) <= bound
+        gains = run.laws.gains
+        want = estimators.combine(cols, coalition, q, gains) - alpha
+        g = gains.gain(coalition)
+        bound = 1e-13 * _magnitude(cols, gains.bias_scale * (w0 + g * w1), alpha)
+        assert np.max(np.abs(e - want)) <= bound, (quad, bound)
+        assert run.laws[protocol.BIAS][q] is law
         if fitted:
             want = estimators.weighted_sum(cols, -w1)
-            assert np.max(np.abs(f.aux @ z[:n_read] - want)) <= 1e-13 * _magnitude(cols, w1)
+            assert np.max(np.abs(u - want)) <= 1e-13 * _magnitude(cols, w1)
+            # the calibration rounds read the residual and the same auxiliary
+            law = run.laws[protocol.CALIB][q]
+            residual, u = protocol._values(law.lower, law.basis.T @ z)
+            want = cols[0] - run.root_eta * alpha
+            bound = 1e-13 * _magnitude(cols[:1], [1.0], run.root_eta * alpha)
+            assert np.max(np.abs(residual - want)) <= bound
+            want = estimators.weighted_sum(cols, -w1)
+            assert np.max(np.abs(u - want)) <= 1e-13 * _magnitude(cols, w1)
+        else:
+            assert u is None
         if coalition is not Coalition.A_ALONE:
             # the witness reads all three outcomes; its law's sd times its direction
             c_w = estimators.witness_estimate(np.eye(3), np.eye(3))[q]
@@ -1551,23 +1570,30 @@ def test_shared_derivation_is_each_path_own_bit_for_bit(r, etas, epss, alphas, s
         model = ExperimentModel(r_, eta_a, eta_b, eta_c, eps_a, eps_b, eps_c)
         policy = ProtocolPolicy(eta_min=ETA_MIN)
         for coalition in Coalition:
+            # the batch's record holds the estimation law alone
             laws = protocol._coalition_laws(model, coalition)
+            assert laws.witness is laws.calib is None and laws.bias is laws.est
             n_read = len(coalition.party_columns)
             factors, witness_sd = _own_run_laws(model, coalition)
             scale = _own_batch_scale(model, coalition)
             split = 1.0 if coalition is Coalition.A_ALONE else estimators.RESOURCE_SPLIT_FACTOR
+            assert laws.split == split
             run = protocol._ProtocolRun(model, PLAN, 10, coalition, policy, RandomStream(0),
                                         "fitted", keep_records=False)
-            for q, f in enumerate(laws.functionals):
+            fitted = run.laws.calib is not None
+            assert fitted == (coalition is not Coalition.A_ALONE)
+            assert (run.laws.witness is None) == (witness_sd is None)
+            for q in (0, 1):
                 assert laws.factors[q].tobytes() == factors[q].tobytes(), (coalition, q)
-                assert run.factors[q].tobytes() == factors[q].tobytes(), (coalition, q)
-                # the batch's sd and the run's witness sd
-                sd = protocol._whiten([f.c]).lower[0][0]
+                assert run.laws.factors[q].tobytes() == factors[q].tobytes(), (coalition, q)
+                # the batch's sd, the run's estimation sd and the run's witness sd
+                sd = laws.est[q].lower[0][0]
                 assert 2.0 * split * sd * sd == scale[q, 0], (coalition, q)
+                assert run.laws.est[q].lower[0][0] == sd
                 if witness_sd is not None:
                     assert run.laws[protocol.WITNESS][q].lower[0][0] == witness_sd[q]
                 # the zero-padded rows whiten as the read rows alone did
-                rows = [f.c, f.aux] if run.fit is not None else [f.c]
+                rows = protocol._functionals(factors[q], coalition, q, run.laws.gains, fitted)
                 want = protocol._whiten([row[:n_read] for row in rows])
                 got = run.laws[protocol.EST][q]
                 assert got.lower == want.lower and not got.basis[n_read:].any()
@@ -1745,7 +1771,7 @@ def _run_chunks(model, plan, n, coalition, gain_mode, seed):
     run = protocol._ProtocolRun(model, plan, n, coalition, POLICY, RandomStream(seed), gain_mode,
                                 keep_records=True)
     chunks = list(_drawn(run))
-    return run, chunks, run.result()
+    return run, chunks, run.reports
 
 
 @pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
@@ -1769,8 +1795,8 @@ def test_reports_recomputed_from_the_records_match_the_run(monkeypatch, coalitio
             rows = _read_rounds(ch, coalition, q)
             reads.append((q, _columns(ch.table, coalition, q, rows),
                           getattr(ch.table, f"alpha_{'xp'[q]}")[rows], ch.roles[rows]))
-    gains = run.gains
-    if run.fit is not None:
+    gains = run.laws.gains
+    if run.laws.calib is not None:
         r, u = [], []
         for q, cols, alpha, roles in reads:
             calib = roles == protocol.CALIB
@@ -1821,7 +1847,7 @@ def test_recorded_errors_follow_their_normal_law(monkeypatch, coalition, gain_mo
             rows = _read_rounds(ch, coalition, q) & (ch.roles == protocol.EST)
             alpha = getattr(ch.table, f"alpha_{'xp'[q]}")[rows]
             cols = _columns(ch.table, coalition, q, rows)
-            errors.append(estimators.combine(cols, coalition, q, run.gains) - alpha)
+            errors.append(estimators.combine(cols, coalition, q, run.laws.gains) - alpha)
         errors = np.concatenate(errors)
         assert errors.size > 500
         p = scipy.stats.kstest(errors, scipy.stats.norm(scale=math.sqrt(mse / split)).cdf).pvalue
@@ -2007,7 +2033,7 @@ def test_a_chunk_takes_its_share_by_the_split_law(monkeypatch, coalition, gain_m
             read = _read_rounds(ch, coalition, q)
             est, bias = (estimators.combine(_columns(ch.table, coalition, q,
                                                      read & (ch.roles == role)),
-                                            coalition, q, run.gains) / sd
+                                            coalition, q, run.laws.gains) / sd
                          for role in (protocol.EST, protocol.BIAS))
             if est.size:
                 laws["est"].append((_sum(est, est), est.size))
@@ -2042,14 +2068,26 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
     # every drawn scatter and bias mean keeps u = -2 e (or u = 0)
     orig = protocol._functionals
 
-    def degenerate(factor, coalition, quad, gains):
-        f = orig(factor, coalition, quad, gains)
-        return f._replace(aux=-2.0 * f.c if aux == "proportional" else np.zeros_like(f.c))
+    def degenerate(factor, coalition, quad, gains, fitted):
+        c, _ = orig(factor, coalition, quad, gains, fitted)
+        return [c, -2.0 * c if aux == "proportional" else np.zeros_like(c)]
 
     monkeypatch.setattr(protocol, "_functionals", degenerate)
     # chunks of 8 rounds take 0, 1, 2 and more of a role's rounds
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 8)
     plan = DisplacementPlan.gaussian_modulated(2.0)
+    if aux == "zero":
+        # a zero auxiliary cannot fit a gain, with or without records, so the run fails at
+        # its draw, before its first chunk; its records are checked without the reports
+        for keep_records in (False, True):
+            with pytest.raises(DegenerateAuxiliaryError):
+                run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
+                             gain_mode="fitted", keep_records=keep_records)
+        chunks = protocol._ProtocolRun(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
+                                       "fitted", keep_records=True)._chunks()
+        with pytest.raises(DegenerateAuxiliaryError):
+            next(chunks)
+        monkeypatch.setattr(protocol, "_reports", lambda laws, read, stats: None)
     run = protocol._ProtocolRun(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
                                 "fitted", keep_records=True)
     for q in (0, 1):
@@ -2087,7 +2125,7 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
                 taken.add((role, int(rows.sum())))
                 cols = _columns(ch.table, Coalition.ABC, q, rows)
                 alpha = getattr(ch.table, f"alpha_{'xp'[q]}")[rows]
-                got[q].append(estimators.combine(cols, Coalition.ABC, q, run.gains) - alpha)
+                got[q].append(estimators.combine(cols, Coalition.ABC, q, run.laws.gains) - alpha)
     stats = drawn[0]
     check(stats.est, stats.bias)
     assert {(role, k) for role in errors for k in (0, 1, 2)} <= taken
@@ -2101,13 +2139,7 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
         assert float(np.mean(e)) == pytest.approx(protocol._values(lower, mean)[0], abs=1e-13)
         e = e - np.mean(e)
         assert _sum(e, e) == pytest.approx(protocol._scatter(lower, bartlett)[0], rel=1e-12)
-    if aux == "zero":
-        # a zero auxiliary cannot fit a gain, with or without records
-        for keep_records in (False, True):
-            with pytest.raises(DegenerateAuxiliaryError):
-                run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
-                             gain_mode="fitted", keep_records=keep_records)
-    else:
+    if aux == "proportional":
         off = run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
                            gain_mode="fitted", keep_records=False)
         on = run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
@@ -2174,3 +2206,191 @@ def test_readme_states_the_size_of_the_bias_rule():
     res = run_protocol(IDEAL, PLAN, 10, Coalition.A_ALONE, POLICY, RandomStream(0),
                        keep_records=False)
     assert res.bias.status == "insufficient-rounds"
+
+
+class _ReferenceFit:
+    """Stream layout 10's fitted-gain sums as a run kept them, the oracle of
+    ``protocol._reports``: the calibration rounds' sum(r u) and sum(u u), the estimation
+    rounds' sum(e0 u) and sum(u u) per quadrature, and the bias rounds' moments of u and
+    co-moment of (e0, u), each added from 0 quadrature by quadrature and moved to the
+    fitted gain at the end."""
+
+    __slots__ = ("coalition", "sum_ru", "sum_uu", "n", "est", "bias_u", "bias_c")
+
+    def __init__(self, coalition: Coalition):
+        self.coalition = coalition
+        self.sum_ru = self.sum_uu = 0.0
+        self.n = 0
+        self.est = ([0.0, 0.0], [0.0, 0.0])
+        self.bias_u = estimators.RunningMoments()
+        self.bias_c = 0.0
+
+    def add(self, quad, est, calib, n_calib) -> None:
+        sums = self.est[quad]
+        sums[0] += est[1]
+        sums[1] += est[2]
+        self.sum_ru += calib[1]
+        self.sum_uu += calib[2]
+        self.n += n_calib
+
+    def add_bias(self, k, mean_e, mean_u, scatter, bias_err) -> None:
+        if k:
+            n = self.bias_u.n
+            shift = (mean_e - bias_err.mean) * (mean_u - self.bias_u.mean) * (n * k / (n + k))
+            self.bias_c += scatter[1] + shift
+            self.bias_u.merge(k, mean_u, scatter[2])
+
+    def apply(self, gains, sq_err, bias_err):
+        if self.n < 2:
+            raise ProtocolFailureError("not enough calibration rounds to fit gains")
+        g = estimators.fit_gain_from_sums(self.sum_ru, self.sum_uu, self.n)
+        s = (g - gains.gain(self.coalition)) * gains.bias_scale
+        for sq, (sum_eu, sum_uu) in zip(sq_err, self.est):
+            sq[0] = sq[0] - 2.0 * s * sum_eu + s * s * sum_uu
+        bias_err.mean = bias_err.mean - s * self.bias_u.mean
+        bias_err.m2 = bias_err.m2 - 2.0 * s * self.bias_c + s * s * self.bias_u.m2
+        three = self.coalition is Coalition.ABC
+        return estimators.GainSet(g_b=0.0 if three else g, g_bc=g if three else 0.0,
+                                  bias_scale=gains.bias_scale)
+
+
+class _ReferenceReduction:
+    """Stream layout 10's reduction of a run's draw to its reports, the oracle of
+    ``protocol._reports``: a run's running sums, fed by ``add`` and read once by
+    ``result``, over the laws of the run's law record (a lone A's witness law weighed no
+    normal, and fed a sum its reports never read)."""
+
+    def __init__(self, laws):
+        self.coalition, self.gains = laws.coalition, laws.gains
+        self.lone = laws.coalition is Coalition.A_ALONE
+        self.fit = _ReferenceFit(laws.coalition) if laws.calib is not None else None
+        witness = laws.witness or [protocol._whiten([np.zeros(3)])] * 2
+        self.laws = (witness, laws.bias, laws.calib, laws.est)
+        self.sq_err = ([0.0, 0], [0.0, 0])
+        self.sq_witness = ([0.0, 0], [0.0, 0])
+        self.bias_err = estimators.RunningMoments()
+
+    def add(self, read, stats) -> None:
+        for q in (0, 1):
+            lower = self.laws[protocol.EST][q].lower
+            est = protocol._scatter(lower, stats.est[q])
+            witness = protocol._scatter(self.laws[protocol.WITNESS][q].lower, stats.witness[q])[0]
+            for sq, value, role in ((self.sq_err[q], est[0], protocol.EST),
+                                    (self.sq_witness[q], witness, protocol.WITNESS)):
+                sq[0] += value
+                sq[1] += int(read[role, q])
+            k, (mean, bartlett) = int(read[protocol.BIAS, q]), stats.bias[q]
+            e, u = protocol._values(lower, mean)
+            scatter = protocol._scatter(lower, bartlett)
+            if self.fit is not None:
+                calib = protocol._scatter(self.laws[protocol.CALIB][q].lower, stats.calib[q])
+                self.fit.add(q, est, calib, int(read[protocol.CALIB, q]))
+                self.fit.add_bias(k, e, u, scatter, self.bias_err)
+            self.bias_err.merge(k, e, scatter[0])
+
+    def result(self):
+        sq_err, bias_err, gains = self.sq_err, self.bias_err, self.gains
+        if self.fit is not None:
+            gains = self.fit.apply(gains, sq_err, bias_err)
+        (sum_x, n_x), (sum_p, n_p) = sq_err
+        if n_x < 2 or n_p < 2:
+            raise ProtocolFailureError("fewer than 2 usable rounds per quadrature")
+        split = 1.0 if self.lone else estimators.RESOURCE_SPLIT_FACTOR
+        mse_x, mse_p = split * (sum_x / n_x), split * (sum_p / n_p)
+        mse_report = estimators.MseReport(self.coalition, mse_x, mse_p, mse_x + mse_p, n_x, n_p,
+                                          gains)
+        if self.lone:
+            witness = protocol.WitnessResult(None, None, None, None, None, None, 0, 0,
+                                             WITNESS_THRESHOLD, "not-applicable")
+        else:
+            witness = protocol._witness_result(*self.sq_witness)
+        n_bias = bias_err.n // 2 if self.lone else bias_err.n
+        if bias_err.n < 2:
+            bias = protocol.BiasResult(None, None, n_bias, None, "insufficient-rounds")
+        else:
+            mean_err, se = bias_err.mean, bias_err.standard_error()
+            bias = protocol.BiasResult(mean_err, se, n_bias, bool(abs(mean_err) <= 5.0 * se),
+                                       "ok")
+        return mse_report, witness, bias
+
+
+def _outcome(fn):
+    """What ``fn()`` returns, or the protocol error it raises."""
+    try:
+        return fn()
+    except (ProtocolFailureError, DegenerateAuxiliaryError) as exc:
+        return exc
+
+
+def _reports_match_the_reference(model, n, coalition, policy, seed, gain_mode):
+    """A run's reports, or its error, against the reference reduction of the same draw: the
+    reports bit for bit (their reprs hold every float's exact digits and the sign of a
+    zero), an error by its type and message. Returns the rounds read per role and
+    quadrature, and the outcome."""
+    run = protocol._ProtocolRun(model, PLAN, n, coalition, policy, RandomStream(seed), gain_mode,
+                                keep_records=False)
+    counts, drawn = _returned(run, "_counts"), _returned(run, "_draw")
+    got = _outcome(lambda: (list(run._chunks()), run.reports)[1])
+    read = run._read(counts[0])
+    reference = _ReferenceReduction(run.laws)
+    reference.add(read, drawn[0])
+    want = _outcome(reference.result)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert repr(got) == repr(want)
+    return read, want
+
+
+# a failing draw is reported unshrunk, as in the shared-derivation test
+@settings(max_examples=200, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(coalition=st.sampled_from(list(Coalition)), gain_mode=st.sampled_from(["analytic",
+                                                                              "fitted"]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(10, 40), r=st.floats(0.0, R_MAX),
+       eta_a=st.floats(0.5, 1.0), fractions=st.sampled_from([(0.05, 0.05), (0.0, 0.25),
+                                                            (0.25, 0.1), (0.5, 0.5)]))
+def test_reports_are_the_reference_reduction_bit_for_bit(coalition, gain_mode, seed, n, r,
+                                                         eta_a, fractions):
+    # the one function from a run's draw to its reports gives what the running sums, the
+    # fitted-gain accumulator and the result call of stream layout 10 gave, to the bit,
+    # and raises what they raised
+    policy = ProtocolPolicy(witness_fraction=fractions[0], bias_fraction=fractions[1])
+    model = ExperimentModel(r=r, eta_a=eta_a, eta_b=0.9, eps_c=0.05)
+    _reports_match_the_reference(model, n, coalition, policy, seed, gain_mode)
+
+
+def test_the_reference_reduction_covers_small_counts_and_every_failure(monkeypatch):
+    # over small runs the oracle meets bias and calibration counts of 0, 1 and 2, both
+    # ProtocolFailureErrors, the witness's and the bias check's insufficient-rounds reports,
+    # and (with a zero auxiliary, which no model makes) the DegenerateAuxiliaryError; a
+    # few runs of 5,000 rounds give the witness its 100 rounds per quadrature
+    policies = [POLICY, ProtocolPolicy(witness_fraction=0.25, bias_fraction=0.1),
+                ProtocolPolicy(witness_fraction=0.5, bias_fraction=0.5)]
+    seen = set()
+    for seed in range(123):
+        n, policy = (10 + seed % 31, policies[seed % 3]) if seed < 120 else (5000, POLICY)
+        for coalition in Coalition:
+            for gain_mode in ("analytic", "fitted"):
+                read, want = _reports_match_the_reference(LOSSY, n, coalition, policy, seed,
+                                                          gain_mode)
+                seen.add(("bias", int(read[protocol.BIAS].sum())))
+                if gain_mode == "fitted" and coalition is not Coalition.A_ALONE:
+                    seen.add(("calib", int(read[protocol.CALIB].sum())))
+                if isinstance(want, Exception):
+                    seen.add(str(want))
+                else:
+                    seen.add(("witness", want[1].status))
+                    seen.add(("bias", want[2].status))
+    assert {(role, k) for role in ("bias", "calib") for k in (0, 1, 2)} <= seen
+    assert {"not enough calibration rounds to fit gains",
+            "fewer than 2 usable rounds per quadrature", ("witness", "insufficient-rounds"),
+            ("witness", "ok"), ("witness", "not-applicable"), ("bias", "insufficient-rounds"),
+            ("bias", "ok")} <= seen
+    orig = protocol._functionals
+
+    def zero_aux(factor, coalition, quad, gains, fitted):
+        return [orig(factor, coalition, quad, gains, fitted)[0], np.zeros(3)]
+
+    monkeypatch.setattr(protocol, "_functionals", zero_aux)
+    _, want = _reports_match_the_reference(IDEAL, 1000, Coalition.ABC, POLICY, 7, "fitted")
+    assert isinstance(want, DegenerateAuxiliaryError)
