@@ -891,8 +891,9 @@ def test_dump_rounds_memory_does_not_grow_with_n_rounds(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("failing", ["second-chunk", "too-few-usable-rounds"])
 def test_dump_rounds_failure_leaves_no_file(tmp_path, capsys, monkeypatch, failing):
-    # the run raises after rounds.csv holds rows: on drawing the second chunk, or
-    # when every kept round went to the witness and bias subsets
+    # the run raises after rounds.csv is opened: on drawing the second chunk, once the
+    # file holds rows, or, when every kept round went to the witness and bias subsets, at
+    # the run's draw, which rounds.csv's first chunk asks for after its header
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 512)
     out = tmp_path / "out"
     config = "coalition = abc\nn_rounds = 2000\n"
@@ -908,14 +909,13 @@ def test_dump_rounds_failure_leaves_no_file(tmp_path, capsys, monkeypatch, faili
         monkeypatch.setattr(RandomStream, "chunk_generator", fail_second)
     else:
         config += "witness_fraction = 0.5\nbias_fraction = 0.5\n"
-        write = cli._Run.write
+        reports = protocol._reports
 
-        def written(self, name, pieces):
-            write(self, name, pieces)
-            if name == "rounds.csv":
-                assert (out / "rounds.csv").stat().st_size > 0
+        def opened_first(*args):
+            assert (out / "rounds.csv").exists()
+            return reports(*args)
 
-        monkeypatch.setattr(cli._Run, "write", written)
+        monkeypatch.setattr(protocol, "_reports", opened_first)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     code, _, err = run_cli(
