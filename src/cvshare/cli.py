@@ -437,7 +437,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     stream = RandomStream(cfg["seed"], cfg["stream_id"])
     with _Run(args, stream_layout=protocol.STREAM_LAYOUT) as run:
         if args.dump_rounds:
-            # each chunk's table goes to rounds.csv as the chunk is drawn
+            # each chunk's table goes to rounds.csv as the chunk is drawn, and the reports
+            # come from those rounds once the last is written
             rounds = protocol._ProtocolRun(model, plan, cfg["n_rounds"], coalition, policy,
                                            stream, cfg["gain_mode"], keep_records=True)
             run.write("rounds.csv", _csv(protocol.ROUND_COLUMNS,
@@ -634,7 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("simulate", help="run protocol rounds from a config file")
     sp.add_argument("--config", required=True, help="key = value configuration file")
-    sp.add_argument("--dump-rounds", action="store_true", help="also write rounds.csv")
+    sp.add_argument("--dump-rounds", action="store_true",
+                    help="also write rounds.csv; the reports then come from the dumped rounds")
     _add_out_dir(sp)
     sp.set_defaults(handler=_cmd_simulate)
 

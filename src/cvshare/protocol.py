@@ -12,9 +12,8 @@ nothing), and a further random subset of the kept rounds feeds an
 unbiasedness spot-check; the remainder produces the coalition's MSE
 report.
 
-A run draws the exact law of what its reports read, not its rounds
-(stream layout 10), once for the whole run, from the first child stream
-of its :class:`~cvshare.sampler.RandomStream`,
+A run draws its counts once for the whole run (stream layout 11), from
+the first child stream of its :class:`~cvshare.sampler.RandomStream`,
 :meth:`~cvshare.sampler.RandomStream.chunk_generator` ``(0)``. A dealer
 state has no x-p correlation, so the (A, B, C) triple of each quadrature
 is an independent draw of its Wigner function, L z with L the lower
@@ -28,25 +27,23 @@ it. One derivation, the law record (:func:`_coalition_laws`), gives the
 factors, gains and resource split of a run and of a batch, and per role
 of a run's rounds the whitened law (:class:`_Whitened`) of what they read.
 
-So a run draws (:meth:`_ProtocolRun._draw`) the counts of its rounds
-per basis cell (one multinomial), the witness, bias and calibration
-subsets (multivariate hypergeometric draws), per quadrature the witness
-and estimation rounds' sums of squared errors, 2|c|²·Γ(k/2), or in a
-fitted run the 2 x 2 Wishart scatter of (error, auxiliary) and of
-(residual, auxiliary) by Bartlett's decomposition, and the bias rounds'
-mean and scatter about it, independent normal and Wishart draws. One
-function of those statistics gives the run's reports (:func:`_reports`).
-A run without records draws nothing else: the same few numbers whatever its
-size, and no array of its rounds. A run that keeps its records draws
-the same statistics first, so its reports are the same, and then its
-rounds in chunks of ``_CHUNK_ROUNDS``, chunk i from child stream i
-(:meth:`_ProtocolRun._records`): the chunk's share of the counts and of
-each statistic, conditioned on what the chunks before it took, a
-uniform arrangement of its counts, the bases no count fixes, a gaussian
-plan's displacement blocks, and every round's normals, moved along the
-read functionals so that they give the chunk's share. Those records are
-the per-round simulation: the reference estimators applied to them give
-back the reports.
+A run draws (:meth:`_ProtocolRun._counts`) the counts of its rounds per
+basis cell (one multinomial) and the witness, bias and calibration
+subsets (multivariate hypergeometric draws). One function of the
+statistics of the rounds read gives the run's reports (:func:`_reports`):
+per quadrature the witness and estimation rounds' scatter, 2 x 2 of
+(error, auxiliary) and of (residual, auxiliary) in a fitted run, and the
+bias rounds' mean and scatter about it. A run without records draws
+those statistics from their exact laws (:meth:`_ProtocolRun._draw`:
+Bartlett's decomposition and independent normals), the same few numbers
+whatever its size, and no array of its rounds. A run that keeps its
+records simulates its rounds in chunks of ``_CHUNK_ROUNDS``, chunk i
+from child stream i (:meth:`_ProtocolRun._records`): the chunk's share
+of the counts, a uniform arrangement of them, the bases no count fixes,
+a gaussian plan's displacement blocks and every round's normals, free.
+Its statistics are its records' own, summed chunk by chunk, so the
+reference estimators applied to the records give back its reports, which
+have the same law as those of a run without records, not the same value.
 """
 
 from __future__ import annotations
@@ -98,7 +95,7 @@ MAX_ROUNDS = 1_000_000_000
 #: row for abc under a fixed plan, 139 B for a lone A under a gaussian one) to 1.8-2.8 GB
 MAX_RECORD_ROUNDS = 20_000_000
 #: random-stream layout of the sampled outputs, recorded in their manifests
-STREAM_LAYOUT = 10
+STREAM_LAYOUT = 11
 #: rounds of a recorded run drawn at a time, each chunk from its own child stream
 _CHUNK_ROUNDS = 65536
 
@@ -506,6 +503,17 @@ def _bartlett(gamma: tuple[float, ...], normal: float, k: int) -> tuple[tuple[fl
     return ((a, 0.0), (normal if k > 0 else 0.0, math.sqrt(2.0 * gamma[1])))
 
 
+def _cholesky(s: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """Lower Cholesky factor of a 1 x 1 or 2 x 2 scatter s in :func:`_bartlett`'s form, which
+    :func:`_scatter` reads. A zero pivot gives a zero column, and a diagonal entry that
+    rounding takes below zero gives zero."""
+    a = math.sqrt(max(float(s[0, 0]), 0.0))
+    if len(s) == 1:
+        return ((a,),)
+    b = float(s[1, 0]) / a if a > 0.0 else 0.0
+    return ((a, 0.0), (b, math.sqrt(max(float(s[1, 1]) - b * b, 0.0))))
+
+
 def _scatter(lower, bartlett) -> tuple[float, float, float]:
     """(S_00, S_01, S_11) of the scatter T Tᵀ, T = lower @ bartlett, of the functionals
     whose scale has Cholesky factor ``lower``; S_01 and S_11 are 0 for one functional."""
@@ -535,95 +543,6 @@ def _coordinates(z: np.ndarray, basis: np.ndarray) -> np.ndarray:
     if basis.shape[1] == 1:
         return weighted_sum(z, basis[:, 0])[None]
     return np.stack([weighted_sum(z, b) if b.any() else np.zeros(z.shape[1]) for b in basis.T])
-
-
-def _shift(z: np.ndarray, basis: np.ndarray, delta: np.ndarray) -> None:
-    """Move the normals z (one row per normal) in place by basis @ delta: their coordinates
-    along the orthonormal basis columns change by delta and their orthogonal components
-    stay."""
-    for i, row in enumerate(basis):
-        for j in np.flatnonzero(row):
-            z[i] += delta[j] if row[j] == 1.0 else row[j] * delta[j]
-
-
-def _stiefel_shift(free: np.ndarray, bartlett) -> np.ndarray:
-    """The change bartlett @ Q - free that takes the rows ``free`` to bartlett @ Q, with Q
-    the rows of ``free`` orthonormalised (Gram-Schmidt with a positive diagonal, each
-    projection taken twice). For standard normal rows Q is uniform on the Stiefel
-    manifold and independent of their scatter, so bartlett @ Q are standard normal rows
-    conditioned on their scatter being bartlett @ bartlettᵀ: the whitened form of
-    Y (YᵀY)^(-1/2) W^(1/2). One row is scaled, by bartlett / |free|."""
-    if len(bartlett) == 1:
-        norm = math.sqrt(_dot(free[0], free[0]))
-        return (bartlett[0][0] / norm - 1.0) * free if norm > 0.0 else -free
-    q = np.empty_like(free)
-    for j in range(free.shape[0]):
-        v = free[j].copy()
-        for _ in range(2):
-            for i in range(j):
-                v -= _dot(q[i], v) * q[i]
-        norm = math.sqrt(_dot(v, v))
-        q[j] = v / norm if norm > 0.0 else 0.0
-    out = -free
-    for j, row in enumerate(bartlett):
-        for i in range(j + 1):
-            if row[i]:
-                out[j] += row[i] * q[i]
-    return out
-
-
-def _centred_shift(free: np.ndarray, mean, bartlett) -> np.ndarray:
-    """The change that takes the rows ``free`` to rows of means ``mean`` and scatter about
-    them bartlett @ bartlettᵀ: the means' shift plus :func:`_stiefel_shift` of the centred
-    rows, which lie in the complement of the ones vector, uniform on its Stiefel manifold
-    once orthonormalised and independent of their mean and scatter."""
-    centre = free.sum(axis=1, keepdims=True) / max(free.shape[1], 1)
-    return np.array(mean)[:, None] - centre + _stiefel_shift(free - centre, bartlett)
-
-
-def _share(free: np.ndarray, left, rest) -> tuple[np.ndarray, np.ndarray]:
-    """The change that takes the free coordinates F (d x k) of k of the K rounds whose
-    scatter has Bartlett factor ``left`` to theirs, and the Bartlett factor of the other
-    K - k rounds' scatter.
-
-    ``rest`` is a Bartlett factor R of W(I, K - k), the free scatter of the
-    other rounds. Gram-Schmidt of the rows of (F | R) gives (F | R) = L Q with
-    L the Cholesky factor of F Fᵀ + R Rᵀ, and Q is independent of L for any
-    free rounds of scatter R Rᵀ (Olkin and Rubin, Ann. Math. Statist. 35
-    (1964) 261-269). So ``left`` @ Q, :func:`_stiefel_shift` of (F | R), gives
-    all K rounds the scatter left leftᵀ: the k rounds' coordinates, and
-    left L⁻¹ R, which is lower-triangular, the factor of the others' scatter.
-    Without other rounds (R = 0) this is :func:`_stiefel_shift` of F.
-    """
-    rest = np.array(rest)
-    change = _stiefel_shift(np.hstack((free, rest)), left)
-    return change[:, :free.shape[1]], change[:, free.shape[1]:] + rest
-
-
-def _centred_share(free: np.ndarray, left, rest, n: int) -> tuple[np.ndarray, tuple]:
-    """The change that takes the free coordinates F (d x k) of k of the n rounds whose mean
-    and Bartlett factor of the scatter about it are ``left`` to theirs, and the other
-    n - k rounds' mean and factor.
-
-    ``rest`` is the free mean m_r ~ N(0, I/(n - k)) and the factor of the free
-    scatter about it, W(I, n - k - 1), of the other rounds. F has mean m, and
-    all n rounds have the centred scatter of (F - m 1ᵀ | b) and the other
-    rounds' centred scatter, b = sqrt(k (n - k)/n) (m - m_r), so the map T of
-    :func:`_share` of those columns takes the centred rounds to rounds of the
-    scatter left about the mean ȳ: each of the k rows becomes
-    ȳ + (n - k)/n T (m - m_r) + T (f - m), and the other rounds keep the mean
-    ȳ - k/n T (m - m_r). Without other rounds this is :func:`_centred_shift`.
-    """
-    (mean, bartlett), (rest_mean, rest_bartlett) = left, rest
-    k = free.shape[1]
-    m = free.sum(axis=1, keepdims=True) / k
-    w = math.sqrt(k * (n - k) / n)
-    cols = np.hstack((free - m, w * (m - np.array(rest_mean)[:, None])))
-    change, rest_bartlett = _share(cols, bartlett, rest_bartlett)
-    # T (m - m_r), and the drawn mean
-    gap, mean = (cols[:, k:] + change[:, k:]) / w, np.array(mean)[:, None]
-    return (change[:, :k] + mean + (n - k) / n * gap - m,
-            ((mean - k / n * gap)[:, 0].tolist(), rest_bartlett))
 
 
 def _displacements(plan: DisplacementPlan, start: int, end: int, carry: list[float],
@@ -710,21 +629,34 @@ _LABEL_OUTSIDER = np.array([d ^ pool if role != DISCARDED else -1 for role, d, p
 
 
 class _Stats(NamedTuple):
-    """The statistics a run's reports read, or those of some of its rounds, indexed by role
-    (:data:`WITNESS` to :data:`EST`) and then by quadrature (x, then p), in the whitened
-    coordinates of the role's law (:attr:`_ProtocolRun.laws`).
+    """The statistics a run's reports read, indexed by role (:data:`WITNESS` to :data:`EST`)
+    and then by quadrature (x, then p), in the whitened coordinates of the role's law
+    (:attr:`_ProtocolRun.laws`).
 
     The witness, calibration and estimation rounds' entries hold the
-    Bartlett factor of their scatter, 1 x 1 for the witness (``calib`` is
-    None unless the gains are fitted). The bias rounds' hold the mean of
-    their coordinates, one per functional, and the Bartlett factor of the
-    scatter about it.
+    lower factor of their scatter in :func:`_bartlett`'s form, 1 x 1 for
+    the witness. ``calib`` is None unless the gains are fitted, and
+    ``witness`` is None for a recorded lone A. The bias rounds' entries
+    hold the mean of their coordinates, one per functional, and the factor
+    of the scatter about it.
     """
 
-    witness: tuple
+    witness: tuple | None
     bias: tuple
     calib: tuple | None
     est: tuple
+
+
+def _record_stats(read: np.ndarray, sums: list) -> _Stats:
+    """A recorded run's statistics from its rounds read ``read`` times per role and
+    quadrature and their coordinates' sums per role and quadrature, (Σy, Σyyᵀ), or None for
+    a role without a law: the Cholesky factor of each Σyyᵀ (:func:`_cholesky`), and for the
+    bias rounds the mean ȳ = Σy/k and the factor of the scatter about it, Σyyᵀ − Σy ȳᵀ."""
+    stats = [None if s is None else [_cholesky(syy) for _, syy in s] for s in sums]
+    for q, (sy, syy) in enumerate(sums[BIAS]):
+        mean = sy / max(int(read[BIAS, q]), 1)
+        stats[BIAS][q] = (mean.tolist(), _cholesky(syy - np.outer(sy, mean)))
+    return _Stats(*stats)
 
 
 class _Chunk(NamedTuple):
@@ -764,8 +696,9 @@ def _witness_result(sq_x: tuple[float, int], sq_p: tuple[float, int]) -> Witness
 
 def _reports(laws: _CoalitionLaws, read: np.ndarray,
              stats: _Stats) -> tuple[MseReport, WitnessResult, BiasResult]:
-    """A run's reports from its statistics (:class:`_Stats`), drawn for rounds read ``read``
-    times per role and quadrature (:meth:`_ProtocolRun._read`) from the laws of its record.
+    """A run's reports from the statistics (:class:`_Stats`) of its rounds read ``read`` times
+    per role and quadrature (:meth:`_ProtocolRun._read`), drawn from the laws of its record
+    (:meth:`_ProtocolRun._draw`) or summed from its records (:func:`_record_stats`).
 
     Per quadrature, the estimation and witness rounds give their sum of
     squared errors, the first entry of their scatter, and the bias rounds'
@@ -783,8 +716,8 @@ def _reports(laws: _CoalitionLaws, read: np.ndarray,
     the shift cancels nothing large, even at high squeezing, where A's
     outcome and u grow as e^r.
 
-    :raises ProtocolFailureError: a fitted run has fewer than two
-        calibration rounds, or a quadrature fewer than two estimation rounds.
+    A run's counts are checked before its statistics (:meth:`_ProtocolRun._check`).
+
     :raises DegenerateAuxiliaryError: a fitted run's auxiliary has (near)
         zero variance over the calibration rounds.
     """
@@ -816,10 +749,7 @@ def _reports(laws: _CoalitionLaws, read: np.ndarray,
                 bias_u.merge(k, u, scatter[2])
         bias_err.merge(k, e, scatter[0])
     if fitted:
-        n_calib = int(read[CALIB].sum())
-        if n_calib < 2:
-            raise ProtocolFailureError("not enough calibration rounds to fit gains")
-        g = estimators.fit_gain_from_sums(sum_ru, sum_uu, n_calib)
+        g = estimators.fit_gain_from_sums(sum_ru, sum_uu, int(read[CALIB].sum()))
         s = (g - gains.gain(coalition)) * gains.bias_scale
         sq_err = [sq - 2.0 * s * sum_eu + s * s * sum_u2 for sq, (sum_eu, sum_u2) in
                   zip(sq_err, est_u)]
@@ -829,8 +759,6 @@ def _reports(laws: _CoalitionLaws, read: np.ndarray,
         gains = GainSet(g_b=0.0 if three else g, g_bc=g if three else 0.0,
                         bias_scale=gains.bias_scale)
     n_x, n_p = read[EST].tolist()
-    if n_x < 2 or n_p < 2:
-        raise ProtocolFailureError("fewer than 2 usable rounds per quadrature")
     mse_x, mse_p = laws.split * (sq_err[0] / n_x), laws.split * (sq_err[1] / n_p)
     mse_report = MseReport(coalition, mse_x, mse_p, mse_x + mse_p, n_x, n_p, gains)
 
@@ -855,13 +783,14 @@ def _reports(laws: _CoalitionLaws, read: np.ndarray,
 class _ProtocolRun:
     """One protocol run, the owner of its draws. Constructing it checks every input and
     derives the run's law record (:func:`_coalition_laws`), so each error fires before a
-    chunk stream is opened. Iterating it draws the run's statistics once (:meth:`_draw`),
-    sets ``reports`` to the reports they give (:func:`_reports`), so a run that cannot
-    report fails before any record, and, with ``keep_records``, yields each chunk's rounds
-    as a :class:`RoundTable` of their own (:meth:`_records`). :func:`run_protocol` copies
-    the tables into its whole-run table and ``simulate --dump-rounds`` writes them to
-    rounds.csv; a caller that drops each table before asking for the next holds at most
-    one chunk's rounds."""
+    chunk stream is opened. Iterating it draws the run's counts once and checks them
+    (:meth:`_check`), so a run too small to report fails before any record. Without
+    ``keep_records`` it then draws its statistics (:meth:`_draw`); with them it yields each
+    chunk's rounds as a :class:`RoundTable` of their own (:meth:`_records`) and sums their
+    statistics. Either way it ends by setting ``reports`` to the reports its statistics
+    give (:func:`_reports`). :func:`run_protocol` copies the tables into its whole-run
+    table and ``simulate --dump-rounds`` writes them to rounds.csv; a caller that drops
+    each table before asking for the next holds at most one chunk's rounds."""
 
     def __init__(self, model: ExperimentModel, plan: DisplacementPlan, n_rounds: int,
                  coalition: Coalition, policy: ProtocolPolicy, stream: RandomStream,
@@ -954,38 +883,51 @@ class _ProtocolRun:
         return _Stats(tuple(wisharts[-2:]), tuple(bias), tuple(wisharts[2:-2]) or None,
                       tuple(wisharts[:2]))
 
+    def _check(self, read: np.ndarray) -> None:
+        """Fail a run whose counts, read ``read`` times per role and quadrature, cannot report.
+
+        :raises ProtocolFailureError: a fitted run has fewer than two
+            calibration rounds, or a quadrature fewer than two estimation rounds.
+        """
+        if self.laws.calib is not None and read[CALIB].sum() < 2:
+            raise ProtocolFailureError("not enough calibration rounds to fit gains")
+        if read[EST].min() < 2:
+            raise ProtocolFailureError("fewer than 2 usable rounds per quadrature")
+
     def _chunks(self) -> Iterator[_Chunk]:
-        """Draw the run's counts and statistics from child stream 0 and take its reports
-        from them; with records, then draw its chunks, chunk i from child stream i (stream
-        0 going on), each its share of what is left (:meth:`_records`)."""
+        """Draw the run's counts from child stream 0 and check them. Without records, draw
+        its statistics from stream 0 and take its reports from them. With records, draw its
+        chunks, chunk i from child stream i (stream 0 going on), each its share of the counts
+        left (:meth:`_records`), then take its reports from their rounds' statistics."""
         gen = self.stream.chunk_generator(0)
         counts = self._counts(gen)
         read = self._read(counts)
-        stats = self._draw(gen, read)
-        self.reports = _reports(self.laws, read, stats)
+        self._check(read)
         if not self.keep_records:
+            self.reports = _reports(self.laws, read, self._draw(gen, read))
             return
-        # what the recorded chunks have still to take: the counts per label, and per role
-        # and quadrature a statistic (see _Stats)
-        left_stats = [list(s or ()) for s in stats]
+        # per role and quadrature the read rounds' Σy and Σyyᵀ in their law's whitened
+        # coordinates, or None for a role without a law
+        sums = [None if laws is None else [[np.zeros(d), np.zeros((d, d))] for d in
+                                           (law.basis.shape[1] for law in laws)]
+                for laws in self.laws[:EST + 1]]
         for i, start in enumerate(range(0, self.n_rounds, _CHUNK_ROUNDS)):
             if i:
                 gen = self.stream.chunk_generator(i)
             yield self._records(start, min(start + _CHUNK_ROUNDS, self.n_rounds), gen,
-                                counts, left_stats)
+                                counts, sums)
+        self.reports = _reports(self.laws, read, _record_stats(read, sums))
 
     def _records(self, start: int, end: int, gen: np.random.Generator, left: np.ndarray,
-                 left_stats: list) -> _Chunk:
-        """The chunk of rounds [start, end), its counts and statistics a share of what
-        is left of the run's, ``left`` and ``left_stats``, drawn with its rounds
-        conditioned on them; it takes its share from both, in place.
+                 sums: list) -> _Chunk:
+        """The chunk of rounds [start, end), drawn free: its counts a share of what is left
+        of the run's, ``left``, which it takes in place, and its read rounds' statistics
+        added into ``sums`` (see :meth:`_chunks`).
 
         First comes the share: the last chunk takes what is left and draws
         nothing; another takes a uniformly random m of the rounds left, their
-        labels a multivariate hypergeometric draw of the counts left, and then
-        draws the free statistics of the rounds it leaves (:meth:`_draw`), which
-        split each statistic left between the chunk and the rounds after it.
-        Then comes a uniform random arrangement of the labels over the chunk's
+        labels a multivariate hypergeometric draw of the counts left. Then
+        comes a uniform random arrangement of the labels over the chunk's
         rounds: the labels laid out in the order of the counts and then
         permuted. Then come the coins of the bases that no label fixes (a
         pair's outsider in its discarded rounds; a lone A's B and C in every
@@ -993,21 +935,13 @@ class _ProtocolRun:
         quadrature, x first, every round's three normals in the factors'
         order, as (3, m) arrays in the layout's order. Each role's rounds read
         in a quadrature (its witness, bias, calibration and estimation rounds,
-        contiguous in the layout) then have their normals moved along the span
-        of the role's law (:func:`_shift`) so that they give their share of
-        the statistic left: coordinates of the scatter left, or of a share of
-        it, for the witness, calibration and estimation rounds
-        (:func:`_stiefel_shift`, :func:`_share`), and of the mean and
-        scatter about it for the bias rounds (:func:`_centred_shift`,
-        :func:`_centred_share`). The components orthogonal to the law keep
-        their free draws. ``_apply`` turns the normals into outcomes, which
-        the permutation takes to the table's rounds, and A's outcome gains
-        sqrt(eta_A) alpha.
+        contiguous in the layout) add their whitened coordinates y along the
+        role's law (:func:`_coordinates`) into its Σy and Σyyᵀ. ``_apply``
+        turns the normals into outcomes, which the permutation takes to the
+        table's rounds, and A's outcome gains sqrt(eta_A) alpha.
         """
-        m, read = end - start, self._read(left)
+        m = end - start
         counts = left.copy() if end == self.n_rounds else _split(gen, left, m)
-        taken = self._read(counts)
-        rest = self._draw(gen, read - taken) if end < self.n_rounds else None
         left -= counts
         perm = gen.permutation(m)
         label = np.repeat(np.arange(20, dtype=np.int8), counts.ravel())[perm]
@@ -1038,17 +972,10 @@ class _ProtocolRun:
                 rows = slice(offsets[first], offsets[first + (4 if self.lone else 2)])
                 if rows.start == rows.stop:
                     continue
-                basis, zr, drawn = self.laws[role][q].basis, z[:, rows], left_stats[role][q]
-                free = _coordinates(zr, basis)
-                k, n = int(taken[role, q]), int(read[role, q])
-                if k == n:
-                    delta = (_centred_shift(free, *drawn) if role == BIAS
-                             else _stiefel_shift(free, drawn))
-                else:
-                    share = _centred_share(free, drawn, rest[role][q], n) if role == BIAS \
-                        else _share(free, drawn, rest[role][q])
-                    delta, left_stats[role][q] = share
-                _shift(zr, basis, delta)
+                y = _coordinates(z[:, rows], self.laws[role][q].basis)
+                sy, syy = sums[role][q]
+                sy += y.sum(axis=1)
+                syy += [[_dot(a, b) for b in y] for a in y]
             _apply(self.laws.factors[q], z, out=z)
             out = outcomes[q]
             for j in range(3):
@@ -1091,16 +1018,17 @@ def run_protocol(
     :param gain_mode: "analytic" computes gains from the model
         covariance; "fitted" reserves half of the estimation rounds to
         fit the gain by least squares, mirroring an experimental
-        calibration, and reports the MSE on the other half. Both modes
-        draw the run's statistics once, and one function of them gives
-        the reports (:func:`_reports`): a fitted run estimates with the
-        analytic gain and moves its sums to the fitted gain.
+        calibration, and reports the MSE on the other half. In both modes
+        one function of the run's statistics gives the reports
+        (:func:`_reports`): a fitted run estimates with the analytic gain
+        and moves its sums to the fitted gain.
     :param keep_records: return every round as a :class:`RoundTable`,
         allocated once and filled from each chunk's table as the chunk
-        is drawn; with False the table is empty, and the run draws only the
-        statistics its reports read, whose memory and time do not grow
-        with n_rounds (for large runs where only the reports matter). The
-        reports are the same either way.
+        is drawn, and take the reports from those rounds; with False the
+        table is empty, and the run draws only the statistics its reports
+        read, whose memory and time do not grow with n_rounds (for large
+        runs where only the reports matter). The reports are the same in
+        law either way, not in value.
     :raises ResourceLimitError: n_rounds is above :data:`MAX_ROUNDS`, or
         above :data:`MAX_RECORD_ROUNDS` when the records are kept.
     :raises AbortLossError: the declared signal-arm transmissivity is
@@ -1109,6 +1037,9 @@ def run_protocol(
         for either quadrature after sifting and subset removal, or fewer
         than two calibration rounds in a fitted run; the run fails before
         it draws any record.
+    :raises DegenerateAuxiliaryError: a fitted run's auxiliary has (near)
+        zero variance over its calibration rounds; a run that keeps its
+        records fails after its last chunk.
     """
     run = _ProtocolRun(model, plan, n_rounds, coalition, policy, stream, gain_mode, keep_records)
     records = RoundTable.empty(n_rounds if keep_records else 0)

@@ -234,20 +234,18 @@ def test_simulate_and_rerun_byte_identical(tmp_path, capsys):
     assert len(rounds) == 1 + 10000
 
 
-# rounds.csv sha256 per (coalition, plan), from stream layout 9, which layout 10 keeps for
-# a run of one chunk (SFC64 chunk streams; the counts, splits and statistics the reports
-# read, the bias rounds' as their mean and scatter about it, then a uniform arrangement of
-# the counts, the coins no count fixes, the blocks and every round's normals conditioned
-# on the statistics)
+# rounds.csv sha256 per (coalition, plan), from stream layout 11 (SFC64 chunk streams; the
+# counts and splits, then a uniform arrangement of the counts, the coins no count fixes,
+# the blocks and every round's normals, free)
 ROUNDS_CSV_SHA256 = {
-    ("a_alone", "fixed"): "bb4bc52fbd5d4e1dd1037f7b0a2e8e3a15dc319484be937d8615eff3073c0fd3",
-    ("ab", "fixed"): "16da74f802083b2b9c371ed9b58776e2b34598cfe908e7d1771f0f95fd62b33e",
-    ("ac", "fixed"): "e11207b0b4394656770a9a69bc65d7bf8e06b693ef21fb2805a25187e08ddd0c",
-    ("abc", "fixed"): "24303a9de739e0337c27f9f374443c0205321cb0d3fb659dcadba759559e7549",
-    ("a_alone", "gaussian"): "f90f1c9188f9063c1948d20bc1ef9a43824d0d3960a6e048378144a8e3bba9e6",
-    ("ab", "gaussian"): "7019ffc8a26cee8656e1e32c1c10bec545a92a86c3b72fdcfee7eb9b709d65d2",
-    ("ac", "gaussian"): "8e95d8d177efa2cad494ead3e0079d77ed488c0136c511dfa283c6ac4cd130b7",
-    ("abc", "gaussian"): "b932d51abe25f46cff83e1afd2f258848ee07aacf71c7ec3aeca30a2b1426112",
+    ("a_alone", "fixed"): "bbb3c131bb83f41b2274c0c35a9cb70e464a2e06030eede06791c6399bc35b52",
+    ("ab", "fixed"): "80fec0f54543d2b87fae6590087ce2b5656220c86221340ddc7e06ae9bc85a97",
+    ("ac", "fixed"): "d0722173a4045e83dae67c14d383afee1518f7c64254e4522d5ba15013074975",
+    ("abc", "fixed"): "556fdce0b1e1d08046c42423ddfbd5cb894698da5cdb23f2c551fd4e914728ae",
+    ("a_alone", "gaussian"): "e93b69a89e8afc8b08b6fb24406b4ef8a8ee23c962a50530c956f5f7a7dc1ee0",
+    ("ab", "gaussian"): "e449fb0dcb1e95d149db572ed148bb5228a8a6e59f21cc8a5404a9cbd772181f",
+    ("ac", "gaussian"): "4e6f0418b0214a87c84eb8645e7ffcbd238311754541e0b8464334aa697c332d",
+    ("abc", "gaussian"): "e80fabddb0497203576e6c81e403b4ab7cd91ef6031d39c62cd183dc60fc5745",
 }
 
 
@@ -267,21 +265,21 @@ def test_rounds_csv_bytes_pinned(tmp_path, capsys, coalition, plan):
     assert digest == ROUNDS_CSV_SHA256[(coalition, plan)]
 
 
-# rounds.csv sha256 of runs of several chunks, from stream layout 10 (the run's statistics
-# drawn once, each chunk taking its share of them), as the whole-run round table wrote
-# them: (config lines, _CHUNK_ROUNDS or None, digest).
+# rounds.csv sha256 of runs of several chunks, from stream layout 11 (the run's counts
+# drawn once, each chunk taking its share of them and drawing its rounds free), as the
+# whole-run round table wrote them: (config lines, _CHUNK_ROUNDS or None, digest).
 # 1031 rounds in chunks of 50 end on a partial chunk of 31; 150,000 rounds are two
 # full chunks of 65,536 and a partial one
 MULTI_CHUNK_ROUNDS_CSV_SHA256 = {
     "a_alone-fixed-chunks-of-50": (
         "coalition = a_alone\nplan = fixed\nn_rounds = 1031\n", 50,
-        "b444b44439fab04bfb55f4fb11fdfa7c6527d98b7052225479a3ffd0cdfda7aa"),
+        "464e92c84e361d9318eb4ec334e3aaacff8c75f4b3fc65d32208c2ac5592be08"),
     "abc-gaussian-n_rep-3-fitted-chunks-of-50": (
         "coalition = abc\nplan = gaussian\nn_rep = 3\ngain_mode = fitted\nn_rounds = 1031\n", 50,
-        "50170efb58fa579362623116a8f16465135b21142f1541dab51dc7c3734cf8c5"),
+        "745c73a74a8deeed62b677a733d6f9d2d3ff99141d1bf762dcc7e131b7515220"),
     "abc-fixed-150000": (
         "coalition = abc\nn_rounds = 150000\n", None,
-        "6d9d5f1d33a0f6f765d609c1c21da16b7cd4870eefd674bb00815e4aa91bf2aa"),
+        "f363b250a5fdf4cdb0620ba44a3ec432a5fc9eceb9a5d864a5f811b4e60f368a"),
 }
 
 
@@ -889,14 +887,18 @@ def test_dump_rounds_memory_does_not_grow_with_n_rounds(tmp_path, capsys, monkey
     assert large <= 1.1 * small
 
 
-@pytest.mark.parametrize("failing", ["second-chunk", "too-few-usable-rounds"])
+@pytest.mark.parametrize("failing", ["second-chunk", "too-few-usable-rounds",
+                                     "degenerate-auxiliary"])
 def test_dump_rounds_failure_leaves_no_file(tmp_path, capsys, monkeypatch, failing):
     # the run raises after rounds.csv is opened: on drawing the second chunk, once the
-    # file holds rows, or, when every kept round went to the witness and bias subsets, at
-    # the run's draw, which rounds.csv's first chunk asks for after its header
+    # file holds rows; when every kept round went to the witness and bias subsets, at the
+    # run's count check, which rounds.csv's first chunk asks for after its header; and
+    # with an auxiliary of zero variance, which the rounds decide, after the last chunk,
+    # once the file holds every row
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 512)
     out = tmp_path / "out"
     config = "coalition = abc\nn_rounds = 2000\n"
+    code, error = 1, "protocol-failure"
     if failing == "second-chunk":
         chunk_generator = RandomStream.chunk_generator
 
@@ -907,21 +909,35 @@ def test_dump_rounds_failure_leaves_no_file(tmp_path, capsys, monkeypatch, faili
             return chunk_generator(self, i)
 
         monkeypatch.setattr(RandomStream, "chunk_generator", fail_second)
-    else:
+    elif failing == "too-few-usable-rounds":
         config += "witness_fraction = 0.5\nbias_fraction = 0.5\n"
-        reports = protocol._reports
+        check = protocol._ProtocolRun._check
 
-        def opened_first(*args):
+        def opened_first(self, read):
             assert (out / "rounds.csv").exists()
+            return check(self, read)
+
+        monkeypatch.setattr(protocol._ProtocolRun, "_check", opened_first)
+    else:
+        config += "gain_mode = fitted\n"
+        code, error = 2, "degenerate-auxiliary"
+        functionals, reports = protocol._functionals, protocol._reports
+
+        def zero_aux(factor, coalition, quad, gains, fitted):
+            return [functionals(factor, coalition, quad, gains, fitted)[0], np.zeros(3)]
+
+        def written_first(*args):
+            assert (out / "rounds.csv").read_text().count("\n") == 2001
             return reports(*args)
 
-        monkeypatch.setattr(protocol, "_reports", opened_first)
+        monkeypatch.setattr(protocol, "_functionals", zero_aux)
+        monkeypatch.setattr(protocol, "_reports", written_first)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
-    code, _, err = run_cli(
+    got, _, err = run_cli(
         ["simulate", "--config", str(cfg), "--out-dir", str(out), "--dump-rounds"], capsys)
-    assert code == 1
-    assert _one_json_error(err)["error"] == "protocol-failure"
+    assert got == code
+    assert _one_json_error(err)["error"] == error
     assert not out.exists()
 
 
@@ -1825,7 +1841,7 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 # once for the run, and no displacement: each coalition's two plans give the same
 # reports. A one-pass run estimates with the analytic gain, so a fitted run's drawing
 # must not move these. Layout 10 moved all three of a run of several chunks (a lone A's
-# witness.json says not-applicable)
+# witness.json says not-applicable); layout 11 changed only runs with records
 SIMULATE_REPORTS_SHA256 = {
     ("a_alone", "fixed"): ("439b69354a53c508126eda519cf55a101e4ca26785bc4a9a742b47a06e582448",
                            "53078e71a7d4cf29892804ad861634370a1f13701c2b6875d5a1bf3ae8499c4d",
@@ -1874,7 +1890,8 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
 # sha256 of fitted simulate's mse_report.json and bias.json for the pairs and all three
 # (whose one fitted gain is g_bc), in the setup of SIMULATE_REPORTS_SHA256: the calibration and estimation scatters drawn as
 # Bartlett Wisharts (stream layout 8), the bias rounds' mean and scatter about it (stream
-# layout 9), all drawn once for the run (stream layout 10)
+# layout 9), all drawn once for the run (stream layout 10, which layout 11 keeps without
+# records)
 FITTED_PAIR_REPORTS_SHA256 = {
     ("ab", "fixed"): ("34648859b38368dfc81193d85ea212e59762ff5370d4ad51172a19cf4f2c7459",
                       "61cd2564da4ef5a68f8cc9f4bebba65e68e2392f98fb4488132cdddf08b15932"),
@@ -1930,7 +1947,8 @@ def test_batch_values_pinned(monkeypatch, coalition):
 
 # sha256 of each subcommand's manifest.json, run from the working directory with
 # relative --out-dir, --config and --load so the recorded arguments hold on any
-# machine; from the writer whose handlers each ended with a manifest call
+# machine; from the writer whose handlers each ended with a manifest call. The simulate
+# and witness entries say "stream_layout": 11
 MANIFEST_SHA256 = {
     "state": (["state", "--r", "0.5", "--alpha-x", "0.3"],
               "feefe7961e7f91736b0b53691f91bc698b331cf1813a5eea49d783503bdf3d03"),
@@ -1941,13 +1959,13 @@ MANIFEST_SHA256 = {
     "certify": (["certify", "--grid", "3"],
                 "ba143e7b8595f2a755f56cc3a97b2780c758be70f274e827510b693077c50fe1"),
     "simulate": (["simulate", "--config", "run.cfg", "--dump-rounds"],
-                 "6fa042b95987089fb5b23c273d439e9900e5ffafabbdccac4dcaf00d6bf313e8"),
+                 "4ea7f378ae4b2612f27ecf601ded0c407db458d4e93560aaf89a2230a9032b04"),
     "security": (["security", *MU_ARGS, "--n-probes", "5"],
                  "5cc9aa63394f51596b24559f5642c862bed7119596eea59c6211441bc0e9ce25"),
     "mi": (["mi", "--v-dist", "5", *MU_ARGS, "--n-max", "5"],
            "ba872b7bc5353e2ff05223895bc7e400f03b4a536db58adf96716485afb998fd"),
     "witness": (["witness", "--n-rounds", "400", "--seed", "2"],
-                "c31d26f7a70ee9acf9ad7c52206054ff1c4a6e962ac3eadda73ebf4de61b3382"),
+                "7771f4cd6792ee1046042377a3150099659f34e0f4c2ff33b8a1f7ce773f5c7c"),
 }
 
 

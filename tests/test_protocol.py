@@ -1,5 +1,6 @@
 """End-to-end protocol runs: sifting, verification subsets, reports."""
 
+import contextlib
 import copy
 import functools
 import json
@@ -193,16 +194,16 @@ def test_keep_records_off():
     assert len(res.records) == 0
     assert all(getattr(res.records, name).size == 0 for name in ROUND_COLUMNS)
     assert res.mse_report.n_x >= 2
-    # the reports do not depend on whether the rounds are kept
-    full = run_protocol(IDEAL, PLAN, 1000, Coalition.AB, POLICY, RandomStream(1))
-    assert full.mse_report == res.mse_report
-    assert full.witness == res.witness
+    # both runs draw the same counts; a recorded run's reports are its records' own
+    run, chunks, reports = _run_chunks(IDEAL, PLAN, 1000, Coalition.AB, "analytic", 1)
+    assert _counted(reports) == _counted(res[1:])
+    _assert_the_records_give_the_reports(run, chunks, reports, IDEAL.eta_a)
 
 
 def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) -> dict:
     """The round-table columns of an n-round analytic run on IDEAL with a gaussian plan
-    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 10: the statistics,
-    then the records conditioned on them, with numpy's own linear algebra."""
+    of n_rep 1, replayed by hand from chunk 0's stream in stream layout 11: the counts,
+    then the records drawn free, with numpy's own linear algebra."""
     gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, 0))))
     lone = coalition is Coalition.A_ALONE
     three = coalition is Coalition.ABC
@@ -221,16 +222,6 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
     take = min(round(POLICY.bias_fraction * n), int(kept.sum()))
     counts[1] = gen.multivariate_hypergeometric(kept.ravel(), take).reshape(2, 2)
     counts[3] = kept - counts[1]
-    # rounds per role read in each quadrature: the dealer's, or both for a lone A
-    read = [[int(counts[r].sum()) if lone else int(counts[r, q].sum()) for q in (0, 1)]
-            for r in range(4)]
-    # the estimation rounds' chi-squared halves, then the witness rounds'
-    gammas = gen.standard_gamma([read[3][0] / 2.0, read[3][1] / 2.0,
-                                 read[0][0] / 2.0, read[0][1] / 2.0])
-    # the bias rounds' mean times sqrt(k) per quadrature, then the chi-squared halves of
-    # their scatter about it, of k - 1 degrees of freedom
-    bias_mean = gen.standard_normal(2) / np.sqrt(np.maximum(read[1], 1))
-    bias_gammas = gen.standard_gamma(np.maximum(np.array(read[1]) - 1, 0) / 2.0)
     # the records: a uniform arrangement of the labels, the coins no label fixes, the
     # blocks, then every round's normals in the layout, x then p
     perm = gen.permutation(n)
@@ -255,38 +246,10 @@ def _replay_first_chunk(coalition: Coalition, n: int, v_dist: float, seed: int) 
     vacuum = np.diag([1.0 if lone else 0.0, 0.0, 0.0])
     factors = [np.linalg.cholesky(cov[np.ix_(idx, idx)] + vacuum)
                for idx in ([quad[j] for j in order] for quad in estimators.TRIPLE_INDICES)]
-    gains = (estimators.GainSet(0.0, 0.0, 1.0) if lone
-             else estimators.gains_for_model(IDEAL, coalition))
-    offsets = np.concatenate(([0], np.cumsum(counts.ravel())))
     want = {"round_index": np.arange(n), "alpha_x": alpha[0], "alpha_p": alpha[1],
             "dealer_basis": dealer, "kept": kept}
     for q in (0, 1):
-        z, factor = normals[q], factors[q]
-        # each group's normals move along its functional's direction to the drawn sum of
-        # squares, or for the bias rounds to the drawn mean and sum of squares about it
-        n_read = len(coalition.party_columns)
-        w0, w1 = estimators.WEIGHTS[coalition, q]
-        w = [(w0 + gains.gain(coalition) * w1)[p] for p in order[:n_read]]
-        c = np.array(w) @ factor[:n_read, :n_read]
-        groups = [(1, c, bias_gammas[q])]
-        if not lone:
-            c_w = estimators.witness_estimate(np.eye(3), np.eye(3))[q][list(order)] @ factor
-            groups.append((0, c_w, gammas[2 + q]))
-        groups.append((3, c, gammas[q]))
-        for r, c_r, y in groups:
-            first = 4 * r + (0 if lone else 2 * q)
-            rows = slice(offsets[first], offsets[first + (4 if lone else 2)])
-            b = c_r / np.linalg.norm(c_r)
-            zr = z[: b.size, rows]
-            g = b @ zr
-            if r == 1:
-                centred = g - g.mean() if g.size else g
-                norm = np.linalg.norm(centred)
-                y = bias_mean[q] + (math.sqrt(2.0 * y) * centred / norm if norm else 0.0)
-            else:
-                y = math.sqrt(2.0 * y) * g / np.linalg.norm(g)
-            zr += np.outer(b, y - g)
-        outcomes = (factor @ z)[:, perm]
+        outcomes = (factors[q] @ normals[q])[:, perm]
         outcomes[0] += alpha[q]
         for j, party in enumerate("abc"):
             value = outcomes[order.index(j)]
@@ -302,11 +265,10 @@ def _coins(gen, n):
 
 
 def test_round_columns_hold_the_drawn_rounds():
-    # every round of a one-chunk run as drawn by stream layout 10: the counts, the
-    # estimation and witness rounds' gamma draws and the bias rounds' mean and scatter, then the
-    # arrangement, the coins, the displacements and the normals conditioned on those
-    # statistics; the outcomes are replayed with numpy's linear algebra, so they agree to
-    # rounding, and every other column exactly
+    # every round of a one-chunk run as drawn by stream layout 11: the counts, then the
+    # arrangement, the coins, the displacements and the normals, free; the outcomes are
+    # replayed with numpy's linear algebra, so they agree to rounding, and every other
+    # column exactly
     n = 100
     plan = DisplacementPlan.gaussian_modulated(1.5)
     for coalition in Coalition:
@@ -748,18 +710,13 @@ def _returned(run, name):
     return got
 
 
-def _chunks(coalition, n, fitted, plan=PLAN):
-    run = protocol._ProtocolRun(IDEAL, plan, n, coalition, POLICY, RandomStream(67),
-                                "fitted" if fitted else "analytic", keep_records=True)
-    return list(_drawn(run))
-
-
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_chunk_masks_partition_the_rounds(monkeypatch, coalition):
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
     n = 1000
     lone = coalition is Coalition.A_ALONE
-    chunks = _chunks(coalition, n, fitted=not lone)
+    gain_mode = "analytic" if lone else "fitted"
+    _, chunks, _ = _run_chunks(IDEAL, PLAN, n, coalition, gain_mode, 67)
     assert [ch.table.round_index[0] for ch in chunks] == list(range(0, n, 64))
     names = ("witness", "bias", "calib", "estimation", "discarded")
     counts = dict.fromkeys(names, 0)
@@ -785,8 +742,7 @@ def test_chunk_masks_partition_the_rounds(monkeypatch, coalition):
         for role, name in enumerate(names):
             counts[name] += int(np.count_nonzero(ch.roles == role))
     assert sum(counts.values()) == n
-    res = run_protocol(IDEAL, PLAN, n, coalition, POLICY, RandomStream(67),
-                       gain_mode="analytic" if lone else "fitted")
+    res = run_protocol(IDEAL, PLAN, n, coalition, POLICY, RandomStream(67), gain_mode=gain_mode)
     # a lone A's bias check reads both quadratures of each of its rounds, but
     # counts rounds
     assert res.bias.n_rounds == counts["bias"]
@@ -820,16 +776,15 @@ def test_fitted_gain_is_exact_over_the_calibration_reads(monkeypatch):
     n = 1000
     plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=3)
     r, u = [], []
-    for ch in _chunks(Coalition.ABC, n, fitted=True, plan=plan):
+    _, chunks, (report, _, _) = _run_chunks(IDEAL, plan, n, Coalition.ABC, "fitted", 67)
+    for ch in chunks:
         for q, quad in enumerate("xp"):
             rows = _read_rounds(ch, Coalition.ABC, q) & (ch.roles == protocol.CALIB)
             a, b, cc = _columns(ch.table, Coalition.ABC, q, rows)
             r.append(a - getattr(ch.table, f"alpha_{quad}")[rows])
             u.append((-1.0 if q else 1.0) * (b - cc) / math.sqrt(2.0))
-    res = run_protocol(IDEAL, plan, n, Coalition.ABC, POLICY, RandomStream(67),
-                       gain_mode="fitted", keep_records=False)
     expect = fit_gain(np.concatenate(r), np.concatenate(u))
-    assert res.mse_report.gains.g_bc == pytest.approx(expect, rel=1e-12)
+    assert report.gains.g_bc == pytest.approx(expect, rel=1e-12)
 
 
 class _CountingGenerator:
@@ -859,10 +814,6 @@ def _count_draws(monkeypatch) -> tuple[list, list]:
     monkeypatch.setattr(RandomStream, "chunk_generator", lambda self, i: _CountingGenerator(
         chunk_generator(self, i), sizes, gammas))
     return sizes, gammas
-
-
-def _count_normals(monkeypatch) -> list:
-    return _count_draws(monkeypatch)[0]
 
 
 def _count_streams(monkeypatch) -> list:
@@ -946,30 +897,22 @@ def test_a_run_without_records_draws_no_block(monkeypatch, coalition, gain_mode)
 
 
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
-def test_records_draw_every_round_once_after_the_statistics(monkeypatch, coalition):
-    # with records a run draws the statistics first, the same numbers as without; then
-    # each chunk but the last draws the free statistics of the rounds it leaves, one normal
-    # array as long, and every chunk its blocks (x values, then p values) and every
-    # round's x triple, then its p triple
+def test_records_draw_every_round_once_and_no_statistic(monkeypatch, coalition):
+    # with records a run draws no statistic and no gamma: each chunk draws its blocks (x
+    # values, then p values) and every round's x triple, then its p triple
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 1024)
     n, n_rep = 5000, 3
-    sizes = _count_normals(monkeypatch)
+    sizes, gammas = _count_draws(monkeypatch)
     plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
-    run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71), keep_records=False)
-    statistics = list(sizes)
-    assert len(statistics) == 1
-    sizes.clear()
     opened = _count_streams(monkeypatch)
     run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(71))
-    assert opened == list(range(5))
+    assert opened == list(range(5)) and gammas == []
     # a chunk draws the blocks that begin in it
     starts = [-(-start // n_rep) for start in range(0, n, 1024)] + [-(-n // n_rep)]
     blocks = [b - a for a, b in zip(starts, starts[1:])]
     triples = [3 * min(1024, n - start) for start in range(0, n, 1024)]
-    want = list(statistics)
-    for i, (block, triple) in enumerate(zip(blocks, triples)):
-        want += statistics * (i < len(blocks) - 1) + [block, block, triple, triple]
-    assert sizes == want
+    assert sizes == [size for block, triple in zip(blocks, triples)
+                     for size in (block, block, triple, triple)]
 
 
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
@@ -1068,14 +1011,16 @@ def test_a_last_chunk_of_one_round():
     n = protocol._CHUNK_ROUNDS + 1
     plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=3)
     for coalition in (Coalition.AB, Coalition.A_ALONE):
-        on = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(79))
+        run, chunks, reports = _run_chunks(IDEAL, plan, n, coalition, "analytic", 79)
         off = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(79),
                            keep_records=False)
-        assert on.mse_report == off.mse_report and on.bias == off.bias
-        last = on.records[n - 1 :]
+        assert _counted(reports) == _counted(off[1:])
+        _assert_the_records_give_the_reports(run, chunks, reports, IDEAL.eta_a)
+        records = _joined(chunks)
+        last = records[n - 1 :]
         assert last.round_index.tolist() == [n - 1]
         # its block began in the chunk before, at round n - 2
-        assert last.alpha_x[0] == on.records.alpha_x[n - 2] != on.records.alpha_x[n - 3]
+        assert last.alpha_x[0] == records.alpha_x[n - 2] != records.alpha_x[n - 3]
         for name in protocol.BASIS_COLUMNS:
             assert getattr(last, name)[0] in ((0, 1, 2) if name == "basis_a" else (0, 1))
         read = [name for name in protocol.OUTCOME_COLUMNS if not np.isnan(getattr(last, name)[0])]
@@ -1126,39 +1071,38 @@ def test_lone_outcomes_follow_the_model_plus_the_vacuum():
                          ids=["fixed", "gaussian"])
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
-def test_keep_records_off_gives_the_same_reports(monkeypatch, coalition, gain_mode, plan):
-    # the records draw their missing normals after every draw the reports use
+def test_keep_records_off_gives_the_same_counts(monkeypatch, coalition, gain_mode, plan):
+    # both runs draw their counts first, from child stream 0; the recorded run's reports
+    # are its records' own
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 512)
     off = run_protocol(IDEAL, plan, 3000, coalition, POLICY, RandomStream(1),
                        gain_mode=gain_mode, keep_records=False)
-    on = run_protocol(IDEAL, plan, 3000, coalition, POLICY, RandomStream(1),
-                      gain_mode=gain_mode)
-    assert len(on.records) == 3000 and len(off.records) == 0
-    assert on.mse_report == off.mse_report
-    assert on.witness == off.witness
-    assert on.bias == off.bias
+    run, chunks, reports = _run_chunks(IDEAL, plan, 3000, coalition, gain_mode, 1)
+    assert len(_joined(chunks)) == 3000 and len(off.records) == 0
+    assert _counted(reports) == _counted(off[1:])
+    _assert_the_records_give_the_reports(run, chunks, reports, IDEAL.eta_a)
 
 
 @pytest.mark.parametrize("n_rep", [1, 3, 1000])
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
-def test_gaussian_reports_do_not_depend_on_the_records(monkeypatch, coalition, gain_mode,
-                                                       n_rep):
-    # the reports read the statistics a chunk draws first, and only the records draw the
-    # blocks, after them; chunks of 256 rounds end on a partial one, blocks of 3 cross
-    # chunk edges and blocks of 1000 span several chunks
+def test_gaussian_reports_are_their_records_own(monkeypatch, coalition, gain_mode, n_rep):
+    # the displacement cancels from every error a report reads, so a recorded gaussian
+    # run's reports are its records' own whatever its blocks; chunks of 256 rounds end on a
+    # partial one, blocks of 3 cross chunk edges and blocks of 1000 span several chunks
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 256)
     plan = DisplacementPlan.gaussian_modulated(2.0, n_rep=n_rep)
     off = run_protocol(IDEAL, plan, 6000, coalition, POLICY, RandomStream(5),
                        gain_mode=gain_mode, keep_records=False)
-    on = run_protocol(IDEAL, plan, 6000, coalition, POLICY, RandomStream(5),
-                      gain_mode=gain_mode)
-    assert tuple(on[1:]) == tuple(off[1:])
+    run, chunks, reports = _run_chunks(IDEAL, plan, 6000, coalition, gain_mode, 5)
+    assert _counted(reports) == _counted(off[1:])
+    _assert_the_records_give_the_reports(run, chunks, reports, IDEAL.eta_a)
     if coalition is not Coalition.A_ALONE:
-        assert on.witness.status == "ok"
+        assert reports[1].status == "ok"
     # the records hold one draw per block
     blocks = np.arange(6000) // n_rep
-    for col in (on.records.alpha_x, on.records.alpha_p):
+    records = _joined(chunks)
+    for col in (records.alpha_x, records.alpha_p):
         assert np.array_equal(col, col[blocks * n_rep])
         assert np.unique(col).size == blocks[-1] + 1
 
@@ -1171,17 +1115,19 @@ def test_gaussian_reports_do_not_depend_on_the_records(monkeypatch, coalition, g
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_runs_without_witness_rounds(monkeypatch, coalition, gain_mode, plan, policy):
-    # every chunk makes zero-size witness draws, and the records still draw after them
+    # no witness round is read, with or without records, and the records' reports are
+    # their own
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 512)
     off = run_protocol(IDEAL, plan, 3000, coalition, policy, RandomStream(2),
                        gain_mode=gain_mode, keep_records=False)
-    on = run_protocol(IDEAL, plan, 3000, coalition, policy, RandomStream(2),
-                      gain_mode=gain_mode)
-    assert tuple(on[1:]) == tuple(off[1:])
-    assert on.witness.n_x == on.witness.n_p == 0
-    assert on.bias.n_rounds == round(policy.bias_fraction * 3000)
+    run, chunks, reports = _run_chunks(IDEAL, plan, 3000, coalition, gain_mode, 2, policy)
+    assert _counted(reports) == _counted(off[1:])
+    _assert_the_records_give_the_reports(run, chunks, reports, IDEAL.eta_a)
+    _, witness, bias = reports
+    assert witness.n_x == witness.n_p == 0
+    assert bias.n_rounds == round(policy.bias_fraction * 3000)
     # an outcome is finite exactly where its party's basis read its quadrature
-    t = on.records
+    t = _joined(chunks)
     for party in "abc":
         basis = getattr(t, f"basis_{party}")
         for q, quad in enumerate("xp"):
@@ -1209,26 +1155,29 @@ def test_chunk_tables_and_the_run_table_hold_the_same_rounds(monkeypatch, coalit
             got, want = getattr(joined, name), getattr(whole.records, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, name)
         assert run.reports == tuple(whole[1:])
+        run, chunks, reports = _run_chunks(IDEAL, plan, n, coalition, gain_mode, n)
+        assert reports == tuple(whole[1:])
+        _assert_the_records_give_the_reports(run, chunks, reports, IDEAL.eta_a)
         off = run_protocol(IDEAL, plan, n, coalition, POLICY, RandomStream(n),
                            gain_mode=gain_mode, keep_records=False)
-        assert tuple(off[1:]) == tuple(whole[1:])
+        assert _counted(off[1:]) == _counted(reports)
 
 
 @pytest.mark.parametrize("gain_mode", ["analytic", "fitted"])
 @pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
 def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain_mode):
-    # the chunks' records, each chunk holding its share, give back through the reference
-    # estimators the statistics the run's reports read: the witness rounds' witness
-    # errors, the bias rounds' mean errors (and auxiliaries) and their scatter about it,
-    # and the estimation and calibration rounds' scatter
+    # the chunks' records give back through the reference estimators the statistics the
+    # run's reports read: the witness rounds' witness errors, the bias rounds' mean errors
+    # (and auxiliaries) and their scatter about it, and the estimation and calibration
+    # rounds' scatter
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
     model = ExperimentModel(r=1.0, eta_a=0.9, eta_b=0.95, eps_c=0.02)
     run = protocol._ProtocolRun(model, DisplacementPlan.gaussian_modulated(2.0, n_rep=3), 1000,
                                 coalition, POLICY, RandomStream(67), gain_mode,
                                 keep_records=True)
-    drawn = _returned(run, "_draw")
+    read = _read_by_the_reports(monkeypatch)
     chunks = list(_drawn(run))
-    stats = drawn[0]
+    stats = read[0]
     fitted = run.laws.calib is not None
     d = 2 if fitted else 1
     w_weights = estimators.witness_estimate(np.eye(3), np.eye(3))
@@ -1290,6 +1239,18 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
 
 def _sum(a, b) -> float:
     return float(np.sum(a * b))
+
+
+def _read_by_the_reports(monkeypatch) -> list:
+    """The statistics every later call of ``protocol._reports`` reads, call by call."""
+    got, reports = [], protocol._reports
+
+    def record(laws, read, stats):
+        got.append(stats)
+        return reports(laws, read, stats)
+
+    monkeypatch.setattr(protocol, "_reports", record)
+    return got
 
 
 def _magnitude(columns, weights, alpha=0.0):
@@ -1423,14 +1384,14 @@ def _two_pass_reports(model, plan, n, coalition, stream, gains):
 @pytest.mark.parametrize("coalition", [Coalition.AB, Coalition.AC, Coalition.ABC],
                          ids=lambda c: c.value)
 def test_one_pass_fitted_reports_match_the_two_pass_reference(monkeypatch, coalition, plan, r):
-    # the one-pass sums, shifted from the analytic gain to the fitted one, give the
-    # reports of estimating every round again with the fitted gain; sizes put the
+    # a recorded run's one-pass sums, shifted from the analytic gain to the fitted one, give
+    # the reports of estimating every round again with the fitted gain; sizes put the
     # run's end on a chunk edge, one round past it and one round short of it
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 64)
     model = ExperimentModel(r=r, eta_a=0.9, eta_b=0.95, eps_c=0.02)
     for seed, n in ((1, 640), (2, 641), (3, 1023)):
         res = run_protocol(model, plan, n, coalition, POLICY, RandomStream(seed),
-                           gain_mode="fitted", keep_records=False)
+                           gain_mode="fitted")
         mse_x, mse_p, mean, se = _two_pass_reports(model, plan, n, coalition,
                                                    RandomStream(seed), res.mse_report.gains)
         assert res.mse_report.mse_x == pytest.approx(mse_x, rel=1e-12, abs=0.0)
@@ -1766,28 +1727,32 @@ def test_witness_reads_entangled_at_r_1_at_the_default_rounds():
 LOSSY = ExperimentModel(r=1.0, eta_a=0.9, eta_b=0.95, eps_c=0.02)
 
 
-def _run_chunks(model, plan, n, coalition, gain_mode, seed):
+def _run_chunks(model, plan, n, coalition, gain_mode, seed, policy=POLICY):
     """A run that keeps its records, drawn chunk by chunk, and its reports."""
-    run = protocol._ProtocolRun(model, plan, n, coalition, POLICY, RandomStream(seed), gain_mode,
+    run = protocol._ProtocolRun(model, plan, n, coalition, policy, RandomStream(seed), gain_mode,
                                 keep_records=True)
     chunks = list(_drawn(run))
     return run, chunks, run.reports
 
 
-@pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
-                         ids=["fixed", "gaussian"])
-@pytest.mark.parametrize("gain_mode, chunk", [("analytic", 256), ("fitted", 256), ("fitted", 16)],
-                         ids=["analytic", "fitted", "fitted-chunks-of-16"])
-@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
-def test_reports_recomputed_from_the_records_match_the_run(monkeypatch, coalition, gain_mode,
-                                                          chunk, plan):
-    # the run's reports come from statistics drawn from their exact laws; its records are
-    # the rounds conditioned on those statistics, each chunk taking its share, so the
-    # reference estimators applied to the records (the gain fitted by fit_gain, the MSE,
-    # the bias check and the witness through entanglement_check) give the same reports,
-    # across chunks of 256 rounds and of 16, which take a few rounds of each role
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", chunk)
-    run, chunks, (report, witness, bias) = _run_chunks(LOSSY, plan, 6000, coalition, gain_mode, 3)
+def _joined(chunks) -> RoundTable:
+    return sum((ch.table for ch in chunks[1:]), chunks[0].table)
+
+
+def _counted(reports) -> tuple:
+    """What a run's reports take from its counts alone: the rounds each report read and the
+    statuses that read no value."""
+    report, witness, bias = reports
+    return (report.n_x, report.n_p), (witness.n_x, witness.n_p, witness.status), \
+        (bias.n_rounds, bias.status)
+
+
+def _assert_the_records_give_the_reports(run, chunks, reports, eta_a):
+    """The reference estimators applied to a recorded run's chunks give back its reports,
+    each value to 1e-12 relative: the gain fitted by fit_gain, the MSEs, the bias check and
+    the witness, through entanglement_check where it has 100 rounds per quadrature."""
+    report, witness, bias = reports
+    coalition = run.coalition
     lone = coalition is Coalition.A_ALONE
     reads = []
     for ch in chunks:
@@ -1813,20 +1778,55 @@ def test_reports_recomputed_from_the_records_match_the_run(monkeypatch, coalitio
         sq[q].append(e[roles == protocol.EST])
         residuals.append(e[roles == protocol.BIAS])
     split = 1.0 if lone else estimators.RESOURCE_SPLIT_FACTOR
-    for got, errors in ((report.mse_x, sq[0]), (report.mse_p, sq[1])):
-        assert got == pytest.approx(split * estimators.empirical_mse(
-            np.concatenate(errors), np.zeros(sum(e.size for e in errors))), rel=1e-12)
-    mean, se = estimators.bias_check(np.concatenate(residuals),
-                                     np.zeros(sum(e.size for e in residuals)))
-    assert bias.standard_error == pytest.approx(se, rel=1e-12)
-    assert abs(bias.mean_error - mean) <= 1e-12 * se
-    if not lone:
-        witness_rounds = sum((ch.table[ch.roles == protocol.WITNESS] for ch in chunks[1:]),
-                             chunks[0].table[chunks[0].roles == protocol.WITNESS])
-        got = entanglement_check(witness_rounds, eta_a=LOSSY.eta_a)
-        assert (got.n_x, got.n_p, got.entangled) == (witness.n_x, witness.n_p, witness.entangled)
-        for name in ("mse_x", "mse_p", "mse_sum", "standard_error", "null_standard_error"):
-            assert getattr(got, name) == pytest.approx(getattr(witness, name), rel=1e-12), name
+    for got, n, errors in ((report.mse_x, report.n_x, sq[0]), (report.mse_p, report.n_p, sq[1])):
+        errors = np.concatenate(errors)
+        assert errors.size == n
+        assert got == pytest.approx(split * estimators.empirical_mse(errors, np.zeros(n)),
+                                    rel=1e-12)
+    residuals = np.concatenate(residuals)
+    assert residuals.size == bias.n_rounds * (2 if lone else 1)
+    if residuals.size < 2:
+        assert bias.status == "insufficient-rounds" and bias.mean_error is None
+    else:
+        mean, se = estimators.bias_check(residuals, np.zeros(residuals.size))
+        assert bias.standard_error == pytest.approx(se, rel=1e-12)
+        assert abs(bias.mean_error - mean) <= 1e-12 * se
+    if lone:
+        assert witness.status == "not-applicable"
+        return
+    rounds = _joined([ch._replace(table=ch.table[ch.roles == protocol.WITNESS]) for ch in chunks])
+    is_x = rounds.dealer_basis == 0
+    if min(int(is_x.sum()), int((~is_x).sum())) >= protocol.WITNESS_MIN_ROUNDS:
+        got = entanglement_check(rounds, eta_a=eta_a)
+    else:
+        # the witness errors entanglement_check would take, below its 100 rounds
+        w = estimators.witness_estimate(np.eye(3), np.eye(3))
+        errors = [w[q] @ np.stack([getattr(rounds, f"{quad}_{p}")[rows] for p in "abc"])
+                  - run.root_eta * getattr(rounds, f"alpha_{quad}")[rows] / math.sqrt(2.0)
+                  for q, quad, rows in ((0, "x", is_x), (1, "p", ~is_x))]
+        got = protocol._witness_result(*((_sum(e, e), e.size) for e in errors))
+    assert (got.n_x, got.n_p, got.entangled, got.status) == (
+        witness.n_x, witness.n_p, witness.entangled, witness.status)
+    for name in ("mse_x", "mse_p", "mse_sum", "standard_error", "null_standard_error"):
+        want = getattr(witness, name)
+        assert getattr(got, name) == (None if want is None else pytest.approx(want, rel=1e-12))
+
+
+@pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
+                         ids=["fixed", "gaussian"])
+@pytest.mark.parametrize("gain_mode, chunk", [("analytic", 256), ("fitted", 256), ("fitted", 16)],
+                         ids=["analytic", "fitted", "fitted-chunks-of-16"])
+@pytest.mark.parametrize("coalition", list(Coalition), ids=lambda c: c.value)
+def test_reports_recomputed_from_the_records_match_the_run(monkeypatch, coalition, gain_mode,
+                                                          chunk, plan):
+    # a recorded run's reports are its records reduced by _reports, so the reference
+    # estimators applied to the records (the gain fitted by fit_gain, the MSE, the bias
+    # check and the witness through entanglement_check) give the same reports, across
+    # chunks of 256 rounds and of 16, which take a few rounds of each role
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", chunk)
+    run, chunks, reports = _run_chunks(LOSSY, plan, 6000, coalition, gain_mode, 3)
+    assert coalition is Coalition.A_ALONE or min(reports[1].n_x, reports[1].n_p) >= 100
+    _assert_the_records_give_the_reports(run, chunks, reports, LOSSY.eta_a)
 
 
 @pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0, n_rep=3)],
@@ -1919,12 +1919,17 @@ def test_fitted_mse_follows_the_per_round_simulation(coalition):
 
 
 @functools.cache
-def _bias_statistics(coalition: Coalition, gain_mode: str) -> tuple[int, list[float]]:
-    """The residual pool n and the bias statistic mean_error / standard_error of 2,000
-    seeds of a 400-round run at ideal arms, without records."""
-    runs = [run_protocol(IDEAL, DisplacementPlan.fixed(0.0, 0.0), 400, coalition, POLICY,
-                         RandomStream(seed), gain_mode=gain_mode, keep_records=False).bias
+def _unrecorded_reports(coalition: Coalition, gain_mode: str) -> list[tuple]:
+    """The reports of 2,000 seeds of a 400-round run at ideal arms, without records."""
+    return [run_protocol(IDEAL, DisplacementPlan.fixed(0.0, 0.0), 400, coalition, POLICY,
+                         RandomStream(seed), gain_mode=gain_mode, keep_records=False)[1:]
             for seed in range(2000)]
+
+
+def _bias_statistics(coalition: Coalition, gain_mode: str) -> tuple[int, list[float]]:
+    """The residual pool n and the bias statistic mean_error / standard_error of
+    :func:`_unrecorded_reports`."""
+    runs = [bias for _, _, bias in _unrecorded_reports(coalition, gain_mode)]
     pools = {b.n_rounds * (2 if coalition is Coalition.A_ALONE else 1) for b in runs}
     assert len(pools) == 1
     return pools.pop(), [b.mean_error / b.standard_error for b in runs]
@@ -1959,113 +1964,61 @@ def test_fitted_bias_statistic_follows_the_per_round_simulation():
     assert scipy.stats.ks_2samp(got, want).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("coalition, gain_mode", [
+    (Coalition.AB, "analytic"), (Coalition.ABC, "fitted"), (Coalition.A_ALONE, "analytic")],
+    ids=lambda v: getattr(v, "value", v))
+def test_recorded_reports_follow_the_law_of_unrecorded_ones(coalition, gain_mode):
+    # a recorded run reduces its simulated rounds and a run without records draws their
+    # statistics from their exact laws; over 2,000 seeds of a 400-round run at ideal arms
+    # the two give each report one law (two-sample KS, p > 1e-3): mse_x, mse_p, the witness
+    # mse_sum and the bias statistic mean_error / standard_error. The recorded runs
+    # alternate a fixed and a gaussian plan by seed and draw from stream 1 of the seed,
+    # apart from the unrecorded runs' stream 0, whose reports no plan moves
+    def laws(reports):
+        report, witness, bias = zip(*reports)
+        return {"mse_x": [r.mse_x for r in report], "mse_p": [r.mse_p for r in report],
+                "witness": [w.mse_sum for w in witness if w.mse_sum is not None],
+                "bias": [b.mean_error / b.standard_error for b in bias]}
+
+    plans = (DisplacementPlan.fixed(0.0, 0.0), DisplacementPlan.gaussian_modulated(2.0))
+    on = laws([run_protocol(IDEAL, plans[seed % 2], 400, coalition, POLICY,
+                            RandomStream(seed, 1), gain_mode=gain_mode)[1:]
+               for seed in range(2000)])
+    off = laws(_unrecorded_reports(coalition, gain_mode))
+    lone = coalition is Coalition.A_ALONE
+    for name in on:
+        if name == "witness" and lone:
+            assert on[name] == off[name] == []
+            continue
+        assert min(len(on[name]), len(off[name])) > 1990, name
+        p = scipy.stats.ks_2samp(on[name], off[name]).pvalue
+        assert p > 1e-3, (name, p)
+
+
 def test_wishart_draws_of_one_round_or_none():
     # Bartlett's factor for k < 2 rounds: no round gives a zero scatter, one round the
-    # outer product of one normal vector; the records' rows then have that scatter
+    # outer product of one normal vector; the records' factor of their summed scatter is
+    # the same for no round and a factor of that outer product for one
     assert protocol._bartlett((0.0, 0.0), 0.7, 0) == ((0.0, 0.0), (0.0, 0.0))
     one = protocol._bartlett((1.3, 0.0), 0.7, 1)
     assert one == ((math.sqrt(2.6), 0.0), (0.7, 0.0))
-    free = np.array([[0.4], [-1.1]])
-    y = free + protocol._stiefel_shift(free, one)
-    np.testing.assert_allclose(y @ y.T, np.array(one) @ np.array(one).T, rtol=1e-15)
-    assert protocol._stiefel_shift(np.empty((2, 0)), protocol._bartlett((0.0, 0.0), 0.2, 0)
-                                   ).shape == (2, 0)
-    # one functional: the round's value takes the drawn size and keeps its sign
-    y = np.array([[-0.3]]) + protocol._stiefel_shift(np.array([[-0.3]]), ((2.0,),))
-    assert y.tolist() == [[-2.0]]
-    # a scatter of several rounds: the rows' scatter is the Bartlett factor's
-    free = np.random.default_rng(5).standard_normal((2, 7))
-    a = protocol._bartlett((2.5, 1.7), -0.4, 7)
-    y = free + protocol._stiefel_shift(free, a)
-    np.testing.assert_allclose(y @ y.T, np.array(a) @ np.array(a).T, rtol=1e-14, atol=1e-15)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("k", [0, 1, 2, 7])
-def test_bias_rows_take_their_drawn_mean_and_scatter(k, d):
-    # the bias rounds' records: free rows moved by the mean shift and the Stiefel shift of
-    # their centred rows have the drawn mean and the drawn scatter about it, W(I, k - 1);
-    # one round has no scatter, and no round gives no row
-    gen = np.random.default_rng(10 * k + d)
-    free = gen.standard_normal((d, k))
-    mean = (gen.standard_normal(d) / math.sqrt(max(k, 1))).tolist()
-    a = protocol._bartlett(gen.standard_gamma([max(k - 1 - j, 0) / 2.0 for j in range(d)]),
-                           float(gen.standard_normal()), k - 1)
-    y = free + protocol._centred_shift(free, mean, a)
-    assert y.shape == (d, k)
-    if k == 0:
-        return
-    np.testing.assert_allclose(y.mean(axis=1), mean, rtol=1e-14, atol=1e-14)
-    centred = y - y.mean(axis=1, keepdims=True)
-    np.testing.assert_allclose(centred @ centred.T, np.array(a) @ np.array(a).T, rtol=1e-14,
-                               atol=1e-14)
-    if k == 1:
-        assert np.array(a).tolist() == np.zeros((d, d)).tolist()
-
-
-@pytest.mark.parametrize("coalition, gain_mode", [(Coalition.AB, "analytic"),
-                                                 (Coalition.ABC, "fitted")],
-                         ids=["ab-analytic", "abc-fitted"])
-def test_a_chunk_takes_its_share_by_the_split_law(monkeypatch, coalition, gain_mode):
-    # the first of four chunks of a recorded 400-round run takes its share of the run's
-    # statistics conditioned on them, yet over 2,000 seeds its rounds follow the laws of
-    # rounds drawn free. In units of the error's sd, in each quadrature its k estimation
-    # rounds' sum of squared errors is chi-squared with k degrees of freedom (so Σe² is
-    # 2|c|^2 Gamma(k/2)), its bias rounds' mean times sqrt(k) is standard normal and their
-    # scatter about it chi-squared with k - 1; and its pooled bias residuals' mean over
-    # their SE is Student's t with n - 1, as the run's (test_bias_statistic_follows_student_t).
-    # Each through its probability integral transform, one-sample KS against the uniform,
-    # p > 1e-3, and the mean's variance within 5 standard errors of 1. Its label counts
-    # have the hypergeometric mean, a quarter of the run's. A bias share that dropped the
-    # later rounds' free mean read a variance of 0.83 in both cases
-    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 100)
-    plan, policy = DisplacementPlan.fixed(0.0, 0.0), ProtocolPolicy(bias_fraction=0.25)
-    laws = {name: [] for name in ("est", "mean", "scatter", "t")}
-    shares = []
-    for seed in range(2000):
-        run = protocol._ProtocolRun(IDEAL, plan, 400, coalition, policy, RandomStream(seed),
-                                    gain_mode, keep_records=True)
-        counts = _returned(run, "_counts")
-        ch = next(run._chunks())
-        residuals = []
-        for q in (0, 1):
-            sd = run.laws[protocol.EST][q].lower[0][0]
-            read = _read_rounds(ch, coalition, q)
-            est, bias = (estimators.combine(_columns(ch.table, coalition, q,
-                                                     read & (ch.roles == role)),
-                                            coalition, q, run.laws.gains) / sd
-                         for role in (protocol.EST, protocol.BIAS))
-            if est.size:
-                laws["est"].append((_sum(est, est), est.size))
-            if bias.size >= 2:
-                laws["mean"].append((float(np.mean(bias)) * math.sqrt(bias.size),))
-                centred = bias - np.mean(bias)
-                laws["scatter"].append((_sum(centred, centred), bias.size - 1))
-            residuals.append(bias)
-        residuals = np.concatenate(residuals)
-        if residuals.size >= 2:
-            mean, se = estimators.bias_check(residuals, np.zeros(residuals.size))
-            laws["t"].append((mean / se, residuals.size - 1))
-        shares.append(ch.counts - counts[0] / 4.0)
-    assert min(len(values) for values in laws.values()) > 1900
-    for name, law in (("est", scipy.stats.chi2), ("mean", scipy.stats.norm),
-                      ("scatter", scipy.stats.chi2), ("t", scipy.stats.t)):
-        p = scipy.stats.kstest(law.cdf(*np.array(laws[name]).T), "uniform").pvalue
-        assert p > 1e-3, (name, p)
-    # KS sees a change of scale weakly: the mean's variance is 1 within 5 standard errors
-    _, _, var, se_var = _moments_and_errors(np.array(laws["mean"])[:, 0])
-    assert abs(var - 1.0) <= 5.0 * se_var, (var, se_var)
-    shares = np.array(shares).reshape(2000, -1)
-    spread = shares.std(axis=0, ddof=1)
-    assert spread.any()
-    assert np.all(np.abs(shares.mean(axis=0)) <= 5.0 * spread / math.sqrt(2000))
+    assert protocol._cholesky(np.zeros((2, 2))) == ((0.0, 0.0), (0.0, 0.0))
+    y = np.array([0.4, -1.1])
+    got = np.array(protocol._cholesky(np.outer(y, y)))
+    np.testing.assert_allclose(got @ got.T, np.outer(y, y), rtol=1e-15)
+    assert protocol._cholesky(np.array([[4.0]])) == ((2.0,),)
+    # a scatter of several rounds: the factor's scatter is the rows'
+    y = np.random.default_rng(5).standard_normal((2, 7))
+    got = np.array(protocol._cholesky(y @ y.T))
+    np.testing.assert_allclose(got @ got.T, y @ y.T, rtol=1e-14, atol=1e-15)
+    assert got[0, 1] == 0.0 and got[0, 0] > 0.0 and got[1, 1] > 0.0
 
 
 @pytest.mark.parametrize("aux", ["proportional", "zero"])
 def test_degenerate_wishart_scales(monkeypatch, aux):
     # an auxiliary proportional to the error, or zero, makes the scale of their Wishart
     # singular: the whitening gives it a diagonal entry of rounding size at most, and
-    # every drawn scatter and bias mean keeps u = -2 e (or u = 0)
+    # every scatter and bias mean the records give keeps u = -2 e (or u = 0)
     orig = protocol._functionals
 
     def degenerate(factor, coalition, quad, gains, fitted):
@@ -2077,17 +2030,10 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
     monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 8)
     plan = DisplacementPlan.gaussian_modulated(2.0)
     if aux == "zero":
-        # a zero auxiliary cannot fit a gain, with or without records, so the run fails at
-        # its draw, before its first chunk; its records are checked without the reports
-        for keep_records in (False, True):
-            with pytest.raises(DegenerateAuxiliaryError):
-                run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
-                             gain_mode="fitted", keep_records=keep_records)
-        chunks = protocol._ProtocolRun(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
-                                       "fitted", keep_records=True)._chunks()
+        # a zero auxiliary cannot fit a gain: without records the run fails at its draw
         with pytest.raises(DegenerateAuxiliaryError):
-            next(chunks)
-        monkeypatch.setattr(protocol, "_reports", lambda laws, read, stats: None)
+            run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
+                         gain_mode="fitted", keep_records=False)
     run = protocol._ProtocolRun(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
                                 "fitted", keep_records=True)
     for q in (0, 1):
@@ -2095,30 +2041,16 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
         assert abs(l11) <= 1e-15 * l00
         assert l10 == (pytest.approx(-2.0 * l00, rel=1e-15) if aux == "proportional" else 0.0)
     factor = -2.0 if aux == "proportional" else 0.0
-
-    def check(drawn_est, drawn_bias):
-        for q in (0, 1):
-            lower = run.laws[protocol.EST][q].lower
-            mean, bartlett = drawn_bias[q]
-            for drawn in (drawn_est[q], bartlett):
-                s_ee, s_eu, s_uu = protocol._scatter(lower, drawn)
-                assert s_eu == pytest.approx(factor * s_ee, rel=1e-12, abs=1e-300)
-                assert s_uu == pytest.approx(factor * factor * s_ee, rel=1e-12, abs=1e-300)
-            e, u = protocol._values(lower, mean)
-            assert u == pytest.approx(factor * e, rel=1e-12, abs=1e-15)
-
-    # the run's statistics, and what each chunk leaves of them; the chunks' records of the
-    # errors give the run's statistics back
-    drawn, records = _returned(run, "_draw"), run._records
-
-    def checked(start, end, gen, left, left_stats):
-        chunk = records(start, end, gen, left, left_stats)
-        check(left_stats[protocol.EST], left_stats[protocol.BIAS])
-        return chunk
-
-    run._records = checked
+    # with records a zero auxiliary fails the run after its last chunk, which the
+    # auxiliary's rounds decide
+    read, chunks = _read_by_the_reports(monkeypatch), []
+    with pytest.raises(DegenerateAuxiliaryError) if aux == "zero" else contextlib.nullcontext():
+        for ch in _drawn(run):
+            chunks.append(ch)
+    assert len(_joined(chunks)) == 1000
+    stats = read[0]
     taken, errors = set(), {role: ([], []) for role in (protocol.BIAS, protocol.EST)}
-    for ch in _drawn(run):
+    for ch in chunks:
         for q in (0, 1):
             for role, got in errors.items():
                 rows = _read_rounds(ch, Coalition.ABC, q) & (ch.roles == role)
@@ -2126,25 +2058,24 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
                 cols = _columns(ch.table, Coalition.ABC, q, rows)
                 alpha = getattr(ch.table, f"alpha_{'xp'[q]}")[rows]
                 got[q].append(estimators.combine(cols, Coalition.ABC, q, run.laws.gains) - alpha)
-    stats = drawn[0]
-    check(stats.est, stats.bias)
     assert {(role, k) for role in errors for k in (0, 1, 2)} <= taken
     for q in (0, 1):
         lower = run.laws[protocol.EST][q].lower
+        mean, bartlett = stats.bias[q]
+        for scatter in (stats.est[q], bartlett):
+            s_ee, s_eu, s_uu = protocol._scatter(lower, scatter)
+            assert s_eu == pytest.approx(factor * s_ee, rel=1e-12, abs=1e-300)
+            assert s_uu == pytest.approx(factor * factor * s_ee, rel=1e-12, abs=1e-300)
+        e, u = protocol._values(lower, mean)
+        assert u == pytest.approx(factor * e, rel=1e-12, abs=1e-15)
+        # the records' errors give the statistics back
         e = np.concatenate(errors[protocol.EST][q])
         want = protocol._scatter(lower, stats.est[q])[0]
         assert _sum(e, e) == pytest.approx(want, rel=1e-12)
         e = np.concatenate(errors[protocol.BIAS][q])
-        mean, bartlett = stats.bias[q]
         assert float(np.mean(e)) == pytest.approx(protocol._values(lower, mean)[0], abs=1e-13)
         e = e - np.mean(e)
         assert _sum(e, e) == pytest.approx(protocol._scatter(lower, bartlett)[0], rel=1e-12)
-    if aux == "proportional":
-        off = run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
-                           gain_mode="fitted", keep_records=False)
-        on = run_protocol(IDEAL, plan, 1000, Coalition.ABC, POLICY, RandomStream(7),
-                          gain_mode="fitted")
-        assert tuple(on[1:]) == tuple(off[1:])
 
 
 def test_fewer_than_two_calibration_rounds_fail_with_and_without_records():
@@ -2332,6 +2263,13 @@ def _reports_match_the_reference(model, n, coalition, policy, seed, gain_mode):
     counts, drawn = _returned(run, "_counts"), _returned(run, "_draw")
     got = _outcome(lambda: (list(run._chunks()), run.reports)[1])
     read = run._read(counts[0])
+    if isinstance(got, ProtocolFailureError):
+        # a run whose counts cannot report fails before its draw; the reference reduces
+        # the draw that would have come next
+        assert drawn == []
+        gen = RandomStream(seed).chunk_generator(0)
+        run._counts(gen)
+        run._draw(gen, read)
     reference = _ReferenceReduction(run.laws)
     reference.add(read, drawn[0])
     want = _outcome(reference.result)
