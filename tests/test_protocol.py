@@ -2014,6 +2014,92 @@ def test_wishart_draws_of_one_round_or_none():
     assert got[0, 1] == 0.0 and got[0, 0] > 0.0 and got[1, 1] > 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 7])
+def test_bias_rows_give_their_mean_and_scatter(k, d):
+    # the records' reduction of the bias rounds: from the sums Σy and Σyyᵀ of k rows of d
+    # coordinates per quadrature, summed as a recorded run sums them, the rows' mean and
+    # the factor of their scatter about it; one round has no scatter, and no round gives
+    # a zero mean and no scatter. The roles without sums keep no statistics
+    rows = np.random.default_rng(10 * k + d).standard_normal((2, d, k))
+    read = np.zeros((4, 2), dtype=np.int64)
+    read[protocol.BIAS] = k
+    sums = [None] * 4
+    sums[protocol.BIAS] = [[y.sum(axis=1), np.array([[protocol._dot(a, b) for b in y]
+                                                     for a in y])] for y in rows]
+    stats = protocol._record_stats(read, sums)
+    assert stats.witness is stats.calib is stats.est is None
+    for q, y in enumerate(rows):
+        mean, a = stats.bias[q]
+        assert len(mean) == d and np.array(a).shape == (d, d)
+        if k == 0:
+            assert mean == [0.0] * d and np.array(a).tolist() == np.zeros((d, d)).tolist()
+            continue
+        np.testing.assert_allclose(mean, y.mean(axis=1), rtol=1e-14, atol=1e-14)
+        centred = y - y.mean(axis=1, keepdims=True)
+        np.testing.assert_allclose(np.array(a) @ np.array(a).T, centred @ centred.T,
+                                   rtol=1e-14, atol=1e-14)
+        if k == 1:
+            assert np.array(a).tolist() == np.zeros((d, d)).tolist()
+
+
+@pytest.mark.parametrize("coalition, gain_mode", [(Coalition.AB, "analytic"),
+                                                 (Coalition.ABC, "fitted")],
+                         ids=["ab-analytic", "abc-fitted"])
+def test_a_chunk_takes_its_share_by_the_split_law(monkeypatch, coalition, gain_mode):
+    # the first of four chunks of a recorded 400-round run takes its share of the run's
+    # counts by the split law, and over 2,000 seeds its rounds follow the laws of rounds
+    # drawn free. In units of the error's sd, in each quadrature its k estimation rounds'
+    # sum of squared errors is chi-squared with k degrees of freedom, its bias rounds'
+    # mean times sqrt(k) is standard normal and their scatter about it chi-squared with
+    # k - 1; and its pooled bias residuals' mean over their SE is Student's t with n - 1,
+    # as the run's (test_bias_statistic_follows_student_t). Each through its probability
+    # integral transform, one-sample KS against the uniform, p > 1e-3, and the mean's
+    # variance within 5 standard errors of 1. Its label counts have the hypergeometric
+    # mean, a quarter of the run's
+    monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 100)
+    plan, policy = DisplacementPlan.fixed(0.0, 0.0), ProtocolPolicy(bias_fraction=0.25)
+    laws = {name: [] for name in ("est", "mean", "scatter", "t")}
+    shares = []
+    for seed in range(2000):
+        run = protocol._ProtocolRun(IDEAL, plan, 400, coalition, policy, RandomStream(seed),
+                                    gain_mode, keep_records=True)
+        counts = _returned(run, "_counts")
+        ch = next(run._chunks())
+        residuals = []
+        for q in (0, 1):
+            sd = run.laws[protocol.EST][q].lower[0][0]
+            read = _read_rounds(ch, coalition, q)
+            est, bias = (estimators.combine(_columns(ch.table, coalition, q,
+                                                     read & (ch.roles == role)),
+                                            coalition, q, run.laws.gains) / sd
+                         for role in (protocol.EST, protocol.BIAS))
+            if est.size:
+                laws["est"].append((_sum(est, est), est.size))
+            if bias.size >= 2:
+                laws["mean"].append((float(np.mean(bias)) * math.sqrt(bias.size),))
+                centred = bias - np.mean(bias)
+                laws["scatter"].append((_sum(centred, centred), bias.size - 1))
+            residuals.append(bias)
+        residuals = np.concatenate(residuals)
+        if residuals.size >= 2:
+            mean, se = estimators.bias_check(residuals, np.zeros(residuals.size))
+            laws["t"].append((mean / se, residuals.size - 1))
+        shares.append(ch.counts - counts[0] / 4.0)
+    assert min(len(values) for values in laws.values()) > 1900
+    for name, law in (("est", scipy.stats.chi2), ("mean", scipy.stats.norm),
+                      ("scatter", scipy.stats.chi2), ("t", scipy.stats.t)):
+        p = scipy.stats.kstest(law.cdf(*np.array(laws[name]).T), "uniform").pvalue
+        assert p > 1e-3, (name, p)
+    # KS sees a change of scale weakly: the mean's variance is 1 within 5 standard errors
+    _, _, var, se_var = _moments_and_errors(np.array(laws["mean"])[:, 0])
+    assert abs(var - 1.0) <= 5.0 * se_var, (var, se_var)
+    shares = np.array(shares).reshape(2000, -1)
+    spread = shares.std(axis=0, ddof=1)
+    assert spread.any()
+    assert np.all(np.abs(shares.mean(axis=0)) <= 5.0 * spread / math.sqrt(2000))
+
+
 @pytest.mark.parametrize("aux", ["proportional", "zero"])
 def test_degenerate_wishart_scales(monkeypatch, aux):
     # an auxiliary proportional to the error, or zero, makes the scale of their Wishart
