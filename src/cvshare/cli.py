@@ -86,11 +86,12 @@ def _cells(col) -> list[str]:
     return values if col.dtype.kind == "U" else list(map(str, values))
 
 
-#: table rows formatted at a time, which bounds the per-cell strings held at once;
-#: also the probe counts of a security or mi sweep computed at a time
-_CSV_CHUNK = 4096
-#: grid points, band r-samples or certificate points evaluated at a time, which
-#: bounds the covariance or certificate stack held at once
+#: table rows formatted at a time, which bounds the per-cell strings held at once
+_CSV_CHUNK = 1024
+#: grid points, band r-samples, certificate points or the probe counts of a security or
+#: mi sweep evaluated at a time, which bounds the covariance, certificate or probability
+#: stack held at once. A sweep took 10-16% longer at 1,024 probe counts a chunk on a
+#: 2-core x86-64 host
 _BAND_CHUNK = 4096
 #: caps on the work of the closed-form subcommands, checked before anything is
 #: allocated; at each cap a run took, on a 2-core x86-64 host, about 22 s (bounds),
@@ -159,6 +160,16 @@ def _csv(header, chunks):
             yield text
             del text
         del columns
+
+
+def _named_blocks(tables):
+    """rounds.csv column chunks of at most _CSV_CHUNK rows from each round table in turn,
+    its basis codes named one block at a time. Each table is dropped before the next is
+    asked for, so it does not outlive the draw of the next one."""
+    for table in tables:
+        for start in range(0, len(table), _CSV_CHUNK):
+            yield table[start : start + _CSV_CHUNK].named_columns()
+        del table
 
 
 class _Run:
@@ -441,8 +452,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
             # come from those rounds once the last is written
             rounds = protocol._ProtocolRun(model, plan, cfg["n_rounds"], coalition, policy,
                                            stream, cfg["gain_mode"], keep_records=True)
-            run.write("rounds.csv", _csv(protocol.ROUND_COLUMNS,
-                                          map(protocol.RoundTable.named_columns, rounds)))
+            run.write("rounds.csv", _csv(protocol.ROUND_COLUMNS, _named_blocks(rounds)))
             reports = rounds.reports
         else:
             reports = protocol.run_protocol(model, plan, cfg["n_rounds"], coalition, policy, stream,
@@ -460,8 +470,8 @@ def _probe_chunks(n_max: int, names: np.ndarray, columns):
     """Sweep column chunks for N = 1..n_max, n-major with one row per (N, coalition):
     N, the coalition name, then the ``columns`` of an (n, 1) array of N, each of
     shape (n, len(names))."""
-    for start in range(1, n_max + 1, _CSV_CHUNK):
-        n = np.arange(start, min(start + _CSV_CHUNK, n_max + 1))
+    for start in range(1, n_max + 1, _BAND_CHUNK):
+        n = np.arange(start, min(start + _BAND_CHUNK, n_max + 1))
         yield [np.repeat(n, len(names)), np.tile(names, len(n)),
                *(np.ravel(col) for col in columns(n[:, None]))]
 

@@ -91,8 +91,9 @@ DEFAULT_BATCH_TERM_CAP = 200_000_000
 #: every cell of its counts below the 1e9 rounds numpy's hypergeometric draw takes
 MAX_ROUNDS = 1_000_000_000
 #: cap on n_rounds of a run that keeps its records: it holds run_protocol's round table
-#: (77 B a round) to about 1.5 GB, and the rounds.csv of simulate --dump-rounds (89 B a
-#: row for abc under a fixed plan, 139 B for a lone A under a gaussian one) to 1.8-2.8 GB
+#: (61 B a round under a fixed plan, 77 B under a gaussian one) to 1.2-1.5 GB, and the
+#: rounds.csv of simulate --dump-rounds (89 B a row for abc under a fixed plan, 139 B for
+#: a lone A under a gaussian one) to 1.8-2.8 GB
 MAX_RECORD_ROUNDS = 20_000_000
 #: random-stream layout of the sampled outputs, recorded in their manifests
 STREAM_LAYOUT = 11
@@ -189,10 +190,13 @@ class RoundTable:
 
     ``round_index`` is int64, the basis columns hold int8 codes into
     :data:`BASIS_NAMES`, outcome columns hold NaN for unmeasured
-    quadratures, and ``kept`` is bool. ``table[mask_or_slice]`` and
-    ``table + other`` give tables. :meth:`named_columns` gives the rounds.csv
-    columns, and iteration gives :data:`RoundRecord` rows of them, built on
-    demand, which the benchmark harness and the tests read.
+    quadratures, and ``kept`` is bool. A fixed plan's ``alpha_x`` and
+    ``alpha_p`` are read-only views of one value (stride 0), and stay so in
+    every table taken from them. ``table[key]``, for a mask, a slice, an index
+    array or an integer (one row), and ``table + other`` give tables.
+    :meth:`named_columns` gives the rounds.csv columns, and iteration gives
+    :data:`RoundRecord` rows of them, built on demand, which the benchmark
+    harness and the tests read.
     """
 
     round_index: np.ndarray
@@ -220,18 +224,24 @@ class RoundTable:
         return self.round_index.shape[0]
 
     def __getitem__(self, key) -> "RoundTable":
+        if isinstance(key, (int, np.integer)):
+            row = range(len(self))[key]
+            key = slice(row, row + 1)
         # a mask becomes indices once, not once per column: numpy takes a mask's rows
         # several times slower than the same rows by index
-        if isinstance(key, np.ndarray) and key.dtype == bool and key.shape == (len(self),):
+        elif isinstance(key, np.ndarray) and key.dtype == bool and key.shape == (len(self),):
             key = np.flatnonzero(key)
-        return RoundTable(*(getattr(self, name)[key] for name in ROUND_COLUMNS))
+        index = self.round_index[key]
+        return RoundTable(index, *(_column((getattr(self, name),), len(index),
+                                           lambda col: col[key]) for name in ROUND_COLUMNS[1:]))
 
     def __add__(self, other: "RoundTable") -> "RoundTable":
         if not isinstance(other, RoundTable):
             return NotImplemented
-        return RoundTable(
-            *(np.concatenate((getattr(self, n), getattr(other, n))) for n in ROUND_COLUMNS)
-        )
+        n = len(self) + len(other)
+        return RoundTable(*(_column((getattr(self, name), getattr(other, name)), n,
+                                    lambda *cols: np.concatenate(cols))
+                            for name in ROUND_COLUMNS))
 
     def named_columns(self) -> list[np.ndarray]:
         """The columns in :data:`ROUND_COLUMNS` order, with basis names for basis codes."""
@@ -254,6 +264,18 @@ ROUND_COLUMNS = tuple(f.name for f in fields(RoundTable))
 #: one round of a table as a row, with basis names and None for an unmeasured outcome
 RoundRecord = make_dataclass("RoundRecord", ROUND_COLUMNS, namespace={"__module__": __name__},
                              frozen=True, slots=True)
+
+
+def _column(cols: tuple, n: int, take) -> np.ndarray:
+    """``take(*cols)``, a table's column of n rounds taken from the columns ``cols``,
+    except where each of cols that holds a round is a view of one value (stride 0, a
+    fixed plan's displacement) and their values have the same bits: then that value as
+    a read-only view of n rounds, which holds 8 B, not 8 B a round."""
+    held = [col for col in cols if len(col)]
+    if held and all(col.strides == (0,) for col in held) and len(
+            {col[:1].tobytes() for col in held}) == 1:
+        return np.broadcast_to(held[0][0], n)
+    return take(*cols)
 
 
 @dataclass(frozen=True, slots=True)
@@ -1042,11 +1064,18 @@ def run_protocol(
         records fails after its last chunk.
     """
     run = _ProtocolRun(model, plan, n_rounds, coalition, policy, stream, gain_mode, keep_records)
-    records = RoundTable.empty(n_rounds if keep_records else 0)
-    row = 0
+    records, row = RoundTable.empty(), 0
     for table in run:
+        if not row:
+            # a column of one value in the chunk (a fixed plan's displacement, scale
+            # included) stays one value in the run's table
+            records = RoundTable(*(_column((getattr(table, name),), n_rounds,
+                                           lambda col: np.empty(n_rounds, col.dtype))
+                                   for name in ROUND_COLUMNS))
         for name in ROUND_COLUMNS:
-            getattr(records, name)[row : row + len(table)] = getattr(table, name)
+            column = getattr(records, name)
+            if column.flags.writeable:
+                column[row : row + len(table)] = getattr(table, name)
         row += len(table)
         # the chunk's table must not outlive the draw of the next chunk
         del table
@@ -1083,17 +1112,32 @@ def entanglement_check(witness_records: RoundTable, eta_a: float = 1.0) -> Witne
             f"round {t.round_index[i]}: basis_{party} differs from the dealer basis "
             f"{BASIS_NAMES[t.dealer_basis[i]]!r}; not a witness round"
         )
+    del off
     is_x = t.dealer_basis == 0
-    n_x, n_p = int(np.sum(is_x)), int(np.sum(~is_x))
+    n_x = int(np.count_nonzero(is_x))
+    n_p = len(t) - n_x
     if n_x < WITNESS_MIN_ROUNDS or n_p < WITNESS_MIN_ROUNDS:
         raise InvalidArgumentError(
             f"need >= {WITNESS_MIN_ROUNDS} witness rounds per quadrature, got {n_x}/{n_p}"
         )
-    estimates = estimators.witness_estimate(np.stack((t.x_a, t.x_b, t.x_c))[:, is_x],
-                                            np.stack((t.p_a, t.p_b, t.p_c))[:, ~is_x])
-    errors = [estimate - root_eta * alpha / math.sqrt(2.0)
-              for estimate, alpha in zip(estimates, (t.alpha_x[is_x], t.alpha_p[~is_x]))]
-    return _witness_result(*((_dot(e, e), e.size) for e in errors))
+    # one quadrature at a time, so the check holds one quadrature's rounds, not both
+    return _witness_result(_witness_sum(0, is_x, (t.x_a, t.x_b, t.x_c), t.alpha_x, root_eta),
+                           _witness_sum(1, ~is_x, (t.p_a, t.p_b, t.p_c), t.alpha_p, root_eta))
+
+
+def _witness_sum(q: int, rounds: np.ndarray, columns: tuple, alpha: np.ndarray,
+                 root_eta: float) -> tuple[float, int]:
+    """Σe² and the count of the witness errors e of quadrature q over the rounds that the
+    mask ``rounds`` selects, from the (A, B, C) outcome ``columns`` and the displacement
+    ``alpha``. The rounds are taken from each column into one (3, n) stack: no stack of
+    every round is made."""
+    triple = np.empty((3, np.count_nonzero(rounds)))
+    for row, column in zip(triple, columns):
+        np.compress(rounds, column, out=row)
+    error = estimators.combine(triple, Coalition.ABC, q, estimators._WITNESS_GAINS)
+    del triple
+    error -= root_eta * alpha[rounds] / math.sqrt(2.0)
+    return _dot(error, error), error.size
 
 
 def surrogate_intercept_state(

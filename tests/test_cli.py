@@ -488,8 +488,11 @@ def test_band_memory_does_not_grow_with_the_grid(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("case", ["bounds-16-gaussian-band", "bounds-16-lossy-uniform-band",
                                   "security", "security-v-t", "mi"])
 def test_csv_chunks_do_not_change_the_tables(tmp_path, capsys, monkeypatch, case):
-    # 18 to 120 rows formatted 3 at a time, most tables ending on a partial chunk
+    # 18 to 120 rows formatted 3 at a time, most tables ending on a partial chunk; the
+    # security and mi sweeps also compute 3 probe counts at a time
     monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
+    if case.startswith(("security", "mi")):
+        monkeypatch.setattr(cli, "_BAND_CHUNK", 3)
     test_dealer_outputs_bytes_pinned(tmp_path, capsys, case)
 
 
@@ -497,7 +500,7 @@ def test_csv_chunks_do_not_change_the_tables(tmp_path, capsys, monkeypatch, case
 def test_chunks_do_not_change_the_certificates(tmp_path, capsys, monkeypatch, case):
     # certify --grid 20 checks its 400 points in stacks of 3, the last one
     # partial; the security and mi sweeps, which compute 3 probe counts at a
-    # time under the same _CSV_CHUNK, are covered by the test above
+    # time under the same _BAND_CHUNK, are covered by the test above
     monkeypatch.setattr(cli, "_BAND_CHUNK", 3)
     monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
     test_dealer_outputs_bytes_pinned(tmp_path, capsys, case)

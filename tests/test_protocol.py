@@ -378,6 +378,73 @@ def test_table_selection_takes_each_columns_rows_by_the_key():
         t[np.ones(2999, dtype=bool)]
 
 
+@pytest.mark.parametrize("plan", [DisplacementPlan.fixed(2.0, -1.0, n_rep=4),
+                                  DisplacementPlan.gaussian_modulated(1.5)],
+                         ids=["fixed", "gaussian"])
+def test_an_integer_key_gives_the_one_row_table(plan):
+    # an integer key gave 0-d columns, whose len() raised IndexError
+    t = run_protocol(IDEAL, plan, 3000, Coalition.AB, POLICY, RandomStream(47)).records
+    for key in (0, 5, 2999, -1, -3000, np.int64(7), np.int32(-3), np.uint8(200)):
+        got = t[key]
+        row = int(key) % len(t)
+        want = t[row : row + 1]
+        assert len(got) == 1 and got.round_index[0] == row
+        for name in ROUND_COLUMNS:
+            col, ref = getattr(got, name), getattr(want, name)
+            assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes(), (key, name)
+            assert col.strides == ref.strides == getattr(t, name).strides[:1] or not len(col)
+    for key in (3000, -3001, np.int64(10**6)):
+        with pytest.raises(IndexError):
+            t[key]
+
+
+def _assert_broadcast(table: RoundTable, alphas) -> None:
+    """The table's displacement columns are read-only views of one value each (stride 0)."""
+    for name, alpha in zip(("alpha_x", "alpha_p"), alphas):
+        col = getattr(table, name)
+        assert col.strides == (0,) and not col.flags.writeable, name
+        assert col.shape == (len(table),) and np.all(col == alpha), name
+
+
+def test_fixed_plan_displacements_stay_one_broadcast_value():
+    # 2/sqrt(4) and -1/sqrt(4): the value is the chunk's own, scale included
+    alphas = (1.0, -0.5)
+    plan = DisplacementPlan.fixed(2.0, -1.0, n_rep=4)
+    t = run_protocol(IDEAL, plan, 3000, Coalition.ABC, POLICY, RandomStream(5)).records
+    _assert_broadcast(t, alphas)
+    xs, ps = sift(t, "x"), sift(t, "p")
+    rng = np.random.default_rng(3)
+    for got in (xs, ps, t[t.kept], t[10:2000:7], t[::-1], t[5:5], t[rng.permutation(3000)[:50]],
+                t[np.array([], dtype=np.int64)], t[7], t[np.int64(-1)], xs + ps,
+                RoundTable.empty() + t[:3], t[:3] + RoundTable.empty()):
+        _assert_broadcast(got, alphas)
+    _assert_same_rounds(xs + ps, t[np.concatenate((np.flatnonzero(t.kept & (t.dealer_basis == X)),
+                                                   np.flatnonzero(t.kept & (t.dealer_basis == P))))])
+    # two broadcast values that differ give each table's own value for its rows
+    other = run_protocol(IDEAL, DisplacementPlan.fixed(-0.25, 3.0), 500, Coalition.ABC, POLICY,
+                         RandomStream(6)).records
+    joined = t[:200] + other
+    assert joined.alpha_x.tolist() == [1.0] * 200 + [-0.25] * 500
+    assert joined.alpha_p.tolist() == [-0.5] * 200 + [3.0] * 500
+    # -0.0 and 0.0 compare equal but are two values
+    zero = run_protocol(IDEAL, DisplacementPlan.fixed(0.0, 0.0), 500, Coalition.AB, POLICY,
+                        RandomStream(7)).records
+    minus_zero = run_protocol(IDEAL, DisplacementPlan.fixed(-0.0, 0.0), 500, Coalition.AB,
+                              POLICY, RandomStream(7)).records
+    signs = np.signbit((zero + minus_zero).alpha_x)
+    assert not signs[:500].any() and signs[500:].all()
+    _assert_broadcast(zero + zero, (0.0, 0.0))
+
+
+def test_gaussian_plan_displacements_stay_full_columns():
+    t = run_protocol(IDEAL, DisplacementPlan.gaussian_modulated(1.5), 3000, Coalition.ABC, POLICY,
+                     RandomStream(5)).records
+    for got in (t, sift(t, "x"), t[10:20], t[4], sift(t, "x") + sift(t, "p")):
+        for col in (got.alpha_x, got.alpha_p):
+            assert col.strides == (8,)
+    assert np.unique(t.alpha_x).size == 3000
+
+
 def test_sift():
     res = run_protocol(IDEAL, PLAN, 1000, Coalition.AB, POLICY, RandomStream(5))
     t = res.records
@@ -648,6 +715,60 @@ def test_peak_memory_of_a_recorded_run_is_its_table_plus_a_few_chunks(monkeypatc
     job(4096)  # the first run fills caches that later runs reuse
     for n in (4 * 4096 + 100, 16 * 4096 + 100):
         assert _peak_bytes(lambda: job(n)) <= row * (n + 2.75 * 4096)
+
+
+def _held_bytes(table: RoundTable) -> int:
+    """Bytes of the arrays that hold the table's columns, each base counted once."""
+    bases = {}
+    for name in ROUND_COLUMNS:
+        col = getattr(table, name)
+        while isinstance(col.base, np.ndarray):
+            col = col.base
+        bases[id(col)] = col.nbytes
+    return sum(bases.values())
+
+
+def test_a_fixed_plan_records_table_holds_61_bytes_a_round():
+    # a fixed plan's displacement columns held 16 B a round that repeat one value
+    n = 50_000
+    full = sum(getattr(RoundTable.empty(1), name).nbytes for name in ROUND_COLUMNS)
+    assert full == 77
+    job = functools.partial(run_protocol, IDEAL, DisplacementPlan.fixed(1.0, 1.0, n_rep=3), n,
+                            Coalition.ABC, POLICY, RandomStream(61))
+    job()  # the first run fills caches that later runs reuse
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        records = job().records
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held <= 61 * n + 64 * 1024
+    assert _held_bytes(records) <= 61 * n + 64
+    gaussian = run_protocol(IDEAL, DisplacementPlan.gaussian_modulated(2.0), n, Coalition.ABC,
+                            POLICY, RandomStream(61)).records
+    assert _held_bytes(gaussian) == 77 * n
+
+
+@pytest.mark.parametrize("plan", [PLAN, DisplacementPlan.gaussian_modulated(2.0)],
+                         ids=["fixed", "gaussian"])
+def test_witness_check_holds_one_quadrature_at_a_time(plan):
+    # the check stacked each quadrature's three outcome columns at full length and then
+    # took their rounds, holding both quadratures' at once: 57 B a round above its input,
+    # about 2.4 (3, n) float stacks of its n rounds. One quadrature's rounds, taken from
+    # each column into one stack, read 26 B
+    records = run_protocol(IDEAL, plan, 100_000, Coalition.ABC, POLICY, RandomStream(61)).records
+    rounds = sift(records, "x") + sift(records, "p")
+    del records
+    want = entanglement_check(rounds)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert entanglement_check(rounds) == want
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 24 * len(rounds)
 
 
 @pytest.mark.parametrize("n_rep", [3, 120])
