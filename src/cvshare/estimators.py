@@ -232,19 +232,26 @@ def fit_gain_from_sums(sum_ru: float, sum_uu: float, n: int) -> float:
 def weighted_sum(columns, w: np.ndarray) -> np.ndarray:
     """t @ w per round from the (A, B, C) outcome columns, reading only those with a
     nonzero weight; summed in party order one numpy operation at a time, so the
-    rounding does not depend on the BLAS kernel. A weight of 1 returns the column."""
-    terms = [columns[j] if w[j] == 1.0 else w[j] * columns[j] for j in np.flatnonzero(w)]
-    return sum(terms[1:], terms[0])
+    rounding does not depend on the BLAS kernel, and into one fresh array, never into a
+    column. A single weight of 1 returns its column."""
+    first, *rest = np.flatnonzero(w)
+    out = columns[first] if w[first] == 1.0 else w[first] * columns[first]
+    for i, j in enumerate(rest):
+        term = columns[j] if w[j] == 1.0 else w[j] * columns[j]
+        out = np.add(out, term, out=out if i or w[first] != 1.0 else None)
+    return out
 
 
 def combine(columns, coalition: Coalition, quad: int, gains: GainSet) -> np.ndarray:
     """Estimates bias_scale * (t @ w0 + g * (t @ w1)) from the (A, B, C) outcome columns
-    of one quadrature (:func:`weighted_sum`); a lone A reads A's column alone."""
+    of one quadrature (:func:`weighted_sum`), the sum and the scale taken in place of the
+    fresh g * (t @ w1); a lone A reads A's column alone."""
     w0, w1 = WEIGHTS[coalition, quad]
     est = weighted_sum(columns, w0)
-    if w1.any():
-        est = est + gains.gain(coalition) * weighted_sum(columns, w1)
-    return gains.bias_scale * est
+    if not w1.any():
+        return gains.bias_scale * est
+    aux = gains.gain(coalition) * weighted_sum(columns, w1)
+    return np.multiply(gains.bias_scale, np.add(est, aux, out=aux), out=aux)
 
 
 def _columns(outcomes: dict[str, np.ndarray], quadrature: str, parties) -> list:

@@ -129,6 +129,45 @@ def test_gains_for_model_keeps_the_bits_of_the_state_path(r, etas, epss, coaliti
     assert _bits(gains.bias_scale) == _bits(1.0 / math.sqrt(eta_a))
 
 
+def _kept_terms_sum(columns, w):
+    terms = [columns[j] if w[j] == 1.0 else w[j] * columns[j] for j in np.flatnonzero(w)]
+    return sum(terms[1:], terms[0])
+
+
+@given(
+    w=st.tuples(*[st.sampled_from([0.0, 1.0, -1.0])] * 3).filter(any),
+    values=st.lists(st.floats(-1e6, 1e6), min_size=12, max_size=12),
+    coalition=st.sampled_from(list(Coalition)),
+    quad=st.sampled_from([0, 1]),
+    gain=st.floats(-10.0, 10.0),
+    bias_scale=st.floats(0.5, 2.0),
+)
+def test_sums_keep_the_bits_of_the_kept_terms_and_write_no_column(w, values, coalition,
+                                                                  quad, gain, bias_scale):
+    # oracle: the expressions that held every term, sum(terms[1:], terms[0]) and
+    # bias_scale * (est + g * aux); the sums now accumulate into one fresh array. The
+    # columns come as a list and as the (3, n) stack the witness check passes
+    w = np.array(w)
+    gains = GainSet(g_b=gain, g_bc=gain, bias_scale=bias_scale)
+    stack = np.array(values).reshape(3, 4)
+    for columns in (list(stack.copy()), stack.copy()):
+        before = [col.tobytes() for col in columns]
+        got = estimators.weighted_sum(columns, w)
+        assert got.tobytes() == _kept_terms_sum(columns, w).tobytes()
+        if np.count_nonzero(w) == 1 and w.max() == 1.0:
+            # a single weight of 1 returns that column itself
+            assert np.shares_memory(got, columns[int(np.argmax(w))])
+        else:
+            assert not any(np.shares_memory(got, col) for col in columns)
+        w0, w1 = estimators.WEIGHTS[coalition, quad]
+        want = _kept_terms_sum(columns, w0)
+        if w1.any():
+            want = want + gains.gain(coalition) * _kept_terms_sum(columns, w1)
+        got = estimators.combine(columns, coalition, quad, gains)
+        assert got.tobytes() == (gains.bias_scale * want).tobytes()
+        assert [col.tobytes() for col in columns] == before
+
+
 def test_weights_table_shape_and_aux_coefficients():
     for (coalition, q), (w0, w1) in estimators.WEIGHTS.items():
         assert w0.shape == w1.shape == (3,)
