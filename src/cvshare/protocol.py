@@ -12,7 +12,7 @@ nothing), and a further random subset of the kept rounds feeds an
 unbiasedness spot-check; the remainder produces the coalition's MSE
 report.
 
-A run draws its counts once for the whole run (stream layout 11), from
+A run draws its counts once for the whole run (stream layout 12), from
 the first child stream of its :class:`~cvshare.sampler.RandomStream`,
 :meth:`~cvshare.sampler.RandomStream.chunk_generator` ``(0)``. A dealer
 state has no x-p correlation, so the (A, B, C) triple of each quadrature
@@ -33,9 +33,10 @@ subsets (multivariate hypergeometric draws). One function of the
 statistics of the rounds read gives the run's reports (:func:`_reports`):
 per quadrature the witness and estimation rounds' scatter, 2 x 2 of
 (error, auxiliary) and of (residual, auxiliary) in a fitted run, and the
-bias rounds' mean and scatter about it. A run without records draws
-those statistics from their exact laws (:meth:`_ProtocolRun._draw`:
-Bartlett's decomposition and independent normals), the same few numbers
+bias rounds' mean and scatter about it, the functionals' own sums. A run
+without records draws those statistics from their exact laws role by role
+(:meth:`_ProtocolRun._draw`: a Bartlett Wishart per role and quadrature,
+:func:`_wishart`, and the bias rounds' means), the same few numbers
 whatever its size, and no array of its rounds. A run that keeps its
 records simulates its rounds in chunks of ``_CHUNK_ROUNDS``, chunk i
 from child stream i (:meth:`_ProtocolRun._records`): the chunk's share
@@ -96,7 +97,7 @@ MAX_ROUNDS = 1_000_000_000
 #: a lone A under a gaussian one) to 1.8-2.8 GB
 MAX_RECORD_ROUNDS = 20_000_000
 #: random-stream layout of the sampled outputs, recorded in their manifests
-STREAM_LAYOUT = 11
+STREAM_LAYOUT = 12
 #: rounds of a recorded run drawn at a time, each chunk from its own child stream
 _CHUNK_ROUNDS = 65536
 
@@ -345,23 +346,20 @@ def _triple_factors(cov: np.ndarray, order: tuple[int, int, int]) -> tuple[np.nd
                  for idx in ([quad[j] for j in order] for quad in (x, p)))
 
 
-def _apply(factor: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Outcomes ``factor @ z`` of the first ``z.shape[0]`` rows, before A's displacement.
+def _apply(factor: np.ndarray, z: np.ndarray) -> None:
+    """The outcomes ``factor @ z`` before A's displacement, written over the normals ``z``.
 
     ``z`` holds one row of normals per party, so every row read and
     written is contiguous. The factor is lower-triangular, so a row's
-    value needs only the normals of the rows before it; computing the
-    rows last to first lets ``out`` be ``z`` itself. Each round's
-    values are computed element by element, so they do not depend on
-    which rounds are drawn with it.
+    value needs only the normals of the rows before it, and the rows are
+    computed last to first. Each round's values are computed element by
+    element, so they do not depend on which rounds are drawn with it.
     """
-    out = np.empty_like(z) if out is None else out
     for j in reversed(range(z.shape[0])):
         row = factor[j, 0] * z[0]
         for i in range(1, j + 1):
             row += factor[j, i] * z[i]
-        out[j] = row
-    return out
+        z[j] = row
 
 
 def _coefficients(factor: np.ndarray, weights) -> np.ndarray:
@@ -525,6 +523,13 @@ def _bartlett(gamma: tuple[float, ...], normal: float, k: int) -> tuple[tuple[fl
     return ((a, 0.0), (normal if k > 0 else 0.0, math.sqrt(2.0 * gamma[1])))
 
 
+def _wishart(gen: np.random.Generator, k: int, d: int) -> tuple[tuple[float, ...], ...]:
+    """The Bartlett factor (:func:`_bartlett`) of a d x d standard Wishart of k degrees of
+    freedom, drawn from ``gen``: its d chi-squared halves, then its normal when d = 2."""
+    gamma = gen.standard_gamma([max(k - j, 0) / 2.0 for j in range(d)]).tolist()
+    return _bartlett(gamma, gen.standard_normal() if d == 2 else 0.0, k)
+
+
 def _cholesky(s: np.ndarray) -> tuple[tuple[float, ...], ...]:
     """Lower Cholesky factor of a 1 x 1 or 2 x 2 scatter s in :func:`_bartlett`'s form, which
     :func:`_scatter` reads. A zero pivot gives a zero column, and a diagonal entry that
@@ -652,15 +657,15 @@ _LABEL_OUTSIDER = np.array([d ^ pool if role != DISCARDED else -1 for role, d, p
 
 class _Stats(NamedTuple):
     """The statistics a run's reports read, indexed by role (:data:`WITNESS` to :data:`EST`)
-    and then by quadrature (x, then p), in the whitened coordinates of the role's law
-    (:attr:`_ProtocolRun.laws`).
+    and then by quadrature (x, then p): the functionals' own numbers, which the role's law
+    (:attr:`_ProtocolRun.laws`) gives through :func:`_scatter` and :func:`_values`.
 
     The witness, calibration and estimation rounds' entries hold the
-    lower factor of their scatter in :func:`_bartlett`'s form, 1 x 1 for
-    the witness. ``calib`` is None unless the gains are fitted, and
-    ``witness`` is None for a recorded lone A. The bias rounds' entries
-    hold the mean of their coordinates, one per functional, and the factor
-    of the scatter about it.
+    scatter (S_00, S_01, S_11) of their witness error, of (r, u) or of
+    (e, u), 0 for a functional not read. ``calib`` is None unless the gains
+    are fitted, and ``witness`` is None for a lone A. The bias rounds'
+    entries hold ((e, u), scatter): the means of their error and auxiliary
+    (u None unless fitted) and their scatter about them.
     """
 
     witness: tuple | None
@@ -669,15 +674,19 @@ class _Stats(NamedTuple):
     est: tuple
 
 
-def _record_stats(read: np.ndarray, sums: list) -> _Stats:
-    """A recorded run's statistics from its rounds read ``read`` times per role and
-    quadrature and their coordinates' sums per role and quadrature, (Σy, Σyyᵀ), or None for
-    a role without a law: the Cholesky factor of each Σyyᵀ (:func:`_cholesky`), and for the
-    bias rounds the mean ȳ = Σy/k and the factor of the scatter about it, Σyyᵀ − Σy ȳᵀ."""
-    stats = [None if s is None else [_cholesky(syy) for _, syy in s] for s in sums]
-    for q, (sy, syy) in enumerate(sums[BIAS]):
+def _record_stats(laws: _CoalitionLaws, read: np.ndarray, sums: list) -> _Stats:
+    """A recorded run's statistics (:class:`_Stats`) from its rounds read ``read`` times per
+    role and quadrature and their sums per role and quadrature, (Σy, Σyyᵀ) in the whitened
+    coordinates y of the role's law, or None for a role without a law: the scatter of each
+    Σyyᵀ through its Cholesky factor (:func:`_cholesky`), and for the bias rounds the
+    functionals of the mean ȳ = Σy/k and the scatter about it, Σyyᵀ − Σy ȳᵀ."""
+    stats = [None if s is None else [_scatter(law.lower, _cholesky(syy))
+                                     for law, (_, syy) in zip(role, s)]
+             for role, s in zip(laws[:EST + 1], sums)]
+    for q, (law, (sy, syy)) in enumerate(zip(laws.bias, sums[BIAS])):
         mean = sy / max(int(read[BIAS, q]), 1)
-        stats[BIAS][q] = (mean.tolist(), _cholesky(syy - np.outer(sy, mean)))
+        stats[BIAS][q] = (_values(law.lower, mean.tolist()),
+                          _scatter(law.lower, _cholesky(syy - np.outer(sy, mean))))
     return _Stats(*stats)
 
 
@@ -720,7 +729,8 @@ def _reports(laws: _CoalitionLaws, read: np.ndarray,
              stats: _Stats) -> tuple[MseReport, WitnessResult, BiasResult]:
     """A run's reports from the statistics (:class:`_Stats`) of its rounds read ``read`` times
     per role and quadrature (:meth:`_ProtocolRun._read`), drawn from the laws of its record
-    (:meth:`_ProtocolRun._draw`) or summed from its records (:func:`_record_stats`).
+    (:meth:`_ProtocolRun._draw`) or summed from its records (:func:`_record_stats`): the
+    functionals' own numbers, so no law is read here.
 
     Per quadrature, the estimation and witness rounds give their sum of
     squared errors, the first entry of their scatter, and the bias rounds'
@@ -744,37 +754,25 @@ def _reports(laws: _CoalitionLaws, read: np.ndarray,
         zero variance over the calibration rounds.
     """
     coalition, gains = laws.coalition, laws.gains
-    lone, fitted = coalition is Coalition.A_ALONE, laws.calib is not None
-    sq_err, sq_witness, est_u = [], [], []
+    fitted = stats.calib is not None
     bias_err, bias_u = RunningMoments(), RunningMoments()
     sum_ru = sum_uu = bias_c = 0.0
     for q in (0, 1):
-        # the bias rounds read the estimation rounds' law
-        lower = laws.est[q].lower
-        est = _scatter(lower, stats.est[q])
-        sq_err.append(est[0])
-        if not lone:
-            sq_witness.append((_scatter(laws.witness[q].lower, stats.witness[q])[0],
-                               int(read[WITNESS, q])))
-        k, (mean, bartlett) = int(read[BIAS, q]), stats.bias[q]
-        e, u = _values(lower, mean)
-        scatter = _scatter(lower, bartlett)
+        k, ((e, u), scatter) = int(read[BIAS, q]), stats.bias[q]
         if fitted:
-            calib = _scatter(laws.calib[q].lower, stats.calib[q])
-            sum_ru += calib[1]
-            sum_uu += calib[2]
-            est_u.append(est[1:])
+            sum_ru += stats.calib[q][1]
+            sum_uu += stats.calib[q][2]
             if k:
                 # the co-moment of (e0, u) gains the scatter's and the means' shift
                 n = bias_u.n
                 bias_c += scatter[1] + (e - bias_err.mean) * (u - bias_u.mean) * (n * k / (n + k))
                 bias_u.merge(k, u, scatter[2])
         bias_err.merge(k, e, scatter[0])
+    sq_err = [est[0] for est in stats.est]
     if fitted:
         g = estimators.fit_gain_from_sums(sum_ru, sum_uu, int(read[CALIB].sum()))
         s = (g - gains.gain(coalition)) * gains.bias_scale
-        sq_err = [sq - 2.0 * s * sum_eu + s * s * sum_u2 for sq, (sum_eu, sum_u2) in
-                  zip(sq_err, est_u)]
+        sq_err = [sq - 2.0 * s * sum_eu + s * s * sum_u2 for sq, sum_eu, sum_u2 in stats.est]
         bias_err.mean = bias_err.mean - s * bias_u.mean
         bias_err.m2 = bias_err.m2 - 2.0 * s * bias_c + s * s * bias_u.m2
         three = coalition is Coalition.ABC
@@ -784,16 +782,16 @@ def _reports(laws: _CoalitionLaws, read: np.ndarray,
     mse_x, mse_p = laws.split * (sq_err[0] / n_x), laws.split * (sq_err[1] / n_p)
     mse_report = MseReport(coalition, mse_x, mse_p, mse_x + mse_p, n_x, n_p, gains)
 
-    if lone:
-        # dual-homodyne outcomes carry an extra vacuum unit per quadrature,
+    if stats.witness is None:
+        # a lone A's dual-homodyne outcomes carry an extra vacuum unit per quadrature,
         # so they cannot test the bound 4 e^{-2r}, and no round is reserved for it
         witness = WitnessResult(None, None, None, None, None, None, 0, 0,
                                 WITNESS_THRESHOLD, "not-applicable")
     else:
-        witness = _witness_result(*sq_witness)
+        witness = _witness_result(*zip([s[0] for s in stats.witness], read[WITNESS].tolist()))
 
     # a lone A's bias rounds give an x and a p residual each
-    n_bias = bias_err.n // 2 if lone else bias_err.n
+    n_bias = bias_err.n // 2 if coalition is Coalition.A_ALONE else bias_err.n
     if bias_err.n < 2:
         bias = BiasResult(None, None, n_bias, None, "insufficient-rounds")
     else:
@@ -809,10 +807,11 @@ class _ProtocolRun:
     (:meth:`_check`), so a run too small to report fails before any record. Without
     ``keep_records`` it then draws its statistics (:meth:`_draw`); with them it yields each
     chunk's rounds as a :class:`RoundTable` of their own (:meth:`_records`) and sums their
-    statistics. Either way it ends by setting ``reports`` to the reports its statistics
-    give (:func:`_reports`). :func:`run_protocol` copies the tables into its whole-run
-    table and ``simulate --dump-rounds`` writes them to rounds.csv; a caller that drops
-    each table before asking for the next holds at most one chunk's rounds."""
+    statistics, the sums and the carried block being locals of :meth:`_chunks`. Either way
+    it ends by setting ``reports`` to the reports its statistics give (:func:`_reports`).
+    :func:`run_protocol` copies the tables into its whole-run table and ``simulate
+    --dump-rounds`` writes them to rounds.csv; a caller that drops each table before asking
+    for the next holds at most one chunk's rounds."""
 
     def __init__(self, model: ExperimentModel, plan: DisplacementPlan, n_rounds: int,
                  coalition: Coalition, policy: ProtocolPolicy, stream: RandomStream,
@@ -840,8 +839,6 @@ class _ProtocolRun:
         cells = (0.0, 0.5, 0.0) if lone else (0.25, 0.0, 0.25) if coalition is Coalition.ABC \
             else (0.125, 0.125, 0.25)
         self.cells = cells * 2
-        # the block draw carried into the next chunk
-        self.carry = [0.0, 0.0]
 
     def _counts(self, gen: np.random.Generator) -> np.ndarray:
         """The run's rounds per label (role, dealer basis, pool), a (5, 2, 2) array: one
@@ -871,39 +868,30 @@ class _ProtocolRun:
         return counts[:EST + 1].sum(axis=2)
 
     def _draw(self, gen: np.random.Generator, read: np.ndarray) -> _Stats:
-        """The statistics of rounds read ``read`` times per role and quadrature
-        (:meth:`_read`), drawn from their exact laws.
+        """The statistics (:class:`_Stats`) of rounds read ``read`` times per role and
+        quadrature (:meth:`_read`), drawn from their exact laws role by role, x before p,
+        each through its role's law (:func:`_scatter`, :func:`_values`).
 
-        One standard gamma array (per quadrature, x first, the Bartlett
-        chi-squared entries of the estimation rounds, then of the calibration
-        rounds, then the witness rounds' one entry), one standard normal array
-        (a fitted run's Bartlett normals, then per quadrature the bias rounds'
-        mean coordinates times sqrt(k) and their scatter's Bartlett normal)
-        and that scatter's chi-squared entries, of k - 1 degrees of freedom:
-        as many numbers whatever the counts.
+        The estimation rounds' Wishart (:func:`_wishart`), then a fitted
+        run's calibration rounds' and the witness rounds' (none for a lone
+        A); then the bias rounds' means, one normal per functional, as k
+        standard normals have a mean N(0, 1/k), and then, independent of
+        them, their scatters about them, Wisharts of k - 1 degrees of
+        freedom: as many numbers whatever the counts. No bias round (k = 0)
+        adds nothing.
         """
-        fitted = self.laws.calib is not None
-        d = 2 if fitted else 1
-        dfs = read[EST].tolist() + (read[CALIB].tolist() if fitted else [])
-        # (degrees of freedom, dimension) of each scatter, the witness rounds' last
-        blocks = [(k, d) for k in dfs] + [(k, 1) for k in read[WITNESS].tolist()]
-        gammas = iter(gen.standard_gamma([max(k - j, 0) / 2.0 for k, n in blocks
-                                          for j in range(n)]).tolist())
-        normals = iter(gen.standard_normal((d - 1) * len(dfs) + 2 * (2 * d - 1)).tolist())
-        wisharts = [_bartlett([next(gammas) for _ in range(n)],
-                              next(normals) if n == 2 else 0.0, k) for k, n in blocks]
-        bias = []
-        for k in read[BIAS].tolist():
-            # k standard normals have a mean N(0, 1/k) and, independent of it, a scatter
-            # about it W(I, k - 1), its gammas drawn one at a time: the numbers of one array
-            # draw, which would leave about 50 bytes a call in the interpreter's free lists
-            # until a full collection. No bias round (k = 0) adds nothing
-            mean = [next(normals) / math.sqrt(max(k, 1)) for _ in range(d)]
-            bias.append((mean, _bartlett([gen.standard_gamma(max(k - 1 - j, 0) / 2.0)
-                                          for j in range(d)], next(normals) if d == 2 else 0.0,
-                                         k - 1)))
-        return _Stats(tuple(wisharts[-2:]), tuple(bias), tuple(wisharts[2:-2]) or None,
-                      tuple(wisharts[:2]))
+        laws = self.laws
+
+        def scatters(role: int, lost: int = 0) -> tuple | None:
+            # each quadrature's Wishart of k - lost degrees of freedom through the role's law
+            return None if laws[role] is None else tuple(
+                _scatter(law.lower, _wishart(gen, k - lost, len(law.lower)))
+                for law, k in zip(laws[role], read[role].tolist()))
+
+        est, calib, witness = scatters(EST), scatters(CALIB), scatters(WITNESS)
+        means = [_values(law.lower, (gen.standard_normal(len(law.lower)) / math.sqrt(max(k, 1)))
+                         .tolist()) for law, k in zip(laws.bias, read[BIAS].tolist())]
+        return _Stats(witness, tuple(zip(means, scatters(BIAS, 1))), calib, est)
 
     def _check(self, read: np.ndarray) -> None:
         """Fail a run whose counts, read ``read`` times per role and quadrature, cannot report.
@@ -933,18 +921,20 @@ class _ProtocolRun:
         sums = [None if laws is None else [[np.zeros(d), np.zeros((d, d))] for d in
                                            (law.basis.shape[1] for law in laws)]
                 for laws in self.laws[:EST + 1]]
+        # the block draw carried into the next chunk
+        carry = [0.0, 0.0]
         for i, start in enumerate(range(0, self.n_rounds, _CHUNK_ROUNDS)):
             if i:
                 gen = self.stream.chunk_generator(i)
             yield self._records(start, min(start + _CHUNK_ROUNDS, self.n_rounds), gen,
-                                counts, sums)
-        self.reports = _reports(self.laws, read, _record_stats(read, sums))
+                                counts, sums, carry)
+        self.reports = _reports(self.laws, read, _record_stats(self.laws, read, sums))
 
     def _records(self, start: int, end: int, gen: np.random.Generator, left: np.ndarray,
-                 sums: list) -> _Chunk:
+                 sums: list, carry: list[float]) -> _Chunk:
         """The chunk of rounds [start, end), drawn free: its counts a share of what is left
-        of the run's, ``left``, which it takes in place, and its read rounds' statistics
-        added into ``sums`` (see :meth:`_chunks`).
+        of the run's, ``left``, which it takes in place, its read rounds' statistics added
+        into ``sums`` (see :meth:`_chunks`) and its last block's draw left in ``carry``.
 
         First comes the share: the last chunk takes what is left and draws
         nothing; another takes a uniformly random m of the rounds left, their
@@ -980,7 +970,7 @@ class _ProtocolRun:
                 outsider[~kept] = _coin(gen, int(counts[DISCARDED].sum()))
                 bases = ((basis_a, basis_a, outsider) if self.coalition is Coalition.AB
                          else (basis_a, outsider, basis_a))
-        alphas = _displacements(self.plan, start, end, self.carry, gen)
+        alphas = _displacements(self.plan, start, end, carry, gen)
         outcomes = np.empty((2, 3, m))
         offsets = np.concatenate(([0], np.cumsum(counts.ravel()))).tolist()
         # each quadrature's normals in the layout's order, x first: the (2, 3, m) draw in two
@@ -998,7 +988,7 @@ class _ProtocolRun:
                 sy, syy = sums[role][q]
                 sy += y.sum(axis=1)
                 syy += [[_dot(a, b) for b in y] for a in y]
-            _apply(self.laws.factors[q], z, out=z)
+            _apply(self.laws.factors[q], z)
             out = outcomes[q]
             for j in range(3):
                 # the indices are in range, so clipping checks nothing and spares numpy's buffer
@@ -1132,8 +1122,8 @@ def _witness_sum(q: int, rounds: np.ndarray, columns: tuple, alpha: np.ndarray,
     ``alpha``. The rounds are taken from each column into one (3, n) stack: no stack of
     every round is made."""
     triple = np.empty((3, np.count_nonzero(rounds)))
-    for row, column in zip(triple, columns):
-        np.compress(rounds, column, out=row)
+    for j, column in enumerate(columns):
+        np.compress(rounds, column, out=triple[j])
     error = estimators.combine(triple, Coalition.ABC, q, estimators._WITNESS_GAINS)
     del triple
     error -= root_eta * alpha[rounds] / math.sqrt(2.0)

@@ -1783,45 +1783,63 @@ def test_failed_output_removes_the_outputs_already_written(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
-# a command line rejected after the output directory is made, and its error message
+# a command line rejected after the output directory is made, its error and its message
 _REJECTED_RUNS = {
-    "witness-eta-a-0": (["witness", "--eta-a", "0"], "eta_a must be in [ETA_MIN = 1e-12, 1]"),
-    "witness-n-rounds-5": (["witness", "--n-rounds", "5"], "n_rounds must be >= 200"),
-    "state-eps-b-negative": (["state", "--eps-b", "-1"], "eps_b must be in [0, EPS_MAX = 1e+12]"),
-    "state-load-missing": (["state", "--load", "missing.txt"],
+    "witness-eta-a-0": (["witness", "--eta-a", "0"], "invalid-argument",
+                        "eta_a must be in [ETA_MIN = 1e-12, 1]"),
+    "witness-n-rounds-5": (["witness", "--n-rounds", "5"], "invalid-argument",
+                           "n_rounds must be >= 200"),
+    "state-eps-b-negative": (["state", "--eps-b", "-1"], "invalid-argument",
+                             "eps_b must be in [0, EPS_MAX = 1e+12]"),
+    "state-load-missing": (["state", "--load", "missing.txt"], "invalid-argument",
                            "state file not found: missing.txt"),
-    "simulate-n-rounds-5": (["simulate", "--config", "n_rounds = 5"], "n_rounds must be >= 10"),
+    "state-load-empty": (["state", "--load", "empty.txt"], "unsupported-state",
+                         "empty state text"),
+    "state-load-blank": (["state", "--load", "blank.txt"], "unsupported-state",
+                         "empty state text"),
+    "bounds-r-min-above-r-max": (["bounds", "--r-min", "2", "--r-max", "1"], "invalid-argument",
+                                 "need --r-min <= --r-max"),
+    "certify-no-point": (["certify"], "invalid-argument", "give --n1/--n2 or --grid K"),
+    "simulate-n-rounds-5": (["simulate", "--config", "n_rounds = 5"], "invalid-argument",
+                            "n_rounds must be >= 10"),
     "simulate-gain-mode-bogus": (["simulate", "--config", "gain_mode = bogus"],
-                                 "gain_mode must be 'analytic' or 'fitted'"),
+                                 "invalid-argument", "gain_mode must be 'analytic' or 'fitted'"),
 }
+#: the text of each state file a rejected run loads, by its name
+_REJECTED_STATES = {"empty.txt": "", "blank.txt": " \n\n\t\n"}
 
 
 def _rejected_argv(tmp_path, case):
-    """The case's command line, with a --config value written to a file first."""
-    argv, message = _REJECTED_RUNS[case]
+    """The case's command line, its error and its message, with a --config value written to
+    run.cfg and a state of :data:`_REJECTED_STATES` to its file first; and the files written."""
+    argv, error, message = _REJECTED_RUNS[case]
+    written = []
     if "--config" in argv:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(argv[-1] + "\n")
-        argv = [*argv[:-1], str(cfg)]
-    return argv, message
+        argv, written = [*argv[:-1], str(cfg)], [cfg.name]
+    if argv[-1] in _REJECTED_STATES:
+        (tmp_path / argv[-1]).write_text(_REJECTED_STATES[argv[-1]])
+        written = [argv[-1]]
+    return argv, error, message, written
 
 
 @pytest.mark.parametrize("case", sorted(_REJECTED_RUNS))
 def test_rejected_run_leaves_no_out_dir(tmp_path, capsys, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
-    argv, message = _rejected_argv(tmp_path, case)
+    argv, error, message, written = _rejected_argv(tmp_path, case)
     out = tmp_path / "made" / "out"
     code, _, err = run_cli([*argv, "--out-dir", str(out)], capsys)
     assert code == 2
-    assert _one_json_error(err)["message"] == message
+    assert _one_json_error(err) == {"error": error, "message": message}
     # the run made both levels, and removes both
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"] * ("--config" in argv)
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 @pytest.mark.parametrize("case", sorted(_REJECTED_RUNS))
 def test_rejected_run_keeps_an_out_dir_that_was_there(tmp_path, capsys, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
-    argv, _ = _rejected_argv(tmp_path, case)
+    argv = _rejected_argv(tmp_path, case)[0]
     for out in (tmp_path / "empty", tmp_path / "full"):
         out.mkdir()
     (tmp_path / "full" / "mine.txt").write_text("kept")
@@ -1844,7 +1862,8 @@ def test_unwritable_out_dir_from_the_environment_is_named(tmp_path, capsys, monk
 # once for the run, and no displacement: each coalition's two plans give the same
 # reports. A one-pass run estimates with the analytic gain, so a fitted run's drawing
 # must not move these. Layout 10 moved all three of a run of several chunks (a lone A's
-# witness.json says not-applicable); layout 11 changed only runs with records
+# witness.json says not-applicable); layout 11 changed only runs with records, and
+# layout 12, whose per-role order is layout 11's number for number here, only fitted ones
 SIMULATE_REPORTS_SHA256 = {
     ("a_alone", "fixed"): ("439b69354a53c508126eda519cf55a101e4ca26785bc4a9a742b47a06e582448",
                            "53078e71a7d4cf29892804ad861634370a1f13701c2b6875d5a1bf3ae8499c4d",
@@ -1891,23 +1910,23 @@ def test_analytic_simulate_reports_pinned(tmp_path, capsys, monkeypatch, coaliti
 
 
 # sha256 of fitted simulate's mse_report.json and bias.json for the pairs and all three
-# (whose one fitted gain is g_bc), in the setup of SIMULATE_REPORTS_SHA256: the calibration and estimation scatters drawn as
-# Bartlett Wisharts (stream layout 8), the bias rounds' mean and scatter about it (stream
-# layout 9), all drawn once for the run (stream layout 10, which layout 11 keeps without
-# records)
+# (whose one fitted gain is g_bc), in the setup of SIMULATE_REPORTS_SHA256: the calibration
+# and estimation scatters drawn as Bartlett Wisharts (stream layout 8), the bias rounds'
+# mean and scatter about it (stream layout 9), all drawn once for the run (stream layout
+# 10), each role's from its own law in turn (stream layout 12)
 FITTED_PAIR_REPORTS_SHA256 = {
-    ("ab", "fixed"): ("34648859b38368dfc81193d85ea212e59762ff5370d4ad51172a19cf4f2c7459",
-                      "61cd2564da4ef5a68f8cc9f4bebba65e68e2392f98fb4488132cdddf08b15932"),
-    ("ab", "gaussian"): ("34648859b38368dfc81193d85ea212e59762ff5370d4ad51172a19cf4f2c7459",
-                         "61cd2564da4ef5a68f8cc9f4bebba65e68e2392f98fb4488132cdddf08b15932"),
-    ("ac", "fixed"): ("2e37fc8c302a49cc01714971e628907918bc8d118038b02a8ec56de3f2670a6f",
-                      "2e9b4db3d173d5007b783573323aa0d5bed875bb3874d624cb5b84c87c20e81f"),
-    ("ac", "gaussian"): ("2e37fc8c302a49cc01714971e628907918bc8d118038b02a8ec56de3f2670a6f",
-                         "2e9b4db3d173d5007b783573323aa0d5bed875bb3874d624cb5b84c87c20e81f"),
-    ("abc", "fixed"): ("6a72116c89086aa14cf0dd545aab786bd19dd7a7a8979faae7eea368ee860147",
-                       "2949b111e9fcc0f1be6d94f7b701ef99e47f1f0e22f40b4db0c5b461bad77606"),
-    ("abc", "gaussian"): ("6a72116c89086aa14cf0dd545aab786bd19dd7a7a8979faae7eea368ee860147",
-                          "2949b111e9fcc0f1be6d94f7b701ef99e47f1f0e22f40b4db0c5b461bad77606"),
+    ("ab", "fixed"): ("fe21c7d91fcf2e6ac1430f7587a316c60b56466e64681b6ee72a9d77fe435261",
+                      "79c57b56c190d470dd0270c659a4fcdf683add095a7be42fa191da04e74b6373"),
+    ("ab", "gaussian"): ("fe21c7d91fcf2e6ac1430f7587a316c60b56466e64681b6ee72a9d77fe435261",
+                         "79c57b56c190d470dd0270c659a4fcdf683add095a7be42fa191da04e74b6373"),
+    ("ac", "fixed"): ("025e50ba9e16d88306d5babd435aa15bee1acb0ec114539785256ea2cb19115b",
+                      "18122efa4284b40c0930684a75b5c61e017576af6352108c1c8ff415f09b7337"),
+    ("ac", "gaussian"): ("025e50ba9e16d88306d5babd435aa15bee1acb0ec114539785256ea2cb19115b",
+                         "18122efa4284b40c0930684a75b5c61e017576af6352108c1c8ff415f09b7337"),
+    ("abc", "fixed"): ("fded250123864ab17526cd58ff209abd7176ee2a870e76214cdc85c073b8fbf3",
+                       "572267b14e5dce08be20bb7be2f7410ae781bfbe0944933042e36197922b9fc1"),
+    ("abc", "gaussian"): ("fded250123864ab17526cd58ff209abd7176ee2a870e76214cdc85c073b8fbf3",
+                          "572267b14e5dce08be20bb7be2f7410ae781bfbe0944933042e36197922b9fc1"),
 }
 
 
@@ -1931,7 +1950,7 @@ def test_fitted_pair_reports_pinned(tmp_path, capsys, monkeypatch, coalition, pl
 # sha256 of the mse_report.json, witness.json and bias.json of simulate --dump-rounds per
 # (coalition, plan, gain mode), in the setup of SIMULATE_REPORTS_SHA256: the reports a run
 # with records takes from its rounds' own statistics (stream layout 11, the records' sums
-# reduced once). A lone A's gain mode changes nothing, as it fits no gain
+# reduced once, which layout 12 keeps). A lone A's gain mode changes nothing, as it fits no gain
 DUMP_REPORTS_SHA256 = {
     ('a_alone', 'fixed', 'analytic'): (
         "66a756a7ec43f9dd35b2d06bb8a071dee53f3356631f0210eda4077bffc3b262",
@@ -2041,7 +2060,7 @@ def test_batch_values_pinned(monkeypatch, coalition):
 # sha256 of each subcommand's manifest.json, run from the working directory with
 # relative --out-dir, --config and --load so the recorded arguments hold on any
 # machine; from the writer whose handlers each ended with a manifest call. The simulate
-# and witness entries say "stream_layout": 11
+# and witness entries say "stream_layout": 12
 MANIFEST_SHA256 = {
     "state": (["state", "--r", "0.5", "--alpha-x", "0.3"],
               "feefe7961e7f91736b0b53691f91bc698b331cf1813a5eea49d783503bdf3d03"),
@@ -2052,13 +2071,13 @@ MANIFEST_SHA256 = {
     "certify": (["certify", "--grid", "3"],
                 "ba143e7b8595f2a755f56cc3a97b2780c758be70f274e827510b693077c50fe1"),
     "simulate": (["simulate", "--config", "run.cfg", "--dump-rounds"],
-                 "4ea7f378ae4b2612f27ecf601ded0c407db458d4e93560aaf89a2230a9032b04"),
+                 "ec6bb1d60f1eb61de42b3415794411d618e7b327946107e6250e88aa1185bf01"),
     "security": (["security", *MU_ARGS, "--n-probes", "5"],
                  "5cc9aa63394f51596b24559f5642c862bed7119596eea59c6211441bc0e9ce25"),
     "mi": (["mi", "--v-dist", "5", *MU_ARGS, "--n-max", "5"],
            "ba872b7bc5353e2ff05223895bc7e400f03b4a536db58adf96716485afb998fd"),
     "witness": (["witness", "--n-rounds", "400", "--seed", "2"],
-                "7771f4cd6792ee1046042377a3150099659f34e0f4c2ff33b8a1f7ce773f5c7c"),
+                "f5d7059ad04c224134443293646217973638584e7bcf34999287545ab87c0330"),
 }
 
 

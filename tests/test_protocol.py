@@ -346,6 +346,9 @@ def test_round_table_operations():
         assert np.array_equal(col, getattr(table, name), equal_nan=True)
     _assert_same_rounds(table[5:8] + table[:2], table[np.array([5, 6, 7, 0, 1])])
     assert len(RoundTable.empty() + table[:3]) == 3
+    # a table adds only a table
+    with pytest.raises(TypeError):
+        RoundTable.empty() + 1
 
 
 def test_table_selection_takes_each_columns_rows_by_the_key():
@@ -925,7 +928,7 @@ class _CountingGenerator:
 
     def standard_normal(self, size=None, out=None):
         out = self._gen.standard_normal(size, out=out)
-        self._sizes.append(out.size)
+        self._sizes.append(np.size(out))
         return out
 
     def standard_gamma(self, shape, size=None):
@@ -963,19 +966,19 @@ def _count_streams(monkeypatch) -> list:
 def test_run_without_records_opens_one_stream_and_draws_as_much_at_any_size(monkeypatch,
                                                                             coalition,
                                                                             gain_mode):
-    # stream layout 10: without records a run opens child stream 0 alone and draws its
-    # statistics once, as many variates at 1e3 rounds as at MAX_ROUNDS. One gamma array:
-    # the Bartlett entries of its estimation (and, fitted, calibration) rounds' scatter per
-    # quadrature and its witness rounds' chi-squared half per quadrature. One normal array:
-    # a fitted run's four Bartlett normals, then per quadrature the bias rounds' mean, one
-    # normal per functional (the error, and its auxiliary in a fitted run; a lone A's bias
-    # round is read in x and in p), and the Bartlett normal of their scatter about it. Then
-    # that scatter's Bartlett entries, of k - 1 degrees of freedom, one gamma each. No
-    # round draws a number, and a run of MAX_ROUNDS rounds reads MSEs within 5 standard
-    # errors of predicted_mse
+    # stream layout 12: without records a run opens child stream 0 alone and draws its
+    # statistics once, the same calls at 1e3 rounds as at MAX_ROUNDS. Role by role, x before
+    # p, one Wishart each (a gamma array of its d chi-squared halves, then its Bartlett
+    # normal when d = 2): the estimation rounds' scatter, a fitted run's calibration
+    # rounds', the witness rounds' chi-squared half (none for a lone A); then the bias
+    # rounds' means, one normal array of d, and their scatters about them, Wisharts of
+    # k - 1 degrees of freedom. No round draws a number, and a run of MAX_ROUNDS rounds
+    # reads MSEs within 5 standard errors of predicted_mse
     lone = coalition is Coalition.A_ALONE
     fitted = gain_mode == "fitted" and not lone
     d = 2 if fitted else 1
+    # the estimation and, fitted, calibration rounds' Wisharts
+    wisharts = 4 if fitted else 2
     sizes, gammas = _count_draws(monkeypatch)
     opened = _count_streams(monkeypatch)
     draws = []
@@ -990,12 +993,12 @@ def test_run_without_records_opens_one_stream_and_draws_as_much_at_any_size(monk
         n_bias = res.bias.n_rounds * (2 if lone else 1)
         assert n_witness == (0 if lone else round(POLICY.witness_fraction * n))
         assert n_bias == (2 if lone else 1) * round(POLICY.bias_fraction * n)
-        assert sizes == [(4 if fitted else 0) + 2 * (2 * d - 1)]
-        assert [size for _, size in gammas] == [(4 if fitted else 2) * d + 2] + [1] * (2 * d)
-        # the witness entries end the array, a Gamma(k/2) for the k witness rounds of x
-        # and of p; the bias rounds' first entry per quadrature is a Gamma((k - 1)/2)
-        assert 2 * sum(gammas[0][0][-2:]) == n_witness
-        assert sum(2 * gammas[i][0] + 1 for i in (1, d + 1)) == n_bias
+        assert sizes == [1] * (d - 1) * wisharts + [d, d] + [1] * (d - 1) * 2
+        assert [size for _, size in gammas] == [d] * wisharts + [1] * (0 if lone else 2) + [d, d]
+        # a Gamma(k/2) for the k witness rounds of x and of p; the bias rounds' first entry
+        # per quadrature is a Gamma((k - 1)/2)
+        assert 2 * sum(shape[0] for shape, _ in gammas[wisharts:-2]) == n_witness
+        assert sum(2 * shape[0] + 1 for shape, _ in gammas[-2:]) == n_bias
         draws.append((list(sizes), [size for _, size in gammas]))
         report = res.mse_report
         for mse, n_q, want in zip((report.mse_x, report.mse_p), (report.n_x, report.n_p),
@@ -1053,9 +1056,9 @@ def test_only_the_records_compute_outcomes(monkeypatch, coalition, gain_mode):
     columns = []
     apply = protocol._apply
 
-    def counting_apply(factor, z, out=None):
+    def counting_apply(factor, z):
         columns.append(z.shape[1])
-        return apply(factor, z, out)
+        apply(factor, z)
 
     monkeypatch.setattr(protocol, "_apply", counting_apply)
     n, plan = 5000, DisplacementPlan.gaussian_modulated(2.0)
@@ -1312,7 +1315,6 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
     w_weights = estimators.witness_estimate(np.eye(3), np.eye(3))
     for q, quad in enumerate("xp"):
         w1 = estimators.WEIGHTS[coalition, q][1]
-        law = run.laws[protocol.EST][q]
 
         def reads(role):
             """Per chunk the outcome columns and alphas of the role's rounds read in q."""
@@ -1334,24 +1336,24 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
             w_weights[q] @ np.stack([getattr(t, f"{quad}_{p}")[rows] for p in "abc"])
             - run.root_eta * alpha / math.sqrt(2.0) for t, rows, alpha in reads(protocol.WITNESS)])
         if coalition is Coalition.A_ALONE:
-            assert e_w.size == 0 and run.laws[protocol.WITNESS] is None
+            assert e_w.size == 0 and run.laws[protocol.WITNESS] is stats.witness is None
         else:
-            want = protocol._scatter(run.laws[protocol.WITNESS][q].lower, stats.witness[q])[0]
-            np.testing.assert_allclose(_sum(e_w, e_w), want, rtol=1e-12, atol=1e-300)
+            want = stats.witness[q]
+            np.testing.assert_allclose(_sum(e_w, e_w), want[0], rtol=1e-12, atol=1e-300)
+            assert want[1:] == (0.0, 0.0)
         # the bias rounds' means and scatter about them
         e, u = errors(protocol.BIAS)
-        mean, bartlett = stats.bias[q]
-        want = protocol._scatter(law.lower, bartlett)
+        mean, want = stats.bias[q]
         assert e.size > 10
         got = [float(np.mean(e))] + ([float(np.mean(u))] if fitted else [])
-        np.testing.assert_allclose(got, protocol._values(law.lower, mean)[:d],
-                                   rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(got, mean[:d], rtol=1e-12, atol=1e-13)
+        assert fitted or mean[1] is None
         e, u = e - np.mean(e), (u - np.mean(u) if fitted else None)
         got = (_sum(e, e),) + ((_sum(e, u), _sum(u, u)) if fitted else (0.0, 0.0))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
         # the estimation rounds' scatter of (e, u)
         e, u = errors(protocol.EST)
-        want = protocol._scatter(law.lower, stats.est[q])
+        want = stats.est[q]
         got = (_sum(e, e),) + ((_sum(e, u), _sum(u, u)) if fitted else (0.0, 0.0))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
         if fitted:
@@ -1361,7 +1363,7 @@ def test_records_hold_the_outcomes_the_reports_read(monkeypatch, coalition, gain
                 r_c.append(cols[0] - run.root_eta * alpha)
                 u_c.append(estimators.weighted_sum(cols, -w1))
             r_c, u_c = np.concatenate(r_c), np.concatenate(u_c)
-            want = protocol._scatter(run.laws[protocol.CALIB][q].lower, stats.calib[q])
+            want = stats.calib[q]
             got = (_sum(r_c, r_c), _sum(r_c, u_c), _sum(u_c, u_c))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * (1.0 + want[2]))
 
@@ -1416,7 +1418,8 @@ def test_reads_are_linear_functionals_of_the_recorded_outcomes(coalition, plan, 
     order = protocol._party_order(coalition)
     for q, quad in enumerate("xp"):
         z = gen.standard_normal((3, 600))
-        outcomes = protocol._apply(run.laws.factors[q], z.copy())
+        outcomes = z.copy()
+        protocol._apply(run.laws.factors[q], outcomes)
         outcomes[0] += run.root_eta * alpha
         by_party = {party: outcomes[order.index(j)] for j, party in enumerate("abc")}
         cols = [by_party[party] if party in coalition.party_columns else None
@@ -2148,28 +2151,32 @@ def test_wishart_draws_of_one_round_or_none():
 def test_bias_rows_give_their_mean_and_scatter(k, d):
     # the records' reduction of the bias rounds: from the sums Σy and Σyyᵀ of k rows of d
     # coordinates per quadrature, summed as a recorded run sums them, the rows' mean and
-    # the factor of their scatter about it; one round has no scatter, and no round gives
-    # a zero mean and no scatter. The roles without sums keep no statistics
+    # their scatter about it, here through a law whose functionals are the coordinates
+    # themselves; one round has no scatter, and no round gives a zero mean and no scatter.
+    # The roles without sums keep no statistics
     rows = np.random.default_rng(10 * k + d).standard_normal((2, d, k))
     read = np.zeros((4, 2), dtype=np.int64)
     read[protocol.BIAS] = k
     sums = [None] * 4
     sums[protocol.BIAS] = [[y.sum(axis=1), np.array([[protocol._dot(a, b) for b in y]
                                                      for a in y])] for y in rows]
-    stats = protocol._record_stats(read, sums)
+    identity = protocol._Whitened(tuple(map(tuple, np.eye(d))), np.eye(d))
+    laws = protocol._CoalitionLaws(*[None] * 9)._replace(bias=[identity, identity])
+    stats = protocol._record_stats(laws, read, sums)
     assert stats.witness is stats.calib is stats.est is None
     for q, y in enumerate(rows):
-        mean, a = stats.bias[q]
-        assert len(mean) == d and np.array(a).shape == (d, d)
+        mean, scatter = stats.bias[q]
+        assert len(mean) == 2 and (mean[1] is None) == (d == 1) and len(scatter) == 3
         if k == 0:
-            assert mean == [0.0] * d and np.array(a).tolist() == np.zeros((d, d)).tolist()
+            assert mean[:d] == (0.0,) * d and scatter == (0.0, 0.0, 0.0)
             continue
-        np.testing.assert_allclose(mean, y.mean(axis=1), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(mean[:d], y.mean(axis=1), rtol=1e-14, atol=1e-14)
         centred = y - y.mean(axis=1, keepdims=True)
-        np.testing.assert_allclose(np.array(a) @ np.array(a).T, centred @ centred.T,
-                                   rtol=1e-14, atol=1e-14)
+        want = centred @ centred.T
+        want = (want[0, 0], want[0, 1], want[1, 1]) if d == 2 else (want[0, 0], 0.0, 0.0)
+        np.testing.assert_allclose(scatter, want, rtol=1e-14, atol=1e-14)
         if k == 1:
-            assert np.array(a).tolist() == np.zeros((d, d)).tolist()
+            assert scatter == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("coalition, gain_mode", [(Coalition.AB, "analytic"),
@@ -2275,22 +2282,18 @@ def test_degenerate_wishart_scales(monkeypatch, aux):
                 got[q].append(estimators.combine(cols, Coalition.ABC, q, run.laws.gains) - alpha)
     assert {(role, k) for role in errors for k in (0, 1, 2)} <= taken
     for q in (0, 1):
-        lower = run.laws[protocol.EST][q].lower
-        mean, bartlett = stats.bias[q]
-        for scatter in (stats.est[q], bartlett):
-            s_ee, s_eu, s_uu = protocol._scatter(lower, scatter)
+        (mean_e, mean_u), bias = stats.bias[q]
+        for s_ee, s_eu, s_uu in (stats.est[q], bias):
             assert s_eu == pytest.approx(factor * s_ee, rel=1e-12, abs=1e-300)
             assert s_uu == pytest.approx(factor * factor * s_ee, rel=1e-12, abs=1e-300)
-        e, u = protocol._values(lower, mean)
-        assert u == pytest.approx(factor * e, rel=1e-12, abs=1e-15)
+        assert mean_u == pytest.approx(factor * mean_e, rel=1e-12, abs=1e-15)
         # the records' errors give the statistics back
         e = np.concatenate(errors[protocol.EST][q])
-        want = protocol._scatter(lower, stats.est[q])[0]
-        assert _sum(e, e) == pytest.approx(want, rel=1e-12)
+        assert _sum(e, e) == pytest.approx(stats.est[q][0], rel=1e-12)
         e = np.concatenate(errors[protocol.BIAS][q])
-        assert float(np.mean(e)) == pytest.approx(protocol._values(lower, mean)[0], abs=1e-13)
+        assert float(np.mean(e)) == pytest.approx(mean_e, abs=1e-13)
         e = e - np.mean(e)
-        assert _sum(e, e) == pytest.approx(protocol._scatter(lower, bartlett)[0], rel=1e-12)
+        assert _sum(e, e) == pytest.approx(bias[0], rel=1e-12)
 
 
 def test_fewer_than_two_calibration_rounds_fail_with_and_without_records():
@@ -2403,34 +2406,28 @@ class _ReferenceFit:
 class _ReferenceReduction:
     """Stream layout 10's reduction of a run's draw to its reports, the oracle of
     ``protocol._reports``: a run's running sums, fed by ``add`` and read once by
-    ``result``, over the laws of the run's law record (a lone A's witness law weighed no
-    normal, and fed a sum its reports never read)."""
+    ``result``, over the statistics of the run's draw (a lone A draws no witness
+    statistic, and its witness sum, which its reports never read, stays 0)."""
 
     def __init__(self, laws):
         self.coalition, self.gains = laws.coalition, laws.gains
         self.lone = laws.coalition is Coalition.A_ALONE
         self.fit = _ReferenceFit(laws.coalition) if laws.calib is not None else None
-        witness = laws.witness or [protocol._whiten([np.zeros(3)])] * 2
-        self.laws = (witness, laws.bias, laws.calib, laws.est)
         self.sq_err = ([0.0, 0], [0.0, 0])
         self.sq_witness = ([0.0, 0], [0.0, 0])
         self.bias_err = estimators.RunningMoments()
 
     def add(self, read, stats) -> None:
         for q in (0, 1):
-            lower = self.laws[protocol.EST][q].lower
-            est = protocol._scatter(lower, stats.est[q])
-            witness = protocol._scatter(self.laws[protocol.WITNESS][q].lower, stats.witness[q])[0]
+            est = stats.est[q]
+            witness = 0.0 if stats.witness is None else stats.witness[q][0]
             for sq, value, role in ((self.sq_err[q], est[0], protocol.EST),
                                     (self.sq_witness[q], witness, protocol.WITNESS)):
                 sq[0] += value
                 sq[1] += int(read[role, q])
-            k, (mean, bartlett) = int(read[protocol.BIAS, q]), stats.bias[q]
-            e, u = protocol._values(lower, mean)
-            scatter = protocol._scatter(lower, bartlett)
+            k, ((e, u), scatter) = int(read[protocol.BIAS, q]), stats.bias[q]
             if self.fit is not None:
-                calib = protocol._scatter(self.laws[protocol.CALIB][q].lower, stats.calib[q])
-                self.fit.add(q, est, calib, int(read[protocol.CALIB, q]))
+                self.fit.add(q, est, stats.calib[q], int(read[protocol.CALIB, q]))
                 self.fit.add_bias(k, e, u, scatter, self.bias_err)
             self.bias_err.merge(k, e, scatter[0])
 
