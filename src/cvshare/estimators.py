@@ -244,8 +244,8 @@ def weighted_sum(columns, w: np.ndarray) -> np.ndarray:
 
 def combine(columns, coalition: Coalition, quad: int, gains: GainSet) -> np.ndarray:
     """Estimates bias_scale * (t @ w0 + g * (t @ w1)) from the (A, B, C) outcome columns
-    of one quadrature (:func:`weighted_sum`), the sum and the scale taken in place of the
-    fresh g * (t @ w1); a lone A reads A's column alone."""
+    of one quadrature (:func:`weighted_sum`), the sum and the scale taken in place in the
+    fresh product g * (t @ w1); a lone A reads A's column alone."""
     w0, w1 = WEIGHTS[coalition, quad]
     est = weighted_sum(columns, w0)
     if not w1.any():
