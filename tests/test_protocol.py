@@ -967,11 +967,11 @@ def test_run_without_records_opens_one_stream_and_draws_as_much_at_any_size(monk
                                                                             coalition,
                                                                             gain_mode):
     # stream layout 12: without records a run opens child stream 0 alone and draws its
-    # statistics once, the same calls at 1e3 rounds as at MAX_ROUNDS. Role by role, x before
-    # p, one Wishart each (a gamma array of its d chi-squared halves, then its Bartlett
-    # normal when d = 2): the estimation rounds' scatter, a fitted run's calibration
-    # rounds', the witness rounds' chi-squared half (none for a lone A); then the bias
-    # rounds' means, one normal array of d, and their scatters about them, Wisharts of
+    # statistics once, the same calls at 1e3 rounds as at MAX_ROUNDS, each one scalar.
+    # Role by role, x before p, one Wishart each (its d chi-squared halves, then its
+    # Bartlett normal when d = 2): the estimation rounds' scatter, a fitted run's
+    # calibration rounds', the witness rounds' chi-squared half (none for a lone A); then
+    # the bias rounds' means, d normals each, and their scatters about them, Wisharts of
     # k - 1 degrees of freedom. No round draws a number, and a run of MAX_ROUNDS rounds
     # reads MSEs within 5 standard errors of predicted_mse
     lone = coalition is Coalition.A_ALONE
@@ -993,12 +993,13 @@ def test_run_without_records_opens_one_stream_and_draws_as_much_at_any_size(monk
         n_bias = res.bias.n_rounds * (2 if lone else 1)
         assert n_witness == (0 if lone else round(POLICY.witness_fraction * n))
         assert n_bias == (2 if lone else 1) * round(POLICY.bias_fraction * n)
-        assert sizes == [1] * (d - 1) * wisharts + [d, d] + [1] * (d - 1) * 2
-        assert [size for _, size in gammas] == [d] * wisharts + [1] * (0 if lone else 2) + [d, d]
+        assert sizes == [1] * ((d - 1) * wisharts + 2 * d + 2 * (d - 1))
+        assert [size for _, size in gammas] == [1] * (d * wisharts + 2 * (not lone) + 2 * d)
         # a Gamma(k/2) for the k witness rounds of x and of p; the bias rounds' first entry
         # per quadrature is a Gamma((k - 1)/2)
-        assert 2 * sum(shape[0] for shape, _ in gammas[wisharts:-2]) == n_witness
-        assert sum(2 * shape[0] + 1 for shape, _ in gammas[-2:]) == n_bias
+        witness = gammas[d * wisharts : len(gammas) - 2 * d]
+        assert 2 * sum(shape for shape, _ in witness) == n_witness
+        assert sum(2 * gammas[-j][0] + 1 for j in (2 * d, d)) == n_bias
         draws.append((list(sizes), [size for _, size in gammas]))
         report = res.mse_report
         for mse, n_q, want in zip((report.mse_x, report.mse_p), (report.n_x, report.n_p),
