@@ -759,7 +759,7 @@ def test_witness_check_holds_one_quadrature_at_a_time(plan):
     # the check stacked each quadrature's three outcome columns at full length and then
     # took their rounds: 57 B a round above its input, about 2.4 (3, n) float stacks of
     # its n rounds. It holds one quadrature's rounds, taken from each column into one
-    # stack, and the estimator's three temporaries of them: 26 B a round
+    # stack, and the estimator's two temporaries of them: 22 B a round
     records = run_protocol(IDEAL, plan, 100_000, Coalition.ABC, POLICY, RandomStream(61)).records
     rounds = sift(records, "x") + sift(records, "p")
     del records
