@@ -238,6 +238,7 @@ def weighted_sum(columns, w: np.ndarray) -> np.ndarray:
     out = columns[first] if w[first] == 1.0 else w[first] * columns[first]
     for i, j in enumerate(rest):
         term = columns[j] if w[j] == 1.0 else w[j] * columns[j]
+        # add in place, except into the first column itself, which a weight of 1 borrows
         out = np.add(out, term, out=out if i or w[first] != 1.0 else None)
     return out
 
