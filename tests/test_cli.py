@@ -1952,70 +1952,70 @@ def test_fitted_pair_reports_pinned(tmp_path, capsys, monkeypatch, coalition, pl
 # with records takes from its rounds' own statistics (stream layout 11, the records' sums
 # reduced once, which layout 12 keeps). A lone A's gain mode changes nothing, as it fits no gain
 DUMP_REPORTS_SHA256 = {
-    ('a_alone', 'fixed', 'analytic'): (
+    ("a_alone", "fixed", "analytic"): (
         "66a756a7ec43f9dd35b2d06bb8a071dee53f3356631f0210eda4077bffc3b262",
         "7c26b6f5b7860d58f30fdcb8af026d1c1eee7083d90edd52da8c1b2b39a8c8c4",
-        "89abdc573ffa5443660cc714a2bee64f3ac474b4970120e714e348c102b7d686",),
-    ('ab', 'fixed', 'analytic'): (
+        "89abdc573ffa5443660cc714a2bee64f3ac474b4970120e714e348c102b7d686"),
+    ("ab", "fixed", "analytic"): (
         "d4507cce548c62a49069397286593c218138849246e896b4d5357141bb468f9f",
         "b28ed35bb9cde9d3201aed195b7ed450c5c7437fcdf3b2cce61836a303d213c2",
-        "d71ac35f18409c1740990e42799a478135375917ae0ba0d848f5e6c06b9d725d",),
-    ('ac', 'fixed', 'analytic'): (
+        "d71ac35f18409c1740990e42799a478135375917ae0ba0d848f5e6c06b9d725d"),
+    ("ac", "fixed", "analytic"): (
         "1ae88c901bf1a3a903b2cde43f67f5c7f9f982ae62eb5c4a84f5b649bb41c2a3",
         "834fa84b1fc9b5d5c00298c373987d6ba73ea77c9e3880f6dc356bf57ec113b4",
-        "99122f8450d9e0d55beeb9c9dc5438bf03e266cc6bfef2569126fc7921208361",),
-    ('abc', 'fixed', 'analytic'): (
+        "99122f8450d9e0d55beeb9c9dc5438bf03e266cc6bfef2569126fc7921208361"),
+    ("abc", "fixed", "analytic"): (
         "1946175fdc44ccec88f4ac61ef70a231b2299bf5c03cd5f4af95dd6175ecd709",
         "818e95292b9a250725d80a2ecab73449401020173d818520c587631124ded3eb",
-        "c97374667bf78f748ee9e03aedffd74d2bcfff6fec2eb4a4db2d321aec4d7093",),
-    ('a_alone', 'gaussian', 'analytic'): (
+        "c97374667bf78f748ee9e03aedffd74d2bcfff6fec2eb4a4db2d321aec4d7093"),
+    ("a_alone", "gaussian", "analytic"): (
         "2c03af843c1a2c333b8f671ed9932f8da2e637a46e32d7b3db16bc4fcd400d12",
         "7c26b6f5b7860d58f30fdcb8af026d1c1eee7083d90edd52da8c1b2b39a8c8c4",
-        "3fd118e4a8833489bda07481ba321af9305cab2023146201dfbbb8046238c9a5",),
-    ('ab', 'gaussian', 'analytic'): (
+        "3fd118e4a8833489bda07481ba321af9305cab2023146201dfbbb8046238c9a5"),
+    ("ab", "gaussian", "analytic"): (
         "be4467316a3e31074b967d3f7313e6e4e5d5234f072edc608bda8b6abf6866da",
         "da69bfa1965b169a590b1dda66d867c985dee76c0c60ea6f1cbf264d9e4a690d",
-        "47cbd4e63b4a1c01c3a8e8801da7fc2fb3c75ba27dfe59c6f5ca5cbb6b6cc833",),
-    ('ac', 'gaussian', 'analytic'): (
+        "47cbd4e63b4a1c01c3a8e8801da7fc2fb3c75ba27dfe59c6f5ca5cbb6b6cc833"),
+    ("ac", "gaussian", "analytic"): (
         "8d2c22860f44e4b6016e64022100e8c2e18937af59f4ebdfc123122c2b387e94",
         "1c3e5c12eb7f376709f56f3436f3e3344193d6c5e93fc1e1756690709df1d998",
-        "b0a5038802f4779ca2c88e8f1d7b140006650f6de89f6a9a960a8b05b642cfe1",),
-    ('abc', 'gaussian', 'analytic'): (
+        "b0a5038802f4779ca2c88e8f1d7b140006650f6de89f6a9a960a8b05b642cfe1"),
+    ("abc", "gaussian", "analytic"): (
         "6fec14ec4ed0b78369e9955078f7a0a4bcab4b42ac840d6c28f9d5e271a826fc",
         "ed98baffb1754bce658d789f2670b8fc4d037b9dc0666feb0c7deda500209d23",
-        "1ff767c2e5353f968595dce64b32256e34e30fee4d380be0f6cfa6f38edcbfc3",),
-    ('a_alone', 'fixed', 'fitted'): (
+        "1ff767c2e5353f968595dce64b32256e34e30fee4d380be0f6cfa6f38edcbfc3"),
+    ("a_alone", "fixed", "fitted"): (
         "66a756a7ec43f9dd35b2d06bb8a071dee53f3356631f0210eda4077bffc3b262",
         "7c26b6f5b7860d58f30fdcb8af026d1c1eee7083d90edd52da8c1b2b39a8c8c4",
-        "89abdc573ffa5443660cc714a2bee64f3ac474b4970120e714e348c102b7d686",),
-    ('ab', 'fixed', 'fitted'): (
+        "89abdc573ffa5443660cc714a2bee64f3ac474b4970120e714e348c102b7d686"),
+    ("ab", "fixed", "fitted"): (
         "003613051868e168f70207c95fe08594d6ec23154350f9d8e57f72de350af165",
         "242dd0d805fcef0dd4c23dfb4e1572acbafb4850787b2de331a9d1daf3df682e",
-        "a5cc7a9add053db3d5562bdba22f0d641b155f0430b3d5b662f4bf138ce8de8e",),
-    ('ac', 'fixed', 'fitted'): (
+        "a5cc7a9add053db3d5562bdba22f0d641b155f0430b3d5b662f4bf138ce8de8e"),
+    ("ac", "fixed", "fitted"): (
         "57b9067f8d77f167755c198d770751c773fcd5601dd736c944164dc279c6ddb1",
         "dcf97b4f097740b921589eaa6b62e0f2fce7b5e06aa850ad583efe9283a895c7",
-        "9025997f89c0f953ba499b416f8dde99af5a6f5ed2f7bd5c8b023c1834f3ef68",),
-    ('abc', 'fixed', 'fitted'): (
+        "9025997f89c0f953ba499b416f8dde99af5a6f5ed2f7bd5c8b023c1834f3ef68"),
+    ("abc", "fixed", "fitted"): (
         "8bc5ad2a506caa995810a03ee9cc82aba0bbd6abc984478b5096e335d6775a4d",
         "6857483328c81acd3fe085fed5032b904424e465b17a9111ca7bf7b0d1ad3e84",
-        "01888b2384cd53ac4fbe38cb2258a6317d2373d3b510bc3600c52358f3e2332d",),
-    ('a_alone', 'gaussian', 'fitted'): (
+        "01888b2384cd53ac4fbe38cb2258a6317d2373d3b510bc3600c52358f3e2332d"),
+    ("a_alone", "gaussian", "fitted"): (
         "2c03af843c1a2c333b8f671ed9932f8da2e637a46e32d7b3db16bc4fcd400d12",
         "7c26b6f5b7860d58f30fdcb8af026d1c1eee7083d90edd52da8c1b2b39a8c8c4",
-        "3fd118e4a8833489bda07481ba321af9305cab2023146201dfbbb8046238c9a5",),
-    ('ab', 'gaussian', 'fitted'): (
+        "3fd118e4a8833489bda07481ba321af9305cab2023146201dfbbb8046238c9a5"),
+    ("ab", "gaussian", "fitted"): (
         "c7165da173d6735e6a55355e79291d8e48c5294dc6c1f73e02d86bbde23debfd",
         "f52011f0ecabd619e7f723863ef8ddec278fec13954a1628ff233c63d3c77991",
-        "cef7ecb0762d35791e6491aa0dd8c94e24d978daa5a52698beec6965a4b10c36",),
-    ('ac', 'gaussian', 'fitted'): (
+        "cef7ecb0762d35791e6491aa0dd8c94e24d978daa5a52698beec6965a4b10c36"),
+    ("ac", "gaussian", "fitted"): (
         "b1698efbbc65a23aaa2dcbbefec78c622b954392c438cfa2d538bfa33e464162",
         "25643cacec921d66e9bef4e30b88d4eb45a8bddb37dd74724ccc201c291a11c3",
-        "1337401529646405c3af79c42c3c7f005ba33ab40c1d36e0dbfd66239aa36889",),
-    ('abc', 'gaussian', 'fitted'): (
+        "1337401529646405c3af79c42c3c7f005ba33ab40c1d36e0dbfd66239aa36889"),
+    ("abc", "gaussian", "fitted"): (
         "e9af3391186e3d38d5984a2d05252d496aacfa7f2cb5bde9c9f79f20ad045079",
         "e26a383572cdc6fabbab379f64d7f46cfc9f0a1493cfeb2a9261ae0f7db8f5e0",
-        "2d0335c9b46c977e68afe7dc509576beef851cbb74b485de4e99964cc96b87b3",),
+        "2d0335c9b46c977e68afe7dc509576beef851cbb74b485de4e99964cc96b87b3"),
 }
 
 
